@@ -1,7 +1,6 @@
 GO ?= go
-BENCH_COUNT ?= 5
 
-.PHONY: build test race bench-baseline bench-check bench-allocs bench-sweep lint fuzz-smoke chaos
+.PHONY: build test race bench bench-compare lint fuzz-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -12,36 +11,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Refresh the checked-in benchmark baseline the CI regression gate compares
-# against. Run on a quiet machine and commit the result together with the
-# change that legitimately moved the numbers.
-bench-baseline:
-	$(GO) run ./cmd/hebench -count $(BENCH_COUNT) -json BENCH_baseline.json
+# The repo's benchmark (BENCHMARK.json): each listed workload through the
+# real serving stack for the declared run length, every response compared bit
+# for bit with the software evaluator (exit 1 on any mismatch). Runs append
+# to BENCH_run.json, gitignored scratch output. The exact simulated-cycle
+# pins and the 0 allocs/op walls are tier-1 tests, not part of this target.
+bench:
+	for w in mul_paper add_routed ckks_chain; do \
+		$(GO) run ./bench -workload $$w -out BENCH_run.json || exit 1; \
+	done
 
-# The CI gate, runnable locally: measure now and diff against the baseline.
-# BENCH_current.json is gitignored scratch output. -gate-allocs makes the
-# steady-state allocs/op counts part of the wall: they compare exactly, with
-# no threshold slack and no calibration normalization.
-bench-check:
-	$(GO) run ./cmd/hebench -count $(BENCH_COUNT) -json BENCH_current.json
-	$(GO) run ./cmd/benchdiff -base BENCH_baseline.json -cur BENCH_current.json -gate-allocs \
-		-ops ntt_forward,mul_relin,engine_throughput,cluster_throughput_1,cluster_throughput_2,cluster_throughput_4,cluster_rolling_restart,program_encsearch,sched_overlap,mux_throughput,ckks_mul_rescale
-
-# The zero-allocation wall on its own: the -benchmem hot-path benchmarks
-# print B/op and allocs/op, then benchdiff enforces the exact steady-state
-# counts against the baseline. One new allocation per warm Mul or NTT fails.
-bench-allocs:
-	$(GO) test -run=NONE -bench 'MulRelin|NTT' -benchtime 10x -benchmem . ./internal/poly
-	$(GO) run ./cmd/hebench -count 3 -json BENCH_current.json
-	$(GO) run ./cmd/benchdiff -base BENCH_baseline.json -cur BENCH_current.json -gate-allocs \
-		-ops ntt_forward,mul_relin,ckks_mul_rescale
-
-# Ring-degree sweep of the gated hot paths (forward NTT and MulInto at
-# n = 2^12..2^15, paper prime shape throughout). Writes gitignored scratch
-# output; CI uploads it as an artifact on main so scaling curves accumulate
-# per merge without living in the tree.
-bench-sweep:
-	$(GO) run ./cmd/hebench -count $(BENCH_COUNT) -sweep 12,13,14,15 -json BENCH_sweep.json
+# Judge one result file against another, metric by metric and workload by
+# workload (ok / worse / unresolved): make bench-compare BASE=a.json CUR=b.json
+bench-compare:
+	$(GO) run ./bench -compare $(BASE) $(CUR)
 
 lint:
 	golangci-lint run ./...

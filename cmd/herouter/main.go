@@ -1,6 +1,6 @@
 // Command herouter fronts a fleet of heserver nodes with one endpoint: the
 // scale-out tier above the paper's Fig. 11 platform. It speaks the same wire
-// protocol as heserver (v1 and v2), shards tenants across the backends with
+// protocol as heserver (sequential v2), shards tenants across the backends with
 // a consistent-hash ring, health-checks every node (ejecting dead ones and
 // rerouting their tenants to ring replicas), and retries idempotent
 // requests on a replica within a bounded budget.

@@ -21,20 +21,18 @@ type Client struct {
 	conn   net.Conn
 	params *fv.Params
 	ckks   *ckks.Params // non-nil after EnableCKKS; required for CmdCKKS*
-	ver    uint8
 	tenant string
 	nextID uint64
 	broken bool // a transport error or cancellation desynced the stream
 }
 
-// Dial connects to the service speaking protocol v2 under the default
-// tenant.
+// Dial connects to the service under the default tenant.
 func Dial(addr string, params *fv.Params) (*Client, error) {
 	return DialTenant(addr, params, "")
 }
 
-// DialTenant connects to the service speaking protocol v2; every request is
-// issued under the given evaluation-key namespace.
+// DialTenant connects to the service; every request is issued under the
+// given evaluation-key namespace.
 func DialTenant(addr string, params *fv.Params, tenant string) (*Client, error) {
 	if len(tenant) > MaxTenantLen {
 		return nil, fmt.Errorf("cloud: tenant %q longer than %d bytes", tenant, MaxTenantLen)
@@ -43,18 +41,7 @@ func DialTenant(addr string, params *fv.Params, tenant string) (*Client, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, params: params, ver: ProtoV2, tenant: tenant}, nil
-}
-
-// DialV1 connects speaking the legacy v1 framing, for servers that predate
-// the tenant-aware protocol. v1 has no tenant or request-ID fields; the
-// server serves such clients under the default tenant.
-func DialV1(addr string, params *fv.Params) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, params: params, ver: ProtoV1}, nil
+	return &Client{conn: conn, params: params, tenant: tenant}, nil
 }
 
 // Close closes the connection.
@@ -63,15 +50,11 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Tenant returns the namespace this client issues requests under.
 func (c *Client) Tenant() string { return c.tenant }
 
-// SetTenant changes the namespace for subsequent requests (v2 clients only;
-// on a v1 client only "" is valid). Connection pools use this to reuse one
-// connection across tenants.
+// SetTenant changes the namespace for subsequent requests. Connection pools
+// use this to reuse one connection across tenants.
 func (c *Client) SetTenant(tenant string) error {
 	if len(tenant) > MaxTenantLen {
 		return fmt.Errorf("cloud: tenant %q longer than %d bytes", tenant, MaxTenantLen)
-	}
-	if c.ver < ProtoV2 && tenant != "" {
-		return fmt.Errorf("cloud: protocol v1 cannot carry tenant %q", tenant)
 	}
 	c.tenant = tenant
 	return nil
@@ -84,14 +67,13 @@ func (c *Client) Broken() bool { return c.broken }
 
 // EnableCKKS arms the client for approximate-arithmetic commands. The params
 // must match the server's (check ServerInfo.CKKS via Info first); CKKS
-// commands on a client without them, or on a v1 connection, fail before
-// touching the wire.
+// commands on a client without them fail before touching the wire.
 func (c *Client) EnableCKKS(p *ckks.Params) { c.ckks = p }
 
 // watch arranges for ctx cancellation to interrupt conn I/O by slamming the
 // deadline to now. The returned stop function must be called when the
-// exchange ends; the per-exchange deadline reset in Do clears any deadline a
-// late-firing watcher leaves behind.
+// exchange ends; the per-exchange deadline reset in exchange clears any
+// deadline a late-firing watcher leaves behind.
 func (c *Client) watch(ctx context.Context) func() {
 	if ctx.Done() == nil {
 		return func() {}
@@ -107,39 +89,32 @@ func (c *Client) watch(ctx context.Context) func() {
 	return func() { close(done) }
 }
 
-// Do runs one request/response exchange under ctx. The request's Ver, ID,
-// and Tenant fields are filled in from the client (a non-empty req.Tenant
-// overrides the client default). A context deadline is honored via the
-// connection deadline, so a hung server cannot block the caller past it; on
-// cancellation or any transport error the client is marked Broken. A
-// server-reported failure is returned as *ServerError with the result
-// response.
-func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
+// exchange runs one request/response round trip under ctx — the skeleton
+// every command shares. It stamps the request's Ver, ID, and Tenant from the
+// client (a non-empty req.Tenant overrides the client default), writes it,
+// and calls read to decode the reply off c.conn; read returns the request ID
+// the reply echoed. A context deadline is honored via the connection
+// deadline, so a hung server cannot block the caller past it. On
+// cancellation, any transport error, or a reply to a different request the
+// client is marked Broken; a *ServerError from read — the server answered,
+// the operation failed — is returned as is and leaves the stream usable.
+// what names the reply kind in the desync error.
+func (c *Client) exchange(ctx context.Context, req *Request, what string, read func() (uint64, error)) error {
 	if c.broken {
-		return nil, fmt.Errorf("cloud: client connection is broken")
-	}
-	if isCKKSCmd(req.Cmd) {
-		if c.ckks == nil {
-			return nil, fmt.Errorf("cloud: %s requires EnableCKKS", cmdName(req.Cmd))
-		}
-		if c.ver < ProtoV2 {
-			return nil, fmt.Errorf("cloud: %s requires protocol v2", cmdName(req.Cmd))
-		}
+		return fmt.Errorf("cloud: client connection is broken")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	req.Ver = c.ver
+	req.Ver = ProtoV2
 	if req.Tenant == "" {
 		req.Tenant = c.tenant
 	}
-	if c.ver >= ProtoV2 {
-		c.nextID++
-		req.ID = c.nextID
-	}
+	c.nextID++
+	req.ID = c.nextID
 	if d, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(d)
 	} else {
@@ -150,22 +125,41 @@ func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 
 	if err := WriteRequest(c.conn, c.params, req); err != nil {
 		c.broken = true
-		return nil, c.ctxErr(ctx, err)
+		return c.ctxErr(ctx, err)
+	}
+	id, err := read()
+	var se *ServerError
+	if err != nil && !errors.As(err, &se) {
+		c.broken = true
+		return c.ctxErr(ctx, err)
+	}
+	if id != req.ID {
+		c.broken = true
+		return fmt.Errorf("cloud: %sresponse ID %d for request %d (stream desync)", what, id, req.ID)
+	}
+	return err
+}
+
+// Do runs one request/response exchange under ctx (see exchange for the
+// deadline, cancellation, and broken-stream rules). A server-reported
+// failure is returned as *ServerError with the result response.
+func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
+	if isCKKSCmd(req.Cmd) && c.ckks == nil {
+		return nil, fmt.Errorf("cloud: %s requires EnableCKKS", cmdName(req.Cmd))
 	}
 	var resp *Response
-	var err error
-	if isCKKSCmd(req.Cmd) {
-		resp, err = ReadCKKSResponseV(c.conn, c.ckks, req.Ver)
-	} else {
-		resp, err = ReadResponseV(c.conn, c.params, req.Ver)
-	}
-	if err != nil {
-		c.broken = true
-		return nil, c.ctxErr(ctx, err)
-	}
-	if req.Ver >= ProtoV2 && resp.ID != req.ID {
-		c.broken = true
-		return nil, fmt.Errorf("cloud: response ID %d for request %d (stream desync)", resp.ID, req.ID)
+	if err := c.exchange(ctx, req, "", func() (id uint64, err error) {
+		if isCKKSCmd(req.Cmd) {
+			resp, err = ReadCKKSResponseV(c.conn, c.ckks, req.Ver)
+		} else {
+			resp, err = ReadResponseV(c.conn, c.params, req.Ver)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return resp.ID, nil
+	}); err != nil {
+		return nil, err
 	}
 	if resp.Err != "" {
 		return resp, &ServerError{Code: resp.Code, Msg: resp.Err}
@@ -258,41 +252,16 @@ func (c *Client) PingCtx(ctx context.Context) error {
 	return err
 }
 
-// Info asks a v2 server what it is: protocol version, node ID, worker count,
+// Info asks the server what it is: protocol version, node ID, worker count,
 // and the tenants with registered evaluation keys.
 func (c *Client) Info(ctx context.Context) (*ServerInfo, error) {
-	if c.ver < ProtoV2 {
-		return nil, fmt.Errorf("cloud: info requires protocol v2")
-	}
-	if c.broken {
-		return nil, fmt.Errorf("cloud: client connection is broken")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(d)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	stop := c.watch(ctx)
-	defer stop()
-	c.nextID++
-	req := &Request{Cmd: CmdInfo, Ver: c.ver, ID: c.nextID, Tenant: c.tenant}
-	if err := WriteRequest(c.conn, c.params, req); err != nil {
-		c.broken = true
-		return nil, c.ctxErr(ctx, err)
-	}
-	id, info, err := ReadInfoResponse(c.conn)
+	var info *ServerInfo
+	err := c.exchange(ctx, &Request{Cmd: CmdInfo}, "info ", func() (id uint64, err error) {
+		id, info, err = ReadInfoResponse(c.conn)
+		return id, err
+	})
 	if err != nil {
-		if _, ok := err.(*ServerError); !ok {
-			c.broken = true
-		}
-		return nil, c.ctxErr(ctx, err)
-	}
-	if id != req.ID {
-		c.broken = true
-		return nil, fmt.Errorf("cloud: info response ID %d for request %d (stream desync)", id, req.ID)
+		return nil, err
 	}
 	return info, nil
 }
@@ -302,45 +271,15 @@ func (c *Client) Info(ctx context.Context) (*ServerInfo, error) {
 // cancellation, and broken-stream handling match Do. A server-reported
 // failure returns the response alongside a *ServerError carrying its code.
 func (c *Client) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
-	if c.ver < ProtoV2 {
-		return nil, fmt.Errorf("cloud: program requires protocol v2")
-	}
-	if c.broken {
-		return nil, fmt.Errorf("cloud: client connection is broken")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	req.Cmd = CmdProgram
-	req.Ver = c.ver
-	if req.Tenant == "" {
-		req.Tenant = c.tenant
-	}
-	c.nextID++
-	req.ID = c.nextID
-	if d, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(d)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	stop := c.watch(ctx)
-	defer stop()
-
-	if err := WriteRequest(c.conn, c.params, req); err != nil {
-		c.broken = true
-		return nil, c.ctxErr(ctx, err)
-	}
-	resp, err := ReadProgramResponse(c.conn, c.params)
-	if err != nil {
-		c.broken = true
-		return nil, c.ctxErr(ctx, err)
-	}
-	if resp.ID != req.ID {
-		c.broken = true
-		return nil, fmt.Errorf("cloud: program response ID %d for request %d (stream desync)", resp.ID, req.ID)
+	var resp *ProgramResponse
+	if err := c.exchange(ctx, req, "program ", func() (id uint64, err error) {
+		if resp, err = ReadProgramResponse(c.conn, c.params); err != nil {
+			return 0, err
+		}
+		return resp.ID, nil
+	}); err != nil {
+		return nil, err
 	}
 	if resp.Err != "" {
 		return resp, &ServerError{Code: resp.Code, Msg: resp.Err}

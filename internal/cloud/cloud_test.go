@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -99,7 +100,7 @@ func TestRequestResponseRoundTrip(t *testing.T) {
 	if err := WriteResponse(&buf, ts.params, resp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResponse(&buf, ts.params)
+	got, err := ReadResponseV(&buf, ts.params, ProtoV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,27 +113,34 @@ func TestRequestResponseRoundTrip(t *testing.T) {
 	if err := WriteResponse(&buf, ts.params, &Response{Err: "boom"}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadResponse(&buf, ts.params); err != nil || got.Err != "boom" {
+	if got, err := ReadResponseV(&buf, ts.params, ProtoV2); err != nil || got.Err != "boom" {
 		t.Fatalf("error response round trip: %v %v", got, err)
 	}
 }
 
+// requestHeader is the wire header of a request for cmd with ID 0 under the
+// default tenant: magic, version, command, request ID, empty tenant.
+func requestHeader(cmd uint8) []byte {
+	return append([]byte{'H', 'E', 'A', '2', ProtoV2, cmd}, make([]byte, 8+1)...)
+}
+
 func TestRequestValidation(t *testing.T) {
 	ts := newTestSystem(t)
-	// Wrong magic.
-	if _, err := ReadRequest(bytes.NewReader([]byte("XXXX\x01")), ts.params); err == nil {
-		t.Fatal("bad magic accepted")
+	// Wrong magic — garbage, and the retired v1 framing ("HEAT" + command),
+	// which is now a bad magic like any other.
+	for _, frame := range []string{"XXXX\x01", "HEAT\x03"} {
+		_, err := ReadRequest(bytes.NewReader([]byte(frame)), ts.params)
+		if !errors.Is(err, ErrMalformedRequest) {
+			t.Fatalf("magic %q: err = %v, want ErrMalformedRequest", frame[:4], err)
+		}
 	}
 	// Unknown command.
-	if _, err := ReadRequest(bytes.NewReader([]byte("HEAT\x99")), ts.params); err == nil {
+	if _, err := ReadRequest(bytes.NewReader(requestHeader(0x99)), ts.params); err == nil {
 		t.Fatal("unknown command accepted")
 	}
 	// Truncated body.
-	var buf bytes.Buffer
-	buf.WriteString("HEAT")
-	buf.WriteByte(CmdAdd)
-	buf.Write([]byte{1, 2, 3})
-	if _, err := ReadRequest(&buf, ts.params); err == nil {
+	truncated := append(requestHeader(CmdAdd), 1, 2, 3)
+	if _, err := ReadRequest(bytes.NewReader(truncated), ts.params); err == nil {
 		t.Fatal("truncated request accepted")
 	}
 }
@@ -338,7 +346,7 @@ func TestServerSlowClientDisconnected(t *testing.T) {
 	}
 	defer conn.Close()
 	// Half a request, then silence.
-	if _, err := conn.Write([]byte("HEAT\x01")); err != nil {
+	if _, err := conn.Write([]byte("HEA2\x02")); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -362,8 +370,7 @@ func TestRequestSizeBounded(t *testing.T) {
 	// A well-formed-looking prefix followed by an endless stream of zeros:
 	// the reader must give up with an error after at most `limit` bytes.
 	var prefix bytes.Buffer
-	prefix.WriteString("HEAT")
-	prefix.WriteByte(CmdAdd)
+	prefix.Write(requestHeader(CmdAdd))
 	var hdr [8]byte
 	hdr[0] = 3 // element count (max allowed)
 	n := uint32(ts.params.N())

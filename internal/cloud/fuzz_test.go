@@ -73,10 +73,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	params := fuzzParams()
 	ct := fuzzCiphertext()
 	seeds := []*Request{
-		{Cmd: CmdPing, Ver: ProtoV1},
 		{Cmd: CmdPing, Ver: ProtoV2, ID: 7, Tenant: "alice"},
 		{Cmd: CmdInfo, Ver: ProtoV2, ID: 8},
-		{Cmd: CmdAdd, Ver: ProtoV1, A: ct, B: ct},
+		{Cmd: CmdKeyExport, Ver: ProtoV2, ID: 13, Tenant: "dave"},
+		{Cmd: CmdAdmin, Ver: ProtoV2, ID: 14, Blob: []byte(`{"op":"drain","node":"n1"}`)},
 		{Cmd: CmdAdd, Ver: ProtoV2, ID: 9, Tenant: "bob", A: ct, B: ct},
 		{Cmd: CmdMul, Ver: ProtoV2, ID: 10, A: ct, B: ct},
 		{Cmd: CmdRotate, Ver: ProtoV2, ID: 11, G: 3, A: ct},
@@ -96,8 +96,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		flipped[buf.Len()/3] ^= 0x40
 		f.Add(flipped)
 	}
-	f.Add([]byte("HEAT"))
 	f.Add([]byte("HEA2\x02\x01"))
+	f.Add([]byte("HEAM\x02\x20")) // a mux hello is not a request
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -173,38 +173,35 @@ func FuzzDecodeMuxFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse feeds arbitrary bytes to ReadResponseV in both protocol
-// versions. Same contract as the request side; additionally, an unknown
-// status byte must never be parsed as a success frame.
+// FuzzDecodeResponse feeds arbitrary bytes to ReadResponseV. Same contract as
+// the request side; additionally, an unknown status byte must never be parsed
+// as a success frame.
 func FuzzDecodeResponse(f *testing.F) {
 	params := fuzzParams()
 	ct := fuzzCiphertext()
 	seeds := []*Response{
-		{Ver: ProtoV1, Result: ct, ComputeNanos: 123, Worker: 1},
 		{Ver: ProtoV2, ID: 5, Result: ct, ComputeNanos: 456, Worker: 0},
-		{Ver: ProtoV1, Err: "no such key"},
 		{Ver: ProtoV2, ID: 6, Err: "overloaded", Code: CodeUnavailable},
 		{Ver: ProtoV2, ID: 7, Err: "fingerprint mismatch", Code: CodeIntegrity},
+		{Ver: ProtoV2, ID: 8, Err: "tenant over quota", Code: CodeQuota},
+		{Ver: ProtoV2, ID: 9, Err: "no such key"},
 	}
 	for _, resp := range seeds {
 		var buf bytes.Buffer
 		if err := WriteResponse(&buf, params, resp); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes(), resp.Ver)
-		f.Add(buf.Bytes()[:buf.Len()/2], resp.Ver)
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
 		flipped := bytes.Clone(buf.Bytes())
 		flipped[buf.Len()/3] ^= 0x40
-		f.Add(flipped, resp.Ver)
+		f.Add(flipped)
 	}
-	f.Add([]byte{0xFF}, ProtoV2)
-	f.Add([]byte{}, ProtoV1)
+	f.Add([]byte{0xFF})
+	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte, ver uint8) {
-		if ver != ProtoV1 && ver != ProtoV2 {
-			ver = ProtoV2
-		}
-		resp, err := ReadResponseV(bytes.NewReader(data), params, ver)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := ReadResponseV(bytes.NewReader(data), params, ProtoV2)
 		if err != nil {
 			checkDecodeErr(t, err, ErrMalformedResponse)
 			return
@@ -213,7 +210,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err := WriteResponse(&buf, params, resp); err != nil {
 			t.Fatalf("accepted response does not re-encode: %v", err)
 		}
-		if _, err := ReadResponseV(&buf, params, ver); err != nil {
+		if _, err := ReadResponseV(&buf, params, ProtoV2); err != nil {
 			t.Fatalf("re-encoded response does not re-decode: %v", err)
 		}
 	})

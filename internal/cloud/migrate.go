@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/ckks"
 	"repro/internal/engine"
@@ -328,52 +327,13 @@ func ReadBlobResponse(r io.Reader, maxLen int) (uint64, []byte, error) {
 // blobExchange runs one request/blob-response round trip with the client's
 // usual deadline, cancellation, and desync handling.
 func (c *Client) blobExchange(ctx context.Context, req *Request, maxLen int) ([]byte, error) {
-	if c.ver < ProtoV2 {
-		return nil, fmt.Errorf("cloud: %s requires protocol v2", cmdName(req.Cmd))
-	}
-	if c.broken {
-		return nil, fmt.Errorf("cloud: client connection is broken")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	req.Ver = c.ver
-	if req.Tenant == "" {
-		req.Tenant = c.tenant
-	}
-	c.nextID++
-	req.ID = c.nextID
-	if d, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(d)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	stop := c.watch(ctx)
-	defer stop()
-
-	if err := WriteRequest(c.conn, c.params, req); err != nil {
-		c.broken = true
-		return nil, c.ctxErr(ctx, err)
-	}
-	id, body, err := ReadBlobResponse(c.conn, maxLen)
+	var body []byte
+	err := c.exchange(ctx, req, "blob ", func() (id uint64, err error) {
+		id, body, err = ReadBlobResponse(c.conn, maxLen)
+		return id, err
+	})
 	if err != nil {
-		var se *ServerError
-		if !errors.As(err, &se) {
-			c.broken = true
-			return nil, c.ctxErr(ctx, err)
-		}
-		if id != req.ID {
-			c.broken = true
-			return nil, fmt.Errorf("cloud: blob response ID %d for request %d (stream desync)", id, req.ID)
-		}
 		return nil, err
-	}
-	if id != req.ID {
-		c.broken = true
-		return nil, fmt.Errorf("cloud: blob response ID %d for request %d (stream desync)", id, req.ID)
 	}
 	return body, nil
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/fv"
 )
 
-// Connection multiplexing ("HEAM"). The v1/v2 framings are strictly
+// Connection multiplexing ("HEAM"). The sequential framing is strictly
 // request/response: one exchange in flight per connection, so a slow
 // multiplication blocks every request queued behind it on that socket, and
 // the only way to add concurrency is to open more connections. The mux mode
@@ -60,7 +60,7 @@ const (
 	MaxMuxWindow = 256
 )
 
-// muxMagic opens a multiplexed session; it shares the port with "HEAT"/"HEA2"
+// muxMagic opens a multiplexed session; it shares the port with "HEA2"
 // and is told apart by the first four bytes.
 var muxMagic = [4]byte{'H', 'E', 'A', 'M'}
 

@@ -62,14 +62,6 @@ func TestProgramRequestRoundTrip(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("checksum changed in transit")
 	}
-
-	// v1 framing cannot carry a program.
-	var v1 bytes.Buffer
-	v1.Write(protocolMagic[:])
-	v1.WriteByte(CmdProgram)
-	if _, err := ReadRequest(&v1, ts.params); !errors.Is(err, ErrMalformedRequest) {
-		t.Fatalf("v1 program request: err = %v, want ErrMalformedRequest", err)
-	}
 }
 
 func TestProgramResponseRoundTrip(t *testing.T) {

@@ -7,21 +7,19 @@
 // homomorphic applications in the cloud, using this FPGA-based
 // co-processor").
 //
-// # Wire protocol versions
+// # Wire protocol
 //
-// Two framings coexist on the same port:
+// One request framing, v2, carried two ways on the same port:
 //
-//	v1 ("HEAT"): magic, command byte, payload. No tenant, no request ID.
-//	v2 ("HEA2"): magic, version byte, command byte, request ID (8 bytes LE),
-//	             tenant (1-byte length + UTF-8 bytes), payload.
+//	sequential ("HEA2"): magic, version byte, command byte, request ID
+//	             (8 bytes LE), tenant (1-byte length + UTF-8 bytes), payload;
+//	             one request, then its response, per round trip.
+//	mux ("HEAM"): a session of checksummed frames, each wrapping one such
+//	             request or response, completing out of order (mux.go).
 //
-// The compatibility rule: a server answers in the version the request
-// arrived in, and a v1 request is served under the default tenant ("") with
-// request ID 0. New clients default to v2; v1 stays on the wire unchanged so
-// pre-cluster clients keep working. v2 responses additionally echo the
-// request ID and carry an error code that distinguishes retryable
-// unavailability (overload, shutdown, queue-deadline) from application
-// errors, which is what the cluster router keys failover on.
+// Responses echo the request ID and carry an error code that distinguishes
+// retryable unavailability (overload, shutdown, queue-deadline) from
+// application errors, which is what the cluster router keys failover on.
 package cloud
 
 import (
@@ -58,12 +56,9 @@ func malformed(sentinel error, context string, err error) error {
 	return fmt.Errorf("%w: %s: %w", sentinel, context, err)
 }
 
-// Protocol versions. ProtoV1 is the original framing; ProtoV2 adds the
+// ProtoV2 is the one protocol version on the wire: requests carry the
 // request ID and tenant fields the cluster layer routes on.
-const (
-	ProtoV1 uint8 = 1
-	ProtoV2 uint8 = 2
-)
+const ProtoV2 uint8 = 2
 
 // MaxTenantLen bounds the tenant field of a v2 request (it is
 // length-prefixed with one byte, and routers hash it on every request).
@@ -75,13 +70,12 @@ const (
 	CmdMul    uint8 = 2
 	CmdPing   uint8 = 3
 	CmdRotate uint8 = 4 // Galois automorphism; G carries the element
-	CmdInfo   uint8 = 5 // server capability advertisement (v2 only)
+	CmdInfo   uint8 = 5 // server capability advertisement
 	// CmdProgram submits a whole compiled circuit (internal/program) as one
 	// request: the serialized program plus its input ciphertexts, answered
-	// with every output ciphertext. One round trip instead of one per gate
-	// (v2 only).
+	// with every output ciphertext. One round trip instead of one per gate.
 	CmdProgram uint8 = 6
-	// CKKS approximate-arithmetic commands (v2 only): the siblings of
+	// CKKS approximate-arithmetic commands: the siblings of
 	// CmdAdd/CmdMul/CmdRotate over CKKS ciphertexts. CmdCKKSMul includes the
 	// trailing rescale (the result arrives one level down); CmdCKKSRotate
 	// carries the slot rotation count in the request's R field. Servers
@@ -91,7 +85,7 @@ const (
 	CmdCKKSMul    uint8 = 8
 	CmdCKKSRotate uint8 = 9
 
-	// Key-state migration commands (v2 only). CmdKeyExport asks a node for
+	// Key-state migration commands. CmdKeyExport asks a node for
 	// the complete evaluation-key set of the request's tenant (both schemes),
 	// answered with a checksummed key blob; CmdKeyImport installs such a blob
 	// on a node. The cluster migrator uses the pair to move tenant key state
@@ -112,8 +106,7 @@ func isCKKSCmd(cmd uint8) bool {
 	return cmd == CmdCKKSAdd || cmd == CmdCKKSMul || cmd == CmdCKKSRotate
 }
 
-// Error codes carried by v2 error responses. v1 responses have no code and
-// decode as CodeApp.
+// Error codes carried by error responses.
 const (
 	// CodeApp is a deterministic application error (bad operand, missing
 	// evaluation key); retrying elsewhere would fail the same way.
@@ -134,16 +127,13 @@ const (
 	CodeQuota uint8 = 3
 )
 
-// Protocol magics: v1 and v2 framing share the port and are told apart by
-// the first four bytes.
-var (
-	protocolMagic   = [4]byte{'H', 'E', 'A', 'T'}
-	protocolMagicV2 = [4]byte{'H', 'E', 'A', '2'}
-)
+// protocolMagicV2 opens every sequential request; the mux session magic
+// (mux.go) shares the port and is told apart by these first four bytes.
+var protocolMagicV2 = [4]byte{'H', 'E', 'A', '2'}
 
 // MaxRequestBytes returns the upper bound of one serialized request under
-// params: the larger v2 header (magic + version + command + request ID +
-// tenant + Galois element) plus two ciphertexts of at most three elements
+// params: the header (magic + version + command + request ID + tenant +
+// Galois element) plus two ciphertexts of at most three elements
 // each. ReadRequest refuses to consume more than this from the connection,
 // so a malicious or corrupted stream cannot make the server read (or
 // allocate) without bound.
@@ -169,10 +159,10 @@ func MaxProgramRequestBytes(params *fv.Params) int {
 type Request struct {
 	Cmd uint8
 	G   uint32 // Galois element (CmdRotate only)
-	// Ver selects the wire framing; 0 and ProtoV1 write v1, ProtoV2 writes
-	// v2 with the ID and Tenant fields below.
+	// Ver is the protocol version the request was read in (always ProtoV2);
+	// writers ignore it.
 	Ver    uint8
-	ID     uint64 // request ID, echoed in the v2 response
+	ID     uint64 // request ID, echoed in the response
 	Tenant string // evaluation-key namespace; "" is the default tenant
 	A, B   *fv.Ciphertext
 
@@ -195,28 +185,19 @@ type Request struct {
 	Blob []byte
 }
 
-// WriteRequest serializes a request in the framing req.Ver selects.
+// WriteRequest serializes a request.
 func WriteRequest(w io.Writer, params *fv.Params, req *Request) error {
-	if req.Ver >= ProtoV2 {
-		if len(req.Tenant) > MaxTenantLen {
-			return fmt.Errorf("cloud: tenant %q longer than %d bytes", req.Tenant, MaxTenantLen)
-		}
-		hdr := make([]byte, 0, 4+1+1+8+1+len(req.Tenant))
-		hdr = append(hdr, protocolMagicV2[:]...)
-		hdr = append(hdr, ProtoV2, req.Cmd)
-		hdr = binary.LittleEndian.AppendUint64(hdr, req.ID)
-		hdr = append(hdr, byte(len(req.Tenant)))
-		hdr = append(hdr, req.Tenant...)
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-	} else {
-		if _, err := w.Write(protocolMagic[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{req.Cmd}); err != nil {
-			return err
-		}
+	if len(req.Tenant) > MaxTenantLen {
+		return fmt.Errorf("cloud: tenant %q longer than %d bytes", req.Tenant, MaxTenantLen)
+	}
+	hdr := make([]byte, 0, 4+1+1+8+1+len(req.Tenant))
+	hdr = append(hdr, protocolMagicV2[:]...)
+	hdr = append(hdr, ProtoV2, req.Cmd)
+	hdr = binary.LittleEndian.AppendUint64(hdr, req.ID)
+	hdr = append(hdr, byte(len(req.Tenant)))
+	hdr = append(hdr, req.Tenant...)
+	if _, err := w.Write(hdr); err != nil {
+		return err
 	}
 	return writeRequestBody(w, params, req)
 }
@@ -302,7 +283,7 @@ func MaxCKKSRequestBytes(cparams *ckks.Params) int {
 	return 4 + 1 + 1 + 8 + 1 + MaxTenantLen + 4 + 2*ctMax
 }
 
-// ReadRequest deserializes a request in either framing. It reads at most
+// ReadRequest deserializes a request. It reads at most
 // MaxRequestBytes(params) from r; a message claiming more than that fails
 // with an unexpected-EOF error instead of wedging the reader. CKKS commands
 // are rejected as malformed — use ReadRequestCKKS on CKKS-enabled servers.
@@ -331,54 +312,34 @@ func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Req
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, err
 	}
-	req := &Request{}
-	switch magic {
-	case protocolMagic:
-		req.Ver = ProtoV1
-		var cmd [1]byte
-		if _, err := io.ReadFull(r, cmd[:]); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated v1 header", err)
-		}
-		req.Cmd = cmd[0]
-	case protocolMagicV2:
-		var hdr [10]byte // version, command, request ID
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated v2 header", err)
-		}
-		if hdr[0] != ProtoV2 {
-			return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
-		}
-		req.Ver = hdr[0]
-		req.Cmd = hdr[1]
-		req.ID = binary.LittleEndian.Uint64(hdr[2:])
-		var tlen [1]byte
-		if _, err := io.ReadFull(r, tlen[:]); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated tenant length", err)
-		}
-		if int(tlen[0]) > MaxTenantLen {
-			return nil, fmt.Errorf("%w: tenant length %d exceeds %d", ErrMalformedRequest, tlen[0], MaxTenantLen)
-		}
-		tenant := make([]byte, tlen[0])
-		if _, err := io.ReadFull(r, tenant); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated tenant", err)
-		}
-		req.Tenant = string(tenant)
-	default:
+	if magic != protocolMagicV2 {
 		return nil, fmt.Errorf("%w: bad protocol magic %q", ErrMalformedRequest, magic[:])
 	}
+	var hdr [10]byte // version, command, request ID
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, malformed(ErrMalformedRequest, "truncated v2 header", err)
+	}
+	if hdr[0] != ProtoV2 {
+		return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
+	}
+	req := &Request{Ver: hdr[0], Cmd: hdr[1], ID: binary.LittleEndian.Uint64(hdr[2:])}
+	var tlen [1]byte
+	if _, err := io.ReadFull(r, tlen[:]); err != nil {
+		return nil, malformed(ErrMalformedRequest, "truncated tenant length", err)
+	}
+	if int(tlen[0]) > MaxTenantLen {
+		return nil, fmt.Errorf("%w: tenant length %d exceeds %d", ErrMalformedRequest, tlen[0], MaxTenantLen)
+	}
+	tenant := make([]byte, tlen[0])
+	if _, err := io.ReadFull(r, tenant); err != nil {
+		return nil, malformed(ErrMalformedRequest, "truncated tenant", err)
+	}
+	req.Tenant = string(tenant)
 
 	switch req.Cmd {
-	case CmdPing:
-		return req, nil
-	case CmdInfo, CmdKeyExport:
-		if req.Ver < ProtoV2 {
-			return nil, fmt.Errorf("%w: %s requires protocol v2", ErrMalformedRequest, cmdName(req.Cmd))
-		}
+	case CmdPing, CmdInfo, CmdKeyExport:
 		return req, nil
 	case CmdKeyImport, CmdAdmin:
-		if req.Ver < ProtoV2 {
-			return nil, fmt.Errorf("%w: %s requires protocol v2", ErrMalformedRequest, cmdName(req.Cmd))
-		}
 		maxBlob := MaxAdminBytes
 		if req.Cmd == CmdKeyImport {
 			maxBlob = MaxKeyBlobBytes(params, cparams)
@@ -397,9 +358,6 @@ func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Req
 		}
 		return req, nil
 	case CmdProgram:
-		if req.Ver < ProtoV2 {
-			return nil, fmt.Errorf("%w: %s requires protocol v2", ErrMalformedRequest, cmdName(req.Cmd))
-		}
 		l := ProgramLimits()
 		var n [4]byte
 		if _, err := io.ReadFull(r, n[:]); err != nil {
@@ -440,9 +398,6 @@ func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Req
 		}
 		return req, nil
 	case CmdCKKSAdd, CmdCKKSMul, CmdCKKSRotate:
-		if req.Ver < ProtoV2 {
-			return nil, fmt.Errorf("%w: %s requires protocol v2", ErrMalformedRequest, cmdName(req.Cmd))
-		}
 		if cparams == nil {
 			return nil, fmt.Errorf("%w: %s on a server without CKKS parameters", ErrMalformedRequest, cmdName(req.Cmd))
 		}
@@ -510,9 +465,9 @@ func cmdName(cmd uint8) string {
 // Response carries the result ciphertext and the simulated hardware timing.
 type Response struct {
 	Err  string
-	Code uint8 // error code (v2; CodeApp or CodeUnavailable)
-	// Ver selects the response framing and must match the request's version;
-	// ID echoes the request ID on v2.
+	Code uint8 // error code (CodeApp, CodeUnavailable, ...)
+	// Ver is the protocol version of the request being answered (always
+	// ProtoV2; writers ignore it); ID echoes the request ID.
 	Ver          uint8
 	ID           uint64
 	Result       *fv.Ciphertext
@@ -521,43 +476,26 @@ type Response struct {
 	Worker       uint32           // which application core / co-processor served it
 }
 
-// WriteResponse serializes a response in the framing resp.Ver selects.
+// WriteResponse serializes a response.
 func WriteResponse(w io.Writer, params *fv.Params, resp *Response) error {
 	if resp.Err != "" {
-		if _, err := w.Write([]byte{statusErr}); err != nil {
+		hdr := make([]byte, 0, 1+8+1+4)
+		hdr = append(hdr, statusErr)
+		hdr = binary.LittleEndian.AppendUint64(hdr, resp.ID)
+		hdr = append(hdr, resp.Code)
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(resp.Err)))
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
-		if resp.Ver >= ProtoV2 {
-			var id [9]byte
-			binary.LittleEndian.PutUint64(id[:8], resp.ID)
-			id[8] = resp.Code
-			if _, err := w.Write(id[:]); err != nil {
-				return err
-			}
-		}
-		msg := []byte(resp.Err)
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(msg)))
-		if _, err := w.Write(n[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(msg)
+		_, err := w.Write([]byte(resp.Err))
 		return err
 	}
-	if _, err := w.Write([]byte{statusOK}); err != nil {
-		return err
-	}
-	if resp.Ver >= ProtoV2 {
-		var id [8]byte
-		binary.LittleEndian.PutUint64(id[:], resp.ID)
-		if _, err := w.Write(id[:]); err != nil {
-			return err
-		}
-	}
-	var meta [12]byte
-	binary.LittleEndian.PutUint64(meta[:8], resp.ComputeNanos)
-	binary.LittleEndian.PutUint32(meta[8:], resp.Worker)
-	if _, err := w.Write(meta[:]); err != nil {
+	hdr := make([]byte, 0, 1+8+8+4)
+	hdr = append(hdr, statusOK)
+	hdr = binary.LittleEndian.AppendUint64(hdr, resp.ID)
+	hdr = binary.LittleEndian.AppendUint64(hdr, resp.ComputeNanos)
+	hdr = binary.LittleEndian.AppendUint32(hdr, resp.Worker)
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if resp.CKKSResult != nil {
@@ -566,13 +504,8 @@ func WriteResponse(w io.Writer, params *fv.Params, resp *Response) error {
 	return resp.Result.WriteTo(w, params)
 }
 
-// ReadResponse deserializes a v1 response.
-func ReadResponse(r io.Reader, params *fv.Params) (*Response, error) {
-	return ReadResponseV(r, params, ProtoV1)
-}
-
-// ReadResponseV deserializes a response in the given protocol version — the
-// version of the request it answers, which the caller knows.
+// ReadResponseV deserializes the response to a request of protocol version
+// ver (always ProtoV2; the response itself carries no version).
 func ReadResponseV(r io.Reader, params *fv.Params, ver uint8) (*Response, error) {
 	resp, ok, err := readResponseEnvelope(r, ver)
 	if err != nil || !ok {
@@ -614,19 +547,13 @@ func readResponseEnvelope(r io.Reader, ver uint8) (*Response, bool, error) {
 	switch status[0] {
 	case statusOK:
 	case statusErr:
-		if ver >= ProtoV2 {
-			var id [9]byte
-			if _, err := io.ReadFull(r, id[:]); err != nil {
-				return nil, false, malformed(ErrMalformedResponse, "truncated error header", err)
-			}
-			resp.ID = binary.LittleEndian.Uint64(id[:8])
-			resp.Code = id[8]
+		var hdr [13]byte // id, code, message length
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, false, malformed(ErrMalformedResponse, "truncated error header", err)
 		}
-		var n [4]byte
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return nil, false, malformed(ErrMalformedResponse, "truncated error length", err)
-		}
-		ln := binary.LittleEndian.Uint32(n[:])
+		resp.ID = binary.LittleEndian.Uint64(hdr[:8])
+		resp.Code = hdr[8]
+		ln := binary.LittleEndian.Uint32(hdr[9:])
 		if ln > 1<<16 {
 			return nil, false, fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
 		}
@@ -646,19 +573,13 @@ func readResponseEnvelope(r io.Reader, ver uint8) (*Response, bool, error) {
 		// bytes after an unknown status would be parsed as a ciphertext.
 		return nil, false, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, status[0])
 	}
-	if ver >= ProtoV2 {
-		var id [8]byte
-		if _, err := io.ReadFull(r, id[:]); err != nil {
-			return nil, false, malformed(ErrMalformedResponse, "truncated response ID", err)
-		}
-		resp.ID = binary.LittleEndian.Uint64(id[:])
-	}
-	var meta [12]byte
+	var meta [20]byte // id, compute nanos, worker
 	if _, err := io.ReadFull(r, meta[:]); err != nil {
-		return nil, false, malformed(ErrMalformedResponse, "truncated timing metadata", err)
+		return nil, false, malformed(ErrMalformedResponse, "truncated response header", err)
 	}
-	resp.ComputeNanos = binary.LittleEndian.Uint64(meta[:8])
-	resp.Worker = binary.LittleEndian.Uint32(meta[8:])
+	resp.ID = binary.LittleEndian.Uint64(meta[:8])
+	resp.ComputeNanos = binary.LittleEndian.Uint64(meta[8:16])
+	resp.Worker = binary.LittleEndian.Uint32(meta[16:])
 	return resp, true, nil
 }
 
@@ -677,7 +598,7 @@ type ServerInfo struct {
 // maxInfoBytes bounds the JSON body of an info response.
 const maxInfoBytes = 1 << 20
 
-// WriteInfoResponse serializes a CmdInfo reply (v2 framing only).
+// WriteInfoResponse serializes a CmdInfo reply.
 func WriteInfoResponse(w io.Writer, id uint64, info *ServerInfo) error {
 	body, err := json.Marshal(info)
 	if err != nil {
@@ -720,7 +641,7 @@ func ReadInfoResponse(r io.Reader) (uint64, *ServerInfo, error) {
 }
 
 // ProgramResponse answers a CmdProgram request: every program output plus
-// the scheduler's accounting (v2 framing only).
+// the scheduler's accounting.
 type ProgramResponse struct {
 	Err  string
 	Code uint8

@@ -75,13 +75,6 @@ func TestV2RequestValidation(t *testing.T) {
 	if _, err := ReadRequest(&buf, ts.params); err == nil {
 		t.Fatal("unknown protocol version accepted")
 	}
-	// CmdInfo is v2-only.
-	buf.Reset()
-	buf.Write(protocolMagic[:])
-	buf.WriteByte(CmdInfo)
-	if _, err := ReadRequest(&buf, ts.params); err == nil {
-		t.Fatal("v1 info request accepted")
-	}
 }
 
 // TestServerTenantRouting: a v2 client's tenant selects the evaluation-key
@@ -279,36 +272,5 @@ func TestClientContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation honored only after %v", elapsed)
-	}
-}
-
-// TestV1Compatibility: a legacy client on the v1 framing keeps working
-// against the upgraded server, served under the default tenant.
-func TestV1Compatibility(t *testing.T) {
-	ts := newTestSystem(t)
-	_, addr := startServer(t, ts)
-
-	client, err := DialV1(addr, ts.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	a, b := ts.encrypt(t, 9), ts.encrypt(t, 13)
-	prod, _, err := client.Mul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ts.decrypt(prod); got != 117 {
-		t.Fatalf("9*13 = %d on protocol v1", got)
-	}
-	// v1 cannot carry a tenant.
-	if err := client.SetTenant("alice"); err == nil {
-		t.Fatal("v1 client accepted a tenant")
-	}
-	if _, err := client.Info(context.Background()); err == nil {
-		t.Fatal("v1 client served an info request")
 	}
 }

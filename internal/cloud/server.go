@@ -20,8 +20,8 @@ import (
 	"repro/internal/program"
 )
 
-// DefaultTenant is the engine key namespace v1 requests (and v2 requests
-// with an empty tenant field) are served under.
+// DefaultTenant is the engine key namespace requests with an empty tenant
+// field are served under.
 const DefaultTenant = ""
 
 // DefaultReadTimeout bounds how long the server waits for one complete
@@ -196,7 +196,7 @@ func (s *Server) handle(conn net.Conn) {
 		timeout = DefaultReadTimeout
 	}
 	// Peek the first four bytes to tell a multiplexed session ("HEAM") from
-	// the sequential framings ("HEAT"/"HEA2"); the sequential loop reads
+	// the sequential framing ("HEA2"); the sequential loop reads
 	// through the same buffered reader, so the peeked bytes are not lost.
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(timeout))
@@ -331,8 +331,8 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Duration
 			}
 			continue
 		}
-		if req.Ver < ProtoV2 || req.ID != f.ID {
-			if !errFrame(f.ID, CodeApp, "mux payload must be a v2 request with the frame's ID") {
+		if req.ID != f.ID {
+			if !errFrame(f.ID, CodeApp, "mux payload must be a request with the frame's ID") {
 				return
 			}
 			continue

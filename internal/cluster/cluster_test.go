@@ -331,17 +331,20 @@ func TestClusterFailoverOnBackendDeath(t *testing.T) {
 	victim.kill()
 
 	// Convergence: the victim must be ejected and every one of its tenants
-	// served by a replica, while load continues.
+	// served by a replica, while load continues. Requests served before the
+	// ejection got there by retry, not reroute, so also wait for one routed
+	// around the open breaker — the counter the final assertions check.
 	convergeDeadline := time.Now().Add(15 * time.Second)
 	for {
 		ejected := false
-		for _, st := range client.Stats().Backends {
+		snap := client.Stats()
+		for _, st := range snap.Backends {
 			if st.ID == victim.id && st.State == StateEjected.String() {
 				ejected = true
 			}
 		}
 		mu.Lock()
-		rerouted := len(rerouteServed) == len(victimTenants)
+		rerouted := len(rerouteServed) == len(victimTenants) && snap.Obs.Counters["cluster_reroutes"] > 0
 		mu.Unlock()
 		if ejected && rerouted {
 			break
@@ -450,8 +453,8 @@ func TestClusterAllBackendsDown(t *testing.T) {
 }
 
 // TestClusterProxyServer drives the herouter front-end: a stock cloud.Client
-// (v2 and v1) talks to cluster.Server exactly as it would to one heserver,
-// and requests come back routed, correct, and version-faithful.
+// (with and without a tenant) talks to cluster.Server exactly as it would to
+// one heserver, and requests come back routed and correct.
 func TestClusterProxyServer(t *testing.T) {
 	tenants := testTenants(4)
 	tc := startCluster(t, 2, tenants)
@@ -521,8 +524,8 @@ func TestClusterProxyServer(t *testing.T) {
 		t.Fatalf("connection broken after routed error response: %v", err)
 	}
 
-	// A legacy v1 client (no tenant concept) rides the default tenant.
-	c1, err := cloud.DialV1(addr, tc.params)
+	// A client that names no tenant rides the default tenant.
+	c1, err := cloud.Dial(addr, tc.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +535,7 @@ func TestClusterProxyServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := tc.decrypt(sum); got != 22 {
-		t.Fatalf("9+13 = %d through the proxy on protocol v1", got)
+		t.Fatalf("9+13 = %d through the proxy under the default tenant", got)
 	}
 	if got := proxy.Served(); got < 2 {
 		t.Fatalf("proxy served %d ops, want >= 2", got)

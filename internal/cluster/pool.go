@@ -50,10 +50,16 @@ func newConnPool(max int, dial func() (*cloud.Client, error)) *connPool {
 	return &connPool{dial: dial, max: max}
 }
 
-// get returns an idle connection or dials a new one.
+// get returns an idle connection or dials a new one; a closed pool refuses,
+// so a request that fetched the pool just before its node was retired does
+// not re-dial a drained backend.
 func (p *connPool) get() (conn, error) {
 	p.mu.Lock()
-	if n := len(p.idle); n > 0 && !p.closed {
+	if p.closed {
+		p.mu.Unlock()
+		return nil, errPoolClosed
+	}
+	if n := len(p.idle); n > 0 {
 		c := p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 )
 
 // Server exposes the existing wire protocol in front of the ring: clients
-// speak to it exactly as they would to one heserver (v1 or v2), and every
+// speak to it exactly as they would to one heserver, and every
 // request is routed to the backend owning its tenant. This is what
 // cmd/herouter serves. The accept/drain skeleton mirrors cloud.Server.
 type Server struct {
@@ -163,10 +163,10 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// serveOne answers a single request, echoing the client's protocol version
-// and request ID whatever the backend exchange did to the request struct.
+// serveOne answers a single request, echoing the client's request ID
+// whatever the backend exchange did to the request struct.
 func (s *Server) serveOne(conn net.Conn, req *cloud.Request) error {
-	clientVer, clientID := req.Ver, req.ID
+	clientID := req.ID
 	switch req.Cmd {
 	case cloud.CmdInfo:
 		info := &cloud.ServerInfo{
@@ -182,7 +182,7 @@ func (s *Server) serveOne(conn net.Conn, req *cloud.Request) error {
 		ctx, cancel := context.WithTimeout(context.Background(), s.Router.cfg.AttemptTimeout)
 		err := s.Router.Ping(ctx)
 		cancel()
-		resp := &cloud.Response{Ver: clientVer, ID: clientID}
+		resp := &cloud.Response{Ver: cloud.ProtoV2, ID: clientID}
 		if err != nil {
 			resp.Err = err.Error()
 			resp.Code = cloud.CodeUnavailable
@@ -217,7 +217,7 @@ func (s *Server) serveOne(conn net.Conn, req *cloud.Request) error {
 	}
 	resp, err := s.Router.Do(context.Background(), req)
 	if err != nil {
-		out := &cloud.Response{Ver: clientVer, ID: clientID, Err: err.Error(), Code: cloud.CodeUnavailable}
+		out := &cloud.Response{Ver: cloud.ProtoV2, ID: clientID, Err: err.Error(), Code: cloud.CodeUnavailable}
 		var se *cloud.ServerError
 		if errors.As(err, &se) {
 			out.Code = se.Code
@@ -228,7 +228,7 @@ func (s *Server) serveOne(conn net.Conn, req *cloud.Request) error {
 	s.mu.Lock()
 	s.served++
 	s.mu.Unlock()
-	resp.Ver, resp.ID = clientVer, clientID
+	resp.ID = clientID
 	return cloud.WriteResponse(conn, s.Params, resp)
 }
 

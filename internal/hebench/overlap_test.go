@@ -1,10 +1,38 @@
 package hebench
 
 import (
+	"context"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cloud"
+	"repro/internal/engine"
 	"repro/internal/fv"
+	"repro/internal/sched"
 )
+
+// overlapStream runs a stream of ops independent Mults double-buffered
+// (operand DMA of op i+1 hidden behind op i's compute) on the paper suite's
+// single co-processor. The schedule is pure hardware model — no wall clock
+// anywhere — so every number in the report is exact.
+func overlapStream(t *testing.T, ops int) sched.StreamReport {
+	t.Helper()
+	s, err := PaperSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]*fv.Ciphertext, ops)
+	ys := make([]*fv.Ciphertext, ops)
+	for i := range xs {
+		xs[i], ys[i] = s.CtA, s.CtB
+	}
+	_, rep, err := s.AccelOne.MulStream(xs, ys, s.RK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // TestSchedOverlapWins is the overlapped-pipeline acceptance gate: at the
 // paper parameter set, a 4-deep Mult stream's double-buffered makespan must
@@ -15,38 +43,14 @@ func TestSchedOverlapWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale suite")
 	}
-	cfg := SmokeConfig{Count: 2}.withDefaults()
-	res, err := smokeSchedOverlap(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Deterministic {
-		t.Fatal("sched_overlap not marked deterministic")
-	}
-	if res.SimCycles == 0 || res.NsPerOp <= 0 {
-		t.Fatalf("empty measurement: %+v", res)
-	}
-	for i, s := range res.Samples {
-		if s != res.NsPerOp {
-			t.Fatalf("sample %d = %v differs from median %v; deterministic op drifted", i, s, res.NsPerOp)
-		}
+	const ops = 4
+	rep := overlapStream(t, ops)
+	perOp := uint64(rep.PipelinedCycles()) / ops
+	if perOp != 875069 {
+		t.Errorf("pipelined makespan %d cycles/op, pinned 875069", perOp)
 	}
 
 	// The raw stream report must show a strict win with exact accounting.
-	s, err := PaperSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := cfg.OverlapOps
-	xs := make([]*fv.Ciphertext, ops)
-	ys := make([]*fv.Ciphertext, ops)
-	for i := range xs {
-		xs[i], ys[i] = s.CtA, s.CtB
-	}
-	_, rep, err := s.AccelOne.MulStream(xs, ys, s.RK)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.PipelinedCycles() >= rep.SerialCycles() {
 		t.Fatalf("pipelined %d cycles >= serial %d: overlap hid nothing",
 			rep.PipelinedCycles(), rep.SerialCycles())
@@ -60,38 +64,79 @@ func TestSchedOverlapWins(t *testing.T) {
 	}
 	// Identical ops: every overlapped step should hide the full operand DMA,
 	// so the saving is (ops-1) x the per-op load cost.
-	if perStep := uint64(rep.SavedCycles()) / uint64(ops-1); perStep == 0 {
+	if perStep := uint64(rep.SavedCycles()) / (ops - 1); perStep == 0 {
 		t.Fatal("zero hidden cycles per overlapped step")
 	}
-	if res.SimCycles != uint64(rep.PipelinedCycles())/uint64(ops) {
-		t.Fatalf("bench SimCycles %d != pipelined/ops %d — rerun drifted",
-			res.SimCycles, uint64(rep.PipelinedCycles())/uint64(ops))
+	if again := overlapStream(t, ops); again.PipelinedCycles() != rep.PipelinedCycles() {
+		t.Fatalf("pipelined makespan %d != %d — rerun drifted",
+			again.PipelinedCycles(), rep.PipelinedCycles())
 	}
 	t.Logf("stream of %d: serial %d, pipelined %d, saved %d cycles (%.1f%%)",
 		ops, rep.SerialCycles(), rep.PipelinedCycles(), rep.SavedCycles(),
 		100*float64(rep.SavedCycles())/float64(rep.SerialCycles()))
 }
 
-// TestMuxThroughputSmoke runs the mux-throughput scenario at a small size:
-// every op must complete through the single multiplexed connection and the
-// measurement must be well-formed. (Wall-clock speed is gated by benchdiff
-// against the baseline, not asserted here.)
+// TestMuxThroughputSmoke pushes 12 Mults 4-deep through ONE multiplexed
+// connection to a real in-process server — v2 encode, frame checksums,
+// server demux, concurrent dispatch, out-of-order completion: every op must
+// complete and the engine must have done the work. (Wall-clock speed is the
+// business of `go run ./bench`, not asserted here.)
 func TestMuxThroughputSmoke(t *testing.T) {
-	cfg := SmokeConfig{Count: 1, MuxOps: 12, MuxDepth: 4, EngineWorkers: 2}.withDefaults()
-	res, err := smokeMux(cfg)
+	const ops, depth = 12, 4
+	params, rk, ctA, ctB := servingInputs(t)
+	eng, err := engine.New(engine.Config{Params: params, Workers: 2, QueueDepth: 4 * ops, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Op != OpMuxThroughput {
-		t.Fatalf("op = %q", res.Op)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		eng.Shutdown(ctx)
+		cancel()
+	}()
+	eng.SetRelinKey(cloud.DefaultTenant, rk)
+	srv := cloud.NewServer(params, eng, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.NsPerOp <= 0 || res.SimCycles == 0 {
-		t.Fatalf("empty measurement: %+v", res)
+	go srv.Serve()
+	defer srv.Close()
+	mc, err := cloud.DialMux(addr, params)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.PoolWidth != 4 {
-		t.Fatalf("pool width %d, want the submit depth 4", res.PoolWidth)
+	defer mc.Close()
+
+	idx := make(chan int, ops)
+	for i := 0; i < ops; i++ {
+		idx <- i
 	}
-	if res.Deterministic {
-		t.Fatal("mux_throughput is wall-clock; must not be marked deterministic")
+	close(idx)
+	errs := make(chan error, depth)
+	var wg sync.WaitGroup
+	for w := 0; w < depth; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range idx {
+				if _, _, err := mc.MulCtx(context.Background(), ctA, ctB); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	var simCycles uint64
+	for _, w := range st.PerWorker {
+		simCycles += w.SimCycles
+	}
+	if st.Completed != ops || simCycles == 0 {
+		t.Fatalf("empty measurement: %d of %d ops completed, %d simulated cycles", st.Completed, ops, simCycles)
 	}
 }

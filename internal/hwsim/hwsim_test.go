@@ -138,6 +138,11 @@ func TestInstructionTimingMatchesPaperShape(t *testing.T) {
 			t.Errorf("%s: %.1f µs, paper %.1f µs (outside ±15%%)", name, gotUs, paperMicros)
 		}
 	}
+	// One RPAU forward transform at n = 4096 is pinned exactly: the cycle
+	// model is deterministic, so a one-cycle move is a schedule change.
+	if got := u.ForwardCycles(); got != 13944 {
+		t.Errorf("forward NTT at n = 4096: %d cycles, pinned 13944", got)
+	}
 	within("NTT", u.ForwardCycles()+dispatch, 73.0)
 	within("INTT", u.InverseCycles()+dispatch, 85.0)
 	within("CMUL", Cycles(4096/2+timing.ButterflyPipelineDepth)+dispatch, 13.1)

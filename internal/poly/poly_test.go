@@ -51,6 +51,15 @@ func TestNTTRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: NTT round trip failed", n)
 			}
 		}
+		// The kernels are in-place and allocation-free at every size, the
+		// paper's n = 4096 included: one new allocation per transform fails.
+		p := randPoly(r, mods[0], n)
+		if allocs := testing.AllocsPerRun(10, func() {
+			tr.Tables[0].Forward(p.Coeffs)
+			tr.Tables[0].Inverse(p.Coeffs)
+		}); allocs != 0 {
+			t.Fatalf("n=%d: Forward+Inverse allocate %v times per run, want 0", n, allocs)
+		}
 	}
 }
 

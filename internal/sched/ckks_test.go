@@ -22,7 +22,12 @@ type ckksTestContext struct {
 
 func newCKKSTestContext(t *testing.T) *ckksTestContext {
 	t.Helper()
-	p, err := ckks.NewParams(ckks.TestConfig())
+	return newCKKSTestContextConfig(t, ckks.TestConfig())
+}
+
+func newCKKSTestContextConfig(t *testing.T, cfg ckks.Config) *ckksTestContext {
+	t.Helper()
+	p, err := ckks.NewParams(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +176,25 @@ func TestCKKSRescaleCycles(t *testing.T) {
 	want := hwsim.Cycles(2*(c.p.N()/2+timing.ButterflyPipelineDepth) + timing.InstrDispatchCycles)
 	if got := st.PerCall(); got != want {
 		t.Fatalf("Rescale cycles/call = %d, want %d", got, want)
+	}
+}
+
+// The CKKS sibling of TestPaperSetMulCycles: Mul+Rescale from the top of the
+// chain at n = 4096 costs exactly 801,134 cycles on the chain co-processor
+// (compute plus per-digit key streaming), and stays bit-exact at that size.
+func TestCKKSPaperSetMulRescaleCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper parameters are slow")
+	}
+	c := newCKKSTestContextConfig(t, ckks.PaperConfig())
+	a, b := c.encryptRange(t, 3), c.encryptRange(t, 7)
+	hw, cycles, err := c.hw.MulRescale(a, b, c.rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCiphertext(t, "paper mul+rescale", c.ev.Rescale(c.ev.Mul(a, b, c.rk)), hw)
+	if cycles != 801134 {
+		t.Fatalf("paper-set CKKS Mul+Rescale: %d cycles, pinned 801134", cycles)
 	}
 }
 

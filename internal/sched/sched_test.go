@@ -10,7 +10,12 @@ import (
 
 func setup(t testing.TB, variant hwsim.Variant) (*fv.Params, *Scheduler) {
 	t.Helper()
-	p, err := fv.NewParams(fv.TestConfig(257))
+	return setupConfig(t, fv.TestConfig(257), variant)
+}
+
+func setupConfig(t testing.TB, cfg fv.Config, variant hwsim.Variant) (*fv.Params, *Scheduler) {
+	t.Helper()
+	p, err := fv.NewParams(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +168,28 @@ func TestPaperSetInstructionCounts(t *testing.T) {
 	}
 	if got := (8 + 6 + 2) + ell; got != 22 {
 		t.Errorf("REARR+DECOMP calls %d, Table II says 22", got)
+	}
+}
+
+// The paper's clock: one Mult on one co-processor at the n = 4096 set costs
+// exactly 829,918 cycles (4.1496 ms at 200 MHz). The cycle model is
+// deterministic and data-independent, so a one-cycle move is a real
+// model or schedule change.
+func TestPaperSetMulCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper parameters are slow")
+	}
+	p, s := setupConfig(t, fv.PaperConfig(2), hwsim.VariantHPS)
+	prng := sampler.NewPRNG(2019)
+	kg := fv.NewKeyGenerator(p, prng)
+	_, pk, rk := kg.GenKeys()
+	ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))
+	_, cycles, err := s.Mul(ct, ct, rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycles != 829918 {
+		t.Fatalf("paper-set Mult: %d cycles, pinned 829918", cycles)
 	}
 }
 
