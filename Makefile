@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare lint fuzz-smoke chaos
+.PHONY: build test race bench bench-compare lint fuzz-smoke chaos loc
 
 build:
 	$(GO) build ./...
@@ -31,7 +31,8 @@ lint:
 
 # Five-iteration fuzz smoke over the differential fv<->hwsim targets, the
 # hardened wire-protocol decoders, the compiled-program codec, and the CKKS
-# key container and encoder.
+# key container and encoder. CI's fuzz-smoke job runs this target, so the
+# list exists once.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDiffTransform -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffPointwise -fuzztime=5x ./internal/difftest
@@ -51,3 +52,10 @@ fuzz-smoke:
 # a failure replayable.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/faults
+
+# Lines of non-test Go outside bench/ (the benchmark's own code is not the
+# system being measured) — the size figure CHANGES.md quotes for simplicity
+# PRs. Counts every line, comments included, so a PR that claims a reduction
+# must say how much of it is code.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l

@@ -12,8 +12,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/circuits"
 	"repro/internal/fv"
+	"repro/internal/program"
 	"repro/internal/sampler"
 )
 
@@ -32,35 +32,55 @@ func main() {
 	sk, pk, rk := kg.GenKeys()
 	enc := fv.NewEncryptor(params, pk, prng)
 	dec := fv.NewDecryptor(params, sk)
-	eng, err := circuits.NewEngine(params, fv.NewEvaluator(params), rk)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	const bits = 4
 	values := []uint64{11, 2, 14, 7, 5, 9}
 	fmt.Printf("client encrypts %v (%d-bit values, bitwise)\n", values, bits)
 
-	words := make([]circuits.Word, len(values))
+	// The sorting network as one program: a bits-wide input word per value,
+	// the sorted words as outputs.
+	circ, err := program.NewBool(program.NewBuilder(), params)
+	if err != nil {
+		log.Fatal(err)
+	}
+	words := make([]program.Word, len(values))
+	var inputs []*fv.Ciphertext
 	for i, v := range values {
-		words[i] = circuits.EncryptWord(enc, params, v, bits)
+		words[i] = circ.InputWord(bits)
+		for b := 0; b < bits; b++ {
+			pt := fv.NewPlaintext(params)
+			pt.Coeffs[0] = (v >> b) & 1
+			inputs = append(inputs, enc.Encrypt(pt))
+		}
+	}
+	sorted, err := circ.SortNetwork(words)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, w := range sorted {
+		circ.OutputWord(w)
+	}
+	prog, err := circ.B.Build()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	start := time.Now()
-	sorted, err := eng.SortNetwork(words)
+	outs, err := program.Run(params, prog, inputs, program.Keys{Relin: rk})
 	if err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
 
-	out := make([]uint64, len(sorted))
-	for i := range sorted {
-		out[i] = circuits.DecryptWord(dec, sorted[i])
+	out := make([]uint64, len(values))
+	for i, ct := range outs {
+		out[i/bits] |= (dec.Decrypt(ct).Coeffs[0] & 1) << (i % bits)
 	}
 	fmt.Printf("server returns (still encrypted), client decrypts: %v\n", out)
+	cost := prog.Analyze().Counts
 	fmt.Printf("cost: %d ANDs + %d XORs + %d plain ops, output depth %d (budget left: %d bits), %v\n",
-		eng.Cost.Ands, eng.Cost.Adds, eng.Cost.PlainOps, sorted[0].MaxDepth(),
-		fv.NoiseBudget(params, sk, sorted[0][0].Ct), elapsed.Round(time.Millisecond))
+		cost.Muls, cost.Adds, cost.PlainOps, sorted[0].MaxDepth(),
+		fv.NoiseBudget(params, sk, outs[0]), elapsed.Round(time.Millisecond))
 
 	for i := 1; i < len(out); i++ {
 		if out[i-1] > out[i] {

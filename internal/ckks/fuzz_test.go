@@ -32,15 +32,17 @@ func FuzzDecodeCKKSKeys(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	skV1 := seed(func(b *bytes.Buffer) error { return WriteSecretKey(b, p, sk) })
 	skV2 := seed(func(b *bytes.Buffer) error { return WriteSecretKeyV2(b, p, sk) })
+	// The retired unchecksummed container: must be refused at the magic.
+	skV1 := bytes.Clone(skV2[:len(skV2)-8])
+	skV1[3] = '1'
 	f.Add(skV1)
 	f.Add(skV2)
 	f.Add(skV2[:len(skV2)/2])
 	f.Add(seed(func(b *bytes.Buffer) error { return WritePublicKeyV2(b, p, pk) }))
 	f.Add(seed(func(b *bytes.Buffer) error { return WriteRelinKeyV2(b, p, rk) }))
 	f.Add(seed(func(b *bytes.Buffer) error { return WriteGaloisKeyV2(b, p, gk) }))
-	f.Add([]byte("CKk1\x04\x00\x00\x00null"))
+	f.Add([]byte("CKk2\x04\x00\x00\x00null"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -49,6 +51,9 @@ func FuzzDecodeCKKSKeys(f *testing.F) {
 		if p2, sk2, err := ReadSecretKey(bytes.NewReader(data)); err == nil {
 			if sk2.S.N() != p2.N() || len(sk2.S.Rows) != len(p2.AllMods) {
 				t.Fatal("accepted secret key with wrong shape")
+			}
+			if !bytes.HasPrefix(data, []byte("CKk2")) {
+				t.Fatalf("accepted a key file with magic %q", data[:4])
 			}
 		}
 		if p2, pk2, err := ReadPublicKey(bytes.NewReader(data)); err == nil {

@@ -13,28 +13,21 @@ import (
 
 // Key and parameter serialization through the shared scheme-tagged container
 // (internal/keyio): every file starts with a self-describing header carrying
-// the Config, residues are 32-bit words, and the two file versions are
-//
-//	CKk1: magic, header, payload. No integrity protection.
-//	CKk2: same layout plus the FNV-64a checksum trailer — a truncated or
-//	      bit-flipped file fails with ErrCorruptKey instead of silently
-//	      yielding keys that rotate garbage into every slot.
+// the Config, residues are 32-bit words, and the file ("CKk2") ends in the
+// FNV-64a checksum trailer — a truncated or bit-flipped file fails with
+// ErrCorruptKey instead of silently yielding keys that rotate garbage into
+// every slot.
 //
 // The magic doubles as the scheme tag, so a BFV key file can never parse as
 // a CKKS key (and vice versa): the container rejects the foreign magic
 // before any payload bytes are interpreted.
 
-// ErrCorruptKey reports that a v2 key file failed validation. It is the
+// ErrCorruptKey reports that a key file failed validation. It is the
 // shared keyio sentinel, so errors.Is works across scheme boundaries.
 var ErrCorruptKey = keyio.ErrCorruptKey
 
-var (
-	fileMagic   = [4]byte{'C', 'K', 'k', '1'}
-	fileMagicV2 = [4]byte{'C', 'K', 'k', '2'}
-)
-
 // ckksScheme tags CKKS key files in the shared container.
-var ckksScheme = keyio.Scheme{V1: fileMagic, V2: fileMagicV2}
+var ckksScheme = keyio.Scheme{V2: [4]byte{'C', 'K', 'k', '2'}}
 
 func paramsFromHeader(blob []byte) (*Params, error) {
 	var cfg Config
@@ -44,7 +37,7 @@ func paramsFromHeader(blob []byte) (*Params, error) {
 	return NewParams(cfg)
 }
 
-// writeChecked writes a v2 file through the shared container.
+// writeChecked writes a key file through the shared container.
 func writeChecked(w io.Writer, params *Params, body func(io.Writer) error) error {
 	blob, err := json.Marshal(params.Cfg)
 	if err != nil {
@@ -53,17 +46,8 @@ func writeChecked(w io.Writer, params *Params, body func(io.Writer) error) error
 	return keyio.WriteChecked(w, ckksScheme, blob, body)
 }
 
-// writeLegacy writes a v1 file: magic, header blob, payload.
-func writeLegacy(w io.Writer, params *Params, body func(io.Writer) error) error {
-	blob, err := json.Marshal(params.Cfg)
-	if err != nil {
-		return err
-	}
-	return keyio.WriteLegacy(w, ckksScheme, blob, body)
-}
-
-// readKey dispatches on the file magic: CKk1 parses plain, CKk2 verifies the
-// checksum trailer; every v2 failure wraps ErrCorruptKey.
+// readKey reads a key file through the shared container, which verifies the
+// checksum trailer; every failure past the magic wraps ErrCorruptKey.
 func readKey(r io.Reader, body func(io.Reader, *Params) error) (*Params, error) {
 	v, err := keyio.Read(r, ckksScheme,
 		func(blob []byte) (any, error) { return paramsFromHeader(blob) },
@@ -107,14 +91,6 @@ func readPolyRows(r io.Reader, mods []ring.Modulus, n int) (poly.RNSPoly, error)
 	return out, nil
 }
 
-// WriteSecretKey serializes params + the coefficient-domain secret (over
-// AllMods) in the legacy format.
-func WriteSecretKey(w io.Writer, params *Params, sk *SecretKey) error {
-	return writeLegacy(w, params, func(w io.Writer) error {
-		return writePolyRows(w, sk.S)
-	})
-}
-
 // WriteSecretKeyV2 serializes a secret key with the checksum trailer.
 func WriteSecretKeyV2(w io.Writer, params *Params, sk *SecretKey) error {
 	return writeChecked(w, params, func(w io.Writer) error {
@@ -122,8 +98,8 @@ func WriteSecretKeyV2(w io.Writer, params *Params, sk *SecretKey) error {
 	})
 }
 
-// ReadSecretKey reads a secret key and its parameters, in either file
-// version. A damaged v2 file fails with an error wrapping ErrCorruptKey.
+// ReadSecretKey reads a secret key and its parameters. A damaged file fails
+// with an error wrapping ErrCorruptKey.
 func ReadSecretKey(r io.Reader) (*Params, *SecretKey, error) {
 	var sk *SecretKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {
@@ -142,17 +118,6 @@ func ReadSecretKey(r io.Reader) (*Params, *SecretKey, error) {
 	return params, sk, nil
 }
 
-// WritePublicKey serializes params + the NTT-domain public key pair (over
-// the chain) in the legacy format.
-func WritePublicKey(w io.Writer, params *Params, pk *PublicKey) error {
-	return writeLegacy(w, params, func(w io.Writer) error {
-		if err := writePolyRows(w, pk.P0Hat); err != nil {
-			return err
-		}
-		return writePolyRows(w, pk.P1Hat)
-	})
-}
-
 // WritePublicKeyV2 serializes a public key with the checksum trailer.
 func WritePublicKeyV2(w io.Writer, params *Params, pk *PublicKey) error {
 	return writeChecked(w, params, func(w io.Writer) error {
@@ -163,8 +128,7 @@ func WritePublicKeyV2(w io.Writer, params *Params, pk *PublicKey) error {
 	})
 }
 
-// ReadPublicKey reads a public key and its parameters, in either file
-// version.
+// ReadPublicKey reads a public key and its parameters.
 func ReadPublicKey(r io.Reader) (*Params, *PublicKey, error) {
 	var pk *PublicKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {
@@ -242,14 +206,6 @@ func readLevelsBody(r io.Reader, params *Params) ([]*LevelKey, error) {
 	return levels, nil
 }
 
-// WriteRelinKey serializes params + the per-level relinearization bundle in
-// the legacy format.
-func WriteRelinKey(w io.Writer, params *Params, rk *RelinKey) error {
-	return writeLegacy(w, params, func(w io.Writer) error {
-		return writeLevelsBody(w, params, rk.Levels)
-	})
-}
-
 // WriteRelinKeyV2 serializes a relinearization key with the checksum
 // trailer.
 func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
@@ -258,8 +214,7 @@ func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
 	})
 }
 
-// ReadRelinKey reads a relinearization key and its parameters, in either
-// file version.
+// ReadRelinKey reads a relinearization key and its parameters.
 func ReadRelinKey(r io.Reader) (*Params, *RelinKey, error) {
 	var rk *RelinKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {
@@ -274,14 +229,6 @@ func ReadRelinKey(r io.Reader) (*Params, *RelinKey, error) {
 		return nil, nil, err
 	}
 	return params, rk, nil
-}
-
-// WriteGaloisKey serializes params + a Galois key bundle in the legacy
-// format.
-func WriteGaloisKey(w io.Writer, params *Params, gk *GaloisKey) error {
-	return writeLegacy(w, params, func(w io.Writer) error {
-		return writeGaloisBody(w, params, gk)
-	})
 }
 
 // WriteGaloisKeyV2 serializes a Galois key with the checksum trailer.
@@ -300,8 +247,7 @@ func writeGaloisBody(w io.Writer, params *Params, gk *GaloisKey) error {
 	return writeLevelsBody(w, params, gk.Levels)
 }
 
-// ReadGaloisKey reads a Galois key and its parameters, in either file
-// version.
+// ReadGaloisKey reads a Galois key and its parameters.
 func ReadGaloisKey(r io.Reader) (*Params, *GaloisKey, error) {
 	var gk *GaloisKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fv"
+	"repro/internal/keyio"
 	"repro/internal/sampler"
 )
 
@@ -18,34 +19,37 @@ func keyioContext(t *testing.T) (*Params, *SecretKey, *PublicKey, *RelinKey, *Ga
 	return p, sk, pk, rk, gk
 }
 
-
 func TestSecretKeyRoundTrip(t *testing.T) {
 	p, sk, _, _, _ := keyioContext(t)
-	for _, write := range []func(*bytes.Buffer) error{
-		func(b *bytes.Buffer) error { return WriteSecretKey(b, p, sk) },
-		func(b *bytes.Buffer) error { return WriteSecretKeyV2(b, p, sk) },
-	} {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		p2, sk2, err := ReadSecretKey(&buf)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if p2.Cfg != p.Cfg {
-			t.Fatal("config changed in round trip")
-		}
-		for i := range sk.S.Rows {
-			for c, v := range sk.S.Rows[i].Coeffs {
-				if sk2.S.Rows[i].Coeffs[c] != v {
-					t.Fatalf("secret row %d coeff %d changed", i, c)
-				}
-				if sk2.SHat.Rows[i].Coeffs[c] != sk.SHat.Rows[i].Coeffs[c] {
-					t.Fatalf("derived sHat row %d coeff %d differs", i, c)
-				}
+	var buf bytes.Buffer
+	if err := WriteSecretKeyV2(&buf, p, sk); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	file := bytes.Clone(buf.Bytes())
+	p2, sk2, err := ReadSecretKey(&buf)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if p2.Cfg != p.Cfg {
+		t.Fatal("config changed in round trip")
+	}
+	for i := range sk.S.Rows {
+		for c, v := range sk.S.Rows[i].Coeffs {
+			if sk2.S.Rows[i].Coeffs[c] != v {
+				t.Fatalf("secret row %d coeff %d changed", i, c)
+			}
+			if sk2.SHat.Rows[i].Coeffs[c] != sk.SHat.Rows[i].Coeffs[c] {
+				t.Fatalf("derived sHat row %d coeff %d differs", i, c)
 			}
 		}
+	}
+
+	// The retired unchecksummed container — the same file without its
+	// trailer, under the "CKk1" magic — is refused at the magic.
+	v1 := file[:len(file)-8]
+	v1[3] = '1'
+	if _, _, err := ReadSecretKey(bytes.NewReader(v1)); !errors.Is(err, keyio.ErrBadMagic) {
+		t.Fatalf("v1 container: err %v, want ErrBadMagic", err)
 	}
 }
 

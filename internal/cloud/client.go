@@ -15,13 +15,84 @@ import (
 // DialTimeout bounds connection establishment in Dial/DialTenant.
 const DialTimeout = 5 * time.Second
 
+// Exchanger is the two-method surface every transport offers: the
+// sequential Client, the multiplexed MuxClient, and the cluster router.
+type Exchanger interface {
+	Do(ctx context.Context, req *Request) (*Response, error)
+	DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error)
+}
+
+// Ops are the typed operations, written once over an Exchanger. Requests go
+// out under Tenant; "" leaves the transport's own default in place.
+type Ops struct {
+	Via    Exchanger
+	Tenant string
+}
+
+func (o Ops) op(ctx context.Context, req *Request) (*fv.Ciphertext, time.Duration, error) {
+	req.Tenant = o.Tenant
+	resp, err := o.Via.Do(ctx, req)
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp.Result, time.Duration(resp.ComputeNanos), nil
+}
+
+// AddCtx asks the cloud to add two ciphertexts, honoring ctx.
+func (o Ops) AddCtx(ctx context.Context, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
+	return o.op(ctx, &Request{Cmd: CmdAdd, A: a, B: b})
+}
+
+// MulCtx asks the cloud to multiply two ciphertexts (relinearized
+// server-side), honoring ctx.
+func (o Ops) MulCtx(ctx context.Context, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
+	return o.op(ctx, &Request{Cmd: CmdMul, A: a, B: b})
+}
+
+// RotateCtx asks the cloud to apply the Galois automorphism g (the server
+// must hold the matching key), honoring ctx.
+func (o Ops) RotateCtx(ctx context.Context, a *fv.Ciphertext, g int) (*fv.Ciphertext, time.Duration, error) {
+	return o.op(ctx, &Request{Cmd: CmdRotate, G: uint32(g), A: a})
+}
+
+// PingCtx verifies the service is alive, honoring ctx.
+func (o Ops) PingCtx(ctx context.Context) error {
+	_, _, err := o.op(ctx, &Request{Cmd: CmdPing})
+	return err
+}
+
+// RunProgram compiles nothing — it serializes an already-built program and
+// submits it with its inputs as ONE round trip, returning every output. This
+// is the client half of circuit-as-a-program serving: where op-at-a-time
+// evaluation pays a round trip per gate, a program pays one per circuit.
+func (o Ops) RunProgram(ctx context.Context, p *program.Program, inputs []*fv.Ciphertext) (*ProgramResponse, error) {
+	data, err := p.EncodeBytes()
+	if err != nil {
+		return nil, err
+	}
+	return o.Via.DoProgram(ctx, &Request{Tenant: o.Tenant, ProgBytes: data, Inputs: inputs})
+}
+
+// replyAs narrows a round trip's outcome to the reply kind its command
+// answers in; a server-reported failure becomes the call's error.
+func replyAs[T Reply](rep Reply, err error) (T, error) {
+	var zero T
+	if err != nil {
+		return zero, err
+	}
+	if se, ok := rep.(*ServerError); ok {
+		return zero, se
+	}
+	return rep.(T), nil // readReply picked the kind from the same command
+}
+
 // Client is a connection to the cloud service. It is not safe for
 // concurrent use; open one client per goroutine (the server multiplexes).
 type Client struct {
+	Ops    // AddCtx, MulCtx, RotateCtx, PingCtx, RunProgram; Ops.Tenant is the client's namespace
 	conn   net.Conn
 	params *fv.Params
 	ckks   *ckks.Params // non-nil after EnableCKKS; required for CmdCKKS*
-	tenant string
 	nextID uint64
 	broken bool // a transport error or cancellation desynced the stream
 }
@@ -41,14 +112,16 @@ func DialTenant(addr string, params *fv.Params, tenant string) (*Client, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, params: params, tenant: tenant}, nil
+	c := &Client{conn: conn, params: params}
+	c.Ops = Ops{Via: c, Tenant: tenant}
+	return c, nil
 }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
 // Tenant returns the namespace this client issues requests under.
-func (c *Client) Tenant() string { return c.tenant }
+func (c *Client) Tenant() string { return c.Ops.Tenant }
 
 // SetTenant changes the namespace for subsequent requests. Connection pools
 // use this to reuse one connection across tenants.
@@ -56,7 +129,7 @@ func (c *Client) SetTenant(tenant string) error {
 	if len(tenant) > MaxTenantLen {
 		return fmt.Errorf("cloud: tenant %q longer than %d bytes", tenant, MaxTenantLen)
 	}
-	c.tenant = tenant
+	c.Ops.Tenant = tenant
 	return nil
 }
 
@@ -89,29 +162,27 @@ func (c *Client) watch(ctx context.Context) func() {
 	return func() { close(done) }
 }
 
-// exchange runs one request/response round trip under ctx — the skeleton
-// every command shares. It stamps the request's Ver, ID, and Tenant from the
-// client (a non-empty req.Tenant overrides the client default), writes it,
-// and calls read to decode the reply off c.conn; read returns the request ID
-// the reply echoed. A context deadline is honored via the connection
-// deadline, so a hung server cannot block the caller past it. On
-// cancellation, any transport error, or a reply to a different request the
-// client is marked Broken; a *ServerError from read — the server answered,
-// the operation failed — is returned as is and leaves the stream usable.
-// what names the reply kind in the desync error.
-func (c *Client) exchange(ctx context.Context, req *Request, what string, read func() (uint64, error)) error {
+// roundTrip runs one request/reply exchange under ctx — the skeleton every
+// command shares. It stamps the request's Ver, ID, and Tenant from the client
+// (a non-empty req.Tenant overrides the client default), writes it, and
+// decodes the reply in the framing req.Cmd answers with. A context deadline
+// is honored via the connection deadline, so a hung server cannot block the
+// caller past it. On cancellation, any transport error, or a reply to a
+// different request the client is marked Broken; a *ServerError reply — the
+// server answered, the operation failed — leaves the stream usable.
+func (c *Client) roundTrip(ctx context.Context, req *Request) (Reply, error) {
 	if c.broken {
-		return fmt.Errorf("cloud: client connection is broken")
+		return nil, fmt.Errorf("cloud: client connection is broken")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	req.Ver = ProtoV2
 	if req.Tenant == "" {
-		req.Tenant = c.tenant
+		req.Tenant = c.Ops.Tenant
 	}
 	c.nextID++
 	req.ID = c.nextID
@@ -125,46 +196,28 @@ func (c *Client) exchange(ctx context.Context, req *Request, what string, read f
 
 	if err := WriteRequest(c.conn, c.params, req); err != nil {
 		c.broken = true
-		return c.ctxErr(ctx, err)
+		return nil, c.ctxErr(ctx, err)
 	}
-	id, err := read()
-	var se *ServerError
-	if err != nil && !errors.As(err, &se) {
+	id, rep, err := readReply(c.conn, c.params, c.ckks, req.Cmd)
+	if err != nil {
 		c.broken = true
-		return c.ctxErr(ctx, err)
+		return nil, c.ctxErr(ctx, err)
 	}
 	if id != req.ID {
 		c.broken = true
-		return fmt.Errorf("cloud: %sresponse ID %d for request %d (stream desync)", what, id, req.ID)
+		return nil, fmt.Errorf("cloud: %s reply ID %d for request %d (stream desync)", cmdName(req.Cmd), id, req.ID)
 	}
-	return err
+	return rep, nil
 }
 
-// Do runs one request/response exchange under ctx (see exchange for the
-// deadline, cancellation, and broken-stream rules). A server-reported
-// failure is returned as *ServerError with the result response.
+// Do runs one operation exchange under ctx (see roundTrip for the deadline,
+// cancellation, and broken-stream rules). A server-reported failure is
+// returned as *ServerError.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 	if isCKKSCmd(req.Cmd) && c.ckks == nil {
 		return nil, fmt.Errorf("cloud: %s requires EnableCKKS", cmdName(req.Cmd))
 	}
-	var resp *Response
-	if err := c.exchange(ctx, req, "", func() (id uint64, err error) {
-		if isCKKSCmd(req.Cmd) {
-			resp, err = ReadCKKSResponseV(c.conn, c.ckks, req.Ver)
-		} else {
-			resp, err = ReadResponseV(c.conn, c.params, req.Ver)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return resp.ID, nil
-	}); err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return resp, &ServerError{Code: resp.Code, Msg: resp.Err}
-	}
-	return resp, nil
+	return replyAs[*Response](c.roundTrip(ctx, req))
 }
 
 // ctxErr prefers the context's error over the I/O error it provoked, so
@@ -185,118 +238,46 @@ func (c *Client) ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// AddCtx asks the cloud to add two ciphertexts, honoring ctx.
-func (c *Client) AddCtx(ctx context.Context, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := c.Do(ctx, &Request{Cmd: CmdAdd, A: a, B: b})
+func (c *Client) ckksOp(ctx context.Context, req *Request) (*ckks.Ciphertext, time.Duration, error) {
+	resp, err := c.Do(ctx, req)
 	if err != nil {
 		return nil, 0, err
 	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
-}
-
-// MulCtx asks the cloud to multiply two ciphertexts (relinearized
-// server-side), honoring ctx.
-func (c *Client) MulCtx(ctx context.Context, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := c.Do(ctx, &Request{Cmd: CmdMul, A: a, B: b})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
-}
-
-// RotateCtx asks the cloud to apply the Galois automorphism g (the server
-// must hold the matching key), honoring ctx.
-func (c *Client) RotateCtx(ctx context.Context, a *fv.Ciphertext, g int) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := c.Do(ctx, &Request{Cmd: CmdRotate, G: uint32(g), A: a})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
+	return resp.CKKSResult, time.Duration(resp.ComputeNanos), nil
 }
 
 // CKKSAddCtx asks the cloud to add two approximate-arithmetic ciphertexts
 // (levels aligned server-side), honoring ctx. Requires EnableCKKS.
 func (c *Client) CKKSAddCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error) {
-	resp, err := c.Do(ctx, &Request{Cmd: CmdCKKSAdd, CA: a, CB: b})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.CKKSResult, time.Duration(resp.ComputeNanos), nil
+	return c.ckksOp(ctx, &Request{Cmd: CmdCKKSAdd, CA: a, CB: b})
 }
 
 // CKKSMulCtx asks the cloud to multiply two approximate-arithmetic
 // ciphertexts — relinearized and rescaled server-side, so the result sits one
 // level below the deeper operand. Requires EnableCKKS.
 func (c *Client) CKKSMulCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error) {
-	resp, err := c.Do(ctx, &Request{Cmd: CmdCKKSMul, CA: a, CB: b})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.CKKSResult, time.Duration(resp.ComputeNanos), nil
+	return c.ckksOp(ctx, &Request{Cmd: CmdCKKSMul, CA: a, CB: b})
 }
 
 // CKKSRotateCtx asks the cloud to rotate the slot vector left by r (the
 // server must hold the matching Galois key), honoring ctx. Requires
 // EnableCKKS.
 func (c *Client) CKKSRotateCtx(ctx context.Context, a *ckks.Ciphertext, r int) (*ckks.Ciphertext, time.Duration, error) {
-	resp, err := c.Do(ctx, &Request{Cmd: CmdCKKSRotate, CA: a, R: int32(r)})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.CKKSResult, time.Duration(resp.ComputeNanos), nil
-}
-
-// PingCtx verifies the service is alive, honoring ctx.
-func (c *Client) PingCtx(ctx context.Context) error {
-	_, err := c.Do(ctx, &Request{Cmd: CmdPing})
-	return err
+	return c.ckksOp(ctx, &Request{Cmd: CmdCKKSRotate, CA: a, R: int32(r)})
 }
 
 // Info asks the server what it is: protocol version, node ID, worker count,
 // and the tenants with registered evaluation keys.
 func (c *Client) Info(ctx context.Context) (*ServerInfo, error) {
-	var info *ServerInfo
-	err := c.exchange(ctx, &Request{Cmd: CmdInfo}, "info ", func() (id uint64, err error) {
-		id, info, err = ReadInfoResponse(c.conn)
-		return id, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return info, nil
+	return replyAs[*ServerInfo](c.roundTrip(ctx, &Request{Cmd: CmdInfo}))
 }
 
 // DoProgram runs one CmdProgram exchange: the raw request (ProgBytes and
-// Inputs populated) against the program response framing. Deadline,
-// cancellation, and broken-stream handling match Do. A server-reported
-// failure returns the response alongside a *ServerError carrying its code.
+// Inputs populated) against the program reply framing. Deadline,
+// cancellation, and broken-stream handling match Do.
 func (c *Client) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
 	req.Cmd = CmdProgram
-	var resp *ProgramResponse
-	if err := c.exchange(ctx, req, "program ", func() (id uint64, err error) {
-		if resp, err = ReadProgramResponse(c.conn, c.params); err != nil {
-			return 0, err
-		}
-		return resp.ID, nil
-	}); err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return resp, &ServerError{Code: resp.Code, Msg: resp.Err}
-	}
-	return resp, nil
-}
-
-// RunProgram compiles nothing — it serializes an already-built program and
-// submits it with its inputs as ONE round trip, returning every output. This
-// is the client half of circuit-as-a-program serving: where op-at-a-time
-// evaluation pays a round trip per gate, a program pays one per circuit.
-func (c *Client) RunProgram(ctx context.Context, p *program.Program, inputs []*fv.Ciphertext) (*ProgramResponse, error) {
-	data, err := p.EncodeBytes()
-	if err != nil {
-		return nil, err
-	}
-	return c.DoProgram(ctx, &Request{ProgBytes: data, Inputs: inputs})
+	return replyAs[*ProgramResponse](c.roundTrip(ctx, req))
 }
 
 // Add asks the cloud to add two ciphertexts.

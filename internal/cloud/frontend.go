@@ -1,0 +1,293 @@
+package cloud
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"sync"
+	"time"
+
+	"repro/internal/ckks"
+	"repro/internal/fv"
+)
+
+// DefaultReadTimeout bounds how long a front-end waits for one complete
+// request (idle time between requests included). A client that stalls
+// mid-message — accidentally or as a slow-loris — is disconnected instead
+// of pinning a handler goroutine forever.
+const DefaultReadTimeout = 2 * time.Minute
+
+// Handler answers one decoded request. The front-end calls it on the
+// connection's own goroutine for sequential connections and on one goroutine
+// per in-flight frame for mux sessions, so it must be safe for concurrent
+// use. It may modify req; the reply goes out under the ID the request
+// arrived with.
+type Handler interface {
+	Handle(req *Request) Reply
+}
+
+// Frontend is the wire front door (the "Networking Arm Core" of Fig. 11):
+// the listener, the accept loop, graceful drain, and both framings — the
+// sequential HEA2 read loop and the HEAM mux session — in front of a
+// Handler. The data node (Server, engine behind it) and the routing tier
+// (cluster.Server, router behind it) are two handlers on this one type.
+type Frontend struct {
+	Params *fv.Params
+	// CKKSParams, when non-nil, lets the CmdCKKS* commands through (their
+	// ciphertext bodies cannot be framed without it). Set before Serve.
+	CKKSParams *ckks.Params
+	Logger     *log.Logger
+	// ReadTimeout overrides DefaultReadTimeout when positive.
+	ReadTimeout time.Duration
+
+	handler Handler
+	ln      net.Listener
+	mu      sync.Mutex
+	closing bool
+	conns   map[net.Conn]struct{}
+	quit    chan struct{}
+	wg      sync.WaitGroup
+}
+
+// NewFrontend prepares a front-end that hands every request to h. A nil
+// logger discards.
+func NewFrontend(params *fv.Params, h Handler, logger *log.Logger) *Frontend {
+	if logger == nil {
+		logger = log.New(io.Discard, "", 0)
+	}
+	return &Frontend{
+		Params:  params,
+		Logger:  logger,
+		handler: h,
+		conns:   make(map[net.Conn]struct{}),
+		quit:    make(chan struct{}),
+	}
+}
+
+// Listen binds the address and returns the bound address (useful with
+// ":0").
+func (fe *Frontend) Listen(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	fe.ln = ln
+	return ln.Addr().String(), nil
+}
+
+// Serve accepts connections until Close/Shutdown. Each connection gets a
+// reader goroutine; bounding the work behind it is the handler's business
+// (the engine's admission queue rejects instead of piling up).
+func (fe *Frontend) Serve() error {
+	if fe.ln == nil {
+		return fmt.Errorf("cloud: Serve before Listen")
+	}
+	for {
+		conn, err := fe.ln.Accept()
+		if err != nil {
+			fe.mu.Lock()
+			closing := fe.closing
+			fe.mu.Unlock()
+			if closing {
+				fe.wg.Wait()
+				return nil
+			}
+			return err
+		}
+		fe.mu.Lock()
+		if fe.closing {
+			fe.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		fe.conns[conn] = struct{}{}
+		fe.wg.Add(1)
+		fe.mu.Unlock()
+		go func() {
+			defer fe.wg.Done()
+			fe.handle(conn)
+		}()
+	}
+}
+
+// Shutdown gracefully drains the front-end: it stops accepting, lets every
+// in-flight request finish and its reply flush, and unblocks idle connection
+// readers. It returns nil once all connection handlers have exited, or
+// ctx.Err() if the context expires first. What sits behind the handler (an
+// engine, a router) belongs to the caller and is left running.
+func (fe *Frontend) Shutdown(ctx context.Context) error {
+	fe.mu.Lock()
+	already := fe.closing
+	fe.closing = true
+	if !already {
+		close(fe.quit)
+		// Unblock readers parked on the socket. One that is busy finishes its
+		// request and writes the reply first; it observes quit on its next
+		// loop.
+		for c := range fe.conns {
+			c.SetReadDeadline(time.Now())
+		}
+	}
+	ln := fe.ln
+	fe.mu.Unlock()
+	if ln != nil && !already {
+		ln.Close()
+	}
+	done := make(chan struct{})
+	go func() {
+		fe.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Close stops accepting and drains in-flight connections with a 5-second
+// grace period.
+func (fe *Frontend) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return fe.Shutdown(ctx)
+}
+
+// nextRequest arms the read deadline for one more request and reports
+// whether the front-end is still serving. Deadline first, then the quit
+// check: if Shutdown runs between the two, its SetReadDeadline(now) lands
+// after ours and still wins.
+func (fe *Frontend) nextRequest(conn net.Conn, timeout time.Duration) bool {
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	select {
+	case <-fe.quit:
+		return false
+	default:
+		return true
+	}
+}
+
+func (fe *Frontend) handle(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		fe.mu.Lock()
+		delete(fe.conns, conn)
+		fe.mu.Unlock()
+	}()
+	timeout := fe.ReadTimeout
+	if timeout <= 0 {
+		timeout = DefaultReadTimeout
+	}
+	// Peek the first four bytes to tell a multiplexed session ("HEAM") from
+	// the sequential framing ("HEA2"); the sequential loop reads through the
+	// same buffered reader, so the peeked bytes are not lost.
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	magic, err := br.Peek(4)
+	if err != nil {
+		return
+	}
+	if [4]byte(magic) == muxMagic {
+		fe.serveMux(conn, br, timeout)
+		return
+	}
+	for fe.nextRequest(conn, timeout) {
+		req, err := ReadRequestCKKS(br, fe.Params, fe.CKKSParams)
+		if err != nil {
+			return // client closed, stalled past the deadline, or spoke garbage
+		}
+		// Sequential replies encode straight onto the connection: no
+		// intermediate copy of a ciphertext-sized body.
+		cmd, id := req.Cmd, req.ID
+		if err := fe.handler.Handle(req).writeReply(conn, fe.Params, id); err != nil {
+			fe.Logger.Printf("cloud: write %s reply: %v", cmdName(cmd), err)
+			return
+		}
+	}
+}
+
+// serveMux runs one multiplexed session. Frames are read sequentially but
+// dispatched concurrently: up to the granted window of requests are with the
+// handler at once, and each reply frame goes out as its work finishes —
+// completion order, not arrival order. When every window slot is occupied
+// the reader itself blocks, so a client that overruns its window is paced by
+// the transport rather than fanning one socket into unbounded work.
+func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Duration) {
+	window, err := ReadMuxHello(br)
+	if err != nil {
+		return
+	}
+	if window > MaxMuxWindow {
+		window = MaxMuxWindow
+	}
+	if err := WriteMuxHello(conn, window); err != nil {
+		return
+	}
+
+	var wmu sync.Mutex // serializes reply frames across dispatch goroutines
+	// reply frames rep as the answer to request id. An encode or write
+	// failure fails the session; the read loop sees the close.
+	reply := func(id uint64, rep Reply) {
+		var buf bytes.Buffer
+		err := rep.writeReply(&buf, fe.Params, id)
+		if err == nil {
+			wmu.Lock()
+			err = WriteMuxFrame(conn, MuxFrameResponse, id, buf.Bytes())
+			wmu.Unlock()
+		}
+		if err != nil {
+			fe.Logger.Printf("cloud: mux reply: %v", err)
+			conn.Close()
+		}
+	}
+
+	sem := make(chan struct{}, window)
+	var wg sync.WaitGroup
+	defer wg.Wait() // flush in-flight dispatches before the conn closes
+	maxPayload := maxMuxPayload(fe.Params)
+	if fe.CKKSParams != nil {
+		if cl := MaxCKKSRequestBytes(fe.CKKSParams) + 64; cl > maxPayload {
+			maxPayload = cl
+		}
+	}
+
+	for fe.nextRequest(conn, timeout) {
+		f, err := DecodeMuxFrame(br, maxPayload)
+		if errors.Is(err, ErrMuxPayloadChecksum) {
+			// The frame boundary held: fail exactly this request, retryably
+			// (the payload was never decoded, so nothing executed), and keep
+			// serving the session.
+			reply(f.ID, &ServerError{Code: CodeUnavailable, Msg: err.Error()})
+			continue
+		}
+		if err != nil {
+			return // clean close, stall past the deadline, or stream garbage
+		}
+		if f.Type != MuxFrameRequest {
+			fe.Logger.Printf("cloud: mux client sent frame type %d", f.Type)
+			return
+		}
+		req, err := ReadRequestCKKS(bytes.NewReader(f.Payload), fe.Params, fe.CKKSParams)
+		if err == nil && req.ID != f.ID {
+			err = errors.New("mux payload must be a request with the frame's ID")
+		}
+		if err != nil {
+			// The checksum matched, so this is the client's encoder speaking
+			// garbage — deterministic, not retryable.
+			reply(f.ID, &ServerError{Code: CodeApp, Msg: err.Error()})
+			continue
+		}
+		sem <- struct{}{} // window full ⇒ pace the reader
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			reply(f.ID, fe.handler.Handle(req))
+		}()
+	}
+}

@@ -173,22 +173,24 @@ func FuzzDecodeMuxFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse feeds arbitrary bytes to ReadResponseV. Same contract as
-// the request side; additionally, an unknown status byte must never be parsed
-// as a success frame.
+// FuzzDecodeResponse feeds arbitrary bytes to the reply reader under each of
+// the four reply kinds. Same contract as the request side; additionally, an
+// unknown status byte must never be parsed as a success frame.
 func FuzzDecodeResponse(f *testing.F) {
 	params := fuzzParams()
-	ct := fuzzCiphertext()
-	seeds := []*Response{
-		{Ver: ProtoV2, ID: 5, Result: ct, ComputeNanos: 456, Worker: 0},
-		{Ver: ProtoV2, ID: 6, Err: "overloaded", Code: CodeUnavailable},
-		{Ver: ProtoV2, ID: 7, Err: "fingerprint mismatch", Code: CodeIntegrity},
-		{Ver: ProtoV2, ID: 8, Err: "tenant over quota", Code: CodeQuota},
-		{Ver: ProtoV2, ID: 9, Err: "no such key"},
+	kinds := replyKinds(fuzzCiphertext(), 5)
+	seeds := []Reply{
+		&ServerError{Code: CodeUnavailable, Msg: "overloaded"},
+		&ServerError{Code: CodeIntegrity, Msg: "fingerprint mismatch"},
+		&ServerError{Code: CodeQuota, Msg: "tenant over quota"},
+		&ServerError{Code: CodeApp, Msg: "no such key"},
 	}
-	for _, resp := range seeds {
+	for _, k := range kinds {
+		seeds = append(seeds, k.rep)
+	}
+	for i, rep := range seeds {
 		var buf bytes.Buffer
-		if err := WriteResponse(&buf, params, resp); err != nil {
+		if err := rep.writeReply(&buf, params, uint64(5+i)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -201,17 +203,22 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := ReadResponseV(bytes.NewReader(data), params, ProtoV2)
-		if err != nil {
-			checkDecodeErr(t, err, ErrMalformedResponse)
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteResponse(&buf, params, resp); err != nil {
-			t.Fatalf("accepted response does not re-encode: %v", err)
-		}
-		if _, err := ReadResponseV(&buf, params, ProtoV2); err != nil {
-			t.Fatalf("re-encoded response does not re-decode: %v", err)
+		for _, k := range kinds {
+			id, rep, err := readReply(bytes.NewReader(data), params, nil, k.cmd)
+			if err != nil {
+				checkDecodeErr(t, err, ErrMalformedResponse)
+				continue
+			}
+			if data[0] != statusOK && data[0] != statusErr {
+				t.Fatalf("%s: status byte %d accepted", k.kind, data[0])
+			}
+			var buf bytes.Buffer
+			if err := rep.writeReply(&buf, params, id); err != nil {
+				t.Fatalf("%s: accepted reply does not re-encode: %v", k.kind, err)
+			}
+			if _, _, err := readReply(&buf, params, nil, k.cmd); err != nil {
+				t.Fatalf("%s: re-encoded reply does not re-decode: %v", k.kind, err)
+			}
 		}
 	})
 }

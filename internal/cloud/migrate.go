@@ -2,8 +2,8 @@ package cloud
 
 // Key-state migration and cluster-administration wire support: the tenant
 // key blob (CmdKeyExport / CmdKeyImport payloads), the JSON admin control
-// messages (CmdAdmin), the shared status+ID+length response framing the
-// three commands answer with, and the client methods that speak them.
+// messages (CmdAdmin), and the client methods that speak them; all three
+// commands answer with the blob reply kind (protocol.go).
 //
 // A key blob is the complete evaluation-key state of one tenant — BFV and
 // CKKS, relinearization and Galois — as a bounded sequence of sections,
@@ -250,100 +250,11 @@ type AdminReply struct {
 	MigratedKeys    int      `json:"migrated_keys"`
 }
 
-// WriteBlobResponse writes the framing the migration and admin commands
-// answer with: status, request ID, u32 length, body — the same envelope as
-// CmdInfo, reused so one reader serves all JSON/opaque replies.
-func WriteBlobResponse(w io.Writer, id uint64, body []byte) error {
-	hdr := make([]byte, 0, 1+8+4)
-	hdr = append(hdr, statusOK)
-	hdr = binary.LittleEndian.AppendUint64(hdr, id)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(body)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// WriteBlobError answers a migration/admin command with a typed failure.
-func WriteBlobError(w io.Writer, id uint64, code uint8, msg string) error {
-	hdr := make([]byte, 0, 1+8+1+4)
-	hdr = append(hdr, statusErr)
-	hdr = binary.LittleEndian.AppendUint64(hdr, id)
-	hdr = append(hdr, code)
-	body := []byte(msg)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(body)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// ReadBlobResponse reads one migration/admin reply of at most maxLen body
-// bytes. A server-reported failure decodes as *ServerError with its code.
-func ReadBlobResponse(r io.Reader, maxLen int) (uint64, []byte, error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return 0, nil, err
-	}
-	switch status[0] {
-	case statusOK:
-		var hdr [12]byte // id, length
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return 0, nil, malformed(ErrMalformedResponse, "truncated blob response header", err)
-		}
-		id := binary.LittleEndian.Uint64(hdr[:8])
-		ln := binary.LittleEndian.Uint32(hdr[8:])
-		if int64(ln) > int64(maxLen) {
-			return 0, nil, fmt.Errorf("%w: blob response length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
-		}
-		body := make([]byte, ln)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return 0, nil, malformed(ErrMalformedResponse, "truncated blob response body", err)
-		}
-		return id, body, nil
-	case statusErr:
-		var hdr [13]byte // id, code, message length
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return 0, nil, malformed(ErrMalformedResponse, "truncated blob error header", err)
-		}
-		id := binary.LittleEndian.Uint64(hdr[:8])
-		code := hdr[8]
-		ln := binary.LittleEndian.Uint32(hdr[9:])
-		if ln == 0 || ln > 1<<16 {
-			return 0, nil, fmt.Errorf("%w: implausible blob error length %d", ErrMalformedResponse, ln)
-		}
-		msg := make([]byte, ln)
-		if _, err := io.ReadFull(r, msg); err != nil {
-			return 0, nil, malformed(ErrMalformedResponse, "truncated blob error message", err)
-		}
-		return id, nil, &ServerError{Code: code, Msg: string(msg)}
-	default:
-		return 0, nil, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, status[0])
-	}
-}
-
-// blobExchange runs one request/blob-response round trip with the client's
-// usual deadline, cancellation, and desync handling.
-func (c *Client) blobExchange(ctx context.Context, req *Request, maxLen int) ([]byte, error) {
-	var body []byte
-	err := c.exchange(ctx, req, "blob ", func() (id uint64, err error) {
-		id, body, err = ReadBlobResponse(c.conn, maxLen)
-		return id, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
 // KeyExport asks the node for the tenant's complete evaluation-key state as
 // an opaque key blob (decode with DecodeTenantKeys). A tenant with no keys
 // on the node is a *ServerError.
 func (c *Client) KeyExport(ctx context.Context, tenant string) ([]byte, error) {
-	return c.blobExchange(ctx, &Request{Cmd: CmdKeyExport, Tenant: tenant},
-		MaxKeyBlobBytes(c.params, c.ckks))
+	return replyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdKeyExport, Tenant: tenant}))
 }
 
 // ImportAck is the JSON body acknowledging a CmdKeyImport.
@@ -355,7 +266,7 @@ type ImportAck struct {
 // KeyImport installs a key blob (from KeyExport on another node) under the
 // tenant on this node, returning how many keys were registered.
 func (c *Client) KeyImport(ctx context.Context, tenant string, blob []byte) (*ImportAck, error) {
-	body, err := c.blobExchange(ctx, &Request{Cmd: CmdKeyImport, Tenant: tenant, Blob: blob}, MaxAdminBytes)
+	body, err := replyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdKeyImport, Tenant: tenant, Blob: blob}))
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +284,7 @@ func (c *Client) Admin(ctx context.Context, areq *AdminRequest) (*AdminReply, er
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.blobExchange(ctx, &Request{Cmd: CmdAdmin, Blob: blob}, MaxAdminBytes)
+	body, err := replyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdAdmin, Blob: blob}))
 	if err != nil {
 		return nil, err
 	}

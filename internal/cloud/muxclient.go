@@ -10,30 +10,19 @@ import (
 	"time"
 
 	"repro/internal/fv"
-	"repro/internal/program"
-)
-
-// muxKind tells the reader goroutine which response framing to decode for a
-// pending request ID.
-type muxKind uint8
-
-const (
-	muxKindOp muxKind = iota
-	muxKindInfo
-	muxKindProgram
 )
 
 // muxResult is what the reader delivers to a waiting submitter.
 type muxResult struct {
-	resp *Response
-	info *ServerInfo
-	prog *ProgramResponse
-	err  error
+	rep Reply
+	err error
 }
 
+// muxPending is one in-flight exchange: the command whose reply framing the
+// reader decodes with, and where to deliver it.
 type muxPending struct {
-	kind muxKind
-	ch   chan muxResult
+	cmd uint8
+	ch  chan muxResult
 }
 
 // MuxClient is a multiplexed connection to the cloud service: unlike Client,
@@ -45,9 +34,9 @@ type muxPending struct {
 // late response is discarded by the reader — so a context deadline does not
 // poison the connection the way it breaks a sequential Client.
 type MuxClient struct {
+	Ops    // AddCtx, MulCtx, RotateCtx, PingCtx, RunProgram; Ops.Tenant is the client's namespace
 	conn   net.Conn
 	params *fv.Params
-	tenant string
 	window int
 
 	sem chan struct{} // in-flight window slots
@@ -107,12 +96,12 @@ func NewMuxClient(conn net.Conn, params *fv.Params, tenant string, window int) (
 	mc := &MuxClient{
 		conn:       conn,
 		params:     params,
-		tenant:     tenant,
 		window:     granted,
 		sem:        make(chan struct{}, granted),
 		pending:    make(map[uint64]muxPending),
 		readerDone: make(chan struct{}),
 	}
+	mc.Ops = Ops{Via: mc, Tenant: tenant}
 	go mc.readLoop()
 	return mc, nil
 }
@@ -121,7 +110,7 @@ func NewMuxClient(conn net.Conn, params *fv.Params, tenant string, window int) (
 func (mc *MuxClient) Window() int { return mc.window }
 
 // Tenant returns the namespace this client issues requests under.
-func (mc *MuxClient) Tenant() string { return mc.tenant }
+func (mc *MuxClient) Tenant() string { return mc.Ops.Tenant }
 
 // Close tears the connection down; in-flight exchanges fail.
 func (mc *MuxClient) Close() error {
@@ -177,7 +166,12 @@ func (mc *MuxClient) readLoop() {
 		if !ok {
 			continue // canceled exchange; drop the late response
 		}
-		p.ch <- mc.decode(p.kind, f)
+		// The payload is a complete reply in the sequential framing.
+		id, rep, err := readReply(bytes.NewReader(f.Payload), mc.params, nil, p.cmd)
+		if err == nil && id != f.ID {
+			err = fmt.Errorf("%w: inner reply ID %d under frame ID %d", ErrMalformedResponse, id, f.ID)
+		}
+		p.ch <- muxResult{rep: rep, err: err}
 	}
 }
 
@@ -192,74 +186,35 @@ func (mc *MuxClient) take(id uint64) (muxPending, bool) {
 	return p, ok
 }
 
-// decode parses a response payload with the framing the pending request
-// expects, reusing the sequential protocol's hardened decoders.
-func (mc *MuxClient) decode(kind muxKind, f *MuxFrame) muxResult {
-	r := bytes.NewReader(f.Payload)
-	switch kind {
-	case muxKindInfo:
-		id, info, err := ReadInfoResponse(r)
-		if err != nil {
-			return muxResult{err: err}
-		}
-		if id != f.ID {
-			return muxResult{err: fmt.Errorf("%w: inner info ID %d under frame ID %d",
-				ErrMalformedResponse, id, f.ID)}
-		}
-		return muxResult{info: info}
-	case muxKindProgram:
-		resp, err := ReadProgramResponse(r, mc.params)
-		if err != nil {
-			return muxResult{err: err}
-		}
-		if resp.ID != f.ID {
-			return muxResult{err: fmt.Errorf("%w: inner program ID %d under frame ID %d",
-				ErrMalformedResponse, resp.ID, f.ID)}
-		}
-		return muxResult{prog: resp}
-	default:
-		resp, err := ReadResponseV(r, mc.params, ProtoV2)
-		if err != nil {
-			return muxResult{err: err}
-		}
-		if resp.ID != f.ID {
-			return muxResult{err: fmt.Errorf("%w: inner response ID %d under frame ID %d",
-				ErrMalformedResponse, resp.ID, f.ID)}
-		}
-		return muxResult{resp: resp}
-	}
-}
-
-// submit encodes req as a v2 payload, frames it, and waits for its response
+// roundTrip encodes req as a v2 payload, frames it, and waits for its reply
 // under ctx. It implements the window: a full window fails immediately with
 // ErrWindowExhausted rather than queueing.
-func (mc *MuxClient) submit(ctx context.Context, req *Request, kind muxKind) (muxResult, error) {
+func (mc *MuxClient) roundTrip(ctx context.Context, req *Request) (Reply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return muxResult{}, err
+		return nil, err
 	}
 	mc.mu.Lock()
-	if mc.err != nil {
-		err := mc.err
-		mc.mu.Unlock()
-		return muxResult{}, err
-	}
+	err := mc.err
 	mc.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	select {
 	case mc.sem <- struct{}{}:
 	default:
-		return muxResult{}, fmt.Errorf("%w (window %d)", ErrWindowExhausted, mc.window)
+		return nil, fmt.Errorf("%w (window %d)", ErrWindowExhausted, mc.window)
 	}
 	defer func() { <-mc.sem }()
 
 	req.Ver = ProtoV2
 	if req.Tenant == "" {
-		req.Tenant = mc.tenant
+		req.Tenant = mc.Ops.Tenant
 	}
-	p := muxPending{kind: kind, ch: make(chan muxResult, 1)}
+	p := muxPending{cmd: req.Cmd, ch: make(chan muxResult, 1)}
 	mc.mu.Lock()
 	mc.nextID++
 	req.ID = mc.nextID
@@ -269,112 +224,45 @@ func (mc *MuxClient) submit(ctx context.Context, req *Request, kind muxKind) (mu
 	var buf bytes.Buffer
 	if err := WriteRequest(&buf, mc.params, req); err != nil {
 		mc.take(req.ID)
-		return muxResult{}, err
+		return nil, err
 	}
 	mc.wmu.Lock()
-	err := WriteMuxFrame(mc.conn, MuxFrameRequest, req.ID, buf.Bytes())
+	err = WriteMuxFrame(mc.conn, MuxFrameRequest, req.ID, buf.Bytes())
 	mc.wmu.Unlock()
 	if err != nil {
 		mc.take(req.ID)
 		mc.fail(fmt.Errorf("cloud: mux write: %w", err))
-		return muxResult{}, err
+		return nil, err
 	}
 
 	select {
 	case res := <-p.ch:
-		return res, nil
+		return res.rep, res.err
 	case <-ctx.Done():
 		// Abandon the exchange: deregister so the reader discards the late
-		// response. The connection itself stays healthy.
+		// reply. The connection itself stays healthy.
 		mc.take(req.ID)
-		return muxResult{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
 // Do runs one operation exchange. A server-reported failure is returned as
-// *ServerError alongside the response, matching Client.Do.
+// *ServerError, matching Client.Do. CKKS commands are refused: a mux client
+// holds no CKKS parameter set to decode their results with.
 func (mc *MuxClient) Do(ctx context.Context, req *Request) (*Response, error) {
-	res, err := mc.submit(ctx, req, muxKindOp)
-	if err != nil {
-		return nil, err
+	if isCKKSCmd(req.Cmd) {
+		return nil, fmt.Errorf("cloud: %s is not carried over a mux client", cmdName(req.Cmd))
 	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	if res.resp.Err != "" {
-		return res.resp, &ServerError{Code: res.resp.Code, Msg: res.resp.Err}
-	}
-	return res.resp, nil
-}
-
-// AddCtx asks the cloud to add two ciphertexts.
-func (mc *MuxClient) AddCtx(ctx context.Context, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := mc.Do(ctx, &Request{Cmd: CmdAdd, A: a, B: b})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
-}
-
-// MulCtx asks the cloud to multiply two ciphertexts (relinearized
-// server-side).
-func (mc *MuxClient) MulCtx(ctx context.Context, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := mc.Do(ctx, &Request{Cmd: CmdMul, A: a, B: b})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
-}
-
-// RotateCtx asks the cloud to apply the Galois automorphism g.
-func (mc *MuxClient) RotateCtx(ctx context.Context, a *fv.Ciphertext, g int) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := mc.Do(ctx, &Request{Cmd: CmdRotate, G: uint32(g), A: a})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
-}
-
-// PingCtx verifies the service is alive.
-func (mc *MuxClient) PingCtx(ctx context.Context) error {
-	_, err := mc.Do(ctx, &Request{Cmd: CmdPing})
-	return err
+	return replyAs[*Response](mc.roundTrip(ctx, req))
 }
 
 // Info asks the server what it is.
 func (mc *MuxClient) Info(ctx context.Context) (*ServerInfo, error) {
-	res, err := mc.submit(ctx, &Request{Cmd: CmdInfo}, muxKindInfo)
-	if err != nil {
-		return nil, err
-	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	return res.info, nil
+	return replyAs[*ServerInfo](mc.roundTrip(ctx, &Request{Cmd: CmdInfo}))
 }
 
 // DoProgram runs one CmdProgram exchange.
 func (mc *MuxClient) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
 	req.Cmd = CmdProgram
-	res, err := mc.submit(ctx, req, muxKindProgram)
-	if err != nil {
-		return nil, err
-	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	if res.prog.Err != "" {
-		return res.prog, &ServerError{Code: res.prog.Code, Msg: res.prog.Err}
-	}
-	return res.prog, nil
-}
-
-// RunProgram serializes an already-built program and submits it with its
-// inputs as one frame, returning every output.
-func (mc *MuxClient) RunProgram(ctx context.Context, p *program.Program, inputs []*fv.Ciphertext) (*ProgramResponse, error) {
-	data, err := p.EncodeBytes()
-	if err != nil {
-		return nil, err
-	}
-	return mc.DoProgram(ctx, &Request{ProgBytes: data, Inputs: inputs})
+	return replyAs[*ProgramResponse](mc.roundTrip(ctx, req))
 }

@@ -462,7 +462,131 @@ func cmdName(cmd uint8) string {
 	return fmt.Sprintf("cmd(%d)", cmd)
 }
 
-// Response carries the result ciphertext and the simulated hardware timing.
+// Reply envelope. Every reply — whatever the command — opens with a status
+// byte and the request ID it answers, then carries one of two halves:
+//
+//	error:   status 1 | ID (8 LE) | code (1) | message length (4 LE) | message
+//	success: status 0 | ID (8 LE) | the body of the command's reply kind
+//
+//	kind      commands                        body
+//	op        add mul rotate ping, ckks_*     compute ns (8) | worker (4) | ciphertext
+//	program   program                         makespan ns (8) | serial ns (8) | key loads (4) |
+//	                                          nodes (4) | output count (4) | ciphertexts
+//	info      info                            length (4) | JSON ServerInfo
+//	blob      key_export key_import admin     length (4) | bytes
+//
+// The error half is the same bytes for all four kinds, so a peer that could
+// not even decode the request (and so does not know its kind) can still
+// refuse it, and one writer and one reader serve every command.
+
+// Reply is what a Handler answers a request with: one of the four kinds
+// (*Response, *ProgramResponse, *ServerInfo, Blob) or a *ServerError. It
+// encodes itself as the reply to request id.
+type Reply interface {
+	writeReply(w io.Writer, params *fv.Params, id uint64) error
+}
+
+// writeReplyError writes the error half.
+func writeReplyError(w io.Writer, id uint64, code uint8, msg string) error {
+	b := make([]byte, 0, 1+8+1+4+len(msg))
+	b = append(b, statusErr)
+	b = binary.LittleEndian.AppendUint64(b, id)
+	b = append(b, code)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(msg)))
+	_, err := w.Write(append(b, msg...))
+	return err
+}
+
+// okHead starts a success reply: status and request ID, with room for the
+// extra bytes of fixed fields the kind appends before its first write.
+func okHead(id uint64, extra int) []byte {
+	b := make([]byte, 0, 1+8+extra)
+	b = append(b, statusOK)
+	return binary.LittleEndian.AppendUint64(b, id)
+}
+
+// readReplyHead reads what every reply opens with. For an error reply it
+// consumes the rest and returns it as serr; otherwise the kind's body
+// follows. An error before the first byte (a clean EOF, a deadline) surfaces
+// as is.
+func readReplyHead(r io.Reader) (id uint64, serr *ServerError, err error) {
+	var head [9]byte // status, id
+	if n, err := io.ReadFull(r, head[:]); err != nil {
+		if n == 0 {
+			return 0, nil, err // the reply never started: hangup or timeout, not garbage
+		}
+		return 0, nil, malformed(ErrMalformedResponse, "truncated reply head", err)
+	}
+	id = binary.LittleEndian.Uint64(head[1:])
+	switch head[0] {
+	case statusOK:
+		return id, nil, nil
+	case statusErr:
+	default:
+		// A corrupted stream must not be mistaken for a success frame — the
+		// bytes after an unknown status would be parsed as a body.
+		return 0, nil, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, head[0])
+	}
+	var hdr [5]byte // code, message length
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, malformed(ErrMalformedResponse, "truncated error header", err)
+	}
+	// An empty message would make a decoded Response look like a success
+	// (Err == "" is the discriminator its callers use).
+	ln := binary.LittleEndian.Uint32(hdr[1:])
+	if ln == 0 || ln > 1<<16 {
+		return 0, nil, fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
+	}
+	msg := make([]byte, ln)
+	if _, err := io.ReadFull(r, msg); err != nil {
+		return 0, nil, malformed(ErrMalformedResponse, "truncated error message", err)
+	}
+	return id, &ServerError{Code: hdr[0], Msg: string(msg)}, nil
+}
+
+// readReply decodes the reply to a cmd request: the shared head, then the
+// body of the kind cmd answers in. A server-reported failure comes back as
+// the *ServerError it is. cparams is needed for the CKKS commands only.
+func readReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint8) (uint64, Reply, error) {
+	id, serr, err := readReplyHead(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	if serr != nil {
+		return id, serr, nil
+	}
+	var (
+		rep  Reply
+		body []byte
+	)
+	switch cmd {
+	case CmdProgram:
+		rep, err = readProgramBody(r, params, id)
+	case CmdInfo:
+		if body, err = readLenBody(r, maxInfoBytes); err == nil {
+			info := new(ServerInfo)
+			if err = json.Unmarshal(body, info); err != nil {
+				err = fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
+			}
+			rep = info
+		}
+	case CmdKeyExport:
+		body, err = readLenBody(r, MaxKeyBlobBytes(params, cparams))
+		rep = Blob(body)
+	case CmdKeyImport, CmdAdmin:
+		body, err = readLenBody(r, MaxAdminBytes)
+		rep = Blob(body)
+	default:
+		rep, err = readOpBody(r, params, cparams, id, isCKKSCmd(cmd))
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return id, rep, nil
+}
+
+// Response is the op-kind reply: the result ciphertext and the simulated
+// hardware timing.
 type Response struct {
 	Err  string
 	Code uint8 // error code (CodeApp, CodeUnavailable, ...)
@@ -478,21 +602,14 @@ type Response struct {
 
 // WriteResponse serializes a response.
 func WriteResponse(w io.Writer, params *fv.Params, resp *Response) error {
+	return resp.writeReply(w, params, resp.ID)
+}
+
+func (resp *Response) writeReply(w io.Writer, params *fv.Params, id uint64) error {
 	if resp.Err != "" {
-		hdr := make([]byte, 0, 1+8+1+4)
-		hdr = append(hdr, statusErr)
-		hdr = binary.LittleEndian.AppendUint64(hdr, resp.ID)
-		hdr = append(hdr, resp.Code)
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(resp.Err)))
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-		_, err := w.Write([]byte(resp.Err))
-		return err
+		return writeReplyError(w, id, resp.Code, resp.Err)
 	}
-	hdr := make([]byte, 0, 1+8+8+4)
-	hdr = append(hdr, statusOK)
-	hdr = binary.LittleEndian.AppendUint64(hdr, resp.ID)
+	hdr := okHead(id, 8+4)
 	hdr = binary.LittleEndian.AppendUint64(hdr, resp.ComputeNanos)
 	hdr = binary.LittleEndian.AppendUint32(hdr, resp.Worker)
 	if _, err := w.Write(hdr); err != nil {
@@ -504,86 +621,57 @@ func WriteResponse(w io.Writer, params *fv.Params, resp *Response) error {
 	return resp.Result.WriteTo(w, params)
 }
 
-// ReadResponseV deserializes the response to a request of protocol version
-// ver (always ProtoV2; the response itself carries no version).
-func ReadResponseV(r io.Reader, params *fv.Params, ver uint8) (*Response, error) {
-	resp, ok, err := readResponseEnvelope(r, ver)
-	if err != nil || !ok {
-		return resp, err
+func readOpBody(r io.Reader, params *fv.Params, cparams *ckks.Params, id uint64, isCKKS bool) (*Response, error) {
+	var meta [12]byte // compute nanos, worker
+	if _, err := io.ReadFull(r, meta[:]); err != nil {
+		return nil, malformed(ErrMalformedResponse, "truncated response header", err)
 	}
-	ct, err := fv.ReadCiphertext(r, params)
+	resp := &Response{
+		Ver:          ProtoV2,
+		ID:           id,
+		ComputeNanos: binary.LittleEndian.Uint64(meta[:8]),
+		Worker:       binary.LittleEndian.Uint32(meta[8:]),
+	}
+	var err error
+	if isCKKS {
+		resp.CKKSResult, err = ckks.ReadCiphertext(r, cparams)
+	} else {
+		resp.Result, err = fv.ReadCiphertext(r, params)
+	}
 	if err != nil {
 		return nil, malformed(ErrMalformedResponse, "reading result", err)
 	}
-	resp.Result = ct
 	return resp, nil
+}
+
+// ReadResponseV deserializes the response to a request of protocol version
+// ver (always ProtoV2; the response itself carries no version). A
+// server-reported failure decodes into Err and Code.
+func ReadResponseV(r io.Reader, params *fv.Params, ver uint8) (*Response, error) {
+	return readResponse(r, params, nil, CmdAdd, ver)
 }
 
 // ReadCKKSResponseV deserializes the response to a CKKS command: the same
 // envelope, with the result decoding as a CKKS ciphertext under cparams.
 func ReadCKKSResponseV(r io.Reader, cparams *ckks.Params, ver uint8) (*Response, error) {
-	resp, ok, err := readResponseEnvelope(r, ver)
-	if err != nil || !ok {
-		return resp, err
-	}
-	ct, err := ckks.ReadCiphertext(r, cparams)
+	return readResponse(r, nil, cparams, CmdCKKSAdd, ver)
+}
+
+func readResponse(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd, ver uint8) (*Response, error) {
+	id, rep, err := readReply(r, params, cparams, cmd)
 	if err != nil {
-		return nil, malformed(ErrMalformedResponse, "reading CKKS result", err)
+		return nil, err
 	}
-	resp.CKKSResult = ct
+	resp, ok := rep.(*Response)
+	if !ok {
+		se := rep.(*ServerError)
+		resp = &Response{ID: id, Err: se.Msg, Code: se.Code}
+	}
+	resp.Ver = ver
 	return resp, nil
 }
 
-// readResponseEnvelope decodes the scheme-independent part of a response —
-// status, request ID, error or timing metadata — up to the result
-// ciphertext. ok reports whether a result body follows (false for error
-// responses, which are complete).
-func readResponseEnvelope(r io.Reader, ver uint8) (*Response, bool, error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return nil, false, err
-	}
-	resp := &Response{Ver: ver}
-	switch status[0] {
-	case statusOK:
-	case statusErr:
-		var hdr [13]byte // id, code, message length
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, false, malformed(ErrMalformedResponse, "truncated error header", err)
-		}
-		resp.ID = binary.LittleEndian.Uint64(hdr[:8])
-		resp.Code = hdr[8]
-		ln := binary.LittleEndian.Uint32(hdr[9:])
-		if ln > 1<<16 {
-			return nil, false, fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
-		}
-		if ln == 0 {
-			// An empty message would make the decoded response look like a
-			// success (Err == "" is the discriminator callers use).
-			return nil, false, fmt.Errorf("%w: empty error message", ErrMalformedResponse)
-		}
-		msg := make([]byte, ln)
-		if _, err := io.ReadFull(r, msg); err != nil {
-			return nil, false, malformed(ErrMalformedResponse, "truncated error message", err)
-		}
-		resp.Err = string(msg)
-		return resp, false, nil
-	default:
-		// A corrupted stream must not be mistaken for a success frame — the
-		// bytes after an unknown status would be parsed as a ciphertext.
-		return nil, false, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, status[0])
-	}
-	var meta [20]byte // id, compute nanos, worker
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
-		return nil, false, malformed(ErrMalformedResponse, "truncated response header", err)
-	}
-	resp.ID = binary.LittleEndian.Uint64(meta[:8])
-	resp.ComputeNanos = binary.LittleEndian.Uint64(meta[8:16])
-	resp.Worker = binary.LittleEndian.Uint32(meta[16:])
-	return resp, true, nil
-}
-
-// ServerInfo is the CmdInfo reply: what the node is and what it speaks. The
+// ServerInfo is the info-kind reply: what the node is and what it speaks. The
 // cluster layer uses it to discover tenant support; heserver advertises its
 // node ID and registered tenants here.
 type ServerInfo struct {
@@ -595,53 +683,51 @@ type ServerInfo struct {
 	Tenants     []string `json:"tenants,omitempty"` // namespaces with registered keys
 }
 
-// maxInfoBytes bounds the JSON body of an info response.
+// maxInfoBytes bounds the JSON body of an info reply.
 const maxInfoBytes = 1 << 20
 
-// WriteInfoResponse serializes a CmdInfo reply.
-func WriteInfoResponse(w io.Writer, id uint64, info *ServerInfo) error {
+func (info *ServerInfo) writeReply(w io.Writer, _ *fv.Params, id uint64) error {
 	body, err := json.Marshal(info)
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, 0, 1+8+4)
-	hdr = append(hdr, statusOK)
-	hdr = binary.LittleEndian.AppendUint64(hdr, id)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(body)))
+	return Blob(body).writeReply(w, nil, id)
+}
+
+// Blob is the blob-kind reply: an opaque length-prefixed body — a tenant key
+// blob (CmdKeyExport) or a small JSON acknowledgement (CmdKeyImport,
+// CmdAdmin).
+type Blob []byte
+
+func (b Blob) writeReply(w io.Writer, _ *fv.Params, id uint64) error {
+	hdr := binary.LittleEndian.AppendUint32(okHead(id, 4), uint32(len(b)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err := w.Write(b)
 	return err
 }
 
-// ReadInfoResponse deserializes a CmdInfo reply.
-func ReadInfoResponse(r io.Reader) (uint64, *ServerInfo, error) {
-	var hdr [13]byte // status, id, length
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// readLenBody reads the length-prefixed body the info and blob kinds share,
+// refusing a length beyond maxLen before allocating.
+func readLenBody(r io.Reader, maxLen int) ([]byte, error) {
+	var n [4]byte
+	if _, err := io.ReadFull(r, n[:]); err != nil {
+		return nil, malformed(ErrMalformedResponse, "truncated body length", err)
 	}
-	id := binary.LittleEndian.Uint64(hdr[1:9])
-	ln := binary.LittleEndian.Uint32(hdr[9:])
-	if ln > maxInfoBytes {
-		return 0, nil, fmt.Errorf("cloud: implausible info length %d", ln)
+	ln := binary.LittleEndian.Uint32(n[:])
+	if int64(ln) > int64(maxLen) {
+		return nil, fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
 	}
 	body := make([]byte, ln)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+		return nil, malformed(ErrMalformedResponse, "truncated body", err)
 	}
-	if hdr[0] == statusErr {
-		return id, nil, &ServerError{Msg: string(body)}
-	}
-	var info ServerInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return 0, nil, fmt.Errorf("cloud: decoding info: %w", err)
-	}
-	return id, &info, nil
+	return body, nil
 }
 
-// ProgramResponse answers a CmdProgram request: every program output plus
-// the scheduler's accounting.
+// ProgramResponse is the program-kind reply: every program output plus the
+// scheduler's accounting.
 type ProgramResponse struct {
 	Err  string
 	Code uint8
@@ -659,25 +745,17 @@ type ProgramResponse struct {
 
 // WriteProgramResponse serializes a CmdProgram reply.
 func WriteProgramResponse(w io.Writer, params *fv.Params, resp *ProgramResponse) error {
+	return resp.writeReply(w, params, resp.ID)
+}
+
+func (resp *ProgramResponse) writeReply(w io.Writer, params *fv.Params, id uint64) error {
 	if resp.Err != "" {
-		hdr := make([]byte, 0, 1+8+1+4)
-		hdr = append(hdr, statusErr)
-		hdr = binary.LittleEndian.AppendUint64(hdr, resp.ID)
-		hdr = append(hdr, resp.Code)
-		msg := []byte(resp.Err)
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(msg)))
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-		_, err := w.Write(msg)
-		return err
+		return writeReplyError(w, id, resp.Code, resp.Err)
 	}
 	if len(resp.Outputs) == 0 || len(resp.Outputs) > ProgramLimits().MaxOutputs {
 		return fmt.Errorf("cloud: %d program outputs outside (0, %d]", len(resp.Outputs), ProgramLimits().MaxOutputs)
 	}
-	hdr := make([]byte, 0, 1+8+8+8+4+4+4)
-	hdr = append(hdr, statusOK)
-	hdr = binary.LittleEndian.AppendUint64(hdr, resp.ID)
+	hdr := okHead(id, 8+8+4+4+4)
 	hdr = binary.LittleEndian.AppendUint64(hdr, resp.MakespanNanos)
 	hdr = binary.LittleEndian.AppendUint64(hdr, resp.SerialNanos)
 	hdr = binary.LittleEndian.AppendUint32(hdr, resp.KeyLoads)
@@ -694,45 +772,34 @@ func WriteProgramResponse(w io.Writer, params *fv.Params, resp *ProgramResponse)
 	return nil
 }
 
-// ReadProgramResponse deserializes a CmdProgram reply.
+// ReadProgramResponse deserializes a CmdProgram reply. A server-reported
+// failure decodes into Err and Code.
 func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
+	id, rep, err := readReply(r, params, nil, CmdProgram)
+	if err != nil {
 		return nil, err
 	}
-	resp := &ProgramResponse{}
-	switch status[0] {
-	case statusErr:
-		var hdr [13]byte // id, code, message length
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, malformed(ErrMalformedResponse, "truncated program error header", err)
-		}
-		resp.ID = binary.LittleEndian.Uint64(hdr[:8])
-		resp.Code = hdr[8]
-		ln := binary.LittleEndian.Uint32(hdr[9:])
-		if ln == 0 || ln > 1<<16 {
-			return nil, fmt.Errorf("%w: implausible program error length %d", ErrMalformedResponse, ln)
-		}
-		msg := make([]byte, ln)
-		if _, err := io.ReadFull(r, msg); err != nil {
-			return nil, malformed(ErrMalformedResponse, "truncated program error message", err)
-		}
-		resp.Err = string(msg)
-		return resp, nil
-	case statusOK:
-	default:
-		return nil, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, status[0])
+	resp, ok := rep.(*ProgramResponse)
+	if !ok {
+		se := rep.(*ServerError)
+		resp = &ProgramResponse{ID: id, Err: se.Msg, Code: se.Code}
 	}
-	var hdr [36]byte // id, makespan, serial, key loads, nodes, output count
+	return resp, nil
+}
+
+func readProgramBody(r io.Reader, params *fv.Params, id uint64) (*ProgramResponse, error) {
+	var hdr [28]byte // makespan, serial, key loads, nodes, output count
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, malformed(ErrMalformedResponse, "truncated program response header", err)
 	}
-	resp.ID = binary.LittleEndian.Uint64(hdr[:8])
-	resp.MakespanNanos = binary.LittleEndian.Uint64(hdr[8:16])
-	resp.SerialNanos = binary.LittleEndian.Uint64(hdr[16:24])
-	resp.KeyLoads = binary.LittleEndian.Uint32(hdr[24:28])
-	resp.Nodes = binary.LittleEndian.Uint32(hdr[28:32])
-	nOut := binary.LittleEndian.Uint32(hdr[32:36])
+	resp := &ProgramResponse{
+		ID:            id,
+		MakespanNanos: binary.LittleEndian.Uint64(hdr[:8]),
+		SerialNanos:   binary.LittleEndian.Uint64(hdr[8:16]),
+		KeyLoads:      binary.LittleEndian.Uint32(hdr[16:20]),
+		Nodes:         binary.LittleEndian.Uint32(hdr[20:24]),
+	}
+	nOut := binary.LittleEndian.Uint32(hdr[24:28])
 	if nOut == 0 || int64(nOut) > int64(ProgramLimits().MaxOutputs) {
 		return nil, fmt.Errorf("%w: %d program outputs outside (0, %d]", ErrMalformedResponse, nOut, ProgramLimits().MaxOutputs)
 	}
@@ -747,14 +814,20 @@ func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, erro
 	return resp, nil
 }
 
-// ServerError is an error the server reported in a response — the node is
-// alive and speaking the protocol; the operation itself failed.
+// ServerError is an error the server reported in a reply — the node is alive
+// and speaking the protocol; the operation itself failed. It is the error
+// half of the envelope on both sides of the wire: what a client's call
+// returns, and a Reply a handler can answer any command with.
 type ServerError struct {
 	Code uint8
 	Msg  string
 }
 
 func (e *ServerError) Error() string { return "cloud: server error: " + e.Msg }
+
+func (e *ServerError) writeReply(w io.Writer, _ *fv.Params, id uint64) error {
+	return writeReplyError(w, id, e.Code, e.Msg)
+}
 
 // Retryable reports whether the failure was node-local — unavailability
 // (overload, shutdown), a detected integrity fault, or a per-tenant quota

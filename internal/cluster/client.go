@@ -33,43 +33,30 @@ func (c *Client) Router() *Router { return c.r }
 // Close stops health probing and drops pooled connections.
 func (c *Client) Close() error { return c.r.Close() }
 
+// as is the typed operation set (written once, in cloud) routed under tenant.
+func (c *Client) as(tenant string) cloud.Ops { return cloud.Ops{Via: c.r, Tenant: tenant} }
+
 // Add adds two ciphertexts on the tenant's shard.
 func (c *Client) Add(ctx context.Context, tenant string, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := c.r.Do(ctx, &cloud.Request{Cmd: cloud.CmdAdd, Tenant: tenant, A: a, B: b})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
+	return c.as(tenant).AddCtx(ctx, a, b)
 }
 
 // Mul multiplies two ciphertexts on the tenant's shard (relinearized with
 // the tenant's key, which must be registered on the shard's replicas).
 func (c *Client) Mul(ctx context.Context, tenant string, a, b *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := c.r.Do(ctx, &cloud.Request{Cmd: cloud.CmdMul, Tenant: tenant, A: a, B: b})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
+	return c.as(tenant).MulCtx(ctx, a, b)
 }
 
 // Rotate applies the Galois automorphism g on the tenant's shard.
 func (c *Client) Rotate(ctx context.Context, tenant string, a *fv.Ciphertext, g int) (*fv.Ciphertext, time.Duration, error) {
-	resp, err := c.r.Do(ctx, &cloud.Request{Cmd: cloud.CmdRotate, Tenant: tenant, G: uint32(g), A: a})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Result, time.Duration(resp.ComputeNanos), nil
+	return c.as(tenant).RotateCtx(ctx, a, g)
 }
 
 // RunProgram executes a whole compiled program on the tenant's shard: one
 // routed round trip for the entire circuit, with the same replica failover
 // as single ops (a program is idempotent — pure function of its inputs).
 func (c *Client) RunProgram(ctx context.Context, tenant string, p *program.Program, inputs []*fv.Ciphertext) (*cloud.ProgramResponse, error) {
-	data, err := p.EncodeBytes()
-	if err != nil {
-		return nil, err
-	}
-	return c.r.DoProgram(ctx, &cloud.Request{Tenant: tenant, ProgBytes: data, Inputs: inputs})
+	return c.as(tenant).RunProgram(ctx, p, inputs)
 }
 
 // Ping verifies at least one backend is routable and alive.

@@ -159,11 +159,83 @@ func (r *Router) transferTenant(ctx context.Context, tenant string, sources []st
 	return 0, nil
 }
 
-// Join adds a node to the fleet with zero-drop cutover: the node is probed,
-// the tenants the ring will rebalance onto it get their evaluation-key
-// state copied over first (gate -> drain -> transfer), and only then does
-// the ring flip. Any failure before the flip aborts cleanly — routing and
-// key placement are untouched. Idempotent for a node already in the ring.
+// move is one tenant's part of a membership change: the nodes its key state
+// is copied from (tried in order) and the nodes that must hold it before the
+// ring flips.
+type move struct {
+	tenant string
+	srcs   []string
+	dests  []string
+}
+
+// cutover is the one membership-change sequence, zero-drop by construction:
+// plan -> hold -> drain -> transfer -> flip -> release. The tenants whose
+// placement changes are gated, their in-flight requests drained, their
+// evaluation-key state copied to the nodes taking them over, and only then
+// does the ring flip. what and node name the change in errors and logs; plan
+// maps a known tenant to its move (false when the change leaves the tenant's
+// placement alone); flip swings the ring. Any failure before the flip aborts
+// cleanly — routing and key placement are untouched. The caller holds
+// adminMu.
+func (r *Router) cutover(ctx context.Context, what, node string,
+	plan func(tenant string) (move, bool), flip func()) (*MigrationReport, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	mctx, cancel := context.WithTimeout(ctx, r.cfg.MigrationTimeout)
+	defer cancel()
+
+	r.hook("plan", "")
+	var (
+		moves []move
+		moved []string
+	)
+	for _, t := range r.knownTenants(mctx) {
+		if m, ok := plan(t); ok {
+			moves = append(moves, m)
+			moved = append(moved, t)
+		}
+	}
+
+	report := &MigrationReport{Node: node, Moved: moved, Tenants: len(moved)}
+	r.gates.hold(moved)
+	defer r.gates.release(moved) // on abort; a no-op after the release below
+	r.hook("hold", "")
+
+	dctx, dcancel := context.WithTimeout(mctx, r.cfg.DrainTimeout)
+	if err := r.gates.drain(dctx, moved); err != nil {
+		// Safe to proceed: key state is copied, never moved, so stragglers
+		// finish correctly against the old owners.
+		r.logf("cluster: %s %s: drain timed out, proceeding: %v", what, node, err)
+	}
+	dcancel()
+	r.hook("drain", "")
+
+	for _, m := range moves {
+		r.hook("transfer", m.tenant)
+		for _, dest := range m.dests {
+			keys, err := r.transferTenant(mctx, m.tenant, m.srcs, dest)
+			if err != nil {
+				r.reg.Counter("cluster_migration_failures").Add(1)
+				return nil, fmt.Errorf("cluster: %s %s aborted before cutover: %w", what, node, err)
+			}
+			report.Keys += keys
+		}
+	}
+	r.reg.Counter("cluster_migrated_tenants").Add(uint64(len(moved)))
+	r.reg.Counter("cluster_migrated_keys").Add(uint64(report.Keys))
+
+	flip()
+	r.hook("flip", "")
+	r.gates.release(moved)
+	r.hook("release", "")
+	return report, nil
+}
+
+// Join adds a node to the fleet: the node is probed, the tenants the ring
+// will rebalance onto it get their key state copied over first, and only
+// then does the ring flip (see cutover). Idempotent for a node already in
+// the ring.
 func (r *Router) Join(ctx context.Context, b Backend) (*MigrationReport, error) {
 	if b.ID == "" || b.Addr == "" {
 		return nil, fmt.Errorf("cluster: join needs ID and Addr, got %+v", b)
@@ -176,88 +248,49 @@ func (r *Router) Join(ctx context.Context, b Backend) (*MigrationReport, error) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mctx, cancel := context.WithTimeout(ctx, r.cfg.MigrationTimeout)
-	defer cancel()
 
 	// Register the node's transport and health state (reused if the node
 	// was drained earlier and is rejoining).
 	r.mu.Lock()
-	fresh := false
-	if _, ok := r.addrs[b.ID]; !ok {
-		fresh = true
+	_, known := r.addrs[b.ID]
+	if !known {
 		r.addrs[b.ID] = b.Addr
 		r.pools[b.ID] = r.newPoolFor(b)
 	}
 	r.mu.Unlock()
-	if fresh {
+	if !known {
 		r.health.add(b.ID)
 	}
+
 	abort := func(err error) (*MigrationReport, error) {
-		r.reg.Counter("cluster_migration_failures").Add(1)
-		if fresh {
+		if !known {
 			r.forget(b.ID)
 		}
 		return nil, err
 	}
 
 	// Never cut traffic over to a node that does not answer.
-	pctx, pcancel := context.WithTimeout(mctx, r.cfg.AttemptTimeout)
+	pctx, pcancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	err := r.probe(pctx, b.ID)
 	pcancel()
 	if err != nil {
+		r.reg.Counter("cluster_migration_failures").Add(1)
 		return abort(fmt.Errorf("cluster: join %s: probe failed: %w", b.ID, err))
 	}
 
-	r.hook("plan", "")
-	tenants := r.knownTenants(mctx)
 	next := r.scratchRing(b.ID, "")
-	var moved []string
-	for _, t := range tenants {
-		if contains(next.Lookup(t, r.cfg.Replicas), b.ID) {
-			moved = append(moved, t)
+	members := r.ring.Members()
+	report, err := r.cutover(ctx, "join", b.ID, func(t string) (move, bool) {
+		if !contains(next.Lookup(t, r.cfg.Replicas), b.ID) {
+			return move{}, false
 		}
+		// The tenant's current owners first, then anyone who might hold it.
+		srcs := append(r.ring.Lookup(t, r.cfg.Replicas), members...)
+		return move{tenant: t, srcs: srcs, dests: []string{b.ID}}, true
+	}, func() { r.ring.Add(b.ID) })
+	if err != nil {
+		return abort(err)
 	}
-
-	report := &MigrationReport{Node: b.ID, Moved: moved, Tenants: len(moved)}
-	r.gates.hold(moved)
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			r.gates.release(moved)
-		}
-	}
-	defer release()
-	r.hook("hold", "")
-
-	dctx, dcancel := context.WithTimeout(mctx, r.cfg.DrainTimeout)
-	if err := r.gates.drain(dctx, moved); err != nil {
-		// Safe to proceed: key state is copied, never moved, so stragglers
-		// finish correctly against the old owners.
-		r.logf("cluster: join %s: drain timed out, proceeding: %v", b.ID, err)
-	}
-	dcancel()
-	r.hook("drain", "")
-
-	sources := r.ring.Members()
-	for _, t := range moved {
-		r.hook("transfer", t)
-		old := r.ring.Lookup(t, r.cfg.Replicas)
-		srcs := append(append([]string{}, old...), sources...)
-		keys, err := r.transferTenant(mctx, t, srcs, b.ID)
-		if err != nil {
-			release()
-			return abort(fmt.Errorf("cluster: join %s aborted before cutover: %w", b.ID, err))
-		}
-		report.Keys += keys
-	}
-	r.reg.Counter("cluster_migrated_tenants").Add(uint64(len(moved)))
-	r.reg.Counter("cluster_migrated_keys").Add(uint64(report.Keys))
-
-	r.ring.Add(b.ID)
-	r.hook("flip", "")
-	release()
-	r.hook("release", "")
 	r.reg.Counter("cluster_joins").Add(1)
 	r.logf("cluster: node %s joined (%d tenants, %d keys migrated)", b.ID, report.Tenants, report.Keys)
 	return report, nil
@@ -292,79 +325,27 @@ func (r *Router) retire(ctx context.Context, id string, forget bool) (*Migration
 	if r.ring.Size() <= 1 {
 		return nil, ErrLastNode
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	mctx, cancel := context.WithTimeout(ctx, r.cfg.MigrationTimeout)
-	defer cancel()
 
-	r.hook("plan", "")
-	tenants := r.knownTenants(mctx)
 	next := r.scratchRing("", id)
-	type move struct {
-		tenant string
-		olds   []string
-		dests  []string
-	}
-	var plan []move
-	var moved []string
-	for _, t := range tenants {
+	report, err := r.cutover(ctx, "retire", id, func(t string) (move, bool) {
 		old := r.ring.Lookup(t, r.cfg.Replicas)
 		if !contains(old, id) {
-			continue
+			return move{}, false
 		}
-		var dests []string
-		for _, n := range next.Lookup(t, r.cfg.Replicas) {
-			if !contains(old, n) {
-				dests = append(dests, n)
-			}
-		}
-		moved = append(moved, t)
-		plan = append(plan, move{tenant: t, olds: old, dests: dests})
-	}
-
-	report := &MigrationReport{Node: id, Moved: moved, Tenants: len(moved)}
-	r.gates.hold(moved)
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			r.gates.release(moved)
-		}
-	}
-	defer release()
-	r.hook("hold", "")
-
-	dctx, dcancel := context.WithTimeout(mctx, r.cfg.DrainTimeout)
-	if err := r.gates.drain(dctx, moved); err != nil {
-		r.logf("cluster: retire %s: drain timed out, proceeding: %v", id, err)
-	}
-	dcancel()
-	r.hook("drain", "")
-
-	for _, m := range plan {
-		r.hook("transfer", m.tenant)
 		// Prefer the leaver as the source — it certainly served this tenant
 		// — and fall back to the surviving replica peers when it is already
 		// dead (the crash-during-rolling-restart case).
-		srcs := append([]string{id}, m.olds...)
-		for _, dest := range m.dests {
-			keys, err := r.transferTenant(mctx, m.tenant, srcs, dest)
-			if err != nil {
-				release()
-				r.reg.Counter("cluster_migration_failures").Add(1)
-				return nil, fmt.Errorf("cluster: retire %s aborted before cutover: %w", id, err)
+		m := move{tenant: t, srcs: append([]string{id}, old...)}
+		for _, n := range next.Lookup(t, r.cfg.Replicas) {
+			if !contains(old, n) {
+				m.dests = append(m.dests, n)
 			}
-			report.Keys += keys
 		}
+		return m, true
+	}, func() { r.ring.Remove(id) })
+	if err != nil {
+		return nil, err
 	}
-	r.reg.Counter("cluster_migrated_tenants").Add(uint64(len(moved)))
-	r.reg.Counter("cluster_migrated_keys").Add(uint64(report.Keys))
-
-	r.ring.Remove(id)
-	r.hook("flip", "")
-	release()
-	r.hook("release", "")
 	if forget {
 		r.forget(id)
 		r.reg.Counter("cluster_leaves").Add(1)

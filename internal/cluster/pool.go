@@ -13,8 +13,7 @@ import (
 // so the failover walk is oblivious to which transport a backend pool hands
 // out.
 type conn interface {
-	Do(ctx context.Context, req *cloud.Request) (*cloud.Response, error)
-	DoProgram(ctx context.Context, req *cloud.Request) (*cloud.ProgramResponse, error)
+	cloud.Exchanger
 	PingCtx(ctx context.Context) error
 	Broken() bool
 	Close() error

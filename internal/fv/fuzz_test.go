@@ -3,6 +3,8 @@ package fv
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/sampler"
 )
 
 // Fuzz targets: the deserializers face untrusted bytes (the cloud protocol
@@ -60,23 +62,31 @@ func FuzzReadKeyHeader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	sk, _, _ := NewKeyGenerator(p, sampler.NewPRNG(1)).GenKeys()
 	var buf bytes.Buffer
-	if err := WriteParamsHeader(&buf, p); err != nil {
+	if err := WriteSecretKeyV2(&buf, p, sk); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	f.Add([]byte("FVk1\x04\x00\x00\x00null"))
+	f.Add([]byte("FVk2\x04\x00\x00\x00null"))
 	f.Add([]byte("nope"))
+	// The retired unchecksummed container: must be refused at the magic.
+	v1 := bytes.Clone(buf.Bytes()[:buf.Len()-8])
+	v1[3] = '1'
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic; errors are fine. Headers that parse must carry a
-		// self-consistent configuration.
-		params, err := ReadParamsHeader(bytes.NewReader(data))
+		// Must never panic; errors are fine. Files that parse must carry a
+		// self-consistent configuration, and only the current magic parses.
+		params, _, err := ReadSecretKey(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if params.N() < 4 || params.Cfg.T < 2 {
 			t.Fatal("accepted invalid configuration")
+		}
+		if !bytes.HasPrefix(data, []byte("FVk2")) {
+			t.Fatalf("accepted a key file with magic %q", data[:4])
 		}
 	})
 }

@@ -79,9 +79,9 @@ func katDigests(t *testing.T) map[string]string {
 	}
 
 	return map[string]string{
-		"secret_key": hash(func(b *bytes.Buffer) error { return WriteSecretKey(b, p, sk) }),
-		"public_key": hash(func(b *bytes.Buffer) error { return WritePublicKey(b, p, pk) }),
-		"relin_key":  hash(func(b *bytes.Buffer) error { return WriteRelinKey(b, p, rk) }),
+		"secret_key": hash(func(b *bytes.Buffer) error { return WriteSecretKeyV2(b, p, sk) }),
+		"public_key": hash(func(b *bytes.Buffer) error { return WritePublicKeyV2(b, p, pk) }),
+		"relin_key":  hash(func(b *bytes.Buffer) error { return WriteRelinKeyV2(b, p, rk) }),
 		"ct_a":       hashCt(ctA),
 		"ct_b":       hashCt(ctB),
 		"ct_sum":     hashCt(sum),

@@ -15,69 +15,22 @@ import (
 // without out-of-band coordination. Residues are stored as 32-bit words
 // (the 30-bit primes fit), the same packing the DMA transfers use.
 //
-// Two file versions coexist:
-//
-//	FVk1: magic, header, payload. No integrity protection.
-//	FVk2: same layout plus an FNV-64a checksum trailer over everything from
-//	      the magic through the payload. A truncated or bit-flipped file
-//	      fails with ErrCorruptKey instead of silently yielding a key that
-//	      decrypts garbage (or worse, a relin key that corrupts every Mult).
-//
-// The framing and the checksum live in internal/keyio, shared with the CKKS
-// binding; the scheme tag rides in the magic, so a CKKS key file can never
-// parse as a BFV key. This file keeps the BFV-specific header semantics and
-// payload layouts — the bytes written are identical to the pre-extraction
-// format, which the KATs pin.
-//
-// The readers accept both versions; the V2 writers are what hecli keygen
-// emits.
+// Files are written in the checksummed container of internal/keyio ("FVk2":
+// magic, header, payload, FNV-64a trailer over everything before it), shared
+// with the CKKS binding. A truncated or bit-flipped file fails with
+// ErrCorruptKey instead of silently yielding a key that decrypts garbage (or
+// worse, a relin key that corrupts every Mult). The scheme tag rides in the
+// magic, so a CKKS key file can never parse as a BFV key. This file keeps
+// the BFV-specific header semantics and payload layouts.
 
-// ErrCorruptKey reports that a v2 key file failed validation: a checksum
+// ErrCorruptKey reports that a key file failed validation: a checksum
 // mismatch, a truncation, or a structurally invalid body. The file must be
 // regenerated or re-fetched; retrying the parse cannot help. It is the
 // shared keyio sentinel, so errors.Is works across scheme boundaries.
 var ErrCorruptKey = keyio.ErrCorruptKey
 
-var (
-	fileMagic   = [4]byte{'F', 'V', 'k', '1'}
-	fileMagicV2 = [4]byte{'F', 'V', 'k', '2'}
-)
-
 // fvScheme tags BFV key files in the shared container.
-var fvScheme = keyio.Scheme{V1: fileMagic, V2: fileMagicV2}
-
-// WriteParamsHeader writes the legacy magic and the JSON-encoded
-// configuration.
-func WriteParamsHeader(w io.Writer, params *Params) error {
-	if _, err := w.Write(fileMagic[:]); err != nil {
-		return err
-	}
-	return writeParamsBody(w, params)
-}
-
-func writeParamsBody(w io.Writer, params *Params) error {
-	blob, err := json.Marshal(params.Cfg)
-	if err != nil {
-		return err
-	}
-	return keyio.WriteHeaderBlob(w, blob)
-}
-
-// ReadParamsHeader reads a legacy header and instantiates the parameters.
-func ReadParamsHeader(r io.Reader) (*Params, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("fv: not a key file (magic %q)", magic)
-	}
-	blob, err := keyio.ReadHeaderBlob(r)
-	if err != nil {
-		return nil, fmt.Errorf("fv: %w", err)
-	}
-	return paramsFromHeader(blob)
-}
+var fvScheme = keyio.Scheme{V2: [4]byte{'F', 'V', 'k', '2'}}
 
 func paramsFromHeader(blob []byte) (*Params, error) {
 	var cfg Config
@@ -87,7 +40,7 @@ func paramsFromHeader(blob []byte) (*Params, error) {
 	return NewParams(cfg)
 }
 
-// writeChecked writes a v2 file through the shared container: magic +
+// writeChecked writes a key file through the shared container: magic +
 // header + body, all folded into the FNV-64a trailer.
 func writeChecked(w io.Writer, params *Params, body func(io.Writer) error) error {
 	blob, err := json.Marshal(params.Cfg)
@@ -97,10 +50,10 @@ func writeChecked(w io.Writer, params *Params, body func(io.Writer) error) error
 	return keyio.WriteChecked(w, fvScheme, blob, body)
 }
 
-// readKey dispatches on the file magic: FVk1 parses as before (nothing to
-// verify), FVk2 re-computes the checksum while parsing and compares it to
-// the trailer. Every v2 failure — including a structurally valid prefix cut
-// short — wraps ErrCorruptKey.
+// readKey reads a key file through the shared container, which re-computes
+// the checksum while parsing and compares it to the trailer. Every failure
+// past the magic — including a structurally valid prefix cut short — wraps
+// ErrCorruptKey.
 func readKey(r io.Reader, body func(io.Reader, *Params) error) (*Params, error) {
 	v, err := keyio.Read(r, fvScheme,
 		func(blob []byte) (any, error) { return paramsFromHeader(blob) },
@@ -145,15 +98,6 @@ func readRNSPoly(r io.Reader, params *Params) (poly.RNSPoly, error) {
 	return out, nil
 }
 
-// WriteSecretKey serializes params + the coefficient-domain secret in the
-// legacy (unchecksummed) format.
-func WriteSecretKey(w io.Writer, params *Params, sk *SecretKey) error {
-	if err := WriteParamsHeader(w, params); err != nil {
-		return err
-	}
-	return writeRNSPoly(w, params, sk.S)
-}
-
 // WriteSecretKeyV2 serializes a secret key with the checksum trailer.
 func WriteSecretKeyV2(w io.Writer, params *Params, sk *SecretKey) error {
 	return writeChecked(w, params, func(w io.Writer) error {
@@ -161,8 +105,8 @@ func WriteSecretKeyV2(w io.Writer, params *Params, sk *SecretKey) error {
 	})
 }
 
-// ReadSecretKey reads a secret key and its parameters, in either file
-// version. A damaged v2 file fails with an error wrapping ErrCorruptKey.
+// ReadSecretKey reads a secret key and its parameters. A damaged file fails
+// with an error wrapping ErrCorruptKey.
 func ReadSecretKey(r io.Reader) (*Params, *SecretKey, error) {
 	var sk *SecretKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {
@@ -181,18 +125,6 @@ func ReadSecretKey(r io.Reader) (*Params, *SecretKey, error) {
 	return params, sk, nil
 }
 
-// WritePublicKey serializes params + the NTT-domain public key pair in the
-// legacy (unchecksummed) format.
-func WritePublicKey(w io.Writer, params *Params, pk *PublicKey) error {
-	if err := WriteParamsHeader(w, params); err != nil {
-		return err
-	}
-	if err := writeRNSPoly(w, params, pk.P0Hat); err != nil {
-		return err
-	}
-	return writeRNSPoly(w, params, pk.P1Hat)
-}
-
 // WritePublicKeyV2 serializes a public key with the checksum trailer.
 func WritePublicKeyV2(w io.Writer, params *Params, pk *PublicKey) error {
 	return writeChecked(w, params, func(w io.Writer) error {
@@ -203,8 +135,8 @@ func WritePublicKeyV2(w io.Writer, params *Params, pk *PublicKey) error {
 	})
 }
 
-// ReadPublicKey reads a public key and its parameters, in either file
-// version. A damaged v2 file fails with an error wrapping ErrCorruptKey.
+// ReadPublicKey reads a public key and its parameters. A damaged file fails
+// with an error wrapping ErrCorruptKey.
 func ReadPublicKey(r io.Reader) (*Params, *PublicKey, error) {
 	var pk *PublicKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {
@@ -274,15 +206,6 @@ func readRelinKeyBody(r io.Reader, params *Params) (*RelinKey, error) {
 	return rk, nil
 }
 
-// WriteRelinKey serializes params + the relinearization key in the legacy
-// (unchecksummed) format.
-func WriteRelinKey(w io.Writer, params *Params, rk *RelinKey) error {
-	if err := WriteParamsHeader(w, params); err != nil {
-		return err
-	}
-	return writeRelinKeyBody(w, params, rk)
-}
-
 // WriteRelinKeyV2 serializes a relinearization key with the checksum
 // trailer.
 func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
@@ -291,9 +214,8 @@ func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
 	})
 }
 
-// ReadRelinKey reads a relinearization key and its parameters, in either
-// file version. A damaged v2 file fails with an error wrapping
-// ErrCorruptKey.
+// ReadRelinKey reads a relinearization key and its parameters. A damaged
+// file fails with an error wrapping ErrCorruptKey.
 func ReadRelinKey(r io.Reader) (*Params, *RelinKey, error) {
 	var rk *RelinKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {
@@ -354,15 +276,6 @@ func readGaloisKeyBody(r io.Reader, params *Params) (*GaloisKey, error) {
 	return gk, nil
 }
 
-// WriteGaloisKey serializes params + one Galois key-switching key in the
-// legacy (unchecksummed) format.
-func WriteGaloisKey(w io.Writer, params *Params, gk *GaloisKey) error {
-	if err := WriteParamsHeader(w, params); err != nil {
-		return err
-	}
-	return writeGaloisKeyBody(w, params, gk)
-}
-
 // WriteGaloisKeyV2 serializes a Galois key with the checksum trailer — the
 // container key-state migration ships between cluster nodes.
 func WriteGaloisKeyV2(w io.Writer, params *Params, gk *GaloisKey) error {
@@ -371,9 +284,8 @@ func WriteGaloisKeyV2(w io.Writer, params *Params, gk *GaloisKey) error {
 	})
 }
 
-// ReadGaloisKey reads a Galois key and its parameters, in either file
-// version. A damaged v2 container fails with an error wrapping
-// ErrCorruptKey.
+// ReadGaloisKey reads a Galois key and its parameters. A damaged container
+// fails with an error wrapping ErrCorruptKey.
 func ReadGaloisKey(r io.Reader) (*Params, *GaloisKey, error) {
 	var gk *GaloisKey
 	params, err := readKey(r, func(r io.Reader, params *Params) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/keyio"
 	"repro/internal/sampler"
 )
 
@@ -16,7 +17,7 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 
 	// Secret key.
 	var buf bytes.Buffer
-	if err := WriteSecretKey(&buf, p, sk); err != nil {
+	if err := WriteSecretKeyV2(&buf, p, sk); err != nil {
 		t.Fatal(err)
 	}
 	p2, sk2, err := ReadSecretKey(&buf)
@@ -33,7 +34,7 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 	// Public key: loaded key must decrypt what the original encrypts (and
 	// vice versa via a fresh encryptor).
 	buf.Reset()
-	if err := WritePublicKey(&buf, p, pk); err != nil {
+	if err := WritePublicKeyV2(&buf, p, pk); err != nil {
 		t.Fatal(err)
 	}
 	p3, pk2, err := ReadPublicKey(&buf)
@@ -54,7 +55,7 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 	// Relin key: a multiplication with the loaded key must match one with
 	// the original.
 	buf.Reset()
-	if err := WriteRelinKey(&buf, p, rk); err != nil {
+	if err := WriteRelinKeyV2(&buf, p, rk); err != nil {
 		t.Fatal(err)
 	}
 	_, rk2, err := ReadRelinKey(&buf)
@@ -74,21 +75,22 @@ func TestKeyIORejectsGarbage(t *testing.T) {
 	if _, _, err := ReadSecretKey(bytes.NewReader([]byte("not a key file at all"))); err == nil {
 		t.Fatal("garbage accepted as secret key")
 	}
-	// Valid header, truncated body.
+	// The retired unchecksummed container — a current file without its
+	// trailer, under the "FVk1" magic — is not a key file any more.
 	p := testParams(t, 65537)
+	sk, _, _ := NewKeyGenerator(p, sampler.NewPRNG(30)).GenKeys()
 	var buf bytes.Buffer
-	if err := WriteParamsHeader(&buf, p); err != nil {
+	if err := WriteSecretKeyV2(&buf, p, sk); err != nil {
 		t.Fatal(err)
 	}
-	buf.Write([]byte{1, 2, 3})
-	if _, _, err := ReadSecretKey(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("truncated key accepted")
+	v1 := bytes.Clone(buf.Bytes()[:buf.Len()-8])
+	v1[3] = '1'
+	if _, _, err := ReadSecretKey(bytes.NewReader(v1)); !errors.Is(err, keyio.ErrBadMagic) {
+		t.Fatalf("v1 container: err %v, want ErrBadMagic", err)
 	}
 }
 
-// TestKeyIOV2RoundTrip exercises the checksummed format: every key kind must
-// survive a write/read cycle and be usable, and the loaded keys must match
-// their legacy-format twins.
+// TestKeyIOV2RoundTrip: every key kind must survive a write/read cycle.
 func TestKeyIOV2RoundTrip(t *testing.T) {
 	p := testParams(t, 65537)
 	prng := sampler.NewPRNG(31)

@@ -1,20 +1,18 @@
 // Package keyio is the scheme-tagged key-file container shared by the
 // scheme bindings (internal/fv, internal/ckks). A key file is
 //
-//	magic (4 bytes) · header length (4 bytes LE) · header blob · payload
+//	magic (4 bytes) · header length (4 bytes LE) · header blob · payload ·
+//	FNV-64a checksum (8 bytes LE) over everything before it
 //
-// in its legacy (v1) form, and the same layout plus an FNV-64a checksum
-// trailer over everything from the magic through the payload in its
-// checksummed (v2) form. The magic carries the scheme tag ("FVk1"/"FVk2"
-// for BFV, "CKk1"/"CKk2" for CKKS), so a CKKS key can never parse as a BFV
-// key: the magic is the first thing a reader dispatches on.
+// The magic carries the scheme tag ("FVk2" for BFV, "CKk2" for CKKS), so a
+// CKKS key can never parse as a BFV key: the magic is the first thing a
+// reader checks. The unchecksummed first version of the container ("FVk1",
+// "CKk1": the same bytes without the trailer) is no longer read or written;
+// its magic is refused like any other foreign one.
 //
 // The container owns the framing and the integrity check; the scheme owns
-// the header semantics (its serialized Config) and the payload layout. The
-// split keeps the v1/v2 BFV files byte-compatible — fv writes the same
-// bytes through keyio that it wrote before the extraction, which its KATs
-// pin — while giving every scheme the same ErrCorruptKey hardening for
-// free.
+// the header semantics (its serialized Config) and the payload layout, so
+// every scheme gets the same ErrCorruptKey hardening for free.
 package keyio
 
 import (
@@ -31,21 +29,20 @@ import (
 // must be regenerated or re-fetched; retrying the parse cannot help.
 var ErrCorruptKey = errors.New("keyio: corrupt key file")
 
-// ErrBadMagic reports that the stream does not start with either of the
-// scheme's magics — it is not a key file of this scheme at all.
+// ErrBadMagic reports that the stream does not start with the scheme's
+// magic — it is not a key file of this scheme at all.
 var ErrBadMagic = errors.New("keyio: not a key file")
 
-// Scheme names the two magics of one scheme's key files: V1 is the legacy
-// unchecksummed framing, V2 appends the checksum trailer.
+// Scheme names the magic of one scheme's key files.
 type Scheme struct {
-	V1, V2 [4]byte
+	V2 [4]byte
 }
 
 // maxHeaderBytes bounds the length-prefixed header blob; a frame claiming
 // more is corrupt (or not a key file).
 const maxHeaderBytes = 1 << 16
 
-// Corrupt wraps a v2 decode failure as ErrCorruptKey. EOF mid-body is a
+// Corrupt wraps a decode failure as ErrCorruptKey. EOF mid-body is a
 // truncated file, not a clean end.
 func Corrupt(err error) error {
 	if errors.Is(err, ErrCorruptKey) {
@@ -112,19 +109,7 @@ func ReadHeaderBlob(r io.Reader) ([]byte, error) {
 	return blob, nil
 }
 
-// WriteLegacy writes a v1 file: magic, header blob, payload. No integrity
-// protection — kept only for byte-compatibility with pre-v2 BFV files.
-func WriteLegacy(w io.Writer, s Scheme, header []byte, payload func(io.Writer) error) error {
-	if _, err := w.Write(s.V1[:]); err != nil {
-		return err
-	}
-	if err := WriteHeaderBlob(w, header); err != nil {
-		return err
-	}
-	return payload(w)
-}
-
-// WriteChecked writes a v2 file: magic + header + payload, all folded into
+// WriteChecked writes a key file: magic + header + payload, all folded into
 // an FNV-64a checksum appended as an 8-byte little-endian trailer (the
 // trailer itself is not hashed).
 func WriteChecked(w io.Writer, s Scheme, header []byte, payload func(io.Writer) error) error {
@@ -144,53 +129,40 @@ func WriteChecked(w io.Writer, s Scheme, header []byte, payload func(io.Writer) 
 	return err
 }
 
-// Read dispatches on the file magic: V1 parses as before (nothing to
-// verify), V2 re-computes the checksum while parsing and compares it to the
-// trailer. header parses the scheme's header blob into its parameter
-// object; payload consumes the body under those parameters. Every v2
-// failure — including a structurally valid prefix cut short — wraps
-// ErrCorruptKey; a stream that starts with neither magic fails with
-// ErrBadMagic.
+// Read checks the file magic, then re-computes the checksum while parsing
+// and compares it to the trailer. header parses the scheme's header blob into
+// its parameter object; payload consumes the body under those parameters.
+// Every failure past the magic — including a structurally valid prefix cut
+// short — wraps ErrCorruptKey; a stream that starts with any other magic
+// fails with ErrBadMagic.
 func Read(r io.Reader, s Scheme, header func([]byte) (any, error), payload func(io.Reader, any) error) (any, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, err
 	}
-	switch magic {
-	case s.V1:
-		blob, err := ReadHeaderBlob(r)
-		if err != nil {
-			return nil, err
-		}
-		params, err := header(blob)
-		if err != nil {
-			return nil, err
-		}
-		return params, payload(r, params)
-	case s.V2:
-		hr := &hashingReader{r: r, h: fnv.New64a()}
-		hr.h.Write(magic[:])
-		blob, err := ReadHeaderBlob(hr)
-		if err != nil {
-			return nil, Corrupt(err)
-		}
-		params, err := header(blob)
-		if err != nil {
-			return nil, Corrupt(err)
-		}
-		if err := payload(hr, params); err != nil {
-			return nil, Corrupt(err)
-		}
-		want := hr.h.Sum64()
-		var sum [8]byte
-		if _, err := io.ReadFull(r, sum[:]); err != nil {
-			return nil, Corrupt(fmt.Errorf("reading checksum trailer: %w", err))
-		}
-		if got := binary.LittleEndian.Uint64(sum[:]); got != want {
-			return nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorruptKey, got, want)
-		}
-		return params, nil
-	default:
+	if magic != s.V2 {
 		return nil, fmt.Errorf("%w (magic %q)", ErrBadMagic, magic[:])
 	}
+	hr := &hashingReader{r: r, h: fnv.New64a()}
+	hr.h.Write(magic[:])
+	blob, err := ReadHeaderBlob(hr)
+	if err != nil {
+		return nil, Corrupt(err)
+	}
+	params, err := header(blob)
+	if err != nil {
+		return nil, Corrupt(err)
+	}
+	if err := payload(hr, params); err != nil {
+		return nil, Corrupt(err)
+	}
+	want := hr.h.Sum64()
+	var sum [8]byte
+	if _, err := io.ReadFull(r, sum[:]); err != nil {
+		return nil, Corrupt(fmt.Errorf("reading checksum trailer: %w", err))
+	}
+	if got := binary.LittleEndian.Uint64(sum[:]); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorruptKey, got, want)
+	}
+	return params, nil
 }

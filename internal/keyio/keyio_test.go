@@ -7,26 +7,16 @@ import (
 	"testing"
 )
 
-var testScheme = Scheme{
-	V1: [4]byte{'T', 'S', 'k', '1'},
-	V2: [4]byte{'T', 'S', 'k', '2'},
-}
+var testScheme = Scheme{V2: [4]byte{'T', 'S', 'k', '2'}}
 
-// otherScheme shares the container layout but not the magics: its files must
+// otherScheme shares the container layout but not the magic: its files must
 // never parse under testScheme.
-var otherScheme = Scheme{
-	V1: [4]byte{'X', 'X', 'k', '1'},
-	V2: [4]byte{'X', 'X', 'k', '2'},
-}
+var otherScheme = Scheme{V2: [4]byte{'X', 'X', 'k', '2'}}
 
-func writeTestFile(t *testing.T, checked bool, header, payload []byte) []byte {
+func writeTestFile(t *testing.T, s Scheme, header, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	write := WriteLegacy
-	if checked {
-		write = WriteChecked
-	}
-	err := write(&buf, testScheme, header, func(w io.Writer) error {
+	err := WriteChecked(&buf, s, header, func(w io.Writer) error {
 		_, err := w.Write(payload)
 		return err
 	})
@@ -34,22 +24,6 @@ func writeTestFile(t *testing.T, checked bool, header, payload []byte) []byte {
 		t.Fatalf("write: %v", err)
 	}
 	return buf.Bytes()
-}
-
-// readTestFile reads a legacy file, draining the rest of the stream as the
-// payload. Checked files need readFixed: their payload callback must stop
-// before the trailer.
-func readTestFile(data []byte, s Scheme) (hdr, body []byte, err error) {
-	v, err := Read(bytes.NewReader(data), s,
-		func(blob []byte) (any, error) { return blob, nil },
-		func(r io.Reader, _ any) error {
-			body, err = io.ReadAll(r)
-			return err
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.([]byte), body, nil
 }
 
 // readFixed reads files whose payload length is known (the realistic case:
@@ -68,23 +42,10 @@ func readFixed(data []byte, s Scheme, payloadLen int) (hdr, body []byte, err err
 	return v.([]byte), body, nil
 }
 
-func TestRoundTripLegacy(t *testing.T) {
-	header := []byte(`{"n":256}`)
-	payload := []byte("payload-bytes")
-	data := writeTestFile(t, false, header, payload)
-	hdr, body, err := readTestFile(data, testScheme)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !bytes.Equal(hdr, header) || !bytes.Equal(body, payload) {
-		t.Fatalf("round trip mismatch: header %q body %q", hdr, body)
-	}
-}
-
 func TestRoundTripChecked(t *testing.T) {
 	header := []byte(`{"n":256}`)
 	payload := []byte("payload-bytes")
-	data := writeTestFile(t, true, header, payload)
+	data := writeTestFile(t, testScheme, header, payload)
 	hdr, body, err := readFixed(data, testScheme, len(payload))
 	if err != nil {
 		t.Fatalf("read: %v", err)
@@ -98,7 +59,7 @@ func TestRoundTripChecked(t *testing.T) {
 // may load as a (wrong) file.
 func TestCheckedBitFlip(t *testing.T) {
 	payload := []byte("payload-bytes")
-	data := writeTestFile(t, true, []byte(`{"n":1}`), payload)
+	data := writeTestFile(t, testScheme, []byte(`{"n":1}`), payload)
 	for off := 4; off < len(data); off++ {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x40
@@ -116,7 +77,7 @@ func TestCheckedBitFlip(t *testing.T) {
 // excepted: that is not yet identifiable as a v2 file).
 func TestCheckedTruncation(t *testing.T) {
 	payload := []byte("payload-bytes")
-	data := writeTestFile(t, true, []byte(`{"n":1}`), payload)
+	data := writeTestFile(t, testScheme, []byte(`{"n":1}`), payload)
 	for ln := 4; ln < len(data); ln++ {
 		_, _, err := readFixed(data[:ln], testScheme, len(payload))
 		if err == nil {
@@ -128,25 +89,19 @@ func TestCheckedTruncation(t *testing.T) {
 	}
 }
 
-// A v1 file silently tolerates damage (that is why v2 exists), but a file of
-// a different scheme — same container, different magic — must be rejected up
-// front in both versions.
+// A file of a different scheme — same container, different magic — must be
+// rejected up front, and so must the scheme's own retired v1 container (the
+// same bytes under a "...1" magic, without the trailer): nothing unchecksummed
+// loads any more.
 func TestSchemeTagRejected(t *testing.T) {
-	for _, checked := range []bool{false, true} {
-		var buf bytes.Buffer
-		write := WriteLegacy
-		if checked {
-			write = WriteChecked
-		}
-		if err := write(&buf, otherScheme, []byte(`{}`), func(w io.Writer) error {
-			_, err := w.Write([]byte("body"))
-			return err
-		}); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		_, _, err := readTestFile(buf.Bytes(), testScheme)
-		if !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("checked=%v: got %v, want ErrBadMagic", checked, err)
+	payload := []byte("body")
+	foreign := writeTestFile(t, otherScheme, []byte(`{}`), payload)
+	v2 := writeTestFile(t, testScheme, []byte(`{}`), payload)
+	v1 := bytes.Clone(v2[:len(v2)-8])
+	v1[3] = '1'
+	for name, data := range map[string][]byte{"foreign scheme": foreign, "v1 container": v1} {
+		if _, _, err := readFixed(data, testScheme, len(payload)); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: got %v, want ErrBadMagic", name, err)
 		}
 	}
 }

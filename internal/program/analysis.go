@@ -4,10 +4,10 @@ import (
 	"repro/internal/fv"
 )
 
-// Counts is the per-op cost ledger of a program — the same categories
-// internal/circuits.CostLedger tracks for gate-level evaluation, so the
-// compiler's cost model and the circuit engine's ledger agree by
-// construction (pinned by a test).
+// Counts is the per-op cost ledger of a program. Muls is the cost metric the
+// paper's workload discussion leads with (Rasta's selling point is "low
+// AND-depth and few ANDs per bit"), but adds and plaintext ops are not free
+// on the co-processor either.
 type Counts struct {
 	// Muls counts depth-consuming ciphertext multiplications (OpMul and
 	// OpMulNR) — the AND count of a boolean circuit.

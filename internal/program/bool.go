@@ -2,14 +2,19 @@ package program
 
 import (
 	"fmt"
+
+	"repro/internal/fv"
 )
 
-// Bool lowers boolean circuits (t = 2: XOR is addition, AND is
-// multiplication) onto a Builder — the compiler counterpart of
-// internal/circuits.Engine, emitting program nodes instead of evaluating
-// gates. Gate-for-gate it emits exactly the ops the circuit engine performs,
-// so the program's cost ledger (Analysis.Counts) agrees with
-// circuits.CostLedger; a test pins that agreement.
+// Bool lowers boolean circuits onto a Builder — the workload class the
+// paper's parameter set targets ("evaluation of low-complexity block cipher
+// such as Rasta on ciphertext, private information retrieval or encrypted
+// search..., encrypted sorting", Sec. III-A). At t = 2 XOR is a homomorphic
+// addition (free), AND a homomorphic multiplication (consumes depth), and
+// everything else is built from those two plus the constant 1. Each Bit
+// tracks its multiplicative depth so callers can budget circuits against
+// Params.SupportedDepth(); the built program's Analyze().Counts is the cost
+// ledger (ANDs = Muls, XORs = Adds, NOTs = PlainOps).
 type Bool struct {
 	B *Builder
 	// one is the interned constant-1 plaintext, used by Not (¬a = 1 ⊕ a at
@@ -17,12 +22,16 @@ type Bool struct {
 	one Plain
 }
 
-// NewBool wraps a builder for boolean lowering; n is the ring degree (the
-// plaintext coefficient count of the target parameter set).
-func NewBool(b *Builder, n int) *Bool {
-	one := make([]uint64, n)
+// NewBool wraps a builder for boolean lowering under params, which must have
+// t = 2: at any other plaintext modulus addition is not XOR and the program
+// would compute something else without complaint.
+func NewBool(b *Builder, params *fv.Params) (*Bool, error) {
+	if params.T() != 2 {
+		return nil, fmt.Errorf("program: boolean circuits require t = 2, got t = %d", params.T())
+	}
+	one := make([]uint64, params.N())
 	one[0] = 1
-	return &Bool{B: b, one: b.Plaintext(one)}
+	return &Bool{B: b, one: b.Plaintext(one)}, nil
 }
 
 // Bit is one encrypted bit in the program being built, with its

@@ -26,14 +26,14 @@ type TableEntry struct {
 // ⌈log2 keyBits⌉ — for 16-bit keys exactly the depth-4 sizing of the
 // paper's Sec. III-A.
 func CompileEncSearch(params *fv.Params, table []TableEntry, keyBits int) (*Program, error) {
-	if params.T() != 2 {
-		return nil, fmt.Errorf("program: encrypted search requires t = 2, got t = %d", params.T())
-	}
 	if len(table) == 0 || keyBits <= 0 || keyBits > 64 {
 		return nil, fmt.Errorf("program: encrypted search needs a non-empty table and 1..64 key bits")
 	}
 	b := NewBuilder()
-	c := NewBool(b, params.N())
+	c, err := NewBool(b, params)
+	if err != nil {
+		return nil, err
+	}
 	query := c.InputWord(keyBits)
 
 	enc := fv.NewIntegerEncoder(params)

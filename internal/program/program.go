@@ -1,7 +1,7 @@
 // Package program is the circuit-as-a-program layer: an SSA-style
 // intermediate representation for homomorphic computations, a builder and a
-// boolean-circuit compiler that lower whole gate DAGs (the workloads of
-// internal/circuits — encrypted search, sorting, voting) into one verifiable
+// boolean-circuit compiler (Bool) that lower whole gate DAGs (encrypted
+// search, sorting, voting) into one verifiable
 // co-processor program, and a deterministic serialization with a checksum so
 // a program can cross the wire and be re-verified on the server.
 //
