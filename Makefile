@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare lint fuzz-smoke chaos loc
+.PHONY: build test race bench bench-compare bench-pairs lint fuzz-smoke chaos loc
 
 build:
 	$(GO) build ./...
@@ -26,18 +26,45 @@ bench:
 bench-compare:
 	$(GO) run ./bench -compare $(BASE) $(CUR)
 
+# N alternating pairs of one workload, the revision BASE against the working
+# tree, ending in -compare's verdict — the way bench/README says a change is
+# measured ("compare against runs of the parent made alongside, in turns"):
+#   make bench-pairs BASE=HEAD~1 W=mul_paper N=10
+# BASE is checked out into a temporary git worktree and both benchmarks are
+# built once; which side goes first alternates from pair to pair. -compare
+# judges all five workloads and calls the ones not run "missing", so the
+# target prints, and fails on, W's row alone. The two result files stay in
+# BENCH_pairs/ (gitignored).
+N ?= 10
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pairs BASE=<rev> W=<workload> [N=10]"; exit 2; }
+	rm -rf BENCH_pairs && mkdir -p BENCH_pairs
+	git worktree add --detach BENCH_pairs/base $(BASE)
+	cd BENCH_pairs/base && $(GO) build -o ../bench-base ./bench
+	git worktree remove --force BENCH_pairs/base
+	$(GO) build -o BENCH_pairs/bench-cur ./bench
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base cur"; else order="cur base"; fi; \
+		for side in $$order; do \
+			BENCH_pairs/bench-$$side -workload $(W) -out BENCH_pairs/$$side.json || exit 1; \
+		done; \
+	done
+	$(GO) run ./bench -compare BENCH_pairs/base.json BENCH_pairs/cur.json | grep -E '^(compare|$(W)) ' | tee BENCH_pairs/verdict.txt
+	@! grep -qE '=(worse|differs|missing)' BENCH_pairs/verdict.txt
+
 lint:
 	golangci-lint run ./...
 
-# Five-iteration fuzz smoke over the differential fv<->hwsim targets, the
-# hardened wire-protocol decoders, the compiled-program codec, and the CKKS
-# key container and encoder. CI's fuzz-smoke job runs this target, so the
-# list exists once.
+# Five-iteration fuzz smoke over the differential fv<->hwsim targets (the
+# reused-memory-file one included), the hardened wire-protocol decoders, the
+# compiled-program codec, and the CKKS key container and encoder. CI's
+# fuzz-smoke job runs this target, so the list exists once.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDiffTransform -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffPointwise -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffMulRelin -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffCKKSMulRescale -fuzztime=5x ./internal/difftest
+	$(GO) test -run=NONE -fuzz=FuzzDiffReusedCoprocessor -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMuxFrame -fuzztime=20x ./internal/cloud

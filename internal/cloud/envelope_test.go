@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -88,5 +89,49 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 	old = append(old, "boom"...)
 	if _, _, err := readReply(bytes.NewReader(old), ts.params, nil, CmdInfo); !errors.Is(err, ErrMalformedResponse) {
 		t.Fatalf("retired info-error layout: err %v, want ErrMalformedResponse", err)
+	}
+}
+
+// TestFrameSizeHints: the capacity a mux frame buffer is grown to before the
+// codec writes into it covers the encoded request or reply, so the buffer
+// never regrows under a ciphertext-sized body, and overshoots by less than a
+// header's worth.
+func TestFrameSizeHints(t *testing.T) {
+	ts := newCKKSTestSystem(t)
+	ct := ts.encrypt(t, 5)
+	cct := ts.encryptVals(t, []float64{0.5, -0.25})
+	check := func(what string, encoded, hint int) {
+		t.Helper()
+		if hint < encoded || hint > encoded+128 {
+			t.Errorf("%s: size hint %d for %d encoded bytes", what, hint, encoded)
+		}
+	}
+	for _, req := range []*Request{
+		{Cmd: CmdPing},
+		{Cmd: CmdMul, Tenant: "alice", A: ct, B: ct},
+		{Cmd: CmdRotate, G: 3, A: ct},
+		{Cmd: CmdCKKSMul, CA: cct, CB: cct},
+		{Cmd: CmdCKKSRotate, R: 1, CA: cct},
+		{Cmd: CmdProgram, ProgBytes: []byte("not decoded by the framing"), Inputs: []*fv.Ciphertext{ct, ct, ct}},
+		{Cmd: CmdKeyImport, Tenant: "bob", Blob: bytes.Repeat([]byte{7}, 1000)},
+	} {
+		var buf bytes.Buffer
+		if err := WriteRequest(&buf, ts.params, req); err != nil {
+			t.Fatalf("%s: %v", cmdName(req.Cmd), err)
+		}
+		check(cmdName(req.Cmd)+" request", buf.Len(), req.encodedSize(ts.params))
+	}
+	for _, rep := range []Reply{
+		&Response{Ver: ProtoV2, ID: 9, Result: ct, ComputeNanos: 456, Worker: 1},
+		&Response{Ver: ProtoV2, ID: 9, CKKSResult: cct},
+		&ProgramResponse{ID: 9, Outputs: []*fv.Ciphertext{ct, ct}, MakespanNanos: 9},
+		Blob("opaque key blob bytes"),
+		&ServerError{Code: CodeApp, Msg: "no evaluation key registered"},
+	} {
+		var buf bytes.Buffer
+		if err := rep.writeReply(&buf, ts.params, 9); err != nil {
+			t.Fatalf("%T: %v", rep, err)
+		}
+		check(fmt.Sprintf("%T reply", rep), buf.Len(), replySize(rep, ts.params))
 	}
 }

@@ -235,6 +235,7 @@ func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Durat
 	// failure fails the session; the read loop sees the close.
 	reply := func(id uint64, rep Reply) {
 		var buf bytes.Buffer
+		buf.Grow(replySize(rep, fe.Params))
 		err := rep.writeReply(&buf, fe.Params, id)
 		if err == nil {
 			wmu.Lock()

@@ -222,6 +222,7 @@ func (mc *MuxClient) roundTrip(ctx context.Context, req *Request) (Reply, error)
 	mc.mu.Unlock()
 
 	var buf bytes.Buffer
+	buf.Grow(req.encodedSize(mc.params))
 	if err := WriteRequest(&buf, mc.params, req); err != nil {
 		mc.take(req.ID)
 		return nil, err

@@ -185,6 +185,34 @@ type Request struct {
 	Blob []byte
 }
 
+// fvSize and ckksSize are the encoded sizes of an operand that may be absent.
+func fvSize(params *fv.Params, ct *fv.Ciphertext) int {
+	if ct == nil {
+		return 0
+	}
+	return ct.ByteSize(params)
+}
+
+func ckksSize(ct *ckks.Ciphertext) int {
+	if ct == nil {
+		return 0
+	}
+	return ckks.ByteSize(len(ct.Els), ct.Level(), ct.Els[0].N())
+}
+
+// encodedSize bounds the serialized size of req from above, within a few
+// dozen bytes: what a mux frame buffer is grown to, once, before the codec
+// writes a ciphertext-sized body into it row by row.
+func (req *Request) encodedSize(params *fv.Params) int {
+	n := 4 + 1 + 1 + 8 + 1 + len(req.Tenant) + 4 // header, and G or R
+	n += 4 + len(req.Blob) + 4 + len(req.ProgBytes) + 4
+	n += fvSize(params, req.A) + fvSize(params, req.B) + ckksSize(req.CA) + ckksSize(req.CB)
+	for _, ct := range req.Inputs {
+		n += fvSize(params, ct)
+	}
+	return n
+}
+
 // WriteRequest serializes a request.
 func WriteRequest(w io.Writer, params *fv.Params, req *Request) error {
 	if len(req.Tenant) > MaxTenantLen {
@@ -484,6 +512,27 @@ func cmdName(cmd uint8) string {
 // encodes itself as the reply to request id.
 type Reply interface {
 	writeReply(w io.Writer, params *fv.Params, id uint64) error
+}
+
+// replySize is encodedSize for a reply: its ciphertexts or blob plus room for
+// the fixed fields of any kind. Kinds that marshal their body at write time
+// (*ServerInfo) are small and left to grow on their own.
+func replySize(rep Reply, params *fv.Params) int {
+	n := 64
+	switch r := rep.(type) {
+	case *Response:
+		n += len(r.Err) + fvSize(params, r.Result) + ckksSize(r.CKKSResult)
+	case *ProgramResponse:
+		n += len(r.Err)
+		for _, ct := range r.Outputs {
+			n += fvSize(params, ct)
+		}
+	case Blob:
+		n += len(r)
+	case *ServerError:
+		n += len(r.Msg)
+	}
+	return n
 }
 
 // writeReplyError writes the error half.

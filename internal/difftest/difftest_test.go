@@ -133,3 +133,49 @@ func TestDiffCKKSMulRescaleDeterministic(t *testing.T) {
 		}
 	}
 }
+
+var (
+	reuseOnce      sync.Once
+	reuseHarnesses [2]*ReuseHarness
+	reuseErr       error
+)
+
+// getReuseHarness shares the two dirty-file harnesses (checker off, checker
+// on). Sharing is the point: every test and fuzz input runs in the memory
+// files all the earlier ones left behind.
+func getReuseHarness(t testing.TB, integrity bool) *ReuseHarness {
+	t.Helper()
+	reuseOnce.Do(func() {
+		for i := range reuseHarnesses {
+			if reuseHarnesses[i], reuseErr = NewReuse(fv.TestConfig(257), ckks.TestConfig(), 42, i == 1); reuseErr != nil {
+				return
+			}
+		}
+	})
+	if reuseErr != nil {
+		t.Fatal(reuseErr)
+	}
+	if integrity {
+		return reuseHarnesses[1]
+	}
+	return reuseHarnesses[0]
+}
+
+// TestDiffReusedCoprocessorDeterministic: 240 mixed operations on long-lived
+// schedulers — two BFV tenants, both architectures, serial and streamed
+// multiplies, CKKS down the whole chain, a quarter of them damaged by an
+// injected fault — agree op by op, bits and cycles, with a brand-new
+// scheduler per operation; without the checker and with it.
+func TestDiffReusedCoprocessorDeterministic(t *testing.T) {
+	for _, integrity := range []bool{false, true} {
+		h := getReuseHarness(t, integrity)
+		if err := h.Run([]byte("dirty-file"), 240); err != nil {
+			t.Fatalf("integrity=%v: %v", integrity, err)
+		}
+		t.Logf("integrity=%v: %d operations ran damaged, %d of them aborted mid-program", integrity, h.Damaged, h.Aborted)
+		if h.Damaged < 30 || integrity && h.Aborted < 10 {
+			t.Fatalf("integrity=%v: the schedule left too few dirty files behind (%d damaged, %d aborted)",
+				integrity, h.Damaged, h.Aborted)
+		}
+	}
+}

@@ -61,3 +61,17 @@ func FuzzDiffCKKSMulRescale(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDiffReusedCoprocessor explores operation sequences on the long-lived
+// schedulers of the dirty-file differential (reuse.go): each input is a
+// seeded run of mixed operations, some damaged by injected faults, checked op
+// by op against a brand-new scheduler.
+func FuzzDiffReusedCoprocessor(f *testing.F) {
+	f.Add([]byte(nil), false)
+	f.Add([]byte("x"), true)
+	f.Fuzz(func(t *testing.T, seed []byte, integrity bool) {
+		if err := getReuseHarness(t, integrity).Run(seed, 16); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -1,0 +1,308 @@
+package difftest
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+
+	"repro/internal/ckks"
+	"repro/internal/faults"
+	"repro/internal/fv"
+	"repro/internal/hwsim"
+	"repro/internal/sampler"
+	"repro/internal/sched"
+)
+
+// ReuseHarness is the dirty-file differential. The co-processor's memory
+// file is resident: an operation runs in the rows the operation before left
+// behind, wiped lazily. The harness drives one long-lived scheduler per
+// architecture (BFV HPS, BFV traditional, the CKKS chain) through a seeded
+// mix of operations and, op by op, rebuilds a brand-new scheduler to run the
+// same operation on: the two must agree in every ciphertext bit and every
+// simulated cycle. Reuse that is visible anywhere — a stale row read as data,
+// an accumulator starting from the last tenant's sum, a domain tag or a
+// fingerprint surviving a wipe — shows as a divergence.
+type ReuseHarness struct {
+	Params  *fv.Params
+	CParams *ckks.Params
+	// Integrity runs both sides with the fingerprint checker on.
+	Integrity bool
+	// Damaged counts operations run under an injected fault, Aborted those
+	// of them the checker stopped mid-program with a typed error.
+	Damaged, Aborted int
+
+	bfv  [2]bfvTenant
+	hps  *sched.PipelinedScheduler
+	trad *sched.PipelinedScheduler
+
+	cenc *ckks.Encryptor
+	ccod *ckks.Encoder
+	crk  *ckks.RelinKey
+	cgk  *ckks.GaloisKey
+	chw  *sched.CKKSScheduler
+	ccur *ckks.Ciphertext
+}
+
+// bfvTenant is one tenant's evaluation keys and a pool of its ciphertexts.
+type bfvTenant struct {
+	rk, rkTrad *fv.RelinKey
+	gk         *fv.GaloisKey
+	pool       []*fv.Ciphertext
+}
+
+const integritySeed = 7
+
+// NewReuse builds the harness: two BFV tenants and one CKKS tenant with
+// deterministic keys from keySeed, and the three long-lived schedulers.
+func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (*ReuseHarness, error) {
+	params, err := fv.NewParams(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cparams, err := ckks.NewParams(ccfg)
+	if err != nil {
+		return nil, err
+	}
+	h := &ReuseHarness{Params: params, CParams: cparams, Integrity: integrity}
+	for i := range h.bfv {
+		prng := sampler.NewPRNG(keySeed + uint64(i))
+		kg := fv.NewKeyGenerator(params, prng)
+		sk, pk, rk := kg.GenKeys()
+		tn := &h.bfv[i]
+		tn.rk = rk
+		tn.rkTrad = kg.GenRelinKey(sk, fv.Traditional, cfg.RelinLogW, cfg.RelinDepth)
+		tn.gk = kg.GenGaloisKey(sk, 3)
+		enc := fv.NewEncryptor(params, pk, prng)
+		for j := 0; j < 4; j++ {
+			pt := fv.NewPlaintext(params)
+			for c := range pt.Coeffs {
+				pt.Coeffs[c] = prng.Uint64n(params.T())
+			}
+			tn.pool = append(tn.pool, enc.Encrypt(pt))
+		}
+	}
+	if h.hps, err = h.newBFV(hwsim.VariantHPS); err != nil {
+		return nil, err
+	}
+	if h.trad, err = h.newBFV(hwsim.VariantTraditional); err != nil {
+		return nil, err
+	}
+
+	cprng := sampler.NewPRNG(keySeed + 100)
+	ckg := ckks.NewKeyGenerator(cparams, cprng)
+	csk, cpk, crk := ckg.GenKeys()
+	h.crk = crk
+	h.cgk = ckg.GenGaloisKey(csk, cparams.GaloisElementForRotation(1))
+	h.cenc = ckks.NewEncryptor(cparams, cpk, cprng)
+	h.ccod = ckks.NewEncoder(cparams)
+	if h.chw, err = h.newCKKS(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// newBFV builds a scheduler over a brand-new co-processor, sized for the
+// pipelined stream so one scheduler serves the serial and streamed forms.
+func (h *ReuseHarness) newBFV(variant hwsim.Variant) (*sched.PipelinedScheduler, error) {
+	p := h.Params
+	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
+		variant, hwsim.DefaultTiming(), sched.PipelinedMinSlots(2))
+	if err != nil {
+		return nil, err
+	}
+	if h.Integrity {
+		if err := c.EnableIntegrity(integritySeed); err != nil {
+			return nil, err
+		}
+	}
+	return sched.NewPipelined(p, c), nil
+}
+
+func (h *ReuseHarness) newCKKS() (*sched.CKKSScheduler, error) {
+	s := sched.NewCKKS(h.CParams, hwsim.DefaultTiming())
+	if h.Integrity {
+		if err := s.EnableIntegrity(integritySeed); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// freshCKKS returns a top-of-chain ciphertext with slots expanded from next.
+func (h *ReuseHarness) freshCKKS(next func() uint64) (*ckks.Ciphertext, error) {
+	vals := make([]float64, h.CParams.Slots())
+	for i := range vals {
+		vals[i] = float64(int64(next()%2000))/1000.0 - 1.0
+	}
+	pt, err := h.ccod.Encode(vals, h.CParams.MaxLevel(), h.CParams.DefaultScale())
+	if err != nil {
+		return nil, err
+	}
+	return h.cenc.Encrypt(pt), nil
+}
+
+// opFault arms at most one fault for the long-lived side of an operation: a
+// compute-unit kill or a storage upset at a seeded instruction of its
+// program. Under the checker the upset aborts the operation mid-program with
+// a typed error and the kill is recomputed; without it both run to the end
+// on garbage. Either way the memory file is left holding whatever the
+// damaged operation wrote — which the next operation must not see.
+func opFault(next func() uint64) *faults.Injector {
+	if next()%4 != 0 {
+		return nil
+	}
+	inj := faults.New(int64(next() >> 1))
+	class := faults.ClassRPAU
+	if next()%2 == 0 {
+		class = faults.ClassBRAM
+	}
+	inj.Arm(faults.Spec{Class: class, After: next() % 24})
+	return inj
+}
+
+func (h *ReuseHarness) damaged(err error) {
+	h.Damaged++
+	if errors.Is(err, hwsim.ErrIntegrity) {
+		h.Aborted++
+	}
+}
+
+// Run drives ops seeded operations through the long-lived schedulers and
+// returns the first divergence from a brand-new scheduler (nil when reuse is
+// invisible). An operation that ran under an injected fault is not compared —
+// its successor is.
+func (h *ReuseHarness) Run(seed []byte, ops int) error {
+	next := splitmix64(seed)
+	for i := 0; i < ops; i++ {
+		kind := next() % 9
+		inj := opFault(next)
+		var err error
+		if kind < 6 {
+			err = h.bfvOp(kind, next, inj)
+		} else {
+			err = h.ckksOp(kind, next, inj)
+		}
+		if err != nil {
+			return fmt.Errorf("op %d (kind %d): %w", i, kind, err)
+		}
+	}
+	return nil
+}
+
+// bfvOp runs one BFV operation on the long-lived scheduler of the chosen
+// variant and on a new one.
+func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Injector) error {
+	tn := &h.bfv[next()%2]
+	a := tn.pool[next()%uint64(len(tn.pool))]
+	b := tn.pool[next()%uint64(len(tn.pool))]
+	variant, long, rk := hwsim.VariantHPS, h.hps, tn.rk
+	// Rotate needs the RNS gadget, so the traditional co-processor sees the
+	// other four kinds.
+	if kind != 2 && next()%3 == 0 {
+		variant, long, rk = hwsim.VariantTraditional, h.trad, tn.rkTrad
+	}
+	fresh, err := h.newBFV(variant)
+	if err != nil {
+		return err
+	}
+
+	type result struct {
+		cts    []*fv.Ciphertext
+		cycles hwsim.Cycles
+		timing hwsim.StreamTiming
+	}
+	run := func(ps *sched.PipelinedScheduler) (res result, err error) {
+		var ct *fv.Ciphertext
+		switch kind {
+		case 0:
+			ct, res.cycles, err = ps.S.Add(a, b)
+		case 1, 3:
+			ct, res.cycles, err = ps.S.Mul(a, b, rk)
+		case 2:
+			ct, res.cycles, err = ps.S.Rotate(a, tn.gk)
+		default:
+			var rep sched.StreamReport
+			pairs := [][2]*fv.Ciphertext{{a, b}, {b, a}, {a, a}}
+			res.cts, rep, err = ps.MulStream(pairs[:2+kind%2], rk)
+			res.timing = rep.Timing
+			return res, err
+		}
+		res.cts = []*fv.Ciphertext{ct}
+		return res, err
+	}
+
+	long.S.C.SetInjector(inj)
+	got, gotErr := run(long)
+	long.S.C.SetInjector(nil)
+	if inj != nil {
+		h.damaged(gotErr)
+		return nil // the next operation is the test
+	}
+	want, wantErr := run(fresh)
+	if gotErr != nil || wantErr != nil {
+		return fmt.Errorf("reused scheduler: %v, new scheduler: %v", gotErr, wantErr)
+	}
+	if got.cycles != want.cycles || !reflect.DeepEqual(got.timing, want.timing) {
+		return fmt.Errorf("%v: reused scheduler charged %d cycles (%+v), a new one %d (%+v)",
+			variant, got.cycles, got.timing, want.cycles, want.timing)
+	}
+	for i := range want.cts {
+		if !got.cts[i].Equal(want.cts[i]) {
+			return fmt.Errorf("%v: result %d differs between the reused and a new scheduler", variant, i)
+		}
+	}
+	return nil
+}
+
+// ckksOp runs one CKKS operation at the harness's current point of the chain
+// — MulRescale walks it down level by level, a new ciphertext restarts it at
+// the top — so every level's chain co-processor is reused many times.
+func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injector) error {
+	// Keys exist for levels 1..L: at the bottom only Add is left.
+	if h.ccur == nil || (kind != 6 && h.ccur.Level() < 1) {
+		ct, err := h.freshCKKS(next)
+		if err != nil {
+			return err
+		}
+		h.ccur = ct
+	}
+	a := h.ccur
+	run := func(s *sched.CKKSScheduler) (*ckks.Ciphertext, hwsim.Cycles, error) {
+		switch kind {
+		case 6:
+			return s.Add(a, a)
+		case 7:
+			return s.MulRescale(a, a, h.crk)
+		}
+		return s.Rotate(a, 1, h.cgk)
+	}
+	fresh, err := h.newCKKS()
+	if err != nil {
+		return err
+	}
+
+	h.chw.SetInjector(inj)
+	got, gotCycles, gotErr := run(h.chw)
+	h.chw.SetInjector(nil)
+	want, wantCycles, wantErr := run(fresh)
+	if wantErr != nil {
+		return wantErr
+	}
+	if kind == 7 {
+		h.ccur = want // descend on the undamaged result
+	}
+	if inj != nil {
+		h.damaged(gotErr)
+		return nil
+	}
+	if gotErr != nil {
+		return fmt.Errorf("reused scheduler: %w", gotErr)
+	}
+	if gotCycles != wantCycles {
+		return fmt.Errorf("level %d: reused scheduler charged %d cycles, a new one %d", a.Level(), gotCycles, wantCycles)
+	}
+	if !got.Equal(want) {
+		return fmt.Errorf("level %d: result differs between the reused and a new scheduler", a.Level())
+	}
+	return nil
+}

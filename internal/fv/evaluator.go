@@ -209,16 +209,20 @@ func (ev *Evaluator) mulNoRelinInto(parent obs.Scope, a, b, out *Ciphertext) {
 	// Scale Q → q (Fig. 2, right), consuming the tensor rows in place and
 	// writing directly into the destination elements — no staging copies.
 	st = parent.Child("scale")
-	if ev.variant == Traditional {
-		p.Scaler.ScalePolyTraditionalInto(s.t0, out.Els[0])
-		p.Scaler.ScalePolyTraditionalInto(s.t1, out.Els[1])
-		p.Scaler.ScalePolyTraditionalInto(s.t2, out.Els[2])
-	} else {
-		p.Scaler.ScalePolyInto(s.t0, out.Els[0])
-		p.Scaler.ScalePolyInto(s.t1, out.Els[1])
-		p.Scaler.ScalePolyInto(s.t2, out.Els[2])
-	}
+	ev.scaleInto(s.t0, out.Els[0])
+	ev.scaleInto(s.t1, out.Els[1])
+	ev.scaleInto(s.t2, out.Els[2])
 	st.End()
+}
+
+// scaleInto scales the full-basis x down to the q basis into out through the
+// evaluator's variant.
+func (ev *Evaluator) scaleInto(x, out poly.RNSPoly) {
+	if ev.variant == Traditional {
+		ev.params.Scaler.ScalePolyTraditionalInto(x, out)
+	} else {
+		ev.params.Scaler.ScalePolyInto(x, out)
+	}
 }
 
 // liftTargets computes the p-basis rows of the lift of x into dst's tail
@@ -252,27 +256,26 @@ func (ev *Evaluator) SquareNoRelin(a *Ciphertext) *Ciphertext {
 	if len(a.Els) != 2 {
 		panic("fv: SquareNoRelin needs a degree-1 ciphertext")
 	}
-	lift := ev.liftFn()
-	a0 := lift(a.Els[0])
-	a1 := lift(a.Els[1])
-	p.TrFull.Forward(a0)
-	p.TrFull.Forward(a1)
+	s := ev.scratch()
+	ev.liftTargets(a.Els[0], s.a0)
+	ev.liftTargets(a.Els[1], s.a1)
+	ev.forwardLifted(s.a0, a.Els[0])
+	ev.forwardLifted(s.a1, a.Els[1])
 
-	n := p.N()
-	t0 := poly.NewRNSPoly(p.AllMods, n)
-	t1 := poly.NewRNSPoly(p.AllMods, n)
-	t2 := poly.NewRNSPoly(p.AllMods, n)
-	ev.ops.MulInto(a0, a0, t0)
-	ev.ops.MulInto(a0, a1, t1)
-	ev.ops.AddInto(t1, t1, t1) // 2·a0·a1
-	ev.ops.MulInto(a1, a1, t2)
+	ev.ops.MulInto(s.a0, s.a0, s.t0)
+	ev.ops.MulInto(s.a0, s.a1, s.t1)
+	ev.ops.AddInto(s.t1, s.t1, s.t1) // 2·a0·a1
+	ev.ops.MulInto(s.a1, s.a1, s.t2)
 
-	p.TrFull.Inverse(t0)
-	p.TrFull.Inverse(t1)
-	p.TrFull.Inverse(t2)
+	p.TrFull.Inverse(s.t0)
+	p.TrFull.Inverse(s.t1)
+	p.TrFull.Inverse(s.t2)
 
-	scale := ev.scaleFn()
-	return &Ciphertext{Els: []poly.RNSPoly{scale(t0), scale(t1), scale(t2)}}
+	out := NewCiphertext(p, 3)
+	ev.scaleInto(s.t0, out.Els[0])
+	ev.scaleInto(s.t1, out.Els[1])
+	ev.scaleInto(s.t2, out.Els[2])
+	return out
 }
 
 // Square is SquareNoRelin followed by relinearization.
@@ -389,18 +392,4 @@ func (ev *Evaluator) Pow(a *Ciphertext, k uint64, rk *RelinKey) *Ciphertext {
 		}
 		base = ev.Square(base, rk)
 	}
-}
-
-func (ev *Evaluator) liftFn() func(poly.RNSPoly) poly.RNSPoly {
-	if ev.variant == Traditional {
-		return ev.params.Lifter.LiftPolyTraditional
-	}
-	return ev.params.Lifter.LiftPoly
-}
-
-func (ev *Evaluator) scaleFn() func(poly.RNSPoly) poly.RNSPoly {
-	if ev.variant == Traditional {
-		return ev.params.Scaler.ScalePolyTraditional
-	}
-	return ev.params.Scaler.ScalePoly
 }

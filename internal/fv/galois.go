@@ -15,13 +15,6 @@ import (
 // SIMD workloads (the underlying SoP datapath is exactly the ReLin one, so
 // the co-processor would execute these with the same instruction mix).
 
-// AutomorphRNS computes σ_g over all residue rows of an RNS polynomial in
-// coefficient representation (exported for the hardware scheduler, which
-// implements rotation with the relinearization datapath).
-func AutomorphRNS(g int, src poly.RNSPoly) poly.RNSPoly {
-	return applyAutomorphism(g, src)
-}
-
 // applyAutomorphism computes σ_g over all residue rows (coefficient domain).
 func applyAutomorphism(g int, src poly.RNSPoly) poly.RNSPoly {
 	out := poly.RNSPoly{Rows: make([]poly.Poly, len(src.Rows))}

@@ -68,8 +68,8 @@ func (ev *Evaluator) switcher() *rlwe.KeySwitcher {
 // basis: the kept q rows are transformed straight out of the input ciphertext
 // into scratch (ForwardFromInto — the first butterfly level does the copy),
 // while the freshly lifted p rows, already sitting in scratch, transform in
-// place. This removes the q-row clone the unfused LiftPoly performed for all
-// four operands.
+// place. This removes the q-row clone an unfused lift needs for all four
+// operands.
 type nttLiftTask struct {
 	tables []*poly.NTTTable
 	dst    []poly.Poly

@@ -18,13 +18,21 @@ import (
 type domainTag uint8
 
 const (
+	// domEmpty marks a row that was wiped or never written. It reads as zero;
+	// what its storage holds is stale and is zero-filled only if something
+	// reads the row before an instruction overwrites it (see row and wrow).
 	domEmpty domainTag = iota
+	// domZero is a materialized all-zero row no instruction has given a
+	// domain yet — a valid operand in either domain.
+	domZero
 	domCoeff
 	domNTT
 )
 
 // slot is one entry of the co-processor's memory file: space for a full
-// extended-basis polynomial (residue rows are allocated on first write).
+// extended-basis polynomial. The file is resident, as the paper's BRAM is: a
+// row's storage is allocated at its first touch and then kept for the life
+// of the co-processor; ClearSlots only marks it empty.
 type slot struct {
 	rows   []poly.Poly
 	domain []domainTag
@@ -114,11 +122,19 @@ type Coprocessor struct {
 	slots []slot
 	Stats *Stats
 
+	// Per-instruction scratch. One instruction executes at a time, so the
+	// row headers an engine is handed and the WordDecomp digit stream are the
+	// co-processor's, not each instruction's.
+	hdrs  []poly.Poly
+	digit []uint64
+
 	// integrity, injector, and metrics are the robustness layer: nil means
-	// disabled and costs two nil checks per Exec (integrity.go).
+	// disabled and costs two nil checks per Exec (integrity.go). guard is the
+	// guarded path's resident working state.
 	integrity *integrityChecker
 	injector  *faults.Injector
 	metrics   *obs.Registry
+	guard     preState
 }
 
 // NewCoprocessor builds a co-processor over the given bases. slotCount sizes
@@ -242,7 +258,24 @@ func (c *Coprocessor) ensureRows(s *slot) {
 	}
 }
 
+// row returns residue row j of a slot for reading (or accumulating into). An
+// empty row is materialized first — allocated if this is its first touch,
+// zero-filled if it holds stale data from before the last clear — which is
+// the whole of the reads-as-zero invariant.
 func (c *Coprocessor) row(s *slot, j int) poly.Poly {
+	r := c.wrow(s, j)
+	if s.domain[j] == domEmpty {
+		clear(r.Coeffs)
+		s.domain[j] = domZero
+	}
+	return r
+}
+
+// wrow returns residue row j of a slot for an instruction that overwrites
+// every coefficient of it: stale contents are not cleared. The caller sets
+// the row's domain tag once the write cannot fail; until then a wiped row
+// stays empty.
+func (c *Coprocessor) wrow(s *slot, j int) poly.Poly {
 	c.ensureRows(s)
 	if s.rows[j].Coeffs == nil {
 		s.rows[j] = poly.NewPoly(c.Mods[j], c.N)
@@ -250,24 +283,40 @@ func (c *Coprocessor) row(s *slot, j int) poly.Poly {
 	return s.rows[j]
 }
 
-// LoadSlot writes residue rows [lo, lo+len(rows)) of a slot directly (host
-// view; DMA timing is charged by the Transfer steps the scheduler emits).
-// With the checker enabled, each row is tagged from the clean source data
-// before any DMA fault corrupts the stored copy, so a glitched burst is
-// caught at the row's next read.
+// rowHdrs returns n ≤ 2·(KQ+KP) row headers of co-processor-owned scratch —
+// room for the widest instruction's input and output row sets side by side.
+func (c *Coprocessor) rowHdrs(n int) []poly.Poly {
+	if c.hdrs == nil {
+		c.hdrs = make([]poly.Poly, 2*(c.KQ+c.KP))
+	}
+	return c.hdrs[:n]
+}
+
+// LoadSlot copies rows into residue rows [lo, lo+len(rows)) of a slot (host
+// view; DMA timing is charged by the Transfer steps the scheduler emits). A
+// row of the wrong modulus or length, or past the end of the row set, is a
+// scheduler bug and panics. With the checker enabled, each row is tagged from
+// the clean source data before any DMA fault corrupts the stored copy, so a
+// glitched burst is caught at the row's next read.
 func (c *Coprocessor) LoadSlot(idx uint8, lo int, rows []poly.Poly, d domainTag) {
 	s := c.slotAt(idx)
-	c.ensureRows(s)
+	if lo < 0 || lo+len(rows) > c.KQ+c.KP {
+		panic(fmt.Sprintf("hwsim: LoadSlot rows [%d, %d) outside the %d-row set", lo, lo+len(rows), c.KQ+c.KP))
+	}
 	for i, r := range rows {
 		j := lo + i
 		if r.Mod.Q != c.Mods[j].Q {
 			panic("hwsim: LoadSlot modulus mismatch")
 		}
-		s.rows[j] = r.Clone()
+		if len(r.Coeffs) != c.N {
+			panic(fmt.Sprintf("hwsim: LoadSlot row of %d coefficients, want %d", len(r.Coeffs), c.N))
+		}
+		dst := c.wrow(s, j)
+		copy(dst.Coeffs, r.Coeffs)
 		s.domain[j] = d
 		if c.integrity != nil {
 			c.ensureTags(s)
-			s.tags[j] = c.integrity.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod)
+			s.tags[j] = c.integrity.fpSlice(j, dst.Coeffs, dst.Mod)
 			s.tagged[j] = true
 		}
 	}
@@ -292,10 +341,10 @@ func (c *Coprocessor) LoadSlotNTT(idx uint8, lo int, rows []poly.Poly) {
 	c.LoadSlot(idx, lo, rows, domNTT)
 }
 
-// ReadSlot returns copies of residue rows [lo, hi) of a slot.
+// ReadSlot returns fresh copies of residue rows [lo, hi) of a slot — the
+// result readback, whose rows outlive the operation.
 func (c *Coprocessor) ReadSlot(idx uint8, lo, hi int) []poly.Poly {
 	s := c.slotAt(idx)
-	c.ensureRows(s)
 	out := make([]poly.Poly, 0, hi-lo)
 	for j := lo; j < hi; j++ {
 		out = append(out, c.row(s, j).Clone())
@@ -303,35 +352,43 @@ func (c *Coprocessor) ReadSlot(idx uint8, lo, hi int) []poly.Poly {
 	return out
 }
 
-// ClearSlots wipes the memory file (between independent operations). With
-// the checker enabled, still-corrupted rows are counted as flush detections
-// on their way out, so faults in state an aborted operation never re-read
-// remain accounted for.
-func (c *Coprocessor) ClearSlots() {
-	c.flushScrub()
-	for i := range c.slots {
-		c.slots[i] = slot{}
+// ReadSlotInto copies residue rows [lo, lo+len(dst)) of a slot into the
+// caller's rows — the readback of a host-side step (the Rotate permutation)
+// into scratch the scheduler keeps.
+func (c *Coprocessor) ReadSlotInto(idx uint8, lo int, dst []poly.Poly) {
+	s := c.slotAt(idx)
+	for i := range dst {
+		copy(dst[i].Coeffs, c.row(s, lo+i).Coeffs)
 	}
 }
 
-// ClearSlot wipes one memory-file slot — the pipelined scheduler's tool for
-// scrubbing the shared scratch slots between streamed operations without
-// touching the prefetched operand bank. Like ClearSlots, still-corrupted
-// rows are counted as flush detections on their way out so the chaos
-// ledger balances, and the wipe itself charges no cycles (a BRAM reset).
+// ClearSlots wipes the memory file (between independent operations).
+func (c *Coprocessor) ClearSlots() {
+	for i := range c.slots {
+		c.ClearSlot(uint8(i))
+	}
+}
+
+// ClearSlot wipes one memory-file slot — on its own, the pipelined
+// scheduler's tool for scrubbing the shared scratch slots between streamed
+// operations without touching the prefetched operand bank. The wipe keeps
+// the slot's storage and marks every row empty: it charges no cycles (a BRAM
+// reset) and touches no coefficient, and the next operation sees zeros
+// whatever the last one left behind (row). With the checker enabled,
+// still-corrupted rows are counted as flush detections on their way out, so
+// faults in state an aborted operation never re-read stay accounted for and
+// the chaos ledger balances.
 func (c *Coprocessor) ClearSlot(idx uint8) {
 	s := c.slotAt(idx)
-	if ic := c.integrity; ic != nil && s.tagged != nil {
+	if ic := c.integrity; ic != nil {
 		for j, t := range s.tagged {
-			if !t || s.rows[j].Coeffs == nil {
-				continue
-			}
-			if ic.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod) != s.tags[j] {
+			if t && ic.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod) != s.tags[j] {
 				c.count("hw_integrity_flush_detected")
 			}
 		}
 	}
-	*s = slot{}
+	clear(s.domain)
+	clear(s.tagged)
 }
 
 // ResetStats zeroes the statistics.
@@ -380,7 +437,11 @@ func (c *Coprocessor) Exec(in Instr) (Cycles, error) {
 	return c.execGuarded(in)
 }
 
-// execOp is the raw instruction interpreter shared by both paths.
+// execOp is the raw instruction interpreter shared by both paths. Every
+// instruction validates its operands (materializing the rows it reads) before
+// it writes anything, so a refused instruction leaves the memory file as it
+// found it; rows an instruction overwrites in full are taken with wrow and
+// never cleared first.
 func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 	var cyc Cycles
 	switch in.Op {
@@ -394,12 +455,14 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		// Validate domains and materialize rows up front, then let the RPAUs
 		// transform their residue polynomials concurrently, as the hardware
 		// does (the cycle count is one unit's latency either way).
-		rows := make([]poly.Poly, hi-lo)
+		rows := c.rowHdrs(hi - lo)
 		for j := lo; j < hi; j++ {
-			if s.domain != nil && s.domain[j] != domEmpty && s.domain[j] != want {
+			rows[j-lo] = c.row(s, j)
+			if d := s.domain[j]; d != domZero && d != want {
 				return 0, fmt.Errorf("hwsim: %v on slot %d row %d in wrong domain", in.Op, in.A, j)
 			}
-			rows[j-lo] = c.row(s, j)
+		}
+		for j := lo; j < hi; j++ {
 			s.domain[j] = set
 		}
 		var unitCycles Cycles
@@ -422,18 +485,27 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 	case OpCMul, OpCAdd, OpCSub, OpCMac:
 		lo, hi := c.batchRange(in.Batch)
 		sa, sb, sd := c.slotAt(in.A), c.slotAt(in.B), c.slotAt(in.Dst)
-		// Domain bookkeeping first (result inherits the operands' domain;
-		// domain mixing is a scheduler bug), then the concurrent row sweep.
+		// Operand check first (domain mixing is a scheduler bug), then the
+		// bookkeeping — the result inherits the operands' domain — then the
+		// concurrent row sweep. Every one of these is a per-coefficient map,
+		// so Dst may alias either operand. CMac accumulates, so it reads its
+		// destination; the other three overwrite it.
 		for j := lo; j < hi; j++ {
 			c.row(sa, j)
 			c.row(sb, j)
-			c.row(sd, j)
-			if sa.domain[j] != domEmpty && sb.domain[j] != domEmpty && sa.domain[j] != sb.domain[j] {
+			if sa.domain[j] != domZero && sb.domain[j] != domZero && sa.domain[j] != sb.domain[j] {
 				return 0, fmt.Errorf("hwsim: %v mixes domains (slot %d row %d)", in.Op, in.A, j)
 			}
+		}
+		for j := lo; j < hi; j++ {
 			dom := sa.domain[j]
-			if dom == domEmpty {
+			if dom == domZero {
 				dom = sb.domain[j]
+			}
+			if in.Op == OpCMac {
+				c.row(sd, j)
+			} else {
+				c.wrow(sd, j)
 			}
 			sd.domain[j] = dom
 		}
@@ -477,26 +549,29 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		if s.domain[i] != domCoeff {
 			return 0, fmt.Errorf("hwsim: Decomp needs coefficient-domain input")
 		}
-		src := c.row(s, i)
+		src := s.rows[i]
 		sd := c.slotAt(in.Dst)
-		c.ensureRows(sd)
 		m := c.Mods[i]
 		// The scalar product d = x·q̃_i mod q_i is row-invariant: compute the
 		// digit stream once (the hardware's single scalar multiplier at the
-		// rearrangement port), then each RPAU reduces it into its own row.
-		// On the chain co-processor the sweep extends onto the p* row — the
-		// digit is a small integer, so its residue mod p* is just one more
-		// reduction pass through the same datapath.
+		// rearrangement port), then each RPAU reduces it into its own row —
+		// so Dst may be A: the source row is consumed before any row is
+		// written. On the chain co-processor the sweep extends onto the p*
+		// row — the digit is a small integer, so its residue mod p* is just
+		// one more reduction pass through the same datapath.
 		hi := c.KQ
 		if c.extendDigits {
 			hi = c.KQ + c.KP
 		}
-		digit := make([]uint64, c.N)
+		if c.digit == nil {
+			c.digit = make([]uint64, c.N)
+		}
+		digit := c.digit
 		qTilde := c.Basis.QTilde[i]
 		qTildeShoup := m.ShoupPrecomp(qTilde)
 		m.VecScalarMulShoupInto(digit, src.Coeffs, qTilde, qTildeShoup)
 		for j := 0; j < hi; j++ {
-			c.row(sd, j)
+			c.wrow(sd, j)
 			sd.domain[j] = domCoeff
 		}
 		c.Pool.Run(c.N*hi, hi, func(j int) {
@@ -509,42 +584,40 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 			return 0, fmt.Errorf("hwsim: Lift is not implemented on the chain co-processor")
 		}
 		s := c.slotAt(in.A)
-		c.ensureRows(s)
-		qRows := make([]poly.Poly, c.KQ)
-		for j := 0; j < c.KQ; j++ {
-			if s.domain[j] != domCoeff {
-				return 0, fmt.Errorf("hwsim: Lift needs coefficient-domain input (slot %d row %d)", in.A, j)
-			}
-			qRows[j] = c.row(s, j)
+		qRows, err := c.coeffRows(in, s, c.rowHdrs(c.KQ + c.KP)[:c.KQ])
+		if err != nil {
+			return 0, err
 		}
-		lifted, liftCycles := c.LiftU.Lift(poly.RNSPoly{Rows: qRows}, c.Variant)
-		for j := 0; j < c.KP; j++ {
-			s.rows[c.KQ+j] = lifted.Rows[c.KQ+j]
-			s.domain[c.KQ+j] = domCoeff
+		// In place: the slot gains its p rows, written in full by the engine.
+		pRows := c.hdrs[c.KQ : c.KQ+c.KP]
+		for j := range pRows {
+			pRows[j] = c.wrow(s, c.KQ+j)
 		}
-		cyc = liftCycles
+		cyc = c.LiftU.LiftInto(poly.RNSPoly{Rows: qRows}, pRows, c.Variant)
+		for j := c.KQ; j < c.KQ+c.KP; j++ {
+			s.domain[j] = domCoeff
+		}
 
 	case OpScale:
 		if c.ScaleU == nil {
 			return 0, fmt.Errorf("hwsim: Scale is not implemented on the chain co-processor")
 		}
-		s := c.slotAt(in.A)
-		c.ensureRows(s)
-		all := make([]poly.Poly, c.KQ+c.KP)
-		for j := range all {
-			if s.domain[j] != domCoeff {
-				return 0, fmt.Errorf("hwsim: Scale needs coefficient-domain input (slot %d row %d)", in.A, j)
-			}
-			all[j] = c.row(s, j)
+		full := c.KQ + c.KP
+		all, err := c.coeffRows(in, c.slotAt(in.A), c.rowHdrs(full + c.KQ)[:full])
+		if err != nil {
+			return 0, err
 		}
-		scaled, scaleCycles := c.ScaleU.Scale(poly.RNSPoly{Rows: all}, c.Variant)
+		// Dst may be A: the Scale kernels read every residue of a
+		// coefficient stripe before they write its q rows.
 		sd := c.slotAt(in.Dst)
-		c.ensureRows(sd)
+		out := c.hdrs[full : full+c.KQ]
+		for j := range out {
+			out[j] = c.wrow(sd, j)
+		}
+		cyc = c.ScaleU.ScaleInto(poly.RNSPoly{Rows: all}, poly.RNSPoly{Rows: out}, c.Variant)
 		for j := 0; j < c.KQ; j++ {
-			sd.rows[j] = scaled.Rows[j]
 			sd.domain[j] = domCoeff
 		}
-		cyc = scaleCycles
 
 	case OpRescale:
 		if c.RescU == nil {
@@ -560,23 +633,19 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		if hi < 2 {
 			return 0, fmt.Errorf("hwsim: Rescale at the bottom of the chain")
 		}
-		s := c.slotAt(in.A)
-		c.ensureRows(s)
-		in_ := make([]poly.Poly, hi)
-		for j := 0; j < hi; j++ {
-			if s.domain[j] != domCoeff {
-				return 0, fmt.Errorf("hwsim: Rescale needs coefficient-domain input (slot %d row %d)", in.A, j)
-			}
-			in_[j] = c.row(s, j)
+		x, err := c.coeffRows(in, c.slotAt(in.A), c.rowHdrs(2*hi - 1)[:hi])
+		if err != nil {
+			return 0, err
 		}
+		// Dst may be A: output row j depends on input rows j and hi-1 only,
+		// and the top row is not written.
 		sd := c.slotAt(in.Dst)
-		c.ensureRows(sd)
-		out := make([]poly.Poly, hi-1)
-		for j := 0; j < hi-1; j++ {
-			out[j] = c.row(sd, j)
+		out := c.hdrs[hi : 2*hi-1]
+		for j := range out {
+			out[j] = c.wrow(sd, j)
 			sd.domain[j] = domCoeff
 		}
-		cyc = c.RescU.Rescale(c.Pool, poly.RNSPoly{Rows: in_}, poly.RNSPoly{Rows: out}, in.Batch)
+		cyc = c.RescU.Rescale(c.Pool, poly.RNSPoly{Rows: x}, poly.RNSPoly{Rows: out}, in.Batch)
 
 	default:
 		return 0, fmt.Errorf("hwsim: unknown opcode %v", in.Op)
@@ -593,4 +662,17 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 	c.Stats.Total += cyc
 	c.Trace.CycleSpan(in.Op.String(), uint64(cyc))
 	return cyc, nil
+}
+
+// coeffRows fills hdrs with the leading residue rows of s, the input of a
+// Lift, Scale or Rescale, refusing any that is not coefficient-domain data.
+func (c *Coprocessor) coeffRows(in Instr, s *slot, hdrs []poly.Poly) ([]poly.Poly, error) {
+	c.ensureRows(s)
+	for j := range hdrs {
+		if s.domain[j] != domCoeff {
+			return nil, fmt.Errorf("hwsim: %v needs coefficient-domain input (slot %d row %d)", in.Op, in.A, j)
+		}
+		hdrs[j] = s.rows[j]
+	}
+	return hdrs, nil
 }

@@ -361,10 +361,11 @@ func TestCoprocLiftScaleFunctional(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Lifted rows must match the functional extender.
-		want := c.LiftU.Ext.LiftPoly(poly.RNSPoly{Rows: a})
+		want := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
+		c.LiftU.Ext.LiftTargetsInto(poly.RNSPoly{Rows: a}, want.Rows)
 		got := c.ReadSlot(0, c.KQ, c.KQ+c.KP)
 		for j := 0; j < c.KP; j++ {
-			if !got[j].Equal(want.Rows[c.KQ+j]) {
+			if !got[j].Equal(want.Rows[j]) {
 				t.Fatalf("%v: lifted row %d mismatch", variant, j)
 			}
 		}
@@ -373,8 +374,9 @@ func TestCoprocLiftScaleFunctional(t *testing.T) {
 		if _, err := c.Exec(Instr{Op: OpScale, Dst: 1, A: 0}); err != nil {
 			t.Fatal(err)
 		}
-		full := append(append([]poly.Poly(nil), a...), want.Rows[c.KQ:]...)
-		wantScaled := c.ScaleU.Sc.ScalePoly(poly.RNSPoly{Rows: full})
+		full := append(append([]poly.Poly(nil), a...), want.Rows...)
+		wantScaled := poly.NewRNSPoly(c.Mods[:c.KQ], 64)
+		c.ScaleU.Sc.ScalePolyInto(poly.RNSPoly{Rows: full}, wantScaled)
 		gotScaled := c.ReadSlot(1, 0, c.KQ)
 		for j := 0; j < c.KQ; j++ {
 			if !gotScaled[j].Equal(wantScaled.Rows[j]) {

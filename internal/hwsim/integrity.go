@@ -66,6 +66,8 @@ type integrityChecker struct {
 	// tables are the checker's own NTT tables, built independently of the
 	// RPAUs' so a corrupted twiddle path cannot vouch for itself.
 	tables []*poly.NTTTable
+	// buf is the round-trip scratch of the transform check, n words.
+	buf []uint64
 }
 
 // newIntegrityChecker derives nonzero weights from seed and builds the
@@ -75,6 +77,7 @@ func newIntegrityChecker(mods []ring.Modulus, n int, seed int64) (*integrityChec
 		weights: make([][]uint64, len(mods)),
 		wShoup:  make([][]uint64, len(mods)),
 		tables:  make([]*poly.NTTTable, len(mods)),
+		buf:     make([]uint64, n),
 	}
 	raw := make([]uint64, n)
 	rng := newSplitMix(uint64(seed))
@@ -177,11 +180,11 @@ type rowRef struct {
 }
 
 // instrAccessRows classifies the instruction's row-level reads and writes —
-// the units of fingerprint verification and snapshot/restore.
-func (c *Coprocessor) instrAccessRows(in Instr) (reads, writes []rowRef) {
+// the units of fingerprint verification and snapshot/restore — appending them
+// to the caller's (recycled) slices.
+func (c *Coprocessor) instrAccessRows(in Instr, reads, writes []rowRef) ([]rowRef, []rowRef) {
 	lo, hi := c.batchRange(in.Batch)
-	span := func(slot uint8, lo, hi int) []rowRef {
-		refs := make([]rowRef, 0, hi-lo)
+	span := func(refs []rowRef, slot uint8, lo, hi int) []rowRef {
 		for j := lo; j < hi; j++ {
 			refs = append(refs, rowRef{slot, j})
 		}
@@ -189,32 +192,32 @@ func (c *Coprocessor) instrAccessRows(in Instr) (reads, writes []rowRef) {
 	}
 	switch in.Op {
 	case OpNTT, OpINTT:
-		return span(in.A, lo, hi), span(in.A, lo, hi)
+		return span(reads, in.A, lo, hi), span(writes, in.A, lo, hi)
 	case OpCMul, OpCAdd, OpCSub:
-		return append(span(in.A, lo, hi), span(in.B, lo, hi)...), span(in.Dst, lo, hi)
+		return span(span(reads, in.A, lo, hi), in.B, lo, hi), span(writes, in.Dst, lo, hi)
 	case OpCMac:
-		r := append(span(in.A, lo, hi), span(in.B, lo, hi)...)
-		return append(r, span(in.Dst, lo, hi)...), span(in.Dst, lo, hi)
+		reads = span(span(reads, in.A, lo, hi), in.B, lo, hi)
+		return span(reads, in.Dst, lo, hi), span(writes, in.Dst, lo, hi)
 	case OpRearr:
-		return span(in.A, lo, hi), nil
+		return span(reads, in.A, lo, hi), writes
 	case OpDecomp:
 		wHi := c.KQ
 		if c.extendDigits {
 			wHi = c.KQ + c.KP
 		}
-		return span(in.A, int(in.B), int(in.B)+1), span(in.Dst, 0, wHi)
+		return span(reads, in.A, int(in.B), int(in.B)+1), span(writes, in.Dst, 0, wHi)
 	case OpLift:
-		return span(in.A, 0, c.KQ), span(in.A, c.KQ, c.KQ+c.KP)
+		return span(reads, in.A, 0, c.KQ), span(writes, in.A, c.KQ, c.KQ+c.KP)
 	case OpScale:
-		return span(in.A, 0, c.KQ+c.KP), span(in.Dst, 0, c.KQ)
+		return span(reads, in.A, 0, c.KQ+c.KP), span(writes, in.Dst, 0, c.KQ)
 	case OpRescale:
 		rHi := c.KQ
 		if in.Batch == BatchP {
 			rHi = c.KQ + c.KP
 		}
-		return span(in.A, 0, rHi), span(in.Dst, 0, rHi-1)
+		return span(reads, in.A, 0, rHi), span(writes, in.Dst, 0, rHi-1)
 	}
-	return nil, nil
+	return reads, writes
 }
 
 // computeChecked reports whether the op's result is verified against a
@@ -229,24 +232,36 @@ func computeChecked(op Op) bool {
 }
 
 // preState carries the read-pass artifacts postExec verifies against, plus
-// the snapshots recompute-on-mismatch restores.
+// the snapshots recompute-on-mismatch restores. The co-processor keeps one
+// (Coprocessor.guard) and every guarded instruction refills it, so the
+// guarded path allocates only while these slices grow to their high-water
+// mark.
 type preState struct {
 	reads, writes []rowRef
 	// fpA/fpB/fpDst are operand fingerprints per batch row (index j-lo);
 	// ipAB is the weighted inner product for CMul/CMac.
 	fpA, fpB, fpDst, ipAB []uint64
 	lo                    int
-	// snapRows/snapDoms are the pre-instruction images of the written rows.
-	snapRows []poly.Poly
+	// shadow[i]/snapDoms[i] are the pre-instruction image of written row i:
+	// resident shadow rows, one per row of the widest write set. A row that
+	// was empty has no image to keep — its tag alone restores it.
+	shadow   [][]uint64
 	snapDoms []domainTag
+}
+
+// fpBuf returns buf resized to n fingerprints.
+func fpBuf(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
 }
 
 // injectStorage fires due BRAM/limb faults into the instruction's operand
 // rows. Corrupting exactly the rows the read pass is about to verify keeps
 // the chaos invariant airtight: a fired storage fault is never masked by an
 // overwrite before anything reads it.
-func (c *Coprocessor) injectStorage(in Instr) {
-	reads, _ := c.instrAccessRows(in)
+func (c *Coprocessor) injectStorage(reads []rowRef) {
 	if len(reads) == 0 {
 		return
 	}
@@ -300,18 +315,16 @@ func (c *Coprocessor) injectRPAU(in Instr, writes []rowRef) Cycles {
 	return 0
 }
 
-// preExec runs the read-side verification and gathers the compute-check
-// inputs and recovery snapshots. It returns an IntegrityError on a storage
-// fingerprint mismatch.
-func (c *Coprocessor) preExec(in Instr) (*preState, error) {
-	reads, writes := c.instrAccessRows(in)
-	ps := &preState{reads: reads, writes: writes}
+// preExec runs the read-side verification over ps.reads and gathers the
+// compute-check inputs and recovery snapshots into ps. It returns an
+// IntegrityError on a storage fingerprint mismatch.
+func (c *Coprocessor) preExec(in Instr, ps *preState) error {
 	ic := c.integrity
 	if ic == nil {
-		return ps, nil
+		return nil
 	}
 	// Verify every row the instruction reads against its tag.
-	for _, ref := range reads {
+	for _, ref := range ps.reads {
 		s := c.slotAt(ref.slot)
 		row := c.row(s, ref.j)
 		if s.tagged == nil || !s.tagged[ref.j] {
@@ -319,7 +332,7 @@ func (c *Coprocessor) preExec(in Instr) (*preState, error) {
 		}
 		if ic.fpSlice(ref.j, row.Coeffs, row.Mod) != s.tags[ref.j] {
 			c.count("hw_integrity_storage_detected")
-			return nil, &IntegrityError{Stage: "read", Op: in.Op, Slot: int(ref.slot), Row: ref.j}
+			return &IntegrityError{Stage: "read", Op: in.Op, Slot: int(ref.slot), Row: ref.j}
 		}
 	}
 	// Gather the prediction inputs for the compute check.
@@ -329,15 +342,15 @@ func (c *Coprocessor) preExec(in Instr) (*preState, error) {
 		sa := c.slotAt(in.A)
 		switch in.Op {
 		case OpNTT, OpINTT:
-			ps.fpA = make([]uint64, hi-lo)
+			ps.fpA = fpBuf(ps.fpA, hi-lo)
 			for j := lo; j < hi; j++ {
 				row := c.row(sa, j)
 				ps.fpA[j-lo] = ic.fpSlice(j, row.Coeffs, row.Mod)
 			}
 		case OpCAdd, OpCSub:
 			sb := c.slotAt(in.B)
-			ps.fpA = make([]uint64, hi-lo)
-			ps.fpB = make([]uint64, hi-lo)
+			ps.fpA = fpBuf(ps.fpA, hi-lo)
+			ps.fpB = fpBuf(ps.fpB, hi-lo)
 			for j := lo; j < hi; j++ {
 				a, b := c.row(sa, j), c.row(sb, j)
 				ps.fpA[j-lo] = ic.fpSlice(j, a.Coeffs, a.Mod)
@@ -345,14 +358,14 @@ func (c *Coprocessor) preExec(in Instr) (*preState, error) {
 			}
 		case OpCMul, OpCMac:
 			sb := c.slotAt(in.B)
-			ps.ipAB = make([]uint64, hi-lo)
+			ps.ipAB = fpBuf(ps.ipAB, hi-lo)
 			for j := lo; j < hi; j++ {
 				a, b := c.row(sa, j), c.row(sb, j)
 				ps.ipAB[j-lo] = ic.fpInner(j, a.Coeffs, b.Coeffs, a.Mod)
 			}
 			if in.Op == OpCMac {
 				sd := c.slotAt(in.Dst)
-				ps.fpDst = make([]uint64, hi-lo)
+				ps.fpDst = fpBuf(ps.fpDst, hi-lo)
 				for j := lo; j < hi; j++ {
 					d := c.row(sd, j)
 					ps.fpDst[j-lo] = ic.fpSlice(j, d.Coeffs, d.Mod)
@@ -364,14 +377,21 @@ func (c *Coprocessor) preExec(in Instr) (*preState, error) {
 	// a compute mismatch can be repaired by restore + re-execute. Aliased
 	// dst/operand slots are covered: restoring the dst image restores the
 	// operand it aliases.
-	ps.snapRows = make([]poly.Poly, len(writes))
-	ps.snapDoms = make([]domainTag, len(writes))
-	for i, ref := range writes {
+	ps.snapDoms = ps.snapDoms[:0]
+	for i, ref := range ps.writes {
 		s := c.slotAt(ref.slot)
-		ps.snapRows[i] = c.row(s, ref.j).Clone()
-		ps.snapDoms[i] = s.domain[ref.j]
+		c.ensureRows(s)
+		dom := s.domain[ref.j]
+		ps.snapDoms = append(ps.snapDoms, dom)
+		if dom == domEmpty {
+			continue
+		}
+		for len(ps.shadow) <= i {
+			ps.shadow = append(ps.shadow, make([]uint64, c.N))
+		}
+		copy(ps.shadow[i], s.rows[ref.j].Coeffs)
 	}
-	return ps, nil
+	return nil
 }
 
 // postExec verifies the instruction's output against the prediction from the
@@ -387,7 +407,7 @@ func (c *Coprocessor) postExec(in Instr, ps *preState) bool {
 		// Round-trip through the checker's own tables back to the input
 		// fingerprint: out must invert to exactly the data that went in.
 		s := c.slotAt(in.A)
-		buf := make([]uint64, c.N)
+		buf := ic.buf
 		for j := lo; j < hi; j++ {
 			row := c.row(s, j)
 			copy(buf, row.Coeffs)
@@ -429,7 +449,9 @@ func (c *Coprocessor) postExec(in Instr, ps *preState) bool {
 func (c *Coprocessor) restore(ps *preState) {
 	for i, ref := range ps.writes {
 		s := c.slotAt(ref.slot)
-		s.rows[ref.j] = ps.snapRows[i].Clone()
+		if ps.snapDoms[i] != domEmpty {
+			copy(s.rows[ref.j].Coeffs, ps.shadow[i])
+		}
 		s.domain[ref.j] = ps.snapDoms[i]
 	}
 }
@@ -488,11 +510,11 @@ func (c *Coprocessor) vouchRows(refs []rowRef) {
 // with one recompute-on-mismatch, and tag maintenance. It only runs when an
 // injector or the checker is attached; the fast path costs two nil checks.
 func (c *Coprocessor) execGuarded(in Instr) (Cycles, error) {
-	reads, _ := c.instrAccessRows(in)
-	c.vouchRows(reads)
-	c.injectStorage(in)
-	ps, err := c.preExec(in)
-	if err != nil {
+	ps := &c.guard
+	ps.reads, ps.writes = c.instrAccessRows(in, ps.reads[:0], ps.writes[:0])
+	c.vouchRows(ps.reads)
+	c.injectStorage(ps.reads)
+	if err := c.preExec(in, ps); err != nil {
 		return 0, err
 	}
 	cyc, err := c.execOp(in)
@@ -531,42 +553,12 @@ func (c *Coprocessor) Scrub() error {
 	}
 	for si := range c.slots {
 		s := &c.slots[si]
-		if s.tagged == nil {
-			continue
-		}
 		for j, t := range s.tagged {
-			if !t || s.rows[j].Coeffs == nil {
-				continue
-			}
-			if ic.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod) != s.tags[j] {
+			if t && ic.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod) != s.tags[j] {
 				c.count("hw_integrity_scrub_detected")
 				return &IntegrityError{Stage: "scrub", Slot: si, Row: j}
 			}
 		}
 	}
 	return nil
-}
-
-// flushScrub runs at ClearSlots when the checker is active: faults that fired
-// into rows an aborted operation never re-read are counted here as they are
-// flushed, so the injected-vs-detected ledger balances even across aborts.
-func (c *Coprocessor) flushScrub() {
-	ic := c.integrity
-	if ic == nil {
-		return
-	}
-	for si := range c.slots {
-		s := &c.slots[si]
-		if s.tagged == nil {
-			continue
-		}
-		for j, t := range s.tagged {
-			if !t || s.rows[j].Coeffs == nil {
-				continue
-			}
-			if ic.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod) != s.tags[j] {
-				c.count("hw_integrity_flush_detected")
-			}
-		}
-	}
 }

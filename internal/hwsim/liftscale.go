@@ -48,15 +48,16 @@ func (l *LiftUnit) TraditionalCycles(cores int) Cycles {
 	return Cycles((l.N*int(l.TraditionalCyclesPerCoeff()) + cores - 1) / cores)
 }
 
-// Lift functionally extends p (over the source basis) to source ∪ target,
-// using the variant's arithmetic, and returns the cycles consumed.
-func (l *LiftUnit) Lift(p poly.RNSPoly, variant Variant) (poly.RNSPoly, Cycles) {
-	switch variant {
-	case VariantTraditional:
-		return l.Ext.LiftPolyTraditional(p), l.TraditionalCycles(l.Timing.LiftScaleCores)
-	default:
-		return l.Ext.LiftPoly(p), l.HPSCycles()
+// LiftInto functionally extends p (over the source basis) onto dst, the
+// target-basis rows of the same polynomial, using the variant's arithmetic,
+// and returns the cycles consumed.
+func (l *LiftUnit) LiftInto(p poly.RNSPoly, dst []poly.Poly, variant Variant) Cycles {
+	if variant == VariantTraditional {
+		l.Ext.LiftTargetsTraditionalInto(p, dst)
+		return l.TraditionalCycles(l.Timing.LiftScaleCores)
 	}
+	l.Ext.LiftTargetsInto(p, dst)
+	return l.HPSCycles()
 }
 
 // ScaleUnit is the Scale Q→q engine (paper Figs. 8 and 9). The HPS variant
@@ -105,15 +106,16 @@ func (s *ScaleUnit) TraditionalCycles(cores int) Cycles {
 	return Cycles((s.N*int(s.TraditionalCyclesPerCoeff()) + cores - 1) / cores)
 }
 
-// Scale functionally scales the full-basis polynomial x down to the q basis
-// and returns the cycles consumed.
-func (s *ScaleUnit) Scale(x poly.RNSPoly, variant Variant) (poly.RNSPoly, Cycles) {
-	switch variant {
-	case VariantTraditional:
-		return s.Sc.ScalePolyTraditional(x), s.TraditionalCycles(s.Timing.LiftScaleCores)
-	default:
-		return s.Sc.ScalePoly(x), s.HPSCycles()
+// ScaleInto functionally scales the full-basis polynomial x down to the q
+// basis into out (which may be x's own q rows) and returns the cycles
+// consumed.
+func (s *ScaleUnit) ScaleInto(x, out poly.RNSPoly, variant Variant) Cycles {
+	if variant == VariantTraditional {
+		s.Sc.ScalePolyTraditionalInto(x, out)
+		return s.TraditionalCycles(s.Timing.LiftScaleCores)
 	}
+	s.Sc.ScalePolyInto(x, out)
+	return s.HPSCycles()
 }
 
 // Variant selects the co-processor generation: the HPS-optimized fast

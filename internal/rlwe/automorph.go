@@ -12,9 +12,13 @@ import (
 
 // AutomorphRowInto computes dst = σ_g(src) for one residue row in
 // coefficient representation: coefficient i moves to position i·g mod 2n,
-// negated when the exponent wraps past n (x^n ≡ -1). dst must not alias src.
+// negated when the exponent wraps past n (x^n ≡ -1). The permutation is not
+// in place: dst aliasing src panics.
 func AutomorphRowInto(m ring.Modulus, g int, src, dst poly.Poly) {
 	n := len(src.Coeffs)
+	if n > 0 && &src.Coeffs[0] == &dst.Coeffs[0] {
+		panic("rlwe: automorphism destination aliases its source")
+	}
 	for i := 0; i < n; i++ {
 		j := (i * g) % (2 * n)
 		v := src.Coeffs[i]

@@ -27,7 +27,7 @@ type Extender struct {
 	Src *Basis
 	Dst []ring.Modulus
 
-	// Pool, when set, stripes LiftPoly's coefficient loop across goroutines —
+	// Pool, when set, stripes the lift's coefficient loop across goroutines —
 	// the software counterpart of the paper's two parallel Lift cores
 	// streaming disjoint coefficients (Sec. V-B2). The per-coefficient
 	// Extend* kernels are pure w.r.t. the Extender, so stripes never share
@@ -187,46 +187,13 @@ func (e *Extender) checkLens(in, out []uint64) {
 	}
 }
 
-// LiftPoly applies the HPS extension coefficient-wise to an RNS polynomial
-// over the source basis, returning a polynomial over source ∪ target (the
-// paper's Lift q→Q of a full polynomial: the q residues are kept, the p
-// residues computed). See LiftTargetsInto for the allocation-free form hot
-// paths thread their own scratch through.
-func (e *Extender) LiftPoly(p poly.RNSPoly) poly.RNSPoly {
-	out := e.newLifted(p)
-	e.LiftTargetsInto(p, out.Rows[e.Src.K():])
-	return out
-}
-
-// LiftPolyTraditional is LiftPoly using the traditional CRT dataflow.
-func (e *Extender) LiftPolyTraditional(p poly.RNSPoly) poly.RNSPoly {
-	out := e.newLifted(p)
-	e.LiftTargetsTraditionalInto(p, out.Rows[e.Src.K():])
-	return out
-}
-
-// newLifted allocates the source ∪ target layout and copies the kept source
-// rows.
-func (e *Extender) newLifted(p poly.RNSPoly) poly.RNSPoly {
-	if p.Level() != e.Src.K() {
-		panic("rns: polynomial level does not match source basis")
-	}
-	n := p.N()
-	out := poly.RNSPoly{Rows: make([]poly.Poly, e.Src.K()+len(e.Dst))}
-	for i := range p.Rows {
-		out.Rows[i] = p.Rows[i].Clone()
-	}
-	for j, d := range e.Dst {
-		out.Rows[e.Src.K()+j] = poly.NewPoly(d, n)
-	}
-	return out
-}
-
-// LiftTargetsInto computes only the *target* residue rows of the lift into
-// dst (len(dst) = len(e.Dst), each row over the matching target modulus, n
-// coefficients) via the HPS kernel, allocating nothing: the chunk dispatch
-// is a recycled task and the per-coefficient residue staging lives on the
-// worker's stack. The kept source rows are the caller's to reuse — the
+// LiftTargetsInto applies the HPS extension coefficient-wise to an RNS
+// polynomial over the source basis (the paper's Lift q→Q of a full
+// polynomial: the q residues are kept, the p residues computed). It computes
+// only the *target* residue rows, into dst (len(dst) = len(e.Dst), each row
+// over the matching target modulus, n coefficients), allocating nothing: the
+// chunk dispatch is a recycled task and the per-coefficient residue staging
+// lives on the worker's stack. The kept source rows are the caller's to reuse — the
 // evaluator NTT-transforms them straight out of the input with no copy.
 func (e *Extender) LiftTargetsInto(p poly.RNSPoly, dst []poly.Poly) {
 	e.liftTargets(p, dst, false)

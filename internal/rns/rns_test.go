@@ -197,20 +197,24 @@ func TestLiftPoly(t *testing.T) {
 			x.Rows[i].Coeffs[c] = res[i]
 		}
 	}
-	lifted := ext.LiftPoly(x)
-	liftedTrad := ext.LiftPolyTraditional(x)
-	if lifted.Level() != qb.K()+pb.K() {
-		t.Fatalf("lifted level %d", lifted.Level())
-	}
-	if !lifted.Equal(liftedTrad) {
-		t.Fatal("HPS and traditional polynomial lifts disagree")
-	}
-	// Source rows preserved.
-	for i := range qb.Mods {
-		if !lifted.Rows[i].Equal(x.Rows[i]) {
-			t.Fatalf("source row %d modified", i)
+	src := x.Clone()
+	targets := poly.NewRNSPoly(pb.Mods, n)
+	targetsTrad := poly.NewRNSPoly(pb.Mods, n)
+	// The target rows are written in full: stale contents must not show.
+	for j := range targets.Rows {
+		for c := range targets.Rows[j].Coeffs {
+			targets.Rows[j].Coeffs[c] = 12345
 		}
 	}
+	ext.LiftTargetsInto(x, targets.Rows)
+	ext.LiftTargetsTraditionalInto(x, targetsTrad.Rows)
+	if !targets.Equal(targetsTrad) {
+		t.Fatal("HPS and traditional polynomial lifts disagree")
+	}
+	if !x.Equal(src) {
+		t.Fatal("source rows modified")
+	}
+	lifted := poly.RNSPoly{Rows: append(append([]poly.Poly(nil), x.Rows...), targets.Rows...)}
 	// Spot-check coefficients against the exact extension.
 	in := make([]uint64, qb.K())
 	out := make([]uint64, pb.K())
@@ -341,13 +345,41 @@ func TestScalePoly(t *testing.T) {
 			x.Rows[i].Coeffs[c] = v.ModWord(m.Q)
 		}
 	}
-	a := sc.ScalePoly(x)
-	b := sc.ScalePolyTraditional(x)
+	a := poly.NewRNSPoly(qb.Mods, n)
+	b := poly.NewRNSPoly(qb.Mods, n)
+	sc.ScalePolyInto(x, a)
+	sc.ScalePolyTraditionalInto(x, b)
 	if !a.Equal(b) {
 		t.Fatal("HPS and traditional polynomial scales disagree")
 	}
-	if a.Level() != qb.K() || a.N() != n {
-		t.Fatal("scaled polynomial has wrong shape")
+	// Spot-check against the per-coefficient scale.
+	xq, xp, want := make([]uint64, qb.K()), make([]uint64, pb.K()), make([]uint64, qb.K())
+	for _, c := range []int{0, 1, n - 1} {
+		for i := range xq {
+			xq[i] = x.Rows[i].Coeffs[c]
+		}
+		for j := range xp {
+			xp[j] = x.Rows[qb.K()+j].Coeffs[c]
+		}
+		sc.Scale(xq, xp, want)
+		for i := range want {
+			if a.Rows[i].Coeffs[c] != want[i] {
+				t.Fatalf("scaled coeff %d residue %d mismatch", c, i)
+			}
+		}
+	}
+	// In place: out may be x's own q rows, through either kernel.
+	for _, traditional := range []bool{false, true} {
+		y := x.Clone()
+		out := poly.RNSPoly{Rows: y.Rows[:qb.K()]}
+		if traditional {
+			sc.ScalePolyTraditionalInto(y, out)
+		} else {
+			sc.ScalePolyInto(y, out)
+		}
+		if !out.Equal(a) {
+			t.Fatalf("in-place scale (traditional=%v) differs from the out-of-place result", traditional)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ type ScaleRounder struct {
 
 	bigQ mp.Nat // q·p
 
-	// Pool, when set, stripes ScalePoly's coefficient loop across goroutines
+	// Pool, when set, stripes ScalePolyInto's coefficient loop across goroutines
 	// (same contract as Extender.Pool: the per-coefficient kernels only read
 	// the precomputed tables).
 	Pool *poly.Pool
@@ -221,25 +221,12 @@ func (s *ScaleRounder) checkLens(xq, xp, out []uint64) {
 	}
 }
 
-// ScalePoly applies the HPS scale coefficient-wise to a full-basis RNS
-// polynomial (rows ordered q primes then p primes), returning a q-basis
-// polynomial. See ScalePolyInto for the allocation-free form.
-func (s *ScaleRounder) ScalePoly(x poly.RNSPoly) poly.RNSPoly {
-	out := poly.NewRNSPoly(s.QB.Mods, x.N())
-	s.scalePolyInto(x, out, false)
-	return out
-}
-
-// ScalePolyTraditional is ScalePoly through the traditional dataflow.
-func (s *ScaleRounder) ScalePolyTraditional(x poly.RNSPoly) poly.RNSPoly {
-	out := poly.NewRNSPoly(s.QB.Mods, x.N())
-	s.scalePolyInto(x, out, true)
-	return out
-}
-
-// ScalePolyInto scales x into the caller-owned q-basis polynomial out,
-// allocating nothing: the chunk dispatch is a recycled task and the residue
-// staging lives on the worker's stack. out must not alias x's q rows.
+// ScalePolyInto applies the HPS scale coefficient-wise to a full-basis RNS
+// polynomial x (rows ordered q primes then p primes), writing the q-basis
+// result into the caller-owned out and allocating nothing: the chunk dispatch
+// is a recycled task and the residue staging lives on the worker's stack.
+// out may be x's own q rows: both kernels read every residue of a stripe
+// (the scalar one, of a coefficient) before they write its outputs.
 func (s *ScaleRounder) ScalePolyInto(x, out poly.RNSPoly) {
 	s.scalePolyInto(x, out, false)
 }

@@ -48,6 +48,11 @@ type CKKSScheduler struct {
 
 	coprocs []*hwsim.Coprocessor
 
+	// rd and perm are the host side of the Rotate readback, sized for the
+	// top of the chain and sliced to the operand's level. One pair serves
+	// every level: the chain co-processors never run concurrently.
+	rd, perm poly.RNSPoly
+
 	integritySeed *int64
 	injector      *faults.Injector
 	metrics       *obs.Registry
@@ -319,11 +324,15 @@ func (s *CKKSScheduler) Rotate(ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (
 	if err := cp.Scrub(); err != nil {
 		return nil, 0, err
 	}
-	k := level + 1
+	if s.rd.Rows == nil {
+		s.rd = poly.NewRNSPoly(s.P.QMods, s.P.N())
+		s.perm = poly.NewRNSPoly(s.P.QMods, s.P.N())
+	}
+	rd := poly.RNSPoly{Rows: s.rd.Rows[:level+1]}
+	perm := poly.RNSPoly{Rows: s.perm.Rows[:level+1]}
 	for _, slot := range []uint8{ckSlotA0, ckSlotA1} {
-		rows := poly.RNSPoly{Rows: cp.ReadSlot(slot, 0, k)}
-		perm := poly.NewRNSPoly(s.P.QMods[:k], s.P.N())
-		rlwe.AutomorphInto(gk.G, rows, perm)
+		cp.ReadSlotInto(slot, 0, rd.Rows)
+		rlwe.AutomorphInto(gk.G, rd, perm)
 		cp.LoadSlotCoeff(slot, 0, perm.Rows)
 		if _, err := cp.Exec(hwsim.Instr{Op: hwsim.OpRearr, A: slot, Batch: hwsim.BatchQ}); err != nil {
 			return nil, 0, err

@@ -22,6 +22,7 @@ import (
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/poly"
+	"repro/internal/rlwe"
 	"repro/internal/rns"
 )
 
@@ -66,6 +67,11 @@ func (l *liveness) set(slot uint8, rows int) {
 
 func (l *liveness) free(slot uint8) { l.set(slot, 0) }
 
+func (l *liveness) reset() {
+	clear(l.rows)
+	l.cur, l.peak = 0, 0
+}
+
 // Scheduler drives one co-processor on behalf of one Arm application core.
 // With Record set, every executed instruction and transfer is appended to
 // Trace for the block-level overlap analysis (pipeline.go).
@@ -77,6 +83,12 @@ type Scheduler struct {
 	Trace  []Task
 
 	live *liveness
+
+	// rd and perm are the host side of the Rotate readback (and of the
+	// traditional variant's digit slicing): the slot's rows are copied out
+	// into rd, permuted into perm and loaded back. Scratch the scheduler
+	// keeps, allocated at the first operation that needs it.
+	rd, perm poly.RNSPoly
 }
 
 // New returns a scheduler for the co-processor.
@@ -183,7 +195,17 @@ func (s *Scheduler) ReceiveCiphertext(el0, el1 uint8) (*fv.Ciphertext, hwsim.Cyc
 
 func (s *Scheduler) reset() {
 	s.C.ClearSlots()
-	s.live = newLiveness()
+	s.live.reset()
+}
+
+// readback copies the q rows of a slot into the scheduler's rd scratch.
+func (s *Scheduler) readback(slot uint8) poly.RNSPoly {
+	if s.rd.Rows == nil {
+		s.rd = poly.NewRNSPoly(s.P.QMods, s.P.N())
+		s.perm = poly.NewRNSPoly(s.P.QMods, s.P.N())
+	}
+	s.C.ReadSlotInto(slot, 0, s.rd.Rows)
+	return s.rd
 }
 
 // Add executes FV.Add on the co-processor: one coefficient-wise addition per
@@ -345,8 +367,7 @@ func (s *Scheduler) mulProgram(base uint8, rk *fv.RelinKey) error {
 		if err := s.C.Scrub(); err != nil {
 			return err
 		}
-		x := poly.RNSPoly{Rows: s.C.ReadSlot(sSlot2, 0, kq)}
-		tradDigits = rns.WordDecompose(s.P.QBasis, x, rk.LogW, rk.Ell)
+		tradDigits = rns.WordDecompose(s.P.QBasis, s.readback(sSlot2), rk.LogW, rk.Ell)
 	}
 	for _, sl := range []uint8{slotDigit, slotSop, slotKey, slotAcc0, slotAcc1} {
 		s.live.set(sl, kq)
@@ -422,8 +443,8 @@ func (s *Scheduler) Rotate(ct *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext,
 		return nil, 0, err
 	}
 	for _, slot := range []uint8{slotA0, slotA1} {
-		rows := poly.RNSPoly{Rows: s.C.ReadSlot(slot, 0, kq)}
-		s.C.LoadSlotCoeff(slot, 0, fv.AutomorphRNS(gk.G, rows).Rows)
+		rlwe.AutomorphInto(gk.G, s.readback(slot), s.perm)
+		s.C.LoadSlotCoeff(slot, 0, s.perm.Rows)
 		if _, err := s.exec(hwsim.Instr{Op: hwsim.OpRearr, A: slot, Batch: hwsim.BatchQ}); err != nil {
 			return nil, 0, err
 		}
