@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-pairs lint fuzz-smoke chaos loc
+.PHONY: build test race bench bench-compare bench-pairs lint fmt-check fuzz-smoke chaos loc
 
 build:
 	$(GO) build ./...
@@ -55,8 +55,13 @@ bench-pairs:
 lint:
 	golangci-lint run ./...
 
+# gofmt -l must print nothing; CI's test job runs this.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l is not empty:"; echo "$$out"; exit 1; }
+
 # Five-iteration fuzz smoke over the differential fv<->hwsim targets (the
-# reused-memory-file one included), the hardened wire-protocol decoders, the
+# reused-memory-file one included), the hardened wire-protocol decoders and
+# their equivalence to the pre-split reference decoders (FuzzFrame*), the
 # compiled-program codec, and the CKKS key container and encoder. CI's
 # fuzz-smoke job runs this target, so the list exists once.
 fuzz-smoke:
@@ -68,6 +73,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMuxFrame -fuzztime=20x ./internal/cloud
+	$(GO) test -run=NONE -fuzz=FuzzFrameRequest -fuzztime=20x ./internal/cloud
+	$(GO) test -run=NONE -fuzz=FuzzFrameReply -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeProgram -fuzztime=20x ./internal/program
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCKKSKeys -fuzztime=20x ./internal/ckks
 	$(GO) test -run=NONE -fuzz=FuzzEncoderRoundTrip -fuzztime=20x ./internal/ckks

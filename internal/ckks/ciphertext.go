@@ -107,9 +107,7 @@ func (ct *Ciphertext) Write(w io.Writer) error {
 	buf := make([]byte, n*4)
 	for _, el := range ct.Els {
 		for _, row := range el.Rows {
-			for i, v := range row.Coeffs {
-				binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
-			}
+			row.PackWords(buf)
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
@@ -149,13 +147,8 @@ func ReadCiphertext(r io.Reader, params *Params) (*Ciphertext, error) {
 			if _, err := io.ReadFull(r, buf); err != nil {
 				return nil, err
 			}
-			m := params.QMods[ri]
-			for i := range el.Rows[ri].Coeffs {
-				v := uint64(binary.LittleEndian.Uint32(buf[i*4:]))
-				if v >= m.Q {
-					return nil, fmt.Errorf("ckks: residue %d out of range for modulus %d", v, m.Q)
-				}
-				el.Rows[ri].Coeffs[i] = v
+			if bad, ok := el.Rows[ri].UnpackWords(buf); !ok {
+				return nil, fmt.Errorf("ckks: residue %d out of range for modulus %d", bad, params.QMods[ri].Q)
 			}
 		}
 	}

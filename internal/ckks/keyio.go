@@ -62,9 +62,7 @@ func readKey(r io.Reader, body func(io.Reader, *Params) error) (*Params, error) 
 func writePolyRows(w io.Writer, x poly.RNSPoly) error {
 	buf := make([]byte, x.N()*4)
 	for _, row := range x.Rows {
-		for i, v := range row.Coeffs {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
-		}
+		row.PackWords(buf)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -80,12 +78,8 @@ func readPolyRows(r io.Reader, mods []ring.Modulus, n int) (poly.RNSPoly, error)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return poly.RNSPoly{}, err
 		}
-		for i := range out.Rows[ri].Coeffs {
-			v := uint64(binary.LittleEndian.Uint32(buf[i*4:]))
-			if v >= m.Q {
-				return poly.RNSPoly{}, fmt.Errorf("ckks: residue %d out of range for modulus %d", v, m.Q)
-			}
-			out.Rows[ri].Coeffs[i] = v
+		if bad, ok := out.Rows[ri].UnpackWords(buf); !ok {
+			return poly.RNSPoly{}, fmt.Errorf("ckks: residue %d out of range for modulus %d", bad, m.Q)
 		}
 	}
 	return out, nil

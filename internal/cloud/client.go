@@ -73,9 +73,9 @@ func (o Ops) RunProgram(ctx context.Context, p *program.Program, inputs []*fv.Ci
 	return o.Via.DoProgram(ctx, &Request{Tenant: o.Tenant, ProgBytes: data, Inputs: inputs})
 }
 
-// replyAs narrows a round trip's outcome to the reply kind its command
+// ReplyAs narrows a round trip's outcome to the reply kind its command
 // answers in; a server-reported failure becomes the call's error.
-func replyAs[T Reply](rep Reply, err error) (T, error) {
+func ReplyAs[T Reply](rep Reply, err error) (T, error) {
 	var zero T
 	if err != nil {
 		return zero, err
@@ -83,7 +83,7 @@ func replyAs[T Reply](rep Reply, err error) (T, error) {
 	if se, ok := rep.(*ServerError); ok {
 		return zero, se
 	}
-	return rep.(T), nil // readReply picked the kind from the same command
+	return rep.(T), nil // RawReply.Reply picked the kind from the same command
 }
 
 // Client is a connection to the cloud service. It is not safe for
@@ -95,6 +95,9 @@ type Client struct {
 	ckks   *ckks.Params // non-nil after EnableCKKS; required for CmdCKKS*
 	nextID uint64
 	broken bool // a transport error or cancellation desynced the stream
+	// interrupt slams the connection deadline to now; armed on each
+	// exchange's context, so a cancellation cuts blocked I/O short.
+	interrupt func()
 }
 
 // Dial connects to the service under the default tenant.
@@ -113,6 +116,7 @@ func DialTenant(addr string, params *fv.Params, tenant string) (*Client, error) 
 		return nil, err
 	}
 	c := &Client{conn: conn, params: params}
+	c.interrupt = func() { conn.SetDeadline(time.Now()) }
 	c.Ops = Ops{Via: c, Tenant: tenant}
 	return c, nil
 }
@@ -143,34 +147,18 @@ func (c *Client) Broken() bool { return c.broken }
 // commands on a client without them fail before touching the wire.
 func (c *Client) EnableCKKS(p *ckks.Params) { c.ckks = p }
 
-// watch arranges for ctx cancellation to interrupt conn I/O by slamming the
-// deadline to now. The returned stop function must be called when the
-// exchange ends; the per-exchange deadline reset in exchange clears any
-// deadline a late-firing watcher leaves behind.
-func (c *Client) watch(ctx context.Context) func() {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.conn.SetDeadline(time.Now())
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
-
-// roundTrip runs one request/reply exchange under ctx — the skeleton every
-// command shares. It stamps the request's Ver, ID, and Tenant from the client
-// (a non-empty req.Tenant overrides the client default), writes it, and
-// decodes the reply in the framing req.Cmd answers with. A context deadline
-// is honored via the connection deadline, so a hung server cannot block the
-// caller past it. On cancellation, any transport error, or a reply to a
-// different request the client is marked Broken; a *ServerError reply — the
-// server answered, the operation failed — leaves the stream usable.
-func (c *Client) roundTrip(ctx context.Context, req *Request) (Reply, error) {
+// Exchange runs one raw exchange under ctx: it sends f's bytes under this
+// connection's next request ID — one contiguous Write, nothing else about
+// the frame touched, so the routing tier forwards a client's frame through
+// here as is — and frames the reply, validated in place, for the caller to
+// relay or materialize and then release. A context deadline is honored via
+// the connection deadline, so a hung server cannot block the caller past it;
+// a cancellation slams that deadline to now (the per-exchange reset clears
+// whatever a late-firing one leaves behind). On cancellation, any transport
+// error, a malformed reply, or a reply to a different request the client is
+// marked Broken; an error reply — the server answered, the operation failed —
+// leaves the stream usable.
+func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 	if c.broken {
 		return nil, fmt.Errorf("cloud: client connection is broken")
 	}
@@ -180,44 +168,51 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (Reply, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req.Ver = ProtoV2
-	if req.Tenant == "" {
-		req.Tenant = c.Ops.Tenant
-	}
 	c.nextID++
-	req.ID = c.nextID
+	f.stamp(c.nextID)
 	if d, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(d)
 	} else {
 		c.conn.SetDeadline(time.Time{})
 	}
-	stop := c.watch(ctx)
-	defer stop()
+	defer context.AfterFunc(ctx, c.interrupt)()
 
-	if err := WriteRequest(c.conn, c.params, req); err != nil {
+	if _, err := c.conn.Write(f.b); err != nil {
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
 	}
-	id, rep, err := readReply(c.conn, c.params, c.ckks, req.Cmd)
+	raw, err := readRawReply(c.conn, f.replyHint(), c.params, c.ckks, f.Cmd)
 	if err != nil {
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
 	}
-	if id != req.ID {
+	if id := raw.ID(); id != c.nextID {
 		c.broken = true
-		return nil, fmt.Errorf("cloud: %s reply ID %d for request %d (stream desync)", cmdName(req.Cmd), id, req.ID)
+		raw.Release()
+		return nil, fmt.Errorf("cloud: %s reply ID %d for request %d (stream desync)", cmdName(f.Cmd), id, c.nextID)
 	}
-	return rep, nil
+	return raw, nil
 }
 
-// Do runs one operation exchange under ctx (see roundTrip for the deadline,
+// roundTrip is encode, Exchange, materialize — the skeleton every command
+// shares. It stamps the request's Ver and Tenant from the client (a non-empty
+// req.Tenant overrides the client default).
+func (c *Client) roundTrip(ctx context.Context, req *Request) (Reply, error) {
+	req.Ver = ProtoV2
+	if req.Tenant == "" {
+		req.Tenant = c.Ops.Tenant
+	}
+	return RoundTrip(ctx, c.Exchange, c.params, req)
+}
+
+// Do runs one operation exchange under ctx (see Exchange for the deadline,
 // cancellation, and broken-stream rules). A server-reported failure is
 // returned as *ServerError.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 	if isCKKSCmd(req.Cmd) && c.ckks == nil {
 		return nil, fmt.Errorf("cloud: %s requires EnableCKKS", cmdName(req.Cmd))
 	}
-	return replyAs[*Response](c.roundTrip(ctx, req))
+	return ReplyAs[*Response](c.roundTrip(ctx, req))
 }
 
 // ctxErr prefers the context's error over the I/O error it provoked, so
@@ -269,7 +264,7 @@ func (c *Client) CKKSRotateCtx(ctx context.Context, a *ckks.Ciphertext, r int) (
 // Info asks the server what it is: protocol version, node ID, worker count,
 // and the tenants with registered evaluation keys.
 func (c *Client) Info(ctx context.Context) (*ServerInfo, error) {
-	return replyAs[*ServerInfo](c.roundTrip(ctx, &Request{Cmd: CmdInfo}))
+	return ReplyAs[*ServerInfo](c.roundTrip(ctx, &Request{Cmd: CmdInfo}))
 }
 
 // DoProgram runs one CmdProgram exchange: the raw request (ProgBytes and
@@ -277,7 +272,7 @@ func (c *Client) Info(ctx context.Context) (*ServerInfo, error) {
 // cancellation, and broken-stream handling match Do.
 func (c *Client) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
 	req.Cmd = CmdProgram
-	return replyAs[*ProgramResponse](c.roundTrip(ctx, req))
+	return ReplyAs[*ProgramResponse](c.roundTrip(ctx, req))
 }
 
 // Add asks the cloud to add two ciphertexts.

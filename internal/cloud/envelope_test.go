@@ -14,16 +14,14 @@ import (
 // replyKinds is one success reply per kind of the envelope, as a reader
 // hands it back for request id, with the command whose reply framing decodes
 // it. Shared by the round-trip table and the response fuzz seeds.
-func replyKinds(ct *fv.Ciphertext, id uint64) []struct {
+type replyKind struct {
 	kind string
 	cmd  uint8
 	rep  Reply
-} {
-	return []struct {
-		kind string
-		cmd  uint8
-		rep  Reply
-	}{
+}
+
+func replyKinds(ct *fv.Ciphertext, id uint64) []replyKind {
+	return []replyKind{
 		{"op", CmdMul, &Response{Ver: ProtoV2, ID: id, Result: ct, ComputeNanos: 456, Worker: 1}},
 		{"program", CmdProgram, &ProgramResponse{ID: id, Outputs: []*fv.Ciphertext{ct, ct}, MakespanNanos: 9, SerialNanos: 12, KeyLoads: 1, Nodes: 3}},
 		{"info", CmdInfo, &ServerInfo{Proto: ProtoV2, NodeID: "n0", Workers: 2, TenantAware: true, Tenants: []string{"alice"}}},
@@ -40,13 +38,13 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 	const id = 0x1122334455667788
 	want := &ServerError{Code: CodeIntegrity, Msg: "fingerprint mismatch"}
 	var errBytes bytes.Buffer
-	if err := want.writeReply(&errBytes, ts.params, id); err != nil {
+	if err := writeReply(&errBytes, want, ts.params, id); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, k := range replyKinds(ts.encrypt(t, 5), id) {
 		var buf bytes.Buffer
-		if err := k.rep.writeReply(&buf, ts.params, id); err != nil {
+		if err := writeReply(&buf, k.rep, ts.params, id); err != nil {
 			t.Fatalf("%s: encode: %v", k.kind, err)
 		}
 		gotID, got, err := readReply(&buf, ts.params, nil, k.cmd)
@@ -73,7 +71,7 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 		&ProgramResponse{Err: want.Msg, Code: want.Code},
 	} {
 		var buf bytes.Buffer
-		if err := rep.writeReply(&buf, ts.params, id); err != nil {
+		if err := writeReply(&buf, rep, ts.params, id); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), errBytes.Bytes()) {
@@ -129,7 +127,7 @@ func TestFrameSizeHints(t *testing.T) {
 		&ServerError{Code: CodeApp, Msg: "no evaluation key registered"},
 	} {
 		var buf bytes.Buffer
-		if err := rep.writeReply(&buf, ts.params, 9); err != nil {
+		if err := writeReply(&buf, rep, ts.params, 9); err != nil {
 			t.Fatalf("%T: %v", rep, err)
 		}
 		check(fmt.Sprintf("%T reply", rep), buf.Len(), replySize(rep, ts.params))

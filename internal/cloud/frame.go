@@ -1,0 +1,717 @@
+package cloud
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"math/bits"
+	"sync"
+
+	"repro/internal/ckks"
+	"repro/internal/fv"
+)
+
+// Framing and materialization. The wire codec has two halves:
+//
+//   - Framing turns a stream (or a mux payload already in memory) into a
+//     Frame or a RawReply: the header fields, plus the whole message as one
+//     contiguous byte slice whose length is derived from the command and each
+//     ciphertext's 8-byte header, bounded by the Max*RequestBytes limits, and
+//     validated in place by fv.CheckCiphertext — degree, element count, every
+//     residue below its modulus. Nothing ciphertext-sized is allocated.
+//   - Materialization turns those bytes into *fv.Ciphertext values
+//     (Frame.Request, RawReply.Reply) and back (EncodeRequest, Reply.encode).
+//
+// The front-end only frames. The routing tier never materializes: it
+// forwards a frame's bytes to a backend under a new request ID and relays the
+// backend's framed reply under the client's, having range-checked both — it
+// stays a trust boundary (a node never sees a residue the router let through
+// unchecked, a client never gets one a damaged hop produced) without ever
+// unpacking a coefficient. The data node materializes operands into recycled
+// ciphertexts. CKKS ciphertexts are the exception in this revision: framing
+// validates them by decoding them (ckks.ReadCiphertext, still row by row off
+// the cursor) and keeps the result.
+//
+// Ownership: a Frame and a RawReply own their bytes until released. The
+// front-end releases a request's frame — and the operands materialized from
+// it — only after the reply has been written, because a reply may reference
+// them (a program output that is one of its inputs). A reply's encoding is a
+// pooled buffer released after the write; RawReply.encode hands its own
+// buffer over instead of copying.
+
+// PoisonReleased is a test hook: when set (before any traffic, from a
+// TestMain), every buffer and ciphertext going back to a pool is first
+// overwritten with 0xFF bytes — each 32-bit word then exceeds every modulus —
+// so a use after release fails a range check or a bit-for-bit comparison
+// instead of passing by luck.
+var PoisonReleased bool
+
+// buffer is one pooled byte buffer of the wire path.
+type buffer struct{ b []byte }
+
+// minBufClass is the smallest pooled capacity, 1 KiB: pings, errors, hellos.
+const minBufClass = 10
+
+// bufPools holds free buffers by capacity class: class c holds buffers of
+// capacity at least 1<<c, so a 393 KB reply never draws (and then discards)
+// the buffer a 786 KB request left behind, or the reverse.
+var bufPools [bits.UintSize]sync.Pool
+
+// getBuf returns an empty buffer with room for n bytes.
+func getBuf(n int) *buffer {
+	c := minBufClass
+	if n > 1<<minBufClass {
+		c = bits.Len(uint(n - 1))
+	}
+	if v := bufPools[c].Get(); v != nil {
+		return v.(*buffer)
+	}
+	return &buffer{b: make([]byte, 0, 1<<c)}
+}
+
+// release gives the buffer back. The caller must hold no slice of it.
+func (buf *buffer) release() {
+	if buf == nil || cap(buf.b) < 1<<minBufClass {
+		return
+	}
+	if PoisonReleased {
+		poison(buf.b[:cap(buf.b)])
+	}
+	buf.b = buf.b[:0]
+	bufPools[bits.Len(uint(cap(buf.b)))-1].Put(buf)
+}
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xFF
+	}
+}
+
+// ctPool recycles the ciphertexts a data node materializes operands into.
+// A nil *ctPool allocates and never recycles (clients, ReadRequest).
+type ctPool struct{ p sync.Pool }
+
+func (cp *ctPool) get() *fv.Ciphertext {
+	if cp != nil {
+		if v := cp.p.Get(); v != nil {
+			return v.(*fv.Ciphertext)
+		}
+	}
+	return new(fv.Ciphertext)
+}
+
+func (cp *ctPool) put(ct *fv.Ciphertext) {
+	if cp == nil || ct == nil {
+		return
+	}
+	if PoisonReleased {
+		for _, el := range ct.Els {
+			for _, row := range el.Rows {
+				for i := range row.Coeffs {
+					row.Coeffs[i] = math.MaxUint32
+				}
+			}
+		}
+	}
+	cp.p.Put(ct)
+}
+
+// cursor walks the bytes of one message. Over a stream (r set) it appends
+// what it reads to buf, so the message ends up contiguous there; over a
+// payload already in memory (r nil, buf holding it) it only advances. Either
+// way it hands out at most left more bytes. Slices it returns are invalidated
+// by the next call (buf may move); callers keep offsets, not slices.
+type cursor struct {
+	r    io.Reader
+	buf  []byte
+	off  int // bytes of buf consumed so far
+	left int
+	// short is how many bytes the last failed next did get: zero means the
+	// source ended (or timed out) exactly on a message boundary.
+	short int
+}
+
+// next returns the following n bytes, with io.ReadFull's error contract:
+// io.EOF when none were available, io.ErrUnexpectedEOF when only some were.
+func (c *cursor) next(n int) ([]byte, error) {
+	end := c.off + n
+	if n > c.left {
+		c.short = 0
+		return nil, io.ErrUnexpectedEOF
+	}
+	if c.r == nil {
+		if end > len(c.buf) {
+			c.short = len(c.buf) - c.off
+			if c.short == 0 {
+				return nil, io.EOF
+			}
+			return nil, io.ErrUnexpectedEOF
+		}
+	} else {
+		if end > cap(c.buf) {
+			// Doubling keeps the copying linear when a streaming decoder pulls
+			// a ciphertext through Read one 16 KB row at a time.
+			c.buf = append(make([]byte, 0, max(end, 2*cap(c.buf))), c.buf[:c.off]...)
+		}
+		c.buf = c.buf[:end]
+		if got, err := io.ReadFull(c.r, c.buf[c.off:end]); err != nil {
+			c.short = got
+			return nil, err
+		}
+	}
+	b := c.buf[c.off:end]
+	c.off, c.left = end, c.left-n
+	return b, nil
+}
+
+// Read lets a streaming decoder (ckks.ReadCiphertext) consume from the
+// cursor; what it reads is recorded in buf like everything else.
+func (c *cursor) Read(p []byte) (int, error) {
+	if len(p) > c.left {
+		p = p[:c.left]
+	}
+	if len(p) == 0 {
+		return 0, io.EOF
+	}
+	b, err := c.next(len(p))
+	return copy(p, b), err
+}
+
+// ciphertext consumes one BFV ciphertext — header, then the length the
+// header gives — and validates it in place.
+func (c *cursor) ciphertext(params *fv.Params) error {
+	start := c.off
+	hdr, err := c.next(8)
+	if err != nil {
+		return err
+	}
+	size, err := fv.CiphertextLen(hdr, params)
+	if err != nil {
+		return err
+	}
+	if _, err := c.next(size - 8); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	_, err = fv.CheckCiphertext(c.buf[start:c.off], params)
+	return err
+}
+
+// requestHeadLen is the fixed part of a request header: magic, version,
+// command, request ID, tenant length.
+const requestHeadLen = 4 + 1 + 1 + 8 + 1
+
+// requestIDOff is where the request ID sits in an encoded request.
+const requestIDOff = 4 + 1 + 1
+
+// requestLimit is the most bytes any one request may occupy under the
+// parameter sets a front-end serves.
+func requestLimit(params *fv.Params, cparams *ckks.Params) int {
+	limit := max(MaxRequestBytes(params), MaxProgramRequestBytes(params),
+		MaxKeyBlobBytes(params, cparams)+requestHeadLen+MaxTenantLen+4)
+	if cparams != nil {
+		limit = max(limit, MaxCKKSRequestBytes(cparams))
+	}
+	return limit
+}
+
+// Frame is a request as framed off the wire (or encoded by a client): its
+// header fields, and the complete request — magic through the last body
+// byte — as validated bytes. Handlers receive frames; one that only forwards
+// never looks further.
+type Frame struct {
+	Cmd uint8
+	// ID is the request ID the frame arrived under; the reply goes out under
+	// it. Forwarding restamps the bytes, never this field.
+	ID     uint64
+	Tenant string
+
+	b    []byte  // the encoded request
+	body int     // offset of the command's body in b
+	buf  *buffer // pooled backing of b; nil when the connection owns it
+
+	params *fv.Params
+	// ca, cb are the CKKS operands, decoded while framing (see the comment
+	// at the top of this file).
+	ca, cb *ckks.Ciphertext
+
+	pool *ctPool  // where Request draws operand ciphertexts from
+	req  *Request // what Request materialized, for release
+}
+
+// read frames one request from c. Errors are ReadRequest's: a clean io.EOF
+// (or the bare read error) before the magic is complete, and
+// ErrMalformedRequest for everything after.
+func (f *Frame) read(c *cursor, params *fv.Params, cparams *ckks.Params) error {
+	magic, err := c.next(4)
+	if err != nil {
+		return err
+	}
+	if [4]byte(magic) != protocolMagicV2 {
+		return fmt.Errorf("%w: bad protocol magic %q", ErrMalformedRequest, magic)
+	}
+	hdr, err := c.next(10) // version, command, request ID
+	if err != nil {
+		return malformed(ErrMalformedRequest, "truncated v2 header", err)
+	}
+	if hdr[0] != ProtoV2 {
+		return fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
+	}
+	f.Cmd, f.ID = hdr[1], binary.LittleEndian.Uint64(hdr[2:])
+	tlen, err := c.next(1)
+	if err != nil {
+		return malformed(ErrMalformedRequest, "truncated tenant length", err)
+	}
+	if int(tlen[0]) > MaxTenantLen {
+		return fmt.Errorf("%w: tenant length %d exceeds %d", ErrMalformedRequest, tlen[0], MaxTenantLen)
+	}
+	tenant, err := c.next(int(tlen[0]))
+	if err != nil {
+		return malformed(ErrMalformedRequest, "truncated tenant", err)
+	}
+	f.Tenant = string(tenant)
+	f.body = c.off
+	f.params = params
+	f.ca, f.cb = nil, nil
+
+	switch f.Cmd {
+	case CmdPing, CmdInfo, CmdKeyExport:
+	case CmdKeyImport, CmdAdmin:
+		maxBlob := MaxAdminBytes
+		if f.Cmd == CmdKeyImport {
+			maxBlob = MaxKeyBlobBytes(params, cparams)
+		}
+		n, err := c.next(4)
+		if err != nil {
+			return malformed(ErrMalformedRequest, "truncated payload length", err)
+		}
+		blen := binary.LittleEndian.Uint32(n)
+		if blen == 0 || int64(blen) > int64(maxBlob) {
+			return fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(f.Cmd), blen, maxBlob)
+		}
+		if _, err := c.next(int(blen)); err != nil {
+			return malformed(ErrMalformedRequest, "truncated payload", err)
+		}
+	case CmdProgram:
+		l := ProgramLimits()
+		n, err := c.next(4)
+		if err != nil {
+			return malformed(ErrMalformedRequest, "truncated program length", err)
+		}
+		plen := binary.LittleEndian.Uint32(n)
+		if plen == 0 || int64(plen) > int64(l.MaxEncodedBytes()) {
+			return fmt.Errorf("%w: program length %d outside (0, %d]", ErrMalformedRequest, plen, l.MaxEncodedBytes())
+		}
+		if _, err := c.next(int(plen)); err != nil {
+			return malformed(ErrMalformedRequest, "truncated program", err)
+		}
+		if n, err = c.next(4); err != nil {
+			return malformed(ErrMalformedRequest, "truncated input count", err)
+		}
+		ni := binary.LittleEndian.Uint32(n)
+		if ni == 0 || int64(ni) > int64(l.MaxInputs) {
+			return fmt.Errorf("%w: %d program inputs outside (0, %d]", ErrMalformedRequest, ni, l.MaxInputs)
+		}
+		for i := 0; i < int(ni); i++ {
+			if err := c.ciphertext(params); err != nil {
+				return malformed(ErrMalformedRequest, fmt.Sprintf("reading program input %d", i), err)
+			}
+		}
+	case CmdRotate:
+		if _, err := c.next(4); err != nil {
+			return malformed(ErrMalformedRequest, "truncated Galois element", err)
+		}
+		if err := c.ciphertext(params); err != nil {
+			return malformed(ErrMalformedRequest, "reading operand A", err)
+		}
+	case CmdCKKSAdd, CmdCKKSMul, CmdCKKSRotate:
+		if cparams == nil {
+			return fmt.Errorf("%w: %s on a server without CKKS parameters", ErrMalformedRequest, cmdName(f.Cmd))
+		}
+		if f.Cmd == CmdCKKSRotate {
+			if _, err := c.next(4); err != nil {
+				return malformed(ErrMalformedRequest, "truncated rotation count", err)
+			}
+		}
+		if f.ca, err = ckks.ReadCiphertext(c, cparams); err != nil {
+			return malformed(ErrMalformedRequest, "reading CKKS operand A", err)
+		}
+		if f.Cmd != CmdCKKSRotate {
+			if f.cb, err = ckks.ReadCiphertext(c, cparams); err != nil {
+				return malformed(ErrMalformedRequest, "reading CKKS operand B", err)
+			}
+		}
+	case CmdAdd, CmdMul:
+		if err := c.ciphertext(params); err != nil {
+			return malformed(ErrMalformedRequest, "reading operand A", err)
+		}
+		if err := c.ciphertext(params); err != nil {
+			return malformed(ErrMalformedRequest, "reading operand B", err)
+		}
+	default:
+		return fmt.Errorf("%w: unknown command %d", ErrMalformedRequest, f.Cmd)
+	}
+	f.b = c.buf[:c.off]
+	return nil
+}
+
+// stamp rewrites the request ID in the encoded bytes: how a frame goes out
+// again under a connection's own numbering with nothing else touched.
+func (f *Frame) stamp(id uint64) {
+	binary.LittleEndian.PutUint64(f.b[requestIDOff:], id)
+}
+
+// Request materializes the frame: the decoded request, its ciphertexts drawn
+// from the front-end's pool when the frame came through one. ProgBytes and
+// Blob alias the frame's bytes; everything it returns is valid until the
+// frame is released.
+func (f *Frame) Request() (*Request, error) {
+	req := &Request{Ver: ProtoV2, Cmd: f.Cmd, ID: f.ID, Tenant: f.Tenant, CA: f.ca, CB: f.cb}
+	f.req = req
+	body := f.b[f.body:]
+	operand := func() (*fv.Ciphertext, error) {
+		ct := f.pool.get()
+		n, err := ct.Decode(body, f.params)
+		if err != nil {
+			return nil, err
+		}
+		body = body[n:]
+		return ct, nil
+	}
+	var err error
+	switch f.Cmd {
+	case CmdKeyImport, CmdAdmin:
+		req.Blob = body[4:]
+	case CmdProgram:
+		plen := binary.LittleEndian.Uint32(body)
+		req.ProgBytes = body[4 : 4+plen]
+		body = body[4+plen:]
+		req.Inputs = make([]*fv.Ciphertext, binary.LittleEndian.Uint32(body))
+		body = body[4:]
+		for i := range req.Inputs {
+			if req.Inputs[i], err = operand(); err != nil {
+				return nil, err
+			}
+		}
+	case CmdRotate:
+		req.G = binary.LittleEndian.Uint32(body)
+		body = body[4:]
+		req.A, err = operand()
+	case CmdCKKSRotate:
+		req.R = int32(binary.LittleEndian.Uint32(body))
+	case CmdAdd, CmdMul:
+		if req.A, err = operand(); err == nil {
+			req.B, err = operand()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// Release gives back the frame's buffer and the operands materialized from
+// it. Nothing obtained from the frame may be used afterwards.
+func (f *Frame) Release() {
+	if req := f.req; req != nil {
+		f.pool.put(req.A)
+		f.pool.put(req.B)
+		for _, ct := range req.Inputs {
+			f.pool.put(ct)
+		}
+		f.req = nil
+	}
+	if f.buf != nil {
+		f.buf.release()
+	} else if PoisonReleased {
+		poison(f.b) // the connection's own buffer: about to be overwritten anyway
+	}
+	f.b, f.buf = nil, nil
+}
+
+// EncodeRequest serializes req into a frame — the bytes WriteRequest writes.
+// The caller releases it.
+func EncodeRequest(params *fv.Params, req *Request) (*Frame, error) {
+	if len(req.Tenant) > MaxTenantLen {
+		return nil, fmt.Errorf("cloud: tenant %q longer than %d bytes", req.Tenant, MaxTenantLen)
+	}
+	buf := getBuf(req.encodedSize(params))
+	b := append(buf.b, protocolMagicV2[:]...)
+	b = append(b, ProtoV2, req.Cmd)
+	b = binary.LittleEndian.AppendUint64(b, req.ID)
+	b = append(b, byte(len(req.Tenant)))
+	b = append(b, req.Tenant...)
+	f := &Frame{Cmd: req.Cmd, ID: req.ID, Tenant: req.Tenant, body: len(b), buf: buf, params: params, ca: req.CA, cb: req.CB}
+	b, err := appendRequestBody(b, params, req)
+	buf.b = b
+	if err != nil {
+		buf.release()
+		return nil, err
+	}
+	f.b = b
+	return f, nil
+}
+
+// RawReply is a reply as framed off the wire: status, request ID and the
+// error half or the kind's body as validated bytes. The routing tier relays
+// it as is (it is a Reply); clients materialize it.
+type RawReply struct {
+	cmd uint8   // the command it answers: picks the body's kind
+	b   []byte  // the encoded reply
+	buf *buffer // pooled backing of b, nil when b is plain memory
+
+	params *fv.Params
+	// Decoded while framing: the CKKS result (see the package comment) and
+	// the info body, whose JSON has to parse for the reply to be well formed.
+	ckks *ckks.Ciphertext
+	info *ServerInfo
+}
+
+// replyHeadLen is what every reply opens with: status, request ID.
+const replyHeadLen = 1 + 8
+
+// replyHint is how large a buffer to read f's reply into: a reply is rarely
+// longer than its request, and the two-operand commands answer with one
+// ciphertext — half the request and a few fixed fields.
+func (f *Frame) replyHint() int {
+	switch f.Cmd {
+	case CmdAdd, CmdMul, CmdCKKSAdd, CmdCKKSMul:
+		return len(f.b)/2 + 64
+	}
+	return len(f.b)
+}
+
+// readRawReply frames the reply to a cmd request from a stream into a pooled
+// buffer the returned reply owns. hint sizes that buffer; a longer reply
+// grows it.
+func readRawReply(r io.Reader, hint int, params *fv.Params, cparams *ckks.Params, cmd uint8) (*RawReply, error) {
+	buf := getBuf(hint)
+	c := cursor{r: r, buf: buf.b, left: math.MaxInt}
+	raw := &RawReply{buf: buf}
+	err := raw.read(&c, params, cparams, cmd)
+	buf.b = c.buf[:0] // the cursor may have moved it
+	if err != nil {
+		buf.release()
+		return nil, err
+	}
+	return raw, nil
+}
+
+// read frames the reply to a cmd request from c, with readReplyHead's error
+// contract: an error before the first byte surfaces as is, anything after is
+// ErrMalformedResponse. cparams is needed for the CKKS commands only.
+func (raw *RawReply) read(c *cursor, params *fv.Params, cparams *ckks.Params, cmd uint8) error {
+	raw.cmd, raw.params = cmd, params
+	head, err := c.next(replyHeadLen)
+	if err != nil {
+		if c.short == 0 {
+			return err // the reply never started: hangup or timeout, not garbage
+		}
+		return malformed(ErrMalformedResponse, "truncated reply head", err)
+	}
+	switch head[0] {
+	case statusOK:
+		err = raw.readBody(c, params, cparams)
+	case statusErr:
+		var hdr []byte // code, message length
+		if hdr, err = c.next(5); err != nil {
+			return malformed(ErrMalformedResponse, "truncated error header", err)
+		}
+		// An empty message would make a decoded Response look like a success
+		// (Err == "" is the discriminator its callers use).
+		ln := binary.LittleEndian.Uint32(hdr[1:])
+		if ln == 0 || ln > 1<<16 {
+			return fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
+		}
+		if _, err = c.next(int(ln)); err != nil {
+			return malformed(ErrMalformedResponse, "truncated error message", err)
+		}
+	default:
+		// A corrupted stream must not be mistaken for a success frame — the
+		// bytes after an unknown status would be parsed as a body.
+		return fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, head[0])
+	}
+	if err != nil {
+		return err
+	}
+	raw.b = c.buf[:c.off]
+	return nil
+}
+
+// readBody frames the success body of the kind raw.cmd answers in.
+func (raw *RawReply) readBody(c *cursor, params *fv.Params, cparams *ckks.Params) error {
+	lenBody := func(maxLen int) (int, error) {
+		n, err := c.next(4)
+		if err != nil {
+			return 0, malformed(ErrMalformedResponse, "truncated body length", err)
+		}
+		ln := binary.LittleEndian.Uint32(n)
+		if int64(ln) > int64(maxLen) {
+			return 0, fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
+		}
+		if _, err := c.next(int(ln)); err != nil {
+			return 0, malformed(ErrMalformedResponse, "truncated body", err)
+		}
+		return int(ln), nil
+	}
+	switch raw.cmd {
+	case CmdProgram:
+		hdr, err := c.next(28) // makespan, serial, key loads, nodes, output count
+		if err != nil {
+			return malformed(ErrMalformedResponse, "truncated program response header", err)
+		}
+		nOut := binary.LittleEndian.Uint32(hdr[24:])
+		if nOut == 0 || int64(nOut) > int64(ProgramLimits().MaxOutputs) {
+			return fmt.Errorf("%w: %d program outputs outside (0, %d]", ErrMalformedResponse, nOut, ProgramLimits().MaxOutputs)
+		}
+		for i := 0; i < int(nOut); i++ {
+			if err := c.ciphertext(params); err != nil {
+				return malformed(ErrMalformedResponse, fmt.Sprintf("reading program output %d", i), err)
+			}
+		}
+	case CmdInfo:
+		ln, err := lenBody(maxInfoBytes)
+		if err != nil {
+			return err
+		}
+		raw.info = new(ServerInfo)
+		if err := json.Unmarshal(c.buf[c.off-ln:c.off], raw.info); err != nil {
+			return fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
+		}
+	case CmdKeyExport:
+		_, err := lenBody(MaxKeyBlobBytes(params, cparams))
+		return err
+	case CmdKeyImport, CmdAdmin:
+		_, err := lenBody(MaxAdminBytes)
+		return err
+	default:
+		if _, err := c.next(12); err != nil { // compute nanos, worker
+			return malformed(ErrMalformedResponse, "truncated response header", err)
+		}
+		var err error
+		if isCKKSCmd(raw.cmd) {
+			raw.ckks, err = ckks.ReadCiphertext(c, cparams)
+		} else {
+			err = c.ciphertext(params)
+		}
+		if err != nil {
+			return malformed(ErrMalformedResponse, "reading result", err)
+		}
+	}
+	return nil
+}
+
+// ID returns the request ID the reply answers.
+func (raw *RawReply) ID() uint64 { return binary.LittleEndian.Uint64(raw.b[1:]) }
+
+// ServerError returns the failure an error reply reports, nil for a success.
+func (raw *RawReply) ServerError() *ServerError {
+	if raw.b[0] != statusErr {
+		return nil
+	}
+	return &ServerError{Code: raw.b[replyHeadLen], Msg: string(raw.b[replyHeadLen+5:])}
+}
+
+// Reply materializes the reply: the kind its command answers in, with newly
+// allocated ciphertexts (they outlive the exchange), or the *ServerError it
+// reports. Nothing it returns aliases the raw bytes.
+func (raw *RawReply) Reply() (Reply, error) {
+	if se := raw.ServerError(); se != nil {
+		return se, nil
+	}
+	body := raw.b[replyHeadLen:]
+	result := func() (*fv.Ciphertext, error) {
+		ct := new(fv.Ciphertext)
+		n, err := ct.Decode(body, raw.params)
+		if err != nil {
+			return nil, err
+		}
+		body = body[n:]
+		return ct, nil
+	}
+	switch raw.cmd {
+	case CmdProgram:
+		resp := &ProgramResponse{
+			ID:            raw.ID(),
+			MakespanNanos: binary.LittleEndian.Uint64(body),
+			SerialNanos:   binary.LittleEndian.Uint64(body[8:]),
+			KeyLoads:      binary.LittleEndian.Uint32(body[16:]),
+			Nodes:         binary.LittleEndian.Uint32(body[20:]),
+			Outputs:       make([]*fv.Ciphertext, binary.LittleEndian.Uint32(body[24:])),
+		}
+		body = body[28:]
+		for i := range resp.Outputs {
+			var err error
+			if resp.Outputs[i], err = result(); err != nil {
+				return nil, err
+			}
+		}
+		return resp, nil
+	case CmdInfo:
+		return raw.info, nil
+	case CmdKeyExport, CmdKeyImport, CmdAdmin:
+		return Blob(bytes.Clone(body[4:])), nil
+	}
+	resp := &Response{
+		Ver:          ProtoV2,
+		ID:           raw.ID(),
+		ComputeNanos: binary.LittleEndian.Uint64(body),
+		Worker:       binary.LittleEndian.Uint32(body[8:]),
+		CKKSResult:   raw.ckks,
+	}
+	body = body[12:]
+	if raw.ckks == nil {
+		var err error
+		if resp.Result, err = result(); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// Release gives the reply's buffer back; the reply must not be used again.
+func (raw *RawReply) Release() {
+	raw.buf.release()
+	raw.b, raw.buf = nil, nil
+}
+
+// encode relays the reply under id: the bytes are already the encoding, so
+// it restamps the ID and hands its own buffer to the writer.
+func (raw *RawReply) encode(_ *fv.Params, id uint64) (*buffer, error) {
+	if raw.b == nil {
+		return nil, errors.New("cloud: raw reply relayed twice or after release")
+	}
+	binary.LittleEndian.PutUint64(raw.b[1:], id)
+	buf := raw.buf
+	if buf == nil {
+		buf = &buffer{}
+	}
+	buf.b = raw.b
+	raw.b, raw.buf = nil, nil
+	return buf, nil
+}
+
+// RoundTrip is what every client-side call is made of: encode the request,
+// run one raw exchange, materialize the reply. exchange is a connection's
+// (or the router's) raw exchange; a server-reported failure comes back as
+// the *ServerError reply it is.
+func RoundTrip(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), params *fv.Params, req *Request) (Reply, error) {
+	f, err := EncodeRequest(params, req)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := exchange(ctx, f)
+	f.Release()
+	if err != nil {
+		return nil, err
+	}
+	defer raw.Release()
+	return raw.Reply()
+}

@@ -1,0 +1,209 @@
+package cloud
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/ckks"
+	"repro/internal/fv"
+	"repro/internal/sampler"
+)
+
+// fuzzCKKS builds the CKKS parameter set and one ciphertext for seed frames.
+var fuzzCKKS = sync.OnceValues(func() (*ckks.Params, *ckks.Ciphertext) {
+	cp, err := ckks.NewParams(ckks.TestConfig())
+	if err != nil {
+		panic(err)
+	}
+	prng := sampler.NewPRNG(41)
+	_, pk, _ := ckks.NewKeyGenerator(cp, prng).GenKeys()
+	pt, err := ckks.NewEncoder(cp).Encode([]float64{0.5, -0.25}, cp.MaxLevel(), cp.DefaultScale())
+	if err != nil {
+		panic(err)
+	}
+	return cp, ckks.NewEncryptor(cp, pk, prng).Encrypt(pt)
+})
+
+// addFrameSeeds seeds a fuzz target with a valid encoding and the mutations
+// that reach the deep paths fastest: a truncation, a flipped byte, trailing
+// garbage (a mux payload may carry it), and an out-of-range residue in the
+// last word of the message.
+func addFrameSeeds(f *testing.F, enc []byte, add func(b []byte)) {
+	add(enc)
+	add(enc[:len(enc)/2])
+	flipped := bytes.Clone(enc)
+	flipped[len(enc)/3] ^= 0x40
+	add(flipped)
+	add(append(bytes.Clone(enc), "trailing"...))
+	if len(enc) > 64 {
+		over := bytes.Clone(enc)
+		copy(over[len(over)-4:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+		add(over)
+	}
+}
+
+// sameRefusal fails unless the split codec refused exactly as the reference
+// did: the same sentinel, or the same bare I/O error before the message
+// started.
+func sameRefusal(t *testing.T, what string, got, ref, sentinel error) {
+	t.Helper()
+	if (got == nil) != (ref == nil) {
+		t.Fatalf("%s: framing says %v, the reference decoder says %v", what, got, ref)
+	}
+	if errors.Is(ref, sentinel) != errors.Is(got, sentinel) || (!errors.Is(ref, sentinel) && got != ref) {
+		t.Fatalf("%s: framing refused with %v, the reference decoder with %v", what, got, ref)
+	}
+}
+
+// FuzzFrameRequest: the two halves of the split codec are together exactly
+// the decoder they replaced. Framing — from a stream and from a payload in
+// memory — accepts the inputs the reference ReadRequest accepts and refuses
+// the rest with the same sentinel; on accept, materializing the frame gives
+// the reference's decode, and the frame's bytes — what the routing tier
+// forwards — are the consumed input, byte for byte what WriteRequest writes
+// for that decode.
+func FuzzFrameRequest(f *testing.F) {
+	params := fuzzParams()
+	cparams, cct := fuzzCKKS()
+	ct := fuzzCiphertext()
+	for _, req := range []*Request{
+		{Cmd: CmdPing, ID: 7, Tenant: "alice"},
+		{Cmd: CmdInfo, ID: 8},
+		{Cmd: CmdKeyExport, ID: 13, Tenant: "dave"},
+		{Cmd: CmdKeyImport, ID: 15, Tenant: "erin", Blob: []byte("HEKB not really a key blob")},
+		{Cmd: CmdAdmin, ID: 14, Blob: []byte(`{"op":"drain","node":"n1"}`)},
+		{Cmd: CmdAdd, ID: 9, Tenant: "bob", A: ct, B: ct},
+		{Cmd: CmdMul, ID: 10, A: ct, B: ct},
+		{Cmd: CmdRotate, ID: 11, G: 3, A: ct},
+		{Cmd: CmdProgram, ID: 12, Tenant: "carol", ProgBytes: fuzzProgram(), Inputs: []*fv.Ciphertext{ct, ct}},
+		{Cmd: CmdCKKSAdd, ID: 16, CA: cct, CB: cct},
+		{Cmd: CmdCKKSMul, ID: 17, Tenant: "bob", CA: cct, CB: cct},
+		{Cmd: CmdCKKSRotate, ID: 18, R: -1, CA: cct},
+	} {
+		var buf bytes.Buffer
+		if err := WriteRequest(&buf, params, req); err != nil {
+			f.Fatal(err)
+		}
+		addFrameSeeds(f, buf.Bytes(), func(b []byte) { f.Add(b, true); f.Add(b, false) })
+	}
+	f.Add([]byte("HEA2\x02\x01"), true)
+	f.Add([]byte("HEA"), false)
+	f.Add([]byte{}, true)
+
+	f.Fuzz(func(t *testing.T, data []byte, withCKKS bool) {
+		cp := cparams
+		if !withCKKS {
+			cp = nil // the routing tier's view: CKKS commands are malformed
+		}
+		ref, refErr := refReadRequest(bytes.NewReader(data), params, cp)
+		for source, c := range map[string]*cursor{
+			"stream": {r: bytes.NewReader(data), left: requestLimit(params, cp)},
+			"memory": {buf: bytes.Clone(data), left: requestLimit(params, cp)},
+		} {
+			var fr Frame
+			err := fr.read(c, params, cp)
+			sameRefusal(t, source, err, refErr, ErrMalformedRequest)
+			if err != nil {
+				continue
+			}
+			got, err := fr.Request()
+			if err != nil {
+				t.Fatalf("%s: accepted frame does not materialize: %v", source, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: materialized request differs from the reference decode:\n got %+v\nwant %+v", source, got, ref)
+			}
+			if !bytes.HasPrefix(data, fr.b) {
+				t.Fatalf("%s: frame bytes are not the consumed input", source)
+			}
+			var enc bytes.Buffer
+			if err := WriteRequest(&enc, params, ref); err != nil {
+				t.Fatalf("%s: accepted request does not re-encode: %v", source, err)
+			}
+			if !bytes.Equal(fr.b, enc.Bytes()) {
+				t.Fatalf("%s: forwarded bytes differ from WriteRequest of the decode", source)
+			}
+		}
+	})
+}
+
+// FuzzFrameReply is FuzzFrameRequest for the reply direction, under every
+// reply kind: RawReply.read against the reference readReply, RawReply.Reply
+// against its decode, and the relayed bytes — the raw reply encoded under its
+// own ID — against the consumed input and against the kind's own encoder.
+func FuzzFrameReply(f *testing.F) {
+	params := fuzzParams()
+	cparams, cct := fuzzCKKS()
+	kinds := append(replyKinds(fuzzCiphertext(), 5),
+		replyKind{"ckks op", CmdCKKSMul, &Response{Ver: ProtoV2, ID: 5, CKKSResult: cct, ComputeNanos: 7}},
+		replyKind{"ack", CmdAdmin, Blob(`{"node":"n1"}`)})
+	seeds := []Reply{
+		&ServerError{Code: CodeUnavailable, Msg: "overloaded"},
+		&ServerError{Code: CodeApp, Msg: "no such key"},
+	}
+	for _, k := range kinds {
+		seeds = append(seeds, k.rep)
+	}
+	for _, rep := range seeds {
+		var buf bytes.Buffer
+		if err := writeReply(&buf, rep, params, 5); err != nil {
+			f.Fatal(err)
+		}
+		addFrameSeeds(f, buf.Bytes(), func(b []byte) { f.Add(b) })
+	}
+	f.Add([]byte{0xFF})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range kinds {
+			refID, ref, refErr := refReadReply(bytes.NewReader(data), params, cparams, k.cmd)
+			for source, c := range map[string]*cursor{
+				"stream": {r: bytes.NewReader(data), left: math.MaxInt},
+				"memory": {buf: bytes.Clone(data), left: math.MaxInt},
+			} {
+				what := k.kind + " from " + source
+				var raw RawReply
+				err := raw.read(c, params, cparams, k.cmd)
+				sameRefusal(t, what, err, refErr, ErrMalformedResponse)
+				if err != nil {
+					continue
+				}
+				got, err := raw.Reply()
+				if err != nil {
+					t.Fatalf("%s: accepted reply does not materialize: %v", what, err)
+				}
+				if raw.ID() != refID || !reflect.DeepEqual(got, ref) {
+					t.Fatalf("%s: materialized reply differs from the reference decode:\n got %d %+v\nwant %d %+v", what, raw.ID(), got, refID, ref)
+				}
+				if se := raw.ServerError(); (se != nil) != (data[0] == statusErr) {
+					t.Fatalf("%s: ServerError() = %v for status byte %d", what, se, data[0])
+				}
+				relayed, err := raw.encode(params, refID)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !bytes.HasPrefix(data, relayed.b) {
+					t.Fatalf("%s: relayed bytes are not the consumed input", what)
+				}
+				if _, again := raw.encode(params, refID); again == nil {
+					t.Fatalf("%s: a raw reply encoded twice", what)
+				}
+				// An info reply re-marshals its JSON; every other kind's own
+				// encoder reproduces the relayed bytes.
+				if k.cmd != CmdInfo || data[0] == statusErr {
+					var enc bytes.Buffer
+					if err := writeReply(&enc, ref, params, refID); err != nil {
+						t.Fatalf("%s: accepted reply does not re-encode: %v", what, err)
+					}
+					if !bytes.Equal(relayed.b, enc.Bytes()) {
+						t.Fatalf("%s: relayed bytes differ from the encoding of the decode", what)
+					}
+				}
+			}
+		}
+	})
+}

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,18 +16,22 @@ import (
 )
 
 // DefaultReadTimeout bounds how long a front-end waits for one complete
-// request (idle time between requests included). A client that stalls
-// mid-message — accidentally or as a slow-loris — is disconnected instead
-// of pinning a handler goroutine forever.
+// request (idle time between requests included) and for one reply to drain
+// into the socket. A client that stalls mid-message or stops reading its
+// replies — accidentally or as a slow-loris — is disconnected instead of
+// pinning a handler goroutine (and the buffers of the reply it is stuck on)
+// forever.
 const DefaultReadTimeout = 2 * time.Minute
 
-// Handler answers one decoded request. The front-end calls it on the
+// Handler answers one framed request. The front-end calls it on the
 // connection's own goroutine for sequential connections and on one goroutine
 // per in-flight frame for mux sessions, so it must be safe for concurrent
-// use. It may modify req; the reply goes out under the ID the request
-// arrived with.
+// use. The frame, and whatever the handler materialized from it, stays valid
+// until the front-end has written the reply — which goes out under the ID the
+// request arrived with — and is released by the front-end after that; the
+// handler keeps nothing of it.
 type Handler interface {
-	Handle(req *Request) Reply
+	Handle(f *Frame) Reply
 }
 
 // Frontend is the wire front door (the "Networking Arm Core" of Fig. 11):
@@ -46,6 +49,7 @@ type Frontend struct {
 	ReadTimeout time.Duration
 
 	handler Handler
+	cts     ctPool // operand ciphertexts materialized from this front-end's frames
 	ln      net.Listener
 	mu      sync.Mutex
 	closing bool
@@ -197,16 +201,24 @@ func (fe *Frontend) handle(conn net.Conn) {
 		fe.serveMux(conn, br, timeout)
 		return
 	}
+	// The sequential loop frames every request into one buffer the connection
+	// owns: it grows to the largest request seen and is reused for the next,
+	// which is only read after this one's reply has been written.
+	limit := requestLimit(fe.Params, fe.CKKSParams)
+	f := Frame{pool: &fe.cts}
+	var buf []byte
 	for fe.nextRequest(conn, timeout) {
-		req, err := ReadRequestCKKS(br, fe.Params, fe.CKKSParams)
-		if err != nil {
+		c := cursor{r: br, buf: buf[:0], left: limit}
+		if err := f.read(&c, fe.Params, fe.CKKSParams); err != nil {
 			return // client closed, stalled past the deadline, or spoke garbage
 		}
-		// Sequential replies encode straight onto the connection: no
-		// intermediate copy of a ciphertext-sized body.
-		cmd, id := req.Cmd, req.ID
-		if err := fe.handler.Handle(req).writeReply(conn, fe.Params, id); err != nil {
-			fe.Logger.Printf("cloud: write %s reply: %v", cmdName(cmd), err)
+		buf = c.buf
+		rep := fe.handler.Handle(&f)
+		conn.SetWriteDeadline(time.Now().Add(timeout))
+		err := writeReply(conn, rep, fe.Params, f.ID)
+		f.Release()
+		if err != nil {
+			fe.Logger.Printf("cloud: write %s reply: %v", cmdName(f.Cmd), err)
 			return
 		}
 	}
@@ -231,16 +243,17 @@ func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Durat
 	}
 
 	var wmu sync.Mutex // serializes reply frames across dispatch goroutines
-	// reply frames rep as the answer to request id. An encode or write
-	// failure fails the session; the read loop sees the close.
+	// reply frames rep as the answer to request id, each frame's write bounded
+	// by the front-end's timeout. An encode or write failure fails the
+	// session; the read loop sees the close.
 	reply := func(id uint64, rep Reply) {
-		var buf bytes.Buffer
-		buf.Grow(replySize(rep, fe.Params))
-		err := rep.writeReply(&buf, fe.Params, id)
+		buf, err := rep.encode(fe.Params, id)
 		if err == nil {
 			wmu.Lock()
-			err = WriteMuxFrame(conn, MuxFrameResponse, id, buf.Bytes())
+			conn.SetWriteDeadline(time.Now().Add(timeout))
+			err = WriteMuxFrame(conn, MuxFrameResponse, id, buf.b)
 			wmu.Unlock()
+			buf.release()
 		}
 		if err != nil {
 			fe.Logger.Printf("cloud: mux reply: %v", err)
@@ -257,38 +270,46 @@ func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Durat
 			maxPayload = cl
 		}
 	}
+	limit := requestLimit(fe.Params, fe.CKKSParams)
 
 	for fe.nextRequest(conn, timeout) {
-		f, err := DecodeMuxFrame(br, maxPayload)
+		// Up to a window of requests are in flight at once, so each frame's
+		// payload lands in a pooled buffer that its Frame then owns.
+		mf, buf, err := readMuxFrame(br, maxPayload, true)
 		if errors.Is(err, ErrMuxPayloadChecksum) {
 			// The frame boundary held: fail exactly this request, retryably
 			// (the payload was never decoded, so nothing executed), and keep
 			// serving the session.
-			reply(f.ID, &ServerError{Code: CodeUnavailable, Msg: err.Error()})
+			buf.release()
+			reply(mf.ID, &ServerError{Code: CodeUnavailable, Msg: err.Error()})
 			continue
 		}
 		if err != nil {
 			return // clean close, stall past the deadline, or stream garbage
 		}
-		if f.Type != MuxFrameRequest {
-			fe.Logger.Printf("cloud: mux client sent frame type %d", f.Type)
+		if mf.Type != MuxFrameRequest {
+			buf.release()
+			fe.Logger.Printf("cloud: mux client sent frame type %d", mf.Type)
 			return
 		}
-		req, err := ReadRequestCKKS(bytes.NewReader(f.Payload), fe.Params, fe.CKKSParams)
-		if err == nil && req.ID != f.ID {
+		f := &Frame{buf: buf, pool: &fe.cts}
+		err = f.read(&cursor{buf: mf.Payload, left: limit}, fe.Params, fe.CKKSParams)
+		if err == nil && f.ID != mf.ID {
 			err = errors.New("mux payload must be a request with the frame's ID")
 		}
 		if err != nil {
 			// The checksum matched, so this is the client's encoder speaking
 			// garbage — deterministic, not retryable.
-			reply(f.ID, &ServerError{Code: CodeApp, Msg: err.Error()})
+			f.Release()
+			reply(mf.ID, &ServerError{Code: CodeApp, Msg: err.Error()})
 			continue
 		}
 		sem <- struct{}{} // window full ⇒ pace the reader
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			reply(f.ID, fe.handler.Handle(req))
+			reply(f.ID, fe.handler.Handle(f))
+			f.Release()
 		}()
 	}
 }

@@ -190,7 +190,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	for i, rep := range seeds {
 		var buf bytes.Buffer
-		if err := rep.writeReply(&buf, params, uint64(5+i)); err != nil {
+		if err := writeReply(&buf, rep, params, uint64(5+i)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -213,7 +213,7 @@ func FuzzDecodeResponse(f *testing.F) {
 				t.Fatalf("%s: status byte %d accepted", k.kind, data[0])
 			}
 			var buf bytes.Buffer
-			if err := rep.writeReply(&buf, params, id); err != nil {
+			if err := writeReply(&buf, rep, params, id); err != nil {
 				t.Fatalf("%s: accepted reply does not re-encode: %v", k.kind, err)
 			}
 			if _, _, err := readReply(&buf, params, nil, k.cmd); err != nil {

@@ -254,7 +254,7 @@ type AdminReply struct {
 // an opaque key blob (decode with DecodeTenantKeys). A tenant with no keys
 // on the node is a *ServerError.
 func (c *Client) KeyExport(ctx context.Context, tenant string) ([]byte, error) {
-	return replyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdKeyExport, Tenant: tenant}))
+	return ReplyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdKeyExport, Tenant: tenant}))
 }
 
 // ImportAck is the JSON body acknowledging a CmdKeyImport.
@@ -266,7 +266,7 @@ type ImportAck struct {
 // KeyImport installs a key blob (from KeyExport on another node) under the
 // tenant on this node, returning how many keys were registered.
 func (c *Client) KeyImport(ctx context.Context, tenant string, blob []byte) (*ImportAck, error) {
-	body, err := replyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdKeyImport, Tenant: tenant, Blob: blob}))
+	body, err := ReplyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdKeyImport, Tenant: tenant, Blob: blob}))
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +284,7 @@ func (c *Client) Admin(ctx context.Context, areq *AdminRequest) (*AdminReply, er
 	if err != nil {
 		return nil, err
 	}
-	body, err := replyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdAdmin, Blob: blob}))
+	body, err := ReplyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdAdmin, Blob: blob}))
 	if err != nil {
 		return nil, err
 	}

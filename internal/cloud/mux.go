@@ -185,33 +185,53 @@ func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 //     consumed payload so the caller can fail exactly that request and keep
 //     reading; the next frame boundary is intact.
 func DecodeMuxFrame(r io.Reader, maxPayload int) (*MuxFrame, error) {
+	f, _, err := readMuxFrame(r, maxPayload, false)
+	if f.Payload == nil {
+		return nil, err
+	}
+	return &f, err
+}
+
+// readMuxFrame is DecodeMuxFrame for the serving paths: with pooled set the
+// payload lands in a pooled buffer, returned beside the frame (non-nil
+// whenever the frame's Payload is) for the caller to release or hand on.
+func readMuxFrame(r io.Reader, maxPayload int, pooled bool) (f MuxFrame, buf *buffer, err error) {
 	var hdr [muxHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return f, nil, io.EOF
 		}
-		return nil, malformed(ErrMalformedMuxFrame, "truncated frame header", err)
+		return f, nil, malformed(ErrMalformedMuxFrame, "truncated frame header", err)
 	}
 	if got, want := fnv32a(hdr[:21]), binary.LittleEndian.Uint32(hdr[21:25]); got != want {
-		return nil, fmt.Errorf("%w: header checksum %#x, want %#x", ErrMalformedMuxFrame, got, want)
+		return f, nil, fmt.Errorf("%w: header checksum %#x, want %#x", ErrMalformedMuxFrame, got, want)
 	}
-	f := &MuxFrame{Type: hdr[0], ID: binary.LittleEndian.Uint64(hdr[1:9])}
-	if f.Type != MuxFrameRequest && f.Type != MuxFrameResponse {
-		return nil, fmt.Errorf("%w: unknown frame type %d", ErrMalformedMuxFrame, f.Type)
+	typ, id := hdr[0], binary.LittleEndian.Uint64(hdr[1:9])
+	if typ != MuxFrameRequest && typ != MuxFrameResponse {
+		return f, nil, fmt.Errorf("%w: unknown frame type %d", ErrMalformedMuxFrame, typ)
 	}
 	ln := int(binary.LittleEndian.Uint32(hdr[9:13]))
 	if ln < 1 || ln > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d outside [1, %d]", ErrMalformedMuxFrame, ln, maxPayload)
+		return f, nil, fmt.Errorf("%w: payload length %d outside [1, %d]", ErrMalformedMuxFrame, ln, maxPayload)
 	}
-	f.Payload = make([]byte, ln)
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		return nil, malformed(ErrMalformedMuxFrame, "truncated frame payload", err)
+	var payload []byte
+	if pooled {
+		buf = getBuf(ln)
+		buf.b = buf.b[:ln]
+		payload = buf.b
+	} else {
+		payload = make([]byte, ln)
 	}
-	if got, want := fnv64a(f.Payload), binary.LittleEndian.Uint64(hdr[13:21]); got != want {
-		return f, fmt.Errorf("%w: request %d: payload checksum %#x, want %#x",
-			ErrMuxPayloadChecksum, f.ID, got, want)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		buf.release()
+		return f, nil, malformed(ErrMalformedMuxFrame, "truncated frame payload", err)
 	}
-	return f, nil
+	f = MuxFrame{Type: typ, ID: id, Payload: payload}
+	if got, want := fnv64a(payload), binary.LittleEndian.Uint64(hdr[13:21]); got != want {
+		return f, buf, fmt.Errorf("%w: request %d: payload checksum %#x, want %#x",
+			ErrMuxPayloadChecksum, id, got, want)
+	}
+	return f, buf, nil
 }
 
 // maxMuxPayload is the bound DecodeMuxFrame enforces on both sides: the

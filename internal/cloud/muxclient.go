@@ -1,10 +1,10 @@
 package cloud
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -12,17 +12,11 @@ import (
 	"repro/internal/fv"
 )
 
-// muxResult is what the reader delivers to a waiting submitter.
+// muxResult is what the reader delivers to a waiting submitter: the reply
+// frame's payload, still unframed, in the pooled buffer it was read into.
 type muxResult struct {
-	rep Reply
+	buf *buffer
 	err error
-}
-
-// muxPending is one in-flight exchange: the command whose reply framing the
-// reader decodes with, and where to deliver it.
-type muxPending struct {
-	cmd uint8
-	ch  chan muxResult
 }
 
 // MuxClient is a multiplexed connection to the cloud service: unlike Client,
@@ -45,7 +39,7 @@ type MuxClient struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]muxPending
+	pending map[uint64]chan muxResult
 	err     error // first connection-fatal error; set once, sticky
 
 	readerDone chan struct{}
@@ -98,7 +92,7 @@ func NewMuxClient(conn net.Conn, params *fv.Params, tenant string, window int) (
 		params:     params,
 		window:     granted,
 		sem:        make(chan struct{}, granted),
-		pending:    make(map[uint64]muxPending),
+		pending:    make(map[uint64]chan muxResult),
 		readerDone: make(chan struct{}),
 	}
 	mc.Ops = Ops{Via: mc, Tenant: tenant}
@@ -135,61 +129,59 @@ func (mc *MuxClient) fail(err error) {
 		mc.err = err
 	}
 	stranded := mc.pending
-	mc.pending = make(map[uint64]muxPending)
+	mc.pending = make(map[uint64]chan muxResult)
 	mc.mu.Unlock()
-	for _, p := range stranded {
-		p.ch <- muxResult{err: err}
+	for _, ch := range stranded {
+		ch <- muxResult{err: err}
 	}
 }
 
-// readLoop is the single reader: it decodes frames and dispatches them to
-// whichever pending exchange owns the request ID, in whatever order the
-// server finished them.
+// readLoop is the single reader: it only moves frames — each payload into a
+// pooled buffer, each buffer to whichever pending exchange owns the request
+// ID, in whatever order the server finished them. Framing and validating a
+// ciphertext-sized reply is the waiter's work, on the waiter's goroutine.
 func (mc *MuxClient) readLoop() {
 	defer close(mc.readerDone)
 	maxPayload := maxMuxPayload(mc.params)
 	for {
-		f, err := DecodeMuxFrame(mc.conn, maxPayload)
-		if errors.Is(err, ErrMuxPayloadChecksum) {
-			// The frame boundary is intact: fail only the request the
-			// corrupted payload belonged to and keep reading.
-			if p, ok := mc.take(f.ID); ok {
-				p.ch <- muxResult{err: err}
-			}
-			continue
-		}
-		if err != nil {
+		f, buf, err := readMuxFrame(mc.conn, maxPayload, true)
+		if err != nil && !errors.Is(err, ErrMuxPayloadChecksum) {
 			mc.fail(fmt.Errorf("cloud: mux connection lost: %w", err))
 			return
 		}
-		p, ok := mc.take(f.ID)
-		if !ok {
-			continue // canceled exchange; drop the late response
+		ch, ok := mc.take(f.ID)
+		switch {
+		case !ok: // canceled exchange; drop the late response
+			buf.release()
+		case err != nil:
+			// The frame boundary is intact: fail only the request the
+			// corrupted payload belonged to and keep reading.
+			buf.release()
+			ch <- muxResult{err: err}
+		default:
+			ch <- muxResult{buf: buf}
 		}
-		// The payload is a complete reply in the sequential framing.
-		id, rep, err := readReply(bytes.NewReader(f.Payload), mc.params, nil, p.cmd)
-		if err == nil && id != f.ID {
-			err = fmt.Errorf("%w: inner reply ID %d under frame ID %d", ErrMalformedResponse, id, f.ID)
-		}
-		p.ch <- muxResult{rep: rep, err: err}
 	}
 }
 
 // take removes and returns the pending entry for id.
-func (mc *MuxClient) take(id uint64) (muxPending, bool) {
+func (mc *MuxClient) take(id uint64) (chan muxResult, bool) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	p, ok := mc.pending[id]
+	ch, ok := mc.pending[id]
 	if ok {
 		delete(mc.pending, id)
 	}
-	return p, ok
+	return ch, ok
 }
 
-// roundTrip encodes req as a v2 payload, frames it, and waits for its reply
-// under ctx. It implements the window: a full window fails immediately with
-// ErrWindowExhausted rather than queueing.
-func (mc *MuxClient) roundTrip(ctx context.Context, req *Request) (Reply, error) {
+// Exchange is Client.Exchange over the shared session: it sends f's bytes as
+// one frame under the session's next request ID and waits for the reply
+// frame under ctx, then frames and validates that payload in place. It
+// implements the window: a full window fails immediately with
+// ErrWindowExhausted rather than queueing. The write is synchronous, so
+// nothing references f once Exchange returns, however it returns.
+func (mc *MuxClient) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -210,41 +202,57 @@ func (mc *MuxClient) roundTrip(ctx context.Context, req *Request) (Reply, error)
 	}
 	defer func() { <-mc.sem }()
 
-	req.Ver = ProtoV2
-	if req.Tenant == "" {
-		req.Tenant = mc.Ops.Tenant
-	}
-	p := muxPending{cmd: req.Cmd, ch: make(chan muxResult, 1)}
+	ch := make(chan muxResult, 1)
 	mc.mu.Lock()
 	mc.nextID++
-	req.ID = mc.nextID
-	mc.pending[req.ID] = p
+	id := mc.nextID
+	mc.pending[id] = ch
 	mc.mu.Unlock()
 
-	var buf bytes.Buffer
-	buf.Grow(req.encodedSize(mc.params))
-	if err := WriteRequest(&buf, mc.params, req); err != nil {
-		mc.take(req.ID)
-		return nil, err
-	}
+	f.stamp(id)
 	mc.wmu.Lock()
-	err = WriteMuxFrame(mc.conn, MuxFrameRequest, req.ID, buf.Bytes())
+	err = WriteMuxFrame(mc.conn, MuxFrameRequest, id, f.b)
 	mc.wmu.Unlock()
 	if err != nil {
-		mc.take(req.ID)
+		mc.take(id)
 		mc.fail(fmt.Errorf("cloud: mux write: %w", err))
 		return nil, err
 	}
 
+	var res muxResult
 	select {
-	case res := <-p.ch:
-		return res.rep, res.err
+	case res = <-ch:
 	case <-ctx.Done():
 		// Abandon the exchange: deregister so the reader discards the late
-		// reply. The connection itself stays healthy.
-		mc.take(req.ID)
+		// reply (one it has already handed over is simply dropped with ch).
+		// The connection itself stays healthy.
+		mc.take(id)
 		return nil, ctx.Err()
 	}
+	if res.err != nil {
+		return nil, res.err
+	}
+	// The payload is a complete reply in the sequential framing.
+	raw := &RawReply{buf: res.buf}
+	err = raw.read(&cursor{buf: res.buf.b, left: math.MaxInt}, mc.params, nil, f.Cmd)
+	if err == nil && raw.ID() != id {
+		err = fmt.Errorf("%w: inner reply ID %d under frame ID %d", ErrMalformedResponse, raw.ID(), id)
+	}
+	if err != nil {
+		raw.Release()
+		return nil, err
+	}
+	return raw, nil
+}
+
+// roundTrip is encode, Exchange, materialize, under the client's tenant
+// unless the request names one.
+func (mc *MuxClient) roundTrip(ctx context.Context, req *Request) (Reply, error) {
+	req.Ver = ProtoV2
+	if req.Tenant == "" {
+		req.Tenant = mc.Ops.Tenant
+	}
+	return RoundTrip(ctx, mc.Exchange, mc.params, req)
 }
 
 // Do runs one operation exchange. A server-reported failure is returned as
@@ -254,16 +262,16 @@ func (mc *MuxClient) Do(ctx context.Context, req *Request) (*Response, error) {
 	if isCKKSCmd(req.Cmd) {
 		return nil, fmt.Errorf("cloud: %s is not carried over a mux client", cmdName(req.Cmd))
 	}
-	return replyAs[*Response](mc.roundTrip(ctx, req))
+	return ReplyAs[*Response](mc.roundTrip(ctx, req))
 }
 
 // Info asks the server what it is.
 func (mc *MuxClient) Info(ctx context.Context) (*ServerInfo, error) {
-	return replyAs[*ServerInfo](mc.roundTrip(ctx, &Request{Cmd: CmdInfo}))
+	return ReplyAs[*ServerInfo](mc.roundTrip(ctx, &Request{Cmd: CmdInfo}))
 }
 
 // DoProgram runs one CmdProgram exchange.
 func (mc *MuxClient) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
 	req.Cmd = CmdProgram
-	return replyAs[*ProgramResponse](mc.roundTrip(ctx, req))
+	return ReplyAs[*ProgramResponse](mc.roundTrip(ctx, req))
 }

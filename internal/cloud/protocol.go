@@ -23,6 +23,7 @@
 package cloud
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -201,8 +202,8 @@ func ckksSize(ct *ckks.Ciphertext) int {
 }
 
 // encodedSize bounds the serialized size of req from above, within a few
-// dozen bytes: what a mux frame buffer is grown to, once, before the codec
-// writes a ciphertext-sized body into it row by row.
+// dozen bytes: what picks the pooled buffer EncodeRequest fills, so it never
+// regrows under a ciphertext-sized body.
 func (req *Request) encodedSize(params *fv.Params) int {
 	n := 4 + 1 + 1 + 8 + 1 + len(req.Tenant) + 4 // header, and G or R
 	n += 4 + len(req.Blob) + 4 + len(req.ProgBytes) + 4
@@ -213,94 +214,75 @@ func (req *Request) encodedSize(params *fv.Params) int {
 	return n
 }
 
-// WriteRequest serializes a request.
+// WriteRequest serializes a request: EncodeRequest's bytes as one Write.
 func WriteRequest(w io.Writer, params *fv.Params, req *Request) error {
-	if len(req.Tenant) > MaxTenantLen {
-		return fmt.Errorf("cloud: tenant %q longer than %d bytes", req.Tenant, MaxTenantLen)
-	}
-	hdr := make([]byte, 0, 4+1+1+8+1+len(req.Tenant))
-	hdr = append(hdr, protocolMagicV2[:]...)
-	hdr = append(hdr, ProtoV2, req.Cmd)
-	hdr = binary.LittleEndian.AppendUint64(hdr, req.ID)
-	hdr = append(hdr, byte(len(req.Tenant)))
-	hdr = append(hdr, req.Tenant...)
-	if _, err := w.Write(hdr); err != nil {
+	f, err := EncodeRequest(params, req)
+	if err != nil {
 		return err
 	}
-	return writeRequestBody(w, params, req)
+	defer f.Release()
+	_, err = w.Write(f.b)
+	return err
 }
 
-func writeRequestBody(w io.Writer, params *fv.Params, req *Request) error {
+// appendCKKS appends a CKKS ciphertext's (streaming) encoding to b.
+func appendCKKS(b []byte, ct *ckks.Ciphertext) ([]byte, error) {
+	w := bytes.NewBuffer(b)
+	err := ct.Write(w)
+	return w.Bytes(), err
+}
+
+// appendRequestBody appends the body req.Cmd carries after the tenant.
+func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error) {
+	var err error
 	switch req.Cmd {
 	case CmdPing, CmdInfo, CmdKeyExport:
-		return nil
+		return b, nil
 	case CmdKeyImport, CmdAdmin:
 		// The receiver enforces the tight bound (MaxKeyBlobBytes under its
 		// own parameter sets, MaxAdminBytes for admin); the writer only
 		// refuses frames it could never legally produce.
 		if len(req.Blob) == 0 {
-			return fmt.Errorf("cloud: %s needs a payload", cmdName(req.Cmd))
+			return b, fmt.Errorf("cloud: %s needs a payload", cmdName(req.Cmd))
 		}
 		if req.Cmd == CmdAdmin && len(req.Blob) > MaxAdminBytes {
-			return fmt.Errorf("cloud: admin payload of %d bytes exceeds %d", len(req.Blob), MaxAdminBytes)
+			return b, fmt.Errorf("cloud: admin payload of %d bytes exceeds %d", len(req.Blob), MaxAdminBytes)
 		}
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(req.Blob)))
-		if _, err := w.Write(n[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(req.Blob)
-		return err
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Blob)))
+		return append(b, req.Blob...), nil
 	case CmdProgram:
 		l := ProgramLimits()
 		if len(req.ProgBytes) == 0 || len(req.ProgBytes) > l.MaxEncodedBytes() {
-			return fmt.Errorf("cloud: program of %d bytes outside (0, %d]", len(req.ProgBytes), l.MaxEncodedBytes())
+			return b, fmt.Errorf("cloud: program of %d bytes outside (0, %d]", len(req.ProgBytes), l.MaxEncodedBytes())
 		}
 		if len(req.Inputs) == 0 || len(req.Inputs) > l.MaxInputs {
-			return fmt.Errorf("cloud: %d program inputs outside (0, %d]", len(req.Inputs), l.MaxInputs)
+			return b, fmt.Errorf("cloud: %d program inputs outside (0, %d]", len(req.Inputs), l.MaxInputs)
 		}
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(req.ProgBytes)))
-		if _, err := w.Write(n[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(req.ProgBytes); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(n[:], uint32(len(req.Inputs)))
-		if _, err := w.Write(n[:]); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.ProgBytes)))
+		b = append(b, req.ProgBytes...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Inputs)))
 		for _, ct := range req.Inputs {
-			if err := ct.WriteTo(w, params); err != nil {
-				return err
+			if b, err = ct.AppendTo(b, params); err != nil {
+				return b, err
 			}
 		}
-		return nil
+		return b, nil
 	case CmdRotate:
-		var g [4]byte
-		binary.LittleEndian.PutUint32(g[:], req.G)
-		if _, err := w.Write(g[:]); err != nil {
-			return err
-		}
-		return req.A.WriteTo(w, params)
+		b = binary.LittleEndian.AppendUint32(b, req.G)
+		return req.A.AppendTo(b, params)
 	case CmdCKKSAdd, CmdCKKSMul:
-		if err := req.CA.Write(w); err != nil {
-			return err
+		if b, err = appendCKKS(b, req.CA); err != nil {
+			return b, err
 		}
-		return req.CB.Write(w)
+		return appendCKKS(b, req.CB)
 	case CmdCKKSRotate:
-		var r4 [4]byte
-		binary.LittleEndian.PutUint32(r4[:], uint32(req.R))
-		if _, err := w.Write(r4[:]); err != nil {
-			return err
-		}
-		return req.CA.Write(w)
+		b = binary.LittleEndian.AppendUint32(b, uint32(req.R))
+		return appendCKKS(b, req.CA)
 	}
-	if err := req.A.WriteTo(w, params); err != nil {
-		return err
+	if b, err = req.A.AppendTo(b, params); err != nil {
+		return b, err
 	}
-	return req.B.WriteTo(w, params)
+	return req.B.AppendTo(b, params)
 }
 
 // MaxCKKSRequestBytes returns the upper bound of one CmdCKKS* request: the
@@ -323,140 +305,22 @@ func ReadRequest(r io.Reader, params *fv.Params) (*Request, error) {
 // bodies decode under cparams. A nil cparams refuses those commands (the
 // server cannot even frame the body without the parameter set).
 func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Request, error) {
-	limit := MaxRequestBytes(params)
-	if pl := MaxProgramRequestBytes(params); pl > limit {
-		limit = pl
-	}
-	if cparams != nil {
-		if cl := MaxCKKSRequestBytes(cparams); cl > limit {
-			limit = cl
-		}
-	}
-	if kl := MaxKeyBlobBytes(params, cparams) + 4 + 1 + 1 + 8 + 1 + MaxTenantLen + 4; kl > limit {
-		limit = kl
-	}
-	r = io.LimitReader(r, int64(limit))
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	// Frame into a pooled buffer, materialize (no operand pool: the
+	// ciphertexts are newly allocated), give the buffer back: the request
+	// returned owns its memory.
+	f := Frame{buf: getBuf(MaxRequestBytes(params))}
+	defer f.Release()
+	c := cursor{r: r, buf: f.buf.b, left: requestLimit(params, cparams)}
+	err := f.read(&c, params, cparams)
+	f.buf.b = c.buf[:0] // the cursor may have moved it
+	if err != nil {
 		return nil, err
 	}
-	if magic != protocolMagicV2 {
-		return nil, fmt.Errorf("%w: bad protocol magic %q", ErrMalformedRequest, magic[:])
+	req, err := f.Request()
+	if err != nil {
+		return nil, err
 	}
-	var hdr [10]byte // version, command, request ID
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, malformed(ErrMalformedRequest, "truncated v2 header", err)
-	}
-	if hdr[0] != ProtoV2 {
-		return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
-	}
-	req := &Request{Ver: hdr[0], Cmd: hdr[1], ID: binary.LittleEndian.Uint64(hdr[2:])}
-	var tlen [1]byte
-	if _, err := io.ReadFull(r, tlen[:]); err != nil {
-		return nil, malformed(ErrMalformedRequest, "truncated tenant length", err)
-	}
-	if int(tlen[0]) > MaxTenantLen {
-		return nil, fmt.Errorf("%w: tenant length %d exceeds %d", ErrMalformedRequest, tlen[0], MaxTenantLen)
-	}
-	tenant := make([]byte, tlen[0])
-	if _, err := io.ReadFull(r, tenant); err != nil {
-		return nil, malformed(ErrMalformedRequest, "truncated tenant", err)
-	}
-	req.Tenant = string(tenant)
-
-	switch req.Cmd {
-	case CmdPing, CmdInfo, CmdKeyExport:
-		return req, nil
-	case CmdKeyImport, CmdAdmin:
-		maxBlob := MaxAdminBytes
-		if req.Cmd == CmdKeyImport {
-			maxBlob = MaxKeyBlobBytes(params, cparams)
-		}
-		var n [4]byte
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated payload length", err)
-		}
-		blen := binary.LittleEndian.Uint32(n[:])
-		if blen == 0 || int64(blen) > int64(maxBlob) {
-			return nil, fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(req.Cmd), blen, maxBlob)
-		}
-		req.Blob = make([]byte, blen)
-		if _, err := io.ReadFull(r, req.Blob); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated payload", err)
-		}
-		return req, nil
-	case CmdProgram:
-		l := ProgramLimits()
-		var n [4]byte
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated program length", err)
-		}
-		plen := binary.LittleEndian.Uint32(n[:])
-		if plen == 0 || int64(plen) > int64(l.MaxEncodedBytes()) {
-			return nil, fmt.Errorf("%w: program length %d outside (0, %d]", ErrMalformedRequest, plen, l.MaxEncodedBytes())
-		}
-		req.ProgBytes = make([]byte, plen)
-		if _, err := io.ReadFull(r, req.ProgBytes); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated program", err)
-		}
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated input count", err)
-		}
-		ni := binary.LittleEndian.Uint32(n[:])
-		if ni == 0 || int64(ni) > int64(l.MaxInputs) {
-			return nil, fmt.Errorf("%w: %d program inputs outside (0, %d]", ErrMalformedRequest, ni, l.MaxInputs)
-		}
-		req.Inputs = make([]*fv.Ciphertext, ni)
-		for i := range req.Inputs {
-			var err error
-			if req.Inputs[i], err = fv.ReadCiphertext(r, params); err != nil {
-				return nil, malformed(ErrMalformedRequest, fmt.Sprintf("reading program input %d", i), err)
-			}
-		}
-		return req, nil
-	case CmdRotate:
-		var g [4]byte
-		if _, err := io.ReadFull(r, g[:]); err != nil {
-			return nil, malformed(ErrMalformedRequest, "truncated Galois element", err)
-		}
-		req.G = binary.LittleEndian.Uint32(g[:])
-		var err error
-		if req.A, err = fv.ReadCiphertext(r, params); err != nil {
-			return nil, malformed(ErrMalformedRequest, "reading operand A", err)
-		}
-		return req, nil
-	case CmdCKKSAdd, CmdCKKSMul, CmdCKKSRotate:
-		if cparams == nil {
-			return nil, fmt.Errorf("%w: %s on a server without CKKS parameters", ErrMalformedRequest, cmdName(req.Cmd))
-		}
-		if req.Cmd == CmdCKKSRotate {
-			var r4 [4]byte
-			if _, err := io.ReadFull(r, r4[:]); err != nil {
-				return nil, malformed(ErrMalformedRequest, "truncated rotation count", err)
-			}
-			req.R = int32(binary.LittleEndian.Uint32(r4[:]))
-		}
-		var err error
-		if req.CA, err = ckks.ReadCiphertext(r, cparams); err != nil {
-			return nil, malformed(ErrMalformedRequest, "reading CKKS operand A", err)
-		}
-		if req.Cmd != CmdCKKSRotate {
-			if req.CB, err = ckks.ReadCiphertext(r, cparams); err != nil {
-				return nil, malformed(ErrMalformedRequest, "reading CKKS operand B", err)
-			}
-		}
-		return req, nil
-	case CmdAdd, CmdMul:
-	default:
-		return nil, fmt.Errorf("%w: unknown command %d", ErrMalformedRequest, req.Cmd)
-	}
-	var err error
-	if req.A, err = fv.ReadCiphertext(r, params); err != nil {
-		return nil, malformed(ErrMalformedRequest, "reading operand A", err)
-	}
-	if req.B, err = fv.ReadCiphertext(r, params); err != nil {
-		return nil, malformed(ErrMalformedRequest, "reading operand B", err)
-	}
+	req.Blob, req.ProgBytes = bytes.Clone(req.Blob), bytes.Clone(req.ProgBytes)
 	return req, nil
 }
 
@@ -508,10 +372,12 @@ func cmdName(cmd uint8) string {
 // refuse it, and one writer and one reader serve every command.
 
 // Reply is what a Handler answers a request with: one of the four kinds
-// (*Response, *ProgramResponse, *ServerInfo, Blob) or a *ServerError. It
-// encodes itself as the reply to request id.
+// (*Response, *ProgramResponse, *ServerInfo, Blob), a *ServerError, or — at
+// the routing tier — the *RawReply a backend sent. It encodes itself as the
+// reply to request id into one pooled buffer, which the writer releases once
+// the bytes are on the wire.
 type Reply interface {
-	writeReply(w io.Writer, params *fv.Params, id uint64) error
+	encode(params *fv.Params, id uint64) (*buffer, error)
 }
 
 // replySize is encodedSize for a reply: its ciphertexts or blob plus room for
@@ -535,103 +401,48 @@ func replySize(rep Reply, params *fv.Params) int {
 	return n
 }
 
-// writeReplyError writes the error half.
-func writeReplyError(w io.Writer, id uint64, code uint8, msg string) error {
-	b := make([]byte, 0, 1+8+1+4+len(msg))
-	b = append(b, statusErr)
-	b = binary.LittleEndian.AppendUint64(b, id)
-	b = append(b, code)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(msg)))
-	_, err := w.Write(append(b, msg...))
+// encodeReply runs one kind's encoder over a buffer sized for rep: body
+// appends everything after the status byte and request ID.
+func encodeReply(rep Reply, params *fv.Params, status uint8, id uint64, body func(b []byte) ([]byte, error)) (*buffer, error) {
+	buf := getBuf(replySize(rep, params))
+	b, err := body(binary.LittleEndian.AppendUint64(append(buf.b, status), id))
+	buf.b = b
+	if err != nil {
+		buf.release()
+		return nil, err
+	}
+	return buf, nil
+}
+
+// writeReply writes rep's encoding as the reply to request id, as one Write.
+func writeReply(w io.Writer, rep Reply, params *fv.Params, id uint64) error {
+	buf, err := rep.encode(params, id)
+	if err != nil {
+		return err
+	}
+	defer buf.release()
+	_, err = w.Write(buf.b)
 	return err
 }
 
-// okHead starts a success reply: status and request ID, with room for the
-// extra bytes of fixed fields the kind appends before its first write.
-func okHead(id uint64, extra int) []byte {
-	b := make([]byte, 0, 1+8+extra)
-	b = append(b, statusOK)
-	return binary.LittleEndian.AppendUint64(b, id)
-}
-
-// readReplyHead reads what every reply opens with. For an error reply it
-// consumes the rest and returns it as serr; otherwise the kind's body
-// follows. An error before the first byte (a clean EOF, a deadline) surfaces
-// as is.
-func readReplyHead(r io.Reader) (id uint64, serr *ServerError, err error) {
-	var head [9]byte // status, id
-	if n, err := io.ReadFull(r, head[:]); err != nil {
-		if n == 0 {
-			return 0, nil, err // the reply never started: hangup or timeout, not garbage
-		}
-		return 0, nil, malformed(ErrMalformedResponse, "truncated reply head", err)
-	}
-	id = binary.LittleEndian.Uint64(head[1:])
-	switch head[0] {
-	case statusOK:
-		return id, nil, nil
-	case statusErr:
-	default:
-		// A corrupted stream must not be mistaken for a success frame — the
-		// bytes after an unknown status would be parsed as a body.
-		return 0, nil, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, head[0])
-	}
-	var hdr [5]byte // code, message length
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, malformed(ErrMalformedResponse, "truncated error header", err)
-	}
-	// An empty message would make a decoded Response look like a success
-	// (Err == "" is the discriminator its callers use).
-	ln := binary.LittleEndian.Uint32(hdr[1:])
-	if ln == 0 || ln > 1<<16 {
-		return 0, nil, fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
-	}
-	msg := make([]byte, ln)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return 0, nil, malformed(ErrMalformedResponse, "truncated error message", err)
-	}
-	return id, &ServerError{Code: hdr[0], Msg: string(msg)}, nil
-}
-
-// readReply decodes the reply to a cmd request: the shared head, then the
-// body of the kind cmd answers in. A server-reported failure comes back as
-// the *ServerError it is. cparams is needed for the CKKS commands only.
+// readReply frames and materializes the reply to a cmd request: what the
+// exported Read*Response functions are made of. A server-reported failure
+// comes back as the *ServerError it is. cparams is needed for the CKKS
+// commands only.
 func readReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint8) (uint64, Reply, error) {
-	id, serr, err := readReplyHead(r)
+	hint := 0 // room for a two-element result, the usual reply
+	if params != nil {
+		hint = 64 + 2*params.QBasis.K()*params.N()*4
+	} else if cparams != nil {
+		hint = 64 + ckks.ByteSize(2, cparams.MaxLevel(), cparams.N())
+	}
+	raw, err := readRawReply(r, hint, params, cparams, cmd)
 	if err != nil {
 		return 0, nil, err
 	}
-	if serr != nil {
-		return id, serr, nil
-	}
-	var (
-		rep  Reply
-		body []byte
-	)
-	switch cmd {
-	case CmdProgram:
-		rep, err = readProgramBody(r, params, id)
-	case CmdInfo:
-		if body, err = readLenBody(r, maxInfoBytes); err == nil {
-			info := new(ServerInfo)
-			if err = json.Unmarshal(body, info); err != nil {
-				err = fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
-			}
-			rep = info
-		}
-	case CmdKeyExport:
-		body, err = readLenBody(r, MaxKeyBlobBytes(params, cparams))
-		rep = Blob(body)
-	case CmdKeyImport, CmdAdmin:
-		body, err = readLenBody(r, MaxAdminBytes)
-		rep = Blob(body)
-	default:
-		rep, err = readOpBody(r, params, cparams, id, isCKKSCmd(cmd))
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return id, rep, nil
+	defer raw.Release()
+	rep, err := raw.Reply()
+	return raw.ID(), rep, err
 }
 
 // Response is the op-kind reply: the result ciphertext and the simulated
@@ -651,46 +462,21 @@ type Response struct {
 
 // WriteResponse serializes a response.
 func WriteResponse(w io.Writer, params *fv.Params, resp *Response) error {
-	return resp.writeReply(w, params, resp.ID)
+	return writeReply(w, resp, params, resp.ID)
 }
 
-func (resp *Response) writeReply(w io.Writer, params *fv.Params, id uint64) error {
+func (resp *Response) encode(params *fv.Params, id uint64) (*buffer, error) {
 	if resp.Err != "" {
-		return writeReplyError(w, id, resp.Code, resp.Err)
+		return (&ServerError{Code: resp.Code, Msg: resp.Err}).encode(params, id)
 	}
-	hdr := okHead(id, 8+4)
-	hdr = binary.LittleEndian.AppendUint64(hdr, resp.ComputeNanos)
-	hdr = binary.LittleEndian.AppendUint32(hdr, resp.Worker)
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if resp.CKKSResult != nil {
-		return resp.CKKSResult.Write(w)
-	}
-	return resp.Result.WriteTo(w, params)
-}
-
-func readOpBody(r io.Reader, params *fv.Params, cparams *ckks.Params, id uint64, isCKKS bool) (*Response, error) {
-	var meta [12]byte // compute nanos, worker
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
-		return nil, malformed(ErrMalformedResponse, "truncated response header", err)
-	}
-	resp := &Response{
-		Ver:          ProtoV2,
-		ID:           id,
-		ComputeNanos: binary.LittleEndian.Uint64(meta[:8]),
-		Worker:       binary.LittleEndian.Uint32(meta[8:]),
-	}
-	var err error
-	if isCKKS {
-		resp.CKKSResult, err = ckks.ReadCiphertext(r, cparams)
-	} else {
-		resp.Result, err = fv.ReadCiphertext(r, params)
-	}
-	if err != nil {
-		return nil, malformed(ErrMalformedResponse, "reading result", err)
-	}
-	return resp, nil
+	return encodeReply(resp, params, statusOK, id, func(b []byte) ([]byte, error) {
+		b = binary.LittleEndian.AppendUint64(b, resp.ComputeNanos)
+		b = binary.LittleEndian.AppendUint32(b, resp.Worker)
+		if resp.CKKSResult != nil {
+			return appendCKKS(b, resp.CKKSResult)
+		}
+		return resp.Result.AppendTo(b, params)
+	})
 }
 
 // ReadResponseV deserializes the response to a request of protocol version
@@ -735,12 +521,12 @@ type ServerInfo struct {
 // maxInfoBytes bounds the JSON body of an info reply.
 const maxInfoBytes = 1 << 20
 
-func (info *ServerInfo) writeReply(w io.Writer, _ *fv.Params, id uint64) error {
+func (info *ServerInfo) encode(params *fv.Params, id uint64) (*buffer, error) {
 	body, err := json.Marshal(info)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return Blob(body).writeReply(w, nil, id)
+	return Blob(body).encode(params, id)
 }
 
 // Blob is the blob-kind reply: an opaque length-prefixed body — a tenant key
@@ -748,31 +534,10 @@ func (info *ServerInfo) writeReply(w io.Writer, _ *fv.Params, id uint64) error {
 // CmdAdmin).
 type Blob []byte
 
-func (b Blob) writeReply(w io.Writer, _ *fv.Params, id uint64) error {
-	hdr := binary.LittleEndian.AppendUint32(okHead(id, 4), uint32(len(b)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-// readLenBody reads the length-prefixed body the info and blob kinds share,
-// refusing a length beyond maxLen before allocating.
-func readLenBody(r io.Reader, maxLen int) ([]byte, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, malformed(ErrMalformedResponse, "truncated body length", err)
-	}
-	ln := binary.LittleEndian.Uint32(n[:])
-	if int64(ln) > int64(maxLen) {
-		return nil, fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
-	}
-	body := make([]byte, ln)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, malformed(ErrMalformedResponse, "truncated body", err)
-	}
-	return body, nil
+func (blob Blob) encode(params *fv.Params, id uint64) (*buffer, error) {
+	return encodeReply(blob, params, statusOK, id, func(b []byte) ([]byte, error) {
+		return append(binary.LittleEndian.AppendUint32(b, uint32(len(blob))), blob...), nil
+	})
 }
 
 // ProgramResponse is the program-kind reply: every program output plus the
@@ -794,31 +559,30 @@ type ProgramResponse struct {
 
 // WriteProgramResponse serializes a CmdProgram reply.
 func WriteProgramResponse(w io.Writer, params *fv.Params, resp *ProgramResponse) error {
-	return resp.writeReply(w, params, resp.ID)
+	return writeReply(w, resp, params, resp.ID)
 }
 
-func (resp *ProgramResponse) writeReply(w io.Writer, params *fv.Params, id uint64) error {
+func (resp *ProgramResponse) encode(params *fv.Params, id uint64) (*buffer, error) {
 	if resp.Err != "" {
-		return writeReplyError(w, id, resp.Code, resp.Err)
+		return (&ServerError{Code: resp.Code, Msg: resp.Err}).encode(params, id)
 	}
 	if len(resp.Outputs) == 0 || len(resp.Outputs) > ProgramLimits().MaxOutputs {
-		return fmt.Errorf("cloud: %d program outputs outside (0, %d]", len(resp.Outputs), ProgramLimits().MaxOutputs)
+		return nil, fmt.Errorf("cloud: %d program outputs outside (0, %d]", len(resp.Outputs), ProgramLimits().MaxOutputs)
 	}
-	hdr := okHead(id, 8+8+4+4+4)
-	hdr = binary.LittleEndian.AppendUint64(hdr, resp.MakespanNanos)
-	hdr = binary.LittleEndian.AppendUint64(hdr, resp.SerialNanos)
-	hdr = binary.LittleEndian.AppendUint32(hdr, resp.KeyLoads)
-	hdr = binary.LittleEndian.AppendUint32(hdr, resp.Nodes)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(resp.Outputs)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	for _, ct := range resp.Outputs {
-		if err := ct.WriteTo(w, params); err != nil {
-			return err
+	return encodeReply(resp, params, statusOK, id, func(b []byte) ([]byte, error) {
+		b = binary.LittleEndian.AppendUint64(b, resp.MakespanNanos)
+		b = binary.LittleEndian.AppendUint64(b, resp.SerialNanos)
+		b = binary.LittleEndian.AppendUint32(b, resp.KeyLoads)
+		b = binary.LittleEndian.AppendUint32(b, resp.Nodes)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Outputs)))
+		for _, ct := range resp.Outputs {
+			var err error
+			if b, err = ct.AppendTo(b, params); err != nil {
+				return b, err
+			}
 		}
-	}
-	return nil
+		return b, nil
+	})
 }
 
 // ReadProgramResponse deserializes a CmdProgram reply. A server-reported
@@ -836,33 +600,6 @@ func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, erro
 	return resp, nil
 }
 
-func readProgramBody(r io.Reader, params *fv.Params, id uint64) (*ProgramResponse, error) {
-	var hdr [28]byte // makespan, serial, key loads, nodes, output count
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, malformed(ErrMalformedResponse, "truncated program response header", err)
-	}
-	resp := &ProgramResponse{
-		ID:            id,
-		MakespanNanos: binary.LittleEndian.Uint64(hdr[:8]),
-		SerialNanos:   binary.LittleEndian.Uint64(hdr[8:16]),
-		KeyLoads:      binary.LittleEndian.Uint32(hdr[16:20]),
-		Nodes:         binary.LittleEndian.Uint32(hdr[20:24]),
-	}
-	nOut := binary.LittleEndian.Uint32(hdr[24:28])
-	if nOut == 0 || int64(nOut) > int64(ProgramLimits().MaxOutputs) {
-		return nil, fmt.Errorf("%w: %d program outputs outside (0, %d]", ErrMalformedResponse, nOut, ProgramLimits().MaxOutputs)
-	}
-	resp.Outputs = make([]*fv.Ciphertext, nOut)
-	for i := range resp.Outputs {
-		ct, err := fv.ReadCiphertext(r, params)
-		if err != nil {
-			return nil, malformed(ErrMalformedResponse, fmt.Sprintf("reading program output %d", i), err)
-		}
-		resp.Outputs[i] = ct
-	}
-	return resp, nil
-}
-
 // ServerError is an error the server reported in a reply — the node is alive
 // and speaking the protocol; the operation itself failed. It is the error
 // half of the envelope on both sides of the wire: what a client's call
@@ -874,8 +611,12 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return "cloud: server error: " + e.Msg }
 
-func (e *ServerError) writeReply(w io.Writer, _ *fv.Params, id uint64) error {
-	return writeReplyError(w, id, e.Code, e.Msg)
+// encode writes the error half: code, message length, message.
+func (e *ServerError) encode(params *fv.Params, id uint64) (*buffer, error) {
+	return encodeReply(e, params, statusErr, id, func(b []byte) ([]byte, error) {
+		b = append(b, e.Code)
+		return append(binary.LittleEndian.AppendUint32(b, uint32(len(e.Msg))), e.Msg...), nil
+	})
 }
 
 // Retryable reports whether the failure was node-local — unavailability

@@ -55,8 +55,15 @@ func (s *Server) SetGaloisKey(gk *fv.GaloisKey) {
 // Served returns the number of operations completed.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
-// Handle serves one request against the engine.
-func (s *Server) Handle(req *Request) Reply {
+// Handle serves one request against the engine. This is where a frame is
+// materialized: its operands decode into ciphertexts recycled through the
+// front-end's pool, which takes them back — with the frame — once the reply
+// (which may carry one of them, as a program output) has been written.
+func (s *Server) Handle(f *Frame) Reply {
+	req, err := f.Request()
+	if err != nil {
+		return failed(err)
+	}
 	switch req.Cmd {
 	case CmdInfo:
 		return s.info()

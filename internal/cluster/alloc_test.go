@@ -1,0 +1,156 @@
+package cluster
+
+import (
+	"context"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/cloud"
+	"repro/internal/engine"
+	"repro/internal/fv"
+	"repro/internal/sampler"
+)
+
+// The allocation wall of the wire path, beside sched's wall for the hardware
+// path: a warm routed Add at the paper set — client, routing tier and data
+// node in one process, so every tier's garbage is counted — allocates two
+// result ciphertexts (the one the scheduler reads back on the node and the
+// one the client decodes its reply into) and small change. Nothing
+// ciphertext-sized is allocated for an operand anywhere, and nothing at all
+// at the routing tier: its share, the difference to the same client talking
+// to the node directly, is bookkeeping.
+const (
+	routedSlack = 128 << 10
+	routerShare = 16 << 10
+)
+
+// poolsDrop reports whether a sync.Pool loses items between a Put and the
+// next Get on the same processor, which it only does under the race detector.
+func poolsDrop() bool {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+func TestRoutedAddAllocWall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper parameters are slow")
+	}
+	if poolsDrop() {
+		t.Skip("sync.Pool does not retain here (the race detector makes Put drop a quarter of its items): the wall holds for recycled buffers")
+	}
+	params, err := fv.NewParams(fv.PaperConfig(65537))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prng := sampler.NewPRNG(2019)
+	_, pk, _ := fv.NewKeyGenerator(params, prng).GenKeys()
+	ct := fv.NewEncryptor(params, pk, prng).Encrypt(fv.NewPlaintext(params))
+
+	eng, err := engine.New(engine.Config{Params: params, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := cloud.NewServer(params, eng, nil)
+	nodeAddr, err := node.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeDone := make(chan error, 1)
+	go func() { nodeDone <- node.Serve() }()
+	defer func() {
+		node.Close()
+		<-nodeDone
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := eng.Shutdown(ctx); err != nil {
+			t.Errorf("engine shutdown: %v", err)
+		}
+	}()
+
+	// bytesPerAdd is the process-wide allocation per warm Add through a
+	// sequential client on addr. As testing.AllocsPerRun does, it runs on one
+	// processor — sync.Pool shards by processor, and a goroutine that wakes
+	// up on another one misses a warm pool — and it holds the collector off
+	// while counting: a cycle empties the pools, and the refill would be
+	// charged to whichever handful of operations it happened to land on.
+	bytesPerAdd := func(addr string) uint64 {
+		t.Helper()
+		client, err := cloud.Dial(addr, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		add := func() {
+			sum, _, err := client.Add(ct, ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sum.Els) != 2 {
+				t.Fatalf("sum has %d elements", len(sum.Els))
+			}
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for i := 0; i < 8; i++ {
+			add()
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		const calls = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			add()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+
+	results := uint64(2 * 2 * params.QBasis.K() * params.N() * 8)
+	direct := bytesPerAdd(nodeAddr)
+	t.Logf("direct: %d bytes/op (two results %d)", direct, results)
+	for _, mux := range []bool{false, true} {
+		router, err := NewRouter(Config{
+			Params:   params,
+			Backends: []Backend{{ID: "node", Addr: nodeAddr}},
+			Mux:      mux,
+			// No probe lands inside the measurement.
+			Health: HealthConfig{Interval: time.Hour, Seed: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier := NewServer(params, router, nil)
+		addr, err := tier.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- tier.Serve() }()
+		routed := bytesPerAdd(addr)
+		tier.Close()
+		<-done
+		router.Close()
+
+		name := map[bool]string{false: "pooled", true: "mux"}[mux]
+		t.Logf("routed, %s backend transport: %d bytes/op (wall %d, router's share %d)",
+			name, routed, results+routedSlack, int64(routed)-int64(direct))
+		if routed > results+routedSlack {
+			t.Errorf("%s: a routed Add allocates %d bytes, over the wall of %d (two result ciphertexts + %d)",
+				name, routed, results+routedSlack, routedSlack)
+		}
+		if routed > direct+routerShare {
+			t.Errorf("%s: the routing tier adds %d bytes per Add, over its share of %d",
+				name, routed-direct, routerShare)
+		}
+	}
+}

@@ -6,14 +6,16 @@ import (
 	"sync"
 
 	"repro/internal/cloud"
+	"repro/internal/obs"
 )
 
-// conn is the per-attempt connection surface the router needs. Both the
-// sequential *cloud.Client and the multiplexed *cloud.MuxClient satisfy it,
-// so the failover walk is oblivious to which transport a backend pool hands
-// out.
+// conn is the per-attempt connection surface the router needs: the raw
+// exchange it forwards frames through, and a ping for the health probe. Both
+// the sequential *cloud.Client and the multiplexed *cloud.MuxClient satisfy
+// it, so the failover walk is oblivious to which transport a backend pool
+// hands out.
 type conn interface {
-	cloud.Exchanger
+	Exchange(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, error)
 	PingCtx(ctx context.Context) error
 	Broken() bool
 	Close() error
@@ -25,6 +27,14 @@ type backendPool interface {
 	get() (conn, error)
 	put(conn)
 	close()
+}
+
+// member is what the router keeps per backend: its transport pool and the
+// histogram its attempts are timed into, resolved once instead of by name on
+// every attempt.
+type member struct {
+	backendPool
+	latency *obs.Histogram
 }
 
 // connPool keeps idle protocol connections to one backend. A cloud.Client

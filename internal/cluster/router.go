@@ -142,7 +142,7 @@ type Router struct {
 
 	mu    sync.RWMutex      // guards addrs and pools against membership changes
 	addrs map[string]string // backend ID -> address
-	pools map[string]backendPool
+	pools map[string]*member
 
 	// adminMu serializes membership changes (join/leave/drain): migrations
 	// mutate shared routing state in stages and must not interleave.
@@ -165,7 +165,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   NewRing(cfg.VirtualNodes),
 		addrs:  make(map[string]string, len(cfg.Backends)),
-		pools:  make(map[string]backendPool, len(cfg.Backends)),
+		pools:  make(map[string]*member, len(cfg.Backends)),
 		reg:    cfg.Registry,
 		logger: cfg.Logger,
 		gates:  newGateSet(),
@@ -183,20 +183,23 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // newPoolFor builds the transport pool for one backend.
-func (r *Router) newPoolFor(b Backend) backendPool {
+func (r *Router) newPoolFor(b Backend) *member {
 	addr := b.Addr
+	p := &member{latency: r.reg.Histogram("cluster_backend_latency:" + b.ID)}
 	if r.cfg.Mux {
-		return newMuxPool(func() (*cloud.MuxClient, error) {
+		p.backendPool = newMuxPool(func() (*cloud.MuxClient, error) {
 			return cloud.DialMux(addr, r.cfg.Params)
 		})
+	} else {
+		p.backendPool = newConnPool(r.cfg.PoolSize, func() (*cloud.Client, error) {
+			return cloud.Dial(addr, r.cfg.Params)
+		})
 	}
-	return newConnPool(r.cfg.PoolSize, func() (*cloud.Client, error) {
-		return cloud.Dial(addr, r.cfg.Params)
-	})
+	return p
 }
 
 // pool returns the backend's transport pool, nil when the node is unknown.
-func (r *Router) pool(id string) backendPool {
+func (r *Router) pool(id string) *member {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.pools[id]
@@ -214,7 +217,7 @@ func (r *Router) Close() error {
 	r.health.stop()
 	r.mu.Lock()
 	pools := r.pools
-	r.pools = make(map[string]backendPool)
+	r.pools = make(map[string]*member)
 	r.mu.Unlock()
 	for _, p := range pools {
 		p.close()
@@ -309,16 +312,11 @@ func isIdempotent(cmd uint8) bool {
 }
 
 // Do routes one request to the tenant's shard and returns the backend's
-// response. Failed attempts — transport errors and retryable server errors —
-// fail over to the next replica in the preference list, bounded by
-// MaxAttempts and the caller's context; deterministic server errors (e.g. a
-// missing evaluation key) return immediately. The response's BackendID is
-// recorded in the router's per-backend latency histograms.
+// decoded response: encode, Forward, materialize — the in-process caller's
+// (cluster.Client's) view of the same walk the wire front-end forwards raw
+// frames through.
 func (r *Router) Do(ctx context.Context, req *cloud.Request) (*cloud.Response, error) {
-	return routeWithFailover(r, ctx, req.Tenant, req.Cmd,
-		func(ctx context.Context, cl conn) (*cloud.Response, error) {
-			return cl.Do(ctx, req)
-		})
+	return cloud.ReplyAs[*cloud.Response](cloud.RoundTrip(ctx, r.Forward, r.cfg.Params, req))
 }
 
 // DoProgram routes one compiled-program request to the tenant's shard with
@@ -326,22 +324,24 @@ func (r *Router) Do(ctx context.Context, req *cloud.Request) (*cloud.Response, e
 // wire exchange, and — being a pure function of its inputs — one idempotent
 // retry unit.
 func (r *Router) DoProgram(ctx context.Context, req *cloud.Request) (*cloud.ProgramResponse, error) {
-	return routeWithFailover(r, ctx, req.Tenant, cloud.CmdProgram,
-		func(ctx context.Context, cl conn) (*cloud.ProgramResponse, error) {
-			return cl.DoProgram(ctx, req)
-		})
+	req.Cmd = cloud.CmdProgram
+	return cloud.ReplyAs[*cloud.ProgramResponse](cloud.RoundTrip(ctx, r.Forward, r.cfg.Params, req))
 }
 
-// routeWithFailover is the shared failover walk: candidates from the ring,
-// health filtering, bounded retries of idempotent commands on transport
-// errors and retryable server errors, immediate return on deterministic
-// ones. The exchange callback runs one attempt on an already-pooled client.
-func routeWithFailover[T any](r *Router, ctx context.Context, tenant string, cmd uint8,
-	exchange func(ctx context.Context, cl conn) (T, error)) (T, error) {
-	var zero T
+// Forward routes one framed request to the backend owning its tenant and
+// returns that backend's framed reply — neither is unpacked: the frame's
+// validated bytes go out under the backend connection's own request ID, and
+// the reply comes back validated for the caller to relay or materialize, and
+// to release. This is the failover walk: candidates from the ring, health
+// filtering, bounded retries of idempotent commands — the same bytes again,
+// on the next replica — after transport errors and retryable server errors,
+// immediate return of deterministic ones (a missing evaluation key) as the
+// *cloud.ServerError they are.
+func (r *Router) Forward(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	tenant := f.Tenant
 	r.reg.Counter("cluster_requests").Add(1)
 	// Park behind the tenant's gate while a migration is moving its key
 	// state; on resume the candidates below reflect the post-flip ring.
@@ -351,17 +351,17 @@ func routeWithFailover[T any](r *Router, ctx context.Context, tenant string, cmd
 	}
 	if err != nil {
 		r.reg.Counter("cluster_errors").Add(1)
-		return zero, err
+		return nil, err
 	}
 	defer r.gates.exit(tenant)
 	candidates, rerouted, routable := r.candidatesFor(tenant)
 	if len(candidates) == 0 {
 		r.reg.Counter("cluster_errors").Add(1)
-		return zero, ErrNoBackends
+		return nil, ErrNoBackends
 	}
 	if !routable {
 		r.reg.Counter("cluster_errors").Add(1)
-		return zero, fmt.Errorf("%w %q (candidates %v all ejected)", ErrNoBackends, tenant, candidates)
+		return nil, fmt.Errorf("%w %q (candidates %v all ejected)", ErrNoBackends, tenant, candidates)
 	}
 	if rerouted {
 		// The tenant's primary is ejected; a replica takes over.
@@ -374,7 +374,7 @@ func routeWithFailover[T any](r *Router, ctx context.Context, tenant string, cmd
 	for _, node := range candidates {
 		if err := ctx.Err(); err != nil {
 			r.reg.Counter("cluster_errors").Add(1)
-			return zero, err
+			return nil, err
 		}
 		if attempts >= r.cfg.MaxAttempts {
 			break
@@ -383,9 +383,9 @@ func routeWithFailover[T any](r *Router, ctx context.Context, tenant string, cmd
 			r.reg.Counter("cluster_retries").Add(1)
 		}
 		attempts++
-		resp, err := tryOn(r, ctx, node, exchange)
+		raw, err := r.tryOn(ctx, node, f)
 		if err == nil {
-			return resp, nil
+			return raw, nil
 		}
 		lastErr = err
 		var se *cloud.ServerError
@@ -394,7 +394,7 @@ func routeWithFailover[T any](r *Router, ctx context.Context, tenant string, cmd
 				// Deterministic application error: every replica would fail
 				// the same way.
 				r.reg.Counter("cluster_errors").Add(1)
-				return zero, err
+				return nil, err
 			}
 			if se.Code == cloud.CodeIntegrity {
 				// The backend caught corrupted co-processor state; the next
@@ -402,44 +402,49 @@ func routeWithFailover[T any](r *Router, ctx context.Context, tenant string, cmd
 				r.reg.Counter("cluster_integrity_reroutes").Add(1)
 			}
 		}
-		if !isIdempotent(cmd) {
+		if !isIdempotent(f.Cmd) {
 			r.reg.Counter("cluster_errors").Add(1)
-			return zero, err
+			return nil, err
 		}
 	}
 	r.reg.Counter("cluster_errors").Add(1)
 	if lastErr == nil {
-		return zero, fmt.Errorf("%w %q (candidates %v all ejected)", ErrNoBackends, tenant, candidates)
+		return nil, fmt.Errorf("%w %q (candidates %v all ejected)", ErrNoBackends, tenant, candidates)
 	}
-	return zero, fmt.Errorf("%w after %d attempt(s): %w", ErrAttemptsExhausted, attempts, lastErr)
+	return nil, fmt.Errorf("%w after %d attempt(s): %w", ErrAttemptsExhausted, attempts, lastErr)
 }
 
 // tryOn runs one attempt against one backend under the per-attempt deadline,
-// reporting the outcome to the health manager.
-func tryOn[T any](r *Router, ctx context.Context, node string,
-	exchange func(ctx context.Context, cl conn) (T, error)) (T, error) {
-	var zero T
+// reporting the outcome to the health manager. An error reply is returned as
+// the *cloud.ServerError it carries.
+func (r *Router) tryOn(ctx context.Context, node string, f *cloud.Frame) (*cloud.RawReply, error) {
 	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	defer cancel()
 	p := r.pool(node)
 	if p == nil {
 		err := fmt.Errorf("cluster: unknown backend %s", node)
 		r.health.reportFailure(node, err)
-		return zero, err
+		return nil, err
 	}
 	cl, err := p.get()
 	if err != nil {
 		r.health.reportFailure(node, err)
-		return zero, fmt.Errorf("cluster: dial %s: %w", node, err)
+		return nil, fmt.Errorf("cluster: dial %s: %w", node, err)
 	}
 	r.health.incInflight(node)
 	start := time.Now()
-	resp, err := exchange(actx, cl)
+	raw, err := cl.Exchange(actx, f)
 	elapsed := time.Since(start)
 	r.health.decInflight(node)
 	r.health.observe(node, elapsed)
-	r.reg.Histogram("cluster_backend_latency:" + node).Observe(elapsed)
+	p.latency.Observe(elapsed)
 	p.put(cl) // closes it when the exchange broke the stream
+	if err == nil {
+		if se := raw.ServerError(); se != nil {
+			raw.Release()
+			err = se
+		}
+	}
 	if err != nil {
 		var se *cloud.ServerError
 		if errors.As(err, &se) || errors.Is(err, cloud.ErrWindowExhausted) {
@@ -447,13 +452,13 @@ func tryOn[T any](r *Router, ctx context.Context, node string,
 			// backpressure, not node failure): it is alive. Only
 			// transport-level failures feed the circuit breaker.
 			r.health.reportSuccess(node)
-			return zero, err
+			return nil, err
 		}
 		r.health.reportFailure(node, err)
-		return zero, fmt.Errorf("cluster: backend %s: %w", node, err)
+		return nil, fmt.Errorf("cluster: backend %s: %w", node, err)
 	}
 	r.health.reportSuccess(node)
-	return resp, nil
+	return raw, nil
 }
 
 // Ping checks that at least one routable backend answers. It walks the

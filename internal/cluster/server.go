@@ -38,10 +38,10 @@ func NewServer(params *fv.Params, router *Router, logger *log.Logger) *Server {
 // Served returns the number of operations routed successfully.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
-// routed turns a router outcome into the reply: the backend's own reply on
-// success, the backend's typed error when it reported one, and a retryable
-// "unavailable" for anything the routing tier itself ran into.
-func (s *Server) routed(rep cloud.Reply, err error) cloud.Reply {
+// routed turns a router outcome into the reply: the backend's own reply
+// bytes on success, the backend's typed error when it reported one, and a
+// retryable "unavailable" for anything the routing tier itself ran into.
+func (s *Server) routed(rep *cloud.RawReply, err error) cloud.Reply {
 	if err == nil {
 		s.served.Add(1)
 		return rep
@@ -59,9 +59,12 @@ func refuse(msg string) cloud.Reply {
 }
 
 // Handle answers one request: info, ping and admin locally, everything else
-// through the router.
-func (s *Server) Handle(req *cloud.Request) cloud.Reply {
-	switch req.Cmd {
+// through the router — as the frame it arrived in. The front-end has already
+// range-checked every ciphertext in it; the router sends those bytes on and
+// relays the backend's reply bytes back, checked the same way, without
+// decoding either.
+func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
+	switch f.Cmd {
 	case cloud.CmdInfo:
 		return &cloud.ServerInfo{
 			Proto:       cloud.ProtoV2,
@@ -79,21 +82,23 @@ func (s *Server) Handle(req *cloud.Request) cloud.Reply {
 		}
 		return &cloud.Response{Result: fv.NewCiphertext(s.Params, 2)}
 	case cloud.CmdAdmin:
-		return s.admin(req)
+		return s.admin(f)
 	case cloud.CmdKeyExport, cloud.CmdKeyImport:
 		// Key migration is node-direct: the router's migration engine dials
 		// the data nodes itself, and proxying key blobs through the routing
 		// tier would only widen the window where state lives in one place.
 		return refuse("cluster: key export/import is not served at the routing tier")
-	case cloud.CmdProgram:
-		return s.routed(s.Router.DoProgram(context.Background(), req))
 	}
-	return s.routed(s.Router.Do(context.Background(), req))
+	return s.routed(s.Router.Forward(context.Background(), f))
 }
 
 // admin applies one membership change (join/leave/drain) to the router and
 // acknowledges with the resulting ring and migration totals.
-func (s *Server) admin(req *cloud.Request) cloud.Reply {
+func (s *Server) admin(f *cloud.Frame) cloud.Reply {
+	req, err := f.Request()
+	if err != nil {
+		return refuse(err.Error())
+	}
 	var areq cloud.AdminRequest
 	if err := json.Unmarshal(req.Blob, &areq); err != nil {
 		return refuse("cluster: bad admin request: " + err.Error())
@@ -101,10 +106,7 @@ func (s *Server) admin(req *cloud.Request) cloud.Reply {
 	// Membership changes drain and transfer key state; give them the
 	// router's full migration budget, not the connection read timeout.
 	ctx := context.Background()
-	var (
-		rep *MigrationReport
-		err error
-	)
+	var rep *MigrationReport
 	switch areq.Op {
 	case cloud.AdminJoin:
 		rep, err = s.Router.Join(ctx, Backend{ID: areq.Node, Addr: areq.Addr})

@@ -261,7 +261,7 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 			// (operands are still pristine in vals), up to the same retry
 			// budget single ops get.
 			var redo []int
-			for range pending {
+			for got := 1; got <= len(pending); got++ {
 				r := <-results
 				ni := r.def - p.NumInputs
 				if r.err != nil {
@@ -271,6 +271,12 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 						e.m.integrityRetries.Add(1)
 						redo = append(redo, ni)
 						continue
+					}
+					// The rest of the wavefront is still reading the program's
+					// inputs on other workers; the caller may recycle them the
+					// moment this returns, so wait those nodes out first.
+					for ; got < len(pending); got++ {
+						<-results
 					}
 					return nil, fmt.Errorf("engine: program node %d (%v): %w", ni, p.Nodes[ni].Op, r.err)
 				}

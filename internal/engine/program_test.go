@@ -280,3 +280,39 @@ func TestProgramSharesPoolWithOps(t *testing.T) {
 		t.Fatalf("Programs/ProgramNodes = %d/%d, want 1/%d", s.Programs, s.ProgramNodes, len(p.Nodes))
 	}
 }
+
+// TestProgramFailureWaitsOutItsWavefront: when one node of a wavefront fails,
+// SubmitProgram returns only after the level's other nodes have finished —
+// they are still reading the program's inputs on other workers, and a caller
+// that recycles its operands (the data node's wire front-end does) may
+// overwrite them as soon as SubmitProgram returns. The failing Mul is refused
+// by the scheduler before it computes anything; its sibling is a real Mul,
+// orders of magnitude slower, so a return that does not wait finds no
+// completed node on any worker.
+func TestProgramFailureWaitsOutItsWavefront(t *testing.T) {
+	params := testParams(t)
+	tn := newTenant(t, params, "acme", 7)
+	e := newEngine(t, params, Config{Workers: 2})
+	e.SetRelinKey(tn.name, tn.rk)
+	b := program.NewBuilder()
+	x, z := b.Input(), b.Input()
+	b.Output(b.Mul(x, x))
+	b.Output(b.Mul(z, z)) // fails at run time: z arrives with three elements
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tn.encrypt(params, 3, 1)
+	unrelinearized := fv.NewEvaluator(params).MulNoRelin(ct, ct)
+	_, err = e.SubmitProgram(context.Background(), ProgramOp{Tenant: tn.name, Prog: p, Inputs: []*fv.Ciphertext{ct, unrelinearized}})
+	if err == nil {
+		t.Fatal("a Mul of a three-element ciphertext succeeded")
+	}
+	var finished uint64
+	for _, w := range e.workers {
+		finished += w.ops.Load()
+	}
+	if finished != 1 {
+		t.Fatalf("SubmitProgram returned (%v) with %d of the failed wavefront's other nodes finished, want 1", err, finished)
+	}
+}

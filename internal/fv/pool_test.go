@@ -64,7 +64,7 @@ func TestParallelMulRace(t *testing.T) {
 	b := NewPlaintext(p)
 	for i := range a.Coeffs {
 		a.Coeffs[i] = uint64(5*i) % p.T()
-		b.Coeffs[i] = uint64(11*i + 3) % p.T()
+		b.Coeffs[i] = uint64(11*i+3) % p.T()
 	}
 	ca, cb := enc.Encrypt(a), enc.Encrypt(b)
 	want := NewEvaluator(p).Mul(ca, cb, rk)

@@ -27,15 +27,15 @@ const (
 )
 
 var opNames = map[Op]string{
-	OpNTT:    "NTT",
-	OpINTT:   "Inverse-NTT",
-	OpCMul:   "Coeff. wise Multiplication",
-	OpCAdd:   "Coeff. wise Addition",
-	OpCSub:   "Coeff. wise Subtraction",
-	OpCMac:   "Coeff. wise Mult-Accumulate",
-	OpRearr:  "Memory Rearrange",
-	OpLift:   "Lift q->Q",
-	OpScale:  "Scale Q->q",
+	OpNTT:     "NTT",
+	OpINTT:    "Inverse-NTT",
+	OpCMul:    "Coeff. wise Multiplication",
+	OpCAdd:    "Coeff. wise Addition",
+	OpCSub:    "Coeff. wise Subtraction",
+	OpCMac:    "Coeff. wise Mult-Accumulate",
+	OpRearr:   "Memory Rearrange",
+	OpLift:    "Lift q->Q",
+	OpScale:   "Scale Q->q",
 	OpDecomp:  "WordDecomp",
 	OpRescale: "Rescale",
 }
@@ -49,15 +49,15 @@ func (o Op) String() string {
 
 // mnemonics for the assembly listing.
 var opMnemonics = map[Op]string{
-	OpNTT:    "ntt",
-	OpINTT:   "intt",
-	OpCMul:   "cmul",
-	OpCAdd:   "cadd",
-	OpCSub:   "csub",
-	OpCMac:   "cmac",
-	OpRearr:  "rearr",
-	OpLift:   "lift",
-	OpScale:  "scale",
+	OpNTT:     "ntt",
+	OpINTT:    "intt",
+	OpCMul:    "cmul",
+	OpCAdd:    "cadd",
+	OpCSub:    "csub",
+	OpCMac:    "cmac",
+	OpRearr:   "rearr",
+	OpLift:    "lift",
+	OpScale:   "scale",
 	OpDecomp:  "wdec",
 	OpRescale: "resc",
 }

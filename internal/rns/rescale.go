@@ -85,10 +85,10 @@ func (r *Rescaler) RescaleInto(pool *poly.Pool, x, out poly.RNSPoly) {
 // keeping rows independent (order-free, hence pool-size invariant) at the
 // cost of one extra add per lane.
 type rescaleTask struct {
-	r    *Rescaler
-	t    int
-	x    []poly.Poly
-	out  []poly.Poly
+	r   *Rescaler
+	t   int
+	x   []poly.Poly
+	out []poly.Poly
 }
 
 func (task *rescaleTask) RunIndex(j int) {

@@ -15,18 +15,18 @@ import (
 // per ciphertext polynomial; the keyswitch scratch (digit, key, SoP,
 // accumulators) additionally carries the p* extension row.
 const (
-	ckSlotA0 = iota // operand a0 → c0 after tensor
-	ckSlotA1        // operand a1 → a1·b0 cross term → rescaled c0'
-	ckSlotB0        // operand b0 → rescaled c1'
-	ckSlotB1        // operand b1 → c2 (relin input)
-	ckSlotT1        // tensor accumulator c1
-	ckSlotDigit     // current keyswitch digit (extended rows)
-	ckSlotSop       // keyswitch product scratch (extended rows)
-	ckSlotKey       // streamed key component (extended rows)
-	ckSlotAcc0      // SoP accumulator 0 (extended) → combined c0
-	ckSlotAcc1      // SoP accumulator 1 (extended) → combined c1
-	ckSlotMd0       // ModDown landing 0 (chain rows)
-	ckSlotMd1       // ModDown landing 1 (chain rows)
+	ckSlotA0    = iota // operand a0 → c0 after tensor
+	ckSlotA1           // operand a1 → a1·b0 cross term → rescaled c0'
+	ckSlotB0           // operand b0 → rescaled c1'
+	ckSlotB1           // operand b1 → c2 (relin input)
+	ckSlotT1           // tensor accumulator c1
+	ckSlotDigit        // current keyswitch digit (extended rows)
+	ckSlotSop          // keyswitch product scratch (extended rows)
+	ckSlotKey          // streamed key component (extended rows)
+	ckSlotAcc0         // SoP accumulator 0 (extended) → combined c0
+	ckSlotAcc1         // SoP accumulator 1 (extended) → combined c1
+	ckSlotMd0          // ModDown landing 0 (chain rows)
+	ckSlotMd1          // ModDown landing 1 (chain rows)
 	ckNumSlots
 )
 
