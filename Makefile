@@ -60,8 +60,9 @@ fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l is not empty:"; echo "$$out"; exit 1; }
 
 # Five-iteration fuzz smoke over the differential fv<->hwsim targets (the
-# reused-memory-file one included), the hardened wire-protocol decoders and
-# their equivalence to the pre-split reference decoders (FuzzFrame*), the
+# reused-memory-file one included), the one ciphertext codec under both
+# header layouts (FuzzCodec), the hardened wire-protocol decoders and their
+# equivalence to the pre-split reference decoders (FuzzFrame*), the
 # compiled-program codec, and the CKKS key container and encoder. CI's
 # fuzz-smoke job runs this target, so the list exists once.
 fuzz-smoke:
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDiffMulRelin -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffCKKSMulRescale -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffReusedCoprocessor -fuzztime=5x ./internal/difftest
+	$(GO) test -run=NONE -fuzz=FuzzCodec -fuzztime=20x ./internal/rlwe
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMuxFrame -fuzztime=20x ./internal/cloud

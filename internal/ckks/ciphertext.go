@@ -1,12 +1,11 @@
 package ckks
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/poly"
+	"repro/internal/rlwe"
 )
 
 // Plaintext is an encoded slot vector: a coefficient-domain polynomial over
@@ -82,75 +81,56 @@ func (ct *Ciphertext) Equal(other *Ciphertext) bool {
 	return true
 }
 
-// ctHeaderLen is the serialized header: element count, ring degree, level
-// (all uint32), one uint32 of padding, and the scale as a float64 bit
-// pattern — then the residue rows as 32-bit words, low row first.
-const ctHeaderLen = 24
-
 // ByteSize returns the serialized size of a ciphertext with els elements at
-// level over ring degree n.
+// level over ring degree n: the 24-byte leveled header, then every live
+// residue as a 32-bit word.
 func ByteSize(els, level, n int) int {
-	return ctHeaderLen + els*(level+1)*n*4
+	return rlwe.HeaderLen(true) + els*(level+1)*n*4
 }
 
-// Write serializes the ciphertext.
+// Wire encoding: the leveled layout of the shared ciphertext codec (package
+// rlwe) — element count, ring degree, level, one zero word of padding (all
+// uint32) and the scale as a float64 bit pattern, then the residue rows as
+// 32-bit words, low row first. The functions below are its typed entry
+// points; every reader shares its checks: degree, 1–3 elements, a level
+// inside the chain, zero padding, a finite positive scale, every residue
+// below its modulus.
+
+// Wire returns what CKKS contributes to the shared codec: the chain q_0..q_L,
+// the ring degree, and a header that carries level and scale.
+func (p *Params) Wire() rlwe.Layout {
+	return rlwe.Layout{Scheme: "ckks", Mods: p.QMods, N: p.N(), Leveled: true}
+}
+
+// AppendTo appends the encoding of ct to dst and returns the extended slice.
+// A ciphertext describes its own level and scale, so no parameter set is
+// needed to encode one.
+func (ct *Ciphertext) AppendTo(dst []byte) ([]byte, error) {
+	return rlwe.AppendTo(dst, ct.Els, true, ct.Scale)
+}
+
+// Decode validates the encoding at the head of b — exactly as the in-place
+// check a forwarding tier runs, params.Wire().Check, does — and stores it in
+// ct, returning the encoded length. Rows ct already has in the right shape
+// are reused — at whatever level it was before — and every coefficient is
+// overwritten, so a recycled ciphertext keeps nothing of its previous value.
+// After an error ct's contents are unspecified.
+func (ct *Ciphertext) Decode(b []byte, params *Params) (n int, err error) {
+	n, ct.Scale, err = params.Wire().Decode(b, &ct.Els)
+	return n, err
+}
+
+// Write serializes the ciphertext as one Write of its encoding.
 func (ct *Ciphertext) Write(w io.Writer) error {
-	var hdr [ctHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(ct.Els)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(ct.Els[0].N()))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(ct.Level()))
-	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(ct.Scale))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	n := ct.Els[0].N()
-	buf := make([]byte, n*4)
-	for _, el := range ct.Els {
-		for _, row := range el.Rows {
-			row.PackWords(buf)
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return rlwe.WriteTo(w, ct.Els, true, ct.Scale)
 }
 
 // ReadCiphertext deserializes a ciphertext under params, validating shape,
 // level, residue range, and scale.
-func ReadCiphertext(r io.Reader, params *Params) (*Ciphertext, error) {
-	var hdr [ctHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadCiphertext(r io.Reader, params *Params) (ct *Ciphertext, err error) {
+	ct = new(Ciphertext)
+	if ct.Scale, err = params.Wire().ReadInto(r, &ct.Els); err != nil {
 		return nil, err
-	}
-	els := int(binary.LittleEndian.Uint32(hdr[0:]))
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	level := int(binary.LittleEndian.Uint32(hdr[8:]))
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(hdr[16:]))
-	if n != params.N() {
-		return nil, fmt.Errorf("ckks: ciphertext ring degree %d, params %d", n, params.N())
-	}
-	if els < 1 || els > 3 {
-		return nil, fmt.Errorf("ckks: implausible ciphertext with %d elements", els)
-	}
-	if level < 0 || level > params.MaxLevel() {
-		return nil, fmt.Errorf("ckks: level %d outside chain (L=%d)", level, params.MaxLevel())
-	}
-	if !(scale > 0) || math.IsInf(scale, 0) {
-		return nil, fmt.Errorf("ckks: implausible scale %g", scale)
-	}
-	ct := NewCiphertext(params, els-1, level)
-	ct.Scale = scale
-	buf := make([]byte, n*4)
-	for _, el := range ct.Els {
-		for ri := range el.Rows {
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, err
-			}
-			if bad, ok := el.Rows[ri].UnpackWords(buf); !ok {
-				return nil, fmt.Errorf("ckks: residue %d out of range for modulus %d", bad, params.QMods[ri].Q)
-			}
-		}
 	}
 	return ct, nil
 }

@@ -302,6 +302,20 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	if buf.Len() != ByteSize(len(ca.Els), ca.Level(), tc.params.N()) {
 		t.Fatalf("serialized %d bytes, ByteSize says %d", buf.Len(), ByteSize(len(ca.Els), ca.Level(), tc.params.N()))
 	}
+	// The byte-slice entry points are the same codec (internal/rlwe tests it
+	// in depth): same bytes out, same length in, same value back — into a
+	// recycled ciphertext at another level too.
+	app, err := ca.AppendTo(nil)
+	if err != nil || !bytes.Equal(app, buf.Bytes()) {
+		t.Fatalf("AppendTo and Write disagree (%v)", err)
+	}
+	if n, err := tc.params.Wire().Check(app); err != nil || n != len(app) {
+		t.Fatalf("in-place check = (%d, %v), want %d", n, err, len(app))
+	}
+	into := NewCiphertext(tc.params, 2, 1)
+	if n, err := into.Decode(app, tc.params); err != nil || n != len(app) || !into.Equal(ca) {
+		t.Fatalf("Decode = (%d, %v), equal %v", n, err, into.Equal(ca))
+	}
 	got, err := ReadCiphertext(&buf, tc.params)
 	if err != nil {
 		t.Fatalf("ReadCiphertext: %v", err)

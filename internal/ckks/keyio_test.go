@@ -3,10 +3,13 @@ package ckks
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/fv"
 	"repro/internal/keyio"
+	"repro/internal/poly"
+	"repro/internal/ring"
 	"repro/internal/sampler"
 )
 
@@ -177,4 +180,14 @@ func TestCrossSchemeRejected(t *testing.T) {
 	if errors.Is(err, ErrCorruptKey) {
 		t.Fatalf("foreign scheme reported as corruption: %v", err)
 	}
+}
+
+// writePolyRows is the row hasher kat_test.go pins plaintexts with: the key
+// files' row packing over x's own shape.
+func writePolyRows(w io.Writer, x poly.RNSPoly) error {
+	mods := make([]ring.Modulus, len(x.Rows))
+	for i, row := range x.Rows {
+		mods[i] = row.Mod
+	}
+	return keyio.WriteRows(w, mods, x.N(), x)
 }

@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/ckks"
 	"repro/internal/fv"
+	"repro/internal/poly"
+	"repro/internal/rlwe"
 )
 
 // Framing and materialization. The wire codec has two halves:
@@ -21,21 +23,22 @@ import (
 //   - Framing turns a stream (or a mux payload already in memory) into a
 //     Frame or a RawReply: the header fields, plus the whole message as one
 //     contiguous byte slice whose length is derived from the command and each
-//     ciphertext's 8-byte header, bounded by the Max*RequestBytes limits, and
-//     validated in place by fv.CheckCiphertext — degree, element count, every
-//     residue below its modulus. Nothing ciphertext-sized is allocated.
-//   - Materialization turns those bytes into *fv.Ciphertext values
-//     (Frame.Request, RawReply.Reply) and back (EncodeRequest, Reply.encode).
+//     ciphertext's header, bounded by the Max*RequestBytes limits, and with
+//     every ciphertext — BFV or CKKS — validated in place by the one codec
+//     both schemes share (rlwe.Layout.Check under the scheme's layout: header
+//     fields, then every residue below its modulus). Nothing ciphertext-sized
+//     is allocated, for any command.
+//   - Materialization turns those bytes into *fv.Ciphertext and
+//     *ckks.Ciphertext values (Frame.Request, RawReply.Reply) and back
+//     (EncodeRequest, Reply.encode).
 //
 // The front-end only frames. The routing tier never materializes: it
 // forwards a frame's bytes to a backend under a new request ID and relays the
 // backend's framed reply under the client's, having range-checked both — it
 // stays a trust boundary (a node never sees a residue the router let through
 // unchecked, a client never gets one a damaged hop produced) without ever
-// unpacking a coefficient. The data node materializes operands into recycled
-// ciphertexts. CKKS ciphertexts are the exception in this revision: framing
-// validates them by decoding them (ckks.ReadCiphertext, still row by row off
-// the cursor) and keeps the result.
+// unpacking a coefficient. The data node materializes operands of either
+// scheme into recycled ciphertexts.
 //
 // Ownership: a Frame and a RawReply own their bytes until released. The
 // front-end releases a request's frame — and the operands materialized from
@@ -92,33 +95,55 @@ func poison(b []byte) {
 	}
 }
 
-// ctPool recycles the ciphertexts a data node materializes operands into.
-// A nil *ctPool allocates and never recycles (clients, ReadRequest).
-type ctPool struct{ p sync.Pool }
+// ctPool recycles the ciphertexts a data node materializes operands into, one
+// free list per scheme. A nil *ctPool allocates and never recycles (clients,
+// ReadRequest).
+type ctPool struct{ fv, ckks sync.Pool }
 
-func (cp *ctPool) get() *fv.Ciphertext {
+func (cp *ctPool) getFV() *fv.Ciphertext {
 	if cp != nil {
-		if v := cp.p.Get(); v != nil {
+		if v := cp.fv.Get(); v != nil {
 			return v.(*fv.Ciphertext)
 		}
 	}
 	return new(fv.Ciphertext)
 }
 
-func (cp *ctPool) put(ct *fv.Ciphertext) {
-	if cp == nil || ct == nil {
+func (cp *ctPool) getCKKS() *ckks.Ciphertext {
+	if cp != nil {
+		if v := cp.ckks.Get(); v != nil {
+			return v.(*ckks.Ciphertext)
+		}
+	}
+	return new(ckks.Ciphertext)
+}
+
+func (cp *ctPool) putFV(ct *fv.Ciphertext) {
+	if cp != nil && ct != nil {
+		poisonRows(ct.Els)
+		cp.fv.Put(ct)
+	}
+}
+
+func (cp *ctPool) putCKKS(ct *ckks.Ciphertext) {
+	if cp != nil && ct != nil {
+		poisonRows(ct.Els)
+		cp.ckks.Put(ct)
+	}
+}
+
+// poisonRows is PoisonReleased for a ciphertext going back to its pool.
+func poisonRows(els []poly.RNSPoly) {
+	if !PoisonReleased {
 		return
 	}
-	if PoisonReleased {
-		for _, el := range ct.Els {
-			for _, row := range el.Rows {
-				for i := range row.Coeffs {
-					row.Coeffs[i] = math.MaxUint32
-				}
+	for _, el := range els {
+		for _, row := range el.Rows {
+			for i := range row.Coeffs {
+				row.Coeffs[i] = math.MaxUint32
 			}
 		}
 	}
-	cp.p.Put(ct)
 }
 
 // cursor walks the bytes of one message. Over a stream (r set) it appends
@@ -154,8 +179,7 @@ func (c *cursor) next(n int) ([]byte, error) {
 		}
 	} else {
 		if end > cap(c.buf) {
-			// Doubling keeps the copying linear when a streaming decoder pulls
-			// a ciphertext through Read one 16 KB row at a time.
+			// Doubling keeps the copying linear over a message of many parts.
 			c.buf = append(make([]byte, 0, max(end, 2*cap(c.buf))), c.buf[:c.off]...)
 		}
 		c.buf = c.buf[:end]
@@ -169,38 +193,25 @@ func (c *cursor) next(n int) ([]byte, error) {
 	return b, nil
 }
 
-// Read lets a streaming decoder (ckks.ReadCiphertext) consume from the
-// cursor; what it reads is recorded in buf like everything else.
-func (c *cursor) Read(p []byte) (int, error) {
-	if len(p) > c.left {
-		p = p[:c.left]
-	}
-	if len(p) == 0 {
-		return 0, io.EOF
-	}
-	b, err := c.next(len(p))
-	return copy(p, b), err
-}
-
-// ciphertext consumes one BFV ciphertext — header, then the length the
-// header gives — and validates it in place.
-func (c *cursor) ciphertext(params *fv.Params) error {
-	start := c.off
-	hdr, err := c.next(8)
+// ciphertext consumes one ciphertext of layout l — its header, then the length
+// the header gives — and validates it in place.
+func (c *cursor) ciphertext(l rlwe.Layout) error {
+	start, hl := c.off, rlwe.HeaderLen(l.Leveled)
+	hdr, err := c.next(hl)
 	if err != nil {
 		return err
 	}
-	size, err := fv.CiphertextLen(hdr, params)
+	size, err := l.Len(hdr)
 	if err != nil {
 		return err
 	}
-	if _, err := c.next(size - 8); err != nil {
+	if _, err := c.next(size - hl); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return err
 	}
-	_, err = fv.CheckCiphertext(c.buf[start:c.off], params)
+	_, err = l.Check(c.buf[start:c.off])
 	return err
 }
 
@@ -237,10 +248,8 @@ type Frame struct {
 	body int     // offset of the command's body in b
 	buf  *buffer // pooled backing of b; nil when the connection owns it
 
-	params *fv.Params
-	// ca, cb are the CKKS operands, decoded while framing (see the comment
-	// at the top of this file).
-	ca, cb *ckks.Ciphertext
+	params  *fv.Params
+	cparams *ckks.Params // set when the frame was read under a CKKS parameter set
 
 	pool *ctPool  // where Request draws operand ciphertexts from
 	req  *Request // what Request materialized, for release
@@ -278,8 +287,7 @@ func (f *Frame) read(c *cursor, params *fv.Params, cparams *ckks.Params) error {
 	}
 	f.Tenant = string(tenant)
 	f.body = c.off
-	f.params = params
-	f.ca, f.cb = nil, nil
+	f.params, f.cparams = params, cparams
 
 	switch f.Cmd {
 	case CmdPing, CmdInfo, CmdKeyExport:
@@ -320,40 +328,31 @@ func (f *Frame) read(c *cursor, params *fv.Params, cparams *ckks.Params) error {
 			return fmt.Errorf("%w: %d program inputs outside (0, %d]", ErrMalformedRequest, ni, l.MaxInputs)
 		}
 		for i := 0; i < int(ni); i++ {
-			if err := c.ciphertext(params); err != nil {
+			if err := c.ciphertext(params.Wire()); err != nil {
 				return malformed(ErrMalformedRequest, fmt.Sprintf("reading program input %d", i), err)
 			}
 		}
-	case CmdRotate:
-		if _, err := c.next(4); err != nil {
-			return malformed(ErrMalformedRequest, "truncated Galois element", err)
+	case CmdAdd, CmdMul, CmdRotate, CmdCKKSAdd, CmdCKKSMul, CmdCKKSRotate:
+		// The six op commands are one shape under either scheme: a 4-byte
+		// argument for a rotation, then one or two operands of the scheme's
+		// layout.
+		layout, operands := params.Wire(), "AB"
+		if isCKKSCmd(f.Cmd) {
+			if cparams == nil {
+				return fmt.Errorf("%w: %s on a server without CKKS parameters", ErrMalformedRequest, cmdName(f.Cmd))
+			}
+			layout = cparams.Wire()
 		}
-		if err := c.ciphertext(params); err != nil {
-			return malformed(ErrMalformedRequest, "reading operand A", err)
-		}
-	case CmdCKKSAdd, CmdCKKSMul, CmdCKKSRotate:
-		if cparams == nil {
-			return fmt.Errorf("%w: %s on a server without CKKS parameters", ErrMalformedRequest, cmdName(f.Cmd))
-		}
-		if f.Cmd == CmdCKKSRotate {
+		if f.Cmd == CmdRotate || f.Cmd == CmdCKKSRotate {
+			operands = "A"
 			if _, err := c.next(4); err != nil {
-				return malformed(ErrMalformedRequest, "truncated rotation count", err)
+				return malformed(ErrMalformedRequest, "truncated rotation argument", err)
 			}
 		}
-		if f.ca, err = ckks.ReadCiphertext(c, cparams); err != nil {
-			return malformed(ErrMalformedRequest, "reading CKKS operand A", err)
-		}
-		if f.Cmd != CmdCKKSRotate {
-			if f.cb, err = ckks.ReadCiphertext(c, cparams); err != nil {
-				return malformed(ErrMalformedRequest, "reading CKKS operand B", err)
+		for _, name := range operands {
+			if err := c.ciphertext(layout); err != nil {
+				return malformed(ErrMalformedRequest, fmt.Sprintf("reading %s operand %c", layout.Scheme, name), err)
 			}
-		}
-	case CmdAdd, CmdMul:
-		if err := c.ciphertext(params); err != nil {
-			return malformed(ErrMalformedRequest, "reading operand A", err)
-		}
-		if err := c.ciphertext(params); err != nil {
-			return malformed(ErrMalformedRequest, "reading operand B", err)
 		}
 	default:
 		return fmt.Errorf("%w: unknown command %d", ErrMalformedRequest, f.Cmd)
@@ -373,18 +372,23 @@ func (f *Frame) stamp(id uint64) {
 // Blob alias the frame's bytes; everything it returns is valid until the
 // frame is released.
 func (f *Frame) Request() (*Request, error) {
-	req := &Request{Ver: ProtoV2, Cmd: f.Cmd, ID: f.ID, Tenant: f.Tenant, CA: f.ca, CB: f.cb}
+	req := &Request{Ver: ProtoV2, Cmd: f.Cmd, ID: f.ID, Tenant: f.Tenant}
 	f.req = req
 	body := f.b[f.body:]
 	operand := func() (*fv.Ciphertext, error) {
-		ct := f.pool.get()
+		ct := f.pool.getFV()
 		n, err := ct.Decode(body, f.params)
-		if err != nil {
-			return nil, err
-		}
 		body = body[n:]
-		return ct, nil
+		return ct, err
 	}
+	ckksOperand := func() (*ckks.Ciphertext, error) {
+		ct := f.pool.getCKKS()
+		n, err := ct.Decode(body, f.cparams)
+		body = body[n:]
+		return ct, err
+	}
+	// An operand is stored in req even when its decode failed, so Release
+	// takes it back either way.
 	var err error
 	switch f.Cmd {
 	case CmdKeyImport, CmdAdmin:
@@ -395,20 +399,24 @@ func (f *Frame) Request() (*Request, error) {
 		body = body[4+plen:]
 		req.Inputs = make([]*fv.Ciphertext, binary.LittleEndian.Uint32(body))
 		body = body[4:]
-		for i := range req.Inputs {
-			if req.Inputs[i], err = operand(); err != nil {
-				return nil, err
-			}
+		for i := 0; i < len(req.Inputs) && err == nil; i++ {
+			req.Inputs[i], err = operand()
 		}
 	case CmdRotate:
 		req.G = binary.LittleEndian.Uint32(body)
 		body = body[4:]
 		req.A, err = operand()
-	case CmdCKKSRotate:
-		req.R = int32(binary.LittleEndian.Uint32(body))
 	case CmdAdd, CmdMul:
 		if req.A, err = operand(); err == nil {
 			req.B, err = operand()
+		}
+	case CmdCKKSRotate:
+		req.R = int32(binary.LittleEndian.Uint32(body))
+		body = body[4:]
+		req.CA, err = ckksOperand()
+	case CmdCKKSAdd, CmdCKKSMul:
+		if req.CA, err = ckksOperand(); err == nil {
+			req.CB, err = ckksOperand()
 		}
 	}
 	if err != nil {
@@ -421,11 +429,13 @@ func (f *Frame) Request() (*Request, error) {
 // it. Nothing obtained from the frame may be used afterwards.
 func (f *Frame) Release() {
 	if req := f.req; req != nil {
-		f.pool.put(req.A)
-		f.pool.put(req.B)
+		f.pool.putFV(req.A)
+		f.pool.putFV(req.B)
 		for _, ct := range req.Inputs {
-			f.pool.put(ct)
+			f.pool.putFV(ct)
 		}
+		f.pool.putCKKS(req.CA)
+		f.pool.putCKKS(req.CB)
 		f.req = nil
 	}
 	if f.buf != nil {
@@ -448,7 +458,7 @@ func EncodeRequest(params *fv.Params, req *Request) (*Frame, error) {
 	b = binary.LittleEndian.AppendUint64(b, req.ID)
 	b = append(b, byte(len(req.Tenant)))
 	b = append(b, req.Tenant...)
-	f := &Frame{Cmd: req.Cmd, ID: req.ID, Tenant: req.Tenant, body: len(b), buf: buf, params: params, ca: req.CA, cb: req.CB}
+	f := &Frame{Cmd: req.Cmd, ID: req.ID, Tenant: req.Tenant, body: len(b), buf: buf, params: params}
 	b, err := appendRequestBody(b, params, req)
 	buf.b = b
 	if err != nil {
@@ -467,10 +477,10 @@ type RawReply struct {
 	b   []byte  // the encoded reply
 	buf *buffer // pooled backing of b, nil when b is plain memory
 
-	params *fv.Params
-	// Decoded while framing: the CKKS result (see the package comment) and
-	// the info body, whose JSON has to parse for the reply to be well formed.
-	ckks *ckks.Ciphertext
+	params  *fv.Params
+	cparams *ckks.Params
+	// info is the info body, decoded while framing: its JSON has to parse for
+	// the reply to be well formed.
 	info *ServerInfo
 }
 
@@ -508,7 +518,7 @@ func readRawReply(r io.Reader, hint int, params *fv.Params, cparams *ckks.Params
 // contract: an error before the first byte surfaces as is, anything after is
 // ErrMalformedResponse. cparams is needed for the CKKS commands only.
 func (raw *RawReply) read(c *cursor, params *fv.Params, cparams *ckks.Params, cmd uint8) error {
-	raw.cmd, raw.params = cmd, params
+	raw.cmd, raw.params, raw.cparams = cmd, params, cparams
 	head, err := c.next(replyHeadLen)
 	if err != nil {
 		if c.short == 0 {
@@ -572,7 +582,7 @@ func (raw *RawReply) readBody(c *cursor, params *fv.Params, cparams *ckks.Params
 			return fmt.Errorf("%w: %d program outputs outside (0, %d]", ErrMalformedResponse, nOut, ProgramLimits().MaxOutputs)
 		}
 		for i := 0; i < int(nOut); i++ {
-			if err := c.ciphertext(params); err != nil {
+			if err := c.ciphertext(params.Wire()); err != nil {
 				return malformed(ErrMalformedResponse, fmt.Sprintf("reading program output %d", i), err)
 			}
 		}
@@ -595,13 +605,13 @@ func (raw *RawReply) readBody(c *cursor, params *fv.Params, cparams *ckks.Params
 		if _, err := c.next(12); err != nil { // compute nanos, worker
 			return malformed(ErrMalformedResponse, "truncated response header", err)
 		}
-		var err error
+		var layout rlwe.Layout
 		if isCKKSCmd(raw.cmd) {
-			raw.ckks, err = ckks.ReadCiphertext(c, cparams)
+			layout = cparams.Wire()
 		} else {
-			err = c.ciphertext(params)
+			layout = params.Wire()
 		}
-		if err != nil {
+		if err := c.ciphertext(layout); err != nil {
 			return malformed(ErrMalformedResponse, "reading result", err)
 		}
 	}
@@ -664,14 +674,17 @@ func (raw *RawReply) Reply() (Reply, error) {
 		ID:           raw.ID(),
 		ComputeNanos: binary.LittleEndian.Uint64(body),
 		Worker:       binary.LittleEndian.Uint32(body[8:]),
-		CKKSResult:   raw.ckks,
 	}
 	body = body[12:]
-	if raw.ckks == nil {
-		var err error
-		if resp.Result, err = result(); err != nil {
-			return nil, err
-		}
+	var err error
+	if isCKKSCmd(raw.cmd) {
+		resp.CKKSResult = new(ckks.Ciphertext)
+		_, err = resp.CKKSResult.Decode(body, raw.cparams)
+	} else {
+		resp.Result, err = result()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return resp, nil
 }

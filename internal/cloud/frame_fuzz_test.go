@@ -89,6 +89,13 @@ func FuzzFrameRequest(f *testing.F) {
 			f.Fatal(err)
 		}
 		addFrameSeeds(f, buf.Bytes(), func(b []byte) { f.Add(b, true); f.Add(b, false) })
+		if req.Cmd == CmdCKKSAdd {
+			// A padding word the decoder used to ignore: accepted, but not the
+			// encoding of what it decoded to.
+			padded := bytes.Clone(buf.Bytes())
+			padded[requestHeadLen+len(req.Tenant)+12] = 0x5A
+			f.Add(padded, true)
+		}
 	}
 	f.Add([]byte("HEA2\x02\x01"), true)
 	f.Add([]byte("HEA"), false)
@@ -154,6 +161,11 @@ func FuzzFrameReply(f *testing.F) {
 			f.Fatal(err)
 		}
 		addFrameSeeds(f, buf.Bytes(), func(b []byte) { f.Add(b) })
+		if resp, ok := rep.(*Response); ok && resp.CKKSResult != nil {
+			padded := bytes.Clone(buf.Bytes()) // see FuzzFrameRequest
+			padded[replyHeadLen+12+12] = 0x5A
+			f.Add(padded)
+		}
 	}
 	f.Add([]byte{0xFF})
 	f.Add([]byte{})

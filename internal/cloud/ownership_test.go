@@ -1,12 +1,17 @@
 package cloud
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ckks"
 )
 
 // Every test of this package runs with the pools poisoning what is released
@@ -99,5 +104,109 @@ func TestMuxCancelledExchangeOwnsNothing(t *testing.T) {
 	}
 	if mc.Broken() {
 		t.Fatal("cancellation broke the mux session")
+	}
+}
+
+// TestPooledCKKSOperandsOwnedByTheFrame: a CKKS operand materialized from a
+// frame is drawn from the front-end's pool and goes back with the frame, and
+// under PoisonReleased a use of it after that fails a range check; the next
+// frame — its operands at another level — decodes into what the pool returns
+// and keeps nothing of the poison.
+func TestPooledCKKSOperandsOwnedByTheFrame(t *testing.T) {
+	ts := newCKKSTestSystem(t)
+	fe := NewFrontend(ts.params, nil, nil)
+	fe.CKKSParams = ts.cp
+	top := ts.encryptVals(t, []float64{0.5, -0.25})
+	low := ckks.NewEvaluator(ts.cp).DropLevel(top, 1)
+
+	materialize := func(f *Frame, req *Request) *Request {
+		t.Helper()
+		var enc bytes.Buffer
+		if err := WriteRequest(&enc, ts.params, req); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.read(&cursor{buf: enc.Bytes(), left: enc.Len()}, ts.params, ts.cp); err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	f := &Frame{pool: &fe.cts}
+	req := materialize(f, &Request{Cmd: CmdCKKSMul, ID: 1, CA: top, CB: top})
+	if !req.CA.Equal(top) || !req.CB.Equal(top) || req.CA == req.CB {
+		t.Fatal("materialized operands differ from the encoded ones")
+	}
+	stale := req.CA
+	f.Release()
+	enc, err := stale.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.cp.Wire().Check(enc); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("an operand used after its frame was released passed as %v, want a range-check failure", err)
+	}
+
+	f = &Frame{pool: &fe.cts}
+	req = materialize(f, &Request{Cmd: CmdCKKSRotate, ID: 2, R: 1, CA: low})
+	if !req.CA.Equal(low) || req.R != 1 {
+		t.Fatal("an operand decoded into a recycled ciphertext differs from the encoded one")
+	}
+	f.Release()
+}
+
+// TestCKKSServingRecyclesOperands: rounds of CKKS traffic on one connection,
+// operands arriving at three different levels, through a server whose pool
+// poisons everything it takes back — every result still decrypts to the
+// right slots, so no operand is read after its release and no recycled one
+// keeps a row of its past.
+func TestCKKSServingRecyclesOperands(t *testing.T) {
+	ts := newCKKSTestSystem(t)
+	_, addr := startCKKSServer(t, ts)
+	cl, err := Dial(addr, ts.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.EnableCKKS(ts.cp)
+
+	n := ts.cp.Slots()
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i%9)/10.0 - 0.4
+	}
+	ctX := ts.encryptVals(t, xs)
+	check := func(name string, ct *ckks.Ciphertext, want func(i int) float64) {
+		t.Helper()
+		got := ts.decode(ct)
+		for i := 0; i < n; i++ {
+			if d := math.Abs(got[i] - want(i)); d > 1e-3 {
+				t.Fatalf("%s slot %d: got %g want %g", name, i, got[i], want(i))
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		sq, _, err := cl.CKKSMul(ctX, ctX) // operands at the top
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("square", sq, func(i int) float64 { return xs[i] * xs[i] })
+		cube, _, err := cl.CKKSMul(sq, ctX) // one level down, and the top
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("cube", cube, func(i int) float64 { return xs[i] * xs[i] * xs[i] })
+		rot, _, err := cl.CKKSRotate(cube, 1) // two levels down
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("rotated cube", rot, func(i int) float64 { j := (i + 1) % n; return xs[j] * xs[j] * xs[j] })
+		sum, _, err := cl.CKKSAdd(rot, rot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("sum", sum, func(i int) float64 { j := (i + 1) % n; return 2 * xs[j] * xs[j] * xs[j] })
 	}
 }

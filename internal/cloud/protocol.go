@@ -225,13 +225,6 @@ func WriteRequest(w io.Writer, params *fv.Params, req *Request) error {
 	return err
 }
 
-// appendCKKS appends a CKKS ciphertext's (streaming) encoding to b.
-func appendCKKS(b []byte, ct *ckks.Ciphertext) ([]byte, error) {
-	w := bytes.NewBuffer(b)
-	err := ct.Write(w)
-	return w.Bytes(), err
-}
-
 // appendRequestBody appends the body req.Cmd carries after the tenant.
 func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error) {
 	var err error
@@ -271,13 +264,13 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 		b = binary.LittleEndian.AppendUint32(b, req.G)
 		return req.A.AppendTo(b, params)
 	case CmdCKKSAdd, CmdCKKSMul:
-		if b, err = appendCKKS(b, req.CA); err != nil {
+		if b, err = req.CA.AppendTo(b); err != nil {
 			return b, err
 		}
-		return appendCKKS(b, req.CB)
+		return req.CB.AppendTo(b)
 	case CmdCKKSRotate:
 		b = binary.LittleEndian.AppendUint32(b, uint32(req.R))
-		return appendCKKS(b, req.CA)
+		return req.CA.AppendTo(b)
 	}
 	if b, err = req.A.AppendTo(b, params); err != nil {
 		return b, err
@@ -473,7 +466,7 @@ func (resp *Response) encode(params *fv.Params, id uint64) (*buffer, error) {
 		b = binary.LittleEndian.AppendUint64(b, resp.ComputeNanos)
 		b = binary.LittleEndian.AppendUint32(b, resp.Worker)
 		if resp.CKKSResult != nil {
-			return appendCKKS(b, resp.CKKSResult)
+			return resp.CKKSResult.AppendTo(b)
 		}
 		return resp.Result.AppendTo(b, params)
 	})

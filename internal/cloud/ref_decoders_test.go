@@ -3,13 +3,17 @@ package cloud
 // The decoders of the revision before framing and materialization were
 // split, kept verbatim as the reference FuzzFrameRequest and FuzzFrameReply
 // compare the split codec against: they read a stream field by field and
-// unpack every ciphertext row by row into newly allocated polynomials.
+// unpack every ciphertext row by row into newly allocated polynomials. The two
+// ciphertext readers at the bottom are the schemes' own pre-rlwe-codec
+// ReadCiphertext functions, copied so that the reference never calls the code
+// under test.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/ckks"
 	"repro/internal/fv"
@@ -130,11 +134,11 @@ func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Requ
 			req.R = int32(binary.LittleEndian.Uint32(r4[:]))
 		}
 		var err error
-		if req.CA, err = ckks.ReadCiphertext(r, cparams); err != nil {
+		if req.CA, err = refReadCKKSCiphertext(r, cparams); err != nil {
 			return nil, malformed(ErrMalformedRequest, "reading CKKS operand A", err)
 		}
 		if req.Cmd != CmdCKKSRotate {
-			if req.CB, err = ckks.ReadCiphertext(r, cparams); err != nil {
+			if req.CB, err = refReadCKKSCiphertext(r, cparams); err != nil {
 				return nil, malformed(ErrMalformedRequest, "reading CKKS operand B", err)
 			}
 		}
@@ -242,7 +246,7 @@ func refReadOpBody(r io.Reader, params *fv.Params, cparams *ckks.Params, id uint
 	}
 	var err error
 	if isCKKS {
-		resp.CKKSResult, err = ckks.ReadCiphertext(r, cparams)
+		resp.CKKSResult, err = refReadCKKSCiphertext(r, cparams)
 	} else {
 		resp.Result, err = refReadCiphertext(r, params)
 	}
@@ -322,6 +326,49 @@ func refReadCiphertext(r io.Reader, params *fv.Params) (*fv.Ciphertext, error) {
 					return nil, fmt.Errorf("fv: residue %d out of range for modulus %d", v, m.Q)
 				}
 				row.Coeffs[i] = v
+			}
+		}
+	}
+	return ct, nil
+}
+
+func refReadCKKSCiphertext(r io.Reader, params *ckks.Params) (*ckks.Ciphertext, error) {
+	var hdr [24]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	els := int(binary.LittleEndian.Uint32(hdr[0:]))
+	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	level := int(binary.LittleEndian.Uint32(hdr[8:]))
+	scale := math.Float64frombits(binary.LittleEndian.Uint64(hdr[16:]))
+	if n != params.N() {
+		return nil, fmt.Errorf("ckks: ciphertext ring degree %d, params %d", n, params.N())
+	}
+	if els < 1 || els > 3 {
+		return nil, fmt.Errorf("ckks: implausible ciphertext with %d elements", els)
+	}
+	if level < 0 || level > params.MaxLevel() {
+		return nil, fmt.Errorf("ckks: level %d outside chain (L=%d)", level, params.MaxLevel())
+	}
+	// The only intended divergence from the pre-split reader, which ignored
+	// these four bytes: a non-zero padding word decoded to the same ciphertext
+	// as a zero one and re-encoded differently.
+	if pad := binary.LittleEndian.Uint32(hdr[12:]); pad != 0 {
+		return nil, fmt.Errorf("ckks: non-zero header padding %#x", pad)
+	}
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("ckks: implausible scale %g", scale)
+	}
+	ct := ckks.NewCiphertext(params, els-1, level)
+	ct.Scale = scale
+	buf := make([]byte, n*4)
+	for _, el := range ct.Els {
+		for ri := range el.Rows {
+			if _, err := io.ReadFull(r, buf); err != nil {
+				return nil, err
+			}
+			if bad, ok := el.Rows[ri].UnpackWords(buf); !ok {
+				return nil, fmt.Errorf("ckks: residue %d out of range for modulus %d", bad, params.QMods[ri].Q)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package fv
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/sampler"
@@ -379,6 +380,19 @@ func TestCiphertextSerialization(t *testing.T) {
 	}
 	if !got.Equal(ct) {
 		t.Fatal("serialization round trip failed")
+	}
+	// The byte-slice entry points are the same codec (internal/rlwe tests it
+	// in depth): same bytes out, same length in, same value back.
+	app, err := ct.AppendTo(nil, p)
+	if err != nil || !bytes.Equal(app, buf.b) {
+		t.Fatalf("AppendTo and WriteTo disagree (%v)", err)
+	}
+	if n, err := p.Wire().Check(app); err != nil || n != len(app) {
+		t.Fatalf("in-place check = (%d, %v), want %d", n, err, len(app))
+	}
+	into := NewCiphertext(p, 3)
+	if n, err := into.Decode(app, p); err != nil || n != len(app) || !into.Equal(ct) {
+		t.Fatalf("Decode = (%d, %v), equal %v", n, err, into.Equal(ct))
 	}
 
 	// Corrupt a residue beyond its modulus: must be rejected.

@@ -10,18 +10,26 @@
 // "CKk1": the same bytes without the trailer) is no longer read or written;
 // its magic is refused like any other foreign one.
 //
-// The container owns the framing and the integrity check; the scheme owns
-// the header semantics (its serialized Config) and the payload layout, so
-// every scheme gets the same ErrCorruptKey hardening for free.
+// The container owns the framing and the integrity check, the header
+// convention both schemes use (WriteKey, ReadKey: the header blob is the
+// scheme's Config as JSON, from which the reader rebuilds the parameter set)
+// and the packing of a polynomial's residue rows (WriteRows, ReadRows: 32-bit
+// words, as on the wire); the scheme owns its Config and the order of the
+// polynomials in the payload, so every scheme gets the same ErrCorruptKey
+// hardening for free.
 package keyio
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"io"
+
+	"repro/internal/poly"
+	"repro/internal/ring"
 )
 
 // ErrCorruptKey reports that a checksummed key file failed validation: a
@@ -131,38 +139,130 @@ func WriteChecked(w io.Writer, s Scheme, header []byte, payload func(io.Writer) 
 
 // Read checks the file magic, then re-computes the checksum while parsing
 // and compares it to the trailer. header parses the scheme's header blob into
-// its parameter object; payload consumes the body under those parameters.
-// Every failure past the magic — including a structurally valid prefix cut
-// short — wraps ErrCorruptKey; a stream that starts with any other magic
-// fails with ErrBadMagic.
-func Read(r io.Reader, s Scheme, header func([]byte) (any, error), payload func(io.Reader, any) error) (any, error) {
-	var magic [4]byte
+// its parameter object; payload parses the body under those parameters into
+// the key. Every failure past the magic — including a structurally valid
+// prefix cut short — wraps ErrCorruptKey; a stream that starts with any other
+// magic fails with ErrBadMagic.
+func Read[P, K any](r io.Reader, s Scheme, header func([]byte) (P, error), payload func(io.Reader, P) (K, error)) (P, K, error) {
+	var (
+		noParams P
+		noKey    K
+		magic    [4]byte
+	)
+	fail := func(err error) (P, K, error) { return noParams, noKey, err }
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	if magic != s.V2 {
-		return nil, fmt.Errorf("%w (magic %q)", ErrBadMagic, magic[:])
+		return fail(fmt.Errorf("%w (magic %q)", ErrBadMagic, magic[:]))
 	}
 	hr := &hashingReader{r: r, h: fnv.New64a()}
 	hr.h.Write(magic[:])
 	blob, err := ReadHeaderBlob(hr)
 	if err != nil {
-		return nil, Corrupt(err)
+		return fail(Corrupt(err))
 	}
 	params, err := header(blob)
 	if err != nil {
-		return nil, Corrupt(err)
+		return fail(Corrupt(err))
 	}
-	if err := payload(hr, params); err != nil {
-		return nil, Corrupt(err)
+	key, err := payload(hr, params)
+	if err != nil {
+		return fail(Corrupt(err))
 	}
 	want := hr.h.Sum64()
 	var sum [8]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, Corrupt(fmt.Errorf("reading checksum trailer: %w", err))
+		return fail(Corrupt(fmt.Errorf("reading checksum trailer: %w", err)))
 	}
 	if got := binary.LittleEndian.Uint64(sum[:]); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorruptKey, got, want)
+		return fail(fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorruptKey, got, want))
 	}
-	return params, nil
+	return params, key, nil
+}
+
+// WriteKey writes a key file whose header is cfg, the scheme's Config, as
+// JSON — self-describing, so a reader rebuilds matching parameters without
+// out-of-band coordination.
+func WriteKey(w io.Writer, s Scheme, cfg any, payload func(io.Writer) error) error {
+	blob, err := json.Marshal(cfg)
+	if err != nil {
+		return err
+	}
+	return WriteChecked(w, s, blob, payload)
+}
+
+// ReadKey reads a key file written by WriteKey: newParams rebuilds the
+// parameter set from the header's Config, payload parses the key under it.
+func ReadKey[C, P, K any](r io.Reader, s Scheme, newParams func(C) (P, error), payload func(io.Reader, P) (K, error)) (P, K, error) {
+	return Read(r, s, func(blob []byte) (params P, err error) {
+		var cfg C
+		if err = json.Unmarshal(blob, &cfg); err == nil {
+			params, err = newParams(cfg)
+		}
+		return params, err
+	}, payload)
+}
+
+// WriteRows writes x, a polynomial of n coefficients over mods, as its
+// residue rows of 32-bit words (the 30-bit primes fit) — the packing the DMA
+// transfers and the ciphertext codec use.
+func WriteRows(w io.Writer, mods []ring.Modulus, n int, x poly.RNSPoly) error {
+	if x.Level() != len(mods) || x.N() != n {
+		return fmt.Errorf("keyio: polynomial shape mismatch on write")
+	}
+	buf := make([]byte, n*4)
+	for _, row := range x.Rows {
+		row.PackWords(buf)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadRows reads a polynomial of n coefficients over mods written by
+// WriteRows, refusing a residue outside its modulus.
+func ReadRows(r io.Reader, mods []ring.Modulus, n int) (poly.RNSPoly, error) {
+	out := poly.NewRNSPoly(mods, n)
+	buf := make([]byte, n*4)
+	for ri, m := range mods {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return poly.RNSPoly{}, err
+		}
+		if bad, ok := out.Rows[ri].UnpackWords(buf); !ok {
+			return poly.RNSPoly{}, fmt.Errorf("keyio: residue %d out of range for modulus %d", bad, m.Q)
+		}
+	}
+	return out, nil
+}
+
+// WritePairs writes a key-switching key's digits — the polynomial pairs
+// (k0[i], k1[i]) over mods — through WriteRows, k0[i] before k1[i].
+func WritePairs(w io.Writer, mods []ring.Modulus, n int, k0, k1 []poly.RNSPoly) error {
+	for i := range k0 {
+		if err := WriteRows(w, mods, n, k0[i]); err != nil {
+			return err
+		}
+		if err := WriteRows(w, mods, n, k1[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadPairs reads count pairs written by WritePairs.
+func ReadPairs(r io.Reader, mods []ring.Modulus, n, count int) (k0, k1 []poly.RNSPoly, err error) {
+	for i := 0; i < count; i++ {
+		p0, err := ReadRows(r, mods, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		p1, err := ReadRows(r, mods, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		k0, k1 = append(k0, p0), append(k1, p1)
+	}
+	return k0, k1, nil
 }

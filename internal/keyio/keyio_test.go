@@ -2,9 +2,13 @@ package keyio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
+
+	"repro/internal/poly"
+	"repro/internal/ring"
 )
 
 var testScheme = Scheme{V2: [4]byte{'T', 'S', 'k', '2'}}
@@ -29,17 +33,13 @@ func writeTestFile(t *testing.T, s Scheme, header, payload []byte) []byte {
 // readFixed reads files whose payload length is known (the realistic case:
 // schemes always know their payload shape from the header).
 func readFixed(data []byte, s Scheme, payloadLen int) (hdr, body []byte, err error) {
-	v, err := Read(bytes.NewReader(data), s,
-		func(blob []byte) (any, error) { return blob, nil },
-		func(r io.Reader, _ any) error {
-			body = make([]byte, payloadLen)
+	return Read(bytes.NewReader(data), s,
+		func(blob []byte) ([]byte, error) { return blob, nil },
+		func(r io.Reader, _ []byte) ([]byte, error) {
+			body := make([]byte, payloadLen)
 			_, err := io.ReadFull(r, body)
-			return err
+			return body, err
 		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.([]byte), body, nil
 }
 
 func TestRoundTripChecked(t *testing.T) {
@@ -114,5 +114,81 @@ func TestHeaderBlobBound(t *testing.T) {
 	frame.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadHeaderBlob(&frame); err == nil {
 		t.Fatal("implausible header length accepted on read")
+	}
+}
+
+// testCfg stands in for a scheme's Config: the JSON header a key file opens
+// with, and everything the reader needs to rebuild the row shape.
+type testCfg struct {
+	N      int
+	Primes []uint64
+}
+
+func (c testCfg) mods() []ring.Modulus {
+	mods := make([]ring.Modulus, len(c.Primes))
+	for i, q := range c.Primes {
+		mods[i] = ring.NewModulus(q)
+	}
+	return mods
+}
+
+// TestKeyFileRows: WriteKey/ReadKey carry the Config as the JSON header and
+// hand the rebuilt parameters to the payload reader; WriteRows/ReadRows move a
+// polynomial as 32-bit words per residue, refuse a shape that is not the
+// announced one on write and a residue outside its modulus on read — which
+// surfaces, like every failure past the magic, as ErrCorruptKey.
+func TestKeyFileRows(t *testing.T) {
+	cfg := testCfg{N: 12, Primes: []uint64{1073479681, 1073184769}} // 12: the row kernels' tail path too
+	x := poly.NewRNSPoly(cfg.mods(), cfg.N)
+	for ri, row := range x.Rows {
+		for i := range row.Coeffs {
+			row.Coeffs[i] = row.Mod.Q - 1 - uint64(7*i+ri)
+		}
+	}
+	var file bytes.Buffer
+	err := WriteKey(&file, testScheme, cfg, func(w io.Writer) error {
+		return WriteRows(w, cfg.mods(), cfg.N, x)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(data []byte) (poly.RNSPoly, error) {
+		_, got, err := ReadKey(bytes.NewReader(data), testScheme,
+			func(c testCfg) ([]ring.Modulus, error) { return c.mods(), nil },
+			func(r io.Reader, mods []ring.Modulus) (poly.RNSPoly, error) { return ReadRows(r, mods, cfg.N) })
+		return got, err
+	}
+	got, err := read(file.Bytes())
+	if err != nil || !got.Equal(x) {
+		t.Fatalf("round trip: %v, equal %v", err, got.Equal(x))
+	}
+	if want := 4 + 4 + len(`{"N":12,"Primes":[1073479681,1073184769]}`) + 2*cfg.N*4 + 8; file.Len() != want {
+		t.Fatalf("file of %d bytes, want %d: one 32-bit word per residue", file.Len(), want)
+	}
+
+	// A residue equal to its modulus, in the last word of the last row. The
+	// checksum is rewritten to match, so it is the range check that refuses.
+	bad := bytes.Clone(file.Bytes())
+	binary.LittleEndian.PutUint32(bad[len(bad)-12:], uint32(cfg.Primes[1]))
+	var fixed bytes.Buffer
+	if err := WriteChecked(&fixed, testScheme, []byte(`{"N":12,"Primes":[1073479681,1073184769]}`), func(w io.Writer) error {
+		_, err := w.Write(bad[len(bad)-8-2*cfg.N*4 : len(bad)-8])
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := read(fixed.Bytes()); !errors.Is(err, ErrCorruptKey) {
+		t.Fatalf("out-of-range residue: got %v, want ErrCorruptKey", err)
+	}
+	if _, err := read(bytes.Replace(file.Bytes(), []byte(`"N"`), []byte(`"N`+"\x00"), 1)); !errors.Is(err, ErrCorruptKey) {
+		t.Fatalf("header that is not JSON: got %v, want ErrCorruptKey", err)
+	}
+	for name, shape := range map[string]poly.RNSPoly{
+		"one row short":  {Rows: x.Rows[:1]},
+		"another degree": poly.NewRNSPoly(cfg.mods(), 2*cfg.N),
+	} {
+		if err := WriteRows(io.Discard, cfg.mods(), cfg.N, shape); err == nil {
+			t.Errorf("WriteRows wrote a polynomial %s", name)
+		}
 	}
 }
