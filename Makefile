@@ -1,12 +1,21 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-pairs lint fmt-check fuzz-smoke chaos loc
+.PHONY: build test test-purego race bench bench-compare bench-pairs lint fmt-check fuzz-smoke chaos loc
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The pure-Go kernels are the only path off amd64, on a CPU without AVX2 and
+# for 31-bit moduli, and the reference the assembly is held to; on the amd64
+# runners they would otherwise never execute. -tags purego compiles the
+# assembly out, so this leg runs every package from the kernels up to the
+# evaluators, the simulator, its scheduler and the differential harness on
+# them. CI's test job calls it.
+test-purego:
+	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest
 
 race:
 	$(GO) test -race ./...
@@ -60,7 +69,8 @@ fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l is not empty:"; echo "$$out"; exit 1; }
 
 # Five-iteration fuzz smoke over the differential fv<->hwsim targets (the
-# reused-memory-file one included), the one ciphertext codec under both
+# reused-memory-file one included), the host kernels against their scalar
+# references (FuzzKernels), the one ciphertext codec under both
 # header layouts (FuzzCodec), the hardened wire-protocol decoders and their
 # equivalence to the pre-split reference decoders (FuzzFrame*), the
 # compiled-program codec, and the CKKS key container and encoder. CI's
@@ -71,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDiffMulRelin -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffCKKSMulRescale -fuzztime=5x ./internal/difftest
 	$(GO) test -run=NONE -fuzz=FuzzDiffReusedCoprocessor -fuzztime=5x ./internal/difftest
+	$(GO) test -run=NONE -fuzz=FuzzKernels -fuzztime=20x ./internal/poly
 	$(GO) test -run=NONE -fuzz=FuzzCodec -fuzztime=20x ./internal/rlwe
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=20x ./internal/cloud
 	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=20x ./internal/cloud

@@ -161,6 +161,18 @@ type cursor struct {
 	short int
 }
 
+// streamSlack is the most a stream cursor reserves beyond the bytes that have
+// actually arrived while fewer than that have: a connection that claims a
+// MaxKeyBlobBytes body (hundreds of megabytes) and then stalls or hangs up has
+// cost its peer one slack, not the claim.
+const streamSlack = 1 << 20
+
+// growLimit is the capacity a stream cursor may hold once have bytes of the
+// message have arrived: the larger of streamSlack and have beyond them, so a
+// peer has to send a byte for every byte it makes the reader reserve and the
+// copying stays linear in the message however long it is.
+func growLimit(have int) int { return have + max(streamSlack, have) }
+
 // next returns the following n bytes, with io.ReadFull's error contract:
 // io.EOF when none were available, io.ErrUnexpectedEOF when only some were.
 func (c *cursor) next(n int) ([]byte, error) {
@@ -178,14 +190,26 @@ func (c *cursor) next(n int) ([]byte, error) {
 			return nil, io.ErrUnexpectedEOF
 		}
 	} else {
-		if end > cap(c.buf) {
-			// Doubling keeps the copying linear over a message of many parts.
-			c.buf = append(make([]byte, 0, max(end, 2*cap(c.buf))), c.buf[:c.off]...)
-		}
-		c.buf = c.buf[:end]
-		if got, err := io.ReadFull(c.r, c.buf[c.off:end]); err != nil {
-			c.short = got
-			return nil, err
+		// n is the peer's word until the bytes arrive, so the buffer is grown
+		// toward end only as far as growLimit lets what has arrived justify:
+		// an op frame still lands in one allocation, a key blob in a handful.
+		for have := c.off; have < end; {
+			if end > cap(c.buf) {
+				// Doubling keeps the copying linear over a message of many parts.
+				if grown := min(max(end, 2*cap(c.buf)), growLimit(have)); grown > cap(c.buf) {
+					c.buf = append(make([]byte, 0, grown), c.buf[:have]...)
+				}
+			}
+			stop := min(end, cap(c.buf))
+			c.buf = c.buf[:stop]
+			got, err := io.ReadFull(c.r, c.buf[have:stop])
+			have += got
+			if err != nil {
+				if c.short = have - c.off; c.short > 0 && err == io.EOF {
+					err = io.ErrUnexpectedEOF // the source ended between two steps
+				}
+				return nil, err
+			}
 		}
 	}
 	b := c.buf[c.off:end]

@@ -2,9 +2,12 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -43,6 +46,72 @@ func addFrameSeeds(f *testing.F, enc []byte, add func(b []byte)) {
 		over := bytes.Clone(enc)
 		copy(over[len(over)-4:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
 		add(over)
+	}
+}
+
+// claimMaxBlob rewrites the length field of an encoded message that ends in a
+// ten-byte blob to claim the largest key blob the parameter sets allow: the
+// body then stops ten bytes into its claim — the cheapest way a peer can ask
+// the reader to reserve memory.
+func claimMaxBlob(enc []byte, params *fv.Params, cparams *ckks.Params) []byte {
+	binary.LittleEndian.PutUint32(enc[len(enc)-14:], uint32(MaxKeyBlobBytes(params, cparams)))
+	return enc
+}
+
+// maxClaimKeyImport is that claim in a CmdKeyImport request.
+func maxClaimKeyImport(params *fv.Params, cparams *ckks.Params) []byte {
+	var buf bytes.Buffer
+	if err := WriteRequest(&buf, params, &Request{Cmd: CmdKeyImport, ID: 15, Tenant: "erin", Blob: []byte("0123456789")}); err != nil {
+		panic(err)
+	}
+	return claimMaxBlob(buf.Bytes(), params, cparams)
+}
+
+// maxClaimKeyExportReply is the same claim in the reply direction: a forged
+// key-export reply.
+func maxClaimKeyExportReply(params *fv.Params, cparams *ckks.Params) []byte {
+	var buf bytes.Buffer
+	if err := writeReply(&buf, Blob("0123456789"), params, 5); err != nil {
+		panic(err)
+	}
+	return claimMaxBlob(buf.Bytes(), params, cparams)
+}
+
+// TestFramingReservesOnlyWhatArrived: a stream that claims the largest legal
+// key blob and ends ten bytes into it is refused as truncated having cost the
+// reader about one streamSlack — not the ~700 MB of the claim, reserved before
+// a byte of the body had arrived, which any connection could ask of a node
+// (CmdKeyImport) or a node of a router (a forged CmdKeyExport reply).
+func TestFramingReservesOnlyWhatArrived(t *testing.T) {
+	params := fuzzParams()
+	cparams, _ := fuzzCKKS()
+	if claim := MaxKeyBlobBytes(params, cparams); claim < 64<<20 {
+		t.Fatalf("the largest key blob is %d bytes: too small for this test to mean anything", claim)
+	}
+	for _, tc := range []struct {
+		name     string
+		read     func() error
+		sentinel error
+	}{
+		{"key import request", func() error {
+			c := cursor{r: bytes.NewReader(maxClaimKeyImport(params, cparams)), left: requestLimit(params, cparams)}
+			return new(Frame).read(&c, params, cparams)
+		}, ErrMalformedRequest},
+		{"key export reply", func() error {
+			c := cursor{r: bytes.NewReader(maxClaimKeyExportReply(params, cparams)), left: math.MaxInt}
+			return new(RawReply).read(&c, params, cparams, CmdKeyExport)
+		}, ErrMalformedResponse},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.sentinel) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err %v, want %v wrapping io.ErrUnexpectedEOF", tc.name, err, tc.sentinel)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+			t.Errorf("%s: framing allocated %d bytes for a body of 10", tc.name, got)
+		}
 	}
 }
 
@@ -97,6 +166,7 @@ func FuzzFrameRequest(f *testing.F) {
 			f.Add(padded, true)
 		}
 	}
+	f.Add(maxClaimKeyImport(params, cparams), true)
 	f.Add([]byte("HEA2\x02\x01"), true)
 	f.Add([]byte("HEA"), false)
 	f.Add([]byte{}, true)
@@ -167,6 +237,7 @@ func FuzzFrameReply(f *testing.F) {
 			f.Add(padded)
 		}
 	}
+	f.Add(maxClaimKeyExportReply(params, cparams))
 	f.Add([]byte{0xFF})
 	f.Add([]byte{})
 

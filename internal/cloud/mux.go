@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 
 	"repro/internal/fv"
@@ -25,7 +25,14 @@ import (
 //	then frames both ways, each:
 //
 //	  type (1) | request ID (8 LE) | payload len (4 LE) |
-//	  payload FNV-64a (8 LE) | header FNV-32a (4 LE) | payload
+//	  payload checksum (8 LE) | header checksum (4 LE) | payload
+//
+// Both checksums are CRC-32C (Castagnoli), which the standard library runs on
+// the CPU's CRC instructions on amd64 and arm64 — a 393 KB ciphertext frame is
+// checked in tens of microseconds, four times per routed Mult. The payload
+// field keeps the 8 bytes it had under version 1 (byte-serial FNV-1a), the
+// value zero-extended; the header checksum covers the 21 bytes before it,
+// that field included.
 //
 // The payload is a complete v2 frame (request, response, info response, or
 // program response), decoded by the same hardened length-bounded decoders the
@@ -53,7 +60,9 @@ import (
 // ErrMuxPayloadChecksum and every other in-flight exchange proceeds.
 const (
 	// MuxProtoVersion is the mux session version negotiated in the hello.
-	MuxProtoVersion uint8 = 1
+	// Version 2 changed the frame checksums from FNV-1a to CRC-32C; both ends
+	// ship together, so a version-1 hello is refused, not translated.
+	MuxProtoVersion uint8 = 2
 	// DefaultMuxWindow is the in-flight request window a client asks for.
 	DefaultMuxWindow = 32
 	// MaxMuxWindow caps what a server grants, whatever the client requests.
@@ -106,17 +115,11 @@ type MuxFrame struct {
 	Payload []byte
 }
 
-func fnv64a(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func fnv32a(p []byte) uint32 {
-	h := fnv.New32a()
-	h.Write(p)
-	return h.Sum32()
-}
+// muxChecksum is the one checksum of the mux layer, over payloads and frame
+// headers alike.
+func muxChecksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // WriteMuxHello writes one hello (client request or server grant).
 func WriteMuxHello(w io.Writer, window int) error {
@@ -165,8 +168,8 @@ func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 	hdr[0] = typ
 	binary.LittleEndian.PutUint64(hdr[1:9], id)
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[13:21], fnv64a(payload))
-	binary.LittleEndian.PutUint32(hdr[21:25], fnv32a(hdr[:21]))
+	binary.LittleEndian.PutUint64(hdr[13:21], uint64(muxChecksum(payload)))
+	binary.LittleEndian.PutUint32(hdr[21:25], muxChecksum(hdr[:21]))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -203,7 +206,7 @@ func readMuxFrame(r io.Reader, maxPayload int, pooled bool) (f MuxFrame, buf *bu
 		}
 		return f, nil, malformed(ErrMalformedMuxFrame, "truncated frame header", err)
 	}
-	if got, want := fnv32a(hdr[:21]), binary.LittleEndian.Uint32(hdr[21:25]); got != want {
+	if got, want := muxChecksum(hdr[:21]), binary.LittleEndian.Uint32(hdr[21:25]); got != want {
 		return f, nil, fmt.Errorf("%w: header checksum %#x, want %#x", ErrMalformedMuxFrame, got, want)
 	}
 	typ, id := hdr[0], binary.LittleEndian.Uint64(hdr[1:9])
@@ -227,7 +230,7 @@ func readMuxFrame(r io.Reader, maxPayload int, pooled bool) (f MuxFrame, buf *bu
 		return f, nil, malformed(ErrMalformedMuxFrame, "truncated frame payload", err)
 	}
 	f = MuxFrame{Type: typ, ID: id, Payload: payload}
-	if got, want := fnv64a(payload), binary.LittleEndian.Uint64(hdr[13:21]); got != want {
+	if got, want := uint64(muxChecksum(payload)), binary.LittleEndian.Uint64(hdr[13:21]); got != want {
 		return f, buf, fmt.Errorf("%w: request %d: payload checksum %#x, want %#x",
 			ErrMuxPayloadChecksum, id, got, want)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,14 +28,19 @@ func TestMuxHelloRoundTrip(t *testing.T) {
 		name string
 		raw  []byte
 	}{
-		{"bad magic", []byte("HEAX\x01\x20\x00")},
+		{"bad magic", []byte("HEAX\x02\x20\x00")},
 		{"bad version", []byte("HEAM\x09\x20\x00")},
-		{"zero window", []byte("HEAM\x01\x00\x00")},
-		{"truncated", []byte("HEAM\x01")},
+		{"zero window", []byte("HEAM\x02\x00\x00")},
+		{"truncated", []byte("HEAM\x02")},
 	} {
 		if _, err := ReadMuxHello(bytes.NewReader(tc.raw)); !errors.Is(err, ErrMalformedMuxFrame) {
 			t.Fatalf("%s: err %v, want ErrMalformedMuxFrame", tc.name, err)
 		}
+	}
+	// Both ends ship together: a version-1 peer is told so, not served.
+	if _, err := ReadMuxHello(bytes.NewReader([]byte("HEAM\x01\x20\x00"))); err == nil ||
+		!strings.Contains(err.Error(), "unsupported mux version 1") {
+		t.Fatalf("version-1 hello: err %v, want unsupported mux version 1", err)
 	}
 	if _, err := ReadMuxHello(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: err %v, want io.EOF", err)

@@ -77,8 +77,8 @@ func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Requ
 		if blen == 0 || int64(blen) > int64(maxBlob) {
 			return nil, fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(req.Cmd), blen, maxBlob)
 		}
-		req.Blob = make([]byte, blen)
-		if _, err := io.ReadFull(r, req.Blob); err != nil {
+		var err error
+		if req.Blob, err = refReadN(r, int(blen)); err != nil {
 			return nil, malformed(ErrMalformedRequest, "truncated payload", err)
 		}
 		return req, nil
@@ -265,11 +265,22 @@ func refReadLenBody(r io.Reader, maxLen int) ([]byte, error) {
 	if int64(ln) > int64(maxLen) {
 		return nil, fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
 	}
-	body := make([]byte, ln)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := refReadN(r, int(ln))
+	if err != nil {
 		return nil, malformed(ErrMalformedResponse, "truncated body", err)
 	}
 	return body, nil
+}
+
+// refReadN is io.ReadFull into a new n-byte slice, except that the slice
+// grows with what arrives: a key-blob length is bounded by hundreds of
+// megabytes, and the fuzz seeds include one that claims the bound and stops.
+func refReadN(r io.Reader, n int) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(b) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 func refReadProgramBody(r io.Reader, params *fv.Params, id uint64) (*ProgramResponse, error) {

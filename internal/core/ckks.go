@@ -18,6 +18,7 @@ import (
 type CKKSAccelerator struct {
 	Params *ckks.Params
 
+	dma    hwsim.DMA // under the accelerator's own timing, as Accelerator.dma
 	scheds []*ckksWorker
 }
 
@@ -38,7 +39,7 @@ func NewCKKSWithTiming(params *ckks.Params, coprocs int, timing hwsim.Timing) (*
 	if coprocs < 1 {
 		coprocs = 1
 	}
-	a := &CKKSAccelerator{Params: params}
+	a := &CKKSAccelerator{Params: params, dma: hwsim.DMA{Timing: timing}}
 	for i := 0; i < coprocs; i++ {
 		a.scheds = append(a.scheds, &ckksWorker{s: sched.NewCKKS(params, timing)})
 	}
@@ -89,10 +90,9 @@ func (a *CKKSAccelerator) onWorker(i int, f func(*sched.CKKSScheduler) error) er
 // DMA model: sendPolys level-`sendLevel` polynomials in, two
 // level-`recvLevel` polynomials out.
 func (a *CKKSAccelerator) ckksTransferReport(rep *Report, sendPolys, sendLevel, recvLevel int) {
-	d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
-	rep.SendCycles = d.FPGACycles(hwsim.Transfer{
+	rep.SendCycles = a.dma.FPGACycles(hwsim.Transfer{
 		Bytes: sendPolys * hwsim.PolyBytes(a.Params.N(), sendLevel+1)})
-	rep.ReceiveCycles = d.FPGACycles(hwsim.Transfer{
+	rep.ReceiveCycles = a.dma.FPGACycles(hwsim.Transfer{
 		Bytes: 2 * hwsim.PolyBytes(a.Params.N(), recvLevel+1)})
 }
 
@@ -179,6 +179,5 @@ func CKKSKeyBytes(p *ckks.Params, levels int) int {
 // KeyStreamCycles returns the co-processor cycles of streaming `bytes` of
 // evaluation-key material over the DMA.
 func (a *CKKSAccelerator) KeyStreamCycles(bytes int) hwsim.Cycles {
-	d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
-	return d.FPGACycles(hwsim.Transfer{Bytes: bytes, Label: "evk stream"})
+	return a.dma.FPGACycles(hwsim.Transfer{Bytes: bytes, Label: "evk stream"})
 }

@@ -28,6 +28,10 @@ type Accelerator struct {
 	Variant  hwsim.Variant
 	Platform *hwsim.Platform
 
+	// dma is the transfer model under the accelerator's own timing
+	// calibration: operand, result and key-stream accounting must see the
+	// DMA the co-processors were built with, not the default one.
+	dma    hwsim.DMA
 	scheds []*worker
 }
 
@@ -94,7 +98,7 @@ func NewWithTiming(params *fv.Params, variant hwsim.Variant, coprocs int, timing
 	if err != nil {
 		return nil, err
 	}
-	a := &Accelerator{Params: params, Variant: variant, Platform: platform}
+	a := &Accelerator{Params: params, Variant: variant, Platform: platform, dma: hwsim.DMA{Timing: timing}}
 	for _, c := range platform.Coprocs {
 		a.scheds = append(a.scheds, &worker{s: sched.New(params, c)})
 	}
@@ -155,10 +159,16 @@ func (a *Accelerator) onWorker(i int, f func(*sched.Scheduler) error) error {
 // transferReport fills the operand-send and result-receive rows of a report
 // from the DMA model (Table I rows 4–5: two ciphertexts in, one out).
 func (a *Accelerator) transferReport(rep *Report) {
-	d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
 	polyBytes := hwsim.PolyBytes(a.Params.N(), a.Params.QBasis.K())
-	rep.SendCycles = d.FPGACycles(hwsim.Transfer{Bytes: 4 * polyBytes})
-	rep.ReceiveCycles = d.FPGACycles(hwsim.Transfer{Bytes: 2 * polyBytes})
+	rep.SendCycles = a.TransferCycles(4 * polyBytes)
+	rep.ReceiveCycles = a.TransferCycles(2 * polyBytes)
+}
+
+// TransferCycles returns the co-processor cycles of one DMA transfer of
+// `bytes` under the timing calibration the accelerator was built with — the
+// one its co-processors run on.
+func (a *Accelerator) TransferCycles(bytes int) hwsim.Cycles {
+	return a.dma.FPGACycles(hwsim.Transfer{Bytes: bytes})
 }
 
 // Add computes FV.Add on the accelerator.
@@ -315,6 +325,5 @@ func GaloisKeyBytes(params *fv.Params, gk *fv.GaloisKey) int {
 // evaluation-key material over the DMA (a single transfer, the paper's
 // Table III optimum).
 func (a *Accelerator) KeyStreamCycles(bytes int) hwsim.Cycles {
-	d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
-	return d.FPGACycles(hwsim.Transfer{Bytes: bytes, Label: "evk stream"})
+	return a.TransferCycles(bytes)
 }

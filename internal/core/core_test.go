@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/ckks"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/sampler"
@@ -180,5 +181,74 @@ func TestNewPaperSmoke(t *testing.T) {
 	}
 	if a.Params.N() != 4096 || a.Params.QBasis.K() != 6 || a.Params.PBasis.K() != 7 {
 		t.Fatal("paper parameter shape wrong")
+	}
+}
+
+// TestTransferAccountingSeesCalibration: the operand, result and key-stream
+// rows of a Report are computed under the timing the accelerator was built
+// with. They used to be rebuilt from hwsim.DefaultTiming(), so a calibrated
+// DMA changed what the co-processor ran on and nothing the report said.
+func TestTransferAccountingSeesCalibration(t *testing.T) {
+	slow := hwsim.DefaultTiming()
+	slow.DMASetupSeconds *= 2
+	keyBytes := 1 << 20
+
+	p, err := fv.NewParams(fv.TestConfig(257))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prng := sampler.NewPRNG(1)
+	_, pk, _ := fv.NewKeyGenerator(p, prng).GenKeys()
+	ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))
+	var fvReps [2]Report
+	var fvKeys [2]hwsim.Cycles
+	for i, timing := range []hwsim.Timing{hwsim.DefaultTiming(), slow} {
+		a, err := NewWithTiming(p, hwsim.VariantHPS, 1, timing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, fvReps[i], err = a.Add(ct, ct); err != nil {
+			t.Fatal(err)
+		}
+		fvKeys[i] = a.KeyStreamCycles(keyBytes)
+	}
+
+	cp, err := ckks.NewParams(ckks.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cpk, _ := ckks.NewKeyGenerator(cp, prng).GenKeys()
+	cpt, err := ckks.NewEncoder(cp).Encode([]float64{0.5}, cp.MaxLevel(), cp.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cct := ckks.NewEncryptor(cp, cpk, prng).Encrypt(cpt)
+	var ckReps [2]Report
+	var ckKeys [2]hwsim.Cycles
+	for i, timing := range []hwsim.Timing{hwsim.DefaultTiming(), slow} {
+		a, err := NewCKKSWithTiming(cp, 1, timing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ckReps[i], err = a.Add(cct, cct); err != nil {
+			t.Fatal(err)
+		}
+		ckKeys[i] = a.KeyStreamCycles(keyBytes)
+	}
+
+	for _, tc := range []struct {
+		name       string
+		base, slow hwsim.Cycles
+	}{
+		{"BFV send", fvReps[0].SendCycles, fvReps[1].SendCycles},
+		{"BFV receive", fvReps[0].ReceiveCycles, fvReps[1].ReceiveCycles},
+		{"BFV key stream", fvKeys[0], fvKeys[1]},
+		{"CKKS send", ckReps[0].SendCycles, ckReps[1].SendCycles},
+		{"CKKS receive", ckReps[0].ReceiveCycles, ckReps[1].ReceiveCycles},
+		{"CKKS key stream", ckKeys[0], ckKeys[1]},
+	} {
+		if tc.slow <= tc.base {
+			t.Errorf("%s: %d cycles with the DMA set-up cost doubled, %d without", tc.name, tc.slow, tc.base)
+		}
 	}
 }

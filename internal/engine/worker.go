@@ -233,15 +233,14 @@ func (e *Engine) runMulStream(w *worker, b *batch, tc *tenantCounters, rk *fv.Re
 	e.m.pipelinedBatches.Add(1)
 	e.m.pipelinedOps.Add(uint64(len(live)))
 	e.m.pipelinedSaved.Add(uint64(srep.SavedCycles()))
-	d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
 	perExec := elapsed / time.Duration(len(live))
 	for i, r := range live {
 		e.m.queueWait.Observe(now.Sub(r.enqueued))
 		e.m.execTime.Observe(perExec)
 		rep := core.Report{
 			ComputeCycles: srep.Steps[i].Compute,
-			SendCycles:    d.FPGACycles(hwsim.Transfer{Bytes: srep.Steps[i].LoadBytes}),
-			ReceiveCycles: d.FPGACycles(hwsim.Transfer{Bytes: srep.Steps[i].StoreBytes}),
+			SendCycles:    w.accel.TransferCycles(srep.Steps[i].LoadBytes),
+			ReceiveCycles: w.accel.TransferCycles(srep.Steps[i].StoreBytes),
 		}
 		// The key stream is charged to the stream's first op, exactly like
 		// the sequential path charges the batch's first executed op.

@@ -109,6 +109,9 @@ func (t *NTTTable) Forward(a []uint64) {
 	if len(a) != t.N {
 		panic("poly: NTT length mismatch")
 	}
+	if t.forwardSIMD(a, a) {
+		return
+	}
 	t.forwardStages(a, 1, t.N>>1)
 }
 
@@ -123,6 +126,16 @@ func (t *NTTTable) ForwardFromInto(dst, src []uint64) {
 	if len(dst) != t.N || len(src) != t.N {
 		panic("poly: NTT length mismatch")
 	}
+	if t.forwardSIMD(dst, src) {
+		return
+	}
+	t.forwardFromIntoGeneric(dst, src)
+}
+
+// forwardFromIntoGeneric is the scalar ForwardFromInto: the path of every
+// build without the vector kernels and of every table they do not take, and
+// the reference the differential tests hold them to.
+func (t *NTTTable) forwardFromIntoGeneric(dst, src []uint64) {
 	n := t.N
 	if n == 2 {
 		copy(dst, src)
@@ -287,6 +300,14 @@ func (t *NTTTable) Inverse(a []uint64) {
 	if len(a) != t.N {
 		panic("poly: NTT length mismatch")
 	}
+	if t.inverseSIMD(a) {
+		return
+	}
+	t.inverseGeneric(a)
+}
+
+// inverseGeneric is the scalar Inverse, kept as forwardFromIntoGeneric is.
+func (t *NTTTable) inverseGeneric(a []uint64) {
 	a = a[:t.N:t.N]
 	q := t.Mod.Q
 	twoQ := 2 * q

@@ -216,6 +216,26 @@ func (m Modulus) VecReduceOnceInto(dst, a []uint64) {
 	}
 }
 
+// shoupKernel names the four constant-operand Shoup kernels below to
+// shoupSIMD, the one entry point of the vector unit (vec_amd64.go; a stub that
+// takes no lanes elsewhere). Each kernel hands it the row first and runs its
+// own loop — the reference semantics — over whatever is left: the tail of a
+// row whose length is not a multiple of four, or all of it. The multiplicand
+// lanes a[i] (and b[i]) must be below 2^32, as every residue is
+// (MaxModulusBits). The vector lane estimates its quotient from 32 bits of the
+// Shoup companion where the scalar lane uses 64, so a *lazy* product may come
+// out q above the scalar one (both congruent and < 2·Q); canonical outputs —
+// VecScalarMulShoupInto, and every lazy sum after its closing VecReduceInto
+// or VecExtendFinishInto — are the same words on either path.
+type shoupKernel int
+
+const (
+	shoupCanonical shoupKernel = iota // VecScalarMulShoupInto
+	shoupLazy                         // VecScalarMulShoupLazyInto
+	shoupLazyAdd                      // VecScalarMulShoupLazyAddInto
+	shoupLazyAdd2                     // VecScalarMulShoupLazyAdd2Into
+)
+
 // VecScalarMulShoupInto sets dst[i] = w·a[i] mod Q for a fixed reduced
 // operand w with wShoup = ShoupPrecomp(w) — the constant-operand lane the
 // RNS digit decomposition multiplies q̃_i through, two machine multiplies
@@ -223,6 +243,8 @@ func (m Modulus) VecReduceOnceInto(dst, a []uint64) {
 func (m Modulus) VecScalarMulShoupInto(dst, a []uint64, w, wShoup uint64) {
 	q := m.Q
 	a = a[:len(dst)]
+	done := shoupSIMD(shoupCanonical, q, dst, a, nil, w, wShoup, 0, 0)
+	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
 		qhat, _ := bits.Mul64(x, wShoup)
@@ -241,6 +263,8 @@ func (m Modulus) VecScalarMulShoupInto(dst, a []uint64, w, wShoup uint64) {
 func (m Modulus) VecScalarMulShoupLazyInto(dst, a []uint64, w, wShoup uint64) {
 	q := m.Q
 	a = a[:len(dst)]
+	done := shoupSIMD(shoupLazy, q, dst, a, nil, w, wShoup, 0, 0)
+	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
 		qhat, _ := bits.Mul64(x, wShoup)
@@ -256,6 +280,8 @@ func (m Modulus) VecScalarMulShoupLazyInto(dst, a []uint64, w, wShoup uint64) {
 func (m Modulus) VecScalarMulShoupLazyAddInto(dst, a []uint64, w, wShoup uint64) {
 	q := m.Q
 	a = a[:len(dst)]
+	done := shoupSIMD(shoupLazyAdd, q, dst, a, nil, w, wShoup, 0, 0)
+	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
 		qhat, _ := bits.Mul64(x, wShoup)
@@ -272,6 +298,8 @@ func (m Modulus) VecScalarMulShoupLazyAdd2Into(dst, a, b []uint64, wa, waShoup, 
 	q := m.Q
 	a = a[:len(dst)]
 	b = b[:len(dst)]
+	done := shoupSIMD(shoupLazyAdd2, q, dst, a, b, wa, waShoup, wb, wbShoup)
+	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		x := a[i]
 		qhatA, _ := bits.Mul64(x, waShoup)
