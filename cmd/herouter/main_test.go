@@ -45,6 +45,8 @@ func TestInvalidFlagsExitTwo(t *testing.T) {
 		{"zero fail threshold", []string{"-backends", "127.0.0.1:7101", "-fail-threshold", "0"}, "-fail-threshold"},
 		{"zero read timeout", []string{"-backends", "127.0.0.1:7101", "-read-timeout", "0s"}, "-read-timeout"},
 		{"zero drain timeout", []string{"-backends", "127.0.0.1:7101", "-drain-timeout", "0s"}, "-drain-timeout"},
+		{"load spill not above one", []string{"-backends", "127.0.0.1:7101", "-load-spill", "1"}, "-load-spill"},
+		{"zero watch interval", []string{"-backends", "127.0.0.1:7101", "-watch-interval", "0s"}, "-watch-interval"},
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
 	}
 	for _, tc := range cases {

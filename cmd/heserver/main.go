@@ -66,7 +66,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight work")
 	debugAddr := flag.String("debug-addr", "", "listen address for the HTTP debug endpoint (expvar + pprof); empty disables it")
 	integrity := flag.Bool("integrity", false, "verify co-processor results with Freivalds fingerprints; a mismatch fails the op with a retryable integrity error instead of returning corrupted data")
-	integritySeed := flag.Int64("integrity-seed", 1, "seed for the integrity fingerprint weights")
 	pipelined := flag.Bool("pipelined", false, "stream multi-op Mul batches through the double-buffered DMA/compute pipeline (operand DMA of the next op overlaps the current op's compute)")
 	ckksServe := flag.Bool("ckks", false, "additionally serve the CKKS approximate-arithmetic commands (CmdCKKSAdd/Mul/Rotate); CKKS keys are derived from -seed on an independent PRNG stream, with rotation keys installed for slot shifts 1, 2, 4, and 8")
 	noiseGuard := flag.Bool("noise-guard", false, "reject ops whose client-declared noise budget the noise model predicts would be exhausted")
@@ -159,7 +158,6 @@ func main() {
 		ExpvarName:         "engine",
 		Pipelined:          *pipelined,
 		IntegrityChecks:    *integrity,
-		IntegritySeed:      *integritySeed,
 		NoiseGuard:         *noiseGuard,
 		MinNoiseBudgetBits: *minNoiseBudget,
 		TenantQuota:        *tenantQuota,

@@ -207,6 +207,28 @@ func TestRotate(t *testing.T) {
 	}
 }
 
+// TestGaloisElementForRotation pins the square-and-multiply routine against
+// the definition it replaced: 5 multiplied in r times mod 2N, with r reduced
+// into [0, Slots) first — over every count in [-Slots, Slots], both sets.
+func TestGaloisElementForRotation(t *testing.T) {
+	for _, cfg := range []Config{TestConfig(), PaperConfig()} {
+		p, err := NewParams(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, m := p.Slots(), 2*p.N()
+		want := make([]int, slots) // want[r] = 5^r mod 2N
+		for r, g := 0, 1; r < slots; r, g = r+1, g*5%m {
+			want[r] = g
+		}
+		for r := -slots; r <= slots; r++ {
+			if got := p.GaloisElementForRotation(r); got != want[((r%slots)+slots)%slots] {
+				t.Fatalf("N=%d: GaloisElementForRotation(%d) = %d, want %d", p.N(), r, got, want[((r%slots)+slots)%slots])
+			}
+		}
+	}
+}
+
 func TestConjugate(t *testing.T) {
 	tc := newTestContext(t, 15)
 	rng := rand.New(rand.NewSource(15))

@@ -191,10 +191,15 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g int) *GaloisKey {
 func (p *Params) GaloisElementForRotation(r int) int {
 	slots := p.Slots()
 	r = ((r % slots) + slots) % slots
+	// 5^r mod 2N by square-and-multiply: the engine resolves this on every
+	// rotation it admits and the scheduler checks it against the key.
 	m := 2 * p.N()
 	g := 1
-	for i := 0; i < r; i++ {
-		g = g * 5 % m
+	for b := 5 % m; r > 0; r >>= 1 {
+		if r&1 == 1 {
+			g = g * b % m
+		}
+		b = b * b % m
 	}
 	return g
 }

@@ -278,7 +278,12 @@ func TestServerRotate(t *testing.T) {
 	if _, _, err := client.Rotate(ct, 5); err == nil {
 		t.Fatal("rotation with missing key should error")
 	}
-	// The connection must survive the error response.
+	// So must element 0, which the wire carries unchecked: the tenant's
+	// relinearization key is registered, and it is not a Galois key.
+	if _, _, err := client.Rotate(ct, 0); err == nil {
+		t.Fatal("rotation by element 0 should error")
+	}
+	// The connection must survive the error responses.
 	if err := client.Ping(); err != nil {
 		t.Fatalf("connection broken after error response: %v", err)
 	}

@@ -115,6 +115,56 @@ func TestFramingReservesOnlyWhatArrived(t *testing.T) {
 	}
 }
 
+// maxClaimMuxFrame is a mux frame header claiming a payload of claim bytes —
+// both its checksums valid, as any peer can make them — followed by ten
+// bytes of it.
+func maxClaimMuxFrame(claim int) []byte {
+	var hdr [muxHeaderLen]byte
+	hdr[0] = MuxFrameRequest
+	binary.LittleEndian.PutUint64(hdr[1:9], 3)
+	binary.LittleEndian.PutUint32(hdr[9:13], uint32(claim))
+	binary.LittleEndian.PutUint32(hdr[21:25], muxChecksum(hdr[:21]))
+	return append(hdr[:], "0123456789"...)
+}
+
+// TestMuxFrameReservesOnlyWhatArrived is TestFramingReservesOnlyWhatArrived
+// for the mux reader, which sits in front of the cursor on every multiplexed
+// connection: 25 header bytes claiming the largest legal payload used to
+// reserve all of it — pooled or not — before a byte of the body arrived.
+func TestMuxFrameReservesOnlyWhatArrived(t *testing.T) {
+	claim := maxMuxPayload(fuzzParams())
+	if claim < 8<<20 {
+		t.Fatalf("the largest mux payload is %d bytes: too small for this test to mean anything", claim)
+	}
+	data := maxClaimMuxFrame(claim)
+	for _, pooled := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, buf, err := readMuxFrame(bytes.NewReader(data), claim, pooled)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformedMuxFrame) || !errors.Is(err, io.ErrUnexpectedEOF) || buf != nil {
+			t.Errorf("pooled=%v: err %v (buffer %v), want ErrMalformedMuxFrame wrapping io.ErrUnexpectedEOF and no buffer", pooled, err, buf != nil)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+			t.Errorf("pooled=%v: the mux reader allocated %d bytes for a payload of 10", pooled, got)
+		}
+	}
+
+	// A payload longer than one step arrives whole, through the growth path.
+	payload := bytes.Repeat([]byte("mux frame payload "), 3*streamSlack/18)
+	var wire bytes.Buffer
+	if err := WriteMuxFrame(&wire, MuxFrameResponse, 9, payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, pooled := range []bool{false, true} {
+		f, buf, err := readMuxFrame(bytes.NewReader(wire.Bytes()), claim, pooled)
+		if err != nil || f.ID != 9 || !bytes.Equal(f.Payload, payload) || (buf != nil) != pooled {
+			t.Errorf("pooled=%v: a %d-byte payload came back as %d bytes, err %v", pooled, len(payload), len(f.Payload), err)
+		}
+		buf.release()
+	}
+}
+
 // sameRefusal fails unless the split codec refused exactly as the reference
 // did: the same sentinel, or the same bare I/O error before the message
 // started.

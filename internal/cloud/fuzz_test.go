@@ -122,7 +122,10 @@ func FuzzDecodeRequest(f *testing.F) {
 // (ErrMuxPayloadChecksum, which must carry the frame's ID), and anything it
 // accepts must survive a re-encode/re-decode round trip.
 func FuzzDecodeMuxFrame(f *testing.F) {
-	const maxPayload = 1 << 16
+	// The bound the serving paths enforce, so the seed claiming all of it
+	// gets past the length check and into the payload reader.
+	maxPayload := maxMuxPayload(fuzzParams())
+	f.Add(maxClaimMuxFrame(maxPayload))
 	seed := func(typ uint8, id uint64, payload []byte) {
 		var buf bytes.Buffer
 		if err := WriteMuxFrame(&buf, typ, id, payload); err != nil {

@@ -217,17 +217,36 @@ func readMuxFrame(r io.Reader, maxPayload int, pooled bool) (f MuxFrame, buf *bu
 	if ln < 1 || ln > maxPayload {
 		return f, nil, fmt.Errorf("%w: payload length %d outside [1, %d]", ErrMalformedMuxFrame, ln, maxPayload)
 	}
+	// ln is the peer's word until the bytes arrive, so room is reserved only
+	// as far as growLimit lets what has arrived justify — like cursor.next. A
+	// payload up to streamSlack (every op frame) still lands in one buffer
+	// with no copy; a longer one in a handful, the copying linear.
 	var payload []byte
-	if pooled {
-		buf = getBuf(ln)
-		buf.b = buf.b[:ln]
-		payload = buf.b
-	} else {
-		payload = make([]byte, ln)
+	for have := 0; have < ln; {
+		if room := min(ln, growLimit(have)); room > cap(payload) {
+			var grown []byte
+			var gbuf *buffer
+			if pooled {
+				gbuf = getBuf(room)
+				grown = gbuf.b[:cap(gbuf.b)]
+			} else {
+				grown = make([]byte, room)
+			}
+			copy(grown, payload[:have])
+			buf.release()
+			payload, buf = grown, gbuf
+		}
+		stop := min(ln, cap(payload))
+		got, err := io.ReadFull(r, payload[have:stop])
+		have += got
+		if err != nil {
+			buf.release()
+			return f, nil, malformed(ErrMalformedMuxFrame, "truncated frame payload", err)
+		}
 	}
-	if _, err := io.ReadFull(r, payload); err != nil {
-		buf.release()
-		return f, nil, malformed(ErrMalformedMuxFrame, "truncated frame payload", err)
+	payload = payload[:ln]
+	if pooled {
+		buf.b = payload
 	}
 	f = MuxFrame{Type: typ, ID: id, Payload: payload}
 	if got, want := uint64(muxChecksum(payload)), binary.LittleEndian.Uint64(hdr[13:21]); got != want {

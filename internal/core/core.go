@@ -15,10 +15,8 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/faults"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -28,16 +26,7 @@ type Accelerator struct {
 	Variant  hwsim.Variant
 	Platform *hwsim.Platform
 
-	// dma is the transfer model under the accelerator's own timing
-	// calibration: operand, result and key-stream accounting must see the
-	// DMA the co-processors were built with, not the default one.
-	dma    hwsim.DMA
-	scheds []*worker
-}
-
-type worker struct {
-	mu sync.Mutex
-	s  *sched.Scheduler
+	pool[*sched.Scheduler]
 }
 
 // Report is the timing accounting of one accelerated operation.
@@ -98,9 +87,10 @@ func NewWithTiming(params *fv.Params, variant hwsim.Variant, coprocs int, timing
 	if err != nil {
 		return nil, err
 	}
-	a := &Accelerator{Params: params, Variant: variant, Platform: platform, dma: hwsim.DMA{Timing: timing}}
+	a := &Accelerator{Params: params, Variant: variant, Platform: platform,
+		pool: pool[*sched.Scheduler]{n: params.N(), dma: hwsim.DMA{Timing: timing}, seedStride: 1}}
 	for _, c := range platform.Coprocs {
-		a.scheds = append(a.scheds, &worker{s: sched.New(params, c)})
+		a.add(sched.New(params, c), c.Stats, c)
 	}
 	return a, nil
 }
@@ -115,97 +105,35 @@ func NewPaper(t uint64) (*Accelerator, error) {
 	return New(params, hwsim.VariantHPS, 2)
 }
 
-// NumCoprocessors returns the co-processor count.
-func (a *Accelerator) NumCoprocessors() int { return len(a.scheds) }
-
-// EnableIntegrity switches Freivalds-style fingerprint verification on for
-// every co-processor, with per-instance seeds derived from seed. Operations
-// then fail with an error wrapping hwsim.ErrIntegrity instead of returning a
-// corrupted ciphertext.
-func (a *Accelerator) EnableIntegrity(seed int64) error {
-	for i, c := range a.Platform.Coprocs {
-		if err := c.EnableIntegrity(seed + int64(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetFaultInjector attaches a fault injector to every co-processor (nil
-// detaches). Engines share one injector across workers so a chaos schedule
-// spans the pool.
-func (a *Accelerator) SetFaultInjector(inj *faults.Injector) {
-	for _, c := range a.Platform.Coprocs {
-		c.SetInjector(inj)
-	}
-}
-
-// SetMetrics routes the co-processors' integrity detection and recovery
-// counters into reg (nil-safe).
-func (a *Accelerator) SetMetrics(reg *obs.Registry) {
-	for _, c := range a.Platform.Coprocs {
-		c.SetMetrics(reg)
-	}
-}
-
-// worker 0 serves sequential calls; MulBatch spreads over all of them.
-func (a *Accelerator) onWorker(i int, f func(*sched.Scheduler) error) error {
-	w := a.scheds[i%len(a.scheds)]
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return f(w.s)
-}
-
-// transferReport fills the operand-send and result-receive rows of a report
-// from the DMA model (Table I rows 4–5: two ciphertexts in, one out).
-func (a *Accelerator) transferReport(rep *Report) {
-	polyBytes := hwsim.PolyBytes(a.Params.N(), a.Params.QBasis.K())
-	rep.SendCycles = a.TransferCycles(4 * polyBytes)
-	rep.ReceiveCycles = a.TransferCycles(2 * polyBytes)
-}
-
 // TransferCycles returns the co-processor cycles of one DMA transfer of
 // `bytes` under the timing calibration the accelerator was built with — the
 // one its co-processors run on.
-func (a *Accelerator) TransferCycles(bytes int) hwsim.Cycles {
-	return a.dma.FPGACycles(hwsim.Transfer{Bytes: bytes})
-}
+func (a *Accelerator) TransferCycles(bytes int) hwsim.Cycles { return a.transferCycles(bytes) }
 
 // Add computes FV.Add on the accelerator.
 func (a *Accelerator) Add(x, y *fv.Ciphertext) (*fv.Ciphertext, Report, error) {
-	var ct *fv.Ciphertext
-	var rep Report
-	err := a.onWorker(0, func(s *sched.Scheduler) error {
-		s.C.ResetStats()
-		res, cycles, err := s.Add(x, y)
-		if err != nil {
-			return err
-		}
-		ct = res
-		rep.ComputeCycles = cycles
-		return nil
+	kq := a.Params.QBasis.K()
+	return run(&a.pool, 4, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
+		return s.Add(x, y)
 	})
-	a.transferReport(&rep)
-	return ct, rep, err
 }
 
 // Mul computes FV.Mult on the accelerator, returning the relinearized
 // ciphertext and the timing report.
 func (a *Accelerator) Mul(x, y *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, Report, error) {
-	var ct *fv.Ciphertext
-	var rep Report
-	err := a.onWorker(0, func(s *sched.Scheduler) error {
-		s.C.ResetStats()
-		res, cycles, err := s.Mul(x, y, rk)
-		if err != nil {
-			return err
-		}
-		ct = res
-		rep.ComputeCycles = cycles
-		return nil
+	kq := a.Params.QBasis.K()
+	return run(&a.pool, 4, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
+		return s.Mul(x, y, rk)
 	})
-	a.transferReport(&rep)
-	return ct, rep, err
+}
+
+// Rotate applies a Galois automorphism with key switch on the accelerator:
+// one ciphertext in, one out.
+func (a *Accelerator) Rotate(x *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext, Report, error) {
+	kq := a.Params.QBasis.K()
+	return run(&a.pool, 2, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
+		return s.Rotate(x, gk)
+	})
 }
 
 // MulStream runs independent multiplications as one double-buffered stream
@@ -237,24 +165,6 @@ func (a *Accelerator) MulStream(xs, ys []*fv.Ciphertext, rk *fv.RelinKey) ([]*fv
 	return results, rep, err
 }
 
-// Rotate applies a Galois automorphism with key switch on the accelerator.
-func (a *Accelerator) Rotate(x *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext, Report, error) {
-	var ct *fv.Ciphertext
-	var rep Report
-	err := a.onWorker(0, func(s *sched.Scheduler) error {
-		s.C.ResetStats()
-		res, cycles, err := s.Rotate(x, gk)
-		if err != nil {
-			return err
-		}
-		ct = res
-		rep.ComputeCycles = cycles
-		return nil
-	})
-	a.transferReport(&rep)
-	return ct, rep, err
-}
-
 // MulBatch runs independent multiplications across all co-processors
 // concurrently (the paper's dual-co-processor throughput experiment:
 // "two Mult operations take roughly the same time as one"). It returns the
@@ -264,14 +174,14 @@ func (a *Accelerator) MulBatch(xs, ys []*fv.Ciphertext, rk *fv.RelinKey) ([]*fv.
 		return nil, 0, fmt.Errorf("core: operand count mismatch")
 	}
 	results := make([]*fv.Ciphertext, len(xs))
-	perWorker := make([]float64, len(a.scheds))
-	errs := make([]error, len(a.scheds))
+	perWorker := make([]float64, len(a.workers))
+	errs := make([]error, len(a.workers))
 	var wg sync.WaitGroup
-	for w := range a.scheds {
+	for w := range a.workers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(xs); i += len(a.scheds) {
+			for i := w; i < len(xs); i += len(a.workers) {
 				err := a.onWorker(w, func(s *sched.Scheduler) error {
 					res, cycles, err := s.Mul(xs[i], ys[i], rk)
 					if err != nil {
@@ -303,9 +213,6 @@ func (a *Accelerator) MulBatch(xs, ys []*fv.Ciphertext, rk *fv.RelinKey) ([]*fv.
 	return results, slowest, nil
 }
 
-// Stats returns co-processor 0's accumulated per-instruction statistics.
-func (a *Accelerator) Stats() *hwsim.Stats { return a.scheds[0].s.C.Stats }
-
 // RelinKeyBytes returns the DMA transfer size of a relinearization key: two
 // polynomial vectors of ell components, each a full R_q polynomial of 32-bit
 // residue words. For the paper set (ell = 6) that is 2·6·98,304 ≈ 1.2 MB —
@@ -319,11 +226,4 @@ func RelinKeyBytes(params *fv.Params, rk *fv.RelinKey) int {
 // key (same gadget shape as the relin key).
 func GaloisKeyBytes(params *fv.Params, gk *fv.GaloisKey) int {
 	return 2 * len(gk.Ks0Hat) * hwsim.PolyBytes(params.N(), params.QBasis.K())
-}
-
-// KeyStreamCycles returns the co-processor cycles of streaming `bytes` of
-// evaluation-key material over the DMA (a single transfer, the paper's
-// Table III optimum).
-func (a *Accelerator) KeyStreamCycles(bytes int) hwsim.Cycles {
-	return a.TransferCycles(bytes)
 }

@@ -39,7 +39,7 @@ func (a *Accelerator) ServeWorkload(jobs []Job, rk *fv.RelinKey) ([]*fv.Cipherte
 	if len(jobs) == 0 {
 		return nil, WorkloadStats{}, fmt.Errorf("core: empty workload")
 	}
-	workers := len(a.scheds)
+	workers := len(a.workers)
 	freeAt := make([]float64, workers)
 	results := make([]*fv.Ciphertext, len(jobs))
 

@@ -12,19 +12,7 @@ import (
 type batchKey struct {
 	tenant string
 	kind   OpKind
-	g      int // Galois element; zero except for OpRotate
-}
-
-func keyOf(op Op) batchKey {
-	k := batchKey{tenant: op.Tenant, kind: op.Kind}
-	if op.Kind == OpRotate {
-		k.g = op.G
-	}
-	if op.Kind == OpCKKSRotate {
-		// Group by rotation count; the worker resolves the Galois element.
-		k.g = op.R
-	}
-	return k
+	g      int // Galois element; zero except for the rotations
 }
 
 // batch is one unit of worker dispatch.
@@ -101,7 +89,7 @@ func (e *Engine) dispatch() {
 			e.expire(r)
 			return
 		}
-		k := keyOf(r.op)
+		k := r.key
 		b := pending[k]
 		if b == nil {
 			b = &batch{key: k, opened: time.Now()}

@@ -30,46 +30,31 @@ func (ck *ckksWorker) alignLevels(a, b *ckks.Ciphertext) (*ckks.Ciphertext, *ckk
 	return a, b
 }
 
-// execCKKS serves one CKKS operation on w. Add/Mul/Rotate run on the chain
-// co-processor and report its cycles; the plaintext kinds run on the
-// application core (zero co-processor cycles in the report).
-func (e *Engine) execCKKS(w *worker, op Op, rk *ckks.RelinKey, gk *ckks.GaloisKey) (*ckks.Ciphertext, core.Report, error) {
-	ck := w.ckks
-	if ck == nil {
-		return nil, core.Report{}, ErrCKKSUnavailable
+// addPlain adds the slot vector, encoded at the ciphertext's level and
+// scale, on the software evaluator.
+func (ck *ckksWorker) addPlain(ct *ckks.Ciphertext, plain []float64) (*ckks.Ciphertext, error) {
+	pt, err := ck.enc.Encode(plain, ct.Level(), ct.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("engine: encoding add_plain operand: %w", err)
 	}
-	p := e.cfg.CKKSParams
-	switch op.Kind {
-	case OpCKKSAdd:
-		a, b := ck.alignLevels(op.CA, op.CB)
-		return ck.accel.Add(a, b)
-	case OpCKKSMul:
-		a, b := ck.alignLevels(op.CA, op.CB)
-		return ck.accel.Mul(a, b, rk)
-	case OpCKKSRotate:
-		return ck.accel.Rotate(op.CA, op.R, gk)
-	case OpCKKSAddPlain:
-		ct := op.CA
-		pt, err := ck.enc.Encode(op.Plain, ct.Level(), ct.Scale)
-		if err != nil {
-			return nil, core.Report{}, fmt.Errorf("engine: encoding add_plain operand: %w", err)
-		}
-		return ck.ev.AddPlain(ct, pt), core.Report{}, nil
-	case OpCKKSMulPlain:
-		ct := op.CA
-		level := ct.Level()
-		if level < 1 {
-			return nil, core.Report{}, fmt.Errorf("engine: mul_plain at level 0 — no level left to rescale into")
-		}
-		// Encode the constant at the scale that lands the rescaled product
-		// exactly on the default scale, whatever the operand's drift — this
-		// is what keeps long plaintext/ciphertext chains addable.
-		scale := p.ScaleUpTo(ct.Scale, level, p.DefaultScale())
-		pt, err := ck.enc.Encode(op.Plain, level, scale)
-		if err != nil {
-			return nil, core.Report{}, fmt.Errorf("engine: encoding mul_plain operand: %w", err)
-		}
-		return ck.ev.Rescale(ck.ev.MulPlain(ct, pt)), core.Report{}, nil
+	return ck.ev.AddPlain(ct, pt), nil
+}
+
+// mulPlain multiplies by the slot vector and rescales, on the software
+// evaluator.
+func (ck *ckksWorker) mulPlain(ct *ckks.Ciphertext, plain []float64) (*ckks.Ciphertext, error) {
+	level := ct.Level()
+	if level < 1 {
+		return nil, fmt.Errorf("engine: mul_plain at level 0 — no level left to rescale into")
 	}
-	return nil, core.Report{}, fmt.Errorf("engine: unknown ckks op kind %d", uint8(op.Kind))
+	// Encode the constant at the scale that lands the rescaled product
+	// exactly on the default scale, whatever the operand's drift — this
+	// is what keeps long plaintext/ciphertext chains addable.
+	p := ck.accel.Params
+	scale := p.ScaleUpTo(ct.Scale, level, p.DefaultScale())
+	pt, err := ck.enc.Encode(plain, level, scale)
+	if err != nil {
+		return nil, fmt.Errorf("engine: encoding mul_plain operand: %w", err)
+	}
+	return ck.ev.Rescale(ck.ev.MulPlain(ct, pt)), nil
 }

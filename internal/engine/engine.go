@@ -93,31 +93,6 @@ const (
 	OpCKKSMulPlain
 )
 
-func (k OpKind) String() string {
-	switch k {
-	case OpAdd:
-		return "add"
-	case OpMul:
-		return "mul"
-	case OpRotate:
-		return "rotate"
-	case OpCKKSAdd:
-		return "ckks_add"
-	case OpCKKSMul:
-		return "ckks_mul"
-	case OpCKKSRotate:
-		return "ckks_rotate"
-	case OpCKKSAddPlain:
-		return "ckks_add_plain"
-	case OpCKKSMulPlain:
-		return "ckks_mul_plain"
-	}
-	return fmt.Sprintf("op(%d)", uint8(k))
-}
-
-// isCKKS reports whether k is one of the approximate-arithmetic kinds.
-func isCKKS(k OpKind) bool { return k >= OpCKKSAdd && k <= OpCKKSMulPlain }
-
 // Op is one homomorphic operation on uploaded ciphertexts.
 type Op struct {
 	Kind   OpKind
@@ -284,7 +259,10 @@ func (c *Config) withDefaults() (Config, error) {
 
 // request is one queued operation and its completion plumbing.
 type request struct {
-	op       Op
+	op Op
+	// key is what the batcher groups by, fixed at admission: tenant, kind
+	// and — for the rotations of either scheme — the Galois element.
+	key      batchKey
 	ctx      context.Context
 	deadline time.Time // zero = none
 	enqueued time.Time
@@ -359,43 +337,39 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.NoiseGuard {
 		e.noise = fv.NewNoiseModel(cfg.Params)
 	}
+	// guard hangs the robustness attachments on one accelerator. Every
+	// co-processor, of either scheme, gets its own integrity seed: no two
+	// share check weights, so a systematic fault cannot hide behind a shared
+	// blind spot.
+	guard := func(a interface {
+		EnableIntegrity(seed int64) error
+		SetFaultInjector(*faults.Injector)
+		SetMetrics(*obs.Registry)
+	}, seedOffset int64) error {
+		a.SetFaultInjector(cfg.FaultInjector)
+		a.SetMetrics(cfg.Registry)
+		if !cfg.IntegrityChecks {
+			return nil
+		}
+		return a.EnableIntegrity(cfg.IntegritySeed + seedOffset)
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		accel, err := core.New(cfg.Params, cfg.Variant, 1)
+		if err == nil {
+			err = guard(accel, int64(i)*1009+1)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: worker %d accelerator: %w", i, err)
 		}
-		if cfg.IntegrityChecks {
-			// Per-worker seed offset so no two co-processors share check
-			// weights: a systematic fault cannot hide behind a shared blind
-			// spot.
-			if err := accel.EnableIntegrity(cfg.IntegritySeed + int64(i)*1009 + 1); err != nil {
-				return nil, fmt.Errorf("engine: worker %d integrity: %w", i, err)
-			}
-		}
-		if cfg.FaultInjector != nil {
-			accel.SetFaultInjector(cfg.FaultInjector)
-		}
-		if cfg.Registry != nil {
-			accel.SetMetrics(cfg.Registry)
-		}
 		w := newWorker(i, accel, cfg.KeyCacheSlots, fv.NewEvaluator(cfg.Params))
 		if cfg.CKKSParams != nil {
+			// The CKKS seeds come from a range disjoint from the BFV ones.
 			ca, err := core.NewCKKS(cfg.CKKSParams, 1)
+			if err == nil {
+				err = guard(ca, int64(i)*2027+501)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("engine: worker %d ckks accelerator: %w", i, err)
-			}
-			if cfg.IntegrityChecks {
-				// Offset into a disjoint seed range from the BFV co-processor
-				// so the two schemes never share check weights either.
-				if err := ca.EnableIntegrity(cfg.IntegritySeed + int64(i)*2027 + 501); err != nil {
-					return nil, fmt.Errorf("engine: worker %d ckks integrity: %w", i, err)
-				}
-			}
-			if cfg.FaultInjector != nil {
-				ca.SetFaultInjector(cfg.FaultInjector)
-			}
-			if cfg.Registry != nil {
-				ca.SetMetrics(cfg.Registry)
 			}
 			w.ckks = &ckksWorker{
 				accel: ca,
@@ -473,25 +447,25 @@ func (e *Engine) tenant(name string) *tenantCounters {
 // key stays in NTT form exactly as generated; workers model the DMA cost of
 // streaming it on first use and keep it resident in their caches after.
 func (e *Engine) SetRelinKey(tenant string, rk *fv.RelinKey) {
-	e.keys.setRelin(tenant, rk)
+	e.ImportTenantKeys(tenant, &TenantKeySet{Relin: rk})
 }
 
 // SetGaloisKey registers the tenant's key-switching key for one Galois
 // element.
 func (e *Engine) SetGaloisKey(tenant string, gk *fv.GaloisKey) {
-	e.keys.setGalois(tenant, gk)
+	e.ImportTenantKeys(tenant, &TenantKeySet{Galois: []*fv.GaloisKey{gk}})
 }
 
 // SetCKKSRelinKey registers the tenant's CKKS relinearization key (all
 // level bundles; workers stream and cache it like the FV keys).
 func (e *Engine) SetCKKSRelinKey(tenant string, rk *ckks.RelinKey) {
-	e.keys.setCKKSRelin(tenant, rk)
+	e.ImportTenantKeys(tenant, &TenantKeySet{CKKSRelin: rk})
 }
 
 // SetCKKSGaloisKey registers the tenant's CKKS key-switching key for one
 // Galois element.
 func (e *Engine) SetCKKSGaloisKey(tenant string, gk *ckks.GaloisKey) {
-	e.keys.setCKKSGalois(tenant, gk)
+	e.ImportTenantKeys(tenant, &TenantKeySet{CKKSGalois: []*ckks.GaloisKey{gk}})
 }
 
 // ExportTenantKeys snapshots every evaluation key registered for the tenant
@@ -501,10 +475,37 @@ func (e *Engine) ExportTenantKeys(tenant string) *TenantKeySet {
 	return e.keys.export(tenant)
 }
 
-// ImportTenantKeys registers a migrated key set under the tenant, replacing
-// any keys of the same identity. Nil set is a no-op.
+// ImportTenantKeys registers a key set under the tenant — the one place a
+// key gets its identity and its DMA size — replacing any keys of the same
+// identity and keeping any others already present. The set lands under one
+// lock: serving never sees a half-imported tenant. Nil set is a no-op.
 func (e *Engine) ImportTenantKeys(tenant string, ks *TenantKeySet) {
-	e.keys.importSet(tenant, ks)
+	if ks == nil {
+		return
+	}
+	// A CKKS key streams all its level bundles. An engine without CKKSParams
+	// can hold such keys (a migration target stores what it is sent) but
+	// never streams them.
+	ckksBytes := 0
+	if p := e.cfg.CKKSParams; p != nil {
+		ckksBytes = core.CKKSKeyBytes(p, p.MaxLevel())
+	}
+	entries := make([]keyEntry, 0, ks.Count())
+	if rk := ks.Relin; rk != nil {
+		entries = append(entries, keyEntry{relinID(tenant, schemeBFV),
+			evalKey{rk, core.RelinKeyBytes(e.cfg.Params, rk)}})
+	}
+	for _, gk := range ks.Galois {
+		entries = append(entries, keyEntry{galoisID(tenant, schemeBFV, gk.G),
+			evalKey{gk, core.GaloisKeyBytes(e.cfg.Params, gk)}})
+	}
+	if rk := ks.CKKSRelin; rk != nil {
+		entries = append(entries, keyEntry{relinID(tenant, schemeCKKS), evalKey{rk, ckksBytes}})
+	}
+	for _, gk := range ks.CKKSGalois {
+		entries = append(entries, keyEntry{galoisID(tenant, schemeCKKS, gk.G), evalKey{gk, ckksBytes}})
+	}
+	e.keys.set(entries...)
 }
 
 // Submit admits one operation and blocks until it completes, expires, or
@@ -514,10 +515,11 @@ func (e *Engine) Submit(ctx context.Context, op Op) (*Result, error) {
 	if err := validate(op); err != nil {
 		return nil, err
 	}
-	if isCKKS(op.Kind) && e.cfg.CKKSParams == nil {
+	info := op.Kind.info()
+	if info.scheme == schemeCKKS && e.cfg.CKKSParams == nil {
 		return nil, ErrCKKSUnavailable
 	}
-	if err := e.noiseGuard(op); err != nil {
+	if err := e.noiseGuard(op, info); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -529,6 +531,13 @@ func (e *Engine) Submit(ctx context.Context, op Op) (*Result, error) {
 	}
 	now := time.Now()
 	r := &request{op: op, ctx: ctx, enqueued: now, done: make(chan struct{})}
+	r.key = batchKey{tenant: op.Tenant, kind: op.Kind}
+	if info.key == keyGalois {
+		r.key.g = op.G
+		if info.scheme == schemeCKKS {
+			r.key.g = e.cfg.CKKSParams.GaloisElementForRotation(op.R)
+		}
+	}
 	if d, ok := ctx.Deadline(); ok {
 		r.deadline = d
 	}
@@ -601,55 +610,16 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}
 }
 
-func validate(op Op) error {
-	switch op.Kind {
-	case OpAdd, OpMul:
-		if op.A == nil || op.B == nil {
-			return fmt.Errorf("engine: %v needs two operands", op.Kind)
-		}
-	case OpRotate:
-		if op.A == nil {
-			return fmt.Errorf("engine: rotate needs an operand")
-		}
-	case OpCKKSAdd, OpCKKSMul:
-		if op.CA == nil || op.CB == nil {
-			return fmt.Errorf("engine: %v needs two CKKS operands", op.Kind)
-		}
-	case OpCKKSRotate:
-		if op.CA == nil {
-			return fmt.Errorf("engine: %v needs a CKKS operand", op.Kind)
-		}
-	case OpCKKSAddPlain, OpCKKSMulPlain:
-		if op.CA == nil || len(op.Plain) == 0 {
-			return fmt.Errorf("engine: %v needs a CKKS operand and a plaintext vector", op.Kind)
-		}
-	default:
-		return fmt.Errorf("engine: unknown op kind %d", op.Kind)
-	}
-	return nil
-}
-
 // noiseGuard screens a hinted operation through the fv noise model: if the
 // predicted post-op budget is below the floor, the result would decrypt to
 // garbage, and the engine refuses with ErrNoiseBudget instead of computing
 // it. Unhinted operations (BudgetHint 0) pass — the server cannot measure
 // budget without the secret key.
-func (e *Engine) noiseGuard(op Op) error {
-	if e.noise == nil || op.BudgetHint <= 0 {
+func (e *Engine) noiseGuard(op Op, info *opInfo) error {
+	if e.noise == nil || op.BudgetHint <= 0 || info.noise == nil {
 		return nil
 	}
-	var predicted float64
-	switch op.Kind {
-	case OpAdd:
-		predicted = e.noise.AfterAdd(op.BudgetHint, op.BudgetHint)
-	case OpMul:
-		predicted = e.noise.AfterMul(op.BudgetHint, op.BudgetHint)
-	case OpRotate:
-		predicted = e.noise.AfterGalois(op.BudgetHint)
-	default:
-		return nil
-	}
-	if predicted < e.cfg.MinNoiseBudgetBits {
+	if predicted := info.noise(e.noise, op.BudgetHint); predicted < e.cfg.MinNoiseBudgetBits {
 		e.m.noiseRejected.Add(1)
 		return fmt.Errorf("%w: %v predicted to leave %.1f bits (floor %.1f)",
 			ErrNoiseBudget, op.Kind, predicted, e.cfg.MinNoiseBudgetBits)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -8,97 +9,81 @@ import (
 	"repro/internal/fv"
 )
 
-// keyStore is the authoritative registry of tenant evaluation keys. Keys are
-// kept exactly as generated — in NTT form over the q basis — which is the
-// representation the co-processor consumes; there is no per-use transform.
-type keyStore struct {
-	mu      sync.RWMutex
-	tenants map[string]*tenantKeys
+// keyID identifies one evaluation key, in the store and in a worker's
+// resident-key cache alike. need is part of the identity, so no Galois
+// element a request can name — Op.G arrives unchecked off the wire — ever
+// resolves to a relinearization key; g is the Galois element, 0 for the
+// relinearization key.
+type keyID struct {
+	tenant string
+	scheme scheme
+	need   keyNeed
+	g      int
 }
 
-type tenantKeys struct {
-	relin  *fv.RelinKey
-	galois map[int]*fv.GaloisKey
-	// The CKKS keys live alongside the FV keys in the same namespace: one
-	// tenant, two schemes.
-	ckksRelin  *ckks.RelinKey
-	ckksGalois map[int]*ckks.GaloisKey
+func relinID(tenant string, s scheme) keyID { return keyID{tenant, s, keyRelin, 0} }
+
+func galoisID(tenant string, s scheme, g int) keyID { return keyID{tenant, s, keyGalois, g} }
+
+func (id keyID) String() string {
+	prefix := ""
+	if id.scheme == schemeCKKS {
+		prefix = "CKKS "
+	}
+	if id.need == keyRelin {
+		return fmt.Sprintf("%srelinearization key for tenant %q", prefix, id.tenant)
+	}
+	return fmt.Sprintf("%sGalois key for element %d, tenant %q", prefix, id.g, id.tenant)
+}
+
+// evalKey is a registered key — a *fv.RelinKey, *fv.GaloisKey,
+// *ckks.RelinKey or *ckks.GaloisKey, as its keyID says — and the size of the
+// DMA stream that makes it resident on a co-processor, computed once at
+// registration.
+type evalKey struct {
+	key   any
+	bytes int
+}
+
+// keyEntry is one registration: a key under its identity.
+type keyEntry struct {
+	id  keyID
+	key evalKey
+}
+
+// keyStore is the authoritative registry of tenant evaluation keys, both
+// schemes in one namespace per tenant. Keys are kept exactly as generated —
+// in NTT form — which is the representation the co-processor consumes; there
+// is no per-use transform.
+type keyStore struct {
+	mu   sync.RWMutex
+	keys map[string]map[keyID]evalKey // by tenant
 }
 
 func newKeyStore() *keyStore {
-	return &keyStore{tenants: make(map[string]*tenantKeys)}
+	return &keyStore{keys: make(map[string]map[keyID]evalKey)}
 }
 
-func (s *keyStore) tenant(name string) *tenantKeys {
-	t := s.tenants[name]
-	if t == nil {
-		t = &tenantKeys{
-			galois:     make(map[int]*fv.GaloisKey),
-			ckksGalois: make(map[int]*ckks.GaloisKey),
+// set registers the entries under one lock: a batch dispatched meanwhile
+// sees all of a migrated key set or none of it.
+func (s *keyStore) set(entries ...keyEntry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range entries {
+		t := s.keys[e.id.tenant]
+		if t == nil {
+			t = make(map[keyID]evalKey)
+			s.keys[e.id.tenant] = t
 		}
-		s.tenants[name] = t
+		t[e.id] = e.key
 	}
-	return t
 }
 
-func (s *keyStore) setRelin(tenant string, rk *fv.RelinKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tenant(tenant).relin = rk
-}
-
-func (s *keyStore) setGalois(tenant string, gk *fv.GaloisKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tenant(tenant).galois[gk.G] = gk
-}
-
-func (s *keyStore) relin(tenant string) *fv.RelinKey {
+func (s *keyStore) get(id keyID) (evalKey, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if t := s.tenants[tenant]; t != nil {
-		return t.relin
-	}
-	return nil
-}
-
-func (s *keyStore) galois(tenant string, g int) *fv.GaloisKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t := s.tenants[tenant]; t != nil {
-		return t.galois[g]
-	}
-	return nil
-}
-
-func (s *keyStore) setCKKSRelin(tenant string, rk *ckks.RelinKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tenant(tenant).ckksRelin = rk
-}
-
-func (s *keyStore) setCKKSGalois(tenant string, gk *ckks.GaloisKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tenant(tenant).ckksGalois[gk.G] = gk
-}
-
-func (s *keyStore) ckksRelinKey(tenant string) *ckks.RelinKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t := s.tenants[tenant]; t != nil {
-		return t.ckksRelin
-	}
-	return nil
-}
-
-func (s *keyStore) ckksGaloisKey(tenant string, g int) *ckks.GaloisKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t := s.tenants[tenant]; t != nil {
-		return t.ckksGalois[g]
-	}
-	return nil
+	k, ok := s.keys[id.tenant][id]
+	return k, ok
 }
 
 // TenantKeySet is one tenant's complete evaluation-key state, both schemes
@@ -132,77 +117,43 @@ func (ks *TenantKeySet) Count() int {
 	return n
 }
 
-// export snapshots the tenant's keys, nil if the tenant is unknown. The key
+// export snapshots the tenant's keys, nil if the tenant has none. The key
 // objects themselves are shared, not copied: they are immutable after
 // registration.
 func (s *keyStore) export(tenant string) *TenantKeySet {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t := s.tenants[tenant]
-	if t == nil {
+	if len(s.keys[tenant]) == 0 {
 		return nil
 	}
-	ks := &TenantKeySet{Relin: t.relin, CKKSRelin: t.ckksRelin}
-	gs := make([]int, 0, len(t.galois))
-	for g := range t.galois {
-		gs = append(gs, g)
+	ks := &TenantKeySet{}
+	for _, k := range s.keys[tenant] {
+		switch key := k.key.(type) {
+		case *fv.RelinKey:
+			ks.Relin = key
+		case *fv.GaloisKey:
+			ks.Galois = append(ks.Galois, key)
+		case *ckks.RelinKey:
+			ks.CKKSRelin = key
+		case *ckks.GaloisKey:
+			ks.CKKSGalois = append(ks.CKKSGalois, key)
+		}
 	}
-	sort.Ints(gs)
-	for _, g := range gs {
-		ks.Galois = append(ks.Galois, t.galois[g])
-	}
-	gs = gs[:0]
-	for g := range t.ckksGalois {
-		gs = append(gs, g)
-	}
-	sort.Ints(gs)
-	for _, g := range gs {
-		ks.CKKSGalois = append(ks.CKKSGalois, t.ckksGalois[g])
-	}
+	sort.Slice(ks.Galois, func(i, j int) bool { return ks.Galois[i].G < ks.Galois[j].G })
+	sort.Slice(ks.CKKSGalois, func(i, j int) bool { return ks.CKKSGalois[i].G < ks.CKKSGalois[j].G })
 	return ks
 }
 
-// importSet registers every key in ks under the tenant, replacing keys of
-// the same identity and keeping any others already present.
-func (s *keyStore) importSet(tenant string, ks *TenantKeySet) {
-	if ks == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenant(tenant)
-	if ks.Relin != nil {
-		t.relin = ks.Relin
-	}
-	for _, gk := range ks.Galois {
-		t.galois[gk.G] = gk
-	}
-	if ks.CKKSRelin != nil {
-		t.ckksRelin = ks.CKKSRelin
-	}
-	for _, gk := range ks.CKKSGalois {
-		t.ckksGalois[gk.G] = gk
-	}
-}
-
-// names returns the registered tenant namespaces, sorted.
+// names returns the tenant namespaces with a registered key, sorted.
 func (s *keyStore) names() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
-		out = append(out, name)
+	out := make([]string, 0, len(s.keys))
+	for tenant := range s.keys {
+		out = append(out, tenant)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// residentKey identifies one evaluation key in a worker's cache. kind
-// distinguishes the relin key (g = 0 unused) from Galois keys.
-type residentKey struct {
-	tenant string
-	kind   OpKind
-	g      int
 }
 
 // keyCache models the co-processor's on-chip key residency: the paper
@@ -213,7 +164,7 @@ type residentKey struct {
 // needs no locking.
 type keyCache struct {
 	cap   int
-	order []residentKey // front = least recently used
+	order []keyID // front = least recently used
 }
 
 func newKeyCache(capacity int) *keyCache {
@@ -224,11 +175,11 @@ func newKeyCache(capacity int) *keyCache {
 // on a miss the least recently used key is evicted if the cache is full,
 // with the victim's identity returned so the caller can attribute the
 // eviction to its tenant.
-func (c *keyCache) touch(id residentKey) (hit bool, victim residentKey, evicted bool) {
+func (c *keyCache) touch(id keyID) (hit bool, victim keyID, evicted bool) {
 	for i, k := range c.order {
 		if k == id {
 			c.order = append(append(c.order[:i:i], c.order[i+1:]...), id)
-			return true, residentKey{}, false
+			return true, keyID{}, false
 		}
 	}
 	if len(c.order) >= c.cap {

@@ -74,9 +74,7 @@ type progTask struct {
 	op    program.OpCode
 	a, b  *fv.Ciphertext
 	plain *fv.Plaintext
-	g     int
-	rk    *fv.RelinKey
-	gk    *fv.GaloisKey
+	key   evalKey // the node's relinearization or Galois key, if it uses one
 
 	def int // value index this node defines
 	res chan progNodeResult
@@ -186,27 +184,33 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 	// needs exactly once. Op-at-a-time serving pays this per batch (and per
 	// LRU miss); a program pays it per submission, period.
 	var (
-		rk        *fv.RelinKey
-		gks       = map[int]*fv.GaloisKey{}
+		rk        evalKey
+		gks       = map[int]evalKey{}
 		keyCycles hwsim.Cycles
 		keyLoads  int
 	)
-	anyAccel := e.workers[0].accel
-	if p.NeedsRelinKey() {
-		if rk = e.keys.relin(op.Tenant); rk == nil {
-			return nil, fmt.Errorf("%w: relinearization key for tenant %q", ErrNoKey, op.Tenant)
+	// load resolves one key and charges its stream.
+	load := func(id keyID) (evalKey, error) {
+		key, ok := e.keys.get(id)
+		if !ok {
+			return key, fmt.Errorf("%w: %v", ErrNoKey, id)
 		}
-		keyCycles += anyAccel.KeyStreamCycles(core.RelinKeyBytes(e.cfg.Params, rk))
+		keyCycles += e.workers[0].accel.KeyStreamCycles(key.bytes)
 		keyLoads++
+		return key, nil
+	}
+	if p.NeedsRelinKey() {
+		var err error
+		if rk, err = load(relinID(op.Tenant, schemeBFV)); err != nil {
+			return nil, err
+		}
 	}
 	for _, g := range p.GaloisElements() {
-		gk := e.keys.galois(op.Tenant, g)
-		if gk == nil {
-			return nil, fmt.Errorf("%w: Galois key for element %d, tenant %q", ErrNoKey, g, op.Tenant)
+		gk, err := load(galoisID(op.Tenant, schemeBFV, g))
+		if err != nil {
+			return nil, err
 		}
 		gks[g] = gk
-		keyCycles += anyAccel.KeyStreamCycles(core.GaloisKeyBytes(e.cfg.Params, gk))
-		keyLoads++
 	}
 	e.m.keyLoads.Add(uint64(keyLoads))
 	tc.keyLoads.Add(uint64(keyLoads))
@@ -242,12 +246,11 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 					t.b = vals[n.B]
 				case n.Op == program.OpMul || n.Op == program.OpMulNR:
 					t.b = vals[n.B]
-					t.rk = rk
+					t.key = rk
 				case n.Op == program.OpRelin:
-					t.rk = rk
+					t.key = rk
 				case n.Op == program.OpRotate:
-					t.g = n.B
-					t.gk = gks[n.B]
+					t.key = gks[n.B]
 				case n.Op == program.OpAddPlain || n.Op == program.OpMulPlain:
 					t.plain = plains[n.B]
 				}
@@ -345,6 +348,14 @@ func (e *Engine) programNoiseGuard(p *program.Program, hint float64) error {
 	return nil
 }
 
+// progKinds maps the program opcodes the co-processor runs onto the engine
+// kinds exec serves.
+var progKinds = map[program.OpCode]OpKind{
+	program.OpAdd:    OpAdd,
+	program.OpMul:    OpMul,
+	program.OpRotate: OpRotate,
+}
+
 // runProgTask executes one DAG node on w. Accelerator-native ops (add, mul,
 // rotate) run on the simulated co-processor with its cycle accounting and
 // integrity checks; the rest run on the worker's software evaluator with
@@ -360,17 +371,9 @@ func (e *Engine) runProgTask(w *worker, t *progTask) {
 	)
 	start := time.Now()
 	switch t.op {
-	case program.OpAdd:
+	case program.OpAdd, program.OpMul, program.OpRotate:
 		var rep core.Report
-		ct, rep, err = w.accel.Add(t.a, t.b)
-		cycles = rep.ComputeCycles
-	case program.OpMul:
-		var rep core.Report
-		ct, rep, err = w.accel.Mul(t.a, t.b, t.rk)
-		cycles = rep.ComputeCycles
-	case program.OpRotate:
-		var rep core.Report
-		ct, rep, err = w.accel.Rotate(t.a, t.gk)
+		ct, _, rep, err = e.exec(w, &Op{Kind: progKinds[t.op], A: t.a, B: t.b}, t.key)
 		cycles = rep.ComputeCycles
 	case program.OpSub:
 		ct = w.ev.Sub(t.a, t.b)
@@ -382,8 +385,9 @@ func (e *Engine) runProgTask(w *worker, t *progTask) {
 		ct = w.ev.MulNoRelin(t.a, t.b)
 		cycles = e.swOpCycles(4) // tensor product: four cross multiplications
 	case program.OpRelin:
-		ct = w.ev.Relinearize(t.a, t.rk)
-		cycles = e.swOpCycles(2 * t.rk.Ell)
+		rk := t.key.key.(*fv.RelinKey)
+		ct = w.ev.Relinearize(t.a, rk)
+		cycles = e.swOpCycles(2 * rk.Ell)
 	case program.OpAddPlain:
 		ct = w.ev.AddPlain(t.a, t.plain)
 		cycles = e.swOpCycles(1)
@@ -395,10 +399,6 @@ func (e *Engine) runProgTask(w *worker, t *progTask) {
 	}
 	e.m.execTime.Observe(time.Since(start))
 	if err != nil {
-		if errors.Is(err, hwsim.ErrIntegrity) {
-			e.m.integrityFaults.Add(1)
-			w.integrityFails.Add(1)
-		}
 		t.res <- progNodeResult{def: t.def, err: err}
 		return
 	}

@@ -53,45 +53,20 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 		e.testExecHook(w.id)
 	}
 	tc := e.tenant(b.key.tenant)
+	info := b.key.kind.info()
 
 	var (
-		rk        *fv.RelinKey
-		gk        *fv.GaloisKey
-		crk       *ckks.RelinKey
-		cgk       *ckks.GaloisKey
+		key       evalKey
 		keyCycles hwsim.Cycles
 		keyHit    bool
-		needsKey  bool
 	)
-	switch b.key.kind {
-	case OpMul:
-		needsKey = true
-		if rk = e.keys.relin(b.key.tenant); rk == nil {
-			e.failBatch(b, fmt.Errorf("%w: relinearization key for tenant %q", ErrNoKey, b.key.tenant))
+	if info.key != keyNone {
+		id := keyID{b.key.tenant, info.scheme, info.key, b.key.g}
+		var ok bool
+		if key, ok = e.keys.get(id); !ok {
+			e.failBatch(b, fmt.Errorf("%w: %v", ErrNoKey, id))
 			return
 		}
-	case OpRotate:
-		needsKey = true
-		if gk = e.keys.galois(b.key.tenant, b.key.g); gk == nil {
-			e.failBatch(b, fmt.Errorf("%w: Galois key for element %d, tenant %q", ErrNoKey, b.key.g, b.key.tenant))
-			return
-		}
-	case OpCKKSMul:
-		needsKey = true
-		if crk = e.keys.ckksRelinKey(b.key.tenant); crk == nil {
-			e.failBatch(b, fmt.Errorf("%w: CKKS relinearization key for tenant %q", ErrNoKey, b.key.tenant))
-			return
-		}
-	case OpCKKSRotate:
-		needsKey = true
-		g := e.cfg.CKKSParams.GaloisElementForRotation(b.key.g)
-		if cgk = e.keys.ckksGaloisKey(b.key.tenant, g); cgk == nil {
-			e.failBatch(b, fmt.Errorf("%w: CKKS Galois key for rotation %d (element %d), tenant %q", ErrNoKey, b.key.g, g, b.key.tenant))
-			return
-		}
-	}
-	if needsKey {
-		id := residentKey{tenant: b.key.tenant, kind: b.key.kind, g: b.key.g}
 		hit, victim, evicted := w.cache.touch(id)
 		w.resident.Store(int64(w.cache.len()))
 		keyHit = hit
@@ -104,17 +79,7 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 			e.m.keyLoads.Add(1)
 			w.keyLoads.Add(1)
 			tc.keyLoads.Add(1)
-			var bytes int
-			switch {
-			case rk != nil:
-				bytes = core.RelinKeyBytes(e.cfg.Params, rk)
-			case gk != nil:
-				bytes = core.GaloisKeyBytes(e.cfg.Params, gk)
-			default:
-				// CKKS keys: all level bundles stream to the co-processor.
-				bytes = core.CKKSKeyBytes(e.cfg.CKKSParams, e.cfg.CKKSParams.MaxLevel())
-			}
-			keyCycles = w.accel.KeyStreamCycles(bytes)
+			keyCycles = w.accel.KeyStreamCycles(key.bytes)
 			w.simCycles.Add(uint64(keyCycles))
 		}
 	}
@@ -122,7 +87,7 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 	reqs := b.reqs
 	if e.cfg.Pipelined && b.key.kind == OpMul && len(reqs) > 1 {
 		var done bool
-		reqs, done = e.runMulStream(w, b, tc, rk, &keyCycles, keyHit)
+		reqs, done = e.runMulStream(w, b, tc, key.key.(*fv.RelinKey), &keyCycles, keyHit)
 		if done {
 			return
 		}
@@ -136,23 +101,8 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 		}
 		e.m.queueWait.Observe(now.Sub(r.enqueued))
 
-		var (
-			ct  *fv.Ciphertext
-			cct *ckks.Ciphertext
-			rep core.Report
-			err error
-		)
 		start := time.Now()
-		switch r.op.Kind {
-		case OpAdd:
-			ct, rep, err = w.accel.Add(r.op.A, r.op.B)
-		case OpMul:
-			ct, rep, err = w.accel.Mul(r.op.A, r.op.B, rk)
-		case OpRotate:
-			ct, rep, err = w.accel.Rotate(r.op.A, gk)
-		default:
-			cct, rep, err = e.execCKKS(w, r.op, crk, cgk)
-		}
+		ct, cct, rep, err := e.exec(w, &r.op, key)
 		e.m.execTime.Observe(time.Since(start))
 		if err != nil {
 			if errors.Is(err, hwsim.ErrIntegrity) {
@@ -160,8 +110,6 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 				// left the node. Self-heal at the op level: re-enqueue the
 				// request — the operands are pristine client uploads, and a
 				// retry restarts from them, usually on a different worker.
-				e.m.integrityFaults.Add(1)
-				w.integrityFails.Add(1)
 				if r.retries < e.cfg.MaxIntegrityRetries {
 					r.retries++
 					if e.resubmit(r) {
@@ -176,25 +124,71 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 			e.finish(r, nil, err)
 			continue
 		}
-		// The key stream is charged to the batch's first executed op — the
-		// others find the key resident, which is the point of batching.
-		rep.KeyLoadCycles = keyCycles
-		keyCycles = 0
-		w.ops.Add(1)
-		w.simCycles.Add(uint64(rep.ComputeCycles))
-		e.m.completed.Add(1)
-		tc.completed.Add(1)
-		tc.simCycles.Add(uint64(rep.ComputeCycles) + uint64(rep.KeyLoadCycles))
-		e.finish(r, &Result{
+		e.complete(w, tc, r, &keyCycles, &Result{
 			Ct:     ct,
 			CCt:    cct,
 			Report: rep,
-			Worker: w.id,
 			Batch:  len(b.reqs),
 			KeyHit: keyHit,
 			Wait:   now.Sub(r.enqueued),
-		}, nil)
+		})
 	}
+}
+
+// complete accounts a served request and hands its result back. The batch's
+// key stream is charged to the first op completed — the others find the key
+// resident, which is the point of batching.
+func (e *Engine) complete(w *worker, tc *tenantCounters, r *request, keyCycles *hwsim.Cycles, res *Result) {
+	res.Worker = w.id
+	res.Report.KeyLoadCycles, *keyCycles = *keyCycles, 0
+	w.ops.Add(1)
+	w.simCycles.Add(uint64(res.Report.ComputeCycles))
+	e.m.completed.Add(1)
+	tc.completed.Add(1)
+	tc.simCycles.Add(uint64(res.Report.ComputeCycles + res.Report.KeyLoadCycles))
+	e.finish(r, res, nil)
+}
+
+// exec serves one operation on w — the one dispatch both op-at-a-time
+// batches and program nodes go through for the kinds the co-processors run.
+// key is the kind's evaluation key (zero for the kinds that need none); the
+// result comes back in the scheme's own ciphertext type. The CKKS plaintext
+// kinds run on the application core's software evaluator (zero co-processor
+// cycles in the report). An integrity trip is
+// accounted here, against the engine and the worker; what to do about it —
+// resubmit the request, redo the node — stays with the caller.
+func (e *Engine) exec(w *worker, op *Op, key evalKey) (ct *fv.Ciphertext, cct *ckks.Ciphertext, rep core.Report, err error) {
+	ck := w.ckks
+	if ck == nil && op.Kind.info().scheme == schemeCKKS {
+		return nil, nil, core.Report{}, ErrCKKSUnavailable
+	}
+	switch op.Kind {
+	case OpAdd:
+		ct, rep, err = w.accel.Add(op.A, op.B)
+	case OpMul:
+		ct, rep, err = w.accel.Mul(op.A, op.B, key.key.(*fv.RelinKey))
+	case OpRotate:
+		ct, rep, err = w.accel.Rotate(op.A, key.key.(*fv.GaloisKey))
+	case OpCKKSAdd:
+		a, b := ck.alignLevels(op.CA, op.CB)
+		cct, rep, err = ck.accel.Add(a, b)
+	case OpCKKSMul:
+		a, b := ck.alignLevels(op.CA, op.CB)
+		cct, rep, err = ck.accel.Mul(a, b, key.key.(*ckks.RelinKey))
+	case OpCKKSRotate:
+		cct, rep, err = ck.accel.Rotate(op.CA, op.R, key.key.(*ckks.GaloisKey))
+	case OpCKKSAddPlain:
+		cct, err = ck.addPlain(op.CA, op.Plain)
+	case OpCKKSMulPlain:
+		cct, err = ck.mulPlain(op.CA, op.Plain)
+	default:
+		err = fmt.Errorf("engine: %v has a table row but no dispatch", op.Kind)
+	}
+	if errors.Is(err, hwsim.ErrIntegrity) {
+		e.m.integrityFaults.Add(1)
+		w.integrityFails.Add(1)
+	}
+	return ct, cct, rep, err
 }
 
 // runMulStream tries to execute a Mul batch as one overlapped DMA/compute
@@ -237,30 +231,19 @@ func (e *Engine) runMulStream(w *worker, b *batch, tc *tenantCounters, rk *fv.Re
 	for i, r := range live {
 		e.m.queueWait.Observe(now.Sub(r.enqueued))
 		e.m.execTime.Observe(perExec)
-		rep := core.Report{
-			ComputeCycles: srep.Steps[i].Compute,
-			SendCycles:    w.accel.TransferCycles(srep.Steps[i].LoadBytes),
-			ReceiveCycles: w.accel.TransferCycles(srep.Steps[i].StoreBytes),
-		}
-		// The key stream is charged to the stream's first op, exactly like
-		// the sequential path charges the batch's first executed op.
-		rep.KeyLoadCycles = *keyCycles
-		*keyCycles = 0
-		w.ops.Add(1)
-		w.simCycles.Add(uint64(rep.ComputeCycles))
-		e.m.completed.Add(1)
-		tc.completed.Add(1)
-		tc.simCycles.Add(uint64(rep.ComputeCycles) + uint64(rep.KeyLoadCycles))
-		e.finish(r, &Result{
-			Ct:          cts[i],
-			Report:      rep,
-			Worker:      w.id,
+		e.complete(w, tc, r, keyCycles, &Result{
+			Ct: cts[i],
+			Report: core.Report{
+				ComputeCycles: srep.Steps[i].Compute,
+				SendCycles:    w.accel.TransferCycles(srep.Steps[i].LoadBytes),
+				ReceiveCycles: w.accel.TransferCycles(srep.Steps[i].StoreBytes),
+			},
 			Batch:       len(live),
 			KeyHit:      keyHit,
 			Wait:        now.Sub(r.enqueued),
 			Pipelined:   true,
 			SavedCycles: srep.SavedCycles(),
-		}, nil)
+		})
 	}
 	return nil, true
 }

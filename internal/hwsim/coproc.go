@@ -391,10 +391,16 @@ func (c *Coprocessor) ClearSlot(idx uint8) {
 	clear(s.tagged)
 }
 
-// ResetStats zeroes the statistics.
-func (c *Coprocessor) ResetStats() {
-	c.Stats = &Stats{PerOp: map[Op]*OpStat{}}
+// Reset zeroes the ledger in place: everyone holding the pointer — chain
+// co-processors share one ledger — sees the cleared ledger, and a
+// per-operation reset allocates no new map.
+func (s *Stats) Reset() {
+	clear(s.PerOp)
+	s.TransferSeconds, s.TransferCalls, s.Total = 0, 0, 0
 }
+
+// ResetStats zeroes the statistics.
+func (c *Coprocessor) ResetStats() { c.Stats.Reset() }
 
 // Run executes a program and returns its total duration in FPGA cycles
 // (instructions plus DMA steps).

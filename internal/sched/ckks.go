@@ -8,30 +8,7 @@ import (
 	"repro/internal/hwsim"
 	"repro/internal/obs"
 	"repro/internal/poly"
-	"repro/internal/rlwe"
 )
-
-// CKKS memory-file slot assignments. Level-ℓ operations hold ℓ+1 chain rows
-// per ciphertext polynomial; the keyswitch scratch (digit, key, SoP,
-// accumulators) additionally carries the p* extension row.
-const (
-	ckSlotA0    = iota // operand a0 → c0 after tensor
-	ckSlotA1           // operand a1 → a1·b0 cross term → rescaled c0'
-	ckSlotB0           // operand b0 → rescaled c1'
-	ckSlotB1           // operand b1 → c2 (relin input)
-	ckSlotT1           // tensor accumulator c1
-	ckSlotDigit        // current keyswitch digit (extended rows)
-	ckSlotSop          // keyswitch product scratch (extended rows)
-	ckSlotKey          // streamed key component (extended rows)
-	ckSlotAcc0         // SoP accumulator 0 (extended) → combined c0
-	ckSlotAcc1         // SoP accumulator 1 (extended) → combined c1
-	ckSlotMd0          // ModDown landing 0 (chain rows)
-	ckSlotMd1          // ModDown landing 1 (chain rows)
-	ckNumSlots
-)
-
-// CKKSMinSlots returns the memory-file size the CKKS schedules need.
-func CKKSMinSlots() int { return ckNumSlots }
 
 // CKKSScheduler compiles CKKS operations into chain co-processor programs.
 // The modulus chain makes the hardware shape level-dependent — a level-ℓ
@@ -48,10 +25,10 @@ type CKKSScheduler struct {
 
 	coprocs []*hwsim.Coprocessor
 
-	// rd and perm are the host side of the Rotate readback, sized for the
-	// top of the chain and sliced to the operand's level. One pair serves
-	// every level: the chain co-processors never run concurrently.
-	rd, perm poly.RNSPoly
+	// The embedded machine's C is the chain co-processor of the operation in
+	// flight; its trace, liveness audit and readback scratch serve every
+	// level — the chain co-processors never run concurrently.
+	machine
 
 	integritySeed *int64
 	injector      *faults.Injector
@@ -65,6 +42,7 @@ func NewCKKS(p *ckks.Params, timing hwsim.Timing) *CKKSScheduler {
 		Timing:  timing,
 		Stats:   &hwsim.Stats{PerOp: map[hwsim.Op]*hwsim.OpStat{}},
 		coprocs: make([]*hwsim.Coprocessor, p.Cfg.QCount),
+		machine: newMachine(nil, p.QMods, p.N()),
 	}
 }
 
@@ -105,10 +83,9 @@ func (s *CKKSScheduler) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// ResetStats zeroes the shared statistics ledger.
-func (s *CKKSScheduler) ResetStats() {
-	*s.Stats = hwsim.Stats{PerOp: map[hwsim.Op]*hwsim.OpStat{}}
-}
+// ResetStats zeroes the shared statistics ledger, in place: every chain
+// co-processor holds the same pointer.
+func (s *CKKSScheduler) ResetStats() { s.Stats.Reset() }
 
 // coprocAt returns the level-ℓ chain co-processor, building it on first
 // use: chain prefix q_0..q_ℓ, the special prime p*, the level's gadget
@@ -122,7 +99,7 @@ func (s *CKKSScheduler) coprocAt(level int) (*hwsim.Coprocessor, error) {
 	}
 	p := s.P
 	c, err := hwsim.NewCoprocessorChain(p.QMods[:level+1], p.PMod, p.BasisLevel[level],
-		p.N(), p.Pool, s.Timing, ckNumSlots)
+		p.N(), p.Pool, s.Timing, numCKKSSlots)
 	if err != nil {
 		return nil, err
 	}
@@ -136,27 +113,6 @@ func (s *CKKSScheduler) coprocAt(level int) (*hwsim.Coprocessor, error) {
 	c.SetMetrics(s.metrics)
 	s.coprocs[level] = c
 	return c, nil
-}
-
-// chainPolyBytes is the DMA size of one level-ℓ ciphertext polynomial.
-func (s *CKKSScheduler) chainPolyBytes(level int) int {
-	return hwsim.PolyBytes(s.P.N(), level+1)
-}
-
-// ksPolyBytes is the DMA size of one extended-row key component.
-func (s *CKKSScheduler) ksPolyBytes(level int) int {
-	return hwsim.PolyBytes(s.P.N(), level+2)
-}
-
-// sendOperands DMAs the operand polynomials into consecutive slots starting
-// at ckSlotA0 (coefficient domain, one contiguous burst).
-func (s *CKKSScheduler) sendOperands(cp *hwsim.Coprocessor, level int, els ...poly.RNSPoly) {
-	bytes := 0
-	for i, el := range els {
-		cp.LoadSlotCoeff(uint8(ckSlotA0+i), 0, el.Rows)
-		bytes += s.chainPolyBytes(level)
-	}
-	cp.Transfer(hwsim.Transfer{Bytes: bytes, Label: "send ciphertexts"})
 }
 
 // ckksScales validates operand scale alignment the way the software
@@ -173,6 +129,23 @@ func ckksScales(a, b float64) (float64, error) {
 	return hi, nil
 }
 
+// levelKey returns a key's level-ℓ bundle, nil when it has none (keys start
+// at level 1; the keys' own At accessors panic there, and the level comes
+// off the wire).
+func levelKey(levels []*ckks.LevelKey, level int) *ckks.LevelKey {
+	if level < 1 || level >= len(levels) {
+		return nil
+	}
+	return levels[level]
+}
+
+// at points the machine at the level's chain co-processor.
+func (s *CKKSScheduler) at(level int) error {
+	cp, err := s.coprocAt(level)
+	s.C = cp
+	return err
+}
+
 // Add executes CKKS addition on the level's chain co-processor: one
 // coefficient-wise addition per element. Returns the result and the compute
 // cycles (transfers excluded, as in the BFV Add).
@@ -187,29 +160,14 @@ func (s *CKKSScheduler) Add(a, b *ckks.Ciphertext) (*ckks.Ciphertext, hwsim.Cycl
 	if err != nil {
 		return nil, 0, err
 	}
-	level := a.Level()
-	cp, err := s.coprocAt(level)
+	if err := s.at(a.Level()); err != nil {
+		return nil, 0, err
+	}
+	els, compute, err := s.add(a.Level()+1, a.Els, b.Els)
 	if err != nil {
 		return nil, 0, err
 	}
-	cp.ClearSlots()
-	s.sendOperands(cp, level, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
-	start := s.Stats.Total
-	for i := 0; i < 2; i++ {
-		if _, err := cp.Exec(hwsim.Instr{
-			Op: hwsim.OpCAdd, Dst: uint8(ckSlotAcc0 + i),
-			A: uint8(ckSlotA0 + i), B: uint8(ckSlotB0 + i), Batch: hwsim.BatchQ,
-		}); err != nil {
-			return nil, 0, err
-		}
-	}
-	compute := s.Stats.Total - start
-	if err := cp.Scrub(); err != nil {
-		return nil, 0, err
-	}
-	out := s.receive(cp, level, ckSlotAcc0, ckSlotAcc1)
-	out.Scale = scale
-	return out, compute, nil
+	return &ckks.Ciphertext{Els: els, Scale: scale}, compute, nil
 }
 
 // MulRescale executes the full CKKS multiply — tensor, relinearize through
@@ -227,72 +185,53 @@ func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*c
 	if level < 1 {
 		return nil, 0, fmt.Errorf("sched: ckks Mul at level 0 — no level left to rescale into")
 	}
-	lk := rk.At(level)
+	lk := levelKey(rk.Levels, level)
 	if lk == nil {
 		return nil, 0, fmt.Errorf("sched: relin key has no level-%d bundle", level)
 	}
-	cp, err := s.coprocAt(level)
-	if err != nil {
+	if err := s.at(level); err != nil {
 		return nil, 0, err
 	}
-	cp.ClearSlots()
-	s.sendOperands(cp, level, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
-	start := s.Stats.Total
+	k := level + 1
+	start := s.begin(k, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
 
-	// Phase 1: transform the four operands to the NTT domain (chain rows
-	// only — CKKS multiplies over the live chain, no basis lift).
-	operands := []uint8{ckSlotA0, ckSlotA1, ckSlotB0, ckSlotB1}
-	for _, slot := range operands {
-		if err := s.execAll(cp,
-			hwsim.Instr{Op: hwsim.OpRearr, A: slot, Batch: hwsim.BatchQ},
-			hwsim.Instr{Op: hwsim.OpNTT, A: slot, Batch: hwsim.BatchQ}); err != nil {
-			return nil, 0, err
-		}
-	}
-	// Phase 2: tensor with operand-overwriting reuse:
-	//   T1 = a0·b1;  B1 = a1·b1 (c2);  A1 = a1·b0;  T1 += A1 (c1);
-	//   A0 = a0·b0 (c0).
-	if err := s.execAll(cp,
-		hwsim.Instr{Op: hwsim.OpCMul, Dst: ckSlotT1, A: ckSlotA0, B: ckSlotB1, Batch: hwsim.BatchQ},
-		hwsim.Instr{Op: hwsim.OpCMul, Dst: ckSlotB1, A: ckSlotA1, B: ckSlotB1, Batch: hwsim.BatchQ},
-		hwsim.Instr{Op: hwsim.OpCMul, Dst: ckSlotA1, A: ckSlotA1, B: ckSlotB0, Batch: hwsim.BatchQ},
-		hwsim.Instr{Op: hwsim.OpCAdd, Dst: ckSlotT1, A: ckSlotT1, B: ckSlotA1, Batch: hwsim.BatchQ},
-		hwsim.Instr{Op: hwsim.OpCMul, Dst: ckSlotA0, A: ckSlotA0, B: ckSlotB0, Batch: hwsim.BatchQ}); err != nil {
+	// Phases 1–3: the four operands to the NTT domain (chain rows only —
+	// CKKS multiplies over the live chain, no basis lift), the tensor, and
+	// c0 (A0), c1 (T1), c2 (B1) back to coefficient order. The cross term
+	// and b0 die with the tensor.
+	s.live.set(slotT1, k)
+	if err := s.toNTT(batchQ, slotA0, slotA1, slotB0, slotB1); err != nil {
 		return nil, 0, err
 	}
-	// Phase 3: c0 (A0), c1 (T1), c2 (B1) back to coefficient order.
-	for _, slot := range []uint8{ckSlotA0, ckSlotT1, ckSlotB1} {
-		if err := s.execAll(cp,
-			hwsim.Instr{Op: hwsim.OpINTT, A: slot, Batch: hwsim.BatchQ},
-			hwsim.Instr{Op: hwsim.OpRearr, A: slot, Batch: hwsim.BatchQ}); err != nil {
-			return nil, 0, err
-		}
+	if err := s.tensor(slotA0, batchQ); err != nil {
+		return nil, 0, err
 	}
+	if err := s.fromNTT(batchQ, slotA0, slotT1, slotB1); err != nil {
+		return nil, 0, err
+	}
+	s.live.free(slotA1, slotB0)
 	// Phase 4+5: hybrid keyswitch of c2 onto the accumulators, ModDown.
-	if err := s.keySwitch(cp, level, ckSlotB1, lk); err != nil {
+	if err := s.hybridKeySwitch(level, slotB1, lk); err != nil {
 		return nil, 0, err
 	}
 	// Phase 6: combine — c0 + md0, c1 + md1 (chain rows, coefficient
-	// domain).
-	if err := s.execAll(cp,
-		hwsim.Instr{Op: hwsim.OpCAdd, Dst: ckSlotAcc0, A: ckSlotA0, B: ckSlotMd0, Batch: hwsim.BatchQ},
-		hwsim.Instr{Op: hwsim.OpCAdd, Dst: ckSlotAcc1, A: ckSlotT1, B: ckSlotMd1, Batch: hwsim.BatchQ}); err != nil {
+	// domain). Phase 7: Rescale both elements by the level's top prime,
+	// landing one level down in the freed operand slots.
+	s.live.set(slotA1, k-1)
+	s.live.set(slotB0, k-1)
+	if err := s.run(
+		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc0, A: slotA0, B: slotMd0, Batch: hwsim.BatchQ},
+		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc1, A: slotT1, B: slotMd1, Batch: hwsim.BatchQ},
+		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotA1, A: slotAcc0, Batch: hwsim.BatchQ},
+		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotB0, A: slotAcc1, Batch: hwsim.BatchQ}); err != nil {
 		return nil, 0, err
 	}
-	// Phase 7: Rescale both elements by the level's top prime, landing one
-	// level down in the freed operand slots.
-	if err := s.execAll(cp,
-		hwsim.Instr{Op: hwsim.OpRescale, Dst: ckSlotA1, A: ckSlotAcc0, Batch: hwsim.BatchQ},
-		hwsim.Instr{Op: hwsim.OpRescale, Dst: ckSlotB0, A: ckSlotAcc1, Batch: hwsim.BatchQ}); err != nil {
+	els, compute, err := s.finish(start, slotA1, slotB0, k-1, true)
+	if err != nil {
 		return nil, 0, err
 	}
-	compute := s.Stats.Total - start
-	if err := cp.Scrub(); err != nil {
-		return nil, 0, err
-	}
-	out := s.receive(cp, level-1, ckSlotA1, ckSlotB0)
-	out.Scale = a.Scale * b.Scale / float64(s.P.QMods[level].Q)
-	return out, compute, nil
+	scale := a.Scale * b.Scale / float64(s.P.QMods[level].Q)
+	return &ckks.Ciphertext{Els: els, Scale: scale}, compute, nil
 }
 
 // Rotate executes a slot rotation: host-side automorphism readback (the
@@ -306,121 +245,59 @@ func (s *CKKSScheduler) Rotate(ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (
 		return nil, 0, fmt.Errorf("sched: rotation by %d needs Galois element %d, key holds %d", r, g, gk.G)
 	}
 	level := ct.Level()
-	lk := gk.At(level)
+	lk := levelKey(gk.Levels, level)
 	if lk == nil {
 		return nil, 0, fmt.Errorf("sched: galois key has no level-%d bundle", level)
 	}
-	cp, err := s.coprocAt(level)
-	if err != nil {
+	if err := s.at(level); err != nil {
 		return nil, 0, err
 	}
-	cp.ClearSlots()
-	s.sendOperands(cp, level, ct.Els[0], ct.Els[1])
-	start := s.Stats.Total
-
-	// Automorphism of both elements: a host readback permutation. Scrub
-	// first so a glitched operand DMA cannot flow silently through the
-	// reload.
-	if err := cp.Scrub(); err != nil {
+	k := level + 1
+	start := s.begin(k, ct.Els[0], ct.Els[1])
+	if err := s.automorph(gk.G, k); err != nil {
 		return nil, 0, err
-	}
-	if s.rd.Rows == nil {
-		s.rd = poly.NewRNSPoly(s.P.QMods, s.P.N())
-		s.perm = poly.NewRNSPoly(s.P.QMods, s.P.N())
-	}
-	rd := poly.RNSPoly{Rows: s.rd.Rows[:level+1]}
-	perm := poly.RNSPoly{Rows: s.perm.Rows[:level+1]}
-	for _, slot := range []uint8{ckSlotA0, ckSlotA1} {
-		cp.ReadSlotInto(slot, 0, rd.Rows)
-		rlwe.AutomorphInto(gk.G, rd, perm)
-		cp.LoadSlotCoeff(slot, 0, perm.Rows)
-		if _, err := cp.Exec(hwsim.Instr{Op: hwsim.OpRearr, A: slot, Batch: hwsim.BatchQ}); err != nil {
-			return nil, 0, err
-		}
 	}
 	// Keyswitch σ_g(c1) → s, ModDown, combine: c0' = σ(c0) + md0,
 	// c1' = md1.
-	if err := s.keySwitch(cp, level, ckSlotA1, lk); err != nil {
+	if err := s.hybridKeySwitch(level, slotA1, lk); err != nil {
 		return nil, 0, err
 	}
-	if _, err := cp.Exec(hwsim.Instr{
-		Op: hwsim.OpCAdd, Dst: ckSlotAcc0, A: ckSlotA0, B: ckSlotMd0, Batch: hwsim.BatchQ,
+	if _, err := s.exec(hwsim.Instr{
+		Op: hwsim.OpCAdd, Dst: slotAcc0, A: slotA0, B: slotMd0, Batch: hwsim.BatchQ,
 	}); err != nil {
 		return nil, 0, err
 	}
-	compute := s.Stats.Total - start
-	if err := cp.Scrub(); err != nil {
+	els, compute, err := s.finish(start, slotAcc0, slotMd1, k, true)
+	if err != nil {
 		return nil, 0, err
 	}
-	out := s.receive(cp, level, ckSlotAcc0, ckSlotMd1)
-	out.Scale = ct.Scale
-	return out, compute, nil
+	return &ckks.Ciphertext{Els: els, Scale: ct.Scale}, compute, nil
 }
 
-// keySwitch emits the hybrid (special-prime) keyswitch of the polynomial in
-// srcSlot against the level key: per digit, WordDecomp extracts and extends
-// the gadget digit, the digit transforms over chain and p* batches, the two
-// key components stream in over DMA and multiply-accumulate into the
-// extended accumulators; then both accumulators return to coefficient order
-// and ModDown divides them by p* into ckSlotMd0/ckSlotMd1 (chain rows).
-func (s *CKKSScheduler) keySwitch(cp *hwsim.Coprocessor, level int, srcSlot uint8, lk *ckks.LevelKey) error {
-	for i := 0; i <= level; i++ {
-		if err := s.execAll(cp,
-			hwsim.Instr{Op: hwsim.OpDecomp, Dst: ckSlotDigit, A: srcSlot, B: uint8(i)},
-			hwsim.Instr{Op: hwsim.OpNTT, A: ckSlotDigit, Batch: hwsim.BatchQ},
-			hwsim.Instr{Op: hwsim.OpNTT, A: ckSlotDigit, Batch: hwsim.BatchP}); err != nil {
-			return err
-		}
-		for k := 0; k < 2; k++ {
-			key := lk.Ks0Hat[i]
-			acc := uint8(ckSlotAcc0)
-			if k == 1 {
-				key = lk.Ks1Hat[i]
-				acc = ckSlotAcc1
-			}
-			// Stream the extended-row key component from DDR.
-			cp.LoadSlotNTT(ckSlotKey, 0, key.Rows)
-			cp.Transfer(hwsim.Transfer{Bytes: s.ksPolyBytes(level), Label: "ks key stream"})
-			for _, batch := range []hwsim.Batch{hwsim.BatchQ, hwsim.BatchP} {
-				if err := s.execAll(cp,
-					hwsim.Instr{Op: hwsim.OpCMul, Dst: ckSlotSop, A: ckSlotDigit, B: ckSlotKey, Batch: batch},
-					hwsim.Instr{Op: hwsim.OpCAdd, Dst: acc, A: acc, B: ckSlotSop, Batch: batch}); err != nil {
-					return err
-				}
-			}
-		}
+// hybridKeySwitch emits the hybrid (special-prime) keyswitch of the
+// polynomial in src against the level key: the digit loop over the chain
+// and p* batches (WordDecomp extracts and extends each gadget digit, the key
+// components stream in as extended-row polynomials), both accumulators back
+// to coefficient order, then ModDown divides them by p* into
+// slotMd0/slotMd1 (chain rows).
+func (s *CKKSScheduler) hybridKeySwitch(level int, src uint8, lk *ckks.LevelKey) error {
+	if err := s.keySwitch(keySwitch{
+		src:     src,
+		keys:    [2][]poly.RNSPoly{lk.Ks0Hat, lk.Ks1Hat},
+		batches: batchQP,
+		rows:    level + 2,
+		label:   "ks key stream",
+		bytes:   hwsim.PolyBytes(s.P.N(), level+2),
+	}); err != nil {
+		return err
 	}
-	for _, acc := range []uint8{ckSlotAcc0, ckSlotAcc1} {
-		for _, batch := range []hwsim.Batch{hwsim.BatchQ, hwsim.BatchP} {
-			if err := s.execAll(cp,
-				hwsim.Instr{Op: hwsim.OpINTT, A: acc, Batch: batch},
-				hwsim.Instr{Op: hwsim.OpRearr, A: acc, Batch: batch}); err != nil {
-				return err
-			}
-		}
+	s.live.free(src)
+	if err := s.fromNTT(batchQP, slotAcc0, slotAcc1); err != nil {
+		return err
 	}
-	return s.execAll(cp,
-		hwsim.Instr{Op: hwsim.OpRescale, Dst: ckSlotMd0, A: ckSlotAcc0, Batch: hwsim.BatchP},
-		hwsim.Instr{Op: hwsim.OpRescale, Dst: ckSlotMd1, A: ckSlotAcc1, Batch: hwsim.BatchP})
-}
-
-func (s *CKKSScheduler) execAll(cp *hwsim.Coprocessor, ins ...hwsim.Instr) error {
-	for _, in := range ins {
-		if _, err := cp.Exec(in); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// receive reads a two-element result at the given level back off the
-// co-processor, charging the result DMA.
-func (s *CKKSScheduler) receive(cp *hwsim.Coprocessor, level int, el0, el1 uint8) *ckks.Ciphertext {
-	k := level + 1
-	out := &ckks.Ciphertext{Els: []poly.RNSPoly{
-		{Rows: cp.ReadSlot(el0, 0, k)},
-		{Rows: cp.ReadSlot(el1, 0, k)},
-	}}
-	cp.Transfer(hwsim.Transfer{Bytes: 2 * s.chainPolyBytes(level), Label: "receive ciphertext"})
-	return out
+	s.live.set(slotMd0, level+1)
+	s.live.set(slotMd1, level+1)
+	return s.run(
+		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotMd0, A: slotAcc0, Batch: hwsim.BatchP},
+		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotMd1, A: slotAcc1, Batch: hwsim.BatchP})
 }

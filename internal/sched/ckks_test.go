@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ckks"
 	"repro/internal/hwsim"
-	"repro/internal/poly"
 	"repro/internal/sampler"
 )
 
@@ -198,11 +197,89 @@ func TestCKKSPaperSetMulRescaleCycles(t *testing.T) {
 	}
 }
 
-// A memory-file sanity check mirroring the BFV high-water test: the CKKS
-// schedule must fit the provisioned slot count.
-func TestCKKSSlotBudget(t *testing.T) {
-	if ckNumSlots > numSlots+2 {
-		t.Fatalf("ckks slot file (%d) outgrew the BFV one (%d) by more than the two ModDown slots", ckNumSlots, numSlots)
+// The CKKS sibling of TestMulMemoryHighWater. With one slot map under both
+// schemes the liveness auditor follows the CKKS programs too: a MulRescale
+// peaks inside the key switch, when c0, c1, c2 (ℓ+1 chain rows each) are
+// live beside the digit, the key component, the product scratch and the two
+// accumulators (ℓ+2 extended rows each) — 8(ℓ+1)+5 residue rows, 53 from the
+// top of the paper set's chain, inside the 66 buffers of the resource model.
+func TestCKKSMulMemoryHighWater(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper parameters are slow")
 	}
-	var _ = poly.RNSPoly{} // keep the import honest if the test shrinks
+	c := newCKKSTestContextConfig(t, ckks.PaperConfig())
+	a, b := c.encryptRange(t, 3), c.encryptRange(t, 7)
+	if _, _, err := c.hw.MulRescale(a, b, c.rk); err != nil {
+		t.Fatal(err)
+	}
+	k := a.Level() + 1
+	if got, want := c.hw.ResiduePeak(), 8*k+5; got != want || got != 53 {
+		t.Fatalf("residue high-water %d, want %d = 53 (three chain polynomials + five extended scratch)", got, want)
+	}
+	if cfg := hwsim.PaperResourceConfig(); c.hw.ResiduePeak() > cfg.MemFileSlots {
+		t.Fatalf("paper-set peak %d exceeds the modeled memory file (%d slots)", c.hw.ResiduePeak(), cfg.MemFileSlots)
+	}
+	// Rotate and Add stay below it, and the audit restarts per operation.
+	if _, _, err := c.hw.Rotate(a, 1, c.gk); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.hw.ResiduePeak(), 7*k+5; got != want {
+		t.Fatalf("rotate high-water %d, want %d (two chain polynomials + five extended scratch)", got, want)
+	}
+	if _, _, err := c.hw.Add(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.hw.ResiduePeak(), 6*k; got != want {
+		t.Fatalf("add high-water %d, want %d (four operands + two sums)", got, want)
+	}
+}
+
+// The CKKS sibling of trace_test.go's attribution check, on the scheduler's
+// own trace: with Record set, every instruction and every DMA step of the
+// three operations is in Trace, so the recorded cycles add up exactly to
+// what the ledger charged — and the trace feeds the same overlap analysis as
+// a BFV one.
+func TestCKKSTraceSumsToTotal(t *testing.T) {
+	c := newCKKSTestContext(t)
+	a, b := c.encryptRange(t, 3), c.encryptRange(t, 7)
+	c.hw.Record = true
+	ops := map[string]func() error{
+		"add":         func() error { _, _, err := c.hw.Add(a, b); return err },
+		"mul+rescale": func() error { _, _, err := c.hw.MulRescale(a, b, c.rk); return err },
+		"rotate":      func() error { _, _, err := c.hw.Rotate(a, 1, c.gk); return err },
+	}
+	for name, op := range ops {
+		c.hw.Trace = c.hw.Trace[:0]
+		before := c.hw.Stats.Total
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var sum hwsim.Cycles
+		units := map[Unit]bool{}
+		for _, task := range c.hw.Trace {
+			sum += task.Cycles
+			units[task.Unit] = true
+		}
+		if delta := c.hw.Stats.Total - before; sum != delta || sum == 0 {
+			t.Errorf("%s: trace cycles sum to %d, Stats.Total moved by %d", name, sum, delta)
+		}
+		if !units[UnitRPAU] || !units[UnitDMA] {
+			t.Errorf("%s: trace covers units %v, want RPAU and DMA steps", name, units)
+		}
+		if an := AnalyzeOverlap(c.hw.Trace); an.Sequential != sum || an.Overlapped > an.Sequential {
+			t.Errorf("%s: overlap analysis sequential %d / overlapped %d over a %d-cycle trace",
+				name, an.Sequential, an.Overlapped, sum)
+		}
+	}
+}
+
+// A rotation of a level-0 ciphertext has no key bundle to switch with (keys
+// start at level 1): the scheduler refuses it with an error. It used to
+// reach the key's At accessor, which panics.
+func TestCKKSRotateWithoutLevelBundleRefused(t *testing.T) {
+	c := newCKKSTestContext(t)
+	bottom := c.ev.DropLevel(c.encryptRange(t, 3), 0)
+	if _, _, err := c.hw.Rotate(bottom, 1, c.gk); err == nil {
+		t.Fatal("rotation at level 0 was served")
+	}
 }

@@ -189,7 +189,7 @@ func instrAccess(in hwsim.Instr) (reads, writes []uint8) {
 		return []uint8{in.A}, []uint8{in.A}
 	case hwsim.OpLift:
 		return []uint8{in.A}, []uint8{in.A}
-	case hwsim.OpScale, hwsim.OpDecomp:
+	case hwsim.OpScale, hwsim.OpDecomp, hwsim.OpRescale:
 		return []uint8{in.A}, []uint8{in.Dst}
 	case hwsim.OpCMul, hwsim.OpCAdd, hwsim.OpCSub:
 		return []uint8{in.A, in.B}, []uint8{in.Dst}

@@ -94,10 +94,8 @@ func (ps *PipelinedScheduler) MulStream(pairs [][2]*fv.Ciphertext, rk *fv.RelinK
 			return nil, StreamReport{}, fmt.Errorf("sched: MulStream expects degree-1 ciphertexts")
 		}
 	}
-	if rk.Variant == fv.HPS && s.C.Variant != hwsim.VariantHPS ||
-		rk.Variant == fv.Traditional && s.C.Variant != hwsim.VariantTraditional {
-		return nil, StreamReport{}, fmt.Errorf("sched: relin key variant %v does not match co-processor variant %v",
-			rk.Variant, s.C.Variant)
+	if err := s.checkVariant(rk); err != nil {
+		return nil, StreamReport{}, err
 	}
 	n := len(pairs)
 	if n == 0 {
@@ -118,7 +116,7 @@ func (ps *PipelinedScheduler) MulStream(pairs [][2]*fv.Ciphertext, rk *fv.RelinK
 		for off := uint8(0); off < 4; off++ {
 			s.C.ClearSlot(base + off)
 		}
-		s.sendCiphertextsAt(base, pairs[i][0], pairs[i][1])
+		s.sendAt(base, pairs[i][0], pairs[i][1])
 		steps[i].LoadBytes = 4 * polyB
 	}
 
@@ -144,12 +142,12 @@ func (ps *PipelinedScheduler) MulStream(pairs [][2]*fv.Ciphertext, rk *fv.RelinK
 		if err := s.mulProgram(ps.bankBase(i), rk); err != nil {
 			return nil, StreamReport{}, err
 		}
-		steps[i].Compute = s.C.Stats.Total - start
-		if err := s.C.Scrub(); err != nil {
+		els, compute, err := s.finish(start, slotAcc0, slotAcc1, s.P.QBasis.K(), true)
+		if err != nil {
 			return nil, StreamReport{}, err
 		}
-		ct, _ := s.ReceiveCiphertext(slotAcc0, slotAcc1)
-		results[i] = ct
+		results[i] = &fv.Ciphertext{Els: els}
+		steps[i].Compute = compute
 		steps[i].StoreBytes = 2 * polyB
 	}
 
