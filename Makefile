@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-purego race bench bench-compare bench-pairs lint fmt-check fuzz-smoke chaos loc
+.PHONY: build test test-purego race bench bench-compare bench-pairs lint fmt-check fuzz-smoke fuzz-long chaos loc
 
 build:
 	$(GO) build ./...
@@ -68,29 +68,51 @@ lint:
 fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l is not empty:"; echo "$$out"; exit 1; }
 
-# Five-iteration fuzz smoke over the differential fv<->hwsim targets (the
-# reused-memory-file one included), the host kernels against their scalar
-# references (FuzzKernels), the one ciphertext codec under both
-# header layouts (FuzzCodec), the hardened wire-protocol decoders and their
-# equivalence to the pre-split reference decoders (FuzzFrame*), the
-# compiled-program codec, and the CKKS key container and encoder. CI's
-# fuzz-smoke job runs this target, so the list exists once.
+# The fuzz targets, listed once as package:target:smoke-count — the
+# differential fv<->hwsim targets (the reused-memory-file one included), the
+# host kernels against their scalar references (FuzzKernels), the one
+# ciphertext codec under both header layouts (FuzzCodec), the hardened
+# wire-protocol decoders and their equivalence to the pre-split reference
+# decoders (FuzzFrame*), the compiled-program codec, and the CKKS key
+# container and encoder.
+FUZZ_TARGETS = \
+	difftest:FuzzDiffTransform:5x \
+	difftest:FuzzDiffPointwise:5x \
+	difftest:FuzzDiffMulRelin:5x \
+	difftest:FuzzDiffCKKSMulRescale:5x \
+	difftest:FuzzDiffReusedCoprocessor:5x \
+	poly:FuzzKernels:20x \
+	rlwe:FuzzCodec:20x \
+	cloud:FuzzDecodeRequest:20x \
+	cloud:FuzzDecodeResponse:20x \
+	cloud:FuzzDecodeMuxFrame:20x \
+	cloud:FuzzFrameRequest:20x \
+	cloud:FuzzFrameReply:20x \
+	program:FuzzDecodeProgram:20x \
+	ckks:FuzzDecodeCKKSKeys:20x \
+	ckks:FuzzEncoderRoundTrip:20x
+
+# $(call fuzz,T) runs every target for -fuzztime=T, or for its own smoke
+# count when T is empty.
+define fuzz
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; t=$${t#*:}; fn=$${t%%:*}; smoke=$${t#*:}; \
+		echo "== $$pkg $$fn"; \
+		$(GO) test -run=NONE -fuzz=$$fn -fuzztime=$(or $(1),$$smoke) ./internal/$$pkg; \
+	done
+endef
+
+# A few iterations per target: enough to catch a harness or seed-corpus
+# break. CI's fuzz-smoke job runs this.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzDiffTransform -fuzztime=5x ./internal/difftest
-	$(GO) test -run=NONE -fuzz=FuzzDiffPointwise -fuzztime=5x ./internal/difftest
-	$(GO) test -run=NONE -fuzz=FuzzDiffMulRelin -fuzztime=5x ./internal/difftest
-	$(GO) test -run=NONE -fuzz=FuzzDiffCKKSMulRescale -fuzztime=5x ./internal/difftest
-	$(GO) test -run=NONE -fuzz=FuzzDiffReusedCoprocessor -fuzztime=5x ./internal/difftest
-	$(GO) test -run=NONE -fuzz=FuzzKernels -fuzztime=20x ./internal/poly
-	$(GO) test -run=NONE -fuzz=FuzzCodec -fuzztime=20x ./internal/rlwe
-	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=20x ./internal/cloud
-	$(GO) test -run=NONE -fuzz=FuzzDecodeResponse -fuzztime=20x ./internal/cloud
-	$(GO) test -run=NONE -fuzz=FuzzDecodeMuxFrame -fuzztime=20x ./internal/cloud
-	$(GO) test -run=NONE -fuzz=FuzzFrameRequest -fuzztime=20x ./internal/cloud
-	$(GO) test -run=NONE -fuzz=FuzzFrameReply -fuzztime=20x ./internal/cloud
-	$(GO) test -run=NONE -fuzz=FuzzDecodeProgram -fuzztime=20x ./internal/program
-	$(GO) test -run=NONE -fuzz=FuzzDecodeCKKSKeys -fuzztime=20x ./internal/ckks
-	$(GO) test -run=NONE -fuzz=FuzzEncoderRoundTrip -fuzztime=20x ./internal/ckks
+	$(call fuzz)
+
+# Open-ended search, FUZZTIME per target (about a quarter of an hour at the
+# default). An input that fails lands in the package's testdata/fuzz; commit
+# it with the fix.
+FUZZTIME ?= 60s
+fuzz-long:
+	$(call fuzz,$(FUZZTIME))
 
 # The chaos suite: pinned-seed randomized fault schedules (BRAM flips, DMA
 # garbles, RPAU kills/stalls, limb corruption — including during the CKKS

@@ -48,28 +48,33 @@ import (
 	"repro/internal/obs"
 )
 
+// The command's flags, at package level so that TestFlagSetGolden can list
+// them without starting a router.
+var (
+	addr           = flag.String("addr", "127.0.0.1:7100", "listen address")
+	backendsFlag   = flag.String("backends", "", "comma-separated backend list: host:port or id=host:port (required)")
+	paper          = flag.Bool("paper", false, "use the paper parameter set (n = 4096) instead of the small test set")
+	tmod           = flag.Uint64("t", 65537, "plaintext modulus (must match the backends)")
+	replicas       = flag.Int("replicas", 2, "failover candidates per tenant on the ring")
+	vnodes         = flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per backend on the ring")
+	attempts       = flag.Int("attempts", 0, "retry budget per request (0 = replicas)")
+	attemptTimeout = flag.Duration("attempt-timeout", 2*time.Second, "per-attempt deadline")
+	poolSize       = flag.Int("pool", 4, "idle connections kept per backend (ignored with -mux)")
+	muxMode        = flag.Bool("mux", false, "multiplex all traffic to each backend over one shared connection (many in-flight request IDs with window flow control) instead of per-request pooled connections")
+	probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "health probe period per backend")
+	probeTimeout   = flag.Duration("probe-timeout", time.Second, "health probe deadline")
+	failThreshold  = flag.Int("fail-threshold", 2, "consecutive failures that eject a backend")
+	loadAware      = flag.Bool("load-aware", false, "spill hot tenants from an overloaded primary to a less-loaded ring replica (EWMA latency x queue depth)")
+	loadSpill      = flag.Float64("load-spill", 2.0, "primary-vs-best load ratio that triggers a load-aware spill")
+	watch          = flag.String("watch", "", "membership file to poll (same format as -backends, one entry per line); joins and leaves are applied live with key-state migration")
+	watchInterval  = flag.Duration("watch-interval", 2*time.Second, "poll period for -watch")
+	nodeID         = flag.String("node-id", "herouter", "node name advertised in info replies")
+	readTimeout    = flag.Duration("read-timeout", 2*time.Minute, "per-request read deadline on client connections")
+	drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight work")
+	debugAddr      = flag.String("debug-addr", "", "listen address for the HTTP debug endpoint; empty disables it")
+)
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7100", "listen address")
-	backendsFlag := flag.String("backends", "", "comma-separated backend list: host:port or id=host:port (required)")
-	paper := flag.Bool("paper", false, "use the paper parameter set (n = 4096) instead of the small test set")
-	tmod := flag.Uint64("t", 65537, "plaintext modulus (must match the backends)")
-	replicas := flag.Int("replicas", 2, "failover candidates per tenant on the ring")
-	vnodes := flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per backend on the ring")
-	attempts := flag.Int("attempts", 0, "retry budget per request (0 = replicas)")
-	attemptTimeout := flag.Duration("attempt-timeout", 2*time.Second, "per-attempt deadline")
-	poolSize := flag.Int("pool", 4, "idle connections kept per backend (ignored with -mux)")
-	muxMode := flag.Bool("mux", false, "multiplex all traffic to each backend over one shared connection (many in-flight request IDs with window flow control) instead of per-request pooled connections")
-	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "health probe period per backend")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "health probe deadline")
-	failThreshold := flag.Int("fail-threshold", 2, "consecutive failures that eject a backend")
-	loadAware := flag.Bool("load-aware", false, "spill hot tenants from an overloaded primary to a less-loaded ring replica (EWMA latency x queue depth)")
-	loadSpill := flag.Float64("load-spill", 2.0, "primary-vs-best load ratio that triggers a load-aware spill")
-	watch := flag.String("watch", "", "membership file to poll (same format as -backends, one entry per line); joins and leaves are applied live with key-state migration")
-	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll period for -watch")
-	nodeID := flag.String("node-id", "herouter", "node name advertised in info replies")
-	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "per-request read deadline on client connections")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight work")
-	debugAddr := flag.String("debug-addr", "", "listen address for the HTTP debug endpoint; empty disables it")
 	flag.Parse()
 
 	backends, err := parseBackends(*backendsFlag)

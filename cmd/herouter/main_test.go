@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,5 +65,44 @@ func TestInvalidFlagsExitTwo(t *testing.T) {
 				t.Fatalf("stderr does not mention %q:\n%s", tc.want, out)
 			}
 		})
+	}
+}
+
+// TestFlagSetGolden pins the command's flag set against a checked-in list, so
+// that adding or removing a flag is a reviewed diff and every flag is named by
+// a test. flag.VisitAll visits in sorted order; the testing package's own
+// test.* flags are skipped.
+func TestFlagSetGolden(t *testing.T) {
+	want := []string{
+		"addr",
+		"attempt-timeout",
+		"attempts",
+		"backends",
+		"debug-addr",
+		"drain-timeout",
+		"fail-threshold",
+		"load-aware",
+		"load-spill",
+		"mux",
+		"node-id",
+		"paper",
+		"pool",
+		"probe-interval",
+		"probe-timeout",
+		"read-timeout",
+		"replicas",
+		"t",
+		"vnodes",
+		"watch",
+		"watch-interval",
+	}
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, f.Name)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("flag set changed:\n got %q\nwant %q", got, want)
 	}
 }

@@ -50,28 +50,30 @@ import (
 	"repro/internal/sampler"
 )
 
+// The command's flags, at package level so that TestFlagSetGolden can list
+// them without starting a server.
+var (
+	addr          = flag.String("addr", "127.0.0.1:7100", "listen address")
+	paper         = flag.Bool("paper", false, "use the paper parameter set (n = 4096) instead of the small test set")
+	tmod          = flag.Uint64("t", 65537, "plaintext modulus")
+	seed          = flag.Uint64("seed", 42, "deterministic key seed shared with the client")
+	workers       = flag.Int("workers", runtime.NumCPU(), "worker pool size, one simulated co-processor each (the paper's platform is 2)")
+	queueDepth    = flag.Int("queue-depth", 64, "admission queue bound; a full queue rejects with an overload error")
+	deadline      = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
+	maxBatch      = flag.Int("batch", 8, "max compatible ops dispatched to a worker as one batch")
+	keyCache      = flag.Int("keycache", 8, "per-worker evaluation-key cache slots (LRU)")
+	tenants       = flag.String("tenants", "", "comma-separated extra tenant namespaces to register the seed-derived keys under (cluster deployments replicate keys to every node this way)")
+	nodeID        = flag.String("node-id", "", "node name advertised in info replies and used as the cluster ring identity (default: the bound address)")
+	readTimeout   = flag.Duration("read-timeout", cloud.DefaultReadTimeout, "per-request read deadline on client connections")
+	drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight work")
+	debugAddr     = flag.String("debug-addr", "", "listen address for the HTTP debug endpoint (expvar + pprof); empty disables it")
+	integrity     = flag.Bool("integrity", false, "verify co-processor results with Freivalds fingerprints; a mismatch fails the op with a retryable integrity error instead of returning corrupted data")
+	ckksServe     = flag.Bool("ckks", false, "additionally serve the CKKS approximate-arithmetic commands (CmdCKKSAdd/Mul/Rotate); CKKS keys are derived from -seed on an independent PRNG stream, with rotation keys installed for slot shifts 1, 2, 4, and 8")
+	tenantQuota   = flag.Int("tenant-quota", 0, "max in-flight ops per tenant on this node; excess is rejected with a retryable quota error (0 = unlimited)")
+	tenantWeights = flag.String("tenant-weights", "", "comma-separated tenant=weight pairs biasing weighted-fair batch emission (default weight 1)")
+)
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7100", "listen address")
-	paper := flag.Bool("paper", false, "use the paper parameter set (n = 4096) instead of the small test set")
-	tmod := flag.Uint64("t", 65537, "plaintext modulus")
-	seed := flag.Uint64("seed", 42, "deterministic key seed shared with the client")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size, one simulated co-processor each (the paper's platform is 2)")
-	queueDepth := flag.Int("queue-depth", 64, "admission queue bound; a full queue rejects with an overload error")
-	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
-	maxBatch := flag.Int("batch", 8, "max compatible ops dispatched to a worker as one batch")
-	keyCache := flag.Int("keycache", 8, "per-worker evaluation-key cache slots (LRU)")
-	tenants := flag.String("tenants", "", "comma-separated extra tenant namespaces to register the seed-derived keys under (cluster deployments replicate keys to every node this way)")
-	nodeID := flag.String("node-id", "", "node name advertised in info replies and used as the cluster ring identity (default: the bound address)")
-	readTimeout := flag.Duration("read-timeout", cloud.DefaultReadTimeout, "per-request read deadline on client connections")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight work")
-	debugAddr := flag.String("debug-addr", "", "listen address for the HTTP debug endpoint (expvar + pprof); empty disables it")
-	integrity := flag.Bool("integrity", false, "verify co-processor results with Freivalds fingerprints; a mismatch fails the op with a retryable integrity error instead of returning corrupted data")
-	pipelined := flag.Bool("pipelined", false, "stream multi-op Mul batches through the double-buffered DMA/compute pipeline (operand DMA of the next op overlaps the current op's compute)")
-	ckksServe := flag.Bool("ckks", false, "additionally serve the CKKS approximate-arithmetic commands (CmdCKKSAdd/Mul/Rotate); CKKS keys are derived from -seed on an independent PRNG stream, with rotation keys installed for slot shifts 1, 2, 4, and 8")
-	noiseGuard := flag.Bool("noise-guard", false, "reject ops whose client-declared noise budget the noise model predicts would be exhausted")
-	minNoiseBudget := flag.Float64("min-noise-budget", 1.0, "bits of predicted post-op noise budget below which the noise guard rejects (with -noise-guard)")
-	tenantQuota := flag.Int("tenant-quota", 0, "max in-flight ops per tenant on this node; excess is rejected with a retryable quota error (0 = unlimited)")
-	tenantWeights := flag.String("tenant-weights", "", "comma-separated tenant=weight pairs biasing weighted-fair batch emission (default weight 1)")
 	flag.Parse()
 
 	// Validate before building anything: a nonsensical flag is a usage
@@ -93,8 +95,6 @@ func main() {
 		usageError(fmt.Errorf("-read-timeout must be positive, got %v", *readTimeout))
 	case *drainTimeout <= 0:
 		usageError(fmt.Errorf("-drain-timeout must be positive, got %v", *drainTimeout))
-	case *minNoiseBudget <= 0:
-		usageError(fmt.Errorf("-min-noise-budget must be positive, got %v", *minNoiseBudget))
 	case *tenantQuota < 0:
 		usageError(fmt.Errorf("-tenant-quota must not be negative, got %d", *tenantQuota))
 	}
@@ -147,21 +147,18 @@ func main() {
 	}
 
 	eng, err := engine.New(engine.Config{
-		Params:             params,
-		CKKSParams:         cparams,
-		Variant:            hwsim.VariantHPS,
-		Workers:            *workers,
-		QueueDepth:         *queueDepth,
-		Deadline:           *deadline,
-		MaxBatch:           *maxBatch,
-		KeyCacheSlots:      *keyCache,
-		ExpvarName:         "engine",
-		Pipelined:          *pipelined,
-		IntegrityChecks:    *integrity,
-		NoiseGuard:         *noiseGuard,
-		MinNoiseBudgetBits: *minNoiseBudget,
-		TenantQuota:        *tenantQuota,
-		TenantWeights:      weights,
+		Params:          params,
+		CKKSParams:      cparams,
+		Variant:         hwsim.VariantHPS,
+		Workers:         *workers,
+		QueueDepth:      *queueDepth,
+		Deadline:        *deadline,
+		MaxBatch:        *maxBatch,
+		KeyCacheSlots:   *keyCache,
+		ExpvarName:      "engine",
+		IntegrityChecks: *integrity,
+		TenantQuota:     *tenantQuota,
+		TenantWeights:   weights,
 	})
 	if err != nil {
 		fatal(err)

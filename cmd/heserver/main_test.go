@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -171,5 +173,41 @@ func TestSIGUSR1DumpsStatsAndKeepsServing(t *testing.T) {
 	exited = true
 	if err != nil || !goodbye {
 		t.Fatalf("drain after SIGTERM: exit %v, goodbye line seen: %v", err, goodbye)
+	}
+}
+
+// TestFlagSetGolden pins the command's flag set against a checked-in list, so
+// that adding or removing a flag is a reviewed diff and every flag is named by
+// a test. flag.VisitAll visits in sorted order; the testing package's own
+// test.* flags are skipped.
+func TestFlagSetGolden(t *testing.T) {
+	want := []string{
+		"addr",
+		"batch",
+		"ckks",
+		"deadline",
+		"debug-addr",
+		"drain-timeout",
+		"integrity",
+		"keycache",
+		"node-id",
+		"paper",
+		"queue-depth",
+		"read-timeout",
+		"seed",
+		"t",
+		"tenant-quota",
+		"tenant-weights",
+		"tenants",
+		"workers",
+	}
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, f.Name)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("flag set changed:\n got %q\nwant %q", got, want)
 	}
 }

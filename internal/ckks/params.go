@@ -175,12 +175,3 @@ func (p *Params) LogQ() float64 {
 	}
 	return logq
 }
-
-// levelOf maps a row count to its level, validating the prefix shape.
-func (p *Params) levelOf(x poly.RNSPoly) int {
-	l := len(x.Rows) - 1
-	if l < 0 || l > p.MaxLevel() {
-		panic(fmt.Sprintf("ckks: polynomial with %d rows does not fit the chain (L=%d)", len(x.Rows), p.MaxLevel()))
-	}
-	return l
-}

@@ -127,16 +127,6 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Tenant returns the namespace this client issues requests under.
 func (c *Client) Tenant() string { return c.Ops.Tenant }
 
-// SetTenant changes the namespace for subsequent requests. Connection pools
-// use this to reuse one connection across tenants.
-func (c *Client) SetTenant(tenant string) error {
-	if len(tenant) > MaxTenantLen {
-		return fmt.Errorf("cloud: tenant %q longer than %d bytes", tenant, MaxTenantLen)
-	}
-	c.Ops.Tenant = tenant
-	return nil
-}
-
 // Broken reports whether the connection's request/response stream can no
 // longer be trusted (a transport error, a cancellation mid-exchange, or a
 // response-ID mismatch). A broken client must be closed, not reused.

@@ -75,13 +75,9 @@ func New(params *fv.Params, variant hwsim.Variant, coprocs int) (*Accelerator, e
 
 // NewWithTiming builds an accelerator with explicit timing calibration.
 func NewWithTiming(params *fv.Params, variant hwsim.Variant, coprocs int, timing hwsim.Timing) (*Accelerator, error) {
-	// PipelinedMinSlots(2) is MinSlots plus one shadow operand bank, so every
-	// accelerator can run MulStream's double-buffered prefetch; the extra
-	// four slots are dead weight for purely sequential callers.
-	slots := sched.PipelinedMinSlots(2)
 	factory := func() (*hwsim.Coprocessor, error) {
 		return hwsim.NewCoprocessor(params.QMods, params.PMods, params.N(),
-			params.Lifter, params.Scaler, variant, timing, slots)
+			params.Lifter, params.Scaler, variant, timing, sched.MinSlots(0))
 	}
 	platform, err := hwsim.NewPlatform(factory, coprocs)
 	if err != nil {
@@ -104,11 +100,6 @@ func NewPaper(t uint64) (*Accelerator, error) {
 	}
 	return New(params, hwsim.VariantHPS, 2)
 }
-
-// TransferCycles returns the co-processor cycles of one DMA transfer of
-// `bytes` under the timing calibration the accelerator was built with — the
-// one its co-processors run on.
-func (a *Accelerator) TransferCycles(bytes int) hwsim.Cycles { return a.transferCycles(bytes) }
 
 // Add computes FV.Add on the accelerator.
 func (a *Accelerator) Add(x, y *fv.Ciphertext) (*fv.Ciphertext, Report, error) {
@@ -134,35 +125,6 @@ func (a *Accelerator) Rotate(x *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext
 	return run(&a.pool, 2, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
 		return s.Rotate(x, gk)
 	})
-}
-
-// MulStream runs independent multiplications as one double-buffered stream
-// on co-processor 0: while step i computes, step i+1's operands are DMAed
-// into a shadow bank of the memory file, so the pipelined makespan beats the
-// back-to-back serial cost by exactly the overlapped transfer cycles.
-// Results are bit-identical to calling Mul in a loop; the StreamReport
-// carries the per-step profile and the exact serial/pipelined schedule.
-func (a *Accelerator) MulStream(xs, ys []*fv.Ciphertext, rk *fv.RelinKey) ([]*fv.Ciphertext, sched.StreamReport, error) {
-	if len(xs) != len(ys) {
-		return nil, sched.StreamReport{}, fmt.Errorf("core: operand count mismatch")
-	}
-	pairs := make([][2]*fv.Ciphertext, len(xs))
-	for i := range xs {
-		pairs[i] = [2]*fv.Ciphertext{xs[i], ys[i]}
-	}
-	var results []*fv.Ciphertext
-	var rep sched.StreamReport
-	err := a.onWorker(0, func(s *sched.Scheduler) error {
-		s.C.ResetStats()
-		ps := &sched.PipelinedScheduler{S: s, Banks: 2}
-		res, sr, err := ps.MulStream(pairs, rk)
-		if err != nil {
-			return err
-		}
-		results, rep = res, sr
-		return nil
-	})
-	return results, rep, err
 }
 
 // MulBatch runs independent multiplications across all co-processors

@@ -30,10 +30,10 @@ func TestRotateReportsOneCiphertextIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	polyBytes := hwsim.PolyBytes(p.N(), p.QBasis.K())
-	if want := a.TransferCycles(2 * polyBytes); rot.SendCycles != want {
+	if want := a.transferCycles(2 * polyBytes); rot.SendCycles != want {
 		t.Fatalf("Rotate SendCycles = %d, want %d (one ciphertext = two polynomials)", rot.SendCycles, want)
 	}
-	if want := a.TransferCycles(4 * polyBytes); mul.SendCycles != want {
+	if want := a.transferCycles(4 * polyBytes); mul.SendCycles != want {
 		t.Fatalf("Mul SendCycles = %d, want %d (two ciphertexts)", mul.SendCycles, want)
 	}
 	if rot.SendCycles >= mul.SendCycles {

@@ -162,10 +162,10 @@ func getReuseHarness(t testing.TB, integrity bool) *ReuseHarness {
 }
 
 // TestDiffReusedCoprocessorDeterministic: 240 mixed operations on long-lived
-// schedulers — two BFV tenants, both architectures, serial and streamed
-// multiplies, CKKS down the whole chain, a quarter of them damaged by an
-// injected fault — agree op by op, bits and cycles, with a brand-new
-// scheduler per operation; without the checker and with it.
+// schedulers — two BFV tenants, both architectures, CKKS down the whole
+// chain, a quarter of them damaged by an injected fault — agree op by op,
+// bits and cycles, with a brand-new scheduler per operation; without the
+// checker and with it.
 func TestDiffReusedCoprocessorDeterministic(t *testing.T) {
 	for _, integrity := range []bool{false, true} {
 		h := getReuseHarness(t, integrity)

@@ -3,7 +3,6 @@ package difftest
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
 	"repro/internal/ckks"
 	"repro/internal/faults"
@@ -32,8 +31,8 @@ type ReuseHarness struct {
 	Damaged, Aborted int
 
 	bfv  [2]bfvTenant
-	hps  *sched.PipelinedScheduler
-	trad *sched.PipelinedScheduler
+	hps  *sched.Scheduler
+	trad *sched.Scheduler
 
 	cenc *ckks.Encryptor
 	ccod *ckks.Encoder
@@ -101,12 +100,11 @@ func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (
 	return h, nil
 }
 
-// newBFV builds a scheduler over a brand-new co-processor, sized for the
-// pipelined stream so one scheduler serves the serial and streamed forms.
-func (h *ReuseHarness) newBFV(variant hwsim.Variant) (*sched.PipelinedScheduler, error) {
+// newBFV builds a scheduler over a brand-new co-processor.
+func (h *ReuseHarness) newBFV(variant hwsim.Variant) (*sched.Scheduler, error) {
 	p := h.Params
 	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-		variant, hwsim.DefaultTiming(), sched.PipelinedMinSlots(2))
+		variant, hwsim.DefaultTiming(), sched.MinSlots(0))
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +113,7 @@ func (h *ReuseHarness) newBFV(variant hwsim.Variant) (*sched.PipelinedScheduler,
 			return nil, err
 		}
 	}
-	return sched.NewPipelined(p, c), nil
+	return sched.New(p, c), nil
 }
 
 func (h *ReuseHarness) newCKKS() (*sched.CKKSScheduler, error) {
@@ -174,10 +172,10 @@ func (h *ReuseHarness) damaged(err error) {
 func (h *ReuseHarness) Run(seed []byte, ops int) error {
 	next := splitmix64(seed)
 	for i := 0; i < ops; i++ {
-		kind := next() % 9
+		kind := next() % 7
 		inj := opFault(next)
 		var err error
-		if kind < 6 {
+		if kind < 4 {
 			err = h.bfvOp(kind, next, inj)
 		} else {
 			err = h.ckksOp(kind, next, inj)
@@ -197,7 +195,7 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 	b := tn.pool[next()%uint64(len(tn.pool))]
 	variant, long, rk := hwsim.VariantHPS, h.hps, tn.rk
 	// Rotate needs the RNS gadget, so the traditional co-processor sees the
-	// other four kinds.
+	// other kinds.
 	if kind != 2 && next()%3 == 0 {
 		variant, long, rk = hwsim.VariantTraditional, h.trad, tn.rkTrad
 	}
@@ -206,50 +204,32 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 		return err
 	}
 
-	type result struct {
-		cts    []*fv.Ciphertext
-		cycles hwsim.Cycles
-		timing hwsim.StreamTiming
-	}
-	run := func(ps *sched.PipelinedScheduler) (res result, err error) {
-		var ct *fv.Ciphertext
+	run := func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
 		switch kind {
 		case 0:
-			ct, res.cycles, err = ps.S.Add(a, b)
-		case 1, 3:
-			ct, res.cycles, err = ps.S.Mul(a, b, rk)
+			return s.Add(a, b)
 		case 2:
-			ct, res.cycles, err = ps.S.Rotate(a, tn.gk)
-		default:
-			var rep sched.StreamReport
-			pairs := [][2]*fv.Ciphertext{{a, b}, {b, a}, {a, a}}
-			res.cts, rep, err = ps.MulStream(pairs[:2+kind%2], rk)
-			res.timing = rep.Timing
-			return res, err
+			return s.Rotate(a, tn.gk)
 		}
-		res.cts = []*fv.Ciphertext{ct}
-		return res, err
+		return s.Mul(a, b, rk)
 	}
 
-	long.S.C.SetInjector(inj)
-	got, gotErr := run(long)
-	long.S.C.SetInjector(nil)
+	long.C.SetInjector(inj)
+	got, gotCycles, gotErr := run(long)
+	long.C.SetInjector(nil)
 	if inj != nil {
 		h.damaged(gotErr)
 		return nil // the next operation is the test
 	}
-	want, wantErr := run(fresh)
+	want, wantCycles, wantErr := run(fresh)
 	if gotErr != nil || wantErr != nil {
 		return fmt.Errorf("reused scheduler: %v, new scheduler: %v", gotErr, wantErr)
 	}
-	if got.cycles != want.cycles || !reflect.DeepEqual(got.timing, want.timing) {
-		return fmt.Errorf("%v: reused scheduler charged %d cycles (%+v), a new one %d (%+v)",
-			variant, got.cycles, got.timing, want.cycles, want.timing)
+	if gotCycles != wantCycles {
+		return fmt.Errorf("%v: reused scheduler charged %d cycles, a new one %d", variant, gotCycles, wantCycles)
 	}
-	for i := range want.cts {
-		if !got.cts[i].Equal(want.cts[i]) {
-			return fmt.Errorf("%v: result %d differs between the reused and a new scheduler", variant, i)
-		}
+	if !got.Equal(want) {
+		return fmt.Errorf("%v: result differs between the reused and a new scheduler", variant)
 	}
 	return nil
 }
@@ -259,7 +239,7 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 // the top — so every level's chain co-processor is reused many times.
 func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injector) error {
 	// Keys exist for levels 1..L: at the bottom only Add is left.
-	if h.ccur == nil || (kind != 6 && h.ccur.Level() < 1) {
+	if h.ccur == nil || (kind != 4 && h.ccur.Level() < 1) {
 		ct, err := h.freshCKKS(next)
 		if err != nil {
 			return err
@@ -269,9 +249,9 @@ func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injec
 	a := h.ccur
 	run := func(s *sched.CKKSScheduler) (*ckks.Ciphertext, hwsim.Cycles, error) {
 		switch kind {
-		case 6:
+		case 4:
 			return s.Add(a, a)
-		case 7:
+		case 5:
 			return s.MulRescale(a, a, h.crk)
 		}
 		return s.Rotate(a, 1, h.cgk)
@@ -288,7 +268,7 @@ func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injec
 	if wantErr != nil {
 		return wantErr
 	}
-	if kind == 7 {
+	if kind == 5 {
 		h.ccur = want // descend on the undamaged result
 	}
 	if inj != nil {

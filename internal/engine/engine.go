@@ -107,8 +107,7 @@ type Op struct {
 	Plain  []float64
 	// BudgetHint is the caller-declared remaining noise budget (bits) of the
 	// operands — the server cannot measure it without the secret key. Zero
-	// means unknown; the noise guardrail (Config.NoiseGuard) only screens
-	// hinted operations.
+	// means unknown; the noise guardrail only screens hinted operations.
 	BudgetHint float64
 }
 
@@ -121,11 +120,6 @@ type Result struct {
 	Batch  int           // how many ops rode in the same batch
 	KeyHit bool          // evaluation key was already resident on the worker
 	Wait   time.Duration // time spent in the admission queue
-	// Pipelined marks a request served by the overlapped DMA/compute stream
-	// path (Config.Pipelined); SavedCycles is that stream's total hidden
-	// transfer time, reported identically on every request that rode in it.
-	Pipelined   bool
-	SavedCycles hwsim.Cycles
 }
 
 // Config parameterizes New. Zero values select the documented defaults.
@@ -190,19 +184,6 @@ type Config struct {
 	// worker is never quarantined, so the engine degrades rather than
 	// bricks.
 	QuarantineAfter int
-	// Pipelined enables the overlapped DMA/compute fast path: a Mul batch
-	// with two or more live requests executes as one double-buffered stream
-	// (core.MulStream) — operand uploads of op i+1 hide behind op i's
-	// compute in a shadow bank of the co-processor memory file. Results are
-	// bit-identical to the sequential path; only the simulated schedule
-	// changes. Off by default so existing deployments keep byte-for-byte
-	// identical accounting.
-	Pipelined bool
-	// NoiseGuard enables the noise-budget guardrail: operations whose
-	// BudgetHint predicts a post-op budget below MinNoiseBudgetBits
-	// (default 1.0) are rejected with ErrNoiseBudget at admission.
-	NoiseGuard         bool
-	MinNoiseBudgetBits float64
 
 	// MaxPrograms bounds how many compiled programs may execute
 	// concurrently (default Workers). A program is one admission unit:
@@ -247,9 +228,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = 3
-	}
-	if cfg.MinNoiseBudgetBits <= 0 {
-		cfg.MinNoiseBudgetBits = 1.0
 	}
 	if cfg.MaxPrograms <= 0 {
 		cfg.MaxPrograms = cfg.Workers
@@ -298,8 +276,8 @@ type Engine struct {
 	progSlots chan struct{}
 	progWG    sync.WaitGroup
 
-	// noise is the guardrail's prediction model (nil unless NoiseGuard);
-	// liveWorkers tracks pool members not yet quarantined.
+	// noise is the guardrail's prediction model; liveWorkers tracks pool
+	// members not yet quarantined.
 	noise       *fv.NoiseModel
 	liveWorkers atomic.Int32
 
@@ -333,9 +311,7 @@ func New(cfg Config) (*Engine, error) {
 		progTasks: make(chan *progTask),
 		progSlots: make(chan struct{}, cfg.MaxPrograms),
 		tenants:   make(map[string]*tenantCounters),
-	}
-	if cfg.NoiseGuard {
-		e.noise = fv.NewNoiseModel(cfg.Params)
+		noise:     fv.NewNoiseModel(cfg.Params),
 	}
 	// guard hangs the robustness attachments on one accelerator. Every
 	// co-processor, of either scheme, gets its own integrity seed: no two
@@ -610,19 +586,23 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}
 }
 
+// minNoiseBudgetBits is the guardrail's floor: an operation or program
+// predicted to leave less than one bit of budget is refused.
+const minNoiseBudgetBits = 1.0
+
 // noiseGuard screens a hinted operation through the fv noise model: if the
 // predicted post-op budget is below the floor, the result would decrypt to
 // garbage, and the engine refuses with ErrNoiseBudget instead of computing
 // it. Unhinted operations (BudgetHint 0) pass — the server cannot measure
 // budget without the secret key.
 func (e *Engine) noiseGuard(op Op, info *opInfo) error {
-	if e.noise == nil || op.BudgetHint <= 0 || info.noise == nil {
+	if op.BudgetHint <= 0 || info.noise == nil {
 		return nil
 	}
-	if predicted := info.noise(e.noise, op.BudgetHint); predicted < e.cfg.MinNoiseBudgetBits {
+	if predicted := info.noise(e.noise, op.BudgetHint); predicted < minNoiseBudgetBits {
 		e.m.noiseRejected.Add(1)
 		return fmt.Errorf("%w: %v predicted to leave %.1f bits (floor %.1f)",
-			ErrNoiseBudget, op.Kind, predicted, e.cfg.MinNoiseBudgetBits)
+			ErrNoiseBudget, op.Kind, predicted, minNoiseBudgetBits)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/obs"
@@ -558,165 +557,5 @@ func TestStatsIncludesPoolAndBatchAssembly(t *testing.T) {
 	}
 	if st.BatchAssembly.Count == 0 {
 		t.Fatal("no batch assembly observations")
-	}
-}
-
-// TestEnginePipelinedStreamMatchesSequential: with Config.Pipelined set, a
-// Mul batch executes as one overlapped DMA/compute stream — and because the
-// prefetch only touches shadow memory-file slots, every result must stay
-// bit-for-bit identical to the sequential accelerator. The stream's saved
-// cycles must also show up in the stats ledger.
-func TestEnginePipelinedStreamMatchesSequential(t *testing.T) {
-	params := testParams(t)
-	tn := newTenant(t, params, "", 91)
-
-	gate := make(chan struct{})
-	e := newEngine(t, params, Config{Workers: 1, QueueDepth: 16, MaxBatch: 8, Pipelined: true})
-	e.SetRelinKey(tn.name, tn.rk)
-	var gateOnce sync.Once
-	e.testExecHook = func(int) {
-		gateOnce.Do(func() { <-gate })
-	}
-
-	ref, err := core.New(params, hwsim.VariantHPS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const ops = 6
-	type pair struct{ a, b *fv.Ciphertext }
-	inputs := make([]pair, ops)
-	for i := range inputs {
-		inputs[i] = pair{
-			a: tn.encrypt(params, uint64(i+2), uint64(400+i)),
-			b: tn.encrypt(params, uint64(i+7), uint64(500+i)),
-		}
-	}
-
-	results := make([]*Result, ops)
-	var wg sync.WaitGroup
-	for i := range inputs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := e.Submit(context.Background(), Op{Kind: OpMul, A: inputs[i].a, B: inputs[i].b})
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	// Stall the worker until every op is queued so they batch together.
-	waitFor(t, func() bool { return e.Stats().Submitted == ops })
-	close(gate)
-	wg.Wait()
-
-	for i, in := range inputs {
-		if results[i] == nil {
-			t.Fatalf("op %d missing result", i)
-		}
-		want, _, err := ref.Mul(in.a, in.b, tn.rk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !results[i].Ct.Equal(want) {
-			t.Fatalf("op %d: pipelined result differs from sequential accelerator", i)
-		}
-		if got, exp := tn.decrypt(params, results[i].Ct), uint64((i+2)*(i+7)%257); got != exp {
-			t.Fatalf("op %d decrypts to %d, want %d", i, got, exp)
-		}
-		// Any request that rode in a multi-op batch must have gone through
-		// the stream path and report the stream's hidden transfer time.
-		if results[i].Batch >= 2 {
-			if !results[i].Pipelined {
-				t.Fatalf("op %d: batch of %d was not pipelined", i, results[i].Batch)
-			}
-			if results[i].SavedCycles <= 0 {
-				t.Fatalf("op %d: pipelined batch saved %d cycles, want > 0", i, results[i].SavedCycles)
-			}
-			if results[i].Report.ComputeCycles <= 0 || results[i].Report.SendCycles <= 0 {
-				t.Fatalf("op %d: pipelined report missing cycle accounting: %+v", i, results[i].Report)
-			}
-		}
-	}
-
-	st := e.Stats()
-	if st.Completed != ops {
-		t.Fatalf("completed %d, want %d", st.Completed, ops)
-	}
-	if st.PipelinedBatches == 0 || st.PipelinedOps < 2 {
-		t.Fatalf("no pipelined stream ran: %d batches, %d ops", st.PipelinedBatches, st.PipelinedOps)
-	}
-	if st.PipelinedSavedCycles == 0 {
-		t.Fatal("pipelined stream hid zero transfer cycles")
-	}
-	// Exactly one key stream: the stream charges it to its first op only.
-	if st.KeyLoads != 1 {
-		t.Fatalf("key loads = %d, want 1", st.KeyLoads)
-	}
-}
-
-// TestEnginePipelinedIntegrityFallback: a fault injected mid-stream must not
-// produce a wrong result — the stream detects it, the batch falls back to
-// the sequential path, and op-level integrity retries recover every request.
-func TestEnginePipelinedIntegrityFallback(t *testing.T) {
-	params := testParams(t)
-	tn := newTenant(t, params, "", 93)
-
-	inj := faults.New(777)
-	gate := make(chan struct{})
-	e := newEngine(t, params, Config{
-		Workers: 1, QueueDepth: 16, MaxBatch: 8, Pipelined: true,
-		IntegrityChecks: true, FaultInjector: inj,
-		MaxIntegrityRetries: 4, QuarantineAfter: -1,
-	})
-	e.SetRelinKey(tn.name, tn.rk)
-	var gateOnce sync.Once
-	e.testExecHook = func(int) {
-		gateOnce.Do(func() { <-gate })
-	}
-	// One transient RPAU kill: it lands inside the stream, fails the whole
-	// stream attempt, and the sequential fallback reruns the ops cleanly.
-	inj.Arm(faults.Spec{Class: faults.ClassRPAU, After: 3, Mode: faults.ModeKill})
-
-	const ops = 4
-	results := make([]*Result, ops)
-	var wg sync.WaitGroup
-	for i := 0; i < ops; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a := tn.encrypt(params, uint64(i+2), uint64(600+i))
-			b := tn.encrypt(params, uint64(i+3), uint64(700+i))
-			res, err := e.Submit(context.Background(), Op{Kind: OpMul, A: a, B: b})
-			if err != nil {
-				t.Errorf("op %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	waitFor(t, func() bool { return e.Stats().Submitted == ops })
-	close(gate)
-	wg.Wait()
-
-	for i, res := range results {
-		if res == nil {
-			continue // already reported
-		}
-		if got, exp := tn.decrypt(params, res.Ct), uint64((i+2)*(i+3)%257); got != exp {
-			t.Fatalf("op %d decrypts to %d, want %d — corrupted result escaped", i, got, exp)
-		}
-	}
-	if fired := inj.Stats().TotalFired; fired == 0 {
-		t.Fatal("fault never fired; test exercised nothing")
-	}
-	st := e.Stats()
-	if st.Completed != ops {
-		t.Fatalf("completed %d, want %d", st.Completed, ops)
-	}
-	if st.Failed != 0 {
-		t.Fatalf("failed %d, want 0 (fallback should recover)", st.Failed)
 	}
 }

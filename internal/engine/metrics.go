@@ -40,13 +40,6 @@ type metrics struct {
 	programs     atomic.Uint64
 	programNodes atomic.Uint64
 
-	// Pipelined-stream counters (Config.Pipelined): Mul batches executed as
-	// one overlapped DMA/compute stream, the ops they carried, and the
-	// simulated cycles the overlap hid versus back-to-back execution.
-	pipelinedBatches atomic.Uint64
-	pipelinedOps     atomic.Uint64
-	pipelinedSaved   atomic.Uint64
-
 	// queueWait is admission-to-dispatch, batchAssembly is the age of a
 	// batch when it is handed to a worker (first admit to emit), execTime is
 	// per-op worker service time — the three legs of a request's life.
@@ -143,14 +136,6 @@ type Stats struct {
 	Programs     uint64
 	ProgramNodes uint64
 
-	// PipelinedBatches/PipelinedOps count Mul batches (and the requests in
-	// them) that ran as overlapped DMA/compute streams;
-	// PipelinedSavedCycles is the total simulated cycles the overlap hid —
-	// Σ min(next operand DMA, current compute) over every stream.
-	PipelinedBatches     uint64
-	PipelinedOps         uint64
-	PipelinedSavedCycles uint64
-
 	QueueWait     HistogramStats
 	BatchAssembly HistogramStats
 	ExecTime      HistogramStats
@@ -181,33 +166,30 @@ func (e *Engine) keyEvicted(tenant string) {
 // Stats snapshots the engine's observability counters.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		Workers:              len(e.workers),
-		QueueDepth:           e.cfg.QueueDepth,
-		QueueLen:             len(e.queue),
-		Submitted:            e.m.submitted.Load(),
-		Rejected:             e.m.rejected.Load(),
-		Expired:              e.m.expired.Load(),
-		Completed:            e.m.completed.Load(),
-		Failed:               e.m.failed.Load(),
-		Batches:              e.m.batches.Load(),
-		BatchedOps:           e.m.batchedOps.Load(),
-		KeyLoads:             e.m.keyLoads.Load(),
-		KeyHits:              e.m.keyHits.Load(),
-		KeyEvictions:         e.m.keyEvicted.Load(),
-		IntegrityFaults:      e.m.integrityFaults.Load(),
-		IntegrityRetries:     e.m.integrityRetries.Load(),
-		Quarantined:          e.m.quarantined.Load(),
-		NoiseRejected:        e.m.noiseRejected.Load(),
-		QuotaRejected:        e.m.quotaRejected.Load(),
-		LiveWorkers:          int(e.liveWorkers.Load()),
-		Programs:             e.m.programs.Load(),
-		ProgramNodes:         e.m.programNodes.Load(),
-		PipelinedBatches:     e.m.pipelinedBatches.Load(),
-		PipelinedOps:         e.m.pipelinedOps.Load(),
-		PipelinedSavedCycles: e.m.pipelinedSaved.Load(),
-		QueueWait:            e.m.queueWait.Snapshot(),
-		BatchAssembly:        e.m.batchAssembly.Snapshot(),
-		ExecTime:             e.m.execTime.Snapshot(),
+		Workers:          len(e.workers),
+		QueueDepth:       e.cfg.QueueDepth,
+		QueueLen:         len(e.queue),
+		Submitted:        e.m.submitted.Load(),
+		Rejected:         e.m.rejected.Load(),
+		Expired:          e.m.expired.Load(),
+		Completed:        e.m.completed.Load(),
+		Failed:           e.m.failed.Load(),
+		Batches:          e.m.batches.Load(),
+		BatchedOps:       e.m.batchedOps.Load(),
+		KeyLoads:         e.m.keyLoads.Load(),
+		KeyHits:          e.m.keyHits.Load(),
+		KeyEvictions:     e.m.keyEvicted.Load(),
+		IntegrityFaults:  e.m.integrityFaults.Load(),
+		IntegrityRetries: e.m.integrityRetries.Load(),
+		Quarantined:      e.m.quarantined.Load(),
+		NoiseRejected:    e.m.noiseRejected.Load(),
+		QuotaRejected:    e.m.quotaRejected.Load(),
+		LiveWorkers:      int(e.liveWorkers.Load()),
+		Programs:         e.m.programs.Load(),
+		ProgramNodes:     e.m.programNodes.Load(),
+		QueueWait:        e.m.queueWait.Snapshot(),
+		BatchAssembly:    e.m.batchAssembly.Snapshot(),
+		ExecTime:         e.m.execTime.Snapshot(),
 	}
 	if s.Batches > 0 {
 		s.AvgBatch = float64(s.BatchedOps) / float64(s.Batches)

@@ -41,8 +41,8 @@ type ProgramOp struct {
 	Prog   *program.Program
 	Inputs []*fv.Ciphertext
 	// BudgetHint is the caller-declared noise budget (bits) of the freshest
-	// input; zero means unknown. With Config.NoiseGuard the whole program is
-	// pre-screened through the fv noise model before any cycle is spent.
+	// input; zero means unknown. A hinted program is pre-screened as a whole
+	// through the fv noise model before any cycle is spent.
 	BudgetHint float64
 }
 
@@ -105,7 +105,7 @@ func (e *Engine) SubmitProgram(ctx context.Context, op ProgramOp) (*ProgramResul
 	if len(op.Inputs) != p.NumInputs {
 		return nil, fmt.Errorf("engine: program needs %d inputs, got %d", p.NumInputs, len(op.Inputs))
 	}
-	if err := e.programNoiseGuard(p, op.BudgetHint); err != nil {
+	if err := e.noiseGuardProgram(p, op.BudgetHint); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -332,18 +332,18 @@ func (e *Engine) programTick(ctx context.Context, deadline time.Time) error {
 	return nil
 }
 
-// programNoiseGuard pre-screens the whole program through the fv noise
+// noiseGuardProgram pre-screens the whole program through the fv noise
 // model: if the hinted input budget cannot survive to the outputs, refuse
 // before spending a single simulated cycle.
-func (e *Engine) programNoiseGuard(p *program.Program, hint float64) error {
-	if e.noise == nil || hint <= 0 {
+func (e *Engine) noiseGuardProgram(p *program.Program, hint float64) error {
+	if hint <= 0 {
 		return nil
 	}
 	predicted := p.PredictBudget(e.noise, hint)
-	if predicted < e.cfg.MinNoiseBudgetBits {
+	if predicted < minNoiseBudgetBits {
 		e.m.noiseRejected.Add(1)
 		return fmt.Errorf("%w: program predicted to leave %.1f bits (floor %.1f)",
-			ErrNoiseBudget, predicted, e.cfg.MinNoiseBudgetBits)
+			ErrNoiseBudget, predicted, minNoiseBudgetBits)
 	}
 	return nil
 }

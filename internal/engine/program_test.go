@@ -220,7 +220,7 @@ func TestProgramAdmissionAndShutdown(t *testing.T) {
 func TestProgramNoiseGuard(t *testing.T) {
 	params := testParams(t)
 	tn := newTenant(t, params, "", 7)
-	e := newEngine(t, params, Config{Workers: 1, NoiseGuard: true})
+	e := newEngine(t, params, Config{Workers: 1})
 	e.SetRelinKey(tn.name, tn.rk)
 
 	// A chain deeper than the parameter set supports, hinted with a fresh

@@ -163,7 +163,7 @@ func TestEngineQuarantineNeverEjectsLastWorker(t *testing.T) {
 func TestEngineNoiseGuard(t *testing.T) {
 	params := testParams(t)
 	tn := newTenant(t, params, "", 7)
-	e := newEngine(t, params, Config{Workers: 1, NoiseGuard: true})
+	e := newEngine(t, params, Config{Workers: 1})
 	e.SetRelinKey(tn.name, tn.rk)
 
 	a := tn.encrypt(params, 2, 331)

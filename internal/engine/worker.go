@@ -84,16 +84,7 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 		}
 	}
 
-	reqs := b.reqs
-	if e.cfg.Pipelined && b.key.kind == OpMul && len(reqs) > 1 {
-		var done bool
-		reqs, done = e.runMulStream(w, b, tc, key.key.(*fv.RelinKey), &keyCycles, keyHit)
-		if done {
-			return
-		}
-	}
-
-	for _, r := range reqs {
+	for _, r := range b.reqs {
 		now := time.Now()
 		if r.expired(now) {
 			e.expire(r)
@@ -124,29 +115,24 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 			e.finish(r, nil, err)
 			continue
 		}
-		e.complete(w, tc, r, &keyCycles, &Result{
+		// The batch's key stream is charged to the first op completed — the
+		// others find the key resident, which is the point of batching.
+		rep.KeyLoadCycles, keyCycles = keyCycles, 0
+		w.ops.Add(1)
+		w.simCycles.Add(uint64(rep.ComputeCycles))
+		e.m.completed.Add(1)
+		tc.completed.Add(1)
+		tc.simCycles.Add(uint64(rep.ComputeCycles + rep.KeyLoadCycles))
+		e.finish(r, &Result{
 			Ct:     ct,
 			CCt:    cct,
 			Report: rep,
+			Worker: w.id,
 			Batch:  len(b.reqs),
 			KeyHit: keyHit,
 			Wait:   now.Sub(r.enqueued),
-		})
+		}, nil)
 	}
-}
-
-// complete accounts a served request and hands its result back. The batch's
-// key stream is charged to the first op completed — the others find the key
-// resident, which is the point of batching.
-func (e *Engine) complete(w *worker, tc *tenantCounters, r *request, keyCycles *hwsim.Cycles, res *Result) {
-	res.Worker = w.id
-	res.Report.KeyLoadCycles, *keyCycles = *keyCycles, 0
-	w.ops.Add(1)
-	w.simCycles.Add(uint64(res.Report.ComputeCycles))
-	e.m.completed.Add(1)
-	tc.completed.Add(1)
-	tc.simCycles.Add(uint64(res.Report.ComputeCycles + res.Report.KeyLoadCycles))
-	e.finish(r, res, nil)
 }
 
 // exec serves one operation on w — the one dispatch both op-at-a-time
@@ -189,63 +175,6 @@ func (e *Engine) exec(w *worker, op *Op, key evalKey) (ct *fv.Ciphertext, cct *c
 		w.integrityFails.Add(1)
 	}
 	return ct, cct, rep, err
-}
-
-// runMulStream tries to execute a Mul batch as one overlapped DMA/compute
-// stream on w's co-processor (core.MulStream): operand uploads of op i+1
-// hide behind op i's compute in a shadow operand bank. It returns the
-// requests the caller still has to run and whether the batch is fully
-// handled. On success everything is finished here; on any stream error the
-// live requests are handed back to the sequential loop, which owns the
-// integrity-retry machinery and restarts each op from its pristine operands.
-func (e *Engine) runMulStream(w *worker, b *batch, tc *tenantCounters, rk *fv.RelinKey, keyCycles *hwsim.Cycles, keyHit bool) ([]*request, bool) {
-	now := time.Now()
-	live := make([]*request, 0, len(b.reqs))
-	for _, r := range b.reqs {
-		if r.expired(now) {
-			e.expire(r)
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) < 2 {
-		return live, false
-	}
-	xs := make([]*fv.Ciphertext, len(live))
-	ys := make([]*fv.Ciphertext, len(live))
-	for i, r := range live {
-		xs[i], ys[i] = r.op.A, r.op.B
-	}
-	start := time.Now()
-	cts, srep, err := w.accel.MulStream(xs, ys, rk)
-	elapsed := time.Since(start)
-	if err != nil {
-		// Fall back — an integrity trip mid-stream is retried op-at-a-time
-		// by the sequential path, with its usual resubmit budget.
-		return live, false
-	}
-	e.m.pipelinedBatches.Add(1)
-	e.m.pipelinedOps.Add(uint64(len(live)))
-	e.m.pipelinedSaved.Add(uint64(srep.SavedCycles()))
-	perExec := elapsed / time.Duration(len(live))
-	for i, r := range live {
-		e.m.queueWait.Observe(now.Sub(r.enqueued))
-		e.m.execTime.Observe(perExec)
-		e.complete(w, tc, r, keyCycles, &Result{
-			Ct: cts[i],
-			Report: core.Report{
-				ComputeCycles: srep.Steps[i].Compute,
-				SendCycles:    w.accel.TransferCycles(srep.Steps[i].LoadBytes),
-				ReceiveCycles: w.accel.TransferCycles(srep.Steps[i].StoreBytes),
-			},
-			Batch:       len(live),
-			KeyHit:      keyHit,
-			Wait:        now.Sub(r.enqueued),
-			Pipelined:   true,
-			SavedCycles: srep.SavedCycles(),
-		})
-	}
-	return nil, true
 }
 
 // shouldQuarantine decides, after a batch, whether w has misbehaved enough

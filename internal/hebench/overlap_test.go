@@ -8,30 +8,33 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/engine"
-	"repro/internal/fv"
-	"repro/internal/sched"
+	"repro/internal/hwsim"
 )
 
-// overlapStream runs a stream of ops independent Mults double-buffered
+// overlapStream schedules a stream of ops independent Mults double-buffered
 // (operand DMA of op i+1 hidden behind op i's compute) on the paper suite's
-// single co-processor. The schedule is pure hardware model — no wall clock
-// anywhere — so every number in the report is exact.
-func overlapStream(t *testing.T, ops int) sched.StreamReport {
+// single co-processor: each Mult runs sequentially, and its report's (load,
+// compute, store) triple is one step of hwsim's stream model. Compute is
+// measured exclusive of both transfers and cycle counts never depend on
+// coefficient values, so the sequential run carries everything the
+// overlapped schedule needs. Pure hardware model — no wall clock anywhere —
+// so every number in the timing is exact.
+func overlapStream(t *testing.T, ops int) hwsim.StreamTiming {
 	t.Helper()
 	s, err := PaperSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]*fv.Ciphertext, ops)
-	ys := make([]*fv.Ciphertext, ops)
-	for i := range xs {
-		xs[i], ys[i] = s.CtA, s.CtB
+	polyB := hwsim.PolyBytes(s.Params.N(), s.Params.QBasis.K())
+	steps := make([]hwsim.StreamStep, ops)
+	for i := range steps {
+		_, rep, err := s.AccelOne.Mul(s.CtA, s.CtB, s.RK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[i] = hwsim.StreamStep{LoadBytes: 4 * polyB, Compute: rep.ComputeCycles, StoreBytes: 2 * polyB}
 	}
-	_, rep, err := s.AccelOne.MulStream(xs, ys, s.RK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	return s.AccelOne.Platform.Coprocs[0].DMAEng.SimulateStream(steps, 2)
 }
 
 // TestSchedOverlapWins is the overlapped-pipeline acceptance gate: at the
@@ -44,36 +47,33 @@ func TestSchedOverlapWins(t *testing.T) {
 		t.Skip("paper-scale suite")
 	}
 	const ops = 4
-	rep := overlapStream(t, ops)
-	perOp := uint64(rep.PipelinedCycles()) / ops
+	tm := overlapStream(t, ops)
+	perOp := uint64(tm.Pipelined) / ops
 	if perOp != 875069 {
 		t.Errorf("pipelined makespan %d cycles/op, pinned 875069", perOp)
 	}
 
-	// The raw stream report must show a strict win with exact accounting.
-	if rep.PipelinedCycles() >= rep.SerialCycles() {
-		t.Fatalf("pipelined %d cycles >= serial %d: overlap hid nothing",
-			rep.PipelinedCycles(), rep.SerialCycles())
+	// The timing must show a strict win with exact accounting.
+	if tm.Pipelined >= tm.Serial {
+		t.Fatalf("pipelined %d cycles >= serial %d: overlap hid nothing", tm.Pipelined, tm.Serial)
 	}
-	if got := rep.SerialCycles() - rep.PipelinedCycles(); got != rep.SavedCycles() {
-		t.Fatalf("saved %d != serial-pipelined %d", rep.SavedCycles(), got)
+	if got := tm.Serial - tm.Pipelined; got != tm.Saved {
+		t.Fatalf("saved %d != serial-pipelined %d", tm.Saved, got)
 	}
-	if rep.PipelinedCycles() < rep.Timing.LowerBound {
+	if tm.Pipelined < tm.LowerBound {
 		t.Fatalf("pipelined %d beats the dependency lower bound %d: schedule is unphysical",
-			rep.PipelinedCycles(), rep.Timing.LowerBound)
+			tm.Pipelined, tm.LowerBound)
 	}
 	// Identical ops: every overlapped step should hide the full operand DMA,
 	// so the saving is (ops-1) x the per-op load cost.
-	if perStep := uint64(rep.SavedCycles()) / (ops - 1); perStep == 0 {
+	if perStep := uint64(tm.Saved) / (ops - 1); perStep == 0 {
 		t.Fatal("zero hidden cycles per overlapped step")
 	}
-	if again := overlapStream(t, ops); again.PipelinedCycles() != rep.PipelinedCycles() {
-		t.Fatalf("pipelined makespan %d != %d — rerun drifted",
-			again.PipelinedCycles(), rep.PipelinedCycles())
+	if again := overlapStream(t, ops); again.Pipelined != tm.Pipelined {
+		t.Fatalf("pipelined makespan %d != %d — rerun drifted", again.Pipelined, tm.Pipelined)
 	}
 	t.Logf("stream of %d: serial %d, pipelined %d, saved %d cycles (%.1f%%)",
-		ops, rep.SerialCycles(), rep.PipelinedCycles(), rep.SavedCycles(),
-		100*float64(rep.SavedCycles())/float64(rep.SerialCycles()))
+		ops, tm.Serial, tm.Pipelined, tm.Saved, 100*float64(tm.Saved)/float64(tm.Serial))
 }
 
 // TestMuxThroughputSmoke pushes 12 Mults 4-deep through ONE multiplexed

@@ -23,10 +23,3 @@ func (a ArmModel) SWAddSeconds(n, elements int) float64 {
 func (a ArmModel) SWAddArmCycles(n, elements int) uint64 {
 	return SecondsToArmCycles(a.SWAddSeconds(n, elements))
 }
-
-// DispatchSeconds is the Arm-side cost of issuing one instruction and
-// waiting for its completion interrupt; it is already folded into the
-// co-processor's InstrDispatchCycles (which the Arm perceives as part of
-// each instruction's latency), so this returns zero extra time. It exists
-// to make the accounting explicit for readers comparing with Table II.
-func (a ArmModel) DispatchSeconds() float64 { return 0 }

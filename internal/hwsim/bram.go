@@ -76,6 +76,3 @@ func (p *PortTracker) NextCycle() {
 	p.writes = [2]int{}
 	p.cycle++
 }
-
-// Cycle returns the current cycle index.
-func (p *PortTracker) Cycle() int { return p.cycle }

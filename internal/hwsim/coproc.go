@@ -362,33 +362,26 @@ func (c *Coprocessor) ReadSlotInto(idx uint8, lo int, dst []poly.Poly) {
 	}
 }
 
-// ClearSlots wipes the memory file (between independent operations).
+// ClearSlots wipes the memory file (between independent operations). The
+// wipe keeps every slot's storage and marks every row empty: it charges no
+// cycles (a BRAM reset) and touches no coefficient, and the next operation
+// sees zeros whatever the last one left behind (row). With the checker
+// enabled, still-corrupted rows are counted as flush detections on their way
+// out, so faults in state an aborted operation never re-read stay accounted
+// for and the chaos ledger balances.
 func (c *Coprocessor) ClearSlots() {
 	for i := range c.slots {
-		c.ClearSlot(uint8(i))
-	}
-}
-
-// ClearSlot wipes one memory-file slot — on its own, the pipelined
-// scheduler's tool for scrubbing the shared scratch slots between streamed
-// operations without touching the prefetched operand bank. The wipe keeps
-// the slot's storage and marks every row empty: it charges no cycles (a BRAM
-// reset) and touches no coefficient, and the next operation sees zeros
-// whatever the last one left behind (row). With the checker enabled,
-// still-corrupted rows are counted as flush detections on their way out, so
-// faults in state an aborted operation never re-read stay accounted for and
-// the chaos ledger balances.
-func (c *Coprocessor) ClearSlot(idx uint8) {
-	s := c.slotAt(idx)
-	if ic := c.integrity; ic != nil {
-		for j, t := range s.tagged {
-			if t && ic.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod) != s.tags[j] {
-				c.count("hw_integrity_flush_detected")
+		s := &c.slots[i]
+		if ic := c.integrity; ic != nil {
+			for j, t := range s.tagged {
+				if t && ic.fpSlice(j, s.rows[j].Coeffs, s.rows[j].Mod) != s.tags[j] {
+					c.count("hw_integrity_flush_detected")
+				}
 			}
 		}
+		clear(s.domain)
+		clear(s.tagged)
 	}
-	clear(s.domain)
-	clear(s.tagged)
 }
 
 // Reset zeroes the ledger in place: everyone holding the pointer — chain

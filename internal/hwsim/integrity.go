@@ -155,9 +155,6 @@ func (c *Coprocessor) EnableIntegrity(seed int64) error {
 	return nil
 }
 
-// IntegrityEnabled reports whether fingerprint verification is active.
-func (c *Coprocessor) IntegrityEnabled() bool { return c.integrity != nil }
-
 // SetInjector attaches a fault injector; nil detaches. The injector is
 // consulted once per instruction (BRAM and limb storage faults on operand
 // rows, RPAU faults on verified compute) and once per memory-file load (DMA

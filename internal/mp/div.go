@@ -160,6 +160,3 @@ func (r *Reciprocal) DivRound(x Nat) Nat {
 	}
 	return q
 }
-
-// Divisor returns the divisor this reciprocal inverts.
-func (r *Reciprocal) Divisor() Nat { return r.d.Clone() }

@@ -45,14 +45,6 @@ func (x Nat) Limbs() []uint64 {
 	return append([]uint64(nil), x.limbs...)
 }
 
-// Limb returns limb i of x, or 0 when i is out of range.
-func (x Nat) Limb(i int) uint64 {
-	if i < 0 || i >= len(x.limbs) {
-		return 0
-	}
-	return x.limbs[i]
-}
-
 // Uint64 returns the low 64 bits of x.
 func (x Nat) Uint64() uint64 {
 	if len(x.limbs) == 0 {

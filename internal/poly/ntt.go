@@ -452,6 +452,3 @@ func (t *NTTTable) inverseGeneric(a []uint64) {
 // ForwardTwiddle returns forward twiddle ψ^bitrev(i); the hardware simulator
 // reads the ROM through this accessor.
 func (t *NTTTable) ForwardTwiddle(i int) uint64 { return t.psiRev[i] }
-
-// InverseTwiddle returns inverse twiddle ψ^-bitrev(i).
-func (t *NTTTable) InverseTwiddle(i int) uint64 { return t.psiInvRev[i] }

@@ -56,13 +56,6 @@ type ScaleRounder struct {
 	bShoup     []uint64
 }
 
-// MaxInputBits returns the largest centered-magnitude bit length the HPS
-// scale path supports: t·|x| must stay below (q·p)/2 so the intermediate
-// y = round(t·x/q) remains within the centered range of p.
-func (s *ScaleRounder) MaxInputBits() int {
-	return s.bigQ.BitLen() - mp.NewNat(s.T).BitLen() - 1
-}
-
 // NewScaleRounder prepares the scale tables. qb and pb must be disjoint.
 func NewScaleRounder(qb, pb *Basis, t uint64) (*ScaleRounder, error) {
 	if t < 2 {

@@ -203,7 +203,7 @@ func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*c
 	if err := s.toNTT(batchQ, slotA0, slotA1, slotB0, slotB1); err != nil {
 		return nil, 0, err
 	}
-	if err := s.tensor(slotA0, batchQ); err != nil {
+	if err := s.tensor(batchQ); err != nil {
 		return nil, 0, err
 	}
 	if err := s.fromNTT(batchQ, slotA0, slotT1, slotB1); err != nil {

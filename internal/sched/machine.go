@@ -30,8 +30,7 @@ const (
 	numCKKSSlots
 
 	// The BFV programs never touch the ModDown landings, so their memory
-	// file ends before them — and the pipelined scheduler's shadow operand
-	// banks start there.
+	// file ends before them.
 	numSlots = slotMd0
 )
 
@@ -39,9 +38,6 @@ const (
 // slot-reuse discipline makes it independent of the relinearization digit
 // count.
 func MinSlots(int) int { return numSlots }
-
-// CKKSMinSlots returns the memory-file size the CKKS schedules need.
-func CKKSMinSlots() int { return numCKKSSlots }
 
 // The RPAU batches a phase runs over: BFV's R_q work and CKKS's chain rows
 // take one batch, the extended basis (BFV tensor, CKKS key switch) two.
@@ -171,27 +167,21 @@ func (m *machine) reset() {
 	m.live.reset()
 }
 
-// send models the Arm→FPGA transfer of operand polynomials of `rows` residue
-// rows each as a single contiguous DMA (the paper's memory layout keeps the
-// coefficients contiguous exactly for this) and loads them into consecutive
-// slots from base, in the coefficient domain. It returns the transfer
-// duration.
-func (m *machine) send(base uint8, rows int, els ...poly.RNSPoly) hwsim.Cycles {
+// begin clears the memory file and sends the operand polynomials, of `rows`
+// residue rows each, to consecutive slots from slotA0 in the coefficient
+// domain: the Arm→FPGA transfer, modelled as a single contiguous DMA (the
+// paper's memory layout keeps the coefficients contiguous exactly for this).
+// It returns the ledger reading the operation's compute cycles count from.
+func (m *machine) begin(rows int, els ...poly.RNSPoly) hwsim.Cycles {
+	m.reset()
 	var written []uint8
 	for i, el := range els {
-		slot := base + uint8(i)
+		slot := slotA0 + uint8(i)
 		m.C.LoadSlotCoeff(slot, 0, el.Rows)
 		m.live.set(slot, rows)
 		written = append(written, slot)
 	}
-	return m.transfer(hwsim.Transfer{Bytes: len(els) * hwsim.PolyBytes(m.n, rows), Label: "send ciphertexts"}, written, nil)
-}
-
-// begin clears the memory file, sends the operands to slotA0 onwards and
-// returns the ledger reading the operation's compute cycles count from.
-func (m *machine) begin(rows int, els ...poly.RNSPoly) hwsim.Cycles {
-	m.reset()
-	m.send(slotA0, rows, els...)
+	m.transfer(hwsim.Transfer{Bytes: len(els) * hwsim.PolyBytes(m.n, rows), Label: "send ciphertexts"}, written, nil)
 	return m.C.Stats.Total
 }
 
@@ -275,13 +265,13 @@ func (m *machine) fromNTT(batches []hwsim.Batch, slots ...uint8) error {
 	return nil
 }
 
-// tensor multiplies the NTT-domain operands a0, a1, b0, b1 at base..base+3
+// tensor multiplies the NTT-domain operands a0, a1, b0, b1 in slotA0..slotB1
 // (4 CMul + 1 CAdd per batch), overwriting operands as they die so only one
 // extra slot (slotT1) is ever needed:
 //
 //	T1 = a0·b1;  B1 = a1·b1 (t2);  A1 = a1·b0;  T1 += A1 (t1);  A0 = a0·b0 (t0).
-func (m *machine) tensor(base uint8, batches []hwsim.Batch) error {
-	a0, a1, b0, b1 := base, base+1, base+2, base+3
+func (m *machine) tensor(batches []hwsim.Batch) error {
+	const a0, a1, b0, b1 = slotA0, slotA1, slotB0, slotB1
 	for _, batch := range batches {
 		if err := m.run(
 			hwsim.Instr{Op: hwsim.OpCMul, Dst: slotT1, A: a0, B: b1, Batch: batch},

@@ -9,208 +9,71 @@ import (
 	"repro/internal/sampler"
 )
 
-// setupPipelined builds a co-processor with the shadow operand bank and both
-// a serial and a pipelined scheduler over separate instances, so the two can
-// be difftested against each other.
-func setupPipelined(t testing.TB, variant hwsim.Variant) (*fv.Params, *Scheduler, *PipelinedScheduler) {
-	t.Helper()
+// TestPipelinedCycleAccountingExact pins the overlap accounting: the (load,
+// compute, store) triples of sequential Mul calls are the whole input of the
+// double-buffered schedule. Their back-to-back sum equals what the
+// co-processor's own ledger charged plus the result DMA the BFV Mul leaves
+// off it (machine.finish), to the cycle, and the saving SimulateStream
+// derives from them matches Σ min(dma_{i+1}, compute_i) exactly.
+func TestPipelinedCycleAccountingExact(t *testing.T) {
 	p, err := fv.NewParams(fv.TestConfig(257))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(slots int) *hwsim.Coprocessor {
-		c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-			variant, hwsim.DefaultTiming(), slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
+		hwsim.VariantHPS, hwsim.DefaultTiming(), MinSlots(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p, New(p, mk(MinSlots(0))), NewPipelined(p, mk(PipelinedMinSlots(2)))
-}
-
-// streamInputs builds n independent ciphertext pairs with seeded payloads.
-func streamInputs(t testing.TB, p *fv.Params, enc *fv.Encryptor, n int, seed int64) [][2]*fv.Ciphertext {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	pairs := make([][2]*fv.Ciphertext, n)
-	for i := range pairs {
-		a, b := fv.NewPlaintext(p), fv.NewPlaintext(p)
-		for j := range a.Coeffs {
-			a.Coeffs[j] = uint64(rng.Intn(257))
-			b.Coeffs[j] = uint64(rng.Intn(257))
-		}
-		pairs[i] = [2]*fv.Ciphertext{enc.Encrypt(a), enc.Encrypt(b)}
-	}
-	return pairs
-}
-
-// TestPipelinedMulBitIdentical is the difftest: a double-buffered Mul stream
-// must produce, per operation, exactly the ciphertext the serial scheduler
-// produces — the shadow-bank prefetch may only move cycles, never bits.
-func TestPipelinedMulBitIdentical(t *testing.T) {
-	for _, variant := range []hwsim.Variant{hwsim.VariantHPS, hwsim.VariantTraditional} {
-		p, serial, pipe := setupPipelined(t, variant)
-		prng := sampler.NewPRNG(11)
-		kg := fv.NewKeyGenerator(p, prng)
-		sk := kg.GenSecretKey()
-		pk := kg.GenPublicKey(sk)
-		var rk *fv.RelinKey
-		if variant == hwsim.VariantHPS {
-			rk = kg.GenRelinKey(sk, fv.HPS, 0, 0)
-		} else {
-			rk = kg.GenRelinKey(sk, fv.Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
-		}
-		enc := fv.NewEncryptor(p, pk, prng)
-		pairs := streamInputs(t, p, enc, 4, 101)
-
-		got, rep, err := pipe.MulStream(pairs, rk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(pairs) {
-			t.Fatalf("got %d results, want %d", len(got), len(pairs))
-		}
-		for i, pair := range pairs {
-			want, _, err := serial.Mul(pair[0], pair[1], rk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got[i].Equal(want) {
-				t.Fatalf("variant %v: stream result %d differs from serial Mul", variant, i)
-			}
-		}
-		if rep.SavedCycles() <= 0 {
-			t.Fatalf("variant %v: stream saved %d cycles, want > 0", variant, rep.SavedCycles())
-		}
-	}
-}
-
-// TestPipelinedCycleAccountingExact pins the tentpole's accounting: the
-// stream's serial cost equals the co-processor's own Stats.Total delta to
-// the cycle (every DMA and instruction the stream charged is in the step
-// profile), and the saving matches Σ min(dma_{i+1}, compute_i) exactly.
-func TestPipelinedCycleAccountingExact(t *testing.T) {
-	p, _, pipe := setupPipelined(t, hwsim.VariantHPS)
+	s := New(p, c)
 	prng := sampler.NewPRNG(12)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
 	enc := fv.NewEncryptor(p, pk, prng)
-	pairs := streamInputs(t, p, enc, 5, 202)
+	rng := rand.New(rand.NewSource(202))
 
-	before := pipe.S.C.Stats.Total
-	_, rep, err := pipe.MulStream(pairs, rk)
-	if err != nil {
-		t.Fatal(err)
+	d := c.DMAEng
+	polyB := s.polyBytes()
+	steps := make([]hwsim.StreamStep, 5)
+	before := c.Stats.Total
+	for i := range steps {
+		a, b := fv.NewPlaintext(p), fv.NewPlaintext(p)
+		for j := range a.Coeffs {
+			a.Coeffs[j] = uint64(rng.Intn(257))
+			b.Coeffs[j] = uint64(rng.Intn(257))
+		}
+		_, compute, err := s.Mul(enc.Encrypt(a), enc.Encrypt(b), rk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[i] = hwsim.StreamStep{LoadBytes: 4 * polyB, Compute: compute, StoreBytes: 2 * polyB}
 	}
-	charged := pipe.S.C.Stats.Total - before
-	if rep.SerialCycles() != charged {
-		t.Fatalf("stream serial cycles %d != co-processor charge %d", rep.SerialCycles(), charged)
+	charged := c.Stats.Total - before
+	charged += hwsim.Cycles(len(steps)) * d.FPGACycles(hwsim.Transfer{Bytes: 2 * polyB})
+
+	timing := d.SimulateStream(steps, 2)
+	if timing.Serial != charged {
+		t.Fatalf("stream serial cycles %d != co-processor charge + result DMA %d", timing.Serial, charged)
 	}
 
 	// The saving formula, proven on the real recorded step profile.
 	var want hwsim.Cycles
-	d := pipe.S.C.DMAEng
-	for i := 1; i < len(rep.Steps); i++ {
-		l := d.FPGACycles(hwsim.Transfer{Bytes: rep.Steps[i].LoadBytes})
-		if c := rep.Steps[i-1].Compute; l < c {
-			want += l
-		} else {
-			want += c
-		}
+	for i := 1; i < len(steps); i++ {
+		want += min(d.FPGACycles(hwsim.Transfer{Bytes: steps[i].LoadBytes}), steps[i-1].Compute)
 	}
-	if rep.SavedCycles() != want {
-		t.Fatalf("saved %d cycles, want Σ min(dma_{i+1}, compute_i) = %d", rep.SavedCycles(), want)
+	if timing.Saved != want {
+		t.Fatalf("saved %d cycles, want Σ min(dma_{i+1}, compute_i) = %d", timing.Saved, want)
 	}
-	if rep.SavedCycles() <= 0 {
+	if timing.Saved <= 0 {
 		t.Fatal("stream hid nothing")
 	}
 
 	// Consistency with the step timeline.
-	if got := rep.Timing.Pipelined; got < rep.Timing.LowerBound || got > rep.Timing.Serial {
+	if got := timing.Pipelined; got < timing.LowerBound || got > timing.Serial {
 		t.Fatalf("pipelined %d outside [lower bound %d, serial %d]",
-			got, rep.Timing.LowerBound, rep.Timing.Serial)
-	}
-}
-
-// TestPipelinedMulStreamProperty is the randomized property test: across
-// pinned seeds and stream lengths, the overlapped makespan is ≤ the serial
-// makespan, ≥ the critical-path lower bound, and the outputs stay
-// bit-identical to the serial scheduler and decrypt to the right values.
-func TestPipelinedMulStreamProperty(t *testing.T) {
-	p, serial, pipe := setupPipelined(t, hwsim.VariantHPS)
-	prng := sampler.NewPRNG(13)
-	kg := fv.NewKeyGenerator(p, prng)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
-	enc := fv.NewEncryptor(p, pk, prng)
-	dec := fv.NewDecryptor(p, sk)
-	ev := fv.NewEvaluator(p)
-
-	for _, seed := range []int64{1, 7, 1234} {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		pairs := streamInputs(t, p, enc, n, seed*3+1)
-
-		got, rep, err := pipe.MulStream(pairs, rk)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rep.Timing.Pipelined > rep.Timing.Serial {
-			t.Fatalf("seed %d: overlapped makespan %d > serial %d", seed, rep.Timing.Pipelined, rep.Timing.Serial)
-		}
-		if rep.Timing.Pipelined < rep.Timing.LowerBound {
-			t.Fatalf("seed %d: overlapped makespan %d < critical-path bound %d",
-				seed, rep.Timing.Pipelined, rep.Timing.LowerBound)
-		}
-		for i, pair := range pairs {
-			want, _, err := serial.Mul(pair[0], pair[1], rk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got[i].Equal(want) {
-				t.Fatalf("seed %d: stream result %d differs from serial scheduler", seed, i)
-			}
-			sw := ev.Mul(pair[0], pair[1], rk)
-			if !dec.Decrypt(got[i]).Equal(dec.Decrypt(sw)) {
-				t.Fatalf("seed %d: stream result %d decrypts differently from software", seed, i)
-			}
-		}
-	}
-}
-
-// TestPipelinedStreamWithIntegrity runs the stream under the Freivalds
-// checker: a fault-free guarded stream must stay bit-identical to the
-// unguarded serial results — the per-slot scrubbing between streamed ops
-// must not disturb tags the prefetched bank depends on.
-func TestPipelinedStreamWithIntegrity(t *testing.T) {
-	p, serial, pipe := setupPipelined(t, hwsim.VariantHPS)
-	if err := pipe.S.C.EnableIntegrity(55); err != nil {
-		t.Fatal(err)
-	}
-	prng := sampler.NewPRNG(14)
-	kg := fv.NewKeyGenerator(p, prng)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
-	enc := fv.NewEncryptor(p, pk, prng)
-	pairs := streamInputs(t, p, enc, 3, 303)
-
-	got, _, err := pipe.MulStream(pairs, rk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pair := range pairs {
-		want, _, err := serial.Mul(pair[0], pair[1], rk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got[i].Equal(want) {
-			t.Fatalf("guarded stream result %d differs from serial", i)
-		}
+			got, timing.LowerBound, timing.Serial)
 	}
 }
 
@@ -221,15 +84,5 @@ func TestPipelinedMinSlots(t *testing.T) {
 	}
 	if got := PipelinedMinSlots(2); got != MinSlots(0)+4 {
 		t.Fatalf("PipelinedMinSlots(2) = %d, want %d", got, MinSlots(0)+4)
-	}
-}
-
-// TestPipelinedEmptyStream covers the trivial edge.
-func TestPipelinedEmptyStream(t *testing.T) {
-	p, _, pipe := setupPipelined(t, hwsim.VariantHPS)
-	_ = p
-	res, rep, err := pipe.MulStream(nil, &fv.RelinKey{Variant: fv.HPS})
-	if err != nil || res != nil || rep.Timing.Serial != 0 {
-		t.Fatalf("empty stream: res=%v rep=%+v err=%v", res, rep, err)
 	}
 }

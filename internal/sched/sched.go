@@ -44,18 +44,6 @@ func (s *Scheduler) polyBytes() int {
 	return hwsim.PolyBytes(s.P.N(), s.P.QBasis.K())
 }
 
-// sendAt loads degree-1 operand ciphertexts into the operand bank at base: a
-// lands at base, base+1 and b (when present) at base+2, base+3. The serial
-// programs use slotA0; the pipelined scheduler prefetches the next
-// operation's operands into a shadow bank while the current one computes.
-func (s *Scheduler) sendAt(base uint8, a, b *fv.Ciphertext) hwsim.Cycles {
-	kq := s.P.QBasis.K()
-	if b == nil {
-		return s.send(base, kq, a.Els[0], a.Els[1])
-	}
-	return s.send(base, kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
-}
-
 // checkVariant refuses a relinearization key built for the other lift/scale
 // architecture.
 func (s *Scheduler) checkVariant(rk *fv.RelinKey) error {
@@ -94,7 +82,7 @@ func (s *Scheduler) Mul(a, b *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, h
 	}
 	kq := s.P.QBasis.K()
 	start := s.begin(kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
-	if err := s.mulProgram(slotA0, rk); err != nil {
+	if err := s.mulProgram(rk); err != nil {
 		return nil, 0, err
 	}
 	els, compute, err := s.finish(start, slotAcc0, slotAcc1, kq, false)
@@ -104,41 +92,36 @@ func (s *Scheduler) Mul(a, b *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, h
 	return &fv.Ciphertext{Els: els}, compute, nil
 }
 
-// mulProgram emits the Fig. 2 multiplication pipeline with the operand bank
-// parameterized: the four operand polynomials sit at base..base+3 (a0, a1,
-// b0, b1), while the tensor accumulator and the relinearization scratch
-// slots (slotT1, slotDigit, slotSop, slotKey, slotAcc0, slotAcc1) stay
-// fixed. The serial Mul runs it with base = slotA0; the pipelined scheduler
-// alternates shadow banks so the next operation's operand DMA can land
-// while this program occupies the RPAUs. The result is left in
-// slotAcc0/slotAcc1, bit-identical regardless of bank.
-func (s *Scheduler) mulProgram(base uint8, rk *fv.RelinKey) error {
-	opA0, opA1, opB0, opB1 := base, base+1, base+2, base+3
+// mulProgram emits the Fig. 2 multiplication pipeline over the four operand
+// polynomials in slotA0..slotB1 (a0, a1, b0, b1), with the tensor accumulator
+// and the relinearization scratch in slotT1, slotDigit, slotSop, slotKey,
+// slotAcc0 and slotAcc1. The result is left in slotAcc0/slotAcc1.
+func (s *Scheduler) mulProgram(rk *fv.RelinKey) error {
 	kq := s.P.QBasis.K()
 	full := kq + s.P.PBasis.K()
 
 	// Liveness through phases 1–4: the four lifted operands plus the tensor
 	// accumulator are simultaneously full-basis — the 5-polynomial peak.
-	for _, slot := range []uint8{opA0, opA1, opB0, opB1, slotT1} {
+	for _, slot := range []uint8{slotA0, slotA1, slotB0, slotB1, slotT1} {
 		s.live.set(slot, full)
 	}
 	// Phase 1: Lift q→Q of the four operand polynomials (4 Lift calls).
-	for slot := opA0; slot <= opB1; slot++ {
+	for slot := uint8(slotA0); slot <= slotB1; slot++ {
 		if _, err := s.exec(hwsim.Instr{Op: hwsim.OpLift, A: slot}); err != nil {
 			return err
 		}
 	}
 	// Phase 2: to the NTT domain in two batches per polynomial (8 Rearr +
 	// 8 NTT). Phase 3: tensor product over the extended basis (8 CMul +
-	// 2 CAdd). Phase 4: t0 (opA0), t1 (slotT1), t2 (opB1) back to
+	// 2 CAdd). Phase 4: t0 (slotA0), t1 (slotT1), t2 (slotB1) back to
 	// coefficients (6 INTT + 6 Rearr).
-	if err := s.toNTT(batchQP, opA0, opA1, opB0, opB1); err != nil {
+	if err := s.toNTT(batchQP, slotA0, slotA1, slotB0, slotB1); err != nil {
 		return err
 	}
-	if err := s.tensor(base, batchQP); err != nil {
+	if err := s.tensor(batchQP); err != nil {
 		return err
 	}
-	if err := s.fromNTT(batchQP, opA0, slotT1, opB1); err != nil {
+	if err := s.fromNTT(batchQP, slotA0, slotT1, slotB1); err != nil {
 		return err
 	}
 
@@ -146,22 +129,21 @@ func (s *Scheduler) mulProgram(base uint8, rk *fv.RelinKey) error {
 	// result landing in a slot whose previous contents just died:
 	// s0 ← A1 (cross term dead), s1 ← B0 (operand dead), s2 ← T1 (t1 dead
 	// once its own Scale has consumed it).
-	s.live.set(opA1, kq)
-	if _, err := s.exec(hwsim.Instr{Op: hwsim.OpScale, Dst: opA1, A: opA0}); err != nil {
+	s.live.set(slotA1, kq)
+	if _, err := s.exec(hwsim.Instr{Op: hwsim.OpScale, Dst: slotA1, A: slotA0}); err != nil {
 		return err
 	}
-	s.live.free(opA0)
-	s.live.set(opB0, kq)
-	if _, err := s.exec(hwsim.Instr{Op: hwsim.OpScale, Dst: opB0, A: slotT1}); err != nil {
+	s.live.free(slotA0)
+	s.live.set(slotB0, kq)
+	if _, err := s.exec(hwsim.Instr{Op: hwsim.OpScale, Dst: slotB0, A: slotT1}); err != nil {
 		return err
 	}
 	s.live.set(slotT1, kq)
-	if _, err := s.exec(hwsim.Instr{Op: hwsim.OpScale, Dst: slotT1, A: opB1}); err != nil {
+	if _, err := s.exec(hwsim.Instr{Op: hwsim.OpScale, Dst: slotT1, A: slotB1}); err != nil {
 		return err
 	}
-	s.live.free(opB1)
-	sSlot0, sSlot1 := opA1, opB0
-	const sSlot2 = slotT1
+	s.live.free(slotB1)
+	const sSlot0, sSlot1, sSlot2 = slotA1, slotB0, slotT1
 
 	// Phase 6: relinearization of s2 through the key-switch digit loop.
 	ks := keySwitch{
