@@ -1,10 +1,13 @@
 package repro
 
-// One benchmark per evaluation artifact of the paper. The Go benchmark
-// timing measures the *simulator's host cost*; the reproduced quantity —
-// the simulated hardware time — is attached to each benchmark via
-// b.ReportMetric as "sim-ms/op" or "sim-µs/op", so `go test -bench .`
-// prints the paper-comparable values alongside.
+// Benchmarks of the simulator and evaluator code behind the paper's
+// evaluation artifacts. The Go benchmark timing measures the *simulator's
+// host cost*; the reproduced quantity — the simulated hardware time — is
+// attached via b.ReportMetric as "sim-ms/op" or "sim-µs/op", so
+// `go test -bench .` prints the paper-comparable values alongside. Rows that
+// are a closed form (Tables III–V, the Arm cost model, the two-co-processor
+// throughput) have no benchmark: internal/hebench computes them once and
+// cmd/hetables prints them.
 
 import (
 	"context"
@@ -37,7 +40,7 @@ func BenchmarkTableI_MultInHW(b *testing.B) {
 	s := suite(b)
 	var simMS float64
 	for i := 0; i < b.N; i++ {
-		_, rep, err := s.AccelOne.Mul(s.CtA, s.CtB, s.RK)
+		_, rep, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,34 +53,13 @@ func BenchmarkTableI_AddInHW(b *testing.B) {
 	s := suite(b)
 	var simMS float64
 	for i := 0; i < b.N; i++ {
-		_, rep, err := s.AccelOne.Add(s.CtA, s.CtB)
+		_, rep, err := s.Accel.Add(s.CtA, s.CtB)
 		if err != nil {
 			b.Fatal(err)
 		}
 		simMS = rep.ComputeSeconds() * 1e3
 	}
 	b.ReportMetric(simMS, "sim-ms/op") // paper: 0.026 ms
-}
-
-func BenchmarkTableI_AddInSW(b *testing.B) {
-	s := suite(b)
-	arm := hwsim.ArmModel{Timing: hwsim.DefaultTiming()}
-	var simMS float64
-	for i := 0; i < b.N; i++ {
-		simMS = arm.SWAddSeconds(s.Params.N(), 2) * 1e3
-	}
-	b.ReportMetric(simMS, "sim-ms/op") // paper: 45.567 ms
-}
-
-func BenchmarkTableI_SendCiphertexts(b *testing.B) {
-	s := suite(b)
-	d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
-	bytes := 4 * hwsim.PolyBytes(s.Params.N(), s.Params.QBasis.K())
-	var simMS float64
-	for i := 0; i < b.N; i++ {
-		simMS = d.Seconds(hwsim.Transfer{Bytes: bytes}) * 1e3
-	}
-	b.ReportMetric(simMS, "sim-ms/op") // paper: 0.362 ms
 }
 
 // --- Table II: individual instructions ---
@@ -97,11 +79,9 @@ func benchInstr(b *testing.B, run func(*hebench.Suite) (hwsim.Cycles, error), pa
 	b.ReportMetric(paperUS, "paper-µs/op")
 }
 
-func coproc0(s *hebench.Suite) *hwsim.Coprocessor { return s.AccelOne.Platform.Coprocs[0] }
-
 func BenchmarkTableII_NTT(b *testing.B) {
 	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := coproc0(s)
+		c := s.Accel.Coproc
 		u := c.RPAUs[0].Units[c.Mods[0].Q]
 		return u.ForwardCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
 	}, 73.0)
@@ -109,7 +89,7 @@ func BenchmarkTableII_NTT(b *testing.B) {
 
 func BenchmarkTableII_InverseNTT(b *testing.B) {
 	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := coproc0(s)
+		c := s.Accel.Coproc
 		u := c.RPAUs[0].Units[c.Mods[0].Q]
 		return u.InverseCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
 	}, 85.0)
@@ -124,54 +104,16 @@ func BenchmarkTableII_CoeffMul(b *testing.B) {
 
 func BenchmarkTableII_LiftQtoQ(b *testing.B) {
 	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := coproc0(s)
+		c := s.Accel.Coproc
 		return c.LiftU.HPSCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
 	}, 82.6)
 }
 
 func BenchmarkTableII_ScaleQtoQ(b *testing.B) {
 	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := coproc0(s)
+		c := s.Accel.Coproc
 		return c.ScaleU.HPSCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
 	}, 82.7)
-}
-
-// --- Table III: DMA transfer techniques ---
-
-func benchDMA(b *testing.B, chunk int, paperUS float64) {
-	b.Helper()
-	d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = d.Seconds(hwsim.Transfer{Bytes: 98304, ChunkSize: chunk}) * 1e6
-	}
-	b.ReportMetric(us, "sim-µs/op")
-	b.ReportMetric(paperUS, "paper-µs/op")
-}
-
-func BenchmarkTableIII_SingleTransfer(b *testing.B) { benchDMA(b, 0, 76) }
-func BenchmarkTableIII_Chunks16K(b *testing.B)      { benchDMA(b, 16384, 109) }
-func BenchmarkTableIII_Chunks1K(b *testing.B)       { benchDMA(b, 1024, 202) }
-
-// --- Table IV: resources (model evaluation; the metric is the LUT count) ---
-
-func BenchmarkTableIV_ResourceModel(b *testing.B) {
-	var r hwsim.Resources
-	for i := 0; i < b.N; i++ {
-		r = hwsim.SystemResources(hwsim.PaperResourceConfig(), 2)
-	}
-	b.ReportMetric(float64(r.LUT), "LUT")
-	b.ReportMetric(float64(r.DSP), "DSP")
-}
-
-// --- Table V: parameter-set scaling estimates ---
-
-func BenchmarkTableV_Estimates(b *testing.B) {
-	var rows []hwsim.Estimate
-	for i := 0; i < b.N; i++ {
-		rows = hwsim.EstimateParameterSets(4.46, 0.54, 4)
-	}
-	b.ReportMetric(rows[3].TotalMS, "sim-ms-2^15") // paper: 80.2 ms
 }
 
 // --- Fig. 3: the dual-core NTT memory schedule ---
@@ -186,23 +128,6 @@ func BenchmarkFig3_ScheduleValidation(b *testing.B) {
 			b.ReportMetric(float64(cycles), "butterfly-cycles")
 		}
 	}
-}
-
-// --- Sec. VI-A: throughput with two co-processors ---
-
-func BenchmarkThroughput_TwoCoprocessors(b *testing.B) {
-	s := suite(b)
-	xs := []*fv.Ciphertext{s.CtA, s.CtB}
-	ys := []*fv.Ciphertext{s.CtB, s.CtA}
-	var perSec float64
-	for i := 0; i < b.N; i++ {
-		_, slowest, err := s.Accel.MulBatch(xs, ys, s.RK)
-		if err != nil {
-			b.Fatal(err)
-		}
-		perSec = float64(len(xs)) / slowest
-	}
-	b.ReportMetric(perSec, "sim-Mult/s") // paper: 400
 }
 
 // --- internal/engine: serving-layer throughput vs. worker count ---
@@ -355,7 +280,7 @@ func BenchmarkMulRelin(b *testing.B) {
 
 func BenchmarkAblation_TraditionalLiftScale(b *testing.B) {
 	s := suite(b)
-	c := s.AccelTrad.Platform.Coprocs[0]
+	c := s.AccelTrad.Coproc
 	var liftMS, scaleMS float64
 	for i := 0; i < b.N; i++ {
 		liftMS = float64(c.LiftU.TraditionalCycles(1)) / hwsim.TradClockHz * 1e3
@@ -363,12 +288,4 @@ func BenchmarkAblation_TraditionalLiftScale(b *testing.B) {
 	}
 	b.ReportMetric(liftMS, "sim-lift-ms")   // paper: 1.68 ms
 	b.ReportMetric(scaleMS, "sim-scale-ms") // paper: 4.3 ms
-}
-
-func BenchmarkAblation_PipelineClock(b *testing.B) {
-	var hz float64
-	for i := 0; i < b.N; i++ {
-		hz = hwsim.EstimateClockHz(1)
-	}
-	b.ReportMetric(hz/1e6, "sim-MHz") // paper: 200 MHz
 }

@@ -6,6 +6,7 @@
 //	hetables            # all tables, paper parameter set (n = 4096)
 //	hetables -table 1   # a single table: 1,2,3,4,5,nohps,compare,ablations
 //	hetables -small     # quick run with the small test parameter set
+//	hetables -table3x   # Table III extended to the double-buffered stream
 package main
 
 import (
@@ -34,19 +35,6 @@ func main() {
 		return
 	}
 
-	if *table3x {
-		// Paper-set Mult stream profile: 4 operand polynomials in, 2 result
-		// polynomials out, Table I-scale compute per op.
-		d := hwsim.DMA{Timing: hwsim.DefaultTiming()}
-		polyB := hwsim.PolyBytes(4096, 6)
-		err := hwsim.RenderTableIIIPipelined(os.Stdout, d, 4*polyB, 2*polyB, 180000, 8, []int{0, 16384, 1024})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hetables:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var suite *hebench.Suite
 	var err error
 	if *small {
@@ -57,6 +45,23 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetables:", err)
 		os.Exit(1)
+	}
+
+	if *table3x {
+		// One Mult stream step as the suite's co-processor measures it: two
+		// operand ciphertexts in, the Mult's own compute cycles, one result
+		// ciphertext out.
+		_, rep, err := suite.Accel.Mul(suite.CtA, suite.CtB, suite.RK)
+		if err == nil {
+			polyB := hwsim.PolyBytes(suite.Params.N(), suite.Params.QBasis.K())
+			err = hwsim.RenderTableIIIPipelined(os.Stdout, suite.Accel.Coproc.DMAEng,
+				4*polyB, 2*polyB, rep.ComputeCycles, 8, []int{0, 16384, 1024})
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hetables:", err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	if *program {

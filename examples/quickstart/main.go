@@ -52,9 +52,9 @@ func main() {
 	fmt.Printf("software:   1234 · (-56) = %d\n", mustDecode(prod))
 	fmt.Printf("noise budget after multiply: %d bits\n", fv.NoiseBudget(params, sk, prod))
 
-	// 5. The same computation on the simulated co-processor platform
-	//    (two co-processors, HPS architecture — the paper's design).
-	accel, err := core.New(params, hwsim.VariantHPS, 2)
+	// 5. The same computation on one simulated co-processor (HPS
+	//    architecture — the paper's design; internal/engine runs two).
+	accel, err := core.New(params, hwsim.VariantHPS, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

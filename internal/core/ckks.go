@@ -6,19 +6,20 @@ import (
 	"repro/internal/sched"
 )
 
-// CKKSAccelerator is the approximate-arithmetic sibling of Accelerator: the
-// same simulated Arm+FPGA platform serving CKKS operations through the chain
-// co-processor. Results are bit-exact against the pure-software
-// ckks.Evaluator, and every operation returns the same Report shape as the
-// BFV path so serving layers account both schemes uniformly.
+// CKKSAccelerator is the approximate-arithmetic sibling of Accelerator: one
+// scheduler serving CKKS operations through the chain co-processor. Results
+// are bit-exact against the pure-software ckks.Evaluator, and every operation
+// returns the same Report shape as the BFV path so serving layers account
+// both schemes uniformly.
 type CKKSAccelerator struct {
 	Params *ckks.Params
 
 	pool[*sched.CKKSScheduler]
 }
 
-// NewCKKS builds a CKKS accelerator with `coprocs` scheduler instances (the
-// chain co-processors underneath are built lazily per level).
+// NewCKKS builds a CKKS accelerator (the chain co-processors underneath are
+// built lazily per level). coprocs must be 1; any other value is an error
+// (see oneCoproc).
 func NewCKKS(params *ckks.Params, coprocs int) (*CKKSAccelerator, error) {
 	return NewCKKSWithTiming(params, coprocs, hwsim.DefaultTiming())
 }
@@ -26,16 +27,13 @@ func NewCKKS(params *ckks.Params, coprocs int) (*CKKSAccelerator, error) {
 // NewCKKSWithTiming builds a CKKS accelerator with explicit timing
 // calibration.
 func NewCKKSWithTiming(params *ckks.Params, coprocs int, timing hwsim.Timing) (*CKKSAccelerator, error) {
-	if coprocs < 1 {
-		coprocs = 1
+	if err := oneCoproc(coprocs); err != nil {
+		return nil, err
 	}
-	a := &CKKSAccelerator{Params: params,
-		pool: pool[*sched.CKKSScheduler]{n: params.N(), dma: hwsim.DMA{Timing: timing}, seedStride: 1000}}
-	for i := 0; i < coprocs; i++ {
-		s := sched.NewCKKS(params, timing)
-		a.add(s, s.Stats, s)
-	}
-	return a, nil
+	s := sched.NewCKKS(params, timing)
+	return &CKKSAccelerator{Params: params,
+		pool: pool[*sched.CKKSScheduler]{n: params.N(), dma: hwsim.DMA{Timing: timing},
+			s: s, stats: s.Stats, guard: s}}, nil
 }
 
 // chainRows is the residue-row count of a ciphertext's polynomials (its

@@ -30,7 +30,7 @@ func TestCKKSAcceleratorEndToEnd(t *testing.T) {
 	}
 	ct := encr.Encrypt(pt)
 
-	acc, err := NewCKKS(p, 2)
+	acc, err := NewCKKS(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,28 +3,26 @@
 // together from the FV scheme (internal/fv), the co-processor simulator
 // (internal/hwsim), and the instruction scheduler (internal/sched).
 //
-// An Accelerator owns a simulated Zynq platform — co-processor instances in
-// the programmable logic, one scheduler ("application Arm core") per
-// co-processor — and executes homomorphic Add and Mult on it. Results are
-// bit-exact against the pure-software evaluator, and every operation returns
-// a Report with the cycle, time, and transfer accounting that reproduces the
-// paper's tables.
+// An Accelerator is one simulated co-processor of the paper's Zynq platform
+// with its scheduler ("application Arm core"), and executes homomorphic Add
+// and Mult on it. Results are bit-exact against the pure-software evaluator,
+// and every operation returns a Report with the cycle, time, and transfer
+// accounting that reproduces the paper's tables. The platform of Fig. 11 —
+// several co-processors behind one networking core — is internal/engine,
+// which holds one Accelerator per worker.
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/sched"
 )
 
-// Accelerator is a simulated instance of the paper's Arm+FPGA platform.
+// Accelerator is one simulated co-processor with its scheduler.
 type Accelerator struct {
-	Params   *fv.Params
-	Variant  hwsim.Variant
-	Platform *hwsim.Platform
+	Params  *fv.Params
+	Variant hwsim.Variant
+	Coproc  *hwsim.Coprocessor
 
 	pool[*sched.Scheduler]
 }
@@ -60,8 +58,8 @@ func (r Report) TotalSeconds() float64 {
 // paper's tables use.
 func (r Report) ArmCycles() uint64 { return r.ComputeCycles.ArmCycles() }
 
-// New builds an accelerator with `coprocs` co-processor instances (the paper
-// implements two) running the given lift/scale variant.
+// New builds an accelerator running the given lift/scale variant. coprocs
+// must be 1; any other value is an error (see oneCoproc).
 func New(params *fv.Params, variant hwsim.Variant, coprocs int) (*Accelerator, error) {
 	timing := hwsim.DefaultTiming()
 	if variant == hwsim.VariantTraditional {
@@ -75,30 +73,17 @@ func New(params *fv.Params, variant hwsim.Variant, coprocs int) (*Accelerator, e
 
 // NewWithTiming builds an accelerator with explicit timing calibration.
 func NewWithTiming(params *fv.Params, variant hwsim.Variant, coprocs int, timing hwsim.Timing) (*Accelerator, error) {
-	factory := func() (*hwsim.Coprocessor, error) {
-		return hwsim.NewCoprocessor(params.QMods, params.PMods, params.N(),
-			params.Lifter, params.Scaler, variant, timing, sched.MinSlots(0))
+	if err := oneCoproc(coprocs); err != nil {
+		return nil, err
 	}
-	platform, err := hwsim.NewPlatform(factory, coprocs)
+	c, err := hwsim.NewCoprocessor(params.QMods, params.PMods, params.N(),
+		params.Lifter, params.Scaler, variant, timing, sched.MinSlots(0))
 	if err != nil {
 		return nil, err
 	}
-	a := &Accelerator{Params: params, Variant: variant, Platform: platform,
-		pool: pool[*sched.Scheduler]{n: params.N(), dma: hwsim.DMA{Timing: timing}, seedStride: 1}}
-	for _, c := range platform.Coprocs {
-		a.add(sched.New(params, c), c.Stats, c)
-	}
-	return a, nil
-}
-
-// NewPaper builds the paper's implemented configuration: the n = 4096
-// parameter set, the HPS architecture, two co-processors.
-func NewPaper(t uint64) (*Accelerator, error) {
-	params, err := fv.NewParams(fv.PaperConfig(t))
-	if err != nil {
-		return nil, err
-	}
-	return New(params, hwsim.VariantHPS, 2)
+	return &Accelerator{Params: params, Variant: variant, Coproc: c,
+		pool: pool[*sched.Scheduler]{n: params.N(), dma: hwsim.DMA{Timing: timing},
+			s: sched.New(params, c), stats: c.Stats, guard: c}}, nil
 }
 
 // Add computes FV.Add on the accelerator.
@@ -125,54 +110,6 @@ func (a *Accelerator) Rotate(x *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext
 	return run(&a.pool, 2, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
 		return s.Rotate(x, gk)
 	})
-}
-
-// MulBatch runs independent multiplications across all co-processors
-// concurrently (the paper's dual-co-processor throughput experiment:
-// "two Mult operations take roughly the same time as one"). It returns the
-// results and the aggregate wall-clock seconds of the slowest co-processor.
-func (a *Accelerator) MulBatch(xs, ys []*fv.Ciphertext, rk *fv.RelinKey) ([]*fv.Ciphertext, float64, error) {
-	if len(xs) != len(ys) {
-		return nil, 0, fmt.Errorf("core: operand count mismatch")
-	}
-	results := make([]*fv.Ciphertext, len(xs))
-	perWorker := make([]float64, len(a.workers))
-	errs := make([]error, len(a.workers))
-	var wg sync.WaitGroup
-	for w := range a.workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(xs); i += len(a.workers) {
-				err := a.onWorker(w, func(s *sched.Scheduler) error {
-					res, cycles, err := s.Mul(xs[i], ys[i], rk)
-					if err != nil {
-						return err
-					}
-					results[i] = res
-					perWorker[w] += cycles.Seconds()
-					return nil
-				})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	slowest := 0.0
-	for _, t := range perWorker {
-		if t > slowest {
-			slowest = t
-		}
-	}
-	return results, slowest, nil
 }
 
 // RelinKeyBytes returns the DMA transfer size of a relinearization key: two

@@ -9,13 +9,13 @@ import (
 	"repro/internal/sampler"
 )
 
-func testAccel(t testing.TB, variant hwsim.Variant, coprocs int) (*Accelerator, *fv.Params) {
+func testAccel(t testing.TB, variant hwsim.Variant) (*Accelerator, *fv.Params) {
 	t.Helper()
 	params, err := fv.NewParams(fv.TestConfig(257))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(params, variant, coprocs)
+	a, err := New(params, variant, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func testAccel(t testing.TB, variant hwsim.Variant, coprocs int) (*Accelerator, 
 }
 
 func TestAcceleratorAddMul(t *testing.T) {
-	a, p := testAccel(t, hwsim.VariantHPS, 2)
+	a, p := testAccel(t, hwsim.VariantHPS)
 	prng := sampler.NewPRNG(1)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
@@ -74,62 +74,6 @@ func TestAcceleratorAddMul(t *testing.T) {
 	}
 }
 
-func TestMulBatchThroughputScaling(t *testing.T) {
-	p, err := fv.NewParams(fv.TestConfig(257))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prng := sampler.NewPRNG(2)
-	kg := fv.NewKeyGenerator(p, prng)
-	sk, pk, rk := kg.GenKeys()
-	enc := fv.NewEncryptor(p, pk, prng)
-	dec := fv.NewDecryptor(p, sk)
-
-	const jobs = 4
-	xs := make([]*fv.Ciphertext, jobs)
-	ys := make([]*fv.Ciphertext, jobs)
-	for i := range xs {
-		px := fv.NewPlaintext(p)
-		py := fv.NewPlaintext(p)
-		px.Coeffs[0] = uint64(i + 2)
-		py.Coeffs[0] = uint64(i + 3)
-		xs[i] = enc.Encrypt(px)
-		ys[i] = enc.Encrypt(py)
-	}
-
-	one, err := New(p, hwsim.VariantHPS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := New(p, hwsim.VariantHPS, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, t1, err := one.MulBatch(xs, ys, rk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, t2, err := two.MulBatch(xs, ys, rk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res1 {
-		want := uint64((i + 2) * (i + 3))
-		if got := dec.Decrypt(res1[i]).Coeffs[0]; got != want%257 {
-			t.Fatalf("job %d (1 coproc): %d, want %d", i, got, want)
-		}
-		if !res1[i].Equal(res2[i]) {
-			t.Fatalf("job %d differs between platforms", i)
-		}
-	}
-	// Two co-processors halve the simulated wall clock (paper: 2x
-	// throughput).
-	ratio := t1 / t2
-	if ratio < 1.9 || ratio > 2.1 {
-		t.Fatalf("2-coproc speedup %.2f, want ≈ 2.0", ratio)
-	}
-}
-
 func TestTraditionalVariantSlower(t *testing.T) {
 	p, err := fv.NewParams(fv.TestConfig(257))
 	if err != nil {
@@ -168,19 +112,40 @@ func TestTraditionalVariantSlower(t *testing.T) {
 	}
 }
 
-func TestNewPaperSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper parameters are slow")
-	}
-	a, err := NewPaper(2)
+// An accelerator is one co-processor: every constructor serves coprocs = 1
+// and refuses any other count with an error (several co-processors are
+// internal/engine's worker pool).
+func TestConstructorsRefuseAllButOneCoprocessor(t *testing.T) {
+	p, err := fv.NewParams(fv.TestConfig(257))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumCoprocessors() != 2 {
-		t.Fatal("paper platform has two co-processors")
+	cp, err := ckks.NewParams(ckks.TestConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Params.N() != 4096 || a.Params.QBasis.K() != 6 || a.Params.PBasis.K() != 7 {
-		t.Fatal("paper parameter shape wrong")
+	timing := hwsim.DefaultTiming()
+	constructors := []struct {
+		name  string
+		build func(coprocs int) (served bool, err error)
+	}{
+		{"New", func(n int) (bool, error) { a, err := New(p, hwsim.VariantHPS, n); return a != nil, err }},
+		{"NewWithTiming", func(n int) (bool, error) {
+			a, err := NewWithTiming(p, hwsim.VariantHPS, n, timing)
+			return a != nil, err
+		}},
+		{"NewCKKS", func(n int) (bool, error) { a, err := NewCKKS(cp, n); return a != nil, err }},
+		{"NewCKKSWithTiming", func(n int) (bool, error) { a, err := NewCKKSWithTiming(cp, n, timing); return a != nil, err }},
+	}
+	for _, c := range constructors {
+		for _, coprocs := range []int{0, 2, -1} {
+			if served, err := c.build(coprocs); err == nil || served {
+				t.Errorf("%s(coprocs = %d): accelerator %v, err %v; want a refusal", c.name, coprocs, served, err)
+			}
+		}
+		if served, err := c.build(1); err != nil || !served {
+			t.Errorf("%s(coprocs = 1): accelerator %v, err %v; want one served", c.name, served, err)
+		}
 	}
 }
 

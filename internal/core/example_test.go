@@ -10,8 +10,8 @@ import (
 )
 
 // ExampleAccelerator runs one homomorphic multiplication on the simulated
-// two-co-processor platform and confirms the result is bit-exact against
-// the software evaluator.
+// co-processor and confirms the result is bit-exact against the software
+// evaluator.
 func ExampleAccelerator() {
 	params, _ := fv.NewParams(fv.TestConfig(65537))
 	prng := sampler.NewPRNG(1)
@@ -24,7 +24,7 @@ func ExampleAccelerator() {
 	ctA := enc.Encrypt(encode.Encode(6))
 	ctB := enc.Encrypt(encode.Encode(7))
 
-	accel, _ := core.New(params, hwsim.VariantHPS, 2)
+	accel, _ := core.New(params, hwsim.VariantHPS, 1)
 	hwResult, _, _ := accel.Mul(ctA, ctB, rk)
 	swResult := fv.NewEvaluator(params).Mul(ctA, ctB, rk)
 

@@ -14,7 +14,7 @@ import (
 // Mul pay for their two operands. The pre-fold wrapper filled every report
 // with the four-polynomial figure.
 func TestRotateReportsOneCiphertextIn(t *testing.T) {
-	a, p := testAccel(t, hwsim.VariantHPS, 1)
+	a, p := testAccel(t, hwsim.VariantHPS)
 	prng := sampler.NewPRNG(21)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
@@ -74,7 +74,7 @@ func TestStatsIsPerOperationBothSchemes(t *testing.T) {
 	}
 
 	t.Run("bfv", func(t *testing.T) {
-		a, p := testAccel(t, hwsim.VariantHPS, 1)
+		a, p := testAccel(t, hwsim.VariantHPS)
 		prng := sampler.NewPRNG(22)
 		_, pk, rk := fv.NewKeyGenerator(p, prng).GenKeys()
 		ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))

@@ -238,6 +238,7 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 		pending := level
 		results := make(chan progNodeResult, len(level))
 		for len(pending) > 0 {
+			dispatched := 0
 			for _, ni := range pending {
 				n := p.Nodes[ni]
 				t := &progTask{op: n.Op, a: vals[n.A], def: p.NumInputs + ni, res: results}
@@ -256,7 +257,14 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 				}
 				select {
 				case e.progTasks <- t:
+					dispatched++
 				case <-ctx.Done():
+					// Stop dispatching, but the nodes already on workers are
+					// still reading the program's inputs: wait them out, as on
+					// the failure path below.
+					for ; dispatched > 0; dispatched-- {
+						<-results
+					}
 					return nil, ctx.Err()
 				}
 			}
@@ -414,7 +422,7 @@ func (e *Engine) runProgTask(w *worker, t *progTask) {
 // dispatch. This mirrors the hwsim CADD/CMUL cost shape (n/2 + pipeline
 // depth per row wave).
 func (e *Engine) swOpCycles(passes int) hwsim.Cycles {
-	c := e.workers[0].accel.Platform.Coprocs[0]
+	c := e.workers[0].accel.Coproc
 	k := c.KQ
 	rpaus := c.NumRPAUs()
 	rowWaves := (k + rpaus - 1) / rpaus

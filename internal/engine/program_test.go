@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -314,5 +315,59 @@ func TestProgramFailureWaitsOutItsWavefront(t *testing.T) {
 	}
 	if finished != 1 {
 		t.Fatalf("SubmitProgram returned (%v) with %d of the failed wavefront's other nodes finished, want 1", err, finished)
+	}
+}
+
+// TestProgramCancelWaitsOutItsWavefront: cancellation while a wavefront is
+// being handed out stops the dispatch, but SubmitProgram still returns only
+// after the nodes already on workers have finished — they read the program's
+// inputs, exactly as in the failure case above. One worker is held inside the
+// first of three independent Muls, so the dispatch loop is blocked on the
+// second when the context is cancelled.
+func TestProgramCancelWaitsOutItsWavefront(t *testing.T) {
+	params := testParams(t)
+	tn := newTenant(t, params, "acme", 7)
+	e := newEngine(t, params, Config{Workers: 1})
+	e.SetRelinKey(tn.name, tn.rk)
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e.testExecHook = func(int) {
+		once.Do(func() {
+			close(entered)
+			<-gate
+		})
+	}
+	b := program.NewBuilder()
+	x := b.Input()
+	for i := 0; i < 3; i++ {
+		b.Output(b.Mul(x, x))
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tn.encrypt(params, 3, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.SubmitProgram(ctx, ProgramOp{Tenant: tn.name, Prog: p, Inputs: []*fv.Ciphertext{ct}})
+		done <- err
+	}()
+	<-entered
+	cancel()
+	select {
+	case err := <-done:
+		finished := e.workers[0].ops.Load()
+		close(gate) // let the engine shut down
+		t.Fatalf("SubmitProgram returned (%v) with %d nodes finished while the first Mul is still reading its inputs", err, finished)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled program returned %v, want context.Canceled", err)
+	}
+	if finished := e.workers[0].ops.Load(); finished != 1 {
+		t.Fatalf("%d nodes finished, want 1: the held Mul waited out, the other two never dispatched", finished)
 	}
 }

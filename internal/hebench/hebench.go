@@ -5,6 +5,7 @@
 package hebench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -12,8 +13,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
+	"repro/internal/program"
 	"repro/internal/sampler"
 	"repro/internal/sched"
 )
@@ -87,9 +90,8 @@ type Suite struct {
 	RK     *fv.RelinKey
 	RKTrad *fv.RelinKey
 
-	Accel     *core.Accelerator // HPS, two co-processors
-	AccelOne  *core.Accelerator // HPS, single co-processor
-	AccelTrad *core.Accelerator // traditional, single co-processor
+	Accel     *core.Accelerator // HPS co-processor
+	AccelTrad *core.Accelerator // traditional co-processor
 
 	CtA, CtB *fv.Ciphertext
 }
@@ -128,10 +130,7 @@ func NewSuite(cfg fv.Config) (*Suite, error) {
 	rkTrad := kg.GenRelinKey(sk, fv.Traditional, 90, ellTrad)
 
 	s := &Suite{Params: params, SK: sk, PK: pk, RK: rk, RKTrad: rkTrad}
-	if s.Accel, err = core.New(params, hwsim.VariantHPS, 2); err != nil {
-		return nil, err
-	}
-	if s.AccelOne, err = core.New(params, hwsim.VariantHPS, 1); err != nil {
+	if s.Accel, err = core.New(params, hwsim.VariantHPS, 1); err != nil {
 		return nil, err
 	}
 	if s.AccelTrad, err = core.New(params, hwsim.VariantTraditional, 1); err != nil {
@@ -154,11 +153,11 @@ func NewSuite(cfg fv.Config) (*Suite, error) {
 // Add in SW, and the ciphertext transfers.
 func (s *Suite) TableI() (Table, error) {
 	t := Table{ID: "Table I", Title: "Performance of high-level operations (one co-processor)"}
-	_, repMul, err := s.AccelOne.Mul(s.CtA, s.CtB, s.RK)
+	_, repMul, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
-	_, repAdd, err := s.AccelOne.Add(s.CtA, s.CtB)
+	_, repAdd, err := s.Accel.Add(s.CtA, s.CtB)
 	if err != nil {
 		return t, err
 	}
@@ -183,10 +182,10 @@ func (s *Suite) TableI() (Table, error) {
 func (s *Suite) TableII() (Table, error) {
 	t := Table{ID: "Table II", Title: "Performance of individual instructions (per Mult)"}
 	// Run one Mult on a fresh stats window.
-	if _, _, err := s.AccelOne.Mul(s.CtA, s.CtB, s.RK); err != nil {
+	if _, _, err := s.Accel.Mul(s.CtA, s.CtB, s.RK); err != nil {
 		return t, err
 	}
-	stats := s.AccelOne.Stats()
+	stats := s.Accel.Stats()
 
 	paper := map[hwsim.Op]struct {
 		calls int
@@ -297,8 +296,8 @@ func (s *Suite) TableV() Table {
 // optimization: traditional Lift/Scale timings and the full Mult.
 func (s *Suite) TableNoHPS() (Table, error) {
 	t := Table{ID: "Sec. VI-C", Title: "Performance without HPS optimization (225 MHz co-processor)"}
-	lift := s.AccelTrad.Platform.Coprocs[0].LiftU
-	scale := s.AccelTrad.Platform.Coprocs[0].ScaleU
+	lift := s.AccelTrad.Coproc.LiftU
+	scale := s.AccelTrad.Coproc.ScaleU
 	// Single-core latencies at the traditional design's 225 MHz clock.
 	liftMs := float64(lift.TraditionalCycles(1)) / hwsim.TradClockHz * 1e3
 	scaleMs := float64(scale.TraditionalCycles(1)) / hwsim.TradClockHz * 1e3
@@ -312,7 +311,7 @@ func (s *Suite) TableNoHPS() (Table, error) {
 	multMs := (float64(rep.ComputeCycles)/hwsim.TradClockHz +
 		(rep.SendCycles + rep.ReceiveCycles).Seconds()) * 1e3
 
-	_, repFast, err := s.AccelOne.Mul(s.CtA, s.CtB, s.RK)
+	_, repFast, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
@@ -327,15 +326,40 @@ func (s *Suite) TableNoHPS() (Table, error) {
 	return t, nil
 }
 
-// saturated replays a queue of four Mults, all waiting at time zero, through
-// the accelerator's co-processors in simulated time (core.ServeWorkload).
-func (s *Suite) saturated(a *core.Accelerator) (core.WorkloadStats, error) {
-	jobs := make([]core.Job, 4)
-	for i := range jobs {
-		jobs[i] = core.Job{A: s.CtA, B: s.CtB}
+// paperCoprocs is the co-processor count of the paper's implemented platform
+// (Fig. 11).
+const paperCoprocs = 2
+
+// servedMults is the Fig. 11 platform measured where it serves: four
+// independent Mults submitted as one program to an engine of `workers`
+// co-processors, built and shut down here. It returns the four results and
+// the Mult rate on the simulated clock: nodes over the program's
+// deterministic makespan, the one-off key prologue taken out (a saturated
+// platform keeps its relinearization key resident).
+func (s *Suite) servedMults(workers int) ([]*fv.Ciphertext, float64, error) {
+	b := program.NewBuilder()
+	x, y := b.Input(), b.Input()
+	for i := 0; i < 4; i++ {
+		b.Output(b.Mul(x, y))
 	}
-	_, wl, err := a.ServeWorkload(jobs, s.RK)
-	return wl, err
+	prog, err := b.Build()
+	if err != nil {
+		return nil, 0, err
+	}
+	eng, err := engine.New(engine.Config{Params: s.Params, Workers: workers})
+	if err != nil {
+		return nil, 0, err
+	}
+	// Nothing is in flight once SubmitProgram has returned, so this only
+	// stops the workers.
+	defer eng.Shutdown(context.Background())
+	eng.SetRelinKey("", s.RK)
+	res, err := eng.SubmitProgram(context.Background(),
+		engine.ProgramOp{Prog: prog, Inputs: []*fv.Ciphertext{s.CtA, s.CtB}})
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Outputs, float64(res.Nodes) / (res.MakespanCycles - res.KeyLoadCycles).Seconds(), nil
 }
 
 // Comparison reproduces Sec. VI-E: throughput against the software and
@@ -343,17 +367,12 @@ func (s *Suite) saturated(a *core.Accelerator) (core.WorkloadStats, error) {
 // software implementation measured live.
 func (s *Suite) Comparison() (Table, error) {
 	t := Table{ID: "Sec. VI-E", Title: "Comparison with related implementations (homomorphic Mult)"}
-	_, rep, err := s.AccelOne.Mul(s.CtA, s.CtB, s.RK)
+	_, rep, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
 	multSec := rep.ComputeSeconds()
-	throughput := s.Accel.Platform.ThroughputPerSec(multSec)
-
-	// Sustained service: replay a saturated queue through the two-worker
-	// platform in simulated time rather than deriving the rate
-	// arithmetically.
-	wl, err := s.saturated(s.Accel)
+	_, throughput, err := s.servedMults(paperCoprocs)
 	if err != nil {
 		return t, err
 	}
@@ -369,17 +388,17 @@ func (s *Suite) Comparison() (Table, error) {
 
 	// Energy per Mult: peak platform power divided by throughput, against
 	// the i5 baseline's ≈40 W over its 33 ms Mult (paper Sec. VI-E).
-	simEnergyMJ := s.Accel.Platform.PowerPeakW() / throughput * 1e3
+	peakW := hwsim.PowerW(paperCoprocs)
+	simEnergyMJ := peakW / throughput * 1e3
 	i5EnergyMJ := 40.0 * 0.033 * 1e3
 
 	t.Rows = []Row{
-		{Name: "This work, 2 coprocessors", Paper: 400, Measured: throughput, Unit: "Mult/s"},
-		{Name: "Sustained (queued workload sim)", Paper: 400, Measured: wl.ThroughputPerS, Unit: "Mult/s",
-			Note: fmt.Sprintf("utilization %.0f%%", wl.Utilization*100)},
+		{Name: "This work, 2 coprocessors", Paper: 400, Measured: throughput, Unit: "Mult/s",
+			Note: "four-Mult program on a 2-worker engine, simulated makespan"},
 		{Name: "Speedup vs FV-NFLlib on i5 (33 ms)", Paper: 13.2, Measured: 0.033 * throughput, Unit: "x"},
 		{Name: "This repo's Go software Mult", Measured: swSec * 1e3, Unit: "ms", Note: "pure software baseline, this machine"},
 		{Name: "Sim HW speedup vs this repo's software", Measured: swSec / multSec, Unit: "x"},
-		{Name: "Peak power (2 coprocessors)", Paper: 8.7, Measured: s.Accel.Platform.PowerPeakW(), Unit: "W"},
+		{Name: "Peak power (2 coprocessors)", Paper: 8.7, Measured: peakW, Unit: "W"},
 		{Name: "Energy per Mult", Measured: simEnergyMJ, Unit: "mJ",
 			Note: fmt.Sprintf("vs ≈%.0f mJ on the i5 baseline (≈%.0fx better)", i5EnergyMJ, i5EnergyMJ/simEnergyMJ)},
 	}
@@ -392,14 +411,14 @@ func (s *Suite) Comparison() (Table, error) {
 // Ablations quantifies the design decisions DESIGN.md lists.
 func (s *Suite) Ablations() (Table, error) {
 	t := Table{ID: "Ablations", Title: "Design-choice ablations (paper design points)"}
-	c := s.AccelOne.Platform.Coprocs[0]
+	c := s.Accel.Coproc
 	u := c.RPAUs[0].Units[c.Mods[0].Q]
 
 	paired := float64(u.ForwardCycles())
 	naive := float64(u.NaiveForwardCycles())
 	bubble := float64(u.BubbleForwardCycles())
 
-	_, repFast, err := s.AccelOne.Mul(s.CtA, s.CtB, s.RK)
+	_, repFast, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
@@ -415,27 +434,20 @@ func (s *Suite) Ablations() (Table, error) {
 	// Block-level task overlap: record one Mult's instruction trace and
 	// compute the makespan with RPAUs, Lift/Scale cores and DMA running
 	// concurrently (the paper's block-level pipeline strategy).
-	slots := sched.MinSlots(s.Params.QBasis.K() + 4)
-	overlapCoproc, err := hwsim.NewCoprocessor(s.Params.QMods, s.Params.PMods, s.Params.N(),
-		s.Params.Lifter, s.Params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), slots)
+	rec, err := s.recordedMul()
 	if err != nil {
-		return t, err
-	}
-	rec := sched.New(s.Params, overlapCoproc)
-	rec.Record = true
-	if _, _, err := rec.Mul(s.CtA, s.CtB, s.RK); err != nil {
 		return t, err
 	}
 	overlap := sched.AnalyzeOverlap(rec.Trace)
 
 	f1 := hwsim.F1CoprocessorsPerFPGA(hwsim.PaperResourceConfig())
 
-	// Two co-processors against one on the same saturated queue.
-	wlTwo, err := s.saturated(s.Accel)
+	// Two co-processors against one on the same four-Mult program.
+	_, two, err := s.servedMults(paperCoprocs)
 	if err != nil {
 		return t, err
 	}
-	wlOne, err := s.saturated(s.AccelOne)
+	_, one, err := s.servedMults(1)
 	if err != nil {
 		return t, err
 	}
@@ -450,25 +462,35 @@ func (s *Suite) Ablations() (Table, error) {
 		{Name: "HPS vs traditional Mult (cycles)", Measured: float64(repTrad.ComputeCycles) / float64(repFast.ComputeCycles), Unit: "x"},
 		{Name: "Pipelined vs unpipelined clock", Measured: hwsim.EstimateClockHz(1) / hwsim.UnpipelinedClockHz(), Unit: "x"},
 		{Name: "Single vs 1KB-chunked DMA", Measured: chunked / single, Unit: "x"},
-		{Name: "2 vs 1 coprocessors (throughput)", Paper: 2, Measured: wlTwo.ThroughputPerS / wlOne.ThroughputPerS, Unit: "x",
-			Note: "same saturated queue, simulated time"},
+		{Name: "2 vs 1 coprocessors (throughput)", Paper: 2, Measured: two / one, Unit: "x",
+			Note: "same four-Mult program, engine makespan on the simulated clock"},
 	}
 	return t, nil
+}
+
+// recordedMul runs one Mult on a fresh co-processor with the scheduler's
+// instruction trace switched on and returns that scheduler.
+func (s *Suite) recordedMul() (*sched.Scheduler, error) {
+	slots := sched.MinSlots(s.Params.QBasis.K() + 4)
+	c, err := hwsim.NewCoprocessor(s.Params.QMods, s.Params.PMods, s.Params.N(),
+		s.Params.Lifter, s.Params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), slots)
+	if err != nil {
+		return nil, err
+	}
+	rec := sched.New(s.Params, c)
+	rec.Record = true
+	if _, _, err := rec.Mul(s.CtA, s.CtB, s.RK); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // MulProgramListing returns the assembly-style instruction listing of one
 // FV.Mult on the co-processor (the paper's Fig. 2 pipeline as the ISA sees
 // it), with per-instruction cycle counts.
 func (s *Suite) MulProgramListing() (string, error) {
-	slots := sched.MinSlots(s.Params.QBasis.K() + 4)
-	c, err := hwsim.NewCoprocessor(s.Params.QMods, s.Params.PMods, s.Params.N(),
-		s.Params.Lifter, s.Params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), slots)
+	rec, err := s.recordedMul()
 	if err != nil {
-		return "", err
-	}
-	rec := sched.New(s.Params, c)
-	rec.Record = true
-	if _, _, err := rec.Mul(s.CtA, s.CtB, s.RK); err != nil {
 		return "", err
 	}
 	return rec.ProgramListing(), nil

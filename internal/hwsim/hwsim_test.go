@@ -553,30 +553,6 @@ func TestNTTUnitAblations(t *testing.T) {
 	}
 }
 
-func TestPlatform(t *testing.T) {
-	factory := func() (*Coprocessor, error) {
-		qm, pm, ext, sc := testBases(t, 64, 3, 4)
-		return NewCoprocessor(qm, pm, 64, ext, sc, VariantHPS, DefaultTiming(), 8)
-	}
-	p, err := NewPlatform(factory, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Coprocs) != 2 {
-		t.Fatal("wrong co-processor count")
-	}
-	// 2 co-processors at 5 ms/op → 400 ops/s (the paper's headline).
-	if got := p.ThroughputPerSec(5e-3); got != 400 {
-		t.Fatalf("throughput %.0f, want 400", got)
-	}
-	if p.PowerPeakW() < 8.6 || p.PowerPeakW() > 8.8 {
-		t.Fatalf("peak power %.1f, paper 8.7 W", p.PowerPeakW())
-	}
-	if _, err := NewPlatform(factory, 0); err == nil {
-		t.Fatal("zero co-processors should be rejected")
-	}
-}
-
 func BenchmarkCoprocNTTInstruction(b *testing.B) {
 	qm, pm, ext, sc := testBases(b, 4096, 6, 7)
 	c, err := NewCoprocessor(qm, pm, 4096, ext, sc, VariantHPS, DefaultTiming(), 8)

@@ -199,8 +199,9 @@ func maxCycles(a, b Cycles) Cycles {
 // story to the overlapped schedule: for each DMA chunk size it reports the
 // serial and double-buffered cost of a stream of Mult operations, in the
 // text style of RenderFig3. loadBytes/storeBytes/compute describe one stream
-// step (for the paper set: 4 operand polynomials in, ~180k compute cycles,
-// 2 result polynomials out); ops is the stream length.
+// step (cmd/hetables passes what one Mult measures: 4 operand polynomials
+// in, the report's compute cycles — 829 918 at the paper set — 2 result
+// polynomials out); ops is the stream length.
 func RenderTableIIIPipelined(w io.Writer, d DMA, loadBytes, storeBytes int, compute Cycles, ops int, chunks []int) error {
 	if ops < 2 {
 		return fmt.Errorf("hwsim: pipelined Table III needs a stream of ≥ 2 ops")
