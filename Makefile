@@ -73,8 +73,9 @@ fmt-check:
 # host kernels against their scalar references (FuzzKernels), the one
 # ciphertext codec under both header layouts (FuzzCodec), the hardened
 # wire-protocol decoders and their equivalence to the pre-split reference
-# decoders (FuzzFrame*), the compiled-program codec, and the CKKS key
-# container and encoder.
+# decoders (FuzzFrame*), the compiled-program codec, the BFV ciphertext and
+# key readers (an accepted evaluation key must be usable, FuzzDecodeFVKeys),
+# and the CKKS key container and encoder.
 FUZZ_TARGETS = \
 	difftest:FuzzDiffTransform:5x \
 	difftest:FuzzDiffPointwise:5x \
@@ -89,6 +90,9 @@ FUZZ_TARGETS = \
 	cloud:FuzzFrameRequest:20x \
 	cloud:FuzzFrameReply:20x \
 	program:FuzzDecodeProgram:20x \
+	fv:FuzzReadCiphertext:20x \
+	fv:FuzzReadKeyHeader:20x \
+	fv:FuzzDecodeFVKeys:20x \
 	ckks:FuzzDecodeCKKSKeys:20x \
 	ckks:FuzzEncoderRoundTrip:20x
 
@@ -126,11 +130,11 @@ chaos:
 # system being measured) — the size figure CHANGES.md quotes for simplicity
 # PRs. Counts every line, comments included, so a PR that claims a reduction
 # must say how much of it is code. The assembly kernels are counted beside it,
-# and the five packages simplicity PRs work in are broken out so the figure
-# shows where a change took its lines from.
+# and the packages simplicity PRs work in are broken out so the figure shows
+# where a change took its lines from.
 loc:
 	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 	@printf '%6d  Go assembly (not in the figure above)\n' $$(find . -name '*.s' ! -path './bench/*' | xargs cat | wc -l)
-	@for p in sched core engine cloud cluster; do \
+	@for p in sched core engine cloud cluster fv ckks rlwe keyio; do \
 		printf '%6d  internal/%s\n' $$(find internal/$$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$p; \
 	done

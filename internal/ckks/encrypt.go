@@ -3,7 +3,7 @@ package ckks
 import (
 	"fmt"
 
-	"repro/internal/poly"
+	"repro/internal/rlwe"
 	"repro/internal/sampler"
 )
 
@@ -22,32 +22,15 @@ func NewEncryptor(params *Params, pk *PublicKey, prng *sampler.PRNG) *Encryptor 
 	return &Encryptor{params: params, pk: pk, prng: prng, gauss: sampler.NewGaussian(params.Cfg.Sigma)}
 }
 
-// Encrypt encrypts pt at its level and scale.
+// Encrypt encrypts pt at its level and scale: the shared zero-encryption
+// over the level's chain prefix plus the encoded message on c0.
 func (en *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	p := en.params
-	n := p.N()
 	level := pt.Level()
-	mods := p.QMods[:level+1]
-	tr := p.TrLevel[level]
-
-	u := sampler.SignedBinaryPoly(en.prng, mods, n)
-	e1 := en.gauss.SamplePoly(en.prng, mods, n)
-	e2 := en.gauss.SamplePoly(en.prng, mods, n)
-
-	uHat := u.Clone()
-	tr.Forward(uHat)
-
 	ct := NewCiphertext(p, 1, level)
 	ct.Scale = pt.Scale
-	// c0 = p0·u + e1 + m.
-	uHat.MulInto(prefix(en.pk.P0Hat, level+1), ct.Els[0])
-	tr.Inverse(ct.Els[0])
-	ct.Els[0].AddInto(e1, ct.Els[0])
+	rlwe.EncryptZeroInto(en.prng, en.gauss, p.TrLevel[level], p.QMods[:level+1], p.N(), en.pk, ct.Els[0], ct.Els[1])
 	ct.Els[0].AddInto(pt.Value, ct.Els[0])
-	// c1 = p1·u + e2.
-	uHat.MulInto(prefix(en.pk.P1Hat, level+1), ct.Els[1])
-	tr.Inverse(ct.Els[1])
-	ct.Els[1].AddInto(e2, ct.Els[1])
 	return ct
 }
 
@@ -65,25 +48,8 @@ func NewDecryptor(params *Params, sk *SecretKey) *Decryptor {
 // Decrypt computes m = Σ c_i·s^i at the ciphertext's level, returning a
 // plaintext at the ciphertext's scale.
 func (de *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
-	p := de.params
-	level := ct.Level()
 	if len(ct.Els) < 1 || len(ct.Els) > 3 {
 		panic(fmt.Sprintf("ckks: cannot decrypt a %d-element ciphertext", len(ct.Els)))
 	}
-	tr := p.TrLevel[level]
-	sHat := prefix(de.sk.SHat, level+1)
-
-	// Horner over s in the NTT domain: acc = c_last; acc = acc·s + c_i.
-	acc := ct.Els[len(ct.Els)-1].Clone()
-	tr.Forward(acc)
-	tmp := poly.NewRNSPoly(p.QMods[:level+1], p.N())
-	for i := len(ct.Els) - 2; i >= 0; i-- {
-		acc.MulInto(sHat, acc)
-		ci := ct.Els[i].Clone()
-		tr.Forward(ci)
-		acc.AddInto(ci, tmp)
-		acc, tmp = tmp, acc
-	}
-	tr.Inverse(acc)
-	return &Plaintext{Value: acc, Scale: ct.Scale}
+	return &Plaintext{Value: rlwe.Phase(de.params.TrLevel[ct.Level()], de.sk, ct.Els), Scale: ct.Scale}
 }

@@ -58,7 +58,8 @@ type evalScratch struct {
 	t0, t1, t2     poly.RNSPoly // tensor accumulators / relin inputs
 	r0, r1         poly.RNSPoly // automorphism staging
 	m0, m1         poly.RNSPoly // ModDown landing (q rows of the SoP / p*)
-	tensor         tensorTask
+	tensor         rlwe.Tensor
+	mid            Ciphertext // level-ℓ view of t0..t2: MulInto's degree-2 intermediate
 
 	// ksw[ℓ] is the level-ℓ keyswitch core, built lazily (each level's
 	// gadget runs over its own basis).
@@ -83,6 +84,7 @@ func (ev *Evaluator) scratch() *evalScratch {
 	s.r1 = poly.NewRNSPoly(p.QMods, n)
 	s.m0 = poly.NewRNSPoly(p.QMods, n)
 	s.m1 = poly.NewRNSPoly(p.QMods, n)
+	s.mid.Els = make([]poly.RNSPoly, 3)
 	s.ksw = make([]*rlwe.KeySwitcher, p.Cfg.QCount)
 	s.ready = true
 	return s
@@ -100,29 +102,20 @@ func (ev *Evaluator) kswAt(level int) *rlwe.KeySwitcher {
 	return s.ksw[level]
 }
 
-// modDownSoP divides both keyswitch accumulators by p* (coefficient domain,
-// after InverseSoP), landing the switched value back on the chain prefix in
-// evaluator scratch.
-func (ev *Evaluator) modDownSoP(ksw *rlwe.KeySwitcher, level int) (md0, md1 poly.RNSPoly) {
+// keySwitch runs the shared key-switch datapath on x under the level's key
+// and adds what the hybrid construction needs after the digit loop: a
+// ModDown dividing both accumulators by p*, landing the switched value back
+// on the chain prefix in evaluator scratch. Spans under parent: decomp, sop,
+// intt, moddown.
+func (ev *Evaluator) keySwitch(parent obs.Scope, level int, x poly.RNSPoly, lk *LevelKey) (md0, md1 poly.RNSPoly) {
 	p := ev.params
-	s := ev.scratch()
-	md0, md1 = prefix(s.m0, level+1), prefix(s.m1, level+1)
-	p.RescalerKS[level].RescaleInto(p.Pool, ksw.Sop0(), md0)
-	p.RescalerKS[level].RescaleInto(p.Pool, ksw.Sop1(), md1)
+	s0, s1 := ev.kswAt(level).Switch(parent, x, nil, lk.Ks0Hat, lk.Ks1Hat)
+	st := parent.Child("moddown")
+	md0, md1 = ev.scr.m0.Prefix(level+1), ev.scr.m1.Prefix(level+1)
+	p.RescalerKS[level].RescaleInto(p.Pool, s0, md0)
+	p.RescalerKS[level].RescaleInto(p.Pool, s1, md1)
+	st.End()
 	return md0, md1
-}
-
-// tensorTask computes all three tensor rows of one residue prime in a
-// single fused walk, as the BFV pipeline does.
-type tensorTask struct {
-	a0, a1, b0, b1 []poly.Poly
-	t0, t1, t2     []poly.Poly
-}
-
-func (t *tensorTask) RunIndex(i int) {
-	t.t0[i].Mod.VecTensorInto(
-		t.t0[i].Coeffs, t.t1[i].Coeffs, t.t2[i].Coeffs,
-		t.a0[i].Coeffs, t.a1[i].Coeffs, t.b0[i].Coeffs, t.b1[i].Coeffs)
 }
 
 // matchScales validates that two operand scales agree within float64
@@ -150,13 +143,11 @@ func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 	ev.count("ckks.add")
 	level := matchLevels("Add", a, b)
 	scale := matchScales("Add", a.Scale, b.Scale)
-	if len(a.Els) != len(b.Els) {
-		a, b = matchDegree(ev.params, a, b)
-	}
-	out := NewCiphertext(ev.params, len(a.Els)-1, level)
+	ae, be := rlwe.PadElements(a.Els, b.Els)
+	out := NewCiphertext(ev.params, len(ae)-1, level)
 	out.Scale = scale
-	for i := range a.Els {
-		ev.ops.AddInto(a.Els[i], b.Els[i], out.Els[i])
+	for i := range ae {
+		ev.ops.AddInto(ae[i], be[i], out.Els[i])
 	}
 	return out
 }
@@ -166,13 +157,11 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 	ev.count("ckks.sub")
 	level := matchLevels("Sub", a, b)
 	scale := matchScales("Sub", a.Scale, b.Scale)
-	if len(a.Els) != len(b.Els) {
-		a, b = matchDegree(ev.params, a, b)
-	}
-	out := NewCiphertext(ev.params, len(a.Els)-1, level)
+	ae, be := rlwe.PadElements(a.Els, b.Els)
+	out := NewCiphertext(ev.params, len(ae)-1, level)
 	out.Scale = scale
-	for i := range a.Els {
-		ev.ops.SubInto(a.Els[i], b.Els[i], out.Els[i])
+	for i := range ae {
+		ev.ops.SubInto(ae[i], be[i], out.Els[i])
 	}
 	return out
 }
@@ -185,19 +174,6 @@ func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
 		ev.ops.NegInto(a.Els[i], out.Els[i])
 	}
 	return out
-}
-
-func matchDegree(p *Params, a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
-	level := a.Level()
-	for len(a.Els) < len(b.Els) {
-		a = a.Clone()
-		a.Els = append(a.Els, poly.NewRNSPoly(p.QMods[:level+1], p.N()))
-	}
-	for len(b.Els) < len(a.Els) {
-		b = b.Clone()
-		b.Els = append(b.Els, poly.NewRNSPoly(p.QMods[:level+1], p.N()))
-	}
-	return a, b
 }
 
 // AddPlain returns ct + pt (matched level and scale).
@@ -235,16 +211,16 @@ func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext
 	s := ev.scratch()
 	tr := p.TrLevel[level]
 	k := level + 1
-	ptHat := prefix(s.t2, k)
+	ptHat := s.t2.Prefix(k)
 	tr.ForwardFromInto(ptHat, pt.Value)
 	for i := range ct.Els {
-		el := prefix(s.t0, k)
+		el := s.t0.Prefix(k)
 		tr.ForwardFromInto(el, ct.Els[i])
 		ev.ops.MulInto(el, ptHat, el)
 		// The inverse transform runs in scratch, then copies out — keeps
 		// out aliasing ct legal for every element.
 		tr.Inverse(el)
-		copyRNS(el, out.Els[i])
+		el.CopyInto(out.Els[i])
 	}
 	out.Scale = ct.Scale * pt.Scale
 }
@@ -261,50 +237,55 @@ func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) *Ciphertext {
 }
 
 func (ev *Evaluator) mulNoRelinInto(parent obs.Scope, a, b, out *Ciphertext) {
+	mid := ev.tensor(parent, a, b)
+	if len(out.Els) != 3 || out.Level() != mid.Level() {
+		panic("ckks: MulNoRelin destination shape mismatch")
+	}
+	for i := range mid.Els {
+		mid.Els[i].CopyInto(out.Els[i])
+	}
+	out.Scale = mid.Scale
+}
+
+// tensor computes the degree-2 product of a and b into evaluator scratch and
+// returns it (coefficient domain, valid until the next tensor or MulPlain).
+// Spans under parent: ntt, tensor, intt.
+func (ev *Evaluator) tensor(parent obs.Scope, a, b *Ciphertext) *Ciphertext {
 	p := ev.params
 	if len(a.Els) != 2 || len(b.Els) != 2 {
 		panic(fmt.Sprintf("ckks: Mul needs degree-1 ciphertexts, got %d and %d elements", len(a.Els), len(b.Els)))
 	}
 	level := matchLevels("Mul", a, b)
-	if len(out.Els) != 3 || out.Level() != level {
-		panic("ckks: MulNoRelin destination shape mismatch")
-	}
 	ev.count("ckks.mul_no_relin")
 	s := ev.scratch()
 	k := level + 1
 	tr := p.TrLevel[level]
 
 	st := parent.Child("ntt")
-	a0, a1 := prefix(s.a0, k), prefix(s.a1, k)
-	b0, b1 := prefix(s.b0, k), prefix(s.b1, k)
+	a0, a1 := s.a0.Prefix(k), s.a1.Prefix(k)
+	b0, b1 := s.b0.Prefix(k), s.b1.Prefix(k)
 	tr.ForwardFromInto(a0, a.Els[0])
 	tr.ForwardFromInto(a1, a.Els[1])
 	tr.ForwardFromInto(b0, b.Els[0])
 	tr.ForwardFromInto(b1, b.Els[1])
 	st.End()
 
-	// Tensor: c̃0 = a0·b0, c̃1 = a0·b1 + a1·b0, c̃2 = a1·b1, all three rows
-	// of each prime in one fused walk. No basis lift: CKKS multiplies
-	// directly over the live chain — where BFV pays Lift/Scale, CKKS pays
-	// Rescale afterwards.
+	// No basis lift: CKKS multiplies directly over the live chain — where
+	// BFV pays Lift/Scale, CKKS pays Rescale afterwards.
 	st = parent.Child("tensor")
-	t := &s.tensor
-	t.a0, t.a1, t.b0, t.b1 = s.a0.Rows[:k], s.a1.Rows[:k], s.b0.Rows[:k], s.b1.Rows[:k]
-	t.t0, t.t1, t.t2 = s.t0.Rows[:k], s.t1.Rows[:k], s.t2.Rows[:k]
-	p.Pool.RunTask(p.N()*k, k, t)
+	mid := &s.mid
+	mid.Els[0], mid.Els[1], mid.Els[2] = s.t0.Prefix(k), s.t1.Prefix(k), s.t2.Prefix(k)
+	s.tensor.Run(p.Pool, a0, a1, b0, b1, mid.Els[0], mid.Els[1], mid.Els[2])
 	st.End()
 
 	st = parent.Child("intt")
-	t0, t1, t2 := prefix(s.t0, k), prefix(s.t1, k), prefix(s.t2, k)
-	tr.Inverse(t0)
-	tr.Inverse(t1)
-	tr.Inverse(t2)
-	copyRNS(t0, out.Els[0])
-	copyRNS(t1, out.Els[1])
-	copyRNS(t2, out.Els[2])
+	for _, el := range mid.Els {
+		tr.Inverse(el)
+	}
 	st.End()
 
-	out.Scale = a.Scale * b.Scale
+	mid.Scale = a.Scale * b.Scale
+	return mid
 }
 
 // Relinearize reduces a degree-2 ciphertext back to degree 1 with the
@@ -327,22 +308,8 @@ func (ev *Evaluator) relinearizeInto(parent obs.Scope, ct *Ciphertext, rk *Relin
 		panic("ckks: RelinearizeInto destination shape mismatch")
 	}
 	ev.count("ckks.relin")
-	lk := rk.At(level)
-	ksw := ev.kswAt(level)
-
-	st := parent.Child("decomp")
-	digits := ksw.Decompose(ct.Els[2])
-	st.End()
-	st = parent.Child("sop")
-	ksw.SumOfProducts(digits, lk.Ks0Hat, lk.Ks1Hat)
-	st.End()
-	st = parent.Child("intt")
-	ksw.InverseSoP()
-	st.End()
-	st = parent.Child("moddown")
-	md0, md1 := ev.modDownSoP(ksw, level)
-	st.End()
-	st = parent.Child("combine")
+	md0, md1 := ev.keySwitch(parent, level, ct.Els[2], rk.At(level))
+	st := parent.Child("combine")
 	ev.ops.AddInto(ct.Els[0], md0, out.Els[0])
 	ev.ops.AddInto(ct.Els[1], md1, out.Els[1])
 	st.End()
@@ -359,67 +326,16 @@ func (ev *Evaluator) Mul(a, b *Ciphertext, rk *RelinKey) *Ciphertext {
 
 // MulInto is the zero-allocation multiply: the degree-2 intermediate lives
 // in evaluator scratch and the relinearized product lands in the caller-
-// owned out (degree 1, same level). out may alias a or b.
+// owned out (degree 1, same level). out may alias a or b — the inputs are
+// fully consumed before out is written.
 func (ev *Evaluator) MulInto(a, b *Ciphertext, rk *RelinKey, out *Ciphertext) {
 	sc := ev.tracer.Start("ckks_mul")
 	defer sc.End()
 	ev.count("ckks.mul")
-	p := ev.params
-	level := matchLevels("Mul", a, b)
-	if len(a.Els) != 2 || len(b.Els) != 2 {
-		panic("ckks: Mul needs degree-1 ciphertexts")
-	}
-	if len(out.Els) != 2 || out.Level() != level {
-		panic("ckks: MulInto destination shape mismatch")
-	}
-	s := ev.scratch()
-	k := level + 1
-	tr := p.TrLevel[level]
-
-	st := sc.Child("ntt")
-	a0, a1 := prefix(s.a0, k), prefix(s.a1, k)
-	b0, b1 := prefix(s.b0, k), prefix(s.b1, k)
-	tr.ForwardFromInto(a0, a.Els[0])
-	tr.ForwardFromInto(a1, a.Els[1])
-	tr.ForwardFromInto(b0, b.Els[0])
-	tr.ForwardFromInto(b1, b.Els[1])
-	st.End()
-
-	st = sc.Child("tensor")
-	t := &s.tensor
-	t.a0, t.a1, t.b0, t.b1 = s.a0.Rows[:k], s.a1.Rows[:k], s.b0.Rows[:k], s.b1.Rows[:k]
-	t.t0, t.t1, t.t2 = s.t0.Rows[:k], s.t1.Rows[:k], s.t2.Rows[:k]
-	p.Pool.RunTask(p.N()*k, k, t)
-	st.End()
-
-	st = sc.Child("intt")
-	t0, t1, t2 := prefix(s.t0, k), prefix(s.t1, k), prefix(s.t2, k)
-	tr.Inverse(t0)
-	tr.Inverse(t1)
-	tr.Inverse(t2)
-	st.End()
-
-	// Relinearize straight out of the tensor accumulators.
-	lk := rk.At(level)
-	ksw := ev.kswAt(level)
-	st = sc.Child("decomp")
-	digits := ksw.Decompose(t2)
-	st.End()
-	st = sc.Child("sop")
-	ksw.SumOfProducts(digits, lk.Ks0Hat, lk.Ks1Hat)
-	st.End()
-	st = sc.Child("sop_intt")
-	ksw.InverseSoP()
-	st.End()
-	st = sc.Child("moddown")
-	md0, md1 := ev.modDownSoP(ksw, level)
-	st.End()
-	st = sc.Child("combine")
-	ev.ops.AddInto(t0, md0, out.Els[0])
-	ev.ops.AddInto(t1, md1, out.Els[1])
-	st.End()
-
-	out.Scale = a.Scale * b.Scale
+	mid := ev.tensor(sc, a, b)
+	relin := sc.Child("relin")
+	ev.relinearizeInto(relin, mid, rk, out)
+	relin.End()
 }
 
 // Rescale divides the ciphertext by the top chain prime, dropping one
@@ -462,7 +378,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
 	}
 	out := &Ciphertext{Scale: ct.Scale}
 	for _, el := range ct.Els {
-		out.Els = append(out.Els, prefix(el, level+1).Clone())
+		out.Els = append(out.Els, el.Prefix(level+1).Clone())
 	}
 	return out
 }
@@ -513,40 +429,19 @@ func (ev *Evaluator) applyGaloisInto(parent obs.Scope, ct *Ciphertext, gk *Galoi
 		panic("ckks: rotation destination shape mismatch")
 	}
 	s := ev.scratch()
-	k := level + 1
 
 	st := parent.Child("automorph")
-	r0, r1 := prefix(s.r0, k), prefix(s.r1, k)
+	r0, r1 := s.r0.Prefix(level+1), s.r1.Prefix(level+1)
 	rlwe.AutomorphInto(gk.G, ct.Els[0], r0)
 	rlwe.AutomorphInto(gk.G, ct.Els[1], r1)
 	st.End()
 
-	lk := gk.At(level)
-	ksw := ev.kswAt(level)
-	st = parent.Child("decomp")
-	digits := ksw.Decompose(r1)
-	st.End()
-	st = parent.Child("sop")
-	ksw.SumOfProducts(digits, lk.Ks0Hat, lk.Ks1Hat)
-	st.End()
-	st = parent.Child("intt")
-	ksw.InverseSoP()
-	st.End()
-	st = parent.Child("moddown")
-	md0, md1 := ev.modDownSoP(ksw, level)
-	st.End()
+	md0, md1 := ev.keySwitch(parent, level, r1, gk.At(level))
 	st = parent.Child("combine")
 	ev.ops.AddInto(r0, md0, out.Els[0])
-	copyRNS(md1, out.Els[1])
+	md1.CopyInto(out.Els[1])
 	st.End()
 	out.Scale = ct.Scale
-}
-
-// copyRNS copies src's coefficients into dst (same shape).
-func copyRNS(src, dst poly.RNSPoly) {
-	for i := range src.Rows {
-		copy(dst.Rows[i].Coeffs, src.Rows[i].Coeffs)
-	}
 }
 
 // ScaleUpTo returns the plaintext scale a constant must be encoded at so

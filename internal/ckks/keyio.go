@@ -1,11 +1,11 @@
 package ckks
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"repro/internal/keyio"
+	"repro/internal/rlwe"
 )
 
 // Key and parameter serialization through the shared scheme-tagged container
@@ -37,38 +37,21 @@ func WriteSecretKeyV2(w io.Writer, params *Params, sk *SecretKey) error {
 // with an error wrapping ErrCorruptKey.
 func ReadSecretKey(r io.Reader) (*Params, *SecretKey, error) {
 	return keyio.ReadKey(r, ckksScheme, NewParams, func(r io.Reader, params *Params) (*SecretKey, error) {
-		s, err := keyio.ReadRows(r, params.AllMods, params.N())
-		if err != nil {
-			return nil, err
-		}
-		sHat := s.Clone()
-		params.Tr.Forward(sHat)
-		return &SecretKey{S: s, SHat: sHat}, nil
+		return rlwe.ReadSecretKey(r, params.Tr, params.AllMods, params.N())
 	})
 }
 
 // WritePublicKeyV2 serializes a public key with the checksum trailer.
 func WritePublicKeyV2(w io.Writer, params *Params, pk *PublicKey) error {
 	return keyio.WriteKey(w, ckksScheme, params.Cfg, func(w io.Writer) error {
-		if err := keyio.WriteRows(w, params.QMods, params.N(), pk.P0Hat); err != nil {
-			return err
-		}
-		return keyio.WriteRows(w, params.QMods, params.N(), pk.P1Hat)
+		return rlwe.WritePublicKey(w, params.QMods, params.N(), pk)
 	})
 }
 
 // ReadPublicKey reads a public key and its parameters.
 func ReadPublicKey(r io.Reader) (*Params, *PublicKey, error) {
 	return keyio.ReadKey(r, ckksScheme, NewParams, func(r io.Reader, params *Params) (*PublicKey, error) {
-		p0, err := keyio.ReadRows(r, params.QMods, params.N())
-		if err != nil {
-			return nil, err
-		}
-		p1, err := keyio.ReadRows(r, params.QMods, params.N())
-		if err != nil {
-			return nil, err
-		}
-		return &PublicKey{P0Hat: p0, P1Hat: p1}, nil
+		return rlwe.ReadPublicKey(r, params.QMods, params.N())
 	})
 }
 
@@ -76,9 +59,7 @@ func ReadPublicKey(r io.Reader) (*Params, *PublicKey, error) {
 // count, then for each present level its digit pairs over that level's
 // extended rows.
 func writeLevelsBody(w io.Writer, params *Params, levels []*LevelKey) error {
-	var meta [8]byte
-	binary.LittleEndian.PutUint32(meta[:4], uint32(len(levels)))
-	if _, err := w.Write(meta[:]); err != nil {
+	if err := keyio.WriteWords(w, uint32(len(levels)), 0); err != nil {
 		return err
 	}
 	for l, lk := range levels {
@@ -96,16 +77,15 @@ func writeLevelsBody(w io.Writer, params *Params, levels []*LevelKey) error {
 }
 
 func readLevelsBody(r io.Reader, params *Params) ([]*LevelKey, error) {
-	var meta [8]byte
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
+	meta, err := keyio.ReadWords(r, 2) // level count, one word of padding
+	if err != nil {
 		return nil, err
 	}
-	count := binary.LittleEndian.Uint32(meta[:4])
-	if int(count) != params.Cfg.QCount {
-		return nil, fmt.Errorf("ckks: key bundle for a %d-level chain, params have %d", count, params.Cfg.QCount)
+	if int(meta[0]) != params.Cfg.QCount {
+		return nil, fmt.Errorf("ckks: key bundle for a %d-level chain, params have %d", meta[0], params.Cfg.QCount)
 	}
-	levels := make([]*LevelKey, count)
-	for l := 1; l < int(count); l++ {
+	levels := make([]*LevelKey, params.Cfg.QCount)
+	for l := 1; l < len(levels); l++ {
 		k0, k1, err := keyio.ReadPairs(r, params.KSMods[l], params.N(), l+1)
 		if err != nil {
 			return nil, err
@@ -127,44 +107,32 @@ func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
 func ReadRelinKey(r io.Reader) (*Params, *RelinKey, error) {
 	return keyio.ReadKey(r, ckksScheme, NewParams, func(r io.Reader, params *Params) (*RelinKey, error) {
 		levels, err := readLevelsBody(r, params)
-		if err != nil {
-			return nil, err
-		}
-		return &RelinKey{Levels: levels}, nil
+		return &RelinKey{Levels: levels}, err
 	})
 }
 
-// WriteGaloisKeyV2 serializes a Galois key with the checksum trailer.
+// WriteGaloisKeyV2 serializes a Galois key with the checksum trailer: the
+// element (and one word of padding), then the level bundle.
 func WriteGaloisKeyV2(w io.Writer, params *Params, gk *GaloisKey) error {
 	return keyio.WriteKey(w, ckksScheme, params.Cfg, func(w io.Writer) error {
-		return writeGaloisBody(w, params, gk)
+		if err := keyio.WriteWords(w, uint32(gk.G), 0); err != nil {
+			return err
+		}
+		return writeLevelsBody(w, params, gk.Levels)
 	})
-}
-
-func writeGaloisBody(w io.Writer, params *Params, gk *GaloisKey) error {
-	var meta [8]byte
-	binary.LittleEndian.PutUint32(meta[:4], uint32(gk.G))
-	if _, err := w.Write(meta[:]); err != nil {
-		return err
-	}
-	return writeLevelsBody(w, params, gk.Levels)
 }
 
 // ReadGaloisKey reads a Galois key and its parameters.
 func ReadGaloisKey(r io.Reader) (*Params, *GaloisKey, error) {
 	return keyio.ReadKey(r, ckksScheme, NewParams, func(r io.Reader, params *Params) (*GaloisKey, error) {
-		var meta [8]byte
-		if _, err := io.ReadFull(r, meta[:]); err != nil {
-			return nil, err
-		}
-		g := int(binary.LittleEndian.Uint32(meta[:4]))
-		if g%2 == 0 || g < 1 || g >= 2*params.N() {
-			return nil, fmt.Errorf("ckks: implausible Galois element %d", g)
-		}
-		levels, err := readLevelsBody(r, params)
+		meta, err := keyio.ReadWords(r, 2) // element, one word of padding
 		if err != nil {
 			return nil, err
 		}
-		return &GaloisKey{G: g, Levels: levels}, nil
+		if err := rlwe.CheckGaloisElement(int(meta[0]), params.N()); err != nil {
+			return nil, err
+		}
+		levels, err := readLevelsBody(r, params)
+		return &GaloisKey{G: int(meta[0]), Levels: levels}, err
 	})
 }

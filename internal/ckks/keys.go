@@ -9,22 +9,15 @@ import (
 	"repro/internal/sampler"
 )
 
-// SecretKey holds the signed-binary secret over AllMods (the chain plus the
-// keyswitch special prime), in both coefficient and NTT representation. A
-// level-ℓ operation uses a row subset: per-prime NTT rows are independent,
-// so sHat.Rows[:ℓ+1] is exactly the transform of the restricted secret, and
-// the p* row joins in only inside key-switch key material.
-type SecretKey struct {
-	S    poly.RNSPoly
-	SHat poly.RNSPoly
-}
-
-// PublicKey is the RLWE pair (-(a·s + e), a) over the full chain, NTT
-// domain; encryption at level ℓ consumes the row prefix.
-type PublicKey struct {
-	P0Hat poly.RNSPoly
-	P1Hat poly.RNSPoly
-}
+// SecretKey is the shared RLWE secret over AllMods (the chain plus the
+// keyswitch special prime). A level-ℓ operation reads the row prefix
+// SHat.Rows[:ℓ+1], and the p* row joins in only inside key-switch key
+// material. PublicKey is the shared pair over the full chain; encryption at
+// level ℓ consumes the row prefix.
+type (
+	SecretKey = rlwe.SecretKey
+	PublicKey = rlwe.PublicKey
+)
 
 // LevelKey is one level's gadget key-switch key: ℓ+1 component pairs over
 // the extended rows (q_0..q_ℓ, p*), each encrypting p*·g_i·payload. The
@@ -86,44 +79,14 @@ func NewKeyGenerator(params *Params, prng *sampler.PRNG) *KeyGenerator {
 // GenSecretKey samples a fresh signed-binary secret over AllMods.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	p := kg.params
-	s := sampler.SignedBinaryPoly(kg.prng, p.AllMods, p.N())
-	sHat := s.Clone()
-	p.Tr.Forward(sHat)
-	return &SecretKey{S: s, SHat: sHat}
+	return rlwe.GenSecretKey(kg.prng, p.Tr, p.AllMods, p.N())
 }
 
 // GenPublicKey derives a public key for sk over the chain (encryption never
 // touches the special prime).
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	p := kg.params
-	trQ := p.TrLevel[p.MaxLevel()]
-	a := sampler.UniformPoly(kg.prng, p.QMods, p.N())
-	e := kg.gauss.SamplePoly(kg.prng, p.QMods, p.N())
-
-	aHat := a.Clone()
-	trQ.Forward(aHat)
-	as := poly.NewRNSPoly(p.QMods, p.N())
-	aHat.MulInto(prefix(sk.SHat, len(p.QMods)), as)
-	trQ.Inverse(as)
-	as.AddInto(e, as)
-	as.NegInto(as)
-	trQ.Forward(as)
-	return &PublicKey{P0Hat: as, P1Hat: aHat}
-}
-
-// prefix restricts an RNS polynomial to its first k rows (shared backing).
-func prefix(x poly.RNSPoly, k int) poly.RNSPoly {
-	return poly.RNSPoly{Rows: x.Rows[:k]}
-}
-
-// ksView assembles the level-ℓ keyswitch row set of a full AllMods
-// polynomial: the chain prefix plus the p* row (shared backing — per-prime
-// rows are independent).
-func (p *Params) ksView(x poly.RNSPoly, level int) poly.RNSPoly {
-	rows := make([]poly.Poly, 0, level+2)
-	rows = append(rows, x.Rows[:level+1]...)
-	rows = append(rows, x.Rows[p.Cfg.QCount])
-	return poly.RNSPoly{Rows: rows}
+	return rlwe.GenPublicKey(kg.prng, kg.gauss, p.TrLevel[p.MaxLevel()], p.QMods, p.N(), sk)
 }
 
 // ksGadgets returns the level-ℓ gadget constants over the extended rows:
@@ -143,46 +106,38 @@ func (p *Params) ksGadgets(level int) []poly.RNSPoly {
 	return out
 }
 
-// GenRelinKey derives relinearization keys for levels 1..L: each level's
-// key encrypts p*·g_i·s² over that level's extended rows via the shared
-// gadget construction.
-func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
+// genLevels derives the level-1..L gadget keys of one payload (given over
+// AllMods, NTT domain): each level's key encrypts p*·g_i·payload over that
+// level's extended rows — the chain prefix plus the p* row, as row views of
+// the full-width secret and payload.
+func (kg *KeyGenerator) genLevels(sk *SecretKey, payloadHat poly.RNSPoly) []*LevelKey {
 	p := kg.params
-	n := p.N()
-	s2Hat := poly.NewRNSPoly(p.AllMods, n)
-	sk.SHat.MulInto(sk.SHat, s2Hat)
-
-	rk := &RelinKey{Levels: make([]*LevelKey, p.Cfg.QCount)}
+	levels := make([]*LevelKey, p.Cfg.QCount)
 	for l := 1; l <= p.MaxLevel(); l++ {
 		lk := &LevelKey{}
-		lk.Ks0Hat, lk.Ks1Hat = rlwe.GenGadgetKey(kg.prng, kg.gauss, p.TrKS[l], p.KSMods[l], n,
-			p.ksGadgets(l), p.ksView(sk.SHat, l), p.ksView(s2Hat, l))
-		rk.Levels[l] = lk
+		lk.Ks0Hat, lk.Ks1Hat = rlwe.GenGadgetKey(kg.prng, kg.gauss, p.TrKS[l], p.KSMods[l], p.N(),
+			p.ksGadgets(l), sk.SHat.Prefix(l+1, p.Cfg.QCount), payloadHat.Prefix(l+1, p.Cfg.QCount))
+		levels[l] = lk
 	}
-	return rk
+	return levels
+}
+
+// GenRelinKey derives relinearization keys for levels 1..L (payload s²).
+func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
+	s2Hat := poly.NewRNSPoly(kg.params.AllMods, kg.params.N())
+	sk.SHat.MulInto(sk.SHat, s2Hat)
+	return &RelinKey{Levels: kg.genLevels(sk, s2Hat)}
 }
 
 // GenGaloisKey derives per-level switch keys for the automorphism g (odd,
-// 1 ≤ g < 2n): each level's key encrypts p*·g_i·σ_g(s).
+// 1 ≤ g < 2n; payload σ_g(s)).
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g int) *GaloisKey {
-	p := kg.params
-	n := p.N()
-	if g%2 == 0 || g < 1 || g >= 2*n {
-		panic(fmt.Sprintf("ckks: invalid Galois element %d (need odd, < 2n)", g))
+	if err := rlwe.CheckGaloisElement(g, kg.params.N()); err != nil {
+		panic(err)
 	}
-	sG := poly.NewRNSPoly(p.AllMods, n)
-	rlwe.AutomorphInto(g, sk.S, sG)
-	sGHat := sG
-	p.Tr.Forward(sGHat)
-
-	gk := &GaloisKey{G: g, Levels: make([]*LevelKey, p.Cfg.QCount)}
-	for l := 1; l <= p.MaxLevel(); l++ {
-		lk := &LevelKey{}
-		lk.Ks0Hat, lk.Ks1Hat = rlwe.GenGadgetKey(kg.prng, kg.gauss, p.TrKS[l], p.KSMods[l], n,
-			p.ksGadgets(l), p.ksView(sk.SHat, l), p.ksView(sGHat, l))
-		gk.Levels[l] = lk
-	}
-	return gk
+	sGHat := rlwe.Automorph(g, sk.S)
+	kg.params.Tr.Forward(sGHat)
+	return &GaloisKey{G: g, Levels: kg.genLevels(sk, sGHat)}
 }
 
 // GaloisElementForRotation returns the automorphism element implementing a

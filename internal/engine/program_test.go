@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/fv"
 	"repro/internal/program"
+	"repro/internal/sampler"
 )
 
 // mulChain builds a serial chain of `depth` multiplications over one input
@@ -88,6 +90,54 @@ func TestProgramMatchesInterpreter(t *testing.T) {
 	}
 	if res.Nodes != len(p.Nodes) {
 		t.Fatalf("Nodes = %d, want %d", res.Nodes, len(p.Nodes))
+	}
+}
+
+// TestProgramRelinNodeMatchesInterpreter: a program that multiplies without
+// relinearizing and relinearizes as its own node — the software path a
+// forged imported key used to crash — is bit-identical to the reference
+// interpreter under honest keys of both gadgets, each taken through the key
+// file the way a tenant's upload arrives (so what the body readers now
+// insist on is what honest keys have).
+func TestProgramRelinNodeMatchesInterpreter(t *testing.T) {
+	params := testParams(t)
+	tn := newTenant(t, params, "acme", 7)
+	e := newEngine(t, params, Config{Workers: 2})
+
+	b := program.NewBuilder()
+	x, y := b.Input(), b.Input()
+	b.Output(b.Relin(b.MulNoRelin(x, y)))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []*fv.Ciphertext{tn.encrypt(params, 3, 11), tn.encrypt(params, 5, 12)}
+
+	trad := fv.NewKeyGenerator(params, sampler.NewPRNG(9)).GenRelinKey(tn.sk, fv.Traditional, params.Cfg.RelinLogW, params.Cfg.RelinDepth)
+	for _, honest := range []*fv.RelinKey{tn.rk, trad} {
+		var file bytes.Buffer
+		if err := fv.WriteRelinKeyV2(&file, params, honest); err != nil {
+			t.Fatal(err)
+		}
+		_, rk, err := fv.ReadRelinKey(&file)
+		if err != nil {
+			t.Fatalf("honest %v relin key refused: %v", honest.Variant, err)
+		}
+		e.SetRelinKey(tn.name, rk)
+		res, err := e.SubmitProgram(context.Background(), ProgramOp{Tenant: tn.name, Prog: p, Inputs: inputs})
+		if err != nil {
+			t.Fatalf("%v key: SubmitProgram: %v", rk.Variant, err)
+		}
+		want, err := program.Run(params, p, inputs, program.Keys{Relin: honest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Outputs[0].Equal(want[0]) {
+			t.Fatalf("%v key: the relin node diverges from the reference interpreter", rk.Variant)
+		}
+		if got := tn.decrypt(params, res.Outputs[0]); got != 15 {
+			t.Fatalf("%v key: 3·5 decrypts to %d", rk.Variant, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fv
 
 import (
 	"repro/internal/poly"
+	"repro/internal/rlwe"
 	"repro/internal/sampler"
 )
 
@@ -28,27 +29,13 @@ func NewEncryptor(params *Params, pk *PublicKey, prng *sampler.PRNG) *Encryptor 
 	}
 }
 
-// Encrypt encrypts pt into a fresh two-element ciphertext.
+// Encrypt encrypts pt into a fresh two-element ciphertext: the shared
+// zero-encryption plus Δ·m̃ on c0.
 func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	p := e.params
-	n := p.N()
-	u := sampler.SignedBinaryPoly(e.prng, p.QMods, n)
-	e1 := e.gauss.SamplePoly(e.prng, p.QMods, n)
-	e2 := e.gauss.SamplePoly(e.prng, p.QMods, n)
-
-	uHat := u.Clone()
-	p.TrQ.Forward(uHat)
-
 	ct := NewCiphertext(p, 2)
-	// c0 = p0·u + e1 + Δ·m.
-	e.pk.P0Hat.MulInto(uHat, ct.Els[0])
-	p.TrQ.Inverse(ct.Els[0])
-	ct.Els[0].AddInto(e1, ct.Els[0])
+	rlwe.EncryptZeroInto(e.prng, e.gauss, p.TrQ, p.QMods, p.N(), e.pk, ct.Els[0], ct.Els[1])
 	addDeltaM(p, pt, ct.Els[0])
-	// c1 = p1·u + e2.
-	e.pk.P1Hat.MulInto(uHat, ct.Els[1])
-	p.TrQ.Inverse(ct.Els[1])
-	ct.Els[1].AddInto(e2, ct.Els[1])
 	return ct
 }
 
@@ -65,27 +52,7 @@ func addDeltaM(p *Params, pt *Plaintext, dst poly.RNSPoly) {
 	}
 }
 
-// EncryptZeroSymmetric encrypts the zero plaintext under the secret key
-// directly (c0 = -(a·s + e), c1 = a); used by tests that need minimal-noise
-// ciphertexts.
-func EncryptZeroSymmetric(params *Params, sk *SecretKey, prng *sampler.PRNG) *Ciphertext {
-	p := params
-	n := p.N()
-	gauss := sampler.NewGaussian(p.Cfg.Sigma)
-	a := sampler.UniformPoly(prng, p.QMods, n)
-	eNoise := gauss.SamplePoly(prng, p.QMods, n)
-	aHat := a.Clone()
-	p.TrQ.Forward(aHat)
-	ct := NewCiphertext(p, 2)
-	aHat.MulInto(sk.SHat, ct.Els[0])
-	p.TrQ.Inverse(ct.Els[0])
-	ct.Els[0].AddInto(eNoise, ct.Els[0])
-	ct.Els[0].NegInto(ct.Els[0])
-	ct.Els[1] = a
-	return ct
-}
-
-// Decryptor recovers plaintexts with the secret key: it computes
+// Decryptor recovers plaintexts with the secret key: it takes the phase
 // x = c0 + c1·s (+ c2·s² for a degree-2 ciphertext), reconstructs each
 // coefficient's centered value, and rounds t·x/q — the decoder box of the
 // paper's Fig. 1.
@@ -102,7 +69,7 @@ func NewDecryptor(params *Params, sk *SecretKey) *Decryptor {
 // Decrypt decrypts ct (degree 1 or 2).
 func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	p := d.params
-	x := d.innerPoly(ct)
+	x := rlwe.Phase(p.TrQ, d.sk, ct.Els)
 	pt := NewPlaintext(p)
 	res := make([]uint64, p.QBasis.K())
 	t := p.Cfg.T
@@ -119,20 +86,4 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 		pt.Coeffs[c] = v
 	}
 	return pt
-}
-
-// innerPoly returns c0 + c1·s (+ c2·s²) in coefficient representation.
-func (d *Decryptor) innerPoly(ct *Ciphertext) poly.RNSPoly {
-	p := d.params
-	acc := poly.NewRNSPoly(p.QMods, p.N())
-	// Horner over s in the NTT domain: ((c_k·s + c_{k-1})·s + ...) + c_0.
-	for i := len(ct.Els) - 1; i >= 1; i-- {
-		tmp := ct.Els[i].Clone()
-		p.TrQ.Forward(tmp)
-		acc.AddInto(tmp, acc)
-		acc.MulInto(d.sk.SHat, acc)
-	}
-	p.TrQ.Inverse(acc)
-	acc.AddInto(ct.Els[0], acc)
-	return acc
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/poly"
+	"repro/internal/rlwe"
 	"repro/internal/rns"
 )
 
@@ -65,24 +66,20 @@ func (ev *Evaluator) count(name string) {
 // Add returns a + b (FV.Add: element-wise polynomial addition).
 func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 	ev.count("fv.add")
-	if len(a.Els) != len(b.Els) {
-		a, b = matchDegree(ev.params, a, b)
-	}
-	out := NewCiphertext(ev.params, len(a.Els))
-	for i := range a.Els {
-		ev.ops.AddInto(a.Els[i], b.Els[i], out.Els[i])
+	ae, be := rlwe.PadElements(a.Els, b.Els)
+	out := NewCiphertext(ev.params, len(ae))
+	for i := range ae {
+		ev.ops.AddInto(ae[i], be[i], out.Els[i])
 	}
 	return out
 }
 
 // Sub returns a - b.
 func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
-	if len(a.Els) != len(b.Els) {
-		a, b = matchDegree(ev.params, a, b)
-	}
-	out := NewCiphertext(ev.params, len(a.Els))
-	for i := range a.Els {
-		ev.ops.SubInto(a.Els[i], b.Els[i], out.Els[i])
+	ae, be := rlwe.PadElements(a.Els, b.Els)
+	out := NewCiphertext(ev.params, len(ae))
+	for i := range ae {
+		ev.ops.SubInto(ae[i], be[i], out.Els[i])
 	}
 	return out
 }
@@ -94,18 +91,6 @@ func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
 		ev.ops.NegInto(a.Els[i], out.Els[i])
 	}
 	return out
-}
-
-func matchDegree(p *Params, a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
-	for len(a.Els) < len(b.Els) {
-		a = a.Clone()
-		a.Els = append(a.Els, poly.NewRNSPoly(p.QMods, p.N()))
-	}
-	for len(b.Els) < len(a.Els) {
-		b = b.Clone()
-		b.Els = append(b.Els, poly.NewRNSPoly(p.QMods, p.N()))
-	}
-	return a, b
 }
 
 // AddPlain returns ct + Δ·m for a plaintext m.
@@ -194,10 +179,7 @@ func (ev *Evaluator) mulNoRelinInto(parent obs.Scope, a, b, out *Ciphertext) {
 	// n·rows (one output sweep), the same threshold the unfused four-pass
 	// schedule presented to the pool.
 	st = parent.Child("tensor")
-	t := &s.tensor
-	t.a0, t.a1, t.b0, t.b1 = s.a0.Rows, s.a1.Rows, s.b0.Rows, s.b1.Rows
-	t.t0, t.t1, t.t2 = s.t0.Rows, s.t1.Rows, s.t2.Rows
-	p.Pool.RunTask(p.N()*len(s.t0.Rows), len(s.t0.Rows), t)
+	s.tensor.Run(p.Pool, s.a0, s.a1, s.b0, s.b1, s.t0, s.t1, s.t2)
 	st.End()
 
 	st = parent.Child("intt")
@@ -246,36 +228,10 @@ func (ev *Evaluator) forwardLifted(dst, src poly.RNSPoly) {
 	p.Pool.RunTask(p.N()*len(dst.Rows), len(dst.Rows), t)
 }
 
-// SquareNoRelin computes the degree-2 square of a ciphertext. The tensor is
-// symmetric — c̃0 = a0², c̃1 = 2·a0·a1, c̃2 = a1² — so it needs three
-// coefficient-wise products instead of the general four, one of the
-// hardware-cost trade-offs the paper's Discussion invites ("the design
-// decisions can be tweaked").
+// SquareNoRelin computes the degree-2 square of a ciphertext: the one tensor
+// with b = a (c̃1 = a0·a1 + a1·a0 is 2·a0·a1 in canonical residues).
 func (ev *Evaluator) SquareNoRelin(a *Ciphertext) *Ciphertext {
-	p := ev.params
-	if len(a.Els) != 2 {
-		panic("fv: SquareNoRelin needs a degree-1 ciphertext")
-	}
-	s := ev.scratch()
-	ev.liftTargets(a.Els[0], s.a0)
-	ev.liftTargets(a.Els[1], s.a1)
-	ev.forwardLifted(s.a0, a.Els[0])
-	ev.forwardLifted(s.a1, a.Els[1])
-
-	ev.ops.MulInto(s.a0, s.a0, s.t0)
-	ev.ops.MulInto(s.a0, s.a1, s.t1)
-	ev.ops.AddInto(s.t1, s.t1, s.t1) // 2·a0·a1
-	ev.ops.MulInto(s.a1, s.a1, s.t2)
-
-	p.TrFull.Inverse(s.t0)
-	p.TrFull.Inverse(s.t1)
-	p.TrFull.Inverse(s.t2)
-
-	out := NewCiphertext(p, 3)
-	ev.scaleInto(s.t0, out.Els[0])
-	ev.scaleInto(s.t1, out.Els[1])
-	ev.scaleInto(s.t2, out.Els[2])
-	return out
+	return ev.MulNoRelin(a, a)
 }
 
 // Square is SquareNoRelin followed by relinearization.
@@ -313,35 +269,30 @@ func (ev *Evaluator) relinearizeInto(parent obs.Scope, ct *Ciphertext, rk *Relin
 		panic(fmt.Sprintf("fv: RelinearizeInto needs a degree-1 destination, got %d elements", len(out.Els)))
 	}
 	ev.count("fv.relin")
-	ksw := ev.switcher()
-	st := parent.Child("decomp")
+	// The traditional architecture brings its own positional digits; the
+	// HPS key takes the switcher's RNS gadget.
 	var digits []poly.RNSPoly
-	switch rk.Variant {
-	case HPS:
-		digits = ksw.Decompose(ct.Els[2])
-	case Traditional:
+	if rk.Variant == Traditional {
+		st := parent.Child("decomp")
 		digits = rns.WordDecompose(p.QBasis, ct.Els[2], rk.LogW, rk.Ell)
+		st.End()
 	}
+	s0, s1 := ev.scratch().ksw.Switch(parent, ct.Els[2], digits, rk.Rlk0Hat, rk.Rlk1Hat)
+	st := parent.Child("combine")
+	ev.ops.AddInto(ct.Els[0], s0, out.Els[0])
+	ev.ops.AddInto(ct.Els[1], s1, out.Els[1])
 	st.End()
-	if len(digits) != len(rk.Rlk0Hat) {
-		panic(fmt.Sprintf("fv: relin key has %d components, decomposition produced %d", len(rk.Rlk0Hat), len(digits)))
-	}
+}
 
-	// Key-switch sum of products: digit NTTs interleaved with the MACs
-	// against the relin key, as the hardware schedule does — fused per
-	// residue row so each digit row is transformed and consumed while hot
-	// (the shared rlwe kernel; Galois rotation runs the same one).
-	st = parent.Child("sop")
-	ksw.SumOfProducts(digits, rk.Rlk0Hat, rk.Rlk1Hat)
-	st.End()
-	st = parent.Child("intt")
-	ksw.InverseSoP()
-	st.End()
-
-	st = parent.Child("combine")
-	ev.ops.AddInto(ct.Els[0], ksw.Sop0(), out.Els[0])
-	ev.ops.AddInto(ct.Els[1], ksw.Sop1(), out.Els[1])
-	st.End()
+// keySwitch returns (c0 + SoP(D(c1), k0), SoP(D(c1), k1)): the ciphertext
+// (c0, c1), valid under the key's source secret, re-encrypted to its
+// destination secret.
+func (ev *Evaluator) keySwitch(c0, c1 poly.RNSPoly, k0, k1 []poly.RNSPoly) *Ciphertext {
+	s0, s1 := ev.scratch().ksw.Switch(obs.Scope{}, c1, nil, k0, k1)
+	out := NewCiphertext(ev.params, 2)
+	c0.AddInto(s0, out.Els[0])
+	s1.CopyInto(out.Els[1])
+	return out
 }
 
 // Mul is the full FV.Mult: MulNoRelin followed by Relinearize. With a tracer

@@ -91,6 +91,64 @@ func FuzzReadKeyHeader(f *testing.F) {
 	})
 }
 
+// FuzzDecodeFVKeys holds the evaluation-key readers to "usable", not just
+// well-shaped: whatever they accept goes, on a serving node, straight into an
+// evaluator's or the co-processor's digit loop. An accepted relin key must
+// relinearize a degree-2 ciphertext without panicking; an accepted Galois key
+// must carry one component per q prime and an odd in-range element and rotate
+// a ciphertext without panicking. Seeded with honest keys of both gadgets and
+// the forged containers of TestKeyReadersRefuseUnusableKeys.
+func FuzzDecodeFVKeys(f *testing.F) {
+	p, err := NewParams(TestConfig(257))
+	if err != nil {
+		f.Fatal(err)
+	}
+	kg := NewKeyGenerator(p, sampler.NewPRNG(1))
+	sk, _, rk := kg.GenKeys()
+	seed := func(write func(*bytes.Buffer) error) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	seed(func(b *bytes.Buffer) error { return WriteRelinKeyV2(b, p, rk) })
+	seed(func(b *bytes.Buffer) error {
+		return WriteRelinKeyV2(b, p, kg.GenRelinKey(sk, Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth))
+	})
+	seed(func(b *bytes.Buffer) error { return WriteGaloisKeyV2(b, p, kg.GenGaloisKey(sk, 3)) })
+	for _, file := range forgedKeyFiles(f, p) {
+		f.Add(file)
+	}
+	f.Add([]byte("FVk2\x04\x00\x00\x00null"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p2, rk2, err := ReadRelinKey(bytes.NewReader(data)); err == nil {
+			if len(rk2.Rlk0Hat) != rk2.Ell || len(rk2.Rlk1Hat) != rk2.Ell {
+				t.Fatalf("accepted relin key with ℓ = %d and %d+%d components", rk2.Ell, len(rk2.Rlk0Hat), len(rk2.Rlk1Hat))
+			}
+			// c̃2 = (q-1)/2 in every coefficient — residue (q_i-1)/2 on row i —
+			// is the widest value a positional decomposition has to slice.
+			ct := NewCiphertext(p2, 3)
+			for i, m := range p2.QMods {
+				for c := range ct.Els[2].Rows[i].Coeffs {
+					ct.Els[2].Rows[i].Coeffs[c] = (m.Q - 1) / 2
+				}
+			}
+			NewEvaluator(p2).Relinearize(ct, rk2)
+		}
+		if p2, gk2, err := ReadGaloisKey(bytes.NewReader(data)); err == nil {
+			if gk2.G%2 != 1 || gk2.G < 1 || gk2.G >= 2*p2.N() {
+				t.Fatalf("accepted Galois key with element %d", gk2.G)
+			}
+			if len(gk2.Ks0Hat) != p2.Cfg.QCount || len(gk2.Ks1Hat) != p2.Cfg.QCount {
+				t.Fatalf("accepted Galois key with %d components, q has %d primes", len(gk2.Ks0Hat), p2.Cfg.QCount)
+			}
+			NewEvaluator(p2).ApplyGalois(NewCiphertext(p2, 2), gk2)
+		}
+	})
+}
+
 func FuzzIntegerEncoderDecode(f *testing.F) {
 	p, err := NewParams(TestConfig(65537))
 	if err != nil {

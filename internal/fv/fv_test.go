@@ -99,28 +99,6 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncryptZeroSymmetric(t *testing.T) {
-	p := testParams(t, 17)
-	prng := sampler.NewPRNG(2)
-	kg := NewKeyGenerator(p, prng)
-	sk := kg.GenSecretKey()
-	ct := EncryptZeroSymmetric(p, sk, prng)
-	dec := NewDecryptor(p, sk)
-	got := dec.Decrypt(ct)
-	for i, c := range got.Coeffs {
-		if c != 0 {
-			t.Fatalf("coeff %d = %d, want 0", i, c)
-		}
-	}
-	// Symmetric encryption of zero should have more budget than public-key
-	// encryption (one noise term instead of three).
-	pk := kg.GenPublicKey(sk)
-	enc := NewEncryptor(p, pk, prng)
-	if NoiseBudget(p, sk, ct) < NoiseBudget(p, sk, enc.Encrypt(NewPlaintext(p))) {
-		t.Fatal("symmetric zero encryption is noisier than public-key encryption")
-	}
-}
-
 func TestHomomorphicAdd(t *testing.T) {
 	const tmod = 257
 	p := testParams(t, tmod)

@@ -15,16 +15,6 @@ import (
 // SIMD workloads (the underlying SoP datapath is exactly the ReLin one, so
 // the co-processor would execute these with the same instruction mix).
 
-// applyAutomorphism computes σ_g over all residue rows (coefficient domain).
-func applyAutomorphism(g int, src poly.RNSPoly) poly.RNSPoly {
-	out := poly.RNSPoly{Rows: make([]poly.Poly, len(src.Rows))}
-	for i := range src.Rows {
-		out.Rows[i] = poly.NewPoly(src.Rows[i].Mod, src.Rows[i].N())
-	}
-	rlwe.AutomorphInto(g, src, out)
-	return out
-}
-
 // ApplyAutomorphismPlain applies σ_g to a plaintext polynomial (mod t).
 func ApplyAutomorphismPlain(params *Params, g int, pt *Plaintext) *Plaintext {
 	n := params.N()
@@ -56,13 +46,12 @@ type GaloisKey struct {
 // (odd, 1 ≤ g < 2n).
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g int) *GaloisKey {
 	p := kg.params
-	if g%2 == 0 || g < 1 || g >= 2*p.N() {
-		panic(fmt.Sprintf("fv: invalid Galois element %d (need odd, < 2n)", g))
-	}
 	n := p.N()
+	if err := rlwe.CheckGaloisElement(g, n); err != nil {
+		panic(err)
+	}
 	// σ_g(s) in the NTT domain.
-	sG := applyAutomorphism(g, sk.S)
-	sGHat := sG.Clone()
+	sGHat := rlwe.Automorph(g, sk.S)
 	p.TrQ.Forward(sGHat)
 
 	gadgets := rns.GadgetRNS(p.QBasis)
@@ -78,22 +67,12 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g int) *GaloisKey {
 // component is key-switched from σ_g(s) back to s via the gadget SoP —
 // exactly the relinearization datapath with a different key.
 func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) *Ciphertext {
-	p := ev.params
 	if len(ct.Els) != 2 {
 		panic("fv: ApplyGalois expects a degree-1 ciphertext")
 	}
-	c0 := applyAutomorphism(gk.G, ct.Els[0])
-	c1 := applyAutomorphism(gk.G, ct.Els[1])
-
-	ksw := ev.switcher()
-	digits := ksw.Decompose(c1)
-	ksw.SumOfProducts(digits, gk.Ks0Hat, gk.Ks1Hat)
-	ksw.InverseSoP()
-
-	out := NewCiphertext(p, 2)
-	c0.AddInto(ksw.Sop0(), out.Els[0])
-	copyRNS(ksw.Sop1(), out.Els[1])
-	return out
+	c0 := rlwe.Automorph(gk.G, ct.Els[0])
+	c1 := rlwe.Automorph(gk.G, ct.Els[1])
+	return ev.keySwitch(c0, c1, gk.Ks0Hat, gk.Ks1Hat)
 }
 
 // SumSlotsKeys generates the ⌈log2 n⌉ + 1 Galois keys SumSlots needs: the
@@ -142,8 +121,8 @@ func (e *BatchEncoder) SlotPermutation(params *Params, g int) ([]int, error) {
 	if uint64(n)+1 >= params.Cfg.T {
 		return nil, fmt.Errorf("fv: slot tracing needs t > n+1")
 	}
-	if g%2 == 0 || g < 1 || g >= 2*n {
-		return nil, fmt.Errorf("fv: invalid Galois element %d", g)
+	if err := rlwe.CheckGaloisElement(g, n); err != nil {
+		return nil, err
 	}
 	vals := make([]uint64, n)
 	for i := range vals {

@@ -1,11 +1,11 @@
 package fv
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"repro/internal/keyio"
+	"repro/internal/rlwe"
 )
 
 // Key and parameter serialization. Every file starts with a self-describing
@@ -42,23 +42,14 @@ func WriteSecretKeyV2(w io.Writer, params *Params, sk *SecretKey) error {
 // with an error wrapping ErrCorruptKey.
 func ReadSecretKey(r io.Reader) (*Params, *SecretKey, error) {
 	return keyio.ReadKey(r, fvScheme, NewParams, func(r io.Reader, params *Params) (*SecretKey, error) {
-		s, err := keyio.ReadRows(r, params.QMods, params.N())
-		if err != nil {
-			return nil, err
-		}
-		sHat := s.Clone()
-		params.TrQ.Forward(sHat)
-		return &SecretKey{S: s, SHat: sHat}, nil
+		return rlwe.ReadSecretKey(r, params.TrQ, params.QMods, params.N())
 	})
 }
 
 // WritePublicKeyV2 serializes a public key with the checksum trailer.
 func WritePublicKeyV2(w io.Writer, params *Params, pk *PublicKey) error {
 	return keyio.WriteKey(w, fvScheme, params.Cfg, func(w io.Writer) error {
-		if err := keyio.WriteRows(w, params.QMods, params.N(), pk.P0Hat); err != nil {
-			return err
-		}
-		return keyio.WriteRows(w, params.QMods, params.N(), pk.P1Hat)
+		return rlwe.WritePublicKey(w, params.QMods, params.N(), pk)
 	})
 }
 
@@ -66,54 +57,52 @@ func WritePublicKeyV2(w io.Writer, params *Params, pk *PublicKey) error {
 // with an error wrapping ErrCorruptKey.
 func ReadPublicKey(r io.Reader) (*Params, *PublicKey, error) {
 	return keyio.ReadKey(r, fvScheme, NewParams, func(r io.Reader, params *Params) (*PublicKey, error) {
-		p0, err := keyio.ReadRows(r, params.QMods, params.N())
-		if err != nil {
-			return nil, err
-		}
-		p1, err := keyio.ReadRows(r, params.QMods, params.N())
-		if err != nil {
-			return nil, err
-		}
-		return &PublicKey{P0Hat: p0, P1Hat: p1}, nil
+		return rlwe.ReadPublicKey(r, params.QMods, params.N())
 	})
 }
 
-func writeRelinKeyBody(w io.Writer, params *Params, rk *RelinKey) error {
-	var meta [16]byte
-	binary.LittleEndian.PutUint32(meta[:4], uint32(rk.Variant))
-	binary.LittleEndian.PutUint32(meta[4:8], uint32(rk.LogW))
-	binary.LittleEndian.PutUint32(meta[8:12], uint32(rk.Ell))
-	binary.LittleEndian.PutUint32(meta[12:], uint32(len(rk.Rlk0Hat)))
-	if _, err := w.Write(meta[:]); err != nil {
-		return err
-	}
-	return keyio.WritePairs(w, params.QMods, params.N(), rk.Rlk0Hat, rk.Rlk1Hat)
-}
-
+// readRelinKeyBody refuses a key an evaluator or the co-processor could not
+// use. The container's trailer is a checksum, not a MAC — anyone can re-stamp
+// a body — and an imported key goes straight to the digit loop, which
+// trusts these four words: an unknown variant, a component count the
+// decomposition will not produce, or a positional gadget too short for q
+// must stop here, not in a worker goroutine.
 func readRelinKeyBody(r io.Reader, params *Params) (*RelinKey, error) {
-	var meta [16]byte
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
+	meta, err := keyio.ReadWords(r, 4)
+	if err != nil {
 		return nil, err
 	}
-	count := binary.LittleEndian.Uint32(meta[12:])
-	if count == 0 || count > 64 {
-		return nil, fmt.Errorf("fv: implausible relin component count %d", count)
+	rk := &RelinKey{Variant: LiftScaleVariant(meta[0]), LogW: uint(meta[1]), Ell: int(meta[2])}
+	count := int(meta[3])
+	if count < 1 || count > 64 || rk.Ell != count {
+		return nil, fmt.Errorf("fv: implausible relin key (ℓ = %d, %d components)", rk.Ell, count)
 	}
-	rk := &RelinKey{
-		Variant: LiftScaleVariant(binary.LittleEndian.Uint32(meta[:4])),
-		LogW:    uint(binary.LittleEndian.Uint32(meta[4:8])),
-		Ell:     int(binary.LittleEndian.Uint32(meta[8:12])),
+	switch logQ := uint(params.LogQ()); rk.Variant {
+	case HPS:
+		if count != params.Cfg.QCount || rk.LogW != 0 {
+			return nil, fmt.Errorf("fv: RNS-gadget relin key with %d components, logW %d; params need %d, 0",
+				count, rk.LogW, params.Cfg.QCount)
+		}
+	case Traditional:
+		if rk.LogW < 1 || rk.LogW > logQ || uint(count)*rk.LogW < logQ {
+			return nil, fmt.Errorf("fv: %d digits of %d bits do not decompose a %d-bit q", count, rk.LogW, logQ)
+		}
+	default:
+		return nil, fmt.Errorf("fv: unknown relin key variant %d", rk.Variant)
 	}
-	var err error
-	rk.Rlk0Hat, rk.Rlk1Hat, err = keyio.ReadPairs(r, params.QMods, params.N(), int(count))
+	rk.Rlk0Hat, rk.Rlk1Hat, err = keyio.ReadPairs(r, params.QMods, params.N(), count)
 	return rk, err
 }
 
 // WriteRelinKeyV2 serializes a relinearization key with the checksum
-// trailer.
+// trailer: the gadget's variant, digit width, ℓ and component count, then the
+// component pairs.
 func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
 	return keyio.WriteKey(w, fvScheme, params.Cfg, func(w io.Writer) error {
-		return writeRelinKeyBody(w, params, rk)
+		if err := keyio.WriteWords(w, uint32(rk.Variant), uint32(rk.LogW), uint32(rk.Ell), uint32(len(rk.Rlk0Hat))); err != nil {
+			return err
+		}
+		return keyio.WritePairs(w, params.QMods, params.N(), rk.Rlk0Hat, rk.Rlk1Hat)
 	})
 }
 
@@ -123,30 +112,21 @@ func ReadRelinKey(r io.Reader) (*Params, *RelinKey, error) {
 	return keyio.ReadKey(r, fvScheme, NewParams, readRelinKeyBody)
 }
 
-func writeGaloisKeyBody(w io.Writer, params *Params, gk *GaloisKey) error {
-	var meta [8]byte
-	binary.LittleEndian.PutUint32(meta[:4], uint32(gk.G))
-	binary.LittleEndian.PutUint32(meta[4:], uint32(len(gk.Ks0Hat)))
-	if _, err := w.Write(meta[:]); err != nil {
-		return err
-	}
-	return keyio.WritePairs(w, params.QMods, params.N(), gk.Ks0Hat, gk.Ks1Hat)
-}
-
+// readGaloisKeyBody holds a Galois key to the same bar as an RNS-gadget
+// relin key: a valid element and exactly one component per q prime.
 func readGaloisKeyBody(r io.Reader, params *Params) (*GaloisKey, error) {
-	var meta [8]byte
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
+	meta, err := keyio.ReadWords(r, 2)
+	if err != nil {
 		return nil, err
 	}
-	g := int(binary.LittleEndian.Uint32(meta[:4]))
-	if g%2 == 0 || g < 1 || g >= 2*params.N() {
-		return nil, fmt.Errorf("fv: invalid Galois element %d in key file", g)
+	g := int(meta[0])
+	if err := rlwe.CheckGaloisElement(g, params.N()); err != nil {
+		return nil, err
 	}
-	count := binary.LittleEndian.Uint32(meta[4:])
-	if count == 0 || count > 64 {
-		return nil, fmt.Errorf("fv: implausible Galois component count %d", count)
+	if int(meta[1]) != params.Cfg.QCount {
+		return nil, fmt.Errorf("fv: Galois key with %d components, params need %d", meta[1], params.Cfg.QCount)
 	}
-	k0, k1, err := keyio.ReadPairs(r, params.QMods, params.N(), int(count))
+	k0, k1, err := keyio.ReadPairs(r, params.QMods, params.N(), params.Cfg.QCount)
 	return &GaloisKey{G: g, Ks0Hat: k0, Ks1Hat: k1}, err
 }
 
@@ -154,7 +134,10 @@ func readGaloisKeyBody(r io.Reader, params *Params) (*GaloisKey, error) {
 // container key-state migration ships between cluster nodes.
 func WriteGaloisKeyV2(w io.Writer, params *Params, gk *GaloisKey) error {
 	return keyio.WriteKey(w, fvScheme, params.Cfg, func(w io.Writer) error {
-		return writeGaloisKeyBody(w, params, gk)
+		if err := keyio.WriteWords(w, uint32(gk.G), uint32(len(gk.Ks0Hat))); err != nil {
+			return err
+		}
+		return keyio.WritePairs(w, params.QMods, params.N(), gk.Ks0Hat, gk.Ks1Hat)
 	})
 }
 

@@ -185,3 +185,85 @@ func TestKeyIOV2DetectsTruncation(t *testing.T) {
 		}
 	}
 }
+
+// forgedKeyFiles returns evaluation-key containers an attacker can make: each
+// is a well-formed, correctly checksummed file (the trailer is a checksum,
+// not a MAC — the writer stamps whatever the struct says) whose meta words
+// or component count no evaluator or co-processor could use. Three of them
+// took the serving node down before the body readers checked shape.
+func forgedKeyFiles(t testing.TB, p *Params) map[string][]byte {
+	t.Helper()
+	kg := NewKeyGenerator(p, sampler.NewPRNG(34))
+	sk, _, hps := kg.GenKeys()
+	trad := kg.GenRelinKey(sk, Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
+	gk := kg.GenGaloisKey(sk, 3)
+
+	relin := func(base *RelinKey, edit func(*RelinKey)) []byte {
+		rk := *base
+		edit(&rk)
+		var buf bytes.Buffer
+		if err := WriteRelinKeyV2(&buf, p, &rk); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	short := *gk
+	short.Ks0Hat, short.Ks1Hat = gk.Ks0Hat[:len(gk.Ks0Hat)-1], gk.Ks1Hat[:len(gk.Ks1Hat)-1]
+	var shortGalois bytes.Buffer
+	if err := WriteGaloisKeyV2(&shortGalois, p, &short); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{
+		"relin: variant 7":              relin(hps, func(rk *RelinKey) { rk.Variant = 7 }),
+		"relin: ℓ = 2^32-1":             relin(hps, func(rk *RelinKey) { rk.Ell = 1<<32 - 1 }),
+		"relin: traditional, logW = 0":  relin(trad, func(rk *RelinKey) { rk.LogW = 0 }),
+		"relin: traditional, logW huge": relin(trad, func(rk *RelinKey) { rk.LogW = 1<<32 - 1 }),
+		"relin: traditional, too few digits for q": relin(trad, func(rk *RelinKey) {
+			rk.Ell, rk.Rlk0Hat, rk.Rlk1Hat = 1, rk.Rlk0Hat[:1], rk.Rlk1Hat[:1]
+		}),
+		"relin: RNS gadget one component short": relin(hps, func(rk *RelinKey) {
+			rk.Ell, rk.Rlk0Hat, rk.Rlk1Hat = rk.Ell-1, rk.Rlk0Hat[:rk.Ell-1], rk.Rlk1Hat[:rk.Ell-1]
+		}),
+		"relin: RNS gadget with a digit width": relin(hps, func(rk *RelinKey) { rk.LogW = 30 }),
+		"galois: one component short":          shortGalois.Bytes(),
+	}
+}
+
+// TestKeyReadersRefuseUnusableKeys: every forged container stops at the
+// reader with ErrCorruptKey — under either reader, since an import path
+// tries the one its section tag names — while the honest keys of both
+// gadgets and a Galois key still load.
+func TestKeyReadersRefuseUnusableKeys(t *testing.T) {
+	p := testParams(t, 65537)
+	for name, file := range forgedKeyFiles(t, p) {
+		if _, _, err := ReadRelinKey(bytes.NewReader(file)); !errors.Is(err, ErrCorruptKey) {
+			t.Errorf("%s: ReadRelinKey returned %v, want ErrCorruptKey", name, err)
+		}
+		if _, _, err := ReadGaloisKey(bytes.NewReader(file)); !errors.Is(err, ErrCorruptKey) {
+			t.Errorf("%s: ReadGaloisKey returned %v, want ErrCorruptKey", name, err)
+		}
+	}
+
+	kg := NewKeyGenerator(p, sampler.NewPRNG(35))
+	sk, _, hps := kg.GenKeys()
+	for _, rk := range []*RelinKey{hps, kg.GenRelinKey(sk, Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)} {
+		var buf bytes.Buffer
+		if err := WriteRelinKeyV2(&buf, p, rk); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := ReadRelinKey(&buf)
+		if err != nil {
+			t.Fatalf("honest %v relin key refused: %v", rk.Variant, err)
+		}
+		if got.Variant != rk.Variant || got.LogW != rk.LogW || got.Ell != rk.Ell || len(got.Rlk0Hat) != rk.Ell {
+			t.Fatalf("honest %v relin key did not round trip", rk.Variant)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteGaloisKeyV2(&buf, p, kg.GenGaloisKey(sk, 2*p.N()-1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, gk, err := ReadGaloisKey(&buf); err != nil || gk.G != 2*p.N()-1 || len(gk.Ks0Hat) != p.Cfg.QCount {
+		t.Fatalf("honest Galois key refused or reshaped: %v", err)
+	}
+}

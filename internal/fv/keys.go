@@ -8,19 +8,11 @@ import (
 	"repro/internal/sampler"
 )
 
-// SecretKey holds the secret polynomial s (signed binary coefficients, as in
-// the paper) in both coefficient and NTT representation over the q basis.
-type SecretKey struct {
-	S    poly.RNSPoly // coefficient domain
-	SHat poly.RNSPoly // NTT domain
-}
-
-// PublicKey is the ring-LWE pair (p0, p1) = (-(a·s + e), a), stored in the
-// NTT domain where encryption consumes it.
-type PublicKey struct {
-	P0Hat poly.RNSPoly
-	P1Hat poly.RNSPoly
-}
+// SecretKey and PublicKey are the shared RLWE key types over the q basis.
+type (
+	SecretKey = rlwe.SecretKey
+	PublicKey = rlwe.PublicKey
+)
 
 // RelinKey is the relinearization key rlk = (rlk0, rlk1): one pair per
 // decomposition digit, stored in the NTT domain. The fast architecture uses
@@ -58,29 +50,13 @@ func NewKeyGenerator(params *Params, prng *sampler.PRNG) *KeyGenerator {
 // GenSecretKey samples a fresh signed-binary secret.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	p := kg.params
-	s := sampler.SignedBinaryPoly(kg.prng, p.QMods, p.N())
-	sHat := s.Clone()
-	p.TrQ.Forward(sHat)
-	return &SecretKey{S: s, SHat: sHat}
+	return rlwe.GenSecretKey(kg.prng, p.TrQ, p.QMods, p.N())
 }
 
 // GenPublicKey derives a public key for sk.
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	p := kg.params
-	a := sampler.UniformPoly(kg.prng, p.QMods, p.N())
-	e := kg.gauss.SamplePoly(kg.prng, p.QMods, p.N())
-
-	aHat := a.Clone()
-	p.TrQ.Forward(aHat)
-	// p0 = -(a·s + e): compute a·s in the NTT domain, return to
-	// coefficients to add e, then store in NTT domain.
-	as := poly.NewRNSPoly(p.QMods, p.N())
-	aHat.MulInto(sk.SHat, as)
-	p.TrQ.Inverse(as)
-	as.AddInto(e, as)
-	as.NegInto(as)
-	p.TrQ.Forward(as)
-	return &PublicKey{P0Hat: as, P1Hat: aHat}
+	return rlwe.GenPublicKey(kg.prng, kg.gauss, p.TrQ, p.QMods, p.N(), sk)
 }
 
 // GenRelinKey derives a relinearization key for sk in the given variant.

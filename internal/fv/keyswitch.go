@@ -30,28 +30,11 @@ func (kg *KeyGenerator) GenSwitchKey(skFrom, skTo *SecretKey) *SwitchKey {
 }
 
 // SwitchKey re-encrypts ct (valid under the switch key's source secret) to
-// the destination secret: c0' = c0 + SoP(D(c1), ks0), c1' = SoP(D(c1), ks1).
-// The decompose/SoP datapath is the shared fused relinearization kernel
-// (rlwe.KeySwitcher) with the switch key in place of the relin key.
+// the destination secret: c0' = c0 + SoP(D(c1), ks0), c1' = SoP(D(c1), ks1),
+// the relinearization datapath with the switch key in place of the relin key.
 func (ev *Evaluator) SwitchKey(ct *Ciphertext, sw *SwitchKey) *Ciphertext {
-	p := ev.params
 	if len(ct.Els) != 2 {
 		panic("fv: SwitchKey expects a degree-1 ciphertext")
 	}
-	ksw := ev.switcher()
-	digits := ksw.Decompose(ct.Els[1])
-	ksw.SumOfProducts(digits, sw.Ks0Hat, sw.Ks1Hat)
-	ksw.InverseSoP()
-
-	out := NewCiphertext(p, 2)
-	ct.Els[0].AddInto(ksw.Sop0(), out.Els[0])
-	copyRNS(ksw.Sop1(), out.Els[1])
-	return out
-}
-
-// copyRNS copies src's coefficients into dst (same shape).
-func copyRNS(src, dst poly.RNSPoly) {
-	for i := range src.Rows {
-		copy(dst.Rows[i].Coeffs, src.Rows[i].Coeffs)
-	}
+	return ev.keySwitch(ct.Els[0], ct.Els[1], sw.Ks0Hat, sw.Ks1Hat)
 }

@@ -3,6 +3,7 @@ package fv
 import (
 	"repro/internal/mp"
 	"repro/internal/obs"
+	"repro/internal/rlwe"
 )
 
 // NoiseBudget returns the invariant-noise budget of ct in bits, measured
@@ -13,8 +14,7 @@ import (
 // consumes roughly log2(2·t·n) bits, which is what makes the paper's
 // depth-4 target need a 180-bit q (Sec. III-A).
 func NoiseBudget(params *Params, sk *SecretKey, ct *Ciphertext) int {
-	d := &Decryptor{params: params, sk: sk}
-	x := d.innerPoly(ct)
+	x := rlwe.Phase(params.TrQ, sk, ct.Els)
 	q := params.QBasis.Product
 	t := params.Cfg.T
 	res := make([]uint64, params.QBasis.K())

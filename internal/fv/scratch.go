@@ -14,10 +14,10 @@ import (
 // co-processor keeping every pipeline operand resident in on-chip BRAM
 // instead of re-allocating DRAM buffers per operation.
 //
-// The scratch also embeds the three recycled dispatch tasks of the fused
-// kernels (lift+NTT, tensor, digit-NTT+SoP); holding them here rather than
-// constructing closures keeps the dispatch allocation-free and the stage
-// arguments off the heap.
+// The scratch also embeds the recycled dispatch tasks of the fused kernels
+// (lift+NTT here, the shared tensor, digit-NTT+SoP inside the switcher);
+// holding them here rather than constructing closures keeps the dispatch
+// allocation-free and the stage arguments off the heap.
 //
 // Because the scratch is mutable shared state, an Evaluator is single-client:
 // concurrent evaluation needs one Evaluator per goroutine (the engine already
@@ -34,7 +34,7 @@ type evalScratch struct {
 	ksw *rlwe.KeySwitcher
 
 	nttLift nttLiftTask
-	tensor  tensorTask
+	tensor  rlwe.Tensor
 }
 
 // scratch returns the evaluator's scratch, sizing it on first use.
@@ -58,12 +58,6 @@ func (ev *Evaluator) scratch() *evalScratch {
 	return s
 }
 
-// switcher returns the evaluator's shared key-switch core, sizing the
-// scratch on first use.
-func (ev *Evaluator) switcher() *rlwe.KeySwitcher {
-	return ev.scratch().ksw
-}
-
 // nttLiftTask fuses the tail of Lift q→Q with the forward NTT over the full
 // basis: the kept q rows are transformed straight out of the input ciphertext
 // into scratch (ForwardFromInto — the first butterfly level does the copy),
@@ -83,20 +77,3 @@ func (t *nttLiftTask) RunIndex(i int) {
 		t.tables[i].Forward(t.dst[i].Coeffs)
 	}
 }
-
-// tensorTask computes all three tensor rows of one residue prime in a single
-// fused walk (ring.VecTensorInto): the four operand rows are read once per
-// prime instead of once per product.
-type tensorTask struct {
-	a0, a1, b0, b1 []poly.Poly
-	t0, t1, t2     []poly.Poly
-}
-
-func (t *tensorTask) RunIndex(i int) {
-	t.t0[i].Mod.VecTensorInto(
-		t.t0[i].Coeffs, t.t1[i].Coeffs, t.t2[i].Coeffs,
-		t.a0[i].Coeffs, t.a1[i].Coeffs, t.b0[i].Coeffs, t.b1[i].Coeffs)
-}
-
-// The fused digit-NTT+SoP kernel and its raw-accumulation range check moved
-// to internal/rlwe (KeySwitcher), where the CKKS binding shares them.

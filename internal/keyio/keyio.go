@@ -12,11 +12,12 @@
 //
 // The container owns the framing and the integrity check, the header
 // convention both schemes use (WriteKey, ReadKey: the header blob is the
-// scheme's Config as JSON, from which the reader rebuilds the parameter set)
-// and the packing of a polynomial's residue rows (WriteRows, ReadRows: 32-bit
-// words, as on the wire); the scheme owns its Config and the order of the
-// polynomials in the payload, so every scheme gets the same ErrCorruptKey
-// hardening for free.
+// scheme's Config as JSON, from which the reader rebuilds the parameter set),
+// the packing of a payload's meta words (WriteWords, ReadWords) and of a
+// polynomial's residue rows (WriteRows, ReadRows: 32-bit words, as on the
+// wire); the scheme owns its Config, what its meta words mean and the order
+// of the polynomials in the payload, so every scheme gets the same
+// ErrCorruptKey hardening for free.
 package keyio
 
 import (
@@ -202,6 +203,27 @@ func ReadKey[C, P, K any](r io.Reader, s Scheme, newParams func(C) (P, error), p
 		}
 		return params, err
 	}, payload)
+}
+
+// WriteWords writes a payload's meta words — whatever a scheme's layout puts
+// ahead of its polynomials: a gadget's variant and digit count, a Galois
+// element, a level count — as little-endian uint32s.
+func WriteWords(w io.Writer, words ...uint32) error {
+	buf := make([]byte, 0, 4*len(words))
+	for _, v := range words {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// ReadWords reads count meta words written by WriteWords.
+func ReadWords(r io.Reader, count int) ([]uint32, error) {
+	words := make([]uint32, count)
+	if err := binary.Read(r, binary.LittleEndian, words); err != nil {
+		return nil, err
+	}
+	return words, nil
 }
 
 // WriteRows writes x, a polynomial of n coefficients over mods, as its

@@ -192,3 +192,24 @@ func TestKeyFileRows(t *testing.T) {
 		}
 	}
 }
+
+// TestMetaWords: a payload's meta words are little-endian uint32s, byte for
+// byte what the schemes' hand-packed headers were, and a short read is an
+// error.
+func TestMetaWords(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteWords(&buf, 1, 30, 7, 0xfffffffe); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{1, 0, 0, 0, 30, 0, 0, 0, 7, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteWords wrote % x, want % x", buf.Bytes(), want)
+	}
+	got, err := ReadWords(&buf, 4)
+	if err != nil || got[0] != 1 || got[1] != 30 || got[2] != 7 || got[3] != 0xfffffffe {
+		t.Fatalf("ReadWords = %v, %v", got, err)
+	}
+	if _, err := ReadWords(bytes.NewReader(want[:15]), 4); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short meta read returned %v", err)
+	}
+}

@@ -272,6 +272,46 @@ func TestRNSPolyOps(t *testing.T) {
 	}
 }
 
+// TestRNSPolyRowViews: Prefix is a view, not a copy — a row subset of an
+// NTT-domain polynomial is the transform of the restricted polynomial, which
+// is what lets a level read a full-chain key — extra rows follow the prefix
+// in the order named, and CopyInto moves coefficients between equal shapes.
+func TestRNSPolyRowViews(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	mods, tr := testSetup(t, 64, 4)
+	a := NewRNSPoly(mods, 64)
+	for i := range mods {
+		copy(a.Rows[i].Coeffs, randPoly(r, mods[i], 64).Coeffs)
+	}
+	hat := a.Clone()
+	tr.Forward(hat)
+
+	head := a.Prefix(2).Clone()
+	tr.SubTransformer(2).Forward(head)
+	if !head.Equal(hat.Prefix(2)) {
+		t.Fatal("the prefix of a transform is not the transform of the prefix")
+	}
+	view := a.Prefix(2, 3)
+	if view.Level() != 3 || &view.Rows[0].Coeffs[0] != &a.Rows[0].Coeffs[0] || &view.Rows[2].Coeffs[0] != &a.Rows[3].Coeffs[0] {
+		t.Fatal("Prefix(2, 3) is not rows 0, 1, 3 of its polynomial, shared")
+	}
+	if len(a.Rows) != 4 || a.Rows[2].Mod.Q != mods[2].Q {
+		t.Fatal("taking a view disturbed the polynomial's own rows")
+	}
+
+	dst := NewRNSPoly(mods[:2], 64)
+	a.Prefix(2).CopyInto(dst)
+	if !dst.Equal(a.Prefix(2)) || &dst.Rows[0].Coeffs[0] == &a.Rows[0].Coeffs[0] {
+		t.Fatal("CopyInto did not copy")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyInto across shapes should panic")
+		}
+	}()
+	a.CopyInto(dst)
+}
+
 func TestRNSPolyLevelMismatchPanics(t *testing.T) {
 	mods, _ := testSetup(t, 8, 3)
 	a := NewRNSPoly(mods, 8)

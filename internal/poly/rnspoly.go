@@ -43,6 +43,30 @@ func (p RNSPoly) N() int {
 // Level returns the number of residue rows.
 func (p RNSPoly) Level() int { return len(p.Rows) }
 
+// Prefix returns the view of p made of its first k rows, followed by the
+// rows named in extra (a key-switch row set is a chain prefix plus the
+// special prime's row). The view shares p's coefficient storage: per-prime
+// rows are independent, so a row subset of an NTT-domain polynomial is
+// exactly the transform of the restricted polynomial.
+func (p RNSPoly) Prefix(k int, extra ...int) RNSPoly {
+	if len(extra) == 0 {
+		return RNSPoly{Rows: p.Rows[:k]}
+	}
+	rows := append(make([]Poly, 0, k+len(extra)), p.Rows[:k]...)
+	for _, i := range extra {
+		rows = append(rows, p.Rows[i])
+	}
+	return RNSPoly{Rows: rows}
+}
+
+// CopyInto copies p's coefficients into dst (same shape).
+func (p RNSPoly) CopyInto(dst RNSPoly) {
+	p.checkCompat(dst)
+	for i := range p.Rows {
+		copy(dst.Rows[i].Coeffs, p.Rows[i].Coeffs)
+	}
+}
+
 func (p RNSPoly) checkCompat(o RNSPoly) {
 	if len(p.Rows) != len(o.Rows) {
 		panic(fmt.Sprintf("poly: RNS level mismatch (%d vs %d)", len(p.Rows), len(o.Rows)))

@@ -1,6 +1,8 @@
 package rlwe
 
 import (
+	"fmt"
+
 	"repro/internal/poly"
 	"repro/internal/ring"
 )
@@ -9,6 +11,17 @@ import (
 // scheme bindings implement slot rotation as an automorphism followed by the
 // gadget key switch; the index permutation is scheme-independent and lives
 // here.
+
+// CheckGaloisElement refuses anything but an odd g with 1 ≤ g < 2n — the
+// units of Z_2n, which are exactly the g for which σ_g is an automorphism.
+// Key generators, key-file readers and slot-permutation tracing all stand on
+// this one check.
+func CheckGaloisElement(g, n int) error {
+	if g%2 == 0 || g < 1 || g >= 2*n {
+		return fmt.Errorf("rlwe: invalid Galois element %d (need odd, 1 ≤ g < %d)", g, 2*n)
+	}
+	return nil
+}
 
 // AutomorphRowInto computes dst = σ_g(src) for one residue row in
 // coefficient representation: coefficient i moves to position i·g mod 2n,
@@ -36,4 +49,11 @@ func AutomorphInto(g int, src, dst poly.RNSPoly) {
 	for i := range src.Rows {
 		AutomorphRowInto(src.Rows[i].Mod, g, src.Rows[i], dst.Rows[i])
 	}
+}
+
+// Automorph returns σ_g(src) in fresh rows.
+func Automorph(g int, src poly.RNSPoly) poly.RNSPoly {
+	dst := zeroLike(src)
+	AutomorphInto(g, src, dst)
+	return dst
 }

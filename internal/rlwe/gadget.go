@@ -1,11 +1,15 @@
-// Package rlwe holds the scheme-independent RLWE machinery shared by the
-// scheme bindings (internal/fv, internal/ckks): the gadget key-switching key
-// construction, the fused decompose/sum-of-products datapath that both
-// relinearization and Galois rotation execute, and the budget-guard hook the
-// serving engine screens operations through. BFV and CKKS differ in how they
-// encode messages and manage error growth; the keyswitch core they run on
-// the accelerator is the same instruction mix, which is why it lives here
-// once.
+// Package rlwe is the one RLWE software layer under the scheme bindings
+// (internal/fv, internal/ckks): secret and public keys, the zero-encryption
+// and decryption-phase core and their key-file bodies (keys.go), the gadget
+// key-switching key construction, the tensor product, the key-switch
+// datapath — decompose, fused sum of products, inverse — that
+// relinearization, Galois rotation and general key switching all execute
+// with a different key (KeySwitcher.Switch), the Galois automorphism, the
+// ciphertext wire codec, and the budget-guard hook the serving engine
+// screens operations through. BFV and CKKS differ in how they embed a
+// message, which moduli a key spans, the basis the tensor runs over and what
+// follows the digit loop (DESIGN §4j′); what they run is the same, which is
+// why it lives here once.
 package rlwe
 
 import (
@@ -29,17 +33,8 @@ func GenGadgetKey(prng *sampler.PRNG, gauss *sampler.Gaussian, tr *poly.Transfor
 	mods []ring.Modulus, n int, gadgets []poly.RNSPoly, sHat, payloadHat poly.RNSPoly,
 ) (ks0Hat, ks1Hat []poly.RNSPoly) {
 	for i := range gadgets {
-		a := sampler.UniformPoly(prng, mods, n)
-		e := gauss.SamplePoly(prng, mods, n)
-		aHat := a.Clone()
-		tr.Forward(aHat)
-
 		// ks0_i = -(a·s + e) + g_i·payload.
-		body := poly.NewRNSPoly(mods, n)
-		aHat.MulInto(sHat, body)
-		tr.Inverse(body)
-		body.AddInto(e, body)
-		body.NegInto(body)
+		body, aHat := maskedZero(prng, gauss, tr, mods, n, sHat)
 		for j := range mods {
 			gs := poly.NewPoly(mods[j], n)
 			// g_i·payload has NTT rows payloadHat scaled by the row constant;

@@ -1,6 +1,9 @@
 package rlwe
 
 import (
+	"fmt"
+
+	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/ring"
 	"repro/internal/rns"
@@ -62,6 +65,38 @@ func NewKeySwitcherExt(pool *poly.Pool, tr *poly.Transformer, digitBasis *rns.Ba
 	return ks
 }
 
+// Switch is the whole gadget key switch of x (coefficient domain) under the
+// key (k0, k1): decompose into digits, the fused digit-NTT + sum-of-products
+// kernel, inverse transform — the paper's one ReLin datapath, which
+// relinearization (x = c̃2), rotation (x = σ_g(c1)) and general key switching
+// (x = c1) all are with a different key. It returns the two accumulators in
+// the coefficient domain (switcher-owned scratch, valid until the next
+// Switch): Σ d_i·k0_i to add onto the c0 side, Σ d_i·k1_i for the c1 side —
+// at P times that for an extended switcher, whose caller ModDowns next.
+//
+// With digits nil the switcher decomposes x over its RNS gadget; a caller
+// with another gadget (the traditional positional one) supplies its own
+// digits over the switcher's moduli, which Switch consumes in place. The
+// stages report under parent as "decomp" (internal digits only), "sop",
+// "intt"; a zero Scope records nothing.
+func (ks *KeySwitcher) Switch(parent obs.Scope, x poly.RNSPoly, digits, k0, k1 []poly.RNSPoly) (s0, s1 poly.RNSPoly) {
+	if digits == nil {
+		st := parent.Child("decomp")
+		digits = ks.Decompose(x)
+		st.End()
+	}
+	if len(digits) != len(k0) || len(k0) != len(k1) {
+		panic(fmt.Sprintf("rlwe: key has %d+%d components, decomposition produced %d digits", len(k0), len(k1), len(digits)))
+	}
+	st := parent.Child("sop")
+	ks.SumOfProducts(digits, k0, k1)
+	st.End()
+	st = parent.Child("intt")
+	ks.InverseSoP()
+	st.End()
+	return ks.sop0, ks.sop1
+}
+
 // Decompose RNS-decomposes x (coefficient domain) into the switcher's digit
 // scratch and returns it. The slice is owned by the switcher; it is valid
 // until the next Decompose.
@@ -86,17 +121,12 @@ func (ks *KeySwitcher) SumOfProducts(digits, k0, k1 []poly.RNSPoly) {
 }
 
 // InverseSoP inverse-transforms both accumulators back to the coefficient
-// domain.
+// domain. Switch hands them out; the three stages stay exported one by one
+// for the benchmark's layer timing.
 func (ks *KeySwitcher) InverseSoP() {
 	ks.tr.Inverse(ks.sop0)
 	ks.tr.Inverse(ks.sop1)
 }
-
-// Sop0 returns the c0-side accumulator (switcher-owned scratch).
-func (ks *KeySwitcher) Sop0() poly.RNSPoly { return ks.sop0 }
-
-// Sop1 returns the c1-side accumulator (switcher-owned scratch).
-func (ks *KeySwitcher) Sop1() poly.RNSPoly { return ks.sop1 }
 
 // sopTask fuses the key-switch digit NTTs with the MACs, one residue row per
 // task: row j forward-transforms every digit's j-th row and immediately

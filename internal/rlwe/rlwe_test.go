@@ -204,7 +204,7 @@ func TestKeySwitchCoreMatchesSchoolbook(t *testing.T) {
 			ks.SumOfProducts(ks.Decompose(x), k0Hat, k1Hat)
 			ks.InverseSoP()
 			digits := schoolbookDigits(basis, mods, x)
-			if !ks.Sop0().Equal(schoolbookSoP(mods, digits, k0)) || !ks.Sop1().Equal(schoolbookSoP(mods, digits, k1)) {
+			if !ks.sop0.Equal(schoolbookSoP(mods, digits, k0)) || !ks.sop1.Equal(schoolbookSoP(mods, digits, k1)) {
 				t.Fatalf("%s layout, seed %d: keyswitch core differs from the schoolbook sum of products", l.name, seed)
 			}
 		}
@@ -233,7 +233,7 @@ func TestKeySwitchSwitchesKeys(t *testing.T) {
 		// switched = sop0 + sop1 ⊛ s, schoolbook, over the carried rows.
 		switched := poly.NewRNSPoly(mods, ksN)
 		for j := range mods {
-			ks.Sop0().Rows[j].AddInto(poly.NegacyclicMulSchoolbook(ks.Sop1().Rows[j], s.Rows[j]), switched.Rows[j])
+			ks.sop0.Rows[j].AddInto(poly.NegacyclicMulSchoolbook(ks.sop1.Rows[j], s.Rows[j]), switched.Rows[j])
 		}
 		noiseBits := 42 // k·n digit words of 30 bits against a σ = 3.2 error: about 36
 		if l.special {
