@@ -64,57 +64,24 @@ func BenchmarkTableI_AddInHW(b *testing.B) {
 
 // --- Table II: individual instructions ---
 
-func benchInstr(b *testing.B, run func(*hebench.Suite) (hwsim.Cycles, error), paperUS float64) {
+// benchInstr reports one instruction's entry in the paper-set co-processor's
+// cost table, the figure Exec charges it.
+func benchInstr(b *testing.B, op hwsim.Op, paperUS float64) {
 	b.Helper()
-	s := suite(b)
+	c := suite(b).Accel.Coproc
 	var cyc hwsim.Cycles
 	for i := 0; i < b.N; i++ {
-		c, err := run(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cyc = c
+		cyc = c.Cycles(hwsim.Instr{Op: op})
 	}
 	b.ReportMetric(cyc.Micros(), "sim-µs/op")
 	b.ReportMetric(paperUS, "paper-µs/op")
 }
 
-func BenchmarkTableII_NTT(b *testing.B) {
-	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := s.Accel.Coproc
-		u := c.RPAUs[0].Units[c.Mods[0].Q]
-		return u.ForwardCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
-	}, 73.0)
-}
-
-func BenchmarkTableII_InverseNTT(b *testing.B) {
-	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := s.Accel.Coproc
-		u := c.RPAUs[0].Units[c.Mods[0].Q]
-		return u.InverseCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
-	}, 85.0)
-}
-
-func BenchmarkTableII_CoeffMul(b *testing.B) {
-	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		t := hwsim.DefaultTiming()
-		return hwsim.Cycles(s.Params.N()/2 + t.ButterflyPipelineDepth + t.InstrDispatchCycles), nil
-	}, 13.1)
-}
-
-func BenchmarkTableII_LiftQtoQ(b *testing.B) {
-	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := s.Accel.Coproc
-		return c.LiftU.HPSCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
-	}, 82.6)
-}
-
-func BenchmarkTableII_ScaleQtoQ(b *testing.B) {
-	benchInstr(b, func(s *hebench.Suite) (hwsim.Cycles, error) {
-		c := s.Accel.Coproc
-		return c.ScaleU.HPSCycles() + hwsim.Cycles(hwsim.DefaultTiming().InstrDispatchCycles), nil
-	}, 82.7)
-}
+func BenchmarkTableII_NTT(b *testing.B)        { benchInstr(b, hwsim.OpNTT, 73.0) }
+func BenchmarkTableII_InverseNTT(b *testing.B) { benchInstr(b, hwsim.OpINTT, 85.0) }
+func BenchmarkTableII_CoeffMul(b *testing.B)   { benchInstr(b, hwsim.OpCMul, 13.1) }
+func BenchmarkTableII_LiftQtoQ(b *testing.B)   { benchInstr(b, hwsim.OpLift, 82.6) }
+func BenchmarkTableII_ScaleQtoQ(b *testing.B)  { benchInstr(b, hwsim.OpScale, 82.7) }
 
 // --- Fig. 3: the dual-core NTT memory schedule ---
 
@@ -283,8 +250,8 @@ func BenchmarkAblation_TraditionalLiftScale(b *testing.B) {
 	c := s.AccelTrad.Coproc
 	var liftMS, scaleMS float64
 	for i := 0; i < b.N; i++ {
-		liftMS = float64(c.LiftU.TraditionalCycles(1)) / hwsim.TradClockHz * 1e3
-		scaleMS = float64(c.ScaleU.TraditionalCycles(1)) / hwsim.TradClockHz * 1e3
+		liftMS = float64(c.TraditionalCycles(hwsim.OpLift, 1)) / hwsim.TradClockHz * 1e3
+		scaleMS = float64(c.TraditionalCycles(hwsim.OpScale, 1)) / hwsim.TradClockHz * 1e3
 	}
 	b.ReportMetric(liftMS, "sim-lift-ms")   // paper: 1.68 ms
 	b.ReportMetric(scaleMS, "sim-scale-ms") // paper: 4.3 ms

@@ -417,15 +417,11 @@ func (e *Engine) runProgTask(w *worker, t *progTask) {
 
 // swOpCycles models a software-executed program node in FPGA cycles so the
 // makespan stays in one unit: `passes` coefficient-wise passes over a full
-// R_q ciphertext component (k residue rows of n lanes, two lanes per RPAU
-// cycle, rows fanned across the co-processor's RPAUs) plus one instruction
-// dispatch. This mirrors the hwsim CADD/CMUL cost shape (n/2 + pipeline
-// depth per row wave).
+// R_q ciphertext component plus one instruction dispatch. A pass costs what
+// the co-processor's cost table charges a CADD over the q batch, less its
+// dispatch (the RPAUs cover every q row at once).
 func (e *Engine) swOpCycles(passes int) hwsim.Cycles {
 	c := e.workers[0].accel.Coproc
-	k := c.KQ
-	rpaus := c.NumRPAUs()
-	rowWaves := (k + rpaus - 1) / rpaus
-	perPass := hwsim.Cycles(rowWaves * (c.N/2 + c.Timing.ButterflyPipelineDepth))
-	return hwsim.Cycles(passes)*perPass + hwsim.Cycles(c.Timing.InstrDispatchCycles)
+	pass := c.Cycles(hwsim.Instr{Op: hwsim.OpCAdd, Batch: hwsim.BatchQ}) - c.Dispatch()
+	return hwsim.Cycles(passes)*pass + c.Dispatch()
 }

@@ -200,22 +200,13 @@ func (ev *Evaluator) mulNoRelinInto(parent obs.Scope, a, b, out *Ciphertext) {
 // scaleInto scales the full-basis x down to the q basis into out through the
 // evaluator's variant.
 func (ev *Evaluator) scaleInto(x, out poly.RNSPoly) {
-	if ev.variant == Traditional {
-		ev.params.Scaler.ScalePolyTraditionalInto(x, out)
-	} else {
-		ev.params.Scaler.ScalePolyInto(x, out)
-	}
+	ev.params.Scaler.ScalePolyVariantInto(ev.variant, x, out)
 }
 
 // liftTargets computes the p-basis rows of the lift of x into dst's tail
 // rows; dst's q rows are left untouched (forwardLifted fills them).
 func (ev *Evaluator) liftTargets(x, dst poly.RNSPoly) {
-	kq := ev.params.Cfg.QCount
-	if ev.variant == Traditional {
-		ev.params.Lifter.LiftTargetsTraditionalInto(x, dst.Rows[kq:])
-	} else {
-		ev.params.Lifter.LiftTargetsInto(x, dst.Rows[kq:])
-	}
+	ev.params.Lifter.LiftTargetsVariantInto(ev.variant, x, dst.Rows[ev.params.Cfg.QCount:])
 }
 
 // forwardLifted forward-transforms the lifted operand dst over the full

@@ -18,23 +18,14 @@ import (
 )
 
 // LiftScaleVariant selects which of the paper's two design points performs
-// the Lift q→Q and Scale Q→q operations.
-type LiftScaleVariant int
+// the Lift q→Q and Scale Q→q operations (rns.Variant: rns holds both
+// dataflows).
+type LiftScaleVariant = rns.Variant
 
 const (
-	// HPS is the Halevi–Polyakov–Shoup small-integer method (the paper's
-	// faster architecture, Figs. 6 and 9).
-	HPS LiftScaleVariant = iota
-	// Traditional is the multi-precision CRT method (Figs. 5 and 8).
-	Traditional
+	HPS         = rns.HPS
+	Traditional = rns.Traditional
 )
-
-func (v LiftScaleVariant) String() string {
-	if v == Traditional {
-		return "traditional"
-	}
-	return "hps"
-}
 
 // Config describes a parameter set before precomputation.
 type Config struct {

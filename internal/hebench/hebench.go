@@ -296,11 +296,10 @@ func (s *Suite) TableV() Table {
 // optimization: traditional Lift/Scale timings and the full Mult.
 func (s *Suite) TableNoHPS() (Table, error) {
 	t := Table{ID: "Sec. VI-C", Title: "Performance without HPS optimization (225 MHz co-processor)"}
-	lift := s.AccelTrad.Coproc.LiftU
-	scale := s.AccelTrad.Coproc.ScaleU
 	// Single-core latencies at the traditional design's 225 MHz clock.
-	liftMs := float64(lift.TraditionalCycles(1)) / hwsim.TradClockHz * 1e3
-	scaleMs := float64(scale.TraditionalCycles(1)) / hwsim.TradClockHz * 1e3
+	c := s.AccelTrad.Coproc
+	liftMs := float64(c.TraditionalCycles(hwsim.OpLift, 1)) / hwsim.TradClockHz * 1e3
+	scaleMs := float64(c.TraditionalCycles(hwsim.OpScale, 1)) / hwsim.TradClockHz * 1e3
 
 	_, rep, err := s.AccelTrad.Mul(s.CtA, s.CtB, s.RKTrad)
 	if err != nil {
@@ -412,11 +411,9 @@ func (s *Suite) Comparison() (Table, error) {
 func (s *Suite) Ablations() (Table, error) {
 	t := Table{ID: "Ablations", Title: "Design-choice ablations (paper design points)"}
 	c := s.Accel.Coproc
-	u := c.RPAUs[0].Units[c.Mods[0].Q]
-
-	paired := float64(u.ForwardCycles())
-	naive := float64(u.NaiveForwardCycles())
-	bubble := float64(u.BubbleForwardCycles())
+	paired := float64(hwsim.NTTCycles(c.N, c.Timing))
+	naive := float64(hwsim.NaiveNTTCycles(c.N, c.Timing))
+	bubble := float64(hwsim.BubbleNTTCycles(c.N, c.Timing))
 
 	_, repFast, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {

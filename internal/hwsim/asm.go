@@ -19,10 +19,13 @@ import (
 //	cmul  s4, s0, s2 [P]
 //	wdec  s14, s10, #3
 //	scale s8, s4
+//	resc  s10, s8 [P]      ; CKKS Rescale ([Q]) or ModDown ([P])
 //	dma   98304            ; a host DMA transfer of N bytes
 //
-// Slot operands are s<N>; the optional [Q]/[P] selects the RPAU batch
-// (default Q); wdec's third operand is a #digit index.
+// Slot operands are s<N> (s0–s255; the third slot of a three-slot form
+// s0–s127, the width of the word's B field); the optional [Q]/[P] selects
+// the RPAU batch (default Q); wdec's third operand is a #digit index
+// (0–127).
 func Assemble(src string) (*Program, error) {
 	prog := &Program{}
 	for lineNo, raw := range strings.Split(src, "\n") {
@@ -99,9 +102,9 @@ func Assemble(src string) (*Program, error) {
 				return nil, fmt.Errorf("hwsim: line %d: %s takes one slot", lineNo+1, mnemonic)
 			}
 			in.A, err = slot(operands[0])
-		case OpScale:
+		case OpScale, OpRescale:
 			if len(operands) != 2 {
-				return nil, fmt.Errorf("hwsim: line %d: scale takes dst, src", lineNo+1)
+				return nil, fmt.Errorf("hwsim: line %d: %s takes dst, src", lineNo+1, mnemonic)
 			}
 			if in.Dst, err = slot(operands[0]); err == nil {
 				in.A, err = slot(operands[1])
@@ -114,7 +117,7 @@ func Assemble(src string) (*Program, error) {
 				if in.A, err = slot(operands[1]); err == nil {
 					var d int
 					d, err = strconv.Atoi(operands[2][1:])
-					if err == nil && (d < 0 || d > 127) {
+					if err == nil && (d < 0 || d > maxB) {
 						err = fmt.Errorf("hwsim: line %d: digit index out of range", lineNo+1)
 					}
 					in.B = uint8(d)
@@ -127,6 +130,11 @@ func Assemble(src string) (*Program, error) {
 			if in.Dst, err = slot(operands[0]); err == nil {
 				if in.A, err = slot(operands[1]); err == nil {
 					in.B, err = slot(operands[2])
+					if err == nil && in.B > maxB {
+						// The word's B field is 7 bits: a wider slot would
+						// encode as a different one.
+						err = fmt.Errorf("hwsim: line %d: %s's third slot s%d does not fit the 7-bit B field", lineNo+1, mnemonic, in.B)
+					}
 				}
 			}
 		}

@@ -22,13 +22,14 @@ func TestAssembleRoundTrip(t *testing.T) {
 		"intt  s4 [P]",
 		"scale s8, s4",
 		"dma   98304",
+		"resc  s10, s8 [P]",
 	}, "\n")
 	prog, err := Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Steps) != 13 {
-		t.Fatalf("assembled %d steps, want 13", len(prog.Steps))
+	if len(prog.Steps) != 14 {
+		t.Fatalf("assembled %d steps, want 14", len(prog.Steps))
 	}
 	if err := ValidateProgram(prog, 16); err != nil {
 		t.Fatal(err)
@@ -49,6 +50,9 @@ func TestAssembleRoundTrip(t *testing.T) {
 	}
 	if prog.Steps[12].Transfer == nil || prog.Steps[12].Transfer.Bytes != 98304 {
 		t.Fatal("dma parsed wrong")
+	}
+	if in := prog.Steps[13].Instr; in.Op != OpRescale || in.Dst != 10 || in.A != 8 || in.Batch != BatchP {
+		t.Fatalf("resc parsed wrong: %+v", in)
 	}
 }
 

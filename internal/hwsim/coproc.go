@@ -75,22 +75,28 @@ func (s *Stats) Ops() []Op {
 	return ops
 }
 
+// Variant selects the co-processor generation: the HPS-optimized fast
+// architecture or the traditional multi-precision one. It is the type — and
+// the word — a relinearization key records.
+type Variant = rns.Variant
+
+const (
+	VariantHPS         = rns.HPS
+	VariantTraditional = rns.Traditional
+)
+
 // Coprocessor is the instruction-set co-processor of the paper's Fig. 10:
 // a memory file, seven (in the paper's configuration) RPAUs serving the
 // 6+7 RNS primes in two batches, and the parallel Lift/Scale cores. It
-// executes programs functionally while accounting cycles.
+// executes programs functionally on the poly/rns kernels and charges every
+// instruction its entry in the cost table (cost.go).
 type Coprocessor struct {
 	Mods    []ring.Modulus // q primes then p primes
 	KQ, KP  int
 	N       int
 	Variant Variant
 	Timing  Timing
-
-	RPAUs  []*RPAU
-	LiftU  *LiftUnit
-	ScaleU *ScaleUnit
-	RescU  *RescaleUnit
-	DMAEng DMA
+	DMAEng  DMA
 
 	// Basis is the CRT basis WordDecomp extracts gadget digits over (the q
 	// part of the row set). The BFV co-processor inherits it from the
@@ -104,6 +110,19 @@ type Coprocessor struct {
 	// the hybrid keyswitch. BFV keys carry no extension row, so the BFV
 	// co-processor leaves this off.
 	extendDigits bool
+
+	// The datapaths' functional kernels. tables[j] is the twiddle ROM of
+	// residue row j, held by the RPAU serving that prime. ext and scaler are
+	// the BFV co-processor's Lift and Scale; rescQ (divide by the top chain
+	// prime, any chain prefix) and rescP (divide the extended key-switch rows
+	// by the special prime: the ModDown) are the chain co-processor's
+	// Rescale. liftBits and scaleBits are the widths of q and Q, what the
+	// traditional division's cost depends on.
+	tables              []*poly.NTTTable
+	ext                 *rns.Extender
+	scaler              *rns.ScaleRounder
+	rescQ, rescP        *rns.Rescaler
+	liftBits, scaleBits int
 
 	// Pool fans the per-prime row loops of Exec across goroutines — the
 	// simulator actually computing the way the hardware does, with every
@@ -153,25 +172,24 @@ func NewCoprocessor(qmods, pmods []ring.Modulus, n int,
 	c := &Coprocessor{
 		Mods: all, KQ: kq, KP: kp, N: n,
 		Variant: variant, Timing: timing,
-		Pool:   ext.Pool,
-		LiftU:  NewLiftUnit(ext, n, timing),
-		ScaleU: NewScaleUnit(sc, n, timing),
-		Basis:  ext.Src,
-		DMAEng: DMA{Timing: timing},
-		slots:  make([]slot, slotCount),
-		Stats:  &Stats{PerOp: map[Op]*OpStat{}},
+		Pool:      ext.Pool,
+		ext:       ext,
+		scaler:    sc,
+		liftBits:  ext.Src.Product.BitLen(),
+		scaleBits: sc.QB.Product.Mul(sc.PB.Product).BitLen(),
+		Basis:     ext.Src,
+		DMAEng:    DMA{Timing: timing},
+		slots:     make([]slot, slotCount),
+		Stats:     &Stats{PerOp: map[Op]*OpStat{}},
 	}
-	if err := c.buildRPAUs(qmods, pmods); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c.withTables()
 }
 
 // NewCoprocessorChain builds a CKKS chain co-processor for one level of the
 // modulus chain: the q rows are the chain prefix q_0..q_ℓ, the single p row
 // is the keyswitch special prime p*, and basis is the level's gadget
 // (digit) basis. In place of the BFV Lift/Scale engines it carries the
-// Rescale unit, and WordDecomp extends digits onto the p* row — the two
+// Rescale datapath, and WordDecomp extends digits onto the p* row — the two
 // dataflow differences between HPS scaling and CKKS rescaling on otherwise
 // identical RPAU hardware.
 func NewCoprocessorChain(qmods []ring.Modulus, pmod ring.Modulus, basis *rns.Basis,
@@ -181,52 +199,40 @@ func NewCoprocessorChain(qmods []ring.Modulus, pmod ring.Modulus, basis *rns.Bas
 	if kq == 0 {
 		return nil, fmt.Errorf("hwsim: chain co-processor needs at least one q prime")
 	}
-	pmods := []ring.Modulus{pmod}
 	all := append(append([]ring.Modulus(nil), qmods...), pmod)
 	c := &Coprocessor{
 		Mods: all, KQ: kq, KP: 1, N: n,
 		Variant: VariantHPS, Timing: timing,
 		Pool:         pool,
-		RescU:        NewRescaleUnit(qmods, pmod, n, timing),
+		rescQ:        rns.NewRescaler(qmods),
+		rescP:        rns.NewRescaler(all),
 		Basis:        basis,
 		extendDigits: true,
 		DMAEng:       DMA{Timing: timing},
 		slots:        make([]slot, slotCount),
 		Stats:        &Stats{PerOp: map[Op]*OpStat{}},
 	}
-	if err := c.buildRPAUs(qmods, pmods); err != nil {
-		return nil, err
+	return c.withTables()
+}
+
+// withTables builds every row's twiddle ROM and returns c.
+func (c *Coprocessor) withTables() (*Coprocessor, error) {
+	c.tables = make([]*poly.NTTTable, len(c.Mods))
+	for j, m := range c.Mods {
+		t, err := poly.NewNTTTable(m, c.N)
+		if err != nil {
+			return nil, err
+		}
+		c.tables[j] = t
 	}
 	return c, nil
 }
 
-// buildRPAUs applies the RPAU sharing of Sec. V-A1: RPAU i serves q_i and
-// p_i; with kp = kq+1 the last RPAU serves only the final p prime (and with
-// kp = 1, the chain shape, RPAU 0 shares the special prime).
-func (c *Coprocessor) buildRPAUs(qmods, pmods []ring.Modulus) error {
-	numRPAU := len(qmods)
-	if len(pmods) > numRPAU {
-		numRPAU = len(pmods)
-	}
-	for i := 0; i < numRPAU; i++ {
-		var served []ring.Modulus
-		if i < len(qmods) {
-			served = append(served, qmods[i])
-		}
-		if i < len(pmods) {
-			served = append(served, pmods[i])
-		}
-		r, err := NewRPAU(i, c.N, served, c.Timing)
-		if err != nil {
-			return err
-		}
-		c.RPAUs = append(c.RPAUs, r)
-	}
-	return nil
-}
-
-// NumRPAUs returns the RPAU count (⌈13/2⌉ = 7 for the paper set).
-func (c *Coprocessor) NumRPAUs() int { return len(c.RPAUs) }
+// NumRPAUs returns the RPAU count (⌈13/2⌉ = 7 for the paper set). By the
+// resource sharing of Sec. V-A1, RPAU i serves q_i and p_i: with kp = kq+1
+// the last RPAU serves only the final p prime, and with kp = 1, the chain
+// shape, RPAU 0 shares the special prime.
+func (c *Coprocessor) NumRPAUs() int { return max(c.KQ, c.KP) }
 
 // batchRange returns the prime-index range [lo, hi) of a batch.
 func (c *Coprocessor) batchRange(b Batch) (int, int) {
@@ -234,14 +240,6 @@ func (c *Coprocessor) batchRange(b Batch) (int, int) {
 		return 0, c.KQ
 	}
 	return c.KQ, c.KQ + c.KP
-}
-
-// rpauFor returns the RPAU serving prime index j.
-func (c *Coprocessor) rpauFor(j int) *RPAU {
-	if j < c.KQ {
-		return c.RPAUs[j]
-	}
-	return c.RPAUs[j-c.KQ]
 }
 
 func (c *Coprocessor) slotAt(i uint8) *slot {
@@ -425,10 +423,11 @@ func (c *Coprocessor) Transfer(t Transfer) Cycles {
 	return cyc
 }
 
-// Exec executes one instruction and returns its FPGA-cycle duration
-// (compute plus dispatch overhead). With a fault injector or the integrity
-// checker attached it runs the guarded path (integrity.go); otherwise it is
-// the seed path bit-for-bit and cycle-for-cycle.
+// Exec executes one instruction and returns its FPGA-cycle duration, which
+// is Cycles(in). With a fault injector or the integrity checker attached it
+// runs the guarded path (integrity.go), which may add an injected stall and
+// the cycles of a recomputation; otherwise it is the seed path bit-for-bit
+// and cycle-for-cycle.
 func (c *Coprocessor) Exec(in Instr) (Cycles, error) {
 	if c.integrity == nil && c.injector == nil {
 		return c.execOp(in)
@@ -436,13 +435,13 @@ func (c *Coprocessor) Exec(in Instr) (Cycles, error) {
 	return c.execGuarded(in)
 }
 
-// execOp is the raw instruction interpreter shared by both paths. Every
+// execOp is the raw instruction interpreter shared by both paths: it runs the
+// instruction's kernels and then charges its cost-table entry. Every
 // instruction validates its operands (materializing the rows it reads) before
 // it writes anything, so a refused instruction leaves the memory file as it
-// found it; rows an instruction overwrites in full are taken with wrow and
-// never cleared first.
+// found it and charges nothing; rows an instruction overwrites in full are
+// taken with wrow and never cleared first.
 func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
-	var cyc Cycles
 	switch in.Op {
 	case OpNTT, OpINTT:
 		lo, hi := c.batchRange(in.Batch)
@@ -453,7 +452,7 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		}
 		// Validate domains and materialize rows up front, then let the RPAUs
 		// transform their residue polynomials concurrently, as the hardware
-		// does (the cycle count is one unit's latency either way).
+		// does.
 		rows := c.rowHdrs(hi - lo)
 		for j := lo; j < hi; j++ {
 			rows[j-lo] = c.row(s, j)
@@ -464,22 +463,15 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		for j := lo; j < hi; j++ {
 			s.domain[j] = set
 		}
-		var unitCycles Cycles
+		tables := c.tables[lo:hi]
+		inverse := in.Op == OpINTT
 		c.Pool.Run(c.N*len(rows), len(rows), func(i int) {
-			j := lo + i
-			if in.Op == OpNTT {
-				uc := c.rpauFor(j).NTT(rows[i])
-				if i == 0 {
-					unitCycles = uc
-				}
+			if inverse {
+				tables[i].Inverse(rows[i].Coeffs)
 			} else {
-				uc := c.rpauFor(j).INTT(rows[i])
-				if i == 0 {
-					unitCycles = uc
-				}
+				tables[i].Forward(rows[i].Coeffs)
 			}
 		})
-		cyc = unitCycles // RPAUs run in parallel: one unit's latency
 
 	case OpCMul, OpCAdd, OpCSub, OpCMac:
 		lo, hi := c.batchRange(in.Batch)
@@ -508,37 +500,30 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 			}
 			sd.domain[j] = dom
 		}
-		var unitCycles Cycles
+		op := in.Op
 		c.Pool.Run(c.N*(hi-lo), hi-lo, func(i int) {
 			j := lo + i
 			a, b, d := sa.rows[j], sb.rows[j], sd.rows[j]
-			r := c.rpauFor(j)
-			var uc Cycles
-			switch in.Op {
+			switch op {
 			case OpCMul:
-				uc = r.CMul(a, b, d)
+				a.MulInto(b, d)
 			case OpCAdd:
-				uc = r.CAdd(a, b, d)
+				a.AddInto(b, d)
 			case OpCSub:
-				uc = r.CSub(a, b, d)
+				a.SubInto(b, d)
 			case OpCMac:
-				uc = r.CMac(a, b, d)
-			}
-			if i == 0 {
-				unitCycles = uc
+				a.MulAddInto(b, d) // the SoP primitive of relinearization
 			}
 		})
-		cyc = unitCycles
 
 	case OpRearr:
-		lo, _ := c.batchRange(in.Batch)
-		cyc = c.rpauFor(lo).Rearrange()
+		// A layout conversion: the simulator's rows have one layout, so it
+		// moves no data and only costs its pass.
 
 	case OpDecomp:
 		// RNS gadget digit for relinearization (the fast architecture's
 		// WordDecomp, Sec. II-B): d = x_i·q̃_i mod q_i, replicated across the
-		// q rows. The digit streams through the scalar multiplier at the
-		// rearrangement port rate, so it costs one Rearrange pass.
+		// q rows.
 		i := int(in.B)
 		if i < 0 || i >= c.KQ {
 			return 0, fmt.Errorf("hwsim: Decomp digit index %d out of range", i)
@@ -576,10 +561,9 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		c.Pool.Run(c.N*hi, hi, func(j int) {
 			c.Mods[j].VecReduceInto(sd.rows[j].Coeffs, digit)
 		})
-		cyc = c.rpauFor(i).Rearrange()
 
 	case OpLift:
-		if c.LiftU == nil {
+		if c.ext == nil {
 			return 0, fmt.Errorf("hwsim: Lift is not implemented on the chain co-processor")
 		}
 		s := c.slotAt(in.A)
@@ -587,18 +571,18 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		if err != nil {
 			return 0, err
 		}
-		// In place: the slot gains its p rows, written in full by the engine.
+		// In place: the slot gains its p rows, written in full by the kernel.
 		pRows := c.hdrs[c.KQ : c.KQ+c.KP]
 		for j := range pRows {
 			pRows[j] = c.wrow(s, c.KQ+j)
 		}
-		cyc = c.LiftU.LiftInto(poly.RNSPoly{Rows: qRows}, pRows, c.Variant)
+		c.ext.LiftTargetsVariantInto(c.Variant, poly.RNSPoly{Rows: qRows}, pRows)
 		for j := c.KQ; j < c.KQ+c.KP; j++ {
 			s.domain[j] = domCoeff
 		}
 
 	case OpScale:
-		if c.ScaleU == nil {
+		if c.scaler == nil {
 			return 0, fmt.Errorf("hwsim: Scale is not implemented on the chain co-processor")
 		}
 		full := c.KQ + c.KP
@@ -613,21 +597,23 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		for j := range out {
 			out[j] = c.wrow(sd, j)
 		}
-		cyc = c.ScaleU.ScaleInto(poly.RNSPoly{Rows: all}, poly.RNSPoly{Rows: out}, c.Variant)
+		c.scaler.ScalePolyVariantInto(c.Variant, poly.RNSPoly{Rows: all}, poly.RNSPoly{Rows: out})
 		for j := 0; j < c.KQ; j++ {
 			sd.domain[j] = domCoeff
 		}
 
 	case OpRescale:
-		if c.RescU == nil {
+		if c.rescQ == nil {
 			return 0, fmt.Errorf("hwsim: Rescale needs the chain co-processor")
 		}
 		// Batch Q divides by the top chain prime (rows 0..KQ → 0..KQ-1);
 		// batch P divides the extended row set by the special prime
-		// (rows 0..KQ+KP → 0..KQ) — the keyswitch ModDown.
-		hi := c.KQ
+		// (rows 0..KQ+KP → 0..KQ) — the keyswitch ModDown. It is the exact
+		// kernel the software evaluator runs, so hardware/software parity on
+		// Rescale holds by construction.
+		hi, resc := c.KQ, c.rescQ
 		if in.Batch == BatchP {
-			hi = c.KQ + c.KP
+			hi, resc = c.KQ+c.KP, c.rescP
 		}
 		if hi < 2 {
 			return 0, fmt.Errorf("hwsim: Rescale at the bottom of the chain")
@@ -644,13 +630,13 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 			out[j] = c.wrow(sd, j)
 			sd.domain[j] = domCoeff
 		}
-		cyc = c.RescU.Rescale(c.Pool, poly.RNSPoly{Rows: x}, poly.RNSPoly{Rows: out}, in.Batch)
+		resc.RescaleInto(c.Pool, poly.RNSPoly{Rows: x}, poly.RNSPoly{Rows: out})
 
 	default:
 		return 0, fmt.Errorf("hwsim: unknown opcode %v", in.Op)
 	}
 
-	cyc += Cycles(c.Timing.InstrDispatchCycles)
+	cyc := c.Cycles(in)
 	st, ok := c.Stats.PerOp[in.Op]
 	if !ok {
 		st = &OpStat{}

@@ -116,51 +116,48 @@ func TestStageScheduleHardStageAlternatesBlocks(t *testing.T) {
 
 // --- timing model ---
 
-func TestInstructionTimingMatchesPaperShape(t *testing.T) {
-	// Build the paper-shaped co-processor geometry (n = 4096) and check the
-	// per-instruction microsecond costs stay within 15% of Table II.
-	primes, err := ring.GenerateNTTPrimes(30, 4096, 1)
+// paperCoproc builds a co-processor of the paper's shape: n = 4096 over 6 q
+// and 7 p primes.
+func paperCoproc(t testing.TB, variant Variant) *Coprocessor {
+	t.Helper()
+	qm, pm, ext, sc := testBases(t, 4096, 6, 7)
+	c, err := NewCoprocessor(qm, pm, 4096, ext, sc, variant, DefaultTiming(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := poly.NewNTTTable(ring.NewModulus(primes[0]), 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timing := DefaultTiming()
-	u := &NTTUnit{Table: tab, Timing: timing}
-	dispatch := Cycles(timing.InstrDispatchCycles)
+	return c
+}
 
-	within := func(name string, got Cycles, paperMicros float64) {
+func TestInstructionTimingMatchesPaperShape(t *testing.T) {
+	// Read the paper-shaped co-processor's cost table (n = 4096) and check
+	// the per-instruction microsecond costs stay within 15% of Table II.
+	c := paperCoproc(t, VariantHPS)
+	within := func(op Op, paperMicros float64) {
 		t.Helper()
-		gotUs := got.Micros()
+		gotUs := c.Cycles(Instr{Op: op}).Micros()
 		if gotUs < paperMicros*0.85 || gotUs > paperMicros*1.15 {
-			t.Errorf("%s: %.1f µs, paper %.1f µs (outside ±15%%)", name, gotUs, paperMicros)
+			t.Errorf("%v: %.1f µs, paper %.1f µs (outside ±15%%)", op, gotUs, paperMicros)
 		}
 	}
 	// One RPAU forward transform at n = 4096 is pinned exactly: the cycle
 	// model is deterministic, so a one-cycle move is a schedule change.
-	if got := u.ForwardCycles(); got != 13944 {
+	if got := NTTCycles(4096, DefaultTiming()); got != 13944 {
 		t.Errorf("forward NTT at n = 4096: %d cycles, pinned 13944", got)
 	}
-	within("NTT", u.ForwardCycles()+dispatch, 73.0)
-	within("INTT", u.InverseCycles()+dispatch, 85.0)
-	within("CMUL", Cycles(4096/2+timing.ButterflyPipelineDepth)+dispatch, 13.1)
-	within("CADD", Cycles(4096/2+timing.ButterflyPipelineDepth)+dispatch, 13.6)
-	within("REARR", Cycles(4096+timing.ButterflyPipelineDepth)+dispatch, 20.8)
+	if got := c.Cycles(Instr{Op: OpNTT}) - c.Dispatch(); got != 13944 {
+		t.Errorf("the table's NTT at n = 4096: %d cycles before dispatch, pinned 13944", got)
+	}
+	within(OpNTT, 73.0)
+	within(OpINTT, 85.0)
+	within(OpCMul, 13.1)
+	within(OpCAdd, 13.6)
+	within(OpRearr, 20.8)
 }
 
 func TestLiftScaleTimingMatchesPaperShape(t *testing.T) {
-	qm, pm, ext, sc := testBases(t, 4096, 6, 7)
-	_ = qm
-	_ = pm
-	timing := DefaultTiming()
-	lift := NewLiftUnit(ext, 4096, timing)
-	scale := NewScaleUnit(sc, 4096, timing)
-	dispatch := Cycles(timing.InstrDispatchCycles)
-
-	liftUs := (lift.HPSCycles() + dispatch).Micros()
-	scaleUs := (scale.HPSCycles() + dispatch).Micros()
+	c := paperCoproc(t, VariantHPS)
+	liftUs := c.Cycles(Instr{Op: OpLift}).Micros()
+	scaleUs := c.Cycles(Instr{Op: OpScale}).Micros()
 	if liftUs < 70 || liftUs > 95 {
 		t.Errorf("HPS lift %.1f µs, paper 82.6 µs", liftUs)
 	}
@@ -173,8 +170,8 @@ func TestLiftScaleTimingMatchesPaperShape(t *testing.T) {
 	}
 
 	// Traditional single-core costs at 225 MHz (Sec. VI-C): 1.68 / 4.3 ms.
-	tradLiftMs := float64(lift.TraditionalCycles(1)) / TradClockHz * 1e3
-	tradScaleMs := float64(scale.TraditionalCycles(1)) / TradClockHz * 1e3
+	tradLiftMs := float64(c.TraditionalCycles(OpLift, 1)) / TradClockHz * 1e3
+	tradScaleMs := float64(c.TraditionalCycles(OpScale, 1)) / TradClockHz * 1e3
 	if tradLiftMs < 1.4 || tradLiftMs > 2.0 {
 		t.Errorf("traditional lift %.2f ms, paper 1.68 ms", tradLiftMs)
 	}
@@ -269,7 +266,7 @@ func TestCoprocNTTMatchesReference(t *testing.T) {
 	want := make([]poly.Poly, len(rows))
 	for i := range rows {
 		want[i] = rows[i].Clone()
-		c.RPAUs[i].Units[rows[i].Mod.Q].Table.Forward(want[i].Coeffs)
+		c.tables[i].Forward(want[i].Coeffs)
 	}
 	c.LoadSlotCoeff(0, 0, rows)
 	if _, err := c.Exec(Instr{Op: OpNTT, A: 0, Batch: BatchQ}); err != nil {
@@ -362,7 +359,7 @@ func TestCoprocLiftScaleFunctional(t *testing.T) {
 		}
 		// Lifted rows must match the functional extender.
 		want := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
-		c.LiftU.Ext.LiftTargetsInto(poly.RNSPoly{Rows: a}, want.Rows)
+		c.ext.LiftTargetsInto(poly.RNSPoly{Rows: a}, want.Rows)
 		got := c.ReadSlot(0, c.KQ, c.KQ+c.KP)
 		for j := 0; j < c.KP; j++ {
 			if !got[j].Equal(want.Rows[j]) {
@@ -376,7 +373,7 @@ func TestCoprocLiftScaleFunctional(t *testing.T) {
 		}
 		full := append(append([]poly.Poly(nil), a...), want.Rows...)
 		wantScaled := poly.NewRNSPoly(c.Mods[:c.KQ], 64)
-		c.ScaleU.Sc.ScalePolyInto(poly.RNSPoly{Rows: full}, wantScaled)
+		c.scaler.ScalePolyInto(poly.RNSPoly{Rows: full}, wantScaled)
 		gotScaled := c.ReadSlot(1, 0, c.KQ)
 		for j := 0; j < c.KQ; j++ {
 			if !gotScaled[j].Equal(wantScaled.Rows[j]) {
@@ -424,15 +421,14 @@ func TestCoprocRPAUSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// RPAU i serves q_i and p_i: RPAU 0 serves q0 and q6 (= p0), RPAU 6
+	// only q12 (= p6).
 	if c.NumRPAUs() != 7 {
 		t.Fatalf("expected 7 RPAUs, got %d", c.NumRPAUs())
 	}
-	// RPAU 0 serves q0 and q6 (= p0); RPAU 6 serves only q12 (= p6).
-	if len(c.RPAUs[0].Units) != 2 {
-		t.Fatal("RPAU 0 should serve two primes")
-	}
-	if len(c.RPAUs[6].Units) != 1 {
-		t.Fatal("RPAU 6 should serve one prime")
+	// The chain shape: RPAU 0 shares the special prime.
+	if ch := testChain(t, 64, 3); ch.NumRPAUs() != 3 {
+		t.Fatalf("chain co-processor over 3+1 primes: %d RPAUs, want 3", ch.NumRPAUs())
 	}
 }
 
@@ -533,32 +529,21 @@ func TestEstimateParameterSetsMatchesTableV(t *testing.T) {
 }
 
 func TestNTTUnitAblations(t *testing.T) {
-	primes, err := ring.GenerateNTTPrimes(30, 4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := poly.NewNTTTable(ring.NewModulus(primes[0]), 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := &NTTUnit{Table: tab, Timing: DefaultTiming()}
+	timing := DefaultTiming()
+	paired := NTTCycles(4096, timing)
 	// The butterfly issues double; the fixed per-stage overheads dilute the
 	// ratio slightly below 2x.
-	if u.NaiveForwardCycles() < 18*u.ForwardCycles()/10 {
+	if NaiveNTTCycles(4096, timing) < 18*paired/10 {
 		t.Fatal("naive layout should cost ~2x")
 	}
-	bubble := u.BubbleForwardCycles()
-	if bubble <= u.ForwardCycles() || bubble > u.ForwardCycles()*13/10 {
-		t.Fatalf("bubble cycles should add ~20%%: %d vs %d", bubble, u.ForwardCycles())
+	bubble := BubbleNTTCycles(4096, timing)
+	if bubble <= paired || bubble > paired*13/10 {
+		t.Fatalf("bubble cycles should add ~20%%: %d vs %d", bubble, paired)
 	}
 }
 
 func BenchmarkCoprocNTTInstruction(b *testing.B) {
-	qm, pm, ext, sc := testBases(b, 4096, 6, 7)
-	c, err := NewCoprocessor(qm, pm, 4096, ext, sc, VariantHPS, DefaultTiming(), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := paperCoproc(b, VariantHPS)
 	r := rand.New(rand.NewSource(1))
 	rows := randRows(r, c.Mods[:c.KQ], 4096)
 	c.LoadSlotCoeff(0, 0, rows)

@@ -166,8 +166,9 @@ func TestIntegrityRecomputesRPAUKill(t *testing.T) {
 	}
 }
 
-// TestIntegrityCountsRPAUStall arms a stall: data stays correct, the extra
-// cycles are charged and the watchdog detection counted.
+// TestIntegrityCountsRPAUStall arms a stall: data stays correct, exactly the
+// instruction's cost-table entry plus the stall is charged — to the return
+// value and the ledger — and the watchdog detection counted.
 func TestIntegrityCountsRPAUStall(t *testing.T) {
 	inj := faults.New(15)
 	inj.Arm(faults.Spec{Class: faults.ClassRPAU, After: 0, Mode: faults.ModeStall, Param: 777})
@@ -179,6 +180,8 @@ func TestIntegrityCountsRPAUStall(t *testing.T) {
 	c.LoadSlotCoeff(0, 0, a)
 	plain.LoadSlotCoeff(0, 0, a)
 	in := Instr{Op: OpNTT, A: 0, Batch: BatchQ}
+	nominal := c.Cycles(in)
+	before := c.Stats.Total
 	gc, err := c.Exec(in)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +190,9 @@ func TestIntegrityCountsRPAUStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gc != pc+777 {
-		t.Fatalf("stalled op charged %d cycles, want %d+777", gc, pc)
+	if pc != nominal || gc != nominal+777 || c.Stats.Total-before != gc {
+		t.Fatalf("stalled op charged %d cycles (ledger %d), unstalled %d; want Cycles(in) = %d plus 777",
+			gc, c.Stats.Total-before, pc, nominal)
 	}
 	if reg.Counter("hw_integrity_stall_detected").Value() != 1 {
 		t.Fatal("stall not counted")

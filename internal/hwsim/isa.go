@@ -90,9 +90,11 @@ func (i Instr) Disasm() string {
 }
 
 // ValidateProgram statically checks a program against a co-processor shape:
-// opcodes known, slots within the memory file, batch codes legal. Host
-// software runs this before enqueueing, mirroring how the paper's Arm
-// driver guards the instruction queue.
+// opcodes known, slots within the memory file, batch codes legal, and every
+// field within its width in the instruction word, so an accepted program
+// round-trips through Encode/DecodeInstr. Host software runs this before
+// enqueueing, mirroring how the paper's Arm driver guards the instruction
+// queue.
 func ValidateProgram(p *Program, memSlots int) error {
 	for i, st := range p.Steps {
 		switch {
@@ -103,6 +105,9 @@ func ValidateProgram(p *Program, memSlots int) error {
 			}
 			if in.Batch > BatchP {
 				return fmt.Errorf("hwsim: step %d: invalid batch %d", i, in.Batch)
+			}
+			if in.B > maxB {
+				return fmt.Errorf("hwsim: step %d: operand B = %d does not fit the instruction word's 7-bit field", i, in.B)
 			}
 			var used []uint8
 			switch in.Op {
@@ -149,11 +154,15 @@ type Instr struct {
 	Batch Batch
 }
 
+// maxB is the largest B operand — a source slot, or WordDecomp's digit
+// index — the instruction word holds.
+const maxB = 0x7f
+
 // Encode packs the instruction into the 32-bit word format of the
 // instruction-set interface: [31:24 opcode][23:16 dst][15:8 A][7:1 B][0 batch].
 func (i Instr) Encode() uint32 {
 	return uint32(i.Op)<<24 | uint32(i.Dst)<<16 | uint32(i.A)<<8 |
-		uint32(i.B&0x7f)<<1 | uint32(i.Batch&1)
+		uint32(i.B&maxB)<<1 | uint32(i.Batch&1)
 }
 
 // DecodeInstr unpacks an instruction word. It returns an error for unknown
@@ -167,7 +176,7 @@ func DecodeInstr(w uint32) (Instr, error) {
 		Op:    op,
 		Dst:   uint8(w >> 16),
 		A:     uint8(w >> 8),
-		B:     uint8(w>>1) & 0x7f,
+		B:     uint8(w>>1) & maxB,
 		Batch: Batch(w & 1),
 	}, nil
 }

@@ -35,7 +35,7 @@ func TestValidateProgram(t *testing.T) {
 	good.AddInstr(Instr{Op: OpCMul, Dst: 4, A: 0, B: 2})
 	good.AddTransfer(Transfer{Bytes: 128})
 	// Decomp's B is a digit index, not a slot; must not be slot-checked.
-	good.AddInstr(Instr{Op: OpDecomp, Dst: 7, A: 3, B: 200})
+	good.AddInstr(Instr{Op: OpDecomp, Dst: 7, A: 3, B: 100})
 	if err := ValidateProgram(good, 8); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
 	}
@@ -67,6 +67,53 @@ func TestValidateProgram(t *testing.T) {
 	bad.AddTransfer(Transfer{Bytes: -1})
 	if err := ValidateProgram(bad, 8); err == nil {
 		t.Fatal("negative transfer accepted")
+	}
+}
+
+// TestBOperandFitsInstructionWord: the word's B field is 7 bits, so a
+// three-slot form naming s128–s255 as its third slot would encode as another
+// slot (s200 decodes as s72). Both gates refuse it, and whatever
+// ValidateProgram accepts round-trips through Encode/DecodeInstr.
+func TestBOperandFitsInstructionWord(t *testing.T) {
+	if _, err := Assemble("cmul s0, s1, s200"); err == nil {
+		t.Error("Assemble accepted a third slot past the B field")
+	}
+	if _, err := Assemble("cmul s200, s201, s127"); err != nil {
+		t.Errorf("Assemble refused s127 as B, or a wide Dst/A: %v", err)
+	}
+	bad := &Program{}
+	bad.AddInstr(Instr{Op: OpCMul, Dst: 0, A: 1, B: 200})
+	if err := ValidateProgram(bad, 256); err == nil {
+		t.Error("ValidateProgram accepted B = 200 against a 256-slot file")
+	}
+	bad = &Program{}
+	bad.AddInstr(Instr{Op: OpDecomp, Dst: 0, A: 1, B: 128})
+	if err := ValidateProgram(bad, 256); err == nil {
+		t.Error("ValidateProgram accepted digit index 128")
+	}
+
+	r := rand.New(rand.NewSource(25))
+	accepted := 0
+	for i := 0; i < 5000; i++ {
+		in := Instr{
+			Op:    Op(r.Intn(int(opSentinel) + 1)),
+			Dst:   uint8(r.Intn(256)),
+			A:     uint8(r.Intn(256)),
+			B:     uint8(r.Intn(256)),
+			Batch: Batch(r.Intn(3)),
+		}
+		p := &Program{}
+		p.AddInstr(in)
+		if ValidateProgram(p, 256) != nil {
+			continue
+		}
+		accepted++
+		if got, err := DecodeInstr(in.Encode()); err != nil || got != in {
+			t.Fatalf("validated %+v decodes as %+v (%v)", in, got, err)
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no random instruction validated")
 	}
 }
 

@@ -171,17 +171,13 @@ func TestAliasingTable(t *testing.T) {
 			c.Variant = variant
 			full := randRows(r, c.Mods, 64)
 			scaled := poly.NewRNSPoly(q, 64)
-			if variant == VariantTraditional {
-				c.ScaleU.Sc.ScalePolyTraditionalInto(poly.RNSPoly{Rows: full}, scaled)
-			} else {
-				c.ScaleU.Sc.ScalePolyInto(poly.RNSPoly{Rows: full}, scaled)
-			}
+			c.scaler.ScalePolyVariantInto(variant, poly.RNSPoly{Rows: full}, scaled)
 			c.LoadSlotCoeff(0, 0, full)
 			mustExec(t, c, Instr{Op: OpScale, Dst: 0, A: 0})
 			wantRows(t, "Scale Dst == A ("+variant.String()+")", c.ReadSlot(0, 0, c.KQ), scaled.Rows)
 			// Lift writes the p rows of its own slot in full.
 			lifted := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
-			c.LiftU.Ext.LiftTargetsInto(poly.RNSPoly{Rows: x}, lifted.Rows)
+			c.ext.LiftTargetsInto(poly.RNSPoly{Rows: x}, lifted.Rows)
 			c.LoadSlotCoeff(6, 0, x)
 			mustExec(t, c, Instr{Op: OpLift, A: 6})
 			wantRows(t, "Lift over stale p rows ("+variant.String()+")", c.ReadSlot(6, c.KQ, c.KQ+c.KP), lifted.Rows)
@@ -194,9 +190,9 @@ func TestAliasingTable(t *testing.T) {
 		}
 		for _, batch := range []Batch{BatchQ, BatchP} {
 			hi := ch.KQ
-			resc := ch.RescU.RescQ
+			resc := ch.rescQ
 			if batch == BatchP {
-				hi, resc = ch.KQ+ch.KP, ch.RescU.RescP
+				hi, resc = ch.KQ+ch.KP, ch.rescP
 			}
 			in := randRows(r, ch.Mods[:hi], 64)
 			out := poly.NewRNSPoly(ch.Mods[:hi-1], 64)

@@ -1,10 +1,6 @@
 package hwsim
 
-import (
-	"fmt"
-
-	"repro/internal/poly"
-)
+import "fmt"
 
 // CoreAccess is one core's memory word access in one cycle of the dual-core
 // NTT schedule.
@@ -101,55 +97,6 @@ func ValidateNTTSchedule(n int) (totalCycles int, conflicts []string, err error)
 	}
 	return totalCycles, conflicts, nil
 }
-
-// NTTUnit is the per-RPAU transform engine: two butterfly cores over the
-// paired-coefficient dual-block memory, with twiddle factors in ROM (no
-// bubble cycles, Sec. V-A4). Functional results are computed with the
-// reference transform; cycles come from the schedule.
-type NTTUnit struct {
-	Table  *poly.NTTTable
-	Timing Timing
-}
-
-// ForwardCycles returns the cycle count of one forward NTT over one residue
-// polynomial: log2(n) stages of n/4 butterfly issues per core, plus pipeline
-// fill and stage turnaround per stage.
-func (u *NTTUnit) ForwardCycles() Cycles {
-	n := u.Table.N
-	stages := log2(n)
-	perStage := n/4 + u.Timing.ButterflyPipelineDepth + u.Timing.StageSyncCycles
-	return Cycles(stages * perStage)
-}
-
-// InverseCycles adds the final n^-1 scaling pass of the inverse transform.
-func (u *NTTUnit) InverseCycles() Cycles {
-	return u.ForwardCycles() + Cycles(u.Timing.INTTScaleExtraCycles)
-}
-
-// NaiveForwardCycles models the ablation where coefficients are stored
-// unpaired: every butterfly needs two word reads, and with one read port
-// per block the cores stall every other cycle — the transform takes twice
-// as long. This is the penalty the paired layout of [30] removes.
-func (u *NTTUnit) NaiveForwardCycles() Cycles {
-	n := u.Table.N
-	stages := log2(n)
-	perStage := n/2 + u.Timing.ButterflyPipelineDepth + u.Timing.StageSyncCycles
-	return Cycles(stages * perStage)
-}
-
-// BubbleForwardCycles models the ablation where twiddle factors are computed
-// on the fly instead of stored in ROM: the data dependency of butterflies on
-// twiddles inserts pipeline bubbles costing ~20% of the cycles, the penalty
-// the paper reports for [20] (Sec. V-A4).
-func (u *NTTUnit) BubbleForwardCycles() Cycles {
-	return u.ForwardCycles() * 6 / 5
-}
-
-// Forward executes the transform functionally.
-func (u *NTTUnit) Forward(coeffs []uint64) { u.Table.Forward(coeffs) }
-
-// Inverse executes the inverse transform functionally.
-func (u *NTTUnit) Inverse(coeffs []uint64) { u.Table.Inverse(coeffs) }
 
 func log2(n int) int {
 	k := 0

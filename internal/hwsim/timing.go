@@ -1,18 +1,20 @@
 // Package hwsim is a functional, cycle-level simulator of the paper's
-// domain-specific co-processor: the instruction-set architecture, the seven
-// residue polynomial arithmetic units (RPAUs) with dual butterfly cores and
-// the Fig.-3 conflict-free BRAM access schedule, the block-pipelined HPS
-// Lift/Scale units and their traditional multi-precision counterparts, the
-// DMA transfer model, the Arm-side software cost model, and analytic
+// domain-specific co-processor: the instruction-set architecture and its
+// cost table, the Fig.-3 conflict-free BRAM access schedule of the residue
+// polynomial arithmetic units' (RPAUs') dual butterfly cores, the DMA
+// transfer model, the Arm-side software cost model, and analytic
 // resource/power/frequency models.
 //
-// Every instruction is executed functionally (results are bit-exact against
-// the pure-software internal/fv implementation) while cycles are accounted
-// from the same dataflow the RTL implements: butterflies per cycle, pipeline
-// fill, block-pipeline bottlenecks and memory-port limits. A small set of
-// calibration constants, all defined in this file and justified in
-// DESIGN.md §6, absorbs the RTL details the paper does not publish
-// (pipeline depths, dispatch latency, DMA descriptor overhead).
+// Data and cost are held apart. Exec runs an instruction on the poly/rns
+// kernels the software evaluators use (results are bit-exact against
+// internal/fv and internal/ckks), then charges its entry in one cost table,
+// Coprocessor.Cycles (cost.go): a function of the opcode, the co-processor's
+// shape and Timing — never of coefficient values — derived from the dataflow
+// the RTL implements: butterflies per cycle, pipeline fill, block-pipeline
+// bottlenecks and memory-port limits. A small set of calibration constants,
+// all defined in this file and justified in DESIGN.md §6, absorbs the RTL
+// details the paper does not publish (pipeline depths, dispatch latency, DMA
+// descriptor overhead).
 package hwsim
 
 // Clock frequencies of the three clock domains (paper Sec. VI-A).

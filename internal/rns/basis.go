@@ -14,6 +14,28 @@ import (
 	"repro/internal/ring"
 )
 
+// Variant selects which of the paper's two design points performs Lift q→Q
+// and Scale Q→q. Key files store it as a word, so the values are fixed.
+type Variant int
+
+const (
+	// HPS is the Halevi–Polyakov–Shoup small-integer dataflow (the paper's
+	// faster architecture, Figs. 6 and 9).
+	HPS Variant = iota
+	// Traditional is the multi-precision CRT dataflow (Figs. 5 and 8):
+	// full reconstruction, then a long division. Numerically it is the exact
+	// oracle (ExtendExact, ScaleExact); what sets it apart is what the
+	// hardware simulator charges for it.
+	Traditional
+)
+
+func (v Variant) String() string {
+	if v == Traditional {
+		return "traditional"
+	}
+	return "hps"
+}
+
 // Basis is an RNS basis: a list of pairwise-coprime word-sized primes with
 // the CRT constants precomputed.
 type Basis struct {

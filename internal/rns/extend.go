@@ -16,13 +16,15 @@ import (
 // are the seven extra primes of Q, and the centered semantics is what makes
 // the lift exact for the small-magnitude values FV manipulates.
 //
-// Three implementations are provided with identical semantics:
+// Two implementations are provided with identical semantics:
 //
 //   - Extend: the HPS method (Eq. 2 of the paper) — per-prime products and
 //     a fixed-point estimate of the quotient v′, no long arithmetic.
-//   - ExtendTraditional: the traditional CRT method (Eq. 1) — long-integer
-//     sum of products, long division by reciprocal multiplication.
-//   - ExtendExact: math on the fully reconstructed integer; the oracle.
+//   - ExtendExact: the traditional CRT method (Eq. 1) — the Fig.-5
+//     reconstruction of Basis.Reconstruct (long-integer sum of products,
+//     long division by reciprocal multiplication), then the reductions
+//     modulo each target prime. It is the oracle and the Traditional
+//     variant's kernel.
 type Extender struct {
 	Src *Basis
 	Dst []ring.Modulus
@@ -136,39 +138,8 @@ func (e *Extender) Extend(in, out []uint64) {
 	}
 }
 
-// ExtendTraditional computes the same result with the traditional CRT
-// dataflow of paper Fig. 5: a long-integer sum of products Σ a_i·q̃_i·q*_i,
-// a long division by Q (reciprocal multiplication) giving the rounded
-// quotient v, the centered reconstruction sop - v·Q, and finally the
-// reductions modulo each target prime.
-func (e *Extender) ExtendTraditional(in, out []uint64) {
-	e.checkLens(in, out)
-	sop := mp.Nat{}
-	for i := range in {
-		sop = sop.Add(e.Src.sopConst[i].MulWord(e.Src.Mods[i].Reduce(in[i])))
-	}
-	v := e.Src.recip.DivRound(sop)
-	vq := v.Mul(e.Src.Product)
-	// x̂ = sop - v·Q ∈ (-Q/2, Q/2]: track the sign explicitly.
-	var mag mp.Nat
-	neg := false
-	if sop.Cmp(vq) >= 0 {
-		mag = sop.Sub(vq)
-	} else {
-		mag = vq.Sub(sop)
-		neg = true
-	}
-	for j, d := range e.Dst {
-		r := mag.ModWord(d.Q)
-		if neg {
-			r = d.Neg(r)
-		}
-		out[j] = r
-	}
-}
-
 // ExtendExact reconstructs the centered value exactly and reduces it modulo
-// each target prime. It is the correctness oracle for the other two paths.
+// each target prime. It is the correctness oracle for Extend.
 func (e *Extender) ExtendExact(in, out []uint64) {
 	e.checkLens(in, out)
 	mag, neg := e.Src.ReconstructCentered(in)
@@ -196,16 +167,11 @@ func (e *Extender) checkLens(in, out []uint64) {
 // lives on the worker's stack. The kept source rows are the caller's to reuse — the
 // evaluator NTT-transforms them straight out of the input with no copy.
 func (e *Extender) LiftTargetsInto(p poly.RNSPoly, dst []poly.Poly) {
-	e.liftTargets(p, dst, false)
+	e.LiftTargetsVariantInto(HPS, p, dst)
 }
 
-// LiftTargetsTraditionalInto is LiftTargetsInto through the traditional CRT
-// dataflow.
-func (e *Extender) LiftTargetsTraditionalInto(p poly.RNSPoly, dst []poly.Poly) {
-	e.liftTargets(p, dst, true)
-}
-
-func (e *Extender) liftTargets(p poly.RNSPoly, dst []poly.Poly, traditional bool) {
+// LiftTargetsVariantInto is LiftTargetsInto through v's dataflow.
+func (e *Extender) LiftTargetsVariantInto(v Variant, p poly.RNSPoly, dst []poly.Poly) {
 	if p.Level() != e.Src.K() {
 		panic("rns: polynomial level does not match source basis")
 	}
@@ -213,7 +179,7 @@ func (e *Extender) liftTargets(p poly.RNSPoly, dst []poly.Poly, traditional bool
 		panic("rns: lift target row count mismatch")
 	}
 	t := getLiftTask()
-	t.e, t.src, t.dst, t.traditional = e, p.Rows, dst, traditional
+	t.e, t.src, t.dst, t.traditional = e, p.Rows, dst, v == Traditional
 	e.Pool.RunChunksTask(p.N(), minLiftChunk, t)
 	putLiftTask(t)
 }
@@ -356,7 +322,7 @@ func (t *liftTask) runScalar(lo, hi int) {
 			in[i] = src[i].Coeffs[c]
 		}
 		if t.traditional {
-			e.ExtendTraditional(in, res)
+			e.ExtendExact(in, res)
 		} else {
 			e.Extend(in, res)
 		}

@@ -131,19 +131,14 @@ func TestExtendMatchesExact(t *testing.T) {
 	}
 	out1 := make([]uint64, pb.K())
 	out2 := make([]uint64, pb.K())
-	out3 := make([]uint64, pb.K())
 	for trial := 0; trial < 500; trial++ {
 		x := randBelow(r, qb.Product)
 		in := qb.Decompose(x)
 		ext.Extend(in, out1)
 		ext.ExtendExact(in, out2)
-		ext.ExtendTraditional(in, out3)
 		for j := range out1 {
 			if out1[j] != out2[j] {
 				t.Fatalf("HPS extend != exact at residue %d (x=%s)", j, x)
-			}
-			if out3[j] != out2[j] {
-				t.Fatalf("traditional extend != exact at residue %d (x=%s)", j, x)
 			}
 		}
 	}
@@ -207,7 +202,7 @@ func TestLiftPoly(t *testing.T) {
 		}
 	}
 	ext.LiftTargetsInto(x, targets.Rows)
-	ext.LiftTargetsTraditionalInto(x, targetsTrad.Rows)
+	ext.LiftTargetsVariantInto(Traditional, x, targetsTrad.Rows)
 	if !targets.Equal(targetsTrad) {
 		t.Fatal("HPS and traditional polynomial lifts disagree")
 	}
@@ -348,7 +343,7 @@ func TestScalePoly(t *testing.T) {
 	a := poly.NewRNSPoly(qb.Mods, n)
 	b := poly.NewRNSPoly(qb.Mods, n)
 	sc.ScalePolyInto(x, a)
-	sc.ScalePolyTraditionalInto(x, b)
+	sc.ScalePolyVariantInto(Traditional, x, b)
 	if !a.Equal(b) {
 		t.Fatal("HPS and traditional polynomial scales disagree")
 	}
@@ -369,16 +364,12 @@ func TestScalePoly(t *testing.T) {
 		}
 	}
 	// In place: out may be x's own q rows, through either kernel.
-	for _, traditional := range []bool{false, true} {
+	for _, v := range []Variant{HPS, Traditional} {
 		y := x.Clone()
 		out := poly.RNSPoly{Rows: y.Rows[:qb.K()]}
-		if traditional {
-			sc.ScalePolyTraditionalInto(y, out)
-		} else {
-			sc.ScalePolyInto(y, out)
-		}
+		sc.ScalePolyVariantInto(v, y, out)
 		if !out.Equal(a) {
-			t.Fatalf("in-place scale (traditional=%v) differs from the out-of-place result", traditional)
+			t.Fatalf("in-place scale (%v) differs from the out-of-place result", v)
 		}
 	}
 }
@@ -473,7 +464,8 @@ func BenchmarkExtendHPS(b *testing.B) {
 	}
 }
 
-func BenchmarkExtendTraditional(b *testing.B) {
+// BenchmarkExtendExact times the oracle, the Traditional variant's kernel.
+func BenchmarkExtendExact(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	qb, pb := paperBases(b, 4096, 6, 7)
 	ext, err := NewExtender(qb, pb.Mods)
@@ -484,7 +476,7 @@ func BenchmarkExtendTraditional(b *testing.B) {
 	out := make([]uint64, pb.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ext.ExtendTraditional(in, out)
+		ext.ExtendExact(in, out)
 	}
 }
 
@@ -557,7 +549,8 @@ func BenchmarkScalePoly4096(b *testing.B) {
 	}
 }
 
-func BenchmarkScaleTraditional(b *testing.B) {
+// BenchmarkScaleExact times the oracle, the Traditional variant's kernel.
+func BenchmarkScaleExact(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	qb, pb := paperBases(b, 4096, 6, 7)
 	sc, err := NewScaleRounder(qb, pb, 2)
@@ -571,6 +564,6 @@ func BenchmarkScaleTraditional(b *testing.B) {
 	out := make([]uint64, qb.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.ScaleTraditional(xq, xp, out)
+		sc.ScaleExact(xq, xp, out)
 	}
 }

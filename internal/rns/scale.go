@@ -155,8 +155,11 @@ func (s *ScaleRounder) Scale(xq, xp, out []uint64) {
 	s.ext.Extend(yp, out)
 }
 
-// ScaleExact computes the same result through full reconstruction: the
-// correctness oracle.
+// ScaleExact computes the same result with the multi-precision dataflow of
+// paper Fig. 8: full CRT reconstruction of x (Blocks 1–2), the long division
+// round(t·x/q) by reciprocal multiplication (Block 3), and reduction modulo
+// the q primes (Block 4). It is the correctness oracle and the Traditional
+// variant's kernel.
 func (s *ScaleRounder) ScaleExact(xq, xp, out []uint64) {
 	s.checkLens(xq, xp, out)
 	mag, neg := s.reconstructCenteredFull(xq, xp)
@@ -168,15 +171,6 @@ func (s *ScaleRounder) ScaleExact(xq, xp, out []uint64) {
 		}
 		out[i] = r
 	}
-}
-
-// ScaleTraditional computes the result with the multi-precision dataflow of
-// paper Fig. 8: full CRT reconstruction of x (Blocks 1–2), the long division
-// round(t·x/q) by reciprocal multiplication (Block 3), and reduction modulo
-// the q primes (Block 4). Numerically it matches ScaleExact; the hardware
-// simulator charges it the traditional architecture's cycle costs.
-func (s *ScaleRounder) ScaleTraditional(xq, xp, out []uint64) {
-	s.ScaleExact(xq, xp, out)
 }
 
 func (s *ScaleRounder) reconstructCenteredFull(xq, xp []uint64) (mp.Nat, bool) {
@@ -221,15 +215,11 @@ func (s *ScaleRounder) checkLens(xq, xp, out []uint64) {
 // out may be x's own q rows: both kernels read every residue of a stripe
 // (the scalar one, of a coefficient) before they write its outputs.
 func (s *ScaleRounder) ScalePolyInto(x, out poly.RNSPoly) {
-	s.scalePolyInto(x, out, false)
+	s.ScalePolyVariantInto(HPS, x, out)
 }
 
-// ScalePolyTraditionalInto is ScalePolyInto through the traditional dataflow.
-func (s *ScaleRounder) ScalePolyTraditionalInto(x, out poly.RNSPoly) {
-	s.scalePolyInto(x, out, true)
-}
-
-func (s *ScaleRounder) scalePolyInto(x, out poly.RNSPoly, traditional bool) {
+// ScalePolyVariantInto is ScalePolyInto through v's dataflow.
+func (s *ScaleRounder) ScalePolyVariantInto(v Variant, x, out poly.RNSPoly) {
 	kq, kp := s.QB.K(), s.PB.K()
 	if x.Level() != kq+kp {
 		panic("rns: ScalePoly level mismatch")
@@ -238,7 +228,7 @@ func (s *ScaleRounder) scalePolyInto(x, out poly.RNSPoly, traditional bool) {
 		panic("rns: ScalePoly output level mismatch")
 	}
 	t := getScaleTask()
-	t.s, t.src, t.dst, t.traditional = s, x.Rows, out.Rows, traditional
+	t.s, t.src, t.dst, t.traditional = s, x.Rows, out.Rows, v == Traditional
 	s.Pool.RunChunksTask(x.N(), minScaleChunk, t)
 	putScaleTask(t)
 }
@@ -357,7 +347,7 @@ func (t *scaleTask) runScalar(lo, hi int) {
 			xp[j] = src[kq+j].Coeffs[c]
 		}
 		if t.traditional {
-			s.ScaleTraditional(xq, xp, res)
+			s.ScaleExact(xq, xp, res)
 		} else {
 			s.Scale(xq, xp, res)
 		}

@@ -47,8 +47,7 @@ func (s *Scheduler) polyBytes() int {
 // checkVariant refuses a relinearization key built for the other lift/scale
 // architecture.
 func (s *Scheduler) checkVariant(rk *fv.RelinKey) error {
-	if rk.Variant == fv.HPS && s.C.Variant != hwsim.VariantHPS ||
-		rk.Variant == fv.Traditional && s.C.Variant != hwsim.VariantTraditional {
+	if rk.Variant != s.C.Variant {
 		return fmt.Errorf("sched: relin key variant %v does not match co-processor variant %v",
 			rk.Variant, s.C.Variant)
 	}

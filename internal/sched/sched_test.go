@@ -72,17 +72,14 @@ func TestScheduledMulMatchesSoftware(t *testing.T) {
 		sk := kg.GenSecretKey()
 		pk := kg.GenPublicKey(sk)
 		var rk *fv.RelinKey
-		var fvVariant fv.LiftScaleVariant
 		if variant == hwsim.VariantHPS {
-			fvVariant = fv.HPS
 			rk = kg.GenRelinKey(sk, fv.HPS, 0, 0)
 		} else {
-			fvVariant = fv.Traditional
 			rk = kg.GenRelinKey(sk, fv.Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
 		}
 		enc := fv.NewEncryptor(p, pk, prng)
 		dec := fv.NewDecryptor(p, sk)
-		ev := fv.NewEvaluatorVariant(p, fvVariant)
+		ev := fv.NewEvaluatorVariant(p, variant)
 
 		a := fv.NewPlaintext(p)
 		b := fv.NewPlaintext(p)
