@@ -75,7 +75,8 @@ fmt-check:
 # wire-protocol decoders and their equivalence to the pre-split reference
 # decoders (FuzzFrame*), the compiled-program codec, the BFV ciphertext and
 # key readers (an accepted evaluation key must be usable, FuzzDecodeFVKeys),
-# and the CKKS key container and encoder.
+# the CKKS key container and encoder, and the RNS decryption rounding against
+# exact rounding (FuzzMessageScaler).
 FUZZ_TARGETS = \
 	difftest:FuzzDiffTransform:5x \
 	difftest:FuzzDiffPointwise:5x \
@@ -94,7 +95,8 @@ FUZZ_TARGETS = \
 	fv:FuzzReadKeyHeader:20x \
 	fv:FuzzDecodeFVKeys:20x \
 	ckks:FuzzDecodeCKKSKeys:20x \
-	ckks:FuzzEncoderRoundTrip:20x
+	ckks:FuzzEncoderRoundTrip:20x \
+	rns:FuzzMessageScaler:20x
 
 # $(call fuzz,T) runs every target for -fuzztime=T, or for its own smoke
 # count when T is empty.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"repro/internal/mp"
 	"repro/internal/poly"
 )
 
@@ -172,12 +171,9 @@ func (e *Encoder) DecodeComplex(pt *Plaintext) []complex128 {
 		for j := 0; j < k; j++ {
 			res[j] = pt.Value.Rows[j].Coeffs[c]
 		}
-		mag, neg := basis.ReconstructCentered(res)
-		f := natToFloat(mag)
-		if neg {
-			f = -f
-		}
-		coeffs[c] = f
+		// Rounded to the nearest float64; the accuracy flag does not matter,
+		// the message occupies the top bits.
+		coeffs[c], _ = basis.ReconstructCentered(res).Float64()
 	}
 	vals := make([]complex128, e.slots)
 	for i := range vals {
@@ -185,16 +181,4 @@ func (e *Encoder) DecodeComplex(pt *Plaintext) []complex128 {
 	}
 	e.fftSpecial(vals)
 	return vals
-}
-
-// natToFloat converts a multi-precision magnitude to float64 (with the
-// rounding loss inherent to the 53-bit significand — fine for slot
-// recovery, where the message occupies the top bits anyway).
-func natToFloat(x mp.Nat) float64 {
-	limbs := x.Limbs()
-	f := 0.0
-	for i := len(limbs) - 1; i >= 0; i-- {
-		f = f*math.Exp2(64) + float64(limbs[i])
-	}
-	return f
 }

@@ -60,12 +60,7 @@ func TestEncoderMatchesNaiveEmbedding(t *testing.T) {
 		for j := range res {
 			res[j] = pt.Value.Rows[j].Coeffs[c]
 		}
-		mag, neg := basis.ReconstructCentered(res)
-		f := natToFloat(mag)
-		if neg {
-			f = -f
-		}
-		coeffs[c] = f
+		coeffs[c], _ = basis.ReconstructCentered(res).Float64()
 	}
 
 	// Naive O(n²) evaluation at the odd roots indexed by powers of 5.
@@ -98,3 +93,28 @@ func TestEncodeRejectsBadArgs(t *testing.T) {
 		t.Fatal("overflowing coefficient accepted")
 	}
 }
+
+// BenchmarkDecode decodes a top-level plaintext at the paper set.
+func BenchmarkDecode(b *testing.B) {
+	p, err := NewParams(PaperConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewEncoder(p)
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]float64, p.Slots())
+	for i := range vals {
+		vals[i] = rng.Float64()*2 - 1
+	}
+	pt, err := e.Encode(vals, p.MaxLevel(), p.DefaultScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSlots = e.Decode(pt)
+	}
+}
+
+var benchSlots []float64

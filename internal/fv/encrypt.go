@@ -44,7 +44,7 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 func addDeltaM(p *Params, pt *Plaintext, dst poly.RNSPoly) {
 	t := p.Cfg.T
 	for i, m := range p.QMods {
-		d := p.Delta[i]
+		d := p.msg.Delta[i]
 		row := dst.Rows[i]
 		for c, mc := range pt.Coeffs {
 			row.Coeffs[c] = m.Add(row.Coeffs[c], m.Mul(d, m.Reduce(mc%t)))
@@ -53,9 +53,8 @@ func addDeltaM(p *Params, pt *Plaintext, dst poly.RNSPoly) {
 }
 
 // Decryptor recovers plaintexts with the secret key: it takes the phase
-// x = c0 + c1·s (+ c2·s² for a degree-2 ciphertext), reconstructs each
-// coefficient's centered value, and rounds t·x/q — the decoder box of the
-// paper's Fig. 1.
+// x = c0 + c1·s (+ c2·s² for a degree-2 ciphertext) and rounds t·x/q from
+// its residues (rns.MessageScaler) — the decoder box of the paper's Fig. 1.
 type Decryptor struct {
 	params *Params
 	sk     *SecretKey
@@ -71,19 +70,6 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	p := d.params
 	x := rlwe.Phase(p.TrQ, d.sk, ct.Els)
 	pt := NewPlaintext(p)
-	res := make([]uint64, p.QBasis.K())
-	t := p.Cfg.T
-	for c := 0; c < p.N(); c++ {
-		for i := range x.Rows {
-			res[i] = x.Rows[i].Coeffs[c]
-		}
-		mag, neg := p.QBasis.ReconstructCentered(res)
-		y := p.decryptRecip.DivRound(mag.MulWord(t))
-		v := y.ModWord(t)
-		if neg && v != 0 {
-			v = t - v
-		}
-		pt.Coeffs[c] = v
-	}
+	p.msg.RoundInto(pt.Coeffs, x)
 	return pt
 }

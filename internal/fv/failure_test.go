@@ -1,6 +1,7 @@
 package fv
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sampler"
@@ -118,6 +119,10 @@ func TestNoiseExhaustionBreaksDecryption(t *testing.T) {
 	}
 	if !broke {
 		t.Fatalf("noise never exhausted over 8 squarings (budgets %v)", budgets)
+	}
+	// The measured budgets are exact, so they are pinned.
+	if want := []int{35, 5, 0}; !reflect.DeepEqual(budgets, want) {
+		t.Fatalf("budgets %v, pinned %v", budgets, want)
 	}
 }
 

@@ -76,6 +76,43 @@ func TestPaperParams(t *testing.T) {
 	}
 }
 
+// TestNoiseBudgetAndParamPins pins what the parameter set and the noise
+// measurement derive, at the test set and the paper set: the depth and
+// security estimates, the widths of q and Q, and the budget of a fresh
+// ciphertext and of its square (seed 42, message coefficients i mod t).
+func TestNoiseBudgetAndParamPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper parameters are slow to instantiate")
+	}
+	for _, c := range []struct {
+		cfg     Config
+		derived [4]int // SupportedDepth, SecurityBits, LogQ, LogBigQ
+		budgets [2]int // fresh, after one Mult
+	}{
+		{TestConfig(257), [4]int{3, 0, 90, 210}, [2]int{73, 43}},
+		{PaperConfig(65537), [4]int{4, 77, 180, 390}, [2]int{148, 118}},
+	} {
+		p, err := NewParams(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [4]int{p.SupportedDepth(), p.SecurityBits(), p.LogQ(), p.LogBigQ()}; got != c.derived {
+			t.Fatalf("n=%d: depth, security, log q, log Q = %v, pinned %v", c.cfg.N, got, c.derived)
+		}
+		prng := sampler.NewPRNG(42)
+		sk, pk, rk := NewKeyGenerator(p, prng).GenKeys()
+		pt := NewPlaintext(p)
+		for i := range pt.Coeffs {
+			pt.Coeffs[i] = uint64(i) % c.cfg.T
+		}
+		ct := NewEncryptor(p, pk, prng).Encrypt(pt)
+		got := [2]int{NoiseBudget(p, sk, ct), NoiseBudget(p, sk, NewEvaluator(p).Mul(ct, ct, rk))}
+		if got != c.budgets {
+			t.Fatalf("n=%d: budgets fresh, after Mult = %v, pinned %v", c.cfg.N, got, c.budgets)
+		}
+	}
+}
+
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	for _, tmod := range []uint64{2, 17, 65537} {
 		p := testParams(t, tmod)
@@ -98,6 +135,30 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDecrypt decrypts one relinearized Mult output at the paper set.
+func BenchmarkDecrypt(b *testing.B) {
+	p, err := NewParams(PaperConfig(65537))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prng := sampler.NewPRNG(5)
+	sk, pk, rk := NewKeyGenerator(p, prng).GenKeys()
+	pt := NewPlaintext(p)
+	for i := range pt.Coeffs {
+		pt.Coeffs[i] = uint64(i) % p.T()
+	}
+	ct := NewEncryptor(p, pk, prng).Encrypt(pt)
+	ct = NewEvaluator(p).Mul(ct, ct, rk)
+	dec := NewDecryptor(p, sk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPlaintext = dec.Decrypt(ct)
+	}
+}
+
+var benchPlaintext *Plaintext
 
 func TestHomomorphicAdd(t *testing.T) {
 	const tmod = 257

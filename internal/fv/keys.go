@@ -1,7 +1,6 @@
 package fv
 
 import (
-	"repro/internal/mp"
 	"repro/internal/poly"
 	"repro/internal/rlwe"
 	"repro/internal/rns"
@@ -81,9 +80,8 @@ func (kg *KeyGenerator) GenRelinKey(sk *SecretKey, variant LiftScaleVariant, log
 			gadgets[i] = poly.NewRNSPoly(p.QMods, 1)
 			for j, mj := range p.QMods {
 				// w^i mod q_j; w = 2^logW can exceed a word for wide digit
-				// bases, so reduce the shift through mp first.
-				w := mp.NewNat(1).Shl(logW).ModWord(mj.Q)
-				gadgets[i].Rows[j].Coeffs[0] = mj.Pow(w, uint64(i))
+				// bases, so reduce it as a power first.
+				gadgets[i].Rows[j].Coeffs[0] = mj.Pow(mj.Pow(2, uint64(logW)), uint64(i))
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package fv
 
 import (
-	"repro/internal/mp"
 	"repro/internal/obs"
 	"repro/internal/rlwe"
 )
@@ -13,32 +12,23 @@ import (
 // is correct while the budget is positive; each homomorphic multiplication
 // consumes roughly log2(2·t·n) bits, which is what makes the paper's
 // depth-4 target need a 180-bit q (Sec. III-A).
+//
+// No division is needed: w ≡ t·x (mod q) and |w| < q/2 (q is odd), so w is
+// the centered reconstruction of the residues t·x_i mod q_i.
 func NoiseBudget(params *Params, sk *SecretKey, ct *Ciphertext) int {
 	x := rlwe.Phase(params.TrQ, sk, ct.Els)
-	q := params.QBasis.Product
 	t := params.Cfg.T
 	res := make([]uint64, params.QBasis.K())
 	maxBits := 0
 	for c := 0; c < params.N(); c++ {
-		for i := range x.Rows {
-			res[i] = x.Rows[i].Coeffs[c]
+		for i, m := range params.QMods {
+			res[i] = m.Mul(x.Rows[i].Coeffs[c], m.Reduce(t))
 		}
-		mag, _ := params.QBasis.ReconstructCentered(res)
-		tx := mag.MulWord(t)
-		rounded := params.decryptRecip.DivRound(tx)
-		// |w| = |t·x̂ - q·round|, identical for either sign of x̂.
-		qr := rounded.Mul(q)
-		var w mp.Nat
-		if tx.Cmp(qr) >= 0 {
-			w = tx.Sub(qr)
-		} else {
-			w = qr.Sub(tx)
-		}
-		if b := w.BitLen(); b > maxBits {
+		if b := params.QBasis.ReconstructCentered(res).BitLen(); b > maxBits {
 			maxBits = b
 		}
 	}
-	budget := q.BitLen() - 1 - maxBits
+	budget := params.LogQ() - 1 - maxBits
 	if budget < 0 {
 		budget = 0
 	}

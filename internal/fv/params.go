@@ -10,8 +10,9 @@ package fv
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
-	"repro/internal/mp"
 	"repro/internal/poly"
 	"repro/internal/ring"
 	"repro/internal/rns"
@@ -82,9 +83,6 @@ type Params struct {
 	TrFull *poly.Transformer
 	TrQ    *poly.Transformer
 
-	// Delta[i] = floor(q/t) mod q_i, the message scaling of FV encryption.
-	Delta []uint64
-
 	// Lifter extends q → p (the Lift q→Q of Fig. 2); Scaler computes
 	// round(t·x/q) from the full basis back into q (Scale Q→q).
 	Lifter *rns.Extender
@@ -95,8 +93,9 @@ type Params struct {
 	// hardware simulator's RPAU loops.
 	Pool *poly.Pool
 
-	// decryptRecip divides t·x by q during decryption.
-	decryptRecip *mp.Reciprocal
+	// msg scales messages into q on encryption (Δ = ⌊q/t⌋) and rounds t·x/q
+	// back out on decryption.
+	msg *rns.MessageScaler
 }
 
 // NewParams validates cfg, generates the NTT-friendly primes, and
@@ -147,10 +146,8 @@ func NewParams(cfg Config) (*Params, error) {
 	}
 	p.TrFull.Pool = p.Pool
 	p.TrQ = p.TrFull.SubTransformer(cfg.QCount)
-	delta := p.QBasis.Product.Div(mp.NewNat(cfg.T))
-	p.Delta = make([]uint64, cfg.QCount)
-	for i, m := range p.QMods {
-		p.Delta[i] = delta.ModWord(m.Q)
+	if p.msg, err = rns.NewMessageScaler(p.QBasis, cfg.T); err != nil {
+		return nil, err
 	}
 	if p.Lifter, err = rns.NewExtender(p.QBasis, p.PMods); err != nil {
 		return nil, err
@@ -160,8 +157,6 @@ func NewParams(cfg Config) (*Params, error) {
 		return nil, err
 	}
 	p.Scaler.Pool = p.Pool
-	p.decryptRecip = mp.NewReciprocal(p.QBasis.Product,
-		p.QBasis.Product.BitLen()+mp.NewNat(cfg.T).BitLen()+2)
 	return p, nil
 }
 
@@ -184,9 +179,7 @@ func (p *Params) T() uint64 { return p.Cfg.T }
 func (p *Params) LogQ() int { return p.QBasis.Product.BitLen() }
 
 // LogBigQ returns the bit length of the extended modulus Q = q·p.
-func (p *Params) LogBigQ() int {
-	return p.QBasis.Product.Mul(p.PBasis.Product).BitLen()
-}
+func (p *Params) LogBigQ() int { return p.Scaler.QP.Product.BitLen() }
 
 // SecurityBits returns a coarse security estimate for the parameter set,
 // interpolated from the Homomorphic Encryption Standard tables (classical
@@ -229,27 +222,16 @@ func (p *Params) SupportedDepth() int {
 	return depth
 }
 
-func logT(t uint64) float64 { return float64(mp.NewNat(t).BitLen()) }
+func logT(t uint64) float64 { return float64(bits.Len64(t)) }
 
-func logN(n int) float64 { return float64(mp.NewNat(uint64(n)).BitLen()) }
+func logN(n int) float64 { return float64(bits.Len64(uint64(n))) }
 
 func logSigmaTerm(sigma float64, n int) float64 {
-	// log2(2σ√(2n)) computed without math.Log2 by bit length of the rounded
-	// value — precision is irrelevant at this granularity.
-	v := uint64(2 * sigma * sqrtApprox(2*float64(n)))
+	// log2(2σ√(2n)) as the bit length of the rounded value — precision is
+	// irrelevant at this granularity.
+	v := uint64(2 * sigma * math.Sqrt(2*float64(n)))
 	if v == 0 {
 		v = 1
 	}
-	return float64(mp.NewNat(v).BitLen())
-}
-
-func sqrtApprox(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	g := x
-	for i := 0; i < 40; i++ {
-		g = (g + x/g) / 2
-	}
-	return g
+	return float64(bits.Len64(v))
 }

@@ -176,7 +176,7 @@ func NewCoprocessor(qmods, pmods []ring.Modulus, n int,
 		ext:       ext,
 		scaler:    sc,
 		liftBits:  ext.Src.Product.BitLen(),
-		scaleBits: sc.QB.Product.Mul(sc.PB.Product).BitLen(),
+		scaleBits: sc.QP.Product.BitLen(),
 		Basis:     ext.Src,
 		DMAEng:    DMA{Timing: timing},
 		slots:     make([]slot, slotCount),

@@ -28,8 +28,8 @@ func normBits(t *testing.T, mods []ring.Modulus, x poly.RNSPoly) int {
 		for j := range mods {
 			res[j] = x.Rows[j].Coeffs[c]
 		}
-		if mag, _ := basis.ReconstructCentered(res); mag.BitLen() > worst {
-			worst = mag.BitLen()
+		if v := basis.ReconstructCentered(res); v.BitLen() > worst {
+			worst = v.BitLen()
 		}
 	}
 	return worst

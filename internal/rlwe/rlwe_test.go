@@ -252,8 +252,8 @@ func TestKeySwitchSwitchesKeys(t *testing.T) {
 			for j, m := range basis.Mods {
 				res[j] = m.Sub(switched.Rows[j].Coeffs[c], want[j].Coeffs[c])
 			}
-			if mag, _ := basis.ReconstructCentered(res); mag.BitLen() > worst {
-				worst = mag.BitLen()
+			if v := basis.ReconstructCentered(res); v.BitLen() > worst {
+				worst = v.BitLen()
 			}
 		}
 		t.Logf("%s layout: keyswitch noise %d bits of a %d-bit modulus", l.name, worst, basis.Product.BitLen())

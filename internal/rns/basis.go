@@ -4,13 +4,17 @@
 // design-space variants — the traditional multi-precision CRT dataflow
 // (Figs. 5 and 8) and the Halevi–Polyakov–Shoup small-integer dataflow
 // (Figs. 6 and 9) — plus the per-prime decomposition used by
-// relinearization.
+// relinearization and the RNS-native message scaling of FV decryption. The
+// exact arithmetic (setup-time CRT constants, the oracles) runs on math/big;
+// the per-coefficient HPS kernels use word residues and 128-bit fixed-point
+// fractions only.
 package rns
 
 import (
 	"fmt"
+	"math/big"
+	"math/bits"
 
-	"repro/internal/mp"
 	"repro/internal/ring"
 )
 
@@ -40,23 +44,17 @@ func (v Variant) String() string {
 // the CRT constants precomputed.
 type Basis struct {
 	Mods    []ring.Modulus
-	Product mp.Nat // Q = Π q_i
+	Product *big.Int // Q = Π q_i
 
 	// QStar[i] = Q/q_i and QTilde[i] = (Q/q_i)^-1 mod q_i are the CRT
 	// constants of Theorem 1 in the paper.
-	QStar  []mp.Nat
+	QStar  []*big.Int
 	QTilde []uint64
 
-	// sopConst[i] = q̃_i·q*_i, the precomputed long-integer constants of the
-	// traditional reconstruction (paper Fig. 5, "the constant computations
-	// such as q̃_i·q*_i are not performed ... stored in tables").
-	sopConst []mp.Nat
-
-	// recip is the fixed-point reciprocal of Q used by the traditional
-	// division block; invFrac[i] is the 128-bit fixed-point 1/q_i used by
-	// the HPS quotient estimate.
-	recip   *mp.Reciprocal
-	invFrac []mp.Frac128
+	// half = ⌊Q/2⌋ is the centering threshold; invFrac[i] is the 128-bit
+	// fixed-point 1/q_i used by the HPS quotient estimate.
+	half    *big.Int
+	invFrac []frac128
 }
 
 // NewBasis builds a basis over mods. The moduli must be distinct primes
@@ -66,7 +64,7 @@ func NewBasis(mods []ring.Modulus) (*Basis, error) {
 		return nil, fmt.Errorf("rns: empty basis")
 	}
 	seen := map[uint64]bool{}
-	prod := mp.NewNat(1)
+	prod := big.NewInt(1)
 	for _, m := range mods {
 		if seen[m.Q] {
 			return nil, fmt.Errorf("rns: duplicate modulus %d", m.Q)
@@ -75,80 +73,63 @@ func NewBasis(mods []ring.Modulus) (*Basis, error) {
 			return nil, fmt.Errorf("rns: modulus %d is not prime", m.Q)
 		}
 		seen[m.Q] = true
-		prod = prod.MulWord(m.Q)
+		prod.Mul(prod, new(big.Int).SetUint64(m.Q))
 	}
 	b := &Basis{
-		Mods:     append([]ring.Modulus(nil), mods...),
-		Product:  prod,
-		QStar:    make([]mp.Nat, len(mods)),
-		QTilde:   make([]uint64, len(mods)),
-		sopConst: make([]mp.Nat, len(mods)),
-		invFrac:  make([]mp.Frac128, len(mods)),
+		Mods:    append([]ring.Modulus(nil), mods...),
+		Product: prod,
+		QStar:   make([]*big.Int, len(mods)),
+		QTilde:  make([]uint64, len(mods)),
+		half:    new(big.Int).Rsh(prod, 1),
+		invFrac: make([]frac128, len(mods)),
 	}
 	for i, m := range mods {
-		qStar, _ := prod.DivMod(mp.NewNat(m.Q))
-		b.QStar[i] = qStar
-		b.QTilde[i] = m.Inv(qStar.ModWord(m.Q))
-		b.sopConst[i] = qStar.MulWord(b.QTilde[i])
-		b.invFrac[i] = mp.FracDiv(1, m.Q)
+		b.QStar[i] = new(big.Int).Quo(prod, new(big.Int).SetUint64(m.Q))
+		b.QTilde[i] = m.Inv(modWord(b.QStar[i], m.Q))
+		b.invFrac[i] = fracDiv(1, m.Q)
 	}
-	// The traditional sop = Σ a_i·q̃_i·q*_i is bounded by k·q_max·Q, i.e.
-	// Q's width plus ~35 bits; size the division block accordingly.
-	b.recip = mp.NewReciprocal(prod, prod.BitLen()+ring.MaxModulusBits+8)
 	return b, nil
 }
 
 // K returns the number of primes in the basis.
 func (b *Basis) K() int { return len(b.Mods) }
 
-// Decompose returns the residues x mod q_i. The value x must be < Q.
-func (b *Basis) Decompose(x mp.Nat) []uint64 {
-	if x.Cmp(b.Product) >= 0 {
-		panic("rns: Decompose input not reduced modulo the basis product")
-	}
-	out := make([]uint64, len(b.Mods))
-	for i, m := range b.Mods {
-		out[i] = x.ModWord(m.Q)
-	}
-	return out
-}
-
-// DecomposeSigned returns the residues of the signed value (mag, neg).
-func (b *Basis) DecomposeSigned(mag mp.Nat, neg bool) []uint64 {
-	res := b.Decompose(mag.Mod(b.Product))
-	if neg {
-		for i, m := range b.Mods {
-			res[i] = m.Neg(res[i])
-		}
-	}
-	return res
-}
-
-// Reconstruct returns the unique x in [0, Q) with x ≡ res_i (mod q_i),
-// using the traditional CRT with the precomputed q̃_i·q*_i table and the
-// reciprocal-multiplication division by Q — the same dataflow as the
-// paper's Fig. 5 reconstruction (sop, then v = sop/Q, then sop - v·Q).
-func (b *Basis) Reconstruct(res []uint64) mp.Nat {
+// ReconstructCentered returns the centered representative x̂ ∈ (-Q/2, Q/2]
+// of the residues res_i = x mod q_i: the CRT sum Σ (res_i·q̃_i mod q_i)·q*_i,
+// reduced modulo Q and centered.
+func (b *Basis) ReconstructCentered(res []uint64) *big.Int {
 	if len(res) != len(b.Mods) {
 		panic("rns: residue count mismatch")
 	}
-	sop := mp.Nat{}
-	for i, r := range res {
-		sop = sop.Add(b.sopConst[i].MulWord(b.Mods[i].Reduce(r)))
+	var term, y big.Int
+	x := new(big.Int)
+	for i, m := range b.Mods {
+		y.SetUint64(m.Mul(m.Reduce(res[i]), b.QTilde[i]))
+		x.Add(x, term.Mul(b.QStar[i], &y))
 	}
-	_, rem := b.recip.DivMod(sop)
-	return rem
+	// Each term is below q_i·q*_i = Q, so x < k·Q: a few subtractions reduce
+	// it.
+	for x.Cmp(b.Product) >= 0 {
+		x.Sub(x, b.Product)
+	}
+	if x.Cmp(b.half) > 0 {
+		x.Sub(x, b.Product)
+	}
+	return x
 }
 
-// ReconstructCentered returns the centered representative x̂ ∈ (-Q/2, Q/2]
-// as a magnitude and sign.
-func (b *Basis) ReconstructCentered(res []uint64) (mag mp.Nat, neg bool) {
-	x := b.Reconstruct(res)
-	half := b.Product.Shr(1)
-	if x.Cmp(half) > 0 {
-		return b.Product.Sub(x), true
+// modWord returns x mod q for q < 2^32, the canonical residue of a signed x:
+// one word division per word of |x|, allocating nothing.
+func modWord(x *big.Int, q uint64) uint64 {
+	var r uint
+	ws := x.Bits()
+	for i := len(ws) - 1; i >= 0; i-- {
+		_, r = bits.Div(r, uint(ws[i]), uint(q))
 	}
-	return x, false
+	if x.Sign() < 0 && r != 0 {
+		r = uint(q) - r
+	}
+	return uint64(r)
 }
 
 // Contains reports whether m is one of the basis primes.

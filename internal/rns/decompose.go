@@ -1,7 +1,8 @@
 package rns
 
 import (
-	"repro/internal/mp"
+	"math/big"
+
 	"repro/internal/poly"
 )
 
@@ -119,7 +120,7 @@ func GadgetRNS(b *Basis) []poly.RNSPoly {
 	for i := range b.Mods {
 		g[i] = poly.NewRNSPoly(b.Mods, 1)
 		for j, mj := range b.Mods {
-			g[i].Rows[j].Coeffs[0] = b.QStar[i].ModWord(mj.Q)
+			g[i].Rows[j].Coeffs[0] = modWord(b.QStar[i], mj.Q)
 		}
 	}
 	return g
@@ -142,39 +143,43 @@ func WordDecompose(b *Basis, x poly.RNSPoly, logW uint, ell int) []poly.RNSPoly 
 		digits[i] = poly.NewRNSPoly(b.Mods, n)
 	}
 	res := make([]uint64, b.K())
-	w := mp.NewNat(1).Shl(logW)
-	half := mp.NewNat(1).Shl(logW - 1)
+	one := big.NewInt(1)
+	w := new(big.Int).Lsh(one, logW)
+	half := new(big.Int).Lsh(one, logW-1)
+	var limb big.Int
 	for c := 0; c < n; c++ {
 		for i := range res {
 			res[i] = x.Rows[i].Coeffs[c]
 		}
-		mag, neg := b.ReconstructCentered(res)
+		mag := b.ReconstructCentered(res)
+		neg := mag.Sign() < 0
+		mag.Abs(mag)
 		// Slice |x| into signed base-w digits, then apply the overall sign.
 		var carry bool
 		for d := 0; d < ell; d++ {
-			limb := mag.Mod(w)
-			mag = mag.Shr(logW)
+			limb.Mod(mag, w)
+			mag.Rsh(mag, logW)
 			if carry {
-				limb = limb.AddWord(1)
+				limb.Add(&limb, one)
 				carry = false
 			}
 			digNeg := false
 			if limb.Cmp(half) > 0 { // digit > w/2: use digit - w, carry 1
-				limb = w.Sub(limb)
+				limb.Sub(w, &limb)
 				digNeg = true
 				carry = true
 			}
-			for r, mr := range b.Mods {
+			for row, mr := range b.Mods {
 				// Digits can exceed a word for wide bases (the slower
-				// architecture uses w = 2^90); reduce via mp.
-				v := limb.ModWord(mr.Q)
+				// architecture uses w = 2^90).
+				v := modWord(&limb, mr.Q)
 				if digNeg != neg { // XOR of digit sign and value sign
 					v = mr.Neg(v)
 				}
-				digits[d].Rows[r].Coeffs[c] = v
+				digits[d].Rows[row].Coeffs[c] = v
 			}
 		}
-		if !mag.IsZero() || carry {
+		if mag.Sign() != 0 || carry {
 			panic("rns: WordDecompose digit count too small for the basis")
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/mp"
 	"repro/internal/poly"
 	"repro/internal/ring"
 )
@@ -20,9 +19,8 @@ import (
 //
 //   - Extend: the HPS method (Eq. 2 of the paper) — per-prime products and
 //     a fixed-point estimate of the quotient v′, no long arithmetic.
-//   - ExtendExact: the traditional CRT method (Eq. 1) — the Fig.-5
-//     reconstruction of Basis.Reconstruct (long-integer sum of products,
-//     long division by reciprocal multiplication), then the reductions
+//   - ExtendExact: the traditional CRT method (Eq. 1) — the exact
+//     reconstruction of Basis.ReconstructCentered, then the reductions
 //     modulo each target prime. It is the oracle and the Traditional
 //     variant's kernel.
 type Extender struct {
@@ -71,11 +69,11 @@ func NewExtender(src *Basis, dst []ring.Modulus) (*Extender, error) {
 	for i := range src.Mods {
 		e.qStarMod[i] = make([]uint64, len(dst))
 		for j, d := range dst {
-			e.qStarMod[i][j] = src.QStar[i].ModWord(d.Q)
+			e.qStarMod[i][j] = modWord(src.QStar[i], d.Q)
 		}
 	}
 	for j, d := range dst {
-		e.qMod[j] = src.Product.ModWord(d.Q)
+		e.qMod[j] = modWord(src.Product, d.Q)
 	}
 	e.qTilde = make([]uint64, src.K())
 	e.qTildeShoup = make([]uint64, src.K())
@@ -109,7 +107,7 @@ func NewExtender(src *Basis, dst []ring.Modulus) (*Extender, error) {
 // Σ y_i/q_i = k + x/Q, so v′ = k when x < Q/2 and k+1 otherwise.
 func (e *Extender) Extend(in, out []uint64) {
 	e.checkLens(in, out)
-	var acc mp.Acc192
+	var acc acc192
 	var yArr [16]uint64 // stack scratch for the common basis sizes
 	y := yArr[:0]
 	if len(in) > len(yArr) {
@@ -118,9 +116,9 @@ func (e *Extender) Extend(in, out []uint64) {
 	for i, m := range e.Src.Mods {
 		yi := m.MulShoup(in[i], e.qTilde[i], e.qTildeShoup[i])
 		y = append(y, yi)
-		acc.AddMul(yi, e.Src.invFrac[i])
+		acc.addMul(yi, e.Src.invFrac[i])
 	}
-	v := acc.Round()
+	v := acc.round()
 	k := len(y)
 	for j, d := range e.Dst {
 		// Each Shoup product is lazy (< 2·c_j < 2^32), so the sum of k of
@@ -142,13 +140,9 @@ func (e *Extender) Extend(in, out []uint64) {
 // each target prime. It is the correctness oracle for Extend.
 func (e *Extender) ExtendExact(in, out []uint64) {
 	e.checkLens(in, out)
-	mag, neg := e.Src.ReconstructCentered(in)
+	x := e.Src.ReconstructCentered(in)
 	for j, d := range e.Dst {
-		r := mag.ModWord(d.Q)
-		if neg {
-			r = d.Neg(r)
-		}
-		out[j] = r
+		out[j] = modWord(x, d.Q)
 	}
 }
 
@@ -195,7 +189,7 @@ const stackResidues = 16
 const liftStripe = 128
 
 // extendScratch is the stack staging of the row-major Extend kernel: the k y
-// rows, the three Acc192 limb arrays, and the rounded quotients. Callers
+// rows, the three acc192 limb arrays, and the rounded quotients. Callers
 // declare one per chunk and thread it through every stripe, so the ~20 KiB
 // zero-initialization happens once per chunk rather than once per stripe.
 type extendScratch struct {
@@ -207,7 +201,7 @@ type extendScratch struct {
 // extendStripe is the HPS Extend over a stripe of w ≤ liftStripe coefficients,
 // walked row-major: in[i][:w] hold the source residues, out[j][:w] receive the
 // target residues. Per lane it runs the exact arithmetic of Extend — the same
-// Shoup products, the same Acc192 limb schedule in the same source order (the
+// Shoup products, the same acc192 limb schedule in the same source order (the
 // three accumulator words live in parallel arrays), the same lazy sums and
 // closing reductions — so results are bit-identical; only the loop nesting
 // changes, from coefficient-major to row-major vector passes. Requires source
@@ -228,8 +222,8 @@ func (e *Extender) extendStripe(es *extendScratch, in, out [][]uint64, w int) {
 		m.VecScalarMulShoupInto(y, in[i][:w], e.qTilde[i], e.qTildeShoup[i])
 		f := e.Src.invFrac[i]
 		for c, yc := range y {
-			hi1, lo1 := bits.Mul64(yc, f.Lo)
-			hi2, lo2 := bits.Mul64(yc, f.Hi)
+			hi1, lo1 := bits.Mul64(yc, f.lo)
+			hi2, lo2 := bits.Mul64(yc, f.hi)
 			var cc uint64
 			w0[c], cc = bits.Add64(w0[c], lo1, 0)
 			w1[c], cc = bits.Add64(w1[c], hi1, cc)
@@ -238,7 +232,7 @@ func (e *Extender) extendStripe(es *extendScratch, in, out [][]uint64, w int) {
 			w2[c] += hi2 + cc
 		}
 	}
-	// v′ = round(Σ y_i/q_i): Acc192.Round per lane.
+	// v′ = round(Σ y_i/q_i): acc192.round per lane.
 	for c := 0; c < w; c++ {
 		vv := w2[c]
 		if w1[c] >= 1<<63 {

@@ -1,4 +1,4 @@
-package mp
+package rns
 
 import (
 	"math/big"
@@ -11,14 +11,14 @@ func TestFracDivAgainstBig(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		den := uint64(r.Int63n(1<<30-2)) + 2
 		num := uint64(r.Int63n(int64(den)))
-		f := FracDiv(num, den)
+		f := fracDiv(num, den)
 		// want = floor(num * 2^128 / den)
 		want := new(big.Int).Lsh(new(big.Int).SetUint64(num), 128)
 		want.Quo(want, new(big.Int).SetUint64(den))
-		got := new(big.Int).Lsh(new(big.Int).SetUint64(f.Hi), 64)
-		got.Or(got, new(big.Int).SetUint64(f.Lo))
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(f.hi), 64)
+		got.Or(got, new(big.Int).SetUint64(f.lo))
 		if got.Cmp(want) != 0 {
-			t.Fatalf("FracDiv(%d,%d) mismatch", num, den)
+			t.Fatalf("fracDiv(%d,%d) mismatch", num, den)
 		}
 	}
 }
@@ -29,7 +29,7 @@ func TestFracDivGuard(t *testing.T) {
 			t.Fatal("expected panic for num >= den")
 		}
 	}()
-	FracDiv(5, 5)
+	fracDiv(5, 5)
 }
 
 // TestAcc192RoundMatchesExactRational accumulates Σ x_i·(r_i/q_i) with the
@@ -38,7 +38,7 @@ func TestFracDivGuard(t *testing.T) {
 func TestAcc192RoundMatchesExactRational(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
-		var acc Acc192
+		var acc acc192
 		// Exact value as a fraction num/den via common denominator.
 		num := big.NewInt(0)
 		den := big.NewInt(1)
@@ -47,7 +47,7 @@ func TestAcc192RoundMatchesExactRational(t *testing.T) {
 			q := uint64(r.Int63n(1<<30-2)) + 2
 			ri := uint64(r.Int63n(int64(q)))
 			x := uint64(r.Int63n(1 << 30))
-			acc.AddMul(x, FracDiv(ri, q))
+			acc.addMul(x, fracDiv(ri, q))
 			// num/den += x*ri/q
 			add := new(big.Int).Mul(new(big.Int).SetUint64(x), new(big.Int).SetUint64(ri))
 			num.Mul(num, new(big.Int).SetUint64(q))
@@ -58,7 +58,7 @@ func TestAcc192RoundMatchesExactRational(t *testing.T) {
 		exact := new(big.Int).Lsh(num, 1)
 		exact.Add(exact, den)
 		exact.Quo(exact, new(big.Int).Lsh(den, 1))
-		got := acc.Round()
+		got := acc.round()
 		// The fixed-point truncation can differ from the exact rounding only
 		// when the true value is within ~terms·2^-98 of a half-integer
 		// boundary, which random inputs essentially never hit.
@@ -68,43 +68,10 @@ func TestAcc192RoundMatchesExactRational(t *testing.T) {
 	}
 }
 
-func TestAcc192AddIntAndFloor(t *testing.T) {
-	var acc Acc192
-	acc.AddInt(41)
-	acc.AddMul(1, FracDiv(1, 2)) // +0.5 exactly
-	if acc.Floor() != 41 {
-		t.Fatalf("floor = %d, want 41", acc.Floor())
-	}
-	if acc.Round() != 42 {
-		t.Fatalf("round = %d, want 42 (ties up)", acc.Round())
-	}
-	acc.Reset()
-	if acc.Round() != 0 || acc.Floor() != 0 || acc.FracTop() != 0 {
-		t.Fatal("reset did not clear accumulator")
-	}
-}
-
-func TestUint128Ops(t *testing.T) {
-	x := Mul64(^uint64(0), ^uint64(0))
-	// (2^64-1)^2 = 2^128 - 2^65 + 1
-	if x.Hi != ^uint64(0)-1 || x.Lo != 1 {
-		t.Fatalf("Mul64 max product wrong: %+v", x)
-	}
-	// (2^128 - 2^65 + 1) + (2^64 - 1) = 2^128 - 2^64, i.e. {Hi: 2^64-1, Lo: 0}.
-	s := x.Add(Uint128{Hi: 0, Lo: ^uint64(0)})
-	if s.Hi != ^uint64(0) || s.Lo != 0 {
-		t.Fatalf("Add carry wrong: %+v", s)
-	}
-	if got := (Uint128{Hi: 1, Lo: 0}).Shr(64); got.Lo != 1 || got.Hi != 0 {
-		t.Fatalf("Shr 64 wrong: %+v", got)
-	}
-	if got := (Uint128{Hi: 1, Lo: 2}).Shr(1); got.Hi != 0 || got.Lo != 1<<63+1 {
-		t.Fatalf("Shr 1 wrong: %+v", got)
-	}
-	if got := (Uint128{Hi: 1, Lo: 2}).Shr(0); got != (Uint128{Hi: 1, Lo: 2}) {
-		t.Fatalf("Shr 0 wrong: %+v", got)
-	}
-	if got := (Uint128{Hi: 1, Lo: 2}).Shr(200); got != (Uint128{}) {
-		t.Fatalf("Shr 200 wrong: %+v", got)
+func TestAcc192RoundTiesUp(t *testing.T) {
+	var acc acc192
+	acc.addMul(83, fracDiv(1, 2)) // 41.5 exactly
+	if got := acc.round(); got != 42 {
+		t.Fatalf("round(41.5) = %d, want 42 (ties up)", got)
 	}
 }

@@ -2,10 +2,10 @@ package rns
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 
-	"repro/internal/mp"
 	"repro/internal/poly"
 	"repro/internal/ring"
 )
@@ -37,25 +37,23 @@ func paperBases(t testing.TB, n, kq, kp int) (*Basis, *Basis) {
 	return qb, pb
 }
 
-func natToBig(x mp.Nat) *big.Int {
-	return new(big.Int).SetBytes(x.Bytes())
+// decompose returns the residues of the signed value x modulo each prime of
+// b (canonical, whatever x's sign or size).
+func decompose(b *Basis, x *big.Int) []uint64 {
+	out := make([]uint64, b.K())
+	for i, m := range b.Mods {
+		out[i] = modWord(x, m.Q)
+	}
+	return out
 }
 
-func randBelow(r *rand.Rand, bound mp.Nat) mp.Nat {
-	bits := bound.BitLen()
-	for {
-		limbs := make([]uint64, (bits+63)/64)
-		for i := range limbs {
-			limbs[i] = r.Uint64()
-		}
-		x := mp.NatFromLimbs(limbs)
-		if extra := x.BitLen() - bits; extra > 0 {
-			x = x.Shr(uint(extra))
-		}
-		if x.Cmp(bound) < 0 {
-			return x
-		}
-	}
+func randBelow(r *rand.Rand, bound *big.Int) *big.Int {
+	return new(big.Int).Rand(r, bound)
+}
+
+// product returns q·p, the full basis product.
+func product(qb, pb *Basis) *big.Int {
+	return new(big.Int).Mul(qb.Product, pb.Product)
 }
 
 func TestNewBasisValidation(t *testing.T) {
@@ -75,32 +73,26 @@ func TestDecomposeReconstructRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	qb, _ := paperBases(t, 256, 6, 7)
 	for trial := 0; trial < 200; trial++ {
+		// Any x in [0, Q) comes back as its centered representative.
 		x := randBelow(r, qb.Product)
-		res := qb.Decompose(x)
-		back := qb.Reconstruct(res)
-		if back.Cmp(x) != 0 {
-			t.Fatalf("round trip failed: %s -> %s", x, back)
+		want := new(big.Int).Set(x)
+		if want.Cmp(qb.half) > 0 {
+			want.Sub(want, qb.Product)
 		}
-	}
-	// Against big.Int CRT for good measure.
-	x := randBelow(r, qb.Product)
-	res := qb.Decompose(x)
-	for i, m := range qb.Mods {
-		want := new(big.Int).Mod(natToBig(x), new(big.Int).SetUint64(m.Q)).Uint64()
-		if res[i] != want {
-			t.Fatalf("residue %d mismatch", i)
+		if back := qb.ReconstructCentered(decompose(qb, x)); back.Cmp(want) != 0 {
+			t.Fatalf("round trip failed: %s -> %s, want %s", x, back, want)
 		}
 	}
 }
 
-func TestDecomposeRejectsUnreduced(t *testing.T) {
+func TestReconstructRejectsResidueCount(t *testing.T) {
 	qb, _ := paperBases(t, 256, 2, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	qb.Decompose(qb.Product)
+	qb.ReconstructCentered(make([]uint64, qb.K()+1))
 }
 
 func TestReconstructCentered(t *testing.T) {
@@ -108,16 +100,9 @@ func TestReconstructCentered(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		// Small signed values must come back exactly.
-		v := r.Int63n(1<<40) - 1<<39
-		neg := v < 0
-		mag := uint64(v)
-		if neg {
-			mag = uint64(-v)
-		}
-		res := qb.DecomposeSigned(mp.NewNat(mag), neg)
-		gotMag, gotNeg := qb.ReconstructCentered(res)
-		if gotMag.Uint64() != mag || (mag != 0 && gotNeg != neg) {
-			t.Fatalf("centered round trip failed for %d: got %s neg=%v", v, gotMag, gotNeg)
+		v := big.NewInt(r.Int63n(1<<40) - 1<<39)
+		if got := qb.ReconstructCentered(decompose(qb, v)); got.Cmp(v) != 0 {
+			t.Fatalf("centered round trip failed for %s: got %s", v, got)
 		}
 	}
 }
@@ -133,7 +118,7 @@ func TestExtendMatchesExact(t *testing.T) {
 	out2 := make([]uint64, pb.K())
 	for trial := 0; trial < 500; trial++ {
 		x := randBelow(r, qb.Product)
-		in := qb.Decompose(x)
+		in := decompose(qb, x)
 		ext.Extend(in, out1)
 		ext.ExtendExact(in, out2)
 		for j := range out1 {
@@ -152,7 +137,7 @@ func TestExtendCenteredSemantics(t *testing.T) {
 	}
 	out := make([]uint64, pb.K())
 	// x ≡ -5 mod q must extend to -5 mod every p prime, not to q-5.
-	in := qb.DecomposeSigned(mp.NewNat(5), true)
+	in := decompose(qb, big.NewInt(-5))
 	ext.Extend(in, out)
 	for j, d := range pb.Mods {
 		if out[j] != d.FromSigned(-5) {
@@ -160,7 +145,7 @@ func TestExtendCenteredSemantics(t *testing.T) {
 		}
 	}
 	// And a positive small value maps to itself.
-	in = qb.Decompose(mp.NewNat(12345))
+	in = decompose(qb, big.NewInt(12345))
 	ext.Extend(in, out)
 	for j := range pb.Mods {
 		if out[j] != 12345 {
@@ -186,8 +171,7 @@ func TestLiftPoly(t *testing.T) {
 	n := 64
 	x := poly.NewRNSPoly(qb.Mods, n)
 	for c := 0; c < n; c++ {
-		v := randBelow(r, qb.Product)
-		res := qb.Decompose(v)
+		res := decompose(qb, randBelow(r, qb.Product))
 		for i := range qb.Mods {
 			x.Rows[i].Coeffs[c] = res[i]
 		}
@@ -234,22 +218,17 @@ func TestScaleMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullQ := qb.Product.Mul(pb.Product)
 		// Inputs must satisfy t·|x| < Q/2 for the HPS intermediate to stay
 		// centered in p; FV guarantees this (tensor coefficients ≤ n·q²/4).
-		bound := fullQ.Shr(uint(mp.NewNat(tmod).BitLen() + 1))
+		bound := new(big.Int).Rsh(product(qb, pb), uint(bits.Len64(tmod)+1))
 		got := make([]uint64, qb.K())
 		want := make([]uint64, qb.K())
 		for trial := 0; trial < 200; trial++ {
-			mag := randBelow(r, bound)
-			neg := r.Intn(2) == 1
-			// Build full-basis residues of the signed value.
-			x := mag
-			if neg {
-				x = fullQ.Sub(mag)
+			x := randBelow(r, bound)
+			if r.Intn(2) == 1 {
+				x.Neg(x)
 			}
-			xq := qb.Decompose(x.Mod(qb.Product))
-			xp := pb.Decompose(x.Mod(pb.Product))
+			xq, xp := decompose(qb, x), decompose(pb, x)
 			sc.Scale(xq, xp, got)
 			sc.ScaleExact(xq, xp, want)
 			for i := range got {
@@ -267,12 +246,11 @@ func TestScaleKnownValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullQ := qb.Product.Mul(pb.Product)
 	got := make([]uint64, qb.K())
 	// round(2·x/q) for x = q: exactly 2.
 	x := qb.Product
-	xq := qb.Decompose(x.Mod(qb.Product)) // ≡ 0
-	xp := pb.Decompose(x.Mod(pb.Product))
+	xq := decompose(qb, x) // ≡ 0
+	xp := decompose(pb, x)
 	sc.Scale(xq, xp, got)
 	for i := range got {
 		if got[i] != 2 {
@@ -280,10 +258,8 @@ func TestScaleKnownValues(t *testing.T) {
 		}
 	}
 	// x = -q/3 (exact magnitude q/3 rounded): result round(-2/3·...) small negative.
-	third := qb.Product.Div(mp.NewNat(3))
-	xNeg := fullQ.Sub(third)
-	xq = qb.Decompose(xNeg.Mod(qb.Product))
-	xp = pb.Decompose(xNeg.Mod(pb.Product))
+	xNeg := new(big.Int).Quo(qb.Product, big.NewInt(-3))
+	xq, xp = decompose(qb, xNeg), decompose(pb, xNeg)
 	sc.Scale(xq, xp, got)
 	want := make([]uint64, qb.K())
 	sc.ScaleExact(xq, xp, want)
@@ -329,15 +305,14 @@ func TestScalePoly(t *testing.T) {
 	n := 64
 	full := append(append([]ring.Modulus(nil), qb.Mods...), pb.Mods...)
 	x := poly.NewRNSPoly(full, n)
-	fullQ := qb.Product.Mul(pb.Product)
-	bound := fullQ.Shr(3)
+	bound := new(big.Int).Rsh(product(qb, pb), 3)
 	for c := 0; c < n; c++ {
 		v := randBelow(r, bound)
 		if r.Intn(2) == 1 {
-			v = fullQ.Sub(v)
+			v.Neg(v)
 		}
 		for i, m := range full {
-			x.Rows[i].Coeffs[c] = v.ModWord(m.Q)
+			x.Rows[i].Coeffs[c] = modWord(v, m.Q)
 		}
 	}
 	a := poly.NewRNSPoly(qb.Mods, n)
@@ -456,7 +431,7 @@ func BenchmarkExtendHPS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := qb.Decompose(randBelow(r, qb.Product))
+	in := decompose(qb, randBelow(r, qb.Product))
 	out := make([]uint64, pb.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -472,7 +447,7 @@ func BenchmarkExtendExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := qb.Decompose(randBelow(r, qb.Product))
+	in := decompose(qb, randBelow(r, qb.Product))
 	out := make([]uint64, pb.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -487,10 +462,8 @@ func BenchmarkScaleHPS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fullQ := qb.Product.Mul(pb.Product)
-	x := randBelow(r, fullQ.Shr(3))
-	xq := qb.Decompose(x.Mod(qb.Product))
-	xp := pb.Decompose(x.Mod(pb.Product))
+	x := randBelow(r, new(big.Int).Rsh(product(qb, pb), 3))
+	xq, xp := decompose(qb, x), decompose(pb, x)
 	out := make([]uint64, qb.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -557,10 +530,8 @@ func BenchmarkScaleExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fullQ := qb.Product.Mul(pb.Product)
-	x := randBelow(r, fullQ.Shr(3))
-	xq := qb.Decompose(x.Mod(qb.Product))
-	xp := pb.Decompose(x.Mod(pb.Product))
+	x := randBelow(r, new(big.Int).Rsh(product(qb, pb), 3))
+	xq, xp := decompose(qb, x), decompose(pb, x)
 	out := make([]uint64, qb.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,10 +2,11 @@ package rns
 
 import (
 	"fmt"
+	"math/big"
 	"math/bits"
 
-	"repro/internal/mp"
 	"repro/internal/poly"
+	"repro/internal/ring"
 )
 
 // ScaleRounder computes the paper's Scale Q→q (Sec. IV-D): given the
@@ -32,20 +33,18 @@ import (
 type ScaleRounder struct {
 	QB *Basis // the q primes
 	PB *Basis // the p primes
+	QP *Basis // q then p: the full basis Q, its CRT constants and width
 	T  uint64 // plaintext modulus
-
-	bigQ mp.Nat // q·p
 
 	// Pool, when set, stripes ScalePolyInto's coefficient loop across goroutines
 	// (same contract as Extender.Pool: the per-coefficient kernels only read
 	// the precomputed tables).
 	Pool *poly.Pool
 
-	w     [][]uint64     // w[i][j] = floor(t·Q̃_i·p/q_i) mod p_j
-	theta []mp.Frac128   // theta[i] = (t·Q̃_i·p mod q_i)/q_i
-	bCst  []uint64       // bCst[j] = t·Q̃_j·(p/p_j) mod p_j
-	ext   *Extender      // p → q
-	recip *mp.Reciprocal // 1/q sized for t·x dividends (traditional path)
+	w     [][]uint64 // w[i][j] = floor(t·Q̃_i·p/q_i) mod p_j
+	theta []frac128  // theta[i] = (t·Q̃_i·p mod q_i)/q_i
+	bCst  []uint64   // bCst[j] = t·Q̃_j·(p/p_j) mod p_j
+	ext   *Extender  // p → q
 
 	// Target-major Shoup layout of the Block 1–3 constants (same strength
 	// reduction as Extender), flat like the Extender's tables — one backing
@@ -61,12 +60,11 @@ func NewScaleRounder(qb, pb *Basis, t uint64) (*ScaleRounder, error) {
 	if t < 2 {
 		return nil, fmt.Errorf("rns: plaintext modulus %d too small", t)
 	}
-	for _, m := range pb.Mods {
-		if qb.Contains(m.Q) {
-			return nil, fmt.Errorf("rns: q and p bases overlap at %d", m.Q)
-		}
+	qp, err := NewBasis(append(append([]ring.Modulus(nil), qb.Mods...), pb.Mods...))
+	if err != nil {
+		return nil, fmt.Errorf("rns: q and p bases overlap: %w", err)
 	}
-	if qb.Contains(t) || pb.Contains(t) {
+	if qp.Contains(t) {
 		return nil, fmt.Errorf("rns: plaintext modulus %d collides with a basis prime", t)
 	}
 	ext, err := NewExtender(pb, qb.Mods)
@@ -76,35 +74,30 @@ func NewScaleRounder(qb, pb *Basis, t uint64) (*ScaleRounder, error) {
 	s := &ScaleRounder{
 		QB:    qb,
 		PB:    pb,
+		QP:    qp,
 		T:     t,
-		bigQ:  qb.Product.Mul(pb.Product),
 		w:     make([][]uint64, qb.K()),
-		theta: make([]mp.Frac128, qb.K()),
+		theta: make([]frac128, qb.K()),
 		bCst:  make([]uint64, pb.K()),
 		ext:   ext,
 	}
-	tN := mp.NewNat(t)
+	kq := qb.K()
+	tb := new(big.Int).SetUint64(t)
 	for i, m := range qb.Mods {
-		// Q̃_i = (Q/q_i)^-1 mod q_i, with Q/q_i = (q/q_i)·p.
-		qStarFull := qb.QStar[i].Mul(pb.Product)
-		qTilde := m.Inv(qStarFull.ModWord(m.Q))
 		// M_i = t·Q̃_i·p = W_i·q_i + r_i.
-		mi := tN.MulWord(qTilde).Mul(pb.Product)
-		wi, ri := mi.DivMod(mp.NewNat(m.Q))
+		mi := new(big.Int).SetUint64(qp.QTilde[i])
+		mi.Mul(mi, tb).Mul(mi, pb.Product)
+		wi, ri := mi.QuoRem(mi, new(big.Int).SetUint64(m.Q), new(big.Int))
 		s.w[i] = make([]uint64, pb.K())
 		for j, d := range pb.Mods {
-			s.w[i][j] = wi.ModWord(d.Q)
+			s.w[i][j] = modWord(wi, d.Q)
 		}
-		s.theta[i] = mp.FracDiv(ri.Uint64(), m.Q)
+		s.theta[i] = fracDiv(ri.Uint64(), m.Q)
 	}
 	for j, d := range pb.Mods {
-		// B_j = t·Q̃_j·(p/p_j) mod p_j with Q̃_j = (Q/p_j)^-1 mod p_j.
-		pStar := pb.QStar[j] // p/p_j
-		qStarFull := pStar.Mul(qb.Product)
-		qTilde := d.Inv(qStarFull.ModWord(d.Q))
-		s.bCst[j] = d.Mul(d.Mul(d.Reduce(t%d.Q), d.Reduce(qTilde)), pStar.ModWord(d.Q))
+		// B_j = t·Q̃_j·(p/p_j) mod p_j.
+		s.bCst[j] = d.Mul(d.Mul(d.Reduce(t), qp.QTilde[kq+j]), modWord(pb.QStar[j], d.Q))
 	}
-	kq := qb.K()
 	s.wFlat = make([]uint64, pb.K()*kq)
 	s.wShoupFlat = make([]uint64, pb.K()*kq)
 	s.bShoup = make([]uint64, pb.K())
@@ -115,7 +108,6 @@ func NewScaleRounder(qb, pb *Basis, t uint64) (*ScaleRounder, error) {
 		}
 		s.bShoup[j] = d.ShoupPrecomp(s.bCst[j])
 	}
-	s.recip = mp.NewReciprocal(qb.Product, s.bigQ.BitLen()+mp.NewNat(t).BitLen()+2)
 	return s, nil
 }
 
@@ -124,11 +116,11 @@ func NewScaleRounder(qb, pb *Basis, t uint64) (*ScaleRounder, error) {
 func (s *ScaleRounder) Scale(xq, xp, out []uint64) {
 	s.checkLens(xq, xp, out)
 	// Blocks 1–2: fractional and integer sums over the q residues.
-	var acc mp.Acc192
+	var acc acc192
 	for i := range xq {
-		acc.AddMul(xq[i], s.theta[i])
+		acc.addMul(xq[i], s.theta[i])
 	}
-	r := acc.Round()
+	r := acc.round()
 	var ypArr [16]uint64 // stack scratch for the common basis sizes
 	yp := ypArr[:s.PB.K()]
 	if s.PB.K() > len(ypArr) {
@@ -156,50 +148,20 @@ func (s *ScaleRounder) Scale(xq, xp, out []uint64) {
 }
 
 // ScaleExact computes the same result with the multi-precision dataflow of
-// paper Fig. 8: full CRT reconstruction of x (Blocks 1–2), the long division
-// round(t·x/q) by reciprocal multiplication (Block 3), and reduction modulo
-// the q primes (Block 4). It is the correctness oracle and the Traditional
+// paper Fig. 8: full CRT reconstruction of x over q·p (Blocks 1–2), the
+// exact rounded division round(t·x/q) (Block 3), and reduction modulo the q
+// primes (Block 4). It is the correctness oracle and the Traditional
 // variant's kernel.
 func (s *ScaleRounder) ScaleExact(xq, xp, out []uint64) {
 	s.checkLens(xq, xp, out)
-	mag, neg := s.reconstructCenteredFull(xq, xp)
-	y := s.recip.DivRound(mag.MulWord(s.T))
-	for i, m := range s.QB.Mods {
-		r := y.ModWord(m.Q)
-		if neg {
-			r = m.Neg(r)
-		}
-		out[i] = r
+	x := s.QP.ReconstructCentered(append(append(make([]uint64, 0, len(xq)+len(xp)), xq...), xp...))
+	// q is odd, so t·x/q is never a tie and round(a/q) = ⌊(a + ⌊q/2⌋)/q⌋;
+	// Div is Euclidean, the floor for a positive divisor.
+	var t big.Int
+	x.Mul(x, t.SetUint64(s.T)).Add(x, s.QB.half).Div(x, s.QB.Product)
+	for i, qi := range s.QB.Mods {
+		out[i] = modWord(x, qi.Q)
 	}
-}
-
-func (s *ScaleRounder) reconstructCenteredFull(xq, xp []uint64) (mp.Nat, bool) {
-	// Reconstruct over the concatenated basis using the per-part CRT:
-	// x = xQ·[p·(p^-1 mod q)] + xP·[q·(q^-1 mod p)] mod Q, computed as a
-	// two-term CRT between the coprime moduli q and p.
-	xQ := s.QB.Reconstruct(xq)
-	xP := s.PB.Reconstruct(xp)
-	q, p := s.QB.Product, s.PB.Product
-	// Garner: x = xQ + q·((xP - xQ)·q^-1 mod p).
-	qInvP := modInverseNat(q, s.PB)
-	diff := xP.Add(p).Sub(xQ.Mod(p)).Mod(p)
-	h := diff.Mul(qInvP).Mod(p)
-	x := xQ.Add(q.Mul(h))
-	half := s.bigQ.Shr(1)
-	if x.Cmp(half) > 0 {
-		return s.bigQ.Sub(x), true
-	}
-	return x, false
-}
-
-// modInverseNat computes q^-1 mod p for the basis product q against the
-// p basis, via CRT over the p primes (each word inverse is cheap).
-func modInverseNat(q mp.Nat, pb *Basis) mp.Nat {
-	res := make([]uint64, pb.K())
-	for j, d := range pb.Mods {
-		res[j] = d.Inv(q.ModWord(d.Q))
-	}
-	return pb.Reconstruct(res)
 }
 
 func (s *ScaleRounder) checkLens(xq, xp, out []uint64) {
@@ -248,7 +210,7 @@ func (t *scaleTask) RunChunk(lo, hi int) {
 		return
 	}
 	// Row-major stripe kernel, the Scale analogue of Extender.extendStripe:
-	// per lane it runs the exact Block 1–3 arithmetic of Scale — the Acc192
+	// per lane it runs the exact Block 1–3 arithmetic of Scale — the acc192
 	// fractional sum in three parallel limb arrays (same q-row order), the lazy
 	// Shoup sums seeded with Reduce(r) and accumulated raw in the same order,
 	// the same closing reductions — then hands the yp stripe rows straight to
@@ -279,8 +241,8 @@ func (t *scaleTask) RunChunk(lo, hi int) {
 			x := src[i].Coeffs[c0:c1:c1]
 			xin[i] = x
 			for c, xc := range x {
-				hi1, lo1 := bits.Mul64(xc, f.Lo)
-				hi2, lo2 := bits.Mul64(xc, f.Hi)
+				hi1, lo1 := bits.Mul64(xc, f.lo)
+				hi2, lo2 := bits.Mul64(xc, f.hi)
 				var cc uint64
 				w0[c], cc = bits.Add64(w0[c], lo1, 0)
 				w1[c], cc = bits.Add64(w1[c], hi1, cc)
