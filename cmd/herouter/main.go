@@ -3,7 +3,9 @@
 // protocol as heserver (sequential v2), shards tenants across the backends with
 // a consistent-hash ring, health-checks every node (ejecting dead ones and
 // rerouting their tenants to ring replicas), and retries idempotent
-// requests on a replica within a bounded budget.
+// requests on a replica within a bounded budget. CKKS commands are framed
+// under the set heserver -ckks serves (-paper picks it, as it does there)
+// and routed like the BFV ones; a backend started without -ckks refuses them.
 //
 // Usage:
 //
@@ -43,6 +45,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/ckks"
 	"repro/internal/cluster"
 	"repro/internal/fv"
 	"repro/internal/obs"
@@ -56,7 +59,6 @@ var (
 	paper          = flag.Bool("paper", false, "use the paper parameter set (n = 4096) instead of the small test set")
 	tmod           = flag.Uint64("t", 65537, "plaintext modulus (must match the backends)")
 	replicas       = flag.Int("replicas", 2, "failover candidates per tenant on the ring")
-	vnodes         = flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per backend on the ring")
 	attempts       = flag.Int("attempts", 0, "retry budget per request (0 = replicas)")
 	attemptTimeout = flag.Duration("attempt-timeout", 2*time.Second, "per-attempt deadline")
 	poolSize       = flag.Int("pool", 4, "idle connections kept per backend (ignored with -mux)")
@@ -64,8 +66,6 @@ var (
 	probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "health probe period per backend")
 	probeTimeout   = flag.Duration("probe-timeout", time.Second, "health probe deadline")
 	failThreshold  = flag.Int("fail-threshold", 2, "consecutive failures that eject a backend")
-	loadAware      = flag.Bool("load-aware", false, "spill hot tenants from an overloaded primary to a less-loaded ring replica (EWMA latency x queue depth)")
-	loadSpill      = flag.Float64("load-spill", 2.0, "primary-vs-best load ratio that triggers a load-aware spill")
 	watch          = flag.String("watch", "", "membership file to poll (same format as -backends, one entry per line); joins and leaves are applied live with key-state migration")
 	watchInterval  = flag.Duration("watch-interval", 2*time.Second, "poll period for -watch")
 	nodeID         = flag.String("node-id", "herouter", "node name advertised in info replies")
@@ -86,8 +86,6 @@ func main() {
 		usageError(fmt.Errorf("-addr must not be empty"))
 	case *replicas <= 0:
 		usageError(fmt.Errorf("-replicas must be positive, got %d", *replicas))
-	case *vnodes <= 0:
-		usageError(fmt.Errorf("-vnodes must be positive, got %d", *vnodes))
 	case *attempts < 0:
 		usageError(fmt.Errorf("-attempts must be >= 0, got %d", *attempts))
 	case *attemptTimeout <= 0:
@@ -104,33 +102,34 @@ func main() {
 		usageError(fmt.Errorf("-read-timeout must be positive, got %v", *readTimeout))
 	case *drainTimeout <= 0:
 		usageError(fmt.Errorf("-drain-timeout must be positive, got %v", *drainTimeout))
-	case *loadSpill <= 1:
-		usageError(fmt.Errorf("-load-spill must be > 1, got %v", *loadSpill))
 	case *watchInterval <= 0:
 		usageError(fmt.Errorf("-watch-interval must be positive, got %v", *watchInterval))
 	}
 
-	cfg := fv.TestConfig(*tmod)
+	cfg, ccfg := fv.TestConfig(*tmod), ckks.TestConfig()
 	if *paper {
-		cfg = fv.PaperConfig(*tmod)
+		cfg, ccfg = fv.PaperConfig(*tmod), ckks.PaperConfig()
 	}
 	params, err := fv.NewParams(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	// The CKKS set heserver -ckks serves: the router frames CKKS commands
+	// under it, and a backend without CKKS refuses them.
+	cparams, err := ckks.NewParams(ccfg)
 	if err != nil {
 		fatal(err)
 	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
 	router, err := cluster.NewRouter(cluster.Config{
-		Params:          params,
-		Backends:        backends,
-		VirtualNodes:    *vnodes,
-		Replicas:        *replicas,
-		MaxAttempts:     *attempts,
-		AttemptTimeout:  *attemptTimeout,
-		PoolSize:        *poolSize,
-		Mux:             *muxMode,
-		LoadAware:       *loadAware,
-		LoadSpillFactor: *loadSpill,
+		Params:         params,
+		Backends:       backends,
+		Replicas:       *replicas,
+		MaxAttempts:    *attempts,
+		AttemptTimeout: *attemptTimeout,
+		PoolSize:       *poolSize,
+		Mux:            *muxMode,
 		Health: cluster.HealthConfig{
 			Interval:      *probeInterval,
 			Timeout:       *probeTimeout,
@@ -154,6 +153,7 @@ func main() {
 	}
 
 	srv := cluster.NewServer(params, router, logger)
+	srv.CKKSParams = cparams
 	srv.NodeID = *nodeID
 	srv.ReadTimeout = *readTimeout
 

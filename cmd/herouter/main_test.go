@@ -38,7 +38,6 @@ func TestInvalidFlagsExitTwo(t *testing.T) {
 		{"empty addr", []string{"-addr", " ", "-backends", "127.0.0.1:7101"}, "-addr"},
 		{"bad backend entry", []string{"-backends", "id="}, "backend"},
 		{"zero replicas", []string{"-backends", "127.0.0.1:7101", "-replicas", "0"}, "-replicas"},
-		{"zero vnodes", []string{"-backends", "127.0.0.1:7101", "-vnodes", "0"}, "-vnodes"},
 		{"negative attempts", []string{"-backends", "127.0.0.1:7101", "-attempts", "-1"}, "-attempts"},
 		{"zero attempt timeout", []string{"-backends", "127.0.0.1:7101", "-attempt-timeout", "0s"}, "-attempt-timeout"},
 		{"zero pool", []string{"-backends", "127.0.0.1:7101", "-pool", "0"}, "-pool"},
@@ -47,7 +46,6 @@ func TestInvalidFlagsExitTwo(t *testing.T) {
 		{"zero fail threshold", []string{"-backends", "127.0.0.1:7101", "-fail-threshold", "0"}, "-fail-threshold"},
 		{"zero read timeout", []string{"-backends", "127.0.0.1:7101", "-read-timeout", "0s"}, "-read-timeout"},
 		{"zero drain timeout", []string{"-backends", "127.0.0.1:7101", "-drain-timeout", "0s"}, "-drain-timeout"},
-		{"load spill not above one", []string{"-backends", "127.0.0.1:7101", "-load-spill", "1"}, "-load-spill"},
 		{"zero watch interval", []string{"-backends", "127.0.0.1:7101", "-watch-interval", "0s"}, "-watch-interval"},
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
 	}
@@ -81,8 +79,6 @@ func TestFlagSetGolden(t *testing.T) {
 		"debug-addr",
 		"drain-timeout",
 		"fail-threshold",
-		"load-aware",
-		"load-spill",
 		"mux",
 		"node-id",
 		"paper",
@@ -92,7 +88,6 @@ func TestFlagSetGolden(t *testing.T) {
 		"read-timeout",
 		"replicas",
 		"t",
-		"vnodes",
 		"watch",
 		"watch-interval",
 	}

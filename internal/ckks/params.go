@@ -35,7 +35,8 @@ type Config struct {
 	PrimeBits int
 	// Sigma is the error distribution's standard deviation.
 	Sigma float64
-	// PoolSize caps the dispatch pool (0 = NumCPU).
+	// PoolSize caps the dispatch pool (0 = min(GOMAXPROCS, 7), the paper's
+	// RPAU count; see poly.NewDefaultPool).
 	PoolSize int
 }
 

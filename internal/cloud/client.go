@@ -30,12 +30,24 @@ type Ops struct {
 }
 
 func (o Ops) op(ctx context.Context, req *Request) (*fv.Ciphertext, time.Duration, error) {
-	req.Tenant = o.Tenant
-	resp, err := o.Via.Do(ctx, req)
+	resp, err := o.do(ctx, req)
 	if err != nil {
 		return nil, 0, err
 	}
 	return resp.Result, time.Duration(resp.ComputeNanos), nil
+}
+
+func (o Ops) ckksOp(ctx context.Context, req *Request) (*ckks.Ciphertext, time.Duration, error) {
+	resp, err := o.do(ctx, req)
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp.CKKSResult, time.Duration(resp.ComputeNanos), nil
+}
+
+func (o Ops) do(ctx context.Context, req *Request) (*Response, error) {
+	req.Tenant = o.Tenant
+	return o.Via.Do(ctx, req)
 }
 
 // AddCtx asks the cloud to add two ciphertexts, honoring ctx.
@@ -53,6 +65,26 @@ func (o Ops) MulCtx(ctx context.Context, a, b *fv.Ciphertext) (*fv.Ciphertext, t
 // must hold the matching key), honoring ctx.
 func (o Ops) RotateCtx(ctx context.Context, a *fv.Ciphertext, g int) (*fv.Ciphertext, time.Duration, error) {
 	return o.op(ctx, &Request{Cmd: CmdRotate, G: uint32(g), A: a})
+}
+
+// CKKSAddCtx asks the cloud to add two approximate-arithmetic ciphertexts
+// (levels aligned server-side), honoring ctx. A connection needs EnableCKKS.
+func (o Ops) CKKSAddCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error) {
+	return o.ckksOp(ctx, &Request{Cmd: CmdCKKSAdd, CA: a, CB: b})
+}
+
+// CKKSMulCtx asks the cloud to multiply two approximate-arithmetic
+// ciphertexts — relinearized and rescaled server-side, so the result sits one
+// level below the deeper operand. A connection needs EnableCKKS.
+func (o Ops) CKKSMulCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error) {
+	return o.ckksOp(ctx, &Request{Cmd: CmdCKKSMul, CA: a, CB: b})
+}
+
+// CKKSRotateCtx asks the cloud to rotate the slot vector left by r (the
+// server must hold the matching Galois key), honoring ctx. A connection needs
+// EnableCKKS.
+func (o Ops) CKKSRotateCtx(ctx context.Context, a *ckks.Ciphertext, r int) (*ckks.Ciphertext, time.Duration, error) {
+	return o.ckksOp(ctx, &Request{Cmd: CmdCKKSRotate, CA: a, R: int32(r)})
 }
 
 // PingCtx verifies the service is alive, honoring ctx.
@@ -86,13 +118,53 @@ func ReplyAs[T Reply](rep Reply, err error) (T, error) {
 	return rep.(T), nil // RawReply.Reply picked the kind from the same command
 }
 
+// caller is what both client connections have above their Exchange: the
+// codec their own requests are encoded under (EnableCKKS), the typed
+// operations, and the calls that are one round trip each.
+type caller struct {
+	codec
+	Ops      // the typed operations of both schemes; Ops.Tenant is the connection's namespace
+	exchange func(context.Context, *Frame) (*RawReply, error)
+}
+
+// roundTrip is encode, exchange, materialize — the skeleton every command
+// shares — under the connection's tenant unless the request names one.
+func (cl *caller) roundTrip(ctx context.Context, req *Request) (Reply, error) {
+	req.Ver = ProtoV2
+	if req.Tenant == "" {
+		req.Tenant = cl.Ops.Tenant
+	}
+	return cl.codec.roundTrip(ctx, cl.exchange, req)
+}
+
+// Tenant returns the namespace this connection issues requests under.
+func (cl *caller) Tenant() string { return cl.Ops.Tenant }
+
+// Do runs one operation exchange under ctx (see the connection's Exchange
+// for the deadline and cancellation rules). A server-reported failure is
+// returned as *ServerError.
+func (cl *caller) Do(ctx context.Context, req *Request) (*Response, error) {
+	return ReplyAs[*Response](cl.roundTrip(ctx, req))
+}
+
+// DoProgram runs one CmdProgram exchange: the raw request (ProgBytes and
+// Inputs populated) against the program reply framing.
+func (cl *caller) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
+	req.Cmd = CmdProgram
+	return ReplyAs[*ProgramResponse](cl.roundTrip(ctx, req))
+}
+
+// Info asks the server what it is: protocol version, node ID, worker count,
+// whether it serves CKKS, and the tenants with registered evaluation keys.
+func (cl *caller) Info(ctx context.Context) (*ServerInfo, error) {
+	return ReplyAs[*ServerInfo](cl.roundTrip(ctx, &Request{Cmd: CmdInfo}))
+}
+
 // Client is a connection to the cloud service. It is not safe for
 // concurrent use; open one client per goroutine (the server multiplexes).
 type Client struct {
-	Ops    // AddCtx, MulCtx, RotateCtx, PingCtx, RunProgram; Ops.Tenant is the client's namespace
+	caller
 	conn   net.Conn
-	params *fv.Params
-	ckks   *ckks.Params // non-nil after EnableCKKS; required for CmdCKKS*
 	nextID uint64
 	broken bool // a transport error or cancellation desynced the stream
 	// interrupt slams the connection deadline to now; armed on each
@@ -115,27 +187,19 @@ func DialTenant(addr string, params *fv.Params, tenant string) (*Client, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, params: params}
+	c := &Client{conn: conn}
+	c.caller = caller{codec: newCodec(params, nil), Ops: Ops{Via: c, Tenant: tenant}, exchange: c.Exchange}
 	c.interrupt = func() { conn.SetDeadline(time.Now()) }
-	c.Ops = Ops{Via: c, Tenant: tenant}
 	return c, nil
 }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Tenant returns the namespace this client issues requests under.
-func (c *Client) Tenant() string { return c.Ops.Tenant }
-
 // Broken reports whether the connection's request/response stream can no
 // longer be trusted (a transport error, a cancellation mid-exchange, or a
 // response-ID mismatch). A broken client must be closed, not reused.
 func (c *Client) Broken() bool { return c.broken }
-
-// EnableCKKS arms the client for approximate-arithmetic commands. The params
-// must match the server's (check ServerInfo.CKKS via Info first); CKKS
-// commands on a client without them fail before touching the wire.
-func (c *Client) EnableCKKS(p *ckks.Params) { c.ckks = p }
 
 // Exchange runs one raw exchange under ctx: it sends f's bytes under this
 // connection's next request ID — one contiguous Write, nothing else about
@@ -147,7 +211,9 @@ func (c *Client) EnableCKKS(p *ckks.Params) { c.ckks = p }
 // whatever a late-firing one leaves behind). On cancellation, any transport
 // error, a malformed reply, or a reply to a different request the client is
 // marked Broken; an error reply — the server answered, the operation failed —
-// leaves the stream usable.
+// leaves the stream usable. The reply is framed under the frame's codec, so a
+// frame whose codec cannot frame it (a CKKS command without a CKKS layout) is
+// refused, ErrMalformedRequest, before the write.
 func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 	if c.broken {
 		return nil, fmt.Errorf("cloud: client connection is broken")
@@ -156,6 +222,9 @@ func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if _, err := f.codec.layout(f.Cmd); err != nil {
 		return nil, err
 	}
 	c.nextID++
@@ -171,7 +240,7 @@ func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
 	}
-	raw, err := readRawReply(c.conn, f.replyHint(), c.params, c.ckks, f.Cmd)
+	raw, err := readRawReply(c.conn, f.replyHint(), f.codec, f.Cmd)
 	if err != nil {
 		c.broken = true
 		return nil, c.ctxErr(ctx, err)
@@ -182,27 +251,6 @@ func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 		return nil, fmt.Errorf("cloud: %s reply ID %d for request %d (stream desync)", cmdName(f.Cmd), id, c.nextID)
 	}
 	return raw, nil
-}
-
-// roundTrip is encode, Exchange, materialize — the skeleton every command
-// shares. It stamps the request's Ver and Tenant from the client (a non-empty
-// req.Tenant overrides the client default).
-func (c *Client) roundTrip(ctx context.Context, req *Request) (Reply, error) {
-	req.Ver = ProtoV2
-	if req.Tenant == "" {
-		req.Tenant = c.Ops.Tenant
-	}
-	return RoundTrip(ctx, c.Exchange, c.params, req)
-}
-
-// Do runs one operation exchange under ctx (see Exchange for the deadline,
-// cancellation, and broken-stream rules). A server-reported failure is
-// returned as *ServerError.
-func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
-	if isCKKSCmd(req.Cmd) && c.ckks == nil {
-		return nil, fmt.Errorf("cloud: %s requires EnableCKKS", cmdName(req.Cmd))
-	}
-	return ReplyAs[*Response](c.roundTrip(ctx, req))
 }
 
 // ctxErr prefers the context's error over the I/O error it provoked, so
@@ -221,48 +269,6 @@ func (c *Client) ctxErr(ctx context.Context, err error) error {
 		}
 	}
 	return err
-}
-
-func (c *Client) ckksOp(ctx context.Context, req *Request) (*ckks.Ciphertext, time.Duration, error) {
-	resp, err := c.Do(ctx, req)
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.CKKSResult, time.Duration(resp.ComputeNanos), nil
-}
-
-// CKKSAddCtx asks the cloud to add two approximate-arithmetic ciphertexts
-// (levels aligned server-side), honoring ctx. Requires EnableCKKS.
-func (c *Client) CKKSAddCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error) {
-	return c.ckksOp(ctx, &Request{Cmd: CmdCKKSAdd, CA: a, CB: b})
-}
-
-// CKKSMulCtx asks the cloud to multiply two approximate-arithmetic
-// ciphertexts — relinearized and rescaled server-side, so the result sits one
-// level below the deeper operand. Requires EnableCKKS.
-func (c *Client) CKKSMulCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error) {
-	return c.ckksOp(ctx, &Request{Cmd: CmdCKKSMul, CA: a, CB: b})
-}
-
-// CKKSRotateCtx asks the cloud to rotate the slot vector left by r (the
-// server must hold the matching Galois key), honoring ctx. Requires
-// EnableCKKS.
-func (c *Client) CKKSRotateCtx(ctx context.Context, a *ckks.Ciphertext, r int) (*ckks.Ciphertext, time.Duration, error) {
-	return c.ckksOp(ctx, &Request{Cmd: CmdCKKSRotate, CA: a, R: int32(r)})
-}
-
-// Info asks the server what it is: protocol version, node ID, worker count,
-// and the tenants with registered evaluation keys.
-func (c *Client) Info(ctx context.Context) (*ServerInfo, error) {
-	return ReplyAs[*ServerInfo](c.roundTrip(ctx, &Request{Cmd: CmdInfo}))
-}
-
-// DoProgram runs one CmdProgram exchange: the raw request (ProgBytes and
-// Inputs populated) against the program reply framing. Deadline,
-// cancellation, and broken-stream handling match Do.
-func (c *Client) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
-	req.Cmd = CmdProgram
-	return ReplyAs[*ProgramResponse](c.roundTrip(ctx, req))
 }
 
 // Add asks the cloud to add two ciphertexts.

@@ -364,14 +364,12 @@ func TestServerSlowClientDisconnected(t *testing.T) {
 	}
 }
 
-// TestRequestSizeBounded: ReadRequest must never consume more than
-// MaxRequestBytes from the stream, whatever the stream claims.
+// TestRequestSizeBounded: ReadRequest must never consume more than an op
+// request's bound — the header and two three-element ciphertexts — from the
+// stream, whatever the stream claims.
 func TestRequestSizeBounded(t *testing.T) {
 	ts := newTestSystem(t)
-	limit := MaxRequestBytes(ts.params)
-	if limit <= 0 || limit > 1<<30 {
-		t.Fatalf("implausible MaxRequestBytes %d", limit)
-	}
+	limit := requestHeadLen + MaxTenantLen + 4 + 2*(8+3*ts.params.QBasis.K()*ts.params.N()*4)
 	// A well-formed-looking prefix followed by an endless stream of zeros:
 	// the reader must give up with an error after at most `limit` bytes.
 	var prefix bytes.Buffer

@@ -47,7 +47,7 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 		if err := writeReply(&buf, k.rep, ts.params, id); err != nil {
 			t.Fatalf("%s: encode: %v", k.kind, err)
 		}
-		gotID, got, err := readReply(&buf, ts.params, nil, k.cmd)
+		gotID, got, err := readReply(&buf, codecFor(ts.params, nil), k.cmd)
 		if err != nil || gotID != id {
 			t.Fatalf("%s: decode: id %#x, %v", k.kind, gotID, err)
 		}
@@ -58,7 +58,7 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("%s: success half drifted:\n got %+v\nwant %+v", k.kind, got, k.rep)
 		}
 
-		gotID, got, err = readReply(bytes.NewReader(errBytes.Bytes()), ts.params, nil, k.cmd)
+		gotID, got, err = readReply(bytes.NewReader(errBytes.Bytes()), codecFor(ts.params, nil), k.cmd)
 		if err != nil || gotID != id || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: error half decoded to id %#x, %+v, %v", k.kind, gotID, got, err)
 		}
@@ -85,7 +85,7 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 	old = binary.LittleEndian.AppendUint64(old, id)
 	old = binary.LittleEndian.AppendUint32(old, 4)
 	old = append(old, "boom"...)
-	if _, _, err := readReply(bytes.NewReader(old), ts.params, nil, CmdInfo); !errors.Is(err, ErrMalformedResponse) {
+	if _, _, err := readReply(bytes.NewReader(old), codecFor(ts.params, nil), CmdInfo); !errors.Is(err, ErrMalformedResponse) {
 		t.Fatalf("retired info-error layout: err %v, want ErrMalformedResponse", err)
 	}
 }

@@ -23,11 +23,11 @@ import (
 //   - Framing turns a stream (or a mux payload already in memory) into a
 //     Frame or a RawReply: the header fields, plus the whole message as one
 //     contiguous byte slice whose length is derived from the command and each
-//     ciphertext's header, bounded by the Max*RequestBytes limits, and with
-//     every ciphertext — BFV or CKKS — validated in place by the one codec
-//     both schemes share (rlwe.Layout.Check under the scheme's layout: header
-//     fields, then every residue below its modulus). Nothing ciphertext-sized
-//     is allocated, for any command.
+//     ciphertext's header, bounded by the limits of the codec it is framed
+//     under, and with every ciphertext — BFV or CKKS — validated in place by
+//     the one ciphertext codec both schemes share (rlwe.Layout.Check under the
+//     codec's layout for the command: header fields, then every residue below
+//     its modulus). Nothing ciphertext-sized is allocated, for any command.
 //   - Materialization turns those bytes into *fv.Ciphertext and
 //     *ckks.Ciphertext values (Frame.Request, RawReply.Reply) and back
 //     (EncodeRequest, Reply.encode).
@@ -163,7 +163,7 @@ type cursor struct {
 
 // streamSlack is the most a stream cursor reserves beyond the bytes that have
 // actually arrived while fewer than that have: a connection that claims a
-// MaxKeyBlobBytes body (hundreds of megabytes) and then stalls or hangs up has
+// key-blob body (hundreds of megabytes) and then stalls or hangs up has
 // cost its peer one slack, not the claim.
 const streamSlack = 1 << 20
 
@@ -246,15 +246,66 @@ const requestHeadLen = 4 + 1 + 1 + 8 + 1
 // requestIDOff is where the request ID sits in an encoded request.
 const requestIDOff = 4 + 1 + 1
 
-// requestLimit is the most bytes any one request may occupy under the
-// parameter sets a front-end serves.
-func requestLimit(params *fv.Params, cparams *ckks.Params) int {
-	limit := max(MaxRequestBytes(params), MaxProgramRequestBytes(params),
-		MaxKeyBlobBytes(params, cparams)+requestHeadLen+MaxTenantLen+4)
+// codec is what the wire reads of the parameter sets one side speaks: the BFV
+// layout (and the set itself, which encodes this side's BFV operands), the
+// CKKS layout when CKKS is spoken, and the byte limits derived from them once.
+// A front-end frames requests under its own codec; a frame carries the codec
+// it was framed or encoded under, and its reply is framed under the same one,
+// so a connection that only carries frames needs no parameter set of its own.
+type codec struct {
+	params    *fv.Params
+	bfv, ckks rlwe.Layout // ckks.Mods is nil when CKKS is not spoken
+	// maxRequest bounds one request, maxMuxPayload one mux payload either way,
+	// maxKeyBlob one tenant key blob.
+	maxRequest, maxMuxPayload, maxKeyBlob int
+}
+
+// newCodec derives the codec of a side speaking params and, when non-nil,
+// cparams. The bounds are generous by construction — their job is stopping
+// a hostile length field before anything is reserved, not accounting bytes.
+func newCodec(params *fv.Params, cparams *ckks.Params) codec {
+	cd := codec{params: params, bfv: params.Wire()}
+	// A key blob holds up to 65 keys per scheme (a relin key and 64 Galois
+	// keys) in checksummed containers, each two 64-entry gadget rows of
+	// polynomials at 8 bytes a coefficient: one bundle over the q basis for
+	// BFV, one per level over the chain prefix and p* for CKKS.
+	keys := func(bundles, rows, n int) int { return 65 * (256 + 2*64*bundles*(64+rows*n*8) + 16) }
+	cd.maxKeyBlob = 64 + keys(1, len(cd.bfv.Mods), cd.bfv.N)
 	if cparams != nil {
-		limit = max(limit, MaxCKKSRequestBytes(cparams))
+		cd.ckks = cparams.Wire()
+		cd.maxKeyBlob += keys(len(cd.ckks.Mods), len(cd.ckks.Mods)+1, cd.ckks.N)
 	}
-	return limit
+	// A request is the header and a rotation argument or a length, then at
+	// most two operands of three elements at the top of their chain, a
+	// program and its inputs, or a key blob. Every reply is smaller than its
+	// request's bound, and an info reply is capped.
+	head := requestHeadLen + MaxTenantLen + 4
+	ct := func(l rlwe.Layout) int { return rlwe.HeaderLen(l.Leveled) + 3*len(l.Mods)*l.N*4 }
+	pl := ProgramLimits()
+	program := head + pl.MaxEncodedBytes() + 4 + pl.MaxInputs*ct(cd.bfv) // and every BFV op
+	ckksOp := head + 2*ct(cd.ckks)
+	cd.maxRequest = max(program, ckksOp, head+cd.maxKeyBlob)
+	cd.maxMuxPayload = max(program, ckksOp+64, maxInfoBytes+64)
+	return cd
+}
+
+// EnableCKKS arms the connection for the approximate-arithmetic commands: its
+// own CKKS requests go out, and their replies are framed, under p, which must
+// match the server's (check ServerInfo.CKKS via Info first). Call it before
+// the connection's first exchange. Without it a CKKS request is refused before
+// it touches the wire, and the stream stays usable.
+func (cd *codec) EnableCKKS(p *ckks.Params) { *cd = newCodec(cd.params, p) }
+
+// layout returns the layout cmd's ciphertexts are framed under; a CKKS command
+// under a codec without a CKKS layout is malformed.
+func (cd *codec) layout(cmd uint8) (rlwe.Layout, error) {
+	if !isCKKSCmd(cmd) {
+		return cd.bfv, nil
+	}
+	if cd.ckks.Mods == nil {
+		return rlwe.Layout{}, fmt.Errorf("%w: %s without a CKKS parameter set", ErrMalformedRequest, cmdName(cmd))
+	}
+	return cd.ckks, nil
 }
 
 // Frame is a request as framed off the wire (or encoded by a client): its
@@ -268,21 +319,19 @@ type Frame struct {
 	ID     uint64
 	Tenant string
 
-	b    []byte  // the encoded request
-	body int     // offset of the command's body in b
-	buf  *buffer // pooled backing of b; nil when the connection owns it
-
-	params  *fv.Params
-	cparams *ckks.Params // set when the frame was read under a CKKS parameter set
+	b     []byte  // the encoded request
+	body  int     // offset of the command's body in b
+	buf   *buffer // pooled backing of b; nil when the connection owns it
+	codec *codec  // what the frame was framed or encoded under
 
 	pool *ctPool  // where Request draws operand ciphertexts from
 	req  *Request // what Request materialized, for release
 }
 
-// read frames one request from c. Errors are ReadRequest's: a clean io.EOF
-// (or the bare read error) before the magic is complete, and
+// read frames one request from c under cd. Errors are ReadRequest's: a clean
+// io.EOF (or the bare read error) before the magic is complete, and
 // ErrMalformedRequest for everything after.
-func (f *Frame) read(c *cursor, params *fv.Params, cparams *ckks.Params) error {
+func (f *Frame) read(c *cursor, cd *codec) error {
 	magic, err := c.next(4)
 	if err != nil {
 		return err
@@ -311,14 +360,14 @@ func (f *Frame) read(c *cursor, params *fv.Params, cparams *ckks.Params) error {
 	}
 	f.Tenant = string(tenant)
 	f.body = c.off
-	f.params, f.cparams = params, cparams
+	f.codec = cd
 
 	switch f.Cmd {
 	case CmdPing, CmdInfo, CmdKeyExport:
 	case CmdKeyImport, CmdAdmin:
 		maxBlob := MaxAdminBytes
 		if f.Cmd == CmdKeyImport {
-			maxBlob = MaxKeyBlobBytes(params, cparams)
+			maxBlob = cd.maxKeyBlob
 		}
 		n, err := c.next(4)
 		if err != nil {
@@ -352,7 +401,7 @@ func (f *Frame) read(c *cursor, params *fv.Params, cparams *ckks.Params) error {
 			return fmt.Errorf("%w: %d program inputs outside (0, %d]", ErrMalformedRequest, ni, l.MaxInputs)
 		}
 		for i := 0; i < int(ni); i++ {
-			if err := c.ciphertext(params.Wire()); err != nil {
+			if err := c.ciphertext(cd.bfv); err != nil {
 				return malformed(ErrMalformedRequest, fmt.Sprintf("reading program input %d", i), err)
 			}
 		}
@@ -360,13 +409,11 @@ func (f *Frame) read(c *cursor, params *fv.Params, cparams *ckks.Params) error {
 		// The six op commands are one shape under either scheme: a 4-byte
 		// argument for a rotation, then one or two operands of the scheme's
 		// layout.
-		layout, operands := params.Wire(), "AB"
-		if isCKKSCmd(f.Cmd) {
-			if cparams == nil {
-				return fmt.Errorf("%w: %s on a server without CKKS parameters", ErrMalformedRequest, cmdName(f.Cmd))
-			}
-			layout = cparams.Wire()
+		layout, err := cd.layout(f.Cmd)
+		if err != nil {
+			return err
 		}
+		operands := "AB"
 		if f.Cmd == CmdRotate || f.Cmd == CmdCKKSRotate {
 			operands = "A"
 			if _, err := c.next(4); err != nil {
@@ -401,13 +448,14 @@ func (f *Frame) Request() (*Request, error) {
 	body := f.b[f.body:]
 	operand := func() (*fv.Ciphertext, error) {
 		ct := f.pool.getFV()
-		n, err := ct.Decode(body, f.params)
+		n, _, err := f.codec.bfv.Decode(body, &ct.Els)
 		body = body[n:]
 		return ct, err
 	}
-	ckksOperand := func() (*ckks.Ciphertext, error) {
-		ct := f.pool.getCKKS()
-		n, err := ct.Decode(body, f.cparams)
+	ckksOperand := func() (ct *ckks.Ciphertext, err error) {
+		ct = f.pool.getCKKS()
+		var n int
+		n, ct.Scale, err = f.codec.ckks.Decode(body, &ct.Els)
 		body = body[n:]
 		return ct, err
 	}
@@ -470,20 +518,28 @@ func (f *Frame) Release() {
 	f.b, f.buf = nil, nil
 }
 
-// EncodeRequest serializes req into a frame — the bytes WriteRequest writes.
-// The caller releases it.
+// EncodeRequest serializes req into a frame — the bytes WriteRequest writes —
+// under params alone: a CKKS request encodes (it needs no parameter set), but
+// no transport carries it, for want of a layout to frame its reply under. The
+// caller releases the frame.
 func EncodeRequest(params *fv.Params, req *Request) (*Frame, error) {
+	cd := newCodec(params, nil)
+	return cd.encode(req)
+}
+
+// encode serializes req into a frame under cd.
+func (cd *codec) encode(req *Request) (*Frame, error) {
 	if len(req.Tenant) > MaxTenantLen {
 		return nil, fmt.Errorf("cloud: tenant %q longer than %d bytes", req.Tenant, MaxTenantLen)
 	}
-	buf := getBuf(req.encodedSize(params))
+	buf := getBuf(req.encodedSize(cd.params))
 	b := append(buf.b, protocolMagicV2[:]...)
 	b = append(b, ProtoV2, req.Cmd)
 	b = binary.LittleEndian.AppendUint64(b, req.ID)
 	b = append(b, byte(len(req.Tenant)))
 	b = append(b, req.Tenant...)
-	f := &Frame{Cmd: req.Cmd, ID: req.ID, Tenant: req.Tenant, body: len(b), buf: buf, params: params}
-	b, err := appendRequestBody(b, params, req)
+	f := &Frame{Cmd: req.Cmd, ID: req.ID, Tenant: req.Tenant, body: len(b), buf: buf, codec: cd}
+	b, err := appendRequestBody(b, cd.params, req)
 	buf.b = b
 	if err != nil {
 		buf.release()
@@ -497,12 +553,10 @@ func EncodeRequest(params *fv.Params, req *Request) (*Frame, error) {
 // error half or the kind's body as validated bytes. The routing tier relays
 // it as is (it is a Reply); clients materialize it.
 type RawReply struct {
-	cmd uint8   // the command it answers: picks the body's kind
-	b   []byte  // the encoded reply
-	buf *buffer // pooled backing of b, nil when b is plain memory
-
-	params  *fv.Params
-	cparams *ckks.Params
+	cmd   uint8   // the command it answers: picks the body's kind
+	b     []byte  // the encoded reply
+	buf   *buffer // pooled backing of b, nil when b is plain memory
+	codec *codec  // the request's: what the body was framed under
 	// info is the info body, decoded while framing: its JSON has to parse for
 	// the reply to be well formed.
 	info *ServerInfo
@@ -525,11 +579,11 @@ func (f *Frame) replyHint() int {
 // readRawReply frames the reply to a cmd request from a stream into a pooled
 // buffer the returned reply owns. hint sizes that buffer; a longer reply
 // grows it.
-func readRawReply(r io.Reader, hint int, params *fv.Params, cparams *ckks.Params, cmd uint8) (*RawReply, error) {
+func readRawReply(r io.Reader, hint int, cd *codec, cmd uint8) (*RawReply, error) {
 	buf := getBuf(hint)
 	c := cursor{r: r, buf: buf.b, left: math.MaxInt}
 	raw := &RawReply{buf: buf}
-	err := raw.read(&c, params, cparams, cmd)
+	err := raw.read(&c, cd, cmd)
 	buf.b = c.buf[:0] // the cursor may have moved it
 	if err != nil {
 		buf.release()
@@ -538,11 +592,16 @@ func readRawReply(r io.Reader, hint int, params *fv.Params, cparams *ckks.Params
 	return raw, nil
 }
 
-// read frames the reply to a cmd request from c, with readReplyHead's error
-// contract: an error before the first byte surfaces as is, anything after is
-// ErrMalformedResponse. cparams is needed for the CKKS commands only.
-func (raw *RawReply) read(c *cursor, params *fv.Params, cparams *ckks.Params, cmd uint8) error {
-	raw.cmd, raw.params, raw.cparams = cmd, params, cparams
+// read frames the reply to a cmd request from c under cd, with
+// readReplyHead's error contract: an error before the first byte surfaces as
+// is, anything after is ErrMalformedResponse. A CKKS command under a codec
+// without a CKKS layout is refused before a byte is read.
+func (raw *RawReply) read(c *cursor, cd *codec, cmd uint8) error {
+	raw.cmd, raw.codec = cmd, cd
+	layout, err := cd.layout(cmd)
+	if err != nil {
+		return err
+	}
 	head, err := c.next(replyHeadLen)
 	if err != nil {
 		if c.short == 0 {
@@ -552,7 +611,7 @@ func (raw *RawReply) read(c *cursor, params *fv.Params, cparams *ckks.Params, cm
 	}
 	switch head[0] {
 	case statusOK:
-		err = raw.readBody(c, params, cparams)
+		err = raw.readBody(c, layout)
 	case statusErr:
 		var hdr []byte // code, message length
 		if hdr, err = c.next(5); err != nil {
@@ -579,8 +638,9 @@ func (raw *RawReply) read(c *cursor, params *fv.Params, cparams *ckks.Params, cm
 	return nil
 }
 
-// readBody frames the success body of the kind raw.cmd answers in.
-func (raw *RawReply) readBody(c *cursor, params *fv.Params, cparams *ckks.Params) error {
+// readBody frames the success body of the kind raw.cmd answers in; an op
+// result is of the command's layout.
+func (raw *RawReply) readBody(c *cursor, layout rlwe.Layout) error {
 	lenBody := func(maxLen int) (int, error) {
 		n, err := c.next(4)
 		if err != nil {
@@ -606,7 +666,7 @@ func (raw *RawReply) readBody(c *cursor, params *fv.Params, cparams *ckks.Params
 			return fmt.Errorf("%w: %d program outputs outside (0, %d]", ErrMalformedResponse, nOut, ProgramLimits().MaxOutputs)
 		}
 		for i := 0; i < int(nOut); i++ {
-			if err := c.ciphertext(params.Wire()); err != nil {
+			if err := c.ciphertext(layout); err != nil {
 				return malformed(ErrMalformedResponse, fmt.Sprintf("reading program output %d", i), err)
 			}
 		}
@@ -620,7 +680,7 @@ func (raw *RawReply) readBody(c *cursor, params *fv.Params, cparams *ckks.Params
 			return fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
 		}
 	case CmdKeyExport:
-		_, err := lenBody(MaxKeyBlobBytes(params, cparams))
+		_, err := lenBody(raw.codec.maxKeyBlob)
 		return err
 	case CmdKeyImport, CmdAdmin:
 		_, err := lenBody(MaxAdminBytes)
@@ -628,12 +688,6 @@ func (raw *RawReply) readBody(c *cursor, params *fv.Params, cparams *ckks.Params
 	default:
 		if _, err := c.next(12); err != nil { // compute nanos, worker
 			return malformed(ErrMalformedResponse, "truncated response header", err)
-		}
-		var layout rlwe.Layout
-		if isCKKSCmd(raw.cmd) {
-			layout = cparams.Wire()
-		} else {
-			layout = params.Wire()
 		}
 		if err := c.ciphertext(layout); err != nil {
 			return malformed(ErrMalformedResponse, "reading result", err)
@@ -663,7 +717,7 @@ func (raw *RawReply) Reply() (Reply, error) {
 	body := raw.b[replyHeadLen:]
 	result := func() (*fv.Ciphertext, error) {
 		ct := new(fv.Ciphertext)
-		n, err := ct.Decode(body, raw.params)
+		n, _, err := raw.codec.bfv.Decode(body, &ct.Els)
 		if err != nil {
 			return nil, err
 		}
@@ -702,8 +756,9 @@ func (raw *RawReply) Reply() (Reply, error) {
 	body = body[12:]
 	var err error
 	if isCKKSCmd(raw.cmd) {
-		resp.CKKSResult = new(ckks.Ciphertext)
-		_, err = resp.CKKSResult.Decode(body, raw.cparams)
+		ct := new(ckks.Ciphertext)
+		_, ct.Scale, err = raw.codec.ckks.Decode(body, &ct.Els)
+		resp.CKKSResult = ct
 	} else {
 		resp.Result, err = result()
 	}
@@ -738,9 +793,16 @@ func (raw *RawReply) encode(_ *fv.Params, id uint64) (*buffer, error) {
 // RoundTrip is what every client-side call is made of: encode the request,
 // run one raw exchange, materialize the reply. exchange is a connection's
 // (or the router's) raw exchange; a server-reported failure comes back as
-// the *ServerError reply it is.
+// the *ServerError reply it is. The request is encoded under params alone
+// (see EncodeRequest).
 func RoundTrip(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), params *fv.Params, req *Request) (Reply, error) {
-	f, err := EncodeRequest(params, req)
+	cd := newCodec(params, nil)
+	return cd.roundTrip(ctx, exchange, req)
+}
+
+// roundTrip is RoundTrip under cd.
+func (cd *codec) roundTrip(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), req *Request) (Reply, error) {
+	f, err := cd.encode(req)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func addFrameSeeds(f *testing.F, enc []byte, add func(b []byte)) {
 // body then stops ten bytes into its claim — the cheapest way a peer can ask
 // the reader to reserve memory.
 func claimMaxBlob(enc []byte, params *fv.Params, cparams *ckks.Params) []byte {
-	binary.LittleEndian.PutUint32(enc[len(enc)-14:], uint32(MaxKeyBlobBytes(params, cparams)))
+	binary.LittleEndian.PutUint32(enc[len(enc)-14:], uint32(codecFor(params, cparams).maxKeyBlob))
 	return enc
 }
 
@@ -85,7 +85,7 @@ func maxClaimKeyExportReply(params *fv.Params, cparams *ckks.Params) []byte {
 func TestFramingReservesOnlyWhatArrived(t *testing.T) {
 	params := fuzzParams()
 	cparams, _ := fuzzCKKS()
-	if claim := MaxKeyBlobBytes(params, cparams); claim < 64<<20 {
+	if claim := codecFor(params, cparams).maxKeyBlob; claim < 64<<20 {
 		t.Fatalf("the largest key blob is %d bytes: too small for this test to mean anything", claim)
 	}
 	for _, tc := range []struct {
@@ -94,12 +94,12 @@ func TestFramingReservesOnlyWhatArrived(t *testing.T) {
 		sentinel error
 	}{
 		{"key import request", func() error {
-			c := cursor{r: bytes.NewReader(maxClaimKeyImport(params, cparams)), left: requestLimit(params, cparams)}
-			return new(Frame).read(&c, params, cparams)
+			c := cursor{r: bytes.NewReader(maxClaimKeyImport(params, cparams)), left: codecFor(params, cparams).maxRequest}
+			return new(Frame).read(&c, codecFor(params, cparams))
 		}, ErrMalformedRequest},
 		{"key export reply", func() error {
 			c := cursor{r: bytes.NewReader(maxClaimKeyExportReply(params, cparams)), left: math.MaxInt}
-			return new(RawReply).read(&c, params, cparams, CmdKeyExport)
+			return new(RawReply).read(&c, codecFor(params, cparams), CmdKeyExport)
 		}, ErrMalformedResponse},
 	} {
 		var before, after runtime.MemStats
@@ -132,15 +132,16 @@ func maxClaimMuxFrame(claim int) []byte {
 // connection: 25 header bytes claiming the largest legal payload used to
 // reserve all of it — pooled or not — before a byte of the body arrived.
 func TestMuxFrameReservesOnlyWhatArrived(t *testing.T) {
-	claim := maxMuxPayload(fuzzParams())
+	claim := codecFor(fuzzParams(), nil).maxMuxPayload
 	if claim < 8<<20 {
 		t.Fatalf("the largest mux payload is %d bytes: too small for this test to mean anything", claim)
 	}
 	data := maxClaimMuxFrame(claim)
+	limit := func() int { return claim }
 	for _, pooled := range []bool{false, true} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, buf, err := readMuxFrame(bytes.NewReader(data), claim, pooled)
+		_, buf, err := readMuxFrame(bytes.NewReader(data), limit, pooled)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrMalformedMuxFrame) || !errors.Is(err, io.ErrUnexpectedEOF) || buf != nil {
 			t.Errorf("pooled=%v: err %v (buffer %v), want ErrMalformedMuxFrame wrapping io.ErrUnexpectedEOF and no buffer", pooled, err, buf != nil)
@@ -157,7 +158,7 @@ func TestMuxFrameReservesOnlyWhatArrived(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pooled := range []bool{false, true} {
-		f, buf, err := readMuxFrame(bytes.NewReader(wire.Bytes()), claim, pooled)
+		f, buf, err := readMuxFrame(bytes.NewReader(wire.Bytes()), limit, pooled)
 		if err != nil || f.ID != 9 || !bytes.Equal(f.Payload, payload) || (buf != nil) != pooled {
 			t.Errorf("pooled=%v: a %d-byte payload came back as %d bytes, err %v", pooled, len(payload), len(f.Payload), err)
 		}
@@ -178,13 +179,20 @@ func sameRefusal(t *testing.T, what string, got, ref, sentinel error) {
 	}
 }
 
+// siblings pairs each op command with the other scheme's of the same shape.
+var siblings = map[uint8]uint8{
+	CmdAdd: CmdCKKSAdd, CmdMul: CmdCKKSMul, CmdRotate: CmdCKKSRotate,
+	CmdCKKSAdd: CmdAdd, CmdCKKSMul: CmdMul, CmdCKKSRotate: CmdRotate,
+}
+
 // FuzzFrameRequest: the two halves of the split codec are together exactly
 // the decoder they replaced. Framing — from a stream and from a payload in
 // memory — accepts the inputs the reference ReadRequest accepts and refuses
 // the rest with the same sentinel; on accept, materializing the frame gives
 // the reference's decode, and the frame's bytes — what the routing tier
 // forwards — are the consumed input, byte for byte what WriteRequest writes
-// for that decode.
+// for that decode. Every input is framed under both codecs a side may speak:
+// BFV and CKKS, and BFV only — where a CKKS command is a typed refusal.
 func FuzzFrameRequest(f *testing.F) {
 	params := fuzzParams()
 	cparams, cct := fuzzCKKS()
@@ -207,52 +215,65 @@ func FuzzFrameRequest(f *testing.F) {
 		if err := WriteRequest(&buf, params, req); err != nil {
 			f.Fatal(err)
 		}
-		addFrameSeeds(f, buf.Bytes(), func(b []byte) { f.Add(b, true); f.Add(b, false) })
+		addFrameSeeds(f, buf.Bytes(), func(b []byte) { f.Add(b) })
+		// The same bytes under the other scheme's command of the same shape
+		// (any other command becomes a CKKS add): a body that is not of the
+		// layout the command byte names.
+		other := bytes.Clone(buf.Bytes())
+		other[requestIDOff-1] = CmdCKKSAdd
+		if s, ok := siblings[req.Cmd]; ok {
+			other[requestIDOff-1] = s
+		}
+		addFrameSeeds(f, other, func(b []byte) { f.Add(b) })
 		if req.Cmd == CmdCKKSAdd {
 			// A padding word the decoder used to ignore: accepted, but not the
 			// encoding of what it decoded to.
 			padded := bytes.Clone(buf.Bytes())
 			padded[requestHeadLen+len(req.Tenant)+12] = 0x5A
-			f.Add(padded, true)
+			f.Add(padded)
 		}
 	}
-	f.Add(maxClaimKeyImport(params, cparams), true)
-	f.Add([]byte("HEA2\x02\x01"), true)
-	f.Add([]byte("HEA"), false)
-	f.Add([]byte{}, true)
+	f.Add(maxClaimKeyImport(params, cparams))
+	f.Add([]byte("HEA2\x02\x01"))
+	f.Add([]byte("HEA"))
+	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte, withCKKS bool) {
-		cp := cparams
-		if !withCKKS {
-			cp = nil // the routing tier's view: CKKS commands are malformed
-		}
-		ref, refErr := refReadRequest(bytes.NewReader(data), params, cp)
-		for source, c := range map[string]*cursor{
-			"stream": {r: bytes.NewReader(data), left: requestLimit(params, cp)},
-			"memory": {buf: bytes.Clone(data), left: requestLimit(params, cp)},
-		} {
-			var fr Frame
-			err := fr.read(c, params, cp)
-			sameRefusal(t, source, err, refErr, ErrMalformedRequest)
-			if err != nil {
-				continue
-			}
-			got, err := fr.Request()
-			if err != nil {
-				t.Fatalf("%s: accepted frame does not materialize: %v", source, err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("%s: materialized request differs from the reference decode:\n got %+v\nwant %+v", source, got, ref)
-			}
-			if !bytes.HasPrefix(data, fr.b) {
-				t.Fatalf("%s: frame bytes are not the consumed input", source)
-			}
-			var enc bytes.Buffer
-			if err := WriteRequest(&enc, params, ref); err != nil {
-				t.Fatalf("%s: accepted request does not re-encode: %v", source, err)
-			}
-			if !bytes.Equal(fr.b, enc.Bytes()) {
-				t.Fatalf("%s: forwarded bytes differ from WriteRequest of the decode", source)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ckksCmd := len(data) > requestIDOff && bytes.HasPrefix(data, protocolMagicV2[:]) && isCKKSCmd(data[requestIDOff-1])
+		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
+			ref, refErr := refReadRequest(bytes.NewReader(data), params, cp)
+			cd := codecFor(params, cp)
+			for source, c := range map[string]*cursor{
+				"stream": {r: bytes.NewReader(data), left: cd.maxRequest},
+				"memory": {buf: bytes.Clone(data), left: cd.maxRequest},
+			} {
+				source = name + " " + source
+				var fr Frame
+				err := fr.read(c, cd)
+				if cp == nil && ckksCmd && !errors.Is(err, ErrMalformedRequest) {
+					t.Fatalf("%s: a CKKS command framed as %v, want ErrMalformedRequest", source, err)
+				}
+				sameRefusal(t, source, err, refErr, ErrMalformedRequest)
+				if err != nil {
+					continue
+				}
+				got, err := fr.Request()
+				if err != nil {
+					t.Fatalf("%s: accepted frame does not materialize: %v", source, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("%s: materialized request differs from the reference decode:\n got %+v\nwant %+v", source, got, ref)
+				}
+				if !bytes.HasPrefix(data, fr.b) {
+					t.Fatalf("%s: frame bytes are not the consumed input", source)
+				}
+				var enc bytes.Buffer
+				if err := WriteRequest(&enc, params, ref); err != nil {
+					t.Fatalf("%s: accepted request does not re-encode: %v", source, err)
+				}
+				if !bytes.Equal(fr.b, enc.Bytes()) {
+					t.Fatalf("%s: forwarded bytes differ from WriteRequest of the decode", source)
+				}
 			}
 		}
 	})
@@ -262,6 +283,8 @@ func FuzzFrameRequest(f *testing.F) {
 // reply kind: RawReply.read against the reference readReply, RawReply.Reply
 // against its decode, and the relayed bytes — the raw reply encoded under its
 // own ID — against the consumed input and against the kind's own encoder.
+// Under the BFV-only codec a CKKS kind has no layout: whatever the bytes, it
+// is a typed refusal.
 func FuzzFrameReply(f *testing.F) {
 	params := fuzzParams()
 	cparams, cct := fuzzCKKS()
@@ -292,48 +315,57 @@ func FuzzFrameReply(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, k := range kinds {
-			refID, ref, refErr := refReadReply(bytes.NewReader(data), params, cparams, k.cmd)
-			for source, c := range map[string]*cursor{
-				"stream": {r: bytes.NewReader(data), left: math.MaxInt},
-				"memory": {buf: bytes.Clone(data), left: math.MaxInt},
-			} {
-				what := k.kind + " from " + source
-				var raw RawReply
-				err := raw.read(c, params, cparams, k.cmd)
-				sameRefusal(t, what, err, refErr, ErrMalformedResponse)
-				if err != nil {
+		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
+			cd := codecFor(params, cp)
+			for _, k := range kinds {
+				if cp == nil && isCKKSCmd(k.cmd) {
+					if err := new(RawReply).read(&cursor{r: bytes.NewReader(data), left: math.MaxInt}, cd, k.cmd); !errors.Is(err, ErrMalformedRequest) {
+						t.Fatalf("%s under %s: framed as %v, want ErrMalformedRequest", k.kind, name, err)
+					}
 					continue
 				}
-				got, err := raw.Reply()
-				if err != nil {
-					t.Fatalf("%s: accepted reply does not materialize: %v", what, err)
-				}
-				if raw.ID() != refID || !reflect.DeepEqual(got, ref) {
-					t.Fatalf("%s: materialized reply differs from the reference decode:\n got %d %+v\nwant %d %+v", what, raw.ID(), got, refID, ref)
-				}
-				if se := raw.ServerError(); (se != nil) != (data[0] == statusErr) {
-					t.Fatalf("%s: ServerError() = %v for status byte %d", what, se, data[0])
-				}
-				relayed, err := raw.encode(params, refID)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if !bytes.HasPrefix(data, relayed.b) {
-					t.Fatalf("%s: relayed bytes are not the consumed input", what)
-				}
-				if _, again := raw.encode(params, refID); again == nil {
-					t.Fatalf("%s: a raw reply encoded twice", what)
-				}
-				// An info reply re-marshals its JSON; every other kind's own
-				// encoder reproduces the relayed bytes.
-				if k.cmd != CmdInfo || data[0] == statusErr {
-					var enc bytes.Buffer
-					if err := writeReply(&enc, ref, params, refID); err != nil {
-						t.Fatalf("%s: accepted reply does not re-encode: %v", what, err)
+				refID, ref, refErr := refReadReply(bytes.NewReader(data), params, cp, k.cmd)
+				for source, c := range map[string]*cursor{
+					"stream": {r: bytes.NewReader(data), left: math.MaxInt},
+					"memory": {buf: bytes.Clone(data), left: math.MaxInt},
+				} {
+					what := k.kind + " from " + source + " under " + name
+					var raw RawReply
+					err := raw.read(c, cd, k.cmd)
+					sameRefusal(t, what, err, refErr, ErrMalformedResponse)
+					if err != nil {
+						continue
 					}
-					if !bytes.Equal(relayed.b, enc.Bytes()) {
-						t.Fatalf("%s: relayed bytes differ from the encoding of the decode", what)
+					got, err := raw.Reply()
+					if err != nil {
+						t.Fatalf("%s: accepted reply does not materialize: %v", what, err)
+					}
+					if raw.ID() != refID || !reflect.DeepEqual(got, ref) {
+						t.Fatalf("%s: materialized reply differs from the reference decode:\n got %d %+v\nwant %d %+v", what, raw.ID(), got, refID, ref)
+					}
+					if se := raw.ServerError(); (se != nil) != (data[0] == statusErr) {
+						t.Fatalf("%s: ServerError() = %v for status byte %d", what, se, data[0])
+					}
+					relayed, err := raw.encode(params, refID)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if !bytes.HasPrefix(data, relayed.b) {
+						t.Fatalf("%s: relayed bytes are not the consumed input", what)
+					}
+					if _, again := raw.encode(params, refID); again == nil {
+						t.Fatalf("%s: a raw reply encoded twice", what)
+					}
+					// An info reply re-marshals its JSON; every other kind's own
+					// encoder reproduces the relayed bytes.
+					if k.cmd != CmdInfo || data[0] == statusErr {
+						var enc bytes.Buffer
+						if err := writeReply(&enc, ref, params, refID); err != nil {
+							t.Fatalf("%s: accepted reply does not re-encode: %v", what, err)
+						}
+						if !bytes.Equal(relayed.b, enc.Bytes()) {
+							t.Fatalf("%s: relayed bytes differ from the encoding of the decode", what)
+						}
 					}
 				}
 			}

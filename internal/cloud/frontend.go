@@ -49,6 +49,7 @@ type Frontend struct {
 	ReadTimeout time.Duration
 
 	handler Handler
+	codec   codec  // Params and CKKSParams as the wire reads them, set by Serve
 	cts     ctPool // operand ciphertexts materialized from this front-end's frames
 	ln      net.Listener
 	mu      sync.Mutex
@@ -91,6 +92,7 @@ func (fe *Frontend) Serve() error {
 	if fe.ln == nil {
 		return fmt.Errorf("cloud: Serve before Listen")
 	}
+	fe.codec = newCodec(fe.Params, fe.CKKSParams)
 	for {
 		conn, err := fe.ln.Accept()
 		if err != nil {
@@ -204,12 +206,11 @@ func (fe *Frontend) handle(conn net.Conn) {
 	// The sequential loop frames every request into one buffer the connection
 	// owns: it grows to the largest request seen and is reused for the next,
 	// which is only read after this one's reply has been written.
-	limit := requestLimit(fe.Params, fe.CKKSParams)
 	f := Frame{pool: &fe.cts}
 	var buf []byte
 	for fe.nextRequest(conn, timeout) {
-		c := cursor{r: br, buf: buf[:0], left: limit}
-		if err := f.read(&c, fe.Params, fe.CKKSParams); err != nil {
+		c := cursor{r: br, buf: buf[:0], left: fe.codec.maxRequest}
+		if err := f.read(&c, &fe.codec); err != nil {
 			return // client closed, stalled past the deadline, or spoke garbage
 		}
 		buf = c.buf
@@ -264,13 +265,7 @@ func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Durat
 	sem := make(chan struct{}, window)
 	var wg sync.WaitGroup
 	defer wg.Wait() // flush in-flight dispatches before the conn closes
-	maxPayload := maxMuxPayload(fe.Params)
-	if fe.CKKSParams != nil {
-		if cl := MaxCKKSRequestBytes(fe.CKKSParams) + 64; cl > maxPayload {
-			maxPayload = cl
-		}
-	}
-	limit := requestLimit(fe.Params, fe.CKKSParams)
+	maxPayload := func() int { return fe.codec.maxMuxPayload }
 
 	for fe.nextRequest(conn, timeout) {
 		// Up to a window of requests are in flight at once, so each frame's
@@ -293,7 +288,7 @@ func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Durat
 			return
 		}
 		f := &Frame{buf: buf, pool: &fe.cts}
-		err = f.read(&cursor{buf: mf.Payload, left: limit}, fe.Params, fe.CKKSParams)
+		err = f.read(&cursor{buf: mf.Payload, left: fe.codec.maxRequest}, &fe.codec)
 		if err == nil && f.ID != mf.ID {
 			err = errors.New("mux payload must be a request with the frame's ID")
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ckks"
 	"repro/internal/fv"
 	"repro/internal/program"
 	"repro/internal/sampler"
@@ -22,6 +23,12 @@ var fuzzParams = sync.OnceValue(func() *fv.Params {
 	}
 	return params
 })
+
+// codecFor is the codec of a side speaking params and, when non-nil, cparams.
+func codecFor(params *fv.Params, cparams *ckks.Params) *codec {
+	cd := newCodec(params, cparams)
+	return &cd
+}
 
 // fuzzCiphertext builds one well-formed ciphertext for seed frames.
 var fuzzCiphertext = sync.OnceValue(func() *fv.Ciphertext {
@@ -66,7 +73,7 @@ func checkDecodeErr(t *testing.T, err, sentinel error) {
 }
 
 // FuzzDecodeRequest feeds arbitrary bytes to ReadRequest. The decoder must
-// never panic, never read more than MaxRequestBytes, reject garbage with a
+// never panic, never read more than a request's bound, reject garbage with a
 // typed error, and anything it accepts must survive a re-encode/re-decode
 // round trip.
 func FuzzDecodeRequest(f *testing.F) {
@@ -124,7 +131,7 @@ func FuzzDecodeRequest(f *testing.F) {
 func FuzzDecodeMuxFrame(f *testing.F) {
 	// The bound the serving paths enforce, so the seed claiming all of it
 	// gets past the length check and into the payload reader.
-	maxPayload := maxMuxPayload(fuzzParams())
+	maxPayload := codecFor(fuzzParams(), nil).maxMuxPayload
 	f.Add(maxClaimMuxFrame(maxPayload))
 	seed := func(typ uint8, id uint64, payload []byte) {
 		var buf bytes.Buffer
@@ -207,7 +214,7 @@ func FuzzDecodeResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range kinds {
-			id, rep, err := readReply(bytes.NewReader(data), params, nil, k.cmd)
+			id, rep, err := readReply(bytes.NewReader(data), codecFor(params, nil), k.cmd)
 			if err != nil {
 				checkDecodeErr(t, err, ErrMalformedResponse)
 				continue
@@ -219,7 +226,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			if err := writeReply(&buf, rep, params, id); err != nil {
 				t.Fatalf("%s: accepted reply does not re-encode: %v", k.kind, err)
 			}
-			if _, _, err := readReply(&buf, params, nil, k.cmd); err != nil {
+			if _, _, err := readReply(&buf, codecFor(params, nil), k.cmd); err != nil {
 				t.Fatalf("%s: re-encoded reply does not re-decode: %v", k.kind, err)
 			}
 		}

@@ -49,23 +49,6 @@ var keyBlobMagic = [4]byte{'H', 'E', 'K', 'B'}
 // ErrKeyBlob wraps every structural decode failure of a tenant key blob.
 var ErrKeyBlob = errors.New("cloud: malformed key blob")
 
-// MaxKeyBlobBytes bounds one serialized tenant key set under the node's
-// parameter sets — the decode budget CmdKeyImport enforces before
-// allocating. Generous by construction (checksummed containers, 64-entry
-// gadget rows, 8 bytes per coefficient) so a legitimate full key set always
-// fits; its job is stopping a hostile length field, not accounting bytes.
-func MaxKeyBlobBytes(params *fv.Params, cparams *ckks.Params) int {
-	poly := 64 + params.QBasis.K()*params.N()*8
-	perKey := 256 + 2*64*poly
-	total := 64 + 65*(perKey+16)
-	if cparams != nil {
-		cpoly := 64 + (cparams.MaxLevel()+2)*cparams.N()*8
-		cperKey := 256 + 2*64*(cparams.MaxLevel()+1)*cpoly
-		total += 65 * (cperKey + 16)
-	}
-	return total
-}
-
 // EncodeTenantKeys serializes a tenant key set as a key blob. CKKS keys
 // require cparams (the node's CKKS parameter set); an empty set is an
 // error — there is nothing to migrate.

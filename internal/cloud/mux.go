@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"repro/internal/fv"
 )
 
 // Connection multiplexing ("HEAM"). The sequential framing is strictly
@@ -188,17 +186,19 @@ func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 //     consumed payload so the caller can fail exactly that request and keep
 //     reading; the next frame boundary is intact.
 func DecodeMuxFrame(r io.Reader, maxPayload int) (*MuxFrame, error) {
-	f, _, err := readMuxFrame(r, maxPayload, false)
+	f, _, err := readMuxFrame(r, func() int { return maxPayload }, false)
 	if f.Payload == nil {
 		return nil, err
 	}
 	return &f, err
 }
 
-// readMuxFrame is DecodeMuxFrame for the serving paths: with pooled set the
-// payload lands in a pooled buffer, returned beside the frame (non-nil
-// whenever the frame's Payload is) for the caller to release or hand on.
-func readMuxFrame(r io.Reader, maxPayload int, pooled bool) (f MuxFrame, buf *buffer, err error) {
+// readMuxFrame is DecodeMuxFrame for the serving paths: the bound is asked for
+// once the header is in (a client's grows with what it has sent), and with
+// pooled set the payload lands in a pooled buffer, returned beside the frame
+// (non-nil whenever the frame's Payload is) for the caller to release or hand
+// on.
+func readMuxFrame(r io.Reader, limit func() int, pooled bool) (f MuxFrame, buf *buffer, err error) {
 	var hdr [muxHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -214,7 +214,7 @@ func readMuxFrame(r io.Reader, maxPayload int, pooled bool) (f MuxFrame, buf *bu
 		return f, nil, fmt.Errorf("%w: unknown frame type %d", ErrMalformedMuxFrame, typ)
 	}
 	ln := int(binary.LittleEndian.Uint32(hdr[9:13]))
-	if ln < 1 || ln > maxPayload {
+	if maxPayload := limit(); ln < 1 || ln > maxPayload {
 		return f, nil, fmt.Errorf("%w: payload length %d outside [1, %d]", ErrMalformedMuxFrame, ln, maxPayload)
 	}
 	// ln is the peer's word until the bytes arrive, so room is reserved only
@@ -254,16 +254,4 @@ func readMuxFrame(r io.Reader, maxPayload int, pooled bool) (f MuxFrame, buf *bu
 			ErrMuxPayloadChecksum, id, got, want)
 	}
 	return f, buf, nil
-}
-
-// maxMuxPayload is the bound DecodeMuxFrame enforces on both sides: the
-// largest legal payload either direction is a CmdProgram request, and every
-// response framing is smaller than its request's upper bound plus the info
-// response ceiling.
-func maxMuxPayload(params *fv.Params) int {
-	n := MaxProgramRequestBytes(params)
-	if m := maxInfoBytes + 64; m > n {
-		n = m
-	}
-	return n
 }

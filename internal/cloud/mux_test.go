@@ -155,7 +155,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	gotBoth := make(chan struct{})
 	conn := fakeMuxServer(t, 8, func(server net.Conn, _ *bytes.Buffer) {
 		defer server.Close()
-		maxP := maxMuxPayload(ts.params)
+		maxP := codecFor(ts.params, nil).maxMuxPayload
 		f1, err := DecodeMuxFrame(server, maxP)
 		if err != nil {
 			return
@@ -214,7 +214,7 @@ func TestMuxWindowBackpressure(t *testing.T) {
 	conn := fakeMuxServer(t, 1, func(server net.Conn, _ *bytes.Buffer) {
 		defer server.Close()
 		for {
-			f, err := DecodeMuxFrame(server, maxMuxPayload(ts.params))
+			f, err := DecodeMuxFrame(server, codecFor(ts.params, nil).maxMuxPayload)
 			if err != nil {
 				return
 			}
@@ -268,7 +268,7 @@ func TestMuxCancellationKeepsConnection(t *testing.T) {
 	conn := fakeMuxServer(t, 4, func(server net.Conn, _ *bytes.Buffer) {
 		defer server.Close()
 		for {
-			f, err := DecodeMuxFrame(server, maxMuxPayload(ts.params))
+			f, err := DecodeMuxFrame(server, codecFor(ts.params, nil).maxMuxPayload)
 			if err != nil {
 				return
 			}

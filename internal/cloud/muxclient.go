@@ -28,9 +28,8 @@ type muxResult struct {
 // late response is discarded by the reader — so a context deadline does not
 // poison the connection the way it breaks a sequential Client.
 type MuxClient struct {
-	Ops    // AddCtx, MulCtx, RotateCtx, PingCtx, RunProgram; Ops.Tenant is the client's namespace
+	caller
 	conn   net.Conn
-	params *fv.Params
 	window int
 
 	sem chan struct{} // in-flight window slots
@@ -41,6 +40,9 @@ type MuxClient struct {
 	nextID  uint64
 	pending map[uint64]chan muxResult
 	err     error // first connection-fatal error; set once, sticky
+	// limit bounds a reply payload: the largest mux payload of any codec a
+	// frame has gone out under, so a forwarded frame's reply fits.
+	limit int
 
 	readerDone chan struct{}
 }
@@ -89,22 +91,19 @@ func NewMuxClient(conn net.Conn, params *fv.Params, tenant string, window int) (
 	conn.SetDeadline(time.Time{})
 	mc := &MuxClient{
 		conn:       conn,
-		params:     params,
 		window:     granted,
 		sem:        make(chan struct{}, granted),
 		pending:    make(map[uint64]chan muxResult),
 		readerDone: make(chan struct{}),
 	}
-	mc.Ops = Ops{Via: mc, Tenant: tenant}
+	mc.caller = caller{codec: newCodec(params, nil), Ops: Ops{Via: mc, Tenant: tenant}, exchange: mc.Exchange}
+	mc.limit = mc.codec.maxMuxPayload
 	go mc.readLoop()
 	return mc, nil
 }
 
 // Window returns the negotiated in-flight request window.
 func (mc *MuxClient) Window() int { return mc.window }
-
-// Tenant returns the namespace this client issues requests under.
-func (mc *MuxClient) Tenant() string { return mc.Ops.Tenant }
 
 // Close tears the connection down; in-flight exchanges fail.
 func (mc *MuxClient) Close() error {
@@ -142,9 +141,13 @@ func (mc *MuxClient) fail(err error) {
 // ciphertext-sized reply is the waiter's work, on the waiter's goroutine.
 func (mc *MuxClient) readLoop() {
 	defer close(mc.readerDone)
-	maxPayload := maxMuxPayload(mc.params)
+	limit := func() int {
+		mc.mu.Lock()
+		defer mc.mu.Unlock()
+		return mc.limit
+	}
 	for {
-		f, buf, err := readMuxFrame(mc.conn, maxPayload, true)
+		f, buf, err := readMuxFrame(mc.conn, limit, true)
 		if err != nil && !errors.Is(err, ErrMuxPayloadChecksum) {
 			mc.fail(fmt.Errorf("cloud: mux connection lost: %w", err))
 			return
@@ -180,12 +183,17 @@ func (mc *MuxClient) take(id uint64) (chan muxResult, bool) {
 // frame under ctx, then frames and validates that payload in place. It
 // implements the window: a full window fails immediately with
 // ErrWindowExhausted rather than queueing. The write is synchronous, so
-// nothing references f once Exchange returns, however it returns.
+// nothing references f once Exchange returns, however it returns. The reply
+// is framed under the frame's codec; a frame that codec cannot frame is
+// refused before the write, as by Client.Exchange.
 func (mc *MuxClient) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if _, err := f.codec.layout(f.Cmd); err != nil {
 		return nil, err
 	}
 	mc.mu.Lock()
@@ -207,6 +215,7 @@ func (mc *MuxClient) Exchange(ctx context.Context, f *Frame) (*RawReply, error) 
 	mc.nextID++
 	id := mc.nextID
 	mc.pending[id] = ch
+	mc.limit = max(mc.limit, f.codec.maxMuxPayload)
 	mc.mu.Unlock()
 
 	f.stamp(id)
@@ -234,7 +243,7 @@ func (mc *MuxClient) Exchange(ctx context.Context, f *Frame) (*RawReply, error) 
 	}
 	// The payload is a complete reply in the sequential framing.
 	raw := &RawReply{buf: res.buf}
-	err = raw.read(&cursor{buf: res.buf.b, left: math.MaxInt}, mc.params, nil, f.Cmd)
+	err = raw.read(&cursor{buf: res.buf.b, left: math.MaxInt}, f.codec, f.Cmd)
 	if err == nil && raw.ID() != id {
 		err = fmt.Errorf("%w: inner reply ID %d under frame ID %d", ErrMalformedResponse, raw.ID(), id)
 	}
@@ -243,35 +252,4 @@ func (mc *MuxClient) Exchange(ctx context.Context, f *Frame) (*RawReply, error) 
 		return nil, err
 	}
 	return raw, nil
-}
-
-// roundTrip is encode, Exchange, materialize, under the client's tenant
-// unless the request names one.
-func (mc *MuxClient) roundTrip(ctx context.Context, req *Request) (Reply, error) {
-	req.Ver = ProtoV2
-	if req.Tenant == "" {
-		req.Tenant = mc.Ops.Tenant
-	}
-	return RoundTrip(ctx, mc.Exchange, mc.params, req)
-}
-
-// Do runs one operation exchange. A server-reported failure is returned as
-// *ServerError, matching Client.Do. CKKS commands are refused: a mux client
-// holds no CKKS parameter set to decode their results with.
-func (mc *MuxClient) Do(ctx context.Context, req *Request) (*Response, error) {
-	if isCKKSCmd(req.Cmd) {
-		return nil, fmt.Errorf("cloud: %s is not carried over a mux client", cmdName(req.Cmd))
-	}
-	return ReplyAs[*Response](mc.roundTrip(ctx, req))
-}
-
-// Info asks the server what it is.
-func (mc *MuxClient) Info(ctx context.Context) (*ServerInfo, error) {
-	return ReplyAs[*ServerInfo](mc.roundTrip(ctx, &Request{Cmd: CmdInfo}))
-}
-
-// DoProgram runs one CmdProgram exchange.
-func (mc *MuxClient) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
-	req.Cmd = CmdProgram
-	return ReplyAs[*ProgramResponse](mc.roundTrip(ctx, req))
 }

@@ -132,29 +132,9 @@ const (
 // (mux.go) shares the port and is told apart by these first four bytes.
 var protocolMagicV2 = [4]byte{'H', 'E', 'A', '2'}
 
-// MaxRequestBytes returns the upper bound of one serialized request under
-// params: the header (magic + version + command + request ID + tenant +
-// Galois element) plus two ciphertexts of at most three elements
-// each. ReadRequest refuses to consume more than this from the connection,
-// so a malicious or corrupted stream cannot make the server read (or
-// allocate) without bound.
-func MaxRequestBytes(params *fv.Params) int {
-	ctMax := 8 + 3*params.QBasis.K()*params.N()*4
-	return 4 + 1 + 1 + 8 + 1 + MaxTenantLen + 4 + 2*ctMax
-}
-
 // ProgramLimits is the decode budget for programs arriving on the wire —
 // the program codec's DefaultLimits. A frame claiming more is malformed.
 func ProgramLimits() program.Limits { return program.DefaultLimits() }
-
-// MaxProgramRequestBytes returns the upper bound of one CmdProgram request:
-// the v2 header, the largest program ProgramLimits admits, and one
-// ciphertext per allowed program input.
-func MaxProgramRequestBytes(params *fv.Params) int {
-	ctMax := 8 + 3*params.QBasis.K()*params.N()*4
-	l := ProgramLimits()
-	return 4 + 1 + 1 + 8 + 1 + MaxTenantLen + 4 + l.MaxEncodedBytes() + 4 + l.MaxInputs*ctMax
-}
 
 // Request is one homomorphic operation on uploaded ciphertexts.
 type Request struct {
@@ -232,8 +212,8 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 	case CmdPing, CmdInfo, CmdKeyExport:
 		return b, nil
 	case CmdKeyImport, CmdAdmin:
-		// The receiver enforces the tight bound (MaxKeyBlobBytes under its
-		// own parameter sets, MaxAdminBytes for admin); the writer only
+		// The receiver enforces the tight bound (the key-blob bound of its own
+		// parameter sets, MaxAdminBytes for admin); the writer only
 		// refuses frames it could never legally produce.
 		if len(req.Blob) == 0 {
 			return b, fmt.Errorf("cloud: %s needs a payload", cmdName(req.Cmd))
@@ -278,18 +258,10 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 	return req.B.AppendTo(b, params)
 }
 
-// MaxCKKSRequestBytes returns the upper bound of one CmdCKKS* request: the
-// v2 header and rotation count plus two ciphertexts of at most three
-// elements at the top of the chain.
-func MaxCKKSRequestBytes(cparams *ckks.Params) int {
-	ctMax := ckks.ByteSize(3, cparams.MaxLevel(), cparams.N())
-	return 4 + 1 + 1 + 8 + 1 + MaxTenantLen + 4 + 2*ctMax
-}
-
-// ReadRequest deserializes a request. It reads at most
-// MaxRequestBytes(params) from r; a message claiming more than that fails
-// with an unexpected-EOF error instead of wedging the reader. CKKS commands
-// are rejected as malformed — use ReadRequestCKKS on CKKS-enabled servers.
+// ReadRequest deserializes a request. It reads at most the largest request
+// params admits from r; a message claiming more than that fails with an
+// unexpected-EOF error instead of wedging the reader. CKKS commands are
+// rejected as malformed — use ReadRequestCKKS on CKKS-enabled servers.
 func ReadRequest(r io.Reader, params *fv.Params) (*Request, error) {
 	return ReadRequestCKKS(r, params, nil)
 }
@@ -298,13 +270,14 @@ func ReadRequest(r io.Reader, params *fv.Params) (*Request, error) {
 // bodies decode under cparams. A nil cparams refuses those commands (the
 // server cannot even frame the body without the parameter set).
 func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Request, error) {
-	// Frame into a pooled buffer, materialize (no operand pool: the
-	// ciphertexts are newly allocated), give the buffer back: the request
-	// returned owns its memory.
-	f := Frame{buf: getBuf(MaxRequestBytes(params))}
+	// Frame into a pooled buffer (room for two three-element BFV operands),
+	// materialize (no operand pool: the ciphertexts are newly allocated), give
+	// the buffer back: the request returned owns its memory.
+	cd := newCodec(params, cparams)
+	f := Frame{buf: getBuf(6 * len(cd.bfv.Mods) * cd.bfv.N * 4)}
 	defer f.Release()
-	c := cursor{r: r, buf: f.buf.b, left: requestLimit(params, cparams)}
-	err := f.read(&c, params, cparams)
+	c := cursor{r: r, buf: f.buf.b, left: cd.maxRequest}
+	err := f.read(&c, &cd)
 	f.buf.b = c.buf[:0] // the cursor may have moved it
 	if err != nil {
 		return nil, err
@@ -418,18 +391,15 @@ func writeReply(w io.Writer, rep Reply, params *fv.Params, id uint64) error {
 	return err
 }
 
-// readReply frames and materializes the reply to a cmd request: what the
-// exported Read*Response functions are made of. A server-reported failure
-// comes back as the *ServerError it is. cparams is needed for the CKKS
-// commands only.
-func readReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint8) (uint64, Reply, error) {
-	hint := 0 // room for a two-element result, the usual reply
-	if params != nil {
-		hint = 64 + 2*params.QBasis.K()*params.N()*4
-	} else if cparams != nil {
-		hint = 64 + ckks.ByteSize(2, cparams.MaxLevel(), cparams.N())
+// readReply frames and materializes the reply to a cmd request under cd: what
+// the exported Read*Response functions are made of. A server-reported failure
+// comes back as the *ServerError it is.
+func readReply(r io.Reader, cd *codec, cmd uint8) (uint64, Reply, error) {
+	hint := 64 // room for a two-element result, the usual reply
+	if l, err := cd.layout(cmd); err == nil {
+		hint += 2 * len(l.Mods) * l.N * 4
 	}
-	raw, err := readRawReply(r, hint, params, cparams, cmd)
+	raw, err := readRawReply(r, hint, cd, cmd)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -476,17 +446,18 @@ func (resp *Response) encode(params *fv.Params, id uint64) (*buffer, error) {
 // ver (always ProtoV2; the response itself carries no version). A
 // server-reported failure decodes into Err and Code.
 func ReadResponseV(r io.Reader, params *fv.Params, ver uint8) (*Response, error) {
-	return readResponse(r, params, nil, CmdAdd, ver)
+	cd := newCodec(params, nil)
+	return readResponse(r, &cd, CmdAdd, ver)
 }
 
 // ReadCKKSResponseV deserializes the response to a CKKS command: the same
 // envelope, with the result decoding as a CKKS ciphertext under cparams.
 func ReadCKKSResponseV(r io.Reader, cparams *ckks.Params, ver uint8) (*Response, error) {
-	return readResponse(r, nil, cparams, CmdCKKSAdd, ver)
+	return readResponse(r, &codec{ckks: cparams.Wire()}, CmdCKKSAdd, ver)
 }
 
-func readResponse(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd, ver uint8) (*Response, error) {
-	id, rep, err := readReply(r, params, cparams, cmd)
+func readResponse(r io.Reader, cd *codec, cmd, ver uint8) (*Response, error) {
+	id, rep, err := readReply(r, cd, cmd)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +552,8 @@ func (resp *ProgramResponse) encode(params *fv.Params, id uint64) (*buffer, erro
 // ReadProgramResponse deserializes a CmdProgram reply. A server-reported
 // failure decodes into Err and Code.
 func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, error) {
-	id, rep, err := readReply(r, params, nil, CmdProgram)
+	cd := newCodec(params, nil)
+	id, rep, err := readReply(r, &cd, CmdProgram)
 	if err != nil {
 		return nil, err
 	}

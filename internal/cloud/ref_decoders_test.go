@@ -20,19 +20,8 @@ import (
 )
 
 func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Request, error) {
-	limit := MaxRequestBytes(params)
-	if pl := MaxProgramRequestBytes(params); pl > limit {
-		limit = pl
-	}
-	if cparams != nil {
-		if cl := MaxCKKSRequestBytes(cparams); cl > limit {
-			limit = cl
-		}
-	}
-	if kl := MaxKeyBlobBytes(params, cparams) + 4 + 1 + 1 + 8 + 1 + MaxTenantLen + 4; kl > limit {
-		limit = kl
-	}
-	r = io.LimitReader(r, int64(limit))
+	limits := codecFor(params, cparams)
+	r = io.LimitReader(r, int64(limits.maxRequest))
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, err
@@ -67,7 +56,7 @@ func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Requ
 	case CmdKeyImport, CmdAdmin:
 		maxBlob := MaxAdminBytes
 		if req.Cmd == CmdKeyImport {
-			maxBlob = MaxKeyBlobBytes(params, cparams)
+			maxBlob = limits.maxKeyBlob
 		}
 		var n [4]byte
 		if _, err := io.ReadFull(r, n[:]); err != nil {
@@ -219,7 +208,7 @@ func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint
 			rep = info
 		}
 	case CmdKeyExport:
-		body, err = refReadLenBody(r, MaxKeyBlobBytes(params, cparams))
+		body, err = refReadLenBody(r, codecFor(params, cparams).maxKeyBlob)
 		rep = Blob(body)
 	case CmdKeyImport, CmdAdmin:
 		body, err = refReadLenBody(r, MaxAdminBytes)

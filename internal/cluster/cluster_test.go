@@ -59,6 +59,16 @@ type testCluster struct {
 // set, with the relin key replicated to every backend under every tenant —
 // the full-replication model the cluster layer assumes.
 func startCluster(t *testing.T, n int, tenants []string) *testCluster {
+	return startClusterWith(t, n, tenants, nil)
+}
+
+// startCKKSCluster is startCluster with nodes that also serve cs, its keys
+// replicated the same way.
+func startCKKSCluster(t *testing.T, n int, tenants []string) *testCluster {
+	return startClusterWith(t, n, tenants, testCKKS())
+}
+
+func startClusterWith(t *testing.T, n int, tenants []string, cs *ckksSet) *testCluster {
 	t.Helper()
 	params, err := fv.NewParams(fv.TestConfig(257))
 	if err != nil {
@@ -68,15 +78,24 @@ func startCluster(t *testing.T, n int, tenants []string) *testCluster {
 	sk, pk, rk := kg.GenKeys()
 	tc := &testCluster{params: params, sk: sk, pk: pk, rk: rk}
 	for i := 0; i < n; i++ {
-		eng, err := engine.New(engine.Config{Params: params, Workers: 2, QueueDepth: 256})
+		cfg := engine.Config{Params: params, Workers: 2, QueueDepth: 256}
+		if cs != nil {
+			cfg.CKKSParams = cs.cp
+		}
+		eng, err := engine.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetRelinKey(cloud.DefaultTenant, rk)
-		for _, tenant := range tenants {
+		for _, tenant := range append([]string{cloud.DefaultTenant}, tenants...) {
 			eng.SetRelinKey(tenant, rk)
+			if cs != nil {
+				cs.install(eng, tenant)
+			}
 		}
 		srv := cloud.NewServer(params, eng, nil)
+		if cs != nil {
+			srv.CKKSParams = cs.cp
+		}
 		srv.NodeID = fmt.Sprintf("node-%d", i)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {

@@ -87,7 +87,7 @@ type backendHealth struct {
 	id   string
 	stop chan struct{} // closed when this backend leaves the fleet
 
-	// Load signals for replica selection, updated lock-free on the request
+	// Load signals for the stats snapshot, updated lock-free on the request
 	// path: an EWMA of attempt latency and the number of live attempts.
 	ewmaNanos atomic.Uint64 // 0 = no sample yet
 	inflight  atomic.Int64
@@ -329,7 +329,7 @@ func (hm *healthManager) notify(id string, from, to State) {
 
 // ewmaAlpha is the smoothing factor of the per-backend latency EWMA: heavy
 // enough that one slow attempt moves the estimate, light enough that a single
-// outlier does not dominate replica selection.
+// outlier does not dominate it.
 const ewmaAlpha = 0.3
 
 // observe folds one attempt's latency into the backend's EWMA.
@@ -364,21 +364,6 @@ func (hm *healthManager) decInflight(id string) {
 	if b := hm.backend(id); b != nil {
 		b.inflight.Add(-1)
 	}
-}
-
-// loadScore estimates the cost of sending the next request to the node:
-// expected latency scaled by queue depth. A node with no samples yet scores
-// zero — cold but idle, the cheapest place to send work.
-func (hm *healthManager) loadScore(id string) float64 {
-	b := hm.backend(id)
-	if b == nil {
-		return 0
-	}
-	inflight := b.inflight.Load()
-	if inflight < 0 {
-		inflight = 0
-	}
-	return float64(b.ewmaNanos.Load()) * float64(1+inflight)
 }
 
 // routable reports whether the node may receive traffic (healthy or on

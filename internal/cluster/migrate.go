@@ -13,6 +13,18 @@ import (
 // ErrLastNode refuses a Leave/Drain that would empty the ring.
 var ErrLastNode = errors.New("cluster: refusing to remove the last ring member")
 
+const (
+	// migrationTimeout bounds one membership change end to end — planning,
+	// key transfers, and cutover.
+	migrationTimeout = 15 * time.Second
+	// drainTimeout bounds how long a cutover waits for the moved tenants'
+	// in-flight requests before flipping anyway. Flipping with stragglers in
+	// flight is safe — key state is transferred before the flip and never
+	// removed from the old owners — so it only bounds gate latency, not
+	// correctness.
+	drainTimeout = 2 * time.Second
+)
+
 // MigrationReport summarizes one membership change: how many tenants were
 // rebalanced onto different nodes and how many evaluation keys moved with
 // them before the cutover.
@@ -61,7 +73,7 @@ func (r *Router) member(id string) bool {
 // scratchRing clones the live membership into a throwaway ring so the
 // post-change placement can be computed before the flip.
 func (r *Router) scratchRing(add, remove string) *Ring {
-	next := NewRing(r.cfg.VirtualNodes)
+	next := NewRing(DefaultVirtualNodes)
 	for _, m := range r.ring.Members() {
 		if m != remove {
 			next.Add(m)
@@ -182,7 +194,7 @@ func (r *Router) cutover(ctx context.Context, what, node string,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mctx, cancel := context.WithTimeout(ctx, r.cfg.MigrationTimeout)
+	mctx, cancel := context.WithTimeout(ctx, migrationTimeout)
 	defer cancel()
 
 	r.hook("plan", "")
@@ -202,7 +214,7 @@ func (r *Router) cutover(ctx context.Context, what, node string,
 	defer r.gates.release(moved) // on abort; a no-op after the release below
 	r.hook("hold", "")
 
-	dctx, dcancel := context.WithTimeout(mctx, r.cfg.DrainTimeout)
+	dctx, dcancel := context.WithTimeout(mctx, drainTimeout)
 	if err := r.gates.drain(dctx, moved); err != nil {
 		// Safe to proceed: key state is copied, never moved, so stragglers
 		// finish correctly against the old owners.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ func TestMain(m *testing.M) {
 }
 
 // routedTier is a cluster.Server over tc's backends (plus extras), serving on
-// loopback.
+// loopback and framing CKKS as herouter does.
 func routedTier(t *testing.T, tc *testCluster, mux bool, extra ...Backend) (*Server, string) {
 	t.Helper()
 	router, err := NewRouter(Config{
@@ -40,6 +42,7 @@ func routedTier(t *testing.T, tc *testCluster, mux bool, extra ...Backend) (*Ser
 		t.Fatal(err)
 	}
 	srv := NewServer(tc.params, router, nil)
+	srv.CKKSParams = testCKKS().cp
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -67,109 +70,153 @@ func outOfRange(ct *fv.Ciphertext) *fv.Ciphertext {
 }
 
 // TestRouterStillRangeChecksRequests: forwarding bytes did not move the
-// validation out of the routing tier. A request with one residue >= q_i is
-// refused there exactly as when the router decoded it — sequential: the
-// connection is dropped; mux: a CodeApp reply and the session stays up — and
-// nothing of it reaches a node or its circuit breaker.
+// validation out of the routing tier. A request with one residue >= q_i — a
+// BFV operand or a CKKS one — is refused there exactly as when the router
+// decoded it — sequential: the connection is dropped; mux: a CodeApp reply
+// naming the malformed request, and the session stays up — and nothing of it
+// reaches a node or its circuit breaker.
 func TestRouterStillRangeChecksRequests(t *testing.T) {
-	tc := startCluster(t, 2, nil)
+	tc := startCKKSCluster(t, 2, nil)
+	cs := testCKKS()
 	a, b := tc.encrypt(t, 3), tc.encrypt(t, 4)
-	var bad, good bytes.Buffer
-	if err := cloud.WriteRequest(&bad, tc.params, &cloud.Request{Cmd: cloud.CmdAdd, ID: 1, A: a, B: outOfRange(b)}); err != nil {
+	x := cs.encrypt(t, 0.5, 0.25)
+	want, _, err := dialCKKS(t, tc, tc.backends[0].addr).CKKSAdd(x, x)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cloud.WriteRequest(&good, tc.params, &cloud.Request{Cmd: cloud.CmdAdd, ID: 2, A: a, B: b}); err != nil {
-		t.Fatal(err)
-	}
-	untouched := func(srv *Server, served uint64) {
+	encode := func(req *cloud.Request) []byte {
 		t.Helper()
-		var got uint64
-		for _, be := range tc.backends {
-			got += be.srv.Served()
+		var buf bytes.Buffer
+		if err := cloud.WriteRequest(&buf, tc.params, req); err != nil {
+			t.Fatal(err)
 		}
-		if got != served {
-			t.Errorf("backends served %d operations, want %d", got, served)
+		return buf.Bytes()
+	}
+	schemes := []struct {
+		name      string
+		bad, good []byte
+		right     func(payload []byte) error // decodes the good request's reply
+	}{
+		{"bfv",
+			encode(&cloud.Request{Cmd: cloud.CmdAdd, ID: 1, A: a, B: outOfRange(b)}),
+			encode(&cloud.Request{Cmd: cloud.CmdAdd, ID: 2, A: a, B: b}),
+			func(payload []byte) error {
+				resp, err := cloud.ReadResponseV(bytes.NewReader(payload), tc.params, cloud.ProtoV2)
+				if err == nil && (resp.Err != "" || tc.decrypt(resp.Result) != 7) {
+					err = fmt.Errorf("answered %+v", resp)
+				}
+				return err
+			}},
+		{"ckks",
+			encode(&cloud.Request{Cmd: cloud.CmdCKKSAdd, ID: 1, CA: x, CB: outOfRangeCKKS(x)}),
+			encode(&cloud.Request{Cmd: cloud.CmdCKKSAdd, ID: 2, CA: x, CB: x}),
+			func(payload []byte) error {
+				resp, err := cloud.ReadCKKSResponseV(bytes.NewReader(payload), cs.cp, cloud.ProtoV2)
+				if err == nil && (resp.Err != "" || !resp.CKKSResult.Equal(want)) {
+					err = fmt.Errorf("answered %+v", resp)
+				}
+				return err
+			}},
+	}
+	served := func() (n uint64) {
+		for _, be := range tc.backends {
+			n += be.srv.Served()
+		}
+		return n
+	}
+	// untouched checks what a tier has let through since the node counts
+	// were base: ops operations, none of them a failure.
+	untouched := func(srv *Server, base, ops uint64) {
+		t.Helper()
+		if got := served() - base; got != ops {
+			t.Errorf("backends served %d operations, want %d", got, ops)
 		}
 		for _, st := range srv.Router.Stats().Backends {
 			if st.ConsecFails != 0 || st.Ejections != 0 {
 				t.Errorf("backend %s: breaker saw %d failures, %d ejections", st.ID, st.ConsecFails, st.Ejections)
 			}
 		}
-		if n := srv.Router.Stats().Obs.Counters["cluster_requests"]; n != served {
-			t.Errorf("router walked the ring for %d requests, want %d", n, served)
+		if n := srv.Router.Stats().Obs.Counters["cluster_requests"]; n != ops {
+			t.Errorf("router walked the ring for %d requests, want %d", n, ops)
 		}
 	}
 
 	t.Run("sequential", func(t *testing.T) {
-		srv, addr := routedTier(t, tc, false)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(bad.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
-			t.Fatalf("read after an out-of-range request = (%d, %v), want the connection dropped", n, err)
-		}
-		untouched(srv, 0)
-	})
-
-	t.Run("mux", func(t *testing.T) {
-		srv, addr := routedTier(t, tc, true)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(20 * time.Second))
-		if err := cloud.WriteMuxHello(conn, 4); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cloud.ReadMuxHello(conn); err != nil {
-			t.Fatal(err)
-		}
-		exchange := func(id uint64, payload []byte) *cloud.Response {
-			t.Helper()
-			if err := cloud.WriteMuxFrame(conn, cloud.MuxFrameRequest, id, payload); err != nil {
-				t.Fatal(err)
-			}
-			f, err := cloud.DecodeMuxFrame(conn, 1<<24)
-			if err != nil || f.ID != id {
-				t.Fatalf("reply frame: %+v, %v", f, err)
-			}
-			resp, err := cloud.ReadResponseV(bytes.NewReader(f.Payload), tc.params, cloud.ProtoV2)
+		for _, sc := range schemes {
+			base := served()
+			srv, addr := routedTier(t, tc, false)
+			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return resp
+			defer conn.Close()
+			if _, err := conn.Write(sc.bad); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("%s: read after an out-of-range request = (%d, %v), want the connection dropped", sc.name, n, err)
+			}
+			untouched(srv, base, 0)
 		}
-		if resp := exchange(1, bad.Bytes()); resp.Err == "" || resp.Code != cloud.CodeApp {
-			t.Fatalf("out-of-range request answered %+v, want a CodeApp refusal", resp)
+	})
+
+	t.Run("mux", func(t *testing.T) {
+		for _, sc := range schemes {
+			base := served()
+			srv, addr := routedTier(t, tc, true)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(20 * time.Second))
+			if err := cloud.WriteMuxHello(conn, 4); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cloud.ReadMuxHello(conn); err != nil {
+				t.Fatal(err)
+			}
+			exchange := func(id uint64, payload []byte) []byte {
+				t.Helper()
+				if err := cloud.WriteMuxFrame(conn, cloud.MuxFrameRequest, id, payload); err != nil {
+					t.Fatal(err)
+				}
+				f, err := cloud.DecodeMuxFrame(conn, 1<<24)
+				if err != nil || f.ID != id {
+					t.Fatalf("reply frame: %+v, %v", f, err)
+				}
+				return f.Payload
+			}
+			resp, err := cloud.ReadResponseV(bytes.NewReader(exchange(1, sc.bad)), tc.params, cloud.ProtoV2)
+			if err != nil || resp.Code != cloud.CodeApp || !strings.Contains(resp.Err, cloud.ErrMalformedRequest.Error()) {
+				t.Fatalf("%s: out-of-range request answered %+v (%v), want a CodeApp refusal of a malformed request", sc.name, resp, err)
+			}
+			untouched(srv, base, 0)
+			// The session is still up, and the same buffers serve a valid request.
+			if err := sc.right(exchange(2, sc.good)); err != nil {
+				t.Fatalf("%s: valid request after the refusal: %v", sc.name, err)
+			}
+			untouched(srv, base, 1)
 		}
-		untouched(srv, 0)
-		// The session is still up, and the same buffers serve a valid request.
-		resp := exchange(2, good.Bytes())
-		if resp.Err != "" || tc.decrypt(resp.Result) != 7 {
-			t.Fatalf("valid request after the refusal: %+v", resp)
-		}
-		untouched(srv, 1)
 	})
 }
 
 // scriptedNode is a data node whose op replies are scripted — a cloud
-// front-end with this handler behind it. Pings succeed, so it stays routable.
+// front-end with this handler behind it, framing both schemes. Pings succeed,
+// so it stays routable, and its info says it serves CKKS.
 type scriptedNode struct {
 	params *fv.Params
-	reply  func() cloud.Reply
+	reply  func(cmd uint8) cloud.Reply
 	seen   atomic.Uint64
 }
 
 func (n *scriptedNode) Handle(f *cloud.Frame) cloud.Reply {
-	if f.Cmd == cloud.CmdPing {
+	switch f.Cmd {
+	case cloud.CmdPing:
 		return &cloud.Response{Result: fv.NewCiphertext(n.params, 2)}
+	case cloud.CmdInfo:
+		return &cloud.ServerInfo{Proto: cloud.ProtoV2, CKKS: true}
 	}
 	// It did receive a well-formed request: materializing checks the bytes
 	// the router forwarded.
@@ -177,13 +224,14 @@ func (n *scriptedNode) Handle(f *cloud.Frame) cloud.Reply {
 		return &cloud.ServerError{Code: cloud.CodeApp, Msg: err.Error()}
 	}
 	n.seen.Add(1)
-	return n.reply()
+	return n.reply(f.Cmd)
 }
 
-func startScriptedNode(t *testing.T, params *fv.Params, reply func() cloud.Reply) (*scriptedNode, Backend) {
+func startScriptedNode(t *testing.T, params *fv.Params, reply func(cmd uint8) cloud.Reply) (*scriptedNode, Backend) {
 	t.Helper()
 	n := &scriptedNode{params: params, reply: reply}
 	fe := cloud.NewFrontend(params, n, nil)
+	fe.CKKSParams = testCKKS().cp
 	addr, err := fe.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -215,17 +263,26 @@ func tenantWithPrimary(t *testing.T, r *Router, node string) string {
 // sent again, restamped, to the next replica — after a retryable refusal
 // and after a reply the router's own range check rejects, which stays what
 // it was when the router decoded replies: a transport failure that feeds the
-// breaker and fails over. Both backend transports; the client sees only the
-// right answer.
+// breaker and fails over. Both schemes, both backend transports; the client
+// sees only the right answer, a CKKS one bit for bit the healthy node's.
 func TestRouterFailsOverWithTheSameBytes(t *testing.T) {
-	tc := startCluster(t, 1, nil)
+	tc := startCKKSCluster(t, 1, nil)
+	cs := testCKKS()
 	want := tc.encrypt(t, 0) // shape only; overwritten below
+	x := cs.encrypt(t, 0.5, -0.25)
+	cwant, _, err := dialCKKS(t, tc, tc.backends[0].addr).CKKSMul(x, x)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mux := range []bool{false, true} {
-		for name, script := range map[string]func() cloud.Reply{
-			"retryable refusal": func() cloud.Reply {
+		for name, script := range map[string]func(cmd uint8) cloud.Reply{
+			"retryable refusal": func(uint8) cloud.Reply {
 				return &cloud.ServerError{Code: cloud.CodeUnavailable, Msg: "scripted: overloaded"}
 			},
-			"reply out of range": func() cloud.Reply {
+			"reply out of range": func(cmd uint8) cloud.Reply {
+				if cmd == cloud.CmdCKKSMul {
+					return &cloud.Response{CKKSResult: outOfRangeCKKS(cwant), ComputeNanos: 1}
+				}
 				return &cloud.Response{Result: outOfRange(want), ComputeNanos: 1}
 			},
 		} {
@@ -234,11 +291,13 @@ func TestRouterFailsOverWithTheSameBytes(t *testing.T) {
 				srv, addr := routedTier(t, tc, mux, backend)
 				tenant := tenantWithPrimary(t, srv.Router, backend.ID)
 				tc.backends[0].eng.SetRelinKey(tenant, tc.rk)
+				cs.install(tc.backends[0].eng, tenant)
 				client, err := cloud.DialTenant(addr, tc.params, tenant)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer client.Close()
+				client.EnableCKKS(cs.cp)
 				for i := uint64(1); i <= 3; i++ {
 					prod, _, err := client.Mul(tc.encrypt(t, i+1), tc.encrypt(t, i+2))
 					if err != nil {
@@ -247,13 +306,17 @@ func TestRouterFailsOverWithTheSameBytes(t *testing.T) {
 					if got := tc.decrypt(prod); got != (i+1)*(i+2) {
 						t.Fatalf("request %d decrypts to %d, want %d", i, got, (i+1)*(i+2))
 					}
+					cprod, _, err := client.CKKSMul(x, x)
+					if err != nil || !cprod.Equal(cwant) {
+						t.Fatalf("CKKS request %d: %v, or not the healthy node's answer", i, err)
+					}
 				}
-				if node.seen.Load() != 3 {
-					t.Errorf("scripted primary saw %d well-formed requests, want 3", node.seen.Load())
+				if node.seen.Load() != 6 {
+					t.Errorf("scripted primary saw %d well-formed requests, want 6", node.seen.Load())
 				}
 				stats := srv.Router.Stats()
-				if stats.Obs.Counters["cluster_retries"] != 3 {
-					t.Errorf("cluster_retries = %d, want 3", stats.Obs.Counters["cluster_retries"])
+				if stats.Obs.Counters["cluster_retries"] != 6 {
+					t.Errorf("cluster_retries = %d, want 6", stats.Obs.Counters["cluster_retries"])
 				}
 				for _, st := range stats.Backends {
 					if st.ID != backend.ID {
@@ -261,7 +324,8 @@ func TestRouterFailsOverWithTheSameBytes(t *testing.T) {
 					}
 					// A refusal proves the node alive; a garbled reply is a
 					// failure of the hop.
-					if garbled := name == "reply out of range"; (st.ConsecFails > 0) != garbled {
+					garbled := name == "reply out of range"
+					if (st.ConsecFails > 0) != garbled || garbled && !strings.Contains(st.LastErr, cloud.ErrMalformedResponse.Error()) {
 						t.Errorf("breaker counts %d consecutive failures (last: %q)", st.ConsecFails, st.LastErr)
 					}
 				}

@@ -3,29 +3,72 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/obs"
 )
 
-// conn is the per-attempt connection surface the router needs: the raw
-// exchange it forwards frames through, and a ping for the health probe. Both
-// the sequential *cloud.Client and the multiplexed *cloud.MuxClient satisfy
-// it, so the failover walk is oblivious to which transport a backend pool
-// hands out.
-type conn interface {
+// transport is what the router needs of a connection to a backend: the raw
+// exchange it forwards frames through, the node's info, and a ping for the
+// health probe. Both the sequential *cloud.Client and the multiplexed
+// *cloud.MuxClient satisfy it, so the failover walk is oblivious to which one
+// a backend pool hands out.
+type transport interface {
 	Exchange(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, error)
+	Info(ctx context.Context) (*cloud.ServerInfo, error)
 	PingCtx(ctx context.Context) error
 	Broken() bool
 	Close() error
 }
 
+// conn is one connection to a backend, remembering whether its node serves
+// CKKS from the first time a CKKS frame was about to go out on it.
+type conn struct {
+	transport
+
+	mu     sync.Mutex // serializes the question on a shared mux connection
+	asked  bool
+	ckksOK bool
+}
+
+// Exchange forwards f. A CKKS frame first asks the node's info, once per
+// connection: a node without CKKS cannot frame the command — a sequential
+// session would drop the connection on it — so it gets no byte of it, and the
+// frame is refused the way a mux node refuses what it cannot frame, with a
+// deterministic CodeApp error that proves the node alive.
+func (c *conn) Exchange(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, error) {
+	if f.Cmd == cloud.CmdCKKSAdd || f.Cmd == cloud.CmdCKKSMul || f.Cmd == cloud.CmdCKKSRotate {
+		ok, err := c.servesCKKS(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, &cloud.ServerError{Code: cloud.CodeApp, Msg: fmt.Sprintf("cluster: the backend serves no CKKS (command %d)", f.Cmd)}
+		}
+	}
+	return c.transport.Exchange(ctx, f)
+}
+
+func (c *conn) servesCKKS(ctx context.Context) (bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.asked {
+		info, err := c.Info(ctx)
+		if err != nil {
+			return false, err
+		}
+		c.asked, c.ckksOK = true, info.CKKS
+	}
+	return c.ckksOK, nil
+}
+
 // backendPool hands out connections to one backend. get/put bracket one
 // attempt; close drops everything.
 type backendPool interface {
-	get() (conn, error)
-	put(conn)
+	get() (*conn, error)
+	put(*conn)
 	close()
 }
 
@@ -47,7 +90,7 @@ type connPool struct {
 	dial func() (*cloud.Client, error)
 
 	mu     sync.Mutex
-	idle   []*cloud.Client
+	idle   []*conn
 	max    int // idle cap; extra returns are closed
 	closed bool
 }
@@ -62,7 +105,7 @@ func newConnPool(max int, dial func() (*cloud.Client, error)) *connPool {
 // get returns an idle connection or dials a new one; a closed pool refuses,
 // so a request that fetched the pool just before its node was retired does
 // not re-dial a drained backend.
-func (p *connPool) get() (conn, error) {
+func (p *connPool) get() (*conn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -75,12 +118,16 @@ func (p *connPool) get() (conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	return p.dial()
+	cl, err := p.dial()
+	if err != nil {
+		return nil, err
+	}
+	return &conn{transport: cl}, nil
 }
 
 // put returns a connection to the pool; broken connections and overflow
 // beyond the idle cap are closed.
-func (p *connPool) put(c conn) {
+func (p *connPool) put(c *conn) {
 	if c == nil {
 		return
 	}
@@ -88,18 +135,13 @@ func (p *connPool) put(c conn) {
 		c.Close()
 		return
 	}
-	cl, ok := c.(*cloud.Client)
-	if !ok {
-		c.Close()
-		return
-	}
 	p.mu.Lock()
 	if p.closed || len(p.idle) >= p.max {
 		p.mu.Unlock()
-		cl.Close()
+		c.Close()
 		return
 	}
-	p.idle = append(p.idle, cl)
+	p.idle = append(p.idle, c)
 	p.mu.Unlock()
 }
 
@@ -128,7 +170,7 @@ type muxPool struct {
 	dial func() (*cloud.MuxClient, error)
 
 	mu     sync.Mutex
-	cur    *cloud.MuxClient
+	cur    *conn
 	closed bool
 }
 
@@ -138,7 +180,7 @@ func newMuxPool(dial func() (*cloud.MuxClient, error)) *muxPool {
 
 // get returns the backend's shared multiplexed connection, dialing (or
 // replacing a broken one) on demand.
-func (p *muxPool) get() (conn, error) {
+func (p *muxPool) get() (*conn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -155,13 +197,13 @@ func (p *muxPool) get() (conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.cur = mc
-	return mc, nil
+	p.cur = &conn{transport: mc}
+	return p.cur, nil
 }
 
 // put is a no-op: the client is shared, and concurrent exchanges may still
 // be in flight on it.
-func (p *muxPool) put(conn) {}
+func (p *muxPool) put(*conn) {}
 
 // close tears down the shared connection.
 func (p *muxPool) close() {

@@ -36,8 +36,6 @@ type Config struct {
 	Params *fv.Params
 	// Backends is the cluster membership. Required, non-empty, unique IDs.
 	Backends []Backend
-	// VirtualNodes per member on the ring (default DefaultVirtualNodes).
-	VirtualNodes int
 	// Replicas is the length of each tenant's preference list — the
 	// failover candidates walked when the primary is down (default 2,
 	// clamped to the membership size).
@@ -59,24 +57,6 @@ type Config struct {
 	// treated like a retryable refusal: the walk fails over to the next
 	// replica without feeding the circuit breaker.
 	Mux bool
-	// LoadAware lets the router demote a tenant's primary in favor of a
-	// less-loaded replica when the primary's load score — EWMA attempt
-	// latency scaled by queue depth — exceeds LoadSpillFactor times the
-	// cheapest candidate's. Placement stays hash-affine for the common case;
-	// only hot-spotted tenants spill.
-	LoadAware bool
-	// LoadSpillFactor is the primary-vs-best load ratio that triggers a
-	// spill (default 2.0; values <= 1 are reset to the default).
-	LoadSpillFactor float64
-	// MigrationTimeout bounds one membership change end to end — planning,
-	// key transfers, and cutover (default 15s).
-	MigrationTimeout time.Duration
-	// DrainTimeout bounds how long a cutover waits for the moved tenants'
-	// in-flight requests before flipping anyway (default 2s). Flipping with
-	// stragglers in flight is safe — key state is transferred before the
-	// flip and never removed from the old owners — so the timeout only
-	// bounds gate latency, not correctness.
-	DrainTimeout time.Duration
 	// Health parameterizes probing and circuit breaking.
 	Health HealthConfig
 	// Registry receives ring/health/retry counters and per-backend latency
@@ -113,15 +93,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 2 * time.Second
-	}
-	if c.LoadSpillFactor <= 1 {
-		c.LoadSpillFactor = 2.0
-	}
-	if c.MigrationTimeout <= 0 {
-		c.MigrationTimeout = 15 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 2 * time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -163,7 +134,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:    cfg,
-		ring:   NewRing(cfg.VirtualNodes),
+		ring:   NewRing(DefaultVirtualNodes),
 		addrs:  make(map[string]string, len(cfg.Backends)),
 		pools:  make(map[string]*member, len(cfg.Backends)),
 		reg:    cfg.Registry,
@@ -283,29 +254,17 @@ func (r *Router) candidatesFor(tenant string) (list []string, rerouted, routable
 		// still name the candidates in errors and stats.
 		return full[:n], false, false
 	}
-	rerouted = list[0] != full[0]
-	if r.cfg.LoadAware && len(list) > 1 {
-		best, bestScore := 0, r.health.loadScore(list[0])
-		for i := 1; i < len(list); i++ {
-			if s := r.health.loadScore(list[i]); s < bestScore {
-				best, bestScore = i, s
-			}
-		}
-		if best != 0 && r.health.loadScore(list[0]) > r.cfg.LoadSpillFactor*bestScore {
-			list[0], list[best] = list[best], list[0]
-			r.reg.Counter("cluster_load_reroutes").Add(1)
-		}
-	}
-	return list, rerouted, true
+	return list, list[0] != full[0], true
 }
 
 // isIdempotent reports whether a command may be retried on a replica after
-// a failure whose outcome is unknown. Every current op — including a whole
-// program, which is a pure function of its inputs — may be; the check is
-// the seam for future stateful commands.
+// a failure whose outcome is unknown. Every current op of either scheme —
+// including a whole program, which is a pure function of its inputs — may
+// be; the check is the seam for future stateful commands.
 func isIdempotent(cmd uint8) bool {
 	switch cmd {
-	case cloud.CmdAdd, cloud.CmdMul, cloud.CmdRotate, cloud.CmdPing, cloud.CmdProgram:
+	case cloud.CmdAdd, cloud.CmdMul, cloud.CmdRotate, cloud.CmdPing, cloud.CmdProgram,
+		cloud.CmdCKKSAdd, cloud.CmdCKKSMul, cloud.CmdCKKSRotate:
 		return true
 	}
 	return false

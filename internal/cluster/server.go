@@ -16,9 +16,10 @@ import (
 // speak to it exactly as they would to one heserver — sequential connections
 // and mux sessions alike — and every request is routed to the backend owning
 // its tenant. This is what cmd/herouter serves. The listener, accept/drain
-// and both framings are the embedded cloud.Frontend (as are Params, Logger
-// and ReadTimeout); this type is only the handler behind it. CKKS frames are
-// refused: the router has no CKKS parameter set to frame them with.
+// and both framings are the embedded cloud.Frontend (as are Params,
+// CKKSParams, Logger and ReadTimeout); this type is only the handler behind
+// it. With CKKSParams set the CKKS commands are framed and routed like the
+// BFV ones; a node that serves no CKKS refuses them (see conn.Exchange).
 type Server struct {
 	*cloud.Frontend
 	Router *Router
@@ -71,6 +72,7 @@ func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 			NodeID:      s.NodeID,
 			Workers:     s.Router.ring.Size(),
 			TenantAware: true,
+			CKKS:        s.CKKSParams != nil,
 		}
 	case cloud.CmdPing:
 		// A router is alive when at least one backend is: answer locally so

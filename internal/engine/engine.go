@@ -185,13 +185,6 @@ type Config struct {
 	// bricks.
 	QuarantineAfter int
 
-	// MaxPrograms bounds how many compiled programs may execute
-	// concurrently (default Workers). A program is one admission unit:
-	// admitting more programs than workers would interleave their
-	// wavefronts without increasing throughput, so excess submissions fail
-	// fast with ErrOverloaded like single ops do.
-	MaxPrograms int
-
 	// TenantQuota caps how many operations one tenant may have in flight on
 	// this node (admitted but not yet completed; a program counts as one).
 	// Beyond the cap Submit fails fast with ErrQuotaExceeded, so a flooding
@@ -228,9 +221,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = 3
-	}
-	if cfg.MaxPrograms <= 0 {
-		cfg.MaxPrograms = cfg.Workers
 	}
 	return cfg, nil
 }
@@ -269,8 +259,11 @@ type Engine struct {
 	m       metrics
 
 	// progTasks feeds per-node program work to the same worker pool as
-	// batches; progSlots is the program admission gate (capacity
-	// MaxPrograms); progWG tracks in-flight programs so Shutdown closes
+	// batches; progSlots is the program admission gate, one slot per
+	// worker — a program is one admission unit, and admitting more programs
+	// than workers would interleave their wavefronts without increasing
+	// throughput, so excess submissions fail fast with ErrOverloaded like
+	// single ops do; progWG tracks in-flight programs so Shutdown closes
 	// progTasks only after the last one drains.
 	progTasks chan *progTask
 	progSlots chan struct{}
@@ -309,7 +302,7 @@ func New(cfg Config) (*Engine, error) {
 		queue:     make(chan *request, cfg.QueueDepth),
 		batches:   make(chan *batch),
 		progTasks: make(chan *progTask),
-		progSlots: make(chan struct{}, cfg.MaxPrograms),
+		progSlots: make(chan struct{}, cfg.Workers),
 		tenants:   make(map[string]*tenantCounters),
 		noise:     fv.NewNoiseModel(cfg.Params),
 	}

@@ -89,7 +89,7 @@ type progNodeResult struct {
 
 // SubmitProgram admits a compiled program and blocks until every output is
 // computed, the deadline passes, or the context is canceled. Admission is
-// bounded by Config.MaxPrograms (ErrOverloaded beyond it); missing
+// bounded at one program per worker (ErrOverloaded beyond it); missing
 // evaluation keys fail fast with ErrNoKey before any node executes.
 func (e *Engine) SubmitProgram(ctx context.Context, op ProgramOp) (*ProgramResult, error) {
 	p := op.Prog

@@ -241,7 +241,7 @@ func TestProgramFailsFastWithoutKeys(t *testing.T) {
 func TestProgramAdmissionAndShutdown(t *testing.T) {
 	params := testParams(t)
 	tn := newTenant(t, params, "", 7)
-	e := newEngine(t, params, Config{Workers: 1, MaxPrograms: 1})
+	e := newEngine(t, params, Config{Workers: 1})
 
 	// Wrong input count is rejected before admission.
 	p := wideTree(t, 4)
