@@ -53,24 +53,23 @@ import (
 // The command's flags, at package level so that TestFlagSetGolden can list
 // them without starting a server.
 var (
-	addr          = flag.String("addr", "127.0.0.1:7100", "listen address")
-	paper         = flag.Bool("paper", false, "use the paper parameter set (n = 4096) instead of the small test set")
-	tmod          = flag.Uint64("t", 65537, "plaintext modulus")
-	seed          = flag.Uint64("seed", 42, "deterministic key seed shared with the client")
-	workers       = flag.Int("workers", runtime.NumCPU(), "worker pool size, one simulated co-processor each (the paper's platform is 2)")
-	queueDepth    = flag.Int("queue-depth", 64, "admission queue bound; a full queue rejects with an overload error")
-	deadline      = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
-	maxBatch      = flag.Int("batch", 8, "max compatible ops dispatched to a worker as one batch")
-	keyCache      = flag.Int("keycache", 8, "per-worker evaluation-key cache slots (LRU)")
-	tenants       = flag.String("tenants", "", "comma-separated extra tenant namespaces to register the seed-derived keys under (cluster deployments replicate keys to every node this way)")
-	nodeID        = flag.String("node-id", "", "node name advertised in info replies and used as the cluster ring identity (default: the bound address)")
-	readTimeout   = flag.Duration("read-timeout", cloud.DefaultReadTimeout, "per-request read deadline on client connections")
-	drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight work")
-	debugAddr     = flag.String("debug-addr", "", "listen address for the HTTP debug endpoint (expvar + pprof); empty disables it")
-	integrity     = flag.Bool("integrity", false, "verify co-processor results with Freivalds fingerprints; a mismatch fails the op with a retryable integrity error instead of returning corrupted data")
-	ckksServe     = flag.Bool("ckks", false, "additionally serve the CKKS approximate-arithmetic commands (CmdCKKSAdd/Mul/Rotate); CKKS keys are derived from -seed on an independent PRNG stream, with rotation keys installed for slot shifts 1, 2, 4, and 8")
-	tenantQuota   = flag.Int("tenant-quota", 0, "max in-flight ops per tenant on this node; excess is rejected with a retryable quota error (0 = unlimited)")
-	tenantWeights = flag.String("tenant-weights", "", "comma-separated tenant=weight pairs biasing weighted-fair batch emission (default weight 1)")
+	addr         = flag.String("addr", "127.0.0.1:7100", "listen address")
+	paper        = flag.Bool("paper", false, "use the paper parameter set (n = 4096) instead of the small test set")
+	tmod         = flag.Uint64("t", 65537, "plaintext modulus")
+	seed         = flag.Uint64("seed", 42, "deterministic key seed shared with the client")
+	workers      = flag.Int("workers", runtime.NumCPU(), "worker pool size, one simulated co-processor each (the paper's platform is 2)")
+	queueDepth   = flag.Int("queue-depth", 64, "admission queue bound; a full queue rejects with an overload error")
+	deadline     = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
+	maxBatch     = flag.Int("batch", 8, "max compatible ops dispatched to a worker as one batch")
+	keyCache     = flag.Int("keycache", 8, "per-worker evaluation-key cache slots (LRU)")
+	tenants      = flag.String("tenants", "", "comma-separated extra tenant namespaces to register the seed-derived keys under (cluster deployments replicate keys to every node this way)")
+	nodeID       = flag.String("node-id", "", "node name advertised in info replies and used as the cluster ring identity (default: the bound address)")
+	readTimeout  = flag.Duration("read-timeout", cloud.DefaultReadTimeout, "per-request read deadline on client connections")
+	drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight work")
+	debugAddr    = flag.String("debug-addr", "", "listen address for the HTTP debug endpoint (expvar + pprof); empty disables it")
+	integrity    = flag.Bool("integrity", false, "verify co-processor results with Freivalds fingerprints; a mismatch fails the op with a retryable integrity error instead of returning corrupted data")
+	ckksServe    = flag.Bool("ckks", false, "additionally serve the CKKS approximate-arithmetic commands (CmdCKKSAdd/Mul/Rotate); CKKS keys are derived from -seed on an independent PRNG stream, with rotation keys installed for slot shifts 1, 2, 4, and 8")
+	tenantQuota  = flag.Int("tenant-quota", 0, "max in-flight ops per tenant on this node; excess is rejected with a retryable quota error (0 = unlimited)")
 )
 
 func main() {
@@ -102,10 +101,6 @@ func main() {
 		if len(tn) > cloud.MaxTenantLen {
 			usageError(fmt.Errorf("-tenants entry %q longer than %d bytes", tn, cloud.MaxTenantLen))
 		}
-	}
-	weights, err := parseWeights(*tenantWeights)
-	if err != nil {
-		usageError(err)
 	}
 
 	cfg := fv.TestConfig(*tmod)
@@ -158,7 +153,6 @@ func main() {
 		ExpvarName:      "engine",
 		IntegrityChecks: *integrity,
 		TenantQuota:     *tenantQuota,
-		TenantWeights:   weights,
 	})
 	if err != nil {
 		fatal(err)
@@ -259,29 +253,6 @@ func dumpStats(logger *log.Logger, eng *engine.Engine) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "heserver engine stats: %s\n", out)
-}
-
-// parseWeights decodes the -tenant-weights flag ("a=3,b=1") into the
-// engine's fair-emission weight map; nil when the flag is empty.
-func parseWeights(s string) (map[string]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, entry := range strings.Split(s, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(entry, "=")
-		name = strings.TrimSpace(name)
-		var w int
-		if _, err := fmt.Sscanf(strings.TrimSpace(val), "%d", &w); !ok || err != nil || name == "" || w <= 0 {
-			return nil, fmt.Errorf("-tenant-weights entry %q: want tenant=positive-weight", entry)
-		}
-		out[name] = w
-	}
-	return out, nil
 }
 
 // tenantList splits the -tenants flag, dropping empties.

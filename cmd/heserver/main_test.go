@@ -44,8 +44,6 @@ func TestInvalidFlagsExitTwo(t *testing.T) {
 		{"negative queue depth", []string{"-queue-depth", "-1"}, "-queue-depth"},
 		{"negative deadline", []string{"-deadline", "-1s"}, "-deadline"},
 		{"sub-millisecond deadline", []string{"-deadline", "10us"}, "-deadline"},
-		{"weight without value", []string{"-tenant-weights", "alice"}, "-tenant-weights"},
-		{"zero weight", []string{"-tenant-weights", "alice=0"}, "-tenant-weights"},
 		{"unknown flag", []string{"-no-such-flag"}, "no-such-flag"},
 	}
 	for _, tc := range cases {
@@ -197,7 +195,6 @@ func TestFlagSetGolden(t *testing.T) {
 		"seed",
 		"t",
 		"tenant-quota",
-		"tenant-weights",
 		"tenants",
 		"workers",
 	}

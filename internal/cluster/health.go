@@ -51,13 +51,14 @@ type HealthConfig struct {
 	FailThreshold int
 	// BackoffMax caps the probe backoff of an ejected node (default 10s).
 	BackoffMax time.Duration
-	// Jitter is the fraction of random spread applied to every probe delay
-	// (default 0.2) so a fleet of routers does not probe in lockstep.
-	Jitter float64
 	// Seed makes the jitter deterministic for tests; 0 seeds from the
 	// backend IDs.
 	Seed int64
 }
+
+// probeJitter is the fraction of random spread applied to every probe delay,
+// so a fleet of routers does not probe in lockstep.
+const probeJitter = 0.2
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Interval <= 0 {
@@ -72,9 +73,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 10 * time.Second
 	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.2
-	}
 	return c
 }
 
@@ -87,10 +85,9 @@ type backendHealth struct {
 	id   string
 	stop chan struct{} // closed when this backend leaves the fleet
 
-	// Load signals for the stats snapshot, updated lock-free on the request
-	// path: an EWMA of attempt latency and the number of live attempts.
-	ewmaNanos atomic.Uint64 // 0 = no sample yet
-	inflight  atomic.Int64
+	// inflight counts live attempts for the stats snapshot, updated
+	// lock-free on the request path.
+	inflight atomic.Int64
 
 	mu          sync.Mutex
 	state       State
@@ -236,7 +233,7 @@ func (hm *healthManager) delay(b *backendHealth) time.Duration {
 	}
 	b.mu.Unlock()
 	hm.mu.Lock()
-	spread := 1 + hm.cfg.Jitter*(2*hm.rng.Float64()-1)
+	spread := 1 + probeJitter*(2*hm.rng.Float64()-1)
 	hm.mu.Unlock()
 	return time.Duration(float64(d) * spread)
 }
@@ -327,32 +324,6 @@ func (hm *healthManager) notify(id string, from, to State) {
 	}
 }
 
-// ewmaAlpha is the smoothing factor of the per-backend latency EWMA: heavy
-// enough that one slow attempt moves the estimate, light enough that a single
-// outlier does not dominate it.
-const ewmaAlpha = 0.3
-
-// observe folds one attempt's latency into the backend's EWMA.
-func (hm *healthManager) observe(id string, d time.Duration) {
-	b := hm.backend(id)
-	if b == nil || d < 0 {
-		return
-	}
-	for {
-		old := b.ewmaNanos.Load()
-		next := uint64(d)
-		if old != 0 {
-			next = uint64((1-ewmaAlpha)*float64(old) + ewmaAlpha*float64(d))
-		}
-		if next == 0 {
-			next = 1
-		}
-		if b.ewmaNanos.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // incInflight/decInflight bracket one live attempt on the backend.
 func (hm *healthManager) incInflight(id string) {
 	if b := hm.backend(id); b != nil {
@@ -380,14 +351,13 @@ func (hm *healthManager) routable(id string) bool {
 
 // BackendStatus is the health slice of a Stats snapshot.
 type BackendStatus struct {
-	ID          string  `json:"id"`
-	Addr        string  `json:"addr"`
-	State       string  `json:"state"`
-	ConsecFails int     `json:"consec_fails,omitempty"`
-	Ejections   uint64  `json:"ejections,omitempty"`
-	LastErr     string  `json:"last_err,omitempty"`
-	EWMAMillis  float64 `json:"ewma_ms,omitempty"` // smoothed attempt latency
-	Inflight    int64   `json:"inflight,omitempty"`
+	ID          string `json:"id"`
+	Addr        string `json:"addr"`
+	State       string `json:"state"`
+	ConsecFails int    `json:"consec_fails,omitempty"`
+	Ejections   uint64 `json:"ejections,omitempty"`
+	LastErr     string `json:"last_err,omitempty"`
+	Inflight    int64  `json:"inflight,omitempty"`
 }
 
 func (hm *healthManager) status(id string) BackendStatus {
@@ -395,7 +365,6 @@ func (hm *healthManager) status(id string) BackendStatus {
 	if b == nil {
 		return BackendStatus{ID: id, State: "unknown"}
 	}
-	ewma := float64(b.ewmaNanos.Load()) / float64(time.Millisecond)
 	inflight := b.inflight.Load()
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -405,7 +374,6 @@ func (hm *healthManager) status(id string) BackendStatus {
 		ConsecFails: b.consecFails,
 		Ejections:   b.ejections,
 		LastErr:     b.lastErr,
-		EWMAMillis:  ewma,
 		Inflight:    inflight,
 	}
 }

@@ -395,7 +395,6 @@ func (r *Router) tryOn(ctx context.Context, node string, f *cloud.Frame) (*cloud
 	raw, err := cl.Exchange(actx, f)
 	elapsed := time.Since(start)
 	r.health.decInflight(node)
-	r.health.observe(node, elapsed)
 	p.latency.Observe(elapsed)
 	p.put(cl) // closes it when the exchange broke the stream
 	if err == nil {

@@ -15,63 +15,42 @@ type batchKey struct {
 	g      int // Galois element; zero except for the rotations
 }
 
-// batch is one unit of worker dispatch.
+// batch is one op job on the worker pool's job stream.
 type batch struct {
 	key    batchKey
 	reqs   []*request
 	opened time.Time // when the first request was admitted to this batch
 }
 
-// dispatch is the batcher goroutine: it drains the admission queue into
-// per-key pending groups and emits them to the worker pool. A group is
-// emitted once it reaches MaxBatch; partial groups are emitted when the
-// queue runs empty (plus an optional BatchLinger wait for stragglers).
-// Requests that expired while queued are dropped here, before any worker
-// sees them.
+// dispatch is the batcher goroutine, one of the job stream's producers: it
+// drains the admission queue into per-key pending groups and emits them to
+// the worker pool. A group is emitted once it reaches MaxBatch; partial
+// groups are emitted when the queue runs empty. Requests that expired while
+// queued are dropped here, before any worker sees them.
 //
-// Emission order is weighted-fair across tenants rather than FIFO: every
-// tenant accumulates virtual time — ops emitted divided by its
-// Config.TenantWeights weight — and whenever anything is emitted, pending
-// groups go out in ascending virtual-time order (arrival order breaks
-// ties). A tenant flooding full batches therefore cannot starve a light
-// tenant's partial batch: the light tenant's virtual time stays behind the
-// flooder's, so its group jumps the line at the next emission point. An
-// idle tenant's clock is clamped forward on re-activation, so sitting out
-// earns no credit.
+// Emission order is fair across tenants rather than FIFO: every tenant
+// accumulates virtual time — the ops emitted for it — and whenever anything
+// is emitted, pending groups go out in ascending virtual-time order (arrival
+// order breaks ties). A tenant flooding full batches therefore cannot starve
+// a light tenant's partial batch: the light tenant's virtual time stays
+// behind the flooder's, so its group jumps the line at the next emission
+// point. An idle tenant's clock is clamped forward on re-activation, so
+// sitting out earns no credit.
 func (e *Engine) dispatch() {
-	defer e.wg.Done()
-	defer close(e.batches)
+	defer e.producers.Done()
 
 	pending := make(map[batchKey]*batch)
-	var order []batchKey // arrival order: iteration + virtual-time tie-break
-	total := 0
+	var order []batchKey          // arrival order: iteration + virtual-time tie-break
+	vtime := make(map[string]int) // per-tenant virtual clock
+	globalVT := 0                 // virtual start of the last emission
 
-	vtime := make(map[string]float64) // per-tenant virtual clock
-	var globalVT float64              // virtual start of the last emission
-	weight := func(tenant string) float64 {
-		if w := e.cfg.TenantWeights[tenant]; w > 0 {
-			return float64(w)
-		}
-		return 1
-	}
-	// emitFair hands b to the pool and advances its tenant's clock by the
-	// weighted op count, clamping idle tenants up to globalVT first.
-	emitFair := func(b *batch) {
-		t := b.key.tenant
-		start := vtime[t]
-		if start < globalVT {
-			start = globalVT
-		}
-		vtime[t] = start + float64(len(b.reqs))/weight(t)
-		globalVT = start
-		e.emit(b)
-	}
 	// emitNext emits the pending group whose tenant has the least virtual
-	// time (earliest-arrived wins ties) and returns its key.
-	emitNext := func() batchKey {
-		best := -1
+	// time (earliest-arrived wins ties) and advances that tenant's clock by
+	// the group's ops, clamping an idle tenant up to globalVT first.
+	emitNext := func() {
+		best := 0
 		for i, k := range order {
-			if best < 0 || vtime[k.tenant] < vtime[order[best].tenant] {
+			if vtime[k.tenant] < vtime[order[best].tenant] {
 				best = i
 			}
 		}
@@ -79,80 +58,59 @@ func (e *Engine) dispatch() {
 		order = append(order[:best], order[best+1:]...)
 		b := pending[k]
 		delete(pending, k)
-		total -= len(b.reqs)
-		emitFair(b)
-		return k
+		start := max(vtime[k.tenant], globalVT)
+		vtime[k.tenant] = start + len(b.reqs)
+		globalVT = start
+		e.emit(b)
 	}
-
-	admit := func(r *request) {
-		if r.expired(time.Now()) {
+	flush := func() {
+		for len(order) > 0 {
+			emitNext()
+		}
+	}
+	take := func(r *request) {
+		if r.expired(time.Now()) != nil {
 			e.expire(r)
 			return
 		}
-		k := r.key
-		b := pending[k]
+		b := pending[r.key]
 		if b == nil {
-			b = &batch{key: k, opened: time.Now()}
-			pending[k] = b
-			order = append(order, k)
+			b = &batch{key: r.key, opened: time.Now()}
+			pending[r.key] = b
+			order = append(order, r.key)
 		}
 		b.reqs = append(b.reqs, r)
-		total++
 		if len(b.reqs) >= e.cfg.MaxBatch {
 			// A full group forces an emission point; everything cheaper in
 			// virtual time goes out ahead of it.
-			for pending[k] != nil {
+			for pending[r.key] != nil {
 				emitNext()
 			}
 		}
 	}
-	flushAll := func() {
-		for len(order) > 0 {
-			emitNext()
-		}
-		total = 0
-	}
 
 	for {
-		if total == 0 {
-			// Idle: block for the next request.
-			r, ok := <-e.queue
-			if !ok {
-				return
-			}
-			admit(r)
-			continue
-		}
-		// Pending work exists: keep draining without blocking; when the
-		// queue is empty (optionally after a linger window) flush what we
-		// have. emit blocks while all workers are busy, which is exactly
-		// when the admission queue should fill and start rejecting.
-		if e.cfg.BatchLinger <= 0 {
+		// Block for the next request only when nothing is pending; with
+		// pending work, keep draining without blocking and flush once the
+		// queue runs empty. emit blocks while all workers are busy, which is
+		// exactly when the admission queue should fill and start rejecting.
+		var r *request
+		ok := true
+		if len(order) == 0 {
+			r, ok = <-e.queue
+		} else {
 			select {
-			case r, ok := <-e.queue:
-				if !ok {
-					flushAll()
-					return
-				}
-				admit(r)
+			case r, ok = <-e.queue:
 			default:
-				flushAll()
+				flush()
+				continue
 			}
-			continue
 		}
-		linger := time.NewTimer(e.cfg.BatchLinger)
-		select {
-		case r, ok := <-e.queue:
-			if !ok {
-				flushAll()
-				linger.Stop()
-				return
-			}
-			admit(r)
-			linger.Stop()
-		case <-linger.C:
-			flushAll()
+		if !ok {
+			flush()
+			return
 		}
+		take(r)
 	}
 }
 
@@ -162,5 +120,5 @@ func (e *Engine) emit(b *batch) {
 	e.m.batches.Add(1)
 	e.m.batchedOps.Add(uint64(len(b.reqs)))
 	e.m.batchAssembly.Observe(time.Since(b.opened))
-	e.batches <- b
+	e.jobs <- b
 }

@@ -143,10 +143,6 @@ type Config struct {
 	// MaxBatch caps how many compatible ops are grouped into one dispatch
 	// (default 8).
 	MaxBatch int
-	// BatchLinger is how long the batcher waits for more compatible ops
-	// once the queue is empty before dispatching a partial batch
-	// (default 0: dispatch immediately — latency first).
-	BatchLinger time.Duration
 	// Deadline is the default per-request deadline applied when the
 	// caller's context has none (default 0: no deadline).
 	Deadline time.Duration
@@ -191,12 +187,6 @@ type Config struct {
 	// tenant is shed before it can fill the shared admission queue.
 	// 0 disables the cap.
 	TenantQuota int
-	// TenantWeights sets per-tenant weights for the batcher's weighted-fair
-	// emission order (default weight 1 for any tenant not listed). A tenant
-	// with weight 2 is charged half as much virtual time per op, so it gets
-	// twice the dispatch share under contention. Purely an ordering policy:
-	// total work and per-batch accounting are unchanged.
-	TenantWeights map[string]int
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -225,27 +215,41 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
+// ticket is what admission hands one unit of work, an op or a whole
+// program: the tenant counters holding its quota unit, and when it stops
+// being worth running.
+type ticket struct {
+	tc       *tenantCounters
+	ctx      context.Context
+	deadline time.Time // zero = none
+	admitted time.Time
+}
+
+// expired is the one expiry check, made on a queued op before it runs and on
+// a program before each wavefront: the caller's context is done (its error),
+// or the deadline has passed (ErrDeadlineExceeded).
+func (t *ticket) expired(now time.Time) error {
+	if err := t.ctx.Err(); err != nil {
+		return err
+	}
+	if !t.deadline.IsZero() && now.After(t.deadline) {
+		return ErrDeadlineExceeded
+	}
+	return nil
+}
+
 // request is one queued operation and its completion plumbing.
 type request struct {
+	ticket
 	op Op
 	// key is what the batcher groups by, fixed at admission: tenant, kind
 	// and — for the rotations of either scheme — the Galois element.
-	key      batchKey
-	ctx      context.Context
-	deadline time.Time // zero = none
-	enqueued time.Time
-	retries  int // integrity-failure re-enqueues so far
+	key     batchKey
+	retries int // integrity-failure re-enqueues so far
 
 	res  *Result
 	err  error
 	done chan struct{}
-}
-
-func (r *request) expired(now time.Time) bool {
-	if !r.deadline.IsZero() && now.After(r.deadline) {
-		return true
-	}
-	return r.ctx != nil && r.ctx.Err() != nil
 }
 
 // Engine is the serving runtime. Create with New, feed with Submit, stop
@@ -255,19 +259,19 @@ type Engine struct {
 	keys    *keyStore
 	workers []*worker
 	queue   chan *request
-	batches chan *batch
 	m       metrics
 
-	// progTasks feeds per-node program work to the same worker pool as
-	// batches; progSlots is the program admission gate, one slot per
-	// worker — a program is one admission unit, and admitting more programs
-	// than workers would interleave their wavefronts without increasing
-	// throughput, so excess submissions fail fast with ErrOverloaded like
-	// single ops do; progWG tracks in-flight programs so Shutdown closes
-	// progTasks only after the last one drains.
-	progTasks chan *progTask
+	// jobs is the one stream every worker drains: op batches from the
+	// batcher and the nodes of in-flight programs. Its producers — the
+	// batcher and each admitted program — are counted in producers, and
+	// Shutdown closes jobs once, after the last of them is done. progSlots
+	// is the program admission gate, one slot per worker: a program is one
+	// admission unit, and admitting more programs than workers would
+	// interleave their wavefronts without increasing throughput, so excess
+	// submissions fail fast with ErrOverloaded like single ops do.
+	jobs      chan job
+	producers sync.WaitGroup
 	progSlots chan struct{}
-	progWG    sync.WaitGroup
 
 	// noise is the guardrail's prediction model; liveWorkers tracks pool
 	// members not yet quarantined.
@@ -277,13 +281,13 @@ type Engine struct {
 	tmu     sync.RWMutex // guards tenants
 	tenants map[string]*tenantCounters
 
-	mu     sync.RWMutex // guards closed vs. queue sends
+	mu     sync.RWMutex // guards closed vs. admission
 	closed bool
-	wg     sync.WaitGroup // dispatcher + workers
+	wg     sync.WaitGroup // workers
 
 	expvarBinding *obs.ExpvarBinding // non-nil iff cfg.ExpvarName was published
 
-	// testExecHook, when set, runs at the start of every batch execution.
+	// testExecHook, when set, runs at the start of every job a worker takes.
 	// Tests use it to hold workers busy deterministically.
 	testExecHook func(workerID int)
 }
@@ -300,8 +304,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		keys:      newKeyStore(),
 		queue:     make(chan *request, cfg.QueueDepth),
-		batches:   make(chan *batch),
-		progTasks: make(chan *progTask),
+		jobs:      make(chan job),
 		progSlots: make(chan struct{}, cfg.Workers),
 		tenants:   make(map[string]*tenantCounters),
 		noise:     fv.NewNoiseModel(cfg.Params),
@@ -349,32 +352,17 @@ func New(cfg Config) (*Engine, error) {
 		e.workers = append(e.workers, w)
 	}
 	e.liveWorkers.Store(int32(len(e.workers)))
-	e.wg.Add(1)
+	e.producers.Add(1)
 	go e.dispatch()
 	for _, w := range e.workers {
 		e.wg.Add(1)
 		go func(w *worker) {
 			defer e.wg.Done()
-			// Two work sources share the pool: op batches from the batcher
-			// and per-node program tasks from the DAG scheduler. Each channel
-			// is nil-ed out once closed; the worker exits when both have
-			// drained (or it is quarantined).
-			batches, progs := e.batches, e.progTasks
-			for batches != nil || progs != nil {
-				select {
-				case b, ok := <-batches:
-					if !ok {
-						batches = nil
-						continue
-					}
-					e.runBatch(w, b)
-				case t, ok := <-progs:
-					if !ok {
-						progs = nil
-						continue
-					}
-					e.runProgTask(w, t)
+			for j := range e.jobs {
+				if e.testExecHook != nil {
+					e.testExecHook(w.id)
 				}
+				j.run(e, w)
 				if e.shouldQuarantine(w) {
 					return
 				}
@@ -491,62 +479,82 @@ func (e *Engine) Submit(ctx context.Context, op Op) (*Result, error) {
 	if err := e.noiseGuard(op, info); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tc := e.tenant(op.Tenant)
-	if err := e.admitTenant(tc); err != nil {
-		return nil, err
-	}
-	now := time.Now()
-	r := &request{op: op, ctx: ctx, enqueued: now, done: make(chan struct{})}
-	r.key = batchKey{tenant: op.Tenant, kind: op.Kind}
+	r := &request{op: op, key: batchKey{tenant: op.Tenant, kind: op.Kind}, done: make(chan struct{})}
 	if info.key == keyGalois {
 		r.key.g = op.G
 		if info.scheme == schemeCKKS {
 			r.key.g = e.cfg.CKKSParams.GaloisElementForRotation(op.R)
 		}
 	}
-	if d, ok := ctx.Deadline(); ok {
-		r.deadline = d
-	}
-	if e.cfg.Deadline > 0 {
-		if d := now.Add(e.cfg.Deadline); r.deadline.IsZero() || d.Before(r.deadline) {
-			r.deadline = d
+	t, err := e.admit(ctx, op.Tenant, func(t ticket) bool {
+		r.ticket = t
+		select {
+		case e.queue <- r:
+			return true
+		default:
+			return false
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		tc.inflight.Add(-1)
-		return nil, ErrShutdown
-	}
-	select {
-	case e.queue <- r:
-		e.mu.RUnlock()
-	default:
-		e.mu.RUnlock()
-		tc.inflight.Add(-1)
-		e.m.rejected.Add(1)
-		return nil, ErrOverloaded
-	}
-	e.m.submitted.Add(1)
 
 	select {
 	case <-r.done:
 		return r.res, r.err
-	case <-ctx.Done():
+	case <-t.ctx.Done():
 		// The request completes (or is dropped as expired) on its own; the
 		// caller just stops waiting.
-		return nil, ctx.Err()
+		return nil, t.ctx.Err()
 	}
 }
 
+// admit is the one admission Submit and SubmitProgram share. It fixes the
+// work's deadline (the earlier of the context's and Config.Deadline),
+// charges one unit of the tenant's in-flight quota (ErrQuotaExceeded past
+// the cap), and then, under the lock Shutdown takes to close admission,
+// refuses with ErrShutdown or runs enter: the work's own non-blocking
+// hand-off, false when there is no room (ErrOverloaded). A refused unit gives
+// its quota unit back; an admitted one keeps it until it finishes.
+func (e *Engine) admit(ctx context.Context, tenant string, enter func(ticket) bool) (ticket, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	t := ticket{tc: e.tenant(tenant), ctx: ctx, admitted: time.Now()}
+	if d, ok := ctx.Deadline(); ok {
+		t.deadline = d
+	}
+	if e.cfg.Deadline > 0 {
+		if d := t.admitted.Add(e.cfg.Deadline); t.deadline.IsZero() || d.Before(t.deadline) {
+			t.deadline = d
+		}
+	}
+	if n := t.tc.inflight.Add(1); e.cfg.TenantQuota > 0 && n > int64(e.cfg.TenantQuota) {
+		t.tc.inflight.Add(-1)
+		t.tc.quotaRejected.Add(1)
+		e.m.quotaRejected.Add(1)
+		return t, ErrQuotaExceeded
+	}
+	e.mu.RLock()
+	closed := e.closed
+	entered := !closed && enter(t)
+	e.mu.RUnlock()
+	if !entered {
+		t.tc.inflight.Add(-1)
+		if closed {
+			return t, ErrShutdown
+		}
+		e.m.rejected.Add(1)
+		return t, ErrOverloaded
+	}
+	e.m.submitted.Add(1)
+	return t, nil
+}
+
 // Shutdown stops admission, lets the batcher flush everything already
-// queued, waits for in-flight batches to finish, and returns. If ctx
-// expires first it returns ctx.Err() with workers still draining in the
-// background.
+// queued and every admitted program run out, waits for the workers to
+// finish the job stream, and returns. If ctx expires first it returns
+// ctx.Err() with workers still draining in the background.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	e.mu.Lock()
 	if e.closed {
@@ -559,15 +567,14 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	// Release the expvar name so the next engine under the same name is
 	// visible (stale bindings never clobber a newer publisher).
 	e.expvarBinding.Unpublish()
-	// Program admission is already refused (closed is set); close the task
-	// channel once the last in-flight program drains so workers can exit.
-	go func() {
-		e.progWG.Wait()
-		close(e.progTasks)
-	}()
 
+	// Admission is closed, so no producer joins from here on: the job
+	// stream closes once the batcher has flushed and the last admitted
+	// program has returned, and the workers exit when they have drained it.
 	drained := make(chan struct{})
 	go func() {
+		e.producers.Wait()
+		close(e.jobs)
 		e.wg.Wait()
 		close(drained)
 	}()
@@ -618,24 +625,9 @@ func (e *Engine) resubmit(r *request) bool {
 	}
 }
 
-// admitTenant charges one in-flight unit against the tenant's quota,
-// refusing with ErrQuotaExceeded past the cap. The caller must release the
-// unit (inflight.Add(-1)) exactly once on every exit path — for queued
-// operations that release point is finish.
-func (e *Engine) admitTenant(tc *tenantCounters) error {
-	n := tc.inflight.Add(1)
-	if q := e.cfg.TenantQuota; q > 0 && n > int64(q) {
-		tc.inflight.Add(-1)
-		tc.quotaRejected.Add(1)
-		e.m.quotaRejected.Add(1)
-		return ErrQuotaExceeded
-	}
-	return nil
-}
-
 // finish completes a request exactly once, releasing its tenant-quota unit.
 func (e *Engine) finish(r *request, res *Result, err error) {
-	e.tenant(r.op.Tenant).inflight.Add(-1)
+	r.tc.inflight.Add(-1)
 	r.res, r.err = res, err
 	close(r.done)
 }

@@ -66,10 +66,10 @@ type ProgramResult struct {
 	Wait     time.Duration
 }
 
-// progTask is one DAG node handed to the worker pool. Operands are resolved
-// by the scheduler (they live in earlier wavefronts), so a worker needs no
-// program context — it executes the node and reports back on res, which is
-// buffered to the wavefront width and never blocks.
+// progTask is one DAG node, a job on the worker pool's job stream. Operands
+// are resolved by the scheduler (they live in earlier wavefronts), so a
+// worker needs no program context — it executes the node and reports back on
+// res, which is buffered to the wavefront width and never blocks.
 type progTask struct {
 	op    program.OpCode
 	a, b  *fv.Ciphertext
@@ -108,77 +108,53 @@ func (e *Engine) SubmitProgram(ctx context.Context, op ProgramOp) (*ProgramResul
 	if err := e.noiseGuardProgram(p, op.BudgetHint); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
-	// Admission: one slot per in-flight program, non-blocking like Submit.
-	// A program also charges one unit of the tenant's in-flight quota.
-	tc := e.tenant(op.Tenant)
-	if err := e.admitTenant(tc); err != nil {
+	// Admission takes one program slot, non-blocking like Submit, and makes
+	// the program a producer on the job stream. The producer count is raised
+	// under the lock Shutdown takes to close admission, so Shutdown's wait
+	// for producers cannot miss this program.
+	t, err := e.admit(ctx, op.Tenant, func(ticket) bool {
+		select {
+		case e.progSlots <- struct{}{}:
+			e.producers.Add(1)
+			return true
+		default:
+			return false
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case e.progSlots <- struct{}{}:
-	default:
-		tc.inflight.Add(-1)
-		e.m.rejected.Add(1)
-		return nil, ErrOverloaded
-	}
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		<-e.progSlots
-		tc.inflight.Add(-1)
-		return nil, ErrShutdown
-	}
-	// progWG is raised under the same lock that Shutdown takes to set
-	// closed, so Shutdown's progWG.Wait() cannot miss us.
-	e.progWG.Add(1)
-	e.mu.RUnlock()
 	defer func() {
-		e.progWG.Done()
+		e.producers.Done()
 		<-e.progSlots
-		tc.inflight.Add(-1)
+		t.tc.inflight.Add(-1)
 	}()
 
-	now := time.Now()
-	deadline := time.Time{}
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	if e.cfg.Deadline > 0 {
-		if d := now.Add(e.cfg.Deadline); deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
-	}
-	e.m.submitted.Add(1)
-
-	res, err := e.runProgram(ctx, op, deadline)
+	res, err := e.runProgram(op, t)
 	if err != nil {
 		if errors.Is(err, ErrDeadlineExceeded) {
 			e.m.expired.Add(1)
 		} else {
 			e.m.failed.Add(1)
-			tc.failed.Add(1)
+			t.tc.failed.Add(1)
 		}
 		return nil, err
 	}
-	res.Wait = time.Since(now)
+	res.Wait = time.Since(t.admitted)
 	e.m.programs.Add(1)
 	e.m.programNodes.Add(uint64(res.Nodes))
 	e.m.completed.Add(1)
-	tc.completed.Add(1)
-	tc.programs.Add(1)
-	tc.simCycles.Add(uint64(res.MakespanCycles))
+	t.tc.completed.Add(1)
+	t.tc.programs.Add(1)
+	t.tc.simCycles.Add(uint64(res.MakespanCycles))
 	return res, nil
 }
 
 // runProgram is the scheduler proper: key prologue, then one wavefront at a
 // time through the worker pool.
-func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Time) (*ProgramResult, error) {
+func (e *Engine) runProgram(op ProgramOp, tk ticket) (*ProgramResult, error) {
 	p := op.Prog
-	tc := e.tenant(op.Tenant)
 
 	// Key prologue: resolve and charge every evaluation key the program
 	// needs exactly once. Op-at-a-time serving pays this per batch (and per
@@ -213,7 +189,7 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 		gks[g] = gk
 	}
 	e.m.keyLoads.Add(uint64(keyLoads))
-	tc.keyLoads.Add(uint64(keyLoads))
+	tk.tc.keyLoads.Add(uint64(keyLoads))
 
 	analysis := p.Analyze()
 	plains := program.MaterializePlains(e.cfg.Params, p)
@@ -230,7 +206,7 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 	totalRetries := 0
 
 	for _, level := range analysis.Levels {
-		if err := e.programTick(ctx, deadline); err != nil {
+		if err := tk.expired(time.Now()); err != nil {
 			return nil, err
 		}
 		// Dispatch the whole wavefront: every node's operands are defined in
@@ -256,16 +232,16 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 					t.plain = plains[n.B]
 				}
 				select {
-				case e.progTasks <- t:
+				case e.jobs <- t:
 					dispatched++
-				case <-ctx.Done():
+				case <-tk.ctx.Done():
 					// Stop dispatching, but the nodes already on workers are
 					// still reading the program's inputs: wait them out, as on
 					// the failure path below.
 					for ; dispatched > 0; dispatched-- {
 						<-results
 					}
-					return nil, ctx.Err()
+					return nil, tk.ctx.Err()
 				}
 			}
 			// Collect the wavefront. Integrity failures re-dispatch the node
@@ -329,17 +305,6 @@ func (e *Engine) runProgram(ctx context.Context, op ProgramOp, deadline time.Tim
 	}, nil
 }
 
-// programTick enforces deadline and cancellation between wavefronts.
-func (e *Engine) programTick(ctx context.Context, deadline time.Time) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return ErrDeadlineExceeded
-	}
-	return nil
-}
-
 // noiseGuardProgram pre-screens the whole program through the fv noise
 // model: if the hinted input budget cannot survive to the outputs, refuse
 // before spending a single simulated cycle.
@@ -364,14 +329,11 @@ var progKinds = map[program.OpCode]OpKind{
 	program.OpRotate: OpRotate,
 }
 
-// runProgTask executes one DAG node on w. Accelerator-native ops (add, mul,
-// rotate) run on the simulated co-processor with its cycle accounting and
-// integrity checks; the rest run on the worker's software evaluator with
-// cycles from swOpCycles so the makespan model stays in one currency.
-func (e *Engine) runProgTask(w *worker, t *progTask) {
-	if e.testExecHook != nil {
-		e.testExecHook(w.id)
-	}
+// run executes one DAG node on w. Accelerator-native ops (add, mul, rotate)
+// run on the simulated co-processor with its cycle accounting and integrity
+// checks; the rest run on the worker's software evaluator with cycles from
+// swOpCycles so the makespan model stays in one currency.
+func (t *progTask) run(e *Engine, w *worker) {
 	var (
 		ct     *fv.Ciphertext
 		cycles hwsim.Cycles

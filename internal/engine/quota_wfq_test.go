@@ -3,11 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fv"
 	"repro/internal/obs"
 )
 
@@ -87,113 +88,92 @@ func TestTenantQuotaRejectsExcess(t *testing.T) {
 	}
 }
 
-// TestWFQLightTenantJumpsFlood exercises the weighted-fair emission order:
-// a flooding tenant's virtual clock advances with every emitted batch, so a
-// light tenant's earlier-queued single op is emitted ahead of the flooder's
-// NEXT batch even though the flooder's partial group arrived first. Under
-// plain FIFO the light op would sit behind the whole flood.
+// TestWFQLightTenantJumpsFlood exercises the fair emission order: a flooding
+// tenant's virtual clock advances with every emitted batch, so a light
+// tenant's single op is emitted ahead of the flooder's pending group even
+// though that group arrived first. Under plain FIFO the light op would sit
+// behind the flood.
 //
-// Schedule (Workers = 1, MaxBatch = 4, long linger so nothing flushes on
-// its own):
+// Schedule (Workers = 1, MaxBatch = 4):
 //
-//  1. flood wave 1 (4 ops) fills a batch -> emitted, worker frozen on it;
-//     the flooder's virtual time advances 0 -> 4
-//  2. one more flood op queues (pending, would restart at vtime 4)
-//  3. one light op queues (pending, vtime 0)
-//  4. three more flood ops complete the flooder's second batch -> emission
-//     point: the light group (vtime 0) must jump ahead of flood wave 2
+//  1. flood op A1 is emitted alone and the worker is held inside it
+//  2. flood op A2 is emitted alone; the batcher blocks handing it to the
+//     held worker. The flooder's virtual time is now 2
+//  3. flood F1, F2, light L, flood F3, F4 queue in that order behind the
+//     blocked batcher
+//  4. the worker is released; the batcher drains the queue in one burst and
+//     F4 fills the flooder's group: an emission point at which the light
+//     group (virtual time 0) must go out ahead of it
+//
+// Each job records, as it starts, how many ops of each tenant have
+// completed, so the order the single worker ran the jobs in is read exactly.
 func TestWFQLightTenantJumpsFlood(t *testing.T) {
 	params := testParams(t)
 	flood := newTenant(t, params, "flood", 21)
 	light := newTenant(t, params, "light", 22)
-	e := newEngine(t, params, Config{
-		Workers:       1,
-		MaxBatch:      4,
-		QueueDepth:    32,
-		BatchLinger:   time.Minute, // partial groups only move at emission points
-		TenantWeights: map[string]int{"flood": 1, "light": 1},
-	})
+	e := newEngine(t, params, Config{Workers: 1, MaxBatch: 4, QueueDepth: 32})
 	e.SetRelinKey(flood.name, flood.rk)
 	e.SetRelinKey(light.name, light.rk)
 
+	type completedAt struct{ flood, light uint64 }
+	const jobs = 4 // A1, A2, the light group, the full flood group
+	starts := make(chan completedAt, jobs)
 	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
 	var release sync.Once
 	defer release.Do(func() { close(gate) })
 	e.testExecHook = func(int) {
-		entered <- struct{}{}
+		st := e.Stats().PerTenant
+		starts <- completedAt{st[flood.name].Completed, st[light.name].Completed}
 		<-gate
-		// Released: pace later batches so the previous batch's submitters
-		// get to record their completions first.
-		time.Sleep(50 * time.Millisecond)
 	}
 
-	var (
-		wg             sync.WaitGroup
-		floodCompleted atomic.Int64
-		lightSaw       atomic.Int64
-	)
-	submitFlood := func() {
+	var wg sync.WaitGroup
+	submit := func(tn *tenant, a, b *fv.Ciphertext, want uint64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a := flood.encrypt(params, 3, 401)
-			b := flood.encrypt(params, 5, 402)
-			if _, err := e.Submit(context.Background(), Op{Kind: OpMul, Tenant: flood.name, A: a, B: b}); err != nil {
-				t.Errorf("flood submit: %v", err)
+			res, err := e.Submit(context.Background(), Op{Kind: OpMul, Tenant: tn.name, A: a, B: b})
+			if err != nil {
+				t.Errorf("%s submit: %v", tn.name, err)
 				return
 			}
-			floodCompleted.Add(1)
+			if got := tn.decrypt(params, res.Ct); got != want {
+				t.Errorf("%s decrypt = %d, want %d", tn.name, got, want)
+			}
 		}()
 	}
+	fa, fb := flood.encrypt(params, 3, 401), flood.encrypt(params, 5, 402)
+	la, lb := light.encrypt(params, 7, 403), light.encrypt(params, 2, 404)
 
-	// Wave 1: a full flood batch grabs the (frozen) worker.
-	for i := 0; i < 4; i++ {
-		submitFlood()
-	}
+	submit(flood, fa, fb, 15) // A1
 	select {
-	case <-entered:
+	case <-starts:
 	case <-time.After(5 * time.Second):
-		t.Fatal("flood wave 1 never reached the worker")
+		t.Fatal("the first flood op never reached the worker")
 	}
-
-	// One straggler flood op, then the light op, both left pending.
-	submitFlood()
-	time.Sleep(20 * time.Millisecond)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		a := light.encrypt(params, 7, 403)
-		b := light.encrypt(params, 2, 404)
-		res, err := e.Submit(context.Background(), Op{Kind: OpMul, Tenant: light.name, A: a, B: b})
-		if err != nil {
-			t.Errorf("light submit: %v", err)
-			return
+	submit(flood, fa, fb, 15) // A2
+	waitFor(t, func() bool { return e.Stats().Batches == 2 })
+	for i, tn := range []*tenant{flood, flood, light, flood, flood} {
+		if tn == light {
+			submit(light, la, lb, 14)
+		} else {
+			submit(flood, fa, fb, 15)
 		}
-		lightSaw.Store(floodCompleted.Load())
-		if got := light.decrypt(params, res.Ct); got != 14 {
-			t.Errorf("light decrypt = %d, want 14", got)
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-
-	// Three more flood ops complete the flooder's second batch and force
-	// the emission point that must favor the light tenant.
-	for i := 0; i < 3; i++ {
-		submitFlood()
+		waitFor(t, func() bool { return e.Stats().QueueLen == i+1 })
 	}
-	time.Sleep(20 * time.Millisecond)
 
 	release.Do(func() { close(gate) })
 	wg.Wait()
-
-	// The light op must have completed before any wave-2 flood op: at most
-	// the four wave-1 completions were visible to it.
-	if saw := lightSaw.Load(); saw > 4 {
-		t.Fatalf("light tenant completed after %d flood ops — it waited behind the flood (WFQ should emit it after wave 1, i.e. at most 4)", saw)
+	close(starts)
+	var order []completedAt
+	for s := range starts {
+		order = append(order, s)
 	}
-	if got := floodCompleted.Load(); got != 8 {
-		t.Fatalf("flood completed %d ops, want 8", got)
+	// The first record was taken above; A2 started after A1 completed, and
+	// the light group must start next, with only A1 and A2 of the flood done.
+	want := []completedAt{{1, 0}, {2, 0}, {2, 1}}
+	if !slices.Equal(order, want) {
+		t.Fatalf("jobs 2-4 started with (flood, light) ops completed %v, want %v: the light group waited behind the flooder's earlier pending group", order, want)
 	}
 }
 

@@ -8,13 +8,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fv"
+	"repro/internal/program"
 )
 
-// TestEngineShutdownRacesSubmits hammers Shutdown with concurrent Submits:
-// everything admitted before the close must complete (and decrypt
-// correctly), every submit that loses the race must get the typed
-// ErrShutdown, the counters must balance, and no goroutine may leak. Run
-// with -race; the interleavings are the test.
+// TestEngineShutdownRacesSubmits hammers Shutdown with concurrent Submits
+// and SubmitPrograms, so the one close of the job stream races both of its
+// producers: everything admitted before the close must complete (ops decrypt
+// correctly, programs bit-identical to the reference interpreter), every
+// submit that loses the race must get the typed ErrShutdown, the counters
+// must balance, and no goroutine may leak. Run with -race; the interleavings
+// are the test.
 func TestEngineShutdownRacesSubmits(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -29,32 +34,45 @@ func TestEngineShutdownRacesSubmits(t *testing.T) {
 	a := tn.encrypt(params, 9, 301)
 	b := tn.encrypt(params, 13, 302)
 
-	const submitters = 8
+	// A two-wavefront program: a Mul and an Add side by side, then their sum.
+	pb := program.NewBuilder()
+	x, y := pb.Input(), pb.Input()
+	pb.Output(pb.Add(pb.Mul(x, y), pb.Add(x, y)))
+	prog, err := pb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []*fv.Ciphertext{a, b}
+	want, err := program.Run(params, prog, inputs, program.Keys{Relin: tn.rk})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const submitters, programmers = 8, 2
 	var (
 		completed atomic.Uint64
+		programs  atomic.Uint64
 		shutdowns atomic.Uint64
 		overloads atomic.Uint64
 		started   sync.WaitGroup
 		wg        sync.WaitGroup
 	)
-	started.Add(submitters)
-	for s := 0; s < submitters; s++ {
+	// race runs one racer: submit, which checks whatever it was admitted to
+	// compute, until ErrShutdown, backing off on ErrOverloaded.
+	race := func(submit func() error) {
+		started.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			first := true
 			for {
-				res, err := e.Submit(context.Background(), Op{Kind: OpMul, A: a, B: b})
+				err := submit()
 				if first {
 					started.Done()
 					first = false
 				}
 				switch {
 				case err == nil:
-					if got := tn.decrypt(params, res.Ct); got != 117 {
-						t.Errorf("drained request decrypted to %d, want 117", got)
-					}
-					completed.Add(1)
 				case errors.Is(err, ErrShutdown):
 					// The typed late-submit error; this racer is done.
 					shutdowns.Add(1)
@@ -69,9 +87,33 @@ func TestEngineShutdownRacesSubmits(t *testing.T) {
 			}
 		}()
 	}
+	for s := 0; s < submitters; s++ {
+		race(func() error {
+			res, err := e.Submit(context.Background(), Op{Kind: OpMul, A: a, B: b})
+			if err == nil {
+				if got := tn.decrypt(params, res.Ct); got != 117 {
+					t.Errorf("drained request decrypted to %d, want 117", got)
+				}
+				completed.Add(1)
+			}
+			return err
+		})
+	}
+	for s := 0; s < programmers; s++ {
+		race(func() error {
+			res, err := e.SubmitProgram(context.Background(), ProgramOp{Prog: prog, Inputs: inputs})
+			if err == nil {
+				if !res.Outputs[0].Equal(want[0]) {
+					t.Error("drained program diverges from the reference interpreter")
+				}
+				programs.Add(1)
+			}
+			return err
+		})
+	}
 
-	// Let every submitter get at least one request in flight, then shut
-	// down while they keep hammering.
+	// Let every racer get at least one submission through, then shut down
+	// while they keep hammering.
 	started.Wait()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -80,12 +122,14 @@ func TestEngineShutdownRacesSubmits(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := shutdowns.Load(); got != submitters {
-		t.Fatalf("%d of %d submitters saw ErrShutdown", got, submitters)
+	if got := shutdowns.Load(); got != submitters+programmers {
+		t.Fatalf("%d of %d racers saw ErrShutdown", got, submitters+programmers)
 	}
-	if completed.Load() == 0 {
-		t.Fatal("no request completed before the drain; the race window never opened")
+	if completed.Load() == 0 || programs.Load() == 0 {
+		t.Fatalf("%d ops and %d programs completed before the drain; the race window never opened",
+			completed.Load(), programs.Load())
 	}
+	t.Logf("drained %d ops and %d programs (%d overload back-offs)", completed.Load(), programs.Load(), overloads.Load())
 	// A second Shutdown is a no-op, and late submits keep getting the typed
 	// error.
 	if err := e.Shutdown(ctx); err != nil {
@@ -94,16 +138,20 @@ func TestEngineShutdownRacesSubmits(t *testing.T) {
 	if _, err := e.Submit(context.Background(), Op{Kind: OpMul, A: a, B: b}); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("late submit returned %v, want ErrShutdown", err)
 	}
+	if _, err := e.SubmitProgram(context.Background(), ProgramOp{Prog: prog, Inputs: inputs}); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("late program returned %v, want ErrShutdown", err)
+	}
 
-	// Every admitted request was accounted exactly once: nothing dropped on
-	// the floor mid-drain.
+	// Every admitted request and program was accounted exactly once: nothing
+	// dropped on the floor mid-drain.
 	st := e.Stats()
 	if st.Submitted != st.Completed+st.Failed+st.Expired {
 		t.Fatalf("counters leak requests: submitted %d != completed %d + failed %d + expired %d",
 			st.Submitted, st.Completed, st.Failed, st.Expired)
 	}
-	if st.Completed != completed.Load() {
-		t.Fatalf("engine counted %d completions, clients saw %d", st.Completed, completed.Load())
+	if st.Completed != completed.Load()+programs.Load() || st.Programs != programs.Load() {
+		t.Fatalf("engine counted %d completions (%d programs), clients saw %d ops and %d programs",
+			st.Completed, st.Programs, completed.Load(), programs.Load())
 	}
 
 	// No goroutine leaks: the worker pool, batcher, and per-request

@@ -45,13 +45,16 @@ func newWorker(id int, accel *core.Accelerator, cacheSlots int, ev *fv.Evaluator
 	return &worker{id: id, accel: accel, cache: newKeyCache(cacheSlots), ev: ev}
 }
 
-// runBatch executes one batch on w: resolve the evaluation key once, charge
-// the simulated key-DMA stream if the key is not resident, then run every
+// job is one unit of work on the engine's job stream: an op batch from the
+// batcher or one node of an in-flight program.
+type job interface {
+	run(e *Engine, w *worker)
+}
+
+// run executes one batch on w: resolve the evaluation key once, charge the
+// simulated key-DMA stream if the key is not resident, then run every
 // still-live request sequentially on the worker's co-processor.
-func (e *Engine) runBatch(w *worker, b *batch) {
-	if e.testExecHook != nil {
-		e.testExecHook(w.id)
-	}
+func (b *batch) run(e *Engine, w *worker) {
 	tc := e.tenant(b.key.tenant)
 	info := b.key.kind.info()
 
@@ -86,11 +89,11 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 
 	for _, r := range b.reqs {
 		now := time.Now()
-		if r.expired(now) {
+		if r.expired(now) != nil {
 			e.expire(r)
 			continue
 		}
-		e.m.queueWait.Observe(now.Sub(r.enqueued))
+		e.m.queueWait.Observe(now.Sub(r.admitted))
 
 		start := time.Now()
 		ct, cct, rep, err := e.exec(w, &r.op, key)
@@ -130,7 +133,7 @@ func (e *Engine) runBatch(w *worker, b *batch) {
 			Worker: w.id,
 			Batch:  len(b.reqs),
 			KeyHit: keyHit,
-			Wait:   now.Sub(r.enqueued),
+			Wait:   now.Sub(r.admitted),
 		}, nil)
 	}
 }
@@ -177,7 +180,7 @@ func (e *Engine) exec(w *worker, op *Op, key evalKey) (ct *fv.Ciphertext, cct *c
 	return ct, cct, rep, err
 }
 
-// shouldQuarantine decides, after a batch, whether w has misbehaved enough
+// shouldQuarantine decides, after a job, whether w has misbehaved enough
 // (Config.QuarantineAfter integrity failures) to eject from the pool. The
 // CAS on the live-worker count guarantees the last live worker is never
 // ejected — a fully-faulted pool degrades to typed errors, it does not

@@ -71,8 +71,24 @@ func (a Analysis) Speedup() float64 {
 // is used as the list-scheduling priority, which is always a legal order
 // because it is the order the operations actually executed in.
 func AnalyzeOverlap(trace []Task) Analysis {
-	var an Analysis
-	unitFree := [unitCount]hwsim.Cycles{}
+	an := Analysis{
+		Overlapped:   listSchedule(trace, true),
+		CriticalPath: listSchedule(trace, false),
+	}
+	for _, t := range trace {
+		an.Sequential += t.Cycles
+		an.UnitBusy[t.Unit] += t.Cycles
+	}
+	return an
+}
+
+// listSchedule places the trace's tasks in trace order, each at the earliest
+// cycle its RAW, WAW and WAR dependencies through the memory file allow, and
+// returns the makespan. With units set a task also waits for its unit to
+// finish the previous task on it; without, the result is the
+// dependency-only critical path.
+func listSchedule(trace []Task, units bool) hwsim.Cycles {
+	var unitFree [unitCount]hwsim.Cycles
 	// Dependency state per memory-file slot.
 	type slotState struct {
 		lastWrite hwsim.Cycles   // finish time of the last writer
@@ -87,27 +103,13 @@ func AnalyzeOverlap(trace []Task) Analysis {
 		}
 		return st
 	}
-	// Critical-path state: earliest finish per slot ignoring units.
-	type cpState struct {
-		lastWrite hwsim.Cycles
-		readEnds  []hwsim.Cycles
-	}
-	cpSlots := map[uint8]*cpState{}
-	cpGet := func(s uint8) *cpState {
-		st, ok := cpSlots[s]
-		if !ok {
-			st = &cpState{}
-			cpSlots[s] = st
-		}
-		return st
-	}
 
+	var makespan hwsim.Cycles
 	for _, t := range trace {
-		an.Sequential += t.Cycles
-		an.UnitBusy[t.Unit] += t.Cycles
-
-		// --- finite-unit schedule ---
-		start := unitFree[t.Unit]
+		var start hwsim.Cycles
+		if units {
+			start = unitFree[t.Unit]
+		}
 		for _, r := range t.Reads {
 			if w := get(r).lastWrite; w > start {
 				start = w // RAW
@@ -134,42 +136,9 @@ func AnalyzeOverlap(trace []Task) Analysis {
 			st.lastWrite = finish
 			st.readEnds = nil
 		}
-		if finish > an.Overlapped {
-			an.Overlapped = finish
-		}
-
-		// --- dependency-only critical path ---
-		cpStart := hwsim.Cycles(0)
-		for _, r := range t.Reads {
-			if w := cpGet(r).lastWrite; w > cpStart {
-				cpStart = w
-			}
-		}
-		for _, w := range t.Writes {
-			st := cpGet(w)
-			if st.lastWrite > cpStart {
-				cpStart = st.lastWrite
-			}
-			for _, re := range st.readEnds {
-				if re > cpStart {
-					cpStart = re
-				}
-			}
-		}
-		cpFinish := cpStart + t.Cycles
-		for _, r := range t.Reads {
-			cpGet(r).readEnds = append(cpGet(r).readEnds, cpFinish)
-		}
-		for _, w := range t.Writes {
-			st := cpGet(w)
-			st.lastWrite = cpFinish
-			st.readEnds = nil
-		}
-		if cpFinish > an.CriticalPath {
-			an.CriticalPath = cpFinish
-		}
+		makespan = max(makespan, finish)
 	}
-	return an
+	return makespan
 }
 
 // unitForOp maps opcodes onto hardware resources.
