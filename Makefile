@@ -39,18 +39,19 @@ bench-compare:
 # tree, ending in -compare's verdict — the way bench/README says a change is
 # measured ("compare against runs of the parent made alongside, in turns"):
 #   make bench-pairs BASE=HEAD~1 W=mul_paper N=10
-# BASE is checked out into a temporary git worktree and both benchmarks are
-# built once; which side goes first alternates from pair to pair. -compare
+# BASE's tree is exported with git archive into a scratch directory (no
+# checkout, no worktree metadata) and both benchmarks are built once; which
+# side goes first alternates from pair to pair. -compare
 # judges all five workloads and calls the ones not run "missing", so the
 # target prints, and fails on, W's row alone. The two result files stay in
 # BENCH_pairs/ (gitignored).
 N ?= 10
 bench-pairs:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pairs BASE=<rev> W=<workload> [N=10]"; exit 2; }
-	rm -rf BENCH_pairs && mkdir -p BENCH_pairs
-	git worktree add --detach BENCH_pairs/base $(BASE)
+	rm -rf BENCH_pairs && mkdir -p BENCH_pairs/base
+	git archive $(BASE) | tar -x -C BENCH_pairs/base
 	cd BENCH_pairs/base && $(GO) build -o ../bench-base ./bench
-	git worktree remove --force BENCH_pairs/base
+	rm -rf BENCH_pairs/base
 	$(GO) build -o BENCH_pairs/bench-cur ./bench
 	for i in $$(seq 1 $(N)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base cur"; else order="cur base"; fi; \

@@ -538,7 +538,8 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		m := c.Mods[i]
 		// The scalar product d = x·q̃_i mod q_i is row-invariant: compute the
 		// digit stream once (the hardware's single scalar multiplier at the
-		// rearrangement port), then each RPAU reduces it into its own row —
+		// rearrangement port), then each RPAU reduces it into its own row the
+		// way the software decomposition does (rns.ReplicateDigitInto) —
 		// so Dst may be A: the source row is consumed before any row is
 		// written. On the chain co-processor the sweep extends onto the p*
 		// row — the digit is a small integer, so its residue mod p* is just
@@ -558,8 +559,9 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 			c.wrow(sd, j)
 			sd.domain[j] = domCoeff
 		}
+		qi := m.Q
 		c.Pool.Run(c.N*hi, hi, func(j int) {
-			c.Mods[j].VecReduceInto(sd.rows[j].Coeffs, digit)
+			rns.ReplicateDigitInto(c.Mods[j], sd.rows[j].Coeffs, digit, qi)
 		})
 
 	case OpLift:

@@ -29,11 +29,11 @@ var fuzzTables = sync.OnceValue(func() []*NTTTable {
 })
 
 // FuzzKernels: the host kernels that have a vector rendition — both
-// transforms and the constant-operand Shoup family — against their scalar
-// references on the same bytes. Canonical outputs must be the same words;
-// the lazy Shoup kernels must be congruent and below 2q per term (a lazy
-// product may legitimately sit q above the scalar one), and the same sum once
-// VecReduceInto closes it.
+// transforms, the constant-operand Shoup family, the Barrett family and the
+// raw MACs — against their scalar references on the same bytes. Canonical and
+// raw outputs must be the same words; the lazy Shoup kernels must be
+// congruent and below 2q per term (a lazy product may legitimately sit q above
+// the scalar one), and the same sum once VecReduceInto closes it.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, uint8(6))
@@ -112,6 +112,75 @@ func FuzzKernels(f *testing.F) {
 			if want := m.Add(m.Add(pa, pb), m.Add(pa, pb)); sum[i] != want {
 				t.Fatalf("closed lazy sum lane %d = %d, want %d", i, sum[i], want)
 			}
+		}
+
+		// Barrett family and raw MACs over the same row length: residue
+		// operands, raw 64-bit words (every other lane within 2^62 of the 2^63
+		// bound) and small quotients for the wide-input reductions, and a
+		// second table's prime as the rescale's top prime.
+		ra, rb, raw, v := make([]uint64, rowLen), make([]uint64, rowLen), make([]uint64, rowLen), make([]uint64, rowLen)
+		for i := range ra {
+			ra[i], rb[i] = a[i]%m.Q, b[i]%m.Q
+			raw[i] = a[i]<<32 | b[i]
+			if i%2 == 1 {
+				raw[i] = 1<<63 - 1 - a[i]*b[i]
+			}
+			v[i] = a[i] & 0xFF
+		}
+		check := func(what string, got []uint64, want func(i int) uint64) {
+			t.Helper()
+			for i := range got {
+				if w := want(i); got[i] != w {
+					t.Fatalf("%s q=%d lane %d = %d, want %d", what, m.Q, i, got[i], w)
+				}
+			}
+		}
+		m.VecMulInto(dst, ra, rb)
+		check("VecMulInto", dst, func(i int) uint64 { return m.Mul(ra[i], rb[i]) })
+		acc := append([]uint64(nil), ra...)
+		m.VecMulAddInto(acc, rb, rb)
+		check("VecMulAddInto", acc, func(i int) uint64 { return m.Add(ra[i], m.Mul(rb[i], rb[i])) })
+		c := wa // any 64-bit scalar
+		if rowLen > 0 {
+			c += raw[0]
+		}
+		m.VecScalarMulInto(dst, ra, c)
+		check("VecScalarMulInto", dst, func(i int) uint64 { return m.Mul(ra[i], m.Reduce(c)) })
+		m.VecMulRawInto(dst, ra, rb)
+		check("VecMulRawInto", dst, func(i int) uint64 { return ra[i] * rb[i] })
+		m.VecMulAddRawInto(dst, rb, rb)
+		check("VecMulAddRawInto", dst, func(i int) uint64 { return ra[i]*rb[i] + rb[i]*rb[i] })
+		t0, t1, t2 := make([]uint64, rowLen), make([]uint64, rowLen), make([]uint64, rowLen)
+		m.VecTensorInto(t0, t1, t2, ra, rb, rb, ra)
+		check("VecTensorInto t0", t0, func(i int) uint64 { return m.Mul(ra[i], rb[i]) })
+		check("VecTensorInto t1", t1, func(i int) uint64 { return m.Add(m.Mul(ra[i], ra[i]), m.Mul(rb[i], rb[i])) })
+		check("VecTensorInto t2", t2, func(i int) uint64 { return m.Mul(rb[i], ra[i]) })
+		m.VecAddInto(dst, ra, rb)
+		check("VecAddInto", dst, func(i int) uint64 { return m.Add(ra[i], rb[i]) })
+		m.VecSubInto(dst, ra, rb)
+		check("VecSubInto", dst, func(i int) uint64 { return m.Sub(ra[i], rb[i]) })
+		twice := make([]uint64, rowLen) // lanes below 2q
+		for i := range twice {
+			twice[i] = ra[i] + ra[i]
+		}
+		m.VecReduceOnceInto(dst, twice)
+		check("VecReduceOnceInto", dst, func(i int) uint64 { return m.Reduce(twice[i]) })
+		m.VecReduceInto(dst, raw)
+		check("VecReduceInto", dst, func(i int) uint64 { return m.Reduce(raw[i]) })
+		fin := append([]uint64(nil), raw...)
+		m.VecExtendFinishInto(fin, v, wb, wbs)
+		check("VecExtendFinishInto", fin, func(i int) uint64 { return m.Sub(m.Reduce(raw[i]), m.MulShoup(v[i], wb, wbs)) })
+		if top := tabs[(int(sel)+1)%len(tabs)].Mod; top.Q != m.Q {
+			tr := make([]uint64, rowLen)
+			for i := range tr {
+				tr[i] = a[i] % top.Q
+			}
+			half, inv := m.Reduce(top.Q>>1), m.Inv(m.Reduce(top.Q))
+			m.VecRescaleInto(dst, ra, tr, top, half, inv, m.ShoupPrecomp(inv))
+			check("VecRescaleInto", dst, func(i int) uint64 {
+				rp := (tr[i] + top.Q>>1) % top.Q
+				return m.Mul(m.Sub(m.Add(ra[i], half), m.Reduce(rp)), inv)
+			})
 		}
 	})
 }

@@ -23,7 +23,10 @@ type Modulus struct {
 	Q uint64 // the modulus, 2 < Q < 2^31
 
 	// barrettHi is floor(2^64 / Q), used as a single-word Barrett constant:
-	// for x < 2^62, x - floor(x·barrettHi / 2^64)·Q < 3Q.
+	// for every x < 2^64 the estimate floor(x·barrettHi / 2^64) undershoots
+	// floor(x/Q) by at most one (barrettHi is short of 2^64/Q by less than 1,
+	// so the product is short of x/Q by less than x/2^64 < 1), hence
+	// x - floor(x·barrettHi / 2^64)·Q < 2Q.
 	barrettHi uint64
 }
 
@@ -34,10 +37,9 @@ func NewModulus(q uint64) Modulus {
 	if q < 3 || bits.Len64(q) > MaxModulusBits {
 		panic(fmt.Sprintf("ring: modulus %d out of range (need 3 ≤ q < 2^%d)", q, MaxModulusBits))
 	}
-	var hi uint64
-	// floor(2^64 / q): since q ≥ 3 the quotient fits in 64 bits... it does
-	// not (2^64/3 > 2^62 but < 2^64), so Div64 with dividend 2^64 = (1,0).
-	hi, _ = bits.Div64(1, 0, q)
+	// floor(2^64 / q) < 2^64 since q ≥ 3: Div64 of the 128-bit dividend 2^64
+	// = (hi 1, lo 0), whose quotient fits one word because 1 < q.
+	hi, _ := bits.Div64(1, 0, q)
 	return Modulus{Q: q, barrettHi: hi}
 }
 
@@ -45,10 +47,7 @@ func NewModulus(q uint64) Modulus {
 func (m Modulus) Reduce(x uint64) uint64 {
 	qhat := mulHi(x, m.barrettHi)
 	r := x - qhat*m.Q
-	// The estimate is short by at most 2·Q.
-	if r >= m.Q {
-		r -= m.Q
-	}
+	// The estimate is short by at most one Q (see barrettHi).
 	if r >= m.Q {
 		r -= m.Q
 	}

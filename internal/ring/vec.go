@@ -12,12 +12,42 @@ import "math/bits"
 // All inputs are expected reduced (< Q) unless stated otherwise; outputs are
 // always fully reduced. Destinations may alias any operand: every kernel is
 // a pure coefficient-wise map.
+//
+// A kernel that calls m.simd hands the row to the vector unit first and runs
+// its own loop — the reference semantics — over whatever is left: the tail of
+// a row whose length is not a multiple of four, or all of it. Operand lanes
+// must then be below 2^32, as every residue is (MaxModulusBits); the vector
+// unit and its dispatch rule are described at simd (vec_amd64.go).
+
+// vecOp names a kernel to m.simd, the one entry point of the vector unit (a
+// stub that takes no lanes where there is none, vec_generic.go).
+type vecOp int
+
+const (
+	opAdd           vecOp = iota // VecAddInto
+	opSub                        // VecSubInto
+	opReduceOnce                 // VecReduceOnceInto
+	opMul                        // VecMulInto
+	opMulAdd                     // VecMulAddInto
+	opTensor                     // VecTensorInto
+	opMulRaw                     // VecMulRawInto
+	opMulAddRaw                  // VecMulAddRawInto
+	opReduce                     // VecReduceInto
+	opExtendFinish               // VecExtendFinishInto
+	opRescale                    // VecRescaleInto
+	opShoup                      // VecScalarMulShoupInto, VecScalarMulInto
+	opShoupLazy                  // VecScalarMulShoupLazyInto
+	opShoupLazyAdd               // VecScalarMulShoupLazyAddInto
+	opShoupLazyAdd2              // VecScalarMulShoupLazyAdd2Into
+)
 
 // VecAddInto sets dst[i] = (a[i] + b[i]) mod Q.
 func (m Modulus) VecAddInto(dst, a, b []uint64) {
 	q := m.Q
 	a = a[:len(dst)]
 	b = b[:len(dst)]
+	done := m.simd(opAdd, nil, dst, a, b)
+	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		s := a[i] + b[i]
 		if s >= q {
@@ -32,6 +62,8 @@ func (m Modulus) VecSubInto(dst, a, b []uint64) {
 	q := m.Q
 	a = a[:len(dst)]
 	b = b[:len(dst)]
+	done := m.simd(opSub, nil, dst, a, b)
+	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		x := a[i]
 		d := x - b[i]
@@ -61,6 +93,8 @@ func (m Modulus) VecMulInto(dst, a, b []uint64) {
 	q, bhi := m.Q, m.barrettHi
 	a = a[:len(dst)]
 	b = b[:len(dst)]
+	done := m.simd(opMul, nil, dst, a, b)
+	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		x := a[i] * b[i]
 		r := x - mulHi(x, bhi)*q
@@ -80,6 +114,8 @@ func (m Modulus) VecMulAddInto(dst, a, b []uint64) {
 	q, bhi := m.Q, m.barrettHi
 	a = a[:len(dst)]
 	b = b[:len(dst)]
+	done := m.simd(opMulAdd, nil, dst, a, b)
+	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		x := a[i] * b[i]
 		r := x - mulHi(x, bhi)*q
@@ -98,11 +134,14 @@ func (m Modulus) VecMulAddInto(dst, a, b []uint64) {
 }
 
 // VecScalarMulInto sets dst[i] = c·a[i] mod Q for a scalar c (any 64-bit
-// value; it is reduced once up front).
+// value; it is reduced once up front). The vector unit runs it as the Shoup
+// product by the reduced c — the same canonical word.
 func (m Modulus) VecScalarMulInto(dst, a []uint64, c uint64) {
 	c = m.Reduce(c)
 	q, bhi := m.Q, m.barrettHi
 	a = a[:len(dst)]
+	done := m.simd(opShoup, []uint64{c, m.ShoupPrecomp(c)}, dst, a)
+	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i] * c
 		r := x - mulHi(x, bhi)*q
@@ -132,6 +171,9 @@ func (m Modulus) VecTensorInto(t0, t1, t2, a0, a1, b0, b1 []uint64) {
 	b0 = b0[:n]
 	b1 = b1[:n]
 	if q < 1<<31 {
+		done := m.simd(opTensor, nil, t0, t1, t2, a0, a1, b0, b1)
+		t0, t1, t2 = t0[done:], t1[done:], t2[done:]
+		a0, a1, b0, b1 = a0[done:], a1[done:], b0[done:], b1[done:]
 		// Word-sized primes (the RNS configuration): the middle term is a raw
 		// sum — both products are < 2^62, so x0·y1 + x1·y0 < 2^63 stays inside
 		// the Barrett input range (see VecReduceInto) and one reduction
@@ -183,6 +225,8 @@ func (m Modulus) VecTensorInto(t0, t1, t2, a0, a1, b0, b1 []uint64) {
 func (m Modulus) VecMulRawInto(dst, a, b []uint64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
+	done := m.simd(opMulRaw, nil, dst, a, b)
+	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}
@@ -196,6 +240,8 @@ func (m Modulus) VecMulRawInto(dst, a, b []uint64) {
 func (m Modulus) VecMulAddRawInto(dst, a, b []uint64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
+	done := m.simd(opMulAddRaw, nil, dst, a, b)
+	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		dst[i] += a[i] * b[i]
 	}
@@ -207,6 +253,8 @@ func (m Modulus) VecMulAddRawInto(dst, a, b []uint64) {
 func (m Modulus) VecReduceOnceInto(dst, a []uint64) {
 	q := m.Q
 	a = a[:len(dst)]
+	done := m.simd(opReduceOnce, nil, dst, a)
+	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
 		if x >= q {
@@ -216,34 +264,21 @@ func (m Modulus) VecReduceOnceInto(dst, a []uint64) {
 	}
 }
 
-// shoupKernel names the four constant-operand Shoup kernels below to
-// shoupSIMD, the one entry point of the vector unit (vec_amd64.go; a stub that
-// takes no lanes elsewhere). Each kernel hands it the row first and runs its
-// own loop — the reference semantics — over whatever is left: the tail of a
-// row whose length is not a multiple of four, or all of it. The multiplicand
-// lanes a[i] (and b[i]) must be below 2^32, as every residue is
-// (MaxModulusBits). The vector lane estimates its quotient from 32 bits of the
-// Shoup companion where the scalar lane uses 64, so a *lazy* product may come
-// out q above the scalar one (both congruent and < 2·Q); canonical outputs —
-// VecScalarMulShoupInto, and every lazy sum after its closing VecReduceInto
-// or VecExtendFinishInto — are the same words on either path.
-type shoupKernel int
-
-const (
-	shoupCanonical shoupKernel = iota // VecScalarMulShoupInto
-	shoupLazy                         // VecScalarMulShoupLazyInto
-	shoupLazyAdd                      // VecScalarMulShoupLazyAddInto
-	shoupLazyAdd2                     // VecScalarMulShoupLazyAdd2Into
-)
-
 // VecScalarMulShoupInto sets dst[i] = w·a[i] mod Q for a fixed reduced
 // operand w with wShoup = ShoupPrecomp(w) — the constant-operand lane the
 // RNS digit decomposition multiplies q̃_i through, two machine multiplies
 // per coefficient.
+//
+// The four Shoup kernels take multiplicands a[i] (and b[i]) below 2^32. The
+// vector lane estimates its quotient from 32 bits of the Shoup companion where
+// the scalar lane uses 64, so a *lazy* product may come out q above the scalar
+// one (both congruent and < 2·Q); canonical outputs — this kernel, and every
+// lazy sum after its closing VecReduceInto or VecExtendFinishInto — are the
+// same words on either path.
 func (m Modulus) VecScalarMulShoupInto(dst, a []uint64, w, wShoup uint64) {
 	q := m.Q
 	a = a[:len(dst)]
-	done := shoupSIMD(shoupCanonical, q, dst, a, nil, w, wShoup, 0, 0)
+	done := m.simd(opShoup, []uint64{w, wShoup}, dst, a)
 	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
@@ -263,7 +298,7 @@ func (m Modulus) VecScalarMulShoupInto(dst, a []uint64, w, wShoup uint64) {
 func (m Modulus) VecScalarMulShoupLazyInto(dst, a []uint64, w, wShoup uint64) {
 	q := m.Q
 	a = a[:len(dst)]
-	done := shoupSIMD(shoupLazy, q, dst, a, nil, w, wShoup, 0, 0)
+	done := m.simd(opShoupLazy, []uint64{w, wShoup}, dst, a)
 	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
@@ -280,7 +315,7 @@ func (m Modulus) VecScalarMulShoupLazyInto(dst, a []uint64, w, wShoup uint64) {
 func (m Modulus) VecScalarMulShoupLazyAddInto(dst, a []uint64, w, wShoup uint64) {
 	q := m.Q
 	a = a[:len(dst)]
-	done := shoupSIMD(shoupLazyAdd, q, dst, a, nil, w, wShoup, 0, 0)
+	done := m.simd(opShoupLazyAdd, []uint64{w, wShoup}, dst, a)
 	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
@@ -298,7 +333,7 @@ func (m Modulus) VecScalarMulShoupLazyAdd2Into(dst, a, b []uint64, wa, waShoup, 
 	q := m.Q
 	a = a[:len(dst)]
 	b = b[:len(dst)]
-	done := shoupSIMD(shoupLazyAdd2, q, dst, a, b, wa, waShoup, wb, wbShoup)
+	done := m.simd(opShoupLazyAdd2, []uint64{wa, waShoup, wb, wbShoup}, dst, a, b)
 	dst, a, b = dst[done:], a[done:], b[done:]
 	for i := range dst {
 		x := a[i]
@@ -312,12 +347,14 @@ func (m Modulus) VecScalarMulShoupLazyAdd2Into(dst, a, b []uint64, wa, waShoup, 
 
 // VecExtendFinishInto is the closing pass of the HPS base extension over one
 // target row: dst holds the raw sum of lazy Shoup products Σ y_i·(q*_i mod Q)
-// (< 2^63) and v the rounded CRT quotients; each lane becomes
-// (dst[i] mod Q) - v[i]·w mod Q with w = q mod Q held constant — exactly
-// Sub(Reduce(sum), MulShoup(v, w)) of the scalar Extend.
+// (< 2^63) and v the rounded CRT quotients (< 2^32; at most the source basis
+// size); each lane becomes (dst[i] mod Q) - v[i]·w mod Q with w = q mod Q held
+// constant — exactly Sub(Reduce(sum), MulShoup(v, w)) of the scalar Extend.
 func (m Modulus) VecExtendFinishInto(dst, v []uint64, w, wShoup uint64) {
 	q, bhi := m.Q, m.barrettHi
 	v = v[:len(dst)]
+	done := m.simd(opExtendFinish, []uint64{w, wShoup}, dst, v)
+	dst, v = dst[done:], v[done:]
 	for i := range dst {
 		x := dst[i]
 		r := x - mulHi(x, bhi)*q
@@ -343,13 +380,13 @@ func (m Modulus) VecExtendFinishInto(dst, v []uint64, w, wShoup uint64) {
 
 // VecReduceInto sets dst[i] = a[i] mod Q for arbitrary inputs below 2^63 —
 // the base-conversion lane of the RNS digit decomposition and the closing
-// pass of a raw sum of products. The bound: with bhi = ⌊2^64/Q⌋ the quotient
-// estimate ⌊x·bhi/2^64⌋ undershoots ⌊x/Q⌋ by at most x·(Q-1)/(Q·2^64) + 1
-// < 3/2 for x < 2^63, so the remainder lands below 3·Q and two conditional
-// subtractions always reach canonical.
+// pass of a raw sum of products. The bound is barrettHi's (modulus.go): the
+// remainder lands below 2·Q, so the conditional subtractions reach canonical.
 func (m Modulus) VecReduceInto(dst, a []uint64) {
 	q, bhi := m.Q, m.barrettHi
 	a = a[:len(dst)]
+	done := m.simd(opReduce, nil, dst, a)
+	dst, a = dst[done:], a[done:]
 	for i := range dst {
 		x := a[i]
 		r := x - mulHi(x, bhi)*q
@@ -360,5 +397,29 @@ func (m Modulus) VecReduceInto(dst, a []uint64) {
 			r -= q
 		}
 		dst[i] = r
+	}
+}
+
+// VecRescaleInto is one output row of the CKKS rescale by a top prime qt
+// (rns.Rescaler): with x the row over Q, top the row over qt, halfQ = ⌊qt/2⌋
+// mod Q and inv = qt⁻¹ mod Q (invShoup = ShoupPrecomp(inv)),
+//
+//	dst[i] = (x[i] + halfQ − ((top[i] + ⌊qt/2⌋) mod qt)) · inv  mod Q,
+//
+// the half-adjusted flooring division; top's lanes must be below qt.
+func (m Modulus) VecRescaleInto(dst, x, top []uint64, qt Modulus, halfQ, inv, invShoup uint64) {
+	x = x[:len(dst)]
+	top = top[:len(dst)]
+	done := m.simd(opRescale, []uint64{qt.Q, halfQ, inv, invShoup}, dst, x, top)
+	dst, x, top = dst[done:], x[done:], top[done:]
+	half := qt.Q >> 1
+	for i := range dst {
+		// r' = (x_t + half) mod q_t, then reduced into Q.
+		rp := top[i] + half
+		if rp >= qt.Q {
+			rp -= qt.Q
+		}
+		v := m.Sub(m.Add(x[i], halfQ), m.Reduce(rp))
+		dst[i] = m.MulShoup(v, inv, invShoup)
 	}
 }

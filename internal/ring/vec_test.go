@@ -9,12 +9,14 @@ import (
 // The flat kernels of vec.go, each held lane by lane to the scalar Modulus
 // methods they claim to be bit-identical to — directly, not through the rns
 // and fv callers that were their only tests. Every kernel runs at every length
-// 0…67 (so the four-lane vector body of the Shoup family, its scalar tail and
-// the empty row are all covered), with dst disjoint from and aliasing each
-// operand, lanes pinned at the ends of the operand range, over moduli on both
-// sides of the 30-bit word-size line and at the 31-bit cap.
+// 0…67 (so the four-lane vector body, its scalar tail and the empty row are
+// all covered), with dst disjoint from and aliasing each operand, lanes pinned
+// at the ends of the operand range, over moduli on both sides of the 30-bit
+// word-size line, at the 31-bit cap and far below it.
 
-// vecModuli: the first prime above 2^29, the last below 2^30, and 2^31 − 1.
+// vecModuli: a narrow prime (12289, the vector lanes' width-dependent shifts
+// and Barrett constant at k = 14), the first prime above 2^29, the last below
+// 2^30, and 2^31 − 1 (scalar only).
 func vecModuli(t testing.TB) []Modulus {
 	t.Helper()
 	up := uint64(1<<29 + 1)
@@ -28,7 +30,7 @@ func vecModuli(t testing.TB) []Modulus {
 	if !IsPrime(1<<31 - 1) {
 		t.Fatal("2^31 − 1 is prime")
 	}
-	return []Modulus{NewModulus(up), NewModulus(down), NewModulus(1<<31 - 1)}
+	return []Modulus{NewModulus(12289), NewModulus(up), NewModulus(down), NewModulus(1<<31 - 1)}
 }
 
 // vecKernel describes one kernel to the harness.
@@ -98,9 +100,9 @@ var vecKernels = []vecKernel{
 			return m.Sub(m.Reduce(d), m.MulShoup(x[0], w, ws))
 		}},
 
-	// The constant-operand Shoup family: the four kernels with a vector unit
-	// under them. Operands are residues of *some* modulus of the basis, not
-	// necessarily this one, so they range over every 31-bit value.
+	// The constant-operand Shoup family. Operands are residues of *some*
+	// modulus of the basis, not necessarily this one, so they range over every
+	// 31-bit value.
 	{name: "VecScalarMulShoupInto", nIn: 1, inMax: func(Modulus) uint64 { return 1 << 31 },
 		run: func(m Modulus, dst []uint64, in [][]uint64) {
 			w, ws := shoupConst(m, 2)
@@ -289,6 +291,46 @@ func TestVecTensorMatchesScalarMethods(t *testing.T) {
 	}
 }
 
+// TestVecRescaleMatchesScalarFormula: the rescale row against its formula in
+// the scalar methods, for every pair of distinct moduli — top primes narrower
+// and wider than Q, so r' mod Q is sometimes the identity and sometimes not —
+// with dst disjoint from x and aliasing it.
+func TestVecRescaleMatchesScalarFormula(t *testing.T) {
+	mods := vecModuli(t)
+	for _, m := range mods {
+		for _, qt := range mods {
+			if qt.Q == m.Q {
+				continue
+			}
+			halfQ := m.Reduce(qt.Q >> 1)
+			inv := m.Inv(m.Reduce(qt.Q))
+			invShoup := m.ShoupPrecomp(inv)
+			r := rand.New(rand.NewSource(int64(m.Q ^ qt.Q)))
+			for n := 0; n <= 67; n++ {
+				for _, alias := range []bool{false, true} {
+					what := fmt.Sprintf("VecRescaleInto q=%d qt=%d n=%d alias=%v", m.Q, qt.Q, n, alias)
+					x, top := vecRow(r, n, m.Q), vecRow(r, n, qt.Q)
+					x0, top0 := append([]uint64(nil), x...), append([]uint64(nil), top...)
+					dst := x
+					if !alias {
+						dst = vecRow(r, n, ^uint64(0))
+					}
+					m.VecRescaleInto(dst, x, top, qt, halfQ, inv, invShoup)
+					for i := 0; i < n; i++ {
+						rp := (top0[i] + qt.Q>>1) % qt.Q
+						want := m.Mul(m.Sub(m.Add(x0[i], halfQ), m.Reduce(rp)), inv)
+						if dst[i] != want || top[i] != top0[i] {
+							t.Fatalf("%s: lane %d = %d, want %d (x %d, top %d)", what, i, dst[i], want, x0[i], top0[i])
+						}
+					}
+					checkGuard(t, what, dst)
+					checkGuard(t, what, top)
+				}
+			}
+		}
+	}
+}
+
 // TestLazySumsCloseCanonically is the property the rns Lift and Scale stand
 // on: a row accumulated through the lazy kernels and closed by VecReduceInto
 // is the canonical Σ w_i·a_i mod q — the same word whichever path produced the
@@ -325,4 +367,119 @@ func TestLazySumsCloseCanonically(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The row kernels, one 4096-lane row per op at the last prime below 2^30 —
+// the paper's ring degree and residue width. Run with and without -tags
+// purego to read the vector unit's gain per kernel; every one is 0 allocs/op.
+// rows[0..5] hold residues, rows[6] raw words below 2^63 (a lazy sum).
+func benchVec(b *testing.B, kernel func(m Modulus, rows *[7][]uint64)) {
+	b.Helper()
+	m := vecModuli(b)[2]
+	r := rand.New(rand.NewSource(1))
+	var rows [7][]uint64
+	for j := range rows[:6] {
+		rows[j] = vecRow(r, 4096, m.Q)
+	}
+	rows[6] = vecRow(r, 4096, 1<<63)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernel(m, &rows)
+	}
+}
+
+func BenchmarkVecAddInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecAddInto(r[0], r[1], r[2]) })
+}
+
+func BenchmarkVecSubInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecSubInto(r[0], r[1], r[2]) })
+}
+
+func BenchmarkVecReduceOnceInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecReduceOnceInto(r[0], r[1]) })
+}
+
+func BenchmarkVecMulInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecMulInto(r[0], r[1], r[2]) })
+}
+
+func BenchmarkVecMulAddInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecMulAddInto(r[0], r[1], r[2]) })
+}
+
+func BenchmarkVecTensorInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecTensorInto(r[0], r[1], r[2], r[3], r[4], r[5], r[3]) })
+}
+
+func BenchmarkVecMulRawInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecMulRawInto(r[6], r[1], r[2]) })
+}
+
+func BenchmarkVecMulAddRawInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecMulAddRawInto(r[6], r[1], r[2]) })
+}
+
+func BenchmarkVecScalarMulInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecScalarMulInto(r[0], r[1], 0x9E3779B97F4A7C15) })
+}
+
+func BenchmarkVecReduceInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) { m.VecReduceInto(r[0], r[6]) })
+}
+
+// The finish pass reduces dst in place, so after the first op it reads
+// canonical words: the scalar loop's branches are then always predicted,
+// which flatters the purego reading if anything.
+func BenchmarkVecExtendFinishInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) {
+		w, ws := shoupConst(m, 1)
+		m.VecExtendFinishInto(r[6], r[1], w, ws)
+	})
+}
+
+// The rescale row by the last prime below 2^30 at the first prime above 2^29:
+// a top prime wider than Q, so the reduction of r' into Q is not the identity.
+func BenchmarkVecRescaleInto(b *testing.B) {
+	mods := vecModuli(b)
+	m, qt := mods[1], mods[2]
+	r := rand.New(rand.NewSource(1))
+	dst, x, top := vecRow(r, 4096, m.Q), vecRow(r, 4096, m.Q), vecRow(r, 4096, qt.Q)
+	inv := m.Inv(m.Reduce(qt.Q))
+	halfQ, invShoup := m.Reduce(qt.Q>>1), m.ShoupPrecomp(inv)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.VecRescaleInto(dst, x, top, qt, halfQ, inv, invShoup)
+	}
+}
+
+func BenchmarkVecScalarMulShoupInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) {
+		w, ws := shoupConst(m, 2)
+		m.VecScalarMulShoupInto(r[0], r[1], w, ws)
+	})
+}
+
+func BenchmarkVecScalarMulShoupLazyInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) {
+		w, ws := shoupConst(m, 3)
+		m.VecScalarMulShoupLazyInto(r[0], r[1], w, ws)
+	})
+}
+
+func BenchmarkVecScalarMulShoupLazyAddInto(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) {
+		w, ws := shoupConst(m, 4)
+		m.VecScalarMulShoupLazyAddInto(r[6], r[1], w, ws)
+	})
+}
+
+func BenchmarkVecScalarMulShoupLazyAdd2Into(b *testing.B) {
+	benchVec(b, func(m Modulus, r *[7][]uint64) {
+		wa, was := shoupConst(m, 5)
+		wb, wbs := shoupConst(m, 6)
+		m.VecScalarMulShoupLazyAdd2Into(r[6], r[1], r[2], wa, was, wb, wbs)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"math/big"
 
 	"repro/internal/poly"
+	"repro/internal/ring"
 )
 
 // DecomposeRNS performs the RNS gadget decomposition used by the fast
@@ -36,8 +37,8 @@ func DecomposeRNSPool(pool *poly.Pool, b *Basis, x poly.RNSPoly) []poly.RNSPoly 
 // digits slice (b.K() polynomials, each x.N() coefficients), allocating
 // nothing. The kernel is row-major and flat: digit i's own row is one Shoup
 // constant-multiplication pass over the source row (d_i = x_i·q̃_i is
-// already reduced modulo q_i), and every other row is a vector Barrett
-// re-reduction of that row — the same per-coefficient values as the scalar
+// already reduced modulo q_i), and every other row is a re-reduction of that
+// row (ReplicateDigitInto) — the same per-coefficient values as the scalar
 // path, walked a cache line at a time instead of a column at a time.
 //
 // The digit polynomials' first b.K() rows must be over b's moduli; any rows
@@ -80,16 +81,22 @@ func (t *decompTask) RunIndex(i int) {
 		if r == i {
 			continue
 		}
-		mr := di.Rows[r].Mod
-		if m.Q <= 2*mr.Q {
-			// Same-width primes: the digit value d < q_i is within one
-			// subtraction of canonical mod q_r, so the replication is a
-			// conditional subtract instead of a Barrett pass.
-			mr.VecReduceOnceInto(di.Rows[r].Coeffs, base)
-		} else {
-			mr.VecReduceInto(di.Rows[r].Coeffs, base)
-		}
+		ReplicateDigitInto(di.Rows[r].Mod, di.Rows[r].Coeffs, base, m.Q)
 	}
+}
+
+// ReplicateDigitInto writes one row of a gadget digit into dst as residues
+// modulo m: digit holds values below q, the prime the digit was extracted
+// modulo. For same-width primes (q ≤ 2·m.Q, every pair at both paper sets)
+// each value is within one subtraction of canonical, so the replication is a
+// conditional subtract instead of a Barrett pass. DecomposeRNSPoolInto and the
+// co-processor's Decomp both replicate through it.
+func ReplicateDigitInto(m ring.Modulus, dst, digit []uint64, q uint64) {
+	if q <= 2*m.Q {
+		m.VecReduceOnceInto(dst, digit)
+		return
+	}
+	m.VecReduceInto(dst, digit)
 }
 
 var decompTaskFree = make(chan *decompTask, 16)

@@ -81,9 +81,9 @@ func (r *Rescaler) RescaleInto(pool *poly.Pool, x, out poly.RNSPoly) {
 }
 
 // rescaleTask computes one output row: the centering of the top row against
-// q_t is recomputed per row rather than staged through a shared temporary,
-// keeping rows independent (order-free, hence pool-size invariant) at the
-// cost of one extra add per lane.
+// q_t is recomputed per row (inside ring.VecRescaleInto) rather than staged
+// through a shared temporary, keeping rows independent (order-free, hence
+// pool-size invariant) at the cost of one extra add per lane.
 type rescaleTask struct {
 	r   *Rescaler
 	t   int
@@ -92,29 +92,9 @@ type rescaleTask struct {
 }
 
 func (task *rescaleTask) RunIndex(j int) {
-	r := task.r
-	t := task.t
-	mTop := r.mods[t]
-	half := mTop.Q >> 1
-	m := r.mods[j]
-	inv := r.invTop[t][j]
-	invShoup := r.invTopShoup[t][j]
-	halfJ := r.halfMod[t][j]
-	top := task.x[t].Coeffs
-	src := task.x[j].Coeffs
-	dst := task.out[j].Coeffs
-	for c := range dst {
-		// r' = (x_t + half) mod q_t, then reduced into q_j.
-		rp := top[c] + half
-		if rp >= mTop.Q {
-			rp -= mTop.Q
-		}
-		rpj := m.Reduce(rp)
-		// y = (x_j + half − r') · q_t⁻¹ mod q_j.
-		v := m.Add(src[c], halfJ)
-		v = m.Sub(v, rpj)
-		dst[c] = m.MulShoup(v, inv, invShoup)
-	}
+	r, t := task.r, task.t
+	r.mods[j].VecRescaleInto(task.out[j].Coeffs, task.x[j].Coeffs, task.x[t].Coeffs,
+		r.mods[t], r.halfMod[t][j], r.invTop[t][j], r.invTopShoup[t][j])
 }
 
 var rescaleTaskFree = make(chan *rescaleTask, 16)

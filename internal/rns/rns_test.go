@@ -538,3 +538,26 @@ func BenchmarkScaleExact(b *testing.B) {
 		sc.ScaleExact(xq, xp, out)
 	}
 }
+
+// BenchmarkRescaleRow times one output row of the CKKS rescale at n = 4096
+// over a six-prime 30-bit chain (top index 5): the unit of work the pool
+// hands out, and the row the co-processor's Rescale unit runs.
+func BenchmarkRescaleRow(b *testing.B) {
+	r := rand.New(rand.NewSource(9))
+	qb, pb := paperBases(b, 4096, 5, 1)
+	mods := append(append([]ring.Modulus(nil), qb.Mods...), pb.Mods...)
+	const n = 4096
+	x := poly.NewRNSPoly(mods, n)
+	for i, m := range mods {
+		for c := 0; c < n; c++ {
+			x.Rows[i].Coeffs[c] = r.Uint64() % m.Q
+		}
+	}
+	out := poly.NewRNSPoly(qb.Mods, n)
+	task := &rescaleTask{r: NewRescaler(mods), t: 5, x: x.Rows, out: out.Rows}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		task.RunIndex(0)
+	}
+}
