@@ -76,8 +76,9 @@ fmt-check:
 # wire-protocol decoders and their equivalence to the pre-split reference
 # decoders (FuzzFrame*), the compiled-program codec, the BFV ciphertext and
 # key readers (an accepted evaluation key must be usable, FuzzDecodeFVKeys),
-# the CKKS key container and encoder, and the RNS decryption rounding against
-# exact rounding (FuzzMessageScaler).
+# the CKKS key container and encoder, the RNS decryption rounding against
+# exact rounding (FuzzMessageScaler), and the assembler against its own
+# listing (FuzzAssemble).
 FUZZ_TARGETS = \
 	difftest:FuzzDiffTransform:5x \
 	difftest:FuzzDiffPointwise:5x \
@@ -97,7 +98,8 @@ FUZZ_TARGETS = \
 	fv:FuzzDecodeFVKeys:20x \
 	ckks:FuzzDecodeCKKSKeys:20x \
 	ckks:FuzzEncoderRoundTrip:20x \
-	rns:FuzzMessageScaler:20x
+	rns:FuzzMessageScaler:20x \
+	hwsim:FuzzAssemble:20x
 
 # $(call fuzz,T) runs every target for -fuzztime=T, or for its own smoke
 # count when T is empty.

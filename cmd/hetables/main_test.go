@@ -10,11 +10,8 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/small.golden from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
-// wallClockRows are the two Sec. VI-E lines that time this machine's
-// software Mult; everything else hetables prints is simulated-clock or model
-// arithmetic and must not move.
 var wallClockRows = []string{"  This repo's Go software Mult", "  Sim HW speedup vs this repo's software"}
 
 func maskWallClock(out []byte) []byte {
@@ -31,10 +28,11 @@ func maskWallClock(out []byte) []byte {
 
 // TestHetablesSmoke runs the real executable: on the small parameter set
 // every table of the evaluation section is, apart from the two wall-clock
-// rows, byte for byte testdata/small.golden — "the tables did not move" as a
-// test instead of a hand diff (go test ./cmd/hetables -update rewrites the
-// file after a deliberate change) — and an unknown -table is a usage error
-// (exit 2), not an empty success.
+// rows, byte for byte testdata/small.golden, and the extended Table III
+// (the double-buffered stream schedule) is testdata/small_table3x.golden —
+// "the tables did not move" as a test instead of a hand diff (go test
+// ./cmd/hetables -update rewrites the files after a deliberate change) — and
+// an unknown -table is a usage error (exit 2), not an empty success.
 func TestHetablesSmoke(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "hetables")
 	build := exec.Command("go", "build", "-o", bin, ".")
@@ -43,35 +41,44 @@ func TestHetablesSmoke(t *testing.T) {
 		t.Fatalf("building hetables: %v\n%s", err, out)
 	}
 
-	out, err := exec.Command(bin, "-small").CombinedOutput()
-	if err != nil {
-		t.Fatalf("hetables -small: %v\n%s", err, out)
-	}
-	got := maskWallClock(out)
-	if n := bytes.Count(got, []byte("<wall clock, masked>")); n != len(wallClockRows) {
-		t.Fatalf("masked %d wall-clock rows, want %d:\n%s", n, len(wallClockRows), out)
-	}
-	golden := filepath.Join("testdata", "small.golden")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+	for _, c := range []struct {
+		golden    string
+		args      []string
+		wallClock int
+	}{
+		{"small.golden", []string{"-small"}, len(wallClockRows)},
+		{"small_table3x.golden", []string{"-small", "-table3x"}, 0},
+	} {
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("hetables %v: %v\n%s", c.args, err, out)
+		}
+		got := maskWallClock(out)
+		if n := bytes.Count(got, []byte("<wall clock, masked>")); n != c.wallClock {
+			t.Fatalf("hetables %v: masked %d wall-clock rows, want %d:\n%s", c.args, n, c.wallClock, out)
+		}
+		golden := filepath.Join("testdata", c.golden)
+		if *update {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		i := 0
-		for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
-			i++
+		if !bytes.Equal(got, want) {
+			gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			i := 0
+			for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+				i++
+			}
+			t.Fatalf("hetables %v differs from %s from line %d on (rerun with -update if the change is deliberate)\n--- got\n%s\n--- want\n%s",
+				c.args, golden, i+1, strings.Join(gotLines[i:], "\n"), strings.Join(wantLines[i:], "\n"))
 		}
-		t.Fatalf("hetables -small differs from %s from line %d on (rerun with -update if the change is deliberate)\n--- got\n%s\n--- want\n%s",
-			golden, i+1, strings.Join(gotLines[i:], "\n"), strings.Join(wantLines[i:], "\n"))
 	}
 
-	out, err = exec.Command(bin, "-small", "-table", "6").CombinedOutput()
+	out, err := exec.Command(bin, "-small", "-table", "6").CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 2 {
 		t.Fatalf("unknown table: err = %v, want exit 2\n%s", err, out)

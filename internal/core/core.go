@@ -77,7 +77,7 @@ func NewWithTiming(params *fv.Params, variant hwsim.Variant, coprocs int, timing
 		return nil, err
 	}
 	c, err := hwsim.NewCoprocessor(params.QMods, params.PMods, params.N(),
-		params.Lifter, params.Scaler, variant, timing, sched.MinSlots(0))
+		params.Lifter, params.Scaler, variant, timing, sched.MinSlots())
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (
 func (h *ReuseHarness) newBFV(variant hwsim.Variant) (*sched.Scheduler, error) {
 	p := h.Params
 	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-		variant, hwsim.DefaultTiming(), sched.MinSlots(0))
+		variant, hwsim.DefaultTiming(), sched.MinSlots())
 	if err != nil {
 		return nil, err
 	}

@@ -468,9 +468,8 @@ func (s *Suite) Ablations() (Table, error) {
 // recordedMul runs one Mult on a fresh co-processor with the scheduler's
 // instruction trace switched on and returns that scheduler.
 func (s *Suite) recordedMul() (*sched.Scheduler, error) {
-	slots := sched.MinSlots(s.Params.QBasis.K() + 4)
 	c, err := hwsim.NewCoprocessor(s.Params.QMods, s.Params.PMods, s.Params.N(),
-		s.Params.Lifter, s.Params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), slots)
+		s.Params.Lifter, s.Params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), sched.MinSlots())
 	if err != nil {
 		return nil, err
 	}

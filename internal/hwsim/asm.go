@@ -23,9 +23,9 @@ import (
 //	dma   98304            ; a host DMA transfer of N bytes
 //
 // Slot operands are s<N> (s0–s255; the third slot of a three-slot form
-// s0–s127, the width of the word's B field); the optional [Q]/[P] selects
-// the RPAU batch (default Q); wdec's third operand is a #digit index
-// (0–127).
+// s0–s127, the width of the word's B field); wdec's third operand is a
+// #digit index (0–127). On the opcodes whose listing shows one, the optional
+// [Q]/[P] selects the RPAU batch (default Q); lift, scale and wdec take none.
 func Assemble(src string) (*Program, error) {
 	prog := &Program{}
 	for lineNo, raw := range strings.Split(src, "\n") {
@@ -50,100 +50,69 @@ func Assemble(src string) (*Program, error) {
 			continue
 		}
 
-		var op Op
-		found := false
-		for candidate, mn := range opMnemonics {
-			if mn == mnemonic {
-				op, found = candidate, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("hwsim: line %d: unknown mnemonic %q", lineNo+1, mnemonic)
-		}
-
-		// Split off the batch suffix.
-		batch := BatchQ
-		if i := strings.IndexByte(rest, '['); i >= 0 {
-			tag := strings.ToUpper(strings.Trim(rest[i:], "[] \t"))
-			switch tag {
-			case "Q":
-				batch = BatchQ
-			case "P":
-				batch = BatchP
-			default:
-				return nil, fmt.Errorf("hwsim: line %d: bad batch %q", lineNo+1, tag)
-			}
-			rest = strings.TrimSpace(rest[:i])
-		}
-
-		var operands []string
-		for _, tok := range strings.Split(rest, ",") {
-			if t := strings.TrimSpace(tok); t != "" {
-				operands = append(operands, t)
-			}
-		}
-		slot := func(tok string) (uint8, error) {
-			if !strings.HasPrefix(tok, "s") {
-				return 0, fmt.Errorf("hwsim: line %d: expected slot, got %q", lineNo+1, tok)
-			}
-			v, err := strconv.Atoi(tok[1:])
-			if err != nil || v < 0 || v > 255 {
-				return 0, fmt.Errorf("hwsim: line %d: bad slot %q", lineNo+1, tok)
-			}
-			return uint8(v), nil
-		}
-
-		in := Instr{Op: op, Batch: batch}
-		var err error
-		switch op {
-		case OpNTT, OpINTT, OpRearr, OpLift:
-			if len(operands) != 1 {
-				return nil, fmt.Errorf("hwsim: line %d: %s takes one slot", lineNo+1, mnemonic)
-			}
-			in.A, err = slot(operands[0])
-		case OpScale, OpRescale:
-			if len(operands) != 2 {
-				return nil, fmt.Errorf("hwsim: line %d: %s takes dst, src", lineNo+1, mnemonic)
-			}
-			if in.Dst, err = slot(operands[0]); err == nil {
-				in.A, err = slot(operands[1])
-			}
-		case OpDecomp:
-			if len(operands) != 3 || !strings.HasPrefix(operands[2], "#") {
-				return nil, fmt.Errorf("hwsim: line %d: wdec takes dst, src, #digit", lineNo+1)
-			}
-			if in.Dst, err = slot(operands[0]); err == nil {
-				if in.A, err = slot(operands[1]); err == nil {
-					var d int
-					d, err = strconv.Atoi(operands[2][1:])
-					if err == nil && (d < 0 || d > maxB) {
-						err = fmt.Errorf("hwsim: line %d: digit index out of range", lineNo+1)
-					}
-					in.B = uint8(d)
-				}
-			}
-		default: // three-slot ALU forms
-			if len(operands) != 3 {
-				return nil, fmt.Errorf("hwsim: line %d: %s takes dst, a, b", lineNo+1, mnemonic)
-			}
-			if in.Dst, err = slot(operands[0]); err == nil {
-				if in.A, err = slot(operands[1]); err == nil {
-					in.B, err = slot(operands[2])
-					if err == nil && in.B > maxB {
-						// The word's B field is 7 bits: a wider slot would
-						// encode as a different one.
-						err = fmt.Errorf("hwsim: line %d: %s's third slot s%d does not fit the 7-bit B field", lineNo+1, mnemonic, in.B)
-					}
-				}
-			}
-		}
+		in, err := assembleInstr(mnemonic, rest)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hwsim: line %d: %w", lineNo+1, err)
 		}
 		prog.AddInstr(in)
 	}
 	return prog, nil
+}
+
+// assembleInstr parses one instruction line, mnemonic split off, against
+// its opcode's row of the isa table.
+func assembleInstr(mnemonic, rest string) (Instr, error) {
+	var in Instr
+	for op, row := range isa {
+		if row.mnemonic == mnemonic {
+			in.Op = Op(op)
+		}
+	}
+	row, ok := in.Op.info()
+	if !ok {
+		return in, fmt.Errorf("unknown mnemonic %q", mnemonic)
+	}
+	if i := strings.IndexByte(rest, '['); i >= 0 {
+		if !row.tagged {
+			return in, fmt.Errorf("%s takes no batch tag", mnemonic)
+		}
+		switch tag := strings.ToUpper(strings.Trim(rest[i:], "[] \t")); tag {
+		case "Q":
+			in.Batch = BatchQ
+		case "P":
+			in.Batch = BatchP
+		default:
+			return in, fmt.Errorf("bad batch %q", tag)
+		}
+		rest = strings.TrimSpace(rest[:i])
+	}
+
+	var operands []string
+	for _, tok := range strings.Split(rest, ",") {
+		if t := strings.TrimSpace(tok); t != "" {
+			operands = append(operands, t)
+		}
+	}
+	if len(operands) != len(row.form.operands) {
+		return in, fmt.Errorf("%s takes %d operands, got %d", mnemonic, len(row.form.operands), len(operands))
+	}
+	for k, f := range row.form.operands {
+		tok, prefix, limit := operands[k], "s", 255
+		switch f {
+		case fieldB:
+			// The word's B field is 7 bits: a wider slot would encode as
+			// a different one.
+			limit = maxB
+		case fieldDigit:
+			prefix, limit = "#", maxB
+		}
+		v, err := strconv.Atoi(strings.TrimPrefix(tok, prefix))
+		if !strings.HasPrefix(tok, prefix) || err != nil || v < 0 || v > limit {
+			return in, fmt.Errorf("%s: bad operand %q (want %s0–%s%d)", mnemonic, tok, prefix, prefix, limit)
+		}
+		*in.field(f) = uint8(v)
+	}
+	return in, nil
 }
 
 // DisasmProgram renders a program back to assembly text.

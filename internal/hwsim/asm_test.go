@@ -6,24 +6,36 @@ import (
 	"testing"
 )
 
+// roundTripLines is a fragment of the Mult pipeline with one line of every
+// form.
+var roundTripLines = []string{
+	"; a fragment of the Mult pipeline",
+	"lift  s0",
+	"rearr s0 [Q]",
+	"ntt   s0 [Q]",
+	"rearr s0 [P]",
+	"ntt   s0 [P]",
+	"cmul  s4, s0, s2 [P]",
+	"cadd  s4, s4, s3 [Q]",
+	"csub  s5, s4, s3 [Q]",
+	"cmac  s5, s0, s2 [Q]",
+	"wdec  s9, s8, #3",
+	"intt  s4 [P]",
+	"scale s8, s4",
+	"dma   98304",
+	"resc  s10, s8 [P]",
+}
+
+// untaggedWithTag are batch tags on the forms whose listing shows none: the
+// listing would drop the tag, so the assembler refuses it.
+var untaggedWithTag = []string{
+	"lift s0 [P]",
+	"scale s1, s0 [P]",
+	"wdec s2, s1, #3 [P]",
+}
+
 func TestAssembleRoundTrip(t *testing.T) {
-	src := strings.Join([]string{
-		"; a fragment of the Mult pipeline",
-		"lift  s0",
-		"rearr s0 [Q]",
-		"ntt   s0 [Q]",
-		"rearr s0 [P]",
-		"ntt   s0 [P]",
-		"cmul  s4, s0, s2 [P]",
-		"cadd  s4, s4, s3 [Q]",
-		"csub  s5, s4, s3 [Q]",
-		"cmac  s5, s0, s2 [Q]",
-		"wdec  s9, s8, #3",
-		"intt  s4 [P]",
-		"scale s8, s4",
-		"dma   98304",
-		"resc  s10, s8 [P]",
-	}, "\n")
+	src := strings.Join(roundTripLines, "\n")
 	prog, err := Assemble(src)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +84,7 @@ func TestAssembleErrors(t *testing.T) {
 		"scale s0, s1, s2", // wrong arity
 		"lift s0, s1",      // wrong arity
 	}
+	bad = append(bad, untaggedWithTag...)
 	for _, src := range bad {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("%q assembled without error", src)
@@ -107,4 +120,49 @@ func TestAssembledProgramExecutes(t *testing.T) {
 			t.Fatal("assembled round-trip program corrupted the data")
 		}
 	}
+}
+
+// FuzzAssemble holds the assembler and the listing to one another: whatever
+// text assembles, its listing re-assembles to the same instruction words,
+// and a program the validator accepts survives Encode/DecodeInstr.
+func FuzzAssemble(f *testing.F) {
+	f.Add(strings.Join(roundTripLines, "\n"))
+	for _, line := range append(roundTripLines, untaggedWithTag...) {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		text := DisasmProgram(prog)
+		again, err := Assemble(text)
+		if err != nil {
+			t.Fatalf("listing of %q does not re-assemble: %v\n%s", src, err, text)
+		}
+		if len(again.Steps) != len(prog.Steps) {
+			t.Fatalf("listing of %q re-assembles to %d steps, want %d", src, len(again.Steps), len(prog.Steps))
+		}
+		for i, st := range prog.Steps {
+			re := again.Steps[i]
+			if st.Instr != nil {
+				if re.Instr == nil || re.Instr.Encode() != st.Instr.Encode() {
+					t.Fatalf("step %d of %q: %s re-assembles to another word", i, src, st.Instr.Disasm())
+				}
+			} else if re.Transfer == nil || re.Transfer.Bytes != st.Transfer.Bytes {
+				t.Fatalf("step %d of %q: dma %d re-assembles to another step", i, src, st.Transfer.Bytes)
+			}
+		}
+		if ValidateProgram(prog, 256) != nil {
+			return
+		}
+		for _, st := range prog.Steps {
+			if st.Instr == nil {
+				continue
+			}
+			if got, err := DecodeInstr(st.Instr.Encode()); err != nil || got != *st.Instr {
+				t.Fatalf("validated %+v decodes as %+v (%v)", *st.Instr, got, err)
+			}
+		}
+	})
 }

@@ -1,92 +1,171 @@
 package hwsim
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Op is a co-processor instruction opcode. The instruction set matches the
 // paper's Table II: transforms, coefficient-wise arithmetic, memory
 // rearrangement, and the lifting/scaling instructions, plus the host-side
-// slot load/store that the DMA performs.
+// slot load/store that the DMA performs. What each opcode is — its name,
+// mnemonic, operand form and unit — is its row of the isa table below.
 type Op uint8
 
 const (
 	OpInvalid Op = iota
-	OpNTT        // forward transform, in place:    slot A, batch
-	OpINTT       // inverse transform, in place:    slot A, batch
-	OpCMul       // coefficient-wise multiply:      Dst = A ⊙ B, batch
-	OpCAdd       // coefficient-wise add:           Dst = A + B, batch
-	OpCSub       // coefficient-wise subtract:      Dst = A - B, batch
-	OpCMac       // multiply-accumulate:            Dst += A ⊙ B, batch
-	OpRearr      // memory layout rearrangement:    slot A, batch
-	OpLift       // Lift q→Q, in place:             slot A gains its p rows
-	OpScale      // Scale Q→q:                      Dst(q rows) = scale(A)
-	OpDecomp     // relin digit extract:            Dst = digit B of slot A
-	OpRescale    // CKKS modulus switch: Dst = ⌊A/q_top⌉ dropping the top row
-	//              of the selected batch — [Q] divides by the top chain
-	//              prime (Rescale), [P] by the special prime (ModDown).
+	OpNTT
+	OpINTT
+	OpCMul
+	OpCAdd
+	OpCSub
+	OpCMac
+	OpRearr
+	OpLift
+	OpScale
+	OpDecomp
+	OpRescale
 	opSentinel
 )
 
-var opNames = map[Op]string{
-	OpNTT:     "NTT",
-	OpINTT:    "Inverse-NTT",
-	OpCMul:    "Coeff. wise Multiplication",
-	OpCAdd:    "Coeff. wise Addition",
-	OpCSub:    "Coeff. wise Subtraction",
-	OpCMac:    "Coeff. wise Mult-Accumulate",
-	OpRearr:   "Memory Rearrange",
-	OpLift:    "Lift q->Q",
-	OpScale:   "Scale Q->q",
-	OpDecomp:  "WordDecomp",
-	OpRescale: "Rescale",
+// field is one operand of the assembly text: a slot held in the word's Dst,
+// A or B field, or an immediate digit index held in B.
+type field uint8
+
+const (
+	fieldDst field = iota
+	fieldA
+	fieldB
+	fieldDigit
+)
+
+// form is an operand form: the operands the assembly text names, in order.
+// The first operand is the slot the instruction writes and the other slots
+// are read; an in-place or accumulating form reads its first operand too.
+type form struct {
+	operands []field
+	readsDst bool
+}
+
+var (
+	formInPlace = form{[]field{fieldA}, true}                        // op  sA
+	formUnary   = form{[]field{fieldDst, fieldA}, false}             // op  sDst, sA
+	formDigit   = form{[]field{fieldDst, fieldA, fieldDigit}, false} // op  sDst, sA, #B
+	formBinary  = form{[]field{fieldDst, fieldA, fieldB}, false}     // op  sDst, sA, sB
+	formAccum   = form{[]field{fieldDst, fieldA, fieldB}, true}      // op  sDst, sA, sB (Dst += …)
+)
+
+// opInfo is one row of the instruction set.
+type opInfo struct {
+	name     string // the Table II row name
+	mnemonic string
+	form     form
+	tagged   bool // the text carries a [Q]/[P] batch tag
+	unit     Unit
+}
+
+// isa is the instruction set, one row per opcode: the listing, the
+// assembler, the validator and the overlap trace all read an instruction's
+// operands from here.
+var isa = [opSentinel]opInfo{
+	OpNTT:    {"NTT", "ntt", formInPlace, true, UnitRPAU},                        // forward transform
+	OpINTT:   {"Inverse-NTT", "intt", formInPlace, true, UnitRPAU},               // inverse transform
+	OpCMul:   {"Coeff. wise Multiplication", "cmul", formBinary, true, UnitRPAU}, // Dst = A ⊙ B
+	OpCAdd:   {"Coeff. wise Addition", "cadd", formBinary, true, UnitRPAU},       // Dst = A + B
+	OpCSub:   {"Coeff. wise Subtraction", "csub", formBinary, true, UnitRPAU},    // Dst = A - B
+	OpCMac:   {"Coeff. wise Mult-Accumulate", "cmac", formAccum, true, UnitRPAU}, // Dst += A ⊙ B
+	OpRearr:  {"Memory Rearrange", "rearr", formInPlace, true, UnitRPAU},         // memory layout rearrangement
+	OpLift:   {"Lift q->Q", "lift", formInPlace, false, UnitLiftScale},           // A gains its p rows
+	OpScale:  {"Scale Q->q", "scale", formUnary, false, UnitLiftScale},           // Dst (q rows) = scale(A)
+	OpDecomp: {"WordDecomp", "wdec", formDigit, false, UnitRPAU},                 // Dst = digit B of A
+	// CKKS modulus switch, Dst = ⌊A/q_top⌉ dropping the top row of the
+	// selected batch: [Q] divides by the top chain prime (Rescale), [P] by
+	// the special prime (ModDown).
+	OpRescale: {"Rescale", "resc", formUnary, true, UnitRPAU},
+}
+
+// info returns the opcode's row; ok is false outside the instruction set.
+func (o Op) info() (row opInfo, ok bool) {
+	if o == OpInvalid || o >= opSentinel {
+		return opInfo{}, false
+	}
+	return isa[o], true
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if row, ok := o.info(); ok {
+		return row.name
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// mnemonics for the assembly listing.
-var opMnemonics = map[Op]string{
-	OpNTT:     "ntt",
-	OpINTT:    "intt",
-	OpCMul:    "cmul",
-	OpCAdd:    "cadd",
-	OpCSub:    "csub",
-	OpCMac:    "cmac",
-	OpRearr:   "rearr",
-	OpLift:    "lift",
-	OpScale:   "scale",
-	OpDecomp:  "wdec",
-	OpRescale: "resc",
+// field returns the instruction field an operand is held in.
+func (i *Instr) field(f field) *uint8 {
+	switch f {
+	case fieldDst:
+		return &i.Dst
+	case fieldA:
+		return &i.A
+	default:
+		return &i.B
+	}
+}
+
+// Slots returns the memory-file slots the instruction reads and writes
+// (none for an opcode outside the instruction set).
+func (i Instr) Slots() (reads, writes []uint8) {
+	row, _ := i.Op.info()
+	for k, f := range row.form.operands {
+		if f == fieldDigit {
+			continue
+		}
+		s := *i.field(f)
+		if k == 0 {
+			writes = append(writes, s)
+			if !row.form.readsDst {
+				continue
+			}
+		}
+		reads = append(reads, s)
+	}
+	return reads, writes
+}
+
+// Task returns the instruction as a task of the overlap trace: its listing
+// line, its unit, its latency and the slots it reads and writes.
+func (i Instr) Task(cycles Cycles) Task {
+	row, _ := i.Op.info()
+	reads, writes := i.Slots()
+	return Task{Label: i.Disasm(), Unit: row.unit, Cycles: cycles, Reads: reads, Writes: writes}
 }
 
 // Disasm renders the instruction in assembly form, e.g.
 // "cmul  s4, s0, s2 [P]".
 func (i Instr) Disasm() string {
-	mn, ok := opMnemonics[i.Op]
+	row, ok := i.Op.info()
 	if !ok {
 		return fmt.Sprintf(".word 0x%08x", i.Encode())
 	}
-	batch := "Q"
-	if i.Batch == BatchP {
-		batch = "P"
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-5s", row.mnemonic)
+	for k, f := range row.form.operands {
+		sep, prefix := ",", "s"
+		if k == 0 {
+			sep = ""
+		}
+		if f == fieldDigit {
+			prefix = "#"
+		}
+		fmt.Fprintf(&b, "%s %s%d", sep, prefix, *i.field(f))
 	}
-	switch i.Op {
-	case OpNTT, OpINTT, OpRearr:
-		return fmt.Sprintf("%-5s s%d [%s]", mn, i.A, batch)
-	case OpLift:
-		return fmt.Sprintf("%-5s s%d", mn, i.A)
-	case OpScale:
-		return fmt.Sprintf("%-5s s%d, s%d", mn, i.Dst, i.A)
-	case OpRescale:
-		return fmt.Sprintf("%-5s s%d, s%d [%s]", mn, i.Dst, i.A, batch)
-	case OpDecomp:
-		return fmt.Sprintf("%-5s s%d, s%d, #%d", mn, i.Dst, i.A, i.B)
-	default:
-		return fmt.Sprintf("%-5s s%d, s%d, s%d [%s]", mn, i.Dst, i.A, i.B, batch)
+	if row.tagged {
+		batch := "Q"
+		if i.Batch == BatchP {
+			batch = "P"
+		}
+		fmt.Fprintf(&b, " [%s]", batch)
 	}
+	return b.String()
 }
 
 // ValidateProgram statically checks a program against a co-processor shape:
@@ -100,7 +179,7 @@ func ValidateProgram(p *Program, memSlots int) error {
 		switch {
 		case st.Instr != nil:
 			in := *st.Instr
-			if in.Op == OpInvalid || in.Op >= opSentinel {
+			if _, ok := in.Op.info(); !ok {
 				return fmt.Errorf("hwsim: step %d: invalid opcode %d", i, uint8(in.Op))
 			}
 			if in.Batch > BatchP {
@@ -109,16 +188,8 @@ func ValidateProgram(p *Program, memSlots int) error {
 			if in.B > maxB {
 				return fmt.Errorf("hwsim: step %d: operand B = %d does not fit the instruction word's 7-bit field", i, in.B)
 			}
-			var used []uint8
-			switch in.Op {
-			case OpNTT, OpINTT, OpRearr, OpLift:
-				used = []uint8{in.A}
-			case OpScale, OpDecomp, OpRescale: // Decomp's B is a digit index, not a slot
-				used = []uint8{in.Dst, in.A}
-			default:
-				used = []uint8{in.Dst, in.A, in.B}
-			}
-			for _, s := range used {
+			reads, writes := in.Slots()
+			for _, s := range append(writes, reads...) {
 				if int(s) >= memSlots {
 					return fmt.Errorf("hwsim: step %d: slot %d outside memory file (%d slots)", i, s, memSlots)
 				}
@@ -149,8 +220,8 @@ const (
 // Instr is one co-processor instruction.
 type Instr struct {
 	Op    Op
-	Dst   uint8 // destination slot (also the in-place operand for NTT/INTT)
-	A, B  uint8 // source slots
+	Dst   uint8 // destination slot (unused by the in-place forms, which name A)
+	A, B  uint8 // source slots; B is WordDecomp's digit index
 	Batch Batch
 }
 
@@ -169,7 +240,7 @@ func (i Instr) Encode() uint32 {
 // opcodes so that host software cannot enqueue garbage silently.
 func DecodeInstr(w uint32) (Instr, error) {
 	op := Op(w >> 24)
-	if op == OpInvalid || op >= opSentinel {
+	if _, ok := op.info(); !ok {
 		return Instr{}, fmt.Errorf("hwsim: invalid opcode %d", uint8(op))
 	}
 	return Instr{

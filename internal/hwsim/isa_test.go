@@ -2,6 +2,7 @@ package hwsim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,6 +115,66 @@ func TestBOperandFitsInstructionWord(t *testing.T) {
 	}
 	if accepted == 0 {
 		t.Fatal("no random instruction validated")
+	}
+}
+
+// TestISATable walks the opcode table: every row's instruction survives
+// Disasm → Assemble, ValidateProgram range-checks exactly the slots it reads
+// and writes, and the cost table prices it on both Lift/Scale variants.
+func TestISATable(t *testing.T) {
+	coprocs := []*Coprocessor{testCoproc(t, 64, VariantHPS), testCoproc(t, 64, VariantTraditional)}
+	for op := OpInvalid + 1; op < opSentinel; op++ {
+		row := isa[op]
+		in := Instr{Op: op}
+		var slots []uint8
+		for k, f := range row.form.operands {
+			*in.field(f) = uint8(3 + k)
+			if f != fieldDigit {
+				slots = append(slots, uint8(3+k))
+			}
+		}
+		if row.tagged {
+			in.Batch = BatchP
+		}
+
+		prog, err := Assemble(in.Disasm())
+		if err != nil || len(prog.Steps) != 1 || *prog.Steps[0].Instr != in {
+			t.Errorf("%v: %q does not re-assemble to %+v: %v", op, in.Disasm(), in, err)
+		}
+
+		reads, writes := in.Slots()
+		if len(writes) != 1 || writes[0] != slots[0] {
+			t.Errorf("%v writes %v, want its first operand s%d", op, writes, slots[0])
+		}
+		touched := append(reads, writes...)
+		for _, s := range slots {
+			if !slices.Contains(touched, s) {
+				t.Errorf("%v: slot operand s%d is neither read nor written", op, s)
+			}
+		}
+		for _, s := range touched {
+			if !slices.Contains(slots, s) {
+				t.Errorf("%v touches s%d, which no slot operand names", op, s)
+			}
+		}
+		// Move one field at a time past an 8-slot memory file: the validator
+		// must refuse exactly the fields that name a slot read or written.
+		for _, f := range []field{fieldDst, fieldA, fieldB} {
+			probe := in
+			*probe.field(f) = 9
+			reads, writes := probe.Slots()
+			p := &Program{}
+			p.AddInstr(probe)
+			if want, got := slices.Contains(append(reads, writes...), 9), ValidateProgram(p, 8) != nil; got != want {
+				t.Errorf("%v with field %d = 9: refused %v, want %v", op, f, got, want)
+			}
+		}
+
+		for _, c := range coprocs {
+			if c.Cycles(in) <= c.Dispatch() {
+				t.Errorf("%v on %v costs %d cycles, no more than dispatch", op, c.Variant, c.Cycles(in))
+			}
+		}
 	}
 }
 

@@ -5,15 +5,94 @@ import (
 	"io"
 )
 
+// Block-level overlap (paper Sec. I: "a block-level pipeline strategy and an
+// optimized task-scheduling to increase the throughput"): while the RPAUs
+// transform one polynomial, the Lift/Scale cores process another and the DMA
+// streams key material. One list scheduler places tasks on the three units;
+// the overlap analysis of a recorded instruction trace (sched.AnalyzeOverlap)
+// and the double-buffered stream below are both its callers.
+
+// Unit is an exclusive hardware resource of the co-processor.
+type Unit int
+
+const (
+	UnitRPAU      Unit = iota // the seven RPAUs operate as one SIMD group
+	UnitLiftScale             // the parallel Lift/Scale cores
+	UnitDMA                   // the DMA engine
+	unitCount
+)
+
+func (u Unit) String() string { return [unitCount]string{"RPAU", "Lift/Scale", "DMA"}[u] }
+
+// Task is one step of a schedule: an instruction or a transfer, the unit it
+// occupies, and the memory-file slots it reads and writes.
+type Task struct {
+	Label  string
+	Unit   Unit
+	Cycles Cycles
+	Reads  []uint8
+	Writes []uint8
+}
+
+// Span is where the list scheduler placed a task. Stall is how long the
+// task waited for a dependency after its unit became free.
+type Span struct {
+	Start, Finish, Stall Cycles
+}
+
+// ListSchedule places the tasks in order, each at the earliest cycle its
+// RAW, WAW and WAR dependencies through the memory-file slots allow, and
+// returns each task's span and the makespan. With units set a task also
+// waits for its unit to finish the task before it there — a zero-cycle task
+// does not occupy its unit; without, the makespan is the dependency-only
+// critical path. Trace order is always a legal priority: it is the order the
+// operations were issued in.
+func ListSchedule(tasks []Task, units bool) (spans []Span, makespan Cycles) {
+	var unitFree [unitCount]Cycles
+	// Per slot, the finish of its last writer and of its latest reader. A
+	// writer waits for every reader so far: the readers before the last
+	// write finished before that write did.
+	var written, read [256]Cycles
+	spans = make([]Span, len(tasks))
+	for k, t := range tasks {
+		var free Cycles
+		if units {
+			free = unitFree[t.Unit]
+		}
+		start := free
+		for _, s := range t.Reads {
+			start = max(start, written[s]) // RAW
+		}
+		for _, s := range t.Writes {
+			start = max(start, written[s], read[s]) // WAW, WAR
+		}
+		finish := start + t.Cycles
+		if t.Cycles > 0 {
+			unitFree[t.Unit] = finish
+		}
+		for _, s := range t.Reads {
+			read[s] = max(read[s], finish)
+		}
+		for _, s := range t.Writes {
+			written[s] = finish
+		}
+		spans[k] = Span{Start: start, Finish: finish, Stall: start - free}
+		makespan = max(makespan, finish)
+	}
+	return spans, makespan
+}
+
 // Double-buffered operand streaming (paper Sec. I, Sec. V-D). The serial
 // accounting charges every operation's operand DMA, compute, and result DMA
 // back to back; with a shadow operand bank in the memory file the DMA engine
 // can prefetch operation i+1's operands while the RPAUs work on operation i,
 // hiding min(dma_{i+1}, compute_i) cycles per boundary. This file models that
 // schedule exactly: one DMA engine, one compute pipeline, `banks` operand
-// banks, and dependency hazards through the memory file.
-//
-// Model rules (each is a real hazard of the Fig. 10 memory file):
+// banks, and dependency hazards through the memory file, as a task list for
+// ListSchedule. Step i is its load (DMA, writes bank i mod banks), then the
+// previous step's store (DMA, reads the accumulator, writes the host
+// buffer), then its compute (RPAU, reads the bank, writes the accumulator).
+// Each rule of the Fig. 10 memory file is one of those slot accesses:
 //
 //   - The DMA engine serializes all transfers in issue order: the prefetch
 //     load of step i+1 is issued when step i's compute starts, step i's
@@ -25,8 +104,8 @@ import (
 //     step's result store done: the store reads the shared accumulator slots
 //     the next compute will overwrite (WAR through the scratch slots).
 //   - A step marked DependsOnPrev consumes the previous step's result, so
-//     its load cannot even be issued until that result has been stored back
-//     to the host (RAW through DDR) — a chained stream gets zero overlap.
+//     its load reads the host buffer and is issued after that store (RAW
+//     through DDR) — a chained stream gets zero overlap.
 //
 // For a hazard-free stream on banks ≥ 2 the pipelined makespan is exactly
 //
@@ -103,96 +182,66 @@ func (t StreamTiming) HiddenFrac() float64 {
 // pipeline with the given number of operand banks (2 = double buffering,
 // 1 = the serial schedule) and returns the exact cycle timeline.
 func (d DMA) SimulateStream(steps []StreamStep, banks int) StreamTiming {
-	if banks < 1 {
-		banks = 1
-	}
 	n := len(steps)
 	out := StreamTiming{Steps: make([]StepTiming, n)}
-	st := out.Steps
-
-	loadCyc := make([]Cycles, n)
-	storeCyc := make([]Cycles, n)
-	var computeSum, dmaSum Cycles
-	for i, s := range steps {
-		loadCyc[i] = d.FPGACycles(Transfer{Bytes: s.LoadBytes, ChunkSize: s.LoadChunk})
-		storeCyc[i] = d.FPGACycles(Transfer{Bytes: s.StoreBytes, ChunkSize: s.StoreChunk})
-		out.Serial += loadCyc[i] + s.Compute + storeCyc[i]
-		computeSum += s.Compute
-		dmaSum += loadCyc[i] + storeCyc[i]
-	}
 	if n == 0 {
 		return out
 	}
+	// More banks than steps never stall a load; the two slots past the banks
+	// are the accumulator and the host buffer.
+	banks = max(1, min(banks, n, 254))
+	acc, host := uint8(banks), uint8(banks+1)
 
-	var dmaFree, computeFree Cycles
-	// store schedules step k's result readback on the DMA engine.
-	store := func(k int) {
-		if k < 0 {
-			return
-		}
-		start := maxCycles(dmaFree, st[k].ComputeEnd)
-		st[k].StoreStart = start
-		st[k].StoreEnd = start + storeCyc[k]
-		if storeCyc[k] > 0 {
-			dmaFree = st[k].StoreEnd
-		}
+	tasks := make([]Task, 0, 3*n)
+	at := make([]struct{ load, compute, store int }, n)
+	emit := func(pos *int, t Task) {
+		*pos = len(tasks)
+		tasks = append(tasks, t)
 	}
-
-	for i := range steps {
-		// Issue order on the DMA engine is L_i then S_{i-1}: the prefetch is
-		// issued when compute i-1 starts, the store when it ends. A RAW step
-		// inverts that — its load cannot be issued until the result is home.
-		raw := i > 0 && steps[i].DependsOnPrev
+	store := func(k int) {
+		cyc := d.FPGACycles(Transfer{Bytes: steps[k].StoreBytes, ChunkSize: steps[k].StoreChunk})
+		emit(&at[k].store, Task{Unit: UnitDMA, Cycles: cyc, Reads: []uint8{acc}, Writes: []uint8{host}})
+	}
+	for i, s := range steps {
+		bank := []uint8{uint8(i % banks)}
+		load := Task{Unit: UnitDMA, Cycles: d.FPGACycles(Transfer{Bytes: s.LoadBytes, ChunkSize: s.LoadChunk}), Writes: bank}
+		raw := i > 0 && s.DependsOnPrev
 		if raw {
 			store(i - 1)
+			load.Reads = []uint8{host}
 		}
-		var hazard Cycles
-		if i-banks >= 0 && st[i-banks].ComputeEnd > hazard {
-			hazard = st[i-banks].ComputeEnd // bank WAR
-		}
-		if raw && st[i-1].StoreEnd > hazard {
-			hazard = st[i-1].StoreEnd // host RAW
-		}
-		start := dmaFree
-		if hazard > start {
-			st[i].LoadStall = hazard - start
-			start = hazard
-		}
-		st[i].LoadStart = start
-		st[i].LoadEnd = start + loadCyc[i]
-		if loadCyc[i] > 0 {
-			dmaFree = st[i].LoadEnd
-		}
-		if !raw {
+		emit(&at[i].load, load)
+		if i > 0 && !raw {
 			store(i - 1)
 		}
-
-		cs := maxCycles(st[i].LoadEnd, computeFree)
-		if i > 0 && st[i-1].StoreEnd > cs {
-			cs = st[i-1].StoreEnd // scratch-slot WAR against the readback
-		}
-		st[i].ComputeStall = cs - computeFree
-		st[i].ComputeStart = cs
-		st[i].ComputeEnd = cs + steps[i].Compute
-		computeFree = st[i].ComputeEnd
+		emit(&at[i].compute, Task{Unit: UnitRPAU, Cycles: s.Compute, Reads: bank, Writes: []uint8{acc}})
 	}
 	store(n - 1)
 
-	for _, s := range st {
-		if s.StoreEnd > out.Pipelined {
-			out.Pipelined = s.StoreEnd
+	spans, makespan := ListSchedule(tasks, true)
+	var computeEnd Cycles
+	for i, p := range at {
+		l, c, s := spans[p.load], spans[p.compute], spans[p.store]
+		out.Steps[i] = StepTiming{
+			LoadStart: l.Start, LoadEnd: l.Finish,
+			ComputeStart: c.Start, ComputeEnd: c.Finish,
+			StoreStart: s.Start, StoreEnd: s.Finish,
+			LoadStall: l.Stall, ComputeStall: c.Start - computeEnd,
+		}
+		computeEnd = c.Finish
+	}
+	var dma Cycles
+	for _, t := range tasks {
+		out.Serial += t.Cycles
+		if t.Unit == UnitDMA {
+			dma += t.Cycles
 		}
 	}
+	out.Pipelined = makespan
 	out.Saved = out.Serial - out.Pipelined
-	out.LowerBound = maxCycles(loadCyc[0]+computeSum+storeCyc[n-1], dmaSum)
+	first, last := tasks[at[0].load].Cycles, tasks[at[n-1].store].Cycles
+	out.LowerBound = max(first+out.Serial-dma+last, dma)
 	return out
-}
-
-func maxCycles(a, b Cycles) Cycles {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RenderTableIIIPipelined extends the paper's Table III transfer-granularity

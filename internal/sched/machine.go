@@ -37,7 +37,14 @@ const (
 // MinSlots returns the memory-file size the BFV schedules need. The
 // slot-reuse discipline makes it independent of the relinearization digit
 // count.
-func MinSlots(int) int { return numSlots }
+func MinSlots() int { return numSlots }
+
+// PipelinedMinSlots returns the memory-file size of the serial working set
+// plus 4 shadow operand slots per extra bank. No schedule here uses shadow
+// banks — overlap is modelled by hwsim.DMA.SimulateStream over the sequential
+// path's per-op costs — and the function exists only because
+// bench/wl_bfv.go compiles against it to size its bare co-processor.
+func PipelinedMinSlots(banks int) int { return numSlots + 4*(max(banks, 1)-1) }
 
 // The RPAU batches a phase runs over: BFV's R_q work and CKKS's chain rows
 // take one batch, the extended basis (BFV tensor, CKKS key switch) two.
@@ -111,14 +118,7 @@ func (m *machine) ResiduePeak() int { return m.live.peak }
 func (m *machine) exec(in hwsim.Instr) (hwsim.Cycles, error) {
 	cyc, err := m.C.Exec(in)
 	if err == nil && m.Record {
-		reads, writes := instrAccess(in)
-		m.Trace = append(m.Trace, Task{
-			Label:  in.Disasm(),
-			Unit:   unitForOp(in.Op),
-			Cycles: cyc,
-			Reads:  reads,
-			Writes: writes,
-		})
+		m.Trace = append(m.Trace, in.Task(cyc))
 	}
 	return cyc, err
 }

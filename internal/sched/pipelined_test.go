@@ -21,7 +21,7 @@ func TestPipelinedCycleAccountingExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-		hwsim.VariantHPS, hwsim.DefaultTiming(), MinSlots(0))
+		hwsim.VariantHPS, hwsim.DefaultTiming(), MinSlots())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +79,10 @@ func TestPipelinedCycleAccountingExact(t *testing.T) {
 
 // TestPipelinedMinSlots pins the memory-file arithmetic.
 func TestPipelinedMinSlots(t *testing.T) {
-	if got := PipelinedMinSlots(1); got != MinSlots(0) {
-		t.Fatalf("PipelinedMinSlots(1) = %d, want %d", got, MinSlots(0))
+	if got := PipelinedMinSlots(1); got != MinSlots() {
+		t.Fatalf("PipelinedMinSlots(1) = %d, want %d", got, MinSlots())
 	}
-	if got := PipelinedMinSlots(2); got != MinSlots(0)+4 {
-		t.Fatalf("PipelinedMinSlots(2) = %d, want %d", got, MinSlots(0)+4)
+	if got := PipelinedMinSlots(2); got != MinSlots()+4 {
+		t.Fatalf("PipelinedMinSlots(2) = %d, want %d", got, MinSlots()+4)
 	}
 }

@@ -20,7 +20,7 @@ func setupConfig(t testing.TB, cfg fv.Config, variant hwsim.Variant) (*fv.Params
 		t.Fatal(err)
 	}
 	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-		variant, hwsim.DefaultTiming(), MinSlots(p.QBasis.K()+4))
+		variant, hwsim.DefaultTiming(), MinSlots())
 	if err != nil {
 		t.Fatal(err)
 	}
