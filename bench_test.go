@@ -40,7 +40,7 @@ func BenchmarkTableI_MultInHW(b *testing.B) {
 	s := suite(b)
 	var simMS float64
 	for i := 0; i < b.N; i++ {
-		_, rep, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+		_, rep, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func BenchmarkTableI_AddInHW(b *testing.B) {
 	s := suite(b)
 	var simMS float64
 	for i := 0; i < b.N; i++ {
-		_, rep, err := s.Accel.Add(s.CtA, s.CtB)
+		_, rep, err := s.HW.Add(s.CtA, s.CtB)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkTableI_AddInHW(b *testing.B) {
 // cost table, the figure Exec charges it.
 func benchInstr(b *testing.B, op hwsim.Op, paperUS float64) {
 	b.Helper()
-	c := suite(b).Accel.Coproc
+	c := suite(b).HW.C
 	var cyc hwsim.Cycles
 	for i := 0; i < b.N; i++ {
 		cyc = c.Cycles(hwsim.Instr{Op: op})
@@ -178,7 +178,7 @@ func BenchmarkNoHPS_Mult(b *testing.B) {
 	s := suite(b)
 	var simMS float64
 	for i := 0; i < b.N; i++ {
-		_, rep, err := s.AccelTrad.Mul(s.CtA, s.CtB, s.RKTrad)
+		_, rep, err := s.HWTrad.Mul(s.CtA, s.CtB, s.RKTrad)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func BenchmarkMulRelin(b *testing.B) {
 
 func BenchmarkAblation_TraditionalLiftScale(b *testing.B) {
 	s := suite(b)
-	c := s.AccelTrad.Coproc
+	c := s.HWTrad.C
 	var liftMS, scaleMS float64
 	for i := 0; i < b.N; i++ {
 		liftMS = float64(c.TraditionalCycles(hwsim.OpLift, 1)) / hwsim.TradClockHz * 1e3

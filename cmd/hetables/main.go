@@ -51,10 +51,10 @@ func main() {
 		// One Mult stream step as the suite's co-processor measures it: two
 		// operand ciphertexts in, the Mult's own compute cycles, one result
 		// ciphertext out.
-		_, rep, err := suite.Accel.Mul(suite.CtA, suite.CtB, suite.RK)
+		_, rep, err := suite.HW.Mul(suite.CtA, suite.CtB, suite.RK)
 		if err == nil {
 			polyB := hwsim.PolyBytes(suite.Params.N(), suite.Params.QBasis.K())
-			err = hwsim.RenderTableIIIPipelined(os.Stdout, suite.Accel.Coproc.DMAEng,
+			err = hwsim.RenderTableIIIPipelined(os.Stdout, suite.HW.C.DMAEng,
 				4*polyB, 2*polyB, rep.ComputeCycles, 8, []int{0, 16384, 1024})
 		}
 		if err != nil {

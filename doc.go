@@ -6,7 +6,7 @@
 // simulator of the paper's Arm+FPGA co-processor that regenerates every
 // table of the paper's evaluation.
 //
-// Start with internal/core (the accelerator API), internal/fv (the scheme),
+// Start with internal/sched (the accelerator API), internal/fv (the scheme),
 // and internal/hwsim (the co-processor model). The examples/ directory holds
 // runnable walkthroughs; cmd/hetables regenerates the paper's tables; the
 // benchmarks in bench_test.go map one-to-one onto the paper's evaluation

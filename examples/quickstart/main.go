@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/sampler"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -54,11 +54,11 @@ func main() {
 
 	// 5. The same computation on one simulated co-processor (HPS
 	//    architecture — the paper's design; internal/engine runs two).
-	accel, err := core.New(params, hwsim.VariantHPS, 1)
+	hw, err := sched.NewVariant(params, hwsim.VariantHPS)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hwProd, report, err := accel.Mul(ctA, ctB, rk)
+	hwProd, report, err := hw.Mul(ctA, ctB, rk)
 	if err != nil {
 		log.Fatal(err)
 	}

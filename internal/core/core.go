@@ -1,128 +1,58 @@
-// Package core is the top-level public API of the reproduction: the
-// domain-specific homomorphic-encryption accelerator of the paper, bound
-// together from the FV scheme (internal/fv), the co-processor simulator
-// (internal/hwsim), and the instruction scheduler (internal/sched).
-//
-// An Accelerator is one simulated co-processor of the paper's Zynq platform
-// with its scheduler ("application Arm core"), and executes homomorphic Add
-// and Mult on it. Results are bit-exact against the pure-software evaluator,
-// and every operation returns a Report with the cycle, time, and transfer
-// accounting that reproduces the paper's tables. The platform of Fig. 11 —
-// several co-processors behind one networking core — is internal/engine,
-// which holds one Accelerator per worker.
+// Package core is a facade over internal/sched kept for bench/ alone: the
+// names bench/ compiles against, and nothing else. The engine, the paper
+// tables, the harnesses and the examples drive sched directly, and an import
+// guard (TestOnlyBenchImportsCore) keeps it that way. The package leaves with
+// ROADMAP item 1(a), which moves bench/ onto sched.
 package core
 
 import (
+	"fmt"
+
+	"repro/internal/ckks"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/sched"
 )
 
-// Accelerator is one simulated co-processor with its scheduler.
-type Accelerator struct {
-	Params  *fv.Params
-	Variant hwsim.Variant
-	Coproc  *hwsim.Coprocessor
+// Report is the scheduler's per-operation report.
+type Report = sched.Report
 
-	pool[*sched.Scheduler]
+// Accelerator is one BFV scheduler with its co-processor.
+type Accelerator = sched.Scheduler
+
+// CKKSAccelerator is one CKKS chain scheduler under the Mul name bench/
+// calls.
+type CKKSAccelerator struct{ *sched.CKKSScheduler }
+
+// Mul is sched.CKKSScheduler.MulRescale.
+func (a CKKSAccelerator) Mul(x, y *ckks.Ciphertext, rk *ckks.RelinKey) (*ckks.Ciphertext, Report, error) {
+	return a.MulRescale(x, y, rk)
 }
 
-// Report is the timing accounting of one accelerated operation.
-type Report struct {
-	// ComputeCycles is the FPGA-cycle duration of the instruction sequence,
-	// including intermediate DMA (relinearization-key streaming) — the view
-	// of Table I's "Mult in HW"/"Add in HW" rows.
-	ComputeCycles hwsim.Cycles
-	// SendCycles/ReceiveCycles are the operand and result transfers
-	// (Table I rows 4–5).
-	SendCycles    hwsim.Cycles
-	ReceiveCycles hwsim.Cycles
-	// KeyLoadCycles is the evaluation-key DMA stream charged to this
-	// operation by a serving layer (internal/engine): zero when the key was
-	// already resident on the co-processor, the full stream otherwise. The
-	// paper overlaps this stream with compute; accounting it separately
-	// keeps ComputeCycles comparable to Table I.
-	KeyLoadCycles hwsim.Cycles
-}
-
-// ComputeSeconds returns the compute latency in seconds.
-func (r Report) ComputeSeconds() float64 { return r.ComputeCycles.Seconds() }
-
-// TotalSeconds returns compute plus transfer latency (operands, result, and
-// any evaluation-key stream charged by the serving layer).
-func (r Report) TotalSeconds() float64 {
-	return (r.ComputeCycles + r.SendCycles + r.ReceiveCycles + r.KeyLoadCycles).Seconds()
-}
-
-// ArmCycles returns the compute latency in the Arm cycle-counter units the
-// paper's tables use.
-func (r Report) ArmCycles() uint64 { return r.ComputeCycles.ArmCycles() }
-
-// New builds an accelerator running the given lift/scale variant. coprocs
-// must be 1; any other value is an error (see oneCoproc).
+// New returns a scheduler over a fresh co-processor of the variant (see
+// sched.NewVariant). coprocs must be 1 (see oneCoproc).
 func New(params *fv.Params, variant hwsim.Variant, coprocs int) (*Accelerator, error) {
-	timing := hwsim.DefaultTiming()
-	if variant == hwsim.VariantTraditional {
-		// The paper's slower architecture compensates for the expensive
-		// multi-precision Lift/Scale with four parallel cores ("To speedup
-		// computation, we keep four parallel cores", Sec. VI-C).
-		timing.LiftScaleCores = 4
-	}
-	return NewWithTiming(params, variant, coprocs, timing)
-}
-
-// NewWithTiming builds an accelerator with explicit timing calibration.
-func NewWithTiming(params *fv.Params, variant hwsim.Variant, coprocs int, timing hwsim.Timing) (*Accelerator, error) {
 	if err := oneCoproc(coprocs); err != nil {
 		return nil, err
 	}
-	c, err := hwsim.NewCoprocessor(params.QMods, params.PMods, params.N(),
-		params.Lifter, params.Scaler, variant, timing, sched.MinSlots())
-	if err != nil {
+	return sched.NewVariant(params, variant)
+}
+
+// NewCKKS returns a CKKS scheduler under the default calibration. coprocs
+// must be 1 (see oneCoproc).
+func NewCKKS(params *ckks.Params, coprocs int) (*CKKSAccelerator, error) {
+	if err := oneCoproc(coprocs); err != nil {
 		return nil, err
 	}
-	return &Accelerator{Params: params, Variant: variant, Coproc: c,
-		pool: pool[*sched.Scheduler]{n: params.N(), dma: hwsim.DMA{Timing: timing},
-			s: sched.New(params, c), stats: c.Stats, guard: c}}, nil
+	return &CKKSAccelerator{sched.NewCKKS(params, hwsim.DefaultTiming())}, nil
 }
 
-// Add computes FV.Add on the accelerator.
-func (a *Accelerator) Add(x, y *fv.Ciphertext) (*fv.Ciphertext, Report, error) {
-	kq := a.Params.QBasis.K()
-	return run(&a.pool, 4, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
-		return s.Add(x, y)
-	})
-}
-
-// Mul computes FV.Mult on the accelerator, returning the relinearized
-// ciphertext and the timing report.
-func (a *Accelerator) Mul(x, y *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, Report, error) {
-	kq := a.Params.QBasis.K()
-	return run(&a.pool, 4, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
-		return s.Mul(x, y, rk)
-	})
-}
-
-// Rotate applies a Galois automorphism with key switch on the accelerator:
-// one ciphertext in, one out.
-func (a *Accelerator) Rotate(x *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext, Report, error) {
-	kq := a.Params.QBasis.K()
-	return run(&a.pool, 2, kq, kq, func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
-		return s.Rotate(x, gk)
-	})
-}
-
-// RelinKeyBytes returns the DMA transfer size of a relinearization key: two
-// polynomial vectors of ell components, each a full R_q polynomial of 32-bit
-// residue words. For the paper set (ell = 6) that is 2·6·98,304 ≈ 1.2 MB —
-// which is why the paper streams the key during Mult instead of re-sending
-// operand-style, and why a serving layer wants it cached.
-func RelinKeyBytes(params *fv.Params, rk *fv.RelinKey) int {
-	return 2 * rk.Ell * hwsim.PolyBytes(params.N(), params.QBasis.K())
-}
-
-// GaloisKeyBytes returns the DMA transfer size of a Galois key-switching
-// key (same gadget shape as the relin key).
-func GaloisKeyBytes(params *fv.Params, gk *fv.GaloisKey) int {
-	return 2 * len(gk.Ks0Hat) * hwsim.PolyBytes(params.N(), params.QBasis.K())
+// oneCoproc refuses every co-processor count but one. The constructors keep
+// the parameter only because bench/ passes it (always 1); several
+// co-processors are internal/engine's workers.
+func oneCoproc(coprocs int) error {
+	if coprocs != 1 {
+		return fmt.Errorf("core: an accelerator is one co-processor, got coprocs = %d (internal/engine runs several, one per worker)", coprocs)
+	}
+	return nil
 }

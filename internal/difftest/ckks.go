@@ -4,8 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/ckks"
-	"repro/internal/core"
+	"repro/internal/hwsim"
 	"repro/internal/sampler"
+	"repro/internal/sched"
 )
 
 // CKKSHarness is the approximate-arithmetic differential rig: the same slot
@@ -22,17 +23,13 @@ type CKKSHarness struct {
 	Ev  *ckks.Evaluator
 	Cod *ckks.Encoder
 	RK  *ckks.RelinKey
-	Acc *core.CKKSAccelerator
+	HW  *sched.CKKSScheduler
 }
 
 // NewCKKS builds a CKKS differential harness over cfg with deterministic
 // keys from keySeed.
 func NewCKKS(cfg ckks.Config, keySeed uint64) (*CKKSHarness, error) {
 	params, err := ckks.NewParams(cfg)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := core.NewCKKS(params, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +44,7 @@ func NewCKKS(cfg ckks.Config, keySeed uint64) (*CKKSHarness, error) {
 		Ev:     ckks.NewEvaluator(params),
 		Cod:    ckks.NewEncoder(params),
 		RK:     rk,
-		Acc:    acc,
+		HW:     sched.NewCKKS(params, hwsim.DefaultTiming()),
 	}, nil
 }
 
@@ -74,7 +71,7 @@ func (h *CKKSHarness) CiphertextFromSeed(seed []byte) (*ckks.Ciphertext, error) 
 func (h *CKKSHarness) DiffMulRescale(ca, cb *ckks.Ciphertext) error {
 	for ca.Level() >= 1 {
 		sw := h.Ev.Rescale(h.Ev.Mul(ca, cb, h.RK))
-		hw, _, err := h.Acc.Mul(ca, cb, h.RK)
+		hw, _, err := h.HW.MulRescale(ca, cb, h.RK)
 		if err != nil {
 			return err
 		}

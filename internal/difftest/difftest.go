@@ -3,7 +3,7 @@
 // claim is that the co-processor computes exactly what the scheme's software
 // reference computes — not approximately, bit for bit — so every kernel pair
 // (Transformer vs OpNTT/OpINTT, RNSPoly arithmetic vs OpCMul/OpCAdd/OpCSub/
-// OpCMac, Evaluator.Mul vs the scheduled accelerator Mult with
+// OpCMac, Evaluator.Mul vs the scheduled co-processor Mult with
 // relinearization) must produce identical residues. The harness here feeds
 // both sides the same deterministic inputs and reports the first divergence;
 // the package's tests drive it with fixed vectors and Go fuzz corpora.
@@ -12,11 +12,11 @@ package difftest
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/poly"
 	"repro/internal/sampler"
+	"repro/internal/sched"
 )
 
 // Harness owns one software parameter set and one co-processor built over
@@ -30,7 +30,9 @@ type Harness struct {
 	Dec *fv.Decryptor
 	Ev  *fv.Evaluator
 	RK  *fv.RelinKey
-	Acc *core.Accelerator
+	// HW is the scheduler of a second co-processor, the one the
+	// scheme-level comparisons run on.
+	HW *sched.Scheduler
 }
 
 // New builds a harness over cfg with deterministic keys from keySeed.
@@ -44,7 +46,7 @@ func New(cfg fv.Config, keySeed uint64) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc, err := core.New(params, hwsim.VariantHPS, 1)
+	hw, err := sched.NewVariant(params, hwsim.VariantHPS)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +61,7 @@ func New(cfg fv.Config, keySeed uint64) (*Harness, error) {
 		Dec:    fv.NewDecryptor(params, sk),
 		Ev:     fv.NewEvaluator(params),
 		RK:     rk,
-		Acc:    acc,
+		HW:     hw,
 	}, nil
 }
 
@@ -210,7 +212,7 @@ func (h *Harness) DiffMul(ptA, ptB *fv.Plaintext) error {
 	if two := h.Ev.Relinearize(h.Ev.MulNoRelin(ca, cb), h.RK); !sw.Equal(two) {
 		return fmt.Errorf("software Mul != Relinearize(MulNoRelin)")
 	}
-	hw, _, err := h.Acc.Mul(ca, cb, h.RK)
+	hw, _, err := h.HW.Mul(ca, cb, h.RK)
 	if err != nil {
 		return err
 	}
@@ -227,7 +229,7 @@ func (h *Harness) DiffMul(ptA, ptB *fv.Plaintext) error {
 func (h *Harness) DiffAdd(ptA, ptB *fv.Plaintext) error {
 	ca, cb := h.Enc.Encrypt(ptA), h.Enc.Encrypt(ptB)
 	sw := h.Ev.Add(ca, cb)
-	hw, _, err := h.Acc.Add(ca, cb)
+	hw, _, err := h.HW.Add(ca, cb)
 	if err != nil {
 		return err
 	}

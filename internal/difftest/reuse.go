@@ -102,18 +102,16 @@ func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (
 
 // newBFV builds a scheduler over a brand-new co-processor.
 func (h *ReuseHarness) newBFV(variant hwsim.Variant) (*sched.Scheduler, error) {
-	p := h.Params
-	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-		variant, hwsim.DefaultTiming(), sched.MinSlots())
+	s, err := sched.NewVariant(h.Params, variant)
 	if err != nil {
 		return nil, err
 	}
 	if h.Integrity {
-		if err := c.EnableIntegrity(integritySeed); err != nil {
+		if err := s.EnableIntegrity(integritySeed); err != nil {
 			return nil, err
 		}
 	}
-	return sched.New(p, c), nil
+	return s, nil
 }
 
 func (h *ReuseHarness) newCKKS() (*sched.CKKSScheduler, error) {
@@ -204,7 +202,7 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 		return err
 	}
 
-	run := func(s *sched.Scheduler) (*fv.Ciphertext, hwsim.Cycles, error) {
+	run := func(s *sched.Scheduler) (*fv.Ciphertext, sched.Report, error) {
 		switch kind {
 		case 0:
 			return s.Add(a, b)
@@ -215,18 +213,18 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 	}
 
 	long.C.SetInjector(inj)
-	got, gotCycles, gotErr := run(long)
+	got, gotRep, gotErr := run(long)
 	long.C.SetInjector(nil)
 	if inj != nil {
 		h.damaged(gotErr)
 		return nil // the next operation is the test
 	}
-	want, wantCycles, wantErr := run(fresh)
+	want, wantRep, wantErr := run(fresh)
 	if gotErr != nil || wantErr != nil {
 		return fmt.Errorf("reused scheduler: %v, new scheduler: %v", gotErr, wantErr)
 	}
-	if gotCycles != wantCycles {
-		return fmt.Errorf("%v: reused scheduler charged %d cycles, a new one %d", variant, gotCycles, wantCycles)
+	if gotRep != wantRep {
+		return fmt.Errorf("%v: reused scheduler reported %+v, a new one %+v", variant, gotRep, wantRep)
 	}
 	if !got.Equal(want) {
 		return fmt.Errorf("%v: result differs between the reused and a new scheduler", variant)
@@ -247,7 +245,7 @@ func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injec
 		h.ccur = ct
 	}
 	a := h.ccur
-	run := func(s *sched.CKKSScheduler) (*ckks.Ciphertext, hwsim.Cycles, error) {
+	run := func(s *sched.CKKSScheduler) (*ckks.Ciphertext, sched.Report, error) {
 		switch kind {
 		case 4:
 			return s.Add(a, a)
@@ -262,9 +260,9 @@ func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injec
 	}
 
 	h.chw.SetInjector(inj)
-	got, gotCycles, gotErr := run(h.chw)
+	got, gotRep, gotErr := run(h.chw)
 	h.chw.SetInjector(nil)
-	want, wantCycles, wantErr := run(fresh)
+	want, wantRep, wantErr := run(fresh)
 	if wantErr != nil {
 		return wantErr
 	}
@@ -278,8 +276,8 @@ func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injec
 	if gotErr != nil {
 		return fmt.Errorf("reused scheduler: %w", gotErr)
 	}
-	if gotCycles != wantCycles {
-		return fmt.Errorf("level %d: reused scheduler charged %d cycles, a new one %d", a.Level(), gotCycles, wantCycles)
+	if gotRep != wantRep {
+		return fmt.Errorf("level %d: reused scheduler reported %+v, a new one %+v", a.Level(), gotRep, wantRep)
 	}
 	if !got.Equal(want) {
 		return fmt.Errorf("level %d: result differs between the reused and a new scheduler", a.Level())

@@ -4,17 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/ckks"
-	"repro/internal/core"
+	"repro/internal/sched"
 )
 
 // ckksWorker is a pool worker's approximate-arithmetic lane: a CKKS chain
-// accelerator for the hardware kinds plus the software evaluator and encoder
+// scheduler for the hardware kinds plus the software evaluator and encoder
 // for plaintext-operand kinds (the co-processor has no plaintext
 // instruction, mirroring how BFV program nodes fall back to software).
 type ckksWorker struct {
-	accel *core.CKKSAccelerator
-	ev    *ckks.Evaluator
-	enc   *ckks.Encoder
+	hw  *sched.CKKSScheduler
+	ev  *ckks.Evaluator
+	enc *ckks.Encoder
 }
 
 // alignLevels drops the fresher operand's spare chain rows so both sit at
@@ -50,7 +50,7 @@ func (ck *ckksWorker) mulPlain(ct *ckks.Ciphertext, plain []float64) (*ckks.Ciph
 	// Encode the constant at the scale that lands the rescaled product
 	// exactly on the default scale, whatever the operand's drift — this
 	// is what keeps long plaintext/ciphertext chains addable.
-	p := ck.accel.Params
+	p := ck.hw.P
 	scale := p.ScaleUpTo(ct.Scale, level, p.DefaultScale())
 	pt, err := ck.enc.Encode(plain, level, scale)
 	if err != nil {

@@ -162,3 +162,23 @@ func TestEngineCKKSUnavailable(t *testing.T) {
 		t.Fatalf("ckks on a BFV-only engine: %v, want ErrCKKSUnavailable", err)
 	}
 }
+
+// The key store sizes a CKKS key's DMA stream from its level bundles: a
+// level-ℓ bundle is two vectors of ℓ+1 digits, each an (ℓ+1 chain + p*)-row
+// polynomial of 32-bit words, and a full key streams every level from 1 up.
+func TestCKKSKeyStreamBytes(t *testing.T) {
+	p, err := ckks.NewParams(ckks.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ckksKeyBytes(p, 2) - ckksKeyBytes(p, 1); got != 2*3*4*p.N()*4 {
+		t.Fatalf("level-2 bundle = %d bytes, want %d", got, 2*3*4*p.N()*4)
+	}
+	want := 0
+	for l := 1; l <= p.MaxLevel(); l++ {
+		want += 2 * (l + 1) * (l + 2) * p.N() * 4
+	}
+	if got := ckksKeyBytes(p, p.MaxLevel()); got != want {
+		t.Fatalf("ckksKeyBytes = %d, want %d", got, want)
+	}
+}

@@ -1,14 +1,14 @@
 // Package engine is the serving runtime between the network protocol
-// (internal/cloud) and the simulated hardware (internal/core): the software
+// (internal/cloud) and the simulated hardware (internal/sched): the software
 // half of the paper's Fig. 11 deployment, generalized from "two application
 // Arm cores driving two co-processors" to a configurable pool of N workers,
 // each owning one simulated co-processor.
 //
 // The flow is
 //
-//	Submit → bounded admission queue → batcher → worker pool → core.Accelerator
+//	Submit → bounded admission queue → batcher → worker pool → sched.Scheduler
 //
-// with four properties the bare Accelerator does not provide:
+// with four properties the bare scheduler does not provide:
 //
 //   - Backpressure. The admission queue is bounded; when it is full Submit
 //     fails immediately with ErrOverloaded instead of blocking, so offered
@@ -37,11 +37,11 @@ import (
 	"time"
 
 	"repro/internal/ckks"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // Sentinel errors returned by Submit.
@@ -115,7 +115,7 @@ type Op struct {
 type Result struct {
 	Ct     *fv.Ciphertext
 	CCt    *ckks.Ciphertext // result of a CKKS kind (Ct is nil)
-	Report core.Report
+	Report sched.Report
 	Worker int           // which worker / simulated co-processor served it
 	Batch  int           // how many ops rode in the same batch
 	KeyHit bool          // evaluation key was already resident on the worker
@@ -292,9 +292,9 @@ type Engine struct {
 	testExecHook func(workerID int)
 }
 
-// New builds an engine: one core.Accelerator with a single simulated
-// co-processor per worker, the admission queue, the batcher, and the worker
-// goroutines. The engine is serving when New returns.
+// New builds an engine: one scheduler with its simulated co-processor per
+// worker, the admission queue, the batcher, and the worker goroutines. The
+// engine is serving when New returns.
 func New(cfg Config) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -309,44 +309,41 @@ func New(cfg Config) (*Engine, error) {
 		tenants:   make(map[string]*tenantCounters),
 		noise:     fv.NewNoiseModel(cfg.Params),
 	}
-	// guard hangs the robustness attachments on one accelerator. Every
+	// guard hangs the robustness attachments on one scheduler. Every
 	// co-processor, of either scheme, gets its own integrity seed: no two
 	// share check weights, so a systematic fault cannot hide behind a shared
 	// blind spot.
-	guard := func(a interface {
+	guard := func(s interface {
 		EnableIntegrity(seed int64) error
-		SetFaultInjector(*faults.Injector)
+		SetInjector(*faults.Injector)
 		SetMetrics(*obs.Registry)
 	}, seedOffset int64) error {
-		a.SetFaultInjector(cfg.FaultInjector)
-		a.SetMetrics(cfg.Registry)
+		s.SetInjector(cfg.FaultInjector)
+		s.SetMetrics(cfg.Registry)
 		if !cfg.IntegrityChecks {
 			return nil
 		}
-		return a.EnableIntegrity(cfg.IntegritySeed + seedOffset)
+		return s.EnableIntegrity(cfg.IntegritySeed + seedOffset)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		accel, err := core.New(cfg.Params, cfg.Variant, 1)
+		hw, err := sched.NewVariant(cfg.Params, cfg.Variant)
 		if err == nil {
-			err = guard(accel, int64(i)*1009+1)
+			err = guard(hw, int64(i)*1009+1)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("engine: worker %d accelerator: %w", i, err)
+			return nil, fmt.Errorf("engine: worker %d co-processor: %w", i, err)
 		}
-		w := newWorker(i, accel, cfg.KeyCacheSlots, fv.NewEvaluator(cfg.Params))
+		w := newWorker(i, hw, cfg.KeyCacheSlots, fv.NewEvaluator(cfg.Params))
 		if cfg.CKKSParams != nil {
 			// The CKKS seeds come from a range disjoint from the BFV ones.
-			ca, err := core.NewCKKS(cfg.CKKSParams, 1)
-			if err == nil {
-				err = guard(ca, int64(i)*2027+501)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("engine: worker %d ckks accelerator: %w", i, err)
+			ck := sched.NewCKKS(cfg.CKKSParams, hwsim.DefaultTiming())
+			if err := guard(ck, int64(i)*2027+501); err != nil {
+				return nil, fmt.Errorf("engine: worker %d ckks co-processor: %w", i, err)
 			}
 			w.ckks = &ckksWorker{
-				accel: ca,
-				ev:    ckks.NewEvaluator(cfg.CKKSParams),
-				enc:   ckks.NewEncoder(cfg.CKKSParams),
+				hw:  ck,
+				ev:  ckks.NewEvaluator(cfg.CKKSParams),
+				enc: ckks.NewEncoder(cfg.CKKSParams),
 			}
 		}
 		e.workers = append(e.workers, w)
@@ -445,16 +442,16 @@ func (e *Engine) ImportTenantKeys(tenant string, ks *TenantKeySet) {
 	// never streams them.
 	ckksBytes := 0
 	if p := e.cfg.CKKSParams; p != nil {
-		ckksBytes = core.CKKSKeyBytes(p, p.MaxLevel())
+		ckksBytes = ckksKeyBytes(p, p.MaxLevel())
 	}
 	entries := make([]keyEntry, 0, ks.Count())
 	if rk := ks.Relin; rk != nil {
 		entries = append(entries, keyEntry{relinID(tenant, schemeBFV),
-			evalKey{rk, core.RelinKeyBytes(e.cfg.Params, rk)}})
+			evalKey{rk, relinKeyBytes(e.cfg.Params, rk)}})
 	}
 	for _, gk := range ks.Galois {
 		entries = append(entries, keyEntry{galoisID(tenant, schemeBFV, gk.G),
-			evalKey{gk, core.GaloisKeyBytes(e.cfg.Params, gk)}})
+			evalKey{gk, galoisKeyBytes(e.cfg.Params, gk)}})
 	}
 	if rk := ks.CKKSRelin; rk != nil {
 		entries = append(entries, keyEntry{relinID(tenant, schemeCKKS), evalKey{rk, ckksBytes}})

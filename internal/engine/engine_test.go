@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/obs"
 	"repro/internal/sampler"
+	"repro/internal/sched"
 )
 
 // tenant bundles one client's key material for tests.
@@ -68,14 +68,14 @@ func newEngine(t testing.TB, params *fv.Params, cfg Config) *Engine {
 
 // TestEngineMulMatchesAccelerator: results served through the queue →
 // batcher → worker pool must be bit-for-bit the ones a sequential
-// core.Accelerator produces.
+// scheduler produces.
 func TestEngineMulMatchesAccelerator(t *testing.T) {
 	params := testParams(t)
 	tn := newTenant(t, params, "", 7)
 	e := newEngine(t, params, Config{Workers: 2, MaxBatch: 4})
 	e.SetRelinKey(tn.name, tn.rk)
 
-	ref, err := core.New(params, hwsim.VariantHPS, 1)
+	ref, err := sched.NewVariant(params, hwsim.VariantHPS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ckks"
 	"repro/internal/fv"
+	"repro/internal/hwsim"
 )
 
 // keyID identifies one evaluation key, in the store and in a worker's
@@ -43,6 +44,34 @@ func (id keyID) String() string {
 type evalKey struct {
 	key   any
 	bytes int
+}
+
+// relinKeyBytes returns the DMA transfer size of a relinearization key: two
+// polynomial vectors of ell components, each a full R_q polynomial of 32-bit
+// residue words. For the paper set (ell = 6) that is 2·6·98,304 ≈ 1.2 MB —
+// which is why the paper streams the key during Mult instead of re-sending
+// operand-style, and why a serving layer wants it cached.
+func relinKeyBytes(params *fv.Params, rk *fv.RelinKey) int {
+	return 2 * rk.Ell * hwsim.PolyBytes(params.N(), params.QBasis.K())
+}
+
+// galoisKeyBytes returns the DMA transfer size of a Galois key-switching
+// key (same gadget shape as the relin key).
+func galoisKeyBytes(params *fv.Params, gk *fv.GaloisKey) int {
+	return 2 * len(gk.Ks0Hat) * hwsim.PolyBytes(params.N(), params.QBasis.K())
+}
+
+// ckksKeyBytes returns the DMA transfer size of a multi-level CKKS
+// evaluation key (relinearization or Galois) with bundles for levels
+// 1..levels, all of which a key load streams: the level-ℓ bundle is two
+// polynomial vectors of ℓ+1 gadget digits, each an extended-row (chain + p*)
+// polynomial.
+func ckksKeyBytes(p *ckks.Params, levels int) int {
+	total := 0
+	for l := 1; l <= levels; l++ {
+		total += 2 * (l + 1) * hwsim.PolyBytes(p.N(), l+2)
+	}
+	return total
 }
 
 // keyEntry is one registration: a key under its identity.

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/program"
+	"repro/internal/sched"
 )
 
 // This file is the dependence-aware DAG scheduler: a compiled
@@ -171,7 +171,7 @@ func (e *Engine) runProgram(op ProgramOp, tk ticket) (*ProgramResult, error) {
 		if !ok {
 			return key, fmt.Errorf("%w: %v", ErrNoKey, id)
 		}
-		keyCycles += e.workers[0].accel.KeyStreamCycles(key.bytes)
+		keyCycles += e.workers[0].keyStreamCycles(key.bytes)
 		keyLoads++
 		return key, nil
 	}
@@ -342,7 +342,7 @@ func (t *progTask) run(e *Engine, w *worker) {
 	start := time.Now()
 	switch t.op {
 	case program.OpAdd, program.OpMul, program.OpRotate:
-		var rep core.Report
+		var rep sched.Report
 		ct, _, rep, err = e.exec(w, &Op{Kind: progKinds[t.op], A: t.a, B: t.b}, t.key)
 		cycles = rep.ComputeCycles
 	case program.OpSub:
@@ -383,7 +383,7 @@ func (t *progTask) run(e *Engine, w *worker) {
 // the co-processor's cost table charges a CADD over the q batch, less its
 // dispatch (the RPAUs cover every q row at once).
 func (e *Engine) swOpCycles(passes int) hwsim.Cycles {
-	c := e.workers[0].accel.Coproc
+	c := e.workers[0].hw.C
 	pass := c.Cycles(hwsim.Instr{Op: hwsim.OpCAdd, Batch: hwsim.BatchQ}) - c.Dispatch()
 	return hwsim.Cycles(passes)*pass + c.Dispatch()
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // TestEngineIntegrityRetryRecovers arms one storage fault: the first
@@ -50,7 +50,7 @@ func TestEngineIntegrityRetryRecovers(t *testing.T) {
 		t.Fatal("hardware detection counter not incremented")
 	}
 	// The result must match a clean sequential accelerator bit for bit.
-	ref, err := core.New(params, hwsim.VariantHPS, 1)
+	ref, err := sched.NewVariant(params, hwsim.VariantHPS)
 	if err != nil {
 		t.Fatal(err)
 	}

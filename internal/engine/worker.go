@@ -7,18 +7,17 @@ import (
 	"time"
 
 	"repro/internal/ckks"
-	"repro/internal/core"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
+	"repro/internal/sched"
 )
 
-// worker is one pool member: an application core driving its own simulated
-// co-processor (one `core.Accelerator` with a single hwsim instance), plus
-// the model of which evaluation keys are currently resident on that
-// co-processor.
+// worker is one pool member: an application core running the scheduler of
+// its own simulated co-processor, plus the model of which evaluation keys
+// are currently resident on that co-processor.
 type worker struct {
 	id    int
-	accel *core.Accelerator
+	hw    *sched.Scheduler
 	cache *keyCache
 	// ev is the software evaluator for program nodes the co-processor has
 	// no instruction for (subtraction, plaintext operands, lazy
@@ -41,8 +40,15 @@ type worker struct {
 	quarantined    atomic.Bool
 }
 
-func newWorker(id int, accel *core.Accelerator, cacheSlots int, ev *fv.Evaluator) *worker {
-	return &worker{id: id, accel: accel, cache: newKeyCache(cacheSlots), ev: ev}
+func newWorker(id int, hw *sched.Scheduler, cacheSlots int, ev *fv.Evaluator) *worker {
+	return &worker{id: id, hw: hw, cache: newKeyCache(cacheSlots), ev: ev}
+}
+
+// keyStreamCycles returns the co-processor cycles of streaming `bytes` of
+// evaluation-key material over its DMA engine (a single transfer, the
+// paper's Table III optimum).
+func (w *worker) keyStreamCycles(bytes int) hwsim.Cycles {
+	return w.hw.C.DMAEng.FPGACycles(hwsim.Transfer{Bytes: bytes})
 }
 
 // job is one unit of work on the engine's job stream: an op batch from the
@@ -82,7 +88,7 @@ func (b *batch) run(e *Engine, w *worker) {
 			e.m.keyLoads.Add(1)
 			w.keyLoads.Add(1)
 			tc.keyLoads.Add(1)
-			keyCycles = w.accel.KeyStreamCycles(key.bytes)
+			keyCycles = w.keyStreamCycles(key.bytes)
 			w.simCycles.Add(uint64(keyCycles))
 		}
 	}
@@ -146,26 +152,26 @@ func (b *batch) run(e *Engine, w *worker) {
 // cycles in the report). An integrity trip is
 // accounted here, against the engine and the worker; what to do about it —
 // resubmit the request, redo the node — stays with the caller.
-func (e *Engine) exec(w *worker, op *Op, key evalKey) (ct *fv.Ciphertext, cct *ckks.Ciphertext, rep core.Report, err error) {
+func (e *Engine) exec(w *worker, op *Op, key evalKey) (ct *fv.Ciphertext, cct *ckks.Ciphertext, rep sched.Report, err error) {
 	ck := w.ckks
 	if ck == nil && op.Kind.info().scheme == schemeCKKS {
-		return nil, nil, core.Report{}, ErrCKKSUnavailable
+		return nil, nil, sched.Report{}, ErrCKKSUnavailable
 	}
 	switch op.Kind {
 	case OpAdd:
-		ct, rep, err = w.accel.Add(op.A, op.B)
+		ct, rep, err = w.hw.Add(op.A, op.B)
 	case OpMul:
-		ct, rep, err = w.accel.Mul(op.A, op.B, key.key.(*fv.RelinKey))
+		ct, rep, err = w.hw.Mul(op.A, op.B, key.key.(*fv.RelinKey))
 	case OpRotate:
-		ct, rep, err = w.accel.Rotate(op.A, key.key.(*fv.GaloisKey))
+		ct, rep, err = w.hw.Rotate(op.A, key.key.(*fv.GaloisKey))
 	case OpCKKSAdd:
 		a, b := ck.alignLevels(op.CA, op.CB)
-		cct, rep, err = ck.accel.Add(a, b)
+		cct, rep, err = ck.hw.Add(a, b)
 	case OpCKKSMul:
 		a, b := ck.alignLevels(op.CA, op.CB)
-		cct, rep, err = ck.accel.Mul(a, b, key.key.(*ckks.RelinKey))
+		cct, rep, err = ck.hw.MulRescale(a, b, key.key.(*ckks.RelinKey))
 	case OpCKKSRotate:
-		cct, rep, err = ck.accel.Rotate(op.CA, op.R, key.key.(*ckks.GaloisKey))
+		cct, rep, err = ck.hw.Rotate(op.CA, op.R, key.key.(*ckks.GaloisKey))
 	case OpCKKSAddPlain:
 		cct, err = ck.addPlain(op.CA, op.Plain)
 	case OpCKKSMulPlain:

@@ -21,13 +21,13 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/obs"
 	"repro/internal/sampler"
+	"repro/internal/sched"
 )
 
 // chaosOp is one workload step: ct[a] op ct[b].
@@ -71,7 +71,7 @@ var chaosFx = sync.OnceValues(func() (*chaosFixture, error) {
 		{engine.OpMul, 1, 2},
 		{engine.OpAdd, 0, 2},
 	}
-	ref, err := core.New(params, hwsim.VariantHPS, 1)
+	ref, err := sched.NewVariant(params, hwsim.VariantHPS)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
@@ -90,8 +89,8 @@ type Suite struct {
 	RK     *fv.RelinKey
 	RKTrad *fv.RelinKey
 
-	Accel     *core.Accelerator // HPS co-processor
-	AccelTrad *core.Accelerator // traditional co-processor
+	HW     *sched.Scheduler // HPS co-processor
+	HWTrad *sched.Scheduler // traditional co-processor
 
 	CtA, CtB *fv.Ciphertext
 }
@@ -130,10 +129,10 @@ func NewSuite(cfg fv.Config) (*Suite, error) {
 	rkTrad := kg.GenRelinKey(sk, fv.Traditional, 90, ellTrad)
 
 	s := &Suite{Params: params, SK: sk, PK: pk, RK: rk, RKTrad: rkTrad}
-	if s.Accel, err = core.New(params, hwsim.VariantHPS, 1); err != nil {
+	if s.HW, err = sched.NewVariant(params, hwsim.VariantHPS); err != nil {
 		return nil, err
 	}
-	if s.AccelTrad, err = core.New(params, hwsim.VariantTraditional, 1); err != nil {
+	if s.HWTrad, err = sched.NewVariant(params, hwsim.VariantTraditional); err != nil {
 		return nil, err
 	}
 	enc := fv.NewEncryptor(params, pk, prng)
@@ -153,11 +152,11 @@ func NewSuite(cfg fv.Config) (*Suite, error) {
 // Add in SW, and the ciphertext transfers.
 func (s *Suite) TableI() (Table, error) {
 	t := Table{ID: "Table I", Title: "Performance of high-level operations (one co-processor)"}
-	_, repMul, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+	_, repMul, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
-	_, repAdd, err := s.Accel.Add(s.CtA, s.CtB)
+	_, repAdd, err := s.HW.Add(s.CtA, s.CtB)
 	if err != nil {
 		return t, err
 	}
@@ -182,10 +181,11 @@ func (s *Suite) TableI() (Table, error) {
 func (s *Suite) TableII() (Table, error) {
 	t := Table{ID: "Table II", Title: "Performance of individual instructions (per Mult)"}
 	// Run one Mult on a fresh stats window.
-	if _, _, err := s.Accel.Mul(s.CtA, s.CtB, s.RK); err != nil {
+	s.HW.C.ResetStats()
+	if _, _, err := s.HW.Mul(s.CtA, s.CtB, s.RK); err != nil {
 		return t, err
 	}
-	stats := s.Accel.Stats()
+	stats := s.HW.C.Stats
 
 	paper := map[hwsim.Op]struct {
 		calls int
@@ -297,11 +297,11 @@ func (s *Suite) TableV() Table {
 func (s *Suite) TableNoHPS() (Table, error) {
 	t := Table{ID: "Sec. VI-C", Title: "Performance without HPS optimization (225 MHz co-processor)"}
 	// Single-core latencies at the traditional design's 225 MHz clock.
-	c := s.AccelTrad.Coproc
+	c := s.HWTrad.C
 	liftMs := float64(c.TraditionalCycles(hwsim.OpLift, 1)) / hwsim.TradClockHz * 1e3
 	scaleMs := float64(c.TraditionalCycles(hwsim.OpScale, 1)) / hwsim.TradClockHz * 1e3
 
-	_, rep, err := s.AccelTrad.Mul(s.CtA, s.CtB, s.RKTrad)
+	_, rep, err := s.HWTrad.Mul(s.CtA, s.CtB, s.RKTrad)
 	if err != nil {
 		return t, err
 	}
@@ -310,7 +310,7 @@ func (s *Suite) TableNoHPS() (Table, error) {
 	multMs := (float64(rep.ComputeCycles)/hwsim.TradClockHz +
 		(rep.SendCycles + rep.ReceiveCycles).Seconds()) * 1e3
 
-	_, repFast, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+	_, repFast, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
@@ -366,7 +366,7 @@ func (s *Suite) servedMults(workers int) ([]*fv.Ciphertext, float64, error) {
 // software implementation measured live.
 func (s *Suite) Comparison() (Table, error) {
 	t := Table{ID: "Sec. VI-E", Title: "Comparison with related implementations (homomorphic Mult)"}
-	_, rep, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+	_, rep, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
@@ -410,16 +410,16 @@ func (s *Suite) Comparison() (Table, error) {
 // Ablations quantifies the design decisions DESIGN.md lists.
 func (s *Suite) Ablations() (Table, error) {
 	t := Table{ID: "Ablations", Title: "Design-choice ablations (paper design points)"}
-	c := s.Accel.Coproc
+	c := s.HW.C
 	paired := float64(hwsim.NTTCycles(c.N, c.Timing))
 	naive := float64(hwsim.NaiveNTTCycles(c.N, c.Timing))
 	bubble := float64(hwsim.BubbleNTTCycles(c.N, c.Timing))
 
-	_, repFast, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+	_, repFast, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		return t, err
 	}
-	_, repTrad, err := s.AccelTrad.Mul(s.CtA, s.CtB, s.RKTrad)
+	_, repTrad, err := s.HWTrad.Mul(s.CtA, s.CtB, s.RKTrad)
 	if err != nil {
 		return t, err
 	}
@@ -468,12 +468,10 @@ func (s *Suite) Ablations() (Table, error) {
 // recordedMul runs one Mult on a fresh co-processor with the scheduler's
 // instruction trace switched on and returns that scheduler.
 func (s *Suite) recordedMul() (*sched.Scheduler, error) {
-	c, err := hwsim.NewCoprocessor(s.Params.QMods, s.Params.PMods, s.Params.N(),
-		s.Params.Lifter, s.Params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), sched.MinSlots())
+	rec, err := sched.NewVariant(s.Params, hwsim.VariantHPS)
 	if err != nil {
 		return nil, err
 	}
-	rec := sched.New(s.Params, c)
 	rec.Record = true
 	if _, _, err := rec.Mul(s.CtA, s.CtB, s.RK); err != nil {
 		return nil, err

@@ -140,7 +140,7 @@ func TestTwoCoprocessorsServeTwiceTheMults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+	_, rep, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPaperScaleBitExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw, _, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+	hw, _, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestPaperScaleBitExactness(t *testing.T) {
 		t.Fatal("decryption mismatch")
 	}
 	// The traditional architecture computes the same values.
-	trad, _, err := s.AccelTrad.Mul(s.CtA, s.CtB, s.RKTrad)
+	trad, _, err := s.HWTrad.Mul(s.CtA, s.CtB, s.RKTrad)
 	if err != nil {
 		t.Fatal(err)
 	}

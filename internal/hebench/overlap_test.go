@@ -28,13 +28,13 @@ func overlapStream(t *testing.T, ops int) hwsim.StreamTiming {
 	polyB := hwsim.PolyBytes(s.Params.N(), s.Params.QBasis.K())
 	steps := make([]hwsim.StreamStep, ops)
 	for i := range steps {
-		_, rep, err := s.Accel.Mul(s.CtA, s.CtB, s.RK)
+		_, rep, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 		if err != nil {
 			t.Fatal(err)
 		}
 		steps[i] = hwsim.StreamStep{LoadBytes: 4 * polyB, Compute: rep.ComputeCycles, StoreBytes: 2 * polyB}
 	}
-	return s.Accel.Coproc.DMAEng.SimulateStream(steps, 2)
+	return s.HW.C.DMAEng.SimulateStream(steps, 2)
 }
 
 // TestSchedOverlapWins is the overlapped-pipeline acceptance gate: at the

@@ -2,6 +2,8 @@ package poly
 
 import (
 	"encoding/binary"
+	"math/bits"
+	"sort"
 	"sync"
 	"testing"
 
@@ -9,24 +11,108 @@ import (
 )
 
 // fuzzTables: degrees around the vector kernels' minimum and a few levels
-// above it, under primes on both sides of their 30-bit line.
+// above it, under primes on both sides of their 30-bit line and under the
+// Barrett-adversarial primes of barrettPrime at both ends of the AVX2 range.
 var fuzzTables = sync.OnceValue(func() []*NTTTable {
 	var tabs []*NTTTable
+	add := func(q uint64, n int) {
+		tab, err := NewNTTTable(ring.NewModulus(q), n)
+		if err != nil {
+			panic(err)
+		}
+		tabs = append(tabs, tab)
+	}
 	for _, n := range []int{4, 8, 16, 64, 256} {
 		for _, bitLen := range []int{20, 29, 30, 31} {
 			primes, err := ring.GenerateNTTPrimes(bitLen, n, 1)
 			if err != nil {
 				panic(err)
 			}
-			tab, err := NewNTTTable(ring.NewModulus(primes[0]), n)
-			if err != nil {
-				panic(err)
-			}
-			tabs = append(tabs, tab)
+			add(primes[0], n)
+		}
+		for _, bitLen := range []int{20, 30} {
+			add(barrettPrime(bitLen), n)
 		}
 	}
 	return tabs
 })
+
+// barrettPrime returns the largest k-bit prime q ≡ 1 mod 512 (so NTT-friendly
+// at every fuzzed degree) whose Barrett constant μ = ⌊2^(2k)/q⌋ drops almost
+// a whole unit: 2^(2k) mod q > 0.97·q. GenerateNTTPrimes's primes sit just
+// below 2^k, where μ is all but exact and the AVX2 kernels' quotient
+// estimate never falls more than one short; under these a sum of two
+// products reaches the three-short worst case CANON4 exists for.
+func barrettPrime(k int) uint64 {
+	for c := uint64(511); ; c += 512 {
+		// 2^k ≡ c mod q, so 2^(2k) mod q = c² mod q.
+		if q := uint64(1)<<k - c; ring.IsPrime(q) && 100*(c*c%q) > 97*q {
+			return q
+		}
+	}
+}
+
+// barrettShort returns how far the AVX2 kernels' two-step Barrett quotient
+// ((x >> (k−1))·μ) >> (k+1), k = bits(q), falls below ⌊x/q⌋ for x < 2q²:
+// the multiples of q CANON4 takes off the lane afterwards (vec_amd64.s).
+func barrettShort(q, x uint64) uint64 {
+	k := uint(bits.Len64(q))
+	mu := uint64(1) << (2 * k) / q
+	hi, lo := bits.Mul64(x>>(k-1), mu)
+	return x/q - (hi<<(64-(k+1)) | lo>>(k+1))
+}
+
+// barrettSeed is a FuzzKernels input for the prime q: an eight-lane row whose
+// residue operands ra, rb, searched among the 96 values just below q, leave
+// the Barrett kernels furthest short — lanes 0–3 VecTensorInto's
+// t1 = ra² + rb², lanes 4–7 VecMulInto's ra·rb, then VecMulAddInto's rb².
+// The row is 76 words long: 76 mod 68 = 8 lanes, a[i] at word i, b[i] at
+// word 8 + i, each word stored shifted left by one as FuzzKernels reads it.
+func barrettSeed(q uint64) []byte {
+	type pair struct{ ra, rb, tensor, mul uint64 }
+	var pairs []pair
+	for i := uint64(1); i <= 96; i++ {
+		for j := uint64(1); j <= 96; j++ {
+			ra, rb := q-i, q-j
+			pairs = append(pairs, pair{ra, rb, barrettShort(q, ra*ra+rb*rb),
+				4*barrettShort(q, ra*rb) + barrettShort(q, rb*rb)})
+		}
+	}
+	lanes := make([]pair, 0, 8)
+	sort.SliceStable(pairs, func(x, y int) bool { return pairs[x].tensor > pairs[y].tensor })
+	lanes = append(lanes, pairs[:4]...)
+	sort.SliceStable(pairs, func(x, y int) bool { return pairs[x].mul > pairs[y].mul })
+	lanes = append(lanes, pairs[:4]...)
+
+	data := make([]byte, 4*76)
+	for i, l := range lanes {
+		binary.LittleEndian.PutUint32(data[4*i:], uint32(l.ra<<1))
+		binary.LittleEndian.PutUint32(data[4*(8+i):], uint32(l.rb<<1))
+	}
+	return data
+}
+
+// TestBarrettSeedsReachWorstCase: at the Barrett-adversarial primes the
+// seeds do what they are for. Every tensor lane leaves the quotient estimate
+// three short (a remainder in [3q, 4q), which only CANON4's 2q step brings
+// back) and every product lane two short.
+func TestBarrettSeedsReachWorstCase(t *testing.T) {
+	for _, k := range []int{20, 30} {
+		q := barrettPrime(k)
+		data := barrettSeed(q)
+		word := func(i int) uint64 { return uint64(binary.LittleEndian.Uint32(data[4*i:]) >> 1) }
+		for i := 0; i < 8; i++ {
+			ra, rb := word(i), word(8+i)
+			x, want := ra*ra+rb*rb, uint64(3)
+			if i >= 4 {
+				x, want = ra*rb, 2
+			}
+			if got := barrettShort(q, x); got != want {
+				t.Errorf("q=%d lane %d (%d, %d): estimate %d short, want %d", q, i, ra, rb, got, want)
+			}
+		}
+	}
+}
 
 // FuzzKernels: the host kernels that have a vector rendition — both
 // transforms, the constant-operand Shoup family, the Barrett family and the
@@ -41,8 +127,9 @@ func FuzzKernels(f *testing.F) {
 	for i := range seed {
 		seed[i] = byte(i*37 + 11)
 	}
-	for sel := 0; sel < len(fuzzTables()); sel++ {
+	for sel, tab := range fuzzTables() {
 		f.Add(seed, uint8(sel))
+		f.Add(barrettSeed(tab.Mod.Q), uint8(sel))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {

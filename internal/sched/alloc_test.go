@@ -54,7 +54,7 @@ func TestPaperSetAllocWall(t *testing.T) {
 	sk, pk, rk := kg.GenKeys()
 	gk := kg.GenGaloisKey(sk, 3)
 	ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))
-	must := func(_ *fv.Ciphertext, _ hwsim.Cycles, err error) {
+	must := func(_ *fv.Ciphertext, _ Report, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestCKKSPaperSetAllocWall(t *testing.T) {
 	}
 	c := newCKKSTestContextConfig(t, ckks.PaperConfig())
 	a, b := c.encryptRange(t, 3), c.encryptRange(t, 7)
-	must := func(_ *ckks.Ciphertext, _ hwsim.Cycles, err error) {
+	must := func(_ *ckks.Ciphertext, _ Report, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}

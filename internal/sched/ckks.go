@@ -147,53 +147,53 @@ func (s *CKKSScheduler) at(level int) error {
 }
 
 // Add executes CKKS addition on the level's chain co-processor: one
-// coefficient-wise addition per element. Returns the result and the compute
-// cycles (transfers excluded, as in the BFV Add).
-func (s *CKKSScheduler) Add(a, b *ckks.Ciphertext) (*ckks.Ciphertext, hwsim.Cycles, error) {
+// coefficient-wise addition per element. Returns the result and its report,
+// as the BFV Add does.
+func (s *CKKSScheduler) Add(a, b *ckks.Ciphertext) (*ckks.Ciphertext, Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, 0, fmt.Errorf("sched: ckks Add expects degree-1 ciphertexts")
+		return nil, Report{}, fmt.Errorf("sched: ckks Add expects degree-1 ciphertexts")
 	}
 	if a.Level() != b.Level() {
-		return nil, 0, fmt.Errorf("sched: ckks Add level mismatch (%d vs %d)", a.Level(), b.Level())
+		return nil, Report{}, fmt.Errorf("sched: ckks Add level mismatch (%d vs %d)", a.Level(), b.Level())
 	}
 	scale, err := ckksScales(a.Scale, b.Scale)
 	if err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	if err := s.at(a.Level()); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	els, compute, err := s.add(a.Level()+1, a.Els, b.Els)
+	els, rep, err := s.add(a.Level()+1, a.Els, b.Els)
 	if err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	return &ckks.Ciphertext{Els: els, Scale: scale}, compute, nil
+	return &ckks.Ciphertext{Els: els, Scale: scale}, rep, nil
 }
 
 // MulRescale executes the full CKKS multiply — tensor, relinearize through
 // the hybrid keyswitch, and the trailing Rescale — returning the degree-1
 // result one level down. The compute cycles include the key streaming, as
 // in the BFV Mult accounting.
-func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*ckks.Ciphertext, hwsim.Cycles, error) {
+func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*ckks.Ciphertext, Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, 0, fmt.Errorf("sched: ckks Mul expects degree-1 ciphertexts")
+		return nil, Report{}, fmt.Errorf("sched: ckks Mul expects degree-1 ciphertexts")
 	}
 	if a.Level() != b.Level() {
-		return nil, 0, fmt.Errorf("sched: ckks Mul level mismatch (%d vs %d)", a.Level(), b.Level())
+		return nil, Report{}, fmt.Errorf("sched: ckks Mul level mismatch (%d vs %d)", a.Level(), b.Level())
 	}
 	level := a.Level()
 	if level < 1 {
-		return nil, 0, fmt.Errorf("sched: ckks Mul at level 0 — no level left to rescale into")
+		return nil, Report{}, fmt.Errorf("sched: ckks Mul at level 0 — no level left to rescale into")
 	}
 	lk := levelKey(rk.Levels, level)
 	if lk == nil {
-		return nil, 0, fmt.Errorf("sched: relin key has no level-%d bundle", level)
+		return nil, Report{}, fmt.Errorf("sched: relin key has no level-%d bundle", level)
 	}
 	if err := s.at(level); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	k := level + 1
-	start := s.begin(k, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
+	rep, start := s.begin(k, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
 
 	// Phases 1–3: the four operands to the NTT domain (chain rows only —
 	// CKKS multiplies over the live chain, no basis lift), the tensor, and
@@ -201,18 +201,18 @@ func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*c
 	// and b0 die with the tensor.
 	s.live.set(slotT1, k)
 	if err := s.toNTT(batchQ, slotA0, slotA1, slotB0, slotB1); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	if err := s.tensor(batchQ); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	if err := s.fromNTT(batchQ, slotA0, slotT1, slotB1); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	s.live.free(slotA1, slotB0)
 	// Phase 4+5: hybrid keyswitch of c2 onto the accumulators, ModDown.
 	if err := s.hybridKeySwitch(level, slotB1, lk); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	// Phase 6: combine — c0 + md0, c1 + md1 (chain rows, coefficient
 	// domain). Phase 7: Rescale both elements by the level's top prime,
@@ -224,54 +224,54 @@ func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*c
 		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc1, A: slotT1, B: slotMd1, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotA1, A: slotAcc0, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotB0, A: slotAcc1, Batch: hwsim.BatchQ}); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	els, compute, err := s.finish(start, slotA1, slotB0, k-1, true)
+	els, rep, err := s.finish(rep, start, slotA1, slotB0, k-1)
 	if err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	scale := a.Scale * b.Scale / float64(s.P.QMods[level].Q)
-	return &ckks.Ciphertext{Els: els, Scale: scale}, compute, nil
+	return &ckks.Ciphertext{Els: els, Scale: scale}, rep, nil
 }
 
 // Rotate executes a slot rotation: host-side automorphism readback (the
 // sign-aware permutation streams through the rearrangement port, as in the
 // BFV Rotate), then the hybrid keyswitch brings σ_g(s) back to s.
-func (s *CKKSScheduler) Rotate(ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (*ckks.Ciphertext, hwsim.Cycles, error) {
+func (s *CKKSScheduler) Rotate(ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (*ckks.Ciphertext, Report, error) {
 	if len(ct.Els) != 2 {
-		return nil, 0, fmt.Errorf("sched: ckks Rotate expects a degree-1 ciphertext")
+		return nil, Report{}, fmt.Errorf("sched: ckks Rotate expects a degree-1 ciphertext")
 	}
 	if g := s.P.GaloisElementForRotation(r); g != gk.G {
-		return nil, 0, fmt.Errorf("sched: rotation by %d needs Galois element %d, key holds %d", r, g, gk.G)
+		return nil, Report{}, fmt.Errorf("sched: rotation by %d needs Galois element %d, key holds %d", r, g, gk.G)
 	}
 	level := ct.Level()
 	lk := levelKey(gk.Levels, level)
 	if lk == nil {
-		return nil, 0, fmt.Errorf("sched: galois key has no level-%d bundle", level)
+		return nil, Report{}, fmt.Errorf("sched: galois key has no level-%d bundle", level)
 	}
 	if err := s.at(level); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	k := level + 1
-	start := s.begin(k, ct.Els[0], ct.Els[1])
+	rep, start := s.begin(k, ct.Els[0], ct.Els[1])
 	if err := s.automorph(gk.G, k); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	// Keyswitch σ_g(c1) → s, ModDown, combine: c0' = σ(c0) + md0,
 	// c1' = md1.
 	if err := s.hybridKeySwitch(level, slotA1, lk); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	if _, err := s.exec(hwsim.Instr{
 		Op: hwsim.OpCAdd, Dst: slotAcc0, A: slotA0, B: slotMd0, Batch: hwsim.BatchQ,
 	}); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	els, compute, err := s.finish(start, slotAcc0, slotMd1, k, true)
+	els, rep, err := s.finish(rep, start, slotAcc0, slotMd1, k)
 	if err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	return &ckks.Ciphertext{Els: els, Scale: ct.Scale}, compute, nil
+	return &ckks.Ciphertext{Els: els, Scale: ct.Scale}, rep, nil
 }
 
 // hybridKeySwitch emits the hybrid (special-prime) keyswitch of the

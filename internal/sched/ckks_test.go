@@ -89,21 +89,21 @@ func TestCKKSHardwareSoftwareParity(t *testing.T) {
 	a, b := c.encryptRange(t, 3), c.encryptRange(t, 7)
 
 	swSum := c.ev.Add(a, b)
-	hwSum, cyc, err := c.hw.Add(a, b)
+	hwSum, rep, err := c.hw.Add(a, b)
 	if err != nil {
 		t.Fatalf("hw add: %v", err)
 	}
-	if cyc == 0 {
+	if rep.ComputeCycles == 0 {
 		t.Fatal("hw add charged no cycles")
 	}
 	sameCiphertext(t, "add", swSum, hwSum)
 
 	swProd := c.ev.Rescale(c.ev.Mul(a, b, c.rk))
-	hwProd, cyc, err := c.hw.MulRescale(a, b, c.rk)
+	hwProd, rep, err := c.hw.MulRescale(a, b, c.rk)
 	if err != nil {
 		t.Fatalf("hw mul: %v", err)
 	}
-	if cyc == 0 {
+	if rep.ComputeCycles == 0 {
 		t.Fatal("hw mul charged no cycles")
 	}
 	sameCiphertext(t, "mul+rescale", swProd, hwProd)
@@ -187,13 +187,13 @@ func TestCKKSPaperSetMulRescaleCycles(t *testing.T) {
 	}
 	c := newCKKSTestContextConfig(t, ckks.PaperConfig())
 	a, b := c.encryptRange(t, 3), c.encryptRange(t, 7)
-	hw, cycles, err := c.hw.MulRescale(a, b, c.rk)
+	hw, rep, err := c.hw.MulRescale(a, b, c.rk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameCiphertext(t, "paper mul+rescale", c.ev.Rescale(c.ev.Mul(a, b, c.rk)), hw)
-	if cycles != 801134 {
-		t.Fatalf("paper-set CKKS Mul+Rescale: %d cycles, pinned 801134", cycles)
+	if rep.ComputeCycles != 801134 {
+		t.Fatalf("paper-set CKKS Mul+Rescale: %d cycles, pinned 801134", rep.ComputeCycles)
 	}
 }
 

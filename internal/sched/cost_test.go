@@ -33,16 +33,16 @@ func TestCyclesPredictTheTrace(t *testing.T) {
 			operands[i] = enc.Encrypt(pt)
 		}
 		predictedRuns(t, &s.machine, s.C.Stats, 829918, func(set int) (hwsim.Cycles, error) {
-			_, cyc, err := s.Mul(operands[set], operands[1-set], rk)
-			return cyc, err
+			_, rep, err := s.Mul(operands[set], operands[1-set], rk)
+			return rep.ComputeCycles, err
 		})
 	})
 	t.Run("CKKS Mul+Rescale", func(t *testing.T) {
 		c := newCKKSTestContextConfig(t, ckks.PaperConfig())
 		operands := []*ckks.Ciphertext{c.encryptRange(t, 3), c.encryptRange(t, 7), c.encryptRange(t, 11)}
 		predictedRuns(t, &c.hw.machine, c.hw.Stats, 801134, func(set int) (hwsim.Cycles, error) {
-			_, cyc, err := c.hw.MulRescale(operands[set], operands[set+1], c.rk)
-			return cyc, err
+			_, rep, err := c.hw.MulRescale(operands[set], operands[set+1], c.rk)
+			return rep.ComputeCycles, err
 		})
 	})
 }

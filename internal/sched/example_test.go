@@ -1,18 +1,18 @@
-package core_test
+package sched_test
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/sampler"
+	"repro/internal/sched"
 )
 
-// ExampleAccelerator runs one homomorphic multiplication on the simulated
+// ExampleScheduler runs one homomorphic multiplication on the simulated
 // co-processor and confirms the result is bit-exact against the software
 // evaluator.
-func ExampleAccelerator() {
+func ExampleScheduler() {
 	params, _ := fv.NewParams(fv.TestConfig(65537))
 	prng := sampler.NewPRNG(1)
 	kg := fv.NewKeyGenerator(params, prng)
@@ -24,8 +24,8 @@ func ExampleAccelerator() {
 	ctA := enc.Encrypt(encode.Encode(6))
 	ctB := enc.Encrypt(encode.Encode(7))
 
-	accel, _ := core.New(params, hwsim.VariantHPS, 1)
-	hwResult, _, _ := accel.Mul(ctA, ctB, rk)
+	s, _ := sched.NewVariant(params, hwsim.VariantHPS)
+	hwResult, _, _ := s.Mul(ctA, ctB, rk)
 	swResult := fv.NewEvaluator(params).Mul(ctA, ctB, rk)
 
 	fmt.Println(hwResult.Equal(swResult))

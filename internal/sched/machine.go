@@ -171,8 +171,9 @@ func (m *machine) reset() {
 // residue rows each, to consecutive slots from slotA0 in the coefficient
 // domain: the Arm→FPGA transfer, modelled as a single contiguous DMA (the
 // paper's memory layout keeps the coefficients contiguous exactly for this).
-// It returns the ledger reading the operation's compute cycles count from.
-func (m *machine) begin(rows int, els ...poly.RNSPoly) hwsim.Cycles {
+// It returns the operation's report so far, the send's ledger entry, and the
+// ledger reading the compute cycles count from.
+func (m *machine) begin(rows int, els ...poly.RNSPoly) (Report, hwsim.Cycles) {
 	m.reset()
 	var written []uint8
 	for i, el := range els {
@@ -181,31 +182,26 @@ func (m *machine) begin(rows int, els ...poly.RNSPoly) hwsim.Cycles {
 		m.live.set(slot, rows)
 		written = append(written, slot)
 	}
-	m.transfer(hwsim.Transfer{Bytes: len(els) * hwsim.PolyBytes(m.n, rows), Label: "send ciphertexts"}, written, nil)
-	return m.C.Stats.Total
+	send := m.transfer(hwsim.Transfer{Bytes: len(els) * hwsim.PolyBytes(m.n, rows), Label: "send ciphertexts"}, written, nil)
+	return Report{SendCycles: send}, m.C.Stats.Total
 }
 
-// finish closes an operation that began at ledger reading start: the compute
-// cycles stop here, a scrub keeps corrupted rows from leaving the
-// co-processor, and the two result polynomials are read back. charge says
-// whether the FPGA→Arm result DMA goes on the ledger: it does for every
-// operation except BFV Mul and Rotate, which have never accounted it (core
-// reports it from the DMA model instead) — an accident of history the pinned
-// cycle figures now hold in place.
-func (m *machine) finish(start hwsim.Cycles, el0, el1 uint8, rows int, charge bool) ([]poly.RNSPoly, hwsim.Cycles, error) {
-	compute := m.C.Stats.Total - start
+// finish closes an operation whose compute began at ledger reading start:
+// the compute cycles stop here, a scrub keeps corrupted rows from leaving
+// the co-processor, and the two result polynomials are read back over the
+// FPGA→Arm DMA, which goes on the ledger as the report's receive entry.
+func (m *machine) finish(rep Report, start hwsim.Cycles, el0, el1 uint8, rows int) ([]poly.RNSPoly, Report, error) {
+	rep.ComputeCycles = m.C.Stats.Total - start
 	if err := m.C.Scrub(); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	els := []poly.RNSPoly{
 		{Rows: m.C.ReadSlot(el0, 0, rows)},
 		{Rows: m.C.ReadSlot(el1, 0, rows)},
 	}
-	if charge {
-		m.transfer(hwsim.Transfer{Bytes: 2 * hwsim.PolyBytes(m.n, rows), Label: "receive ciphertext"},
-			nil, []uint8{el0, el1})
-	}
-	return els, compute, nil
+	rep.ReceiveCycles = m.transfer(hwsim.Transfer{Bytes: 2 * hwsim.PolyBytes(m.n, rows), Label: "receive ciphertext"},
+		nil, []uint8{el0, el1})
+	return els, rep, nil
 }
 
 // readback copies the first `rows` rows of a slot into the rd scratch.
@@ -220,19 +216,18 @@ func (m *machine) readback(slot uint8, rows int) poly.RNSPoly {
 }
 
 // add is the whole Add operation: one coefficient-wise addition per
-// ciphertext element. It returns the result polynomials and the compute
-// cycles (excluding transfers, as in Table I's "Add in HW" row).
-func (m *machine) add(rows int, a, b []poly.RNSPoly) ([]poly.RNSPoly, hwsim.Cycles, error) {
-	start := m.begin(rows, a[0], a[1], b[0], b[1])
+// ciphertext element. It returns the result polynomials and the report.
+func (m *machine) add(rows int, a, b []poly.RNSPoly) ([]poly.RNSPoly, Report, error) {
+	rep, start := m.begin(rows, a[0], a[1], b[0], b[1])
 	for i := uint8(0); i < 2; i++ {
 		m.live.set(slotAcc0+i, rows)
 		if _, err := m.exec(hwsim.Instr{
 			Op: hwsim.OpCAdd, Dst: slotAcc0 + i, A: slotA0 + i, B: slotB0 + i, Batch: hwsim.BatchQ,
 		}); err != nil {
-			return nil, 0, err
+			return nil, Report{}, err
 		}
 	}
-	return m.finish(start, slotAcc0, slotAcc1, rows, true)
+	return m.finish(rep, start, slotAcc0, slotAcc1, rows)
 }
 
 // toNTT rearranges each slot to the paired NTT layout and transforms it,

@@ -12,20 +12,19 @@ import (
 // TestPipelinedCycleAccountingExact pins the overlap accounting: the (load,
 // compute, store) triples of sequential Mul calls are the whole input of the
 // double-buffered schedule. Their back-to-back sum equals what the
-// co-processor's own ledger charged plus the result DMA the BFV Mul leaves
-// off it (machine.finish), to the cycle, and the saving SimulateStream
-// derives from them matches Σ min(dma_{i+1}, compute_i) exactly.
+// co-processor's own ledger charged, to the cycle, and the saving
+// SimulateStream derives from them matches Σ min(dma_{i+1}, compute_i)
+// exactly.
 func TestPipelinedCycleAccountingExact(t *testing.T) {
 	p, err := fv.NewParams(fv.TestConfig(257))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-		hwsim.VariantHPS, hwsim.DefaultTiming(), MinSlots())
+	s, err := NewVariant(p, hwsim.VariantHPS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(p, c)
+	c := s.C
 	prng := sampler.NewPRNG(12)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk := kg.GenSecretKey()
@@ -44,18 +43,17 @@ func TestPipelinedCycleAccountingExact(t *testing.T) {
 			a.Coeffs[j] = uint64(rng.Intn(257))
 			b.Coeffs[j] = uint64(rng.Intn(257))
 		}
-		_, compute, err := s.Mul(enc.Encrypt(a), enc.Encrypt(b), rk)
+		_, rep, err := s.Mul(enc.Encrypt(a), enc.Encrypt(b), rk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps[i] = hwsim.StreamStep{LoadBytes: 4 * polyB, Compute: compute, StoreBytes: 2 * polyB}
+		steps[i] = hwsim.StreamStep{LoadBytes: 4 * polyB, Compute: rep.ComputeCycles, StoreBytes: 2 * polyB}
 	}
 	charged := c.Stats.Total - before
-	charged += hwsim.Cycles(len(steps)) * d.FPGACycles(hwsim.Transfer{Bytes: 2 * polyB})
 
 	timing := d.SimulateStream(steps, 2)
 	if timing.Serial != charged {
-		t.Fatalf("stream serial cycles %d != co-processor charge + result DMA %d", timing.Serial, charged)
+		t.Fatalf("stream serial cycles %d != co-processor charge %d", timing.Serial, charged)
 	}
 
 	// The saving formula, proven on the real recorded step profile.

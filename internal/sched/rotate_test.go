@@ -27,7 +27,7 @@ func TestScheduledRotateMatchesSoftware(t *testing.T) {
 	const g = 3
 	gk := kg.GenGaloisKey(sk, g)
 
-	got, cycles, err := s.Rotate(ct, gk)
+	got, rep, err := s.Rotate(ct, gk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestScheduledRotateMatchesSoftware(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("co-processor rotate != software ApplyGalois (bit-exact check)")
 	}
-	if cycles == 0 {
+	if rep.ComputeCycles == 0 {
 		t.Fatal("rotation consumed no cycles")
 	}
 	if !dec.Decrypt(got).Equal(fv.ApplyAutomorphismPlain(p, g, pt)) {
@@ -45,12 +45,12 @@ func TestScheduledRotateMatchesSoftware(t *testing.T) {
 	sFresh := s
 	sFresh.C.ResetStats()
 	rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
-	_, mulCycles, err := sFresh.Mul(ct, ct, rk)
+	_, mul, err := sFresh.Mul(ct, ct, rk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cycles >= mulCycles {
-		t.Fatalf("rotate (%d) should be cheaper than Mult (%d)", cycles, mulCycles)
+	if rep.ComputeCycles >= mul.ComputeCycles {
+		t.Fatalf("rotate (%d) should be cheaper than Mult (%d)", rep.ComputeCycles, mul.ComputeCycles)
 	}
 }
 

@@ -18,11 +18,47 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/faults"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
+	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/rns"
 )
+
+// Report is the timing of one operation, read off the co-processor ledger:
+// the operand DMA, the instruction sequence between it and the result DMA,
+// and the result DMA. Send + Compute + Receive is exactly what the operation
+// charged the ledger.
+type Report struct {
+	// ComputeCycles is the FPGA-cycle duration of the instruction sequence,
+	// including intermediate DMA (relinearization-key streaming) — the view
+	// of Table I's "Mult in HW"/"Add in HW" rows.
+	ComputeCycles hwsim.Cycles
+	// SendCycles/ReceiveCycles are the operand and result transfers
+	// (Table I rows 4–5).
+	SendCycles    hwsim.Cycles
+	ReceiveCycles hwsim.Cycles
+	// KeyLoadCycles is the evaluation-key DMA stream charged to this
+	// operation by a serving layer (internal/engine): zero when the key was
+	// already resident on the co-processor, the full stream otherwise. The
+	// paper overlaps this stream with compute; accounting it separately
+	// keeps ComputeCycles comparable to Table I.
+	KeyLoadCycles hwsim.Cycles
+}
+
+// ComputeSeconds returns the compute latency in seconds.
+func (r Report) ComputeSeconds() float64 { return r.ComputeCycles.Seconds() }
+
+// TotalSeconds returns compute plus transfer latency (operands, result, and
+// any evaluation-key stream charged by the serving layer).
+func (r Report) TotalSeconds() float64 {
+	return (r.ComputeCycles + r.SendCycles + r.ReceiveCycles + r.KeyLoadCycles).Seconds()
+}
+
+// ArmCycles returns the compute latency in the Arm cycle-counter units the
+// paper's tables use.
+func (r Report) ArmCycles() uint64 { return r.ComputeCycles.ArmCycles() }
 
 // Scheduler drives one co-processor on behalf of one Arm application core.
 // Everything below the FV.Mult and rotation programs themselves — tracing
@@ -37,6 +73,40 @@ type Scheduler struct {
 func New(p *fv.Params, c *hwsim.Coprocessor) *Scheduler {
 	return &Scheduler{P: p, machine: newMachine(c, p.QMods, p.N())}
 }
+
+// newCoprocessor builds the co-processor of a lift/scale variant for p under
+// timing, its memory file sized for these schedules. The traditional
+// architecture compensates for its multi-precision Lift/Scale with four
+// parallel cores ("To speedup computation, we keep four parallel cores",
+// Sec. VI-C), whatever timing says.
+func newCoprocessor(p *fv.Params, v hwsim.Variant, timing hwsim.Timing) (*hwsim.Coprocessor, error) {
+	if v == hwsim.VariantTraditional {
+		timing.LiftScaleCores = 4
+	}
+	return hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler, v, timing, MinSlots())
+}
+
+// NewVariant returns a scheduler over a fresh co-processor of the variant
+// under the default calibration.
+func NewVariant(p *fv.Params, v hwsim.Variant) (*Scheduler, error) {
+	c, err := newCoprocessor(p, v, hwsim.DefaultTiming())
+	if err != nil {
+		return nil, err
+	}
+	return New(p, c), nil
+}
+
+// EnableIntegrity switches Freivalds-style fingerprint verification on for
+// the co-processor. Operations then fail with an error wrapping
+// hwsim.ErrIntegrity instead of returning a corrupted ciphertext.
+func (s *Scheduler) EnableIntegrity(seed int64) error { return s.C.EnableIntegrity(seed) }
+
+// SetInjector attaches a fault injector to the co-processor (nil detaches).
+func (s *Scheduler) SetInjector(inj *faults.Injector) { s.C.SetInjector(inj) }
+
+// SetMetrics routes the co-processor's integrity counters into reg
+// (nil-safe).
+func (s *Scheduler) SetMetrics(reg *obs.Registry) { s.C.SetMetrics(reg) }
 
 // polyBytes is the DMA size of one R_q polynomial (Table III's 98,304-byte
 // unit for the paper set).
@@ -55,40 +125,40 @@ func (s *Scheduler) checkVariant(rk *fv.RelinKey) error {
 }
 
 // Add executes FV.Add on the co-processor: one coefficient-wise addition per
-// ciphertext element. It returns the result ciphertext and the compute
-// cycles (excluding transfers, as in Table I's "Add in HW" row).
-func (s *Scheduler) Add(a, b *fv.Ciphertext) (*fv.Ciphertext, hwsim.Cycles, error) {
+// ciphertext element. It returns the result ciphertext and its report
+// (compute excludes the transfers, as in Table I's "Add in HW" row).
+func (s *Scheduler) Add(a, b *fv.Ciphertext) (*fv.Ciphertext, Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, 0, fmt.Errorf("sched: Add expects degree-1 ciphertexts")
+		return nil, Report{}, fmt.Errorf("sched: Add expects degree-1 ciphertexts")
 	}
-	els, compute, err := s.add(s.P.QBasis.K(), a.Els, b.Els)
+	els, rep, err := s.add(s.P.QBasis.K(), a.Els, b.Els)
 	if err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	return &fv.Ciphertext{Els: els}, compute, nil
+	return &fv.Ciphertext{Els: els}, rep, nil
 }
 
 // Mul executes the full FV.Mult pipeline of the paper's Fig. 2 on the
-// co-processor and returns the relinearized ciphertext along with the
-// compute duration (which includes the relinearization-key streaming, as in
-// Table I's "Mult in HW" row, but not the operand/result transfers).
-func (s *Scheduler) Mul(a, b *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, hwsim.Cycles, error) {
+// co-processor and returns the relinearized ciphertext along with its report
+// (compute includes the relinearization-key streaming, as in Table I's
+// "Mult in HW" row, but not the operand/result transfers).
+func (s *Scheduler) Mul(a, b *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, 0, fmt.Errorf("sched: Mul expects degree-1 ciphertexts")
+		return nil, Report{}, fmt.Errorf("sched: Mul expects degree-1 ciphertexts")
 	}
 	if err := s.checkVariant(rk); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	kq := s.P.QBasis.K()
-	start := s.begin(kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
+	rep, start := s.begin(kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
 	if err := s.mulProgram(rk); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	els, compute, err := s.finish(start, slotAcc0, slotAcc1, kq, false)
+	els, rep, err := s.finish(rep, start, slotAcc0, slotAcc1, kq)
 	if err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	return &fv.Ciphertext{Els: els}, compute, nil
+	return &fv.Ciphertext{Els: els}, rep, nil
 }
 
 // mulProgram emits the Fig. 2 multiplication pipeline over the four operand
@@ -181,17 +251,17 @@ func (s *Scheduler) mulProgram(rk *fv.RelinKey) error {
 // permutation, streamed through the rearrangement port; the key switch is
 // exactly the relinearization datapath with the Galois key's components, so
 // the instruction mix is ℓ WordDecomp + ℓ NTT + 2ℓ CMUL/CADD + 2 INTT.
-func (s *Scheduler) Rotate(ct *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext, hwsim.Cycles, error) {
+func (s *Scheduler) Rotate(ct *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext, Report, error) {
 	if len(ct.Els) != 2 {
-		return nil, 0, fmt.Errorf("sched: Rotate expects a degree-1 ciphertext")
+		return nil, Report{}, fmt.Errorf("sched: Rotate expects a degree-1 ciphertext")
 	}
 	if s.C.Variant != hwsim.VariantHPS {
-		return nil, 0, fmt.Errorf("sched: Galois keys use the RNS gadget; need the HPS co-processor")
+		return nil, Report{}, fmt.Errorf("sched: Galois keys use the RNS gadget; need the HPS co-processor")
 	}
 	kq := s.P.QBasis.K()
-	start := s.begin(kq, ct.Els[0], ct.Els[1])
+	rep, start := s.begin(kq, ct.Els[0], ct.Els[1])
 	if err := s.automorph(gk.G, kq); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	// Key switch σ_g(c1) → s, then c0' = σ(c0) + sop0; c1' = sop1.
 	if err := s.keySwitch(keySwitch{
@@ -202,17 +272,17 @@ func (s *Scheduler) Rotate(ct *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext,
 		label:   "galois key stream",
 		bytes:   s.polyBytes(),
 	}); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
 	if err := s.run(
 		hwsim.Instr{Op: hwsim.OpINTT, A: slotAcc0, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpINTT, A: slotAcc1, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc0, A: slotA0, B: slotAcc0, Batch: hwsim.BatchQ}); err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	els, compute, err := s.finish(start, slotAcc0, slotAcc1, kq, false)
+	els, rep, err := s.finish(rep, start, slotAcc0, slotAcc1, kq)
 	if err != nil {
-		return nil, 0, err
+		return nil, Report{}, err
 	}
-	return &fv.Ciphertext{Els: els}, compute, nil
+	return &fv.Ciphertext{Els: els}, rep, nil
 }

@@ -19,12 +19,11 @@ func setupConfig(t testing.TB, cfg fv.Config, variant hwsim.Variant) (*fv.Params
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler,
-		variant, hwsim.DefaultTiming(), MinSlots())
+	s, err := NewVariant(p, variant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, New(p, c)
+	return p, s
 }
 
 func TestScheduledAddMatchesSoftware(t *testing.T) {
@@ -44,7 +43,7 @@ func TestScheduledAddMatchesSoftware(t *testing.T) {
 	}
 	ca, cb := enc.Encrypt(a), enc.Encrypt(b)
 
-	got, cycles, err := s.Add(ca, cb)
+	got, rep, err := s.Add(ca, cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestScheduledAddMatchesSoftware(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("co-processor Add != software Add")
 	}
-	if cycles == 0 {
+	if rep.ComputeCycles == 0 {
 		t.Fatal("Add consumed no cycles")
 	}
 	if pt := dec.Decrypt(got); !pt.Equal(dec.Decrypt(want)) {
@@ -87,7 +86,7 @@ func TestScheduledMulMatchesSoftware(t *testing.T) {
 		b.Coeffs[0], b.Coeffs[2] = 7, 3
 		ca, cb := enc.Encrypt(a), enc.Encrypt(b)
 
-		got, cycles, err := s.Mul(ca, cb, rk)
+		got, rep, err := s.Mul(ca, cb, rk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +94,7 @@ func TestScheduledMulMatchesSoftware(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("%v: co-processor Mult != software Mult (bit-exact check)", variant)
 		}
-		if cycles == 0 {
+		if rep.ComputeCycles == 0 {
 			t.Fatal("Mult consumed no cycles")
 		}
 		// (6+x)(7+3x²) = 42 + 7x + 18x² + 3x³.
@@ -144,9 +143,10 @@ func TestMulInstructionCountsMatchTableII(t *testing.T) {
 			t.Errorf("%v: %d calls, want %d", op, got, want)
 		}
 	}
-	// Relin-key streaming: 2ℓ polynomial transfers plus the operand send.
-	if s.C.Stats.TransferCalls != 2*ell+1 {
-		t.Errorf("transfers = %d, want %d", s.C.Stats.TransferCalls, 2*ell+1)
+	// Relin-key streaming: 2ℓ polynomial transfers plus the operand send
+	// and the result receive.
+	if s.C.Stats.TransferCalls != 2*ell+2 {
+		t.Errorf("transfers = %d, want %d", s.C.Stats.TransferCalls, 2*ell+2)
 	}
 }
 
@@ -181,12 +181,12 @@ func TestPaperSetMulCycles(t *testing.T) {
 	kg := fv.NewKeyGenerator(p, prng)
 	_, pk, rk := kg.GenKeys()
 	ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))
-	_, cycles, err := s.Mul(ct, ct, rk)
+	_, rep, err := s.Mul(ct, ct, rk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cycles != 829918 {
-		t.Fatalf("paper-set Mult: %d cycles, pinned 829918", cycles)
+	if rep.ComputeCycles != 829918 {
+		t.Fatalf("paper-set Mult: %d cycles, pinned 829918", rep.ComputeCycles)
 	}
 }
 

@@ -30,11 +30,11 @@ func TestMulCycleAttributionSumsToTotal(t *testing.T) {
 	s.C.Trace = tr
 	s.C.ResetStats()
 
-	ct, cycles, err := s.Mul(ca, cb, rk)
+	ct, rep, err := s.Mul(ca, cb, rk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cycles == 0 {
+	if rep.ComputeCycles == 0 {
 		t.Fatal("Mul consumed no cycles")
 	}
 
