@@ -140,6 +140,6 @@ chaos:
 loc:
 	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 	@printf '%6d  Go assembly (not in the figure above)\n' $$(find . -name '*.s' ! -path './bench/*' | xargs cat | wc -l)
-	@for p in sched core engine cloud cluster fv ckks rlwe keyio hwsim rns; do \
+	@for p in sched core engine cloud cluster fv ckks rlwe keyio hwsim rns difftest hebench sampler; do \
 		printf '%6d  internal/%s\n' $$(find internal/$$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$p; \
 	done

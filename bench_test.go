@@ -178,11 +178,11 @@ func BenchmarkNoHPS_Mult(b *testing.B) {
 	s := suite(b)
 	var simMS float64
 	for i := 0; i < b.N; i++ {
-		_, rep, err := s.HWTrad.Mul(s.CtA, s.CtB, s.RKTrad)
+		_, rep, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
 		if err != nil {
 			b.Fatal(err)
 		}
-		simMS = float64(rep.ComputeCycles) / hwsim.TradClockHz * 1e3
+		simMS = float64(s.HW.TraditionalMul(rep).ComputeCycles) / hwsim.TradClockHz * 1e3
 	}
 	b.ReportMetric(simMS, "sim-ms/op") // paper: 8.3 ms (incl. transfers)
 }
@@ -226,7 +226,7 @@ func BenchmarkMulRelin(b *testing.B) {
 			kg := fv.NewKeyGenerator(params, sampler.NewPRNG(42))
 			sk := kg.GenSecretKey()
 			pk := kg.GenPublicKey(sk)
-			rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
+			rk := kg.GenRelinKey(sk)
 			enc := fv.NewEncryptor(params, pk, sampler.NewPRNG(7))
 			pt := fv.NewPlaintext(params)
 			pt.Coeffs[0] = 1
@@ -247,7 +247,7 @@ func BenchmarkMulRelin(b *testing.B) {
 
 func BenchmarkAblation_TraditionalLiftScale(b *testing.B) {
 	s := suite(b)
-	c := s.HWTrad.C
+	c := s.HW.C
 	var liftMS, scaleMS float64
 	for i := 0; i < b.N; i++ {
 		liftMS = float64(c.TraditionalCycles(hwsim.OpLift, 1)) / hwsim.TradClockHz * 1e3

@@ -46,7 +46,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/engine"
 	"repro/internal/fv"
-	"repro/internal/hwsim"
 	"repro/internal/sampler"
 )
 
@@ -144,7 +143,6 @@ func main() {
 	eng, err := engine.New(engine.Config{
 		Params:          params,
 		CKKSParams:      cparams,
-		Variant:         hwsim.VariantHPS,
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
 		Deadline:        *deadline,

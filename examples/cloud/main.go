@@ -15,7 +15,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/engine"
 	"repro/internal/fv"
-	"repro/internal/hwsim"
 	"repro/internal/sampler"
 )
 
@@ -32,7 +31,6 @@ func main() {
 	// simulated co-processor (the paper's dual-co-processor platform).
 	eng, err := engine.New(engine.Config{
 		Params:  params,
-		Variant: hwsim.VariantHPS,
 		Workers: 2,
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"log"
 
 	"repro/internal/fv"
-	"repro/internal/hwsim"
 	"repro/internal/sampler"
 	"repro/internal/sched"
 )
@@ -54,7 +53,7 @@ func main() {
 
 	// 5. The same computation on one simulated co-processor (HPS
 	//    architecture — the paper's design; internal/engine runs two).
-	hw, err := sched.NewVariant(params, hwsim.VariantHPS)
+	hw, err := sched.NewDefault(params)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func (ev *Evaluator) kswAt(level int) *rlwe.KeySwitcher {
 // intt, moddown.
 func (ev *Evaluator) keySwitch(parent obs.Scope, level int, x poly.RNSPoly, lk *LevelKey) (md0, md1 poly.RNSPoly) {
 	p := ev.params
-	s0, s1 := ev.kswAt(level).Switch(parent, x, nil, lk.Ks0Hat, lk.Ks1Hat)
+	s0, s1 := ev.kswAt(level).Switch(parent, x, lk.Ks0Hat, lk.Ks1Hat)
 	st := parent.Child("moddown")
 	md0, md1 = ev.scr.m0.Prefix(level+1), ev.scr.m1.Prefix(level+1)
 	p.RescalerKS[level].RescaleInto(p.Pool, s0, md0)

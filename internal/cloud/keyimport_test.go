@@ -13,11 +13,12 @@ import (
 
 // TestKeyImportRefusesUnusableKeys: CmdKeyImport is served to any connection
 // and a key container's trailer is a checksum, not a MAC, so a client can
-// hand the node any meta words it likes. A relin key with an unknown variant,
-// a 2^32-1 digit count or a zero-width positional gadget used to be installed
+// hand the node any key it likes. A relin key with an unknown variant, a
+// 2^32-1 digit count or a zero-width positional gadget used to be installed
 // and then crash the worker goroutine that first relinearized with it — the
-// whole node, for every tenant; a key short of components made the
-// co-processor's digit loop compute a wrong product quietly. All of them are
+// whole node, for every tenant (fv's TestKeyReadersRefuseUnusableKeys forges
+// those meta words); a key short of components made the co-processor's digit
+// loop compute a wrong product quietly. All of them are
 // now a typed refusal at DecodeTenantKeys, nothing is installed, and the node
 // keeps serving.
 func TestKeyImportRefusesUnusableKeys(t *testing.T) {
@@ -33,22 +34,15 @@ func TestKeyImportRefusesUnusableKeys(t *testing.T) {
 
 	kg := fv.NewKeyGenerator(ts.params, sampler.NewPRNG(5))
 	sk := kg.GenSecretKey()
-	hps := kg.GenRelinKey(sk, fv.HPS, 0, 0)
-	trad := kg.GenRelinKey(sk, fv.Traditional, ts.params.Cfg.RelinLogW, ts.params.Cfg.RelinDepth)
+	rk := kg.GenRelinKey(sk)
 	gk := kg.GenGaloisKey(sk, 3)
-	forgedRelin := func(base *fv.RelinKey, edit func(*fv.RelinKey)) *engine.TenantKeySet {
-		rk := *base
-		edit(&rk)
-		return &engine.TenantKeySet{Relin: &rk}
-	}
+	shortRelin := fv.RelinKey{Rlk0Hat: rk.Rlk0Hat[:1], Rlk1Hat: rk.Rlk1Hat[:1]}
 	short := *gk
 	short.Ks0Hat, short.Ks1Hat = gk.Ks0Hat[:1], gk.Ks1Hat[:1]
 	forged := map[string]*engine.TenantKeySet{
-		"variant 7":                forgedRelin(hps, func(rk *fv.RelinKey) { rk.Variant = 7 }),
-		"ℓ = 2^32-1":               forgedRelin(hps, func(rk *fv.RelinKey) { rk.Ell = 1<<32 - 1 }),
-		"traditional, logW = 0":    forgedRelin(trad, func(rk *fv.RelinKey) { rk.LogW = 0 }),
+		"under-length relin key":   {Relin: &shortRelin},
 		"under-length Galois key":  {Galois: []*fv.GaloisKey{&short}},
-		"honest relin, bad Galois": {Relin: hps, Galois: []*fv.GaloisKey{gk, &short}},
+		"honest relin, bad Galois": {Relin: rk, Galois: []*fv.GaloisKey{gk, &short}},
 	}
 	for name, ks := range forged {
 		blob, err := EncodeTenantKeys(ts.params, nil, ks)
@@ -68,7 +62,7 @@ func TestKeyImportRefusesUnusableKeys(t *testing.T) {
 	}
 
 	// The honest set still imports, and the node still multiplies.
-	blob, err := EncodeTenantKeys(ts.params, nil, &engine.TenantKeySet{Relin: trad, Galois: []*fv.GaloisKey{gk}})
+	blob, err := EncodeTenantKeys(ts.params, nil, &engine.TenantKeySet{Relin: rk, Galois: []*fv.GaloisKey{gk}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,3 +175,51 @@ func mustEncode(t *testing.T, p *program.Program) []byte {
 	}
 	return data
 }
+
+// TestServerProgramNoiseRefusal: the server bounds every program from fresh
+// inputs on its own noise model (no wire command carries a budget), so a
+// Mult chain one Mult past what the parameter set carries is a CodeApp
+// refusal on a connection that keeps serving, counted as a noise rejection
+// and not as a program.
+func TestServerProgramNoiseRefusal(t *testing.T) {
+	ts := newTestSystem(t)
+	_, addr := startServer(t, ts)
+	cl, err := Dial(addr, ts.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	chain := func(depth int) *program.Program {
+		b := program.NewBuilder()
+		x, y := b.Input(), b.Input()
+		acc := b.Mul(x, y)
+		for i := 1; i < depth; i++ {
+			acc = b.Mul(acc, y)
+		}
+		b.Output(acc)
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// The deepest chain the engine's one-bit floor admits, plus one Mult.
+	m := fv.NewNoiseModel(ts.params)
+	depth := 1
+	for chain(depth+1).PredictBudget(m, m.Fresh()) >= 1 {
+		depth++
+	}
+	inputs := []*fv.Ciphertext{ts.encrypt(t, 3), ts.encrypt(t, 5)}
+	_, err = cl.RunProgram(context.Background(), chain(depth+1), inputs)
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != CodeApp {
+		t.Fatalf("chain of %d Mults: err = %v, want *ServerError with CodeApp", depth+1, err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection unusable after the noise refusal: %v", err)
+	}
+	if s := ts.eng.Stats(); s.NoiseRejected != 1 || s.Programs != 0 {
+		t.Fatalf("NoiseRejected = %d, Programs = %d; want 1 and 0", s.NoiseRejected, s.Programs)
+	}
+}

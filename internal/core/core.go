@@ -29,13 +29,17 @@ func (a CKKSAccelerator) Mul(x, y *ckks.Ciphertext, rk *ckks.RelinKey) (*ckks.Ci
 	return a.MulRescale(x, y, rk)
 }
 
-// New returns a scheduler over a fresh co-processor of the variant (see
-// sched.NewVariant). coprocs must be 1 (see oneCoproc).
+// New returns a scheduler over a fresh co-processor (sched.NewDefault).
+// variant must be hwsim.VariantHPS (else hwsim.ErrVariant) and coprocs 1
+// (see oneCoproc); bench/ passes both.
 func New(params *fv.Params, variant hwsim.Variant, coprocs int) (*Accelerator, error) {
 	if err := oneCoproc(coprocs); err != nil {
 		return nil, err
 	}
-	return sched.NewVariant(params, variant)
+	if variant != hwsim.VariantHPS {
+		return nil, fmt.Errorf("core: %w", hwsim.ErrVariant)
+	}
+	return sched.NewDefault(params)
 }
 
 // NewCKKS returns a CKKS scheduler under the default calibration. coprocs

@@ -46,7 +46,7 @@ func New(cfg fv.Config, keySeed uint64) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	hw, err := sched.NewVariant(params, hwsim.VariantHPS)
+	hw, err := sched.NewDefault(params)
 	if err != nil {
 		return nil, err
 	}

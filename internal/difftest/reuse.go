@@ -15,10 +15,9 @@ import (
 // ReuseHarness is the dirty-file differential. The co-processor's memory
 // file is resident: an operation runs in the rows the operation before left
 // behind, wiped lazily. The harness drives one long-lived scheduler per
-// architecture (BFV HPS, BFV traditional, the CKKS chain) through a seeded
-// mix of operations and, op by op, rebuilds a brand-new scheduler to run the
-// same operation on: the two must agree in every ciphertext bit and every
-// simulated cycle. Reuse that is visible anywhere — a stale row read as data,
+// scheme (BFV, the CKKS chain) through a seeded mix of operations and, op by
+// op, rebuilds a brand-new scheduler to run the same operation on: the two
+// must agree in every ciphertext bit and every simulated cycle. Reuse that is visible anywhere — a stale row read as data,
 // an accumulator starting from the last tenant's sum, a domain tag or a
 // fingerprint surviving a wipe — shows as a divergence.
 type ReuseHarness struct {
@@ -30,9 +29,8 @@ type ReuseHarness struct {
 	// of them the checker stopped mid-program with a typed error.
 	Damaged, Aborted int
 
-	bfv  [2]bfvTenant
-	hps  *sched.Scheduler
-	trad *sched.Scheduler
+	bfv [2]bfvTenant
+	hw  *sched.Scheduler
 
 	cenc *ckks.Encryptor
 	ccod *ckks.Encoder
@@ -44,15 +42,15 @@ type ReuseHarness struct {
 
 // bfvTenant is one tenant's evaluation keys and a pool of its ciphertexts.
 type bfvTenant struct {
-	rk, rkTrad *fv.RelinKey
-	gk         *fv.GaloisKey
-	pool       []*fv.Ciphertext
+	rk   *fv.RelinKey
+	gk   *fv.GaloisKey
+	pool []*fv.Ciphertext
 }
 
 const integritySeed = 7
 
 // NewReuse builds the harness: two BFV tenants and one CKKS tenant with
-// deterministic keys from keySeed, and the three long-lived schedulers.
+// deterministic keys from keySeed, and the two long-lived schedulers.
 func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (*ReuseHarness, error) {
 	params, err := fv.NewParams(cfg)
 	if err != nil {
@@ -69,7 +67,6 @@ func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (
 		sk, pk, rk := kg.GenKeys()
 		tn := &h.bfv[i]
 		tn.rk = rk
-		tn.rkTrad = kg.GenRelinKey(sk, fv.Traditional, cfg.RelinLogW, cfg.RelinDepth)
 		tn.gk = kg.GenGaloisKey(sk, 3)
 		enc := fv.NewEncryptor(params, pk, prng)
 		for j := 0; j < 4; j++ {
@@ -80,10 +77,7 @@ func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (
 			tn.pool = append(tn.pool, enc.Encrypt(pt))
 		}
 	}
-	if h.hps, err = h.newBFV(hwsim.VariantHPS); err != nil {
-		return nil, err
-	}
-	if h.trad, err = h.newBFV(hwsim.VariantTraditional); err != nil {
+	if h.hw, err = h.newBFV(); err != nil {
 		return nil, err
 	}
 
@@ -101,8 +95,8 @@ func NewReuse(cfg fv.Config, ccfg ckks.Config, keySeed uint64, integrity bool) (
 }
 
 // newBFV builds a scheduler over a brand-new co-processor.
-func (h *ReuseHarness) newBFV(variant hwsim.Variant) (*sched.Scheduler, error) {
-	s, err := sched.NewVariant(h.Params, variant)
+func (h *ReuseHarness) newBFV() (*sched.Scheduler, error) {
+	s, err := sched.NewDefault(h.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -185,19 +179,12 @@ func (h *ReuseHarness) Run(seed []byte, ops int) error {
 	return nil
 }
 
-// bfvOp runs one BFV operation on the long-lived scheduler of the chosen
-// variant and on a new one.
+// bfvOp runs one BFV operation on the long-lived scheduler and on a new one.
 func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Injector) error {
 	tn := &h.bfv[next()%2]
 	a := tn.pool[next()%uint64(len(tn.pool))]
 	b := tn.pool[next()%uint64(len(tn.pool))]
-	variant, long, rk := hwsim.VariantHPS, h.hps, tn.rk
-	// Rotate needs the RNS gadget, so the traditional co-processor sees the
-	// other kinds.
-	if kind != 2 && next()%3 == 0 {
-		variant, long, rk = hwsim.VariantTraditional, h.trad, tn.rkTrad
-	}
-	fresh, err := h.newBFV(variant)
+	fresh, err := h.newBFV()
 	if err != nil {
 		return err
 	}
@@ -209,12 +196,12 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 		case 2:
 			return s.Rotate(a, tn.gk)
 		}
-		return s.Mul(a, b, rk)
+		return s.Mul(a, b, tn.rk)
 	}
 
-	long.C.SetInjector(inj)
-	got, gotRep, gotErr := run(long)
-	long.C.SetInjector(nil)
+	h.hw.C.SetInjector(inj)
+	got, gotRep, gotErr := run(h.hw)
+	h.hw.C.SetInjector(nil)
 	if inj != nil {
 		h.damaged(gotErr)
 		return nil // the next operation is the test
@@ -224,10 +211,10 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 		return fmt.Errorf("reused scheduler: %v, new scheduler: %v", gotErr, wantErr)
 	}
 	if gotRep != wantRep {
-		return fmt.Errorf("%v: reused scheduler reported %+v, a new one %+v", variant, gotRep, wantRep)
+		return fmt.Errorf("reused scheduler reported %+v, a new one %+v", gotRep, wantRep)
 	}
 	if !got.Equal(want) {
-		return fmt.Errorf("%v: result differs between the reused and a new scheduler", variant)
+		return fmt.Errorf("result differs between the reused and a new scheduler")
 	}
 	return nil
 }

@@ -105,10 +105,6 @@ type Op struct {
 	CA, CB *ckks.Ciphertext
 	R      int
 	Plain  []float64
-	// BudgetHint is the caller-declared remaining noise budget (bits) of the
-	// operands — the server cannot measure it without the secret key. Zero
-	// means unknown; the noise guardrail only screens hinted operations.
-	BudgetHint float64
 }
 
 // Result is the outcome of a served operation.
@@ -131,7 +127,9 @@ type Config struct {
 	// chain accelerator, enabling the OpCKKS* kinds. Engines built without
 	// it refuse those kinds with ErrCKKSUnavailable.
 	CKKSParams *ckks.Params
-	// Variant selects the lift/scale architecture (default hwsim.VariantHPS).
+	// Variant must be hwsim.VariantHPS (the zero value): any other value
+	// fails New with an error wrapping hwsim.ErrVariant. The field survives
+	// only because bench/ sets it (ROADMAP item 1(a)).
 	Variant hwsim.Variant
 	// Workers is the number of pool workers, each owning one simulated
 	// co-processor (default runtime.NumCPU()). The paper's platform is
@@ -193,6 +191,9 @@ func (c *Config) withDefaults() (Config, error) {
 	cfg := *c
 	if cfg.Params == nil {
 		return cfg, errors.New("engine: Config.Params is required")
+	}
+	if cfg.Variant != hwsim.VariantHPS {
+		return cfg, fmt.Errorf("engine: Config.Variant %d: %w", cfg.Variant, hwsim.ErrVariant)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
@@ -326,7 +327,7 @@ func New(cfg Config) (*Engine, error) {
 		return s.EnableIntegrity(cfg.IntegritySeed + seedOffset)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		hw, err := sched.NewVariant(cfg.Params, cfg.Variant)
+		hw, err := sched.NewDefault(cfg.Params)
 		if err == nil {
 			err = guard(hw, int64(i)*1009+1)
 		}
@@ -473,9 +474,6 @@ func (e *Engine) Submit(ctx context.Context, op Op) (*Result, error) {
 	if info.scheme == schemeCKKS && e.cfg.CKKSParams == nil {
 		return nil, ErrCKKSUnavailable
 	}
-	if err := e.noiseGuard(op, info); err != nil {
-		return nil, err
-	}
 	r := &request{op: op, key: batchKey{tenant: op.Tenant, kind: op.Kind}, done: make(chan struct{})}
 	if info.key == keyGalois {
 		r.key.g = op.G
@@ -583,26 +581,9 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}
 }
 
-// minNoiseBudgetBits is the guardrail's floor: an operation or program
-// predicted to leave less than one bit of budget is refused.
+// minNoiseBudgetBits is the guardrail's floor: a program predicted to leave
+// less than one bit of budget is refused.
 const minNoiseBudgetBits = 1.0
-
-// noiseGuard screens a hinted operation through the fv noise model: if the
-// predicted post-op budget is below the floor, the result would decrypt to
-// garbage, and the engine refuses with ErrNoiseBudget instead of computing
-// it. Unhinted operations (BudgetHint 0) pass — the server cannot measure
-// budget without the secret key.
-func (e *Engine) noiseGuard(op Op, info *opInfo) error {
-	if op.BudgetHint <= 0 || info.noise == nil {
-		return nil
-	}
-	if predicted := info.noise(e.noise, op.BudgetHint); predicted < minNoiseBudgetBits {
-		e.m.noiseRejected.Add(1)
-		return fmt.Errorf("%w: %v predicted to leave %.1f bits (floor %.1f)",
-			ErrNoiseBudget, op.Kind, predicted, minNoiseBudgetBits)
-	}
-	return nil
-}
 
 // resubmit re-enqueues a request after a recoverable integrity failure,
 // without blocking: the batcher may itself be blocked handing work to the

@@ -66,6 +66,15 @@ func newEngine(t testing.TB, params *fv.Params, cfg Config) *Engine {
 	return e
 }
 
+// TestEngineRefusesOtherVariants: only the HPS co-processor executes, so a
+// Config naming any other variant fails New with a typed error.
+func TestEngineRefusesOtherVariants(t *testing.T) {
+	e, err := New(Config{Params: testParams(t), Variant: hwsim.VariantHPS + 1, Workers: 1})
+	if !errors.Is(err, hwsim.ErrVariant) || e != nil {
+		t.Fatalf("New with variant 1: engine %v, err %v; want hwsim.ErrVariant", e, err)
+	}
+}
+
 // TestEngineMulMatchesAccelerator: results served through the queue →
 // batcher → worker pool must be bit-for-bit the ones a sequential
 // scheduler produces.
@@ -75,7 +84,7 @@ func TestEngineMulMatchesAccelerator(t *testing.T) {
 	e := newEngine(t, params, Config{Workers: 2, MaxBatch: 4})
 	e.SetRelinKey(tn.name, tn.rk)
 
-	ref, err := sched.NewVariant(params, hwsim.VariantHPS)
+	ref, err := sched.NewDefault(params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ type evalKey struct {
 // which is why the paper streams the key during Mult instead of re-sending
 // operand-style, and why a serving layer wants it cached.
 func relinKeyBytes(params *fv.Params, rk *fv.RelinKey) int {
-	return 2 * rk.Ell * hwsim.PolyBytes(params.N(), params.QBasis.K())
+	return 2 * len(rk.Rlk0Hat) * hwsim.PolyBytes(params.N(), params.QBasis.K())
 }
 
 // galoisKeyBytes returns the DMA transfer size of a Galois key-switching

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-
-	"repro/internal/fv"
 )
 
 // scheme is which of the two co-processor-backed schemes a kind, and an
@@ -40,18 +38,12 @@ type opInfo struct {
 	plain bool
 	needs string
 	key   keyNeed
-	// noise is the guardrail's prediction of the budget left after the
-	// operation; nil for kinds the fv noise model does not cover.
-	noise func(m *fv.NoiseModel, budget float64) float64
 }
 
 var opTable = [...]opInfo{
-	OpAdd: {name: "add", scheme: schemeBFV, cts: 2, needs: "two operands",
-		noise: func(m *fv.NoiseModel, b float64) float64 { return m.AfterAdd(b, b) }},
-	OpMul: {name: "mul", scheme: schemeBFV, cts: 2, needs: "two operands", key: keyRelin,
-		noise: func(m *fv.NoiseModel, b float64) float64 { return m.AfterMul(b, b) }},
-	OpRotate: {name: "rotate", scheme: schemeBFV, cts: 1, needs: "an operand", key: keyGalois,
-		noise: (*fv.NoiseModel).AfterGalois},
+	OpAdd:        {name: "add", scheme: schemeBFV, cts: 2, needs: "two operands"},
+	OpMul:        {name: "mul", scheme: schemeBFV, cts: 2, needs: "two operands", key: keyRelin},
+	OpRotate:     {name: "rotate", scheme: schemeBFV, cts: 1, needs: "an operand", key: keyGalois},
 	OpCKKSAdd:    {name: "ckks_add", scheme: schemeCKKS, cts: 2, needs: "two CKKS operands"},
 	OpCKKSMul:    {name: "ckks_mul", scheme: schemeCKKS, cts: 2, needs: "two CKKS operands", key: keyRelin},
 	OpCKKSRotate: {name: "ckks_rotate", scheme: schemeCKKS, cts: 1, needs: "a CKKS operand", key: keyGalois},

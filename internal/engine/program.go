@@ -40,10 +40,6 @@ type ProgramOp struct {
 	Tenant string
 	Prog   *program.Program
 	Inputs []*fv.Ciphertext
-	// BudgetHint is the caller-declared noise budget (bits) of the freshest
-	// input; zero means unknown. A hinted program is pre-screened as a whole
-	// through the fv noise model before any cycle is spent.
-	BudgetHint float64
 }
 
 // ProgramResult is the outcome of a scheduled program execution.
@@ -105,7 +101,7 @@ func (e *Engine) SubmitProgram(ctx context.Context, op ProgramOp) (*ProgramResul
 	if len(op.Inputs) != p.NumInputs {
 		return nil, fmt.Errorf("engine: program needs %d inputs, got %d", p.NumInputs, len(op.Inputs))
 	}
-	if err := e.noiseGuardProgram(p, op.BudgetHint); err != nil {
+	if err := e.noiseGuard(p); err != nil {
 		return nil, err
 	}
 
@@ -305,14 +301,14 @@ func (e *Engine) runProgram(op ProgramOp, tk ticket) (*ProgramResult, error) {
 	}, nil
 }
 
-// noiseGuardProgram pre-screens the whole program through the fv noise
-// model: if the hinted input budget cannot survive to the outputs, refuse
-// before spending a single simulated cycle.
-func (e *Engine) noiseGuardProgram(p *program.Program, hint float64) error {
-	if hint <= 0 {
-		return nil
-	}
-	predicted := p.PredictBudget(e.noise, hint)
+// noiseGuard pre-screens the whole program through the fv noise model on
+// the server's own numbers: the server cannot measure an input's budget
+// without the secret key, so it bounds every program from fresh inputs
+// (NoiseModel.Fresh). A circuit too deep even from fresh ciphertexts would
+// decrypt to garbage; it is refused before a single simulated cycle is
+// spent.
+func (e *Engine) noiseGuard(p *program.Program) error {
+	predicted := p.PredictBudget(e.noise, e.noise.Fresh())
 	if predicted < minNoiseBudgetBits {
 		e.m.noiseRejected.Add(1)
 		return fmt.Errorf("%w: program predicted to leave %.1f bits (floor %.1f)",
@@ -357,7 +353,7 @@ func (t *progTask) run(e *Engine, w *worker) {
 	case program.OpRelin:
 		rk := t.key.key.(*fv.RelinKey)
 		ct = w.ev.Relinearize(t.a, rk)
-		cycles = e.swOpCycles(2 * rk.Ell)
+		cycles = e.swOpCycles(2 * len(rk.Rlk0Hat))
 	case program.OpAddPlain:
 		ct = w.ev.AddPlain(t.a, t.plain)
 		cycles = e.swOpCycles(1)

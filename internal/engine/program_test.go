@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/fv"
 	"repro/internal/program"
-	"repro/internal/sampler"
 )
 
 // mulChain builds a serial chain of `depth` multiplications over one input
@@ -96,9 +95,9 @@ func TestProgramMatchesInterpreter(t *testing.T) {
 // TestProgramRelinNodeMatchesInterpreter: a program that multiplies without
 // relinearizing and relinearizes as its own node — the software path a
 // forged imported key used to crash — is bit-identical to the reference
-// interpreter under honest keys of both gadgets, each taken through the key
-// file the way a tenant's upload arrives (so what the body readers now
-// insist on is what honest keys have).
+// interpreter under an honest key taken through the key file the way a
+// tenant's upload arrives (so what the body reader insists on is what honest
+// keys have).
 func TestProgramRelinNodeMatchesInterpreter(t *testing.T) {
 	params := testParams(t)
 	tn := newTenant(t, params, "acme", 7)
@@ -113,44 +112,49 @@ func TestProgramRelinNodeMatchesInterpreter(t *testing.T) {
 	}
 	inputs := []*fv.Ciphertext{tn.encrypt(params, 3, 11), tn.encrypt(params, 5, 12)}
 
-	trad := fv.NewKeyGenerator(params, sampler.NewPRNG(9)).GenRelinKey(tn.sk, fv.Traditional, params.Cfg.RelinLogW, params.Cfg.RelinDepth)
-	for _, honest := range []*fv.RelinKey{tn.rk, trad} {
-		var file bytes.Buffer
-		if err := fv.WriteRelinKeyV2(&file, params, honest); err != nil {
-			t.Fatal(err)
-		}
-		_, rk, err := fv.ReadRelinKey(&file)
-		if err != nil {
-			t.Fatalf("honest %v relin key refused: %v", honest.Variant, err)
-		}
-		e.SetRelinKey(tn.name, rk)
-		res, err := e.SubmitProgram(context.Background(), ProgramOp{Tenant: tn.name, Prog: p, Inputs: inputs})
-		if err != nil {
-			t.Fatalf("%v key: SubmitProgram: %v", rk.Variant, err)
-		}
-		want, err := program.Run(params, p, inputs, program.Keys{Relin: honest})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Outputs[0].Equal(want[0]) {
-			t.Fatalf("%v key: the relin node diverges from the reference interpreter", rk.Variant)
-		}
-		if got := tn.decrypt(params, res.Outputs[0]); got != 15 {
-			t.Fatalf("%v key: 3·5 decrypts to %d", rk.Variant, got)
-		}
+	var file bytes.Buffer
+	if err := fv.WriteRelinKeyV2(&file, params, tn.rk); err != nil {
+		t.Fatal(err)
+	}
+	_, rk, err := fv.ReadRelinKey(&file)
+	if err != nil {
+		t.Fatalf("honest relin key refused: %v", err)
+	}
+	e.SetRelinKey(tn.name, rk)
+	res, err := e.SubmitProgram(context.Background(), ProgramOp{Tenant: tn.name, Prog: p, Inputs: inputs})
+	if err != nil {
+		t.Fatalf("SubmitProgram: %v", err)
+	}
+	want, err := program.Run(params, p, inputs, program.Keys{Relin: tn.rk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Outputs[0].Equal(want[0]) {
+		t.Fatal("the relin node diverges from the reference interpreter")
+	}
+	if got := tn.decrypt(params, res.Outputs[0]); got != 15 {
+		t.Fatalf("3·5 decrypts to %d", got)
 	}
 }
 
 // TestProgramLoadsEachKeyOnce is the acceptance check for the key prologue:
-// a deep mul chain — every node needing the relin key — must charge exactly
-// ONE key load for the whole program.
+// four Mults — every node needing the relin key — must charge exactly ONE
+// key load for the whole program.
 func TestProgramLoadsEachKeyOnce(t *testing.T) {
 	params := testParams(t)
 	tn := newTenant(t, params, "acme", 7)
 	e := newEngine(t, params, Config{Workers: 2, KeyCacheSlots: 1})
 	e.SetRelinKey(tn.name, tn.rk)
 
-	p := mulChain(t, 4)
+	b := program.NewBuilder()
+	x, y := b.Input(), b.Input()
+	for i := 0; i < 4; i++ {
+		b.Output(b.Mul(x, y))
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := e.SubmitProgram(context.Background(), ProgramOp{
 		Tenant: tn.name, Prog: p,
 		Inputs: []*fv.Ciphertext{tn.encrypt(params, 1, 21), tn.encrypt(params, 1, 22)},
@@ -268,33 +272,32 @@ func TestProgramAdmissionAndShutdown(t *testing.T) {
 	}
 }
 
+// TestProgramNoiseGuard: every program is bounded from fresh inputs on the
+// server's own noise model, so the deepest Mult chain the parameter set
+// carries runs and one Mult more is refused before execution.
 func TestProgramNoiseGuard(t *testing.T) {
 	params := testParams(t)
 	tn := newTenant(t, params, "", 7)
 	e := newEngine(t, params, Config{Workers: 1})
 	e.SetRelinKey(tn.name, tn.rk)
 
-	// A chain deeper than the parameter set supports, hinted with a fresh
-	// budget, must be refused before execution.
-	deep := mulChain(t, 24)
 	m := fv.NewNoiseModel(params)
+	depth := 1
+	for mulChain(t, depth+1).PredictBudget(m, m.Fresh()) >= minNoiseBudgetBits {
+		depth++
+	}
 	inputs := []*fv.Ciphertext{tn.encrypt(params, 1, 61), tn.encrypt(params, 1, 62)}
-	_, err := e.SubmitProgram(context.Background(), ProgramOp{
-		Prog: deep, Inputs: inputs, BudgetHint: m.Fresh(),
-	})
+	_, err := e.SubmitProgram(context.Background(), ProgramOp{Prog: mulChain(t, depth+1), Inputs: inputs})
 	if !errors.Is(err, ErrNoiseBudget) {
-		t.Fatalf("hopeless program: err = %v, want ErrNoiseBudget", err)
+		t.Fatalf("chain of %d Mults: err = %v, want ErrNoiseBudget", depth+1, err)
 	}
-	if s := e.Stats(); s.NoiseRejected != 1 {
-		t.Fatalf("NoiseRejected = %d, want 1", s.NoiseRejected)
+	if s := e.Stats(); s.NoiseRejected != 1 || s.Programs != 0 {
+		t.Fatalf("NoiseRejected = %d, Programs = %d; want 1 and 0", s.NoiseRejected, s.Programs)
 	}
-
-	// A shallow program with the same hint passes.
-	if _, err := e.SubmitProgram(context.Background(), ProgramOp{
-		Prog: mulChain(t, 1), Inputs: inputs, BudgetHint: m.Fresh(),
-	}); err != nil {
-		t.Fatalf("shallow hinted program rejected: %v", err)
+	if _, err := e.SubmitProgram(context.Background(), ProgramOp{Prog: mulChain(t, depth), Inputs: inputs}); err != nil {
+		t.Fatalf("chain of %d Mults refused: %v", depth, err)
 	}
+	t.Logf("deepest Mult chain from fresh inputs: %d", depth)
 }
 
 // TestProgramSharesPoolWithOps: single ops and a program in flight together

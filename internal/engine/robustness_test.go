@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/fv"
 	"repro/internal/hwsim"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -50,7 +49,7 @@ func TestEngineIntegrityRetryRecovers(t *testing.T) {
 		t.Fatal("hardware detection counter not incremented")
 	}
 	// The result must match a clean sequential accelerator bit for bit.
-	ref, err := sched.NewVariant(params, hwsim.VariantHPS)
+	ref, err := sched.NewDefault(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,47 +152,5 @@ func TestEngineQuarantineNeverEjectsLastWorker(t *testing.T) {
 	}
 	if ejected != 1 {
 		t.Fatalf("per-worker snapshot shows %d ejected, want 1", ejected)
-	}
-}
-
-// TestEngineNoiseGuard pins the guardrail contract: hinted operations whose
-// predicted post-op budget falls below the floor are refused at admission
-// with ErrNoiseBudget (deterministic, non-retryable), unhinted and healthy
-// operations pass untouched.
-func TestEngineNoiseGuard(t *testing.T) {
-	params := testParams(t)
-	tn := newTenant(t, params, "", 7)
-	e := newEngine(t, params, Config{Workers: 1})
-	e.SetRelinKey(tn.name, tn.rk)
-
-	a := tn.encrypt(params, 2, 331)
-	b := tn.encrypt(params, 9, 332)
-
-	// A Mul on operands hinted at ~3 bits of budget predicts exhaustion.
-	_, err := e.Submit(context.Background(), Op{Kind: OpMul, A: a, B: b, BudgetHint: 3})
-	if !errors.Is(err, ErrNoiseBudget) {
-		t.Fatalf("want ErrNoiseBudget, got %v", err)
-	}
-	// An Add hinted just above the floor is refused too (predicts floor-1).
-	_, err = e.Submit(context.Background(), Op{Kind: OpAdd, A: a, B: b, BudgetHint: 1.5})
-	if !errors.Is(err, ErrNoiseBudget) {
-		t.Fatalf("shallow add: want ErrNoiseBudget, got %v", err)
-	}
-	if s := e.Stats(); s.NoiseRejected != 2 {
-		t.Fatalf("noise rejections = %d, want 2", s.NoiseRejected)
-	}
-
-	// A fresh-sized hint passes and computes correctly.
-	fresh := fv.NewNoiseModel(params).Fresh()
-	res, err := e.Submit(context.Background(), Op{Kind: OpMul, A: a, B: b, BudgetHint: fresh})
-	if err != nil {
-		t.Fatalf("healthy hinted mul refused: %v", err)
-	}
-	if got := tn.decrypt(params, res.Ct); got != 18 {
-		t.Fatalf("decrypted %d, want 18", got)
-	}
-	// An unhinted op is never screened — the server cannot measure budget.
-	if _, err := e.Submit(context.Background(), Op{Kind: OpMul, A: a, B: b}); err != nil {
-		t.Fatalf("unhinted mul refused: %v", err)
 	}
 }

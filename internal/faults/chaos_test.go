@@ -71,7 +71,7 @@ var chaosFx = sync.OnceValues(func() (*chaosFixture, error) {
 		{engine.OpMul, 1, 2},
 		{engine.OpAdd, 0, 2},
 	}
-	ref, err := sched.NewVariant(params, hwsim.VariantHPS)
+	ref, err := sched.NewDefault(params)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/rlwe"
-	"repro/internal/rns"
 )
 
 // Evaluator computes on ciphertexts: the cloud-side Add and Mult of the
@@ -28,26 +27,16 @@ import (
 // Create one per worker (the engine does).
 type Evaluator struct {
 	params  *Params
-	variant LiftScaleVariant
 	ops     poly.PoolOps
 	tracer  *obs.Tracer
 	metrics *obs.Registry
 	scr     evalScratch
 }
 
-// NewEvaluator returns an evaluator using the HPS lift/scale variant.
+// NewEvaluator returns an evaluator over params.
 func NewEvaluator(params *Params) *Evaluator {
-	return &Evaluator{params: params, variant: HPS, ops: poly.PoolOps{Pool: params.Pool}}
+	return &Evaluator{params: params, ops: poly.PoolOps{Pool: params.Pool}}
 }
-
-// NewEvaluatorVariant selects the lift/scale variant explicitly (the
-// traditional variant reproduces the paper's slower architecture).
-func NewEvaluatorVariant(params *Params, v LiftScaleVariant) *Evaluator {
-	return &Evaluator{params: params, variant: v, ops: poly.PoolOps{Pool: params.Pool}}
-}
-
-// Variant returns the lift/scale variant in use.
-func (ev *Evaluator) Variant() LiftScaleVariant { return ev.variant }
 
 // SetTracer attaches (or, with nil, detaches) a span tracer. Not safe to
 // call concurrently with evaluation.
@@ -197,16 +186,15 @@ func (ev *Evaluator) mulNoRelinInto(parent obs.Scope, a, b, out *Ciphertext) {
 	st.End()
 }
 
-// scaleInto scales the full-basis x down to the q basis into out through the
-// evaluator's variant.
+// scaleInto scales the full-basis x down to the q basis into out.
 func (ev *Evaluator) scaleInto(x, out poly.RNSPoly) {
-	ev.params.Scaler.ScalePolyVariantInto(ev.variant, x, out)
+	ev.params.Scaler.ScalePolyInto(x, out)
 }
 
 // liftTargets computes the p-basis rows of the lift of x into dst's tail
 // rows; dst's q rows are left untouched (forwardLifted fills them).
 func (ev *Evaluator) liftTargets(x, dst poly.RNSPoly) {
-	ev.params.Lifter.LiftTargetsVariantInto(ev.variant, x, dst.Rows[ev.params.Cfg.QCount:])
+	ev.params.Lifter.LiftTargetsInto(x, dst.Rows[ev.params.Cfg.QCount:])
 }
 
 // forwardLifted forward-transforms the lifted operand dst over the full
@@ -242,9 +230,8 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext, rk *RelinKey) *Ciphertext {
 }
 
 // RelinearizeInto is Relinearize writing into a caller-owned degree-1
-// ciphertext. With an HPS relin key and a reused destination it allocates
-// nothing in steady state (the traditional word decomposition still builds
-// its digit polynomials per call). out may alias ct.
+// ciphertext. With a reused destination it allocates nothing in steady
+// state. out may alias ct.
 func (ev *Evaluator) RelinearizeInto(ct *Ciphertext, rk *RelinKey, out *Ciphertext) {
 	sc := ev.tracer.Start("relin")
 	defer sc.End()
@@ -252,7 +239,6 @@ func (ev *Evaluator) RelinearizeInto(ct *Ciphertext, rk *RelinKey, out *Cipherte
 }
 
 func (ev *Evaluator) relinearizeInto(parent obs.Scope, ct *Ciphertext, rk *RelinKey, out *Ciphertext) {
-	p := ev.params
 	if len(ct.Els) != 3 {
 		panic("fv: Relinearize expects a degree-2 ciphertext")
 	}
@@ -260,15 +246,7 @@ func (ev *Evaluator) relinearizeInto(parent obs.Scope, ct *Ciphertext, rk *Relin
 		panic(fmt.Sprintf("fv: RelinearizeInto needs a degree-1 destination, got %d elements", len(out.Els)))
 	}
 	ev.count("fv.relin")
-	// The traditional architecture brings its own positional digits; the
-	// HPS key takes the switcher's RNS gadget.
-	var digits []poly.RNSPoly
-	if rk.Variant == Traditional {
-		st := parent.Child("decomp")
-		digits = rns.WordDecompose(p.QBasis, ct.Els[2], rk.LogW, rk.Ell)
-		st.End()
-	}
-	s0, s1 := ev.scratch().ksw.Switch(parent, ct.Els[2], digits, rk.Rlk0Hat, rk.Rlk1Hat)
+	s0, s1 := ev.scratch().ksw.Switch(parent, ct.Els[2], rk.Rlk0Hat, rk.Rlk1Hat)
 	st := parent.Child("combine")
 	ev.ops.AddInto(ct.Els[0], s0, out.Els[0])
 	ev.ops.AddInto(ct.Els[1], s1, out.Els[1])
@@ -279,7 +257,7 @@ func (ev *Evaluator) relinearizeInto(parent obs.Scope, ct *Ciphertext, rk *Relin
 // (c0, c1), valid under the key's source secret, re-encrypted to its
 // destination secret.
 func (ev *Evaluator) keySwitch(c0, c1 poly.RNSPoly, k0, k1 []poly.RNSPoly) *Ciphertext {
-	s0, s1 := ev.scratch().ksw.Switch(obs.Scope{}, c1, nil, k0, k1)
+	s0, s1 := ev.scratch().ksw.Switch(obs.Scope{}, c1, k0, k1)
 	out := NewCiphertext(ev.params, 2)
 	c0.AddInto(s0, out.Els[0])
 	s1.CopyInto(out.Els[1])
@@ -296,8 +274,8 @@ func (ev *Evaluator) Mul(a, b *Ciphertext, rk *RelinKey) *Ciphertext {
 
 // MulInto is the zero-allocation FV.Mult: the degree-2 intermediate lives in
 // evaluator scratch and the relinearized product lands in the caller-owned
-// degree-1 out. With the HPS variant and a reused destination, steady-state
-// allocations are zero. out may alias a or b — the inputs are fully consumed
+// degree-1 out. With a reused destination, steady-state allocations are
+// zero. out may alias a or b — the inputs are fully consumed
 // before out is written.
 func (ev *Evaluator) MulInto(a, b *Ciphertext, rk *RelinKey, out *Ciphertext) {
 	sc := ev.tracer.Start("mul")

@@ -96,8 +96,9 @@ func FuzzReadKeyHeader(f *testing.F) {
 // evaluator's or the co-processor's digit loop. An accepted relin key must
 // relinearize a degree-2 ciphertext without panicking; an accepted Galois key
 // must carry one component per q prime and an odd in-range element and rotate
-// a ciphertext without panicking. Seeded with honest keys of both gadgets and
-// the forged containers of TestKeyReadersRefuseUnusableKeys.
+// a ciphertext without panicking. Seeded with an honest relin key, Galois
+// keys for the smallest and the largest element, and the forged containers
+// of TestKeyReadersRefuseUnusableKeys.
 func FuzzDecodeFVKeys(f *testing.F) {
 	p, err := NewParams(TestConfig(257))
 	if err != nil {
@@ -113,10 +114,8 @@ func FuzzDecodeFVKeys(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(func(b *bytes.Buffer) error { return WriteRelinKeyV2(b, p, rk) })
-	seed(func(b *bytes.Buffer) error {
-		return WriteRelinKeyV2(b, p, kg.GenRelinKey(sk, Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth))
-	})
 	seed(func(b *bytes.Buffer) error { return WriteGaloisKeyV2(b, p, kg.GenGaloisKey(sk, 3)) })
+	seed(func(b *bytes.Buffer) error { return WriteGaloisKeyV2(b, p, kg.GenGaloisKey(sk, 2*p.N()-1)) })
 	for _, file := range forgedKeyFiles(f, p) {
 		f.Add(file)
 	}
@@ -124,11 +123,10 @@ func FuzzDecodeFVKeys(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p2, rk2, err := ReadRelinKey(bytes.NewReader(data)); err == nil {
-			if len(rk2.Rlk0Hat) != rk2.Ell || len(rk2.Rlk1Hat) != rk2.Ell {
-				t.Fatalf("accepted relin key with ℓ = %d and %d+%d components", rk2.Ell, len(rk2.Rlk0Hat), len(rk2.Rlk1Hat))
+			if len(rk2.Rlk0Hat) != p2.Cfg.QCount || len(rk2.Rlk1Hat) != p2.Cfg.QCount {
+				t.Fatalf("accepted relin key with %d+%d components, q has %d primes", len(rk2.Rlk0Hat), len(rk2.Rlk1Hat), p2.Cfg.QCount)
 			}
-			// c̃2 = (q-1)/2 in every coefficient — residue (q_i-1)/2 on row i —
-			// is the widest value a positional decomposition has to slice.
+			// c̃2 = (q-1)/2 in every coefficient — residue (q_i-1)/2 on row i.
 			ct := NewCiphertext(p2, 3)
 			for i, m := range p2.QMods {
 				for c := range ct.Els[2].Rows[i].Coeffs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/poly"
 	"repro/internal/sampler"
 )
 
@@ -228,77 +229,110 @@ func TestAddPlainMulPlain(t *testing.T) {
 	}
 }
 
-func TestHomomorphicMulBothVariants(t *testing.T) {
+func TestHomomorphicMul(t *testing.T) {
 	const tmod = 257
 	p := testParams(t, tmod)
-	for _, variant := range []LiftScaleVariant{HPS, Traditional} {
-		prng := sampler.NewPRNG(5)
-		kg := NewKeyGenerator(p, prng)
-		sk := kg.GenSecretKey()
-		pk := kg.GenPublicKey(sk)
-		var rk *RelinKey
-		if variant == HPS {
-			rk = kg.GenRelinKey(sk, HPS, 0, 0)
-		} else {
-			rk = kg.GenRelinKey(sk, Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
-		}
-		enc := NewEncryptor(p, pk, prng)
-		dec := NewDecryptor(p, sk)
-		ev := NewEvaluatorVariant(p, variant)
+	prng := sampler.NewPRNG(5)
+	kg := NewKeyGenerator(p, prng)
+	sk, pk, rk := kg.GenKeys()
+	enc := NewEncryptor(p, pk, prng)
+	dec := NewDecryptor(p, sk)
+	ev := NewEvaluator(p)
 
-		a := NewPlaintext(p)
-		b := NewPlaintext(p)
-		a.Coeffs[0], a.Coeffs[1] = 6, 1 // 6 + x
-		b.Coeffs[0], b.Coeffs[1] = 7, 2 // 7 + 2x
-		// (6+x)(7+2x) = 42 + 19x + 2x².
-		ca, cb := enc.Encrypt(a), enc.Encrypt(b)
+	a := NewPlaintext(p)
+	b := NewPlaintext(p)
+	a.Coeffs[0], a.Coeffs[1] = 6, 1 // 6 + x
+	b.Coeffs[0], b.Coeffs[1] = 7, 2 // 7 + 2x
+	// (6+x)(7+2x) = 42 + 19x + 2x².
+	ca, cb := enc.Encrypt(a), enc.Encrypt(b)
 
-		ct3 := ev.MulNoRelin(ca, cb)
-		if ct3.Degree() != 2 {
-			t.Fatalf("%v: product degree %d", variant, ct3.Degree())
-		}
-		got := dec.Decrypt(ct3)
-		if got.Coeffs[0] != 42 || got.Coeffs[1] != 19 || got.Coeffs[2] != 2 {
-			t.Fatalf("%v: degree-2 decrypt = %v", variant, got.Coeffs[:4])
-		}
+	ct3 := ev.MulNoRelin(ca, cb)
+	if ct3.Degree() != 2 {
+		t.Fatalf("product degree %d", ct3.Degree())
+	}
+	got := dec.Decrypt(ct3)
+	if got.Coeffs[0] != 42 || got.Coeffs[1] != 19 || got.Coeffs[2] != 2 {
+		t.Fatalf("degree-2 decrypt = %v", got.Coeffs[:4])
+	}
 
-		ct2 := ev.Relinearize(ct3, rk)
-		if ct2.Degree() != 1 {
-			t.Fatalf("%v: relinearized degree %d", variant, ct2.Degree())
-		}
-		got = dec.Decrypt(ct2)
-		if got.Coeffs[0] != 42 || got.Coeffs[1] != 19 || got.Coeffs[2] != 2 {
-			t.Fatalf("%v: relinearized decrypt = %v", variant, got.Coeffs[:4])
-		}
+	ct2 := ev.Relinearize(ct3, rk)
+	if ct2.Degree() != 1 {
+		t.Fatalf("relinearized degree %d", ct2.Degree())
+	}
+	got = dec.Decrypt(ct2)
+	if got.Coeffs[0] != 42 || got.Coeffs[1] != 19 || got.Coeffs[2] != 2 {
+		t.Fatalf("relinearized decrypt = %v", got.Coeffs[:4])
+	}
 
-		// One-shot Mul matches.
-		if !ev.Mul(ca, cb, rk).Equal(ct2) {
-			t.Fatalf("%v: Mul != Relinearize(MulNoRelin)", variant)
-		}
+	// One-shot Mul matches.
+	if !ev.Mul(ca, cb, rk).Equal(ct2) {
+		t.Fatal("Mul != Relinearize(MulNoRelin)")
 	}
 }
 
-func TestMulVariantsAgree(t *testing.T) {
+// TestMulNoRelinMatchesExactCRT: the HPS Lift and Scale inside MulNoRelin
+// give, bit for bit, what the exact multi-precision CRT dataflow of the
+// paper's traditional design (Figs. 5 and 8; the rns oracles ExtendExact
+// and ScaleExact) gives on the same tensor product.
+func TestMulNoRelinMatchesExactCRT(t *testing.T) {
 	const tmod = 17
 	p := testParams(t, tmod)
 	prng := sampler.NewPRNG(6)
-	kg := NewKeyGenerator(p, prng)
-	sk, pk, _ := kg.GenKeys()
+	_, pk, _ := NewKeyGenerator(p, prng).GenKeys()
 	enc := NewEncryptor(p, pk, prng)
-	_ = sk
 
 	a := NewPlaintext(p)
 	a.Coeffs[0], a.Coeffs[3] = 2, 5
 	b := NewPlaintext(p)
 	b.Coeffs[1] = 3
 	ca, cb := enc.Encrypt(a), enc.Encrypt(b)
+	hps := NewEvaluator(p).MulNoRelin(ca, cb)
 
-	hps := NewEvaluatorVariant(p, HPS).MulNoRelin(ca, cb)
-	trad := NewEvaluatorVariant(p, Traditional).MulNoRelin(ca, cb)
-	// The HPS and traditional lift/scale compute identical values, so the
-	// resulting ciphertexts must be bit-identical.
-	if !hps.Equal(trad) {
-		t.Fatal("HPS and traditional multiplication produced different ciphertexts")
+	n, kq, kp := p.N(), p.Cfg.QCount, p.Cfg.PCount
+	lift := func(x poly.RNSPoly) poly.RNSPoly {
+		out := poly.NewRNSPoly(p.AllMods, n)
+		in, res := make([]uint64, kq), make([]uint64, kp)
+		for c := 0; c < n; c++ {
+			for i := range in {
+				in[i] = x.Rows[i].Coeffs[c]
+				out.Rows[i].Coeffs[c] = in[i]
+			}
+			p.Lifter.ExtendExact(in, res)
+			for j, r := range res {
+				out.Rows[kq+j].Coeffs[c] = r
+			}
+		}
+		p.TrFull.Forward(out)
+		return out
+	}
+	a0, a1, b0, b1 := lift(ca.Els[0]), lift(ca.Els[1]), lift(cb.Els[0]), lift(cb.Els[1])
+	tensor := [3]poly.RNSPoly{}
+	for i := range tensor {
+		tensor[i] = poly.NewRNSPoly(p.AllMods, n)
+	}
+	cross := poly.NewRNSPoly(p.AllMods, n)
+	a0.MulInto(b0, tensor[0])
+	a0.MulInto(b1, tensor[1])
+	a1.MulInto(b0, cross)
+	tensor[1].AddInto(cross, tensor[1])
+	a1.MulInto(b1, tensor[2])
+	xq, xp, out := make([]uint64, kq), make([]uint64, kp), make([]uint64, kq)
+	for k, x := range tensor {
+		p.TrFull.Inverse(x)
+		for c := 0; c < n; c++ {
+			for i := range xq {
+				xq[i] = x.Rows[i].Coeffs[c]
+			}
+			for j := range xp {
+				xp[j] = x.Rows[kq+j].Coeffs[c]
+			}
+			p.Scaler.ScaleExact(xq, xp, out)
+			for i, v := range out {
+				if hps.Els[k].Rows[i].Coeffs[c] != v {
+					t.Fatalf("element %d coeff %d row %d: HPS %d, exact CRT %d", k, c, i, hps.Els[k].Rows[i].Coeffs[c], v)
+				}
+			}
+		}
 	}
 }
 
@@ -353,7 +387,7 @@ func TestRelinearizeRequiresDegree2(t *testing.T) {
 	prng := sampler.NewPRNG(8)
 	kg := NewKeyGenerator(p, prng)
 	sk := kg.GenSecretKey()
-	rk := kg.GenRelinKey(sk, HPS, 0, 0)
+	rk := kg.GenRelinKey(sk)
 	ev := NewEvaluator(p)
 	defer func() {
 		if recover() == nil {

@@ -63,43 +63,33 @@ func ReadPublicKey(r io.Reader) (*Params, *PublicKey, error) {
 
 // readRelinKeyBody refuses a key an evaluator or the co-processor could not
 // use. The container's trailer is a checksum, not a MAC — anyone can re-stamp
-// a body — and an imported key goes straight to the digit loop, which
-// trusts these four words: an unknown variant, a component count the
-// decomposition will not produce, or a positional gadget too short for q
-// must stop here, not in a worker goroutine.
+// a body — and an imported key goes straight to the digit loop, so the four
+// meta words must be exactly what WriteRelinKeyV2 writes: (0, 0, ℓ, ℓ) with
+// ℓ = QCount. The first two once named a gadget variant and its digit
+// width; a word naming any variant but the RNS gadget is refused here, not
+// in a worker goroutine.
 func readRelinKeyBody(r io.Reader, params *Params) (*RelinKey, error) {
 	meta, err := keyio.ReadWords(r, 4)
 	if err != nil {
 		return nil, err
 	}
-	rk := &RelinKey{Variant: LiftScaleVariant(meta[0]), LogW: uint(meta[1]), Ell: int(meta[2])}
-	count := int(meta[3])
-	if count < 1 || count > 64 || rk.Ell != count {
-		return nil, fmt.Errorf("fv: implausible relin key (ℓ = %d, %d components)", rk.Ell, count)
+	count := params.Cfg.QCount
+	if [4]uint32(meta) != [4]uint32{0, 0, uint32(count), uint32(count)} {
+		return nil, fmt.Errorf("fv: relin key meta words %v; params need the RNS gadget's [0 0 %d %d]", meta, count, count)
 	}
-	switch logQ := uint(params.LogQ()); rk.Variant {
-	case HPS:
-		if count != params.Cfg.QCount || rk.LogW != 0 {
-			return nil, fmt.Errorf("fv: RNS-gadget relin key with %d components, logW %d; params need %d, 0",
-				count, rk.LogW, params.Cfg.QCount)
-		}
-	case Traditional:
-		if rk.LogW < 1 || rk.LogW > logQ || uint(count)*rk.LogW < logQ {
-			return nil, fmt.Errorf("fv: %d digits of %d bits do not decompose a %d-bit q", count, rk.LogW, logQ)
-		}
-	default:
-		return nil, fmt.Errorf("fv: unknown relin key variant %d", rk.Variant)
-	}
+	rk := &RelinKey{}
 	rk.Rlk0Hat, rk.Rlk1Hat, err = keyio.ReadPairs(r, params.QMods, params.N(), count)
 	return rk, err
 }
 
 // WriteRelinKeyV2 serializes a relinearization key with the checksum
-// trailer: the gadget's variant, digit width, ℓ and component count, then the
-// component pairs.
+// trailer: the meta words (0, 0, ℓ, ℓ) — gadget variant, digit width, digit
+// count and component count, of which only the RNS gadget is left — then
+// the component pairs.
 func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
 	return keyio.WriteKey(w, fvScheme, params.Cfg, func(w io.Writer) error {
-		if err := keyio.WriteWords(w, uint32(rk.Variant), uint32(rk.LogW), uint32(rk.Ell), uint32(len(rk.Rlk0Hat))); err != nil {
+		ell := uint32(len(rk.Rlk0Hat))
+		if err := keyio.WriteWords(w, 0, 0, ell, ell); err != nil {
 			return err
 		}
 		return keyio.WritePairs(w, params.QMods, params.N(), rk.Rlk0Hat, rk.Rlk1Hat)

@@ -3,6 +3,8 @@ package fv
 import (
 	"bytes"
 	"errors"
+	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/keyio"
@@ -125,7 +127,7 @@ func TestKeyIOV2RoundTrip(t *testing.T) {
 	}
 	if _, rk2, err := ReadRelinKey(&buf); err != nil {
 		t.Fatal(err)
-	} else if rk2.Ell != rk.Ell || len(rk2.Rlk0Hat) != len(rk.Rlk0Hat) {
+	} else if len(rk2.Rlk0Hat) != len(rk.Rlk0Hat) {
 		t.Fatal("v2 relin key did not round trip")
 	}
 }
@@ -194,15 +196,20 @@ func TestKeyIOV2DetectsTruncation(t *testing.T) {
 func forgedKeyFiles(t testing.TB, p *Params) map[string][]byte {
 	t.Helper()
 	kg := NewKeyGenerator(p, sampler.NewPRNG(34))
-	sk, _, hps := kg.GenKeys()
-	trad := kg.GenRelinKey(sk, Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
+	sk, _, rk := kg.GenKeys()
 	gk := kg.GenGaloisKey(sk, 3)
 
-	relin := func(base *RelinKey, edit func(*RelinKey)) []byte {
-		rk := *base
-		edit(&rk)
+	// relin writes the key's first comps components under the given meta
+	// words: variant, digit width, ℓ, component count.
+	q := uint32(p.Cfg.QCount)
+	relin := func(comps int, meta ...uint32) []byte {
 		var buf bytes.Buffer
-		if err := WriteRelinKeyV2(&buf, p, &rk); err != nil {
+		if err := keyio.WriteKey(&buf, fvScheme, p.Cfg, func(w io.Writer) error {
+			if err := keyio.WriteWords(w, meta...); err != nil {
+				return err
+			}
+			return keyio.WritePairs(w, p.QMods, p.N(), rk.Rlk0Hat[:comps], rk.Rlk1Hat[:comps])
+		}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -214,25 +221,21 @@ func forgedKeyFiles(t testing.TB, p *Params) map[string][]byte {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		"relin: variant 7":              relin(hps, func(rk *RelinKey) { rk.Variant = 7 }),
-		"relin: ℓ = 2^32-1":             relin(hps, func(rk *RelinKey) { rk.Ell = 1<<32 - 1 }),
-		"relin: traditional, logW = 0":  relin(trad, func(rk *RelinKey) { rk.LogW = 0 }),
-		"relin: traditional, logW huge": relin(trad, func(rk *RelinKey) { rk.LogW = 1<<32 - 1 }),
-		"relin: traditional, too few digits for q": relin(trad, func(rk *RelinKey) {
-			rk.Ell, rk.Rlk0Hat, rk.Rlk1Hat = 1, rk.Rlk0Hat[:1], rk.Rlk1Hat[:1]
-		}),
-		"relin: RNS gadget one component short": relin(hps, func(rk *RelinKey) {
-			rk.Ell, rk.Rlk0Hat, rk.Rlk1Hat = rk.Ell-1, rk.Rlk0Hat[:rk.Ell-1], rk.Rlk1Hat[:rk.Ell-1]
-		}),
-		"relin: RNS gadget with a digit width": relin(hps, func(rk *RelinKey) { rk.LogW = 30 }),
-		"galois: one component short":          shortGalois.Bytes(),
+		"relin: variant 7":                      relin(int(q), 7, 0, q, q),
+		"relin: traditional, 2 digits of 90":    relin(2, 1, 90, 2, 2),
+		"relin: traditional, logW = 0":          relin(int(q), 1, 0, q, q),
+		"relin: traditional, logW huge":         relin(int(q), 1, 1<<32-1, q, q),
+		"relin: ℓ = 2^32-1":                     relin(int(q), 0, 0, 1<<32-1, q),
+		"relin: RNS gadget one component short": relin(int(q)-1, 0, 0, q-1, q-1),
+		"relin: RNS gadget with a digit width":  relin(int(q), 0, 30, q, q),
+		"galois: one component short":           shortGalois.Bytes(),
 	}
 }
 
 // TestKeyReadersRefuseUnusableKeys: every forged container stops at the
 // reader with ErrCorruptKey — under either reader, since an import path
-// tries the one its section tag names — while the honest keys of both
-// gadgets and a Galois key still load.
+// tries the one its section tag names — while an honest relin key and a
+// Galois key still load.
 func TestKeyReadersRefuseUnusableKeys(t *testing.T) {
 	p := testParams(t, 65537)
 	for name, file := range forgedKeyFiles(t, p) {
@@ -246,18 +249,14 @@ func TestKeyReadersRefuseUnusableKeys(t *testing.T) {
 
 	kg := NewKeyGenerator(p, sampler.NewPRNG(35))
 	sk, _, hps := kg.GenKeys()
-	for _, rk := range []*RelinKey{hps, kg.GenRelinKey(sk, Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)} {
-		var buf bytes.Buffer
-		if err := WriteRelinKeyV2(&buf, p, rk); err != nil {
-			t.Fatal(err)
-		}
-		_, got, err := ReadRelinKey(&buf)
-		if err != nil {
-			t.Fatalf("honest %v relin key refused: %v", rk.Variant, err)
-		}
-		if got.Variant != rk.Variant || got.LogW != rk.LogW || got.Ell != rk.Ell || len(got.Rlk0Hat) != rk.Ell {
-			t.Fatalf("honest %v relin key did not round trip", rk.Variant)
-		}
+	var relin bytes.Buffer
+	if err := WriteRelinKeyV2(&relin, p, hps); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := ReadRelinKey(&relin); err != nil {
+		t.Fatalf("honest relin key refused: %v", err)
+	} else if !reflect.DeepEqual(got, hps) {
+		t.Fatal("honest relin key did not round trip")
 	}
 	var buf bytes.Buffer
 	if err := WriteGaloisKeyV2(&buf, p, kg.GenGaloisKey(sk, 2*p.N()-1)); err != nil {

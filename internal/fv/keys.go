@@ -14,19 +14,12 @@ type (
 )
 
 // RelinKey is the relinearization key rlk = (rlk0, rlk1): one pair per
-// decomposition digit, stored in the NTT domain. The fast architecture uses
-// the RNS gadget (ℓ = 6 components for the paper set — "each relinearization
-// key is a vector of six polynomials", Sec. VI-C); the traditional
-// architecture uses positional base-w digits with a configurable, typically
-// smaller, ℓ.
+// digit of the RNS gadget, stored in the NTT domain — ℓ = 6 components for
+// the paper set ("each relinearization key is a vector of six polynomials",
+// Sec. VI-C).
 type RelinKey struct {
-	Variant LiftScaleVariant
 	Rlk0Hat []poly.RNSPoly
 	Rlk1Hat []poly.RNSPoly
-	// LogW and Ell describe the positional decomposition when Variant is
-	// Traditional; the RNS variant always has Ell = len(params.QMods).
-	LogW uint
-	Ell  int
 }
 
 // KeyGenerator samples key material deterministically from its PRNG.
@@ -58,45 +51,25 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return rlwe.GenPublicKey(kg.prng, kg.gauss, p.TrQ, p.QMods, p.N(), sk)
 }
 
-// GenRelinKey derives a relinearization key for sk in the given variant.
-// For HPS the decomposition is the RNS gadget g_i = q*_i; for Traditional it
-// is the positional base-2^logW gadget w^i with ell digits.
-func (kg *KeyGenerator) GenRelinKey(sk *SecretKey, variant LiftScaleVariant, logW uint, ell int) *RelinKey {
+// GenRelinKey derives a relinearization key for sk over the RNS gadget
+// g_i = q*_i.
+func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
 	p := kg.params
 	n := p.N()
 	// s² in the NTT domain.
 	s2Hat := poly.NewRNSPoly(p.QMods, n)
 	sk.SHat.MulInto(sk.SHat, s2Hat)
-
-	var gadgets []poly.RNSPoly // per-digit scalar rows g_i (degree-0)
-	switch variant {
-	case HPS:
-		gadgets = rns.GadgetRNS(p.QBasis)
-		ell = p.QBasis.K()
-		logW = 0
-	case Traditional:
-		gadgets = make([]poly.RNSPoly, ell)
-		for i := 0; i < ell; i++ {
-			gadgets[i] = poly.NewRNSPoly(p.QMods, 1)
-			for j, mj := range p.QMods {
-				// w^i mod q_j; w = 2^logW can exceed a word for wide digit
-				// bases, so reduce it as a power first.
-				gadgets[i].Rows[j].Coeffs[0] = mj.Pow(mj.Pow(2, uint64(logW)), uint64(i))
-			}
-		}
-	}
-
-	rk := &RelinKey{Variant: variant, LogW: logW, Ell: ell}
 	// rlk_i = (-(a·s + e) + g_i·s², a): the shared gadget construction with
 	// payload s².
-	rk.Rlk0Hat, rk.Rlk1Hat = rlwe.GenGadgetKey(kg.prng, kg.gauss, p.TrQ, p.QMods, n, gadgets, sk.SHat, s2Hat)
+	rk := &RelinKey{}
+	rk.Rlk0Hat, rk.Rlk1Hat = rlwe.GenGadgetKey(kg.prng, kg.gauss, p.TrQ, p.QMods, n, rns.GadgetRNS(p.QBasis), sk.SHat, s2Hat)
 	return rk
 }
 
-// GenKeys is the common bundle: secret, public, and an HPS relin key.
+// GenKeys is the common bundle: secret, public, and relin key.
 func (kg *KeyGenerator) GenKeys() (*SecretKey, *PublicKey, *RelinKey) {
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	rk := kg.GenRelinKey(sk, HPS, 0, 0)
+	rk := kg.GenRelinKey(sk)
 	return sk, pk, rk
 }

@@ -49,7 +49,7 @@ func TestSwitchKeyComposesWithEvaluation(t *testing.T) {
 	kg := NewKeyGenerator(p, prng)
 	skA := kg.GenSecretKey()
 	pkA := kg.GenPublicKey(skA)
-	rkA := kg.GenRelinKey(skA, HPS, 0, 0)
+	rkA := kg.GenRelinKey(skA)
 	skB := kg.GenSecretKey()
 	sw := kg.GenSwitchKey(skA, skB)
 

@@ -4,8 +4,9 @@
 // and multiplication with relinearization, integer and batch encoders, and
 // an invariant-noise tracker. The multiplication pipeline follows the
 // paper's Fig. 2 exactly — Lift q→Q, NTT-domain tensor product, Scale Q→q,
-// WordDecomp and ReLin — with both the HPS and the traditional CRT variants
-// of Lift and Scale available (Sec. IV-C, IV-D).
+// WordDecomp and ReLin — with the HPS Lift and Scale (Sec. IV-C, IV-D). The
+// paper's traditional CRT design point is priced, not run
+// (sched.TraditionalMul).
 package fv
 
 import (
@@ -18,26 +19,20 @@ import (
 	"repro/internal/rns"
 )
 
-// LiftScaleVariant selects which of the paper's two design points performs
-// the Lift q→Q and Scale Q→q operations (rns.Variant: rns holds both
-// dataflows).
-type LiftScaleVariant = rns.Variant
-
-const (
-	HPS         = rns.HPS
-	Traditional = rns.Traditional
-)
-
 // Config describes a parameter set before precomputation.
 type Config struct {
-	N          int     // ring degree (power of two)
-	T          uint64  // plaintext modulus
-	QCount     int     // primes in the ciphertext modulus q
-	PCount     int     // extra primes forming Q = q·p
-	PrimeBits  int     // width of each RNS prime (the paper uses 30)
-	Sigma      float64 // error distribution standard deviation
-	RelinLogW  uint    // digit width for the traditional WordDecomp
-	RelinDepth int     // digit count ℓ for the traditional WordDecomp
+	N         int     // ring degree (power of two)
+	T         uint64  // plaintext modulus
+	QCount    int     // primes in the ciphertext modulus q
+	PCount    int     // extra primes forming Q = q·p
+	PrimeBits int     // width of each RNS prime (the paper uses 30)
+	Sigma     float64 // error distribution standard deviation
+	// RelinLogW and RelinDepth were the traditional positional gadget's
+	// digit width and count. Nothing reads them; they survive because the
+	// key-file JSON header carries them (the KATs hash those bytes) and
+	// bench/ compiles against them (ROADMAP item 1(a)).
+	RelinLogW  uint
+	RelinDepth int
 
 	// PoolSize bounds the goroutine pool that fans RNS-limb work (NTT rows,
 	// pointwise ops, Lift/Scale coefficient stripes) — the software analogue

@@ -34,7 +34,7 @@ func TestTracedMulStageSequence(t *testing.T) {
 	kg := NewKeyGenerator(params, sampler.NewPRNG(42))
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	rk := kg.GenRelinKey(sk, HPS, 0, 0)
+	rk := kg.GenRelinKey(sk)
 	enc := NewEncryptor(params, pk, sampler.NewPRNG(7))
 	pt := NewPlaintext(params)
 	pt.Coeffs[0] = 3
@@ -105,7 +105,7 @@ func TestUntracedEvaluatorUnaffected(t *testing.T) {
 	kg := NewKeyGenerator(params, sampler.NewPRNG(1))
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	rk := kg.GenRelinKey(sk, HPS, 0, 0)
+	rk := kg.GenRelinKey(sk)
 	enc := NewEncryptor(params, pk, sampler.NewPRNG(2))
 	pt := NewPlaintext(params)
 	pt.Coeffs[0] = 7

@@ -87,10 +87,8 @@ type Suite struct {
 	SK     *fv.SecretKey
 	PK     *fv.PublicKey
 	RK     *fv.RelinKey
-	RKTrad *fv.RelinKey
 
-	HW     *sched.Scheduler // HPS co-processor
-	HWTrad *sched.Scheduler // traditional co-processor
+	HW *sched.Scheduler // the HPS co-processor
 
 	CtA, CtB *fv.Ciphertext
 }
@@ -119,20 +117,10 @@ func NewSuite(cfg fv.Config) (*Suite, error) {
 	kg := fv.NewKeyGenerator(params, prng)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
-	// The traditional architecture uses a three-times-smaller relin key
-	// (Sec. VI-C): ℓ = 2 digits of w = 2^90 for the 180-bit q.
-	ellTrad := (params.LogQ() + 89) / 90
-	if ellTrad < 2 {
-		ellTrad = 2
-	}
-	rkTrad := kg.GenRelinKey(sk, fv.Traditional, 90, ellTrad)
+	rk := kg.GenRelinKey(sk)
 
-	s := &Suite{Params: params, SK: sk, PK: pk, RK: rk, RKTrad: rkTrad}
-	if s.HW, err = sched.NewVariant(params, hwsim.VariantHPS); err != nil {
-		return nil, err
-	}
-	if s.HWTrad, err = sched.NewVariant(params, hwsim.VariantTraditional); err != nil {
+	s := &Suite{Params: params, SK: sk, PK: pk, RK: rk}
+	if s.HW, err = sched.NewDefault(params); err != nil {
 		return nil, err
 	}
 	enc := fv.NewEncryptor(params, pk, prng)
@@ -292,16 +280,24 @@ func (s *Suite) TableV() Table {
 	return t
 }
 
+// mulPair runs one HPS Mult of the suite's operands and prices the same Mult
+// on the traditional architecture (sched.TraditionalMul).
+func (s *Suite) mulPair() (hps, trad sched.Report, err error) {
+	_, hps, err = s.HW.Mul(s.CtA, s.CtB, s.RK)
+	return hps, s.HW.TraditionalMul(hps), err
+}
+
 // TableNoHPS reproduces Sec. VI-C, the design point without the HPS
-// optimization: traditional Lift/Scale timings and the full Mult.
+// optimization: traditional Lift/Scale timings and the full Mult, read off
+// the cost table.
 func (s *Suite) TableNoHPS() (Table, error) {
 	t := Table{ID: "Sec. VI-C", Title: "Performance without HPS optimization (225 MHz co-processor)"}
 	// Single-core latencies at the traditional design's 225 MHz clock.
-	c := s.HWTrad.C
+	c := s.HW.C
 	liftMs := float64(c.TraditionalCycles(hwsim.OpLift, 1)) / hwsim.TradClockHz * 1e3
 	scaleMs := float64(c.TraditionalCycles(hwsim.OpScale, 1)) / hwsim.TradClockHz * 1e3
 
-	_, rep, err := s.HWTrad.Mul(s.CtA, s.CtB, s.RKTrad)
+	repFast, rep, err := s.mulPair()
 	if err != nil {
 		return t, err
 	}
@@ -309,11 +305,6 @@ func (s *Suite) TableNoHPS() (Table, error) {
 	// include operand/result transfers as the paper does for this row.
 	multMs := (float64(rep.ComputeCycles)/hwsim.TradClockHz +
 		(rep.SendCycles + rep.ReceiveCycles).Seconds()) * 1e3
-
-	_, repFast, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
-	if err != nil {
-		return t, err
-	}
 	fastMs := repFast.TotalSeconds() * 1e3
 
 	t.Rows = []Row{
@@ -415,11 +406,7 @@ func (s *Suite) Ablations() (Table, error) {
 	naive := float64(hwsim.NaiveNTTCycles(c.N, c.Timing))
 	bubble := float64(hwsim.BubbleNTTCycles(c.N, c.Timing))
 
-	_, repFast, err := s.HW.Mul(s.CtA, s.CtB, s.RK)
-	if err != nil {
-		return t, err
-	}
-	_, repTrad, err := s.HWTrad.Mul(s.CtA, s.CtB, s.RKTrad)
+	repFast, repTrad, err := s.mulPair()
 	if err != nil {
 		return t, err
 	}
@@ -468,7 +455,7 @@ func (s *Suite) Ablations() (Table, error) {
 // recordedMul runs one Mult on a fresh co-processor with the scheduler's
 // instruction trace switched on and returns that scheduler.
 func (s *Suite) recordedMul() (*sched.Scheduler, error) {
-	rec, err := sched.NewVariant(s.Params, hwsim.VariantHPS)
+	rec, err := sched.NewDefault(s.Params)
 	if err != nil {
 		return nil, err
 	}

@@ -93,7 +93,7 @@ func TestAssembleErrors(t *testing.T) {
 }
 
 func TestAssembledProgramExecutes(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	prog, err := Assemble(`
 		; lift operand 0, transform batch Q, inverse, restore
 		lift  s0

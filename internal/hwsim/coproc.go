@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -75,15 +76,18 @@ func (s *Stats) Ops() []Op {
 	return ops
 }
 
-// Variant selects the co-processor generation: the HPS-optimized fast
-// architecture or the traditional multi-precision one. It is the type — and
-// the word — a relinearization key records.
-type Variant = rns.Variant
+// Variant names a co-processor generation. Only the HPS architecture
+// executes; the traditional multi-precision one is priced from the cost
+// table (TraditionalCycles, sched.TraditionalMul). The type, VariantHPS and
+// NewCoprocessor's variant argument survive only because bench/ compiles
+// against them (ROADMAP item 1(a)).
+type Variant int
 
-const (
-	VariantHPS         = rns.HPS
-	VariantTraditional = rns.Traditional
-)
+// VariantHPS is the HPS-optimized architecture, the one that executes.
+const VariantHPS Variant = 0
+
+// ErrVariant refuses a co-processor of any variant but VariantHPS.
+var ErrVariant = errors.New("hwsim: only the HPS co-processor executes; the traditional architecture is priced, not run")
 
 // Coprocessor is the instruction-set co-processor of the paper's Fig. 10:
 // a memory file, seven (in the paper's configuration) RPAUs serving the
@@ -91,12 +95,11 @@ const (
 // executes programs functionally on the poly/rns kernels and charges every
 // instruction its entry in the cost table (cost.go).
 type Coprocessor struct {
-	Mods    []ring.Modulus // q primes then p primes
-	KQ, KP  int
-	N       int
-	Variant Variant
-	Timing  Timing
-	DMAEng  DMA
+	Mods   []ring.Modulus // q primes then p primes
+	KQ, KP int
+	N      int
+	Timing Timing
+	DMAEng DMA
 
 	// Basis is the CRT basis WordDecomp extracts gadget digits over (the q
 	// part of the row set). The BFV co-processor inherits it from the
@@ -117,7 +120,7 @@ type Coprocessor struct {
 	// prime, any chain prefix) and rescP (divide the extended key-switch rows
 	// by the special prime: the ModDown) are the chain co-processor's
 	// Rescale. liftBits and scaleBits are the widths of q and Q, what the
-	// traditional division's cost depends on.
+	// traditional division's price depends on.
 	tables              []*poly.NTTTable
 	ext                 *rns.Extender
 	scaler              *rns.ScaleRounder
@@ -159,11 +162,15 @@ type Coprocessor struct {
 // NewCoprocessor builds a co-processor over the given bases. slotCount sizes
 // the memory file (the paper provisions enough on-chip memory for two
 // operand ciphertexts and all Mult intermediates; 24 slots suffice for the
-// scheduler in internal/sched).
+// scheduler in internal/sched). A variant other than VariantHPS fails with
+// ErrVariant.
 func NewCoprocessor(qmods, pmods []ring.Modulus, n int,
 	ext *rns.Extender, sc *rns.ScaleRounder,
 	variant Variant, timing Timing, slotCount int) (*Coprocessor, error) {
 
+	if variant != VariantHPS {
+		return nil, fmt.Errorf("%w (variant %d)", ErrVariant, variant)
+	}
 	kq, kp := len(qmods), len(pmods)
 	if kq == 0 || kp == 0 {
 		return nil, fmt.Errorf("hwsim: need both q and p primes")
@@ -171,7 +178,7 @@ func NewCoprocessor(qmods, pmods []ring.Modulus, n int,
 	all := append(append([]ring.Modulus(nil), qmods...), pmods...)
 	c := &Coprocessor{
 		Mods: all, KQ: kq, KP: kp, N: n,
-		Variant: variant, Timing: timing,
+		Timing:    timing,
 		Pool:      ext.Pool,
 		ext:       ext,
 		scaler:    sc,
@@ -202,7 +209,7 @@ func NewCoprocessorChain(qmods []ring.Modulus, pmod ring.Modulus, basis *rns.Bas
 	all := append(append([]ring.Modulus(nil), qmods...), pmod)
 	c := &Coprocessor{
 		Mods: all, KQ: kq, KP: 1, N: n,
-		Variant: VariantHPS, Timing: timing,
+		Timing:       timing,
 		Pool:         pool,
 		rescQ:        rns.NewRescaler(qmods),
 		rescP:        rns.NewRescaler(all),
@@ -578,7 +585,7 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		for j := range pRows {
 			pRows[j] = c.wrow(s, c.KQ+j)
 		}
-		c.ext.LiftTargetsVariantInto(c.Variant, poly.RNSPoly{Rows: qRows}, pRows)
+		c.ext.LiftTargetsInto(poly.RNSPoly{Rows: qRows}, pRows)
 		for j := c.KQ; j < c.KQ+c.KP; j++ {
 			s.domain[j] = domCoeff
 		}
@@ -599,7 +606,7 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		for j := range out {
 			out[j] = c.wrow(sd, j)
 		}
-		c.scaler.ScalePolyVariantInto(c.Variant, poly.RNSPoly{Rows: all}, poly.RNSPoly{Rows: out})
+		c.scaler.ScalePolyInto(poly.RNSPoly{Rows: all}, poly.RNSPoly{Rows: out})
 		for j := 0; j < c.KQ; j++ {
 			sd.domain[j] = domCoeff
 		}

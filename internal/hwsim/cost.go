@@ -1,8 +1,7 @@
 package hwsim
 
 // The cost table. What an instruction costs is a function of its opcode, the
-// co-processor's shape (n, the Lift/Scale variant, the basis widths the
-// traditional division runs over) and Timing — never of the memory file's
+// co-processor's ring degree and Timing — never of the memory file's
 // contents. Exec runs the kernels and then charges exactly Cycles(in) (the
 // guarded path adds an injected stall on top), so what a program costs can be
 // read off its listing without executing it. The paper's Table II is this
@@ -30,11 +29,7 @@ func (c *Coprocessor) Cycles(in Instr) Cycles {
 		// that port, so it costs the same pass.
 		cyc = Cycles(c.N + t.ButterflyPipelineDepth)
 	case OpLift, OpScale:
-		if c.Variant == VariantTraditional {
-			cyc = c.TraditionalCycles(in.Op, t.LiftScaleCores)
-		} else {
-			cyc = hpsCycles(in.Op, c.N, t)
-		}
+		cyc = hpsCycles(in.Op, c.N, t)
 	case OpRescale:
 		// Each output coefficient needs the centered top residue (one
 		// subtract/compare lane) and one Shoup multiply-accumulate lane; the
@@ -83,14 +78,13 @@ func coeffWiseCycles(n int, t Timing) Cycles { return Cycles(n/2 + t.ButterflyPi
 
 // hpsCycles is the HPS Lift or Scale of one polynomial. The Lift (Fig. 6) is a
 // five-block pipeline whose bottleneck block emits the seven new residues of a
-// coefficient in seven cycles; the parallel cores stream disjoint
-// coefficients. The Scale (Figs. 8 and 9) runs its Blocks 1–3 at the same
-// bottleneck and then streams through the Lift pipeline for the p→q base
+// coefficient in seven cycles; the LiftScaleCores parallel cores stream
+// disjoint coefficients. The Scale (Figs. 8 and 9) runs its Blocks 1–3 at the
+// same bottleneck and then streams through the Lift pipeline for the p→q base
 // switch; the two phases overlap block-wise, so it costs a Lift plus a short
 // extra fill for the second phase (Table II: 82.7 µs vs 82.6 µs).
 func hpsCycles(op Op, n int, t Timing) Cycles {
-	cores := t.LiftScaleCores
-	cyc := Cycles((n*t.LiftBlockCyclesPerCoeff+cores-1)/cores + t.LiftPipelineFill)
+	cyc := Cycles((n*t.LiftBlockCyclesPerCoeff+LiftScaleCores-1)/LiftScaleCores + t.LiftPipelineFill)
 	if op == OpScale {
 		cyc += 200
 	}
@@ -98,14 +92,15 @@ func hpsCycles(op Op, n int, t Timing) Cycles {
 }
 
 // TraditionalCycles is the traditional (Figs. 5 and 8) Lift or Scale of one
-// polynomial on `cores` parallel cores, dispatch excluded. Both are dominated
-// by the long division, modelled as a reciprocal multiplication retiring
-// Timing.DivBitsPerCycle bits of dividend plus reciprocal width per cycle.
-// The Lift divides a sum of products of log q + 35 bits by q with a
-// reciprocal of ~log q bits; the Scale's dividend is the full-basis
-// reconstruction times t, and its reciprocal needs half as many bits again
-// (the paper: precision > 571 for a 390-bit Q), making it ~4x the Lift's
-// division (Sec. V-C). The co-processor charges it on Timing.LiftScaleCores
+// polynomial on `cores` parallel cores, dispatch excluded: the price of the
+// paper's slower design point, which this co-processor does not execute.
+// Both are dominated by the long division, modelled as a reciprocal
+// multiplication retiring Timing.DivBitsPerCycle bits of dividend plus
+// reciprocal width per cycle. The Lift divides a sum of products of
+// log q + 35 bits by q with a reciprocal of ~log q bits; the Scale's dividend
+// is the full-basis reconstruction times t, and its reciprocal needs half as
+// many bits again (the paper: precision > 571 for a 390-bit Q), making it ~4x
+// the Lift's division (Sec. V-C). sched.TraditionalMul prices a Mult with it on four
 // cores; Sec. VI-C quotes the one-core figure.
 func (c *Coprocessor) TraditionalCycles(op Op, cores int) Cycles {
 	bits := 2*c.liftBits + 35 + 6

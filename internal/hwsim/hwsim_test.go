@@ -42,10 +42,10 @@ func testBases(t testing.TB, n, kq, kp int) ([]ring.Modulus, []ring.Modulus, *rn
 	return qm, pm, ext, sc
 }
 
-func testCoproc(t testing.TB, n int, variant Variant) *Coprocessor {
+func testCoproc(t testing.TB, n int) *Coprocessor {
 	t.Helper()
 	qm, pm, ext, sc := testBases(t, n, 3, 4)
-	c, err := NewCoprocessor(qm, pm, n, ext, sc, variant, DefaultTiming(), 24)
+	c, err := NewCoprocessor(qm, pm, n, ext, sc, VariantHPS, DefaultTiming(), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,10 @@ func TestStageScheduleHardStageAlternatesBlocks(t *testing.T) {
 
 // paperCoproc builds a co-processor of the paper's shape: n = 4096 over 6 q
 // and 7 p primes.
-func paperCoproc(t testing.TB, variant Variant) *Coprocessor {
+func paperCoproc(t testing.TB) *Coprocessor {
 	t.Helper()
 	qm, pm, ext, sc := testBases(t, 4096, 6, 7)
-	c, err := NewCoprocessor(qm, pm, 4096, ext, sc, variant, DefaultTiming(), 8)
+	c, err := NewCoprocessor(qm, pm, 4096, ext, sc, VariantHPS, DefaultTiming(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func paperCoproc(t testing.TB, variant Variant) *Coprocessor {
 func TestInstructionTimingMatchesPaperShape(t *testing.T) {
 	// Read the paper-shaped co-processor's cost table (n = 4096) and check
 	// the per-instruction microsecond costs stay within 15% of Table II.
-	c := paperCoproc(t, VariantHPS)
+	c := paperCoproc(t)
 	within := func(op Op, paperMicros float64) {
 		t.Helper()
 		gotUs := c.Cycles(Instr{Op: op}).Micros()
@@ -155,7 +155,7 @@ func TestInstructionTimingMatchesPaperShape(t *testing.T) {
 }
 
 func TestLiftScaleTimingMatchesPaperShape(t *testing.T) {
-	c := paperCoproc(t, VariantHPS)
+	c := paperCoproc(t)
 	liftUs := c.Cycles(Instr{Op: OpLift}).Micros()
 	scaleUs := c.Cycles(Instr{Op: OpScale}).Micros()
 	if liftUs < 70 || liftUs > 95 {
@@ -260,7 +260,7 @@ func randRows(r *rand.Rand, mods []ring.Modulus, n int) []poly.Poly {
 }
 
 func TestCoprocNTTMatchesReference(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(2))
 	rows := randRows(r, c.Mods[:c.KQ], 64)
 	want := make([]poly.Poly, len(rows))
@@ -291,7 +291,7 @@ func TestCoprocNTTMatchesReference(t *testing.T) {
 }
 
 func TestCoprocDomainTracking(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(3))
 	c.LoadSlotCoeff(0, 0, randRows(r, c.Mods[:c.KQ], 64))
 	if _, err := c.Exec(Instr{Op: OpNTT, A: 0, Batch: BatchQ}); err != nil {
@@ -313,7 +313,7 @@ func TestCoprocDomainTracking(t *testing.T) {
 }
 
 func TestCoprocArithmetic(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(4))
 	a := randRows(r, c.Mods[:c.KQ], 64)
 	b := randRows(r, c.Mods[:c.KQ], 64)
@@ -349,42 +349,40 @@ func TestCoprocArithmetic(t *testing.T) {
 }
 
 func TestCoprocLiftScaleFunctional(t *testing.T) {
-	for _, variant := range []Variant{VariantHPS, VariantTraditional} {
-		c := testCoproc(t, 64, variant)
-		r := rand.New(rand.NewSource(5))
-		a := randRows(r, c.Mods[:c.KQ], 64)
-		c.LoadSlotCoeff(0, 0, a)
-		if _, err := c.Exec(Instr{Op: OpLift, A: 0}); err != nil {
-			t.Fatal(err)
+	c := testCoproc(t, 64)
+	r := rand.New(rand.NewSource(5))
+	a := randRows(r, c.Mods[:c.KQ], 64)
+	c.LoadSlotCoeff(0, 0, a)
+	if _, err := c.Exec(Instr{Op: OpLift, A: 0}); err != nil {
+		t.Fatal(err)
+	}
+	// Lifted rows must match the functional extender.
+	want := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
+	c.ext.LiftTargetsInto(poly.RNSPoly{Rows: a}, want.Rows)
+	got := c.ReadSlot(0, c.KQ, c.KQ+c.KP)
+	for j := 0; j < c.KP; j++ {
+		if !got[j].Equal(want.Rows[j]) {
+			t.Fatalf("lifted row %d mismatch", j)
 		}
-		// Lifted rows must match the functional extender.
-		want := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
-		c.ext.LiftTargetsInto(poly.RNSPoly{Rows: a}, want.Rows)
-		got := c.ReadSlot(0, c.KQ, c.KQ+c.KP)
-		for j := 0; j < c.KP; j++ {
-			if !got[j].Equal(want.Rows[j]) {
-				t.Fatalf("%v: lifted row %d mismatch", variant, j)
-			}
-		}
-		// Scale back down: round(2·x/q) of a small |x| compared with the
-		// functional scaler.
-		if _, err := c.Exec(Instr{Op: OpScale, Dst: 1, A: 0}); err != nil {
-			t.Fatal(err)
-		}
-		full := append(append([]poly.Poly(nil), a...), want.Rows...)
-		wantScaled := poly.NewRNSPoly(c.Mods[:c.KQ], 64)
-		c.scaler.ScalePolyInto(poly.RNSPoly{Rows: full}, wantScaled)
-		gotScaled := c.ReadSlot(1, 0, c.KQ)
-		for j := 0; j < c.KQ; j++ {
-			if !gotScaled[j].Equal(wantScaled.Rows[j]) {
-				t.Fatalf("%v: scaled row %d mismatch", variant, j)
-			}
+	}
+	// Scale back down: round(2·x/q) of a small |x| compared with the
+	// functional scaler.
+	if _, err := c.Exec(Instr{Op: OpScale, Dst: 1, A: 0}); err != nil {
+		t.Fatal(err)
+	}
+	full := append(append([]poly.Poly(nil), a...), want.Rows...)
+	wantScaled := poly.NewRNSPoly(c.Mods[:c.KQ], 64)
+	c.scaler.ScalePolyInto(poly.RNSPoly{Rows: full}, wantScaled)
+	gotScaled := c.ReadSlot(1, 0, c.KQ)
+	for j := 0; j < c.KQ; j++ {
+		if !gotScaled[j].Equal(wantScaled.Rows[j]) {
+			t.Fatalf("scaled row %d mismatch", j)
 		}
 	}
 }
 
 func TestCoprocStatsAccumulate(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(6))
 	c.LoadSlotCoeff(0, 0, randRows(r, c.Mods[:c.KQ], 64))
 	var prog Program
@@ -543,7 +541,7 @@ func TestNTTUnitAblations(t *testing.T) {
 }
 
 func BenchmarkCoprocNTTInstruction(b *testing.B) {
-	c := paperCoproc(b, VariantHPS)
+	c := paperCoproc(b)
 	r := rand.New(rand.NewSource(1))
 	rows := randRows(r, c.Mods[:c.KQ], 4096)
 	c.LoadSlotCoeff(0, 0, rows)

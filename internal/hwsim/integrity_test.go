@@ -13,7 +13,7 @@ import (
 // metrics registry to observe the detection counters.
 func guardedCoproc(t *testing.T, inj *faults.Injector) (*Coprocessor, *obs.Registry) {
 	t.Helper()
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	if err := c.EnableIntegrity(7); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func guardedCoproc(t *testing.T, inj *faults.Injector) (*Coprocessor, *obs.Regis
 // property: with the checker on and no faults armed, every instruction
 // produces the same data and charges the same cycles as the unguarded path.
 func TestIntegrityFaultFreeIsBitAndCycleIdentical(t *testing.T) {
-	plain := testCoproc(t, 64, VariantHPS)
+	plain := testCoproc(t, 64)
 	guarded, _ := guardedCoproc(t, nil)
 
 	r := rand.New(rand.NewSource(5))
@@ -134,7 +134,7 @@ func TestIntegrityRecomputesRPAUKill(t *testing.T) {
 	inj := faults.New(14)
 	inj.Arm(faults.Spec{Class: faults.ClassRPAU, After: 0, Mode: faults.ModeKill})
 	c, reg := guardedCoproc(t, inj)
-	plain := testCoproc(t, 64, VariantHPS)
+	plain := testCoproc(t, 64)
 
 	r := rand.New(rand.NewSource(9))
 	a := randRows(r, c.Mods[:c.KQ], 64)
@@ -173,7 +173,7 @@ func TestIntegrityCountsRPAUStall(t *testing.T) {
 	inj := faults.New(15)
 	inj.Arm(faults.Spec{Class: faults.ClassRPAU, After: 0, Mode: faults.ModeStall, Param: 777})
 	c, reg := guardedCoproc(t, inj)
-	plain := testCoproc(t, 64, VariantHPS)
+	plain := testCoproc(t, 64)
 
 	r := rand.New(rand.NewSource(10))
 	a := randRows(r, c.Mods[:c.KQ], 64)

@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -120,9 +121,9 @@ func TestBOperandFitsInstructionWord(t *testing.T) {
 
 // TestISATable walks the opcode table: every row's instruction survives
 // Disasm → Assemble, ValidateProgram range-checks exactly the slots it reads
-// and writes, and the cost table prices it on both Lift/Scale variants.
+// and writes, and the cost table prices it above bare dispatch.
 func TestISATable(t *testing.T) {
-	coprocs := []*Coprocessor{testCoproc(t, 64, VariantHPS), testCoproc(t, 64, VariantTraditional)}
+	c := testCoproc(t, 64)
 	for op := OpInvalid + 1; op < opSentinel; op++ {
 		row := isa[op]
 		in := Instr{Op: op}
@@ -170,10 +171,8 @@ func TestISATable(t *testing.T) {
 			}
 		}
 
-		for _, c := range coprocs {
-			if c.Cycles(in) <= c.Dispatch() {
-				t.Errorf("%v on %v costs %d cycles, no more than dispatch", op, c.Variant, c.Cycles(in))
-			}
+		if c.Cycles(in) <= c.Dispatch() {
+			t.Errorf("%v costs %d cycles, no more than dispatch", op, c.Cycles(in))
 		}
 	}
 }
@@ -231,6 +230,15 @@ func TestDMAEdgeCases(t *testing.T) {
 	}
 	if d.ArmCycles(tr) == 0 {
 		t.Fatal("Arm cycle conversion broken")
+	}
+}
+
+// TestNewCoprocessorRefusesOtherVariants: only the HPS co-processor
+// executes; any other variant word is a typed refusal.
+func TestNewCoprocessorRefusesOtherVariants(t *testing.T) {
+	qm, pm, ext, sc := testBases(t, 64, 3, 4)
+	if _, err := NewCoprocessor(qm, pm, 64, ext, sc, VariantHPS+1, DefaultTiming(), 8); !errors.Is(err, ErrVariant) {
+		t.Fatalf("variant 1: %v, want ErrVariant", err)
 	}
 }
 

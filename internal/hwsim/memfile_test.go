@@ -72,7 +72,7 @@ func wantRows(t *testing.T, what string, got, want []poly.Poly) {
 // slot or row gives back a residue of the operation before — and the storage
 // is the same storage, not a fresh allocation.
 func TestClearedFileReadsAsZero(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(21))
 	dirty(c, r)
 	resident := &c.slots[3].rows[2].Coeffs[0]
@@ -116,7 +116,7 @@ func TestClearedFileReadsAsZero(t *testing.T) {
 // one, against the schoolbook row result: correct, never silently wrong.
 func TestAliasingTable(t *testing.T) {
 	for _, dirtyFirst := range []bool{false, true} {
-		c := testCoproc(t, 64, VariantHPS)
+		c := testCoproc(t, 64)
 		r := rand.New(rand.NewSource(22))
 		if dirtyFirst {
 			dirty(c, r)
@@ -165,23 +165,19 @@ func TestAliasingTable(t *testing.T) {
 		}
 		wantRows(t, "Decomp Dst == A", c.ReadSlot(0, 0, c.KQ), want)
 
-		// Scale with Dst == A, through each variant's kernel, against the
-		// same kernel run out of place.
-		for _, variant := range []Variant{VariantHPS, VariantTraditional} {
-			c.Variant = variant
-			full := randRows(r, c.Mods, 64)
-			scaled := poly.NewRNSPoly(q, 64)
-			c.scaler.ScalePolyVariantInto(variant, poly.RNSPoly{Rows: full}, scaled)
-			c.LoadSlotCoeff(0, 0, full)
-			mustExec(t, c, Instr{Op: OpScale, Dst: 0, A: 0})
-			wantRows(t, "Scale Dst == A ("+variant.String()+")", c.ReadSlot(0, 0, c.KQ), scaled.Rows)
-			// Lift writes the p rows of its own slot in full.
-			lifted := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
-			c.ext.LiftTargetsInto(poly.RNSPoly{Rows: x}, lifted.Rows)
-			c.LoadSlotCoeff(6, 0, x)
-			mustExec(t, c, Instr{Op: OpLift, A: 6})
-			wantRows(t, "Lift over stale p rows ("+variant.String()+")", c.ReadSlot(6, c.KQ, c.KQ+c.KP), lifted.Rows)
-		}
+		// Scale with Dst == A against the same kernel run out of place.
+		full := randRows(r, c.Mods, 64)
+		scaled := poly.NewRNSPoly(q, 64)
+		c.scaler.ScalePolyInto(poly.RNSPoly{Rows: full}, scaled)
+		c.LoadSlotCoeff(0, 0, full)
+		mustExec(t, c, Instr{Op: OpScale, Dst: 0, A: 0})
+		wantRows(t, "Scale Dst == A", c.ReadSlot(0, 0, c.KQ), scaled.Rows)
+		// Lift writes the p rows of its own slot in full.
+		lifted := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
+		c.ext.LiftTargetsInto(poly.RNSPoly{Rows: x}, lifted.Rows)
+		c.LoadSlotCoeff(6, 0, x)
+		mustExec(t, c, Instr{Op: OpLift, A: 6})
+		wantRows(t, "Lift over stale p rows", c.ReadSlot(6, c.KQ, c.KQ+c.KP), lifted.Rows)
 
 		// Rescale with Dst == A, both batches, on the chain co-processor.
 		ch := testChain(t, 64, 3)
@@ -207,7 +203,7 @@ func TestAliasingTable(t *testing.T) {
 // TestRefusedInstructionWritesNothing: an instruction that fails its operand
 // check must not have marked a stale destination row as written.
 func TestRefusedInstructionWritesNothing(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(23))
 	dirty(c, r)
 	q := c.Mods[:c.KQ]
@@ -232,7 +228,7 @@ func TestRefusedInstructionWritesNothing(t *testing.T) {
 // of the wrong length (which a Clone never had to notice), the wrong modulus
 // or past the row set is a scheduler bug and panics.
 func TestLoadSlotRejectsBadRows(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(24))
 	good := randRows(r, c.Mods[:1], 64)[0]
 	for name, load := range map[string]func(){

@@ -64,7 +64,7 @@ func PaperResourceConfig() ResourceConfig {
 		NumRPAUs:       7,
 		PrimesTotal:    13,
 		ButterflyCores: 2,
-		LiftScaleCores: 2,
+		LiftScaleCores: LiftScaleCores,
 		MemFileSlots:   66,
 		N:              4096,
 	}

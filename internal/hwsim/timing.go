@@ -27,6 +27,10 @@ const (
 	TradClockHz = 225e6
 )
 
+// LiftScaleCores is the number of parallel Lift/Scale cores ("Lift q→Q
+// (2 cores)", Table II): the cost table and the resource model both read it.
+const LiftScaleCores = 2
+
 // Timing holds the calibration constants of the cycle model. The defaults
 // reproduce the paper's Table I/II within ~12% (see EXPERIMENTS.md for the
 // row-by-row comparison).
@@ -61,10 +65,6 @@ type Timing struct {
 	// fixed stream latency on top of the per-coefficient bottleneck.
 	LiftPipelineFill int
 
-	// LiftScaleCores is the number of parallel Lift/Scale cores
-	// ("Lift q→Q (2 cores)", Table II).
-	LiftScaleCores int
-
 	// DivBitsPerCycle models the traditional architecture's long-division
 	// block: a reciprocal multiplication retiring ~4.3 bits of
 	// dividend+reciprocal width per cycle (calibrated so that the 1-core
@@ -93,7 +93,6 @@ func DefaultTiming() Timing {
 		INTTScaleExtraCycles:    2048,
 		LiftBlockCyclesPerCoeff: 7,
 		LiftPipelineFill:        1600,
-		LiftScaleCores:          2,
 		DivBitsPerCycle:         4.3,
 		DMASetupSeconds:         1.33e-6,
 		DMABytesPerSec:          1.316e9,

@@ -11,7 +11,7 @@ import (
 // and DMA step emits one cycle span, and the spans sum exactly to
 // Stats.Total over the same window.
 func TestCycleSpanAttribution(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	tr := obs.New("coproc")
 	c.Trace = tr
 
@@ -56,7 +56,7 @@ func TestCycleSpanAttribution(t *testing.T) {
 
 // TestUntracedCoprocessorEmitsNothing pins the disabled default.
 func TestUntracedCoprocessorEmitsNothing(t *testing.T) {
-	c := testCoproc(t, 64, VariantHPS)
+	c := testCoproc(t, 64)
 	if _, err := c.Exec(Instr{Op: OpNTT, Batch: BatchQ, A: 0}); err != nil {
 		t.Fatal(err)
 	}

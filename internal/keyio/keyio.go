@@ -206,8 +206,8 @@ func ReadKey[C, P, K any](r io.Reader, s Scheme, newParams func(C) (P, error), p
 }
 
 // WriteWords writes a payload's meta words — whatever a scheme's layout puts
-// ahead of its polynomials: a gadget's variant and digit count, a Galois
-// element, a level count — as little-endian uint32s.
+// ahead of its polynomials: a relin key's digit count, a Galois element, a
+// level count — as little-endian uint32s.
 func WriteWords(w io.Writer, words ...uint32) error {
 	buf := make([]byte, 0, 4*len(words))
 	for _, v := range words {

@@ -20,8 +20,7 @@ import (
 
 // GenGadgetKey derives one gadget key-switching key: component i encrypts
 // g_i·payload under the secret sHat, where the g_i are the per-digit scalar
-// rows of the decomposition gadget (RNS gadget q*_i for the fast
-// architecture, positional w^i for the traditional one). Relinearization
+// rows of the decomposition gadget (the RNS gadget q*_i). Relinearization
 // (payload = s²), Galois switching (payload = σ_g(s)) and general key
 // switching (payload = s_from) are the same construction with a different
 // payload.

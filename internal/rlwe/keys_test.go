@@ -173,9 +173,8 @@ func TestKeyBodiesRoundTrip(t *testing.T) {
 
 // TestSwitchIsTheStageSequence: the one key-switch entry point is, bit for
 // bit, the Decompose → SumOfProducts → InverseSoP sequence of the exported
-// stages — under the plain and the p*-extended switcher, with the switcher's
-// own digits and with digits the caller supplies — and reports its stages
-// under the caller's scope.
+// stages — under the plain and the p*-extended switcher — and reports its
+// stages under the caller's scope.
 func TestSwitchIsTheStageSequence(t *testing.T) {
 	for _, l := range ksLayouts {
 		basis, mods, _, ks := l.build(t)
@@ -188,34 +187,21 @@ func TestSwitchIsTheStageSequence(t *testing.T) {
 		}
 		x := sampler.UniformPoly(prng, basis.Mods, ksN)
 
-		for _, supplied := range []bool{false, true} {
-			// Switch and SumOfProducts consume digits in place: fresh ones per use.
-			digits := func() []poly.RNSPoly { return nil }
-			wantSpans := []string{"t", "op", "decomp", "sop", "intt"}
-			if supplied {
-				digits = func() []poly.RNSPoly { return schoolbookDigits(basis, mods, x) }
-				wantSpans = []string{"t", "op", "sop", "intt"}
-			}
-			refDigits := digits()
-			if !supplied {
-				refDigits = ref.Decompose(x)
-			}
-			ref.SumOfProducts(refDigits, k0, k1)
-			ref.InverseSoP()
+		ref.SumOfProducts(ref.Decompose(x), k0, k1)
+		ref.InverseSoP()
 
-			tracer := obs.New("t")
-			sc := tracer.Start("op")
-			s0, s1 := ks.Switch(sc, x, digits(), k0, k1)
-			sc.End()
-			if !s0.Equal(ref.sop0) || !s1.Equal(ref.sop1) {
-				t.Fatalf("%s layout, supplied digits %v: Switch differs from the stage sequence", l.name, supplied)
-			}
-			if got := tracer.Root().Names(); !reflect.DeepEqual(got, wantSpans) {
-				t.Fatalf("%s layout, supplied digits %v: spans %v, want %v", l.name, supplied, got, wantSpans)
-			}
-			if u0, u1 := ks.Switch(obs.Scope{}, x, digits(), k0, k1); !u0.Equal(ref.sop0) || !u1.Equal(ref.sop1) {
-				t.Fatalf("%s layout, supplied digits %v: untraced Switch differs", l.name, supplied)
-			}
+		tracer := obs.New("t")
+		sc := tracer.Start("op")
+		s0, s1 := ks.Switch(sc, x, k0, k1)
+		sc.End()
+		if !s0.Equal(ref.sop0) || !s1.Equal(ref.sop1) {
+			t.Fatalf("%s layout: Switch differs from the stage sequence", l.name)
+		}
+		if got, want := tracer.Root().Names(), []string{"t", "op", "decomp", "sop", "intt"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s layout: spans %v, want %v", l.name, got, want)
+		}
+		if u0, u1 := ks.Switch(obs.Scope{}, x, k0, k1); !u0.Equal(ref.sop0) || !u1.Equal(ref.sop1) {
+			t.Fatalf("%s layout: untraced Switch differs", l.name)
 		}
 
 		func() {
@@ -224,7 +210,7 @@ func TestSwitchIsTheStageSequence(t *testing.T) {
 					t.Fatalf("%s layout: Switch took a key one component short", l.name)
 				}
 			}()
-			ks.Switch(obs.Scope{}, x, nil, k0[:len(k0)-1], k1[:len(k1)-1])
+			ks.Switch(obs.Scope{}, x, k0[:len(k0)-1], k1[:len(k1)-1])
 		}()
 	}
 }

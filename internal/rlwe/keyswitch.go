@@ -74,21 +74,16 @@ func NewKeySwitcherExt(pool *poly.Pool, tr *poly.Transformer, digitBasis *rns.Ba
 // Switch): Σ d_i·k0_i to add onto the c0 side, Σ d_i·k1_i for the c1 side —
 // at P times that for an extended switcher, whose caller ModDowns next.
 //
-// With digits nil the switcher decomposes x over its RNS gadget; a caller
-// with another gadget (the traditional positional one) supplies its own
-// digits over the switcher's moduli, which Switch consumes in place. The
-// stages report under parent as "decomp" (internal digits only), "sop",
-// "intt"; a zero Scope records nothing.
-func (ks *KeySwitcher) Switch(parent obs.Scope, x poly.RNSPoly, digits, k0, k1 []poly.RNSPoly) (s0, s1 poly.RNSPoly) {
-	if digits == nil {
-		st := parent.Child("decomp")
-		digits = ks.Decompose(x)
-		st.End()
-	}
+// The stages report under parent as "decomp", "sop", "intt"; a zero Scope
+// records nothing.
+func (ks *KeySwitcher) Switch(parent obs.Scope, x poly.RNSPoly, k0, k1 []poly.RNSPoly) (s0, s1 poly.RNSPoly) {
+	st := parent.Child("decomp")
+	digits := ks.Decompose(x)
+	st.End()
 	if len(digits) != len(k0) || len(k0) != len(k1) {
 		panic(fmt.Sprintf("rlwe: key has %d+%d components, decomposition produced %d digits", len(k0), len(k1), len(digits)))
 	}
-	st := parent.Child("sop")
+	st = parent.Child("sop")
 	ks.SumOfProducts(digits, k0, k1)
 	st.End()
 	st = parent.Child("intt")
@@ -107,10 +102,8 @@ func (ks *KeySwitcher) Decompose(x poly.RNSPoly) []poly.RNSPoly {
 
 // SumOfProducts runs the fused digit-NTT + MAC kernel: sop0 = Σ NTT(d_i)·k0_i,
 // sop1 = Σ NTT(d_i)·k1_i, leaving both accumulators in the NTT domain
-// (InverseSoP brings them back). digits is mutated in place — each digit row
-// is forward-transformed as it is consumed. digits may come from Decompose
-// or from an external decomposition (the traditional word gadget) as long as
-// its rows match the switcher's basis.
+// (InverseSoP brings them back). digits, from Decompose, is mutated in
+// place — each digit row is forward-transformed as it is consumed.
 func (ks *KeySwitcher) SumOfProducts(digits, k0, k1 []poly.RNSPoly) {
 	t := &ks.task
 	t.tables, t.digits = ks.tr.Tables, digits

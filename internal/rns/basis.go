@@ -1,9 +1,9 @@
 // Package rns implements the residue-number-system machinery of the paper
 // (Sec. III-B, IV-C, IV-D): CRT decomposition/reconstruction, base extension
-// ("Lift q→Q") and scaled rounding ("Scale Q→q") in both of the paper's
-// design-space variants — the traditional multi-precision CRT dataflow
-// (Figs. 5 and 8) and the Halevi–Polyakov–Shoup small-integer dataflow
-// (Figs. 6 and 9) — plus the per-prime decomposition used by
+// ("Lift q→Q") and scaled rounding ("Scale Q→q") by the Halevi–Polyakov–Shoup
+// small-integer dataflow (Figs. 6 and 9), each with the exact
+// multi-precision CRT dataflow of Figs. 5 and 8 as its test oracle — plus
+// the per-prime decomposition used by
 // relinearization and the RNS-native message scaling of FV decryption. The
 // exact arithmetic (setup-time CRT constants, the oracles) runs on math/big;
 // the per-coefficient HPS kernels use word residues and 128-bit fixed-point
@@ -17,28 +17,6 @@ import (
 
 	"repro/internal/ring"
 )
-
-// Variant selects which of the paper's two design points performs Lift q→Q
-// and Scale Q→q. Key files store it as a word, so the values are fixed.
-type Variant int
-
-const (
-	// HPS is the Halevi–Polyakov–Shoup small-integer dataflow (the paper's
-	// faster architecture, Figs. 6 and 9).
-	HPS Variant = iota
-	// Traditional is the multi-precision CRT dataflow (Figs. 5 and 8):
-	// full reconstruction, then a long division. Numerically it is the exact
-	// oracle (ExtendExact, ScaleExact); what sets it apart is what the
-	// hardware simulator charges for it.
-	Traditional
-)
-
-func (v Variant) String() string {
-	if v == Traditional {
-		return "traditional"
-	}
-	return "hps"
-}
 
 // Basis is an RNS basis: a list of pairwise-coprime word-sized primes with
 // the CRT constants precomputed.

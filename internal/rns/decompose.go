@@ -1,8 +1,6 @@
 package rns
 
 import (
-	"math/big"
-
 	"repro/internal/poly"
 	"repro/internal/ring"
 )
@@ -131,64 +129,4 @@ func GadgetRNS(b *Basis) []poly.RNSPoly {
 		}
 	}
 	return g
-}
-
-// WordDecompose performs the traditional positional decomposition of the
-// paper's Sec. II-B example: each coefficient, reconstructed to its centered
-// positional form, is sliced into ℓ signed digits in base w = 2^logW
-// (digits in (-w/2, w/2]), so that x = Σ_i d_i·w^i. Signed digits halve the
-// digit magnitude, which is why the paper's toy example decomposes 43 into
-// -5 + 16·3. The slower architecture uses this decomposition with a smaller
-// ℓ ("three times smaller relinearization key", Sec. VI-C).
-func WordDecompose(b *Basis, x poly.RNSPoly, logW uint, ell int) []poly.RNSPoly {
-	if x.Level() != b.K() {
-		panic("rns: WordDecompose level mismatch")
-	}
-	n := x.N()
-	digits := make([]poly.RNSPoly, ell)
-	for i := range digits {
-		digits[i] = poly.NewRNSPoly(b.Mods, n)
-	}
-	res := make([]uint64, b.K())
-	one := big.NewInt(1)
-	w := new(big.Int).Lsh(one, logW)
-	half := new(big.Int).Lsh(one, logW-1)
-	var limb big.Int
-	for c := 0; c < n; c++ {
-		for i := range res {
-			res[i] = x.Rows[i].Coeffs[c]
-		}
-		mag := b.ReconstructCentered(res)
-		neg := mag.Sign() < 0
-		mag.Abs(mag)
-		// Slice |x| into signed base-w digits, then apply the overall sign.
-		var carry bool
-		for d := 0; d < ell; d++ {
-			limb.Mod(mag, w)
-			mag.Rsh(mag, logW)
-			if carry {
-				limb.Add(&limb, one)
-				carry = false
-			}
-			digNeg := false
-			if limb.Cmp(half) > 0 { // digit > w/2: use digit - w, carry 1
-				limb.Sub(w, &limb)
-				digNeg = true
-				carry = true
-			}
-			for row, mr := range b.Mods {
-				// Digits can exceed a word for wide bases (the slower
-				// architecture uses w = 2^90).
-				v := modWord(&limb, mr.Q)
-				if digNeg != neg { // XOR of digit sign and value sign
-					v = mr.Neg(v)
-				}
-				digits[d].Rows[row].Coeffs[c] = v
-			}
-		}
-		if mag.Sign() != 0 || carry {
-			panic("rns: WordDecompose digit count too small for the basis")
-		}
-	}
-	return digits
 }

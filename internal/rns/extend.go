@@ -21,8 +21,7 @@ import (
 //     a fixed-point estimate of the quotient v′, no long arithmetic.
 //   - ExtendExact: the traditional CRT method (Eq. 1) — the exact
 //     reconstruction of Basis.ReconstructCentered, then the reductions
-//     modulo each target prime. It is the oracle and the Traditional
-//     variant's kernel.
+//     modulo each target prime. It is the oracle.
 type Extender struct {
 	Src *Basis
 	Dst []ring.Modulus
@@ -161,11 +160,6 @@ func (e *Extender) checkLens(in, out []uint64) {
 // lives on the worker's stack. The kept source rows are the caller's to reuse — the
 // evaluator NTT-transforms them straight out of the input with no copy.
 func (e *Extender) LiftTargetsInto(p poly.RNSPoly, dst []poly.Poly) {
-	e.LiftTargetsVariantInto(HPS, p, dst)
-}
-
-// LiftTargetsVariantInto is LiftTargetsInto through v's dataflow.
-func (e *Extender) LiftTargetsVariantInto(v Variant, p poly.RNSPoly, dst []poly.Poly) {
 	if p.Level() != e.Src.K() {
 		panic("rns: polynomial level does not match source basis")
 	}
@@ -173,7 +167,7 @@ func (e *Extender) LiftTargetsVariantInto(v Variant, p poly.RNSPoly, dst []poly.
 		panic("rns: lift target row count mismatch")
 	}
 	t := getLiftTask()
-	t.e, t.src, t.dst, t.traditional = e, p.Rows, dst, v == Traditional
+	t.e, t.src, t.dst = e, p.Rows, dst
 	e.Pool.RunChunksTask(p.N(), minLiftChunk, t)
 	putLiftTask(t)
 }
@@ -266,16 +260,15 @@ func (e *Extender) extendStripe(es *extendScratch, in, out [][]uint64, w int) {
 // liftTask is the recycled ChunkTask behind LiftTargetsInto — the closure it
 // replaces would heap-escape per call.
 type liftTask struct {
-	e           *Extender
-	src, dst    []poly.Poly
-	traditional bool
+	e        *Extender
+	src, dst []poly.Poly
 }
 
 func (t *liftTask) RunChunk(lo, hi int) {
 	e := t.e
 	k := e.Src.K()
 	kt := len(e.Dst)
-	if t.traditional || k > stackResidues || kt > stackResidues {
+	if k > stackResidues || kt > stackResidues {
 		t.runScalar(lo, hi)
 		return
 	}
@@ -297,29 +290,17 @@ func (t *liftTask) RunChunk(lo, hi int) {
 	}
 }
 
-// runScalar is the coefficient-major fallback: the traditional CRT dataflow
-// and bases too wide for the stripe kernel's stack staging.
+// runScalar is the coefficient-major fallback for bases too wide for the
+// stripe kernel's stack staging.
 func (t *liftTask) runScalar(lo, hi int) {
 	e := t.e
-	k := e.Src.K()
-	kt := len(e.Dst)
-	var inArr, resArr [stackResidues]uint64
-	var in, res []uint64
-	if k <= stackResidues && kt <= stackResidues {
-		in, res = inArr[:k], resArr[:kt]
-	} else {
-		in, res = make([]uint64, k), make([]uint64, kt)
-	}
+	in, res := make([]uint64, e.Src.K()), make([]uint64, len(e.Dst))
 	src, dst := t.src, t.dst
 	for c := lo; c < hi; c++ {
 		for i := range in {
 			in[i] = src[i].Coeffs[c]
 		}
-		if t.traditional {
-			e.ExtendExact(in, res)
-		} else {
-			e.Extend(in, res)
-		}
+		e.Extend(in, res)
 		for j := range res {
 			dst[j].Coeffs[c] = res[j]
 		}

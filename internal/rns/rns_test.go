@@ -178,7 +178,6 @@ func TestLiftPoly(t *testing.T) {
 	}
 	src := x.Clone()
 	targets := poly.NewRNSPoly(pb.Mods, n)
-	targetsTrad := poly.NewRNSPoly(pb.Mods, n)
 	// The target rows are written in full: stale contents must not show.
 	for j := range targets.Rows {
 		for c := range targets.Rows[j].Coeffs {
@@ -186,24 +185,19 @@ func TestLiftPoly(t *testing.T) {
 		}
 	}
 	ext.LiftTargetsInto(x, targets.Rows)
-	ext.LiftTargetsVariantInto(Traditional, x, targetsTrad.Rows)
-	if !targets.Equal(targetsTrad) {
-		t.Fatal("HPS and traditional polynomial lifts disagree")
-	}
 	if !x.Equal(src) {
 		t.Fatal("source rows modified")
 	}
-	lifted := poly.RNSPoly{Rows: append(append([]poly.Poly(nil), x.Rows...), targets.Rows...)}
-	// Spot-check coefficients against the exact extension.
+	// Every coefficient against the exact extension.
 	in := make([]uint64, qb.K())
 	out := make([]uint64, pb.K())
-	for _, c := range []int{0, 1, n - 1} {
+	for c := 0; c < n; c++ {
 		for i := range qb.Mods {
 			in[i] = x.Rows[i].Coeffs[c]
 		}
 		ext.ExtendExact(in, out)
 		for j := range pb.Mods {
-			if lifted.Rows[qb.K()+j].Coeffs[c] != out[j] {
+			if targets.Rows[j].Coeffs[c] != out[j] {
 				t.Fatalf("lifted coeff %d residue %d mismatch", c, j)
 			}
 		}
@@ -316,15 +310,11 @@ func TestScalePoly(t *testing.T) {
 		}
 	}
 	a := poly.NewRNSPoly(qb.Mods, n)
-	b := poly.NewRNSPoly(qb.Mods, n)
 	sc.ScalePolyInto(x, a)
-	sc.ScalePolyVariantInto(Traditional, x, b)
-	if !a.Equal(b) {
-		t.Fatal("HPS and traditional polynomial scales disagree")
-	}
-	// Spot-check against the per-coefficient scale.
-	xq, xp, want := make([]uint64, qb.K()), make([]uint64, pb.K()), make([]uint64, qb.K())
-	for _, c := range []int{0, 1, n - 1} {
+	// Every coefficient against the per-coefficient scale and the exact one.
+	xq, xp := make([]uint64, qb.K()), make([]uint64, pb.K())
+	want, exact := make([]uint64, qb.K()), make([]uint64, qb.K())
+	for c := 0; c < n; c++ {
 		for i := range xq {
 			xq[i] = x.Rows[i].Coeffs[c]
 		}
@@ -332,20 +322,19 @@ func TestScalePoly(t *testing.T) {
 			xp[j] = x.Rows[qb.K()+j].Coeffs[c]
 		}
 		sc.Scale(xq, xp, want)
+		sc.ScaleExact(xq, xp, exact)
 		for i := range want {
-			if a.Rows[i].Coeffs[c] != want[i] {
+			if a.Rows[i].Coeffs[c] != want[i] || want[i] != exact[i] {
 				t.Fatalf("scaled coeff %d residue %d mismatch", c, i)
 			}
 		}
 	}
-	// In place: out may be x's own q rows, through either kernel.
-	for _, v := range []Variant{HPS, Traditional} {
-		y := x.Clone()
-		out := poly.RNSPoly{Rows: y.Rows[:qb.K()]}
-		sc.ScalePolyVariantInto(v, y, out)
-		if !out.Equal(a) {
-			t.Fatalf("in-place scale (%v) differs from the out-of-place result", v)
-		}
+	// In place: out may be x's own q rows.
+	y := x.Clone()
+	out := poly.RNSPoly{Rows: y.Rows[:qb.K()]}
+	sc.ScalePolyInto(y, out)
+	if !out.Equal(a) {
+		t.Fatal("in-place scale differs from the out-of-place result")
 	}
 }
 
@@ -386,44 +375,6 @@ func TestDecomposeRNSIdentity(t *testing.T) {
 	}
 }
 
-func TestWordDecomposeIdentity(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	qb, _ := paperBases(t, 64, 6, 1)
-	n := 64
-	const logW = 30
-	ell := (qb.Product.BitLen() + logW - 1) / logW
-	x := poly.NewRNSPoly(qb.Mods, n)
-	for i, m := range qb.Mods {
-		for c := 0; c < n; c++ {
-			x.Rows[i].Coeffs[c] = r.Uint64() % m.Q
-		}
-	}
-	digits := WordDecompose(qb, x, logW, ell)
-	// Σ_d digits[d]·w^d ≡ x (mod q) per row.
-	for row, m := range qb.Mods {
-		wPow := uint64(1)
-		sum := poly.NewPoly(m, n)
-		for d := 0; d < ell; d++ {
-			tmp := poly.NewPoly(m, n)
-			digits[d].Rows[row].ScalarMulInto(wPow, tmp)
-			sum.AddInto(tmp, sum)
-			wPow = m.Mul(wPow, m.Reduce(1<<logW))
-		}
-		if !sum.Equal(x.Rows[row]) {
-			t.Fatalf("positional decomposition identity failed on row %d", row)
-		}
-	}
-	// Signed digits are bounded by w/2 in magnitude.
-	for d := 0; d < ell; d++ {
-		for c := 0; c < n; c++ {
-			v := qb.Mods[0].Centered(digits[d].Rows[0].Coeffs[c])
-			if v < -(1<<(logW-1)) || v > 1<<(logW-1) {
-				t.Fatalf("digit %d coeff %d = %d exceeds w/2", d, c, v)
-			}
-		}
-	}
-}
-
 func BenchmarkExtendHPS(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	qb, pb := paperBases(b, 4096, 6, 7)
@@ -439,7 +390,7 @@ func BenchmarkExtendHPS(b *testing.B) {
 	}
 }
 
-// BenchmarkExtendExact times the oracle, the Traditional variant's kernel.
+// BenchmarkExtendExact times the exact CRT oracle.
 func BenchmarkExtendExact(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	qb, pb := paperBases(b, 4096, 6, 7)
@@ -522,7 +473,7 @@ func BenchmarkScalePoly4096(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleExact times the oracle, the Traditional variant's kernel.
+// BenchmarkScaleExact times the exact CRT oracle.
 func BenchmarkScaleExact(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	qb, pb := paperBases(b, 4096, 6, 7)

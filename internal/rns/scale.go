@@ -150,8 +150,7 @@ func (s *ScaleRounder) Scale(xq, xp, out []uint64) {
 // ScaleExact computes the same result with the multi-precision dataflow of
 // paper Fig. 8: full CRT reconstruction of x over q·p (Blocks 1–2), the
 // exact rounded division round(t·x/q) (Block 3), and reduction modulo the q
-// primes (Block 4). It is the correctness oracle and the Traditional
-// variant's kernel.
+// primes (Block 4). It is the correctness oracle.
 func (s *ScaleRounder) ScaleExact(xq, xp, out []uint64) {
 	s.checkLens(xq, xp, out)
 	x := s.QP.ReconstructCentered(append(append(make([]uint64, 0, len(xq)+len(xp)), xq...), xp...))
@@ -177,11 +176,6 @@ func (s *ScaleRounder) checkLens(xq, xp, out []uint64) {
 // out may be x's own q rows: both kernels read every residue of a stripe
 // (the scalar one, of a coefficient) before they write its outputs.
 func (s *ScaleRounder) ScalePolyInto(x, out poly.RNSPoly) {
-	s.ScalePolyVariantInto(HPS, x, out)
-}
-
-// ScalePolyVariantInto is ScalePolyInto through v's dataflow.
-func (s *ScaleRounder) ScalePolyVariantInto(v Variant, x, out poly.RNSPoly) {
 	kq, kp := s.QB.K(), s.PB.K()
 	if x.Level() != kq+kp {
 		panic("rns: ScalePoly level mismatch")
@@ -190,22 +184,21 @@ func (s *ScaleRounder) ScalePolyVariantInto(v Variant, x, out poly.RNSPoly) {
 		panic("rns: ScalePoly output level mismatch")
 	}
 	t := getScaleTask()
-	t.s, t.src, t.dst, t.traditional = s, x.Rows, out.Rows, v == Traditional
+	t.s, t.src, t.dst = s, x.Rows, out.Rows
 	s.Pool.RunChunksTask(x.N(), minScaleChunk, t)
 	putScaleTask(t)
 }
 
 // scaleTask is the recycled ChunkTask behind ScalePolyInto.
 type scaleTask struct {
-	s           *ScaleRounder
-	src, dst    []poly.Poly
-	traditional bool
+	s        *ScaleRounder
+	src, dst []poly.Poly
 }
 
 func (t *scaleTask) RunChunk(lo, hi int) {
 	s := t.s
 	kq, kp := s.QB.K(), s.PB.K()
-	if t.traditional || kq > stackResidues || kp > stackResidues {
+	if kq > stackResidues || kp > stackResidues {
 		t.runScalar(lo, hi)
 		return
 	}
@@ -288,18 +281,12 @@ func (t *scaleTask) RunChunk(lo, hi int) {
 	}
 }
 
-// runScalar is the coefficient-major fallback: the traditional dataflow and
-// bases too wide for the stripe kernel's stack staging.
+// runScalar is the coefficient-major fallback for bases too wide for the
+// stripe kernel's stack staging.
 func (t *scaleTask) runScalar(lo, hi int) {
 	s := t.s
 	kq, kp := s.QB.K(), s.PB.K()
-	var xqArr, xpArr, resArr [stackResidues]uint64
-	var xq, xp, res []uint64
-	if kq <= stackResidues && kp <= stackResidues {
-		xq, xp, res = xqArr[:kq], xpArr[:kp], resArr[:kq]
-	} else {
-		xq, xp, res = make([]uint64, kq), make([]uint64, kp), make([]uint64, kq)
-	}
+	xq, xp, res := make([]uint64, kq), make([]uint64, kp), make([]uint64, kq)
 	src, dst := t.src, t.dst
 	for c := lo; c < hi; c++ {
 		for i := 0; i < kq; i++ {
@@ -308,11 +295,7 @@ func (t *scaleTask) runScalar(lo, hi int) {
 		for j := 0; j < kp; j++ {
 			xp[j] = src[kq+j].Coeffs[c]
 		}
-		if t.traditional {
-			s.ScaleExact(xq, xp, res)
-		} else {
-			s.Scale(xq, xp, res)
-		}
+		s.Scale(xq, xp, res)
 		for i := 0; i < kq; i++ {
 			dst[i].Coeffs[c] = res[i]
 		}

@@ -11,6 +11,7 @@ import (
 	"crypto/cipher"
 	cryptorand "crypto/rand"
 	"encoding/binary"
+	"io"
 )
 
 // PRNG is a deterministic cryptographic pseudorandom number generator based
@@ -22,11 +23,30 @@ type PRNG struct {
 	off    int
 }
 
-// NewPRNG returns a generator seeded with the 16-byte key derived from seed.
+// NewPRNG returns a generator seeded with the 16-byte key derived from seed:
+// 2^64 streams, for tests, benchmarks and the known-answer files.
 func NewPRNG(seed uint64) *PRNG {
 	var key [16]byte
 	binary.LittleEndian.PutUint64(key[:8], seed)
 	binary.LittleEndian.PutUint64(key[8:], seed^0x9e3779b97f4a7c15)
+	return newKeyed(key)
+}
+
+// entropy is the source NewRandomPRNG draws its keys from.
+var entropy io.Reader = cryptorand.Reader
+
+// NewRandomPRNG returns a generator keyed with all 16 AES-128 key bytes
+// drawn from the operating system's entropy source, for real key generation.
+func NewRandomPRNG() *PRNG {
+	var key [16]byte
+	if _, err := io.ReadFull(entropy, key[:]); err != nil {
+		panic("sampler: OS entropy source unavailable: " + err.Error())
+	}
+	return newKeyed(key)
+}
+
+// newKeyed returns the AES-128-CTR generator under key, zero IV.
+func newKeyed(key [16]byte) *PRNG {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic(err) // unreachable: the key size is fixed and valid
@@ -35,16 +55,6 @@ func NewPRNG(seed uint64) *PRNG {
 	p := &PRNG{stream: cipher.NewCTR(block, iv[:])}
 	p.refill()
 	return p
-}
-
-// NewRandomPRNG returns a generator seeded from the operating system's
-// entropy source, for real key generation.
-func NewRandomPRNG() *PRNG {
-	var seed [8]byte
-	if _, err := cryptorand.Read(seed[:]); err != nil {
-		panic("sampler: OS entropy source unavailable: " + err.Error())
-	}
-	return NewPRNG(binary.LittleEndian.Uint64(seed[:]))
 }
 
 func (p *PRNG) refill() {

@@ -1,6 +1,9 @@
 package sampler
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"testing"
 
@@ -248,6 +251,38 @@ func TestNewRandomPRNG(t *testing.T) {
 	if a.Uint64() == b.Uint64() && a.Uint64() == b.Uint64() {
 		t.Fatal("two OS-seeded PRNGs emitted identical words twice")
 	}
+}
+
+// TestNewRandomPRNGUsesTheFullKey swaps in the entropy reader: all 16 bytes
+// it hands over are the AES key, so two draws that differ only in key bytes
+// 8–15 give different streams, and a draw of NewPRNG(seed)'s derived key
+// gives NewPRNG(seed)'s stream.
+func TestNewRandomPRNGUsesTheFullKey(t *testing.T) {
+	defer func(r io.Reader) { entropy = r }(entropy)
+	const seed = 42
+	var key [16]byte
+	binary.LittleEndian.PutUint64(key[:8], seed)
+	binary.LittleEndian.PutUint64(key[8:], seed^0x9e3779b97f4a7c15)
+	other := key
+	other[15] ^= 1
+	entropy = bytes.NewReader(append(key[:], other[:]...))
+	a, b, ref := NewRandomPRNG(), NewRandomPRNG(), NewPRNG(seed)
+	for i := 0; i < 4; i++ {
+		av, bv, rv := a.Uint64(), b.Uint64(), ref.Uint64()
+		if av != rv {
+			t.Fatalf("word %d: keyed with NewPRNG(%d)'s key, got %#x, want %#x", i, seed, av, rv)
+		}
+		if av == bv {
+			t.Fatalf("word %d: a flip in key byte 15 left the stream at %#x", i, av)
+		}
+	}
+	entropy = bytes.NewReader(make([]byte, 8))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRandomPRNG accepted an 8-byte key")
+		}
+	}()
+	NewRandomPRNG()
 }
 
 func BenchmarkGaussianSample(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ckks"
 	"repro/internal/fv"
-	"repro/internal/hwsim"
 	"repro/internal/sampler"
 )
 
@@ -48,7 +47,7 @@ func TestPaperSetAllocWall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper parameters are slow")
 	}
-	p, s := setupConfig(t, fv.PaperConfig(2), hwsim.VariantHPS)
+	p, s := setupConfig(t, fv.PaperConfig(2))
 	prng := sampler.NewPRNG(2019)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()

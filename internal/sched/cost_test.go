@@ -22,7 +22,7 @@ func TestCyclesPredictTheTrace(t *testing.T) {
 		t.Skip("paper parameters are slow")
 	}
 	t.Run("BFV Mult", func(t *testing.T) {
-		p, s := setupConfig(t, fv.PaperConfig(2), hwsim.VariantHPS)
+		p, s := setupConfig(t, fv.PaperConfig(2))
 		prng := sampler.NewPRNG(2019)
 		_, pk, rk := fv.NewKeyGenerator(p, prng).GenKeys()
 		enc := fv.NewEncryptor(p, pk, prng)
@@ -93,6 +93,48 @@ func predictedRuns(t *testing.T, m *machine, ledger *hwsim.Stats, pin hwsim.Cycl
 		}
 		if moved := ledger.Total - before; sum != moved {
 			t.Fatalf("operand set %d: the table's entries sum to %d, the ledger moved %d", set, sum, moved)
+		}
+	}
+}
+
+// TestTraditionalMulPriced pins the Sec. VI-C price of the traditional
+// Mult: the HPS Mult's report with its 4 Lift and 3 Scale re-priced on four
+// traditional cores and its relinearization cut to the positional key's two
+// digits. 1 580 686 cycles at the paper set (ℓ 6 → 2) and 128 538 at
+// TestConfig(2) (ℓ 3 → 2) are what an executed traditional co-processor
+// charged for the same program; the transfers are the HPS Mult's.
+func TestTraditionalMulPriced(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		cfg       fv.Config
+		hps, trad Report
+	}{
+		{"paper", fv.PaperConfig(2),
+			Report{ComputeCycles: 829918, SendCycles: 60025, ReceiveCycles: 30145},
+			Report{ComputeCycles: 1580686, SendCycles: 60025, ReceiveCycles: 30145}},
+		{"test", fv.TestConfig(2),
+			Report{ComputeCycles: 115782, SendCycles: 2133, ReceiveCycles: 1199},
+			Report{ComputeCycles: 128538, SendCycles: 2133, ReceiveCycles: 1199}},
+	} {
+		if c.name == "paper" && testing.Short() {
+			continue
+		}
+		p, s := setupConfig(t, c.cfg)
+		prng := sampler.NewPRNG(2019)
+		_, pk, rk := fv.NewKeyGenerator(p, prng).GenKeys()
+		ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))
+		_, rep, err := s.Mul(ct, ct, rk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep != c.hps {
+			t.Fatalf("%s set: HPS Mult %+v, want %+v", c.name, rep, c.hps)
+		}
+		if d := s.tradRelinDigits(); d != 2 {
+			t.Fatalf("%s set: traditional relin key of %d digits, want 2", c.name, d)
+		}
+		if got := s.TraditionalMul(rep); got != c.trad {
+			t.Fatalf("%s set: traditional Mult priced %+v, want %+v", c.name, got, c.trad)
 		}
 	}
 }

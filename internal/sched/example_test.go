@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fv"
-	"repro/internal/hwsim"
 	"repro/internal/sampler"
 	"repro/internal/sched"
 )
@@ -24,7 +23,7 @@ func ExampleScheduler() {
 	ctA := enc.Encrypt(encode.Encode(6))
 	ctB := enc.Encrypt(encode.Encode(7))
 
-	s, _ := sched.NewVariant(params, hwsim.VariantHPS)
+	s, _ := sched.NewDefault(params)
 	hwResult, _, _ := s.Mul(ctA, ctB, rk)
 	swResult := fv.NewEvaluator(params).Mul(ctA, ctB, rk)
 

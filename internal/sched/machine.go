@@ -98,10 +98,9 @@ type machine struct {
 
 	live liveness
 
-	// rd and perm are the host side of the Rotate readback (and of the
-	// traditional variant's digit slicing): the slot's rows are copied out
-	// into rd, permuted into perm and loaded back. Allocated over mods at
-	// the first operation that needs them and sliced to the operand's rows.
+	// rd and perm are the host side of the Rotate readback: the slot's rows
+	// are copied out into rd, permuted into perm and loaded back. Allocated
+	// over mods at the first rotation and sliced to the operand's rows.
 	n        int
 	mods     []ring.Modulus
 	rd, perm poly.RNSPoly
@@ -304,12 +303,8 @@ func (m *machine) automorph(g, rows int) error {
 // keySwitch is what differs between the three uses of the key-switch digit
 // loop (BFV relinearization, BFV rotation, the CKKS hybrid key switch).
 type keySwitch struct {
-	// src is the coefficient-domain slot WordDecomp extracts digit i from —
-	// unless host is set: the traditional architecture's positional digits
-	// are sliced by the host, loaded, and charged the same per-digit
-	// rearrangement pass.
-	src  uint8
-	host []poly.RNSPoly
+	// src is the coefficient-domain slot WordDecomp extracts digit i from.
+	src uint8
 	// keys[k][i] is the NTT-domain key component multiplied with digit i
 	// into accumulator k.
 	keys [2][]poly.RNSPoly
@@ -333,12 +328,7 @@ func (m *machine) keySwitch(ks keySwitch) error {
 		m.live.set(slot, ks.rows)
 	}
 	for i := range ks.keys[0] {
-		if ks.host != nil {
-			m.C.LoadSlotCoeff(slotDigit, 0, ks.host[i].Rows)
-			if _, err := m.exec(hwsim.Instr{Op: hwsim.OpRearr, A: slotDigit, Batch: hwsim.BatchQ}); err != nil {
-				return err
-			}
-		} else if _, err := m.exec(hwsim.Instr{Op: hwsim.OpDecomp, Dst: slotDigit, A: ks.src, B: uint8(i)}); err != nil {
+		if _, err := m.exec(hwsim.Instr{Op: hwsim.OpDecomp, Dst: slotDigit, A: ks.src, B: uint8(i)}); err != nil {
 			return err
 		}
 		for _, batch := range ks.batches {
@@ -360,4 +350,14 @@ func (m *machine) keySwitch(ks keySwitch) error {
 	}
 	m.live.free(slotDigit, slotSop, slotKey)
 	return nil
+}
+
+// digitCycles prices one pass of the keySwitch loop body off the cost table,
+// executing nothing: the WordDecomp, the digit's NTT per batch, and per
+// accumulator the key component's DMA and a CMul + CAdd per batch.
+func (m *machine) digitCycles(batches []hwsim.Batch, keyBytes int) hwsim.Cycles {
+	c, nb := m.C, hwsim.Cycles(len(batches))
+	mac := c.Cycles(hwsim.Instr{Op: hwsim.OpCMul}) + c.Cycles(hwsim.Instr{Op: hwsim.OpCAdd})
+	return c.Cycles(hwsim.Instr{Op: hwsim.OpDecomp}) + nb*c.Cycles(hwsim.Instr{Op: hwsim.OpNTT}) +
+		2*(c.DMAEng.FPGACycles(hwsim.Transfer{Bytes: keyBytes})+nb*mac)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/fv"
-	"repro/internal/hwsim"
 	"repro/internal/sampler"
 )
 
@@ -68,7 +67,7 @@ func TestAnalyzeOverlapEmpty(t *testing.T) {
 }
 
 func TestMulTraceOverlap(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(60)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
@@ -112,7 +111,7 @@ func TestMulTraceOverlap(t *testing.T) {
 }
 
 func TestTraceNotRecordedByDefault(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(61)
 	kg := fv.NewKeyGenerator(p, prng)
 	_, pk, rk := kg.GenKeys()

@@ -20,7 +20,7 @@ func TestPipelinedCycleAccountingExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewVariant(p, hwsim.VariantHPS)
+	s, err := NewDefault(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestPipelinedCycleAccountingExact(t *testing.T) {
 	kg := fv.NewKeyGenerator(p, prng)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
+	rk := kg.GenRelinKey(sk)
 	enc := fv.NewEncryptor(p, pk, prng)
 	rng := rand.New(rand.NewSource(202))
 

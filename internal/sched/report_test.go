@@ -10,7 +10,7 @@ import (
 )
 
 func TestAcceleratorAddMul(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(1)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
@@ -106,41 +106,6 @@ func TestCKKSAcceleratorEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTraditionalVariantSlower(t *testing.T) {
-	p, fast := setup(t, hwsim.VariantHPS)
-	slow, err := NewVariant(p, hwsim.VariantTraditional)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prng := sampler.NewPRNG(3)
-	kg := fv.NewKeyGenerator(p, prng)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rkHPS := kg.GenRelinKey(sk, fv.HPS, 0, 0)
-	rkTrad := kg.GenRelinKey(sk, fv.Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
-	ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))
-
-	_, repFast, err := fast.Mul(ct, ct, rkHPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, repSlow, err := slow.Mul(ct, ct, rkTrad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The traditional lift/scale dominates (paper Sec. VI-C: Mult < 2x
-	// slower overall, lift/scale themselves ≫ slower).
-	if repSlow.ComputeCycles <= repFast.ComputeCycles {
-		t.Fatalf("traditional (%d) should be slower than HPS (%d)",
-			repSlow.ComputeCycles, repFast.ComputeCycles)
-	}
-	// The traditional co-processor is built with the paper's four Lift/Scale
-	// cores, whatever the calibration it is handed says.
-	if got := slow.C.Timing.LiftScaleCores; got != 4 {
-		t.Fatalf("traditional co-processor has %d Lift/Scale cores, want 4", got)
-	}
-}
-
 // TestTransferAccountingSeesCalibration: the operand and result rows of a
 // Report, and the key stream a serving layer charges off the co-processor's
 // DMA engine, follow the timing the co-processor was built with.
@@ -159,7 +124,7 @@ func TestTransferAccountingSeesCalibration(t *testing.T) {
 	var fvReps [2]Report
 	var fvKeys [2]hwsim.Cycles
 	for i, timing := range []hwsim.Timing{hwsim.DefaultTiming(), slow} {
-		c, err := newCoprocessor(p, hwsim.VariantHPS, timing)
+		c, err := newCoprocessor(p, timing)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +175,7 @@ func TestTransferAccountingSeesCalibration(t *testing.T) {
 // charges a two-polynomial operand DMA, half of what Add and Mul pay for
 // their two operands.
 func TestRotateReportsOneCiphertextIn(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(21)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
@@ -270,7 +235,7 @@ func TestReportSumsToLedger(t *testing.T) {
 	}
 
 	t.Run("bfv", func(t *testing.T) {
-		p, s := setup(t, hwsim.VariantHPS)
+		p, s := setup(t)
 		prng := sampler.NewPRNG(31)
 		kg := fv.NewKeyGenerator(p, prng)
 		sk, pk, rk := kg.GenKeys()

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/fv"
-	"repro/internal/hwsim"
 	"repro/internal/sampler"
 )
 
 func TestScheduledRotateMatchesSoftware(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(110)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, _ := kg.GenKeys()
@@ -44,7 +43,7 @@ func TestScheduledRotateMatchesSoftware(t *testing.T) {
 	// Cheaper than a full Mult (no lift/scale, q-basis only).
 	sFresh := s
 	sFresh.C.ResetStats()
-	rk := kg.GenRelinKey(sk, fv.HPS, 0, 0)
+	rk := kg.GenRelinKey(sk)
 	_, mul, err := sFresh.Mul(ct, ct, rk)
 	if err != nil {
 		t.Fatal(err)
@@ -54,20 +53,8 @@ func TestScheduledRotateMatchesSoftware(t *testing.T) {
 	}
 }
 
-func TestRotateRejectsTraditional(t *testing.T) {
-	p, s := setup(t, hwsim.VariantTraditional)
-	prng := sampler.NewPRNG(111)
-	kg := fv.NewKeyGenerator(p, prng)
-	sk := kg.GenSecretKey()
-	gk := kg.GenGaloisKey(sk, 3)
-	ct := fv.NewCiphertext(p, 2)
-	if _, _, err := s.Rotate(ct, gk); err == nil {
-		t.Fatal("expected variant error")
-	}
-}
-
 func TestProgramListing(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(112)
 	kg := fv.NewKeyGenerator(p, prng)
 	_, pk, rk := kg.GenKeys()

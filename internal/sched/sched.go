@@ -23,7 +23,6 @@ import (
 	"repro/internal/hwsim"
 	"repro/internal/obs"
 	"repro/internal/poly"
-	"repro/internal/rns"
 )
 
 // Report is the timing of one operation, read off the co-processor ledger:
@@ -74,22 +73,16 @@ func New(p *fv.Params, c *hwsim.Coprocessor) *Scheduler {
 	return &Scheduler{P: p, machine: newMachine(c, p.QMods, p.N())}
 }
 
-// newCoprocessor builds the co-processor of a lift/scale variant for p under
-// timing, its memory file sized for these schedules. The traditional
-// architecture compensates for its multi-precision Lift/Scale with four
-// parallel cores ("To speedup computation, we keep four parallel cores",
-// Sec. VI-C), whatever timing says.
-func newCoprocessor(p *fv.Params, v hwsim.Variant, timing hwsim.Timing) (*hwsim.Coprocessor, error) {
-	if v == hwsim.VariantTraditional {
-		timing.LiftScaleCores = 4
-	}
-	return hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler, v, timing, MinSlots())
+// newCoprocessor builds the co-processor for p under timing, its memory
+// file sized for these schedules.
+func newCoprocessor(p *fv.Params, timing hwsim.Timing) (*hwsim.Coprocessor, error) {
+	return hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler, hwsim.VariantHPS, timing, MinSlots())
 }
 
-// NewVariant returns a scheduler over a fresh co-processor of the variant
-// under the default calibration.
-func NewVariant(p *fv.Params, v hwsim.Variant) (*Scheduler, error) {
-	c, err := newCoprocessor(p, v, hwsim.DefaultTiming())
+// NewDefault returns a scheduler over a fresh co-processor under the
+// default calibration.
+func NewDefault(p *fv.Params) (*Scheduler, error) {
+	c, err := newCoprocessor(p, hwsim.DefaultTiming())
 	if err != nil {
 		return nil, err
 	}
@@ -114,16 +107,6 @@ func (s *Scheduler) polyBytes() int {
 	return hwsim.PolyBytes(s.P.N(), s.P.QBasis.K())
 }
 
-// checkVariant refuses a relinearization key built for the other lift/scale
-// architecture.
-func (s *Scheduler) checkVariant(rk *fv.RelinKey) error {
-	if rk.Variant != s.C.Variant {
-		return fmt.Errorf("sched: relin key variant %v does not match co-processor variant %v",
-			rk.Variant, s.C.Variant)
-	}
-	return nil
-}
-
 // Add executes FV.Add on the co-processor: one coefficient-wise addition per
 // ciphertext element. It returns the result ciphertext and its report
 // (compute excludes the transfers, as in Table I's "Add in HW" row).
@@ -145,9 +128,6 @@ func (s *Scheduler) Add(a, b *fv.Ciphertext) (*fv.Ciphertext, Report, error) {
 func (s *Scheduler) Mul(a, b *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
 		return nil, Report{}, fmt.Errorf("sched: Mul expects degree-1 ciphertexts")
-	}
-	if err := s.checkVariant(rk); err != nil {
-		return nil, Report{}, err
 	}
 	kq := s.P.QBasis.K()
 	rep, start := s.begin(kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
@@ -215,25 +195,14 @@ func (s *Scheduler) mulProgram(rk *fv.RelinKey) error {
 	const sSlot0, sSlot1, sSlot2 = slotA1, slotB0, slotT1
 
 	// Phase 6: relinearization of s2 through the key-switch digit loop.
-	ks := keySwitch{
+	if err := s.keySwitch(keySwitch{
 		src:     sSlot2,
 		keys:    [2][]poly.RNSPoly{rk.Rlk0Hat, rk.Rlk1Hat},
 		batches: batchQ,
 		rows:    kq,
 		label:   "rlk stream",
 		bytes:   s.polyBytes(),
-	}
-	if rk.Variant == fv.Traditional {
-		// The traditional architecture's Scale produces the positional form
-		// the signed-digit WordDecomp slices; the host prepares the digits.
-		// The host read is a readback: scrub first so corrupted rows cannot
-		// silently seed the digit slicing.
-		if err := s.C.Scrub(); err != nil {
-			return err
-		}
-		ks.host = rns.WordDecompose(s.P.QBasis, s.readback(sSlot2, kq), rk.LogW, rk.Ell)
-	}
-	if err := s.keySwitch(ks); err != nil {
+	}); err != nil {
 		return err
 	}
 	// Inverse-transform the sums of products and add the scaled c̃0, c̃1
@@ -246,6 +215,42 @@ func (s *Scheduler) mulProgram(rk *fv.RelinKey) error {
 		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc1, A: sSlot1, B: slotAcc1, Batch: hwsim.BatchQ})
 }
 
+// The Fig. 2 program's Lift and Scale count (mulProgram): one Lift per
+// operand polynomial, one Scale per tensor output.
+const mulLifts, mulScales = 4, 3
+
+// tradLiftScaleCores is the traditional architecture's Lift/Scale core
+// count: "To speedup computation, we keep four parallel cores" (Sec. VI-C).
+const tradLiftScaleCores = 4
+
+// tradRelinDigits is the digit count of the traditional architecture's
+// positional relinearization key: base-2^90 digits of q, at least two —
+// ℓ = 2 for the paper's 180-bit q, the "three times smaller relinearization
+// key" of Sec. VI-C.
+func (s *Scheduler) tradRelinDigits() int {
+	return max(2, (s.P.LogQ()+89)/90)
+}
+
+// TraditionalMul prices the Mult of the paper's traditional multi-precision
+// CRT architecture (Sec. VI-C) from hps, the Report of the same Mult on this
+// HPS co-processor. The traditional design runs the same Fig. 2 program, so
+// it is priced, not run: each of the Mult's 4 Lift and 3 Scale costs
+// TraditionalCycles on four cores instead of the HPS entry, and the
+// relinearization loops over tradRelinDigits positional digits instead of
+// one RNS digit per q prime (the host-sliced positional digit's REARR costs
+// the same pass as WDEC, so a digit costs digitCycles either way). The operand and result transfers are unchanged. The exact CRT
+// dataflow itself is the rns oracle (ExtendExact, ScaleExact).
+func (s *Scheduler) TraditionalMul(hps Report) Report {
+	c := s.C
+	reprice := func(op hwsim.Op) hwsim.Cycles {
+		return c.TraditionalCycles(op, tradLiftScaleCores) + c.Dispatch() - c.Cycles(hwsim.Instr{Op: op})
+	}
+	fewer := hwsim.Cycles(s.P.QBasis.K() - s.tradRelinDigits())
+	hps.ComputeCycles += mulLifts*reprice(hwsim.OpLift) + mulScales*reprice(hwsim.OpScale) -
+		fewer*s.digitCycles(batchQ, s.polyBytes())
+	return hps
+}
+
 // Rotate executes a Galois automorphism with key switch on the
 // co-processor. The automorphism itself is a (sign-aware) memory
 // permutation, streamed through the rearrangement port; the key switch is
@@ -254,9 +259,6 @@ func (s *Scheduler) mulProgram(rk *fv.RelinKey) error {
 func (s *Scheduler) Rotate(ct *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext, Report, error) {
 	if len(ct.Els) != 2 {
 		return nil, Report{}, fmt.Errorf("sched: Rotate expects a degree-1 ciphertext")
-	}
-	if s.C.Variant != hwsim.VariantHPS {
-		return nil, Report{}, fmt.Errorf("sched: Galois keys use the RNS gadget; need the HPS co-processor")
 	}
 	kq := s.P.QBasis.K()
 	rep, start := s.begin(kq, ct.Els[0], ct.Els[1])

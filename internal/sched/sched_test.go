@@ -8,18 +8,18 @@ import (
 	"repro/internal/sampler"
 )
 
-func setup(t testing.TB, variant hwsim.Variant) (*fv.Params, *Scheduler) {
+func setup(t testing.TB) (*fv.Params, *Scheduler) {
 	t.Helper()
-	return setupConfig(t, fv.TestConfig(257), variant)
+	return setupConfig(t, fv.TestConfig(257))
 }
 
-func setupConfig(t testing.TB, cfg fv.Config, variant hwsim.Variant) (*fv.Params, *Scheduler) {
+func setupConfig(t testing.TB, cfg fv.Config) (*fv.Params, *Scheduler) {
 	t.Helper()
 	p, err := fv.NewParams(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewVariant(p, variant)
+	s, err := NewDefault(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func setupConfig(t testing.TB, cfg fv.Config, variant hwsim.Variant) (*fv.Params
 }
 
 func TestScheduledAddMatchesSoftware(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(1)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, _ := kg.GenKeys()
@@ -64,49 +64,40 @@ func TestScheduledAddMatchesSoftware(t *testing.T) {
 }
 
 func TestScheduledMulMatchesSoftware(t *testing.T) {
-	for _, variant := range []hwsim.Variant{hwsim.VariantHPS, hwsim.VariantTraditional} {
-		p, s := setup(t, variant)
-		prng := sampler.NewPRNG(2)
-		kg := fv.NewKeyGenerator(p, prng)
-		sk := kg.GenSecretKey()
-		pk := kg.GenPublicKey(sk)
-		var rk *fv.RelinKey
-		if variant == hwsim.VariantHPS {
-			rk = kg.GenRelinKey(sk, fv.HPS, 0, 0)
-		} else {
-			rk = kg.GenRelinKey(sk, fv.Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
-		}
-		enc := fv.NewEncryptor(p, pk, prng)
-		dec := fv.NewDecryptor(p, sk)
-		ev := fv.NewEvaluatorVariant(p, variant)
+	p, s := setup(t)
+	prng := sampler.NewPRNG(2)
+	kg := fv.NewKeyGenerator(p, prng)
+	sk, pk, rk := kg.GenKeys()
+	enc := fv.NewEncryptor(p, pk, prng)
+	dec := fv.NewDecryptor(p, sk)
+	ev := fv.NewEvaluator(p)
 
-		a := fv.NewPlaintext(p)
-		b := fv.NewPlaintext(p)
-		a.Coeffs[0], a.Coeffs[1] = 6, 1
-		b.Coeffs[0], b.Coeffs[2] = 7, 3
-		ca, cb := enc.Encrypt(a), enc.Encrypt(b)
+	a := fv.NewPlaintext(p)
+	b := fv.NewPlaintext(p)
+	a.Coeffs[0], a.Coeffs[1] = 6, 1
+	b.Coeffs[0], b.Coeffs[2] = 7, 3
+	ca, cb := enc.Encrypt(a), enc.Encrypt(b)
 
-		got, rep, err := s.Mul(ca, cb, rk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ev.Mul(ca, cb, rk)
-		if !got.Equal(want) {
-			t.Fatalf("%v: co-processor Mult != software Mult (bit-exact check)", variant)
-		}
-		if rep.ComputeCycles == 0 {
-			t.Fatal("Mult consumed no cycles")
-		}
-		// (6+x)(7+3x²) = 42 + 7x + 18x² + 3x³.
-		pt := dec.Decrypt(got)
-		if pt.Coeffs[0] != 42 || pt.Coeffs[1] != 7 || pt.Coeffs[2] != 18 || pt.Coeffs[3] != 3 {
-			t.Fatalf("%v: decrypted product %v", variant, pt.Coeffs[:5])
-		}
+	got, rep, err := s.Mul(ca, cb, rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ev.Mul(ca, cb, rk)
+	if !got.Equal(want) {
+		t.Fatal("co-processor Mult != software Mult (bit-exact check)")
+	}
+	if rep.ComputeCycles == 0 {
+		t.Fatal("Mult consumed no cycles")
+	}
+	// (6+x)(7+3x²) = 42 + 7x + 18x² + 3x³.
+	pt := dec.Decrypt(got)
+	if pt.Coeffs[0] != 42 || pt.Coeffs[1] != 7 || pt.Coeffs[2] != 18 || pt.Coeffs[3] != 3 {
+		t.Fatalf("decrypted product %v", pt.Coeffs[:5])
 	}
 }
 
 func TestMulInstructionCountsMatchTableII(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(3)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
@@ -176,7 +167,7 @@ func TestPaperSetMulCycles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper parameters are slow")
 	}
-	p, s := setupConfig(t, fv.PaperConfig(2), hwsim.VariantHPS)
+	p, s := setupConfig(t, fv.PaperConfig(2))
 	prng := sampler.NewPRNG(2019)
 	kg := fv.NewKeyGenerator(p, prng)
 	_, pk, rk := kg.GenKeys()
@@ -190,22 +181,8 @@ func TestPaperSetMulCycles(t *testing.T) {
 	}
 }
 
-func TestMulRejectsVariantMismatch(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
-	prng := sampler.NewPRNG(4)
-	kg := fv.NewKeyGenerator(p, prng)
-	sk := kg.GenSecretKey()
-	rkTrad := kg.GenRelinKey(sk, fv.Traditional, p.Cfg.RelinLogW, p.Cfg.RelinDepth)
-	pk := kg.GenPublicKey(sk)
-	enc := fv.NewEncryptor(p, pk, prng)
-	ca := enc.Encrypt(fv.NewPlaintext(p))
-	if _, _, err := s.Mul(ca, ca, rkTrad); err == nil {
-		t.Fatal("expected variant mismatch error")
-	}
-}
-
 func TestMulRejectsWrongDegree(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	ct3 := fv.NewCiphertext(p, 3)
 	ct2 := fv.NewCiphertext(p, 2)
 	if _, _, err := s.Mul(ct3, ct2, &fv.RelinKey{}); err == nil {
@@ -218,7 +195,7 @@ func TestMulRejectsWrongDegree(t *testing.T) {
 
 func TestSchedulerDepthChainOnCoprocessor(t *testing.T) {
 	// A depth-2 chain entirely on the simulated hardware must still decrypt.
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(5)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
@@ -246,7 +223,7 @@ func TestMulMemoryHighWater(t *testing.T) {
 	// hardware's memory file: the paper's BRAM budget provisions 66
 	// residue-polynomial buffers (hwsim.PaperResourceConfig), and the
 	// schedule peaks at exactly 5 full-basis polynomials.
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(130)
 	kg := fv.NewKeyGenerator(p, prng)
 	_, pk, rk := kg.GenKeys()

@@ -15,7 +15,7 @@ import (
 // acceptance bar for comparing the simulated profile with the software
 // pipeline's wall-clock spans.
 func TestMulCycleAttributionSumsToTotal(t *testing.T) {
-	p, s := setup(t, hwsim.VariantHPS)
+	p, s := setup(t)
 	prng := sampler.NewPRNG(3)
 	kg := fv.NewKeyGenerator(p, prng)
 	sk, pk, rk := kg.GenKeys()
