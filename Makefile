@@ -12,10 +12,11 @@ test:
 # for 31-bit moduli, and the reference the assembly is held to; on the amd64
 # runners they would otherwise never execute. -tags purego compiles the
 # assembly out, so this leg runs every package from the kernels up to the
-# evaluators, the simulator, its scheduler and the differential harness on
-# them. CI's test job calls it.
+# evaluators, the simulator, its scheduler, the differential harness, the
+# engine that builds every worker's co-processors and the chaos schedules
+# that fault them on them. CI's test job calls it.
 test-purego:
-	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest
+	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest ./internal/engine ./internal/faults
 
 race:
 	$(GO) test -race ./...

@@ -84,8 +84,9 @@ type Params struct {
 	KSMods     [][]ring.Modulus
 
 	// Rescaler divides by the top prime of any chain prefix (shared with the
-	// simulator's Rescale unit). RescalerKS[ℓ] drops the p* row after a
-	// level-ℓ keyswitch SoP — ModDown is the same kernel pointed at the
+	// simulator's Rescale unit, as RescalerKS and the other per-level views
+	// are with its chain co-processor). RescalerKS[ℓ] drops the p* row after
+	// a level-ℓ keyswitch SoP — ModDown is the same kernel pointed at the
 	// special prime.
 	Rescaler   *rns.Rescaler
 	RescalerKS []*rns.Rescaler

@@ -299,7 +299,7 @@ func (cd *codec) EnableCKKS(p *ckks.Params) { *cd = newCodec(cd.params, p) }
 // layout returns the layout cmd's ciphertexts are framed under; a CKKS command
 // under a codec without a CKKS layout is malformed.
 func (cd *codec) layout(cmd uint8) (rlwe.Layout, error) {
-	if !isCKKSCmd(cmd) {
+	if !IsCKKSCmd(cmd) {
 		return cd.bfv, nil
 	}
 	if cd.ckks.Mods == nil {
@@ -755,7 +755,7 @@ func (raw *RawReply) Reply() (Reply, error) {
 	}
 	body = body[12:]
 	var err error
-	if isCKKSCmd(raw.cmd) {
+	if IsCKKSCmd(raw.cmd) {
 		ct := new(ckks.Ciphertext)
 		_, ct.Scale, err = raw.codec.ckks.Decode(body, &ct.Els)
 		resp.CKKSResult = ct

@@ -239,7 +239,7 @@ func FuzzFrameRequest(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckksCmd := len(data) > requestIDOff && bytes.HasPrefix(data, protocolMagicV2[:]) && isCKKSCmd(data[requestIDOff-1])
+		ckksCmd := len(data) > requestIDOff && bytes.HasPrefix(data, protocolMagicV2[:]) && IsCKKSCmd(data[requestIDOff-1])
 		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
 			ref, refErr := refReadRequest(bytes.NewReader(data), params, cp)
 			cd := codecFor(params, cp)
@@ -318,7 +318,7 @@ func FuzzFrameReply(f *testing.F) {
 		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
 			cd := codecFor(params, cp)
 			for _, k := range kinds {
-				if cp == nil && isCKKSCmd(k.cmd) {
+				if cp == nil && IsCKKSCmd(k.cmd) {
 					if err := new(RawReply).read(&cursor{r: bytes.NewReader(data), left: math.MaxInt}, cd, k.cmd); !errors.Is(err, ErrMalformedRequest) {
 						t.Fatalf("%s under %s: framed as %v, want ErrMalformedRequest", k.kind, name, err)
 					}

@@ -102,8 +102,9 @@ const (
 	statusErr uint8 = 1
 )
 
-// isCKKSCmd reports whether cmd is one of the CKKS commands.
-func isCKKSCmd(cmd uint8) bool {
+// IsCKKSCmd reports whether cmd is one of the CKKS commands — the one list
+// the wire codec and the router's CKKS guard both read.
+func IsCKKSCmd(cmd uint8) bool {
 	return cmd == CmdCKKSAdd || cmd == CmdCKKSMul || cmd == CmdCKKSRotate
 }
 

@@ -214,7 +214,7 @@ func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint
 		body, err = refReadLenBody(r, MaxAdminBytes)
 		rep = Blob(body)
 	default:
-		rep, err = refReadOpBody(r, params, cparams, id, isCKKSCmd(cmd))
+		rep, err = refReadOpBody(r, params, cparams, id, IsCKKSCmd(cmd))
 	}
 	if err != nil {
 		return 0, nil, err

@@ -39,7 +39,7 @@ type conn struct {
 // frame is refused the way a mux node refuses what it cannot frame, with a
 // deterministic CodeApp error that proves the node alive.
 func (c *conn) Exchange(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, error) {
-	if f.Cmd == cloud.CmdCKKSAdd || f.Cmd == cloud.CmdCKKSMul || f.Cmd == cloud.CmdCKKSRotate {
+	if cloud.IsCKKSCmd(f.Cmd) {
 		ok, err := c.servesCKKS(ctx)
 		if err != nil {
 			return nil, err

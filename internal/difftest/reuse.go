@@ -221,7 +221,8 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 
 // ckksOp runs one CKKS operation at the harness's current point of the chain
 // — MulRescale walks it down level by level, a new ciphertext restarts it at
-// the top — so every level's chain co-processor is reused many times.
+// the top — so the one chain co-processor's level register moves down and
+// back up many times over the same memory file.
 func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injector) error {
 	// Keys exist for levels 1..L: at the bottom only Add is left.
 	if h.ccur == nil || (kind != 4 && h.ccur.Level() < 1) {

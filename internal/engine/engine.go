@@ -336,7 +336,8 @@ func New(cfg Config) (*Engine, error) {
 		}
 		w := newWorker(i, hw, cfg.KeyCacheSlots, fv.NewEvaluator(cfg.Params))
 		if cfg.CKKSParams != nil {
-			// The CKKS seeds come from a range disjoint from the BFV ones.
+			// One seed per worker's chain co-processor, from a range
+			// disjoint from the BFV ones.
 			ck := sched.NewCKKS(cfg.CKKSParams, hwsim.DefaultTiming())
 			if err := guard(ck, int64(i)*2027+501); err != nil {
 				return nil, fmt.Errorf("engine: worker %d ckks co-processor: %w", i, err)

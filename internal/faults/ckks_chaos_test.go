@@ -2,8 +2,8 @@
 // faults through the approximate-arithmetic lane of the engine. Every CKKS
 // Mul carries a trailing Rescale (and the keyswitch ModDown before it), so
 // these schedules land faults in exactly the instruction window the BFV
-// suite cannot reach — the RescaleUnit and the per-level chain
-// co-processors. The contract is the same strict ledger: every fired fault
+// suite cannot reach — the Rescale unit, and the chain co-processor whose
+// level register moves with every operation. The contract is the same strict ledger: every fired fault
 // is detected, and every op either returns a ciphertext bit-identical to
 // the clean reference run or fails with a typed error. Approximate
 // arithmetic is exact as a computation on residues, so "bit-identical" is

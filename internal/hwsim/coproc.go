@@ -103,28 +103,26 @@ type Coprocessor struct {
 
 	// Basis is the CRT basis WordDecomp extracts gadget digits over (the q
 	// part of the row set). The BFV co-processor inherits it from the
-	// Extender's source basis; the CKKS chain co-processor is built with the
-	// level's prefix basis directly.
+	// Extender's source basis; on the chain co-processor it is the level's
+	// prefix basis.
 	Basis *rns.Basis
 
-	// extendDigits widens WordDecomp's destination to the full row set
-	// (q rows plus the special prime): a gadget digit is a small integer, so
-	// its residue mod p* is one more reduction pass — the digit extension of
-	// the hybrid keyswitch. BFV keys carry no extension row, so the BFV
-	// co-processor leaves this off.
-	extendDigits bool
+	// chain is the CKKS chain co-processor's modulus chain (nil on the BFV
+	// co-processor) and level its level register: Mods, KQ, Basis and tables
+	// are chain's level-`level` views. width is the row count of a slot —
+	// every row set's, so the chain co-processor's is the top level's.
+	chain *Chain
+	level int
+	width int
 
 	// The datapaths' functional kernels. tables[j] is the twiddle ROM of
 	// residue row j, held by the RPAU serving that prime. ext and scaler are
-	// the BFV co-processor's Lift and Scale; rescQ (divide by the top chain
-	// prime, any chain prefix) and rescP (divide the extended key-switch rows
-	// by the special prime: the ModDown) are the chain co-processor's
-	// Rescale. liftBits and scaleBits are the widths of q and Q, what the
-	// traditional division's price depends on.
+	// the BFV co-processor's Lift and Scale; the chain co-processor's Rescale
+	// runs chain's rescalers. liftBits and scaleBits are the widths of q and
+	// Q, what the traditional division's price depends on.
 	tables              []*poly.NTTTable
 	ext                 *rns.Extender
 	scaler              *rns.ScaleRounder
-	rescQ, rescP        *rns.Rescaler
 	liftBits, scaleBits int
 
 	// Pool fans the per-prime row loops of Exec across goroutines — the
@@ -161,9 +159,9 @@ type Coprocessor struct {
 
 // NewCoprocessor builds a co-processor over the given bases. slotCount sizes
 // the memory file (the paper provisions enough on-chip memory for two
-// operand ciphertexts and all Mult intermediates; 24 slots suffice for the
-// scheduler in internal/sched). A variant other than VariantHPS fails with
-// ErrVariant.
+// operand ciphertexts and all Mult intermediates; the BFV programs of
+// internal/sched need sched.MinSlots() = 10, the CKKS ones 12). A variant
+// other than VariantHPS fails with ErrVariant.
 func NewCoprocessor(qmods, pmods []ring.Modulus, n int,
 	ext *rns.Extender, sc *rns.ScaleRounder,
 	variant Variant, timing Timing, slotCount int) (*Coprocessor, error) {
@@ -185,48 +183,14 @@ func NewCoprocessor(qmods, pmods []ring.Modulus, n int,
 		liftBits:  ext.Src.Product.BitLen(),
 		scaleBits: sc.QP.Product.BitLen(),
 		Basis:     ext.Src,
+		width:     kq + kp,
 		DMAEng:    DMA{Timing: timing},
 		slots:     make([]slot, slotCount),
 		Stats:     &Stats{PerOp: map[Op]*OpStat{}},
 	}
-	return c.withTables()
-}
-
-// NewCoprocessorChain builds a CKKS chain co-processor for one level of the
-// modulus chain: the q rows are the chain prefix q_0..q_ℓ, the single p row
-// is the keyswitch special prime p*, and basis is the level's gadget
-// (digit) basis. In place of the BFV Lift/Scale engines it carries the
-// Rescale datapath, and WordDecomp extends digits onto the p* row — the two
-// dataflow differences between HPS scaling and CKKS rescaling on otherwise
-// identical RPAU hardware.
-func NewCoprocessorChain(qmods []ring.Modulus, pmod ring.Modulus, basis *rns.Basis,
-	n int, pool *poly.Pool, timing Timing, slotCount int) (*Coprocessor, error) {
-
-	kq := len(qmods)
-	if kq == 0 {
-		return nil, fmt.Errorf("hwsim: chain co-processor needs at least one q prime")
-	}
-	all := append(append([]ring.Modulus(nil), qmods...), pmod)
-	c := &Coprocessor{
-		Mods: all, KQ: kq, KP: 1, N: n,
-		Timing:       timing,
-		Pool:         pool,
-		rescQ:        rns.NewRescaler(qmods),
-		rescP:        rns.NewRescaler(all),
-		Basis:        basis,
-		extendDigits: true,
-		DMAEng:       DMA{Timing: timing},
-		slots:        make([]slot, slotCount),
-		Stats:        &Stats{PerOp: map[Op]*OpStat{}},
-	}
-	return c.withTables()
-}
-
-// withTables builds every row's twiddle ROM and returns c.
-func (c *Coprocessor) withTables() (*Coprocessor, error) {
-	c.tables = make([]*poly.NTTTable, len(c.Mods))
-	for j, m := range c.Mods {
-		t, err := poly.NewNTTTable(m, c.N)
+	c.tables = make([]*poly.NTTTable, len(all))
+	for j, m := range all {
+		t, err := poly.NewNTTTable(m, n)
 		if err != nil {
 			return nil, err
 		}
@@ -235,11 +199,90 @@ func (c *Coprocessor) withTables() (*Coprocessor, error) {
 	return c, nil
 }
 
+// Chain is the CKKS modulus chain q_0..q_L with the keyswitch special prime
+// p*, as the per-level views the chain co-processor's level register
+// selects. The fields are the ones ckks.Params holds for the software —
+// KSMods, TrKS, BasisLevel, Rescaler and RescalerKS — so the hardware
+// builds none of them a second time.
+type Chain struct {
+	// Mods[ℓ] is level ℓ's row set (q_0..q_ℓ, p*) and NTT[ℓ] its twiddle
+	// ROMs, one table per row.
+	Mods [][]ring.Modulus
+	NTT  []*poly.Transformer
+	// Basis[ℓ] is level ℓ's gadget basis q_0..q_ℓ.
+	Basis []*rns.Basis
+	// Rescale divides by the top prime of any chain prefix; ModDown[ℓ]
+	// divides level ℓ's row set by p*.
+	Rescale *rns.Rescaler
+	ModDown []*rns.Rescaler
+}
+
+// NewCoprocessorChain builds the CKKS chain co-processor: one memory file and
+// one set of RPAUs sized for the whole chain, its level register at the top,
+// L. In place of the BFV Lift/Scale engines it carries the Rescale datapath,
+// and WordDecomp extends digits onto the p* row — the two dataflow
+// differences between HPS scaling and CKKS rescaling on otherwise identical
+// RPAU hardware.
+func NewCoprocessorChain(ch Chain, n int, pool *poly.Pool, timing Timing, slotCount int) *Coprocessor {
+	top := len(ch.Mods) - 1
+	c := &Coprocessor{
+		KP: 1, N: n,
+		Timing: timing,
+		Pool:   pool,
+		chain:  &ch,
+		width:  len(ch.Mods[top]),
+		DMAEng: DMA{Timing: timing},
+		slots:  make([]slot, slotCount),
+		Stats:  &Stats{PerOp: map[Op]*OpStat{}},
+	}
+	c.setLevel(top)
+	return c
+}
+
+// SetLevel points the chain co-processor's level register at ℓ: from here
+// on its row set is (q_0..q_ℓ, p*), with that level's twiddle ROMs, gadget
+// basis, ModDown and integrity weights, over the same memory file. Row j
+// holds a different prime at another level, so the switch clears the file
+// first — ClearSlots' flush check reads every row under the level it was
+// written at. It charges no cycles and allocates nothing.
+func (c *Coprocessor) SetLevel(level int) error {
+	if c.chain == nil {
+		return fmt.Errorf("hwsim: the BFV co-processor has no level register")
+	}
+	if level < 0 || level >= len(c.chain.Mods) {
+		return fmt.Errorf("hwsim: level %d outside the %d-level chain", level, len(c.chain.Mods))
+	}
+	c.ClearSlots()
+	c.setLevel(level)
+	return nil
+}
+
+func (c *Coprocessor) setLevel(level int) {
+	ch := c.chain
+	c.level, c.KQ = level, level+1
+	c.Mods, c.tables, c.Basis = ch.Mods[level], ch.NTT[level].Tables, ch.Basis[level]
+	if c.integrity != nil {
+		c.integrity.at(c.KQ)
+	}
+}
+
 // NumRPAUs returns the RPAU count (⌈13/2⌉ = 7 for the paper set). By the
 // resource sharing of Sec. V-A1, RPAU i serves q_i and p_i: with kp = kq+1
 // the last RPAU serves only the final p prime, and with kp = 1, the chain
-// shape, RPAU 0 shares the special prime.
-func (c *Coprocessor) NumRPAUs() int { return max(c.KQ, c.KP) }
+// shape, RPAU 0 shares the special prime. The chain co-processor's count is
+// the whole chain's, whatever its level register holds.
+func (c *Coprocessor) NumRPAUs() int { return max(c.width-c.KP, c.KP) }
+
+// digitRows is the row count WordDecomp writes: the q rows, and on the chain
+// co-processor the p* row too — a gadget digit is a small integer, so its
+// residue mod p* is one more reduction pass, the digit extension of the
+// hybrid keyswitch (BFV keys carry no extension row).
+func (c *Coprocessor) digitRows() int {
+	if c.chain != nil {
+		return c.KQ + c.KP
+	}
+	return c.KQ
+}
 
 // batchRange returns the prime-index range [lo, hi) of a batch.
 func (c *Coprocessor) batchRange(b Batch) (int, int) {
@@ -258,8 +301,8 @@ func (c *Coprocessor) slotAt(i uint8) *slot {
 
 func (c *Coprocessor) ensureRows(s *slot) {
 	if s.rows == nil {
-		s.rows = make([]poly.Poly, c.KQ+c.KP)
-		s.domain = make([]domainTag, c.KQ+c.KP)
+		s.rows = make([]poly.Poly, c.width)
+		s.domain = make([]domainTag, c.width)
 	}
 }
 
@@ -279,20 +322,22 @@ func (c *Coprocessor) row(s *slot, j int) poly.Poly {
 // wrow returns residue row j of a slot for an instruction that overwrites
 // every coefficient of it: stale contents are not cleared. The caller sets
 // the row's domain tag once the write cannot fail; until then a wiped row
-// stays empty.
+// stays empty. The row takes the current level's prime j: on the chain
+// co-processor the same storage holds q_{ℓ+1} at one level and p* below it.
 func (c *Coprocessor) wrow(s *slot, j int) poly.Poly {
 	c.ensureRows(s)
 	if s.rows[j].Coeffs == nil {
-		s.rows[j] = poly.NewPoly(c.Mods[j], c.N)
+		s.rows[j].Coeffs = make([]uint64, c.N)
 	}
+	s.rows[j].Mod = c.Mods[j]
 	return s.rows[j]
 }
 
-// rowHdrs returns n ≤ 2·(KQ+KP) row headers of co-processor-owned scratch —
+// rowHdrs returns n ≤ 2·width row headers of co-processor-owned scratch —
 // room for the widest instruction's input and output row sets side by side.
 func (c *Coprocessor) rowHdrs(n int) []poly.Poly {
 	if c.hdrs == nil {
-		c.hdrs = make([]poly.Poly, 2*(c.KQ+c.KP))
+		c.hdrs = make([]poly.Poly, 2*c.width)
 	}
 	return c.hdrs[:n]
 }
@@ -389,9 +434,9 @@ func (c *Coprocessor) ClearSlots() {
 	}
 }
 
-// Reset zeroes the ledger in place: everyone holding the pointer — chain
-// co-processors share one ledger — sees the cleared ledger, and a
-// per-operation reset allocates no new map.
+// Reset zeroes the ledger in place: everyone holding the pointer — the
+// CKKS scheduler and its chain co-processor share one ledger — sees the
+// cleared ledger, and a per-operation reset allocates no new map.
 func (s *Stats) Reset() {
 	clear(s.PerOp)
 	s.TransferSeconds, s.TransferCalls, s.Total = 0, 0, 0
@@ -549,12 +594,8 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		// way the software decomposition does (rns.ReplicateDigitInto) —
 		// so Dst may be A: the source row is consumed before any row is
 		// written. On the chain co-processor the sweep extends onto the p*
-		// row — the digit is a small integer, so its residue mod p* is just
-		// one more reduction pass through the same datapath.
-		hi := c.KQ
-		if c.extendDigits {
-			hi = c.KQ + c.KP
-		}
+		// row (digitRows).
+		hi := c.digitRows()
 		if c.digit == nil {
 			c.digit = make([]uint64, c.N)
 		}
@@ -612,17 +653,17 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		}
 
 	case OpRescale:
-		if c.rescQ == nil {
+		if c.chain == nil {
 			return 0, fmt.Errorf("hwsim: Rescale needs the chain co-processor")
 		}
 		// Batch Q divides by the top chain prime (rows 0..KQ → 0..KQ-1);
 		// batch P divides the extended row set by the special prime
-		// (rows 0..KQ+KP → 0..KQ) — the keyswitch ModDown. It is the exact
-		// kernel the software evaluator runs, so hardware/software parity on
-		// Rescale holds by construction.
-		hi, resc := c.KQ, c.rescQ
+		// (rows 0..KQ+KP → 0..KQ) — the keyswitch ModDown. They are the
+		// rescalers the software evaluator runs, so hardware/software parity
+		// on Rescale holds by construction.
+		hi, resc := c.KQ, c.chain.Rescale
 		if in.Batch == BatchP {
-			hi, resc = c.KQ+c.KP, c.rescP
+			hi, resc = c.KQ+c.KP, c.chain.ModDown[c.level]
 		}
 		if hi < 2 {
 			return 0, fmt.Errorf("hwsim: Rescale at the bottom of the chain")

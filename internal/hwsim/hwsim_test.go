@@ -424,9 +424,22 @@ func TestCoprocRPAUSharing(t *testing.T) {
 	if c.NumRPAUs() != 7 {
 		t.Fatalf("expected 7 RPAUs, got %d", c.NumRPAUs())
 	}
-	// The chain shape: RPAU 0 shares the special prime.
-	if ch := testChain(t, 64, 3); ch.NumRPAUs() != 3 {
-		t.Fatalf("chain co-processor over 3+1 primes: %d RPAUs, want 3", ch.NumRPAUs())
+	// The chain shape: RPAU 0 shares the special prime, and the count is the
+	// whole chain's at every level the register selects.
+	ch := testChain(t, 64, 3)
+	for level := 2; level >= 0; level-- {
+		if err := ch.SetLevel(level); err != nil {
+			t.Fatal(err)
+		}
+		if ch.NumRPAUs() != 3 {
+			t.Fatalf("chain co-processor over 3+1 primes at level %d: %d RPAUs, want 3", level, ch.NumRPAUs())
+		}
+	}
+	if ch.SetLevel(3) == nil || ch.SetLevel(-1) == nil {
+		t.Fatal("the level register accepted a level outside the chain")
+	}
+	if c.SetLevel(0) == nil {
+		t.Fatal("the BFV co-processor accepted a level")
 	}
 }
 

@@ -59,13 +59,18 @@ func (e *IntegrityError) Unwrap() error { return ErrIntegrity }
 // read/scrub mismatch, surfaces as an IntegrityError for the serving layer
 // to retry on clean state.
 type integrityChecker struct {
-	// weights[j] and wShoup[j] are the fingerprint weights reduced mod
-	// Mods[j] with their Shoup constants, one pair of n-vectors per prime.
+	// weights[p] and wShoup[p] are the fingerprint weights reduced mod prime
+	// p of the co-processor's full row set with their Shoup constants, one
+	// pair of n-vectors per prime.
 	weights [][]uint64
 	wShoup  [][]uint64
 	// tables are the checker's own NTT tables, built independently of the
 	// RPAUs' so a corrupted twiddle path cannot vouch for itself.
 	tables []*poly.NTTTable
+	// prime[j] is the prime residue row j holds: its index into weights and
+	// tables. The identity, except on the chain co-processor below the top
+	// level, whose last row holds p*.
+	prime []int
 	// buf is the round-trip scratch of the transform check, n words.
 	buf []uint64
 }
@@ -77,6 +82,7 @@ func newIntegrityChecker(mods []ring.Modulus, n int, seed int64) (*integrityChec
 		weights: make([][]uint64, len(mods)),
 		wShoup:  make([][]uint64, len(mods)),
 		tables:  make([]*poly.NTTTable, len(mods)),
+		prime:   make([]int, len(mods)),
 		buf:     make([]uint64, n),
 	}
 	raw := make([]uint64, n)
@@ -102,8 +108,19 @@ func newIntegrityChecker(mods []ring.Modulus, n int, seed int64) (*integrityChec
 			return nil, fmt.Errorf("hwsim: integrity tables for modulus %d: %w", m.Q, err)
 		}
 		ic.tables[j] = t
+		ic.prime[j] = j
 	}
 	return ic, nil
+}
+
+// at maps the rows to the chain co-processor's level with kq chain rows:
+// q_0..q_{kq-1}, then p*, the full row set's last prime.
+func (ic *integrityChecker) at(kq int) {
+	ic.prime = ic.prime[:kq+1]
+	for j := range kq {
+		ic.prime[j] = j
+	}
+	ic.prime[kq] = len(ic.weights) - 1
 }
 
 // splitMix is a tiny deterministic generator for weight derivation; it keeps
@@ -124,7 +141,7 @@ func (s *splitMix) next() uint64 {
 // tolerates any 64-bit input, so even out-of-range (bit-flipped past q)
 // words fingerprint deterministically — and differently from the original.
 func (ic *integrityChecker) fpSlice(j int, coeffs []uint64, m ring.Modulus) uint64 {
-	w, ws := ic.weights[j], ic.wShoup[j]
+	w, ws := ic.weights[ic.prime[j]], ic.wShoup[ic.prime[j]]
 	var acc uint64
 	for i, x := range coeffs {
 		acc = m.Add(acc, m.MulShoup(x, w[i], ws[i]))
@@ -135,7 +152,7 @@ func (ic *integrityChecker) fpSlice(j int, coeffs []uint64, m ring.Modulus) uint
 // fpInner fingerprints the pointwise product of two rows without
 // materializing it: Σ w_i·a_i·b_i mod q.
 func (ic *integrityChecker) fpInner(j int, a, b []uint64, m ring.Modulus) uint64 {
-	w, ws := ic.weights[j], ic.wShoup[j]
+	w, ws := ic.weights[ic.prime[j]], ic.wShoup[ic.prime[j]]
 	var acc uint64
 	for i := range a {
 		acc = m.Add(acc, m.MulShoup(m.Mul(a[i], b[i]), w[i], ws[i]))
@@ -145,11 +162,20 @@ func (ic *integrityChecker) fpInner(j int, a, b []uint64, m ring.Modulus) uint64
 
 // EnableIntegrity switches fingerprint verification on for this
 // co-processor, deriving the check weights and reference transform tables
-// from seed. Call before loading data; existing slots are not retro-tagged.
+// from seed — for every prime of the full row set, so the chain
+// co-processor's one seed serves every level. Call before loading data;
+// existing slots are not retro-tagged.
 func (c *Coprocessor) EnableIntegrity(seed int64) error {
-	ic, err := newIntegrityChecker(c.Mods, c.N, seed)
+	mods := c.Mods
+	if c.chain != nil {
+		mods = c.chain.Mods[len(c.chain.Mods)-1]
+	}
+	ic, err := newIntegrityChecker(mods, c.N, seed)
 	if err != nil {
 		return err
+	}
+	if c.chain != nil {
+		ic.at(c.KQ)
 	}
 	c.integrity = ic
 	return nil
@@ -198,11 +224,7 @@ func (c *Coprocessor) instrAccessRows(in Instr, reads, writes []rowRef) ([]rowRe
 	case OpRearr:
 		return span(reads, in.A, lo, hi), writes
 	case OpDecomp:
-		wHi := c.KQ
-		if c.extendDigits {
-			wHi = c.KQ + c.KP
-		}
-		return span(reads, in.A, int(in.B), int(in.B)+1), span(writes, in.Dst, 0, wHi)
+		return span(reads, in.A, int(in.B), int(in.B)+1), span(writes, in.Dst, 0, c.digitRows())
 	case OpLift:
 		return span(reads, in.A, 0, c.KQ), span(writes, in.A, c.KQ, c.KQ+c.KP)
 	case OpScale:
@@ -409,9 +431,9 @@ func (c *Coprocessor) postExec(in Instr, ps *preState) bool {
 			row := c.row(s, j)
 			copy(buf, row.Coeffs)
 			if in.Op == OpNTT {
-				ic.tables[j].Inverse(buf)
+				ic.tables[ic.prime[j]].Inverse(buf)
 			} else {
-				ic.tables[j].Forward(buf)
+				ic.tables[ic.prime[j]].Forward(buf)
 			}
 			if ic.fpSlice(j, buf, row.Mod) != ps.fpA[j-lo] {
 				return false
@@ -472,8 +494,8 @@ func (c *Coprocessor) writeTags(refs []rowRef) {
 
 func (c *Coprocessor) ensureTags(s *slot) {
 	if s.tags == nil {
-		s.tags = make([]uint64, c.KQ+c.KP)
-		s.tagged = make([]bool, c.KQ+c.KP)
+		s.tags = make([]uint64, c.width)
+		s.tagged = make([]bool, c.width)
 	}
 }
 

@@ -1,13 +1,15 @@
 package hwsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ckks"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/ring"
-	"repro/internal/rns"
 )
 
 // The memory file is resident: ClearSlots keeps every row's storage and only
@@ -24,18 +26,16 @@ func dirty(c *Coprocessor, r *rand.Rand) {
 	c.ClearSlots()
 }
 
+// testChain builds the chain co-processor of a CKKS parameter set with kq
+// chain primes at ring degree n, its level register at the top.
 func testChain(t testing.TB, n, kq int) *Coprocessor {
 	t.Helper()
-	qm, pm, _, _ := testBases(t, n, kq, 1)
-	basis, err := rns.NewBasis(qm)
+	p, err := ckks.NewParams(ckks.Config{N: n, LogScale: 30, QCount: kq, PrimeBits: 30, Sigma: 3.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCoprocessorChain(qm, pm[0], basis, n, nil, DefaultTiming(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return NewCoprocessorChain(Chain{Mods: p.KSMods, NTT: p.TrKS, Basis: p.BasisLevel,
+		Rescale: p.Rescaler, ModDown: p.RescalerKS}, n, nil, DefaultTiming(), 8)
 }
 
 func mustExec(t *testing.T, c *Coprocessor, ins ...Instr) {
@@ -186,9 +186,9 @@ func TestAliasingTable(t *testing.T) {
 		}
 		for _, batch := range []Batch{BatchQ, BatchP} {
 			hi := ch.KQ
-			resc := ch.rescQ
+			resc := ch.chain.Rescale
 			if batch == BatchP {
-				hi, resc = ch.KQ+ch.KP, ch.rescP
+				hi, resc = ch.KQ+ch.KP, ch.chain.ModDown[ch.level]
 			}
 			in := randRows(r, ch.Mods[:hi], 64)
 			out := poly.NewRNSPoly(ch.Mods[:hi-1], 64)
@@ -196,6 +196,80 @@ func TestAliasingTable(t *testing.T) {
 			ch.LoadSlotCoeff(0, 0, in)
 			mustExec(t, ch, Instr{Op: OpRescale, Dst: 0, A: 0, Batch: batch})
 			wantRows(t, "Rescale Dst == A", ch.ReadSlot(0, 0, hi-1), out.Rows)
+		}
+	}
+}
+
+// TestLevelSwitchIsolation is the same property across the chain
+// co-processor's level register: one memory file serves every level, so a
+// file whose every row — p* included — was filled at the top level and then
+// switched down a level must compute what a brand-new co-processor at that
+// level computes, with and without the checker. Row j held q_j's data and
+// is now read under another prime; the switch clears the file first, so
+// with the checker on it counts no flush detection of its own.
+func TestLevelSwitchIsolation(t *testing.T) {
+	for _, checked := range []bool{false, true} {
+		used, fresh := testChain(t, 64, 4), testChain(t, 64, 4)
+		reg := obs.NewRegistry()
+		if checked {
+			for _, c := range []*Coprocessor{used, fresh} {
+				if err := c.EnableIntegrity(9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			used.SetMetrics(reg)
+		}
+		r := rand.New(rand.NewSource(26))
+		for i := range used.slots {
+			used.LoadSlot(uint8(i), 0, randRows(r, used.Mods, used.N), domNTT)
+		}
+		level := used.level - 1
+		for _, c := range []*Coprocessor{used, fresh} {
+			if err := c.SetLevel(level); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := reg.Counter("hw_integrity_flush_detected").Value(); got != 0 {
+			t.Fatalf("checked=%v: the level switch counted %d flush detections", checked, got)
+		}
+
+		// x and y over the level's chain rows, z over its whole row set.
+		x, y := randRows(r, used.Mods[:used.KQ], 64), randRows(r, used.Mods[:used.KQ], 64)
+		z := randRows(r, used.Mods, 64)
+		prog := []Instr{
+			{Op: OpNTT, A: 0, Batch: BatchQ},
+			{Op: OpNTT, A: 1, Batch: BatchQ},
+			{Op: OpCMul, Dst: 3, A: 0, B: 1, Batch: BatchQ},
+			{Op: OpDecomp, Dst: 4, A: 2, B: 1},
+			{Op: OpRescale, Dst: 5, A: 2, Batch: BatchQ},
+			{Op: OpRescale, Dst: 6, A: 2, Batch: BatchP},
+			{Op: OpNTT, A: 7, Batch: BatchQ},
+			{Op: OpNTT, A: 7, Batch: BatchP},
+		}
+		for _, c := range []*Coprocessor{used, fresh} {
+			c.LoadSlotCoeff(0, 0, x)
+			c.LoadSlotCoeff(1, 0, y)
+			c.LoadSlotCoeff(2, 0, z)
+			c.LoadSlotCoeff(7, 0, z)
+			mustExec(t, c, prog...)
+			if err := c.Scrub(); err != nil {
+				t.Fatalf("checked=%v: %v", checked, err)
+			}
+		}
+		k := used.KQ
+		for _, out := range []struct {
+			name string
+			slot uint8
+			rows int
+		}{{"NTT", 0, k}, {"CMul", 3, k}, {"extended Decomp", 4, k + 1},
+			{"Rescale Q", 5, k - 1}, {"Rescale P (ModDown)", 6, k}, {"NTT over p*", 7, k + 1}} {
+			wantRows(t, fmt.Sprintf("checked=%v %s after a level switch", checked, out.name),
+				used.ReadSlot(out.slot, 0, out.rows), fresh.ReadSlot(out.slot, 0, out.rows))
+		}
+		for name, v := range reg.Snapshot().Counters {
+			if v != 0 {
+				t.Fatalf("checked=%v: %s = %d on a clean run", checked, name, v)
+			}
 		}
 	}
 }

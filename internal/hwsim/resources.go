@@ -48,7 +48,7 @@ var (
 	interfaceUnit = Resources{LUT: 6600, FF: 9000, BRAM: 39} // DMA + interfacing units (shared)
 )
 
-// Config describes a co-processor configuration for the resource model.
+// ResourceConfig describes a co-processor configuration for the resource model.
 type ResourceConfig struct {
 	NumRPAUs       int // 7 for the paper set
 	PrimesTotal    int // 13

@@ -95,8 +95,24 @@ func TestCKKSPaperSetAllocWall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A second level as one more input: every call runs the operation at the
+	// top of the chain and one level below it, so the level register
+	// switches twice per call and a switch that allocates or rebuilds state
+	// goes over the wall. The result rows of both levels are the allowance.
+	a1, b1 := c.ev.DropLevel(a, a.Level()-1), c.ev.DropLevel(b, b.Level()-1)
+	type op func(x, y *ckks.Ciphertext) (*ckks.Ciphertext, Report, error)
+	alternate := func(f op) func() {
+		return func() {
+			must(f(a, b))
+			must(f(a1, b1))
+		}
+	}
 	k, n := a.Level()+1, c.p.N()
-	checkWall(t, "CKKS Add", bytesPerCall(func() { must(c.hw.Add(a, b)) }), 2*k, n)
-	checkWall(t, "CKKS MulRescale", bytesPerCall(func() { must(c.hw.MulRescale(a, b, c.rk)) }), 2*(k-1), n)
-	checkWall(t, "CKKS Rotate", bytesPerCall(func() { must(c.hw.Rotate(a, 1, c.gk)) }), 2*k, n)
+	checkWall(t, "CKKS Add", bytesPerCall(alternate(c.hw.Add)), 2*k+2*(k-1), n)
+	checkWall(t, "CKKS MulRescale", bytesPerCall(alternate(func(x, y *ckks.Ciphertext) (*ckks.Ciphertext, Report, error) {
+		return c.hw.MulRescale(x, y, c.rk)
+	})), 2*(k-1)+2*(k-2), n)
+	checkWall(t, "CKKS Rotate", bytesPerCall(alternate(func(x, _ *ckks.Ciphertext) (*ckks.Ciphertext, Report, error) {
+		return c.hw.Rotate(x, 1, c.gk)
+	})), 2*k+2*(k-1), n)
 }

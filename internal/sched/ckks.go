@@ -4,116 +4,32 @@ import (
 	"fmt"
 
 	"repro/internal/ckks"
-	"repro/internal/faults"
 	"repro/internal/hwsim"
-	"repro/internal/obs"
 	"repro/internal/poly"
 )
 
 // CKKSScheduler compiles CKKS operations into chain co-processor programs.
-// The modulus chain makes the hardware shape level-dependent — a level-ℓ
-// ciphertext has ℓ+1 residue rows and its keys carry the p* extension — so
-// the scheduler keeps one chain co-processor per level, built lazily on
-// first use, all feeding one shared Stats ledger. Robustness attachments
-// (integrity checker, fault injector, metrics) set before or after
-// construction propagate to every instance, current and future.
+// One chain co-processor serves the whole modulus chain, as the BFV
+// Scheduler's serves its bases: each operation points its level register at
+// the operand's level — a level-ℓ ciphertext has ℓ+1 residue rows and its
+// keys carry the p* extension — and every operation charges the one Stats
+// ledger.
 type CKKSScheduler struct {
-	P      *ckks.Params
-	Timing hwsim.Timing
-
+	P *ckks.Params
+	// Stats is the chain co-processor's ledger, C.Stats.
 	Stats *hwsim.Stats
-
-	coprocs []*hwsim.Coprocessor
-
-	// The embedded machine's C is the chain co-processor of the operation in
-	// flight; its trace, liveness audit and readback scratch serve every
-	// level — the chain co-processors never run concurrently.
 	machine
-
-	integritySeed *int64
-	injector      *faults.Injector
-	metrics       *obs.Registry
 }
 
 // NewCKKS returns a scheduler over params with the given timing calibration.
 func NewCKKS(p *ckks.Params, timing hwsim.Timing) *CKKSScheduler {
-	return &CKKSScheduler{
-		P:       p,
-		Timing:  timing,
-		Stats:   &hwsim.Stats{PerOp: map[hwsim.Op]*hwsim.OpStat{}},
-		coprocs: make([]*hwsim.Coprocessor, p.Cfg.QCount),
-		machine: newMachine(nil, p.QMods, p.N()),
-	}
+	c := hwsim.NewCoprocessorChain(hwsim.Chain{Mods: p.KSMods, NTT: p.TrKS, Basis: p.BasisLevel,
+		Rescale: p.Rescaler, ModDown: p.RescalerKS}, p.N(), p.Pool, timing, numCKKSSlots)
+	return &CKKSScheduler{P: p, Stats: c.Stats, machine: newMachine(c, p.QMods, p.N())}
 }
 
-// EnableIntegrity switches fingerprint verification on for every chain
-// co-processor (current and lazily built later), with per-level seeds
-// derived from seed.
-func (s *CKKSScheduler) EnableIntegrity(seed int64) error {
-	s.integritySeed = &seed
-	for l, c := range s.coprocs {
-		if c == nil {
-			continue
-		}
-		if err := c.EnableIntegrity(seed + int64(l)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetInjector attaches a fault injector to every chain co-processor (nil
-// detaches).
-func (s *CKKSScheduler) SetInjector(inj *faults.Injector) {
-	s.injector = inj
-	for _, c := range s.coprocs {
-		if c != nil {
-			c.SetInjector(inj)
-		}
-	}
-}
-
-// SetMetrics routes integrity counters into reg (nil-safe).
-func (s *CKKSScheduler) SetMetrics(reg *obs.Registry) {
-	s.metrics = reg
-	for _, c := range s.coprocs {
-		if c != nil {
-			c.SetMetrics(reg)
-		}
-	}
-}
-
-// ResetStats zeroes the shared statistics ledger, in place: every chain
-// co-processor holds the same pointer.
+// ResetStats zeroes the statistics ledger in place.
 func (s *CKKSScheduler) ResetStats() { s.Stats.Reset() }
-
-// coprocAt returns the level-ℓ chain co-processor, building it on first
-// use: chain prefix q_0..q_ℓ, the special prime p*, the level's gadget
-// basis, and the shared Stats ledger.
-func (s *CKKSScheduler) coprocAt(level int) (*hwsim.Coprocessor, error) {
-	if level < 0 || level >= len(s.coprocs) {
-		return nil, fmt.Errorf("sched: level %d outside the chain", level)
-	}
-	if s.coprocs[level] != nil {
-		return s.coprocs[level], nil
-	}
-	p := s.P
-	c, err := hwsim.NewCoprocessorChain(p.QMods[:level+1], p.PMod, p.BasisLevel[level],
-		p.N(), p.Pool, s.Timing, numCKKSSlots)
-	if err != nil {
-		return nil, err
-	}
-	c.Stats = s.Stats
-	if s.integritySeed != nil {
-		if err := c.EnableIntegrity(*s.integritySeed + int64(level)); err != nil {
-			return nil, err
-		}
-	}
-	c.SetInjector(s.injector)
-	c.SetMetrics(s.metrics)
-	s.coprocs[level] = c
-	return c, nil
-}
 
 // ckksScales validates operand scale alignment the way the software
 // evaluator does, as a typed error instead of a panic (the scheduler faces
@@ -139,14 +55,7 @@ func levelKey(levels []*ckks.LevelKey, level int) *ckks.LevelKey {
 	return levels[level]
 }
 
-// at points the machine at the level's chain co-processor.
-func (s *CKKSScheduler) at(level int) error {
-	cp, err := s.coprocAt(level)
-	s.C = cp
-	return err
-}
-
-// Add executes CKKS addition on the level's chain co-processor: one
+// Add executes CKKS addition at the operands' level: one
 // coefficient-wise addition per element. Returns the result and its report,
 // as the BFV Add does.
 func (s *CKKSScheduler) Add(a, b *ckks.Ciphertext) (*ckks.Ciphertext, Report, error) {
@@ -160,7 +69,7 @@ func (s *CKKSScheduler) Add(a, b *ckks.Ciphertext) (*ckks.Ciphertext, Report, er
 	if err != nil {
 		return nil, Report{}, err
 	}
-	if err := s.at(a.Level()); err != nil {
+	if err := s.C.SetLevel(a.Level()); err != nil {
 		return nil, Report{}, err
 	}
 	els, rep, err := s.add(a.Level()+1, a.Els, b.Els)
@@ -189,7 +98,7 @@ func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*c
 	if lk == nil {
 		return nil, Report{}, fmt.Errorf("sched: relin key has no level-%d bundle", level)
 	}
-	if err := s.at(level); err != nil {
+	if err := s.C.SetLevel(level); err != nil {
 		return nil, Report{}, err
 	}
 	k := level + 1
@@ -249,7 +158,7 @@ func (s *CKKSScheduler) Rotate(ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (
 	if lk == nil {
 		return nil, Report{}, fmt.Errorf("sched: galois key has no level-%d bundle", level)
 	}
-	if err := s.at(level); err != nil {
+	if err := s.C.SetLevel(level); err != nil {
 		return nil, Report{}, err
 	}
 	k := level + 1

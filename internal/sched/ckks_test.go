@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ckks"
@@ -116,8 +117,8 @@ func TestCKKSHardwareSoftwareParity(t *testing.T) {
 	sameCiphertext(t, "rotate", swRot, hwRot)
 }
 
-// Descending the chain exercises a fresh per-level co-processor at each
-// step; parity must hold at every level, not just the top.
+// Descending the chain moves the one chain co-processor's level register at
+// each step; parity must hold at every level, not just the top.
 func TestCKKSHardwareChainDescent(t *testing.T) {
 	c := newCKKSTestContext(t)
 	sw := c.encryptRange(t, 3)
@@ -130,6 +131,70 @@ func TestCKKSHardwareChainDescent(t *testing.T) {
 		}
 		sameCiphertext(t, "descent", swNext, hwNext)
 		sw, hw = swNext, hwNext
+	}
+}
+
+// One chain co-processor serves the whole chain: Add, Rotate and MulRescale
+// from the top of the paper chain down to level 0 and back to the top, with
+// the checker off and on, never replace the scheduler's co-processor, stay
+// bit-identical to the software evaluator, and report exactly what a
+// brand-new scheduler reports for the same operation — the level register
+// leaves nothing behind that the next level could see or be charged for.
+func TestCKKSOneCoprocessorServesTheChain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper parameters are slow")
+	}
+	c := newCKKSTestContextConfig(t, ckks.PaperConfig())
+	type run func(s *CKKSScheduler) (*ckks.Ciphertext, Report, error)
+	for _, checked := range []bool{false, true} {
+		newSched := func() *CKKSScheduler {
+			s := NewCKKS(c.p, hwsim.DefaultTiming())
+			if checked {
+				if err := s.EnableIntegrity(11); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s
+		}
+		hw := newSched()
+		cp := hw.C
+		step := func(name string, sw *ckks.Ciphertext, op run) *ckks.Ciphertext {
+			t.Helper()
+			label := fmt.Sprintf("checked=%v, %s", checked, name)
+			got, rep, err := op(hw)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if hw.C != cp {
+				t.Fatalf("%s: the scheduler's co-processor was replaced", label)
+			}
+			sameCiphertext(t, label, sw, got)
+			if _, want, err := op(newSched()); err != nil || rep != want {
+				t.Fatalf("%s: report %+v, a new scheduler's %+v (%v)", label, rep, want, err)
+			}
+			return got
+		}
+		add := func(x *ckks.Ciphertext) {
+			step(fmt.Sprintf("Add at level %d", x.Level()), c.ev.Add(x, x),
+				func(s *CKKSScheduler) (*ckks.Ciphertext, Report, error) { return s.Add(x, x) })
+		}
+		// all runs the three operations at x's level and returns the product,
+		// one level down.
+		all := func(x *ckks.Ciphertext) *ckks.Ciphertext {
+			add(x)
+			step(fmt.Sprintf("Rotate at level %d", x.Level()), c.ev.Rotate(x, 1, c.gk),
+				func(s *CKKSScheduler) (*ckks.Ciphertext, Report, error) { return s.Rotate(x, 1, c.gk) })
+			return step(fmt.Sprintf("MulRescale at level %d", x.Level()), c.ev.Rescale(c.ev.Mul(x, x, c.rk)),
+				func(s *CKKSScheduler) (*ckks.Ciphertext, Report, error) { return s.MulRescale(x, x, c.rk) })
+		}
+		// Down the chain, Add alone at level 0 (no key bundle there), and
+		// back to the top.
+		ct := c.encryptRange(t, 3)
+		for ct.Level() > 0 {
+			ct = all(ct)
+		}
+		add(ct)
+		all(c.encryptRange(t, 7))
 	}
 }
 

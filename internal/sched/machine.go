@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/faults"
 	"repro/internal/hwsim"
+	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/ring"
 	"repro/internal/rlwe"
@@ -89,8 +91,9 @@ func (l *liveness) reset() {
 // instruction and transfer is appended to Trace for the block-level overlap
 // analysis (pipeline.go).
 type machine struct {
-	// C is the co-processor the programs run on. The CKKS scheduler points
-	// it at the operand level's chain co-processor before each operation.
+	// C is the co-processor the programs run on: the BFV co-processor, or
+	// the chain co-processor whose level register the CKKS scheduler points
+	// at each operation's level.
 	C *hwsim.Coprocessor
 
 	Record bool
@@ -109,6 +112,18 @@ type machine struct {
 func newMachine(c *hwsim.Coprocessor, mods []ring.Modulus, n int) machine {
 	return machine{C: c, live: liveness{rows: map[uint8]int{}}, n: n, mods: mods}
 }
+
+// EnableIntegrity switches Freivalds-style fingerprint verification on for
+// the co-processor. Operations then fail with an error wrapping
+// hwsim.ErrIntegrity instead of returning a corrupted ciphertext.
+func (m *machine) EnableIntegrity(seed int64) error { return m.C.EnableIntegrity(seed) }
+
+// SetInjector attaches a fault injector to the co-processor (nil detaches).
+func (m *machine) SetInjector(inj *faults.Injector) { m.C.SetInjector(inj) }
+
+// SetMetrics routes the co-processor's integrity counters into reg
+// (nil-safe).
+func (m *machine) SetMetrics(reg *obs.Registry) { m.C.SetMetrics(reg) }
 
 // ResiduePeak returns the residue-polynomial high-water mark of the last
 // scheduled operation.

@@ -258,7 +258,7 @@ func TestReportSumsToLedger(t *testing.T) {
 		c := newCKKSTestContext(t)
 		a, b := c.encryptRange(t, 3), c.encryptRange(t, 7)
 		k := a.Level() + 1
-		dma := hwsim.DMA{Timing: c.hw.Timing}
+		dma := c.hw.C.DMAEng
 		for _, op := range []struct {
 			name          string
 			polysIn, rows int

@@ -18,10 +18,8 @@ package sched
 import (
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/fv"
 	"repro/internal/hwsim"
-	"repro/internal/obs"
 	"repro/internal/poly"
 )
 
@@ -88,18 +86,6 @@ func NewDefault(p *fv.Params) (*Scheduler, error) {
 	}
 	return New(p, c), nil
 }
-
-// EnableIntegrity switches Freivalds-style fingerprint verification on for
-// the co-processor. Operations then fail with an error wrapping
-// hwsim.ErrIntegrity instead of returning a corrupted ciphertext.
-func (s *Scheduler) EnableIntegrity(seed int64) error { return s.C.EnableIntegrity(seed) }
-
-// SetInjector attaches a fault injector to the co-processor (nil detaches).
-func (s *Scheduler) SetInjector(inj *faults.Injector) { s.C.SetInjector(inj) }
-
-// SetMetrics routes the co-processor's integrity counters into reg
-// (nil-safe).
-func (s *Scheduler) SetMetrics(reg *obs.Registry) { s.C.SetMetrics(reg) }
 
 // polyBytes is the DMA size of one R_q polynomial (Table III's 98,304-byte
 // unit for the paper set).
