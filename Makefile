@@ -78,8 +78,9 @@ fmt-check:
 # decoders (FuzzFrame*), the compiled-program codec, the BFV ciphertext and
 # key readers (an accepted evaluation key must be usable, FuzzDecodeFVKeys),
 # the CKKS key container and encoder, the RNS decryption rounding against
-# exact rounding (FuzzMessageScaler), and the assembler against its own
-# listing (FuzzAssemble).
+# exact rounding (FuzzMessageScaler), the HPS Lift and Scale kernels against
+# their exact oracles at q and p widths up to 24 primes (FuzzLiftScale), and
+# the assembler against its own listing (FuzzAssemble).
 FUZZ_TARGETS = \
 	difftest:FuzzDiffTransform:5x \
 	difftest:FuzzDiffPointwise:5x \
@@ -100,6 +101,7 @@ FUZZ_TARGETS = \
 	ckks:FuzzDecodeCKKSKeys:20x \
 	ckks:FuzzEncoderRoundTrip:20x \
 	rns:FuzzMessageScaler:20x \
+	rns:FuzzLiftScale:20x \
 	hwsim:FuzzAssemble:20x
 
 # $(call fuzz,T) runs every target for -fuzztime=T, or for its own smoke

@@ -2,6 +2,7 @@ package fv
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/poly"
@@ -37,6 +38,60 @@ func TestParamsValidation(t *testing.T) {
 		if _, err := NewParams(cfg); err == nil {
 			t.Errorf("config %d should have been rejected", i)
 		}
+	}
+}
+
+// TestParamsScaleRange holds NewParams to the Scale range bound P > t·n·q:
+// a p basis one prime short of it is refused (Mul would decrypt garbage),
+// and every parameter shape the repository runs is accepted.
+func TestParamsScaleRange(t *testing.T) {
+	batchT, err := BatchingPlaintextModulus(256, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{N: 4096, T: 65537, QCount: 6, PCount: 6, PrimeBits: 30, Sigma: 3.2},
+		{N: 256, T: 65537, QCount: 3, PCount: 3, PrimeBits: 30, Sigma: 3.2},
+	} {
+		if _, err := NewParams(cfg); err == nil || !strings.Contains(err.Error(), "P > t·n·q") {
+			t.Errorf("n=%d t=%d %d+%d: got %v, want the P > t·n·q refusal", cfg.N, cfg.T, cfg.QCount, cfg.PCount, err)
+		}
+	}
+	tiny := TestConfig(17)
+	tiny.N, tiny.QCount, tiny.PCount = 16, 2, 3
+	for _, cfg := range []Config{
+		PaperConfig(2),
+		PaperConfig(65537),
+		TestConfig(2),
+		TestConfig(65537),
+		TestConfig(batchT),
+		tiny,
+		{N: 256, T: 65537, QCount: 2, PCount: 3, PrimeBits: 30, Sigma: 3.2},
+		{N: 256, T: 2, QCount: 16, PCount: 17, PrimeBits: 30, Sigma: 3.2},
+		{N: 512, T: 2, QCount: 6, PCount: 7, PrimeBits: 30, Sigma: 3.2},
+		{N: 512, T: 2, QCount: 10, PCount: 11, PrimeBits: 30, Sigma: 3.2},
+		{N: 1024, T: 2, QCount: 6, PCount: 7, PrimeBits: 30, Sigma: 3.2},
+	} {
+		if _, err := NewParams(cfg); err != nil {
+			t.Errorf("n=%d t=%d %d+%d refused: %v", cfg.N, cfg.T, cfg.QCount, cfg.PCount, err)
+		}
+	}
+}
+
+// TestMulWideBasis runs Mul on a basis wider than 16 primes on each side,
+// where Lift and Scale stripes narrow to fit their stack staging.
+func TestMulWideBasis(t *testing.T) {
+	p, err := NewParams(Config{N: 256, T: 2, QCount: 16, PCount: 17, PrimeBits: 30, Sigma: 3.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prng := sampler.NewPRNG(34)
+	sk, pk, rk := NewKeyGenerator(p, prng).GenKeys()
+	enc := NewEncryptor(p, pk, prng)
+	ie := NewIntegerEncoder(p)
+	prod := NewEvaluator(p).Mul(enc.Encrypt(ie.Encode(3)), enc.Encrypt(ie.Encode(5)), rk)
+	if v, err := ie.Decode(NewDecryptor(p, sk).Decrypt(prod)); err != nil || v != 15 {
+		t.Fatalf("3 · 5 = %d (err %v), want 15", v, err)
 	}
 }
 

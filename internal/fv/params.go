@@ -12,6 +12,7 @@ package fv
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 
 	"repro/internal/poly"
@@ -130,6 +131,14 @@ func NewParams(cfg Config) (*Params, error) {
 	}
 	if p.PBasis, err = rns.NewBasis(p.PMods); err != nil {
 		return nil, err
+	}
+	// A tensor coefficient reaches n·q²/2, and Scale Q→q is exact only while
+	// |t·x/q| < P/2 (DESIGN §4b): P must exceed t·n·q.
+	tnq := new(big.Int).Mul(p.QBasis.Product, new(big.Int).SetUint64(cfg.T))
+	tnq.Mul(tnq, big.NewInt(int64(cfg.N)))
+	if p.PBasis.Product.Cmp(tnq) <= 0 {
+		return nil, fmt.Errorf("fv: p basis too narrow: Scale needs P > t·n·q, but P has %d bits and t·n·q %d",
+			p.PBasis.Product.BitLen(), tnq.BitLen())
 	}
 	if cfg.PoolSize == 0 {
 		p.Pool = poly.NewDefaultPool()

@@ -349,7 +349,7 @@ func (m Modulus) VecScalarMulShoupLazyAdd2Into(dst, a, b []uint64, wa, waShoup, 
 // target row: dst holds the raw sum of lazy Shoup products Σ y_i·(q*_i mod Q)
 // (< 2^63) and v the rounded CRT quotients (< 2^32; at most the source basis
 // size); each lane becomes (dst[i] mod Q) - v[i]·w mod Q with w = q mod Q held
-// constant — exactly Sub(Reduce(sum), MulShoup(v, w)) of the scalar Extend.
+// constant — Sub(Reduce(sum), MulShoup(v, w)) per lane.
 func (m Modulus) VecExtendFinishInto(dst, v []uint64, w, wShoup uint64) {
 	q, bhi := m.Q, m.barrettHi
 	v = v[:len(dst)]

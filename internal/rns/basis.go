@@ -6,7 +6,7 @@
 // the per-prime decomposition used by
 // relinearization and the RNS-native message scaling of FV decryption. The
 // exact arithmetic (setup-time CRT constants, the oracles) runs on math/big;
-// the per-coefficient HPS kernels use word residues and 128-bit fixed-point
+// the HPS stripe kernels use word residues and 128-bit fixed-point
 // fractions only.
 package rns
 

@@ -5,39 +5,26 @@ import (
 	"repro/internal/ring"
 )
 
-// DecomposeRNS performs the RNS gadget decomposition used by the fast
-// architecture's relinearization: a value x mod q is written as
+// DecomposeRNSPoolInto performs the RNS gadget decomposition used by the
+// fast architecture's relinearization: a value x mod q is written as
 //
 //	x ≡ Σ_i d_i · q*_i  (mod q),   d_i = x_i·q̃_i mod q_i < 2^30,
 //
 // so the "digits" are the per-prime projections — the RNS analogue of the
 // paper's WordDecomp with base w = 2^30, producing ℓ = k digit polynomials
 // (six for the paper's parameter set, matching its six-polynomial
-// relinearization keys). Each digit polynomial is returned replicated
-// across all k residue rows so it can enter NTT-domain products directly.
-func DecomposeRNS(b *Basis, x poly.RNSPoly) []poly.RNSPoly {
-	return DecomposeRNSPool(nil, b, x)
-}
-
-// DecomposeRNSPool is DecomposeRNS with the per-digit work fanned across a
-// pool (each digit polynomial is written by exactly one task). A nil pool
-// runs sequentially; results are bit-identical either way.
-func DecomposeRNSPool(pool *poly.Pool, b *Basis, x poly.RNSPoly) []poly.RNSPoly {
-	digits := make([]poly.RNSPoly, b.K())
-	for i := range digits {
-		digits[i] = poly.NewRNSPoly(b.Mods, x.N())
-	}
-	DecomposeRNSPoolInto(pool, b, x, digits)
-	return digits
-}
-
-// DecomposeRNSPoolInto writes the RNS digits of x into the caller-owned
-// digits slice (b.K() polynomials, each x.N() coefficients), allocating
-// nothing. The kernel is row-major and flat: digit i's own row is one Shoup
-// constant-multiplication pass over the source row (d_i = x_i·q̃_i is
+// relinearization keys). Each digit polynomial is written replicated
+// across all its residue rows so it can enter NTT-domain products directly.
+//
+// It writes the digits of x into the caller-owned digits slice (b.K()
+// polynomials, each x.N() coefficients), allocating nothing. The per-digit
+// work fans across pool: each digit polynomial is written by exactly one
+// task, a nil pool runs sequentially, and the results are bit-identical
+// either way. The kernel is row-major and flat: digit i's own row is one
+// Shoup constant-multiplication pass over the source row (d_i = x_i·q̃_i is
 // already reduced modulo q_i), and every other row is a re-reduction of that
-// row (ReplicateDigitInto) — the same per-coefficient values as the scalar
-// path, walked a cache line at a time instead of a column at a time.
+// row (ReplicateDigitInto), walked a cache line at a time instead of a
+// column at a time.
 //
 // The digit polynomials' first b.K() rows must be over b's moduli; any rows
 // past that (a hybrid keyswitch extending digits to a special modulus) get
@@ -45,10 +32,10 @@ func DecomposeRNSPool(pool *poly.Pool, b *Basis, x poly.RNSPoly) []poly.RNSPoly 
 // is one more reduction pass, not a CRT reconstruction.
 func DecomposeRNSPoolInto(pool *poly.Pool, b *Basis, x poly.RNSPoly, digits []poly.RNSPoly) {
 	if x.Level() != b.K() {
-		panic("rns: DecomposeRNS level mismatch")
+		panic("rns: DecomposeRNSPoolInto level mismatch")
 	}
 	if len(digits) != b.K() {
-		panic("rns: DecomposeRNS digit count mismatch")
+		panic("rns: DecomposeRNSPoolInto digit count mismatch")
 	}
 	n := x.N()
 	t := getDecompTask()
@@ -116,7 +103,7 @@ func putDecompTask(t *decompTask) {
 	}
 }
 
-// GadgetRNS returns the gadget vector of DecomposeRNS: g_i = q*_i mod q_j
+// GadgetRNS returns the gadget vector of DecomposeRNSPoolInto: g_i = q*_i mod q_j
 // per row, as constants an evaluator multiplies into key components. The
 // identity Σ_i d_i·g_i ≡ x (mod q) is what relinearization keys encrypt
 // against.

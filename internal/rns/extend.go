@@ -2,7 +2,6 @@ package rns
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/poly"
 	"repro/internal/ring"
@@ -15,40 +14,39 @@ import (
 // are the seven extra primes of Q, and the centered semantics is what makes
 // the lift exact for the small-magnitude values FV manipulates.
 //
-// Two implementations are provided with identical semantics:
-//
-//   - Extend: the HPS method (Eq. 2 of the paper) — per-prime products and
-//     a fixed-point estimate of the quotient v′, no long arithmetic.
-//   - ExtendExact: the traditional CRT method (Eq. 1) — the exact
-//     reconstruction of Basis.ReconstructCentered, then the reductions
-//     modulo each target prime. It is the oracle.
+// LiftTargetsInto runs the HPS method (Eq. 2 of the paper) over whole
+// polynomials — per-prime products and a fixed-point estimate of the
+// quotient v′, no long arithmetic — at every basis width. ExtendExact is the
+// traditional CRT method (Eq. 1): the exact reconstruction of
+// Basis.ReconstructCentered, then the reductions modulo each target prime.
+// It is the oracle.
 type Extender struct {
 	Src *Basis
 	Dst []ring.Modulus
 
 	// Pool, when set, stripes the lift's coefficient loop across goroutines —
 	// the software counterpart of the paper's two parallel Lift cores
-	// streaming disjoint coefficients (Sec. V-B2). The per-coefficient
-	// Extend* kernels are pure w.r.t. the Extender, so stripes never share
-	// mutable state.
+	// streaming disjoint coefficients (Sec. V-B2). The stripe kernel only
+	// reads the Extender, so stripes never share mutable state.
 	Pool *poly.Pool
 
-	qStarMod [][]uint64 // qStarMod[i][j] = (Q/q_i) mod c_j
-	qMod     []uint64   // qMod[j] = Q mod c_j
+	// stripe is the kernel's coefficient width: liftStripe, narrowed for a
+	// source basis wider than stripeWords/liftStripe primes so that its k y
+	// rows still fit the stack staging.
+	stripe int
 
-	// Shoup companions of the hot-loop constants, laid out target-major and
-	// *flat* — one backing array, row j at [j·k, (j+1)·k) — so the
-	// per-coefficient kernel walks a single contiguous []uint64 with no
-	// second-level pointer chase: qStarFlat[j·k+i] = qStarMod[i][j] with
-	// qStarShoupFlat[j·k+i] its Shoup word; qTilde/qTildeShoup are the
-	// source-basis q̃_i pairs; qModShoup[j] pairs with qMod[j]. These let
-	// Extend replace every Barrett reduce-and-multiply with a
-	// two-multiplication Shoup product, the same strength reduction the
+	// The hot-loop constants with their Shoup companions, laid out
+	// target-major and *flat* — one backing array, row j at [j·k, (j+1)·k) —
+	// so a target row walks a single contiguous []uint64:
+	// qStarFlat[j·k+i] = (Q/q_i) mod c_j with Shoup word qStarShoupFlat[j·k+i];
+	// qTildeShoup[i] pairs with Src.QTilde[i], qModShoup[j] with
+	// qMod[j] = Q mod c_j. They replace every Barrett reduce-and-multiply with
+	// a two-multiplication Shoup product, the same strength reduction the
 	// paper's Lift pipeline gets from its constant-operand multipliers.
-	qTilde         []uint64
 	qTildeShoup    []uint64
 	qStarFlat      []uint64
 	qStarShoupFlat []uint64
+	qMod           []uint64
 	qModShoup      []uint64
 }
 
@@ -59,84 +57,37 @@ func NewExtender(src *Basis, dst []ring.Modulus) (*Extender, error) {
 			return nil, fmt.Errorf("rns: target modulus %d already in source basis", d.Q)
 		}
 	}
+	k := src.K()
+	if k > stripeWords {
+		return nil, fmt.Errorf("rns: source basis of %d primes exceeds the %d-row stripe staging", k, stripeWords)
+	}
 	e := &Extender{
-		Src:      src,
-		Dst:      append([]ring.Modulus(nil), dst...),
-		qStarMod: make([][]uint64, src.K()),
-		qMod:     make([]uint64, len(dst)),
+		Src:            src,
+		Dst:            append([]ring.Modulus(nil), dst...),
+		stripe:         min(liftStripe, stripeWords/k),
+		qTildeShoup:    make([]uint64, k),
+		qStarFlat:      make([]uint64, len(dst)*k),
+		qStarShoupFlat: make([]uint64, len(dst)*k),
+		qMod:           make([]uint64, len(dst)),
+		qModShoup:      make([]uint64, len(dst)),
 	}
-	for i := range src.Mods {
-		e.qStarMod[i] = make([]uint64, len(dst))
-		for j, d := range dst {
-			e.qStarMod[i][j] = modWord(src.QStar[i], d.Q)
-		}
-	}
-	for j, d := range dst {
-		e.qMod[j] = modWord(src.Product, d.Q)
-	}
-	e.qTilde = make([]uint64, src.K())
-	e.qTildeShoup = make([]uint64, src.K())
 	for i, m := range src.Mods {
-		e.qTilde[i] = src.QTilde[i]
 		e.qTildeShoup[i] = m.ShoupPrecomp(src.QTilde[i])
 	}
-	k := src.K()
-	e.qStarFlat = make([]uint64, len(dst)*k)
-	e.qStarShoupFlat = make([]uint64, len(dst)*k)
-	e.qModShoup = make([]uint64, len(dst))
 	for j, d := range dst {
 		for i := range src.Mods {
-			e.qStarFlat[j*k+i] = e.qStarMod[i][j]
-			e.qStarShoupFlat[j*k+i] = d.ShoupPrecomp(e.qStarMod[i][j])
+			e.qStarFlat[j*k+i] = modWord(src.QStar[i], d.Q)
+			e.qStarShoupFlat[j*k+i] = d.ShoupPrecomp(e.qStarFlat[j*k+i])
 		}
+		e.qMod[j] = modWord(src.Product, d.Q)
 		e.qModShoup[j] = d.ShoupPrecomp(e.qMod[j])
 	}
 	return e, nil
 }
 
-// Extend computes the target residues of the centered value from the source
-// residues using the HPS approximate CRT:
-//
-//	y_i = a_i·q̃_i mod q_i
-//	v′  = round(Σ y_i/q_i)             (128-bit fixed point)
-//	out_j = Σ y_i·(q*_i mod c_j) - v′·(Q mod c_j)   (mod c_j)
-//
-// Because v′ is the *rounded* quotient, the reconstructed value is the
-// centered representative: Σ y_i·q*_i = x + k·Q for some integer k, and
-// Σ y_i/q_i = k + x/Q, so v′ = k when x < Q/2 and k+1 otherwise.
-func (e *Extender) Extend(in, out []uint64) {
-	e.checkLens(in, out)
-	var acc acc192
-	var yArr [16]uint64 // stack scratch for the common basis sizes
-	y := yArr[:0]
-	if len(in) > len(yArr) {
-		y = make([]uint64, 0, len(in))
-	}
-	for i, m := range e.Src.Mods {
-		yi := m.MulShoup(in[i], e.qTilde[i], e.qTildeShoup[i])
-		y = append(y, yi)
-		acc.addMul(yi, e.Src.invFrac[i])
-	}
-	v := acc.round()
-	k := len(y)
-	for j, d := range e.Dst {
-		// Each Shoup product is lazy (< 2·c_j < 2^32), so the sum of k of
-		// them fits a uint64 with room to spare; one Barrett pass at the end
-		// restores the canonical residue.
-		base := j * k
-		row := e.qStarFlat[base : base+k : base+k]
-		rowS := e.qStarShoupFlat[base : base+k : base+k]
-		var sum uint64
-		for i, yi := range y {
-			sum += d.MulShoupLazy(yi, row[i], rowS[i])
-		}
-		vq := d.MulShoup(v, e.qMod[j], e.qModShoup[j])
-		out[j] = d.Sub(d.Reduce(sum), vq)
-	}
-}
-
 // ExtendExact reconstructs the centered value exactly and reduces it modulo
-// each target prime. It is the correctness oracle for Extend.
+// each target prime: the correctness oracle of LiftTargetsInto, one
+// coefficient's residues at a time.
 func (e *Extender) ExtendExact(in, out []uint64) {
 	e.checkLens(in, out)
 	x := e.Src.ReconstructCentered(in)
@@ -147,7 +98,7 @@ func (e *Extender) ExtendExact(in, out []uint64) {
 
 func (e *Extender) checkLens(in, out []uint64) {
 	if len(in) != e.Src.K() || len(out) != len(e.Dst) {
-		panic("rns: Extend residue slice length mismatch")
+		panic("rns: ExtendExact residue slice length mismatch")
 	}
 }
 
@@ -155,10 +106,11 @@ func (e *Extender) checkLens(in, out []uint64) {
 // polynomial over the source basis (the paper's Lift q→Q of a full
 // polynomial: the q residues are kept, the p residues computed). It computes
 // only the *target* residue rows, into dst (len(dst) = len(e.Dst), each row
-// over the matching target modulus, n coefficients), allocating nothing: the
-// chunk dispatch is a recycled task and the per-coefficient residue staging
-// lives on the worker's stack. The kept source rows are the caller's to reuse — the
-// evaluator NTT-transforms them straight out of the input with no copy.
+// over the matching target modulus, n coefficients), allocating nothing at
+// any basis width: the chunk dispatch is a recycled task and the stripe
+// staging lives on the worker's stack. The kept source rows are the
+// caller's to reuse — the evaluator NTT-transforms them straight out of the
+// input with no copy.
 func (e *Extender) LiftTargetsInto(p poly.RNSPoly, dst []poly.Poly) {
 	if p.Level() != e.Src.K() {
 		panic("rns: polynomial level does not match source basis")
@@ -172,88 +124,78 @@ func (e *Extender) LiftTargetsInto(p poly.RNSPoly, dst []poly.Poly) {
 	putLiftTask(t)
 }
 
-// stackResidues bounds the basis sizes whose per-coefficient residue staging
-// fits the chunk kernels' stack arrays; the paper's 6+7 layout is well
-// inside it. Wider bases fall back to a per-chunk heap buffer.
-const stackResidues = 16
-
-// liftStripe is the coefficient width of the row-major Extend kernel: wide
-// enough to amortize the per-row constant loads, narrow enough that the y
-// staging rows and accumulator limbs stay resident in L1 across the passes.
+// liftStripe is the widest stripe of the row-major kernel: wide enough to
+// amortize the per-row constant loads, narrow enough that the y staging rows
+// and the fraction lanes stay resident in L1 across the passes.
 const liftStripe = 128
 
-// extendScratch is the stack staging of the row-major Extend kernel: the k y
-// rows, the three acc192 limb arrays, and the rounded quotients. Callers
-// declare one per chunk and thread it through every stripe, so the ~20 KiB
-// zero-initialization happens once per chunk rather than once per stripe.
+// stripeWords sizes the y staging of one stripe (16 KiB): k rows of up to
+// liftStripe coefficients for a source basis of up to 16 primes — the
+// paper's 6 + 7 layout is well inside it. A wider basis narrows its stripe
+// to stripeWords/k coefficients (85 at 24 primes), so every width runs the
+// same kernel out of the same stack array.
+const stripeWords = 16 * liftStripe
+
+// extendScratch is the stack staging of the row-major kernels: the y rows
+// (row i at offset i·stripe), the fraction lanes and the rounded quotients.
+// Callers declare one per chunk and thread it through every stripe, so the
+// ~20 KiB zero-initialization happens once per chunk rather than once per
+// stripe.
 type extendScratch struct {
-	y          [stackResidues * liftStripe]uint64
-	w0, w1, w2 [liftStripe]uint64
-	v          [liftStripe]uint64
+	y    [stripeWords]uint64
+	frac fracLanes
+	v    [liftStripe]uint64
 }
 
-// extendStripe is the HPS Extend over a stripe of w ≤ liftStripe coefficients,
-// walked row-major: in[i][:w] hold the source residues, out[j][:w] receive the
-// target residues. Per lane it runs the exact arithmetic of Extend — the same
-// Shoup products, the same acc192 limb schedule in the same source order (the
-// three accumulator words live in parallel arrays), the same lazy sums and
-// closing reductions — so results are bit-identical; only the loop nesting
-// changes, from coefficient-major to row-major vector passes. Requires source
-// and target counts ≤ stackResidues.
-func (e *Extender) extendStripe(es *extendScratch, in, out [][]uint64, w int) {
-	yBuf := &es.y
-	w0, w1, w2, v := &es.w0, &es.w1, &es.w2, &es.v
-	k := e.Src.K()
-	// y_i = a_i·q̃_i mod q_i, one Shoup pass per source row, with the
-	// fractional sum Σ y_i/q_i accumulated alongside while y_i is hot. (The
-	// fully fused one-loop variant measured slower: the vector passes keep
-	// short independent loop bodies the compiler schedules better.)
-	for c := 0; c < w; c++ {
-		w0[c], w1[c], w2[c] = 0, 0, 0
-	}
+// extendStripe is the HPS Lift over the stripe of w ≤ e.stripe coefficients
+// at c0, walked row-major: it reads the source residues of row i from
+// src[i].Coeffs[c0:c0+w] — or, when src is nil, from es's y row i, where
+// Scale stages them — and writes the target residues into
+// dst[j].Coeffs[c0:c0+w]. Per lane it computes
+//
+//	y_i = a_i·q̃_i mod q_i
+//	v′  = round(Σ y_i/q_i)             (128-bit fixed point)
+//	out_j = Σ y_i·(q*_i mod c_j) - v′·(Q mod c_j)   (mod c_j)
+//
+// Because v′ is the *rounded* quotient, the reconstructed value is the
+// centered representative: Σ y_i·q*_i = x + k·Q for some integer k, and
+// Σ y_i/q_i = k + x/Q, so v′ = k when x < Q/2 and k+1 otherwise.
+func (e *Extender) extendStripe(es *extendScratch, src, dst []poly.Poly, c0, w int) {
+	k, sw := e.Src.K(), e.stripe
+	// y_i, one Shoup pass per source row, with the fraction Σ y_i/q_i
+	// accumulated alongside while y_i is hot. (The fully fused one-loop
+	// variant measured slower: the vector passes keep short independent loop
+	// bodies the compiler schedules better.)
+	es.frac.reset(w)
 	for i, m := range e.Src.Mods {
-		y := yBuf[i*liftStripe : i*liftStripe+w : i*liftStripe+w]
-		m.VecScalarMulShoupInto(y, in[i][:w], e.qTilde[i], e.qTildeShoup[i])
-		f := e.Src.invFrac[i]
-		for c, yc := range y {
-			hi1, lo1 := bits.Mul64(yc, f.lo)
-			hi2, lo2 := bits.Mul64(yc, f.hi)
-			var cc uint64
-			w0[c], cc = bits.Add64(w0[c], lo1, 0)
-			w1[c], cc = bits.Add64(w1[c], hi1, cc)
-			w2[c] += cc
-			w1[c], cc = bits.Add64(w1[c], lo2, 0)
-			w2[c] += hi2 + cc
+		y := es.y[i*sw : i*sw+w : i*sw+w]
+		a := y // a lane map, so y may overwrite its own source
+		if src != nil {
+			a = src[i].Coeffs[c0 : c0+w]
 		}
+		m.VecScalarMulShoupInto(y, a, e.Src.QTilde[i], e.qTildeShoup[i])
+		es.frac.addMul(y, e.Src.invFrac[i])
 	}
-	// v′ = round(Σ y_i/q_i): acc192.round per lane.
-	for c := 0; c < w; c++ {
-		vv := w2[c]
-		if w1[c] >= 1<<63 {
-			vv++
-		}
-		v[c] = vv
-	}
-	// out_j = Σ y_i·(q*_i mod c_j) - v′·(Q mod c_j) (mod c_j): lazy Shoup
-	// sums accumulated raw in the same i order as Extend — two y rows per
-	// pass over the output to halve its load/store traffic — and one closing
-	// pass for the reduction and quotient correction.
+	v := es.v[:w]
+	es.frac.roundInto(v)
+	// out_j: each lazy Shoup product is < 2·c_j < 2^32, so the raw sum of k
+	// of them fits a uint64 with room to spare — two y rows per pass over
+	// the output to halve its load/store traffic — and one closing pass does
+	// the reduction and the quotient correction.
 	for j, d := range e.Dst {
-		base := j * k
-		row := e.qStarFlat[base : base+k : base+k]
-		rowS := e.qStarShoupFlat[base : base+k : base+k]
-		o := out[j][:w]
-		d.VecScalarMulShoupLazyInto(o, yBuf[:w], row[0], rowS[0])
+		row := e.qStarFlat[j*k : (j+1)*k : (j+1)*k]
+		rowS := e.qStarShoupFlat[j*k : (j+1)*k : (j+1)*k]
+		o := dst[j].Coeffs[c0 : c0+w]
+		d.VecScalarMulShoupLazyInto(o, es.y[:w], row[0], rowS[0])
 		i := 1
 		for ; i+1 < k; i += 2 {
-			d.VecScalarMulShoupLazyAdd2Into(o,
-				yBuf[i*liftStripe:i*liftStripe+w], yBuf[(i+1)*liftStripe:(i+1)*liftStripe+w],
+			d.VecScalarMulShoupLazyAdd2Into(o, es.y[i*sw:i*sw+w], es.y[(i+1)*sw:(i+1)*sw+w],
 				row[i], rowS[i], row[i+1], rowS[i+1])
 		}
 		if i < k {
-			d.VecScalarMulShoupLazyAddInto(o, yBuf[i*liftStripe:i*liftStripe+w], row[i], rowS[i])
+			d.VecScalarMulShoupLazyAddInto(o, es.y[i*sw:i*sw+w], row[i], rowS[i])
 		}
-		d.VecExtendFinishInto(o, v[:w], e.qMod[j], e.qModShoup[j])
+		d.VecExtendFinishInto(o, v, e.qMod[j], e.qModShoup[j])
 	}
 }
 
@@ -265,45 +207,9 @@ type liftTask struct {
 }
 
 func (t *liftTask) RunChunk(lo, hi int) {
-	e := t.e
-	k := e.Src.K()
-	kt := len(e.Dst)
-	if k > stackResidues || kt > stackResidues {
-		t.runScalar(lo, hi)
-		return
-	}
 	var es extendScratch
-	var in, out [stackResidues][]uint64
-	src, dst := t.src, t.dst
-	for c0 := lo; c0 < hi; c0 += liftStripe {
-		c1 := c0 + liftStripe
-		if c1 > hi {
-			c1 = hi
-		}
-		for i := 0; i < k; i++ {
-			in[i] = src[i].Coeffs[c0:c1]
-		}
-		for j := 0; j < kt; j++ {
-			out[j] = dst[j].Coeffs[c0:c1]
-		}
-		e.extendStripe(&es, in[:k], out[:kt], c1-c0)
-	}
-}
-
-// runScalar is the coefficient-major fallback for bases too wide for the
-// stripe kernel's stack staging.
-func (t *liftTask) runScalar(lo, hi int) {
-	e := t.e
-	in, res := make([]uint64, e.Src.K()), make([]uint64, len(e.Dst))
-	src, dst := t.src, t.dst
-	for c := lo; c < hi; c++ {
-		for i := range in {
-			in[i] = src[i].Coeffs[c]
-		}
-		e.Extend(in, res)
-		for j := range res {
-			dst[j].Coeffs[c] = res[j]
-		}
+	for c0 := lo; c0 < hi; c0 += t.e.stripe {
+		t.e.extendStripe(&es, t.src, t.dst, c0, min(t.e.stripe, hi-c0))
 	}
 }
 

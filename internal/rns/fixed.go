@@ -56,3 +56,43 @@ func (a *acc192) round() uint64 {
 	}
 	return a.w2
 }
+
+// fracLanes is acc192 across the lanes of a stripe, its three limbs held in
+// parallel arrays: lane c accumulates Σ x_i[c]·f_i exactly and rounds to the
+// nearest integer, ties up. It is the one fraction kernel of the HPS stripes
+// — Σ y_i/q_i of Lift and Σ x_i·r_i/q_i of Scale — word for word acc192's
+// limb schedule, so a lane rounds exactly as acc192 would.
+type fracLanes struct {
+	w0, w1, w2 [liftStripe]uint64
+}
+
+// reset clears the first w lanes.
+func (a *fracLanes) reset(w int) {
+	clear(a.w0[:w])
+	clear(a.w1[:w])
+	clear(a.w2[:w])
+}
+
+// addMul accumulates x[c]·f into lane c, for every c < len(x).
+func (a *fracLanes) addMul(x []uint64, f frac128) {
+	w0, w1, w2 := a.w0[:len(x)], a.w1[:len(x)], a.w2[:len(x)]
+	for c, xc := range x {
+		hi1, lo1 := bits.Mul64(xc, f.lo)
+		hi2, lo2 := bits.Mul64(xc, f.hi)
+		var cc uint64
+		w0[c], cc = bits.Add64(w0[c], lo1, 0)
+		w1[c], cc = bits.Add64(w1[c], hi1, cc)
+		w2[c] += cc
+		w1[c], cc = bits.Add64(w1[c], lo2, 0)
+		w2[c] += hi2 + cc
+	}
+}
+
+// roundInto writes lane c rounded to the nearest integer into v[c], for
+// every c < len(v).
+func (a *fracLanes) roundInto(v []uint64) {
+	w1, w2 := a.w1[:len(v)], a.w2[:len(v)]
+	for c := range v {
+		v[c] = w2[c] + w1[c]>>63
+	}
+}

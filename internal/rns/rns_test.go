@@ -1,9 +1,12 @@
 package rns
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/poly"
@@ -55,6 +58,51 @@ func randBelow(r *rand.Rand, bound *big.Int) *big.Int {
 func product(qb, pb *Basis) *big.Int {
 	return new(big.Int).Mul(qb.Product, pb.Product)
 }
+
+// fromColumns builds the polynomial over mods whose coefficient c has the
+// residues cols[c].
+func fromColumns(mods []ring.Modulus, cols [][]uint64) poly.RNSPoly {
+	x := poly.NewRNSPoly(mods, len(cols))
+	for c, col := range cols {
+		for i := range mods {
+			x.Rows[i].Coeffs[c] = col[i]
+		}
+	}
+	return x
+}
+
+// column returns the residues of coefficient c of x.
+func column(x poly.RNSPoly, c int) []uint64 {
+	col := make([]uint64, x.Level())
+	for i := range col {
+		col[i] = x.Rows[i].Coeffs[c]
+	}
+	return col
+}
+
+// liftColumns runs LiftTargetsInto on the polynomial whose coefficient c
+// has the source residues ins[c].
+func liftColumns(e *Extender, ins [][]uint64) poly.RNSPoly {
+	out := poly.NewRNSPoly(e.Dst, len(ins))
+	e.LiftTargetsInto(fromColumns(e.Src.Mods, ins), out.Rows)
+	return out
+}
+
+// scaleColumns runs ScalePolyInto on the polynomial whose coefficient c has
+// the full-basis residues xs[c] (q primes then p primes).
+func scaleColumns(s *ScaleRounder, xs [][]uint64) poly.RNSPoly {
+	out := poly.NewRNSPoly(s.QB.Mods, len(xs))
+	s.ScalePolyInto(fromColumns(s.QP.Mods, xs), out)
+	return out
+}
+
+// shape is a (q, p) basis width and a ring degree.
+type shape struct{ kq, kp, n int }
+
+// wideShapes are the shapes the poly tests run beyond their own: the stripe
+// narrows for the side wider than 16 primes, and n = 256 spans several
+// stripes, the last one partial.
+var wideShapes = []shape{{6, 17, 256}, {17, 6, 256}, {24, 25, 256}}
 
 func TestNewBasisValidation(t *testing.T) {
 	m := ring.NewModulus(97)
@@ -114,16 +162,17 @@ func TestExtendMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out1 := make([]uint64, pb.K())
-	out2 := make([]uint64, pb.K())
-	for trial := 0; trial < 500; trial++ {
-		x := randBelow(r, qb.Product)
-		in := decompose(qb, x)
-		ext.Extend(in, out1)
-		ext.ExtendExact(in, out2)
-		for j := range out1 {
-			if out1[j] != out2[j] {
-				t.Fatalf("HPS extend != exact at residue %d (x=%s)", j, x)
+	ins := make([][]uint64, 500)
+	for c := range ins {
+		ins[c] = decompose(qb, randBelow(r, qb.Product))
+	}
+	got := liftColumns(ext, ins)
+	want := make([]uint64, pb.K())
+	for c, in := range ins {
+		ext.ExtendExact(in, want)
+		for j := range want {
+			if got.Rows[j].Coeffs[c] != want[j] {
+				t.Fatalf("HPS extend != exact at residue %d (x=%s)", j, qb.ReconstructCentered(in))
 			}
 		}
 	}
@@ -135,20 +184,16 @@ func TestExtendCenteredSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]uint64, pb.K())
+	out := liftColumns(ext, [][]uint64{decompose(qb, big.NewInt(-5)), decompose(qb, big.NewInt(12345))})
 	// x ≡ -5 mod q must extend to -5 mod every p prime, not to q-5.
-	in := decompose(qb, big.NewInt(-5))
-	ext.Extend(in, out)
 	for j, d := range pb.Mods {
-		if out[j] != d.FromSigned(-5) {
-			t.Fatalf("centered extension failed: residue %d = %d, want %d", j, out[j], d.FromSigned(-5))
+		if got := out.Rows[j].Coeffs[0]; got != d.FromSigned(-5) {
+			t.Fatalf("centered extension failed: residue %d = %d, want %d", j, got, d.FromSigned(-5))
 		}
 	}
 	// And a positive small value maps to itself.
-	in = decompose(qb, big.NewInt(12345))
-	ext.Extend(in, out)
 	for j := range pb.Mods {
-		if out[j] != 12345 {
+		if out.Rows[j].Coeffs[1] != 12345 {
 			t.Fatalf("small value extension failed at %d", j)
 		}
 	}
@@ -162,43 +207,42 @@ func TestExtenderValidation(t *testing.T) {
 }
 
 func TestLiftPoly(t *testing.T) {
+	shapes := append([]shape{{3, 4, 64}}, wideShapes...)
 	r := rand.New(rand.NewSource(4))
-	qb, pb := paperBases(t, 64, 3, 4)
-	ext, err := NewExtender(qb, pb.Mods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 64
-	x := poly.NewRNSPoly(qb.Mods, n)
-	for c := 0; c < n; c++ {
-		res := decompose(qb, randBelow(r, qb.Product))
-		for i := range qb.Mods {
-			x.Rows[i].Coeffs[c] = res[i]
+	for _, sh := range shapes {
+		qb, pb := paperBases(t, sh.n, sh.kq, sh.kp)
+		ext, err := NewExtender(qb, pb.Mods)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	src := x.Clone()
-	targets := poly.NewRNSPoly(pb.Mods, n)
-	// The target rows are written in full: stale contents must not show.
-	for j := range targets.Rows {
-		for c := range targets.Rows[j].Coeffs {
-			targets.Rows[j].Coeffs[c] = 12345
+		n := sh.n
+		x := poly.NewRNSPoly(qb.Mods, n)
+		for c := 0; c < n; c++ {
+			res := decompose(qb, randBelow(r, qb.Product))
+			for i := range qb.Mods {
+				x.Rows[i].Coeffs[c] = res[i]
+			}
 		}
-	}
-	ext.LiftTargetsInto(x, targets.Rows)
-	if !x.Equal(src) {
-		t.Fatal("source rows modified")
-	}
-	// Every coefficient against the exact extension.
-	in := make([]uint64, qb.K())
-	out := make([]uint64, pb.K())
-	for c := 0; c < n; c++ {
-		for i := range qb.Mods {
-			in[i] = x.Rows[i].Coeffs[c]
+		src := x.Clone()
+		targets := poly.NewRNSPoly(pb.Mods, n)
+		// The target rows are written in full: stale contents must not show.
+		for j := range targets.Rows {
+			for c := range targets.Rows[j].Coeffs {
+				targets.Rows[j].Coeffs[c] = 12345
+			}
 		}
-		ext.ExtendExact(in, out)
-		for j := range pb.Mods {
-			if targets.Rows[j].Coeffs[c] != out[j] {
-				t.Fatalf("lifted coeff %d residue %d mismatch", c, j)
+		ext.LiftTargetsInto(x, targets.Rows)
+		if !x.Equal(src) {
+			t.Fatalf("%d+%d: source rows modified", sh.kq, sh.kp)
+		}
+		// Every coefficient against the exact extension.
+		out := make([]uint64, pb.K())
+		for c := 0; c < n; c++ {
+			ext.ExtendExact(column(x, c), out)
+			for j := range pb.Mods {
+				if targets.Rows[j].Coeffs[c] != out[j] {
+					t.Fatalf("%d+%d: lifted coeff %d residue %d mismatch", sh.kq, sh.kp, c, j)
+				}
 			}
 		}
 	}
@@ -215,18 +259,20 @@ func TestScaleMatchesExact(t *testing.T) {
 		// Inputs must satisfy t·|x| < Q/2 for the HPS intermediate to stay
 		// centered in p; FV guarantees this (tensor coefficients ≤ n·q²/4).
 		bound := new(big.Int).Rsh(product(qb, pb), uint(bits.Len64(tmod)+1))
-		got := make([]uint64, qb.K())
-		want := make([]uint64, qb.K())
-		for trial := 0; trial < 200; trial++ {
+		xs := make([][]uint64, 200)
+		for trial := range xs {
 			x := randBelow(r, bound)
 			if r.Intn(2) == 1 {
 				x.Neg(x)
 			}
-			xq, xp := decompose(qb, x), decompose(pb, x)
-			sc.Scale(xq, xp, got)
-			sc.ScaleExact(xq, xp, want)
-			for i := range got {
-				if got[i] != want[i] {
+			xs[trial] = decompose(sc.QP, x)
+		}
+		got := scaleColumns(sc, xs)
+		want := make([]uint64, qb.K())
+		for trial, x := range xs {
+			sc.ScaleExact(x[:qb.K()], x[qb.K():], want)
+			for i := range want {
+				if got.Rows[i].Coeffs[trial] != want[i] {
 					t.Fatalf("t=%d trial %d: HPS scale != exact at residue %d", tmod, trial, i)
 				}
 			}
@@ -240,37 +286,28 @@ func TestScaleKnownValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]uint64, qb.K())
-	// round(2·x/q) for x = q: exactly 2.
-	x := qb.Product
-	xq := decompose(qb, x) // ≡ 0
-	xp := decompose(pb, x)
-	sc.Scale(xq, xp, got)
-	for i := range got {
-		if got[i] != 2 {
-			t.Fatalf("round(2q/q) residue %d = %d, want 2", i, got[i])
+	// round(2·x/q) for x = q: exactly 2. x = -q/3 (exact magnitude q/3
+	// rounded): round(-2/3·...) is a small negative. Zero maps to zero.
+	xNeg := new(big.Int).Quo(qb.Product, big.NewInt(-3))
+	got := scaleColumns(sc, [][]uint64{decompose(sc.QP, qb.Product), decompose(sc.QP, xNeg), make([]uint64, sc.QP.K())})
+	for i := range qb.Mods {
+		if c := got.Rows[i].Coeffs[0]; c != 2 {
+			t.Fatalf("round(2q/q) residue %d = %d, want 2", i, c)
 		}
 	}
-	// x = -q/3 (exact magnitude q/3 rounded): result round(-2/3·...) small negative.
-	xNeg := new(big.Int).Quo(qb.Product, big.NewInt(-3))
-	xq, xp = decompose(qb, xNeg), decompose(pb, xNeg)
-	sc.Scale(xq, xp, got)
 	want := make([]uint64, qb.K())
-	sc.ScaleExact(xq, xp, want)
+	sc.ScaleExact(decompose(qb, xNeg), decompose(pb, xNeg), want)
 	for i, m := range qb.Mods {
-		if got[i] != want[i] {
+		c := got.Rows[i].Coeffs[1]
+		if c != want[i] {
 			t.Fatalf("negative scale mismatch at %d", i)
 		}
-		if c := m.Centered(got[i]); c != -1 {
-			t.Fatalf("round(2·(-q/3)/q) should be -1, got %d", c)
+		if v := m.Centered(c); v != -1 {
+			t.Fatalf("round(2·(-q/3)/q) should be -1, got %d", v)
 		}
 	}
-	// Zero maps to zero.
-	zq := make([]uint64, qb.K())
-	zp := make([]uint64, pb.K())
-	sc.Scale(zq, zp, got)
-	for i := range got {
-		if got[i] != 0 {
+	for i := range qb.Mods {
+		if got.Rows[i].Coeffs[2] != 0 {
 			t.Fatal("scale(0) != 0")
 		}
 	}
@@ -290,52 +327,170 @@ func TestScaleRounderValidation(t *testing.T) {
 }
 
 func TestScalePoly(t *testing.T) {
+	shapes := append([]shape{{4, 5, 64}}, wideShapes...)
 	r := rand.New(rand.NewSource(6))
-	qb, pb := paperBases(t, 64, 4, 5)
-	sc, err := NewScaleRounder(qb, pb, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 64
-	full := append(append([]ring.Modulus(nil), qb.Mods...), pb.Mods...)
-	x := poly.NewRNSPoly(full, n)
-	bound := new(big.Int).Rsh(product(qb, pb), 3)
-	for c := 0; c < n; c++ {
-		v := randBelow(r, bound)
-		if r.Intn(2) == 1 {
-			v.Neg(v)
+	for _, sh := range shapes {
+		qb, pb := paperBases(t, sh.n, sh.kq, sh.kp)
+		sc, err := NewScaleRounder(qb, pb, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, m := range full {
-			x.Rows[i].Coeffs[c] = modWord(v, m.Q)
-		}
-	}
-	a := poly.NewRNSPoly(qb.Mods, n)
-	sc.ScalePolyInto(x, a)
-	// Every coefficient against the per-coefficient scale and the exact one.
-	xq, xp := make([]uint64, qb.K()), make([]uint64, pb.K())
-	want, exact := make([]uint64, qb.K()), make([]uint64, qb.K())
-	for c := 0; c < n; c++ {
-		for i := range xq {
-			xq[i] = x.Rows[i].Coeffs[c]
-		}
-		for j := range xp {
-			xp[j] = x.Rows[qb.K()+j].Coeffs[c]
-		}
-		sc.Scale(xq, xp, want)
-		sc.ScaleExact(xq, xp, exact)
-		for i := range want {
-			if a.Rows[i].Coeffs[c] != want[i] || want[i] != exact[i] {
-				t.Fatalf("scaled coeff %d residue %d mismatch", c, i)
+		n := sh.n
+		x := poly.NewRNSPoly(sc.QP.Mods, n)
+		bound := new(big.Int).Rsh(product(qb, pb), 3)
+		for c := 0; c < n; c++ {
+			v := randBelow(r, bound)
+			if r.Intn(2) == 1 {
+				v.Neg(v)
+			}
+			for i, m := range sc.QP.Mods {
+				x.Rows[i].Coeffs[c] = modWord(v, m.Q)
 			}
 		}
+		a := poly.NewRNSPoly(qb.Mods, n)
+		sc.ScalePolyInto(x, a)
+		// Every coefficient against the exact scale.
+		exact := make([]uint64, qb.K())
+		for c := 0; c < n; c++ {
+			xc := column(x, c)
+			sc.ScaleExact(xc[:qb.K()], xc[qb.K():], exact)
+			for i := range exact {
+				if a.Rows[i].Coeffs[c] != exact[i] {
+					t.Fatalf("%d+%d: scaled coeff %d residue %d mismatch", sh.kq, sh.kp, c, i)
+				}
+			}
+		}
+		// In place: out may be x's own q rows.
+		y := x.Clone()
+		out := poly.RNSPoly{Rows: y.Rows[:qb.K()]}
+		sc.ScalePolyInto(y, out)
+		if !out.Equal(a) {
+			t.Fatalf("%d+%d: in-place scale differs from the out-of-place result", sh.kq, sh.kp)
+		}
 	}
-	// In place: out may be x's own q rows.
-	y := x.Clone()
-	out := poly.RNSPoly{Rows: y.Rows[:qb.K()]}
-	sc.ScalePolyInto(y, out)
-	if !out.Equal(a) {
-		t.Fatal("in-place scale differs from the out-of-place result")
+}
+
+// TestLiftScaleZeroAlloc holds both poly entry points to zero allocations at
+// the paper's widths and at the wide shapes, where the stripe narrows.
+func TestLiftScaleZeroAlloc(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, sh := range []shape{{6, 7, 1024}, {6, 17, 1024}, {24, 25, 1024}} {
+		qb, pb := paperBases(t, sh.n, sh.kq, sh.kp)
+		ext, err := NewExtender(qb, pb.Mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := NewScaleRounder(qb, pb, 65537)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := poly.NewRNSPoly(sc.QP.Mods, sh.n)
+		for i, m := range sc.QP.Mods {
+			for c := range x.Rows[i].Coeffs {
+				x.Rows[i].Coeffs[c] = r.Uint64() % m.Q
+			}
+		}
+		q := poly.RNSPoly{Rows: x.Rows[:sh.kq]}
+		out := poly.NewRNSPoly(qb.Mods, sh.n)
+		if a := testing.AllocsPerRun(5, func() { ext.LiftTargetsInto(q, x.Rows[sh.kq:]) }); a != 0 {
+			t.Errorf("%d+%d: LiftTargetsInto allocates %.1f times per call", sh.kq, sh.kp, a)
+		}
+		if a := testing.AllocsPerRun(5, func() { sc.ScalePolyInto(x, out) }); a != 0 {
+			t.Errorf("%d+%d: ScalePolyInto allocates %.1f times per call", sh.kq, sh.kp, a)
+		}
 	}
+}
+
+// fuzzPrimes is the prime pool FuzzLiftScale draws its bases from: 48
+// 30-bit primes, enough for 24 on each side.
+var fuzzPrimes = sync.OnceValue(func() []ring.Modulus {
+	primes, err := ring.GenerateNTTPrimes(30, 256, 48)
+	if err != nil {
+		panic(err)
+	}
+	mods := make([]ring.Modulus, len(primes))
+	for i, p := range primes {
+		mods[i] = ring.NewModulus(p)
+	}
+	return mods
+})
+
+// FuzzLiftScale compares both HPS kernels with their exact oracles at q and
+// p widths of 1..24 each and any t ≥ 2, wherever the rounding bound promises
+// equality: Lift's source value outside the band at ±Q/2 of its quotient
+// estimate, Scale's input outside the band of its fraction sum (the
+// MessageScaler bound) and its result outside the band of the extension
+// p → q.
+func FuzzLiftScale(f *testing.F) {
+	seed := make([]byte, 8*48)
+	rand.New(rand.NewSource(10)).Read(seed)
+	f.Add(uint8(5), uint8(6), uint64(2), seed)          // 6 + 7
+	f.Add(uint8(5), uint8(16), uint64(65537), seed)     // 6 + 17
+	f.Add(uint8(16), uint8(5), uint64(17), seed)        // 17 + 6
+	f.Add(uint8(23), uint8(23), uint64(1<<64-59), seed) // 24 + 24
+	f.Add(uint8(0), uint8(0), uint64(3), []byte{1})     // 1 + 1
+	f.Fuzz(func(t *testing.T, kq, kp uint8, tmod uint64, data []byte) {
+		pool := fuzzPrimes()
+		nq, np := 1+int(kq)%24, 1+int(kp)%24
+		qb, err := NewBasis(pool[:nq])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := NewBasis(pool[nq : nq+np])
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := make([]uint64, nq+np)
+		for i := range words {
+			var b [8]byte
+			if 8*i < len(data) {
+				copy(b[:], data[8*i:])
+			}
+			words[i] = binary.LittleEndian.Uint64(b[:])
+		}
+
+		// Lift q → p of the value whose q residues the data gives.
+		ext, err := NewExtender(qb, pb.Mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]uint64, nq)
+		for i, m := range qb.Mods {
+			in[i] = words[i] % m.Q
+		}
+		if outsideFlipBand(qb, qb.ReconstructCentered(in)) {
+			want := make([]uint64, np)
+			ext.ExtendExact(in, want)
+			if got := column(liftColumns(ext, [][]uint64{in}), 0); !slices.Equal(got, want) {
+				t.Fatalf("%d+%d lift of %v: %v, exact %v", nq, np, in, got, want)
+			}
+		}
+
+		// Scale of a value over q·p, shrunk by t so that round(t·x/q) can
+		// only leave (-p/2, p/2) by rounding.
+		sc, err := NewScaleRounder(qb, pb, tmod)
+		if err != nil {
+			t.Skip() // t < 2, or t is a basis prime
+		}
+		full := make([]uint64, nq+np)
+		for i, m := range sc.QP.Mods {
+			full[i] = words[i] % m.Q
+		}
+		x := sc.QP.ReconstructCentered(full)
+		x.Quo(x, new(big.Int).SetUint64(tmod))
+		_, w := exactRound(qb.Product, tmod, new(big.Int).Mod(x, qb.Product))
+		y := new(big.Int).Mul(x, new(big.Int).SetUint64(tmod))
+		y.Add(y, qb.half).Div(y, qb.Product)
+		if !outsideFlipBand(qb, w) || !outsideFlipBand(pb, y) {
+			t.Skip()
+		}
+		xs := decompose(sc.QP, x)
+		want := make([]uint64, nq)
+		sc.ScaleExact(xs[:nq], xs[nq:], want)
+		if got := column(scaleColumns(sc, [][]uint64{xs}), 0); !slices.Equal(got, want) {
+			t.Fatalf("%d+%d scale of %s at t=%d: %v, exact %v", nq, np, x, tmod, got, want)
+		}
+	})
 }
 
 func TestDecomposeRNSIdentity(t *testing.T) {
@@ -348,10 +503,11 @@ func TestDecomposeRNSIdentity(t *testing.T) {
 			x.Rows[i].Coeffs[c] = r.Uint64() % m.Q
 		}
 	}
-	digits := DecomposeRNS(qb, x)
-	if len(digits) != qb.K() {
-		t.Fatalf("expected %d digits", qb.K())
+	digits := make([]poly.RNSPoly, qb.K())
+	for i := range digits {
+		digits[i] = poly.NewRNSPoly(qb.Mods, n)
 	}
+	DecomposeRNSPoolInto(nil, qb, x, digits)
 	gadget := GadgetRNS(qb)
 	// Σ_i d_i·g_i ≡ x (mod q), checked per residue row and coefficient.
 	for row, m := range qb.Mods {
@@ -375,21 +531,6 @@ func TestDecomposeRNSIdentity(t *testing.T) {
 	}
 }
 
-func BenchmarkExtendHPS(b *testing.B) {
-	r := rand.New(rand.NewSource(9))
-	qb, pb := paperBases(b, 4096, 6, 7)
-	ext, err := NewExtender(qb, pb.Mods)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := decompose(qb, randBelow(r, qb.Product))
-	out := make([]uint64, pb.K())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ext.Extend(in, out)
-	}
-}
-
 // BenchmarkExtendExact times the exact CRT oracle.
 func BenchmarkExtendExact(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
@@ -403,22 +544,6 @@ func BenchmarkExtendExact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ext.ExtendExact(in, out)
-	}
-}
-
-func BenchmarkScaleHPS(b *testing.B) {
-	r := rand.New(rand.NewSource(9))
-	qb, pb := paperBases(b, 4096, 6, 7)
-	sc, err := NewScaleRounder(qb, pb, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := randBelow(r, new(big.Int).Rsh(product(qb, pb), 3))
-	xq, xp := decompose(qb, x), decompose(pb, x)
-	out := make([]uint64, qb.K())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Scale(xq, xp, out)
 	}
 }
 
