@@ -1,9 +1,10 @@
 // Command herouter fronts a fleet of heserver nodes with one endpoint: the
-// scale-out tier above the paper's Fig. 11 platform. It speaks the same wire
-// protocol as heserver (sequential v2), shards tenants across the backends with
-// a consistent-hash ring, health-checks every node (ejecting dead ones and
-// rerouting their tenants to ring replicas), and retries idempotent
-// requests on a replica within a bounded budget. CKKS commands are framed
+// scale-out tier above the paper's Fig. 11 platform. It serves the same wire
+// protocol as heserver — sequential v2 connections and mux sessions alike —
+// shards tenants across the backends with a consistent-hash ring,
+// health-checks every node (ejecting dead ones and rerouting their tenants
+// to ring replicas), and retries idempotent requests on a replica within a
+// bounded budget. CKKS commands are framed
 // under the set heserver -ckks serves (-paper picks it, as it does there)
 // and routed like the BFV ones; a backend started without -ckks refuses them.
 //
@@ -18,10 +19,11 @@
 // changes. All backends must share the parameter set and seed — evaluation
 // keys are fully replicated, so any replica can serve any tenant.
 //
-// Membership is live: the CmdAdmin wire command (join/leave/drain) and the
-// -watch membership file both rebalance the ring with minimal movement,
-// migrating the moved tenants' evaluation-key state to the new owners
-// before the cutover so no request is dropped. See README "Rolling
+// Membership is live through one control path, the -watch membership file,
+// which only the router's own process reads: no wire command changes the
+// ring, so no client can. Each change rebalances the ring with minimal
+// movement, migrating the moved tenants' evaluation-key state to the new
+// owners before the cutover so no request is dropped. See README "Rolling
 // restarts".
 //
 // Observability: SIGUSR1 dumps the router snapshot (membership, per-backend

@@ -364,18 +364,14 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 
 	switch f.Cmd {
 	case CmdPing, CmdInfo, CmdKeyExport:
-	case CmdKeyImport, CmdAdmin:
-		maxBlob := MaxAdminBytes
-		if f.Cmd == CmdKeyImport {
-			maxBlob = cd.maxKeyBlob
-		}
+	case CmdKeyImport:
 		n, err := c.next(4)
 		if err != nil {
 			return malformed(ErrMalformedRequest, "truncated payload length", err)
 		}
 		blen := binary.LittleEndian.Uint32(n)
-		if blen == 0 || int64(blen) > int64(maxBlob) {
-			return fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(f.Cmd), blen, maxBlob)
+		if blen == 0 || int64(blen) > int64(cd.maxKeyBlob) {
+			return fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(f.Cmd), blen, cd.maxKeyBlob)
 		}
 		if _, err := c.next(int(blen)); err != nil {
 			return malformed(ErrMalformedRequest, "truncated payload", err)
@@ -463,7 +459,7 @@ func (f *Frame) Request() (*Request, error) {
 	// takes it back either way.
 	var err error
 	switch f.Cmd {
-	case CmdKeyImport, CmdAdmin:
+	case CmdKeyImport:
 		req.Blob = body[4:]
 	case CmdProgram:
 		plen := binary.LittleEndian.Uint32(body)
@@ -682,8 +678,8 @@ func (raw *RawReply) readBody(c *cursor, layout rlwe.Layout) error {
 	case CmdKeyExport:
 		_, err := lenBody(raw.codec.maxKeyBlob)
 		return err
-	case CmdKeyImport, CmdAdmin:
-		_, err := lenBody(MaxAdminBytes)
+	case CmdKeyImport:
+		_, err := lenBody(maxAckBytes)
 		return err
 	default:
 		if _, err := c.next(12); err != nil { // compute nanos, worker
@@ -744,7 +740,7 @@ func (raw *RawReply) Reply() (Reply, error) {
 		return resp, nil
 	case CmdInfo:
 		return raw.info, nil
-	case CmdKeyExport, CmdKeyImport, CmdAdmin:
+	case CmdKeyExport, CmdKeyImport:
 		return Blob(bytes.Clone(body[4:])), nil
 	}
 	resp := &Response{

@@ -202,7 +202,7 @@ func FuzzFrameRequest(f *testing.F) {
 		{Cmd: CmdInfo, ID: 8},
 		{Cmd: CmdKeyExport, ID: 13, Tenant: "dave"},
 		{Cmd: CmdKeyImport, ID: 15, Tenant: "erin", Blob: []byte("HEKB not really a key blob")},
-		{Cmd: CmdAdmin, ID: 14, Blob: []byte(`{"op":"drain","node":"n1"}`)},
+		{Cmd: CmdKeyImport, ID: 14, Blob: []byte{0x01}},
 		{Cmd: CmdAdd, ID: 9, Tenant: "bob", A: ct, B: ct},
 		{Cmd: CmdMul, ID: 10, A: ct, B: ct},
 		{Cmd: CmdRotate, ID: 11, G: 3, A: ct},
@@ -290,7 +290,7 @@ func FuzzFrameReply(f *testing.F) {
 	cparams, cct := fuzzCKKS()
 	kinds := append(replyKinds(fuzzCiphertext(), 5),
 		replyKind{"ckks op", CmdCKKSMul, &Response{Ver: ProtoV2, ID: 5, CKKSResult: cct, ComputeNanos: 7}},
-		replyKind{"ack", CmdAdmin, Blob(`{"node":"n1"}`)})
+		replyKind{"ack", CmdKeyImport, Blob(`{"tenant":"erin","keys":1}`)})
 	seeds := []Reply{
 		&ServerError{Code: CodeUnavailable, Msg: "overloaded"},
 		&ServerError{Code: CodeApp, Msg: "no such key"},

@@ -83,7 +83,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Cmd: CmdPing, Ver: ProtoV2, ID: 7, Tenant: "alice"},
 		{Cmd: CmdInfo, Ver: ProtoV2, ID: 8},
 		{Cmd: CmdKeyExport, Ver: ProtoV2, ID: 13, Tenant: "dave"},
-		{Cmd: CmdAdmin, Ver: ProtoV2, ID: 14, Blob: []byte(`{"op":"drain","node":"n1"}`)},
+		{Cmd: CmdKeyImport, Ver: ProtoV2, ID: 14, Blob: []byte{0x01}},
 		{Cmd: CmdAdd, Ver: ProtoV2, ID: 9, Tenant: "bob", A: ct, B: ct},
 		{Cmd: CmdMul, Ver: ProtoV2, ID: 10, A: ct, B: ct},
 		{Cmd: CmdRotate, Ver: ProtoV2, ID: 11, G: 3, A: ct},

@@ -1,9 +1,10 @@
 package cloud
 
-// Key-state migration and cluster-administration wire support: the tenant
-// key blob (CmdKeyExport / CmdKeyImport payloads), the JSON admin control
-// messages (CmdAdmin), and the client methods that speak them; all three
-// commands answer with the blob reply kind (protocol.go).
+// Key-state migration wire support: the tenant key blob (the CmdKeyExport
+// reply and the CmdKeyImport payload) and the client methods that speak the
+// two commands; both answer with the blob reply kind (protocol.go). Ring
+// membership itself has no wire command: it changes only inside the routing
+// tier's own process (cluster.Router).
 //
 // A key blob is the complete evaluation-key state of one tenant — BFV and
 // CKKS, relinearization and Galois — as a bounded sequence of sections,
@@ -26,10 +27,9 @@ import (
 	"repro/internal/fv"
 )
 
-// MaxAdminBytes bounds a CmdAdmin request body and the JSON acknowledgement
-// bodies of the migration commands. Control messages are tiny; anything
-// bigger is malformed.
-const MaxAdminBytes = 4096
+// maxAckBytes bounds the JSON acknowledgement of a CmdKeyImport. It is tiny;
+// anything bigger is malformed.
+const maxAckBytes = 4096
 
 // maxKeyBlobSections bounds the section count of a key blob: one relin key
 // plus at most 64 Galois keys per scheme (matching the per-key gadget
@@ -209,30 +209,6 @@ func sameCKKSParams(got, want *ckks.Params) error {
 	return nil
 }
 
-// Admin operations carried by CmdAdmin.
-const (
-	AdminJoin  = "join"
-	AdminLeave = "leave"
-	AdminDrain = "drain"
-)
-
-// AdminRequest is the CmdAdmin body: one membership change for the routing
-// tier. Join needs Node and Addr; Leave and Drain need Node.
-type AdminRequest struct {
-	Op   string `json:"op"`
-	Node string `json:"node"`
-	Addr string `json:"addr,omitempty"`
-}
-
-// AdminReply acknowledges a membership change: the resulting ring members
-// and what the key-state migration moved before the cutover.
-type AdminReply struct {
-	Node            string   `json:"node"`
-	Members         []string `json:"members"`
-	MigratedTenants int      `json:"migrated_tenants"`
-	MigratedKeys    int      `json:"migrated_keys"`
-}
-
 // KeyExport asks the node for the tenant's complete evaluation-key state as
 // an opaque key blob (decode with DecodeTenantKeys). A tenant with no keys
 // on the node is a *ServerError.
@@ -258,22 +234,4 @@ func (c *Client) KeyImport(ctx context.Context, tenant string, blob []byte) (*Im
 		return nil, fmt.Errorf("cloud: decoding import ack: %w", err)
 	}
 	return &ack, nil
-}
-
-// Admin sends one membership control message to a routing tier. Data nodes
-// refuse the command with a *ServerError.
-func (c *Client) Admin(ctx context.Context, areq *AdminRequest) (*AdminReply, error) {
-	blob, err := json.Marshal(areq)
-	if err != nil {
-		return nil, err
-	}
-	body, err := ReplyAs[Blob](c.roundTrip(ctx, &Request{Cmd: CmdAdmin, Blob: blob}))
-	if err != nil {
-		return nil, err
-	}
-	var reply AdminReply
-	if err := json.Unmarshal(body, &reply); err != nil {
-		return nil, fmt.Errorf("cloud: decoding admin reply: %w", err)
-	}
-	return &reply, nil
 }

@@ -93,10 +93,6 @@ const (
 	// ahead of a routing cutover.
 	CmdKeyExport uint8 = 10
 	CmdKeyImport uint8 = 11
-	// CmdAdmin carries a cluster-membership control message (join / leave /
-	// drain) as a small JSON body. Only the routing tier accepts it; data
-	// nodes answer with an error.
-	CmdAdmin uint8 = 12
 
 	statusOK  uint8 = 0
 	statusErr uint8 = 1
@@ -161,9 +157,9 @@ type Request struct {
 	Inputs    []*fv.Ciphertext
 
 	// Blob carries the opaque payload of CmdKeyImport (a tenant key blob,
-	// see EncodeTenantKeys) or CmdAdmin (a JSON AdminRequest). Framed as a
-	// length-prefixed byte string; semantics are validated server-side so a
-	// bad blob yields an error response, not a dropped connection.
+	// see EncodeTenantKeys). Framed as a length-prefixed byte string;
+	// semantics are validated server-side so a bad blob yields an error
+	// response, not a dropped connection.
 	Blob []byte
 }
 
@@ -212,15 +208,12 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 	switch req.Cmd {
 	case CmdPing, CmdInfo, CmdKeyExport:
 		return b, nil
-	case CmdKeyImport, CmdAdmin:
+	case CmdKeyImport:
 		// The receiver enforces the tight bound (the key-blob bound of its own
-		// parameter sets, MaxAdminBytes for admin); the writer only
-		// refuses frames it could never legally produce.
+		// parameter sets); the writer only refuses frames it could never
+		// legally produce.
 		if len(req.Blob) == 0 {
 			return b, fmt.Errorf("cloud: %s needs a payload", cmdName(req.Cmd))
-		}
-		if req.Cmd == CmdAdmin && len(req.Blob) > MaxAdminBytes {
-			return b, fmt.Errorf("cloud: admin payload of %d bytes exceeds %d", len(req.Blob), MaxAdminBytes)
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Blob)))
 		return append(b, req.Blob...), nil
@@ -315,8 +308,6 @@ func cmdName(cmd uint8) string {
 		return "key_export"
 	case CmdKeyImport:
 		return "key_import"
-	case CmdAdmin:
-		return "admin"
 	}
 	return fmt.Sprintf("cmd(%d)", cmd)
 }
@@ -332,7 +323,7 @@ func cmdName(cmd uint8) string {
 //	program   program                         makespan ns (8) | serial ns (8) | key loads (4) |
 //	                                          nodes (4) | output count (4) | ciphertexts
 //	info      info                            length (4) | JSON ServerInfo
-//	blob      key_export key_import admin     length (4) | bytes
+//	blob      key_export key_import           length (4) | bytes
 //
 // The error half is the same bytes for all four kinds, so a peer that could
 // not even decode the request (and so does not know its kind) can still
@@ -495,8 +486,7 @@ func (info *ServerInfo) encode(params *fv.Params, id uint64) (*buffer, error) {
 }
 
 // Blob is the blob-kind reply: an opaque length-prefixed body — a tenant key
-// blob (CmdKeyExport) or a small JSON acknowledgement (CmdKeyImport,
-// CmdAdmin).
+// blob (CmdKeyExport) or a small JSON acknowledgement (CmdKeyImport).
 type Blob []byte
 
 func (blob Blob) encode(params *fv.Params, id uint64) (*buffer, error) {

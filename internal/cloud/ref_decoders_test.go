@@ -53,18 +53,14 @@ func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Requ
 	switch req.Cmd {
 	case CmdPing, CmdInfo, CmdKeyExport:
 		return req, nil
-	case CmdKeyImport, CmdAdmin:
-		maxBlob := MaxAdminBytes
-		if req.Cmd == CmdKeyImport {
-			maxBlob = limits.maxKeyBlob
-		}
+	case CmdKeyImport:
 		var n [4]byte
 		if _, err := io.ReadFull(r, n[:]); err != nil {
 			return nil, malformed(ErrMalformedRequest, "truncated payload length", err)
 		}
 		blen := binary.LittleEndian.Uint32(n[:])
-		if blen == 0 || int64(blen) > int64(maxBlob) {
-			return nil, fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(req.Cmd), blen, maxBlob)
+		if blen == 0 || int64(blen) > int64(limits.maxKeyBlob) {
+			return nil, fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(req.Cmd), blen, limits.maxKeyBlob)
 		}
 		var err error
 		if req.Blob, err = refReadN(r, int(blen)); err != nil {
@@ -210,8 +206,8 @@ func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint
 	case CmdKeyExport:
 		body, err = refReadLenBody(r, codecFor(params, cparams).maxKeyBlob)
 		rep = Blob(body)
-	case CmdKeyImport, CmdAdmin:
-		body, err = refReadLenBody(r, MaxAdminBytes)
+	case CmdKeyImport:
+		body, err = refReadLenBody(r, maxAckBytes)
 		rep = Blob(body)
 	default:
 		rep, err = refReadOpBody(r, params, cparams, id, IsCKKSCmd(cmd))

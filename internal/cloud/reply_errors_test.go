@@ -89,7 +89,7 @@ func TestMuxChecksumFailureTypedForEveryKind(t *testing.T) {
 
 // TestClientSurfacesServerErrorForEveryKind: a server-reported failure has
 // one layout whatever the command, so every Client call — op, info, program,
-// key export/import, admin — must return it as *ServerError with its code and
+// key export/import — must return it as *ServerError with its code and
 // leave the connection usable.
 func TestClientSurfacesServerErrorForEveryKind(t *testing.T) {
 	ts := newTestSystem(t)
@@ -142,7 +142,6 @@ func TestClientSurfacesServerErrorForEveryKind(t *testing.T) {
 		}},
 		{"key export", func() error { _, err := c.KeyExport(ctx, "alice"); return err }},
 		{"key import", func() error { _, err := c.KeyImport(ctx, "alice", []byte("blob")); return err }},
-		{"admin", func() error { _, err := c.Admin(ctx, &AdminRequest{Op: AdminDrain, Node: "n"}); return err }},
 	}
 	for _, tc := range calls {
 		err := tc.call()

@@ -69,7 +69,7 @@ func (s *Server) Handle(f *Frame) Reply {
 		return s.info()
 	case CmdProgram:
 		return s.processProgram(req)
-	case CmdKeyExport, CmdKeyImport, CmdAdmin:
+	case CmdKeyExport, CmdKeyImport:
 		return s.migrate(req)
 	}
 	return s.process(req)
@@ -164,12 +164,9 @@ func (s *Server) processProgram(req *Request) Reply {
 	}
 }
 
-// migrate serves the key-migration commands against the engine's key store
-// and refuses CmdAdmin — membership control belongs to the routing tier, and
-// a data node answering it would split the ring's brain.
+// migrate serves the key-migration commands against the engine's key store.
 func (s *Server) migrate(req *Request) Reply {
-	switch req.Cmd {
-	case CmdKeyExport:
+	if req.Cmd == CmdKeyExport {
 		ks := s.Engine.ExportTenantKeys(req.Tenant)
 		if ks.Empty() {
 			return &ServerError{Code: CodeApp, Msg: fmt.Sprintf("no evaluation keys for tenant %q", req.Tenant)}
@@ -180,21 +177,18 @@ func (s *Server) migrate(req *Request) Reply {
 		}
 		s.Logger.Printf("cloud: exported %d keys for tenant %q (%d bytes)", ks.Count(), req.Tenant, len(blob))
 		return Blob(blob)
-	case CmdKeyImport:
-		ks, err := DecodeTenantKeys(req.Blob, s.Params, s.CKKSParams)
-		if err != nil {
-			return failed(err)
-		}
-		s.Engine.ImportTenantKeys(req.Tenant, ks)
-		s.Logger.Printf("cloud: imported %d keys for tenant %q", ks.Count(), req.Tenant)
-		body, err := json.Marshal(&ImportAck{Tenant: req.Tenant, Keys: ks.Count()})
-		if err != nil {
-			return failed(err)
-		}
-		return Blob(body)
-	default: // CmdAdmin
-		return &ServerError{Code: CodeApp, Msg: "admin: this node is not a routing tier"}
 	}
+	ks, err := DecodeTenantKeys(req.Blob, s.Params, s.CKKSParams)
+	if err != nil {
+		return failed(err)
+	}
+	s.Engine.ImportTenantKeys(req.Tenant, ks)
+	s.Logger.Printf("cloud: imported %d keys for tenant %q", ks.Count(), req.Tenant)
+	body, err := json.Marshal(&ImportAck{Tenant: req.Tenant, Keys: ks.Count()})
+	if err != nil {
+		return failed(err)
+	}
+	return Blob(body)
 }
 
 // errCode maps an engine error to a wire error code: lifecycle and capacity

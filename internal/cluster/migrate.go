@@ -10,7 +10,7 @@ import (
 	"repro/internal/cloud"
 )
 
-// ErrLastNode refuses a Leave/Drain that would empty the ring.
+// ErrLastNode refuses a Leave that would empty the ring.
 var ErrLastNode = errors.New("cluster: refusing to remove the last ring member")
 
 const (
@@ -38,7 +38,7 @@ type MigrationReport struct {
 // SetMigrationHook installs a test hook called at each stage boundary of a
 // membership change: "plan", "hold", "drain", "transfer" (with the tenant),
 // "flip", "release". Chaos tests use it to kill nodes at pinned stages. The
-// hook must not call back into Join/Leave/Drain.
+// hook must not call back into Join/Leave.
 func (r *Router) SetMigrationHook(h func(stage, tenant string)) {
 	r.hookMu.Lock()
 	r.migrateHook = h
@@ -244,10 +244,10 @@ func (r *Router) cutover(ctx context.Context, what, node string,
 	return report, nil
 }
 
-// Join adds a node to the fleet: the node is probed, the tenants the ring
-// will rebalance onto it get their key state copied over first, and only
-// then does the ring flip (see cutover). Idempotent for a node already in
-// the ring.
+// Join adds a node to the fleet: the node is probed at b.Addr, the tenants
+// the ring will rebalance onto it get their key state copied over first, and
+// only then does the ring flip (see cutover). Idempotent for a node already
+// in the ring.
 func (r *Router) Join(ctx context.Context, b Backend) (*MigrationReport, error) {
 	if b.ID == "" || b.Addr == "" {
 		return nil, fmt.Errorf("cluster: join needs ID and Addr, got %+v", b)
@@ -261,33 +261,22 @@ func (r *Router) Join(ctx context.Context, b Backend) (*MigrationReport, error) 
 		ctx = context.Background()
 	}
 
-	// Register the node's transport and health state (reused if the node
-	// was drained earlier and is rejoining).
+	// A node outside the ring is unknown to the router (Leave forgets it),
+	// so its transport and health state start fresh at b.Addr.
 	r.mu.Lock()
-	_, known := r.addrs[b.ID]
-	if !known {
-		r.addrs[b.ID] = b.Addr
-		r.pools[b.ID] = r.newPoolFor(b)
-	}
+	r.addrs[b.ID] = b.Addr
+	r.pools[b.ID] = r.newPoolFor(b)
 	r.mu.Unlock()
-	if !known {
-		r.health.add(b.ID)
-	}
-
-	abort := func(err error) (*MigrationReport, error) {
-		if !known {
-			r.forget(b.ID)
-		}
-		return nil, err
-	}
+	r.health.add(b.ID)
 
 	// Never cut traffic over to a node that does not answer.
 	pctx, pcancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	err := r.probe(pctx, b.ID)
 	pcancel()
 	if err != nil {
+		r.forget(b.ID)
 		r.reg.Counter("cluster_migration_failures").Add(1)
-		return abort(fmt.Errorf("cluster: join %s: probe failed: %w", b.ID, err))
+		return nil, fmt.Errorf("cluster: join %s: probe failed: %w", b.ID, err)
 	}
 
 	next := r.scratchRing(b.ID, "")
@@ -301,7 +290,8 @@ func (r *Router) Join(ctx context.Context, b Backend) (*MigrationReport, error) 
 		return move{tenant: t, srcs: srcs, dests: []string{b.ID}}, true
 	}, func() { r.ring.Add(b.ID) })
 	if err != nil {
-		return abort(err)
+		r.forget(b.ID)
+		return nil, err
 	}
 	r.reg.Counter("cluster_joins").Add(1)
 	r.logf("cluster: node %s joined (%d tenants, %d keys migrated)", b.ID, report.Tenants, report.Keys)
@@ -311,27 +301,12 @@ func (r *Router) Join(ctx context.Context, b Backend) (*MigrationReport, error) 
 // Leave removes a node with zero-drop cutover: tenants losing a replica get
 // their key state copied to the nodes taking over (sourced from the leaver
 // when it still answers, its replica peers when it does not), then the ring
-// flips and the node's transport state is torn down.
+// flips and the node's transport and health state are torn down. A rolling
+// restart is Leave, restart, Join — at the same address or a new one.
 func (r *Router) Leave(ctx context.Context, id string) (*MigrationReport, error) {
-	return r.retire(ctx, id, true)
-}
-
-// Drain is Leave without forgetting the node: it keeps its transport pool
-// and health probes so a later Join readmits it without re-dialing, which
-// is the rolling-restart idiom — drain, restart, join.
-func (r *Router) Drain(ctx context.Context, id string) (*MigrationReport, error) {
-	return r.retire(ctx, id, false)
-}
-
-func (r *Router) retire(ctx context.Context, id string, forget bool) (*MigrationReport, error) {
 	r.adminMu.Lock()
 	defer r.adminMu.Unlock()
 	if !r.member(id) {
-		if forget && r.addr(id) != "" {
-			// Drained earlier: only the transport state is left to drop.
-			r.forget(id)
-			return &MigrationReport{Node: id}, nil
-		}
 		return nil, fmt.Errorf("cluster: %s is not a ring member", id)
 	}
 	if r.ring.Size() <= 1 {
@@ -339,7 +314,7 @@ func (r *Router) retire(ctx context.Context, id string, forget bool) (*Migration
 	}
 
 	next := r.scratchRing("", id)
-	report, err := r.cutover(ctx, "retire", id, func(t string) (move, bool) {
+	report, err := r.cutover(ctx, "leave", id, func(t string) (move, bool) {
 		old := r.ring.Lookup(t, r.cfg.Replicas)
 		if !contains(old, id) {
 			return move{}, false
@@ -358,18 +333,14 @@ func (r *Router) retire(ctx context.Context, id string, forget bool) (*Migration
 	if err != nil {
 		return nil, err
 	}
-	if forget {
-		r.forget(id)
-		r.reg.Counter("cluster_leaves").Add(1)
-	} else {
-		r.reg.Counter("cluster_drains").Add(1)
-	}
-	r.logf("cluster: node %s retired (forget=%v, %d tenants, %d keys migrated)", id, forget, report.Tenants, report.Keys)
+	r.forget(id)
+	r.reg.Counter("cluster_leaves").Add(1)
+	r.logf("cluster: node %s retired (%d tenants, %d keys migrated)", id, report.Tenants, report.Keys)
 	return report, nil
 }
 
-// forget tears down a node's transport and health state. The node must
-// already be out of the ring.
+// forget tears down a node's transport and health state. The node must be
+// out of the ring.
 func (r *Router) forget(id string) {
 	r.health.remove(id)
 	r.mu.Lock()
@@ -393,9 +364,11 @@ func contains(list []string, s string) bool {
 
 // WatchMembership polls load from a membership file (one "id=addr" per
 // line, # comments) and applies the diff against the live ring as
-// join/leave calls — the file-driven counterpart of CmdAdmin, for
-// orchestrators that manage fleets by writing config. It blocks until ctx
-// ends; per-change errors are logged and retried on the next poll.
+// join/leave calls: an ID that appears joins, an ID that disappears leaves,
+// and an ID whose address changed leaves and joins again at the new one —
+// a rolling restart. It is how membership changes from outside the router's
+// process: orchestrators manage fleets by writing config. It blocks until
+// ctx ends; per-change errors are logged and retried on the next poll.
 func (r *Router) WatchMembership(ctx context.Context, load func() (map[string]string, error), interval time.Duration) {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -417,6 +390,12 @@ func (r *Router) WatchMembership(ctx context.Context, load func() (map[string]st
 			continue // refuse to interpret an empty file as "remove everything"
 		}
 		for id, addr := range want {
+			if r.member(id) && r.addr(id) != addr {
+				if _, err := r.Leave(ctx, id); err != nil {
+					r.logf("cluster: membership watch: move %s to %s: %v", id, addr, err)
+					continue
+				}
+			}
 			if !r.member(id) {
 				if _, err := r.Join(ctx, Backend{ID: id, Addr: addr}); err != nil {
 					r.logf("cluster: membership watch: join %s: %v", id, err)

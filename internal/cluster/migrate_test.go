@@ -1,8 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"maps"
+	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -245,10 +251,10 @@ func TestLeaveMigratesKeysZeroDrop(t *testing.T) {
 	// engine drains cleanly in the test cleanup.
 }
 
-// TestDrainAndRejoin is the rolling-restart idiom: drain a node (it leaves
-// the ring but stays dialable), then rejoin it; tenants keep being served
+// TestLeaveAndRejoin is the rolling-restart idiom: a node leaves the ring
+// (the router forgets it), then joins again; tenants keep being served
 // correctly at every step, including ones that moved twice.
-func TestDrainAndRejoin(t *testing.T) {
+func TestLeaveAndRejoin(t *testing.T) {
 	tenants := testTenants(8)
 	tc := startKeylessCluster(t, 3, tenants)
 	client, err := NewClient(Config{
@@ -279,18 +285,18 @@ func TestDrainAndRejoin(t *testing.T) {
 			}
 		}
 	}
-	checkAll("before drain")
+	checkAll("before leave")
 
 	node := tc.backends[2]
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := client.Router().Drain(ctx, node.id); err != nil {
-		t.Fatalf("drain: %v", err)
+	if _, err := client.Router().Leave(ctx, node.id); err != nil {
+		t.Fatalf("leave: %v", err)
 	}
 	if got := len(client.Stats().Members); got != 2 {
-		t.Fatalf("membership size %d after drain, want 2", got)
+		t.Fatalf("membership size %d after leave, want 2", got)
 	}
-	checkAll("after drain")
+	checkAll("after leave")
 
 	report, err := client.Router().Join(ctx, Backend{ID: node.id, Addr: node.addr})
 	if err != nil {
@@ -305,10 +311,166 @@ func TestDrainAndRejoin(t *testing.T) {
 	checkAll("after rejoin")
 
 	snap := client.Stats()
-	if snap.Obs.Counters["cluster_drains"] != 1 || snap.Obs.Counters["cluster_joins"] != 1 {
-		t.Fatalf("drain/join counters = %d/%d, want 1/1",
-			snap.Obs.Counters["cluster_drains"], snap.Obs.Counters["cluster_joins"])
+	if snap.Obs.Counters["cluster_leaves"] != 1 || snap.Obs.Counters["cluster_joins"] != 1 {
+		t.Fatalf("leave/join counters = %d/%d, want 1/1",
+			snap.Obs.Counters["cluster_leaves"], snap.Obs.Counters["cluster_joins"])
 	}
+}
+
+// TestLeaveRefusesLastNode: leaving members one by one stops at the last
+// one — its Leave is refused with ErrLastNode and the ring, and the router's
+// transport to the survivor, are left as they were.
+func TestLeaveRefusesLastNode(t *testing.T) {
+	tenants := testTenants(4)
+	tc := startKeylessCluster(t, 3, tenants)
+	router, err := NewRouter(Config{
+		Params:   tc.params,
+		Backends: tc.backendList(),
+		Replicas: 2,
+		Health:   elasticHealth(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	registerPerCandidateSet(t, tc, router, tenants)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, b := range tc.backends[1:] {
+		if _, err := router.Leave(ctx, b.id); err != nil {
+			t.Fatalf("leave %s: %v", b.id, err)
+		}
+	}
+	before := router.ring.Members()
+	if _, err := router.Leave(ctx, tc.backends[0].id); !errors.Is(err, ErrLastNode) {
+		t.Fatalf("leave of the last member: %v, want ErrLastNode", err)
+	}
+	if after := router.ring.Members(); !slices.Equal(after, before) {
+		t.Fatalf("refused leave changed the ring: %v -> %v", before, after)
+	}
+	if _, err := router.Leave(ctx, tc.backends[1].id); err == nil {
+		t.Fatal("leave of a node outside the ring succeeded")
+	}
+	if n := router.Stats().Obs.Counters["cluster_leaves"]; n != 2 {
+		t.Fatalf("cluster_leaves = %d, want 2", n)
+	}
+	a, b := tc.encrypt(t, 9), tc.encrypt(t, 13)
+	for _, tenant := range tenants {
+		resp, err := router.Do(ctx, &cloud.Request{Cmd: cloud.CmdMul, Tenant: tenant, A: a, B: b})
+		if err != nil {
+			t.Fatalf("tenant %s on the last member: %v", tenant, err)
+		}
+		if got := tc.decrypt(resp.Result); got != 117 {
+			t.Fatalf("tenant %s: 9*13 = %d", tenant, got)
+		}
+	}
+}
+
+// TestRetiredAdminCommandRefused: command byte 12 once carried membership
+// changes over the wire. It is now an unknown command at the routing tier,
+// refused like any other malformed request — sequential: the connection is
+// dropped; mux: a CodeApp reply, and the session still answers — and the ring
+// and its migration counters do not move.
+func TestRetiredAdminCommandRefused(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	encode := func(req *cloud.Request) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := cloud.WriteRequest(&buf, tc.params, req); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// A well-formed key import with its command byte rewritten.
+	retired := encode(&cloud.Request{Cmd: cloud.CmdKeyImport, ID: 1, Blob: []byte{0x01}})
+	retired[5] = 12 // after the magic (4) and the version (1)
+	ping := encode(&cloud.Request{Cmd: cloud.CmdPing, ID: 2})
+
+	type state struct {
+		members  []string
+		counters map[string]uint64
+	}
+	snapshot := func(srv *Server) state {
+		st := srv.Router.Stats()
+		s := state{members: st.Members, counters: map[string]uint64{}}
+		for _, name := range []string{"cluster_joins", "cluster_leaves", "cluster_migrated_tenants",
+			"cluster_migrated_keys", "cluster_migration_failures"} {
+			s.counters[name] = st.Obs.Counters[name]
+		}
+		return s
+	}
+	unchanged := func(srv *Server, before state) {
+		t.Helper()
+		after := snapshot(srv)
+		if !slices.Equal(after.members, before.members) || !maps.Equal(after.counters, before.counters) {
+			t.Fatalf("command 12 changed the ring: %+v -> %+v", before, after)
+		}
+		if len(after.members) != len(tc.backends) {
+			t.Fatalf("ring members %v, want all %d backends", after.members, len(tc.backends))
+		}
+	}
+
+	t.Run("sequential", func(t *testing.T) {
+		srv, addr := routedTier(t, tc, false)
+		before := snapshot(srv)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(retired); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		// A close with request bytes still unread may arrive as a reset
+		// rather than EOF; either way nothing is answered.
+		n, err := conn.Read(make([]byte, 1))
+		var ne net.Error
+		if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("read after command 12 = (%d, %v), want the connection dropped", n, err)
+		}
+		unchanged(srv, before)
+	})
+
+	t.Run("mux", func(t *testing.T) {
+		srv, addr := routedTier(t, tc, true)
+		before := snapshot(srv)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(20 * time.Second))
+		if err := cloud.WriteMuxHello(conn, 4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cloud.ReadMuxHello(conn); err != nil {
+			t.Fatal(err)
+		}
+		exchange := func(id uint64, payload []byte) *cloud.Response {
+			t.Helper()
+			if err := cloud.WriteMuxFrame(conn, cloud.MuxFrameRequest, id, payload); err != nil {
+				t.Fatal(err)
+			}
+			f, err := cloud.DecodeMuxFrame(conn, 1<<24)
+			if err != nil || f.ID != id {
+				t.Fatalf("reply frame: %+v, %v", f, err)
+			}
+			resp, err := cloud.ReadResponseV(bytes.NewReader(f.Payload), tc.params, cloud.ProtoV2)
+			if err != nil {
+				t.Fatalf("reply to request %d: %v", id, err)
+			}
+			return resp
+		}
+		if resp := exchange(1, retired); resp.Code != cloud.CodeApp || !strings.Contains(resp.Err, "unknown command 12") {
+			t.Fatalf("command 12 answered %+v, want a CodeApp refusal of an unknown command", resp)
+		}
+		if resp := exchange(2, ping); resp.Err != "" {
+			t.Fatalf("ping after the refusal: %s", resp.Err)
+		}
+		unchanged(srv, before)
+	})
 }
 
 // TestCandidatesSkipEjectedBeforeSlicing is the candidate-list contract: a
@@ -376,77 +538,6 @@ func TestCandidatesSkipEjectedBeforeSlicing(t *testing.T) {
 	}
 }
 
-// TestAdminWireCommand drives a membership change end to end over the wire:
-// a stock cloud.Client sends CmdAdmin drain/join to the herouter front-end.
-func TestAdminWireCommand(t *testing.T) {
-	tenants := testTenants(6)
-	tc := startKeylessCluster(t, 3, tenants)
-	router, err := NewRouter(Config{
-		Params:   tc.params,
-		Backends: tc.backendList(),
-		Replicas: 2,
-		Health:   elasticHealth(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	registerPerCandidateSet(t, tc, router, tenants)
-
-	proxy := NewServer(tc.params, router, nil)
-	addr, err := proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- proxy.Serve() }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		proxy.Shutdown(ctx)
-		<-done
-	})
-
-	cl, err := cloud.Dial(addr, tc.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx := context.Background()
-	drained := tc.backends[2]
-	reply, err := cl.Admin(ctx, &cloud.AdminRequest{Op: cloud.AdminDrain, Node: drained.id})
-	if err != nil {
-		t.Fatalf("admin drain: %v", err)
-	}
-	if len(reply.Members) != 2 {
-		t.Fatalf("drain reply members %v, want 2", reply.Members)
-	}
-	reply, err = cl.Admin(ctx, &cloud.AdminRequest{Op: cloud.AdminJoin, Node: drained.id, Addr: drained.addr})
-	if err != nil {
-		t.Fatalf("admin join: %v", err)
-	}
-	if len(reply.Members) != 3 {
-		t.Fatalf("join reply members %v, want 3", reply.Members)
-	}
-	// Unknown op surfaces as a typed error, and the connection survives.
-	if _, err := cl.Admin(ctx, &cloud.AdminRequest{Op: "explode", Node: "x"}); err == nil {
-		t.Fatal("unknown admin op accepted")
-	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("connection broken after admin error: %v", err)
-	}
-	// Leaving the last nodes one by one stops at one member.
-	if _, err := cl.Admin(ctx, &cloud.AdminRequest{Op: cloud.AdminLeave, Node: tc.backends[2].id}); err != nil {
-		t.Fatalf("leave: %v", err)
-	}
-	if _, err := cl.Admin(ctx, &cloud.AdminRequest{Op: cloud.AdminLeave, Node: tc.backends[1].id}); err != nil {
-		t.Fatalf("leave: %v", err)
-	}
-	if _, err := cl.Admin(ctx, &cloud.AdminRequest{Op: cloud.AdminLeave, Node: tc.backends[0].id}); err == nil {
-		t.Fatal("removing the last ring member was allowed")
-	}
-}
-
 // TestWatchMembership drives the file-watch path with an injected loader:
 // the router applies joins and leaves as the desired membership changes.
 func TestWatchMembership(t *testing.T) {
@@ -505,6 +596,43 @@ func TestWatchMembership(t *testing.T) {
 	delete(want, tc.backends[2].id)
 	mu.Unlock()
 	waitMembers(2)
+
+	// Roll: node-1 keeps its ID and comes back at another address (the
+	// spare's server stands in for the restarted process). The watcher
+	// retires it at the old address and joins it at the new one.
+	moved, oldSrv, newAddr := tc.backends[1].id, tc.backends[1].srv, tc.backends[2].addr
+	mu.Lock()
+	want[moved] = newAddr
+	mu.Unlock()
+	deadline := time.Now().Add(15 * time.Second)
+	for !router.member(moved) || router.addr(moved) != newAddr {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never moved to %s: members %v, addr %q", moved, newAddr, router.ring.Members(), router.addr(moved))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitMembers(2)
 	cancel()
 	<-watchDone
+
+	// Every tenant is served, and nothing reaches the old address.
+	base := oldSrv.Served()
+	a, b := tc.encrypt(t, 9), tc.encrypt(t, 13)
+	for _, tenant := range tenants {
+		rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		resp, err := router.Do(rctx, &cloud.Request{Cmd: cloud.CmdMul, Tenant: tenant, A: a, B: b})
+		rcancel()
+		if err != nil {
+			t.Fatalf("tenant %s after the move: %v", tenant, err)
+		}
+		if got := tc.decrypt(resp.Result); got != 117 {
+			t.Fatalf("tenant %s after the move: 9*13 = %d", tenant, got)
+		}
+	}
+	if n := oldSrv.Served() - base; n != 0 {
+		t.Fatalf("old address of %s served %d operations after the move", moved, n)
+	}
+	if n := router.Stats().Obs.Counters["cluster_leaves"]; n != 2 {
+		t.Fatalf("cluster_leaves = %d, want 2 (the shrink and the move)", n)
+	}
 }

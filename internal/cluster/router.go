@@ -115,7 +115,7 @@ type Router struct {
 	addrs map[string]string // backend ID -> address
 	pools map[string]*member
 
-	// adminMu serializes membership changes (join/leave/drain): migrations
+	// adminMu serializes membership changes (Join, Leave): migrations
 	// mutate shared routing state in stages and must not interleave.
 	adminMu sync.Mutex
 

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"log"
 	"sync/atomic"
 
@@ -54,12 +52,7 @@ func (s *Server) routed(rep *cloud.RawReply, err error) cloud.Reply {
 	return &cloud.ServerError{Code: cloud.CodeUnavailable, Msg: err.Error()}
 }
 
-// refuse is a deterministic refusal: retrying elsewhere would not help.
-func refuse(msg string) cloud.Reply {
-	return &cloud.ServerError{Code: cloud.CodeApp, Msg: msg}
-}
-
-// Handle answers one request: info, ping and admin locally, everything else
+// Handle answers one request: info and ping locally, everything else
 // through the router — as the frame it arrived in. The front-end has already
 // range-checked every ciphertext in it; the router sends those bytes on and
 // relays the backend's reply bytes back, checked the same way, without
@@ -83,56 +76,12 @@ func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 			return &cloud.ServerError{Code: cloud.CodeUnavailable, Msg: err.Error()}
 		}
 		return &cloud.Response{Result: fv.NewCiphertext(s.Params, 2)}
-	case cloud.CmdAdmin:
-		return s.admin(f)
 	case cloud.CmdKeyExport, cloud.CmdKeyImport:
 		// Key migration is node-direct: the router's migration engine dials
 		// the data nodes itself, and proxying key blobs through the routing
 		// tier would only widen the window where state lives in one place.
-		return refuse("cluster: key export/import is not served at the routing tier")
+		// The refusal is deterministic: retrying elsewhere would not help.
+		return &cloud.ServerError{Code: cloud.CodeApp, Msg: "cluster: key export/import is not served at the routing tier"}
 	}
 	return s.routed(s.Router.Forward(context.Background(), f))
-}
-
-// admin applies one membership change (join/leave/drain) to the router and
-// acknowledges with the resulting ring and migration totals.
-func (s *Server) admin(f *cloud.Frame) cloud.Reply {
-	req, err := f.Request()
-	if err != nil {
-		return refuse(err.Error())
-	}
-	var areq cloud.AdminRequest
-	if err := json.Unmarshal(req.Blob, &areq); err != nil {
-		return refuse("cluster: bad admin request: " + err.Error())
-	}
-	// Membership changes drain and transfer key state; give them the
-	// router's full migration budget, not the connection read timeout.
-	ctx := context.Background()
-	var rep *MigrationReport
-	switch areq.Op {
-	case cloud.AdminJoin:
-		rep, err = s.Router.Join(ctx, Backend{ID: areq.Node, Addr: areq.Addr})
-	case cloud.AdminLeave:
-		rep, err = s.Router.Leave(ctx, areq.Node)
-	case cloud.AdminDrain:
-		rep, err = s.Router.Drain(ctx, areq.Node)
-	default:
-		err = fmt.Errorf("cluster: unknown admin op %q", areq.Op)
-	}
-	if err != nil {
-		return refuse(err.Error())
-	}
-	reply := &cloud.AdminReply{
-		Node:            areq.Node,
-		Members:         s.Router.ring.Members(),
-		MigratedTenants: rep.Tenants,
-		MigratedKeys:    rep.Keys,
-	}
-	body, err := json.Marshal(reply)
-	if err != nil {
-		return refuse(err.Error())
-	}
-	s.Logger.Printf("cluster: admin %s %s: members=%v tenants=%d keys=%d",
-		areq.Op, areq.Node, reply.Members, rep.Tenants, rep.Keys)
-	return cloud.Blob(body)
 }
