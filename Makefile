@@ -139,10 +139,12 @@ chaos:
 # PRs. Counts every line, comments included, so a PR that claims a reduction
 # must say how much of it is code. The assembly kernels are counted beside it,
 # and the packages simplicity PRs work in are broken out so the figure shows
-# where a change took its lines from.
+# where a change took its lines from. The bench-only API (DESIGN §4l) is
+# broken out too: the lines ROADMAP item 1(a) deletes.
 loc:
 	@printf '%6d  non-test Go outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 	@printf '%6d  Go assembly (not in the figure above)\n' $$(find . -name '*.s' ! -path './bench/*' | xargs cat | wc -l)
+	@printf '%6d  bench-only API, internal/*/bench_api.go (in the figure above)\n' $$(cat internal/*/bench_api.go | wc -l)
 	@for p in sched core engine cloud cluster fv ckks rlwe keyio hwsim rns difftest hebench sampler; do \
 		printf '%6d  internal/%s\n' $$(find internal/$$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$p; \
 	done

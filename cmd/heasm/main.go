@@ -115,8 +115,8 @@ func execute(prog *hwsim.Program, slots int) error {
 	if err != nil {
 		return err
 	}
-	c, err := hwsim.NewCoprocessor(params.QMods, params.PMods, params.N(),
-		params.Lifter, params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), slots)
+	c, err := hwsim.New(params.QMods, params.PMods, params.N(),
+		params.Lifter, params.Scaler, hwsim.DefaultTiming(), slots)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fv"
+	"repro/internal/hwsim"
 	"repro/internal/program"
 )
 
@@ -79,3 +80,14 @@ func TestProgDisasmGolden(t *testing.T) {
 // update reports whether the golden file should be regenerated (an env var,
 // not a flag, so it cannot collide with the test binary's flag set).
 func update() bool { return os.Getenv("HEASM_UPDATE") != "" }
+
+// TestRunRefusesSlotCountOutsideMemoryFile: -run with a slot count the
+// co-processor cannot address is an error, not a panic (-slots -1) or a
+// loader whose uint8 slot index wraps onto slot 0 (-slots 1000).
+func TestRunRefusesSlotCountOutsideMemoryFile(t *testing.T) {
+	for _, slots := range []int{-1, 1000} {
+		if err := execute(&hwsim.Program{}, slots); err == nil {
+			t.Errorf("execute with -slots %d: no error", slots)
+		}
+	}
+}

@@ -269,7 +269,7 @@ func TestExchangeRefusesCKKSWithoutLayout(t *testing.T) {
 	ts := newCKKSTestSystem(t)
 	srv, addr := startCKKSServer(t, ts)
 	ct := ts.encryptVals(t, []float64{0.5, -0.25})
-	f, err := EncodeRequest(ts.params, &Request{Cmd: CmdCKKSAdd, CA: ct, CB: ct})
+	f, err := codecFor(ts.params, nil).encode(&Request{Cmd: CmdCKKSAdd, CA: ct, CB: ct})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,6 @@ type caller struct {
 // roundTrip is encode, exchange, materialize — the skeleton every command
 // shares — under the connection's tenant unless the request names one.
 func (cl *caller) roundTrip(ctx context.Context, req *Request) (Reply, error) {
-	req.Ver = ProtoV2
 	if req.Tenant == "" {
 		req.Tenant = cl.Ops.Tenant
 	}

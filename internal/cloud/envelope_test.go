@@ -22,7 +22,7 @@ type replyKind struct {
 
 func replyKinds(ct *fv.Ciphertext, id uint64) []replyKind {
 	return []replyKind{
-		{"op", CmdMul, &Response{Ver: ProtoV2, ID: id, Result: ct, ComputeNanos: 456, Worker: 1}},
+		{"op", CmdMul, &Response{ID: id, Result: ct, ComputeNanos: 456, Worker: 1}},
 		{"program", CmdProgram, &ProgramResponse{ID: id, Outputs: []*fv.Ciphertext{ct, ct}, MakespanNanos: 9, SerialNanos: 12, KeyLoads: 1, Nodes: 3}},
 		{"info", CmdInfo, &ServerInfo{Proto: ProtoV2, NodeID: "n0", Workers: 2, TenantAware: true, Tenants: []string{"alice"}}},
 		{"blob", CmdKeyExport, Blob("opaque key blob bytes")},

@@ -30,7 +30,7 @@ import (
 //     its modulus). Nothing ciphertext-sized is allocated, for any command.
 //   - Materialization turns those bytes into *fv.Ciphertext and
 //     *ckks.Ciphertext values (Frame.Request, RawReply.Reply) and back
-//     (EncodeRequest, Reply.encode).
+//     (codec.encode, Reply.encode).
 //
 // The front-end only frames. The routing tier never materializes: it
 // forwards a frame's bytes to a backend under a new request ID and relays the
@@ -97,7 +97,7 @@ func poison(b []byte) {
 
 // ctPool recycles the ciphertexts a data node materializes operands into, one
 // free list per scheme. A nil *ctPool allocates and never recycles (clients,
-// ReadRequest).
+// and frames read off a plain stream).
 type ctPool struct{ fv, ckks sync.Pool }
 
 func (cp *ctPool) getFV() *fv.Ciphertext {
@@ -328,9 +328,9 @@ type Frame struct {
 	req  *Request // what Request materialized, for release
 }
 
-// read frames one request from c under cd. Errors are ReadRequest's: a clean
-// io.EOF (or the bare read error) before the magic is complete, and
-// ErrMalformedRequest for everything after.
+// read frames one request from c under cd. Errors: a clean io.EOF (or the
+// bare read error) before the magic is complete, and ErrMalformedRequest for
+// everything after.
 func (f *Frame) read(c *cursor, cd *codec) error {
 	magic, err := c.next(4)
 	if err != nil {
@@ -343,7 +343,7 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 	if err != nil {
 		return malformed(ErrMalformedRequest, "truncated v2 header", err)
 	}
-	if hdr[0] != ProtoV2 {
+	if hdr[0] != ProtoVersion {
 		return fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
 	}
 	f.Cmd, f.ID = hdr[1], binary.LittleEndian.Uint64(hdr[2:])
@@ -439,7 +439,7 @@ func (f *Frame) stamp(id uint64) {
 // Blob alias the frame's bytes; everything it returns is valid until the
 // frame is released.
 func (f *Frame) Request() (*Request, error) {
-	req := &Request{Ver: ProtoV2, Cmd: f.Cmd, ID: f.ID, Tenant: f.Tenant}
+	req := &Request{Cmd: f.Cmd, ID: f.ID, Tenant: f.Tenant}
 	f.req = req
 	body := f.b[f.body:]
 	operand := func() (*fv.Ciphertext, error) {
@@ -514,15 +514,6 @@ func (f *Frame) Release() {
 	f.b, f.buf = nil, nil
 }
 
-// EncodeRequest serializes req into a frame — the bytes WriteRequest writes —
-// under params alone: a CKKS request encodes (it needs no parameter set), but
-// no transport carries it, for want of a layout to frame its reply under. The
-// caller releases the frame.
-func EncodeRequest(params *fv.Params, req *Request) (*Frame, error) {
-	cd := newCodec(params, nil)
-	return cd.encode(req)
-}
-
 // encode serializes req into a frame under cd.
 func (cd *codec) encode(req *Request) (*Frame, error) {
 	if len(req.Tenant) > MaxTenantLen {
@@ -530,7 +521,7 @@ func (cd *codec) encode(req *Request) (*Frame, error) {
 	}
 	buf := getBuf(req.encodedSize(cd.params))
 	b := append(buf.b, protocolMagicV2[:]...)
-	b = append(b, ProtoV2, req.Cmd)
+	b = append(b, ProtoVersion, req.Cmd)
 	b = binary.LittleEndian.AppendUint64(b, req.ID)
 	b = append(b, byte(len(req.Tenant)))
 	b = append(b, req.Tenant...)
@@ -744,7 +735,6 @@ func (raw *RawReply) Reply() (Reply, error) {
 		return Blob(bytes.Clone(body[4:])), nil
 	}
 	resp := &Response{
-		Ver:          ProtoV2,
 		ID:           raw.ID(),
 		ComputeNanos: binary.LittleEndian.Uint64(body),
 		Worker:       binary.LittleEndian.Uint32(body[8:]),
@@ -789,8 +779,9 @@ func (raw *RawReply) encode(_ *fv.Params, id uint64) (*buffer, error) {
 // RoundTrip is what every client-side call is made of: encode the request,
 // run one raw exchange, materialize the reply. exchange is a connection's
 // (or the router's) raw exchange; a server-reported failure comes back as
-// the *ServerError reply it is. The request is encoded under params alone
-// (see EncodeRequest).
+// the *ServerError reply it is. The request is encoded under params alone: a
+// CKKS request encodes, but no transport carries it, for want of a layout to
+// frame its reply under.
 func RoundTrip(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), params *fv.Params, req *Request) (Reply, error) {
 	cd := newCodec(params, nil)
 	return cd.roundTrip(ctx, exchange, req)

@@ -175,7 +175,10 @@ func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 	return err
 }
 
-// DecodeMuxFrame reads one frame, bounding the payload at maxPayload bytes.
+// readMuxFrame reads one frame. The payload bound is asked for once the
+// header is in (a client's grows with what it has sent), and with pooled set
+// the payload lands in a pooled buffer, returned beside the frame (non-nil
+// whenever the frame's Payload is) for the caller to release or hand on.
 //
 // Error contract, in decreasing blast radius:
 //   - io.EOF: the peer hung up cleanly between frames.
@@ -185,19 +188,6 @@ func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 //   - wraps ErrMuxPayloadChecksum: the frame is returned WITH its ID and
 //     consumed payload so the caller can fail exactly that request and keep
 //     reading; the next frame boundary is intact.
-func DecodeMuxFrame(r io.Reader, maxPayload int) (*MuxFrame, error) {
-	f, _, err := readMuxFrame(r, func() int { return maxPayload }, false)
-	if f.Payload == nil {
-		return nil, err
-	}
-	return &f, err
-}
-
-// readMuxFrame is DecodeMuxFrame for the serving paths: the bound is asked for
-// once the header is in (a client's grows with what it has sent), and with
-// pooled set the payload lands in a pooled buffer, returned beside the frame
-// (non-nil whenever the frame's Payload is) for the caller to release or hand
-// on.
 func readMuxFrame(r io.Reader, limit func() int, pooled bool) (f MuxFrame, buf *buffer, err error) {
 	var hdr [muxHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

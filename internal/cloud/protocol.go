@@ -23,7 +23,6 @@
 package cloud
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -57,9 +56,9 @@ func malformed(sentinel error, context string, err error) error {
 	return fmt.Errorf("%w: %s: %w", sentinel, context, err)
 }
 
-// ProtoV2 is the one protocol version on the wire: requests carry the
-// request ID and tenant fields the cluster layer routes on.
-const ProtoV2 uint8 = 2
+// ProtoVersion is the one protocol version on the wire, the byte after a
+// request's magic: requests carry the ID and tenant the cluster routes on.
+const ProtoVersion uint8 = 2
 
 // MaxTenantLen bounds the tenant field of a v2 request (it is
 // length-prefixed with one byte, and routers hash it on every request).
@@ -137,8 +136,7 @@ func ProgramLimits() program.Limits { return program.DefaultLimits() }
 type Request struct {
 	Cmd uint8
 	G   uint32 // Galois element (CmdRotate only)
-	// Ver is the protocol version the request was read in (always ProtoV2);
-	// writers ignore it.
+	// Bench-only: nothing reads it.
 	Ver    uint8
 	ID     uint64 // request ID, echoed in the response
 	Tenant string // evaluation-key namespace; "" is the default tenant
@@ -179,7 +177,7 @@ func ckksSize(ct *ckks.Ciphertext) int {
 }
 
 // encodedSize bounds the serialized size of req from above, within a few
-// dozen bytes: what picks the pooled buffer EncodeRequest fills, so it never
+// dozen bytes: what picks the pooled buffer codec.encode fills, so it never
 // regrows under a ciphertext-sized body.
 func (req *Request) encodedSize(params *fv.Params) int {
 	n := 4 + 1 + 1 + 8 + 1 + len(req.Tenant) + 4 // header, and G or R
@@ -189,17 +187,6 @@ func (req *Request) encodedSize(params *fv.Params) int {
 		n += fvSize(params, ct)
 	}
 	return n
-}
-
-// WriteRequest serializes a request: EncodeRequest's bytes as one Write.
-func WriteRequest(w io.Writer, params *fv.Params, req *Request) error {
-	f, err := EncodeRequest(params, req)
-	if err != nil {
-		return err
-	}
-	defer f.Release()
-	_, err = w.Write(f.b)
-	return err
 }
 
 // appendRequestBody appends the body req.Cmd carries after the tenant.
@@ -250,38 +237,6 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 		return b, err
 	}
 	return req.B.AppendTo(b, params)
-}
-
-// ReadRequest deserializes a request. It reads at most the largest request
-// params admits from r; a message claiming more than that fails with an
-// unexpected-EOF error instead of wedging the reader. CKKS commands are
-// rejected as malformed — use ReadRequestCKKS on CKKS-enabled servers.
-func ReadRequest(r io.Reader, params *fv.Params) (*Request, error) {
-	return ReadRequestCKKS(r, params, nil)
-}
-
-// ReadRequestCKKS is ReadRequest plus the CKKS commands, whose ciphertext
-// bodies decode under cparams. A nil cparams refuses those commands (the
-// server cannot even frame the body without the parameter set).
-func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Request, error) {
-	// Frame into a pooled buffer (room for two three-element BFV operands),
-	// materialize (no operand pool: the ciphertexts are newly allocated), give
-	// the buffer back: the request returned owns its memory.
-	cd := newCodec(params, cparams)
-	f := Frame{buf: getBuf(6 * len(cd.bfv.Mods) * cd.bfv.N * 4)}
-	defer f.Release()
-	c := cursor{r: r, buf: f.buf.b, left: cd.maxRequest}
-	err := f.read(&c, &cd)
-	f.buf.b = c.buf[:0] // the cursor may have moved it
-	if err != nil {
-		return nil, err
-	}
-	req, err := f.Request()
-	if err != nil {
-		return nil, err
-	}
-	req.Blob, req.ProgBytes = bytes.Clone(req.Blob), bytes.Clone(req.ProgBytes)
-	return req, nil
 }
 
 func cmdName(cmd uint8) string {
@@ -383,41 +338,18 @@ func writeReply(w io.Writer, rep Reply, params *fv.Params, id uint64) error {
 	return err
 }
 
-// readReply frames and materializes the reply to a cmd request under cd: what
-// the exported Read*Response functions are made of. A server-reported failure
-// comes back as the *ServerError it is.
-func readReply(r io.Reader, cd *codec, cmd uint8) (uint64, Reply, error) {
-	hint := 64 // room for a two-element result, the usual reply
-	if l, err := cd.layout(cmd); err == nil {
-		hint += 2 * len(l.Mods) * l.N * 4
-	}
-	raw, err := readRawReply(r, hint, cd, cmd)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer raw.Release()
-	rep, err := raw.Reply()
-	return raw.ID(), rep, err
-}
-
 // Response is the op-kind reply: the result ciphertext and the simulated
 // hardware timing.
 type Response struct {
 	Err  string
 	Code uint8 // error code (CodeApp, CodeUnavailable, ...)
-	// Ver is the protocol version of the request being answered (always
-	// ProtoV2; writers ignore it); ID echoes the request ID.
+	// Bench-only: nothing reads it; only ReadResponseV sets it.
 	Ver          uint8
-	ID           uint64
+	ID           uint64 // echoes the request ID
 	Result       *fv.Ciphertext
 	CKKSResult   *ckks.Ciphertext // result of a CKKS command (Result is nil)
 	ComputeNanos uint64           // simulated co-processor latency
 	Worker       uint32           // which application core / co-processor served it
-}
-
-// WriteResponse serializes a response.
-func WriteResponse(w io.Writer, params *fv.Params, resp *Response) error {
-	return writeReply(w, resp, params, resp.ID)
 }
 
 func (resp *Response) encode(params *fv.Params, id uint64) (*buffer, error) {
@@ -432,34 +364,6 @@ func (resp *Response) encode(params *fv.Params, id uint64) (*buffer, error) {
 		}
 		return resp.Result.AppendTo(b, params)
 	})
-}
-
-// ReadResponseV deserializes the response to a request of protocol version
-// ver (always ProtoV2; the response itself carries no version). A
-// server-reported failure decodes into Err and Code.
-func ReadResponseV(r io.Reader, params *fv.Params, ver uint8) (*Response, error) {
-	cd := newCodec(params, nil)
-	return readResponse(r, &cd, CmdAdd, ver)
-}
-
-// ReadCKKSResponseV deserializes the response to a CKKS command: the same
-// envelope, with the result decoding as a CKKS ciphertext under cparams.
-func ReadCKKSResponseV(r io.Reader, cparams *ckks.Params, ver uint8) (*Response, error) {
-	return readResponse(r, &codec{ckks: cparams.Wire()}, CmdCKKSAdd, ver)
-}
-
-func readResponse(r io.Reader, cd *codec, cmd, ver uint8) (*Response, error) {
-	id, rep, err := readReply(r, cd, cmd)
-	if err != nil {
-		return nil, err
-	}
-	resp, ok := rep.(*Response)
-	if !ok {
-		se := rep.(*ServerError)
-		resp = &Response{ID: id, Err: se.Msg, Code: se.Code}
-	}
-	resp.Ver = ver
-	return resp, nil
 }
 
 // ServerInfo is the info-kind reply: what the node is and what it speaks. The
@@ -512,11 +416,6 @@ type ProgramResponse struct {
 	Nodes         uint32 // DAG nodes executed
 }
 
-// WriteProgramResponse serializes a CmdProgram reply.
-func WriteProgramResponse(w io.Writer, params *fv.Params, resp *ProgramResponse) error {
-	return writeReply(w, resp, params, resp.ID)
-}
-
 func (resp *ProgramResponse) encode(params *fv.Params, id uint64) (*buffer, error) {
 	if resp.Err != "" {
 		return (&ServerError{Code: resp.Code, Msg: resp.Err}).encode(params, id)
@@ -538,22 +437,6 @@ func (resp *ProgramResponse) encode(params *fv.Params, id uint64) (*buffer, erro
 		}
 		return b, nil
 	})
-}
-
-// ReadProgramResponse deserializes a CmdProgram reply. A server-reported
-// failure decodes into Err and Code.
-func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, error) {
-	cd := newCodec(params, nil)
-	id, rep, err := readReply(r, &cd, CmdProgram)
-	if err != nil {
-		return nil, err
-	}
-	resp, ok := rep.(*ProgramResponse)
-	if !ok {
-		se := rep.(*ServerError)
-		resp = &ProgramResponse{ID: id, Err: se.Msg, Code: se.Code}
-	}
-	return resp, nil
 }
 
 // ServerError is an error the server reported in a reply — the node is alive

@@ -24,7 +24,7 @@ func TestRequestResponseRoundTripV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Ver != ProtoV2 || req.ID != in.ID || req.Tenant != "alice" || req.Cmd != CmdMul {
+	if req.ID != in.ID || req.Tenant != "alice" || req.Cmd != CmdMul {
 		t.Fatalf("v2 header did not round trip: %+v", req)
 	}
 	if !req.A.Equal(a) || !req.B.Equal(b) {
@@ -40,7 +40,7 @@ func TestRequestResponseRoundTripV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != 7 || !got.Result.Equal(a) || got.ComputeNanos != 42 {
+	if got.Ver != ProtoV2 || got.ID != 7 || !got.Result.Equal(a) || got.ComputeNanos != 42 {
 		t.Fatalf("v2 response round trip: %+v", got)
 	}
 

@@ -6,7 +6,8 @@ package cloud
 // unpack every ciphertext row by row into newly allocated polynomials. The two
 // ciphertext readers at the bottom are the schemes' own pre-rlwe-codec
 // ReadCiphertext functions, copied so that the reference never calls the code
-// under test.
+// under test. The one edit since: like the codec under test, they no longer
+// stamp the bench-only Ver field of what they decode.
 
 import (
 	"encoding/binary"
@@ -33,10 +34,10 @@ func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Requ
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, malformed(ErrMalformedRequest, "truncated v2 header", err)
 	}
-	if hdr[0] != ProtoV2 {
+	if hdr[0] != ProtoVersion {
 		return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
 	}
-	req := &Request{Ver: hdr[0], Cmd: hdr[1], ID: binary.LittleEndian.Uint64(hdr[2:])}
+	req := &Request{Cmd: hdr[1], ID: binary.LittleEndian.Uint64(hdr[2:])}
 	var tlen [1]byte
 	if _, err := io.ReadFull(r, tlen[:]); err != nil {
 		return nil, malformed(ErrMalformedRequest, "truncated tenant length", err)
@@ -224,7 +225,6 @@ func refReadOpBody(r io.Reader, params *fv.Params, cparams *ckks.Params, id uint
 		return nil, malformed(ErrMalformedResponse, "truncated response header", err)
 	}
 	resp := &Response{
-		Ver:          ProtoV2,
 		ID:           id,
 		ComputeNanos: binary.LittleEndian.Uint64(meta[:8]),
 		Worker:       binary.LittleEndian.Uint32(meta[8:]),

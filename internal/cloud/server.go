@@ -78,7 +78,7 @@ func (s *Server) Handle(f *Frame) Reply {
 // info builds the CmdInfo capability advertisement.
 func (s *Server) info() *ServerInfo {
 	return &ServerInfo{
-		Proto:       ProtoV2,
+		Proto:       ProtoVersion,
 		NodeID:      s.NodeID,
 		Workers:     s.Engine.Workers(),
 		TenantAware: true,

@@ -61,7 +61,7 @@ func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 	switch f.Cmd {
 	case cloud.CmdInfo:
 		return &cloud.ServerInfo{
-			Proto:       cloud.ProtoV2,
+			Proto:       cloud.ProtoVersion,
 			NodeID:      s.NodeID,
 			Workers:     s.Router.ring.Size(),
 			TenantAware: true,

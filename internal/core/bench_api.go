@@ -1,8 +1,6 @@
-// Package core is a facade over internal/sched kept for bench/ alone: the
-// names bench/ compiles against, and nothing else. The engine, the paper
-// tables, the harnesses and the examples drive sched directly, and an import
-// guard (TestOnlyBenchImportsCore) keeps it that way. The package leaves with
-// ROADMAP item 1(a), which moves bench/ onto sched.
+// Package core is a facade over internal/sched for the frozen bench/ alone.
+// The whole package is bench-only API (DESIGN §4l): its one file is its
+// bench_api.go.
 package core
 
 import (
@@ -17,22 +15,19 @@ import (
 // Report is the scheduler's per-operation report.
 type Report = sched.Report
 
-// Accelerator is one BFV scheduler with its co-processor.
-type Accelerator = sched.Scheduler
-
-// CKKSAccelerator is one CKKS chain scheduler under the Mul name bench/
+// ckksAccelerator is one CKKS chain scheduler under the Mul name bench/
 // calls.
-type CKKSAccelerator struct{ *sched.CKKSScheduler }
+type ckksAccelerator struct{ *sched.CKKSScheduler }
 
 // Mul is sched.CKKSScheduler.MulRescale.
-func (a CKKSAccelerator) Mul(x, y *ckks.Ciphertext, rk *ckks.RelinKey) (*ckks.Ciphertext, Report, error) {
+func (a ckksAccelerator) Mul(x, y *ckks.Ciphertext, rk *ckks.RelinKey) (*ckks.Ciphertext, Report, error) {
 	return a.MulRescale(x, y, rk)
 }
 
 // New returns a scheduler over a fresh co-processor (sched.NewDefault).
 // variant must be hwsim.VariantHPS (else hwsim.ErrVariant) and coprocs 1
 // (see oneCoproc); bench/ passes both.
-func New(params *fv.Params, variant hwsim.Variant, coprocs int) (*Accelerator, error) {
+func New(params *fv.Params, variant, coprocs int) (*sched.Scheduler, error) {
 	if err := oneCoproc(coprocs); err != nil {
 		return nil, err
 	}
@@ -44,11 +39,11 @@ func New(params *fv.Params, variant hwsim.Variant, coprocs int) (*Accelerator, e
 
 // NewCKKS returns a CKKS scheduler under the default calibration. coprocs
 // must be 1 (see oneCoproc).
-func NewCKKS(params *ckks.Params, coprocs int) (*CKKSAccelerator, error) {
+func NewCKKS(params *ckks.Params, coprocs int) (*ckksAccelerator, error) {
 	if err := oneCoproc(coprocs); err != nil {
 		return nil, err
 	}
-	return &CKKSAccelerator{sched.NewCKKS(params, hwsim.DefaultTiming())}, nil
+	return &ckksAccelerator{sched.NewCKKS(params, hwsim.DefaultTiming())}, nil
 }
 
 // oneCoproc refuses every co-processor count but one. The constructors keep

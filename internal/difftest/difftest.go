@@ -41,8 +41,8 @@ func New(cfg fv.Config, keySeed uint64) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	cop, err := hwsim.NewCoprocessor(params.QMods, params.PMods, params.N(),
-		params.Lifter, params.Scaler, hwsim.VariantHPS, hwsim.DefaultTiming(), 8)
+	cop, err := hwsim.New(params.QMods, params.PMods, params.N(),
+		params.Lifter, params.Scaler, hwsim.DefaultTiming(), 8)
 	if err != nil {
 		return nil, err
 	}

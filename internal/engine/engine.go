@@ -127,10 +127,9 @@ type Config struct {
 	// chain accelerator, enabling the OpCKKS* kinds. Engines built without
 	// it refuse those kinds with ErrCKKSUnavailable.
 	CKKSParams *ckks.Params
-	// Variant must be hwsim.VariantHPS (the zero value): any other value
-	// fails New with an error wrapping hwsim.ErrVariant. The field survives
-	// only because bench/ sets it (ROADMAP item 1(a)).
-	Variant hwsim.Variant
+	// Bench-only: must be hwsim.VariantHPS (the zero value); any other value
+	// fails New with an error wrapping hwsim.ErrVariant (bench_api.go).
+	Variant int
 	// Workers is the number of pool workers, each owning one simulated
 	// co-processor (default runtime.NumCPU()). The paper's platform is
 	// Workers = 2 on a quad-core Arm.
@@ -192,8 +191,8 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.Params == nil {
 		return cfg, errors.New("engine: Config.Params is required")
 	}
-	if cfg.Variant != hwsim.VariantHPS {
-		return cfg, fmt.Errorf("engine: Config.Variant %d: %w", cfg.Variant, hwsim.ErrVariant)
+	if err := cfg.checkVariant(); err != nil {
+		return cfg, err
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()

@@ -164,15 +164,6 @@ func NewParams(cfg Config) (*Params, error) {
 	return p, nil
 }
 
-// MustParams is NewParams for known-good configurations; it panics on error.
-func MustParams(cfg Config) *Params {
-	p, err := NewParams(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // N returns the ring degree.
 func (p *Params) N() int { return p.Cfg.N }
 

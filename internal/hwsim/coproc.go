@@ -1,7 +1,6 @@
 package hwsim
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -76,19 +75,6 @@ func (s *Stats) Ops() []Op {
 	return ops
 }
 
-// Variant names a co-processor generation. Only the HPS architecture
-// executes; the traditional multi-precision one is priced from the cost
-// table (TraditionalCycles, sched.TraditionalMul). The type, VariantHPS and
-// NewCoprocessor's variant argument survive only because bench/ compiles
-// against them (ROADMAP item 1(a)).
-type Variant int
-
-// VariantHPS is the HPS-optimized architecture, the one that executes.
-const VariantHPS Variant = 0
-
-// ErrVariant refuses a co-processor of any variant but VariantHPS.
-var ErrVariant = errors.New("hwsim: only the HPS co-processor executes; the traditional architecture is priced, not run")
-
 // Coprocessor is the instruction-set co-processor of the paper's Fig. 10:
 // a memory file, seven (in the paper's configuration) RPAUs serving the
 // 6+7 RNS primes in two batches, and the parallel Lift/Scale cores. It
@@ -157,17 +143,17 @@ type Coprocessor struct {
 	guard     preState
 }
 
-// NewCoprocessor builds a co-processor over the given bases. slotCount sizes
-// the memory file (the paper provisions enough on-chip memory for two
-// operand ciphertexts and all Mult intermediates; the BFV programs of
-// internal/sched need sched.MinSlots() = 10, the CKKS ones 12). A variant
-// other than VariantHPS fails with ErrVariant.
-func NewCoprocessor(qmods, pmods []ring.Modulus, n int,
+// New builds a co-processor over the given bases. slotCount sizes the memory
+// file (the paper provisions enough on-chip memory for two operand
+// ciphertexts and all Mult intermediates; the BFV programs of internal/sched
+// need sched.MinSlots() = 10, the CKKS ones 12) and must lie in [1, 256]:
+// instructions and DMA calls address a slot in one byte.
+func New(qmods, pmods []ring.Modulus, n int,
 	ext *rns.Extender, sc *rns.ScaleRounder,
-	variant Variant, timing Timing, slotCount int) (*Coprocessor, error) {
+	timing Timing, slotCount int) (*Coprocessor, error) {
 
-	if variant != VariantHPS {
-		return nil, fmt.Errorf("%w (variant %d)", ErrVariant, variant)
+	if slotCount < 1 || slotCount > 256 {
+		return nil, fmt.Errorf("hwsim: %d memory-file slots outside [1, 256]", slotCount)
 	}
 	kq, kp := len(qmods), len(pmods)
 	if kq == 0 || kp == 0 {

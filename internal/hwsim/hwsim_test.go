@@ -45,7 +45,7 @@ func testBases(t testing.TB, n, kq, kp int) ([]ring.Modulus, []ring.Modulus, *rn
 func testCoproc(t testing.TB, n int) *Coprocessor {
 	t.Helper()
 	qm, pm, ext, sc := testBases(t, n, 3, 4)
-	c, err := NewCoprocessor(qm, pm, n, ext, sc, VariantHPS, DefaultTiming(), 24)
+	c, err := New(qm, pm, n, ext, sc, DefaultTiming(), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestStageScheduleHardStageAlternatesBlocks(t *testing.T) {
 func paperCoproc(t testing.TB) *Coprocessor {
 	t.Helper()
 	qm, pm, ext, sc := testBases(t, 4096, 6, 7)
-	c, err := NewCoprocessor(qm, pm, 4096, ext, sc, VariantHPS, DefaultTiming(), 8)
+	c, err := New(qm, pm, 4096, ext, sc, DefaultTiming(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestCoprocStatsAccumulate(t *testing.T) {
 func TestCoprocRPAUSharing(t *testing.T) {
 	// Paper config: 6 q primes + 7 p primes over 7 RPAUs.
 	qm, pm, ext, sc := testBases(t, 64, 6, 7)
-	c, err := NewCoprocessor(qm, pm, 64, ext, sc, VariantHPS, DefaultTiming(), 8)
+	c, err := New(qm, pm, 64, ext, sc, DefaultTiming(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,14 +242,37 @@ func TestNewCoprocessorRefusesOtherVariants(t *testing.T) {
 	}
 }
 
+// TestNewValidatesSlotCount: instructions and DMA calls address a slot in one
+// byte, so the memory file holds 1 to 256 slots; any other count is an error,
+// not a makeslice panic or a file whose upper slots alias the lower ones.
+func TestNewValidatesSlotCount(t *testing.T) {
+	qm, pm, ext, sc := testBases(t, 64, 3, 4)
+	for _, tc := range []struct {
+		slots int
+		ok    bool
+	}{
+		{-1, false},
+		{0, false},
+		{1, true},
+		{256, true},
+		{257, false},
+		{1000, false},
+	} {
+		c, err := New(qm, pm, 64, ext, sc, DefaultTiming(), tc.slots)
+		if (err == nil) != tc.ok || (c != nil) != tc.ok {
+			t.Errorf("New with %d slots: co-processor %v, err %v; want accepted = %v", tc.slots, c != nil, err, tc.ok)
+		}
+	}
+}
+
 func TestSecondCoprocessorIndependence(t *testing.T) {
 	// Two co-processors built from the same factory must not share memory.
 	qm, pm, ext, sc := testBases(t, 64, 3, 4)
-	a, err := NewCoprocessor(qm, pm, 64, ext, sc, VariantHPS, DefaultTiming(), 8)
+	a, err := New(qm, pm, 64, ext, sc, DefaultTiming(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewCoprocessor(qm, pm, 64, ext, sc, VariantHPS, DefaultTiming(), 8)
+	b, err := New(qm, pm, 64, ext, sc, DefaultTiming(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

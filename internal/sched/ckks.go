@@ -28,9 +28,6 @@ func NewCKKS(p *ckks.Params, timing hwsim.Timing) *CKKSScheduler {
 	return &CKKSScheduler{P: p, Stats: c.Stats, machine: newMachine(c, p.QMods, p.N())}
 }
 
-// ResetStats zeroes the statistics ledger in place.
-func (s *CKKSScheduler) ResetStats() { s.Stats.Reset() }
-
 // ckksScales validates operand scale alignment the way the software
 // evaluator does, as a typed error instead of a panic (the scheduler faces
 // wire-derived ciphertexts).

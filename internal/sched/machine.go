@@ -41,13 +41,6 @@ const (
 // count.
 func MinSlots() int { return numSlots }
 
-// PipelinedMinSlots returns the memory-file size of the serial working set
-// plus 4 shadow operand slots per extra bank. No schedule here uses shadow
-// banks — overlap is modelled by hwsim.DMA.SimulateStream over the sequential
-// path's per-op costs — and the function exists only because
-// bench/wl_bfv.go compiles against it to size its bare co-processor.
-func PipelinedMinSlots(banks int) int { return numSlots + 4*(max(banks, 1)-1) }
-
 // The RPAU batches a phase runs over: BFV's R_q work and CKKS's chain rows
 // take one batch, the extended basis (BFV tensor, CKKS key switch) two.
 var (

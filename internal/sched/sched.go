@@ -74,7 +74,7 @@ func New(p *fv.Params, c *hwsim.Coprocessor) *Scheduler {
 // newCoprocessor builds the co-processor for p under timing, its memory
 // file sized for these schedules.
 func newCoprocessor(p *fv.Params, timing hwsim.Timing) (*hwsim.Coprocessor, error) {
-	return hwsim.NewCoprocessor(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler, hwsim.VariantHPS, timing, MinSlots())
+	return hwsim.New(p.QMods, p.PMods, p.N(), p.Lifter, p.Scaler, timing, MinSlots())
 }
 
 // NewDefault returns a scheduler over a fresh co-processor under the
