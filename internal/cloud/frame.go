@@ -41,11 +41,12 @@ import (
 // scheme into recycled ciphertexts.
 //
 // Ownership: a Frame and a RawReply own their bytes until released. The
-// front-end releases a request's frame — and the operands materialized from
-// it — only after the reply has been written, because a reply may reference
-// them (a program output that is one of its inputs). A reply's encoding is a
-// pooled buffer released after the write; RawReply.encode hands its own
-// buffer over instead of copying.
+// front-end releases a request's frame — the operands materialized from it
+// and the result ciphertext an op was read back into, all drawn from one
+// pool — only after the reply has been written, because the reply references
+// them (an op's result; a program output that is one of its inputs). A
+// reply's encoding is a pooled buffer released after the write;
+// RawReply.encode hands its own buffer over instead of copying.
 
 // PoisonReleased is a test hook: when set (before any traffic, from a
 // TestMain), every buffer and ciphertext going back to a pool is first
@@ -95,9 +96,10 @@ func poison(b []byte) {
 	}
 }
 
-// ctPool recycles the ciphertexts a data node materializes operands into, one
-// free list per scheme. A nil *ctPool allocates and never recycles (clients,
-// and frames read off a plain stream).
+// ctPool recycles the ciphertexts a data node materializes operands into and
+// reads op results back into, one free list per scheme. A nil *ctPool
+// allocates and never recycles (clients, and frames read off a plain
+// stream).
 type ctPool struct{ fv, ckks sync.Pool }
 
 func (cp *ctPool) getFV() *fv.Ciphertext {
@@ -326,6 +328,10 @@ type Frame struct {
 
 	pool *ctPool  // where Request draws operand ciphertexts from
 	req  *Request // what Request materialized, for release
+	// dst and cdst are the result ciphertexts a handler drew from the pool
+	// (Frame.result), for release.
+	dst  *fv.Ciphertext
+	cdst *ckks.Ciphertext
 }
 
 // read frames one request from c under cd. Errors: a clean io.EOF (or the
@@ -493,8 +499,22 @@ func (f *Frame) Request() (*Request, error) {
 	return req, nil
 }
 
-// Release gives back the frame's buffer and the operands materialized from
-// it. Nothing obtained from the frame may be used afterwards.
+// result draws, from the pool the frame's operands come from, the ciphertext
+// an op's result is read back into: the scheme's own, by the frame's
+// command. Release takes it back with the operands, after the reply that
+// carries it has been written.
+func (f *Frame) result() (*fv.Ciphertext, *ckks.Ciphertext) {
+	if IsCKKSCmd(f.Cmd) {
+		f.cdst = f.pool.getCKKS()
+		return nil, f.cdst
+	}
+	f.dst = f.pool.getFV()
+	return f.dst, nil
+}
+
+// Release gives back the frame's buffer, the operands materialized from it
+// and the result ciphertext drawn for it. Nothing obtained from the frame
+// may be used afterwards.
 func (f *Frame) Release() {
 	if req := f.req; req != nil {
 		f.pool.putFV(req.A)
@@ -506,6 +526,9 @@ func (f *Frame) Release() {
 		f.pool.putCKKS(req.CB)
 		f.req = nil
 	}
+	f.pool.putFV(f.dst)
+	f.pool.putCKKS(f.cdst)
+	f.dst, f.cdst = nil, nil
 	if f.buf != nil {
 		f.buf.release()
 	} else if PoisonReleased {

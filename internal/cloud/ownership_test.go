@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"repro/internal/ckks"
+	"repro/internal/engine"
+	"repro/internal/fv"
+	"repro/internal/sampler"
 )
 
 // Every test of this package runs with the pools poisoning what is released
@@ -208,6 +211,211 @@ func TestCKKSServingRecyclesOperands(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("sum", sum, func(i int) float64 { j := (i + 1) % n; return 2 * xs[j] * xs[j] * xs[j] })
+	}
+}
+
+// capture is a handler that keeps every op result the node hands its
+// front-end, so a test can look at them after their frames were released.
+type capture struct {
+	Handler
+	mu   sync.Mutex
+	fv   []*fv.Ciphertext
+	ckks []*ckks.Ciphertext
+}
+
+func (c *capture) Handle(f *Frame) Reply {
+	rep := c.Handler.Handle(f)
+	if resp, ok := rep.(*Response); ok {
+		c.mu.Lock()
+		if resp.CKKSResult != nil {
+			c.ckks = append(c.ckks, resp.CKKSResult)
+		} else {
+			c.fv = append(c.fv, resp.Result)
+		}
+		c.mu.Unlock()
+	}
+	return rep
+}
+
+// TestPooledResultsOwnedByTheFrame: every op result a data node replies with
+// is read back into a ciphertext drawn from its front-end's pool, and goes
+// back with the frame once the reply has been written. Rounds of BFV
+// Add/Mul/Rotate and CKKS Add/MulRescale/Rotate — CKKS operands at three
+// levels, mixed within an op — share one mux session with many exchanges in
+// flight. Every reply is bit for bit the engine's own freshly allocated
+// result, so no result was released before its reply went out and no
+// recycled one kept a row of what it held before; and every result, looked
+// at once the session has drained, fails a range check.
+func TestPooledResultsOwnedByTheFrame(t *testing.T) {
+	ts := newCKKSTestSystem(t)
+	const g = 3
+	ts.eng.SetGaloisKey(DefaultTenant, fv.NewKeyGenerator(ts.params, sampler.NewPRNG(5)).GenGaloisKey(ts.sk, g))
+	a, b := ts.encrypt(t, 5), ts.encrypt(t, 6)
+	x := ts.encryptVals(t, []float64{0.5, -0.25, 0.125})
+	ev := ckks.NewEvaluator(ts.cp)
+	x1, x2 := ev.DropLevel(x, x.Level()-1), ev.DropLevel(x, x.Level()-2)
+	ops := []engine.Op{
+		{Kind: engine.OpAdd, A: a, B: b},
+		{Kind: engine.OpMul, A: a, B: b},
+		{Kind: engine.OpRotate, A: a, G: g},
+		{Kind: engine.OpCKKSAdd, CA: x, CB: x1},
+		{Kind: engine.OpCKKSAdd, CA: x2, CB: x2},
+		{Kind: engine.OpCKKSMul, CA: x, CB: x},
+		{Kind: engine.OpCKKSMul, CA: x1, CB: x2},
+		{Kind: engine.OpCKKSRotate, CA: x, R: 1},
+		{Kind: engine.OpCKKSRotate, CA: x2, R: 1},
+	}
+	ctx := context.Background()
+	want := make([]*engine.Result, len(ops))
+	for i, op := range ops {
+		var err error
+		if want[i], err = ts.eng.Submit(ctx, op); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+
+	c := &capture{Handler: NewServer(ts.params, ts.eng, nil)}
+	fe := NewFrontend(ts.params, c, nil)
+	fe.CKKSParams = ts.cp
+	addr, err := fe.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- fe.Serve() }()
+	mc, err := DialMux(addr, ts.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.EnableCKKS(ts.cp)
+	const rounds = 3 // every exchange in flight at once fits the window
+	if rounds*len(ops) > mc.Window() {
+		t.Fatalf("%d exchanges overrun the mux window of %d", rounds*len(ops), mc.Window())
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < rounds; round++ {
+		for i, op := range ops {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var (
+					ok  bool
+					err error
+				)
+				switch op.Kind {
+				case engine.OpAdd, engine.OpMul, engine.OpRotate:
+					var ct *fv.Ciphertext
+					switch op.Kind {
+					case engine.OpAdd:
+						ct, _, err = mc.AddCtx(ctx, op.A, op.B)
+					case engine.OpMul:
+						ct, _, err = mc.MulCtx(ctx, op.A, op.B)
+					default:
+						ct, _, err = mc.RotateCtx(ctx, op.A, op.G)
+					}
+					ok = err == nil && ct.Equal(want[i].Ct)
+				default:
+					var ct *ckks.Ciphertext
+					switch op.Kind {
+					case engine.OpCKKSAdd:
+						ct, _, err = mc.CKKSAddCtx(ctx, op.CA, op.CB)
+					case engine.OpCKKSMul:
+						ct, _, err = mc.CKKSMulCtx(ctx, op.CA, op.CB)
+					default:
+						ct, _, err = mc.CKKSRotateCtx(ctx, op.CA, op.R)
+					}
+					ok = err == nil && ct.Equal(want[i].CCt)
+				}
+				if !ok {
+					t.Errorf("round %d, op %d (%v): err %v, or the reply is not the engine's result", round, i, op.Kind, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	mc.Close()
+	fe.Close() // returns once every frame has been released
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	if len(c.fv) != rounds*3 || len(c.ckks) != rounds*6 {
+		t.Fatalf("captured %d BFV and %d CKKS results, want %d and %d", len(c.fv), len(c.ckks), rounds*3, rounds*6)
+	}
+	rangeFails := func(enc []byte, err error, check func([]byte) (int, error)) bool {
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = check(enc)
+		return err != nil && strings.Contains(err.Error(), "out of range")
+	}
+	for i, ct := range c.fv {
+		enc, err := ct.AppendTo(nil, ts.params)
+		if !rangeFails(enc, err, ts.params.Wire().Check) {
+			t.Fatalf("BFV result %d used after its frame was released passed a range check", i)
+		}
+	}
+	for i, ct := range c.ckks {
+		enc, err := ct.AppendTo(nil)
+		if !rangeFails(enc, err, ts.cp.Wire().Check) {
+			t.Fatalf("CKKS result %d used after its frame was released passed a range check", i)
+		}
+	}
+}
+
+// TestRecycledCKKSResultKeepsNoStaleRows: a destination that last held one
+// tenant's level-L result, reused for another tenant's level-(L−2) result,
+// puts exactly L−1 rows on the wire — the rows its capacity still holds from
+// level L stay behind — and the reply decodes to the engine's own freshly
+// allocated result bit for bit.
+func TestRecycledCKKSResultKeepsNoStaleRows(t *testing.T) {
+	ts := newCKKSTestSystem(t)
+	x := ts.encryptVals(t, []float64{0.5, -0.25, 0.125})
+	L := x.Level()
+	low := ckks.NewEvaluator(ts.cp).DropLevel(x, L-2)
+	add := func(tenant string, a, dst *ckks.Ciphertext) *ckks.Ciphertext {
+		t.Helper()
+		res, err := ts.eng.Submit(context.Background(), engine.Op{
+			Kind: engine.OpCKKSAdd, Tenant: tenant, CA: a, CB: a, CDst: dst,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dst != nil && res.CCt != dst {
+			t.Fatal("the result is not in the op's destination")
+		}
+		return res.CCt
+	}
+	dst := new(ckks.Ciphertext)
+	if add("alice", x, dst).Level() != L {
+		t.Fatalf("first result at level %d, want %d", dst.Level(), L)
+	}
+	add("bob", low, dst)
+	want := add("bob", low, nil)
+	if rows := len(dst.Els[0].Rows); rows != L-1 || cap(dst.Els[0].Rows) < L+1 {
+		t.Fatalf("recycled destination holds %d rows (capacity %d), want %d within a capacity of %d",
+			rows, cap(dst.Els[0].Rows), L-1, L+1)
+	}
+
+	buf, err := (&Response{CKKSResult: dst}).encode(ts.params, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer buf.release()
+	n := ts.cp.N()
+	if size := replyHeadLen + 12 + 24 + 2*(L-1)*n*4; len(buf.b) != size {
+		t.Fatalf("reply is %d bytes, want %d: two elements of %d rows", len(buf.b), size, L-1)
+	}
+	raw := new(RawReply)
+	if err := raw.read(&cursor{buf: buf.b, left: len(buf.b)}, codecFor(ts.params, ts.cp), CmdCKKSAdd); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := raw.Reply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.(*Response).CKKSResult; !got.Equal(want) {
+		t.Fatal("the reply from a recycled destination is not the engine's result")
 	}
 }
 

@@ -57,8 +57,9 @@ func (s *Server) Served() uint64 { return s.served.Load() }
 
 // Handle serves one request against the engine. This is where a frame is
 // materialized: its operands decode into ciphertexts recycled through the
-// front-end's pool, which takes them back — with the frame — once the reply
-// (which may carry one of them, as a program output) has been written.
+// front-end's pool, and an op's result is read back into one more, which the
+// pool takes back — with the frame — once the reply carrying it (or an
+// operand, as a program output) has been written.
 func (s *Server) Handle(f *Frame) Reply {
 	req, err := f.Request()
 	if err != nil {
@@ -72,7 +73,7 @@ func (s *Server) Handle(f *Frame) Reply {
 	case CmdKeyExport, CmdKeyImport:
 		return s.migrate(req)
 	}
-	return s.process(req)
+	return s.process(f, req)
 }
 
 // info builds the CmdInfo capability advertisement.
@@ -92,7 +93,11 @@ func failed(err error) *ServerError {
 	return &ServerError{Code: errCode(err), Msg: err.Error()}
 }
 
-func (s *Server) process(req *Request) Reply {
+// process serves one op command. The result lands in a ciphertext drawn from
+// the frame's pool; the engine owns it until Submit returns, and Submit
+// waits on a context that never ends, so it returns only once the engine is
+// done with the result — never while a worker is still reading into it.
+func (s *Server) process(f *Frame, req *Request) Reply {
 	start := time.Now()
 	if req.Cmd == CmdPing {
 		return &Response{Result: fv.NewCiphertext(s.Params, 2)}
@@ -119,6 +124,7 @@ func (s *Server) process(req *Request) Reply {
 	default:
 		return &ServerError{Code: CodeApp, Msg: fmt.Sprintf("unknown command %d", req.Cmd)}
 	}
+	op.Dst, op.CDst = f.result()
 	res, err := s.Engine.Submit(context.Background(), op)
 	if err != nil {
 		return failed(err)

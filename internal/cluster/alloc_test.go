@@ -16,12 +16,13 @@ import (
 
 // The allocation wall of the wire path, beside sched's wall for the hardware
 // path: a warm routed Add at the paper set — client, routing tier and data
-// node in one process, so every tier's garbage is counted — allocates two
-// result ciphertexts (the one the scheduler reads back on the node and the
-// one the client decodes its reply into) and small change. Nothing
-// ciphertext-sized is allocated for an operand anywhere, and nothing at all
-// at the routing tier: its share, the difference to the same client talking
-// to the node directly, is bookkeeping.
+// node in one process, so every tier's garbage is counted — allocates one
+// result ciphertext (the one the client decodes its reply into) and small
+// change. Nothing ciphertext-sized is allocated anywhere else: the node
+// decodes operands into, and reads the result back into, ciphertexts it
+// recycles, and the routing tier only forwards bytes — its share, the
+// difference to the same client talking to the node directly, is
+// bookkeeping.
 const (
 	routedSlack = 128 << 10
 	routerShare = 16 << 10
@@ -115,9 +116,9 @@ func TestRoutedAddAllocWall(t *testing.T) {
 		return (after.TotalAlloc - before.TotalAlloc) / calls
 	}
 
-	results := uint64(2 * 2 * params.QBasis.K() * params.N() * 8)
+	result := uint64(2 * params.QBasis.K() * params.N() * 8)
 	direct := bytesPerAdd(nodeAddr)
-	t.Logf("direct: %d bytes/op (two results %d)", direct, results)
+	t.Logf("direct: %d bytes/op (one result %d)", direct, result)
 	for _, mux := range []bool{false, true} {
 		router, err := NewRouter(Config{
 			Params:   params,
@@ -143,10 +144,10 @@ func TestRoutedAddAllocWall(t *testing.T) {
 
 		name := map[bool]string{false: "pooled", true: "mux"}[mux]
 		t.Logf("routed, %s backend transport: %d bytes/op (wall %d, router's share %d)",
-			name, routed, results+routedSlack, int64(routed)-int64(direct))
-		if routed > results+routedSlack {
-			t.Errorf("%s: a routed Add allocates %d bytes, over the wall of %d (two result ciphertexts + %d)",
-				name, routed, results+routedSlack, routedSlack)
+			name, routed, result+routedSlack, int64(routed)-int64(direct))
+		if routed > result+routedSlack {
+			t.Errorf("%s: a routed Add allocates %d bytes, over the wall of %d (one result ciphertext + %d)",
+				name, routed, result+routedSlack, routedSlack)
 		}
 		if routed > direct+routerShare {
 			t.Errorf("%s: the routing tier adds %d bytes per Add, over its share of %d",

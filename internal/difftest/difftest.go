@@ -114,7 +114,9 @@ func (h *Harness) loadFull(slot uint8, x poly.RNSPoly) {
 
 // readFull reads a full-basis slot back.
 func (h *Harness) readFull(slot uint8) []poly.Poly {
-	return h.Coproc.ReadSlot(slot, 0, h.Coproc.KQ+h.Coproc.KP)
+	rows := poly.NewRNSPoly(h.Params.AllMods, h.Params.N()).Rows
+	h.Coproc.ReadSlotInto(slot, 0, rows)
+	return rows
 }
 
 // execBothBatches issues in for BatchQ and BatchP (full-basis coverage).

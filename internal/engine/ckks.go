@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckks"
+	"repro/internal/poly"
 	"repro/internal/sched"
 )
 
@@ -20,14 +21,25 @@ type ckksWorker struct {
 // alignLevels drops the fresher operand's spare chain rows so both sit at
 // the more-consumed level — the standard CKKS maintenance step, done
 // server-side so clients can combine ciphertexts from different depths
-// without tracking the chain themselves. DropLevel is exact (no division).
-func (ck *ckksWorker) alignLevels(a, b *ckks.Ciphertext) (*ckks.Ciphertext, *ckks.Ciphertext) {
+// without tracking the chain themselves. Dropping a level is exact (no
+// division), and the co-processor only reads the operand's rows, so the
+// fresher operand is handed over as a view of its row prefix, not a copy.
+func alignLevels(a, b *ckks.Ciphertext) (*ckks.Ciphertext, *ckks.Ciphertext) {
 	if a.Level() > b.Level() {
-		a = ck.ev.DropLevel(a, b.Level())
+		a = prefix(a, b.Level())
 	} else if b.Level() > a.Level() {
-		b = ck.ev.DropLevel(b, a.Level())
+		b = prefix(b, a.Level())
 	}
 	return a, b
+}
+
+// prefix returns ct at level as a view sharing ct's rows.
+func prefix(ct *ckks.Ciphertext, level int) *ckks.Ciphertext {
+	view := &ckks.Ciphertext{Els: make([]poly.RNSPoly, len(ct.Els)), Scale: ct.Scale}
+	for i, el := range ct.Els {
+		view.Els[i] = el.Prefix(level + 1)
+	}
+	return view
 }
 
 // addPlain adds the slot vector, encoded at the ciphertext's level and

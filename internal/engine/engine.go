@@ -93,18 +93,30 @@ const (
 	OpCKKSMulPlain
 )
 
-// Op is one homomorphic operation on uploaded ciphertexts.
+// Op is one homomorphic operation on uploaded ciphertexts. The destination,
+// like the operands, belongs to the engine until the request completes,
+// which may be after Submit has returned on a context that ended: a caller
+// that recycles them waits with a context that never ends, as the data
+// node's cloud.Server does with context.Background().
 type Op struct {
 	Kind   OpKind
 	Tenant string // evaluation-key namespace; "" is the default tenant
 	A, B   *fv.Ciphertext
-	G      int // Galois element (OpRotate only)
+	// Dst, when non-nil, is the ciphertext a BFV kind's result is read back
+	// into — Result.Ct is then Dst. It may hold anything, but share no row
+	// storage with a value still in use: its rows are shaped by rlwe.Reshape
+	// and every coefficient is overwritten. Nil allocates.
+	Dst *fv.Ciphertext
+	G   int // Galois element (OpRotate only)
 	// CKKS operands: CA (and CB for the two-ciphertext kinds), the slot
 	// rotation count R (OpCKKSRotate), and the plaintext slot vector Plain
 	// (OpCKKSAddPlain/OpCKKSMulPlain).
 	CA, CB *ckks.Ciphertext
-	R      int
-	Plain  []float64
+	// CDst is Dst for the co-processor CKKS kinds (Result.CCt); the
+	// plaintext kinds run on the software evaluator and allocate.
+	CDst  *ckks.Ciphertext
+	R     int
+	Plain []float64
 }
 
 // Result is the outcome of a served operation.

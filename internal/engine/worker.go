@@ -147,7 +147,8 @@ func (b *batch) run(e *Engine, w *worker) {
 // exec serves one operation on w — the one dispatch both op-at-a-time
 // batches and program nodes go through for the kinds the co-processors run.
 // key is the kind's evaluation key (zero for the kinds that need none); the
-// result comes back in the scheme's own ciphertext type. The CKKS plaintext
+// result comes back in the scheme's own ciphertext type, in the op's
+// destination when it has one, and nil with an error. The CKKS plaintext
 // kinds run on the application core's software evaluator (zero co-processor
 // cycles in the report). An integrity trip is
 // accounted here, against the engine and the worker; what to do about it —
@@ -159,19 +160,25 @@ func (e *Engine) exec(w *worker, op *Op, key evalKey) (ct *fv.Ciphertext, cct *c
 	}
 	switch op.Kind {
 	case OpAdd:
-		ct, rep, err = w.hw.Add(op.A, op.B)
+		ct = orNew(op.Dst)
+		rep, err = w.hw.AddInto(ct, op.A, op.B)
 	case OpMul:
-		ct, rep, err = w.hw.Mul(op.A, op.B, key.key.(*fv.RelinKey))
+		ct = orNew(op.Dst)
+		rep, err = w.hw.MulInto(ct, op.A, op.B, key.key.(*fv.RelinKey))
 	case OpRotate:
-		ct, rep, err = w.hw.Rotate(op.A, key.key.(*fv.GaloisKey))
+		ct = orNew(op.Dst)
+		rep, err = w.hw.RotateInto(ct, op.A, key.key.(*fv.GaloisKey))
 	case OpCKKSAdd:
-		a, b := ck.alignLevels(op.CA, op.CB)
-		cct, rep, err = ck.hw.Add(a, b)
+		a, b := alignLevels(op.CA, op.CB)
+		cct = orNew(op.CDst)
+		rep, err = ck.hw.AddInto(cct, a, b)
 	case OpCKKSMul:
-		a, b := ck.alignLevels(op.CA, op.CB)
-		cct, rep, err = ck.hw.MulRescale(a, b, key.key.(*ckks.RelinKey))
+		a, b := alignLevels(op.CA, op.CB)
+		cct = orNew(op.CDst)
+		rep, err = ck.hw.MulRescaleInto(cct, a, b, key.key.(*ckks.RelinKey))
 	case OpCKKSRotate:
-		cct, rep, err = ck.hw.Rotate(op.CA, op.R, key.key.(*ckks.GaloisKey))
+		cct = orNew(op.CDst)
+		rep, err = ck.hw.RotateInto(cct, op.CA, op.R, key.key.(*ckks.GaloisKey))
 	case OpCKKSAddPlain:
 		cct, err = ck.addPlain(op.CA, op.Plain)
 	case OpCKKSMulPlain:
@@ -179,11 +186,23 @@ func (e *Engine) exec(w *worker, op *Op, key evalKey) (ct *fv.Ciphertext, cct *c
 	default:
 		err = fmt.Errorf("engine: %v has a table row but no dispatch", op.Kind)
 	}
-	if errors.Is(err, hwsim.ErrIntegrity) {
-		e.m.integrityFaults.Add(1)
-		w.integrityFails.Add(1)
+	if err != nil {
+		if errors.Is(err, hwsim.ErrIntegrity) {
+			e.m.integrityFaults.Add(1)
+			w.integrityFails.Add(1)
+		}
+		return nil, nil, sched.Report{}, err
 	}
-	return ct, cct, rep, err
+	return ct, cct, rep, nil
+}
+
+// orNew returns dst, or a new value when it is nil: the destination of an
+// op whose caller gave none.
+func orNew[T any](dst *T) *T {
+	if dst == nil {
+		return new(T)
+	}
+	return dst
 }
 
 // shouldQuarantine decides, after a job, whether w has misbehaved enough

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/fv"
 )
 
 // The chaos suites run with the wire path's pools poisoning what is released
@@ -133,4 +134,94 @@ func TestPoisonedCKKSOperandsOverFaultedWire(t *testing.T) {
 		t.Fatalf("harness too tame: only %d frame faults fired across 6 schedules", totalFired)
 	}
 	t.Logf("poisoned CKKS operands: %d frame faults fired, %d redials, every completed op bit-identical", totalFired, redials)
+}
+
+// TestIntegrityRetryRewritesTheResult: an op whose first attempt trips the
+// co-processor's fingerprint check is resubmitted by the engine with the
+// destination it carries, and the retry writes that same destination (the
+// failed attempt never reached the readback, which follows the scrub).
+// Through the engine an op's result is its own destination; over the wire,
+// where the node draws destinations from its poisoned pool, the reply is bit
+// for bit the clean result. Each op rides exactly one retry.
+func TestIntegrityRetryRewritesTheResult(t *testing.T) {
+	fx, cfx := fixture(t), ckksFixture(t)
+	inj := faults.New(23)
+	eng, err := engine.New(engine.Config{
+		Params:              fx.params,
+		CKKSParams:          cfx.cp,
+		Workers:             1,
+		IntegrityChecks:     true,
+		FaultInjector:       inj,
+		MaxIntegrityRetries: 3,
+		QuarantineAfter:     -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetRelinKey("", fx.rk)
+	eng.SetCKKSRelinKey("", cfx.crk)
+	srv := cloud.NewServer(fx.params, eng, nil)
+	srv.CKKSParams = cfx.cp
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve() }()
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := eng.Shutdown(ctx); err != nil {
+			t.Errorf("engine shutdown: %v", err)
+		}
+		<-done
+	})
+	cl, err := cloud.Dial(addr, fx.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.EnableCKKS(cfx.cp)
+
+	// retried runs f with a storage fault armed on the next memory-file
+	// write and checks that the engine retried it exactly once.
+	retried := func(name string, f func()) {
+		t.Helper()
+		before := eng.Stats().IntegrityRetries
+		inj.Arm(faults.Spec{Class: faults.ClassBRAM, After: inj.Stats().Seen[faults.ClassBRAM.String()]})
+		f()
+		if got := eng.Stats().IntegrityRetries - before; got != 1 {
+			t.Fatalf("%s: %d integrity retries, want 1", name, got)
+		}
+	}
+	ctx := context.Background()
+	// fx.ops[1] is Mul(cts[0], cts[1]); cfx.ops[0] is CKKS Mul(cts[0], cts[1]).
+	bfvWant, ckksWant := fx.want[1], cfx.want[0]
+	retried("engine BFV Mul", func() {
+		dst := fv.NewCiphertext(fx.params, 2)
+		res, err := eng.Submit(ctx, engine.Op{Kind: engine.OpMul, A: fx.cts[0], B: fx.cts[1], Dst: dst})
+		if err != nil || res.Ct != dst || !dst.Equal(bfvWant) {
+			t.Fatalf("err %v, or the retried result is not the clean one in the op's destination", err)
+		}
+	})
+	retried("engine CKKS Mul", func() {
+		dst := cfx.cts[2].Clone()
+		res, err := eng.Submit(ctx, engine.Op{Kind: engine.OpCKKSMul, CA: cfx.cts[0], CB: cfx.cts[1], CDst: dst})
+		if err != nil || res.CCt != dst || !dst.Equal(ckksWant) {
+			t.Fatalf("err %v, or the retried result is not the clean one in the op's destination", err)
+		}
+	})
+	retried("wire BFV Mul", func() {
+		got, _, err := cl.Mul(fx.cts[0], fx.cts[1])
+		if err != nil || !got.Equal(bfvWant) {
+			t.Fatalf("err %v, or the reply after a retry is not the clean result", err)
+		}
+	})
+	retried("wire CKKS Mul", func() {
+		got, _, err := cl.CKKSMul(cfx.cts[0], cfx.cts[1])
+		if err != nil || !got.Equal(ckksWant) {
+			t.Fatalf("err %v, or the reply after a retry is not the clean result", err)
+		}
+	})
 }

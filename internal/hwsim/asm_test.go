@@ -114,7 +114,7 @@ func TestAssembledProgramExecutes(t *testing.T) {
 		t.Fatal("program consumed no cycles")
 	}
 	// NTT then INTT leaves the q rows unchanged.
-	got := c.ReadSlot(0, 0, c.KQ)
+	got := readSlot(c, 0, 0, c.KQ)
 	for i := range polys {
 		if !got[i].Equal(polys[i]) {
 			t.Fatal("assembled round-trip program corrupted the data")

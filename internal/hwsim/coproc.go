@@ -377,20 +377,10 @@ func (c *Coprocessor) LoadSlotNTT(idx uint8, lo int, rows []poly.Poly) {
 	c.LoadSlot(idx, lo, rows, domNTT)
 }
 
-// ReadSlot returns fresh copies of residue rows [lo, hi) of a slot — the
-// result readback, whose rows outlive the operation.
-func (c *Coprocessor) ReadSlot(idx uint8, lo, hi int) []poly.Poly {
-	s := c.slotAt(idx)
-	out := make([]poly.Poly, 0, hi-lo)
-	for j := lo; j < hi; j++ {
-		out = append(out, c.row(s, j).Clone())
-	}
-	return out
-}
-
 // ReadSlotInto copies residue rows [lo, lo+len(dst)) of a slot into the
-// caller's rows — the readback of a host-side step (the Rotate permutation)
-// into scratch the scheduler keeps.
+// caller's rows — the FPGA→Arm readback into host memory the caller owns: a
+// result ciphertext, or the scratch of a host-side step (the Rotate
+// permutation). It allocates nothing.
 func (c *Coprocessor) ReadSlotInto(idx uint8, lo int, dst []poly.Poly) {
 	s := c.slotAt(idx)
 	for i := range dst {

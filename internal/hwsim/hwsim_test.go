@@ -9,6 +9,18 @@ import (
 	"repro/internal/rns"
 )
 
+// readSlot copies residue rows [lo, hi) of a slot out into fresh rows over
+// the slot's primes, through ReadSlotInto.
+func readSlot(c *Coprocessor, idx uint8, lo, hi int) []poly.Poly {
+	s := c.slotAt(idx)
+	rows := make([]poly.Poly, hi-lo)
+	for i := range rows {
+		rows[i] = poly.NewPoly(c.row(s, lo+i).Mod, c.N)
+	}
+	c.ReadSlotInto(idx, lo, rows)
+	return rows
+}
+
 func testBases(t testing.TB, n, kq, kp int) ([]ring.Modulus, []ring.Modulus, *rns.Extender, *rns.ScaleRounder) {
 	t.Helper()
 	primes, err := ring.GenerateNTTPrimes(30, n, kq+kp)
@@ -272,7 +284,7 @@ func TestCoprocNTTMatchesReference(t *testing.T) {
 	if _, err := c.Exec(Instr{Op: OpNTT, A: 0, Batch: BatchQ}); err != nil {
 		t.Fatal(err)
 	}
-	got := c.ReadSlot(0, 0, c.KQ)
+	got := readSlot(c, 0, 0, c.KQ)
 	for i := range want {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("row %d: coprocessor NTT != reference", i)
@@ -282,7 +294,7 @@ func TestCoprocNTTMatchesReference(t *testing.T) {
 	if _, err := c.Exec(Instr{Op: OpINTT, A: 0, Batch: BatchQ}); err != nil {
 		t.Fatal(err)
 	}
-	got = c.ReadSlot(0, 0, c.KQ)
+	got = readSlot(c, 0, 0, c.KQ)
 	for i := range rows {
 		if !got[i].Equal(rows[i]) {
 			t.Fatalf("row %d: NTT/INTT round trip failed", i)
@@ -328,7 +340,7 @@ func TestCoprocArithmetic(t *testing.T) {
 	}
 	mustExec(Instr{Op: OpCAdd, Dst: 2, A: 0, B: 1, Batch: BatchQ})
 	mustExec(Instr{Op: OpCSub, Dst: 3, A: 2, B: 1, Batch: BatchQ})
-	got := c.ReadSlot(3, 0, c.KQ)
+	got := readSlot(c, 3, 0, c.KQ)
 	for i := range a {
 		if !got[i].Equal(a[i]) {
 			t.Fatalf("(a+b)-b != a on row %d", i)
@@ -336,7 +348,7 @@ func TestCoprocArithmetic(t *testing.T) {
 	}
 	mustExec(Instr{Op: OpCMul, Dst: 4, A: 0, B: 1, Batch: BatchQ})
 	mustExec(Instr{Op: OpCMac, Dst: 4, A: 0, B: 1, Batch: BatchQ})
-	got = c.ReadSlot(4, 0, c.KQ)
+	got = readSlot(c, 4, 0, c.KQ)
 	for i := range a {
 		prod := poly.NewPoly(a[i].Mod, 64)
 		a[i].MulInto(b[i], prod)
@@ -359,7 +371,7 @@ func TestCoprocLiftScaleFunctional(t *testing.T) {
 	// Lifted rows must match the functional extender.
 	want := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
 	c.ext.LiftTargetsInto(poly.RNSPoly{Rows: a}, want.Rows)
-	got := c.ReadSlot(0, c.KQ, c.KQ+c.KP)
+	got := readSlot(c, 0, c.KQ, c.KQ+c.KP)
 	for j := 0; j < c.KP; j++ {
 		if !got[j].Equal(want.Rows[j]) {
 			t.Fatalf("lifted row %d mismatch", j)
@@ -373,7 +385,7 @@ func TestCoprocLiftScaleFunctional(t *testing.T) {
 	full := append(append([]poly.Poly(nil), a...), want.Rows...)
 	wantScaled := poly.NewRNSPoly(c.Mods[:c.KQ], 64)
 	c.scaler.ScalePolyInto(poly.RNSPoly{Rows: full}, wantScaled)
-	gotScaled := c.ReadSlot(1, 0, c.KQ)
+	gotScaled := readSlot(c, 1, 0, c.KQ)
 	for j := 0; j < c.KQ; j++ {
 		if !gotScaled[j].Equal(wantScaled.Rows[j]) {
 			t.Fatalf("scaled row %d mismatch", j)

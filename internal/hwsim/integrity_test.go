@@ -55,8 +55,8 @@ func TestIntegrityFaultFreeIsBitAndCycleIdentical(t *testing.T) {
 			t.Fatalf("%v: guarded path charged %d cycles, plain %d", in.Op, gc, pc)
 		}
 	}
-	pr := plain.ReadSlot(3, 0, plain.KQ)
-	gr := guarded.ReadSlot(3, 0, guarded.KQ)
+	pr := readSlot(plain, 3, 0, plain.KQ)
+	gr := readSlot(guarded, 3, 0, guarded.KQ)
 	for j := range pr {
 		if !pr[j].Equal(gr[j]) {
 			t.Fatalf("row %d differs between guarded and plain paths", j)
@@ -154,8 +154,8 @@ func TestIntegrityRecomputesRPAUKill(t *testing.T) {
 		reg.Counter("hw_integrity_recompute_ok").Value() != 1 {
 		t.Fatalf("detection/recovery counters wrong: %v", reg.Snapshot().Counters)
 	}
-	got := c.ReadSlot(2, 0, c.KQ)
-	want := plain.ReadSlot(2, 0, plain.KQ)
+	got := readSlot(c, 2, 0, c.KQ)
+	want := readSlot(plain, 2, 0, plain.KQ)
 	for j := range want {
 		if !got[j].Equal(want[j]) {
 			t.Fatalf("recomputed row %d wrong", j)
@@ -197,7 +197,7 @@ func TestIntegrityCountsRPAUStall(t *testing.T) {
 	if reg.Counter("hw_integrity_stall_detected").Value() != 1 {
 		t.Fatal("stall not counted")
 	}
-	if !c.ReadSlot(0, 0, 1)[0].Equal(plain.ReadSlot(0, 0, 1)[0]) {
+	if !readSlot(c, 0, 0, 1)[0].Equal(readSlot(plain, 0, 0, 1)[0]) {
 		t.Fatal("stall corrupted data")
 	}
 }

@@ -279,7 +279,7 @@ func TestSecondCoprocessorIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	rows := randRows(r, a.Mods[:a.KQ], 64)
 	a.LoadSlotCoeff(0, 0, rows)
-	got := b.ReadSlot(0, 0, b.KQ)
+	got := readSlot(b, 0, 0, b.KQ)
 	for i := range got {
 		for _, c := range got[i].Coeffs {
 			if c != 0 {

@@ -77,7 +77,7 @@ func TestClearedFileReadsAsZero(t *testing.T) {
 	dirty(c, r)
 	resident := &c.slots[3].rows[2].Coeffs[0]
 	for i := range c.slots {
-		for j, row := range c.ReadSlot(uint8(i), 0, c.KQ+c.KP) {
+		for j, row := range readSlot(c, uint8(i), 0, c.KQ+c.KP) {
 			for _, v := range row.Coeffs {
 				if v != 0 {
 					t.Fatalf("slot %d row %d leaks a residue through ClearSlots", i, j)
@@ -101,10 +101,10 @@ func TestClearedFileReadsAsZero(t *testing.T) {
 	mustExec(t, c,
 		Instr{Op: OpCMac, Dst: 2, A: 0, B: 1, Batch: BatchQ},
 		Instr{Op: OpCAdd, Dst: 3, A: 3, B: 0, Batch: BatchQ})
-	wantRows(t, "CMac into a stale row", c.ReadSlot(2, 0, c.KQ), rowWise(q, a, b, ring.Modulus.Mul))
-	wantRows(t, "CAdd accumulating into a stale row", c.ReadSlot(3, 0, c.KQ), a)
+	wantRows(t, "CMac into a stale row", readSlot(c, 2, 0, c.KQ), rowWise(q, a, b, ring.Modulus.Mul))
+	wantRows(t, "CAdd accumulating into a stale row", readSlot(c, 3, 0, c.KQ), a)
 	// What the instructions did not write still reads as zero.
-	for _, v := range c.ReadSlot(2, c.KQ, c.KQ+1)[0].Coeffs {
+	for _, v := range readSlot(c, 2, c.KQ, c.KQ+1)[0].Coeffs {
 		if v != 0 {
 			t.Fatal("an unwritten row of a written slot leaks")
 		}
@@ -147,7 +147,7 @@ func TestAliasingTable(t *testing.T) {
 			load()
 			tc.in.Batch = BatchQ
 			mustExec(t, c, tc.in)
-			wantRows(t, tc.name, c.ReadSlot(tc.in.Dst, 0, c.KQ), rowWise(q, a, b, tc.f))
+			wantRows(t, tc.name, readSlot(c, tc.in.Dst, 0, c.KQ), rowWise(q, a, b, tc.f))
 		}
 
 		// Decomp with Dst == A: digit i is x_i·q̃_i mod q_i reduced into
@@ -163,7 +163,7 @@ func TestAliasingTable(t *testing.T) {
 				want[j].Coeffs[i] = q[j].Reduce(q[digit].Mul(v, c.Basis.QTilde[digit]))
 			}
 		}
-		wantRows(t, "Decomp Dst == A", c.ReadSlot(0, 0, c.KQ), want)
+		wantRows(t, "Decomp Dst == A", readSlot(c, 0, 0, c.KQ), want)
 
 		// Scale with Dst == A against the same kernel run out of place.
 		full := randRows(r, c.Mods, 64)
@@ -171,13 +171,13 @@ func TestAliasingTable(t *testing.T) {
 		c.scaler.ScalePolyInto(poly.RNSPoly{Rows: full}, scaled)
 		c.LoadSlotCoeff(0, 0, full)
 		mustExec(t, c, Instr{Op: OpScale, Dst: 0, A: 0})
-		wantRows(t, "Scale Dst == A", c.ReadSlot(0, 0, c.KQ), scaled.Rows)
+		wantRows(t, "Scale Dst == A", readSlot(c, 0, 0, c.KQ), scaled.Rows)
 		// Lift writes the p rows of its own slot in full.
 		lifted := poly.NewRNSPoly(c.Mods[c.KQ:], 64)
 		c.ext.LiftTargetsInto(poly.RNSPoly{Rows: x}, lifted.Rows)
 		c.LoadSlotCoeff(6, 0, x)
 		mustExec(t, c, Instr{Op: OpLift, A: 6})
-		wantRows(t, "Lift over stale p rows", c.ReadSlot(6, c.KQ, c.KQ+c.KP), lifted.Rows)
+		wantRows(t, "Lift over stale p rows", readSlot(c, 6, c.KQ, c.KQ+c.KP), lifted.Rows)
 
 		// Rescale with Dst == A, both batches, on the chain co-processor.
 		ch := testChain(t, 64, 3)
@@ -195,7 +195,7 @@ func TestAliasingTable(t *testing.T) {
 			resc.RescaleInto(nil, poly.RNSPoly{Rows: in}, out)
 			ch.LoadSlotCoeff(0, 0, in)
 			mustExec(t, ch, Instr{Op: OpRescale, Dst: 0, A: 0, Batch: batch})
-			wantRows(t, "Rescale Dst == A", ch.ReadSlot(0, 0, hi-1), out.Rows)
+			wantRows(t, "Rescale Dst == A", readSlot(ch, 0, 0, hi-1), out.Rows)
 		}
 	}
 }
@@ -264,7 +264,7 @@ func TestLevelSwitchIsolation(t *testing.T) {
 		}{{"NTT", 0, k}, {"CMul", 3, k}, {"extended Decomp", 4, k + 1},
 			{"Rescale Q", 5, k - 1}, {"Rescale P (ModDown)", 6, k}, {"NTT over p*", 7, k + 1}} {
 			wantRows(t, fmt.Sprintf("checked=%v %s after a level switch", checked, out.name),
-				used.ReadSlot(out.slot, 0, out.rows), fresh.ReadSlot(out.slot, 0, out.rows))
+				readSlot(used, out.slot, 0, out.rows), readSlot(fresh, out.slot, 0, out.rows))
 		}
 		for name, v := range reg.Snapshot().Counters {
 			if v != 0 {
@@ -289,7 +289,7 @@ func TestRefusedInstructionWritesNothing(t *testing.T) {
 	if _, err := c.Exec(Instr{Op: OpCMul, Dst: 2, A: 0, B: 1, Batch: BatchQ}); err == nil {
 		t.Fatal("domain mixing should be rejected")
 	}
-	for j, row := range c.ReadSlot(2, 0, c.KQ) {
+	for j, row := range readSlot(c, 2, 0, c.KQ) {
 		for _, v := range row.Coeffs {
 			if v != 0 {
 				t.Fatalf("refused CMul exposed stale data in its destination row %d", j)
@@ -340,7 +340,7 @@ func TestIntegrityRecomputesIntoStaleRow(t *testing.T) {
 	if reg.Counter("hw_integrity_recompute_ok").Value() != 1 {
 		t.Fatalf("kill not recomputed: %v", reg.Snapshot().Counters)
 	}
-	wantRows(t, "recomputed CMul", c.ReadSlot(2, 0, c.KQ), rowWise(q, a, b, ring.Modulus.Mul))
+	wantRows(t, "recomputed CMul", readSlot(c, 2, 0, c.KQ), rowWise(q, a, b, ring.Modulus.Mul))
 	if err := c.Scrub(); err != nil {
 		t.Fatalf("post-recovery scrub: %v", err)
 	}

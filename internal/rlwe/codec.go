@@ -127,7 +127,7 @@ func (l Layout) scan(b []byte, into *[]poly.RNSPoly) (int, float64, error) {
 		return 0, 0, io.ErrUnexpectedEOF
 	}
 	if into != nil {
-		reshape(into, els, l.Mods[:rows], l.N)
+		Reshape(into, els, l.Mods[:rows], l.N)
 	}
 	src := b[hl:size]
 	for e := 0; e < els; e++ {
@@ -150,10 +150,14 @@ func (l Layout) scan(b []byte, into *[]poly.RNSPoly) (int, float64, error) {
 	return size, scale, nil
 }
 
-// reshape gives *els exactly count elements of n coefficients over mods,
+// Reshape gives *els exactly count elements of n coefficients over mods,
 // keeping every row that already has that shape — including rows a previous,
-// higher-level value left within the slices' capacity.
-func reshape(els *[]poly.RNSPoly, count int, mods []ring.Modulus, n int) {
+// higher-level value left within the slices' capacity. It is the one shaping
+// rule for recycled ciphertexts, decoded operands and read-back results
+// alike: a recycled value's rows are only ever shortened, re-extended within
+// capacity, or replaced, so *els may share no row storage with a value still
+// in use. Kept rows keep their coefficients; the caller overwrites every one.
+func Reshape(els *[]poly.RNSPoly, count int, mods []ring.Modulus, n int) {
 	*els = resized(*els, count)
 	for e := range *els {
 		el := &(*els)[e]

@@ -12,10 +12,12 @@ import (
 // The allocation wall of the hardware path, next to the exact sim-cycle
 // pins: the co-processor's memory file is resident, so once an operation has
 // run twice (rows touched, scratch at its high-water mark) the only rows a
-// scheduled operation allocates are the result ciphertext it hands back.
-// allocSlack covers what is left — closures, instruction lists, trace and
-// stats entries — and is far below one residue row of an element (32 KB at
-// n = 4096, of which a Mult touches hundreds).
+// scheduled operation allocates are those of the result ciphertext the
+// allocating forms hand back — and none at all in the …Into forms, which read
+// the result back into the caller's ciphertext. allocSlack covers what is
+// left — closures, instruction lists, trace and stats entries — and is two
+// residue rows at n = 4096 (32 KB each, of which a Mult touches hundreds): a
+// readback that allocated a row per element would go over it.
 const allocSlack = 64 << 10
 
 // bytesPerCall returns the mean bytes allocated by f over 10 calls, after
@@ -38,8 +40,8 @@ func checkWall(t *testing.T, name string, got uint64, resultRows, n int) {
 	limit := uint64(resultRows*n*8 + allocSlack)
 	t.Logf("%s: %d bytes/op (result %d, wall %d)", name, got, resultRows*n*8, limit)
 	if got > limit {
-		t.Errorf("%s allocates %d bytes per call, over the wall of %d (result ciphertext + %d)",
-			name, got, limit, allocSlack)
+		t.Errorf("%s allocates %d bytes per call, over the wall of %d (result rows %d + %d)",
+			name, got, limit, resultRows*n*8, allocSlack)
 	}
 }
 
@@ -62,6 +64,17 @@ func TestPaperSetAllocWall(t *testing.T) {
 	checkWall(t, "Add", bytesPerCall(func() { must(s.Add(ct, ct)) }), rows, n)
 	checkWall(t, "Mul", bytesPerCall(func() { must(s.Mul(ct, ct, rk)) }), rows, n)
 	checkWall(t, "Rotate", bytesPerCall(func() { must(s.Rotate(ct, gk)) }), rows, n)
+
+	// The same operations into one recycled destination: no result rows.
+	out := new(fv.Ciphertext)
+	into := func(_ Report, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkWall(t, "AddInto", bytesPerCall(func() { into(s.AddInto(out, ct, ct)) }), 0, n)
+	checkWall(t, "MulInto", bytesPerCall(func() { into(s.MulInto(out, ct, ct, rk)) }), 0, n)
+	checkWall(t, "RotateInto", bytesPerCall(func() { into(s.RotateInto(out, ct, gk)) }), 0, n)
 
 	// The guarded path: fingerprints, snapshots and the transform check live
 	// in resident scratch too, so no guarded instruction allocates a row:
@@ -115,4 +128,27 @@ func TestCKKSPaperSetAllocWall(t *testing.T) {
 	checkWall(t, "CKKS Rotate", bytesPerCall(alternate(func(x, _ *ckks.Ciphertext) (*ckks.Ciphertext, Report, error) {
 		return c.hw.Rotate(x, 1, c.gk)
 	})), 2*k+2*(k-1), n)
+
+	// The …Into forms, every call reading both levels' results into one
+	// recycled destination: it is shortened by a row and re-extended within
+	// its capacity each call, so a reshape that replaced a row it could keep
+	// would go over a wall with no result allowance.
+	out := new(ckks.Ciphertext)
+	type opInto func(out, x, y *ckks.Ciphertext) (Report, error)
+	alternateInto := func(f opInto) func() {
+		return func() {
+			for _, xy := range [][2]*ckks.Ciphertext{{a, b}, {a1, b1}} {
+				if _, err := f(out, xy[0], xy[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	checkWall(t, "CKKS AddInto", bytesPerCall(alternateInto(c.hw.AddInto)), 0, n)
+	checkWall(t, "CKKS MulRescaleInto", bytesPerCall(alternateInto(func(out, x, y *ckks.Ciphertext) (Report, error) {
+		return c.hw.MulRescaleInto(out, x, y, c.rk)
+	})), 0, n)
+	checkWall(t, "CKKS RotateInto", bytesPerCall(alternateInto(func(out, x, _ *ckks.Ciphertext) (Report, error) {
+		return c.hw.RotateInto(out, x, 1, c.gk)
+	})), 0, n)
 }

@@ -52,51 +52,67 @@ func levelKey(levels []*ckks.LevelKey, level int) *ckks.LevelKey {
 	return levels[level]
 }
 
-// Add executes CKKS addition at the operands' level: one
-// coefficient-wise addition per element. Returns the result and its report,
-// as the BFV Add does.
+// Add executes CKKS addition into a new ciphertext (AddInto).
 func (s *CKKSScheduler) Add(a, b *ckks.Ciphertext) (*ckks.Ciphertext, Report, error) {
+	out := new(ckks.Ciphertext)
+	rep, err := s.AddInto(out, a, b)
+	return fresh(out, rep, err)
+}
+
+// AddInto executes CKKS addition at the operands' level: one
+// coefficient-wise addition per element, the result read back into out as
+// the BFV AddInto does. out's scale is set only on success.
+func (s *CKKSScheduler) AddInto(out, a, b *ckks.Ciphertext) (Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, Report{}, fmt.Errorf("sched: ckks Add expects degree-1 ciphertexts")
+		return Report{}, fmt.Errorf("sched: ckks Add expects degree-1 ciphertexts")
 	}
 	if a.Level() != b.Level() {
-		return nil, Report{}, fmt.Errorf("sched: ckks Add level mismatch (%d vs %d)", a.Level(), b.Level())
+		return Report{}, fmt.Errorf("sched: ckks Add level mismatch (%d vs %d)", a.Level(), b.Level())
 	}
 	scale, err := ckksScales(a.Scale, b.Scale)
 	if err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	if err := s.C.SetLevel(a.Level()); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	els, rep, err := s.add(a.Level()+1, a.Els, b.Els)
+	rep, err := s.add(&out.Els, a.Level()+1, a.Els, b.Els)
 	if err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	return &ckks.Ciphertext{Els: els, Scale: scale}, rep, nil
+	out.Scale = scale
+	return rep, nil
 }
 
-// MulRescale executes the full CKKS multiply — tensor, relinearize through
-// the hybrid keyswitch, and the trailing Rescale — returning the degree-1
-// result one level down. The compute cycles include the key streaming, as
-// in the BFV Mult accounting.
+// MulRescale executes the CKKS multiply into a new ciphertext
+// (MulRescaleInto).
 func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*ckks.Ciphertext, Report, error) {
+	out := new(ckks.Ciphertext)
+	rep, err := s.MulRescaleInto(out, a, b, rk)
+	return fresh(out, rep, err)
+}
+
+// MulRescaleInto executes the full CKKS multiply — tensor, relinearize
+// through the hybrid keyswitch, and the trailing Rescale — reading the
+// degree-1 result, one level down, back into out as AddInto does. The
+// compute cycles include the key streaming, as in the BFV Mult accounting.
+func (s *CKKSScheduler) MulRescaleInto(out, a, b *ckks.Ciphertext, rk *ckks.RelinKey) (Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, Report{}, fmt.Errorf("sched: ckks Mul expects degree-1 ciphertexts")
+		return Report{}, fmt.Errorf("sched: ckks Mul expects degree-1 ciphertexts")
 	}
 	if a.Level() != b.Level() {
-		return nil, Report{}, fmt.Errorf("sched: ckks Mul level mismatch (%d vs %d)", a.Level(), b.Level())
+		return Report{}, fmt.Errorf("sched: ckks Mul level mismatch (%d vs %d)", a.Level(), b.Level())
 	}
 	level := a.Level()
 	if level < 1 {
-		return nil, Report{}, fmt.Errorf("sched: ckks Mul at level 0 — no level left to rescale into")
+		return Report{}, fmt.Errorf("sched: ckks Mul at level 0 — no level left to rescale into")
 	}
 	lk := levelKey(rk.Levels, level)
 	if lk == nil {
-		return nil, Report{}, fmt.Errorf("sched: relin key has no level-%d bundle", level)
+		return Report{}, fmt.Errorf("sched: relin key has no level-%d bundle", level)
 	}
 	if err := s.C.SetLevel(level); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	k := level + 1
 	rep, start := s.begin(k, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
@@ -107,18 +123,18 @@ func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*c
 	// and b0 die with the tensor.
 	s.live.set(slotT1, k)
 	if err := s.toNTT(batchQ, slotA0, slotA1, slotB0, slotB1); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	if err := s.tensor(batchQ); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	if err := s.fromNTT(batchQ, slotA0, slotT1, slotB1); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	s.live.free(slotA1, slotB0)
 	// Phase 4+5: hybrid keyswitch of c2 onto the accumulators, ModDown.
 	if err := s.hybridKeySwitch(level, slotB1, lk); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	// Phase 6: combine — c0 + md0, c1 + md1 (chain rows, coefficient
 	// domain). Phase 7: Rescale both elements by the level's top prime,
@@ -130,54 +146,63 @@ func (s *CKKSScheduler) MulRescale(a, b *ckks.Ciphertext, rk *ckks.RelinKey) (*c
 		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc1, A: slotT1, B: slotMd1, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotA1, A: slotAcc0, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpRescale, Dst: slotB0, A: slotAcc1, Batch: hwsim.BatchQ}); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	els, rep, err := s.finish(rep, start, slotA1, slotB0, k-1)
+	rep, err := s.finish(&out.Els, rep, start, slotA1, slotB0, k-1)
 	if err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	scale := a.Scale * b.Scale / float64(s.P.QMods[level].Q)
-	return &ckks.Ciphertext{Els: els, Scale: scale}, rep, nil
+	out.Scale = a.Scale * b.Scale / float64(s.P.QMods[level].Q)
+	return rep, nil
 }
 
-// Rotate executes a slot rotation: host-side automorphism readback (the
-// sign-aware permutation streams through the rearrangement port, as in the
-// BFV Rotate), then the hybrid keyswitch brings σ_g(s) back to s.
+// Rotate executes a slot rotation into a new ciphertext (RotateInto).
 func (s *CKKSScheduler) Rotate(ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (*ckks.Ciphertext, Report, error) {
+	out := new(ckks.Ciphertext)
+	rep, err := s.RotateInto(out, ct, r, gk)
+	return fresh(out, rep, err)
+}
+
+// RotateInto executes a slot rotation: host-side automorphism readback (the
+// sign-aware permutation streams through the rearrangement port, as in the
+// BFV Rotate), then the hybrid keyswitch brings σ_g(s) back to s. The result
+// is read back into out as AddInto does.
+func (s *CKKSScheduler) RotateInto(out, ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (Report, error) {
 	if len(ct.Els) != 2 {
-		return nil, Report{}, fmt.Errorf("sched: ckks Rotate expects a degree-1 ciphertext")
+		return Report{}, fmt.Errorf("sched: ckks Rotate expects a degree-1 ciphertext")
 	}
 	if g := s.P.GaloisElementForRotation(r); g != gk.G {
-		return nil, Report{}, fmt.Errorf("sched: rotation by %d needs Galois element %d, key holds %d", r, g, gk.G)
+		return Report{}, fmt.Errorf("sched: rotation by %d needs Galois element %d, key holds %d", r, g, gk.G)
 	}
 	level := ct.Level()
 	lk := levelKey(gk.Levels, level)
 	if lk == nil {
-		return nil, Report{}, fmt.Errorf("sched: galois key has no level-%d bundle", level)
+		return Report{}, fmt.Errorf("sched: galois key has no level-%d bundle", level)
 	}
 	if err := s.C.SetLevel(level); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	k := level + 1
 	rep, start := s.begin(k, ct.Els[0], ct.Els[1])
 	if err := s.automorph(gk.G, k); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	// Keyswitch σ_g(c1) → s, ModDown, combine: c0' = σ(c0) + md0,
 	// c1' = md1.
 	if err := s.hybridKeySwitch(level, slotA1, lk); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	if _, err := s.exec(hwsim.Instr{
 		Op: hwsim.OpCAdd, Dst: slotAcc0, A: slotA0, B: slotMd0, Batch: hwsim.BatchQ,
 	}); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	els, rep, err := s.finish(rep, start, slotAcc0, slotMd1, k)
+	rep, err := s.finish(&out.Els, rep, start, slotAcc0, slotMd1, k)
 	if err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	return &ckks.Ciphertext{Els: els, Scale: ct.Scale}, rep, nil
+	out.Scale = ct.Scale
+	return rep, nil
 }
 
 // hybridKeySwitch emits the hybrid (special-prime) keyswitch of the

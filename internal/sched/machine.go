@@ -196,19 +196,21 @@ func (m *machine) begin(rows int, els ...poly.RNSPoly) (Report, hwsim.Cycles) {
 // finish closes an operation whose compute began at ledger reading start:
 // the compute cycles stop here, a scrub keeps corrupted rows from leaving
 // the co-processor, and the two result polynomials are read back over the
-// FPGA→Arm DMA, which goes on the ledger as the report's receive entry.
-func (m *machine) finish(rep Report, start hwsim.Cycles, el0, el1 uint8, rows int) ([]poly.RNSPoly, Report, error) {
+// FPGA→Arm DMA, which goes on the ledger as the report's receive entry. The
+// readback lands in *out, shaped to `rows` rows by rlwe.Reshape — the rule a
+// recycled operand is decoded under — so a destination the caller recycles
+// costs no allocation. *out is untouched when the scrub fails.
+func (m *machine) finish(out *[]poly.RNSPoly, rep Report, start hwsim.Cycles, el0, el1 uint8, rows int) (Report, error) {
 	rep.ComputeCycles = m.C.Stats.Total - start
 	if err := m.C.Scrub(); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	els := []poly.RNSPoly{
-		{Rows: m.C.ReadSlot(el0, 0, rows)},
-		{Rows: m.C.ReadSlot(el1, 0, rows)},
-	}
+	rlwe.Reshape(out, 2, m.mods[:rows], m.n)
+	m.C.ReadSlotInto(el0, 0, (*out)[0].Rows)
+	m.C.ReadSlotInto(el1, 0, (*out)[1].Rows)
 	rep.ReceiveCycles = m.transfer(hwsim.Transfer{Bytes: 2 * hwsim.PolyBytes(m.n, rows), Label: "receive ciphertext"},
 		nil, []uint8{el0, el1})
-	return els, rep, nil
+	return rep, nil
 }
 
 // readback copies the first `rows` rows of a slot into the rd scratch.
@@ -223,18 +225,27 @@ func (m *machine) readback(slot uint8, rows int) poly.RNSPoly {
 }
 
 // add is the whole Add operation: one coefficient-wise addition per
-// ciphertext element. It returns the result polynomials and the report.
-func (m *machine) add(rows int, a, b []poly.RNSPoly) ([]poly.RNSPoly, Report, error) {
+// ciphertext element, the result read back into *out.
+func (m *machine) add(out *[]poly.RNSPoly, rows int, a, b []poly.RNSPoly) (Report, error) {
 	rep, start := m.begin(rows, a[0], a[1], b[0], b[1])
 	for i := uint8(0); i < 2; i++ {
 		m.live.set(slotAcc0+i, rows)
 		if _, err := m.exec(hwsim.Instr{
 			Op: hwsim.OpCAdd, Dst: slotAcc0 + i, A: slotA0 + i, B: slotB0 + i, Batch: hwsim.BatchQ,
 		}); err != nil {
-			return nil, Report{}, err
+			return Report{}, err
 		}
 	}
-	return m.finish(rep, start, slotAcc0, slotAcc1, rows)
+	return m.finish(out, rep, start, slotAcc0, slotAcc1, rows)
+}
+
+// fresh is what an allocating form returns from its Into form: the new
+// result, or nothing when the operation failed.
+func fresh[T any](out *T, rep Report, err error) (*T, Report, error) {
+	if err != nil {
+		return nil, Report{}, err
+	}
+	return out, rep, nil
 }
 
 // toNTT rearranges each slot to the paired NTT layout and transforms it,

@@ -93,38 +93,46 @@ func (s *Scheduler) polyBytes() int {
 	return hwsim.PolyBytes(s.P.N(), s.P.QBasis.K())
 }
 
-// Add executes FV.Add on the co-processor: one coefficient-wise addition per
-// ciphertext element. It returns the result ciphertext and its report
-// (compute excludes the transfers, as in Table I's "Add in HW" row).
+// Add executes FV.Add on the co-processor into a new ciphertext (AddInto).
 func (s *Scheduler) Add(a, b *fv.Ciphertext) (*fv.Ciphertext, Report, error) {
-	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, Report{}, fmt.Errorf("sched: Add expects degree-1 ciphertexts")
-	}
-	els, rep, err := s.add(s.P.QBasis.K(), a.Els, b.Els)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return &fv.Ciphertext{Els: els}, rep, nil
+	out := new(fv.Ciphertext)
+	rep, err := s.AddInto(out, a, b)
+	return fresh(out, rep, err)
 }
 
-// Mul executes the full FV.Mult pipeline of the paper's Fig. 2 on the
-// co-processor and returns the relinearized ciphertext along with its report
-// (compute includes the relinearization-key streaming, as in Table I's
-// "Mult in HW" row, but not the operand/result transfers).
-func (s *Scheduler) Mul(a, b *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, Report, error) {
+// AddInto executes FV.Add on the co-processor: one coefficient-wise addition
+// per ciphertext element, the result read back into out (any shape: its rows
+// are reshaped by rlwe.Reshape, and reused where they fit). It returns the
+// report (compute excludes the transfers, as in Table I's "Add in HW" row).
+func (s *Scheduler) AddInto(out, a, b *fv.Ciphertext) (Report, error) {
 	if len(a.Els) != 2 || len(b.Els) != 2 {
-		return nil, Report{}, fmt.Errorf("sched: Mul expects degree-1 ciphertexts")
+		return Report{}, fmt.Errorf("sched: Add expects degree-1 ciphertexts")
+	}
+	return s.add(&out.Els, s.P.QBasis.K(), a.Els, b.Els)
+}
+
+// Mul executes FV.Mult on the co-processor into a new ciphertext (MulInto).
+func (s *Scheduler) Mul(a, b *fv.Ciphertext, rk *fv.RelinKey) (*fv.Ciphertext, Report, error) {
+	out := new(fv.Ciphertext)
+	rep, err := s.MulInto(out, a, b, rk)
+	return fresh(out, rep, err)
+}
+
+// MulInto executes the full FV.Mult pipeline of the paper's Fig. 2 on the
+// co-processor, reading the relinearized ciphertext back into out as AddInto
+// does, and returns its report (compute includes the relinearization-key
+// streaming, as in Table I's "Mult in HW" row, but not the operand/result
+// transfers).
+func (s *Scheduler) MulInto(out, a, b *fv.Ciphertext, rk *fv.RelinKey) (Report, error) {
+	if len(a.Els) != 2 || len(b.Els) != 2 {
+		return Report{}, fmt.Errorf("sched: Mul expects degree-1 ciphertexts")
 	}
 	kq := s.P.QBasis.K()
 	rep, start := s.begin(kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
 	if err := s.mulProgram(rk); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	els, rep, err := s.finish(rep, start, slotAcc0, slotAcc1, kq)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return &fv.Ciphertext{Els: els}, rep, nil
+	return s.finish(&out.Els, rep, start, slotAcc0, slotAcc1, kq)
 }
 
 // mulProgram emits the Fig. 2 multiplication pipeline over the four operand
@@ -237,19 +245,28 @@ func (s *Scheduler) TraditionalMul(hps Report) Report {
 	return hps
 }
 
-// Rotate executes a Galois automorphism with key switch on the
-// co-processor. The automorphism itself is a (sign-aware) memory
-// permutation, streamed through the rearrangement port; the key switch is
-// exactly the relinearization datapath with the Galois key's components, so
-// the instruction mix is ℓ WordDecomp + ℓ NTT + 2ℓ CMUL/CADD + 2 INTT.
+// Rotate executes a Galois automorphism on the co-processor into a new
+// ciphertext (RotateInto).
 func (s *Scheduler) Rotate(ct *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext, Report, error) {
+	out := new(fv.Ciphertext)
+	rep, err := s.RotateInto(out, ct, gk)
+	return fresh(out, rep, err)
+}
+
+// RotateInto executes a Galois automorphism with key switch on the
+// co-processor, reading the result back into out as AddInto does. The
+// automorphism itself is a (sign-aware) memory permutation, streamed through
+// the rearrangement port; the key switch is exactly the relinearization
+// datapath with the Galois key's components, so the instruction mix is
+// ℓ WordDecomp + ℓ NTT + 2ℓ CMUL/CADD + 2 INTT.
+func (s *Scheduler) RotateInto(out, ct *fv.Ciphertext, gk *fv.GaloisKey) (Report, error) {
 	if len(ct.Els) != 2 {
-		return nil, Report{}, fmt.Errorf("sched: Rotate expects a degree-1 ciphertext")
+		return Report{}, fmt.Errorf("sched: Rotate expects a degree-1 ciphertext")
 	}
 	kq := s.P.QBasis.K()
 	rep, start := s.begin(kq, ct.Els[0], ct.Els[1])
 	if err := s.automorph(gk.G, kq); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	// Key switch σ_g(c1) → s, then c0' = σ(c0) + sop0; c1' = sop1.
 	if err := s.keySwitch(keySwitch{
@@ -260,17 +277,13 @@ func (s *Scheduler) Rotate(ct *fv.Ciphertext, gk *fv.GaloisKey) (*fv.Ciphertext,
 		label:   "galois key stream",
 		bytes:   s.polyBytes(),
 	}); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
 	if err := s.run(
 		hwsim.Instr{Op: hwsim.OpINTT, A: slotAcc0, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpINTT, A: slotAcc1, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc0, A: slotA0, B: slotAcc0, Batch: hwsim.BatchQ}); err != nil {
-		return nil, Report{}, err
+		return Report{}, err
 	}
-	els, rep, err := s.finish(rep, start, slotAcc0, slotAcc1, kq)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return &fv.Ciphertext{Els: els}, rep, nil
+	return s.finish(&out.Els, rep, start, slotAcc0, slotAcc1, kq)
 }
