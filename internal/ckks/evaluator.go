@@ -62,7 +62,7 @@ type evalScratch struct {
 	mid            Ciphertext // level-ℓ view of t0..t2: MulInto's degree-2 intermediate
 
 	// ksw[ℓ] is the level-ℓ keyswitch core, built lazily (each level's
-	// gadget runs over its own basis).
+	// digits and accumulators span its own rows).
 	ksw []*rlwe.KeySwitcher
 }
 
@@ -91,13 +91,14 @@ func (ev *Evaluator) scratch() *evalScratch {
 }
 
 // kswAt returns the level-ℓ keyswitch core, building it on first use: a
-// hybrid switcher whose digits decompose over the chain prefix but carry the
-// p* extension row the level's keys are encrypted over.
+// hybrid switcher whose digits decompose the chain prefix with the top
+// basis's constants — the gadget the one top-level key encrypts — and carry
+// the p* extension row.
 func (ev *Evaluator) kswAt(level int) *rlwe.KeySwitcher {
 	s := ev.scratch()
 	if s.ksw[level] == nil {
 		p := ev.params
-		s.ksw[level] = rlwe.NewKeySwitcherExt(p.Pool, p.TrKS[level], p.BasisLevel[level], p.KSMods[level], p.N())
+		s.ksw[level] = rlwe.NewKeySwitcherExt(p.Pool, p.TrKS[level], p.BasisLevel[p.MaxLevel()], p.KSMods[level], p.N())
 	}
 	return s.ksw[level]
 }
@@ -289,7 +290,7 @@ func (ev *Evaluator) tensor(parent obs.Scope, a, b *Ciphertext) *Ciphertext {
 }
 
 // Relinearize reduces a degree-2 ciphertext back to degree 1 with the
-// level's relin key: c̃2 decomposes into digits and the shared fused SoP
+// relin key's level view: c̃2 decomposes into digits and the shared fused SoP
 // folds it onto (c0, c1).
 func (ev *Evaluator) Relinearize(ct *Ciphertext, rk *RelinKey) *Ciphertext {
 	sc := ev.tracer.Start("ckks_relin")

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/poly"
 	"repro/internal/sampler"
 )
 
@@ -44,6 +45,9 @@ func FuzzDecodeCKKSKeys(f *testing.F) {
 	f.Add(seed(func(b *bytes.Buffer) error { return WriteGaloisKeyV2(b, p, gk) }))
 	f.Add([]byte("CKk2\x04\x00\x00\x00null"))
 	f.Add([]byte{})
+	// The retired per-level evaluation-key layout: refused as corrupt.
+	f.Add(seed(func(b *bytes.Buffer) error { return writeRetiredLayout(b, p, 0, &rk.levelViews) }))
+	f.Add(seed(func(b *bytes.Buffer) error { return writeRetiredLayout(b, p, gk.G, &gk.levelViews) }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Each reader must either reject or return a structurally valid key;
@@ -62,18 +66,39 @@ func FuzzDecodeCKKSKeys(f *testing.F) {
 			}
 		}
 		if p2, rk2, err := ReadRelinKey(bytes.NewReader(data)); err == nil {
-			for l := 1; l <= p2.MaxLevel(); l++ {
-				if lk := rk2.At(l); lk == nil || len(lk.Ks0Hat) != l+1 {
-					t.Fatalf("accepted relin key with bad level %d bundle", l)
-				}
-			}
+			checkKeyShape(t, p2, &rk2.levelViews)
 		}
 		if p2, gk2, err := ReadGaloisKey(bytes.NewReader(data)); err == nil {
 			if gk2.G%2 == 0 || gk2.G < 1 || gk2.G >= 2*p2.N() {
 				t.Fatalf("accepted Galois key with element %d", gk2.G)
 			}
+			checkKeyShape(t, p2, &gk2.levelViews)
 		}
 	})
+}
+
+// checkKeyShape fails unless an accepted evaluation key is L+1 digit pairs
+// over KSMods[L] whose level-ℓ view is ℓ+1 pairs over KSMods[ℓ].
+func checkKeyShape(t *testing.T, p *Params, v *levelViews) {
+	t.Helper()
+	for l := 0; l <= p.MaxLevel(); l++ {
+		lk := v.At(l)
+		if len(lk.Ks0Hat) != l+1 || len(lk.Ks1Hat) != l+1 {
+			t.Fatalf("accepted key's level-%d view has %d+%d digits", l, len(lk.Ks0Hat), len(lk.Ks1Hat))
+		}
+		for i := range lk.Ks0Hat {
+			for _, x := range []poly.RNSPoly{lk.Ks0Hat[i], lk.Ks1Hat[i]} {
+				if x.N() != p.N() || x.Level() != len(p.KSMods[l]) {
+					t.Fatalf("accepted key's level-%d digit %d is %d rows of %d", l, i, x.Level(), x.N())
+				}
+				for j, row := range x.Rows {
+					if row.Mod.Q != p.KSMods[l][j].Q {
+						t.Fatalf("accepted key's level-%d digit %d row %d is mod %d, want %d", l, i, j, row.Mod.Q, p.KSMods[l][j].Q)
+					}
+				}
+			}
+		}
+	}
 }
 
 func FuzzEncoderRoundTrip(f *testing.F) {

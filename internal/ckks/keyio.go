@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/keyio"
@@ -55,70 +54,48 @@ func ReadPublicKey(r io.Reader) (*Params, *PublicKey, error) {
 	})
 }
 
-// writeLevelsBody serializes a per-level key bundle: a level bitmap-style
-// count, then for each present level its digit pairs over that level's
-// extended rows.
-func writeLevelsBody(w io.Writer, params *Params, levels []*LevelKey) error {
-	if err := keyio.WriteWords(w, uint32(len(levels)), 0); err != nil {
-		return err
-	}
-	for l, lk := range levels {
-		if lk == nil {
-			continue
-		}
-		if len(lk.Ks0Hat) != l+1 {
-			return fmt.Errorf("ckks: level %d key has %d digits, want %d", l, len(lk.Ks0Hat), l+1)
-		}
-		if err := keyio.WritePairs(w, params.KSMods[l], params.N(), lk.Ks0Hat, lk.Ks1Hat); err != nil {
-			return err
-		}
-	}
-	return nil
+// writeKeyBody writes an evaluation-key body: the one top-level key, its
+// L+1 digit pairs over KSMods[L]. The retired per-level layout (a level
+// count, then one bundle per level) is longer, so readKeyBody leaves its
+// bytes where the checksum trailer belongs and the file is ErrCorruptKey.
+func writeKeyBody(w io.Writer, params *Params, v *levelViews) error {
+	top := params.MaxLevel()
+	return keyio.WritePairs(w, params.KSMods[top], params.N(), v.At(top).Ks0Hat, v.At(top).Ks1Hat)
 }
 
-func readLevelsBody(r io.Reader, params *Params) ([]*LevelKey, error) {
-	meta, err := keyio.ReadWords(r, 2) // level count, one word of padding
+func readKeyBody(r io.Reader, params *Params) (levelViews, error) {
+	top := params.MaxLevel()
+	k0, k1, err := keyio.ReadPairs(r, params.KSMods[top], params.N(), top+1)
 	if err != nil {
-		return nil, err
+		return levelViews{}, err
 	}
-	if int(meta[0]) != params.Cfg.QCount {
-		return nil, fmt.Errorf("ckks: key bundle for a %d-level chain, params have %d", meta[0], params.Cfg.QCount)
-	}
-	levels := make([]*LevelKey, params.Cfg.QCount)
-	for l := 1; l < len(levels); l++ {
-		k0, k1, err := keyio.ReadPairs(r, params.KSMods[l], params.N(), l+1)
-		if err != nil {
-			return nil, err
-		}
-		levels[l] = &LevelKey{Ks0Hat: k0, Ks1Hat: k1}
-	}
-	return levels, nil
+	return params.cutLevels(k0, k1), nil
 }
 
 // WriteRelinKeyV2 serializes a relinearization key with the checksum
 // trailer.
 func WriteRelinKeyV2(w io.Writer, params *Params, rk *RelinKey) error {
 	return keyio.WriteKey(w, ckksScheme, params.Cfg, func(w io.Writer) error {
-		return writeLevelsBody(w, params, rk.Levels)
+		return writeKeyBody(w, params, &rk.levelViews)
 	})
 }
 
 // ReadRelinKey reads a relinearization key and its parameters.
 func ReadRelinKey(r io.Reader) (*Params, *RelinKey, error) {
 	return keyio.ReadKey(r, ckksScheme, NewParams, func(r io.Reader, params *Params) (*RelinKey, error) {
-		levels, err := readLevelsBody(r, params)
-		return &RelinKey{Levels: levels}, err
+		v, err := readKeyBody(r, params)
+		return &RelinKey{v}, err
 	})
 }
 
 // WriteGaloisKeyV2 serializes a Galois key with the checksum trailer: the
-// element (and one word of padding), then the level bundle.
+// element (and one word of padding), then the key.
 func WriteGaloisKeyV2(w io.Writer, params *Params, gk *GaloisKey) error {
 	return keyio.WriteKey(w, ckksScheme, params.Cfg, func(w io.Writer) error {
 		if err := keyio.WriteWords(w, uint32(gk.G), 0); err != nil {
 			return err
 		}
-		return writeLevelsBody(w, params, gk.Levels)
+		return writeKeyBody(w, params, &gk.levelViews)
 	})
 }
 
@@ -132,7 +109,7 @@ func ReadGaloisKey(r io.Reader) (*Params, *GaloisKey, error) {
 		if err := rlwe.CheckGaloisElement(int(meta[0]), params.N()); err != nil {
 			return nil, err
 		}
-		levels, err := readLevelsBody(r, params)
-		return &GaloisKey{G: int(meta[0]), Levels: levels}, err
+		v, err := readKeyBody(r, params)
+		return &GaloisKey{G: int(meta[0]), levelViews: v}, err
 	})
 }

@@ -86,7 +86,7 @@ func TestRelinKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	for l := 1; l <= p.MaxLevel(); l++ {
+	for l := 0; l <= p.MaxLevel(); l++ {
 		a, b := rk.At(l), rk2.At(l)
 		for i := range a.Ks0Hat {
 			for j := range a.Ks0Hat[i].Rows {
@@ -123,6 +123,58 @@ func TestGaloisKeyRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// writeRetiredLayout writes a relin (g == 0) or Galois key in the retired
+// per-level layout, under the unchanged container: the element words for a
+// Galois key, a level count and one word of padding, then one bundle per
+// level 1..L, each its ℓ+1 digit pairs over KSMods[ℓ] — here the views of
+// the one top-level key, which have exactly that shape.
+func writeRetiredLayout(w io.Writer, p *Params, g int, v *levelViews) error {
+	return keyio.WriteKey(w, ckksScheme, p.Cfg, func(w io.Writer) error {
+		if g != 0 {
+			if err := keyio.WriteWords(w, uint32(g), 0); err != nil {
+				return err
+			}
+		}
+		if err := keyio.WriteWords(w, uint32(p.Cfg.QCount), 0); err != nil {
+			return err
+		}
+		for l := 1; l <= p.MaxLevel(); l++ {
+			lk := v.At(l)
+			if err := keyio.WritePairs(w, p.KSMods[l], p.N(), lk.Ks0Hat, lk.Ks1Hat); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// A key file in the retired per-level layout is refused as corrupt, never
+// read as a key, and the one-key file it gave way to is at least 2.5×
+// smaller.
+func TestRetiredKeyLayoutRefused(t *testing.T) {
+	p, _, _, rk, gk := keyioContext(t)
+	var old, cur bytes.Buffer
+	if err := writeRetiredLayout(&old, p, 0, &rk.levelViews); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRelinKeyV2(&cur, p, rk); err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(old.Len()) / float64(cur.Len()); ratio < 2.5 {
+		t.Fatalf("retired layout %d B, one key %d B: only %.2f× smaller", old.Len(), cur.Len(), ratio)
+	}
+	if _, k, err := ReadRelinKey(&old); !errors.Is(err, ErrCorruptKey) || k != nil {
+		t.Fatalf("retired relin key layout: key %v, err %v, want ErrCorruptKey", k != nil, err)
+	}
+	old.Reset()
+	if err := writeRetiredLayout(&old, p, gk.G, &gk.levelViews); err != nil {
+		t.Fatal(err)
+	}
+	if _, k, err := ReadGaloisKey(&old); !errors.Is(err, ErrCorruptKey) || k != nil {
+		t.Fatalf("retired Galois key layout: key %v, err %v, want ErrCorruptKey", k != nil, err)
 	}
 }
 

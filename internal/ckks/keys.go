@@ -19,44 +19,62 @@ type (
 	PublicKey = rlwe.PublicKey
 )
 
-// LevelKey is one level's gadget key-switch key: ℓ+1 component pairs over
-// the extended rows (q_0..q_ℓ, p*), each encrypting p*·g_i·payload. The
-// gadget constants q*_i, q̃_i depend on the live basis, so each level needs
-// its own key material — the level-aware datapath trade-off of a rescaling
-// scheme. The p* factor is the GHS hybrid construction: the keyswitch SoP
-// lands at p* times the switched value and the evaluator ModDowns by p*,
-// dividing the gadget noise out of the message's scale range.
+// LevelKey is a gadget key-switch key as a level-ℓ operation reads it: ℓ+1
+// component pairs over the extended rows (q_0..q_ℓ, p*), each encrypting
+// p*·g_i·payload with the top level's gadget g_i = Q_L/q_i. One key over the
+// top level serves every level: the digit step multiplies by the top
+// basis's q̃_i = (Q_L/q_i)⁻¹ mod q_i, and Σ_{i≤ℓ} d_i·g_i ≡ x modulo each
+// prime of the level (rns.DecomposeRNSPoolInto), so a level's key is row
+// views of the top one — its first ℓ+1 digits, their rows q_0..q_ℓ and p*.
+// The p* factor is the GHS hybrid construction: the keyswitch SoP lands at
+// p* times the switched value and the evaluator ModDowns by p*, dividing the
+// gadget noise out of the message's scale range.
 type LevelKey struct {
 	Ks0Hat []poly.RNSPoly
 	Ks1Hat []poly.RNSPoly
 }
 
-// RelinKey bundles the relinearization keys of every level: Levels[ℓ] is
-// nil below level 1 (a level-0 product cannot rescale and is not served).
+// levelViews is one top-level gadget key as the level-0..L views At hands
+// out, built once when the key is generated or read: levels[L] is the key
+// itself, every lower level shares its storage.
+type levelViews struct {
+	levels []LevelKey
+}
+
+// At returns the level-ℓ view, panicking on a level outside the chain.
+func (v *levelViews) At(level int) *LevelKey {
+	if level < 0 || level >= len(v.levels) {
+		panic(fmt.Sprintf("ckks: no key at level %d of a %d-level chain", level, len(v.levels)))
+	}
+	return &v.levels[level]
+}
+
+// cutLevels cuts the views of every level out of a top-level key's
+// digit pairs (k0, k1 over KSMods[L]).
+func (p *Params) cutLevels(k0, k1 []poly.RNSPoly) levelViews {
+	top := p.MaxLevel()
+	v := levelViews{levels: make([]LevelKey, top+1)}
+	for l := range v.levels {
+		lk := &v.levels[l]
+		for i := 0; i <= l; i++ {
+			lk.Ks0Hat = append(lk.Ks0Hat, k0[i].Prefix(l+1, top+1))
+			lk.Ks1Hat = append(lk.Ks1Hat, k1[i].Prefix(l+1, top+1))
+		}
+	}
+	return v
+}
+
+// RelinKey is the relinearization key (payload s²); At(ℓ) is its level-ℓ
+// view.
 type RelinKey struct {
-	Levels []*LevelKey
+	levelViews
 }
 
-// At returns the level-ℓ key, panicking on a level the key does not carry.
-func (rk *RelinKey) At(level int) *LevelKey {
-	if level < 1 || level >= len(rk.Levels) || rk.Levels[level] == nil {
-		panic(fmt.Sprintf("ckks: no relin key at level %d", level))
-	}
-	return rk.Levels[level]
-}
-
-// GaloisKey bundles the per-level switch keys of one automorphism element.
+// GaloisKey is the switch key of one automorphism element (payload σ_g(s));
+// At(ℓ) is its level-ℓ view.
 type GaloisKey struct {
-	G      int
-	Levels []*LevelKey
-}
-
-// At returns the level-ℓ key, panicking on a level the key does not carry.
-func (gk *GaloisKey) At(level int) *LevelKey {
-	if level < 1 || level >= len(gk.Levels) || gk.Levels[level] == nil {
-		panic(fmt.Sprintf("ckks: no Galois key for g=%d at level %d", gk.G, level))
-	}
-	return gk.Levels[level]
+	G int
+	levelViews
 }
 
 // KeyGenerator samples key material deterministically from its PRNG.
@@ -89,16 +107,16 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return rlwe.GenPublicKey(kg.prng, kg.gauss, p.TrLevel[p.MaxLevel()], p.QMods, p.N(), sk)
 }
 
-// ksGadgets returns the level-ℓ gadget constants over the extended rows:
-// p*·g_i mod q_j on the chain rows, 0 on the p* row (p* ≡ 0 mod p* kills
-// the payload term there, which is what lets ModDown divide it out).
-func (p *Params) ksGadgets(level int) []poly.RNSPoly {
-	base := rns.GadgetRNS(p.BasisLevel[level])
+// ksGadgets returns the top level's gadget constants over its extended
+// rows: p*·g_i mod q_j on the chain rows, 0 on the p* row (p* ≡ 0 mod p*
+// kills the payload term there, which is what lets ModDown divide it out).
+func (p *Params) ksGadgets() []poly.RNSPoly {
+	top := p.MaxLevel()
+	base := rns.GadgetRNS(p.BasisLevel[top])
 	out := make([]poly.RNSPoly, len(base))
 	for i := range base {
-		out[i] = poly.NewRNSPoly(p.KSMods[level], 1)
-		for j := 0; j <= level; j++ {
-			m := p.QMods[j]
+		out[i] = poly.NewRNSPoly(p.KSMods[top], 1)
+		for j, m := range p.QMods {
 			out[i].Rows[j].Coeffs[0] = m.Mul(m.Reduce(p.PMod.Q), base[i].Rows[j].Coeffs[0])
 		}
 		// The p* row stays zero.
@@ -106,30 +124,25 @@ func (p *Params) ksGadgets(level int) []poly.RNSPoly {
 	return out
 }
 
-// genLevels derives the level-1..L gadget keys of one payload (given over
-// AllMods, NTT domain): each level's key encrypts p*·g_i·payload over that
-// level's extended rows — the chain prefix plus the p* row, as row views of
-// the full-width secret and payload.
-func (kg *KeyGenerator) genLevels(sk *SecretKey, payloadHat poly.RNSPoly) []*LevelKey {
+// genKey derives the one gadget key of a payload (given over AllMods, NTT
+// domain): L+1 digit pairs encrypting p*·g_i·payload over the top level's
+// extended rows, which are all of AllMods.
+func (kg *KeyGenerator) genKey(sk *SecretKey, payloadHat poly.RNSPoly) levelViews {
 	p := kg.params
-	levels := make([]*LevelKey, p.Cfg.QCount)
-	for l := 1; l <= p.MaxLevel(); l++ {
-		lk := &LevelKey{}
-		lk.Ks0Hat, lk.Ks1Hat = rlwe.GenGadgetKey(kg.prng, kg.gauss, p.TrKS[l], p.KSMods[l], p.N(),
-			p.ksGadgets(l), sk.SHat.Prefix(l+1, p.Cfg.QCount), payloadHat.Prefix(l+1, p.Cfg.QCount))
-		levels[l] = lk
-	}
-	return levels
+	top := p.MaxLevel()
+	k0, k1 := rlwe.GenGadgetKey(kg.prng, kg.gauss, p.TrKS[top], p.KSMods[top], p.N(),
+		p.ksGadgets(), sk.SHat, payloadHat)
+	return p.cutLevels(k0, k1)
 }
 
-// GenRelinKey derives relinearization keys for levels 1..L (payload s²).
+// GenRelinKey derives the relinearization key (payload s²).
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
 	s2Hat := poly.NewRNSPoly(kg.params.AllMods, kg.params.N())
 	sk.SHat.MulInto(sk.SHat, s2Hat)
-	return &RelinKey{Levels: kg.genLevels(sk, s2Hat)}
+	return &RelinKey{kg.genKey(sk, s2Hat)}
 }
 
-// GenGaloisKey derives per-level switch keys for the automorphism g (odd,
+// GenGaloisKey derives the switch key for the automorphism g (odd,
 // 1 ≤ g < 2n; payload σ_g(s)).
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g int) *GaloisKey {
 	if err := rlwe.CheckGaloisElement(g, kg.params.N()); err != nil {
@@ -137,7 +150,7 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g int) *GaloisKey {
 	}
 	sGHat := rlwe.Automorph(g, sk.S)
 	kg.params.Tr.Forward(sGHat)
-	return &GaloisKey{G: g, Levels: kg.genLevels(sk, sGHat)}
+	return &GaloisKey{G: g, levelViews: kg.genKey(sk, sGHat)}
 }
 
 // GaloisElementForRotation returns the automorphism element implementing a

@@ -77,9 +77,10 @@ type Params struct {
 	TrLevel []*poly.Transformer
 	TrKS    []*poly.Transformer
 
-	// BasisLevel[ℓ] is the CRT basis of the prefix q_0..q_ℓ — the gadget
-	// (digit) basis of that level's key-switch keys. KSMods[ℓ] is the
-	// extended modulus row set those keys live over.
+	// BasisLevel[ℓ] is the CRT basis of the prefix q_0..q_ℓ (the encoder's
+	// CRT); the top one, BasisLevel[L], is the gadget (digit) basis of the
+	// key-switch keys at every level. KSMods[ℓ] is the extended row set a
+	// level-ℓ key switch runs over.
 	BasisLevel []*rns.Basis
 	KSMods     [][]ring.Modulus
 

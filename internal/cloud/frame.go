@@ -269,13 +269,13 @@ func newCodec(params *fv.Params, cparams *ckks.Params) codec {
 	cd := codec{params: params, bfv: params.Wire()}
 	// A key blob holds up to 65 keys per scheme (a relin key and 64 Galois
 	// keys) in checksummed containers, each two 64-entry gadget rows of
-	// polynomials at 8 bytes a coefficient: one bundle over the q basis for
-	// BFV, one per level over the chain prefix and p* for CKKS.
-	keys := func(bundles, rows, n int) int { return 65 * (256 + 2*64*bundles*(64+rows*n*8) + 16) }
-	cd.maxKeyBlob = 64 + keys(1, len(cd.bfv.Mods), cd.bfv.N)
+	// polynomials at 8 bytes a coefficient: over the q basis for BFV, over
+	// the chain and p* for CKKS.
+	keys := func(rows, n int) int { return 65 * (256 + 2*64*(64+rows*n*8) + 16) }
+	cd.maxKeyBlob = 64 + keys(len(cd.bfv.Mods), cd.bfv.N)
 	if cparams != nil {
 		cd.ckks = cparams.Wire()
-		cd.maxKeyBlob += keys(len(cd.ckks.Mods), len(cd.ckks.Mods)+1, cd.ckks.N)
+		cd.maxKeyBlob += keys(len(cd.ckks.Mods)+1, cd.ckks.N)
 	}
 	// A request is the header and a rotation argument or a length, then at
 	// most two operands of three elements at the top of their chain, a

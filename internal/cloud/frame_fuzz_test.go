@@ -79,7 +79,7 @@ func maxClaimKeyExportReply(params *fv.Params, cparams *ckks.Params) []byte {
 
 // TestFramingReservesOnlyWhatArrived: a stream that claims the largest legal
 // key blob and ends ten bytes into it is refused as truncated having cost the
-// reader about one streamSlack — not the ~700 MB of the claim, reserved before
+// reader about one streamSlack — not the ~170 MB of the claim, reserved before
 // a byte of the body had arrived, which any connection could ask of a node
 // (CmdKeyImport) or a node of a router (a forged CmdKeyExport reply).
 func TestFramingReservesOnlyWhatArrived(t *testing.T) {

@@ -224,8 +224,8 @@ func (h *ReuseHarness) bfvOp(kind uint64, next func() uint64, inj *faults.Inject
 // the top — so the one chain co-processor's level register moves down and
 // back up many times over the same memory file.
 func (h *ReuseHarness) ckksOp(kind uint64, next func() uint64, inj *faults.Injector) error {
-	// Keys exist for levels 1..L: at the bottom only Add is left.
-	if h.ccur == nil || (kind != 4 && h.ccur.Level() < 1) {
+	// At the bottom MulRescale has no level left to rescale into.
+	if h.ccur == nil || (kind == 5 && h.ccur.Level() < 1) {
 		ct, err := h.freshCKKS(next)
 		if err != nil {
 			return err

@@ -163,22 +163,16 @@ func TestEngineCKKSUnavailable(t *testing.T) {
 	}
 }
 
-// The key store sizes a CKKS key's DMA stream from its level bundles: a
-// level-ℓ bundle is two vectors of ℓ+1 digits, each an (ℓ+1 chain + p*)-row
-// polynomial of 32-bit words, and a full key streams every level from 1 up.
+// The key store sizes a CKKS key's DMA stream from the one top-level key:
+// two vectors of L+1 digits, each an (L+1 chain + p*)-row polynomial of
+// 32-bit words.
 func TestCKKSKeyStreamBytes(t *testing.T) {
 	p, err := ckks.NewParams(ckks.TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ckksKeyBytes(p, 2) - ckksKeyBytes(p, 1); got != 2*3*4*p.N()*4 {
-		t.Fatalf("level-2 bundle = %d bytes, want %d", got, 2*3*4*p.N()*4)
-	}
-	want := 0
-	for l := 1; l <= p.MaxLevel(); l++ {
-		want += 2 * (l + 1) * (l + 2) * p.N() * 4
-	}
-	if got := ckksKeyBytes(p, p.MaxLevel()); got != want {
+	L := p.MaxLevel()
+	if got, want := ckksKeyBytes(p), 2*(L+1)*(L+2)*p.N()*4; got != want {
 		t.Fatalf("ckksKeyBytes = %d, want %d", got, want)
 	}
 }

@@ -423,8 +423,9 @@ func (e *Engine) SetGaloisKey(tenant string, gk *fv.GaloisKey) {
 	e.ImportTenantKeys(tenant, &TenantKeySet{Galois: []*fv.GaloisKey{gk}})
 }
 
-// SetCKKSRelinKey registers the tenant's CKKS relinearization key (all
-// level bundles; workers stream and cache it like the FV keys).
+// SetCKKSRelinKey registers the tenant's CKKS relinearization key (the one
+// top-level key every level reads; workers stream and cache it like the FV
+// keys).
 func (e *Engine) SetCKKSRelinKey(tenant string, rk *ckks.RelinKey) {
 	e.ImportTenantKeys(tenant, &TenantKeySet{CKKSRelin: rk})
 }
@@ -450,12 +451,11 @@ func (e *Engine) ImportTenantKeys(tenant string, ks *TenantKeySet) {
 	if ks == nil {
 		return
 	}
-	// A CKKS key streams all its level bundles. An engine without CKKSParams
-	// can hold such keys (a migration target stores what it is sent) but
-	// never streams them.
+	// An engine without CKKSParams can hold CKKS keys (a migration target
+	// stores what it is sent) but never streams them.
 	ckksBytes := 0
 	if p := e.cfg.CKKSParams; p != nil {
-		ckksBytes = ckksKeyBytes(p, p.MaxLevel())
+		ckksBytes = ckksKeyBytes(p)
 	}
 	entries := make([]keyEntry, 0, ks.Count())
 	if rk := ks.Relin; rk != nil {

@@ -61,17 +61,12 @@ func galoisKeyBytes(params *fv.Params, gk *fv.GaloisKey) int {
 	return 2 * len(gk.Ks0Hat) * hwsim.PolyBytes(params.N(), params.QBasis.K())
 }
 
-// ckksKeyBytes returns the DMA transfer size of a multi-level CKKS
-// evaluation key (relinearization or Galois) with bundles for levels
-// 1..levels, all of which a key load streams: the level-ℓ bundle is two
-// polynomial vectors of ℓ+1 gadget digits, each an extended-row (chain + p*)
-// polynomial.
-func ckksKeyBytes(p *ckks.Params, levels int) int {
-	total := 0
-	for l := 1; l <= levels; l++ {
-		total += 2 * (l + 1) * hwsim.PolyBytes(p.N(), l+2)
-	}
-	return total
+// ckksKeyBytes returns the DMA transfer size of a CKKS evaluation key
+// (relinearization or Galois), the one top-level key a key load streams: two
+// polynomial vectors of L+1 gadget digits, each an extended-row (chain + p*)
+// polynomial. Every level reads row views of it.
+func ckksKeyBytes(p *ckks.Params) int {
+	return 2 * (p.MaxLevel() + 1) * hwsim.PolyBytes(p.N(), p.MaxLevel()+2)
 }
 
 // keyEntry is one registration: a key under its identity.

@@ -89,13 +89,14 @@ type Coprocessor struct {
 
 	// Basis is the CRT basis WordDecomp extracts gadget digits over (the q
 	// part of the row set). The BFV co-processor inherits it from the
-	// Extender's source basis; on the chain co-processor it is the level's
-	// prefix basis.
+	// Extender's source basis; on the chain co-processor it is the top
+	// level's at every level, its q̃_i prefix the digit constants of the one
+	// top-level key.
 	Basis *rns.Basis
 
 	// chain is the CKKS chain co-processor's modulus chain (nil on the BFV
-	// co-processor) and level its level register: Mods, KQ, Basis and tables
-	// are chain's level-`level` views. width is the row count of a slot —
+	// co-processor) and level its level register: Mods, KQ and tables are
+	// chain's level-`level` views. width is the row count of a slot —
 	// every row set's, so the chain co-processor's is the top level's.
 	chain *Chain
 	level int
@@ -188,15 +189,16 @@ func New(qmods, pmods []ring.Modulus, n int,
 // Chain is the CKKS modulus chain q_0..q_L with the keyswitch special prime
 // p*, as the per-level views the chain co-processor's level register
 // selects. The fields are the ones ckks.Params holds for the software —
-// KSMods, TrKS, BasisLevel, Rescaler and RescalerKS — so the hardware
-// builds none of them a second time.
+// KSMods, TrKS, the top of BasisLevel, Rescaler and RescalerKS — so the
+// hardware builds none of them a second time.
 type Chain struct {
 	// Mods[ℓ] is level ℓ's row set (q_0..q_ℓ, p*) and NTT[ℓ] its twiddle
 	// ROMs, one table per row.
 	Mods [][]ring.Modulus
 	NTT  []*poly.Transformer
-	// Basis[ℓ] is level ℓ's gadget basis q_0..q_ℓ.
-	Basis []*rns.Basis
+	// Basis is the top level's basis q_0..q_L: a level-ℓ digit i < ℓ+1 is
+	// x_i·q̃_i with its constant q̃_i = (Q_L/q_i)⁻¹ mod q_i.
+	Basis *rns.Basis
 	// Rescale divides by the top prime of any chain prefix; ModDown[ℓ]
 	// divides level ℓ's row set by p*.
 	Rescale *rns.Rescaler
@@ -215,6 +217,7 @@ func NewCoprocessorChain(ch Chain, n int, pool *poly.Pool, timing Timing, slotCo
 		KP: 1, N: n,
 		Timing: timing,
 		Pool:   pool,
+		Basis:  ch.Basis,
 		chain:  &ch,
 		width:  len(ch.Mods[top]),
 		DMAEng: DMA{Timing: timing},
@@ -226,11 +229,11 @@ func NewCoprocessorChain(ch Chain, n int, pool *poly.Pool, timing Timing, slotCo
 }
 
 // SetLevel points the chain co-processor's level register at ℓ: from here
-// on its row set is (q_0..q_ℓ, p*), with that level's twiddle ROMs, gadget
-// basis, ModDown and integrity weights, over the same memory file. Row j
-// holds a different prime at another level, so the switch clears the file
-// first — ClearSlots' flush check reads every row under the level it was
-// written at. It charges no cycles and allocates nothing.
+// on its row set is (q_0..q_ℓ, p*), with that level's twiddle ROMs, ModDown
+// and integrity weights, over the same memory file. Row j holds a different
+// prime at another level, so the switch clears the file first — ClearSlots'
+// flush check reads every row under the level it was written at. It charges
+// no cycles and allocates nothing.
 func (c *Coprocessor) SetLevel(level int) error {
 	if c.chain == nil {
 		return fmt.Errorf("hwsim: the BFV co-processor has no level register")
@@ -246,7 +249,7 @@ func (c *Coprocessor) SetLevel(level int) error {
 func (c *Coprocessor) setLevel(level int) {
 	ch := c.chain
 	c.level, c.KQ = level, level+1
-	c.Mods, c.tables, c.Basis = ch.Mods[level], ch.NTT[level].Tables, ch.Basis[level]
+	c.Mods, c.tables = ch.Mods[level], ch.NTT[level].Tables
 	if c.integrity != nil {
 		c.integrity.at(c.KQ)
 	}

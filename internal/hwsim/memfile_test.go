@@ -34,7 +34,7 @@ func testChain(t testing.TB, n, kq int) *Coprocessor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCoprocessorChain(Chain{Mods: p.KSMods, NTT: p.TrKS, Basis: p.BasisLevel,
+	return NewCoprocessorChain(Chain{Mods: p.KSMods, NTT: p.TrKS, Basis: p.BasisLevel[p.MaxLevel()],
 		Rescale: p.Rescaler, ModDown: p.RescalerKS}, n, nil, DefaultTiming(), 8)
 }
 

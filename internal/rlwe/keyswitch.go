@@ -30,33 +30,34 @@ type KeySwitcher struct {
 	task       sopTask
 }
 
-// NewKeySwitcher builds a switcher over basis (the live q basis — for a
-// level-tracked scheme, one switcher per level) with tr transforming exactly
-// that basis's rows.
+// NewKeySwitcher builds a switcher over basis (the live q basis) with tr
+// transforming exactly that basis's rows.
 func NewKeySwitcher(pool *poly.Pool, tr *poly.Transformer, basis *rns.Basis, n int) *KeySwitcher {
 	return NewKeySwitcherExt(pool, tr, basis, basis.Mods, n)
 }
 
 // NewKeySwitcherExt builds a hybrid (special-modulus) switcher: digits still
 // decompose over digitBasis, but each digit — and the two accumulators — is
-// carried over mods, digitBasis's moduli followed by the extension rows. The
-// caller's keys encrypt P·g_i·payload over the extended basis, so the SoP
-// lands at P times the switched value and a ModDown by the special rows
-// recovers it with the keyswitch noise divided by P — the standard GHS
-// construction, and the reason a low-scale scheme like CKKS can rotate
-// without drowning its message. With mods == digitBasis.Mods this is exactly
-// the plain switcher.
+// carried over mods, a prefix of digitBasis's moduli followed by the
+// extension rows. The caller's keys encrypt P·g_i·payload over the extended
+// basis, so the SoP lands at P times the switched value and a ModDown by the
+// special rows recovers it with the keyswitch noise divided by P — the
+// standard GHS construction, and the reason a low-scale scheme like CKKS can
+// rotate without drowning its message. The digit count is the length of
+// that prefix: a level-tracked scheme points every level's switcher at its
+// top basis, whose gadget constants serve each prefix (the top-level key's
+// rows are then all a level needs, rns.DecomposeRNSPoolInto). With mods ==
+// digitBasis.Mods this is exactly the plain switcher.
 func NewKeySwitcherExt(pool *poly.Pool, tr *poly.Transformer, digitBasis *rns.Basis, mods []ring.Modulus, n int) *KeySwitcher {
-	if len(mods) < digitBasis.K() {
-		panic("rlwe: keyswitch modulus set narrower than the digit basis")
+	k := 0
+	for k < len(mods) && k < digitBasis.K() && mods[k].Q == digitBasis.Mods[k].Q {
+		k++
 	}
-	for i := 0; i < digitBasis.K(); i++ {
-		if mods[i].Q != digitBasis.Mods[i].Q {
-			panic("rlwe: keyswitch moduli must start with the digit basis")
-		}
+	if k == 0 {
+		panic("rlwe: keyswitch moduli must start with the digit basis")
 	}
 	ks := &KeySwitcher{pool: pool, tr: tr, basis: digitBasis, mods: mods, n: n}
-	ks.digits = make([]poly.RNSPoly, digitBasis.K())
+	ks.digits = make([]poly.RNSPoly, k)
 	for i := range ks.digits {
 		ks.digits[i] = poly.NewRNSPoly(mods, n)
 	}

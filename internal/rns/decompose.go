@@ -26,21 +26,28 @@ import (
 // row (ReplicateDigitInto), walked a cache line at a time instead of a
 // column at a time.
 //
-// The digit polynomials' first b.K() rows must be over b's moduli; any rows
-// past that (a hybrid keyswitch extending digits to a special modulus) get
-// the same replication — a digit is a small integer, so "its residue mod p"
-// is one more reduction pass, not a CRT reconstruction.
+// x may also span a prefix q_0..q_{k-1} of b, k < b.K(): it then yields k
+// digits d_i = x_i·q̃_i mod q_i with b's own constants q̃_i = (Q/q_i)⁻¹, and
+// Σ_{i<k} d_i·(Q/q_i) ≡ x still holds modulo every prime of the prefix (Q/q_i
+// vanishes mod q_j for j ≠ i). That is how one key over the top of a modulus
+// chain serves every level of it.
+//
+// The digit polynomials' first k rows must be over the prefix's moduli; any
+// rows past that (a hybrid keyswitch extending digits to a special modulus)
+// get the same replication — a digit is a small integer, so "its residue mod
+// p" is one more reduction pass, not a CRT reconstruction.
 func DecomposeRNSPoolInto(pool *poly.Pool, b *Basis, x poly.RNSPoly, digits []poly.RNSPoly) {
-	if x.Level() != b.K() {
+	k := x.Level()
+	if k > b.K() {
 		panic("rns: DecomposeRNSPoolInto level mismatch")
 	}
-	if len(digits) != b.K() {
+	if len(digits) != k {
 		panic("rns: DecomposeRNSPoolInto digit count mismatch")
 	}
 	n := x.N()
 	t := getDecompTask()
 	t.b, t.src, t.digits = b, x.Rows, digits
-	pool.RunTask(n*b.K()*b.K(), b.K(), t)
+	pool.RunTask(n*k*k, k, t)
 	putDecompTask(t)
 }
 

@@ -493,39 +493,46 @@ func FuzzLiftScale(f *testing.F) {
 	})
 }
 
+// The identity holds for the whole basis and for every prefix of it, with
+// the whole basis's gadget: how one key over the top of a chain serves each
+// level.
 func TestDecomposeRNSIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	qb, _ := paperBases(t, 64, 6, 1)
 	n := 64
-	x := poly.NewRNSPoly(qb.Mods, n)
-	for i, m := range qb.Mods {
-		for c := 0; c < n; c++ {
-			x.Rows[i].Coeffs[c] = r.Uint64() % m.Q
-		}
-	}
-	digits := make([]poly.RNSPoly, qb.K())
-	for i := range digits {
-		digits[i] = poly.NewRNSPoly(qb.Mods, n)
-	}
-	DecomposeRNSPoolInto(nil, qb, x, digits)
 	gadget := GadgetRNS(qb)
-	// Σ_i d_i·g_i ≡ x (mod q), checked per residue row and coefficient.
-	for row, m := range qb.Mods {
-		for c := 0; c < n; c++ {
-			var sum uint64
-			for i := range digits {
-				sum = m.Add(sum, m.Mul(digits[i].Rows[row].Coeffs[c], gadget[i].Rows[row].Coeffs[0]))
-			}
-			if sum != x.Rows[row].Coeffs[c] {
-				t.Fatalf("gadget identity failed at row %d coeff %d", row, c)
+	for k := qb.K(); k >= 1; k-- {
+		mods := qb.Mods[:k]
+		x := poly.NewRNSPoly(mods, n)
+		for i, m := range mods {
+			for c := 0; c < n; c++ {
+				x.Rows[i].Coeffs[c] = r.Uint64() % m.Q
 			}
 		}
-	}
-	// Digit magnitudes are single words below their source prime.
-	for i := range digits {
-		for c := 0; c < n; c++ {
-			if digits[i].Rows[0].Coeffs[c] >= 1<<30 && digits[i].Rows[0].Coeffs[c] < qb.Mods[0].Q-(1<<30) {
-				t.Fatalf("digit %d coeff %d is not small", i, c)
+		digits := make([]poly.RNSPoly, k)
+		for i := range digits {
+			digits[i] = poly.NewRNSPoly(mods, n)
+		}
+		DecomposeRNSPoolInto(nil, qb, x, digits)
+		// Σ_i d_i·g_i ≡ x (mod each q_j of the prefix), checked per residue
+		// row and coefficient.
+		for row, m := range mods {
+			for c := 0; c < n; c++ {
+				var sum uint64
+				for i := range digits {
+					sum = m.Add(sum, m.Mul(digits[i].Rows[row].Coeffs[c], gadget[i].Rows[row].Coeffs[0]))
+				}
+				if sum != x.Rows[row].Coeffs[c] {
+					t.Fatalf("%d-prime prefix: gadget identity failed at row %d coeff %d", k, row, c)
+				}
+			}
+		}
+		// Digit magnitudes are single words below their source prime.
+		for i := range digits {
+			for c := 0; c < n; c++ {
+				if digits[i].Rows[0].Coeffs[c] >= 1<<30 && digits[i].Rows[0].Coeffs[c] < qb.Mods[0].Q-(1<<30) {
+					t.Fatalf("%d-prime prefix: digit %d coeff %d is not small", k, i, c)
+				}
 			}
 		}
 	}

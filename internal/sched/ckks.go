@@ -23,7 +23,7 @@ type CKKSScheduler struct {
 
 // NewCKKS returns a scheduler over params with the given timing calibration.
 func NewCKKS(p *ckks.Params, timing hwsim.Timing) *CKKSScheduler {
-	c := hwsim.NewCoprocessorChain(hwsim.Chain{Mods: p.KSMods, NTT: p.TrKS, Basis: p.BasisLevel,
+	c := hwsim.NewCoprocessorChain(hwsim.Chain{Mods: p.KSMods, NTT: p.TrKS, Basis: p.BasisLevel[p.MaxLevel()],
 		Rescale: p.Rescaler, ModDown: p.RescalerKS}, p.N(), p.Pool, timing, numCKKSSlots)
 	return &CKKSScheduler{P: p, Stats: c.Stats, machine: newMachine(c, p.QMods, p.N())}
 }
@@ -40,16 +40,6 @@ func ckksScales(a, b float64) (float64, error) {
 		return 0, fmt.Errorf("sched: ckks scale mismatch (%g vs %g)", a, b)
 	}
 	return hi, nil
-}
-
-// levelKey returns a key's level-ℓ bundle, nil when it has none (keys start
-// at level 1; the keys' own At accessors panic there, and the level comes
-// off the wire).
-func levelKey(levels []*ckks.LevelKey, level int) *ckks.LevelKey {
-	if level < 1 || level >= len(levels) {
-		return nil
-	}
-	return levels[level]
 }
 
 // Add executes CKKS addition into a new ciphertext (AddInto).
@@ -107,10 +97,7 @@ func (s *CKKSScheduler) MulRescaleInto(out, a, b *ckks.Ciphertext, rk *ckks.Reli
 	if level < 1 {
 		return Report{}, fmt.Errorf("sched: ckks Mul at level 0 — no level left to rescale into")
 	}
-	lk := levelKey(rk.Levels, level)
-	if lk == nil {
-		return Report{}, fmt.Errorf("sched: relin key has no level-%d bundle", level)
-	}
+	// SetLevel refuses a level outside the chain before the key's At can.
 	if err := s.C.SetLevel(level); err != nil {
 		return Report{}, err
 	}
@@ -133,7 +120,7 @@ func (s *CKKSScheduler) MulRescaleInto(out, a, b *ckks.Ciphertext, rk *ckks.Reli
 	}
 	s.live.free(slotA1, slotB0)
 	// Phase 4+5: hybrid keyswitch of c2 onto the accumulators, ModDown.
-	if err := s.hybridKeySwitch(level, slotB1, lk); err != nil {
+	if err := s.hybridKeySwitch(level, slotB1, rk.At(level)); err != nil {
 		return Report{}, err
 	}
 	// Phase 6: combine — c0 + md0, c1 + md1 (chain rows, coefficient
@@ -175,10 +162,7 @@ func (s *CKKSScheduler) RotateInto(out, ct *ckks.Ciphertext, r int, gk *ckks.Gal
 		return Report{}, fmt.Errorf("sched: rotation by %d needs Galois element %d, key holds %d", r, g, gk.G)
 	}
 	level := ct.Level()
-	lk := levelKey(gk.Levels, level)
-	if lk == nil {
-		return Report{}, fmt.Errorf("sched: galois key has no level-%d bundle", level)
-	}
+	// SetLevel refuses a level outside the chain before the key's At can.
 	if err := s.C.SetLevel(level); err != nil {
 		return Report{}, err
 	}
@@ -189,7 +173,7 @@ func (s *CKKSScheduler) RotateInto(out, ct *ckks.Ciphertext, r int, gk *ckks.Gal
 	}
 	// Keyswitch σ_g(c1) → s, ModDown, combine: c0' = σ(c0) + md0,
 	// c1' = md1.
-	if err := s.hybridKeySwitch(level, slotA1, lk); err != nil {
+	if err := s.hybridKeySwitch(level, slotA1, gk.At(level)); err != nil {
 		return Report{}, err
 	}
 	if _, err := s.exec(hwsim.Instr{
@@ -206,11 +190,11 @@ func (s *CKKSScheduler) RotateInto(out, ct *ckks.Ciphertext, r int, gk *ckks.Gal
 }
 
 // hybridKeySwitch emits the hybrid (special-prime) keyswitch of the
-// polynomial in src against the level key: the digit loop over the chain
-// and p* batches (WordDecomp extracts and extends each gadget digit, the key
-// components stream in as extended-row polynomials), both accumulators back
-// to coefficient order, then ModDown divides them by p* into
-// slotMd0/slotMd1 (chain rows).
+// polynomial in src against a key's level view: the digit loop over the
+// chain and p* batches (WordDecomp extracts and extends each gadget digit,
+// the key components stream in as extended-row polynomials), both
+// accumulators back to coefficient order, then ModDown divides them by p*
+// into slotMd0/slotMd1 (chain rows).
 func (s *CKKSScheduler) hybridKeySwitch(level int, src uint8, lk *ckks.LevelKey) error {
 	if err := s.keySwitch(keySwitch{
 		src:     src,

@@ -2,10 +2,12 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/ckks"
 	"repro/internal/hwsim"
+	"repro/internal/poly"
 	"repro/internal/sampler"
 )
 
@@ -180,20 +182,24 @@ func TestCKKSOneCoprocessorServesTheChain(t *testing.T) {
 		}
 		// all runs the three operations at x's level and returns the product,
 		// one level down.
-		all := func(x *ckks.Ciphertext) *ckks.Ciphertext {
-			add(x)
+		rotate := func(x *ckks.Ciphertext) {
 			step(fmt.Sprintf("Rotate at level %d", x.Level()), c.ev.Rotate(x, 1, c.gk),
 				func(s *CKKSScheduler) (*ckks.Ciphertext, Report, error) { return s.Rotate(x, 1, c.gk) })
+		}
+		all := func(x *ckks.Ciphertext) *ckks.Ciphertext {
+			add(x)
+			rotate(x)
 			return step(fmt.Sprintf("MulRescale at level %d", x.Level()), c.ev.Rescale(c.ev.Mul(x, x, c.rk)),
 				func(s *CKKSScheduler) (*ckks.Ciphertext, Report, error) { return s.MulRescale(x, x, c.rk) })
 		}
-		// Down the chain, Add alone at level 0 (no key bundle there), and
-		// back to the top.
+		// Down the chain, Add and Rotate at level 0 (nothing left to
+		// rescale into), and back to the top.
 		ct := c.encryptRange(t, 3)
 		for ct.Level() > 0 {
 			ct = all(ct)
 		}
 		add(ct)
+		rotate(ct)
 		all(c.encryptRange(t, 7))
 	}
 }
@@ -338,13 +344,43 @@ func TestCKKSTraceSumsToTotal(t *testing.T) {
 	}
 }
 
-// A rotation of a level-0 ciphertext has no key bundle to switch with (keys
-// start at level 1): the scheduler refuses it with an error. It used to
-// reach the key's At accessor, which panics.
-func TestCKKSRotateWithoutLevelBundleRefused(t *testing.T) {
+// One top-level Galois key serves a rotation at every level, level 0
+// included: the scheduler's result is bit-identical to the software
+// evaluator's and decodes to the rotated slots. A wrong Galois element and a
+// ciphertext above the chain still get typed errors.
+func TestCKKSRotateAtEveryLevel(t *testing.T) {
 	c := newCKKSTestContext(t)
-	bottom := c.ev.DropLevel(c.encryptRange(t, 3), 0)
-	if _, _, err := c.hw.Rotate(bottom, 1, c.gk); err == nil {
-		t.Fatal("rotation at level 0 was served")
+	dec := ckks.NewDecryptor(c.p, c.sk)
+	fresh := c.encryptRange(t, 3)
+	want := c.enc.Decode(dec.Decrypt(fresh))
+	for level := c.p.MaxLevel(); level >= 0; level-- {
+		x := fresh
+		if level < fresh.Level() {
+			x = c.ev.DropLevel(fresh, level)
+		}
+		hw, _, err := c.hw.Rotate(x, 1, c.gk)
+		if err != nil {
+			t.Fatalf("rotate at level %d: %v", level, err)
+		}
+		sameCiphertext(t, fmt.Sprintf("rotate at level %d", level), c.ev.Rotate(x, 1, c.gk), hw)
+		got := c.enc.Decode(dec.Decrypt(hw))
+		maxErr := 0.0
+		for i := range got {
+			maxErr = max(maxErr, math.Abs(got[i]-want[(i+1)%len(want)]))
+		}
+		t.Logf("level %d: max slot error %.2g", level, maxErr)
+		if maxErr > 1e-3 {
+			t.Fatalf("level %d: rotated slots off by %g", level, maxErr)
+		}
+	}
+	if _, _, err := c.hw.Rotate(fresh, 2, c.gk); err == nil {
+		t.Fatal("rotation by 2 served with the shift-1 key")
+	}
+	above := &ckks.Ciphertext{Scale: fresh.Scale}
+	for range 2 {
+		above.Els = append(above.Els, poly.NewRNSPoly(c.p.AllMods, c.p.N()))
+	}
+	if _, _, err := c.hw.Rotate(above, 1, c.gk); err == nil {
+		t.Fatalf("rotation at level %d, above the chain, was served", above.Level())
 	}
 }
