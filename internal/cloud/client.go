@@ -87,12 +87,6 @@ func (o Ops) CKKSRotateCtx(ctx context.Context, a *ckks.Ciphertext, r int) (*ckk
 	return o.ckksOp(ctx, &Request{Cmd: CmdCKKSRotate, CA: a, R: int32(r)})
 }
 
-// PingCtx verifies the service is alive, honoring ctx.
-func (o Ops) PingCtx(ctx context.Context) error {
-	_, _, err := o.op(ctx, &Request{Cmd: CmdPing})
-	return err
-}
-
 // RunProgram compiles nothing — it serializes an already-built program and
 // submits it with its inputs as ONE round trip, returning every output. This
 // is the client half of circuit-as-a-program serving: where op-at-a-time
@@ -151,6 +145,21 @@ func (cl *caller) Do(ctx context.Context, req *Request) (*Response, error) {
 func (cl *caller) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
 	req.Cmd = CmdProgram
 	return ReplyAs[*ProgramResponse](cl.roundTrip(ctx, req))
+}
+
+// PingCtx verifies the service is alive, honoring ctx. The reply's
+// ciphertext is framed and checked like any other but never materialized: a
+// health probe costs no ciphertext.
+func (cl *caller) PingCtx(ctx context.Context) error {
+	raw, err := cl.codec.send(ctx, cl.exchange, &Request{Cmd: CmdPing, Tenant: cl.Ops.Tenant})
+	if err != nil {
+		return err
+	}
+	defer raw.Release()
+	if se := raw.ServerError(); se != nil {
+		return se
+	}
+	return nil
 }
 
 // Info asks the server what it is: protocol version, node ID, worker count,

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -134,9 +137,72 @@ func TestRequestValidation(t *testing.T) {
 			t.Fatalf("magic %q: err = %v, want ErrMalformedRequest", frame[:4], err)
 		}
 	}
-	// Unknown command.
-	if _, err := ReadRequest(bytes.NewReader(requestHeader(0x99)), ts.params); err == nil {
-		t.Fatal("unknown command accepted")
+	// Every command byte against the command table. A row has a unique name;
+	// an info or blob row bounds its reply body; an op row's engine kind is
+	// served, and its request frames back with that kind's operands under
+	// that kind's scheme. A byte with no row is refused by the framer and by
+	// the encoder.
+	cparams, cct := fuzzCKKS()
+	cd := codecFor(ts.params, cparams)
+	ct := ts.encrypt(t, 1)
+	names := map[string]int{}
+	for b := 0; b < 256; b++ {
+		cmd := uint8(b)
+		row := commands[cmd]
+		if row == nil {
+			_, err := ReadRequest(bytes.NewReader(requestHeader(cmd)), ts.params)
+			if !errors.Is(err, ErrMalformedRequest) || !strings.Contains(err.Error(), fmt.Sprintf("unknown command %d", b)) {
+				t.Errorf("byte %d has no row but frames as %v", b, err)
+			}
+			if _, err := cd.encode(&Request{Cmd: cmd, A: ct, B: ct}); !errors.Is(err, ErrMalformedRequest) {
+				t.Errorf("byte %d has no row but encodes: %v", b, err)
+			}
+			continue
+		}
+		name := cmdName(cmd)
+		if prev, dup := names[name]; dup || name == "" {
+			t.Errorf("bytes %d and %d share the name %q", prev, b, name)
+		}
+		names[name] = b
+		if (row.reply == ReplyInfo || row.reply == ReplyBlob) && row.bound(cd) <= 0 {
+			t.Errorf("%s: reply bound %d", name, row.bound(cd))
+		}
+		if row.body != bodyOp {
+			continue
+		}
+		if name == fmt.Sprintf("op(%d)", row.op) {
+			t.Errorf("byte %d: engine kind %d is not served", b, row.op)
+			continue
+		}
+		f, err := cd.encode(&Request{Cmd: cmd, G: 3, R: 1, A: ct, B: ct, CA: cct, CB: cct})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var back Frame
+		if err := back.read(&cursor{buf: bytes.Clone(f.b), left: cd.maxRequest}, cd); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		req, err := back.Request()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mine, other := []bool{req.A != nil, req.B != nil}, []bool{req.CA != nil, req.CB != nil}
+		size := fvSize(ts.params, ct)
+		if row.op.CKKS() {
+			mine, other, size = other, mine, ckksSize(cct)
+		}
+		want := []bool{true, row.op.Operands() == 2}
+		if !slices.Equal(mine, want) || slices.Contains(other, true) {
+			t.Errorf("%s: operands %v of its scheme and %v of the other, want %v", name, mine, other, want)
+		}
+		arg := 0
+		if row.arg != argNone {
+			arg = 4
+		}
+		if len(f.b) != back.body+arg+row.op.Operands()*size {
+			t.Errorf("%s: %d-byte frame, want %d operands of %d bytes after the header", name, len(f.b), row.op.Operands(), size)
+		}
+		f.Release()
 	}
 	// Truncated body.
 	truncated := append(requestHeader(CmdAdd), 1, 2, 3)

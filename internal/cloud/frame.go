@@ -298,11 +298,13 @@ func newCodec(params *fv.Params, cparams *ckks.Params) codec {
 // it touches the wire, and the stream stays usable.
 func (cd *codec) EnableCKKS(p *ckks.Params) { *cd = newCodec(cd.params, p) }
 
-// layout returns the layout cmd's ciphertexts are framed under; a CKKS command
-// under a codec without a CKKS layout is malformed.
+// layout returns the layout cmd's ciphertexts are framed under; an unknown
+// command, or a CKKS command under a codec without a CKKS layout, is
+// malformed.
 func (cd *codec) layout(cmd uint8) (rlwe.Layout, error) {
-	if !IsCKKSCmd(cmd) {
-		return cd.bfv, nil
+	row, err := commandOf(cmd)
+	if err != nil || !row.op.CKKS() {
+		return cd.bfv, err
 	}
 	if cd.ckks.Mods == nil {
 		return rlwe.Layout{}, fmt.Errorf("%w: %s without a CKKS parameter set", ErrMalformedRequest, cmdName(cmd))
@@ -368,9 +370,12 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 	f.body = c.off
 	f.codec = cd
 
-	switch f.Cmd {
-	case CmdPing, CmdInfo, CmdKeyExport:
-	case CmdKeyImport:
+	row, err := commandOf(f.Cmd)
+	if err != nil {
+		return err
+	}
+	switch row.body {
+	case bodyBlob:
 		n, err := c.next(4)
 		if err != nil {
 			return malformed(ErrMalformedRequest, "truncated payload length", err)
@@ -382,7 +387,7 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 		if _, err := c.next(int(blen)); err != nil {
 			return malformed(ErrMalformedRequest, "truncated payload", err)
 		}
-	case CmdProgram:
+	case bodyProgram:
 		l := ProgramLimits()
 		n, err := c.next(4)
 		if err != nil {
@@ -407,28 +412,23 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 				return malformed(ErrMalformedRequest, fmt.Sprintf("reading program input %d", i), err)
 			}
 		}
-	case CmdAdd, CmdMul, CmdRotate, CmdCKKSAdd, CmdCKKSMul, CmdCKKSRotate:
-		// The six op commands are one shape under either scheme: a 4-byte
-		// argument for a rotation, then one or two operands of the scheme's
-		// layout.
+	case bodyOp:
+		// The op commands are one shape under either scheme: the argument
+		// word, then the engine kind's operands, of the scheme's layout.
 		layout, err := cd.layout(f.Cmd)
 		if err != nil {
 			return err
 		}
-		operands := "AB"
-		if f.Cmd == CmdRotate || f.Cmd == CmdCKKSRotate {
-			operands = "A"
+		if row.arg != argNone {
 			if _, err := c.next(4); err != nil {
 				return malformed(ErrMalformedRequest, "truncated rotation argument", err)
 			}
 		}
-		for _, name := range operands {
+		for i := 0; i < row.op.Operands(); i++ {
 			if err := c.ciphertext(layout); err != nil {
-				return malformed(ErrMalformedRequest, fmt.Sprintf("reading %s operand %c", layout.Scheme, name), err)
+				return malformed(ErrMalformedRequest, fmt.Sprintf("reading %s operand %c", layout.Scheme, 'A'+i), err)
 			}
 		}
-	default:
-		return fmt.Errorf("%w: unknown command %d", ErrMalformedRequest, f.Cmd)
 	}
 	f.b = c.buf[:c.off]
 	return nil
@@ -464,10 +464,10 @@ func (f *Frame) Request() (*Request, error) {
 	// An operand is stored in req even when its decode failed, so Release
 	// takes it back either way.
 	var err error
-	switch f.Cmd {
-	case CmdKeyImport:
+	switch row := commands[f.Cmd]; row.body {
+	case bodyBlob:
 		req.Blob = body[4:]
-	case CmdProgram:
+	case bodyProgram:
 		plen := binary.LittleEndian.Uint32(body)
 		req.ProgBytes = body[4 : 4+plen]
 		body = body[4+plen:]
@@ -476,21 +476,18 @@ func (f *Frame) Request() (*Request, error) {
 		for i := 0; i < len(req.Inputs) && err == nil; i++ {
 			req.Inputs[i], err = operand()
 		}
-	case CmdRotate:
-		req.G = binary.LittleEndian.Uint32(body)
-		body = body[4:]
-		req.A, err = operand()
-	case CmdAdd, CmdMul:
-		if req.A, err = operand(); err == nil {
-			req.B, err = operand()
+	case bodyOp:
+		if row.arg != argNone {
+			row.arg.put(req, binary.LittleEndian.Uint32(body))
+			body = body[4:]
 		}
-	case CmdCKKSRotate:
-		req.R = int32(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		req.CA, err = ckksOperand()
-	case CmdCKKSAdd, CmdCKKSMul:
-		if req.CA, err = ckksOperand(); err == nil {
-			req.CB, err = ckksOperand()
+		two := row.op.Operands() == 2
+		if row.op.CKKS() {
+			if req.CA, err = ckksOperand(); err == nil && two {
+				req.CB, err = ckksOperand()
+			}
+		} else if req.A, err = operand(); err == nil && two {
+			req.B, err = operand()
 		}
 	}
 	if err != nil {
@@ -504,7 +501,7 @@ func (f *Frame) Request() (*Request, error) {
 // command. Release takes it back with the operands, after the reply that
 // carries it has been written.
 func (f *Frame) result() (*fv.Ciphertext, *ckks.Ciphertext) {
-	if IsCKKSCmd(f.Cmd) {
+	if commands[f.Cmd].op.CKKS() {
 		f.cdst = f.pool.getCKKS()
 		return nil, f.cdst
 	}
@@ -563,10 +560,10 @@ func (cd *codec) encode(req *Request) (*Frame, error) {
 // error half or the kind's body as validated bytes. The routing tier relays
 // it as is (it is a Reply); clients materialize it.
 type RawReply struct {
-	cmd   uint8   // the command it answers: picks the body's kind
-	b     []byte  // the encoded reply
-	buf   *buffer // pooled backing of b, nil when b is plain memory
-	codec *codec  // the request's: what the body was framed under
+	row   *command // the command it answers: picks the body's kind
+	b     []byte   // the encoded reply
+	buf   *buffer  // pooled backing of b, nil when b is plain memory
+	codec *codec   // the request's: what the body was framed under
 	// info is the info body, decoded while framing: its JSON has to parse for
 	// the reply to be well formed.
 	info *ServerInfo
@@ -576,14 +573,18 @@ type RawReply struct {
 const replyHeadLen = 1 + 8
 
 // replyHint is how large a buffer to read f's reply into: a reply is rarely
-// longer than its request, and the two-operand commands answer with one
-// ciphertext — half the request and a few fixed fields.
+// longer than its request, and an op command answers with one ciphertext —
+// about the size of one of its operands, or for a ping, which has none, a
+// two-element BFV one — and a few fixed fields.
 func (f *Frame) replyHint() int {
-	switch f.Cmd {
-	case CmdAdd, CmdMul, CmdCKKSAdd, CmdCKKSMul:
-		return len(f.b)/2 + 64
+	row := commands[f.Cmd]
+	switch {
+	case row.reply != ReplyOp:
+		return len(f.b)
+	case row.op.Operands() > 0:
+		return (len(f.b)-f.body)/row.op.Operands() + 64
 	}
-	return len(f.b)
+	return 2*len(f.codec.bfv.Mods)*f.codec.bfv.N*4 + 64
 }
 
 // readRawReply frames the reply to a cmd request from a stream into a pooled
@@ -607,11 +608,11 @@ func readRawReply(r io.Reader, hint int, cd *codec, cmd uint8) (*RawReply, error
 // is, anything after is ErrMalformedResponse. A CKKS command under a codec
 // without a CKKS layout is refused before a byte is read.
 func (raw *RawReply) read(c *cursor, cd *codec, cmd uint8) error {
-	raw.cmd, raw.codec = cmd, cd
 	layout, err := cd.layout(cmd)
 	if err != nil {
 		return err
 	}
+	raw.row, raw.codec = commands[cmd], cd
 	head, err := c.next(replyHeadLen)
 	if err != nil {
 		if c.short == 0 {
@@ -648,25 +649,11 @@ func (raw *RawReply) read(c *cursor, cd *codec, cmd uint8) error {
 	return nil
 }
 
-// readBody frames the success body of the kind raw.cmd answers in; an op
-// result is of the command's layout.
+// readBody frames the success body of the kind raw's command answers in; an
+// op result is of the command's layout.
 func (raw *RawReply) readBody(c *cursor, layout rlwe.Layout) error {
-	lenBody := func(maxLen int) (int, error) {
-		n, err := c.next(4)
-		if err != nil {
-			return 0, malformed(ErrMalformedResponse, "truncated body length", err)
-		}
-		ln := binary.LittleEndian.Uint32(n)
-		if int64(ln) > int64(maxLen) {
-			return 0, fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
-		}
-		if _, err := c.next(int(ln)); err != nil {
-			return 0, malformed(ErrMalformedResponse, "truncated body", err)
-		}
-		return int(ln), nil
-	}
-	switch raw.cmd {
-	case CmdProgram:
+	switch raw.row.reply {
+	case ReplyProgram:
 		hdr, err := c.next(28) // makespan, serial, key loads, nodes, output count
 		if err != nil {
 			return malformed(ErrMalformedResponse, "truncated program response header", err)
@@ -680,21 +667,25 @@ func (raw *RawReply) readBody(c *cursor, layout rlwe.Layout) error {
 				return malformed(ErrMalformedResponse, fmt.Sprintf("reading program output %d", i), err)
 			}
 		}
-	case CmdInfo:
-		ln, err := lenBody(maxInfoBytes)
+	case ReplyInfo, ReplyBlob:
+		n, err := c.next(4)
 		if err != nil {
-			return err
+			return malformed(ErrMalformedResponse, "truncated body length", err)
 		}
-		raw.info = new(ServerInfo)
-		if err := json.Unmarshal(c.buf[c.off-ln:c.off], raw.info); err != nil {
-			return fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
+		ln, maxLen := binary.LittleEndian.Uint32(n), raw.row.bound(raw.codec)
+		if int64(ln) > int64(maxLen) {
+			return fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
 		}
-	case CmdKeyExport:
-		_, err := lenBody(raw.codec.maxKeyBlob)
-		return err
-	case CmdKeyImport:
-		_, err := lenBody(maxAckBytes)
-		return err
+		body, err := c.next(int(ln))
+		if err != nil {
+			return malformed(ErrMalformedResponse, "truncated body", err)
+		}
+		if raw.row.reply == ReplyInfo {
+			raw.info = new(ServerInfo)
+			if err := json.Unmarshal(body, raw.info); err != nil {
+				return fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
+			}
+		}
 	default:
 		if _, err := c.next(12); err != nil { // compute nanos, worker
 			return malformed(ErrMalformedResponse, "truncated response header", err)
@@ -734,8 +725,8 @@ func (raw *RawReply) Reply() (Reply, error) {
 		body = body[n:]
 		return ct, nil
 	}
-	switch raw.cmd {
-	case CmdProgram:
+	switch raw.row.reply {
+	case ReplyProgram:
 		resp := &ProgramResponse{
 			ID:            raw.ID(),
 			MakespanNanos: binary.LittleEndian.Uint64(body),
@@ -752,9 +743,9 @@ func (raw *RawReply) Reply() (Reply, error) {
 			}
 		}
 		return resp, nil
-	case CmdInfo:
+	case ReplyInfo:
 		return raw.info, nil
-	case CmdKeyExport, CmdKeyImport:
+	case ReplyBlob:
 		return Blob(bytes.Clone(body[4:])), nil
 	}
 	resp := &Response{
@@ -764,7 +755,7 @@ func (raw *RawReply) Reply() (Reply, error) {
 	}
 	body = body[12:]
 	var err error
-	if IsCKKSCmd(raw.cmd) {
+	if raw.row.op.CKKS() {
 		ct := new(ckks.Ciphertext)
 		_, ct.Scale, err = raw.codec.ckks.Decode(body, &ct.Els)
 		resp.CKKSResult = ct
@@ -812,15 +803,22 @@ func RoundTrip(ctx context.Context, exchange func(context.Context, *Frame) (*Raw
 
 // roundTrip is RoundTrip under cd.
 func (cd *codec) roundTrip(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), req *Request) (Reply, error) {
+	raw, err := cd.send(ctx, exchange, req)
+	if err != nil {
+		return nil, err
+	}
+	defer raw.Release()
+	return raw.Reply()
+}
+
+// send is roundTrip short of materializing: the framed reply, validated in
+// place, for the caller to read and release.
+func (cd *codec) send(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), req *Request) (*RawReply, error) {
 	f, err := cd.encode(req)
 	if err != nil {
 		return nil, err
 	}
 	raw, err := exchange(ctx, f)
 	f.Release()
-	if err != nil {
-		return nil, err
-	}
-	defer raw.Release()
-	return raw.Reply()
+	return raw, err
 }

@@ -97,12 +97,6 @@ const (
 	statusErr uint8 = 1
 )
 
-// IsCKKSCmd reports whether cmd is one of the CKKS commands — the one list
-// the wire codec and the router's CKKS guard both read.
-func IsCKKSCmd(cmd uint8) bool {
-	return cmd == CmdCKKSAdd || cmd == CmdCKKSMul || cmd == CmdCKKSRotate
-}
-
 // Error codes carried by error responses.
 const (
 	// CodeApp is a deterministic application error (bad operand, missing
@@ -191,11 +185,14 @@ func (req *Request) encodedSize(params *fv.Params) int {
 
 // appendRequestBody appends the body req.Cmd carries after the tenant.
 func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error) {
-	var err error
-	switch req.Cmd {
-	case CmdPing, CmdInfo, CmdKeyExport:
+	row, err := commandOf(req.Cmd)
+	if err != nil {
+		return b, err
+	}
+	switch row.body {
+	case bodyNone:
 		return b, nil
-	case CmdKeyImport:
+	case bodyBlob:
 		// The receiver enforces the tight bound (the key-blob bound of its own
 		// parameter sets); the writer only refuses frames it could never
 		// legally produce.
@@ -204,7 +201,7 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Blob)))
 		return append(b, req.Blob...), nil
-	case CmdProgram:
+	case bodyProgram:
 		l := ProgramLimits()
 		if len(req.ProgBytes) == 0 || len(req.ProgBytes) > l.MaxEncodedBytes() {
 			return b, fmt.Errorf("cloud: program of %d bytes outside (0, %d]", len(req.ProgBytes), l.MaxEncodedBytes())
@@ -221,50 +218,21 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 			}
 		}
 		return b, nil
-	case CmdRotate:
-		b = binary.LittleEndian.AppendUint32(b, req.G)
-		return req.A.AppendTo(b, params)
-	case CmdCKKSAdd, CmdCKKSMul:
-		if b, err = req.CA.AppendTo(b); err != nil {
+	}
+	if row.arg != argNone {
+		b = binary.LittleEndian.AppendUint32(b, row.arg.of(req))
+	}
+	two := row.op.Operands() == 2
+	if row.op.CKKS() {
+		if b, err = req.CA.AppendTo(b); err != nil || !two {
 			return b, err
 		}
 		return req.CB.AppendTo(b)
-	case CmdCKKSRotate:
-		b = binary.LittleEndian.AppendUint32(b, uint32(req.R))
-		return req.CA.AppendTo(b)
 	}
-	if b, err = req.A.AppendTo(b, params); err != nil {
+	if b, err = req.A.AppendTo(b, params); err != nil || !two {
 		return b, err
 	}
 	return req.B.AppendTo(b, params)
-}
-
-func cmdName(cmd uint8) string {
-	switch cmd {
-	case CmdAdd:
-		return "add"
-	case CmdMul:
-		return "mul"
-	case CmdPing:
-		return "ping"
-	case CmdRotate:
-		return "rotate"
-	case CmdInfo:
-		return "info"
-	case CmdProgram:
-		return "program"
-	case CmdCKKSAdd:
-		return "ckks_add"
-	case CmdCKKSMul:
-		return "ckks_mul"
-	case CmdCKKSRotate:
-		return "ckks_rotate"
-	case CmdKeyExport:
-		return "key_export"
-	case CmdKeyImport:
-		return "key_import"
-	}
-	return fmt.Sprintf("cmd(%d)", cmd)
 }
 
 // Reply envelope. Every reply — whatever the command — opens with a status
@@ -273,13 +241,8 @@ func cmdName(cmd uint8) string {
 //	error:   status 1 | ID (8 LE) | code (1) | message length (4 LE) | message
 //	success: status 0 | ID (8 LE) | the body of the command's reply kind
 //
-//	kind      commands                        body
-//	op        add mul rotate ping, ckks_*     compute ns (8) | worker (4) | ciphertext
-//	program   program                         makespan ns (8) | serial ns (8) | key loads (4) |
-//	                                          nodes (4) | output count (4) | ciphertexts
-//	info      info                            length (4) | JSON ServerInfo
-//	blob      key_export key_import           length (4) | bytes
-//
+// The four kinds and which command answers in which are the command table's
+// (commands.go, ReplyKind).
 // The error half is the same bytes for all four kinds, so a peer that could
 // not even decode the request (and so does not know its kind) can still
 // refuse it, and one writer and one reader serve every command.

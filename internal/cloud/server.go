@@ -34,13 +34,14 @@ type Server struct {
 	NodeID string
 
 	served atomic.Uint64
+	pong   *Response // the answer to every ping: one zero ciphertext, only ever read
 }
 
 // NewServer prepares a server in front of a serving engine. Evaluation keys
 // are registered on the engine (SetGaloisKey below, engine.SetRelinKey for
 // the relinearization key) under DefaultTenant.
 func NewServer(params *fv.Params, eng *engine.Engine, logger *log.Logger) *Server {
-	s := &Server{Engine: eng}
+	s := &Server{Engine: eng, pong: &Response{Result: fv.NewCiphertext(params, 2)}}
 	s.Frontend = NewFrontend(params, s, logger)
 	return s
 }
@@ -65,15 +66,16 @@ func (s *Server) Handle(f *Frame) Reply {
 	if err != nil {
 		return failed(err)
 	}
-	switch req.Cmd {
-	case CmdInfo:
+	row := commands[f.Cmd]
+	switch row.reply {
+	case ReplyInfo:
 		return s.info()
-	case CmdProgram:
+	case ReplyProgram:
 		return s.processProgram(req)
-	case CmdKeyExport, CmdKeyImport:
-		return s.migrate(req)
+	case ReplyBlob:
+		return s.migrate(req, row)
 	}
-	return s.process(f, req)
+	return s.process(f, req, row.op)
 }
 
 // info builds the CmdInfo capability advertisement.
@@ -93,37 +95,19 @@ func failed(err error) *ServerError {
 	return &ServerError{Code: errCode(err), Msg: err.Error()}
 }
 
-// process serves one op command. The result lands in a ciphertext drawn from
-// the frame's pool; the engine owns it until Submit returns, and Submit
-// waits on a context that never ends, so it returns only once the engine is
-// done with the result — never while a worker is still reading into it.
-func (s *Server) process(f *Frame, req *Request) Reply {
+// process serves an op-kind command by the engine kind its row names, a ping
+// (the one such command without one) with the shared zero ciphertext. The
+// result lands in a ciphertext drawn from the frame's pool; the engine owns
+// it until Submit returns, and Submit waits on a context that never ends, so
+// it returns only once the engine is done with the result — never while a
+// worker is still reading into it.
+func (s *Server) process(f *Frame, req *Request, kind engine.OpKind) Reply {
+	if kind == 0 {
+		return s.pong
+	}
 	start := time.Now()
-	if req.Cmd == CmdPing {
-		return &Response{Result: fv.NewCiphertext(s.Params, 2)}
-	}
-	op := engine.Op{Tenant: req.Tenant, A: req.A, B: req.B}
-	switch req.Cmd {
-	case CmdAdd:
-		op.Kind = engine.OpAdd
-	case CmdMul:
-		op.Kind = engine.OpMul
-	case CmdRotate:
-		op.Kind = engine.OpRotate
-		op.G = int(req.G)
-	case CmdCKKSAdd:
-		op.Kind = engine.OpCKKSAdd
-		op.CA, op.CB = req.CA, req.CB
-	case CmdCKKSMul:
-		op.Kind = engine.OpCKKSMul
-		op.CA, op.CB = req.CA, req.CB
-	case CmdCKKSRotate:
-		op.Kind = engine.OpCKKSRotate
-		op.CA = req.CA
-		op.R = int(req.R)
-	default:
-		return &ServerError{Code: CodeApp, Msg: fmt.Sprintf("unknown command %d", req.Cmd)}
-	}
+	op := engine.Op{Kind: kind, Tenant: req.Tenant, A: req.A, B: req.B, G: int(req.G),
+		CA: req.CA, CB: req.CB, R: int(req.R)}
 	op.Dst, op.CDst = f.result()
 	res, err := s.Engine.Submit(context.Background(), op)
 	if err != nil {
@@ -170,9 +154,10 @@ func (s *Server) processProgram(req *Request) Reply {
 	}
 }
 
-// migrate serves the key-migration commands against the engine's key store.
-func (s *Server) migrate(req *Request) Reply {
-	if req.Cmd == CmdKeyExport {
+// migrate serves the key-migration commands against the engine's key store:
+// the one without a body exports, the one carrying a blob imports it.
+func (s *Server) migrate(req *Request, row *command) Reply {
+	if row.body != bodyBlob {
 		ks := s.Engine.ExportTenantKeys(req.Tenant)
 		if ks.Empty() {
 			return &ServerError{Code: CodeApp, Msg: fmt.Sprintf("no evaluation keys for tenant %q", req.Tenant)}

@@ -155,3 +155,80 @@ func TestRoutedAddAllocWall(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeAllocWall: the health probe's round trip — router and data node in
+// one process, every tier's garbage counted — allocates less than one
+// ciphertext. The node answers every ping with one zero ciphertext built
+// once, and the prober checks the framed reply's status without
+// materializing the ciphertext in it.
+func TestProbeAllocWall(t *testing.T) {
+	if poolsDrop() {
+		t.Skip("sync.Pool does not retain here (the race detector makes Put drop a quarter of its items): the wall holds for recycled buffers")
+	}
+	params, err := fv.NewParams(fv.TestConfig(65537))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Params: params, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := cloud.NewServer(params, eng, nil)
+	nodeAddr, err := node.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeDone := make(chan error, 1)
+	go func() { nodeDone <- node.Serve() }()
+	defer func() {
+		node.Close()
+		<-nodeDone
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := eng.Shutdown(ctx); err != nil {
+			t.Errorf("engine shutdown: %v", err)
+		}
+	}()
+
+	ciphertext := uint64(2 * params.QBasis.K() * params.N() * 8)
+	for _, mux := range []bool{false, true} {
+		router, err := NewRouter(Config{
+			Params:   params,
+			Backends: []Backend{{ID: "node", Addr: nodeAddr}},
+			Mux:      mux,
+			Health:   HealthConfig{Interval: time.Hour, Seed: 1}, // only this test's probes
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := func() {
+			if err := router.probe(context.Background(), "node"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// As in TestRoutedAddAllocWall: one processor, no collection while
+		// counting.
+		prev := runtime.GOMAXPROCS(1)
+		for i := 0; i < 8; i++ {
+			probe()
+		}
+		gc := debug.SetGCPercent(-1)
+		const calls = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			probe()
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(prev)
+		router.Close()
+
+		name := map[bool]string{false: "pooled", true: "mux"}[mux]
+		perProbe := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("%s: %d bytes per probe (one ciphertext %d)", name, perProbe, ciphertext)
+		if perProbe >= ciphertext {
+			t.Errorf("%s: a probe allocates %d bytes, at least one ciphertext (%d)", name, perProbe, ciphertext)
+		}
+	}
+}

@@ -369,9 +369,10 @@ func TestLeaveRefusesLastNode(t *testing.T) {
 
 // TestRetiredAdminCommandRefused: command byte 12 once carried membership
 // changes over the wire. It is now an unknown command at the routing tier,
-// refused like any other malformed request — sequential: the connection is
-// dropped; mux: a CodeApp reply, and the session still answers — and the ring
-// and its migration counters do not move.
+// refused like every other byte without a row in the command table (0 and
+// 13-255 with it) — sequential: the connection is dropped; mux: a CodeApp
+// reply, and the session still answers — and the ring and its migration
+// counters do not move.
 func TestRetiredAdminCommandRefused(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	encode := func(req *cloud.Request) []byte {
@@ -382,9 +383,17 @@ func TestRetiredAdminCommandRefused(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	// A well-formed key import with its command byte rewritten.
-	retired := encode(&cloud.Request{Cmd: cloud.CmdKeyImport, ID: 1, Blob: []byte{0x01}})
-	retired[5] = 12 // after the magic (4) and the version (1)
+	// A well-formed key import with its command byte rewritten: byte 12 first.
+	unknown := func(cmd int) []byte {
+		b := encode(&cloud.Request{Cmd: cloud.CmdKeyImport, ID: 1, Blob: []byte{0x01}})
+		b[5] = uint8(cmd) // after the magic (4) and the version (1)
+		return b
+	}
+	// Every byte without a row: 12 first, then 0 and the bytes above it.
+	rowless := []int{12, 0}
+	for cmd := 13; cmd < 256; cmd++ {
+		rowless = append(rowless, cmd)
+	}
 	ping := encode(&cloud.Request{Cmd: cloud.CmdPing, ID: 2})
 
 	type state struct {
@@ -414,21 +423,23 @@ func TestRetiredAdminCommandRefused(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		srv, addr := routedTier(t, tc, false)
 		before := snapshot(srv)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(retired); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		// A close with request bytes still unread may arrive as a reset
-		// rather than EOF; either way nothing is answered.
-		n, err := conn.Read(make([]byte, 1))
-		var ne net.Error
-		if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
-			t.Fatalf("read after command 12 = (%d, %v), want the connection dropped", n, err)
+		for _, cmd := range rowless {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(unknown(cmd)); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			// A close with request bytes still unread may arrive as a reset
+			// rather than EOF; either way nothing is answered.
+			n, err := conn.Read(make([]byte, 1))
+			conn.Close()
+			var ne net.Error
+			if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("read after command %d = (%d, %v), want the connection dropped", cmd, n, err)
+			}
 		}
 		unchanged(srv, before)
 	})
@@ -463,11 +474,14 @@ func TestRetiredAdminCommandRefused(t *testing.T) {
 			}
 			return resp
 		}
-		if resp := exchange(1, retired); resp.Code != cloud.CodeApp || !strings.Contains(resp.Err, "unknown command 12") {
-			t.Fatalf("command 12 answered %+v, want a CodeApp refusal of an unknown command", resp)
+		for _, cmd := range rowless {
+			resp := exchange(1, unknown(cmd))
+			if resp.Code != cloud.CodeApp || !strings.Contains(resp.Err, fmt.Sprintf("unknown command %d", cmd)) {
+				t.Fatalf("command %d answered %+v, want a CodeApp refusal of an unknown command", cmd, resp)
+			}
 		}
 		if resp := exchange(2, ping); resp.Err != "" {
-			t.Fatalf("ping after the refusal: %s", resp.Err)
+			t.Fatalf("ping after the refusals: %s", resp.Err)
 		}
 		unchanged(srv, before)
 	})

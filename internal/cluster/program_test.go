@@ -78,8 +78,8 @@ func TestClusterProgramRouting(t *testing.T) {
 	}
 
 	// Kill one backend; tenants whose primary died must fail over to the
-	// surviving replica and still decrypt correctly (CmdProgram is in the
-	// idempotent retry set).
+	// surviving replica and still decrypt correctly (a program, like every
+	// routed command, is retried).
 	victim := tc.backends[0]
 	victim.kill()
 	deadline := time.Now().Add(10 * time.Second)

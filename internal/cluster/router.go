@@ -41,7 +41,7 @@ type Config struct {
 	// clamped to the membership size).
 	Replicas int
 	// MaxAttempts bounds how many backends one request may try (default:
-	// Replicas). Only idempotent operations are retried, and only on
+	// Replicas). Every routed command is idempotent; it is retried only on
 	// transport failures or retryable (unavailable) server errors.
 	MaxAttempts int
 	// AttemptTimeout is the per-attempt deadline layered under the caller's
@@ -257,19 +257,6 @@ func (r *Router) candidatesFor(tenant string) (list []string, rerouted, routable
 	return list, list[0] != full[0], true
 }
 
-// isIdempotent reports whether a command may be retried on a replica after
-// a failure whose outcome is unknown. Every current op of either scheme —
-// including a whole program, which is a pure function of its inputs — may
-// be; the check is the seam for future stateful commands.
-func isIdempotent(cmd uint8) bool {
-	switch cmd {
-	case cloud.CmdAdd, cloud.CmdMul, cloud.CmdRotate, cloud.CmdPing, cloud.CmdProgram,
-		cloud.CmdCKKSAdd, cloud.CmdCKKSMul, cloud.CmdCKKSRotate:
-		return true
-	}
-	return false
-}
-
 // Do routes one request to the tenant's shard and returns the backend's
 // decoded response: encode, Forward, materialize — the in-process caller's
 // (cluster.Client's) view of the same walk the wire front-end forwards raw
@@ -292,10 +279,11 @@ func (r *Router) DoProgram(ctx context.Context, req *cloud.Request) (*cloud.Prog
 // validated bytes go out under the backend connection's own request ID, and
 // the reply comes back validated for the caller to relay or materialize, and
 // to release. This is the failover walk: candidates from the ring, health
-// filtering, bounded retries of idempotent commands — the same bytes again,
-// on the next replica — after transport errors and retryable server errors,
-// immediate return of deterministic ones (a missing evaluation key) as the
-// *cloud.ServerError they are.
+// filtering, bounded retries — the same bytes again, on the next replica;
+// every command is safe to repeat, and the ops and programs the front-end
+// forwards are pure functions of their inputs — after transport errors and
+// retryable server errors, immediate return of deterministic ones (a missing
+// evaluation key) as the *cloud.ServerError they are.
 func (r *Router) Forward(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -360,10 +348,6 @@ func (r *Router) Forward(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, 
 				// replica recomputes from the pristine operands.
 				r.reg.Counter("cluster_integrity_reroutes").Add(1)
 			}
-		}
-		if !isIdempotent(f.Cmd) {
-			r.reg.Counter("cluster_errors").Add(1)
-			return nil, err
 		}
 	}
 	r.reg.Counter("cluster_errors").Add(1)

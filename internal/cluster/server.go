@@ -25,11 +25,12 @@ type Server struct {
 	NodeID string
 
 	served atomic.Uint64
+	pong   *cloud.Response // the answer to every ping: one zero ciphertext, only ever read
 }
 
 // NewServer prepares a protocol front-end over a router.
 func NewServer(params *fv.Params, router *Router, logger *log.Logger) *Server {
-	s := &Server{Router: router}
+	s := &Server{Router: router, pong: &cloud.Response{Result: fv.NewCiphertext(params, 2)}}
 	s.Frontend = cloud.NewFrontend(params, s, logger)
 	return s
 }
@@ -58,8 +59,8 @@ func (s *Server) routed(rep *cloud.RawReply, err error) cloud.Reply {
 // relays the backend's reply bytes back, checked the same way, without
 // decoding either.
 func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
-	switch f.Cmd {
-	case cloud.CmdInfo:
+	switch f.ReplyKind() {
+	case cloud.ReplyInfo:
 		return &cloud.ServerInfo{
 			Proto:       cloud.ProtoVersion,
 			NodeID:      s.NodeID,
@@ -67,7 +68,14 @@ func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 			TenantAware: true,
 			CKKS:        s.CKKSParams != nil,
 		}
-	case cloud.CmdPing:
+	case cloud.ReplyBlob:
+		// Key migration is node-direct: the router's migration engine dials
+		// the data nodes itself, and proxying key blobs through the routing
+		// tier would only widen the window where state lives in one place.
+		// The refusal is deterministic: retrying elsewhere would not help.
+		return &cloud.ServerError{Code: cloud.CodeApp, Msg: "cluster: key export/import is not served at the routing tier"}
+	}
+	if f.Cmd == cloud.CmdPing {
 		// A router is alive when at least one backend is: answer locally so
 		// health probes against the router reflect cluster availability.
 		ctx, cancel := context.WithTimeout(context.Background(), s.Router.cfg.AttemptTimeout)
@@ -75,13 +83,7 @@ func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 		if err := s.Router.Ping(ctx); err != nil {
 			return &cloud.ServerError{Code: cloud.CodeUnavailable, Msg: err.Error()}
 		}
-		return &cloud.Response{Result: fv.NewCiphertext(s.Params, 2)}
-	case cloud.CmdKeyExport, cloud.CmdKeyImport:
-		// Key migration is node-direct: the router's migration engine dials
-		// the data nodes itself, and proxying key blobs through the routing
-		// tier would only widen the window where state lives in one place.
-		// The refusal is deterministic: retrying elsewhere would not help.
-		return &cloud.ServerError{Code: cloud.CodeApp, Msg: "cluster: key export/import is not served at the routing tier"}
+		return s.pong
 	}
 	return s.routed(s.Router.Forward(context.Background(), f))
 }

@@ -69,6 +69,18 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
+// CKKS reports whether the kind's operands are CKKS ciphertexts (CA, CB).
+func (k OpKind) CKKS() bool { return k.info() != nil && k.info().scheme == schemeCKKS }
+
+// Operands returns how many ciphertext operands the kind takes, 0 for a kind
+// the engine does not serve.
+func (k OpKind) Operands() int {
+	if info := k.info(); info != nil {
+		return info.cts
+	}
+	return 0
+}
+
 // validate refuses an operation of an unknown kind or with an operand
 // missing.
 func validate(op Op) error {
