@@ -105,12 +105,13 @@ FUZZ_TARGETS = \
 	hwsim:FuzzAssemble:20x
 
 # $(call fuzz,T) runs every target for -fuzztime=T, or for its own smoke
-# count when T is empty.
+# count when T is empty. Each new interesting input is minimized for at most
+# ten executions: Go's default is 60 s, during which a worker finds nothing.
 define fuzz
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; t=$${t#*:}; fn=$${t%%:*}; smoke=$${t#*:}; \
 		echo "== $$pkg $$fn"; \
-		$(GO) test -run=NONE -fuzz=$$fn -fuzztime=$(or $(1),$$smoke) ./internal/$$pkg; \
+		$(GO) test -run=NONE -fuzz=$$fn -fuzztime=$(or $(1),$$smoke) -fuzzminimizetime=10x ./internal/$$pkg; \
 	done
 endef
 

@@ -115,8 +115,9 @@ func TestBarrettSeedsReachWorstCase(t *testing.T) {
 }
 
 // FuzzKernels: the host kernels that have a vector rendition — both
-// transforms, the constant-operand Shoup family, the Barrett family and the
-// raw MACs — against their scalar references on the same bytes. Canonical and
+// transforms, the constant-operand Shoup family, the Barrett family, the raw
+// MACs, the wire words and Equal — against their scalar references on the
+// same bytes. Canonical and
 // raw outputs must be the same words; the lazy Shoup kernels must be
 // congruent and below 2q per term (a lazy product may legitimately sit q above
 // the scalar one), and the same sum once VecReduceInto closes it.
@@ -268,6 +269,28 @@ func FuzzKernels(f *testing.F) {
 				rp := (tr[i] + top.Q>>1) % top.Q
 				return m.Mul(m.Sub(m.Add(ra[i], half), m.Reduce(rp)), inv)
 			})
+		}
+
+		// Wire words and Equal over the same row length, against the
+		// word-at-a-time code: the input's own bytes as a wire row, the raw
+		// 64-bit words (packing keeps the low half), residues with one
+		// fuzz-chosen word out of range, and a copy with one fuzz-chosen
+		// coefficient changed.
+		words, _, _ := unpackRef(data[:4*rowLen], m.Q)
+		checkWords(t, "fuzz bytes", m.Q, words)
+		checkWords(t, "raw", m.Q, raw)
+		at := int(word(3*rowLen) % uint64(rowLen+1)) // rowLen: none
+		row := append([]uint64(nil), ra...)
+		if at < rowLen {
+			row[at] = m.Q + word(3*rowLen+1)%(1<<32-m.Q)
+		}
+		checkWords(t, "one bad word", m.Q, row)
+		copy(row, ra)
+		if at < rowLen {
+			row[at] ^= word(3*rowLen+2) | 1
+		}
+		if got, want := (Poly{Mod: m, Coeffs: ra}).Equal(Poly{Mod: m, Coeffs: row}), equalRef(ra, row); got != want {
+			t.Fatalf("Equal = %v with coefficient %d of %d changed, want %v", got, at, rowLen, want)
 		}
 	})
 }

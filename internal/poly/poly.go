@@ -79,12 +79,17 @@ func (p Poly) MulAddInto(o, dst Poly) {
 	p.Mod.VecMulAddInto(dst.Coeffs, p.Coeffs, o.Coeffs)
 }
 
-// Equal reports whether p and o have identical moduli and coefficients.
+// Equal reports whether p and o have identical moduli and coefficients. The
+// vector unit compares a prefix first (words_amd64.go); the loop is the rest.
 func (p Poly) Equal(o Poly) bool {
 	if p.Mod.Q != o.Mod.Q || len(p.Coeffs) != len(o.Coeffs) {
 		return false
 	}
-	for i := range p.Coeffs {
+	done, same := equalSIMD(p.Coeffs, o.Coeffs)
+	if !same {
+		return false
+	}
+	for i := done; i < len(p.Coeffs); i++ {
 		if p.Coeffs[i] != o.Coeffs[i] {
 			return false
 		}

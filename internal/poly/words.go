@@ -10,10 +10,20 @@ import "encoding/binary"
 // a branch per word: v < q for every word iff no q-1-v wraps around, so the
 // differences are OR-ed together and bit 63 of the result is tested once per
 // row.
+//
+// Each kernel first hands the vector unit (words_amd64.go) the longest prefix
+// of the row that it takes, and the loops below finish the row: they are the
+// whole kernel without one, and the reference it is held to. The unpack and
+// check kernels return the prefix's largest word, which joins the OR as one
+// more difference: for every q ≤ 2^63, q-1-v wraps exactly when v ≥ q, so the
+// largest word's difference wraps exactly when some word's does and the
+// verdict is the scalar one.
 
 // PackWords writes p's coefficients into dst, which must hold 4 bytes each.
 func (p Poly) PackWords(dst []byte) {
 	coeffs := p.Coeffs
+	done := packSIMD(dst, coeffs)
+	coeffs, dst = coeffs[done:], dst[4*done:]
 	for len(coeffs) >= 8 && len(dst) >= 32 {
 		binary.LittleEndian.PutUint64(dst, coeffs[0]&0xFFFFFFFF|coeffs[1]<<32)
 		binary.LittleEndian.PutUint64(dst[8:], coeffs[2]&0xFFFFFFFF|coeffs[3]<<32)
@@ -31,6 +41,9 @@ func (p Poly) PackWords(dst []byte) {
 func WordsInRange(src []byte, q uint64) (bad uint64, ok bool) {
 	var over uint64
 	q1, row := q-1, src
+	if done, largest := maxWordSIMD(row); done > 0 {
+		over, row = q1-largest, row[4*done:]
+	}
 	for len(row) >= 32 {
 		x0 := binary.LittleEndian.Uint64(row)
 		x1 := binary.LittleEndian.Uint64(row[8:])
@@ -53,6 +66,9 @@ func WordsInRange(src []byte, q uint64) (bad uint64, ok bool) {
 func (p Poly) UnpackWords(src []byte) (bad uint64, ok bool) {
 	var over uint64
 	q1, coeffs, row := p.Mod.Q-1, p.Coeffs, src
+	if done, largest := unpackSIMD(coeffs, row); done > 0 {
+		over, coeffs, row = q1-largest, coeffs[done:], row[4*done:]
+	}
 	for len(coeffs) >= 8 && len(row) >= 32 {
 		x0 := binary.LittleEndian.Uint64(row)
 		x1 := binary.LittleEndian.Uint64(row[8:])
