@@ -14,9 +14,10 @@ test:
 # assembly out, so this leg runs every package from the kernels up to the
 # evaluators, the simulator, its scheduler, the differential harness, the
 # engine that builds every worker's co-processors and the chaos schedules
-# that fault them on them. CI's test job calls it.
+# that fault them on them, and the figure gate, which holds BENCH_sim.json
+# identical on this path. CI's test job calls it.
 test-purego:
-	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest ./internal/engine ./internal/faults
+	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest ./internal/engine ./internal/faults ./internal/hebench
 
 race:
 	$(GO) test -race ./...
@@ -24,8 +25,9 @@ race:
 # The repo's benchmark (BENCHMARK.json): each listed workload through the
 # real serving stack for the declared run length, every response compared bit
 # for bit with the software evaluator (exit 1 on any mismatch). Runs append
-# to BENCH_run.json, gitignored scratch output. The exact simulated-cycle
-# pins and the 0 allocs/op walls are tier-1 tests, not part of this target.
+# to BENCH_run.json, gitignored scratch output. The exact simulated-clock
+# figures (BENCH_sim.json, gated by go test ./internal/hebench) and the
+# 0 allocs/op walls are tier-1 tests, not part of this target.
 bench:
 	for w in mul_paper add_routed ckks_chain; do \
 		$(GO) run ./bench -workload $$w -out BENCH_run.json || exit 1; \

@@ -287,7 +287,9 @@ func newCodec(params *fv.Params, cparams *ckks.Params) codec {
 	program := head + pl.MaxEncodedBytes() + 4 + pl.MaxInputs*ct(cd.bfv) // and every BFV op
 	ckksOp := head + 2*ct(cd.ckks)
 	cd.maxRequest = max(program, ckksOp, head+cd.maxKeyBlob)
-	cd.maxMuxPayload = max(program, ckksOp+64, maxInfoBytes+64)
+	// A mux payload carries any request the sequential framing admits, or a
+	// reply, with a reply header's margin: one bound for both framings.
+	cd.maxMuxPayload = max(cd.maxRequest, maxInfoBytes) + 64
 	return cd
 }
 

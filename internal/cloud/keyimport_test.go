@@ -2,10 +2,12 @@ package cloud
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/ckks"
 	"repro/internal/engine"
 	"repro/internal/fv"
 	"repro/internal/sampler"
@@ -75,5 +77,71 @@ func TestKeyImportRefusesUnusableKeys(t *testing.T) {
 	}
 	if got := ts.decrypt(prod); got != 42 {
 		t.Fatalf("after the refused imports the node multiplies 6·7 = %d", got)
+	}
+}
+
+// TestMuxCarriesTheLargestKeyBlob: a mux payload must carry every request
+// the sequential framing admits. At the paper set a relinearization key and
+// 30 Galois keys make a 36.5 MB key blob, inside the request bound; when the
+// mux bound was a formula of its own (27.4 MB) the node took that import
+// for a malformed frame and dropped the session, and every exchange in
+// flight on it.
+func TestMuxCarriesTheLargestKeyBlob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-set keys")
+	}
+	params, err := fv.NewParams(fv.PaperConfig(65537))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cparams, err := ckks.NewParams(ckks.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cd   *codec
+	}{{"BFV", codecFor(params, nil)}, {"BFV and CKKS", codecFor(params, cparams)}} {
+		if c.cd.maxMuxPayload < c.cd.maxRequest {
+			t.Errorf("%s at the paper set: mux payload bound %d below the request bound %d", c.name, c.cd.maxMuxPayload, c.cd.maxRequest)
+		}
+	}
+
+	eng, err := engine.New(engine.Config{Params: params, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Shutdown(context.Background()) })
+	_, addr := startServer(t, &testSystem{params: params, eng: eng})
+	mc, err := DialMux(addr, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+
+	// The transport carries key containers, not key content: one Galois
+	// key's components under 30 elements make a blob of the honest size.
+	kg := fv.NewKeyGenerator(params, sampler.NewPRNG(5))
+	sk := kg.GenSecretKey()
+	ks := &engine.TenantKeySet{Relin: kg.GenRelinKey(sk)}
+	gk := kg.GenGaloisKey(sk, 3)
+	for i := 0; i < 30; i++ {
+		g := *gk
+		g.G = 3 + 2*i
+		ks.Galois = append(ks.Galois, &g)
+	}
+	blob, err := EncodeTenantKeys(params, nil, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	body, err := ReplyAs[Blob](mc.roundTrip(ctx, &Request{Cmd: CmdKeyImport, Tenant: "alice", Blob: blob}))
+	if err != nil {
+		t.Fatalf("importing a %d-byte key blob over mux: %v", len(blob), err)
+	}
+	var ack ImportAck
+	if err := json.Unmarshal(body, &ack); err != nil || ack.Keys != 31 {
+		t.Fatalf("import ack %q (%v), want 31 keys", body, err)
 	}
 }

@@ -22,8 +22,8 @@ import (
 // makespan is the capacity metric, and it is deterministic: the ring
 // placement is a pure hash of tenant and node ID, per-op compute cycles come
 // from the hardware model, and the key cache is sized so every tenant's key
-// loads exactly once per node. That is what lets the tests below pin exact
-// cycle counts on any machine.
+// loads exactly once per node. That is what lets BENCH_sim.json hold exact
+// cycle counts for them, the same on any machine.
 const (
 	fleetTenants = 48 // sharded across the nodes
 	fleetOps     = 96 // Mults per burst, round-robin over the tenants
@@ -170,6 +170,12 @@ func staticPerOp(t *testing.T, nodes int) uint64 {
 	return bootFleet(t, nodes).makespan(t) / fleetOps
 }
 
+// measuredStaticPerOp is staticPerOp measured once per test process: the
+// figure gate and the behavioural tests read the same run.
+func measuredStaticPerOp(t *testing.T, nodes int) uint64 {
+	return once(fmt.Sprintf("static %d", nodes), func() uint64 { return staticPerOp(t, nodes) })
+}
+
 // rollingPerOp boots a 4-node fleet and runs three bursts around a rolling
 // restart of the last node: phase A on 4 nodes, the node LEAVES (its
 // tenants' evaluation keys migrate to the survivors), phase B on the 3
@@ -198,19 +204,20 @@ func rollingPerOp(t *testing.T) uint64 {
 	return total / (3 * fleetOps)
 }
 
+// measuredRollingPerOp is rollingPerOp measured once per test process.
+func measuredRollingPerOp(t *testing.T) uint64 {
+	return once("rolling", func() uint64 { return rollingPerOp(t) })
+}
+
 // TestClusterScaling is the scale-out acceptance gate: at the default tenant
 // sharding, two nodes must deliver at least 1.6x the single-node capacity in
 // simulated makespan, and four nodes must beat two (the 2-node point is the
 // cluster analogue of the paper's Fig. 11 doubling). The metric is fully
-// deterministic, so the per-op cycle counts are pinned exactly.
+// deterministic: the per-op cycle counts are rows of BENCH_sim.json.
 func TestClusterScaling(t *testing.T) {
-	want := map[int]uint64{1: 117315, 2: 68434, 4: 34217}
 	perOp := map[int]uint64{}
 	for _, nodes := range []int{1, 2, 4} {
-		perOp[nodes] = staticPerOp(t, nodes)
-		if perOp[nodes] != want[nodes] {
-			t.Errorf("%d nodes: %d cycles/op, pinned %d", nodes, perOp[nodes], want[nodes])
-		}
+		perOp[nodes] = measuredStaticPerOp(t, nodes)
 	}
 	speedup2 := float64(perOp[1]) / float64(perOp[2])
 	if speedup2 < 1.6 {
@@ -233,24 +240,21 @@ func TestClusterScaling(t *testing.T) {
 // fleet absorbing a leave + rejoin (with key-state migration) must at least
 // match a static 3-node cluster — paying for the fourth node plus two live
 // migrations must never be WORSE than not having the node at all — cannot
-// beat the static 4-node fleet, and its simulated makespan is pinned
-// exactly. A regression in the migration path (dropped placement minimality,
-// cutover serialization leaking into the data path) moves the number.
+// beat the static 4-node fleet, and its simulated makespan is a row of
+// BENCH_sim.json. A regression in the migration path (dropped placement
+// minimality, cutover serialization leaking into the data path) moves it.
 func TestRollingRestartBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots four 4-node fleets")
 	}
-	rolling := rollingPerOp(t)
-	if rolling != 37188 {
-		t.Errorf("rolling restart: %d cycles/op, pinned 37188", rolling)
-	}
+	rolling := measuredRollingPerOp(t)
 	if floor := staticPerOp(t, 3); rolling > floor {
 		t.Fatalf("rolling restart fleet ran at %d cycles/op, worse than the %d cycles/op 3-node static floor",
 			rolling, floor)
 	}
 	// The restart window runs one node short, so the fleet cannot reach the
 	// static 4-node makespan either — it must land between the two.
-	static4 := staticPerOp(t, 4)
+	static4 := measuredStaticPerOp(t, 4)
 	if rolling < static4 {
 		t.Fatalf("rolling fleet (%d cycles/op) beat the static 4-node fleet (%d): the restart cost vanished",
 			rolling, static4)

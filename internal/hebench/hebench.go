@@ -1,7 +1,9 @@
 // Package hebench regenerates every table of the paper's evaluation
 // (Sec. VI) from the simulator and the software library, pairing each
 // measured value with the paper's published number so EXPERIMENTS.md and
-// cmd/hetables can show them side by side.
+// cmd/hetables can show them side by side. Each table carries the exact
+// figures its rows are read from: rows of the repository's BENCH_sim.json,
+// which this package's tests recompute and compare.
 package hebench
 
 import (
@@ -31,10 +33,30 @@ type Row struct {
 
 // Table is a rendered experiment.
 type Table struct {
-	ID    string
-	Title string
-	Rows  []Row
-	Notes []string
+	ID      string
+	Title   string
+	Rows    []Row
+	Notes   []string
+	Figures []Figure // the exact figures the rows are read from
+}
+
+// Figure is one exact figure of the simulated platform, a row of
+// BENCH_sim.json: its value on its clock — "sim_cycles" (co-processor
+// cycles) and "bytes" are integers, "ratio" is a quotient of exact figures
+// such as Mults per simulated second — and the test whose behaviour it pins.
+type Figure struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Clock string  `json:"clock"`
+	Test  string  `json:"test"`
+}
+
+func cycles(name string, c hwsim.Cycles, test string) Figure {
+	return Figure{Name: name, Value: float64(c), Clock: "sim_cycles", Test: test}
+}
+
+func ratio(name string, v float64, test string) Figure {
+	return Figure{Name: name, Value: v, Clock: "ratio", Test: test}
 }
 
 // DeviationPct returns the signed percent deviation of a row, or 0 when the
@@ -91,6 +113,10 @@ type Suite struct {
 	HW *sched.Scheduler // the HPS co-processor
 
 	CtA, CtB *fv.Ciphertext
+
+	tablesOnce sync.Once
+	tables     []Table
+	tablesErr  error
 }
 
 var (
@@ -161,6 +187,12 @@ func (s *Suite) TableI() (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"HW timings exclude operand/result transfer, as in the paper; Mult includes relin-key streaming")
+	t.Figures = []Figure{
+		cycles("bfv.mul.compute", repMul.ComputeCycles, "sched.TestCyclesPredictTheTrace"),
+		cycles("bfv.mul.send", repMul.SendCycles, "sched.TestTraditionalMulPriced"),
+		cycles("bfv.mul.receive", repMul.ReceiveCycles, "sched.TestTraditionalMulPriced"),
+		cycles("bfv.add.compute", repAdd.ComputeCycles, "hebench.TestPaperDeviations"),
+	}
 	return t, nil
 }
 
@@ -178,14 +210,15 @@ func (s *Suite) TableII() (Table, error) {
 	paper := map[hwsim.Op]struct {
 		calls int
 		us    float64
+		fig   string
 	}{
-		hwsim.OpNTT:   {14, 73.0},
-		hwsim.OpINTT:  {8, 85.0},
-		hwsim.OpCMul:  {20, 13.1},
-		hwsim.OpCAdd:  {26, 13.6},
-		hwsim.OpRearr: {22, 20.8},
-		hwsim.OpLift:  {4, 82.6},
-		hwsim.OpScale: {3, 82.7},
+		hwsim.OpNTT:   {14, 73.0, "ntt"},
+		hwsim.OpINTT:  {8, 85.0, "intt"},
+		hwsim.OpCMul:  {20, 13.1, "cmul"},
+		hwsim.OpCAdd:  {26, 13.6, "cadd"},
+		hwsim.OpRearr: {22, 20.8, "rearr"},
+		hwsim.OpLift:  {4, 82.6, "lift"},
+		hwsim.OpScale: {3, 82.7, "scale"},
 	}
 	// The simulator splits the paper's "Memory Rearrange" into Rearr and the
 	// relin digit extraction (WordDecomp); merge them for comparison.
@@ -213,6 +246,7 @@ func (s *Suite) TableII() (Table, error) {
 		t.Rows = append(t.Rows,
 			Row{Name: op.String() + " (# calls)", Paper: float64(ref.calls), Measured: float64(st.Calls), Unit: "calls"},
 			Row{Name: op.String() + " (per call)", Paper: ref.us, Measured: st.PerCall().Micros(), Unit: "µs"})
+		t.Figures = append(t.Figures, cycles("bfv.mul."+ref.fig+".per_call", st.PerCall(), "hebench.TestPaperDeviations"))
 	}
 	t.Notes = append(t.Notes,
 		"CADD call count differs from the paper: our schedule folds the Scale-internal additions into the Scale instruction",
@@ -229,18 +263,21 @@ func (s *Suite) TableIII() Table {
 		name  string
 		chunk int
 		paper float64
+		fig   string
 	}{
-		{"Single transfer of 98,304 bytes", 0, 76},
-		{"Transfers with 16,384-byte chunks", 16384, 109},
-		{"Transfers with 1,024-byte chunks", 1024, 202},
+		{"Single transfer of 98,304 bytes", 0, 76, "dma.poly.single"},
+		{"Transfers with 16,384-byte chunks", 16384, 109, "dma.poly.chunks_16k"},
+		{"Transfers with 1,024-byte chunks", 1024, 202, "dma.poly.chunks_1k"},
 	}
 	for _, c := range cases {
+		tr := hwsim.Transfer{Bytes: bytes, ChunkSize: c.chunk}
 		t.Rows = append(t.Rows, Row{
 			Name:     c.name,
 			Paper:    c.paper,
-			Measured: d.Seconds(hwsim.Transfer{Bytes: bytes, ChunkSize: c.chunk}) * 1e6,
+			Measured: d.Seconds(tr) * 1e6,
 			Unit:     "µs",
 		})
+		t.Figures = append(t.Figures, cycles(c.fig, d.FPGACycles(tr), "hwsim.TestDMAModelMatchesTableIIIShape"))
 	}
 	return t
 }
@@ -294,8 +331,9 @@ func (s *Suite) TableNoHPS() (Table, error) {
 	t := Table{ID: "Sec. VI-C", Title: "Performance without HPS optimization (225 MHz co-processor)"}
 	// Single-core latencies at the traditional design's 225 MHz clock.
 	c := s.HW.C
-	liftMs := float64(c.TraditionalCycles(hwsim.OpLift, 1)) / hwsim.TradClockHz * 1e3
-	scaleMs := float64(c.TraditionalCycles(hwsim.OpScale, 1)) / hwsim.TradClockHz * 1e3
+	lift, scale := c.TraditionalCycles(hwsim.OpLift, 1), c.TraditionalCycles(hwsim.OpScale, 1)
+	liftMs := float64(lift) / hwsim.TradClockHz * 1e3
+	scaleMs := float64(scale) / hwsim.TradClockHz * 1e3
 
 	repFast, rep, err := s.mulPair()
 	if err != nil {
@@ -313,6 +351,11 @@ func (s *Suite) TableNoHPS() (Table, error) {
 		{Name: "Mult on traditional coprocessor", Paper: 8.3, Measured: multMs, Unit: "ms", Note: "4 lift/scale cores, 2-digit relin key"},
 		{Name: "Slowdown vs HPS architecture", Paper: 1.86, Measured: multMs / fastMs, Unit: "x", Note: "paper: 'less than 2x slower'"},
 	}
+	t.Figures = []Figure{
+		cycles("trad.lift_1core", lift, "hwsim.TestLiftScaleTimingMatchesPaperShape"),
+		cycles("trad.scale_1core", scale, "hwsim.TestLiftScaleTimingMatchesPaperShape"),
+		cycles("bfv.trad_mul.compute", rep.ComputeCycles, "sched.TestTraditionalMulPriced"),
+	}
 	return t, nil
 }
 
@@ -320,13 +363,21 @@ func (s *Suite) TableNoHPS() (Table, error) {
 // (Fig. 11).
 const paperCoprocs = 2
 
-// servedMults is the Fig. 11 platform measured where it serves: four
-// independent Mults submitted as one program to an engine of `workers`
-// co-processors, built and shut down here. It returns the four results and
-// the Mult rate on the simulated clock: nodes over the program's
-// deterministic makespan, the one-off key prologue taken out (a saturated
-// platform keeps its relinearization key resident).
-func (s *Suite) servedMults(workers int) ([]*fv.Ciphertext, float64, error) {
+// served is the Fig. 11 platform measured where it serves: four Mults as
+// one program on an engine. rate is Sec. VI-A's Mults per simulated second
+// as the paper counts them, each Mult's operands sent and result received
+// serially with its compute; resident is this repository's, operands kept
+// in co-processor memory. Both leave out the one-off key prologue keyLoad.
+type served struct {
+	outs           []*fv.Ciphertext
+	rate, resident float64
+	keyLoad        hwsim.Cycles
+}
+
+// servedMults runs the four-Mult program on an engine of `workers`
+// co-processors, built and shut down here, charging each Mult xfer — Table
+// I's send and receive rows — for rate.
+func (s *Suite) servedMults(workers int, xfer hwsim.Cycles) (served, error) {
 	b := program.NewBuilder()
 	x, y := b.Input(), b.Input()
 	for i := 0; i < 4; i++ {
@@ -334,11 +385,11 @@ func (s *Suite) servedMults(workers int) ([]*fv.Ciphertext, float64, error) {
 	}
 	prog, err := b.Build()
 	if err != nil {
-		return nil, 0, err
+		return served{}, err
 	}
 	eng, err := engine.New(engine.Config{Params: s.Params, Workers: workers})
 	if err != nil {
-		return nil, 0, err
+		return served{}, err
 	}
 	// Nothing is in flight once SubmitProgram has returned, so this only
 	// stops the workers.
@@ -347,9 +398,17 @@ func (s *Suite) servedMults(workers int) ([]*fv.Ciphertext, float64, error) {
 	res, err := eng.SubmitProgram(context.Background(),
 		engine.ProgramOp{Prog: prog, Inputs: []*fv.Ciphertext{s.CtA, s.CtB}})
 	if err != nil {
-		return nil, 0, err
+		return served{}, err
 	}
-	return res.Outputs, float64(res.Nodes) / (res.MakespanCycles - res.KeyLoadCycles).Seconds(), nil
+	compute := res.MakespanCycles - res.KeyLoadCycles
+	perLane := hwsim.Cycles(res.Nodes / workers)
+	nodes := float64(res.Nodes)
+	return served{
+		outs:     res.Outputs,
+		rate:     nodes / (compute + perLane*xfer).Seconds(),
+		resident: nodes / compute.Seconds(),
+		keyLoad:  res.KeyLoadCycles,
+	}, nil
 }
 
 // Comparison reproduces Sec. VI-E: throughput against the software and
@@ -362,7 +421,7 @@ func (s *Suite) Comparison() (Table, error) {
 		return t, err
 	}
 	multSec := rep.ComputeSeconds()
-	_, throughput, err := s.servedMults(paperCoprocs)
+	two, err := s.servedMults(paperCoprocs, rep.SendCycles+rep.ReceiveCycles)
 	if err != nil {
 		return t, err
 	}
@@ -379,13 +438,15 @@ func (s *Suite) Comparison() (Table, error) {
 	// Energy per Mult: peak platform power divided by throughput, against
 	// the i5 baseline's ≈40 W over its 33 ms Mult (paper Sec. VI-E).
 	peakW := hwsim.PowerW(paperCoprocs)
-	simEnergyMJ := peakW / throughput * 1e3
+	simEnergyMJ := peakW / two.rate * 1e3
 	i5EnergyMJ := 40.0 * 0.033 * 1e3
 
 	t.Rows = []Row{
-		{Name: "This work, 2 coprocessors", Paper: 400, Measured: throughput, Unit: "Mult/s",
-			Note: "four-Mult program on a 2-worker engine, simulated makespan"},
-		{Name: "Speedup vs FV-NFLlib on i5 (33 ms)", Paper: 13.2, Measured: 0.033 * throughput, Unit: "x"},
+		{Name: "This work, 2 coprocessors", Paper: 400, Measured: two.rate, Unit: "Mult/s",
+			Note: "send + Mult + receive per co-processor, as the paper counts"},
+		{Name: "This repo, 2 coprocessors, resident", Measured: two.resident, Unit: "Mult/s",
+			Note: "four-Mult program on a 2-worker engine, operands resident: compute only"},
+		{Name: "Speedup vs FV-NFLlib on i5 (33 ms)", Paper: 13.2, Measured: 0.033 * two.rate, Unit: "x"},
 		{Name: "This repo's Go software Mult", Measured: swSec * 1e3, Unit: "ms", Note: "pure software baseline, this machine"},
 		{Name: "Sim HW speedup vs this repo's software", Measured: swSec / multSec, Unit: "x"},
 		{Name: "Peak power (2 coprocessors)", Paper: 8.7, Measured: peakW, Unit: "W"},
@@ -395,6 +456,11 @@ func (s *Suite) Comparison() (Table, error) {
 	t.Notes = append(t.Notes,
 		"Paper constants for context: FV-NFLlib/i5 33 ms; Badawi GPU V100 0.86 ms at 60-bit q (≈2.6 ms at 180-bit, 388 Mult/s); Pöppelmann Catapult 6.75 ms (YASHE)",
 		"Throughput uses two co-processors on independent Mults, as in the paper")
+	t.Figures = []Figure{
+		ratio("sec6a.2cp.mult_per_s", two.rate, "hebench.TestTwoCoprocessorsServeTwiceTheMults"),
+		ratio("sec6a.2cp.resident_mult_per_s", two.resident, "hebench.TestTwoCoprocessorsServeTwiceTheMults"),
+		cycles("bfv.relin_key.load", two.keyLoad, "engine.TestProgramLoadsEachKeyOnce"),
+	}
 	return t, nil
 }
 
@@ -427,11 +493,12 @@ func (s *Suite) Ablations() (Table, error) {
 	f1 := hwsim.F1CoprocessorsPerFPGA(hwsim.PaperResourceConfig())
 
 	// Two co-processors against one on the same four-Mult program.
-	_, two, err := s.servedMults(paperCoprocs)
+	xfer := repFast.SendCycles + repFast.ReceiveCycles
+	two, err := s.servedMults(paperCoprocs, xfer)
 	if err != nil {
 		return t, err
 	}
-	_, one, err := s.servedMults(1)
+	one, err := s.servedMults(1, xfer)
 	if err != nil {
 		return t, err
 	}
@@ -446,8 +513,18 @@ func (s *Suite) Ablations() (Table, error) {
 		{Name: "HPS vs traditional Mult (cycles)", Measured: float64(repTrad.ComputeCycles) / float64(repFast.ComputeCycles), Unit: "x"},
 		{Name: "Pipelined vs unpipelined clock", Measured: hwsim.EstimateClockHz(1) / hwsim.UnpipelinedClockHz(), Unit: "x"},
 		{Name: "Single vs 1KB-chunked DMA", Measured: chunked / single, Unit: "x"},
-		{Name: "2 vs 1 coprocessors (throughput)", Paper: 2, Measured: two / one, Unit: "x",
+		{Name: "2 vs 1 coprocessors (throughput)", Paper: 2, Measured: two.rate / one.rate, Unit: "x",
 			Note: "same four-Mult program, engine makespan on the simulated clock"},
+	}
+	t.Figures = []Figure{
+		cycles("bfv.mul.overlap.sequential", overlap.Sequential, "sched.TestMulTraceOverlap"),
+		cycles("bfv.mul.overlap.overlapped", overlap.Overlapped, "sched.TestMulTraceOverlap"),
+		cycles("bfv.mul.overlap.critical_path", overlap.CriticalPath, "sched.TestMulTraceOverlap"),
+		cycles("ntt.paired", hwsim.NTTCycles(c.N, c.Timing), "hwsim.TestInstructionTimingMatchesPaperShape"),
+		cycles("ntt.naive", hwsim.NaiveNTTCycles(c.N, c.Timing), "hwsim.TestNTTUnitAblations"),
+		cycles("ntt.bubble", hwsim.BubbleNTTCycles(c.N, c.Timing), "hwsim.TestNTTUnitAblations"),
+		ratio("sec6a.1cp.mult_per_s", one.rate, "hebench.TestTwoCoprocessorsServeTwiceTheMults"),
+		ratio("sec6a.1cp.resident_mult_per_s", one.resident, "hebench.TestTwoCoprocessorsServeTwiceTheMults"),
 	}
 	return t, nil
 }
@@ -477,8 +554,14 @@ func (s *Suite) MulProgramListing() (string, error) {
 	return rec.ProgramListing(), nil
 }
 
-// AllTables runs everything in paper order.
+// AllTables runs everything in paper order, once per suite: every later
+// call returns the same tables.
 func (s *Suite) AllTables() ([]Table, error) {
+	s.tablesOnce.Do(func() { s.tables, s.tablesErr = s.allTables() })
+	return s.tables, s.tablesErr
+}
+
+func (s *Suite) allTables() ([]Table, error) {
 	var out []Table
 	t1, err := s.TableI()
 	if err != nil {

@@ -15,8 +15,9 @@ import (
 // Mul+Rescale each run on two operand sets with the trace recorded; the
 // listings are identical, every instruction's hwsim.Coprocessor.Cycles entry
 // — read off the first run's listing, so before the second run executes it —
-// is what Exec charged it, and the entries plus the DMA steps are everything
-// the ledger charged, the pinned 829918 and 801134 among it.
+// is what Exec charged it, the entries plus the DMA steps are everything the
+// ledger charged, and both runs cost the same compute cycles (their value is
+// a row of BENCH_sim.json).
 func TestCyclesPredictTheTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper parameters are slow")
@@ -32,7 +33,7 @@ func TestCyclesPredictTheTrace(t *testing.T) {
 			pt.Coeffs[0], pt.Coeffs[7] = uint64(i), 1
 			operands[i] = enc.Encrypt(pt)
 		}
-		predictedRuns(t, &s.machine, s.C.Stats, 829918, func(set int) (hwsim.Cycles, error) {
+		predictedRuns(t, &s.machine, s.C.Stats, func(set int) (hwsim.Cycles, error) {
 			_, rep, err := s.Mul(operands[set], operands[1-set], rk)
 			return rep.ComputeCycles, err
 		})
@@ -40,7 +41,7 @@ func TestCyclesPredictTheTrace(t *testing.T) {
 	t.Run("CKKS Mul+Rescale", func(t *testing.T) {
 		c := newCKKSTestContextConfig(t, ckks.PaperConfig())
 		operands := []*ckks.Ciphertext{c.encryptRange(t, 3), c.encryptRange(t, 7), c.encryptRange(t, 11)}
-		predictedRuns(t, &c.hw.machine, c.hw.Stats, 801134, func(set int) (hwsim.Cycles, error) {
+		predictedRuns(t, &c.hw.machine, c.hw.Stats, func(set int) (hwsim.Cycles, error) {
 			_, rep, err := c.hw.MulRescale(operands[set], operands[set+1], c.rk)
 			return rep.ComputeCycles, err
 		})
@@ -49,11 +50,12 @@ func TestCyclesPredictTheTrace(t *testing.T) {
 
 // predictedRuns runs op on operand sets 0 and 1 and checks both recorded
 // traces against the cost table read off the first listing.
-func predictedRuns(t *testing.T, m *machine, ledger *hwsim.Stats, pin hwsim.Cycles, op func(set int) (hwsim.Cycles, error)) {
+func predictedRuns(t *testing.T, m *machine, ledger *hwsim.Stats, op func(set int) (hwsim.Cycles, error)) {
 	t.Helper()
 	m.Record = true
 	var listing []Task
 	var want []hwsim.Cycles
+	var first hwsim.Cycles
 	for set := 0; set < 2; set++ {
 		m.Trace = m.Trace[:0]
 		before := ledger.Total
@@ -61,10 +63,11 @@ func predictedRuns(t *testing.T, m *machine, ledger *hwsim.Stats, pin hwsim.Cycl
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cyc != pin {
-			t.Fatalf("operand set %d: %d compute cycles, pinned %d", set, cyc, pin)
+		if set == 1 && cyc != first {
+			t.Fatalf("operand set 1: %d compute cycles, operand set 0 cost %d", cyc, first)
 		}
 		if set == 0 {
+			first = cyc
 			listing = append(listing, m.Trace...)
 			for _, task := range listing {
 				if task.Unit == UnitDMA {
@@ -97,24 +100,20 @@ func predictedRuns(t *testing.T, m *machine, ledger *hwsim.Stats, pin hwsim.Cycl
 	}
 }
 
-// TestTraditionalMulPriced pins the Sec. VI-C price of the traditional
+// TestTraditionalMulPriced checks the Sec. VI-C price of the traditional
 // Mult: the HPS Mult's report with its 4 Lift and 3 Scale re-priced on four
 // traditional cores and its relinearization cut to the positional key's two
-// digits. 1 580 686 cycles at the paper set (ℓ 6 → 2) and 128 538 at
-// TestConfig(2) (ℓ 3 → 2) are what an executed traditional co-processor
-// charged for the same program; the transfers are the HPS Mult's.
+// digits (ℓ 6 → 2 at the paper set, 3 → 2 at TestConfig(2)). The transfers
+// are the HPS Mult's and only the compute moves; both compute figures, the
+// same an executed traditional co-processor charged for the program, are
+// rows of BENCH_sim.json.
 func TestTraditionalMulPriced(t *testing.T) {
 	for _, c := range []struct {
-		name      string
-		cfg       fv.Config
-		hps, trad Report
+		name string
+		cfg  fv.Config
 	}{
-		{"paper", fv.PaperConfig(2),
-			Report{ComputeCycles: 829918, SendCycles: 60025, ReceiveCycles: 30145},
-			Report{ComputeCycles: 1580686, SendCycles: 60025, ReceiveCycles: 30145}},
-		{"test", fv.TestConfig(2),
-			Report{ComputeCycles: 115782, SendCycles: 2133, ReceiveCycles: 1199},
-			Report{ComputeCycles: 128538, SendCycles: 2133, ReceiveCycles: 1199}},
+		{"paper", fv.PaperConfig(2)},
+		{"test", fv.TestConfig(2)},
 	} {
 		if c.name == "paper" && testing.Short() {
 			continue
@@ -127,14 +126,15 @@ func TestTraditionalMulPriced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep != c.hps {
-			t.Fatalf("%s set: HPS Mult %+v, want %+v", c.name, rep, c.hps)
-		}
 		if d := s.tradRelinDigits(); d != 2 {
 			t.Fatalf("%s set: traditional relin key of %d digits, want 2", c.name, d)
 		}
-		if got := s.TraditionalMul(rep); got != c.trad {
-			t.Fatalf("%s set: traditional Mult priced %+v, want %+v", c.name, got, c.trad)
+		got := s.TraditionalMul(rep)
+		if got.SendCycles != rep.SendCycles || got.ReceiveCycles != rep.ReceiveCycles || got.KeyLoadCycles != rep.KeyLoadCycles {
+			t.Fatalf("%s set: traditional Mult priced %+v, transfers differ from the HPS Mult's %+v", c.name, got, rep)
+		}
+		if got.ComputeCycles <= rep.ComputeCycles {
+			t.Fatalf("%s set: traditional Mult priced %d compute cycles, no more than the HPS Mult's %d", c.name, got.ComputeCycles, rep.ComputeCycles)
 		}
 	}
 }

@@ -159,28 +159,6 @@ func TestPaperSetInstructionCounts(t *testing.T) {
 	}
 }
 
-// The paper's clock: one Mult on one co-processor at the n = 4096 set costs
-// exactly 829,918 cycles (4.1496 ms at 200 MHz). The cycle model is
-// deterministic and data-independent, so a one-cycle move is a real
-// model or schedule change.
-func TestPaperSetMulCycles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper parameters are slow")
-	}
-	p, s := setupConfig(t, fv.PaperConfig(2))
-	prng := sampler.NewPRNG(2019)
-	kg := fv.NewKeyGenerator(p, prng)
-	_, pk, rk := kg.GenKeys()
-	ct := fv.NewEncryptor(p, pk, prng).Encrypt(fv.NewPlaintext(p))
-	_, rep, err := s.Mul(ct, ct, rk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ComputeCycles != 829918 {
-		t.Fatalf("paper-set Mult: %d cycles, pinned 829918", rep.ComputeCycles)
-	}
-}
-
 func TestMulRejectsWrongDegree(t *testing.T) {
 	p, s := setup(t)
 	ct3 := fv.NewCiphertext(p, 3)
