@@ -262,20 +262,28 @@ type codec struct {
 	maxRequest, maxMuxPayload, maxKeyBlob int
 }
 
+// keyHeaderBytes is what the key-blob bound allows for the JSON parameter
+// header of one key container; an honest header of either scheme is about
+// 100 bytes.
+const keyHeaderBytes = 256
+
 // newCodec derives the codec of a side speaking params and, when non-nil,
 // cparams. The bounds are generous by construction — their job is stopping
 // a hostile length field before anything is reserved, not accounting bytes.
 func newCodec(params *fv.Params, cparams *ckks.Params) codec {
 	cd := codec{params: params, bfv: params.Wire()}
-	// A key blob holds up to 65 keys per scheme (a relin key and 64 Galois
-	// keys) in checksummed containers, each two 64-entry gadget rows of
-	// polynomials at 8 bytes a coefficient: over the q basis for BFV, over
-	// the chain and p* for CKKS.
-	keys := func(rows, n int) int { return 65 * (256 + 2*64*(64+rows*n*8) + 16) }
-	cd.maxKeyBlob = 64 + keys(len(cd.bfv.Mods), cd.bfv.N)
+	// A key blob is a six-byte head and up to 65 keys per scheme (a relin
+	// key and 64 Galois keys). Each key is a section — kind byte and length
+	// word — around its checksummed container: magic, a length-prefixed JSON
+	// header of the parameter set, up to four meta words, the gadget digits
+	// as pairs of polynomials at 4 bytes a coefficient (keyio.WriteRows) and
+	// the 8-byte trailer. A BFV key has one digit per q prime, each over the
+	// q basis; a CKKS key one per chain prime, each over the chain and p*.
+	keys := func(digits, rows, n int) int { return 65 * (5 + 8 + keyHeaderBytes + 16 + digits*2*rows*n*4 + 8) }
+	cd.maxKeyBlob = 6 + keys(len(cd.bfv.Mods), len(cd.bfv.Mods), cd.bfv.N)
 	if cparams != nil {
 		cd.ckks = cparams.Wire()
-		cd.maxKeyBlob += keys(len(cd.ckks.Mods)+1, cd.ckks.N)
+		cd.maxKeyBlob += keys(len(cd.ckks.Mods), len(cd.ckks.Mods)+1, cd.ckks.N)
 	}
 	// A request is the header and a rotation argument or a length, then at
 	// most two operands of three elements at the top of their chain, a

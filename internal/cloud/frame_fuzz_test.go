@@ -77,14 +77,28 @@ func maxClaimKeyExportReply(params *fv.Params, cparams *ckks.Params) []byte {
 	return claimMaxBlob(buf.Bytes(), params, cparams)
 }
 
+// paperSets are the paper's BFV and CKKS parameter sets, whose key blobs
+// are the largest the tests frame.
+var paperSets = sync.OnceValues(func() (*fv.Params, *ckks.Params) {
+	params, err := fv.NewParams(fv.PaperConfig(65537))
+	if err != nil {
+		panic(err)
+	}
+	cparams, err := ckks.NewParams(ckks.PaperConfig())
+	if err != nil {
+		panic(err)
+	}
+	return params, cparams
+})
+
 // TestFramingReservesOnlyWhatArrived: a stream that claims the largest legal
 // key blob and ends ten bytes into it is refused as truncated having cost the
-// reader about one streamSlack — not the ~170 MB of the claim, reserved before
-// a byte of the body had arrived, which any connection could ask of a node
-// (CmdKeyImport) or a node of a router (a forged CmdKeyExport reply).
+// reader about one streamSlack — not the ~166 MB of the claim at the paper
+// sets, reserved before a byte of the body had arrived, which any connection
+// could ask of a node (CmdKeyImport) or a node of a router (a forged
+// CmdKeyExport reply).
 func TestFramingReservesOnlyWhatArrived(t *testing.T) {
-	params := fuzzParams()
-	cparams, _ := fuzzCKKS()
+	params, cparams := paperSets()
 	if claim := codecFor(params, cparams).maxKeyBlob; claim < 64<<20 {
 		t.Fatalf("the largest key blob is %d bytes: too small for this test to mean anything", claim)
 	}
@@ -111,6 +125,27 @@ func TestFramingReservesOnlyWhatArrived(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
 			t.Errorf("%s: framing allocated %d bytes for a body of 10", tc.name, got)
+		}
+	}
+}
+
+// TestKeyBlobOverTheBoundRefusedUpFront: a key import whose blob length is
+// one byte over the bound is refused on the length word alone — before the
+// cursor reserves a byte of the body, though all ten bytes of it are there.
+func TestKeyBlobOverTheBoundRefusedUpFront(t *testing.T) {
+	params := fuzzParams()
+	cparams, _ := fuzzCKKS()
+	for _, cp := range []*ckks.Params{nil, cparams} {
+		cd := codecFor(params, cp)
+		enc := maxClaimKeyImport(params, cp)
+		binary.LittleEndian.PutUint32(enc[len(enc)-14:], uint32(cd.maxKeyBlob+1))
+		c := cursor{r: bytes.NewReader(enc), left: cd.maxRequest}
+		err := new(Frame).read(&c, cd)
+		if !errors.Is(err, ErrMalformedRequest) || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("CKKS %v: blob length %d: err %v, want %v on the length", cp != nil, cd.maxKeyBlob+1, err, ErrMalformedRequest)
+		}
+		if head := len(enc) - 10; cap(c.buf) > 2*head {
+			t.Errorf("CKKS %v: the cursor holds %d bytes after a %d-byte header", cp != nil, cap(c.buf), head)
 		}
 	}
 }

@@ -145,3 +145,56 @@ func TestMuxCarriesTheLargestKeyBlob(t *testing.T) {
 		t.Fatalf("import ack %q (%v), want 31 keys", body, err)
 	}
 }
+
+// TestKeyBlobBoundFitsTheLargestBlob: the key-blob bound admits the largest
+// honest blob — a relin key and 64 Galois keys per scheme — and is at most
+// twice it, at the test sets and the paper sets, BFV alone and with CKKS.
+// It was once sized for 64 digits a key at 8 bytes a coefficient, 21 times
+// the paper set's largest blob. A Galois key's size does not depend on its
+// element, so the largest blob is measured from one key of each kind.
+func TestKeyBlobBoundFitsTheLargestBlob(t *testing.T) {
+	test := func() (*fv.Params, *ckks.Params) { cp, _ := fuzzCKKS(); return fuzzParams(), cp }
+	for _, set := range []struct {
+		name string
+		sets func() (*fv.Params, *ckks.Params)
+	}{{"test", test}, {"paper", paperSets}} {
+		if set.name == "paper" && testing.Short() {
+			continue
+		}
+		params, cparams := set.sets()
+		kg := fv.NewKeyGenerator(params, sampler.NewPRNG(5))
+		sk := kg.GenSecretKey()
+		ckg := ckks.NewKeyGenerator(cparams, sampler.NewPRNG(6))
+		csk := ckg.GenSecretKey()
+		// sections is the size of 65 keys' sections: a relin key and 64
+		// Galois keys, each measured in a blob of its own past the head.
+		sections := func(relin, galois *engine.TenantKeySet) int {
+			size := func(ks *engine.TenantKeySet) int {
+				blob, err := EncodeTenantKeys(params, cparams, ks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(blob) - 6
+			}
+			return size(relin) + 64*size(galois)
+		}
+		bfv := sections(&engine.TenantKeySet{Relin: kg.GenRelinKey(sk)},
+			&engine.TenantKeySet{Galois: []*fv.GaloisKey{kg.GenGaloisKey(sk, 3)}})
+		both := bfv + sections(&engine.TenantKeySet{CKKSRelin: ckg.GenRelinKey(csk)},
+			&engine.TenantKeySet{CKKSGalois: []*ckks.GaloisKey{ckg.GenGaloisKey(csk, 5)}})
+		for _, c := range []struct {
+			name    string
+			bound   int
+			largest int
+		}{
+			{"BFV", codecFor(params, nil).maxKeyBlob, 6 + bfv},
+			{"BFV and CKKS", codecFor(params, cparams).maxKeyBlob, 6 + both},
+		} {
+			t.Logf("%s set, %s: bound %d B, largest blob %d B (%.4f×)", set.name, c.name, c.bound, c.largest, float64(c.bound)/float64(c.largest))
+			if c.bound < c.largest || c.bound > 2*c.largest {
+				t.Errorf("%s set, %s: key-blob bound %d outside [%d, %d], the largest honest blob and twice it",
+					set.name, c.name, c.bound, c.largest, 2*c.largest)
+			}
+		}
+	}
+}

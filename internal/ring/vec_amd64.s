@@ -134,8 +134,8 @@ loop:
 	VPBROADCASTQ qoff(FP), Y12;  \
 	VPADDQ       Y12, Y12, Y10;  \
 	VPBROADCASTQ muoff(FP), Y11; \
-	MOVQ         s1off(FP), X13; \
-	MOVQ         s2off(FP), X14
+	VMOVQ        s1off(FP), X13; \
+	VMOVQ        s2off(FP), X14
 
 // func mulAVX2(dst, a, b *uint64, n int, q, mu, s1, s2 uint64)
 // dst[i] = a[i]·b[i] mod q.

@@ -6,8 +6,8 @@
 // the per-prime decomposition used by
 // relinearization and the RNS-native message scaling of FV decryption. The
 // exact arithmetic (setup-time CRT constants, the oracles) runs on math/big;
-// the HPS stripe kernels use word residues and 128-bit fixed-point
-// fractions only.
+// the HPS stripe kernels use word residues, float64 fraction estimates and
+// 128-bit fixed-point fractions only.
 package rns
 
 import (
@@ -108,6 +108,15 @@ func modWord(x *big.Int, q uint64) uint64 {
 		r = uint(q) - r
 	}
 	return uint64(r)
+}
+
+// maxQ returns the largest basis prime.
+func (b *Basis) maxQ() uint64 {
+	var m uint64
+	for _, q := range b.Mods {
+		m = max(m, q.Q)
+	}
+	return m
 }
 
 // Contains reports whether m is one of the basis primes.

@@ -35,6 +35,12 @@ type Extender struct {
 	// rows still fit the stack staging.
 	stripe int
 
+	// inv[i] = fl(1/q_i), the float64 terms of the quotient estimate, and
+	// eps its tie band (fracLanes): the lanes within it are settled in
+	// acc192 from Src.invFrac.
+	inv []float64
+	eps float64
+
 	// The hot-loop constants with their Shoup companions, laid out
 	// target-major and *flat* — one backing array, row j at [j·k, (j+1)·k) —
 	// so a target row walks a single contiguous []uint64:
@@ -65,6 +71,8 @@ func NewExtender(src *Basis, dst []ring.Modulus) (*Extender, error) {
 		Src:            src,
 		Dst:            append([]ring.Modulus(nil), dst...),
 		stripe:         min(liftStripe, stripeWords/k),
+		inv:            make([]float64, k),
+		eps:            fracEps(k, 1),
 		qTildeShoup:    make([]uint64, k),
 		qStarFlat:      make([]uint64, len(dst)*k),
 		qStarShoupFlat: make([]uint64, len(dst)*k),
@@ -73,6 +81,7 @@ func NewExtender(src *Basis, dst []ring.Modulus) (*Extender, error) {
 	}
 	for i, m := range src.Mods {
 		e.qTildeShoup[i] = m.ShoupPrecomp(src.QTilde[i])
+		e.inv[i] = 1 / float64(m.Q)
 	}
 	for j, d := range dst {
 		for i := range src.Mods {
@@ -147,6 +156,23 @@ type extendScratch struct {
 	v    [liftStripe]uint64
 }
 
+// stripeRows locates the rows of one stripe: row i is
+// polys[i].Coeffs[c0:c0+w] — an input polynomial's rows — or, with polys
+// nil, staged[i·stride:][:w] — the stripe staging of extendScratch.
+type stripeRows struct {
+	polys         []poly.Poly
+	staged        []uint64
+	c0, w, stride int
+}
+
+// row returns row i of the stripe.
+func (r *stripeRows) row(i int) []uint64 {
+	if r.polys != nil {
+		return r.polys[i].Coeffs[r.c0 : r.c0+r.w]
+	}
+	return r.staged[i*r.stride : i*r.stride+r.w]
+}
+
 // extendStripe is the HPS Lift over the stripe of w ≤ e.stripe coefficients
 // at c0, walked row-major: it reads the source residues of row i from
 // src[i].Coeffs[c0:c0+w] — or, when src is nil, from es's y row i, where
@@ -154,7 +180,7 @@ type extendScratch struct {
 // dst[j].Coeffs[c0:c0+w]. Per lane it computes
 //
 //	y_i = a_i·q̃_i mod q_i
-//	v′  = round(Σ y_i/q_i)             (128-bit fixed point)
+//	v′  = round(Σ y_i/q_i)             (float64, near ties 128-bit fixed point)
 //	out_j = Σ y_i·(q*_i mod c_j) - v′·(Q mod c_j)   (mod c_j)
 //
 // Because v′ is the *rounded* quotient, the reconstructed value is the
@@ -162,22 +188,21 @@ type extendScratch struct {
 // Σ y_i/q_i = k + x/Q, so v′ = k when x < Q/2 and k+1 otherwise.
 func (e *Extender) extendStripe(es *extendScratch, src, dst []poly.Poly, c0, w int) {
 	k, sw := e.Src.K(), e.stripe
-	// y_i, one Shoup pass per source row, with the fraction Σ y_i/q_i
-	// accumulated alongside while y_i is hot. (The fully fused one-loop
-	// variant measured slower: the vector passes keep short independent loop
-	// bodies the compiler schedules better.)
-	es.frac.reset(w)
+	// y_i, one Shoup pass per source row, then the fraction Σ y_i/q_i over
+	// the staged rows while they are hot. (The fully fused one-loop variant
+	// measured slower: the vector passes keep short independent loop bodies
+	// the compiler schedules better.)
+	in := stripeRows{polys: src, staged: es.y[:], c0: c0, w: w, stride: sw}
+	y := stripeRows{staged: es.y[:], w: w, stride: sw}
 	for i, m := range e.Src.Mods {
-		y := es.y[i*sw : i*sw+w : i*sw+w]
-		a := y // a lane map, so y may overwrite its own source
-		if src != nil {
-			a = src[i].Coeffs[c0 : c0+w]
-		}
-		m.VecScalarMulShoupInto(y, a, e.Src.QTilde[i], e.qTildeShoup[i])
-		es.frac.addMul(y, e.Src.invFrac[i])
+		// A lane map, so y_i may overwrite its own source row.
+		m.VecScalarMulShoupInto(y.row(i), in.row(i), e.Src.QTilde[i], e.qTildeShoup[i])
 	}
+	es.frac.addRows(e.inv, &y)
 	v := es.v[:w]
-	es.frac.roundInto(v)
+	if es.frac.roundInto(v, e.eps) {
+		exactLanes(v, e.Src.invFrac, &y)
+	}
 	// out_j: each lazy Shoup product is < 2·c_j < 2^32, so the raw sum of k
 	// of them fits a uint64 with room to spare — two y rows per pass over
 	// the output to halve its load/store traffic — and one closing pass does
@@ -186,14 +211,13 @@ func (e *Extender) extendStripe(es *extendScratch, src, dst []poly.Poly, c0, w i
 		row := e.qStarFlat[j*k : (j+1)*k : (j+1)*k]
 		rowS := e.qStarShoupFlat[j*k : (j+1)*k : (j+1)*k]
 		o := dst[j].Coeffs[c0 : c0+w]
-		d.VecScalarMulShoupLazyInto(o, es.y[:w], row[0], rowS[0])
+		d.VecScalarMulShoupLazyInto(o, y.row(0), row[0], rowS[0])
 		i := 1
 		for ; i+1 < k; i += 2 {
-			d.VecScalarMulShoupLazyAdd2Into(o, es.y[i*sw:i*sw+w], es.y[(i+1)*sw:(i+1)*sw+w],
-				row[i], rowS[i], row[i+1], rowS[i+1])
+			d.VecScalarMulShoupLazyAdd2Into(o, y.row(i), y.row(i+1), row[i], rowS[i], row[i+1], rowS[i+1])
 		}
 		if i < k {
-			d.VecScalarMulShoupLazyAddInto(o, es.y[i*sw:i*sw+w], row[i], rowS[i])
+			d.VecScalarMulShoupLazyAddInto(o, y.row(i), row[i], rowS[i])
 		}
 		d.VecExtendFinishInto(o, v, e.qMod[j], e.qModShoup[j])
 	}

@@ -1,6 +1,9 @@
 package rns
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // frac128 is a 128-bit binary fraction representing a value in [0, 1) as
 // (hi·2^64 + lo) / 2^128. The HPS approximate-CRT routines (paper Sec. IV-C,
@@ -57,42 +60,89 @@ func (a *acc192) round() uint64 {
 	return a.w2
 }
 
-// fracLanes is acc192 across the lanes of a stripe, its three limbs held in
-// parallel arrays: lane c accumulates Σ x_i[c]·f_i exactly and rounds to the
-// nearest integer, ties up. It is the one fraction kernel of the HPS stripes
-// — Σ y_i/q_i of Lift and Σ x_i·r_i/q_i of Scale — word for word acc192's
-// limb schedule, so a lane rounds exactly as acc192 would.
+// fracLanes estimates the fraction sums of the HPS stripes — Σ y_i/q_i of
+// Lift, Σ x_i·r_i/q_i of Scale — across the lanes of a stripe in float64:
+// lane c accumulates Σ fl(float64(x_i[c])·c_i) with c_i = fl(f_i), on the
+// AVX2 lane where the CPU has it. roundInto rounds every lane half up and
+// flags each one whose estimate lies within eps of a tie; exactLanes
+// recomputes those in acc192. Outside the band the estimate rounds as acc192
+// does (DESIGN §4b derives eps), so the pair is word for word acc192's
+// rounding on every input of canonical residues.
+//
+// Every lane is zero between stripes: zero-initialized with the stripe
+// scratch, and cleared by the roundInto that consumes it.
 type fracLanes struct {
-	w0, w1, w2 [liftStripe]uint64
+	s [liftStripe]float64
 }
 
-// reset clears the first w lanes.
-func (a *fracLanes) reset(w int) {
-	clear(a.w0[:w])
-	clear(a.w1[:w])
-	clear(a.w2[:w])
+// flaggedLane is the quotient roundInto writes for a lane it leaves to
+// exactLanes. No estimate reaches it: every sum is below 2^52 (a Lift sum is
+// below k, and NewScaleRounder holds k·max q_i below 2^52).
+const flaggedLane = ^uint64(0)
+
+// fracEps is the tie band of a rounded sum of k terms x_i·f_i with
+// f_i ∈ [0, 1) and every term below m: (k+1)²·m·2^-53, exact in float64
+// while (k+1)²·m < 2^53 (DESIGN §4b).
+func fracEps(k int, m uint64) float64 {
+	return float64((k+1)*(k+1)) * float64(m) * 0x1p-53
 }
 
-// addMul accumulates x[c]·f into lane c, for every c < len(x).
-func (a *fracLanes) addMul(x []uint64, f frac128) {
-	w0, w1, w2 := a.w0[:len(x)], a.w1[:len(x)], a.w2[:len(x)]
-	for c, xc := range x {
-		hi1, lo1 := bits.Mul64(xc, f.lo)
-		hi2, lo2 := bits.Mul64(xc, f.hi)
-		var cc uint64
-		w0[c], cc = bits.Add64(w0[c], lo1, 0)
-		w1[c], cc = bits.Add64(w1[c], hi1, cc)
-		w2[c] += cc
-		w1[c], cc = bits.Add64(w1[c], lo2, 0)
-		w2[c] += hi2 + cc
+// addRows accumulates Σ_i float64(x.row(i)[c])·f[i] into lane c, for every
+// lane of the rows, two rows a pass; an odd last row pairs with itself at
+// weight 0, which adds +0 exactly. Every row word must be below 2^52, as a
+// canonical residue is.
+func (a *fracLanes) addRows(f []float64, x *stripeRows) {
+	s := a.s[:x.w]
+	for i := 0; i < len(f); i += 2 {
+		x1, f1 := x.row(i), f[i]
+		x2, f2 := x1, 0.0
+		if i+1 < len(f) {
+			x2, f2 = x.row(i+1), f[i+1]
+		}
+		x1, x2 = x1[:len(s)], x2[:len(s)]
+		for c := fracAddMul2SIMD(s, x1, x2, f1, f2); c < len(s); c++ {
+			// The explicit conversions keep each product rounded on its own,
+			// as the vector lane rounds it.
+			s[c] += float64(float64(x1[c]) * f1)
+			s[c] += float64(float64(x2[c]) * f2)
+		}
 	}
 }
 
-// roundInto writes lane c rounded to the nearest integer into v[c], for
-// every c < len(v).
-func (a *fracLanes) roundInto(v []uint64) {
-	w1, w2 := a.w1[:len(v)], a.w2[:len(v)]
-	for c := range v {
-		v[c] = w2[c] + w1[c]>>63
+// roundInto writes lane c rounded to the nearest integer, ties up, into
+// v[c], for every c < len(v) — or flaggedLane where the estimate is within
+// eps of a tie — clears the lane, and reports whether it flagged any.
+func (a *fracLanes) roundInto(v []uint64, eps float64) (flagged bool) {
+	s := a.s[:len(v)]
+	c, flagged := fracRoundSIMD(v, s, eps)
+	for ; c < len(v); c++ {
+		fl := math.Floor(s[c])
+		d := s[c] - fl - 0.5
+		s[c] = 0
+		switch {
+		case math.Abs(d) <= eps:
+			v[c], flagged = flaggedLane, true
+		case d > 0:
+			v[c] = uint64(fl) + 1
+		default:
+			v[c] = uint64(fl)
+		}
+	}
+	return flagged
+}
+
+// exactLanes settles the lanes of v that roundInto flagged: lane c becomes
+// Σ x.row(i)[c]·f[i] summed and rounded in acc192, the value the estimate
+// stands in for.
+func exactLanes(v []uint64, f []frac128, x *stripeRows) {
+	for c, vc := range v {
+		if vc != flaggedLane {
+			continue
+		}
+		var a acc192
+		for i, fi := range f {
+			a.addMul(x.row(i)[c], fi)
+		}
+		v[c] = a.round()
 	}
 }

@@ -1,6 +1,7 @@
 package rns
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -73,5 +74,65 @@ func TestAcc192RoundTiesUp(t *testing.T) {
 	acc.addMul(83, fracDiv(1, 2)) // 41.5 exactly
 	if got := acc.round(); got != 42 {
 		t.Fatalf("round(41.5) = %d, want 42 (ties up)", got)
+	}
+}
+
+// TestFracLanesMatchScalar holds the fraction lanes to a scalar rendition of
+// their arithmetic bit for bit, at every stripe width up to liftStripe, so
+// the vector prefix and the Go tail are both compared: the sums, the
+// rounding, the tie flags and the clearing, on random lanes and on lanes placed at,
+// inside and just outside the band.
+func TestFracLanesMatchScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	const eps = 0x1p-20
+	for w := 0; w <= liftStripe; w++ {
+		var a fracLanes
+		want := make([]float64, w)
+		f := make([]float64, 5) // an odd count: the last row pairs with itself
+		rows := stripeRows{staged: make([]uint64, len(f)*w), w: w, stride: w}
+		for i := range f {
+			f[i] = r.Float64()
+			row := rows.row(i)
+			for c := range row {
+				row[c] = uint64(r.Int63n(1 << 31))
+				want[c] += float64(float64(row[c]) * f[i])
+			}
+		}
+		a.addRows(f, &rows)
+		for c := range want {
+			if a.s[c] != want[c] {
+				t.Fatalf("w=%d lane %d: sum %v, scalar %v", w, c, a.s[c], want[c])
+			}
+			switch r.Intn(4) {
+			case 0: // a tie, or inside the band
+				a.s[c] = float64(r.Intn(1<<20)) + 0.5 + float64(r.Intn(3)-1)*eps
+			case 1: // just outside it
+				a.s[c] = float64(r.Intn(1<<20)) + 0.5 + float64(2*r.Intn(2)-1)*2*eps
+			}
+		}
+		sums := a.s
+		v := make([]uint64, w)
+		flagged := a.roundInto(v, eps)
+		if a != (fracLanes{}) {
+			t.Fatalf("w=%d: roundInto left lanes uncleared", w)
+		}
+		anyFlag := false
+		for c, s := range sums[:w] {
+			fl := math.Floor(s)
+			d := s - fl - 0.5
+			want := uint64(fl)
+			if d > 0 {
+				want++
+			}
+			if math.Abs(d) <= eps {
+				want, anyFlag = flaggedLane, true
+			}
+			if v[c] != want {
+				t.Fatalf("w=%d lane %d: round(%v) = %d, scalar %d", w, c, s, v[c], want)
+			}
+		}
+		if flagged != anyFlag {
+			t.Fatalf("w=%d: flagged %v, scalar %v", w, flagged, anyFlag)
+		}
 	}
 }

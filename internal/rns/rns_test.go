@@ -2,6 +2,7 @@ package rns
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/big"
 	"math/bits"
 	"math/rand"
@@ -401,6 +402,173 @@ func TestLiftScaleZeroAlloc(t *testing.T) {
 	}
 }
 
+// refLift is the reference stripe of one coefficient: extendStripe's
+// arithmetic with the quotient summed and rounded in acc192 alone, as every
+// lane was before the float64 estimate.
+func refLift(e *Extender, in []uint64) []uint64 {
+	k := e.Src.K()
+	y := make([]uint64, k)
+	var acc acc192
+	for i, m := range e.Src.Mods {
+		y[i] = m.Mul(in[i], e.Src.QTilde[i])
+		acc.addMul(y[i], e.Src.invFrac[i])
+	}
+	v := acc.round()
+	out := make([]uint64, len(e.Dst))
+	for j, d := range e.Dst {
+		var sum uint64
+		for i, yi := range y {
+			sum = d.Add(sum, d.Mul(d.Reduce(yi), e.qStarFlat[j*k+i]))
+		}
+		out[j] = d.Sub(sum, d.Mul(d.Reduce(v), e.qMod[j]))
+	}
+	return out
+}
+
+// refScale is the reference stripe of Scale for one coefficient x (q
+// residues then p residues): Blocks 1–3 with the fraction in acc192 alone,
+// then refLift's p → q.
+func refScale(s *ScaleRounder, x []uint64) []uint64 {
+	kq := s.QB.K()
+	var acc acc192
+	for i := 0; i < kq; i++ {
+		acc.addMul(x[i], s.theta[i])
+	}
+	r := acc.round()
+	yp := make([]uint64, s.PB.K())
+	for j, d := range s.PB.Mods {
+		sum := d.Reduce(r)
+		for i := 0; i < kq; i++ {
+			sum = d.Add(sum, d.Mul(d.Reduce(x[i]), s.wFlat[j*kq+i]))
+		}
+		yp[j] = d.Add(sum, d.Mul(x[kq+j], s.bCst[j]))
+	}
+	return refLift(s.ext, yp)
+}
+
+// settled reports which lanes a fraction estimate leaves to the exact
+// fallback: lane c sums terms[c][i]·f[i], within the tie band eps.
+func settled(f []float64, eps float64, terms [][]uint64) []bool {
+	rows := stripeRows{staged: make([]uint64, len(f)*len(terms)), w: len(terms), stride: len(terms)}
+	for c, col := range terms {
+		for i := range f {
+			rows.staged[i*len(terms)+c] = col[i]
+		}
+	}
+	var a fracLanes
+	a.addRows(f, &rows)
+	v := make([]uint64, len(terms))
+	a.roundInto(v, eps)
+	out := make([]bool, len(terms))
+	for c, vc := range v {
+		out[c] = vc == flaggedLane
+	}
+	return out
+}
+
+// nearHalves returns (m±1)/2 + δ for δ in [-3, 3], every one of them within
+// 4 of m/2 (m odd): the values whose fraction sums sit at a tie.
+func nearHalves(m *big.Int) []*big.Int {
+	var out []*big.Int
+	for _, pm := range []int64{-1, 1} {
+		for d := int64(-3); d <= 3; d++ {
+			x := new(big.Int).Add(m, big.NewInt(pm))
+			x.Rsh(x, 1).Add(x, big.NewInt(d))
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// TestLiftScaleMatchReference holds both HPS kernels word for word to the
+// acc192-only reference stripe, on random lanes and on crafted near-tie
+// lanes that the float64 estimate must leave to the fallback: Lift sources
+// x = (Q±1)/2 + δ, Scale inputs whose q part X has t·X ≡ (q±1)/2 + δ
+// (mod q), and Scale inputs whose result round(t·x/q) is (P±1)/2 + δ, a tie
+// of the extension p → q.
+func TestLiftScaleMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const tmod = 65537
+	for _, sh := range []shape{{6, 7, 256}, {6, 17, 256}, {17, 6, 256}, {24, 25, 256}} {
+		qb, pb := paperBases(t, sh.n, sh.kq, sh.kp)
+		ext, err := NewExtender(qb, pb.Mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := NewScaleRounder(qb, pb, tmod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%d+%d", sh.kq, sh.kp)
+		mustSettle := func(what string, f []float64, eps float64, terms [][]uint64) {
+			for c, ok := range settled(f, eps, terms) {
+				if !ok {
+					t.Errorf("%s: crafted %s lane %d escaped the fallback", name, what, c)
+				}
+			}
+		}
+
+		// Lift q → p.
+		var ins, ys [][]uint64
+		for c := 0; c < 200; c++ {
+			ins = append(ins, decompose(qb, randBelow(r, qb.Product)))
+		}
+		for _, x := range nearHalves(qb.Product) {
+			in := decompose(qb, x)
+			y := make([]uint64, len(in))
+			for i, m := range qb.Mods {
+				y[i] = m.Mul(in[i], qb.QTilde[i])
+			}
+			ins, ys = append(ins, in), append(ys, y)
+		}
+		mustSettle("lift", ext.inv, ext.eps, ys)
+		got := liftColumns(ext, ins)
+		for c, in := range ins {
+			if g, w := column(got, c), refLift(ext, in); !slices.Equal(g, w) {
+				t.Fatalf("%s: lift of lane %d: %v, reference %v", name, c, g, w)
+			}
+		}
+
+		// Scale q·p → q.
+		var xs, xq [][]uint64
+		randP := func() []uint64 {
+			res := make([]uint64, pb.K())
+			for j, m := range pb.Mods {
+				res[j] = r.Uint64() % m.Q
+			}
+			return res
+		}
+		for c := 0; c < 200; c++ {
+			xs = append(xs, append(decompose(qb, randBelow(r, qb.Product)), randP()...))
+		}
+		tInv := new(big.Int).ModInverse(big.NewInt(tmod), qb.Product)
+		for _, h := range nearHalves(qb.Product) {
+			x := decompose(qb, h.Mul(h, tInv).Mod(h, qb.Product))
+			xs, xq = append(xs, append(x, randP()...)), append(xq, x)
+		}
+		mustSettle("scale", sc.thetaF, sc.eps, xq)
+		var yps [][]uint64
+		for _, y := range nearHalves(pb.Product) {
+			// x = round(y·q/t) gives round(t·x/q) = y, as t < q.
+			x := new(big.Int).Mul(y, qb.Product)
+			x.Add(x, big.NewInt(tmod/2)).Quo(x, big.NewInt(tmod))
+			xs = append(xs, decompose(sc.QP, x))
+			yp := decompose(pb, y)
+			for j, m := range pb.Mods {
+				yp[j] = m.Mul(yp[j], pb.QTilde[j])
+			}
+			yps = append(yps, yp)
+		}
+		mustSettle("scale extension", sc.ext.inv, sc.ext.eps, yps)
+		got = scaleColumns(sc, xs)
+		for c, x := range xs {
+			if g, w := column(got, c), refScale(sc, x); !slices.Equal(g, w) {
+				t.Fatalf("%s: scale of lane %d: %v, reference %v", name, c, g, w)
+			}
+		}
+	}
+}
+
 // fuzzPrimes is the prime pool FuzzLiftScale draws its bases from: 48
 // 30-bit primes, enough for 24 on each side.
 var fuzzPrimes = sync.OnceValue(func() []ring.Modulus {
@@ -415,9 +583,9 @@ var fuzzPrimes = sync.OnceValue(func() []ring.Modulus {
 	return mods
 })
 
-// FuzzLiftScale compares both HPS kernels with their exact oracles at q and
-// p widths of 1..24 each and any t ≥ 2, wherever the rounding bound promises
-// equality: Lift's source value outside the band at ±Q/2 of its quotient
+// FuzzLiftScale compares both HPS kernels with the acc192-only reference
+// stripe on every input, and with their exact oracles at q and p widths of
+// 1..24 each and any t ≥ 2, wherever the rounding bound promises equality: Lift's source value outside the band at ±Q/2 of its quotient
 // estimate, Scale's input outside the band of its fraction sum (the
 // MessageScaler bound) and its result outside the band of the extension
 // p → q.
@@ -458,6 +626,9 @@ func FuzzLiftScale(f *testing.F) {
 		for i, m := range qb.Mods {
 			in[i] = words[i] % m.Q
 		}
+		if got, ref := column(liftColumns(ext, [][]uint64{in}), 0), refLift(ext, in); !slices.Equal(got, ref) {
+			t.Fatalf("%d+%d lift of %v: %v, reference %v", nq, np, in, got, ref)
+		}
 		if outsideFlipBand(qb, qb.ReconstructCentered(in)) {
 			want := make([]uint64, np)
 			ext.ExtendExact(in, want)
@@ -475,6 +646,9 @@ func FuzzLiftScale(f *testing.F) {
 		full := make([]uint64, nq+np)
 		for i, m := range sc.QP.Mods {
 			full[i] = words[i] % m.Q
+		}
+		if got, ref := column(scaleColumns(sc, [][]uint64{full}), 0), refScale(sc, full); !slices.Equal(got, ref) {
+			t.Fatalf("%d+%d scale of %v at t=%d: %v, reference %v", nq, np, full, tmod, got, ref)
 		}
 		x := sc.QP.ReconstructCentered(full)
 		x.Quo(x, new(big.Int).SetUint64(tmod))

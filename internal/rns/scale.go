@@ -24,11 +24,11 @@ import (
 //	y mod p_j = Σ_i x_i·W_i + x_j·t·Q̃_j·(p/p_j) + round(Σ_i x_i·r_i/q_i)
 //
 // — exactly the paper's Block 1–3 structure with integer parts I and real
-// parts R of the constants. The fractional sum is evaluated in 128-bit
-// fixed point. The result y (centered, |y| ≈ t·|x|/q ≪ p/2 for FV inputs)
-// is then base-extended from p to q by reusing the Lift machinery, which is
-// precisely what the paper's architecture does ("it reuses the Lift q→Q
-// architecture", Sec. VI-A).
+// parts R of the constants. The fractional sum is estimated in float64 and
+// settled in 128-bit fixed point near a tie (DESIGN §4b). The result y
+// (centered, |y| ≈ t·|x|/q ≪ p/2 for FV inputs) is then base-extended from p
+// to q by reusing the Lift machinery, which is precisely what the paper's
+// architecture does ("it reuses the Lift q→Q architecture", Sec. VI-A).
 type ScaleRounder struct {
 	QB *Basis // the q primes
 	PB *Basis // the p primes
@@ -41,7 +41,12 @@ type ScaleRounder struct {
 	Pool *poly.Pool
 
 	theta []frac128 // theta[i] = (t·Q̃_i·p mod q_i)/q_i
-	ext   *Extender // p → q
+	// thetaF[i] = fl(theta[i]), the float64 terms of the fraction estimate,
+	// and eps its tie band (fracLanes): the lanes within it are settled in
+	// acc192 from theta.
+	thetaF []float64
+	eps    float64
+	ext    *Extender // p → q
 
 	// Target-major Shoup layout of the Block 1–3 constants (the same
 	// strength reduction as Extender), flat like the Extender's tables — one
@@ -66,17 +71,22 @@ func NewScaleRounder(qb, pb *Basis, t uint64) (*ScaleRounder, error) {
 	if qp.Contains(t) {
 		return nil, fmt.Errorf("rns: plaintext modulus %d collides with a basis prime", t)
 	}
+	kq, kp := qb.K(), pb.K()
+	if uint64((kq+1)*(kq+1)) > 1<<52/qb.maxQ() {
+		return nil, fmt.Errorf("rns: q basis of %d primes too wide for the float64 fraction estimate", kq)
+	}
 	ext, err := NewExtender(pb, qb.Mods)
 	if err != nil {
 		return nil, err
 	}
-	kq, kp := qb.K(), pb.K()
 	s := &ScaleRounder{
 		QB:         qb,
 		PB:         pb,
 		QP:         qp,
 		T:          t,
 		theta:      make([]frac128, kq),
+		thetaF:     make([]float64, kq),
+		eps:        fracEps(kq, qb.maxQ()),
 		ext:        ext,
 		wFlat:      make([]uint64, kp*kq),
 		wShoupFlat: make([]uint64, kp*kq),
@@ -94,6 +104,7 @@ func NewScaleRounder(qb, pb *Basis, t uint64) (*ScaleRounder, error) {
 			s.wShoupFlat[j*kq+i] = d.ShoupPrecomp(s.wFlat[j*kq+i])
 		}
 		s.theta[i] = fracDiv(ri.Uint64(), m.Q)
+		s.thetaF[i] = float64(ri.Uint64()) / float64(m.Q)
 	}
 	for j, d := range pb.Mods {
 		// B_j = t·Q̃_j·(p/p_j) mod p_j.
@@ -168,12 +179,12 @@ func (t *scaleTask) RunChunk(lo, hi int) {
 		w := min(sw, hi-c0)
 		c1 := c0 + w
 		// Blocks 1–2: the fractional sum over the q residues, per lane.
-		es.frac.reset(w)
-		for i := 0; i < kq; i++ {
-			es.frac.addMul(src[i].Coeffs[c0:c1], s.theta[i])
-		}
+		x := stripeRows{polys: src[:kq], c0: c0, w: w}
+		es.frac.addRows(s.thetaF, &x)
 		r := es.v[:w] // consumed below, before the extension rewrites es.v
-		es.frac.roundInto(r)
+		if es.frac.roundInto(r, s.eps) {
+			exactLanes(r, s.theta, &x)
+		}
 		// Blocks 2–3 per p prime: each lazy Shoup product is < 2·p_j < 2^32,
 		// so the raw sum of kq+1 of them and Reduce(r) fits a uint64 with
 		// room to spare; one Barrett pass restores the canonical residue.
