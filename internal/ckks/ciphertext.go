@@ -52,8 +52,9 @@ func (ct *Ciphertext) Clone() *Ciphertext {
 	return out
 }
 
-// Equal reports bit-identity: same shape, same scale bits, same residues.
-// This is the chaos/difftest contract — approximate arithmetic is exact as a
+// Equal reports bit-identity: same shape, same scale bits, same row moduli,
+// same residues, compared row by row on poly.Poly.Equal's vector lane. This
+// is the chaos/difftest contract — approximate arithmetic is exact as a
 // computation on residues, so two runs of the same pipeline must agree to
 // the last bit or something corrupted the state.
 func (ct *Ciphertext) Equal(other *Ciphertext) bool {
@@ -62,20 +63,8 @@ func (ct *Ciphertext) Equal(other *Ciphertext) bool {
 		return false
 	}
 	for e, el := range ct.Els {
-		oel := other.Els[e]
-		if len(el.Rows) != len(oel.Rows) {
+		if !el.Equal(other.Els[e]) {
 			return false
-		}
-		for r, row := range el.Rows {
-			orow := oel.Rows[r]
-			if len(row.Coeffs) != len(orow.Coeffs) {
-				return false
-			}
-			for i, v := range row.Coeffs {
-				if v != orow.Coeffs[i] {
-					return false
-				}
-			}
 		}
 	}
 	return true

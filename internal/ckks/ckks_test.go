@@ -355,3 +355,36 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCiphertextEqual: Equal sees one differing coefficient at either end of
+// the last row, a differing row modulus, a different scale and a nil other.
+func TestCiphertextEqual(t *testing.T) {
+	tc := newTestContext(t, 44)
+	ct := tc.encrypt(t, randomSlots(rand.New(rand.NewSource(44)), tc.params.Slots(), 1), tc.params.MaxLevel())
+	if !ct.Equal(ct.Clone()) {
+		t.Fatal("a ciphertext differs from its clone")
+	}
+	last := len(ct.Els[0].Rows) - 1
+	n := tc.params.N()
+	for _, i := range []int{0, n - 1} {
+		other := ct.Clone()
+		row := other.Els[1].Rows[last]
+		row.Coeffs[i] = (row.Coeffs[i] + 1) % row.Mod.Q
+		if ct.Equal(other) || other.Equal(ct) {
+			t.Fatalf("coefficient %d of the last row changed, Equal still true", i)
+		}
+	}
+	other := ct.Clone()
+	other.Els[0].Rows[last].Mod = other.Els[0].Rows[0].Mod
+	if ct.Equal(other) {
+		t.Fatal("a row modulus changed, Equal still true")
+	}
+	other = ct.Clone()
+	other.Scale = math.Nextafter(ct.Scale, 0)
+	if ct.Equal(other) {
+		t.Fatal("the scale changed, Equal still true")
+	}
+	if ct.Equal(nil) {
+		t.Fatal("Equal(nil) is true")
+	}
+}

@@ -134,6 +134,8 @@ type Coprocessor struct {
 	// co-processor's, not each instruction's.
 	hdrs  []poly.Poly
 	digit []uint64
+	// sop is the fused key-switch loop's row task (keyswitch.go).
+	sop sopTask
 
 	// integrity, injector, and metrics are the robustness layer: nil means
 	// disabled and costs two nil checks per Exec (integrity.go). guard is the
@@ -665,6 +667,12 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		return 0, fmt.Errorf("hwsim: unknown opcode %v", in.Op)
 	}
 
+	return c.charge(in), nil
+}
+
+// charge books an executed instruction's cost-table entry on the ledger and
+// the cycle trace, and returns it.
+func (c *Coprocessor) charge(in Instr) Cycles {
 	cyc := c.Cycles(in)
 	st, ok := c.Stats.PerOp[in.Op]
 	if !ok {
@@ -675,7 +683,7 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 	st.TotalCycles += cyc
 	c.Stats.Total += cyc
 	c.Trace.CycleSpan(in.Op.String(), uint64(cyc))
-	return cyc, nil
+	return cyc
 }
 
 // coeffRows fills hdrs with the leading residue rows of s, the input of a

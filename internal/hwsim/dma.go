@@ -29,6 +29,12 @@ func (d DMA) Seconds(t Transfer) float64 {
 	return float64(chunks)*d.Timing.DMASetupSeconds + float64(t.Bytes)/d.Timing.DMABytesPerSec
 }
 
+// Task returns the transfer as a task of the overlap trace: its listing line,
+// the DMA unit, its latency and the slots it reads and writes.
+func (t Transfer) Task(cycles Cycles, reads, writes []uint8) Task {
+	return Task{Label: "DMA " + t.Label, Unit: UnitDMA, Cycles: cycles, Reads: reads, Writes: writes}
+}
+
 // FPGACycles returns the duration expressed in co-processor clock cycles,
 // which is how the simulator accounts transfer time inside a program.
 func (d DMA) FPGACycles(t Transfer) Cycles {

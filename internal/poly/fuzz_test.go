@@ -115,7 +115,7 @@ func TestBarrettSeedsReachWorstCase(t *testing.T) {
 }
 
 // FuzzKernels: the host kernels that have a vector rendition — both
-// transforms, the constant-operand Shoup family, the Barrett family, the raw
+// transforms (ForwardFromInto from inputs below 2q too), the constant-operand Shoup family, the Barrett family, the raw
 // MACs, the wire words and Equal — against their scalar references on the
 // same bytes. Canonical and
 // raw outputs must be the same words; the lazy Shoup kernels must be
@@ -155,6 +155,14 @@ func FuzzKernels(f *testing.F) {
 		got := make([]uint64, n)
 		tab.ForwardFromInto(got, in)
 		sameWords(t, "ForwardFromInto", got, want)
+		// The same residues lifted by q where a word's top bit says so: below
+		// 2q, which ForwardFromInto takes as is.
+		wide := make([]uint64, n)
+		for i, x := range in {
+			wide[i] = x + word(n+i)>>30*m.Q
+		}
+		tab.ForwardFromInto(got, wide)
+		sameWords(t, "ForwardFromInto below 2q", got, want)
 		copy(got, in)
 		tab.Forward(got)
 		sameWords(t, "Forward", got, want)

@@ -115,13 +115,20 @@ func (t *NTTTable) Forward(a []uint64) {
 	t.forwardStages(a, 1, t.N>>1)
 }
 
-// ForwardFromInto transforms src (coefficients < q) into dst in one fused
+// ForwardFromInto transforms src (coefficients < 2q) into dst in one fused
 // walk: the first butterfly level reads src and writes dst, and the remaining
 // levels run in place in dst. This replaces the copy-then-transform pattern
 // of the lift path — the identity half of the base extension is exactly a row
 // copy followed by an NTT — with a single pass, and is bit-identical to
-// copy + Forward (the first level's 2q guard never fires on reduced input).
-// dst and src must not overlap unless identical.
+// reduce + copy + Forward. The wider input is what the lazy levels carry
+// anyway: every level takes legs below 4q, and the first level's output
+// u + v and u − v + 2q, with u < 2q and the Shoup product v < 2q for any
+// 64-bit x, stays below 4q — on the scalar path, which skips the first
+// level's 2q guard on u, and on the vector lane, which keeps it; the final
+// canonical reduction then leaves the transform of src mod q. So a gadget
+// digit below q_i transforms straight into the row of any q_j ≥ q_i/2
+// (hwsim's fused key-switch loop). dst and src must not overlap unless
+// identical.
 func (t *NTTTable) ForwardFromInto(dst, src []uint64) {
 	if len(dst) != t.N || len(src) != t.N {
 		panic("poly: NTT length mismatch")

@@ -92,3 +92,36 @@ func TestTransformsMatchScalarPath(t *testing.T) {
 		}
 	}
 }
+
+// ForwardFromInto takes inputs below 2q: on every table, inputs in [q, 2q)
+// — random, all q, all 2q−1 — and a random mix of [0, 2q) transform word
+// for word as their reduction does through the scalar levels, on the
+// dispatched path and on the scalar first level alike.
+func TestForwardFromIntoBelowTwoQ(t *testing.T) {
+	for _, tab := range diffTables(t) {
+		n, q := tab.N, tab.Mod.Q
+		r := rand.New(rand.NewSource(int64(q) ^ int64(n) ^ 2))
+		inputs := map[string][]uint64{"random high": make([]uint64, n), "all q": make([]uint64, n),
+			"all 2q-1": make([]uint64, n), "mixed": make([]uint64, n)}
+		for i := 0; i < n; i++ {
+			inputs["random high"][i] = q + r.Uint64()%q
+			inputs["all q"][i] = q
+			inputs["all 2q-1"][i] = 2*q - 1
+			inputs["mixed"][i] = r.Uint64() % (2 * q)
+		}
+		for name, in := range inputs {
+			what := fmt.Sprintf("n=%d q=%d (%d bits) %s", n, q, bits.Len64(q), name)
+			want := make([]uint64, n)
+			for i, x := range in {
+				want[i] = x % q
+			}
+			tab.forwardStages(want, 1, n>>1)
+
+			got := make([]uint64, n)
+			tab.ForwardFromInto(got, in)
+			sameWords(t, what+": ForwardFromInto", got, want)
+			tab.forwardFromIntoGeneric(got, in)
+			sameWords(t, what+": forwardFromIntoGeneric", got, want)
+		}
+	}
+}

@@ -25,21 +25,31 @@ func CheckGaloisElement(g, n int) error {
 
 // AutomorphRowInto computes dst = σ_g(src) for one residue row in
 // coefficient representation: coefficient i moves to position i·g mod 2n,
-// negated when the exponent wraps past n (x^n ≡ -1). The permutation is not
-// in place: dst aliasing src panics.
+// negated when the exponent wraps past n (x^n ≡ -1). The exponent steps by
+// g mod 2n from one coefficient to the next, one conditional subtraction
+// instead of a division per coefficient. The permutation is not in place:
+// dst aliasing src panics.
 func AutomorphRowInto(m ring.Modulus, g int, src, dst poly.Poly) {
 	n := len(src.Coeffs)
-	if n > 0 && &src.Coeffs[0] == &dst.Coeffs[0] {
+	if n == 0 {
+		return
+	}
+	if &src.Coeffs[0] == &dst.Coeffs[0] {
 		panic("rlwe: automorphism destination aliases its source")
 	}
-	for i := 0; i < n; i++ {
-		j := (i * g) % (2 * n)
+	twoN := 2 * n
+	step := g % twoN
+	dst.Coeffs = dst.Coeffs[:n]
+	for i, j := 0, 0; i < n; i++ {
 		v := src.Coeffs[i]
 		if j >= n {
-			j -= n
-			v = m.Neg(v)
+			dst.Coeffs[j-n] = m.Neg(v)
+		} else {
+			dst.Coeffs[j] = v
 		}
-		dst.Coeffs[j] = v
+		if j += step; j >= twoN {
+			j -= twoN
+		}
 	}
 }
 

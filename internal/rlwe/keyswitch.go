@@ -110,7 +110,7 @@ func (ks *KeySwitcher) SumOfProducts(digits, k0, k1 []poly.RNSPoly) {
 	t.tables, t.digits = ks.tr.Tables, digits
 	t.k0, t.k1 = k0, k1
 	t.sop0, t.sop1 = ks.sop0.Rows, ks.sop1.Rows
-	t.raw = rawSOPSafe(ks.mods, len(digits))
+	t.raw = RawSoPSafe(ks.mods, len(digits))
 	ks.pool.RunTask(ks.n*len(ks.sop0.Rows), len(ks.sop0.Rows), t)
 }
 
@@ -122,64 +122,77 @@ func (ks *KeySwitcher) InverseSoP() {
 	ks.tr.Inverse(ks.sop1)
 }
 
-// sopTask fuses the key-switch digit NTTs with the MACs, one residue row per
-// task: row j forward-transforms every digit's j-th row and immediately
-// accumulates it against both key halves while it is hot in cache. The
-// per-row accumulation order over digits matches the unfused "transform all
-// digits, then MAC" schedule exactly, so results are bit-identical; only the
-// interleaving across rows changes.
+// sopTask is the software switcher's row task: row j runs SoPRow over the
+// decomposed digits, forward-transforming each digit's j-th row in place.
 type sopTask struct {
 	tables     []*poly.NTTTable
 	digits     []poly.RNSPoly
 	k0, k1     []poly.RNSPoly
 	sop0, sop1 []poly.Poly
-	raw        bool // lazy raw accumulation is in range (see rawSOPSafe)
+	raw        bool // lazy raw accumulation is in range (see RawSoPSafe)
 }
 
 func (t *sopTask) RunIndex(j int) {
-	tab := t.tables[j]
+	SoPRow(t.tables[j], t.raw, t, t.k0, t.k1, j, t.sop0[j].Coeffs, t.sop1[j].Coeffs)
+}
+
+// NTTDigit transforms digit i's row j in place and returns it.
+func (t *sopTask) NTTDigit(tab *poly.NTTTable, i, j int) []uint64 {
+	d := t.digits[i].Rows[j].Coeffs
+	tab.Forward(d)
+	return d
+}
+
+// DigitRows hands SoPRow the gadget digits one residue row at a time.
+type DigitRows interface {
+	// NTTDigit returns digit i's residue row j forward-transformed by tab
+	// (tab is row j's table). Each (i, j) is asked for once, in digit order.
+	NTTDigit(tab *poly.NTTTable, i, j int) []uint64
+}
+
+// SoPRow is the key-switch sum of products of one residue row j, the one
+// schedule the software switcher and the co-processor's fused digit loop
+// (hwsim) both run: every digit's row j is transformed while it is hot and
+// multiplied into both accumulator rows s0 = Σ NTT(d_i)·k0_i and
+// s1 = Σ NTT(d_i)·k1_i against the key rows where they lie, over the
+// len(k0) digits in order. With raw (RawSoPSafe) the unreduced products are
+// summed and Barrett-reduced once at the end; otherwise every MAC reduces.
+// Either way s0 and s1 are overwritten with the canonical sums, so the rows
+// equal a CMul + CAdd per digit bit for bit.
+func SoPRow(tab *poly.NTTTable, raw bool, d DigitRows, k0, k1 []poly.RNSPoly, j int, s0, s1 []uint64) {
 	m := tab.Mod
-	s0 := t.sop0[j].Coeffs
-	s1 := t.sop1[j].Coeffs
-	if t.raw {
-		// Raw MAC schedule: accumulate the unreduced products of every digit
-		// (one multiply per lane) and Barrett-reduce once at the end — the
-		// same Σ mod q, at roughly half the multiplies of the eager schedule.
-		for i := range t.digits {
-			d := t.digits[i].Rows[j].Coeffs
-			tab.Forward(d)
+	if raw {
+		// Raw MAC schedule: one multiply per lane, the same Σ mod q at
+		// roughly half the multiplies of the eager schedule.
+		for i := range k0 {
+			dj := d.NTTDigit(tab, i, j)
 			if i == 0 {
-				m.VecMulRawInto(s0, d, t.k0[i].Rows[j].Coeffs)
-				m.VecMulRawInto(s1, d, t.k1[i].Rows[j].Coeffs)
+				m.VecMulRawInto(s0, dj, k0[i].Rows[j].Coeffs)
+				m.VecMulRawInto(s1, dj, k1[i].Rows[j].Coeffs)
 			} else {
-				m.VecMulAddRawInto(s0, d, t.k0[i].Rows[j].Coeffs)
-				m.VecMulAddRawInto(s1, d, t.k1[i].Rows[j].Coeffs)
+				m.VecMulAddRawInto(s0, dj, k0[i].Rows[j].Coeffs)
+				m.VecMulAddRawInto(s1, dj, k1[i].Rows[j].Coeffs)
 			}
 		}
 		m.VecReduceInto(s0, s0)
 		m.VecReduceInto(s1, s1)
 		return
 	}
-	for c := range s0 {
-		s0[c] = 0
-	}
-	for c := range s1 {
-		s1[c] = 0
-	}
-	for i := range t.digits {
-		d := t.digits[i].Rows[j].Coeffs
-		tab.Forward(d)
-		m.VecMulAddInto(s0, d, t.k0[i].Rows[j].Coeffs)
-		m.VecMulAddInto(s1, d, t.k1[i].Rows[j].Coeffs)
+	clear(s0)
+	clear(s1)
+	for i := range k0 {
+		dj := d.NTTDigit(tab, i, j)
+		m.VecMulAddInto(s0, dj, k0[i].Rows[j].Coeffs)
+		m.VecMulAddInto(s1, dj, k1[i].Rows[j].Coeffs)
 	}
 }
 
-// rawSOPSafe reports whether k raw digit·key products of residues modulo the
+// RawSoPSafe reports whether k raw digit·key products of residues modulo the
 // widest of mods can be summed in a uint64 without leaving VecReduceInto's
 // input range: k·(maxQ-1)² < 2^63. True for every paper-scale configuration
 // (six 30-bit digits sum below 2^62.6); a wider basis falls back to the
 // eagerly reduced MAC schedule.
-func rawSOPSafe(mods []ring.Modulus, k int) bool {
+func RawSoPSafe(mods []ring.Modulus, k int) bool {
 	var maxQ uint64
 	for _, m := range mods {
 		if m.Q > maxQ {

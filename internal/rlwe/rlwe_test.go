@@ -93,6 +93,50 @@ func TestAutomorphPaperSetElements(t *testing.T) {
 	}
 }
 
+// TestAutomorphMatchesIndexFormula holds the stepped exponent of
+// AutomorphRowInto to the formula it replaces — coefficient i to i·g mod 2n,
+// negated past n — word for word: every odd g at n = 8 and 16, and the
+// rotation elements of both paper sets at n = 4096.
+func TestAutomorphMatchesIndexFormula(t *testing.T) {
+	reference := func(m ring.Modulus, g int, src, dst poly.Poly) {
+		n := len(src.Coeffs)
+		for i := 0; i < n; i++ {
+			j := (i * g) % (2 * n)
+			v := src.Coeffs[i]
+			if j >= n {
+				j -= n
+				v = m.Neg(v)
+			}
+			dst.Coeffs[j] = v
+		}
+	}
+	check := func(n int, gs []int) {
+		m := testMods(t, n, 1)[0]
+		a := sampler.UniformPoly(sampler.NewPRNG(uint64(n)), []ring.Modulus{m}, n).Rows[0]
+		got, want := poly.NewPoly(m, n), poly.NewPoly(m, n)
+		for _, g := range gs {
+			AutomorphRowInto(m, g, a, got)
+			reference(m, g, a, want)
+			if !got.Equal(want) {
+				t.Fatalf("n = %d: σ_%d differs from the index formula", n, g)
+			}
+		}
+	}
+	for _, n := range []int{8, 16} {
+		var odd []int
+		for g := 1; g < 2*n; g += 2 {
+			odd = append(odd, g)
+		}
+		check(n, odd)
+	}
+	const n = 4096
+	gs := []int{3, 9, 2*n - 1}
+	for r, g := 1, 5; r <= 8; r, g = 2*r, g*g%(2*n) {
+		gs = append(gs, g)
+	}
+	check(n, gs)
+}
+
 // TestAutomorphRefusesAliasing: the permutation is not in place, and says so.
 func TestAutomorphRefusesAliasing(t *testing.T) {
 	mods := testMods(t, 32, 1)

@@ -196,14 +196,8 @@ func (s *CKKSScheduler) RotateInto(out, ct *ckks.Ciphertext, r int, gk *ckks.Gal
 // accumulators back to coefficient order, then ModDown divides them by p*
 // into slotMd0/slotMd1 (chain rows).
 func (s *CKKSScheduler) hybridKeySwitch(level int, src uint8, lk *ckks.LevelKey) error {
-	if err := s.keySwitch(keySwitch{
-		src:     src,
-		keys:    [2][]poly.RNSPoly{lk.Ks0Hat, lk.Ks1Hat},
-		batches: batchQP,
-		rows:    level + 2,
-		label:   "ks key stream",
-		bytes:   hwsim.PolyBytes(s.P.N(), level+2),
-	}); err != nil {
+	keys := [2][]poly.RNSPoly{lk.Ks0Hat, lk.Ks1Hat}
+	if err := s.keySwitch(digitLoop(src, keys, batchQP, "ks key stream", hwsim.PolyBytes(s.P.N(), level+2)), level+2); err != nil {
 		return err
 	}
 	s.live.free(src)

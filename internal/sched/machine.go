@@ -158,13 +158,7 @@ func (m *machine) ProgramListing() string {
 func (m *machine) transfer(t hwsim.Transfer, writes, reads []uint8) hwsim.Cycles {
 	cyc := m.C.Transfer(t)
 	if m.Record {
-		m.Trace = append(m.Trace, Task{
-			Label:  "DMA " + t.Label,
-			Unit:   UnitDMA,
-			Cycles: cyc,
-			Reads:  reads,
-			Writes: writes,
-		})
+		m.Trace = append(m.Trace, t.Task(cyc, reads, writes))
 	}
 	return cyc
 }
@@ -319,64 +313,33 @@ func (m *machine) automorph(g, rows int) error {
 	return nil
 }
 
-// keySwitch is what differs between the three uses of the key-switch digit
-// loop (BFV relinearization, BFV rotation, the CKKS hybrid key switch).
-type keySwitch struct {
-	// src is the coefficient-domain slot WordDecomp extracts digit i from.
-	src uint8
-	// keys[k][i] is the NTT-domain key component multiplied with digit i
-	// into accumulator k.
-	keys [2][]poly.RNSPoly
-	// batches the digit, key and accumulators span, and their row count.
-	batches []hwsim.Batch
-	rows    int
-	// label and bytes of one key component's DMA.
-	label string
-	bytes int
+// digitLoop is the key-switch digit loop (hwsim.KeySwitch) over this memory
+// file's scratch and accumulator slots: the digits of src against keys, over
+// batches, each key component streamed as one DMA of `bytes` bytes.
+func digitLoop(src uint8, keys [2][]poly.RNSPoly, batches []hwsim.Batch, label string, bytes int) hwsim.KeySwitch {
+	return hwsim.KeySwitch{
+		Src: src, Digit: slotDigit, Sop: slotSop, Key: slotKey, Acc: [2]uint8{slotAcc0, slotAcc1},
+		Keys: keys, Batches: batches, Stream: hwsim.Transfer{Bytes: bytes, Label: label},
+	}
 }
 
-// keySwitch emits the digit loop: one digit at a time, extract, transform,
-// stream the two key components from DDR (Table I: "Only during the
-// relinearization steps, data transfer is needed to load the large
-// relinearization keys") and multiply-accumulate into slotAcc0/slotAcc1,
-// which are left in the NTT domain. The digit, key and product scratch slots
-// are recycled every iteration — the memory file never holds more than one
-// digit.
-func (m *machine) keySwitch(ks keySwitch) error {
+// keySwitch runs the digit loop on the co-processor — one digit at a time,
+// extract, transform, stream the two key components from DDR and
+// multiply-accumulate into slotAcc0/slotAcc1, which are left in the NTT
+// domain — with its `rows` residue rows on the liveness auditor: the digit,
+// key and product scratch is recycled every iteration, so the memory file
+// never holds more than one digit, and dies with the loop.
+func (m *machine) keySwitch(ks hwsim.KeySwitch, rows int) error {
 	for _, slot := range []uint8{slotDigit, slotSop, slotKey, slotAcc0, slotAcc1} {
-		m.live.set(slot, ks.rows)
+		m.live.set(slot, rows)
 	}
-	for i := range ks.keys[0] {
-		if _, err := m.exec(hwsim.Instr{Op: hwsim.OpDecomp, Dst: slotDigit, A: ks.src, B: uint8(i)}); err != nil {
-			return err
-		}
-		for _, batch := range ks.batches {
-			if _, err := m.exec(hwsim.Instr{Op: hwsim.OpNTT, A: slotDigit, Batch: batch}); err != nil {
-				return err
-			}
-		}
-		for k, acc := range []uint8{slotAcc0, slotAcc1} {
-			m.C.LoadSlotNTT(slotKey, 0, ks.keys[k][i].Rows)
-			m.transfer(hwsim.Transfer{Bytes: ks.bytes, Label: ks.label}, []uint8{slotKey}, nil)
-			for _, batch := range ks.batches {
-				if err := m.run(
-					hwsim.Instr{Op: hwsim.OpCMul, Dst: slotSop, A: slotDigit, B: slotKey, Batch: batch},
-					hwsim.Instr{Op: hwsim.OpCAdd, Dst: acc, A: acc, B: slotSop, Batch: batch}); err != nil {
-					return err
-				}
-			}
-		}
+	var trace *[]Task
+	if m.Record {
+		trace = &m.Trace
+	}
+	if err := m.C.KeySwitch(ks, trace); err != nil {
+		return err
 	}
 	m.live.free(slotDigit, slotSop, slotKey)
 	return nil
-}
-
-// digitCycles prices one pass of the keySwitch loop body off the cost table,
-// executing nothing: the WordDecomp, the digit's NTT per batch, and per
-// accumulator the key component's DMA and a CMul + CAdd per batch.
-func (m *machine) digitCycles(batches []hwsim.Batch, keyBytes int) hwsim.Cycles {
-	c, nb := m.C, hwsim.Cycles(len(batches))
-	mac := c.Cycles(hwsim.Instr{Op: hwsim.OpCMul}) + c.Cycles(hwsim.Instr{Op: hwsim.OpCAdd})
-	return c.Cycles(hwsim.Instr{Op: hwsim.OpDecomp}) + nb*c.Cycles(hwsim.Instr{Op: hwsim.OpNTT}) +
-		2*(c.DMAEng.FPGACycles(hwsim.Transfer{Bytes: keyBytes})+nb*mac)
 }

@@ -189,14 +189,7 @@ func (s *Scheduler) mulProgram(rk *fv.RelinKey) error {
 	const sSlot0, sSlot1, sSlot2 = slotA1, slotB0, slotT1
 
 	// Phase 6: relinearization of s2 through the key-switch digit loop.
-	if err := s.keySwitch(keySwitch{
-		src:     sSlot2,
-		keys:    [2][]poly.RNSPoly{rk.Rlk0Hat, rk.Rlk1Hat},
-		batches: batchQ,
-		rows:    kq,
-		label:   "rlk stream",
-		bytes:   s.polyBytes(),
-	}); err != nil {
+	if err := s.keySwitch(s.relinLoop(sSlot2, rk), kq); err != nil {
 		return err
 	}
 	// Inverse-transform the sums of products and add the scaled c̃0, c̃1
@@ -232,7 +225,7 @@ func (s *Scheduler) tradRelinDigits() int {
 // TraditionalCycles on four cores instead of the HPS entry, and the
 // relinearization loops over tradRelinDigits positional digits instead of
 // one RNS digit per q prime (the host-sliced positional digit's REARR costs
-// the same pass as WDEC, so a digit costs digitCycles either way). The operand and result transfers are unchanged. The exact CRT
+// the same pass as WDEC, so a digit costs DigitCycles either way). The operand and result transfers are unchanged. The exact CRT
 // dataflow itself is the rns oracle (ExtendExact, ScaleExact).
 func (s *Scheduler) TraditionalMul(hps Report) Report {
 	c := s.C
@@ -241,8 +234,14 @@ func (s *Scheduler) TraditionalMul(hps Report) Report {
 	}
 	fewer := hwsim.Cycles(s.P.QBasis.K() - s.tradRelinDigits())
 	hps.ComputeCycles += mulLifts*reprice(hwsim.OpLift) + mulScales*reprice(hwsim.OpScale) -
-		fewer*s.digitCycles(batchQ, s.polyBytes())
+		fewer*c.DigitCycles(s.relinLoop(0, &fv.RelinKey{})) // a digit's price reads no key
 	return hps
+}
+
+// relinLoop is the Mult's relinearization digit loop: the digits of src
+// against the relinearization key, over the q batch.
+func (s *Scheduler) relinLoop(src uint8, rk *fv.RelinKey) hwsim.KeySwitch {
+	return digitLoop(src, [2][]poly.RNSPoly{rk.Rlk0Hat, rk.Rlk1Hat}, batchQ, "rlk stream", s.polyBytes())
 }
 
 // Rotate executes a Galois automorphism on the co-processor into a new
@@ -269,14 +268,8 @@ func (s *Scheduler) RotateInto(out, ct *fv.Ciphertext, gk *fv.GaloisKey) (Report
 		return Report{}, err
 	}
 	// Key switch σ_g(c1) → s, then c0' = σ(c0) + sop0; c1' = sop1.
-	if err := s.keySwitch(keySwitch{
-		src:     slotA1,
-		keys:    [2][]poly.RNSPoly{gk.Ks0Hat, gk.Ks1Hat},
-		batches: batchQ,
-		rows:    kq,
-		label:   "galois key stream",
-		bytes:   s.polyBytes(),
-	}); err != nil {
+	keys := [2][]poly.RNSPoly{gk.Ks0Hat, gk.Ks1Hat}
+	if err := s.keySwitch(digitLoop(slotA1, keys, batchQ, "galois key stream", s.polyBytes()), kq); err != nil {
 		return Report{}, err
 	}
 	if err := s.run(
