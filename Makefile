@@ -15,9 +15,11 @@ test:
 # evaluators, the simulator, its scheduler, the differential harness, the
 # engine that builds every worker's co-processors and the chaos schedules
 # that fault them on them, and the figure gate, which holds BENCH_sim.json
-# identical on this path. CI's test job calls it.
+# identical on this path; and the wire's frame checksum against hash/crc32,
+# which is the whole checksum there. CI's test job calls it.
 test-purego:
 	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest ./internal/engine ./internal/faults ./internal/hebench
+	$(GO) test -tags purego -run 'Checksum' ./internal/cloud
 
 race:
 	$(GO) test -race ./...
@@ -82,7 +84,8 @@ fmt-check:
 # the CKKS key container and encoder, the RNS decryption rounding against
 # exact rounding (FuzzMessageScaler), the HPS Lift and Scale kernels against
 # their exact oracles at q and p widths up to 24 primes (FuzzLiftScale), and
-# the assembler against its own listing (FuzzAssemble).
+# the assembler against its own listing (FuzzAssemble), and the mux frame
+# checksum's vector lane against hash/crc32 (FuzzMuxChecksum).
 FUZZ_TARGETS = \
 	difftest:FuzzDiffTransform:5x \
 	difftest:FuzzDiffPointwise:5x \
@@ -96,6 +99,7 @@ FUZZ_TARGETS = \
 	cloud:FuzzDecodeMuxFrame:20x \
 	cloud:FuzzFrameRequest:20x \
 	cloud:FuzzFrameReply:20x \
+	cloud:FuzzMuxChecksum:20x \
 	program:FuzzDecodeProgram:20x \
 	fv:FuzzReadCiphertext:20x \
 	fv:FuzzReadKeyHeader:20x \
@@ -131,9 +135,9 @@ fuzz-long:
 
 # The chaos suite: pinned-seed randomized fault schedules (BRAM flips, DMA
 # garbles, RPAU kills/stalls, limb corruption — including during the CKKS
-# Rescale — and dropped/garbled wire frames) through real encrypt ->
-# evaluate -> decrypt workloads, under the race detector. Pinned seeds make
-# a failure replayable.
+# Rescale — and dropped, garbled and bit-flipped wire frames) through real
+# encrypt -> evaluate -> decrypt workloads, under the race detector. Pinned
+# seeds make a failure replayable.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/faults
 

@@ -1,12 +1,13 @@
 // Command herouter fronts a fleet of heserver nodes with one endpoint: the
 // scale-out tier above the paper's Fig. 11 platform. It serves the same wire
-// protocol as heserver — sequential v2 connections and mux sessions alike —
-// shards tenants across the backends with a consistent-hash ring,
-// health-checks every node (ejecting dead ones and rerouting their tenants
-// to ring replicas), and retries idempotent requests on a replica within a
-// bounded budget. CKKS commands are framed
-// under the set heserver -ckks serves (-paper picks it, as it does there)
-// and routed like the BFV ones; a backend started without -ckks refuses them.
+// protocol as heserver — checksummed mux sessions — and speaks it to every
+// backend over one shared session per node. It shards tenants across the
+// backends with a consistent-hash ring, health-checks every node (ejecting
+// dead ones and rerouting their tenants to ring replicas), and retries
+// idempotent requests on a replica within a bounded budget. CKKS commands are
+// framed under the set heserver -ckks serves (-paper picks it, as it does
+// there) and routed like the BFV ones; a backend started without -ckks
+// refuses them with a typed application error.
 //
 // Usage:
 //
@@ -63,8 +64,6 @@ var (
 	replicas       = flag.Int("replicas", 2, "failover candidates per tenant on the ring")
 	attempts       = flag.Int("attempts", 0, "retry budget per request (0 = replicas)")
 	attemptTimeout = flag.Duration("attempt-timeout", 2*time.Second, "per-attempt deadline")
-	poolSize       = flag.Int("pool", 4, "idle connections kept per backend (ignored with -mux)")
-	muxMode        = flag.Bool("mux", false, "multiplex all traffic to each backend over one shared connection (many in-flight request IDs with window flow control) instead of per-request pooled connections")
 	probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "health probe period per backend")
 	probeTimeout   = flag.Duration("probe-timeout", time.Second, "health probe deadline")
 	failThreshold  = flag.Int("fail-threshold", 2, "consecutive failures that eject a backend")
@@ -92,8 +91,6 @@ func main() {
 		usageError(fmt.Errorf("-attempts must be >= 0, got %d", *attempts))
 	case *attemptTimeout <= 0:
 		usageError(fmt.Errorf("-attempt-timeout must be positive, got %v", *attemptTimeout))
-	case *poolSize <= 0:
-		usageError(fmt.Errorf("-pool must be positive, got %d", *poolSize))
 	case *probeInterval <= 0:
 		usageError(fmt.Errorf("-probe-interval must be positive, got %v", *probeInterval))
 	case *probeTimeout <= 0:
@@ -130,8 +127,6 @@ func main() {
 		Replicas:       *replicas,
 		MaxAttempts:    *attempts,
 		AttemptTimeout: *attemptTimeout,
-		PoolSize:       *poolSize,
-		Mux:            *muxMode,
 		Health: cluster.HealthConfig{
 			Interval:      *probeInterval,
 			Timeout:       *probeTimeout,

@@ -40,7 +40,6 @@ func TestInvalidFlagsExitTwo(t *testing.T) {
 		{"zero replicas", []string{"-backends", "127.0.0.1:7101", "-replicas", "0"}, "-replicas"},
 		{"negative attempts", []string{"-backends", "127.0.0.1:7101", "-attempts", "-1"}, "-attempts"},
 		{"zero attempt timeout", []string{"-backends", "127.0.0.1:7101", "-attempt-timeout", "0s"}, "-attempt-timeout"},
-		{"zero pool", []string{"-backends", "127.0.0.1:7101", "-pool", "0"}, "-pool"},
 		{"zero probe interval", []string{"-backends", "127.0.0.1:7101", "-probe-interval", "0s"}, "-probe-interval"},
 		{"zero probe timeout", []string{"-backends", "127.0.0.1:7101", "-probe-timeout", "0s"}, "-probe-timeout"},
 		{"zero fail threshold", []string{"-backends", "127.0.0.1:7101", "-fail-threshold", "0"}, "-fail-threshold"},
@@ -79,10 +78,8 @@ func TestFlagSetGolden(t *testing.T) {
 		"debug-addr",
 		"drain-timeout",
 		"fail-threshold",
-		"mux",
 		"node-id",
 		"paper",
-		"pool",
 		"probe-interval",
 		"probe-timeout",
 		"read-timeout",

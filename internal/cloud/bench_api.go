@@ -5,6 +5,7 @@ package cloud
 import (
 	"bytes"
 	"io"
+	"math"
 
 	"repro/internal/ckks"
 	"repro/internal/fv"
@@ -12,6 +13,12 @@ import (
 
 // ProtoV2 is ProtoVersion under the name bench/ compiles against.
 const ProtoV2 = ProtoVersion
+
+// MuxClient is Client under the name bench/ compiles against.
+type MuxClient = Client
+
+// DialMux is Dial.
+func DialMux(addr string, params *fv.Params) (*Client, error) { return Dial(addr, params) }
 
 // WriteRequest serializes a request under params alone, as one Write.
 func WriteRequest(w io.Writer, params *fv.Params, req *Request) error {
@@ -31,16 +38,18 @@ func ReadRequest(r io.Reader, params *fv.Params) (*Request, error) {
 	return ReadRequestCKKS(r, params, nil)
 }
 
-// ReadRequestCKKS deserializes a request, reading at most the largest one
-// params admits; CKKS bodies decode under cparams. The request owns its memory.
+// ReadRequestCKKS deserializes the one request r holds to its end, reading
+// at most the largest one params admits; CKKS bodies decode under cparams.
+// The request owns its memory.
 func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Request, error) {
 	cd := newCodec(params, cparams)
-	f := Frame{buf: getBuf(6 * len(cd.bfv.Mods) * cd.bfv.N * 4)} // two three-element BFV operands
-	defer f.Release()
-	c := cursor{r: r, buf: f.buf.b, left: cd.maxRequest}
-	err := f.read(&c, &cd)
-	f.buf.b = c.buf[:0] // the cursor may have moved it
+	buf, err := readAll(r, 6*len(cd.bfv.Mods)*cd.bfv.N*4, cd.maxRequest) // two three-element BFV operands
 	if err != nil {
+		return nil, err
+	}
+	f := Frame{buf: buf}
+	defer f.Release()
+	if err := f.read(&cursor{buf: buf.b, left: cd.maxRequest}, &cd); err != nil {
 		return nil, err
 	}
 	req, err := f.Request()
@@ -100,20 +109,59 @@ func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, erro
 	return resp, err
 }
 
-// readReply frames and materializes the reply to a cmd request under cd, a
-// server-reported failure as the *ServerError it is.
+// readReply frames and materializes the one reply to a cmd request r holds
+// to its end, under cd; a server-reported failure is the *ServerError it is.
 func readReply(r io.Reader, cd *codec, cmd uint8) (uint64, Reply, error) {
 	hint := 64 // room for a two-element result, the usual reply
 	if l, err := cd.layout(cmd); err == nil {
 		hint += 2 * len(l.Mods) * l.N * 4
 	}
-	raw, err := readRawReply(r, hint, cd, cmd)
+	buf, err := readAll(r, hint, math.MaxInt)
 	if err != nil {
 		return 0, nil, err
 	}
+	raw := &RawReply{buf: buf}
 	defer raw.Release()
+	if err := raw.read(&cursor{buf: buf.b, left: math.MaxInt}, cd, cmd); err != nil {
+		return 0, nil, err
+	}
 	rep, err := raw.Reply()
 	return raw.ID(), rep, err
+}
+
+// readAll reads r to its end, or its first limit bytes, into a pooled buffer
+// with room for hint bytes.
+func readAll(r io.Reader, hint, limit int) (*buffer, error) {
+	buf := getBuf(hint)
+	for len(buf.b) < limit {
+		if len(buf.b) == cap(buf.b) {
+			grown := getBuf(2 * cap(buf.b))
+			grown.b = append(grown.b, buf.b...)
+			buf.release()
+			buf = grown
+		}
+		n, err := r.Read(buf.b[len(buf.b):min(cap(buf.b), limit)])
+		buf.b = buf.b[:len(buf.b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			buf.release()
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// writeReply writes rep's encoding as the reply to request id, as one Write.
+func writeReply(w io.Writer, rep Reply, params *fv.Params, id uint64) error {
+	buf, err := rep.encode(params, id)
+	if err != nil {
+		return err
+	}
+	defer buf.release()
+	_, err = w.Write(buf.b)
+	return err
 }
 
 // DecodeMuxFrame reads one frame, bounding the payload at maxPayload bytes,

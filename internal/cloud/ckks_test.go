@@ -261,9 +261,9 @@ func TestCKKSServing(t *testing.T) {
 
 // TestExchangeRefusesCKKSWithoutLayout: a reply is framed under its request's
 // codec, so a CKKS frame encoded under a BFV set alone — no CKKS layout to
-// frame the answer with — is refused by both transports, typed, before a byte
-// is written (the node serves nothing), and the connection carries a BFV op
-// right after as if nothing had happened. It used to be written, answered, and
+// frame the answer with — is refused, typed, before a byte is written (the
+// node serves nothing), and the session carries a BFV op right after as if
+// nothing had happened. It used to be written, answered, and
 // then dereference a nil CKKS parameter set while framing the reply.
 func TestExchangeRefusesCKKSWithoutLayout(t *testing.T) {
 	ts := newCKKSTestSystem(t)
@@ -279,29 +279,18 @@ func TestExchangeRefusesCKKSWithoutLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	mc, err := DialMux(addr, ts.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
 
 	ctx := context.Background()
-	for name, tr := range map[string]interface {
-		Exchange(context.Context, *Frame) (*RawReply, error)
-		AddCtx(context.Context, *fv.Ciphertext, *fv.Ciphertext) (*fv.Ciphertext, time.Duration, error)
-		Broken() bool
-	}{"sequential": cl, "mux": mc} {
-		served := srv.Served()
-		if _, err := tr.Exchange(ctx, f); !errors.Is(err, ErrMalformedRequest) {
-			t.Errorf("%s: exchange returned %v, want ErrMalformedRequest", name, err)
-		}
-		if tr.Broken() || srv.Served() != served {
-			t.Errorf("%s: the refusal broke the connection (%v) or reached the node (%d ops served)", name, tr.Broken(), srv.Served()-served)
-		}
-		sum, _, err := tr.AddCtx(ctx, ts.encrypt(t, 5), ts.encrypt(t, 6))
-		if err != nil || ts.decrypt(sum) != 11 {
-			t.Errorf("%s: BFV add after the refusal: %v", name, err)
-		}
+	served := srv.Served()
+	if _, err := cl.Exchange(ctx, f); !errors.Is(err, ErrMalformedRequest) {
+		t.Errorf("exchange returned %v, want ErrMalformedRequest", err)
+	}
+	if cl.Broken() || srv.Served() != served {
+		t.Errorf("the refusal broke the session (%v) or reached the node (%d ops served)", cl.Broken(), srv.Served()-served)
+	}
+	sum, _, err := cl.AddCtx(ctx, ts.encrypt(t, 5), ts.encrypt(t, 6))
+	if err != nil || ts.decrypt(sum) != 11 {
+		t.Errorf("BFV add after the refusal: %v", err)
 	}
 }
 

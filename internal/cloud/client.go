@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/ckks"
@@ -12,11 +14,12 @@ import (
 	"repro/internal/program"
 )
 
-// DialTimeout bounds connection establishment in Dial/DialTenant.
+// DialTimeout bounds connection establishment and the hello in Dial,
+// DialTenant and DialContext; DialContext's context can only shorten it.
 const DialTimeout = 5 * time.Second
 
-// Exchanger is the two-method surface every transport offers: the
-// sequential Client, the multiplexed MuxClient, and the cluster router.
+// Exchanger is the two-method surface both transports offer: the Client
+// session and the cluster router.
 type Exchanger interface {
 	Do(ctx context.Context, req *Request) (*Response, error)
 	DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error)
@@ -112,46 +115,336 @@ func ReplyAs[T Reply](rep Reply, err error) (T, error) {
 	return rep.(T), nil // RawReply.Reply picked the kind from the same command
 }
 
-// caller is what both client connections have above their Exchange: the
-// codec their own requests are encoded under (EnableCKKS), the typed
-// operations, and the calls that are one round trip each.
-type caller struct {
-	codec
-	Ops      // the typed operations of both schemes; Ops.Tenant is the connection's namespace
-	exchange func(context.Context, *Frame) (*RawReply, error)
+// Client is a session with the cloud service: one connection, safe for
+// concurrent use, carrying up to the negotiated window of requests at once —
+// each a checksummed mux frame — completing out of order as the server's
+// workers finish. A submission past the window fails fast with
+// ErrWindowExhausted.
+//
+// Cancellation is cheap: an exchange abandoned while it waits for its reply
+// only deregisters its ID — the late reply is discarded by the reader — so a
+// context deadline leaves the session usable. One abandoned in the middle of
+// its frame write (a peer that stopped reading) breaks the session instead.
+type Client struct {
+	codec // what this session's own requests are encoded under (EnableCKKS)
+	Ops   // the typed operations of both schemes; Ops.Tenant is the session's namespace
+
+	conn   net.Conn
+	window int
+
+	sem chan struct{} // in-flight window slots
+
+	wslot chan struct{} // one slot, held by the frame write in progress
+
+	mu      sync.Mutex
+	nextID  uint64
+	pending map[uint64]chan muxResult
+	err     error // first connection-fatal error; set once, sticky
+	// limit bounds a reply payload: the largest mux payload of any codec a
+	// frame has gone out under, so a forwarded frame's reply fits.
+	limit int
+
+	readerDone chan struct{}
+}
+
+// muxResult is what the reader delivers to a waiting submitter: the reply
+// frame's payload, still unframed, in the pooled buffer it was read into.
+type muxResult struct {
+	buf *buffer
+	err error
+}
+
+// Dial connects to the service under the default tenant.
+func Dial(addr string, params *fv.Params) (*Client, error) {
+	return DialTenant(addr, params, "")
+}
+
+// DialTenant connects to the service; every request is issued under the
+// given evaluation-key namespace.
+func DialTenant(addr string, params *fv.Params, tenant string) (*Client, error) {
+	return DialContext(context.Background(), addr, params, tenant, DefaultMuxWindow)
+}
+
+// DialContext connects and negotiates a session under ctx, asking for the
+// given window (the server may grant less): the connect and the hello both
+// end when ctx does, and after DialTimeout in any case.
+func DialContext(ctx context.Context, addr string, params *fv.Params, tenant string, window int) (*Client, error) {
+	if len(tenant) > MaxTenantLen {
+		return nil, fmt.Errorf("cloud: tenant %q longer than %d bytes", tenant, MaxTenantLen)
+	}
+	ctx, cancel := context.WithTimeout(ctx, DialTimeout)
+	defer cancel()
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	c, err := newClient(ctx, conn, params, tenant, window)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// newClient performs the hello exchange over an established connection and
+// starts the reader. The hello's I/O ends when ctx does. On success it owns
+// conn.
+func newClient(ctx context.Context, conn net.Conn, params *fv.Params, tenant string, window int) (*Client, error) {
+	if window < 1 {
+		window = DefaultMuxWindow
+	}
+	deadline, _ := ctx.Deadline()
+	conn.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	granted, err := hello(conn, window)
+	if !stop() && err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			err = fmt.Errorf("%w (%v)", cerr, err)
+		}
+		return nil, fmt.Errorf("cloud: mux hello: %w", err)
+	}
+	conn.SetDeadline(time.Time{})
+	c := &Client{
+		codec:      newCodec(params, nil),
+		conn:       conn,
+		window:     granted,
+		sem:        make(chan struct{}, granted),
+		wslot:      make(chan struct{}, 1),
+		pending:    make(map[uint64]chan muxResult),
+		readerDone: make(chan struct{}),
+	}
+	c.Ops = Ops{Via: c, Tenant: tenant}
+	c.limit = c.codec.maxMuxPayload
+	go c.readLoop()
+	return c, nil
+}
+
+// hello asks for window and returns what the server granted.
+func hello(conn net.Conn, window int) (int, error) {
+	if err := WriteMuxHello(conn, window); err != nil {
+		return 0, err
+	}
+	granted, err := ReadMuxHello(conn)
+	return min(granted, window), err
+}
+
+// Window returns the negotiated in-flight request window.
+func (c *Client) Window() int { return c.window }
+
+// Close tears the connection down; in-flight exchanges fail.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	<-c.readerDone
+	return err
+}
+
+// Broken reports whether the connection is dead (a transport error, a
+// malformed frame, or Close). A broken Client fails every submission.
+func (c *Client) Broken() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err != nil
+}
+
+// fail marks the connection broken and delivers err to every pending
+// exchange.
+func (c *Client) fail(err error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+	}
+	stranded := c.pending
+	c.pending = make(map[uint64]chan muxResult)
+	c.mu.Unlock()
+	for _, ch := range stranded {
+		ch <- muxResult{err: err}
+	}
+}
+
+// readLoop is the single reader: it only moves frames — each payload into a
+// pooled buffer, each buffer to whichever pending exchange owns the request
+// ID, in whatever order the server finished them. Framing and validating a
+// ciphertext-sized reply is the waiter's work, on the waiter's goroutine.
+func (c *Client) readLoop() {
+	defer close(c.readerDone)
+	limit := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.limit
+	}
+	for {
+		f, buf, err := readMuxFrame(c.conn, limit, true)
+		if err != nil && !errors.Is(err, ErrMuxPayloadChecksum) {
+			c.fail(fmt.Errorf("cloud: mux connection lost: %w", err))
+			return
+		}
+		ch, ok := c.take(f.ID)
+		switch {
+		case !ok: // canceled exchange; drop the late response
+			buf.release()
+		case err != nil:
+			// The frame boundary is intact: fail only the request the
+			// corrupted payload belonged to and keep reading.
+			buf.release()
+			ch <- muxResult{err: err}
+		default:
+			ch <- muxResult{buf: buf}
+		}
+	}
+}
+
+// take removes and returns the pending entry for id.
+func (c *Client) take(id uint64) (chan muxResult, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ch, ok := c.pending[id]
+	if ok {
+		delete(c.pending, id)
+	}
+	return ch, ok
+}
+
+// Exchange runs one raw exchange under ctx: it sends f's bytes as one frame
+// under the session's next request ID — nothing else about the frame
+// touched, so the routing tier forwards a client's frame through here as is
+// — and waits for the reply frame, then frames and validates that payload in
+// place for the caller to relay or materialize and then release. It
+// implements the window: a full window fails immediately with
+// ErrWindowExhausted rather than queueing. The write is synchronous, so
+// nothing references f once Exchange returns, however it returns. The reply
+// is framed under the frame's codec, so a frame that codec cannot frame (a
+// CKKS command without a CKKS layout) is refused, ErrMalformedRequest, before
+// the write.
+func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if _, err := f.codec.layout(f.Cmd); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+
+	select {
+	case c.sem <- struct{}{}:
+	default:
+		return nil, fmt.Errorf("%w (window %d)", ErrWindowExhausted, c.window)
+	}
+	defer func() { <-c.sem }()
+
+	ch := make(chan muxResult, 1)
+	c.mu.Lock()
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = ch
+	c.limit = max(c.limit, f.codec.maxMuxPayload)
+	c.mu.Unlock()
+
+	f.stamp(id)
+	if err := c.write(ctx, id, f.b); err != nil {
+		c.take(id)
+		return nil, err
+	}
+
+	var res muxResult
+	select {
+	case res = <-ch:
+	case <-ctx.Done():
+		// Abandon the exchange: deregister so the reader discards the late
+		// reply (one it has already handed over is simply dropped with ch).
+		// The connection itself stays healthy.
+		c.take(id)
+		return nil, ctx.Err()
+	}
+	if res.err != nil {
+		return nil, res.err
+	}
+	raw := &RawReply{buf: res.buf}
+	err = raw.read(&cursor{buf: res.buf.b, left: math.MaxInt}, f.codec, f.Cmd)
+	if err == nil && raw.ID() != id {
+		err = fmt.Errorf("%w: inner reply ID %d under frame ID %d", ErrMalformedResponse, raw.ID(), id)
+	}
+	if err != nil {
+		raw.Release()
+		return nil, err
+	}
+	return raw, nil
+}
+
+// write sends one request frame under ctx, which bounds both the wait for
+// the write slot and the write itself (its deadline, and a cancellation
+// cutting the write short), so a peer that stops reading costs each caller
+// its own deadline. A write that fails may have left part of a frame on the
+// wire, so it breaks the session.
+func (c *Client) write(ctx context.Context, id uint64, payload []byte) error {
+	select {
+	case c.wslot <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-c.wslot }()
+	if err := ctx.Err(); err != nil { // nothing written: the session stays
+		return err
+	}
+	deadline, _ := ctx.Deadline()
+	c.conn.SetWriteDeadline(deadline)
+	cut := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		c.conn.SetWriteDeadline(time.Now())
+		close(cut)
+	})
+	err := WriteMuxFrame(c.conn, MuxFrameRequest, id, payload)
+	if !stop() {
+		<-cut // the cut lands before the next writer sets its own deadline
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			err = fmt.Errorf("%w (%v)", cerr, err)
+		}
+		err = fmt.Errorf("cloud: mux write: %w", err)
+		c.fail(err)
+	}
+	return err
 }
 
 // roundTrip is encode, exchange, materialize — the skeleton every command
-// shares — under the connection's tenant unless the request names one.
-func (cl *caller) roundTrip(ctx context.Context, req *Request) (Reply, error) {
+// shares — under the session's tenant unless the request names one.
+func (c *Client) roundTrip(ctx context.Context, req *Request) (Reply, error) {
 	if req.Tenant == "" {
-		req.Tenant = cl.Ops.Tenant
+		req.Tenant = c.Ops.Tenant
 	}
-	return cl.codec.roundTrip(ctx, cl.exchange, req)
+	return c.codec.roundTrip(ctx, c.Exchange, req)
 }
 
-// Tenant returns the namespace this connection issues requests under.
-func (cl *caller) Tenant() string { return cl.Ops.Tenant }
-
-// Do runs one operation exchange under ctx (see the connection's Exchange
-// for the deadline and cancellation rules). A server-reported failure is
+// Do runs one operation exchange under ctx. A server-reported failure is
 // returned as *ServerError.
-func (cl *caller) Do(ctx context.Context, req *Request) (*Response, error) {
-	return ReplyAs[*Response](cl.roundTrip(ctx, req))
+func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
+	return ReplyAs[*Response](c.roundTrip(ctx, req))
 }
 
 // DoProgram runs one CmdProgram exchange: the raw request (ProgBytes and
 // Inputs populated) against the program reply framing.
-func (cl *caller) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
+func (c *Client) DoProgram(ctx context.Context, req *Request) (*ProgramResponse, error) {
 	req.Cmd = CmdProgram
-	return ReplyAs[*ProgramResponse](cl.roundTrip(ctx, req))
+	return ReplyAs[*ProgramResponse](c.roundTrip(ctx, req))
 }
 
 // PingCtx verifies the service is alive, honoring ctx. The reply's
 // ciphertext is framed and checked like any other but never materialized: a
 // health probe costs no ciphertext.
-func (cl *caller) PingCtx(ctx context.Context) error {
-	raw, err := cl.codec.send(ctx, cl.exchange, &Request{Cmd: CmdPing, Tenant: cl.Ops.Tenant})
+func (c *Client) PingCtx(ctx context.Context) error {
+	raw, err := c.codec.send(ctx, c.Exchange, &Request{Cmd: CmdPing, Tenant: c.Ops.Tenant})
 	if err != nil {
 		return err
 	}
@@ -164,119 +457,8 @@ func (cl *caller) PingCtx(ctx context.Context) error {
 
 // Info asks the server what it is: protocol version, node ID, worker count,
 // whether it serves CKKS, and the tenants with registered evaluation keys.
-func (cl *caller) Info(ctx context.Context) (*ServerInfo, error) {
-	return ReplyAs[*ServerInfo](cl.roundTrip(ctx, &Request{Cmd: CmdInfo}))
-}
-
-// Client is a connection to the cloud service. It is not safe for
-// concurrent use; open one client per goroutine (the server multiplexes).
-type Client struct {
-	caller
-	conn   net.Conn
-	nextID uint64
-	broken bool // a transport error or cancellation desynced the stream
-	// interrupt slams the connection deadline to now; armed on each
-	// exchange's context, so a cancellation cuts blocked I/O short.
-	interrupt func()
-}
-
-// Dial connects to the service under the default tenant.
-func Dial(addr string, params *fv.Params) (*Client, error) {
-	return DialTenant(addr, params, "")
-}
-
-// DialTenant connects to the service; every request is issued under the
-// given evaluation-key namespace.
-func DialTenant(addr string, params *fv.Params, tenant string) (*Client, error) {
-	if len(tenant) > MaxTenantLen {
-		return nil, fmt.Errorf("cloud: tenant %q longer than %d bytes", tenant, MaxTenantLen)
-	}
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{conn: conn}
-	c.caller = caller{codec: newCodec(params, nil), Ops: Ops{Via: c, Tenant: tenant}, exchange: c.Exchange}
-	c.interrupt = func() { conn.SetDeadline(time.Now()) }
-	return c, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// Broken reports whether the connection's request/response stream can no
-// longer be trusted (a transport error, a cancellation mid-exchange, or a
-// response-ID mismatch). A broken client must be closed, not reused.
-func (c *Client) Broken() bool { return c.broken }
-
-// Exchange runs one raw exchange under ctx: it sends f's bytes under this
-// connection's next request ID — one contiguous Write, nothing else about
-// the frame touched, so the routing tier forwards a client's frame through
-// here as is — and frames the reply, validated in place, for the caller to
-// relay or materialize and then release. A context deadline is honored via
-// the connection deadline, so a hung server cannot block the caller past it;
-// a cancellation slams that deadline to now (the per-exchange reset clears
-// whatever a late-firing one leaves behind). On cancellation, any transport
-// error, a malformed reply, or a reply to a different request the client is
-// marked Broken; an error reply — the server answered, the operation failed —
-// leaves the stream usable. The reply is framed under the frame's codec, so a
-// frame whose codec cannot frame it (a CKKS command without a CKKS layout) is
-// refused, ErrMalformedRequest, before the write.
-func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
-	if c.broken {
-		return nil, fmt.Errorf("cloud: client connection is broken")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if _, err := f.codec.layout(f.Cmd); err != nil {
-		return nil, err
-	}
-	c.nextID++
-	f.stamp(c.nextID)
-	if d, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(d)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	defer context.AfterFunc(ctx, c.interrupt)()
-
-	if _, err := c.conn.Write(f.b); err != nil {
-		c.broken = true
-		return nil, c.ctxErr(ctx, err)
-	}
-	raw, err := readRawReply(c.conn, f.replyHint(), f.codec, f.Cmd)
-	if err != nil {
-		c.broken = true
-		return nil, c.ctxErr(ctx, err)
-	}
-	if id := raw.ID(); id != c.nextID {
-		c.broken = true
-		raw.Release()
-		return nil, fmt.Errorf("cloud: %s reply ID %d for request %d (stream desync)", cmdName(f.Cmd), id, c.nextID)
-	}
-	return raw, nil
-}
-
-// ctxErr prefers the context's error over the I/O error it provoked, so
-// callers see context.DeadlineExceeded instead of a bare network timeout.
-// The connection deadline is set to the context deadline, so the two timers
-// race by a few microseconds: a network timeout at or past the context
-// deadline is the context expiring even when ctx.Err() has not flipped yet.
-func (c *Client) ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return fmt.Errorf("cloud: %w (%v)", cerr, err)
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-			return fmt.Errorf("cloud: %w (%v)", context.DeadlineExceeded, err)
-		}
-	}
-	return err
+func (c *Client) Info(ctx context.Context) (*ServerInfo, error) {
+	return ReplyAs[*ServerInfo](c.roundTrip(ctx, &Request{Cmd: CmdInfo}))
 }
 
 // Add asks the cloud to add two ciphertexts.

@@ -416,26 +416,35 @@ func TestServerSlowClientDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Half a request, then silence.
-	if _, err := conn.Write([]byte("HEA2\x02")); err != nil {
+	// A session, then half a frame header, then silence.
+	if err := WriteMuxHello(conn, 1); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := ReadMuxHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte{MuxFrameRequest, 1, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
 	_, err = conn.Read(make([]byte, 1))
 	if err == nil {
-		t.Fatal("server replied to half a request")
+		t.Fatal("server replied to half a frame")
 	}
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("server never closed the stalled connection")
 	}
 }
 
-// TestRequestSizeBounded: ReadRequest must never consume more than an op
-// request's bound — the header and two three-element ciphertexts — from the
-// stream, whatever the stream claims.
+// TestRequestSizeBounded: ReadRequest must never consume more than the
+// request bound of its parameter set from the stream, whatever the stream
+// claims. The bound admits a key blob: the tighter bound of one op request
+// went with the stream cursor. On the wire the bound is the mux frame's — its
+// length word is checked before a payload byte is read, and what the reader
+// reserves grows only with what has arrived (TestMuxFrameReservesOnlyWhatArrived).
 func TestRequestSizeBounded(t *testing.T) {
 	ts := newTestSystem(t)
-	limit := requestHeadLen + MaxTenantLen + 4 + 2*(8+3*ts.params.QBasis.K()*ts.params.N()*4)
+	limit := codecFor(ts.params, nil).maxRequest
 	// A well-formed-looking prefix followed by an endless stream of zeros:
 	// the reader must give up with an error after at most `limit` bytes.
 	var prefix bytes.Buffer

@@ -84,9 +84,6 @@ func cmdName(cmd uint8) string {
 	}
 }
 
-// IsCKKSCmd reports whether cmd carries CKKS ciphertexts.
-func IsCKKSCmd(cmd uint8) bool { return commands[cmd] != nil && commands[cmd].op.CKKS() }
-
 // ReplyKind returns the kind of reply f's command answers in.
 func (f *Frame) ReplyKind() ReplyKind { return commands[f.Cmd].reply }
 

@@ -20,14 +20,14 @@ import (
 
 // Framing and materialization. The wire codec has two halves:
 //
-//   - Framing turns a stream (or a mux payload already in memory) into a
-//     Frame or a RawReply: the header fields, plus the whole message as one
-//     contiguous byte slice whose length is derived from the command and each
-//     ciphertext's header, bounded by the limits of the codec it is framed
-//     under, and with every ciphertext — BFV or CKKS — validated in place by
-//     the one ciphertext codec both schemes share (rlwe.Layout.Check under the
-//     codec's layout for the command: header fields, then every residue below
-//     its modulus). Nothing ciphertext-sized is allocated, for any command.
+//   - Framing turns a mux payload, in memory, into a Frame or a RawReply:
+//     the header fields, plus the whole message as one contiguous byte slice
+//     whose length is derived from the command and each ciphertext's header,
+//     bounded by the limits of the codec it is framed under, and with every
+//     ciphertext — BFV or CKKS — validated in place by the one ciphertext
+//     codec both schemes share (rlwe.Layout.Check under the codec's layout
+//     for the command: header fields, then every residue below its modulus).
+//     Nothing ciphertext-sized is allocated, for any command.
 //   - Materialization turns those bytes into *fv.Ciphertext and
 //     *ckks.Ciphertext values (Frame.Request, RawReply.Reply) and back
 //     (codec.encode, Reply.encode).
@@ -43,9 +43,11 @@ import (
 // Ownership: a Frame and a RawReply own their bytes until released. The
 // front-end releases a request's frame — the operands materialized from it
 // and the result ciphertext an op was read back into, all drawn from one
-// pool — only after the reply has been written, because the reply references
-// them (an op's result; a program output that is one of its inputs). A
-// reply's encoding is a pooled buffer released after the write;
+// pool — only once the reply has been encoded, because the reply references
+// them (an op's result; a program output that is one of its inputs), and
+// before the reply's bytes are written, so they are back in the pool by the
+// time the peer has the answer. A reply's encoding is a pooled buffer
+// released after the write;
 // RawReply.encode hands its own buffer over instead of copying.
 
 // PoisonReleased is a test hook: when set (before any traffic, from a
@@ -98,8 +100,8 @@ func poison(b []byte) {
 
 // ctPool recycles the ciphertexts a data node materializes operands into and
 // reads op results back into, one free list per scheme. A nil *ctPool
-// allocates and never recycles (clients, and frames read off a plain
-// stream).
+// allocates and never recycles (clients, and frames decoded outside a
+// front-end).
 type ctPool struct{ fv, ckks sync.Pool }
 
 func (cp *ctPool) getFV() *fv.Ciphertext {
@@ -148,32 +150,16 @@ func poisonRows(els []poly.RNSPoly) {
 	}
 }
 
-// cursor walks the bytes of one message. Over a stream (r set) it appends
-// what it reads to buf, so the message ends up contiguous there; over a
-// payload already in memory (r nil, buf holding it) it only advances. Either
-// way it hands out at most left more bytes. Slices it returns are invalidated
-// by the next call (buf may move); callers keep offsets, not slices.
+// cursor walks the bytes of one message, a mux payload already in memory,
+// handing out at most left more bytes.
 type cursor struct {
-	r    io.Reader
 	buf  []byte
 	off  int // bytes of buf consumed so far
 	left int
 	// short is how many bytes the last failed next did get: zero means the
-	// source ended (or timed out) exactly on a message boundary.
+	// message ended exactly on a boundary.
 	short int
 }
-
-// streamSlack is the most a stream cursor reserves beyond the bytes that have
-// actually arrived while fewer than that have: a connection that claims a
-// key-blob body (hundreds of megabytes) and then stalls or hangs up has
-// cost its peer one slack, not the claim.
-const streamSlack = 1 << 20
-
-// growLimit is the capacity a stream cursor may hold once have bytes of the
-// message have arrived: the larger of streamSlack and have beyond them, so a
-// peer has to send a byte for every byte it makes the reader reserve and the
-// copying stays linear in the message however long it is.
-func growLimit(have int) int { return have + max(streamSlack, have) }
 
 // next returns the following n bytes, with io.ReadFull's error contract:
 // io.EOF when none were available, io.ErrUnexpectedEOF when only some were.
@@ -183,36 +169,12 @@ func (c *cursor) next(n int) ([]byte, error) {
 		c.short = 0
 		return nil, io.ErrUnexpectedEOF
 	}
-	if c.r == nil {
-		if end > len(c.buf) {
-			c.short = len(c.buf) - c.off
-			if c.short == 0 {
-				return nil, io.EOF
-			}
-			return nil, io.ErrUnexpectedEOF
+	if end > len(c.buf) {
+		c.short = len(c.buf) - c.off
+		if c.short == 0 {
+			return nil, io.EOF
 		}
-	} else {
-		// n is the peer's word until the bytes arrive, so the buffer is grown
-		// toward end only as far as growLimit lets what has arrived justify:
-		// an op frame still lands in one allocation, a key blob in a handful.
-		for have := c.off; have < end; {
-			if end > cap(c.buf) {
-				// Doubling keeps the copying linear over a message of many parts.
-				if grown := min(max(end, 2*cap(c.buf)), growLimit(have)); grown > cap(c.buf) {
-					c.buf = append(make([]byte, 0, grown), c.buf[:have]...)
-				}
-			}
-			stop := min(end, cap(c.buf))
-			c.buf = c.buf[:stop]
-			got, err := io.ReadFull(c.r, c.buf[have:stop])
-			have += got
-			if err != nil {
-				if c.short = have - c.off; c.short > 0 && err == io.EOF {
-					err = io.ErrUnexpectedEOF // the source ended between two steps
-				}
-				return nil, err
-			}
-		}
+		return nil, io.ErrUnexpectedEOF
 	}
 	b := c.buf[c.off:end]
 	c.off, c.left = end, c.left-n
@@ -295,8 +257,8 @@ func newCodec(params *fv.Params, cparams *ckks.Params) codec {
 	program := head + pl.MaxEncodedBytes() + 4 + pl.MaxInputs*ct(cd.bfv) // and every BFV op
 	ckksOp := head + 2*ct(cd.ckks)
 	cd.maxRequest = max(program, ckksOp, head+cd.maxKeyBlob)
-	// A mux payload carries any request the sequential framing admits, or a
-	// reply, with a reply header's margin: one bound for both framings.
+	// A mux payload carries any request, or a reply, with a reply header's
+	// margin.
 	cd.maxMuxPayload = max(cd.maxRequest, maxInfoBytes) + 64
 	return cd
 }
@@ -305,7 +267,7 @@ func newCodec(params *fv.Params, cparams *ckks.Params) codec {
 // own CKKS requests go out, and their replies are framed, under p, which must
 // match the server's (check ServerInfo.CKKS via Info first). Call it before
 // the connection's first exchange. Without it a CKKS request is refused before
-// it touches the wire, and the stream stays usable.
+// it touches the wire, and the session stays usable.
 func (cd *codec) EnableCKKS(p *ckks.Params) { *cd = newCodec(cd.params, p) }
 
 // layout returns the layout cmd's ciphertexts are framed under; an unknown
@@ -335,7 +297,7 @@ type Frame struct {
 
 	b     []byte  // the encoded request
 	body  int     // offset of the command's body in b
-	buf   *buffer // pooled backing of b; nil when the connection owns it
+	buf   *buffer // pooled backing of b
 	codec *codec  // what the frame was framed or encoded under
 
 	pool *ctPool  // where Request draws operand ciphertexts from
@@ -346,9 +308,8 @@ type Frame struct {
 	cdst *ckks.Ciphertext
 }
 
-// read frames one request from c under cd. Errors: a clean io.EOF (or the
-// bare read error) before the magic is complete, and ErrMalformedRequest for
-// everything after.
+// read frames one request from c under cd. Errors: io.EOF on an empty
+// payload, and ErrMalformedRequest for everything else.
 func (f *Frame) read(c *cursor, cd *codec) error {
 	magic, err := c.next(4)
 	if err != nil {
@@ -508,8 +469,8 @@ func (f *Frame) Request() (*Request, error) {
 
 // result draws, from the pool the frame's operands come from, the ciphertext
 // an op's result is read back into: the scheme's own, by the frame's
-// command. Release takes it back with the operands, after the reply that
-// carries it has been written.
+// command. Release takes it back with the operands, once the reply that
+// carries it has been encoded.
 func (f *Frame) result() (*fv.Ciphertext, *ckks.Ciphertext) {
 	if commands[f.Cmd].op.CKKS() {
 		f.cdst = f.pool.getCKKS()
@@ -536,11 +497,7 @@ func (f *Frame) Release() {
 	f.pool.putFV(f.dst)
 	f.pool.putCKKS(f.cdst)
 	f.dst, f.cdst = nil, nil
-	if f.buf != nil {
-		f.buf.release()
-	} else if PoisonReleased {
-		poison(f.b) // the connection's own buffer: about to be overwritten anyway
-	}
+	f.buf.release()
 	f.b, f.buf = nil, nil
 }
 
@@ -581,37 +538,6 @@ type RawReply struct {
 
 // replyHeadLen is what every reply opens with: status, request ID.
 const replyHeadLen = 1 + 8
-
-// replyHint is how large a buffer to read f's reply into: a reply is rarely
-// longer than its request, and an op command answers with one ciphertext —
-// about the size of one of its operands, or for a ping, which has none, a
-// two-element BFV one — and a few fixed fields.
-func (f *Frame) replyHint() int {
-	row := commands[f.Cmd]
-	switch {
-	case row.reply != ReplyOp:
-		return len(f.b)
-	case row.op.Operands() > 0:
-		return (len(f.b)-f.body)/row.op.Operands() + 64
-	}
-	return 2*len(f.codec.bfv.Mods)*f.codec.bfv.N*4 + 64
-}
-
-// readRawReply frames the reply to a cmd request from a stream into a pooled
-// buffer the returned reply owns. hint sizes that buffer; a longer reply
-// grows it.
-func readRawReply(r io.Reader, hint int, cd *codec, cmd uint8) (*RawReply, error) {
-	buf := getBuf(hint)
-	c := cursor{r: r, buf: buf.b, left: math.MaxInt}
-	raw := &RawReply{buf: buf}
-	err := raw.read(&c, cd, cmd)
-	buf.b = c.buf[:0] // the cursor may have moved it
-	if err != nil {
-		buf.release()
-		return nil, err
-	}
-	return raw, nil
-}
 
 // read frames the reply to a cmd request from c under cd, with
 // readReplyHead's error contract: an error before the first byte surfaces as

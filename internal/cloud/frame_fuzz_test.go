@@ -91,12 +91,12 @@ var paperSets = sync.OnceValues(func() (*fv.Params, *ckks.Params) {
 	return params, cparams
 })
 
-// TestFramingReservesOnlyWhatArrived: a stream that claims the largest legal
+// TestFramingReservesOnlyWhatArrived: a payload that claims the largest legal
 // key blob and ends ten bytes into it is refused as truncated having cost the
-// reader about one streamSlack — not the ~166 MB of the claim at the paper
-// sets, reserved before a byte of the body had arrived, which any connection
-// could ask of a node (CmdKeyImport) or a node of a router (a forged
-// CmdKeyExport reply).
+// reader nothing — not the ~166 MB of the claim at the paper sets, which any
+// connection could ask of a node (CmdKeyImport) or a node of a router (a
+// forged CmdKeyExport reply). What a payload's bytes cost on their way in is
+// TestMuxFrameReservesOnlyWhatArrived's.
 func TestFramingReservesOnlyWhatArrived(t *testing.T) {
 	params, cparams := paperSets()
 	if claim := codecFor(params, cparams).maxKeyBlob; claim < 64<<20 {
@@ -108,11 +108,11 @@ func TestFramingReservesOnlyWhatArrived(t *testing.T) {
 		sentinel error
 	}{
 		{"key import request", func() error {
-			c := cursor{r: bytes.NewReader(maxClaimKeyImport(params, cparams)), left: codecFor(params, cparams).maxRequest}
+			c := cursor{buf: maxClaimKeyImport(params, cparams), left: codecFor(params, cparams).maxRequest}
 			return new(Frame).read(&c, codecFor(params, cparams))
 		}, ErrMalformedRequest},
 		{"key export reply", func() error {
-			c := cursor{r: bytes.NewReader(maxClaimKeyExportReply(params, cparams)), left: math.MaxInt}
+			c := cursor{buf: maxClaimKeyExportReply(params, cparams), left: math.MaxInt}
 			return new(RawReply).read(&c, codecFor(params, cparams), CmdKeyExport)
 		}, ErrMalformedResponse},
 	} {
@@ -130,8 +130,8 @@ func TestFramingReservesOnlyWhatArrived(t *testing.T) {
 }
 
 // TestKeyBlobOverTheBoundRefusedUpFront: a key import whose blob length is
-// one byte over the bound is refused on the length word alone — before the
-// cursor reserves a byte of the body, though all ten bytes of it are there.
+// one byte over the bound is refused on the length word alone, though all ten
+// bytes of the body are there.
 func TestKeyBlobOverTheBoundRefusedUpFront(t *testing.T) {
 	params := fuzzParams()
 	cparams, _ := fuzzCKKS()
@@ -139,13 +139,9 @@ func TestKeyBlobOverTheBoundRefusedUpFront(t *testing.T) {
 		cd := codecFor(params, cp)
 		enc := maxClaimKeyImport(params, cp)
 		binary.LittleEndian.PutUint32(enc[len(enc)-14:], uint32(cd.maxKeyBlob+1))
-		c := cursor{r: bytes.NewReader(enc), left: cd.maxRequest}
-		err := new(Frame).read(&c, cd)
+		err := new(Frame).read(&cursor{buf: enc, left: cd.maxRequest}, cd)
 		if !errors.Is(err, ErrMalformedRequest) || errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("CKKS %v: blob length %d: err %v, want %v on the length", cp != nil, cd.maxKeyBlob+1, err, ErrMalformedRequest)
-		}
-		if head := len(enc) - 10; cap(c.buf) > 2*head {
-			t.Errorf("CKKS %v: the cursor holds %d bytes after a %d-byte header", cp != nil, cap(c.buf), head)
 		}
 	}
 }
@@ -221,12 +217,11 @@ var siblings = map[uint8]uint8{
 }
 
 // FuzzFrameRequest: the two halves of the split codec are together exactly
-// the decoder they replaced. Framing — from a stream and from a payload in
-// memory — accepts the inputs the reference ReadRequest accepts and refuses
-// the rest with the same sentinel; on accept, materializing the frame gives
-// the reference's decode, and the frame's bytes — what the routing tier
-// forwards — are the consumed input, byte for byte what WriteRequest writes
-// for that decode. Every input is framed under both codecs a side may speak:
+// the decoder they replaced. Framing a payload in memory accepts the inputs
+// the reference ReadRequest accepts and refuses the rest with the same
+// sentinel; on accept, materializing the frame gives the reference's decode,
+// and the frame's bytes — what the routing tier forwards — are the consumed
+// input, byte for byte what WriteRequest writes for that decode. Every input is framed under both codecs a side may speak:
 // BFV and CKKS, and BFV only — where a CKKS command is a typed refusal.
 func FuzzFrameRequest(f *testing.F) {
 	params := fuzzParams()
@@ -274,41 +269,35 @@ func FuzzFrameRequest(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckksCmd := len(data) > requestIDOff && bytes.HasPrefix(data, protocolMagicV2[:]) && IsCKKSCmd(data[requestIDOff-1])
+		ckksCmd := len(data) > requestIDOff && bytes.HasPrefix(data, protocolMagicV2[:]) && isCKKSCmd(data[requestIDOff-1])
 		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
 			ref, refErr := refReadRequest(bytes.NewReader(data), params, cp)
 			cd := codecFor(params, cp)
-			for source, c := range map[string]*cursor{
-				"stream": {r: bytes.NewReader(data), left: cd.maxRequest},
-				"memory": {buf: bytes.Clone(data), left: cd.maxRequest},
-			} {
-				source = name + " " + source
-				var fr Frame
-				err := fr.read(c, cd)
-				if cp == nil && ckksCmd && !errors.Is(err, ErrMalformedRequest) {
-					t.Fatalf("%s: a CKKS command framed as %v, want ErrMalformedRequest", source, err)
-				}
-				sameRefusal(t, source, err, refErr, ErrMalformedRequest)
-				if err != nil {
-					continue
-				}
-				got, err := fr.Request()
-				if err != nil {
-					t.Fatalf("%s: accepted frame does not materialize: %v", source, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("%s: materialized request differs from the reference decode:\n got %+v\nwant %+v", source, got, ref)
-				}
-				if !bytes.HasPrefix(data, fr.b) {
-					t.Fatalf("%s: frame bytes are not the consumed input", source)
-				}
-				var enc bytes.Buffer
-				if err := WriteRequest(&enc, params, ref); err != nil {
-					t.Fatalf("%s: accepted request does not re-encode: %v", source, err)
-				}
-				if !bytes.Equal(fr.b, enc.Bytes()) {
-					t.Fatalf("%s: forwarded bytes differ from WriteRequest of the decode", source)
-				}
+			var fr Frame
+			err := fr.read(&cursor{buf: bytes.Clone(data), left: cd.maxRequest}, cd)
+			if cp == nil && ckksCmd && !errors.Is(err, ErrMalformedRequest) {
+				t.Fatalf("%s: a CKKS command framed as %v, want ErrMalformedRequest", name, err)
+			}
+			sameRefusal(t, name, err, refErr, ErrMalformedRequest)
+			if err != nil {
+				continue
+			}
+			got, err := fr.Request()
+			if err != nil {
+				t.Fatalf("%s: accepted frame does not materialize: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: materialized request differs from the reference decode:\n got %+v\nwant %+v", name, got, ref)
+			}
+			if !bytes.HasPrefix(data, fr.b) {
+				t.Fatalf("%s: frame bytes are not the consumed input", name)
+			}
+			var enc bytes.Buffer
+			if err := WriteRequest(&enc, params, ref); err != nil {
+				t.Fatalf("%s: accepted request does not re-encode: %v", name, err)
+			}
+			if !bytes.Equal(fr.b, enc.Bytes()) {
+				t.Fatalf("%s: forwarded bytes differ from WriteRequest of the decode", name)
 			}
 		}
 	})
@@ -353,54 +342,49 @@ func FuzzFrameReply(f *testing.F) {
 		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
 			cd := codecFor(params, cp)
 			for _, k := range kinds {
-				if cp == nil && IsCKKSCmd(k.cmd) {
-					if err := new(RawReply).read(&cursor{r: bytes.NewReader(data), left: math.MaxInt}, cd, k.cmd); !errors.Is(err, ErrMalformedRequest) {
+				if cp == nil && isCKKSCmd(k.cmd) {
+					if err := new(RawReply).read(&cursor{buf: data, left: math.MaxInt}, cd, k.cmd); !errors.Is(err, ErrMalformedRequest) {
 						t.Fatalf("%s under %s: framed as %v, want ErrMalformedRequest", k.kind, name, err)
 					}
 					continue
 				}
 				refID, ref, refErr := refReadReply(bytes.NewReader(data), params, cp, k.cmd)
-				for source, c := range map[string]*cursor{
-					"stream": {r: bytes.NewReader(data), left: math.MaxInt},
-					"memory": {buf: bytes.Clone(data), left: math.MaxInt},
-				} {
-					what := k.kind + " from " + source + " under " + name
-					var raw RawReply
-					err := raw.read(c, cd, k.cmd)
-					sameRefusal(t, what, err, refErr, ErrMalformedResponse)
-					if err != nil {
-						continue
+				what := k.kind + " under " + name
+				var raw RawReply
+				err := raw.read(&cursor{buf: bytes.Clone(data), left: math.MaxInt}, cd, k.cmd)
+				sameRefusal(t, what, err, refErr, ErrMalformedResponse)
+				if err != nil {
+					continue
+				}
+				got, err := raw.Reply()
+				if err != nil {
+					t.Fatalf("%s: accepted reply does not materialize: %v", what, err)
+				}
+				if raw.ID() != refID || !reflect.DeepEqual(got, ref) {
+					t.Fatalf("%s: materialized reply differs from the reference decode:\n got %d %+v\nwant %d %+v", what, raw.ID(), got, refID, ref)
+				}
+				if se := raw.ServerError(); (se != nil) != (data[0] == statusErr) {
+					t.Fatalf("%s: ServerError() = %v for status byte %d", what, se, data[0])
+				}
+				relayed, err := raw.encode(params, refID)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !bytes.HasPrefix(data, relayed.b) {
+					t.Fatalf("%s: relayed bytes are not the consumed input", what)
+				}
+				if _, again := raw.encode(params, refID); again == nil {
+					t.Fatalf("%s: a raw reply encoded twice", what)
+				}
+				// An info reply re-marshals its JSON; every other kind's own
+				// encoder reproduces the relayed bytes.
+				if k.cmd != CmdInfo || data[0] == statusErr {
+					var enc bytes.Buffer
+					if err := writeReply(&enc, ref, params, refID); err != nil {
+						t.Fatalf("%s: accepted reply does not re-encode: %v", what, err)
 					}
-					got, err := raw.Reply()
-					if err != nil {
-						t.Fatalf("%s: accepted reply does not materialize: %v", what, err)
-					}
-					if raw.ID() != refID || !reflect.DeepEqual(got, ref) {
-						t.Fatalf("%s: materialized reply differs from the reference decode:\n got %d %+v\nwant %d %+v", what, raw.ID(), got, refID, ref)
-					}
-					if se := raw.ServerError(); (se != nil) != (data[0] == statusErr) {
-						t.Fatalf("%s: ServerError() = %v for status byte %d", what, se, data[0])
-					}
-					relayed, err := raw.encode(params, refID)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					if !bytes.HasPrefix(data, relayed.b) {
-						t.Fatalf("%s: relayed bytes are not the consumed input", what)
-					}
-					if _, again := raw.encode(params, refID); again == nil {
-						t.Fatalf("%s: a raw reply encoded twice", what)
-					}
-					// An info reply re-marshals its JSON; every other kind's own
-					// encoder reproduces the relayed bytes.
-					if k.cmd != CmdInfo || data[0] == statusErr {
-						var enc bytes.Buffer
-						if err := writeReply(&enc, ref, params, refID); err != nil {
-							t.Fatalf("%s: accepted reply does not re-encode: %v", what, err)
-						}
-						if !bytes.Equal(relayed.b, enc.Bytes()) {
-							t.Fatalf("%s: relayed bytes differ from the encoding of the decode", what)
-						}
+					if !bytes.Equal(relayed.b, enc.Bytes()) {
+						t.Fatalf("%s: relayed bytes differ from the encoding of the decode", what)
 					}
 				}
 			}

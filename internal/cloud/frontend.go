@@ -23,22 +23,22 @@ import (
 // forever.
 const DefaultReadTimeout = 2 * time.Minute
 
-// Handler answers one framed request. The front-end calls it on the
-// connection's own goroutine for sequential connections and on one goroutine
-// per in-flight frame for mux sessions, so it must be safe for concurrent
-// use. The frame, and whatever the handler materialized from it, stays valid
-// until the front-end has written the reply — which goes out under the ID the
-// request arrived with — and is released by the front-end after that; the
-// handler keeps nothing of it.
+// Handler answers one framed request. The front-end calls it on one
+// goroutine per in-flight frame of every session, so it must be safe for
+// concurrent use. The frame, and whatever the handler materialized from it,
+// stays valid until the front-end has encoded the reply — which goes out
+// under the ID the request arrived with — and is released by the front-end
+// right after, before the reply's bytes are written; the handler keeps
+// nothing of it.
 type Handler interface {
 	Handle(f *Frame) Reply
 }
 
 // Frontend is the wire front door (the "Networking Arm Core" of Fig. 11):
-// the listener, the accept loop, graceful drain, and both framings — the
-// sequential HEA2 read loop and the HEAM mux session — in front of a
-// Handler. The data node (Server, engine behind it) and the routing tier
-// (cluster.Server, router behind it) are two handlers on this one type.
+// the listener, the accept loop, graceful drain, and the one framing — the
+// checksummed HEAM mux session — in front of a Handler. The data node
+// (Server, engine behind it) and the routing tier (cluster.Server, router
+// behind it) are two handlers on this one type.
 type Frontend struct {
 	Params *fv.Params
 	// CKKSParams, when non-nil, lets the CmdCKKS* commands through (their
@@ -86,8 +86,9 @@ func (fe *Frontend) Listen(addr string) (string, error) {
 }
 
 // Serve accepts connections until Close/Shutdown. Each connection gets a
-// reader goroutine; bounding the work behind it is the handler's business
-// (the engine's admission queue rejects instead of piling up).
+// reader goroutine and one goroutine per request in its window; bounding the
+// work behind them is the handler's business (the engine's admission queue
+// rejects instead of piling up).
 func (fe *Frontend) Serve() error {
 	if fe.ln == nil {
 		return fmt.Errorf("cloud: Serve before Listen")
@@ -179,6 +180,14 @@ func (fe *Frontend) nextRequest(conn net.Conn, timeout time.Duration) bool {
 	}
 }
 
+// handle runs one session. A connection that does not open with a mux hello
+// is closed before anything reaches the handler. After the hello, frames are
+// read sequentially but dispatched concurrently: up to the granted window of
+// requests are with the handler at once, and each reply frame goes out as
+// its work finishes — completion order, not arrival order. When every window
+// slot is occupied the reader itself blocks, so a client that overruns its
+// window is paced by the transport rather than fanning one socket into
+// unbounded work.
 func (fe *Frontend) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -190,65 +199,28 @@ func (fe *Frontend) handle(conn net.Conn) {
 	if timeout <= 0 {
 		timeout = DefaultReadTimeout
 	}
-	// Peek the first four bytes to tell a multiplexed session ("HEAM") from
-	// the sequential framing ("HEA2"); the sequential loop reads through the
-	// same buffered reader, so the peeked bytes are not lost.
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(timeout))
-	magic, err := br.Peek(4)
-	if err != nil {
-		return
-	}
-	if [4]byte(magic) == muxMagic {
-		fe.serveMux(conn, br, timeout)
-		return
-	}
-	// The sequential loop frames every request into one buffer the connection
-	// owns: it grows to the largest request seen and is reused for the next,
-	// which is only read after this one's reply has been written.
-	f := Frame{pool: &fe.cts}
-	var buf []byte
-	for fe.nextRequest(conn, timeout) {
-		c := cursor{r: br, buf: buf[:0], left: fe.codec.maxRequest}
-		if err := f.read(&c, &fe.codec); err != nil {
-			return // client closed, stalled past the deadline, or spoke garbage
-		}
-		buf = c.buf
-		rep := fe.handler.Handle(&f)
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-		err := writeReply(conn, rep, fe.Params, f.ID)
-		f.Release()
-		if err != nil {
-			fe.Logger.Printf("cloud: write %s reply: %v", cmdName(f.Cmd), err)
-			return
-		}
-	}
-}
-
-// serveMux runs one multiplexed session. Frames are read sequentially but
-// dispatched concurrently: up to the granted window of requests are with the
-// handler at once, and each reply frame goes out as its work finishes —
-// completion order, not arrival order. When every window slot is occupied
-// the reader itself blocks, so a client that overruns its window is paced by
-// the transport rather than fanning one socket into unbounded work.
-func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Duration) {
 	window, err := ReadMuxHello(br)
 	if err != nil {
-		return
+		return // no session: a hangup, a stall, or anything but the hello
 	}
-	if window > MaxMuxWindow {
-		window = MaxMuxWindow
-	}
+	window = min(window, MaxMuxWindow)
 	if err := WriteMuxHello(conn, window); err != nil {
 		return
 	}
 
 	var wmu sync.Mutex // serializes reply frames across dispatch goroutines
 	// reply frames rep as the answer to request id, each frame's write bounded
-	// by the front-end's timeout. An encode or write failure fails the
-	// session; the read loop sees the close.
-	reply := func(id uint64, rep Reply) {
+	// by the front-end's timeout, and releases the request's frame f, if any,
+	// once rep is encoded: the encoding holds everything the reply needs of
+	// it. An encode or write failure fails the session; the read loop sees
+	// the close.
+	reply := func(id uint64, rep Reply, f *Frame) {
 		buf, err := rep.encode(fe.Params, id)
+		if f != nil {
+			f.Release()
+		}
 		if err == nil {
 			wmu.Lock()
 			conn.SetWriteDeadline(time.Now().Add(timeout))
@@ -276,7 +248,7 @@ func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Durat
 			// (the payload was never decoded, so nothing executed), and keep
 			// serving the session.
 			buf.release()
-			reply(mf.ID, &ServerError{Code: CodeUnavailable, Msg: err.Error()})
+			reply(mf.ID, &ServerError{Code: CodeUnavailable, Msg: err.Error()}, nil)
 			continue
 		}
 		if err != nil {
@@ -295,16 +267,14 @@ func (fe *Frontend) serveMux(conn net.Conn, br *bufio.Reader, timeout time.Durat
 		if err != nil {
 			// The checksum matched, so this is the client's encoder speaking
 			// garbage — deterministic, not retryable.
-			f.Release()
-			reply(mf.ID, &ServerError{Code: CodeApp, Msg: err.Error()})
+			reply(mf.ID, &ServerError{Code: CodeApp, Msg: err.Error()}, f)
 			continue
 		}
 		sem <- struct{}{} // window full ⇒ pace the reader
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			reply(f.ID, fe.handler.Handle(f))
-			f.Release()
+			reply(f.ID, fe.handler.Handle(f), f)
 		}()
 	}
 }

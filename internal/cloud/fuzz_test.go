@@ -24,6 +24,9 @@ var fuzzParams = sync.OnceValue(func() *fv.Params {
 	return params
 })
 
+// isCKKSCmd reports whether cmd carries CKKS ciphertexts.
+func isCKKSCmd(cmd uint8) bool { return commands[cmd] != nil && commands[cmd].op.CKKS() }
+
 // codecFor is the codec of a side speaking params and, when non-nil, cparams.
 func codecFor(params *fv.Params, cparams *ckks.Params) *codec {
 	cd := newCodec(params, cparams)

@@ -81,7 +81,7 @@ func TestKeyImportRefusesUnusableKeys(t *testing.T) {
 }
 
 // TestMuxCarriesTheLargestKeyBlob: a mux payload must carry every request
-// the sequential framing admits. At the paper set a relinearization key and
+// the request bound admits. At the paper set a relinearization key and
 // 30 Galois keys make a 36.5 MB key blob, inside the request bound; when the
 // mux bound was a formula of its own (27.4 MB) the node took that import
 // for a malformed frame and dropped the session, and every exchange in
@@ -113,7 +113,7 @@ func TestMuxCarriesTheLargestKeyBlob(t *testing.T) {
 	}
 	t.Cleanup(func() { eng.Shutdown(context.Background()) })
 	_, addr := startServer(t, &testSystem{params: params, eng: eng})
-	mc, err := DialMux(addr, params)
+	mc, err := Dial(addr, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,12 @@ import (
 	"io"
 )
 
-// Connection multiplexing ("HEAM"). The sequential framing is strictly
-// request/response: one exchange in flight per connection, so a slow
-// multiplication blocks every request queued behind it on that socket, and
-// the only way to add concurrency is to open more connections. The mux mode
-// keeps the v2 payload encodings unchanged but wraps each one in a tagged
-// frame, so one connection carries many in-flight request IDs and the server
-// completes them out of order as workers finish.
+// The session framing ("HEAM"), the only one on the wire. Each v2 request or
+// reply travels in a tagged, checksummed frame, so one connection carries
+// many in-flight request IDs, the server completes them out of order as
+// workers finish, and damage in flight is caught before a byte is decoded: a
+// bit flipped in a residue below its modulus would otherwise decode as a
+// valid, wrong ciphertext.
 //
 // # Session layout
 //
@@ -25,16 +24,18 @@ import (
 //	  type (1) | request ID (8 LE) | payload len (4 LE) |
 //	  payload checksum (8 LE) | header checksum (4 LE) | payload
 //
-// Both checksums are CRC-32C (Castagnoli), which the standard library runs on
-// the CPU's CRC instructions on amd64 and arm64 — a 393 KB ciphertext frame is
-// checked in tens of microseconds, four times per routed Mult. The payload
+// Both checksums are CRC-32C (Castagnoli): on amd64 with VPCLMULQDQ a
+// carry-less-multiply folding lane (crc_amd64.s), elsewhere hash/crc32 —
+// which the lane is held to bit for bit — on the CPU's CRC instructions. A
+// 393 KB ciphertext frame is checked in about ten microseconds, four times
+// per routed Mult. The payload
 // field keeps the 8 bytes it had under version 1 (byte-serial FNV-1a), the
 // value zero-extended; the header checksum covers the 21 bytes before it,
 // that field included.
 //
 // The payload is a complete v2 frame (request, response, info response, or
-// program response), decoded by the same hardened length-bounded decoders the
-// sequential protocol uses — the mux layer adds tagging and integrity, not a
+// program response), decoded in memory by the hardened length-bounded
+// decoders of frame.go — the mux layer adds tagging and integrity, not a
 // second payload codec.
 //
 // # Flow control
@@ -67,8 +68,8 @@ const (
 	MaxMuxWindow = 256
 )
 
-// muxMagic opens a multiplexed session; it shares the port with "HEA2"
-// and is told apart by the first four bytes.
+// muxMagic opens every session: a connection that starts with anything else
+// is closed.
 var muxMagic = [4]byte{'H', 'E', 'A', 'M'}
 
 // Mux frame types.
@@ -116,8 +117,10 @@ type MuxFrame struct {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // muxChecksum is the one checksum of the mux layer, over payloads and frame
-// headers alike.
-func muxChecksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
+// headers alike: CRC-32C, hash/crc32's value bit for bit. crc32c carries a
+// CRC state over p like crc32.Update with the Castagnoli table, on the vector
+// lane where the CPU has one (crc_amd64.go).
+func muxChecksum(p []byte) uint32 { return crc32c(0, p) }
 
 // WriteMuxHello writes one hello (client request or server grant).
 func WriteMuxHello(w io.Writer, window int) error {
@@ -175,6 +178,18 @@ func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 	return err
 }
 
+// streamSlack is the most readMuxFrame reserves beyond the bytes that have
+// actually arrived while fewer than that have: a connection that claims a
+// key-blob payload (hundreds of megabytes) and then stalls or hangs up has
+// cost its peer one slack, not the claim.
+const streamSlack = 1 << 20
+
+// growLimit is the capacity a frame's payload may hold once have bytes of it
+// have arrived: the larger of streamSlack and have beyond them, so a peer has
+// to send a byte for every byte it makes the reader reserve and the copying
+// stays linear in the payload however long it is.
+func growLimit(have int) int { return have + max(streamSlack, have) }
+
 // readMuxFrame reads one frame. The payload bound is asked for once the
 // header is in (a client's grows with what it has sent), and with pooled set
 // the payload lands in a pooled buffer, returned beside the frame (non-nil
@@ -208,9 +223,9 @@ func readMuxFrame(r io.Reader, limit func() int, pooled bool) (f MuxFrame, buf *
 		return f, nil, fmt.Errorf("%w: payload length %d outside [1, %d]", ErrMalformedMuxFrame, ln, maxPayload)
 	}
 	// ln is the peer's word until the bytes arrive, so room is reserved only
-	// as far as growLimit lets what has arrived justify — like cursor.next. A
-	// payload up to streamSlack (every op frame) still lands in one buffer
-	// with no copy; a longer one in a handful, the copying linear.
+	// as far as growLimit lets what has arrived justify. A payload up to
+	// streamSlack (every op frame) still lands in one buffer with no copy; a
+	// longer one in a handful, the copying linear.
 	var payload []byte
 	for have := 0; have < ln; {
 		if room := min(ln, growLimit(have)); room > cap(payload) {

@@ -169,7 +169,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 		server.Write(respFrame(f2.ID, 22))
 		server.Write(respFrame(f1.ID, 11))
 	})
-	mc, err := NewMuxClient(conn, ts.params, "", 8)
+	mc, err := newClient(context.Background(), conn, ts.params, "", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMuxWindowBackpressure(t *testing.T) {
 			WriteMuxFrame(server, MuxFrameResponse, f.ID, buf.Bytes())
 		}
 	})
-	mc, err := NewMuxClient(conn, ts.params, "", 1)
+	mc, err := newClient(context.Background(), conn, ts.params, "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +259,7 @@ func TestMuxWindowBackpressure(t *testing.T) {
 
 // TestMuxCancellationKeepsConnection: abandoning an exchange via context must
 // not poison the stream — the late response is discarded by ID and the next
-// exchange proceeds. (This is the failure mode that marks a sequential
-// Client Broken.)
+// exchange proceeds.
 func TestMuxCancellationKeepsConnection(t *testing.T) {
 	ts := newTestSystem(t)
 	seen := make(chan uint64, 4)
@@ -281,7 +280,7 @@ func TestMuxCancellationKeepsConnection(t *testing.T) {
 			}(f.ID)
 		}
 	})
-	mc, err := NewMuxClient(conn, ts.params, "", 4)
+	mc, err := newClient(context.Background(), conn, ts.params, "", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +313,7 @@ func TestMuxServerEndToEnd(t *testing.T) {
 	ts := newTestSystem(t)
 	_, addr := startServer(t, ts)
 
-	mc, err := DialMux(addr, ts.params)
+	mc, err := Dial(addr, ts.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +394,7 @@ func TestMuxGarbledFrameIsolated(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	mc, err := DialMux(proxy.Addr(), ts.params)
+	mc, err := Dial(proxy.Addr(), ts.params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestMuxCancelledExchangeOwnsNothing(t *testing.T) {
 		fe.Close()
 		<-done
 	}()
-	mc, err := DialMux(addr, ts.params)
+	mc, err := Dial(addr, ts.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestPooledResultsOwnedByTheFrame(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- fe.Serve() }()
-	mc, err := DialMux(addr, ts.params)
+	mc, err := Dial(addr, ts.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,18 +420,11 @@ func TestRecycledCKKSResultKeepsNoStaleRows(t *testing.T) {
 }
 
 // relay is the routing tier in miniature: a front-end handler that forwards
-// each frame's bytes over one backend transport and relays the reply it gets,
+// each frame's bytes over one backend session and relays the reply it gets,
 // never materializing either — cluster.Server's forwarding without the ring.
-type relay struct {
-	mu  sync.Mutex // a sequential backend carries one exchange at a time
-	via interface {
-		Exchange(context.Context, *Frame) (*RawReply, error)
-	}
-}
+type relay struct{ via *Client }
 
 func (r *relay) Handle(f *Frame) Reply {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	raw, err := r.via.Exchange(context.Background(), f)
 	if err != nil {
 		return &ServerError{Code: CodeUnavailable, Msg: err.Error()}
@@ -443,9 +436,8 @@ func (r *relay) Handle(f *Frame) Reply {
 // forwarding front-end own their pooled bytes until the relayed reply is
 // written, and give them back on every path — a result, a node's error reply
 // relayed as is, and the front-end's own refusal of an out-of-range operand.
-// With the pools poisoning what they take back, rounds of each over both
-// backend transports and both client framings leave every answer bit for bit
-// the node's.
+// With the pools poisoning what they take back, rounds of each leave every
+// answer bit for bit the node's.
 func TestRelayedCKKSFramesReleasedOnEveryPath(t *testing.T) {
 	ts := newCKKSTestSystem(t)
 	_, node := startCKKSServer(t, ts)
@@ -459,13 +451,8 @@ func TestRelayedCKKSFramesReleasedOnEveryPath(t *testing.T) {
 	bad := x.Clone()
 	row := bad.Els[1].Rows[len(bad.Els[1].Rows)-1]
 	row.Coeffs[len(row.Coeffs)-1] = row.Mod.Q
-	type ops interface {
-		CKKSAddCtx(context.Context, *ckks.Ciphertext, *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error)
-		CKKSMulCtx(context.Context, *ckks.Ciphertext, *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error)
-		CKKSRotateCtx(context.Context, *ckks.Ciphertext, int) (*ckks.Ciphertext, time.Duration, error)
-	}
 	ctx := context.Background()
-	results := func(c ops) []*ckks.Ciphertext {
+	results := func(c *Client) []*ckks.Ciphertext {
 		t.Helper()
 		sum, _, err := c.CKKSAddCtx(ctx, x, x)
 		if err != nil {
@@ -483,57 +470,43 @@ func TestRelayedCKKSFramesReleasedOnEveryPath(t *testing.T) {
 	}
 	want := results(direct)
 
-	seq, err := Dial(node, ts.params)
+	backend, err := Dial(node, ts.params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seq.Close()
-	mux, err := DialMux(node, ts.params)
+	defer backend.Close()
+	fe := NewFrontend(ts.params, &relay{via: backend}, nil)
+	fe.CKKSParams = ts.cp
+	addr, err := fe.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mux.Close()
-	for _, backend := range []*relay{{via: seq}, {via: mux}} {
-		fe := NewFrontend(ts.params, backend, nil)
-		fe.CKKSParams = ts.cp
-		addr, err := fe.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- fe.Serve() }()
-		cl, err := Dial(addr, ts.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.EnableCKKS(ts.cp)
-		mc, err := DialMux(addr, ts.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc.EnableCKKS(ts.cp)
-		for round := 0; round < 3; round++ {
-			for name, c := range map[string]ops{"sequential": cl, "mux": mc} {
-				for i, got := range results(c) {
-					if !got.Equal(want[i]) {
-						t.Fatalf("round %d, %s client: result %d is not the node's", round, name, i)
-					}
-				}
-				// No key for a shift of 3: the node's error reply, relayed.
-				var se *ServerError
-				if _, _, err := c.CKKSRotateCtx(ctx, x, 3); !errors.As(err, &se) || se.Code != CodeApp {
-					t.Fatalf("round %d, %s client: rotation without a key: %v", round, name, err)
-				}
-			}
-			// The front-end's refusal: a mux session answers it and goes on.
-			var se *ServerError
-			if _, _, err := mc.CKKSAddCtx(ctx, x, bad); !errors.As(err, &se) || !strings.Contains(se.Msg, ErrMalformedRequest.Error()) {
-				t.Fatalf("round %d: out-of-range operand: %v", round, err)
-			}
-		}
-		cl.Close()
-		mc.Close()
+	done := make(chan error, 1)
+	go func() { done <- fe.Serve() }()
+	defer func() {
 		fe.Close()
 		<-done
+	}()
+	cl, err := Dial(addr, ts.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.EnableCKKS(ts.cp)
+	for round := 0; round < 3; round++ {
+		for i, got := range results(cl) {
+			if !got.Equal(want[i]) {
+				t.Fatalf("round %d: result %d is not the node's", round, i)
+			}
+		}
+		// No key for a shift of 3: the node's error reply, relayed.
+		var se *ServerError
+		if _, _, err := cl.CKKSRotateCtx(ctx, x, 3); !errors.As(err, &se) || se.Code != CodeApp {
+			t.Fatalf("round %d: rotation without a key: %v", round, err)
+		}
+		// The front-end's refusal: the session answers it and goes on.
+		if _, _, err := cl.CKKSAddCtx(ctx, x, bad); !errors.As(err, &se) || !strings.Contains(se.Msg, ErrMalformedRequest.Error()) {
+			t.Fatalf("round %d: out-of-range operand: %v", round, err)
+		}
 	}
 }

@@ -9,13 +9,11 @@
 //
 // # Wire protocol
 //
-// One request framing, v2, carried two ways on the same port:
-//
-//	sequential ("HEA2"): magic, version byte, command byte, request ID
-//	             (8 bytes LE), tenant (1-byte length + UTF-8 bytes), payload;
-//	             one request, then its response, per round trip.
-//	mux ("HEAM"): a session of checksummed frames, each wrapping one such
-//	             request or response, completing out of order (mux.go).
+// One request encoding, v2 — magic "HEA2", version byte, command byte,
+// request ID (8 bytes LE), tenant (1-byte length + UTF-8 bytes), payload —
+// carried one way: a session ("HEAM", mux.go) of checksummed frames, each
+// wrapping one such request or its response, completing out of order. Every
+// connection opens with the session hello; one that does not is closed.
 //
 // Responses echo the request ID and carry an error code that distinguishes
 // retryable unavailability (overload, shutdown, queue-deadline) from
@@ -118,8 +116,7 @@ const (
 	CodeQuota uint8 = 3
 )
 
-// protocolMagicV2 opens every sequential request; the mux session magic
-// (mux.go) shares the port and is told apart by these first four bytes.
+// protocolMagicV2 opens every encoded request, inside its mux frame.
 var protocolMagicV2 = [4]byte{'H', 'E', 'A', '2'}
 
 // ProgramLimits is the decode budget for programs arriving on the wire —
@@ -288,17 +285,6 @@ func encodeReply(rep Reply, params *fv.Params, status uint8, id uint64, body fun
 		return nil, err
 	}
 	return buf, nil
-}
-
-// writeReply writes rep's encoding as the reply to request id, as one Write.
-func writeReply(w io.Writer, rep Reply, params *fv.Params, id uint64) error {
-	buf, err := rep.encode(params, id)
-	if err != nil {
-		return err
-	}
-	defer buf.release()
-	_, err = w.Write(buf.b)
-	return err
 }
 
 // Response is the op-kind reply: the result ciphertext and the simulated

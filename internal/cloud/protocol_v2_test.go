@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -177,9 +178,53 @@ func TestServerInfo(t *testing.T) {
 	}
 }
 
+// fakeSession accepts connections on ln and speaks the session framing to
+// each: the hello, then every request frame's payload handed to answer, whose
+// result — when it returns one — goes back as the reply frame. An answer of
+// nil leaves the request unanswered.
+func fakeSession(t *testing.T, ln net.Listener, answer func(payload []byte) []byte) {
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			go func() {
+				window, err := ReadMuxHello(conn)
+				if err != nil || WriteMuxHello(conn, window) != nil {
+					return
+				}
+				for {
+					f, _, err := readMuxFrame(conn, func() int { return 1 << 30 }, false)
+					if err != nil {
+						return
+					}
+					if rep := answer(f.Payload); rep != nil {
+						if WriteMuxFrame(conn, MuxFrameResponse, f.ID, rep) != nil {
+							return
+						}
+					}
+				}
+			}()
+		}
+	}()
+}
+
 // TestClientContextDeadline: a context deadline must bound the exchange even
-// when the server accepts the connection and then never answers — the old
-// client would block in Read forever.
+// when the server completes the hello and then never answers — the exchange
+// ends at the deadline, and abandoning it leaves the session usable.
 func TestClientContextDeadline(t *testing.T) {
 	ts := newTestSystem(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -187,20 +232,7 @@ func TestClientContextDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	hung := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			hung <- conn // hold it open, read nothing, answer nothing
-		}
-	}()
-	t.Cleanup(func() {
-		select {
-		case c := <-hung:
-			c.Close()
-		default:
-		}
-	})
+	fakeSession(t, ln, func([]byte) []byte { return nil })
 
 	client, err := Dial(ln.Addr().String(), ts.params)
 	if err != nil {
@@ -209,31 +241,29 @@ func TestClientContextDeadline(t *testing.T) {
 	defer client.Close()
 
 	a, b := ts.encrypt(t, 2), ts.encrypt(t, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err = client.AddCtx(ctx, a, b)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("exchange against a hung server succeeded")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error %v does not surface the context deadline", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("deadline of 100ms honored only after %v", elapsed)
-	}
-	if !client.Broken() {
-		t.Fatal("client not marked broken after a cancelled exchange")
-	}
-	// A broken client refuses further use instead of desyncing.
-	if _, _, err := client.Add(a, b); err == nil {
-		t.Fatal("broken client accepted another exchange")
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		start := time.Now()
+		_, _, err = client.AddCtx(ctx, a, b)
+		elapsed := time.Since(start)
+		cancel()
+		if err == nil {
+			t.Fatal("exchange against a hung server succeeded")
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("exchange %d: error %v does not surface the context deadline", i, err)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("exchange %d: deadline of 100ms honored only after %v", i, elapsed)
+		}
+		if client.Broken() {
+			t.Fatalf("exchange %d: an abandoned exchange broke the session", i)
+		}
 	}
 }
 
 // TestClientContextCancel: cancellation (not just deadlines) interrupts an
-// in-flight exchange promptly via the deadline watcher.
+// in-flight exchange promptly.
 func TestClientContextCancel(t *testing.T) {
 	ts := newTestSystem(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -241,15 +271,7 @@ func TestClientContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-		}
-	}()
+	fakeSession(t, ln, func([]byte) []byte { return nil })
 
 	client, err := Dial(ln.Addr().String(), ts.params)
 	if err != nil {

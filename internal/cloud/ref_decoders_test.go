@@ -6,8 +6,10 @@ package cloud
 // unpack every ciphertext row by row into newly allocated polynomials. The two
 // ciphertext readers at the bottom are the schemes' own pre-rlwe-codec
 // ReadCiphertext functions, copied so that the reference never calls the code
-// under test. The one edit since: like the codec under test, they no longer
-// stamp the bench-only Ver field of what they decode.
+// under test. The edits since: like the codec under test, they no longer
+// stamp the bench-only Ver field of what they decode, and they tell a CKKS
+// command by the test helper isCKKSCmd. Since the stream framing went, the
+// fuzz targets feed them the payload from memory.
 
 import (
 	"encoding/binary"
@@ -211,7 +213,7 @@ func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint
 		body, err = refReadLenBody(r, maxAckBytes)
 		rep = Blob(body)
 	default:
-		rep, err = refReadOpBody(r, params, cparams, id, IsCKKSCmd(cmd))
+		rep, err = refReadOpBody(r, params, cparams, id, isCKKSCmd(cmd))
 	}
 	if err != nil {
 		return 0, nil, err

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -43,16 +44,16 @@ func TestMuxChecksumFailureTypedForEveryKind(t *testing.T) {
 	// never come) into a failure instead of a hang.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	calls := map[string]func(mc *MuxClient) error{
-		"op": func(mc *MuxClient) error {
+	calls := map[string]func(mc *Client) error{
+		"op": func(mc *Client) error {
 			_, _, err := mc.AddCtx(ctx, ts.encrypt(t, 1), ts.encrypt(t, 2))
 			return err
 		},
-		"info": func(mc *MuxClient) error {
+		"info": func(mc *Client) error {
 			_, err := mc.Info(ctx)
 			return err
 		},
-		"program": func(mc *MuxClient) error {
+		"program": func(mc *Client) error {
 			_, err := mc.RunProgram(ctx, prog, []*fv.Ciphertext{ts.encrypt(t, 1), ts.encrypt(t, 2)})
 			return err
 		},
@@ -65,7 +66,7 @@ func TestMuxChecksumFailureTypedForEveryKind(t *testing.T) {
 			}
 			// Write 1 is the hello; a frame is a header write then a payload
 			// write, so write 3 is the first request's payload.
-			mc, err := NewMuxClient(&corruptWrite{Conn: raw, nth: 3}, ts.params, "", 4)
+			mc, err := newClient(context.Background(), &corruptWrite{Conn: raw, nth: 3}, ts.params, "", 4)
 			if err != nil {
 				raw.Close()
 				t.Fatal(err)
@@ -100,28 +101,18 @@ func TestClientSurfacesServerErrorForEveryKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
+	fakeSession(t, ln, func(payload []byte) []byte {
+		req, err := ReadRequest(bytes.NewReader(payload), ts.params)
 		if err != nil {
-			return
+			return nil
 		}
-		defer conn.Close()
-		for {
-			req, err := ReadRequest(conn, ts.params)
-			if err != nil {
-				return
-			}
-			// The error half, byte by byte: status, ID, code, length, message.
-			frame := []byte{1}
-			frame = binary.LittleEndian.AppendUint64(frame, req.ID)
-			frame = append(frame, CodeQuota)
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(len(msg)))
-			frame = append(frame, msg...)
-			if _, err := conn.Write(frame); err != nil {
-				return
-			}
-		}
-	}()
+		// The error half, byte by byte: status, ID, code, length, message.
+		frame := []byte{1}
+		frame = binary.LittleEndian.AppendUint64(frame, req.ID)
+		frame = append(frame, CodeQuota)
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(msg)))
+		return append(frame, msg...)
+	})
 
 	c, err := Dial(ln.Addr().String(), ts.params)
 	if err != nil {

@@ -80,7 +80,7 @@ func TestRoutedAddAllocWall(t *testing.T) {
 	}()
 
 	// bytesPerAdd is the process-wide allocation per warm Add through a
-	// sequential client on addr. As testing.AllocsPerRun does, it runs on one
+	// client on addr. As testing.AllocsPerRun does, it runs on one
 	// processor — sync.Pool shards by processor, and a goroutine that wakes
 	// up on another one misses a warm pool — and it holds the collector off
 	// while counting: a cycle empties the pools, and the refill would be
@@ -119,40 +119,34 @@ func TestRoutedAddAllocWall(t *testing.T) {
 	result := uint64(2 * params.QBasis.K() * params.N() * 8)
 	direct := bytesPerAdd(nodeAddr)
 	t.Logf("direct: %d bytes/op (one result %d)", direct, result)
-	for _, mux := range []bool{false, true} {
-		router, err := NewRouter(Config{
-			Params:   params,
-			Backends: []Backend{{ID: "node", Addr: nodeAddr}},
-			Mux:      mux,
-			// No probe lands inside the measurement.
-			Health: HealthConfig{Interval: time.Hour, Seed: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tier := NewServer(params, router, nil)
-		addr, err := tier.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- tier.Serve() }()
-		routed := bytesPerAdd(addr)
-		tier.Close()
-		<-done
-		router.Close()
+	router, err := NewRouter(Config{
+		Params:   params,
+		Backends: []Backend{{ID: "node", Addr: nodeAddr}},
+		// No probe lands inside the measurement.
+		Health: HealthConfig{Interval: time.Hour, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := NewServer(params, router, nil)
+	addr, err := tier.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- tier.Serve() }()
+	routed := bytesPerAdd(addr)
+	tier.Close()
+	<-done
+	router.Close()
 
-		name := map[bool]string{false: "pooled", true: "mux"}[mux]
-		t.Logf("routed, %s backend transport: %d bytes/op (wall %d, router's share %d)",
-			name, routed, result+routedSlack, int64(routed)-int64(direct))
-		if routed > result+routedSlack {
-			t.Errorf("%s: a routed Add allocates %d bytes, over the wall of %d (one result ciphertext + %d)",
-				name, routed, result+routedSlack, routedSlack)
-		}
-		if routed > direct+routerShare {
-			t.Errorf("%s: the routing tier adds %d bytes per Add, over its share of %d",
-				name, routed-direct, routerShare)
-		}
+	t.Logf("routed: %d bytes/op (wall %d, router's share %d)", routed, result+routedSlack, int64(routed)-int64(direct))
+	if routed > result+routedSlack {
+		t.Errorf("a routed Add allocates %d bytes, over the wall of %d (one result ciphertext + %d)",
+			routed, result+routedSlack, routedSlack)
+	}
+	if routed > direct+routerShare {
+		t.Errorf("the routing tier adds %d bytes per Add, over its share of %d", routed-direct, routerShare)
 	}
 }
 
@@ -191,44 +185,38 @@ func TestProbeAllocWall(t *testing.T) {
 	}()
 
 	ciphertext := uint64(2 * params.QBasis.K() * params.N() * 8)
-	for _, mux := range []bool{false, true} {
-		router, err := NewRouter(Config{
-			Params:   params,
-			Backends: []Backend{{ID: "node", Addr: nodeAddr}},
-			Mux:      mux,
-			Health:   HealthConfig{Interval: time.Hour, Seed: 1}, // only this test's probes
-		})
-		if err != nil {
+	router, err := NewRouter(Config{
+		Params:   params,
+		Backends: []Backend{{ID: "node", Addr: nodeAddr}},
+		Health:   HealthConfig{Interval: time.Hour, Seed: 1}, // only this test's probes
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	probe := func() {
+		if err := router.probe(context.Background(), "node"); err != nil {
 			t.Fatal(err)
 		}
-		probe := func() {
-			if err := router.probe(context.Background(), "node"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// As in TestRoutedAddAllocWall: one processor, no collection while
-		// counting.
-		prev := runtime.GOMAXPROCS(1)
-		for i := 0; i < 8; i++ {
-			probe()
-		}
-		gc := debug.SetGCPercent(-1)
-		const calls = 16
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < calls; i++ {
-			probe()
-		}
-		runtime.ReadMemStats(&after)
-		debug.SetGCPercent(gc)
-		runtime.GOMAXPROCS(prev)
-		router.Close()
+	}
+	// As in TestRoutedAddAllocWall: one processor, no collection while
+	// counting.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 8; i++ {
+		probe()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		probe()
+	}
+	runtime.ReadMemStats(&after)
 
-		name := map[bool]string{false: "pooled", true: "mux"}[mux]
-		perProbe := (after.TotalAlloc - before.TotalAlloc) / calls
-		t.Logf("%s: %d bytes per probe (one ciphertext %d)", name, perProbe, ciphertext)
-		if perProbe >= ciphertext {
-			t.Errorf("%s: a probe allocates %d bytes, at least one ciphertext (%d)", name, perProbe, ciphertext)
-		}
+	perProbe := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d bytes per probe (one ciphertext %d)", perProbe, ciphertext)
+	if perProbe >= ciphertext {
+		t.Errorf("a probe allocates %d bytes, at least one ciphertext (%d)", perProbe, ciphertext)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -62,15 +63,8 @@ func outOfRangeCKKS(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	return bad
 }
 
-// ckksClient is what the CKKS paths under test share: the typed operations.
-type ckksClient interface {
-	CKKSAddCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error)
-	CKKSMulCtx(ctx context.Context, a, b *ckks.Ciphertext) (*ckks.Ciphertext, time.Duration, error)
-	CKKSRotateCtx(ctx context.Context, a *ckks.Ciphertext, r int) (*ckks.Ciphertext, time.Duration, error)
-}
-
 // ckksRound runs Add, Mul (with its rescale) and Rotate on c.
-func ckksRound(t *testing.T, c ckksClient, x, y *ckks.Ciphertext) []*ckks.Ciphertext {
+func ckksRound(t *testing.T, c *cloud.Client, x, y *ckks.Ciphertext) []*ckks.Ciphertext {
 	t.Helper()
 	ctx := context.Background()
 	sum, _, err := c.CKKSAddCtx(ctx, x, y)
@@ -100,32 +94,19 @@ func dialCKKS(t *testing.T, tc *testCluster, addr string) *cloud.Client {
 	return c
 }
 
-// TestCKKSThroughTheRouter: CKKS crosses the routing tier — pooled and mux
-// backend transports, a sequential and a mux client in front — and a mux
-// client straight to a node, each answer bit for bit the one a sequential
-// client gets from the node directly.
+// TestCKKSThroughTheRouter: CKKS crosses the routing tier, and a second
+// client straight to a node, each answer bit for bit the one a first client
+// gets from the node directly.
 func TestCKKSThroughTheRouter(t *testing.T) {
 	tc := startCKKSCluster(t, 2, nil)
 	cs := testCKKS()
 	x, y := cs.encrypt(t, 0.5, -0.25, 0.125), cs.encrypt(t, 0.3, 0.2)
 	want := ckksRound(t, dialCKKS(t, tc, tc.backends[0].addr), x, y)
 
-	dialMux := func(addr string) ckksClient {
-		mc, err := cloud.DialMux(addr, tc.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc.EnableCKKS(cs.cp)
-		t.Cleanup(func() { mc.Close() })
-		return mc
-	}
-	_, pooled := routedTier(t, tc, false)
-	_, mux := routedTier(t, tc, true)
-	for name, c := range map[string]ckksClient{
-		"router with pooled backends": dialCKKS(t, tc, pooled),
-		"router with mux backends":    dialCKKS(t, tc, mux),
-		"mux client to the router":    dialMux(pooled),
-		"mux client to the node":      dialMux(tc.backends[0].addr),
+	_, router := routedTier(t, tc)
+	for name, c := range map[string]*cloud.Client{
+		"client to the router": dialCKKS(t, tc, router),
+		"client to the node":   dialCKKS(t, tc, tc.backends[0].addr),
 	} {
 		for i, got := range ckksRound(t, c, x, y) {
 			if !got.Equal(want[i]) {
@@ -134,10 +115,10 @@ func TestCKKSThroughTheRouter(t *testing.T) {
 		}
 	}
 
-	// Several first CKKS frames at once through a fresh router's shared mux
-	// backend connection: they race to ask the node what it is.
-	_, fresh := routedTier(t, tc, true)
-	mc := dialMux(fresh)
+	// Several first CKKS frames at once through a fresh router's shared
+	// backend session: they race to dial it.
+	_, fresh := routedTier(t, tc)
+	mc := dialCKKS(t, tc, fresh)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -202,87 +183,88 @@ func startCountingProxy(t *testing.T, target string) *countingProxy {
 }
 
 // TestCKKSRefusedByNodesWithoutCKKS: a routing tier that frames CKKS in front
-// of nodes that do not serve it asks each backend connection once what its
-// node is, and refuses the command with the typed CodeApp a mux node would
-// give — no byte of it reaches a node, so a sequential node does not drop the
-// connection, nothing is retried and no breaker moves — and a BFV request on
-// the same backend connection goes through right after.
+// of nodes that do not serve it forwards the command as it forwards any
+// other, and the node, which cannot frame it, refuses it with a typed
+// CodeApp over the session it keeps. Nothing but the frame itself goes out —
+// no info round trip, no new connection — nothing is retried, no breaker
+// moves, and a BFV request on the same backend session goes through right
+// after.
 func TestCKKSRefusedByNodesWithoutCKKS(t *testing.T) {
 	tc := startCluster(t, 2, nil)
 	cs := testCKKS()
 	x := cs.encrypt(t, 0.5)
-	for _, mux := range []bool{false, true} {
-		t.Run(map[bool]string{false: "pooled", true: "mux"}[mux], func(t *testing.T) {
-			var proxies []*countingProxy
-			var backends []Backend
-			for _, b := range tc.backends {
-				p := startCountingProxy(t, b.addr)
-				proxies = append(proxies, p)
-				backends = append(backends, Backend{ID: b.id, Addr: p.addr})
-			}
-			sent := func() (conns, up int64) {
-				for _, p := range proxies {
-					conns, up = conns+p.conns.Load(), up+p.up.Load()
-				}
-				return conns, up
-			}
-			router, err := NewRouter(Config{
-				Params:   tc.params,
-				Backends: backends,
-				Mux:      mux,
-				Health:   HealthConfig{Interval: time.Hour, Seed: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer router.Close()
-			srv := NewServer(tc.params, router, nil)
-			srv.CKKSParams = cs.cp
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve()
-			defer srv.Close()
-			client := dialCKKS(t, tc, addr)
-			add := func() {
-				t.Helper()
-				sum, _, err := client.Add(tc.encrypt(t, 20), tc.encrypt(t, 22))
-				if err != nil || tc.decrypt(sum) != 42 {
-					t.Fatalf("BFV add through the router: %v", err)
-				}
-			}
-			add() // the backend connection exists
-			conns, up := sent()
-			for i := 0; i < 2; i++ {
-				_, _, err := client.CKKSAdd(x, x)
-				var se *cloud.ServerError
-				if !errors.As(err, &se) || se.Code != cloud.CodeApp || !strings.Contains(se.Msg, "serves no CKKS") {
-					t.Fatalf("CKKS request %d to nodes without CKKS: %v, want the router's CodeApp refusal", i, err)
-				}
-				// The first asks the connection's node what it is, and that
-				// question is all that goes out; the second asks nothing.
-				c, u := sent()
-				if budget := int64(map[bool]int{false: 64, true: 128}[mux] * (1 - i)); c != conns || u-up > budget {
-					t.Fatalf("CKKS request %d: %d new connections and %d bytes toward the nodes, want none and at most %d", i, c-conns, u-up, budget)
-				}
-				up = u
-			}
-			st := router.Stats()
-			for _, name := range []string{"cluster_retries", "cluster_ejections"} {
-				if n := st.Obs.Counters[name]; n != 0 {
-					t.Errorf("%s = %d", name, n)
-				}
-			}
-			for _, b := range st.Backends {
-				if b.ConsecFails != 0 {
-					t.Errorf("backend %s: the breaker saw %d failures (%s)", b.ID, b.ConsecFails, b.LastErr)
-				}
-			}
-			add()
-			if c, _ := sent(); c != conns {
-				t.Errorf("the BFV add after the refusal opened %d new backend connections", c-conns)
-			}
-		})
+	var frame bytes.Buffer
+	if err := cloud.WriteRequest(&frame, tc.params, &cloud.Request{Cmd: cloud.CmdCKKSAdd, CA: x, CB: x}); err != nil {
+		t.Fatal(err)
 	}
+	const muxHeader = 25 // type, ID, length, two checksums
+	t.Run("mux", func(t *testing.T) {
+		var proxies []*countingProxy
+		var backends []Backend
+		for _, b := range tc.backends {
+			p := startCountingProxy(t, b.addr)
+			proxies = append(proxies, p)
+			backends = append(backends, Backend{ID: b.id, Addr: p.addr})
+		}
+		sent := func() (conns, up int64) {
+			for _, p := range proxies {
+				conns, up = conns+p.conns.Load(), up+p.up.Load()
+			}
+			return conns, up
+		}
+		router, err := NewRouter(Config{
+			Params:   tc.params,
+			Backends: backends,
+			Health:   HealthConfig{Interval: time.Hour, Seed: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer router.Close()
+		srv := NewServer(tc.params, router, nil)
+		srv.CKKSParams = cs.cp
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve()
+		defer srv.Close()
+		client := dialCKKS(t, tc, addr)
+		add := func() {
+			t.Helper()
+			sum, _, err := client.Add(tc.encrypt(t, 20), tc.encrypt(t, 22))
+			if err != nil || tc.decrypt(sum) != 42 {
+				t.Fatalf("BFV add through the router: %v", err)
+			}
+		}
+		add() // the backend session exists
+		conns, up := sent()
+		for i := 0; i < 2; i++ {
+			_, _, err := client.CKKSAdd(x, x)
+			var se *cloud.ServerError
+			if !errors.As(err, &se) || se.Code != cloud.CodeApp || !strings.Contains(se.Msg, cloud.ErrMalformedRequest.Error()) {
+				t.Fatalf("CKKS request %d to nodes without CKKS: %v, want the node's CodeApp refusal", i, err)
+			}
+			c, u := sent()
+			if want := int64(muxHeader + frame.Len()); c != conns || u-up != want {
+				t.Fatalf("CKKS request %d: %d new connections and %d bytes toward the nodes, want none and the %d of its frame", i, c-conns, u-up, want)
+			}
+			up = u
+		}
+		st := router.Stats()
+		for _, name := range []string{"cluster_retries", "cluster_ejections"} {
+			if n := st.Obs.Counters[name]; n != 0 {
+				t.Errorf("%s = %d", name, n)
+			}
+		}
+		for _, b := range st.Backends {
+			if b.ConsecFails != 0 {
+				t.Errorf("backend %s: the breaker saw %d failures (%s)", b.ID, b.ConsecFails, b.LastErr)
+			}
+		}
+		add()
+		if c, _ := sent(); c != conns {
+			t.Errorf("the BFV add after the refusal opened %d new backend connections", c-conns)
+		}
+	})
 }

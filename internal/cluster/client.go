@@ -12,8 +12,8 @@ import (
 // Client is the cluster-aware client: the same operations as cloud.Client,
 // but routed — each call names a tenant, the consistent-hash ring picks that
 // tenant's shard, and failures transparently fail over to replicas within
-// the bounded retry budget. Safe for concurrent use (connections are
-// pooled per backend).
+// the bounded retry budget. Safe for concurrent use (one shared session per
+// backend).
 type Client struct {
 	r *Router
 }
@@ -30,7 +30,7 @@ func NewClient(cfg Config) (*Client, error) {
 // Router exposes the underlying router (stats, candidate inspection).
 func (c *Client) Router() *Router { return c.r }
 
-// Close stops health probing and drops pooled connections.
+// Close stops health probing and drops the backend sessions.
 func (c *Client) Close() error { return c.r.Close() }
 
 // as is the typed operation set (written once, in cloud) routed under tenant.

@@ -569,17 +569,15 @@ func TestClusterProxyServer(t *testing.T) {
 	}
 }
 
-// TestClusterMuxTransport runs the router over multiplexed connections: one
-// shared window-bounded socket per backend carries concurrent exchanges from
-// many tenants, results stay correct and tenant-sticky, and killing a node
-// still fails over to its ring replica.
+// TestClusterMuxTransport: one shared window-bounded session per backend
+// carries concurrent exchanges from many tenants, results stay correct and
+// tenant-sticky, and killing a node still fails over to its ring replica.
 func TestClusterMuxTransport(t *testing.T) {
 	tenants := testTenants(6)
 	tc := startCluster(t, 2, tenants)
 	client, err := NewClient(Config{
 		Params:      tc.params,
 		Backends:    tc.backendList(),
-		Mux:         true,
 		Replicas:    2,
 		MaxAttempts: 3,
 		Health: HealthConfig{

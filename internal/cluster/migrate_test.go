@@ -370,9 +370,9 @@ func TestLeaveRefusesLastNode(t *testing.T) {
 // TestRetiredAdminCommandRefused: command byte 12 once carried membership
 // changes over the wire. It is now an unknown command at the routing tier,
 // refused like every other byte without a row in the command table (0 and
-// 13-255 with it) — sequential: the connection is dropped; mux: a CodeApp
-// reply, and the session still answers — and the ring and its migration
-// counters do not move.
+// 13-255 with it): a CodeApp reply, and the session still answers. Sent bare,
+// in the retired sequential framing, it gets the connection dropped. Either
+// way the ring and its migration counters do not move.
 func TestRetiredAdminCommandRefused(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	encode := func(req *cloud.Request) []byte {
@@ -421,7 +421,7 @@ func TestRetiredAdminCommandRefused(t *testing.T) {
 	}
 
 	t.Run("sequential", func(t *testing.T) {
-		srv, addr := routedTier(t, tc, false)
+		srv, addr := routedTier(t, tc)
 		before := snapshot(srv)
 		for _, cmd := range rowless {
 			conn, err := net.Dial("tcp", addr)
@@ -445,7 +445,7 @@ func TestRetiredAdminCommandRefused(t *testing.T) {
 	})
 
 	t.Run("mux", func(t *testing.T) {
-		srv, addr := routedTier(t, tc, true)
+		srv, addr := routedTier(t, tc)
 		before := snapshot(srv)
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
+
 	"net"
 	"os"
 	"strings"
@@ -28,13 +28,12 @@ func TestMain(m *testing.M) {
 
 // routedTier is a cluster.Server over tc's backends (plus extras), serving on
 // loopback and framing CKKS as herouter does.
-func routedTier(t *testing.T, tc *testCluster, mux bool, extra ...Backend) (*Server, string) {
+func routedTier(t *testing.T, tc *testCluster, extra ...Backend) (*Server, string) {
 	t.Helper()
 	router, err := NewRouter(Config{
 		Params:   tc.params,
 		Backends: append(tc.backendList(), extra...),
 		Replicas: len(tc.backends) + len(extra),
-		Mux:      mux,
 		// Probes stay out of the way: these tests count what reaches a node.
 		Health: HealthConfig{Interval: time.Hour, FailThreshold: 100, Seed: 1},
 	})
@@ -72,9 +71,10 @@ func outOfRange(ct *fv.Ciphertext) *fv.Ciphertext {
 // TestRouterStillRangeChecksRequests: forwarding bytes did not move the
 // validation out of the routing tier. A request with one residue >= q_i — a
 // BFV operand or a CKKS one — is refused there exactly as when the router
-// decoded it — sequential: the connection is dropped; mux: a CodeApp reply
-// naming the malformed request, and the session stays up — and nothing of it
-// reaches a node or its circuit breaker.
+// decoded it: a CodeApp reply naming the malformed request, and the session
+// stays up; nothing of it reaches a node or its circuit breaker. Sent bare,
+// in the retired sequential framing, the same bytes get the connection
+// closed before they reach the router at all.
 func TestRouterStillRangeChecksRequests(t *testing.T) {
 	tc := startCKKSCluster(t, 2, nil)
 	cs := testCKKS()
@@ -144,7 +144,7 @@ func TestRouterStillRangeChecksRequests(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		for _, sc := range schemes {
 			base := served()
-			srv, addr := routedTier(t, tc, false)
+			srv, addr := routedTier(t, tc)
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
@@ -154,8 +154,9 @@ func TestRouterStillRangeChecksRequests(t *testing.T) {
 				t.Fatal(err)
 			}
 			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
-				t.Fatalf("%s: read after an out-of-range request = (%d, %v), want the connection dropped", sc.name, n, err)
+			n, err := conn.Read(make([]byte, 1))
+			if ne, ok := err.(net.Error); n != 0 || err == nil || ok && ne.Timeout() {
+				t.Fatalf("%s: read after a bare out-of-range request = (%d, %v), want the connection dropped", sc.name, n, err)
 			}
 			untouched(srv, base, 0)
 		}
@@ -164,7 +165,7 @@ func TestRouterStillRangeChecksRequests(t *testing.T) {
 	t.Run("mux", func(t *testing.T) {
 		for _, sc := range schemes {
 			base := served()
-			srv, addr := routedTier(t, tc, true)
+			srv, addr := routedTier(t, tc)
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
@@ -263,8 +264,8 @@ func tenantWithPrimary(t *testing.T, r *Router, node string) string {
 // sent again, restamped, to the next replica — after a retryable refusal
 // and after a reply the router's own range check rejects, which stays what
 // it was when the router decoded replies: a transport failure that feeds the
-// breaker and fails over. Both schemes, both backend transports; the client
-// sees only the right answer, a CKKS one bit for bit the healthy node's.
+// breaker and fails over. Both schemes; the client sees only the right
+// answer, a CKKS one bit for bit the healthy node's.
 func TestRouterFailsOverWithTheSameBytes(t *testing.T) {
 	tc := startCKKSCluster(t, 1, nil)
 	cs := testCKKS()
@@ -274,71 +275,69 @@ func TestRouterFailsOverWithTheSameBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mux := range []bool{false, true} {
-		for name, script := range map[string]func(cmd uint8) cloud.Reply{
-			"retryable refusal": func(uint8) cloud.Reply {
-				return &cloud.ServerError{Code: cloud.CodeUnavailable, Msg: "scripted: overloaded"}
-			},
-			"reply out of range": func(cmd uint8) cloud.Reply {
-				if cmd == cloud.CmdCKKSMul {
-					return &cloud.Response{CKKSResult: outOfRangeCKKS(cwant), ComputeNanos: 1}
-				}
-				return &cloud.Response{Result: outOfRange(want), ComputeNanos: 1}
-			},
-		} {
-			t.Run(name+map[bool]string{false: "/pooled", true: "/mux"}[mux], func(t *testing.T) {
-				node, backend := startScriptedNode(t, tc.params, script)
-				srv, addr := routedTier(t, tc, mux, backend)
-				tenant := tenantWithPrimary(t, srv.Router, backend.ID)
-				tc.backends[0].eng.SetRelinKey(tenant, tc.rk)
-				cs.install(tc.backends[0].eng, tenant)
-				client, err := cloud.DialTenant(addr, tc.params, tenant)
+	for name, script := range map[string]func(cmd uint8) cloud.Reply{
+		"retryable refusal": func(uint8) cloud.Reply {
+			return &cloud.ServerError{Code: cloud.CodeUnavailable, Msg: "scripted: overloaded"}
+		},
+		"reply out of range": func(cmd uint8) cloud.Reply {
+			if cmd == cloud.CmdCKKSMul {
+				return &cloud.Response{CKKSResult: outOfRangeCKKS(cwant), ComputeNanos: 1}
+			}
+			return &cloud.Response{Result: outOfRange(want), ComputeNanos: 1}
+		},
+	} {
+		t.Run(name+"/mux", func(t *testing.T) {
+			node, backend := startScriptedNode(t, tc.params, script)
+			srv, addr := routedTier(t, tc, backend)
+			tenant := tenantWithPrimary(t, srv.Router, backend.ID)
+			tc.backends[0].eng.SetRelinKey(tenant, tc.rk)
+			cs.install(tc.backends[0].eng, tenant)
+			client, err := cloud.DialTenant(addr, tc.params, tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			client.EnableCKKS(cs.cp)
+			for i := uint64(1); i <= 3; i++ {
+				prod, _, err := client.Mul(tc.encrypt(t, i+1), tc.encrypt(t, i+2))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("request %d: %v", i, err)
 				}
-				defer client.Close()
-				client.EnableCKKS(cs.cp)
-				for i := uint64(1); i <= 3; i++ {
-					prod, _, err := client.Mul(tc.encrypt(t, i+1), tc.encrypt(t, i+2))
-					if err != nil {
-						t.Fatalf("request %d: %v", i, err)
-					}
-					if got := tc.decrypt(prod); got != (i+1)*(i+2) {
-						t.Fatalf("request %d decrypts to %d, want %d", i, got, (i+1)*(i+2))
-					}
-					cprod, _, err := client.CKKSMul(x, x)
-					if err != nil || !cprod.Equal(cwant) {
-						t.Fatalf("CKKS request %d: %v, or not the healthy node's answer", i, err)
-					}
+				if got := tc.decrypt(prod); got != (i+1)*(i+2) {
+					t.Fatalf("request %d decrypts to %d, want %d", i, got, (i+1)*(i+2))
 				}
-				if node.seen.Load() != 6 {
-					t.Errorf("scripted primary saw %d well-formed requests, want 6", node.seen.Load())
+				cprod, _, err := client.CKKSMul(x, x)
+				if err != nil || !cprod.Equal(cwant) {
+					t.Fatalf("CKKS request %d: %v, or not the healthy node's answer", i, err)
 				}
-				stats := srv.Router.Stats()
-				if stats.Obs.Counters["cluster_retries"] != 6 {
-					t.Errorf("cluster_retries = %d, want 6", stats.Obs.Counters["cluster_retries"])
+			}
+			if node.seen.Load() != 6 {
+				t.Errorf("scripted primary saw %d well-formed requests, want 6", node.seen.Load())
+			}
+			stats := srv.Router.Stats()
+			if stats.Obs.Counters["cluster_retries"] != 6 {
+				t.Errorf("cluster_retries = %d, want 6", stats.Obs.Counters["cluster_retries"])
+			}
+			for _, st := range stats.Backends {
+				if st.ID != backend.ID {
+					continue
 				}
-				for _, st := range stats.Backends {
-					if st.ID != backend.ID {
-						continue
-					}
-					// A refusal proves the node alive; a garbled reply is a
-					// failure of the hop.
-					garbled := name == "reply out of range"
-					if (st.ConsecFails > 0) != garbled || garbled && !strings.Contains(st.LastErr, cloud.ErrMalformedResponse.Error()) {
-						t.Errorf("breaker counts %d consecutive failures (last: %q)", st.ConsecFails, st.LastErr)
-					}
+				// A refusal proves the node alive; a garbled reply is a
+				// failure of the hop.
+				garbled := name == "reply out of range"
+				if (st.ConsecFails > 0) != garbled || garbled && !strings.Contains(st.LastErr, cloud.ErrMalformedResponse.Error()) {
+					t.Errorf("breaker counts %d consecutive failures (last: %q)", st.ConsecFails, st.LastErr)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestProgramOutputThatIsAnInput: a program may hand an input straight back
 // as an output, so the node's reply references an operand it materialized
 // from the request frame — which must therefore outlive the reply's
-// encoding. Through the routing tier, both transports, several times over so
-// recycled (and, here, poisoned) operands come around again.
+// encoding. Through the routing tier, several times over so recycled (and,
+// here, poisoned) operands come around again.
 func TestProgramOutputThatIsAnInput(t *testing.T) {
 	tc := startCluster(t, 2, nil)
 	b := program.NewBuilder()
@@ -350,36 +349,23 @@ func TestProgramOutputThatIsAnInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mux := range []bool{false, true} {
-		_, addr := routedTier(t, tc, mux)
-		var run func(ctx context.Context, p *program.Program, in []*fv.Ciphertext) (*cloud.ProgramResponse, error)
-		if mux {
-			mc, err := cloud.DialMux(addr, tc.params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mc.Close()
-			run = mc.RunProgram
-		} else {
-			c, err := cloud.Dial(addr, tc.params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			run = c.RunProgram
+	_, addr := routedTier(t, tc)
+	c, err := cloud.Dial(addr, tc.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := uint64(0); i < 6; i++ {
+		in := []*fv.Ciphertext{tc.encrypt(t, i+2), tc.encrypt(t, i+5)}
+		resp, err := c.RunProgram(context.Background(), prog, in)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
-		for i := uint64(0); i < 6; i++ {
-			in := []*fv.Ciphertext{tc.encrypt(t, i+2), tc.encrypt(t, i+5)}
-			resp, err := run(context.Background(), prog, in)
-			if err != nil {
-				t.Fatalf("mux=%v run %d: %v", mux, i, err)
-			}
-			if len(resp.Outputs) != 3 || !resp.Outputs[0].Equal(in[1]) || !resp.Outputs[2].Equal(in[0]) {
-				t.Fatalf("mux=%v run %d: passed-through outputs are not the inputs, bit for bit", mux, i)
-			}
-			if got := tc.decrypt(resp.Outputs[1]); got != 2*i+7 {
-				t.Fatalf("mux=%v run %d: sum decrypts to %d, want %d", mux, i, got, 2*i+7)
-			}
+		if len(resp.Outputs) != 3 || !resp.Outputs[0].Equal(in[1]) || !resp.Outputs[2].Equal(in[0]) {
+			t.Fatalf("run %d: passed-through outputs are not the inputs, bit for bit", i)
+		}
+		if got := tc.decrypt(resp.Outputs[1]); got != 2*i+7 {
+			t.Fatalf("run %d: sum decrypts to %d, want %d", i, got, 2*i+7)
 		}
 	}
 }

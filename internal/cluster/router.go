@@ -47,15 +47,9 @@ type Config struct {
 	// AttemptTimeout is the per-attempt deadline layered under the caller's
 	// context (default 2s).
 	AttemptTimeout time.Duration
-	// PoolSize is the idle-connection cap per backend (default 4). Ignored
-	// when Mux is set.
+	// Bench-only: nothing reads it.
 	PoolSize int
-	// Mux selects multiplexed transport: one shared window-bounded
-	// cloud.MuxClient per backend carries every in-flight request on a single
-	// socket, completing out of order, instead of one pooled sequential
-	// connection per concurrent exchange. A window-exhausted backend is
-	// treated like a retryable refusal: the walk fails over to the next
-	// replica without feeding the circuit breaker.
+	// Bench-only: nothing reads it.
 	Mux bool
 	// Health parameterizes probing and circuit breaking.
 	Health HealthConfig
@@ -125,8 +119,8 @@ type Router struct {
 	migrateHook func(stage, tenant string)
 }
 
-// NewRouter builds the ring over the membership, a connection pool and a
-// health probe loop per backend, and starts probing.
+// NewRouter builds the ring over the membership, a session and a health
+// probe loop per backend, and starts probing.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -153,23 +147,20 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// newPoolFor builds the transport pool for one backend.
+// newPoolFor builds the session holder for one backend. The router asks for
+// the largest window a node grants, so the node's admission queue is the one
+// place that refuses overload, never the router's own side of the session.
 func (r *Router) newPoolFor(b Backend) *member {
 	addr := b.Addr
-	p := &member{latency: r.reg.Histogram("cluster_backend_latency:" + b.ID)}
-	if r.cfg.Mux {
-		p.backendPool = newMuxPool(func() (*cloud.MuxClient, error) {
-			return cloud.DialMux(addr, r.cfg.Params)
-		})
-	} else {
-		p.backendPool = newConnPool(r.cfg.PoolSize, func() (*cloud.Client, error) {
-			return cloud.Dial(addr, r.cfg.Params)
-		})
+	return &member{
+		muxPool: &muxPool{dial: func(ctx context.Context) (*cloud.Client, error) {
+			return cloud.DialContext(ctx, addr, r.cfg.Params, "", cloud.MaxMuxWindow)
+		}},
+		latency: r.reg.Histogram("cluster_backend_latency:" + b.ID),
 	}
-	return p
 }
 
-// pool returns the backend's transport pool, nil when the node is unknown.
+// pool returns the backend's session holder, nil when the node is unknown.
 func (r *Router) pool(id string) *member {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -183,7 +174,7 @@ func (r *Router) addr(id string) string {
 	return r.addrs[id]
 }
 
-// Close stops the health probes and drops every pooled connection.
+// Close stops the health probes and drops every backend session.
 func (r *Router) Close() error {
 	r.health.stop()
 	r.mu.Lock()
@@ -202,19 +193,17 @@ func (r *Router) onStateChange(id string, from, to State) {
 	}
 }
 
-// probe is the health check: one Ping over a pooled connection.
+// probe is the health check: one Ping over the backend's session.
 func (r *Router) probe(ctx context.Context, id string) error {
 	p := r.pool(id)
 	if p == nil {
 		return fmt.Errorf("cluster: unknown backend %s", id)
 	}
-	cl, err := p.get()
+	cl, err := p.get(ctx)
 	if err != nil {
 		return err
 	}
-	err = cl.PingCtx(ctx)
-	p.put(cl) // put closes it if the ping broke the stream
-	return err
+	return cl.PingCtx(ctx)
 }
 
 // Candidates returns the tenant's routable preference list, Replicas long
@@ -369,7 +358,7 @@ func (r *Router) tryOn(ctx context.Context, node string, f *cloud.Frame) (*cloud
 		r.health.reportFailure(node, err)
 		return nil, err
 	}
-	cl, err := p.get()
+	cl, err := p.get(actx)
 	if err != nil {
 		r.health.reportFailure(node, err)
 		return nil, fmt.Errorf("cluster: dial %s: %w", node, err)
@@ -380,7 +369,6 @@ func (r *Router) tryOn(ctx context.Context, node string, f *cloud.Frame) (*cloud
 	elapsed := time.Since(start)
 	r.health.decInflight(node)
 	p.latency.Observe(elapsed)
-	p.put(cl) // closes it when the exchange broke the stream
 	if err == nil {
 		if se := raw.ServerError(); se != nil {
 			raw.Release()
@@ -390,7 +378,7 @@ func (r *Router) tryOn(ctx context.Context, node string, f *cloud.Frame) (*cloud
 	if err != nil {
 		var se *cloud.ServerError
 		if errors.As(err, &se) || errors.Is(err, cloud.ErrWindowExhausted) {
-			// The node answered (or our own mux window is full — local
+			// The node answered (or our own window is full — local
 			// backpressure, not node failure): it is alive. Only
 			// transport-level failures feed the circuit breaker.
 			r.health.reportSuccess(node)

@@ -11,13 +11,13 @@ import (
 )
 
 // Server exposes the existing wire protocol in front of the ring: clients
-// speak to it exactly as they would to one heserver — sequential connections
-// and mux sessions alike — and every request is routed to the backend owning
-// its tenant. This is what cmd/herouter serves. The listener, accept/drain
-// and both framings are the embedded cloud.Frontend (as are Params,
-// CKKSParams, Logger and ReadTimeout); this type is only the handler behind
-// it. With CKKSParams set the CKKS commands are framed and routed like the
-// BFV ones; a node that serves no CKKS refuses them (see conn.Exchange).
+// speak to it exactly as they would to one heserver, and every request is
+// routed to the backend owning its tenant. This is what cmd/herouter serves.
+// The listener, accept/drain and the session framing are the embedded
+// cloud.Frontend (as are Params, CKKSParams, Logger and ReadTimeout); this
+// type is only the handler behind it. With CKKSParams set the CKKS commands
+// are framed and routed like the BFV ones; a node that serves no CKKS cannot
+// frame them and refuses them with a typed CodeApp error over its session.
 type Server struct {
 	*cloud.Frontend
 	Router *Router

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 )
 
 // TestClusterServerServesMux: the routing tier's front door is the same one
-// the data node has, so a stock cloud.MuxClient pointed at cluster.Server
+// the data node has, so a stock cloud.Client pointed at cluster.Server
 // gets a session — hello, requests completing out of order on one socket,
 // typed window exhaustion — and Shutdown drains it. A migration gate held on
 // one tenant parks that tenant's requests inside the router, which makes
@@ -37,11 +36,7 @@ func TestClusterServerServesMux(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- proxy.Serve() }()
 
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := cloud.NewMuxClient(raw, tc.params, "", 2)
+	mc, err := cloud.DialContext(context.Background(), addr, tc.params, "", 2)
 	if err != nil {
 		t.Fatalf("mux hello against the routing tier: %v", err)
 	}

@@ -402,29 +402,34 @@ func startFrameBackends(t *testing.T, fx *chaosFixture) [2]*frameBackend {
 	return out
 }
 
-// TestChaosFrame runs 16 pinned-seed schedules of dropped and garbled wire
-// frames through a faults.Proxy in front of each of two in-process backends,
-// with the cluster router on top. The contract: a frame fault is never a
-// wrong answer — the hardened decoders or the request-ID echo reject the
-// bytes, the router fails over to the replica, and the op completes with the
-// bit-identical result (or a typed transport error once budgets are spent).
-func TestChaosFrame(t *testing.T) {
-	fx := fixture(t)
-	backends := startFrameBackends(t, fx)
-	dec := fv.NewDecryptor(fx.params, fx.sk)
+// frameChaos is one suite of wire-fault schedules: n pinned seeds, each
+// arming one or two ClassFrame faults of the modes mode draws, in proxies in
+// front of both backends with the cluster router on top.
+type frameChaos struct {
+	n                int
+	seed, injSeed    int64
+	id               string // backend ID prefix
+	mode             func(rng *rand.Rand) faults.Mode
+	minFired         uint64
+	failoverPerFault bool // every schedule whose faults fired must have failed over
+}
 
+// run drives fx's workload through every schedule. The contract: a frame
+// fault is never a wrong answer — the frame checksums or the hardened
+// decoders reject the bytes, the router fails over to the replica, and the op
+// completes with the bit-identical result (or a typed transport error once
+// budgets are spent).
+func (fc frameChaos) run(t *testing.T, fx *chaosFixture, backends [2]*frameBackend) {
+	dec := fv.NewDecryptor(fx.params, fx.sk)
 	var totalFired, totalRetries uint64
-	for i := 0; i < 16; i++ {
+	for i := 0; i < fc.n; i++ {
 		i := i
 		t.Run(fmt.Sprintf("schedule-%02d", i), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(3000 + i)))
-			inj := faults.New(int64(9000 + i))
+			rng := rand.New(rand.NewSource(fc.seed + int64(i)))
+			inj := faults.New(fc.injSeed + int64(i))
 			n := 1 + rng.Intn(2)
 			for f := 0; f < n; f++ {
-				mode := faults.ModeGarble
-				if rng.Intn(2) == 0 {
-					mode = faults.ModeDrop
-				}
+				mode := fc.mode(rng)
 				inj.Arm(faults.Spec{Class: faults.ClassFrame, After: uint64(rng.Intn(16)), Mode: mode})
 			}
 
@@ -439,7 +444,7 @@ func TestChaosFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 				proxied[j] = p
-				members = append(members, cluster.Backend{ID: fmt.Sprintf("n%d", j), Addr: p.Addr()})
+				members = append(members, cluster.Backend{ID: fmt.Sprintf("%s%d", fc.id, j), Addr: p.Addr()})
 			}
 			reg := obs.NewRegistry()
 			router, err := cluster.NewRouter(cluster.Config{
@@ -488,109 +493,60 @@ func TestChaosFrame(t *testing.T) {
 			}
 			fired := inj.Stats().TotalFired
 			retries := reg.Counter("cluster_retries").Value()
-			if fired > 0 && retries == 0 {
+			if fc.failoverPerFault && fired > 0 && retries == 0 {
 				t.Fatalf("%d frame faults fired but the router never failed over", fired)
 			}
 			totalFired += fired
 			totalRetries += retries
 		})
 	}
-	if totalFired < 8 {
-		t.Fatalf("frame harness too tame: only %d faults fired across 16 schedules", totalFired)
+	if totalFired < fc.minFired {
+		t.Fatalf("frame harness too tame: only %d faults fired across %d schedules", totalFired, fc.n)
+	}
+	if totalRetries == 0 {
+		t.Fatalf("%d frame faults fired but the router never failed over", totalFired)
 	}
 	t.Logf("frame chaos: %d faults fired, %d router failovers", totalFired, totalRetries)
 }
 
-// TestChaosMuxTransport is TestChaosFrame over the multiplexed transport:
-// pinned-seed dropped/garbled frames through proxies in front of both
-// backends, with the cluster router in Mux mode (one shared window-bounded
-// connection per backend). A garbled payload fails only its own request; a
-// severed connection breaks the shared client, which the backend pool
-// replaces on the next attempt — either way the router's failover delivers
-// the bit-identical result or a typed error.
+// dropOrGarble draws ModeDrop or ModeGarble evenly.
+func dropOrGarble(rng *rand.Rand) faults.Mode {
+	if rng.Intn(2) == 0 {
+		return faults.ModeDrop
+	}
+	return faults.ModeGarble
+}
+
+// TestChaosFrame runs 16 pinned-seed schedules of dropped and garbled wire
+// frames through a faults.Proxy in front of each of two in-process backends,
+// with the cluster router on top.
+func TestChaosFrame(t *testing.T) {
+	fx := fixture(t)
+	frameChaos{n: 16, seed: 3000, injSeed: 9000, id: "n", mode: dropOrGarble, minFired: 8, failoverPerFault: true}.
+		run(t, fx, startFrameBackends(t, fx))
+}
+
+// TestChaosMuxTransport is a second set of 12 pinned-seed drop/garble
+// schedules, its faults landing on the shared session per backend: a garbled
+// payload fails only its own request; a severed connection breaks the shared
+// session, which the backend pool replaces on the next attempt — either way
+// the router's failover delivers the bit-identical result or a typed error.
 func TestChaosMuxTransport(t *testing.T) {
 	fx := fixture(t)
-	backends := startFrameBackends(t, fx)
-	dec := fv.NewDecryptor(fx.params, fx.sk)
+	frameChaos{n: 12, seed: 5000, injSeed: 13000, id: "m", mode: dropOrGarble, minFired: 6, failoverPerFault: true}.
+		run(t, fx, startFrameBackends(t, fx))
+}
 
-	var totalFired, totalRetries uint64
-	for i := 0; i < 12; i++ {
-		i := i
-		t.Run(fmt.Sprintf("schedule-%02d", i), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(5000 + i)))
-			inj := faults.New(int64(13000 + i))
-			n := 1 + rng.Intn(2)
-			for f := 0; f < n; f++ {
-				mode := faults.ModeGarble
-				if rng.Intn(2) == 0 {
-					mode = faults.ModeDrop
-				}
-				inj.Arm(faults.Spec{Class: faults.ClassFrame, After: uint64(rng.Intn(16)), Mode: mode})
-			}
-
-			var proxied [2]*faults.Proxy
-			var members []cluster.Backend
-			for j, b := range backends {
-				p, err := faults.NewProxy(b.addr, inj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				proxied[j] = p
-				members = append(members, cluster.Backend{ID: fmt.Sprintf("m%d", j), Addr: p.Addr()})
-			}
-			reg := obs.NewRegistry()
-			router, err := cluster.NewRouter(cluster.Config{
-				Params:         fx.params,
-				Backends:       members,
-				Mux:            true,
-				Replicas:       2,
-				MaxAttempts:    3,
-				AttemptTimeout: 5 * time.Second,
-				Registry:       reg,
-				Health:         cluster.HealthConfig{Interval: time.Hour, FailThreshold: 100, Seed: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				router.Close()
-				for _, p := range proxied {
-					p.Close()
-				}
-			}()
-
-			for k, op := range fx.ops {
-				cmd := cloud.CmdAdd
-				if op.kind == engine.OpMul {
-					cmd = cloud.CmdMul
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-				resp, err := router.Do(ctx, &cloud.Request{Cmd: cmd, A: fx.cts[op.a], B: fx.cts[op.b]})
-				cancel()
-				if err != nil {
-					if inj.Stats().TotalFired == 0 {
-						t.Fatalf("op %d failed with no fault fired: %v", k, err)
-					}
-					continue
-				}
-				if !resp.Result.Equal(fx.want[k]) {
-					t.Fatalf("op %d: SILENT CORRUPTION through the mux wire", k)
-				}
-				if got := dec.Decrypt(resp.Result).Coeffs[0]; got != fx.wantVal[k] {
-					t.Fatalf("op %d: decrypted %d, want %d", k, got, fx.wantVal[k])
-				}
-			}
-			fired := inj.Stats().TotalFired
-			retries := reg.Counter("cluster_retries").Value()
-			if fired > 0 && retries == 0 {
-				t.Fatalf("%d frame faults fired but the router never failed over", fired)
-			}
-			totalFired += fired
-			totalRetries += retries
-		})
-	}
-	if totalFired < 6 {
-		t.Fatalf("mux frame harness too tame: only %d faults fired across 12 schedules", totalFired)
-	}
-	t.Logf("mux frame chaos: %d faults fired, %d router failovers", totalFired, totalRetries)
+// TestChaosFrameBitFlip runs 12 pinned-seed schedules of single-bit flips at
+// seeded positions in the wire chunks between the router and both backends.
+// One flipped bit in a residue word below its modulus is a valid ciphertext
+// to every range check; only the frame checksums stand between it and a
+// wrong answer. A flip in a hello's window field may change nothing (the
+// grant is capped), so failover is required of the suite, not of every
+// schedule.
+func TestChaosFrameBitFlip(t *testing.T) {
+	fx := fixture(t)
+	flip := func(*rand.Rand) faults.Mode { return faults.ModeFlip }
+	frameChaos{n: 12, seed: 7000, injSeed: 17000, id: "f", mode: flip, minFired: 12}.
+		run(t, fx, startFrameBackends(t, fx))
 }

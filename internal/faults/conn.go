@@ -12,9 +12,10 @@ import (
 // forwarded chunk is one ClassFrame opportunity. ModeDrop severs both
 // directions mid-frame (the client sees a transport error and the router
 // fails over); ModeGarble overwrites a run of bytes with 0xFF, which the
-// hardened decoders reject — residue words become out-of-range, lengths
-// become implausible, status bytes become unknown — or the request-ID echo
-// check catches as a stream desync.
+// frame checksums — and behind them the hardened decoders — reject; ModeFlip
+// flips one bit at a seeded position anywhere in the chunk, which only a
+// checksum can catch: a flipped residue bit below the modulus decodes as a
+// valid, wrong ciphertext.
 type Proxy struct {
 	ln     net.Listener
 	target string
@@ -126,10 +127,15 @@ func (p *Proxy) relay(client net.Conn) {
 			if n > 0 {
 				chunk := buf[:n]
 				if f := p.inj.Opportunity(ClassFrame); f != nil {
-					if f.Mode == ModeDrop {
+					switch f.Mode {
+					case ModeDrop:
 						return
+					case ModeFlip:
+						bit := f.Pick(8 * len(chunk))
+						chunk[bit/8] ^= 1 << (bit % 8)
+					default:
+						garble(chunk, f)
 					}
-					garble(chunk, f)
 				}
 				if _, werr := dst.Write(chunk); werr != nil {
 					return

@@ -72,7 +72,8 @@ type Mode uint8
 
 const (
 	ModeDefault Mode = iota
-	// ModeFlip flips a single bit of a single stored word.
+	// ModeFlip flips a single bit of a single stored word, or of one
+	// forwarded wire chunk (Proxy).
 	ModeFlip
 	// ModeGarble overwrites the target with pseudo-random data.
 	ModeGarble

@@ -105,7 +105,7 @@ func TestMuxThroughputSmoke(t *testing.T) {
 	}
 	go srv.Serve()
 	defer srv.Close()
-	mc, err := cloud.DialMux(addr, params)
+	mc, err := cloud.Dial(addr, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,21 @@ var hasAVX2 = detectAVX2()
 // HasAVX2 reports whether this process runs the AVX2 kernels.
 func HasAVX2() bool { return hasAVX2 }
 
+// hasVPCLMULQDQ adds the carry-less multiply, on XMM registers
+// (CPUID.1:ECX bit 1) and on YMM registers (CPUID.(7,0):ECX bit 10), to
+// AVX2: what internal/cloud's frame checksum lane needs.
+var hasVPCLMULQDQ = hasAVX2 && detectVPCLMULQDQ()
+
+// HasVPCLMULQDQ reports whether this process may run AVX2 kernels that
+// multiply carry-less on YMM registers.
+func HasVPCLMULQDQ() bool { return hasVPCLMULQDQ }
+
+func detectVPCLMULQDQ() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	_, _, ecx7, _ := cpuid(7, 0)
+	return ecx1&(1<<1) != 0 && ecx7&(1<<10) != 0
+}
+
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
