@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/ring"
+	"repro/internal/rlwe"
 	"repro/internal/rns"
 )
 
@@ -31,10 +32,14 @@ const (
 
 // slot is one entry of the co-processor's memory file: space for a full
 // extended-basis polynomial. The file is resident, as the paper's BRAM is: a
-// row's storage is allocated at its first touch and then kept for the life
-// of the co-processor; ClearSlots only marks it empty.
+// row's storage (own) is allocated at its first touch and then kept for the
+// life of the co-processor; ClearSlots only marks it empty. rows[j] is
+// own[j] unless an operation on the fused path bound it to caller memory: a
+// read-only view (ViewSlot, view[j]) or a result row (BindSlot).
 type slot struct {
 	rows   []poly.Poly
+	own    [][]uint64
+	view   []bool
 	domain []domainTag
 	// tags/tagged are the per-row integrity fingerprints, maintained only
 	// when the co-processor's checker is enabled (integrity.go).
@@ -127,6 +132,7 @@ type Coprocessor struct {
 	Trace *obs.Tracer
 
 	slots []slot
+	bound bool // some slot row is caller memory (Unbind)
 	Stats *Stats
 
 	// Per-instruction scratch. One instruction executes at a time, so the
@@ -134,8 +140,9 @@ type Coprocessor struct {
 	// co-processor's, not each instruction's.
 	hdrs  []poly.Poly
 	digit []uint64
-	// sop is the fused key-switch loop's row task (keyswitch.go).
-	sop sopTask
+	// sop and sweep are the row tasks of the fused digit loop and execOp.
+	sop   sopTask
+	sweep rowTask
 
 	// integrity, injector, and metrics are the robustness layer: nil means
 	// disabled and costs two nil checks per Exec (integrity.go). guard is the
@@ -293,36 +300,49 @@ func (c *Coprocessor) slotAt(i uint8) *slot {
 func (c *Coprocessor) ensureRows(s *slot) {
 	if s.rows == nil {
 		s.rows = make([]poly.Poly, c.width)
+		s.own = make([][]uint64, c.width)
+		s.view = make([]bool, c.width)
 		s.domain = make([]domainTag, c.width)
 	}
 }
 
-// row returns residue row j of a slot for reading (or accumulating into). An
-// empty row is materialized first — allocated if this is its first touch,
-// zero-filled if it holds stale data from before the last clear — which is
-// the whole of the reads-as-zero invariant.
+// row returns residue row j of a slot for reading. An empty row is
+// materialized first — allocated if this is its first touch, zero-filled if
+// it holds stale data from before the last clear — which is the whole of the
+// reads-as-zero invariant.
 func (c *Coprocessor) row(s *slot, j int) poly.Poly {
-	r := c.wrow(s, j)
-	if s.domain[j] == domEmpty {
-		clear(r.Coeffs)
-		s.domain[j] = domZero
+	c.ensureRows(s)
+	if s.domain[j] != domEmpty {
+		return s.rows[j]
 	}
+	r := c.wrow(s, j)
+	clear(r.Coeffs)
+	s.domain[j] = domZero
 	return r
 }
 
 // wrow returns residue row j of a slot for an instruction that overwrites
-// every coefficient of it: stale contents are not cleared. The caller sets
-// the row's domain tag once the write cannot fail; until then a wiped row
-// stays empty. The row takes the current level's prime j: on the chain
-// co-processor the same storage holds q_{ℓ+1} at one level and p* below it.
+// every coefficient of it: stale contents are not cleared, and a view gives
+// way to the slot's own storage. The caller sets the row's domain tag once
+// the write cannot fail; until then a wiped row stays empty. The row takes
+// the current level's prime j: on the chain co-processor the same storage
+// holds q_{ℓ+1} at one level and p* below it.
 func (c *Coprocessor) wrow(s *slot, j int) poly.Poly {
 	c.ensureRows(s)
+	if s.view[j] {
+		s.rows[j].Coeffs, s.view[j] = s.own[j], false
+	}
 	if s.rows[j].Coeffs == nil {
-		s.rows[j].Coeffs = make([]uint64, c.N)
+		s.own[j] = make([]uint64, c.N)
+		s.rows[j].Coeffs = s.own[j]
 	}
 	s.rows[j].Mod = c.Mods[j]
 	return s.rows[j]
 }
+
+// Fused reports whether Exec takes the fused path: no integrity checker and
+// no fault injector attached. Only there may a slot row be caller memory.
+func (c *Coprocessor) Fused() bool { return c.integrity == nil && c.injector == nil }
 
 // rowHdrs returns n ≤ 2·width row headers of co-processor-owned scratch —
 // room for the widest instruction's input and output row sets side by side.
@@ -340,20 +360,20 @@ func (c *Coprocessor) rowHdrs(n int) []poly.Poly {
 // the clean source data before any DMA fault corrupts the stored copy, so a
 // glitched burst is caught at the row's next read.
 func (c *Coprocessor) LoadSlot(idx uint8, lo int, rows []poly.Poly, d domainTag) {
-	s := c.slotAt(idx)
-	if lo < 0 || lo+len(rows) > c.KQ+c.KP {
-		panic(fmt.Sprintf("hwsim: LoadSlot rows [%d, %d) outside the %d-row set", lo, lo+len(rows), c.KQ+c.KP))
-	}
+	c.load(idx, lo, rows, d, 0)
+}
+
+// load is LoadSlot, applying σ_g to each row on its way in unless g is 0.
+func (c *Coprocessor) load(idx uint8, lo int, rows []poly.Poly, d domainTag, g int) {
+	s := c.checkRows("LoadSlot", idx, lo, rows)
 	for i, r := range rows {
 		j := lo + i
-		if r.Mod.Q != c.Mods[j].Q {
-			panic("hwsim: LoadSlot modulus mismatch")
-		}
-		if len(r.Coeffs) != c.N {
-			panic(fmt.Sprintf("hwsim: LoadSlot row of %d coefficients, want %d", len(r.Coeffs), c.N))
-		}
 		dst := c.wrow(s, j)
-		copy(dst.Coeffs, r.Coeffs)
+		if g == 0 {
+			copy(dst.Coeffs, r.Coeffs)
+		} else {
+			rlwe.AutomorphRowInto(dst.Mod, g, r, dst)
+		}
 		s.domain[j] = d
 		if c.integrity != nil {
 			c.ensureTags(s)
@@ -372,6 +392,24 @@ func (c *Coprocessor) LoadSlot(idx uint8, lo int, rows []poly.Poly, d domainTag)
 	}
 }
 
+// checkRows returns slot idx, panicking as LoadSlot documents.
+func (c *Coprocessor) checkRows(what string, idx uint8, lo int, rows []poly.Poly) *slot {
+	s := c.slotAt(idx)
+	if lo < 0 || lo+len(rows) > c.KQ+c.KP {
+		panic(fmt.Sprintf("hwsim: %s rows [%d, %d) outside the %d-row set", what, lo, lo+len(rows), c.KQ+c.KP))
+	}
+	for i, r := range rows {
+		if r.Mod.Q != c.Mods[lo+i].Q {
+			panic("hwsim: " + what + " modulus mismatch")
+		}
+		if len(r.Coeffs) != c.N {
+			panic(fmt.Sprintf("hwsim: %s row of %d coefficients, want %d", what, len(r.Coeffs), c.N))
+		}
+	}
+	c.ensureRows(s)
+	return s
+}
+
 // LoadSlotCoeff loads coefficient-domain rows starting at prime index lo.
 func (c *Coprocessor) LoadSlotCoeff(idx uint8, lo int, rows []poly.Poly) {
 	c.LoadSlot(idx, lo, rows, domCoeff)
@@ -382,14 +420,73 @@ func (c *Coprocessor) LoadSlotNTT(idx uint8, lo int, rows []poly.Poly) {
 	c.LoadSlot(idx, lo, rows, domNTT)
 }
 
+// LoadSlotAutomorph loads σ_g of coefficient-domain rows from prime index 0:
+// the sign-aware permutation streams through the rearrangement port as the
+// rows arrive. It is a load like any other: tagged, a DMA fault opportunity.
+func (c *Coprocessor) LoadSlotAutomorph(idx uint8, g int, rows []poly.Poly) {
+	c.load(idx, 0, rows, domCoeff, g)
+}
+
+// ViewSlot is LoadSlotCoeff from prime index 0, except that on the fused
+// path each slot row becomes a read-only view of the caller's row and no
+// coefficient moves: a write gives the row the slot's own storage (wrow).
+// The guarded path copies: the injectors must hit memory the co-processor
+// owns.
+func (c *Coprocessor) ViewSlot(idx uint8, rows []poly.Poly) {
+	if !c.Fused() {
+		c.LoadSlotCoeff(idx, 0, rows)
+		return
+	}
+	c.bind(idx, rows, true, domCoeff)
+}
+
+// BindSlot points residue rows [0, len(rows)) of a slot, empty, at the
+// caller's rows on the fused path: instructions write the result there, and
+// ReadSlotInto of the same rows copies nothing. The guarded path ignores it.
+func (c *Coprocessor) BindSlot(idx uint8, rows []poly.Poly) {
+	if c.Fused() {
+		c.bind(idx, rows, false, domEmpty)
+	}
+}
+
+func (c *Coprocessor) bind(idx uint8, rows []poly.Poly, view bool, d domainTag) {
+	s := c.checkRows("BindSlot", idx, 0, rows)
+	for j, r := range rows {
+		s.rows[j] = poly.Poly{Mod: c.Mods[j], Coeffs: r.Coeffs}
+		s.view[j], s.domain[j] = view, d
+	}
+	c.bound = true
+}
+
+// Unbind ends a fused-path operation that bound rows: every row is the
+// slot's own storage again and the file is wiped, so that it references no
+// caller memory between operations.
+func (c *Coprocessor) Unbind() {
+	if !c.bound {
+		return
+	}
+	for i := range c.slots {
+		s := &c.slots[i]
+		for j := range s.rows {
+			s.rows[j].Coeffs = s.own[j]
+		}
+		clear(s.view)
+		clear(s.domain)
+	}
+	clear(c.hdrs)
+	c.bound = false
+}
+
 // ReadSlotInto copies residue rows [lo, lo+len(dst)) of a slot into the
-// caller's rows — the FPGA→Arm readback into host memory the caller owns: a
-// result ciphertext, or the scratch of a host-side step (the Rotate
-// permutation). It allocates nothing.
+// caller's rows — the FPGA→Arm readback into host memory the caller owns. A
+// destination row that is the slot row's backing (BindSlot) already holds
+// the result and is left as it is. It allocates nothing.
 func (c *Coprocessor) ReadSlotInto(idx uint8, lo int, dst []poly.Poly) {
 	s := c.slotAt(idx)
 	for i := range dst {
-		copy(dst[i].Coeffs, c.row(s, lo+i).Coeffs)
+		if r := c.row(s, lo+i); &r.Coeffs[0] != &dst[i].Coeffs[0] {
+			copy(dst[i].Coeffs, r.Coeffs)
+		}
 	}
 }
 
@@ -401,6 +498,7 @@ func (c *Coprocessor) ReadSlotInto(idx uint8, lo int, dst []poly.Poly) {
 // out, so faults in state an aborted operation never re-read stay accounted
 // for and the chaos ledger balances.
 func (c *Coprocessor) ClearSlots() {
+	c.Unbind()
 	for i := range c.slots {
 		s := &c.slots[i]
 		if ic := c.integrity; ic != nil {
@@ -462,7 +560,7 @@ func (c *Coprocessor) Transfer(t Transfer) Cycles {
 // the cycles of a recomputation; otherwise it is the seed path bit-for-bit
 // and cycle-for-cycle.
 func (c *Coprocessor) Exec(in Instr) (Cycles, error) {
-	if c.integrity == nil && c.injector == nil {
+	if c.Fused() {
 		return c.execOp(in)
 	}
 	return c.execGuarded(in)
@@ -485,26 +583,22 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		}
 		// Validate domains and materialize rows up front, then let the RPAUs
 		// transform their residue polynomials concurrently, as the hardware
-		// does.
-		rows := c.rowHdrs(hi - lo)
+		// does. A view (coefficient data: only NTT reads one) transforms out
+		// of place into the slot's own storage.
+		k := hi - lo
+		src := c.rowHdrs(k)
 		for j := lo; j < hi; j++ {
-			rows[j-lo] = c.row(s, j)
+			src[j-lo] = c.row(s, j)
 			if d := s.domain[j]; d != domZero && d != want {
 				return 0, fmt.Errorf("hwsim: %v on slot %d row %d in wrong domain", in.Op, in.A, j)
 			}
 		}
 		for j := lo; j < hi; j++ {
+			c.wrow(s, j)
 			s.domain[j] = set
 		}
-		tables := c.tables[lo:hi]
-		inverse := in.Op == OpINTT
-		c.Pool.Run(c.N*len(rows), len(rows), func(i int) {
-			if inverse {
-				tables[i].Inverse(rows[i].Coeffs)
-			} else {
-				tables[i].Forward(rows[i].Coeffs)
-			}
-		})
+		c.sweep = rowTask{op: in.Op, tables: c.tables[lo:hi], a: src, d: s.rows[lo:hi]}
+		c.Pool.RunTask(c.N*k, k, &c.sweep)
 
 	case OpCMul, OpCAdd, OpCSub, OpCMac:
 		lo, hi := c.batchRange(in.Batch)
@@ -512,11 +606,14 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 		// Operand check first (domain mixing is a scheduler bug), then the
 		// bookkeeping — the result inherits the operands' domain — then the
 		// concurrent row sweep. Every one of these is a per-coefficient map,
-		// so Dst may alias either operand. CMac accumulates, so it reads its
-		// destination; the other three overwrite it.
+		// so Dst may alias either operand (its rows are taken first, so a view
+		// Dst gives up is still read). CMac accumulates, so it reads its
+		// destination, moving a view into own storage; the others overwrite.
+		k := hi - lo
+		hdrs := c.rowHdrs(2 * k)
+		ra, rb := hdrs[:k], hdrs[k:]
 		for j := lo; j < hi; j++ {
-			c.row(sa, j)
-			c.row(sb, j)
+			ra[j-lo], rb[j-lo] = c.row(sa, j), c.row(sb, j)
 			if sa.domain[j] != domZero && sb.domain[j] != domZero && sa.domain[j] != sb.domain[j] {
 				return 0, fmt.Errorf("hwsim: %v mixes domains (slot %d row %d)", in.Op, in.A, j)
 			}
@@ -527,27 +624,16 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 				dom = sb.domain[j]
 			}
 			if in.Op == OpCMac {
-				c.row(sd, j)
+				if r := c.row(sd, j); sd.view[j] {
+					copy(c.wrow(sd, j).Coeffs, r.Coeffs)
+				}
 			} else {
 				c.wrow(sd, j)
 			}
 			sd.domain[j] = dom
 		}
-		op := in.Op
-		c.Pool.Run(c.N*(hi-lo), hi-lo, func(i int) {
-			j := lo + i
-			a, b, d := sa.rows[j], sb.rows[j], sd.rows[j]
-			switch op {
-			case OpCMul:
-				a.MulInto(b, d)
-			case OpCAdd:
-				a.AddInto(b, d)
-			case OpCSub:
-				a.SubInto(b, d)
-			case OpCMac:
-				a.MulAddInto(b, d) // the SoP primitive of relinearization
-			}
-		})
+		c.sweep = rowTask{op: in.Op, tables: c.tables[lo:hi], a: ra, b: rb, d: sd.rows[lo:hi]}
+		c.Pool.RunTask(c.N*k, k, &c.sweep)
 
 	case OpRearr:
 		// A layout conversion: the simulator's rows have one layout, so it
@@ -668,6 +754,36 @@ func (c *Coprocessor) execOp(in Instr) (Cycles, error) {
 	}
 
 	return c.charge(in), nil
+}
+
+// rowTask is execOp's row sweep of the transforms and the coefficient-wise
+// ops, resident (Coprocessor.sweep) so an instruction allocates nothing.
+type rowTask struct {
+	op      Op
+	tables  []*poly.NTTTable
+	a, b, d []poly.Poly
+}
+
+func (t *rowTask) RunIndex(i int) {
+	a, d := t.a[i], t.d[i]
+	switch t.op {
+	case OpNTT:
+		if &a.Coeffs[0] != &d.Coeffs[0] {
+			t.tables[i].ForwardFromInto(d.Coeffs, a.Coeffs)
+		} else {
+			t.tables[i].Forward(d.Coeffs)
+		}
+	case OpINTT:
+		t.tables[i].Inverse(d.Coeffs)
+	case OpCMul:
+		a.MulInto(t.b[i], d)
+	case OpCAdd:
+		a.AddInto(t.b[i], d)
+	case OpCSub:
+		a.SubInto(t.b[i], d)
+	case OpCMac:
+		a.MulAddInto(t.b[i], d) // the SoP primitive of relinearization
+	}
 }
 
 // charge books an executed instruction's cost-table entry on the ledger and

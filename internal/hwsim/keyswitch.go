@@ -106,7 +106,7 @@ func (c *Coprocessor) KeySwitch(ks KeySwitch, trace *[]Task) error {
 	if err := c.checkKeySwitch(&ks); err != nil {
 		return err
 	}
-	if c.integrity == nil && c.injector == nil {
+	if c.Fused() {
 		c.walk(&ks, trace, func(st loopStep) (Cycles, error) {
 			if st.dma {
 				return c.Transfer(ks.Stream), nil

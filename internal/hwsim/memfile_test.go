@@ -300,25 +300,169 @@ func TestRefusedInstructionWritesNothing(t *testing.T) {
 
 // TestLoadSlotRejectsBadRows: LoadSlot copies into a resident row, so a row
 // of the wrong length (which a Clone never had to notice), the wrong modulus
-// or past the row set is a scheduler bug and panics.
+// or past the row set is a scheduler bug and panics — and so is such a row
+// bound as a view or a result, which an instruction would read or write
+// under the slot's prime.
 func TestLoadSlotRejectsBadRows(t *testing.T) {
 	c := testCoproc(t, 64)
 	r := rand.New(rand.NewSource(24))
 	good := randRows(r, c.Mods[:1], 64)[0]
-	for name, load := range map[string]func(){
-		"short row":        func() { c.LoadSlotCoeff(0, 0, []poly.Poly{{Mod: good.Mod, Coeffs: good.Coeffs[:63]}}) },
-		"long row":         func() { c.LoadSlotCoeff(0, 0, []poly.Poly{{Mod: good.Mod, Coeffs: make([]uint64, 65)}}) },
-		"modulus mismatch": func() { c.LoadSlotCoeff(0, 1, []poly.Poly{good}) },
-		"past the row set": func() { c.LoadSlotCoeff(0, c.KQ+c.KP, []poly.Poly{good}) },
+	for _, place := range []struct {
+		name string
+		f    func(lo int, rows []poly.Poly)
+	}{
+		{"LoadSlot", func(lo int, rows []poly.Poly) { c.LoadSlotCoeff(0, lo, rows) }},
+		{"ViewSlot", func(lo int, rows []poly.Poly) { c.ViewSlot(0, append(make([]poly.Poly, lo), rows...)) }},
+		{"BindSlot", func(lo int, rows []poly.Poly) { c.BindSlot(0, append(make([]poly.Poly, lo), rows...)) }},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("LoadSlot accepted a %s", name)
-				}
+		for name, load := range map[string]func(){
+			"short row":        func() { place.f(0, []poly.Poly{{Mod: good.Mod, Coeffs: good.Coeffs[:63]}}) },
+			"long row":         func() { place.f(0, []poly.Poly{{Mod: good.Mod, Coeffs: make([]uint64, 65)}}) },
+			"modulus mismatch": func() { place.f(1, []poly.Poly{good}) },
+			"past the row set": func() { place.f(c.KQ+c.KP, []poly.Poly{good}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted a %s", place.name, name)
+					}
+				}()
+				load()
 			}()
-			load()
-		}()
+		}
+		c.ClearSlots()
+	}
+}
+
+// TestViewsAreReadOnly: on the fused path an operand slot is a view of the
+// caller's rows. Every instruction that writes a view row — in place (NTT),
+// with Dst == A (CMul, CMac, Decomp, Scale, Rescale) or beside it (Lift's p
+// rows) — computes what it computes from a loaded copy, and the caller's
+// rows come back byte for byte.
+func TestViewsAreReadOnly(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	c, ref := testCoproc(t, 64), testCoproc(t, 64)
+	ch, chRef := testChain(t, 64, 3), testChain(t, 64, 3)
+	x := randRows(r, c.Mods[:c.KQ], 64)
+	chx := randRows(r, ch.Mods[:ch.KQ], 64)
+	for _, tc := range []struct {
+		name   string
+		c, ref *Coprocessor
+		src    []poly.Poly
+		prog   []Instr
+		rows   int
+	}{
+		{"NTT in place", c, ref, x, []Instr{{Op: OpNTT, A: 0, Batch: BatchQ}}, c.KQ},
+		{"CMul Dst == A", c, ref, x, []Instr{{Op: OpCMul, Dst: 0, A: 0, B: 1, Batch: BatchQ}}, c.KQ},
+		{"CMac Dst == A", c, ref, x, []Instr{{Op: OpCMac, Dst: 0, A: 0, B: 1, Batch: BatchQ}}, c.KQ},
+		{"Decomp Dst == A", c, ref, x, []Instr{{Op: OpDecomp, Dst: 0, A: 0, B: 1}}, c.KQ},
+		{"Lift", c, ref, x, []Instr{{Op: OpLift, A: 0}}, c.KQ + c.KP},
+		{"Lift then Scale Dst == A", c, ref, x, []Instr{{Op: OpLift, A: 0}, {Op: OpScale, Dst: 0, A: 0}}, c.KQ},
+		{"Rescale Dst == A", ch, chRef, chx, []Instr{{Op: OpRescale, Dst: 0, A: 0, Batch: BatchQ}}, ch.KQ - 1},
+	} {
+		view := cloneRows(tc.src)
+		y := randRows(r, tc.c.Mods[:len(tc.src)], 64)
+		for _, m := range []*Coprocessor{tc.c, tc.ref} {
+			m.ClearSlots()
+			m.LoadSlotCoeff(1, 0, y)
+		}
+		tc.c.ViewSlot(0, view)
+		tc.ref.LoadSlotCoeff(0, 0, tc.src)
+		mustExec(t, tc.c, tc.prog...)
+		mustExec(t, tc.ref, tc.prog...)
+		wantRows(t, tc.name, readSlot(tc.c, 0, 0, tc.rows), readSlot(tc.ref, 0, 0, tc.rows))
+		wantRows(t, tc.name+": the viewed rows", view, tc.src)
+	}
+}
+
+func cloneRows(rows []poly.Poly) []poly.Poly {
+	out := make([]poly.Poly, len(rows))
+	for j, r := range rows {
+		out[j] = poly.Poly{Mod: r.Mod, Coeffs: append([]uint64(nil), r.Coeffs...)}
+	}
+	return out
+}
+
+// TestBoundResultComputedInPlace: a result slot bound to the caller's rows
+// is written there, and ReadSlotInto of those same rows moves nothing — a
+// coefficient the caller changes after the instruction survives the
+// readback — while a readback into other rows still copies.
+func TestBoundResultComputedInPlace(t *testing.T) {
+	c := testCoproc(t, 64)
+	r := rand.New(rand.NewSource(28))
+	dirty(c, r)
+	q := c.Mods[:c.KQ]
+	a, b := randRows(r, q, 64), randRows(r, q, 64)
+	c.ViewSlot(0, a)
+	c.ViewSlot(1, b)
+	out := randRows(r, q, 64)
+	c.BindSlot(2, out)
+	mustExec(t, c, Instr{Op: OpCAdd, Dst: 2, A: 0, B: 1, Batch: BatchQ})
+	sum := rowWise(q, a, b, ring.Modulus.Add)
+	wantRows(t, "CAdd into a bound result", out, sum)
+	out[0].Coeffs[5]++
+	c.ReadSlotInto(2, 0, out)
+	if out[0].Coeffs[5] != sum[0].Coeffs[5]+1 {
+		t.Fatal("ReadSlotInto copied into the rows the slot is bound to")
+	}
+	other := randRows(r, q, 64)
+	c.ReadSlotInto(2, 0, other)
+	wantRows(t, "ReadSlotInto into other rows", other, out)
+
+	// The guarded path binds nothing: the result lands in the slot's own
+	// storage and only the readback reaches the caller.
+	g, _ := guardedCoproc(t, nil)
+	g.ViewSlot(0, a)
+	g.ViewSlot(1, b)
+	mine := randRows(r, q, 64)
+	before := cloneRows(mine)
+	g.BindSlot(2, mine)
+	mustExec(t, g, Instr{Op: OpCAdd, Dst: 2, A: 0, B: 1, Batch: BatchQ})
+	wantRows(t, "guarded BindSlot", mine, before)
+	wantRows(t, "guarded readback", readSlot(g, 2, 0, g.KQ), sum)
+}
+
+// TestClearDropsBindings: after ClearSlots, and after the chain
+// co-processor's SetLevel, no slot row references caller memory — every row
+// is the slot's own storage again, and reads as zero.
+func TestClearDropsBindings(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for _, clearing := range []struct {
+		name string
+		c    *Coprocessor
+		wipe func(c *Coprocessor)
+	}{
+		{"ClearSlots", testCoproc(t, 64), (*Coprocessor).ClearSlots},
+		{"SetLevel", testChain(t, 64, 3), func(c *Coprocessor) {
+			if err := c.SetLevel(c.level - 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		c := clearing.c
+		q := c.Mods[:c.KQ]
+		a, out := randRows(r, q, 64), randRows(r, q, 64)
+		c.ViewSlot(0, a)
+		c.BindSlot(1, out)
+		clearing.wipe(c)
+		caller := map[*uint64]bool{}
+		for _, row := range append(a, out...) {
+			caller[&row.Coeffs[0]] = true
+		}
+		for i := range c.slots {
+			for j, row := range c.slots[i].rows {
+				if len(row.Coeffs) > 0 && caller[&row.Coeffs[0]] {
+					t.Fatalf("%s: slot %d row %d still references caller memory", clearing.name, i, j)
+				}
+			}
+		}
+		for _, row := range readSlot(c, 0, 0, c.KQ) {
+			for _, v := range row.Coeffs {
+				if v != 0 {
+					t.Fatalf("%s: a dropped view reads as data", clearing.name)
+				}
+			}
+		}
 	}
 }
 

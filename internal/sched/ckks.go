@@ -101,8 +101,9 @@ func (s *CKKSScheduler) MulRescaleInto(out, a, b *ckks.Ciphertext, rk *ckks.Reli
 	if err := s.C.SetLevel(level); err != nil {
 		return Report{}, err
 	}
+	defer s.C.Unbind()
 	k := level + 1
-	rep, start := s.begin(k, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
+	rep, start := s.begin(out.Els, k, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
 
 	// Phases 1–3: the four operands to the NTT domain (chain rows only —
 	// CKKS multiplies over the live chain, no basis lift), the tensor, and
@@ -128,6 +129,7 @@ func (s *CKKSScheduler) MulRescaleInto(out, a, b *ckks.Ciphertext, rk *ckks.Reli
 	// landing one level down in the freed operand slots.
 	s.live.set(slotA1, k-1)
 	s.live.set(slotB0, k-1)
+	s.bind(&out.Els, slotA1, slotB0, k-1)
 	if err := s.run(
 		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc0, A: slotA0, B: slotMd0, Batch: hwsim.BatchQ},
 		hwsim.Instr{Op: hwsim.OpCAdd, Dst: slotAcc1, A: slotT1, B: slotMd1, Batch: hwsim.BatchQ},
@@ -150,9 +152,9 @@ func (s *CKKSScheduler) Rotate(ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (
 	return fresh(out, rep, err)
 }
 
-// RotateInto executes a slot rotation: host-side automorphism readback (the
-// sign-aware permutation streams through the rearrangement port, as in the
-// BFV Rotate), then the hybrid keyswitch brings σ_g(s) back to s. The result
+// RotateInto executes a slot rotation: the automorphism (the sign-aware
+// permutation streams through the rearrangement port, as in the BFV
+// Rotate), then the hybrid keyswitch brings σ_g(s) back to s. The result
 // is read back into out as AddInto does.
 func (s *CKKSScheduler) RotateInto(out, ct *ckks.Ciphertext, r int, gk *ckks.GaloisKey) (Report, error) {
 	if len(ct.Els) != 2 {
@@ -166,9 +168,11 @@ func (s *CKKSScheduler) RotateInto(out, ct *ckks.Ciphertext, r int, gk *ckks.Gal
 	if err := s.C.SetLevel(level); err != nil {
 		return Report{}, err
 	}
+	defer s.C.Unbind()
 	k := level + 1
-	rep, start := s.begin(k, ct.Els[0], ct.Els[1])
-	if err := s.automorph(gk.G, k); err != nil {
+	rep, start := s.begin(out.Els, k, ct.Els[0], ct.Els[1])
+	s.bind(&out.Els, slotAcc0, slotMd1, k)
+	if err := s.automorph(gk.G, ct.Els); err != nil {
 		return Report{}, err
 	}
 	// Keyswitch σ_g(c1) → s, ModDown, combine: c0' = σ(c0) + md0,

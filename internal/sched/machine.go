@@ -36,6 +36,9 @@ const (
 	numSlots = slotMd0
 )
 
+// operandSlots are the slots begin sends operands to, in order.
+var operandSlots = [...]uint8{slotA0, slotA1, slotB0, slotB1}
+
 // MinSlots returns the memory-file size the BFV schedules need. The
 // slot-reuse discipline makes it independent of the relinearization digit
 // count.
@@ -94,12 +97,10 @@ type machine struct {
 
 	live liveness
 
-	// rd and perm are the host side of the Rotate readback: the slot's rows
-	// are copied out into rd, permuted into perm and loaded back. Allocated
-	// over mods at the first rotation and sliced to the operand's rows.
-	n        int
-	mods     []ring.Modulus
-	rd, perm poly.RNSPoly
+	// inPlace: the result may be computed in the destination (bind).
+	inPlace bool
+	n       int
+	mods    []ring.Modulus
 }
 
 func newMachine(c *hwsim.Coprocessor, mods []ring.Modulus, n int) machine {
@@ -172,19 +173,52 @@ func (m *machine) reset() {
 // residue rows each, to consecutive slots from slotA0 in the coefficient
 // domain: the Arm→FPGA transfer, modelled as a single contiguous DMA (the
 // paper's memory layout keeps the coefficients contiguous exactly for this).
-// It returns the operation's report so far, the send's ledger entry, and the
-// ledger reading the compute cycles count from.
-func (m *machine) begin(rows int, els ...poly.RNSPoly) (Report, hwsim.Cycles) {
+// On the fused path the slots are views (hwsim.Coprocessor.ViewSlot) and no
+// coefficient moves. Unless out, the destination, shares a row with an
+// operand, the result may be computed in place (bind). It returns the
+// operation's report so far, the send's ledger entry, and the ledger reading
+// the compute cycles count from.
+func (m *machine) begin(out []poly.RNSPoly, rows int, els ...poly.RNSPoly) (Report, hwsim.Cycles) {
 	m.reset()
-	var written []uint8
+	m.inPlace = m.C.Fused() && !sharesRow(out, els)
 	for i, el := range els {
-		slot := slotA0 + uint8(i)
-		m.C.LoadSlotCoeff(slot, 0, el.Rows)
+		slot := operandSlots[i]
+		m.C.ViewSlot(slot, el.Rows)
 		m.live.set(slot, rows)
-		written = append(written, slot)
 	}
-	send := m.transfer(hwsim.Transfer{Bytes: len(els) * hwsim.PolyBytes(m.n, rows), Label: "send ciphertexts"}, written, nil)
+	send := m.transfer(hwsim.Transfer{Bytes: len(els) * hwsim.PolyBytes(m.n, rows), Label: "send ciphertexts"},
+		operandSlots[:len(els)], nil)
 	return Report{SendCycles: send}, m.C.Stats.Total
+}
+
+// sharesRow reports whether a row of out — or one its capacity holds, which
+// rlwe.Reshape may reuse — is a row of one of els.
+func sharesRow(out, els []poly.RNSPoly) bool {
+	for _, o := range out[:cap(out)] {
+		for _, r := range o.Rows[:cap(o.Rows)] {
+			for _, el := range els {
+				for _, x := range el.Rows {
+					if len(r.Coeffs) > 0 && len(x.Coeffs) > 0 && &r.Coeffs[0] == &x.Coeffs[0] {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// bind points the result slots el0 and el1 at *out, shaped by rlwe.Reshape,
+// before any instruction writes them (hwsim.Coprocessor.BindSlot), so the
+// result is computed where finish would copy it. On the guarded path, or
+// when out shares a row with an operand, finish copies it out as before.
+func (m *machine) bind(out *[]poly.RNSPoly, el0, el1 uint8, rows int) {
+	if !m.inPlace {
+		return
+	}
+	rlwe.Reshape(out, 2, m.mods[:rows], m.n)
+	m.C.BindSlot(el0, (*out)[0].Rows)
+	m.C.BindSlot(el1, (*out)[1].Rows)
 }
 
 // finish closes an operation whose compute began at ledger reading start:
@@ -193,7 +227,8 @@ func (m *machine) begin(rows int, els ...poly.RNSPoly) (Report, hwsim.Cycles) {
 // FPGA→Arm DMA, which goes on the ledger as the report's receive entry. The
 // readback lands in *out, shaped to `rows` rows by rlwe.Reshape — the rule a
 // recycled operand is decoded under — so a destination the caller recycles
-// costs no allocation. *out is untouched when the scrub fails.
+// costs no allocation; a result bound to *out (bind) is already there. On
+// the guarded path *out is untouched when the scrub fails.
 func (m *machine) finish(out *[]poly.RNSPoly, rep Report, start hwsim.Cycles, el0, el1 uint8, rows int) (Report, error) {
 	rep.ComputeCycles = m.C.Stats.Total - start
 	if err := m.C.Scrub(); err != nil {
@@ -202,26 +237,21 @@ func (m *machine) finish(out *[]poly.RNSPoly, rep Report, start hwsim.Cycles, el
 	rlwe.Reshape(out, 2, m.mods[:rows], m.n)
 	m.C.ReadSlotInto(el0, 0, (*out)[0].Rows)
 	m.C.ReadSlotInto(el1, 0, (*out)[1].Rows)
-	rep.ReceiveCycles = m.transfer(hwsim.Transfer{Bytes: 2 * hwsim.PolyBytes(m.n, rows), Label: "receive ciphertext"},
-		nil, []uint8{el0, el1})
-	return rep, nil
-}
-
-// readback copies the first `rows` rows of a slot into the rd scratch.
-func (m *machine) readback(slot uint8, rows int) poly.RNSPoly {
-	if m.rd.Rows == nil {
-		m.rd = poly.NewRNSPoly(m.mods, m.n)
-		m.perm = poly.NewRNSPoly(m.mods, m.n)
+	var read []uint8
+	if m.Record {
+		read = []uint8{el0, el1}
 	}
-	rd := poly.RNSPoly{Rows: m.rd.Rows[:rows]}
-	m.C.ReadSlotInto(slot, 0, rd.Rows)
-	return rd
+	rep.ReceiveCycles = m.transfer(hwsim.Transfer{Bytes: 2 * hwsim.PolyBytes(m.n, rows), Label: "receive ciphertext"},
+		nil, read)
+	return rep, nil
 }
 
 // add is the whole Add operation: one coefficient-wise addition per
 // ciphertext element, the result read back into *out.
 func (m *machine) add(out *[]poly.RNSPoly, rows int, a, b []poly.RNSPoly) (Report, error) {
-	rep, start := m.begin(rows, a[0], a[1], b[0], b[1])
+	defer m.C.Unbind()
+	rep, start := m.begin(*out, rows, a[0], a[1], b[0], b[1])
+	m.bind(out, slotAcc0, slotAcc1, rows)
 	for i := uint8(0); i < 2; i++ {
 		m.live.set(slotAcc0+i, rows)
 		if _, err := m.exec(hwsim.Instr{
@@ -292,20 +322,16 @@ func (m *machine) tensor(batches []hwsim.Batch) error {
 	return nil
 }
 
-// automorph applies σ_g to the two operand polynomials (`rows` rows each) in
-// place: the sign-aware permutation is a host readback streamed through the
-// rearrangement port, one pass per element. The readback reads just-loaded
-// operands; scrub first so a glitched operand DMA cannot flow silently
-// through the reload.
-func (m *machine) automorph(g, rows int) error {
+// automorph reloads the two operand slots with σ_g of the operands els
+// (hwsim.Coprocessor.LoadSlotAutomorph), one pass through the rearrangement
+// port per element. The guarded path scrubs its copies of els first, so a
+// glitched operand DMA cannot pass unnoticed.
+func (m *machine) automorph(g int, els []poly.RNSPoly) error {
 	if err := m.C.Scrub(); err != nil {
 		return err
 	}
-	for _, slot := range []uint8{slotA0, slotA1} {
-		rd := m.readback(slot, rows)
-		perm := poly.RNSPoly{Rows: m.perm.Rows[:rows]}
-		rlwe.AutomorphInto(g, rd, perm)
-		m.C.LoadSlotCoeff(slot, 0, perm.Rows)
+	for i, slot := range []uint8{slotA0, slotA1} {
+		m.C.LoadSlotAutomorph(slot, g, els[i].Rows)
 		if _, err := m.exec(hwsim.Instr{Op: hwsim.OpRearr, A: slot, Batch: hwsim.BatchQ}); err != nil {
 			return err
 		}

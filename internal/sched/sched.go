@@ -127,8 +127,10 @@ func (s *Scheduler) MulInto(out, a, b *fv.Ciphertext, rk *fv.RelinKey) (Report, 
 	if len(a.Els) != 2 || len(b.Els) != 2 {
 		return Report{}, fmt.Errorf("sched: Mul expects degree-1 ciphertexts")
 	}
+	defer s.C.Unbind()
 	kq := s.P.QBasis.K()
-	rep, start := s.begin(kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
+	rep, start := s.begin(out.Els, kq, a.Els[0], a.Els[1], b.Els[0], b.Els[1])
+	s.bind(&out.Els, slotAcc0, slotAcc1, kq)
 	if err := s.mulProgram(rk); err != nil {
 		return Report{}, err
 	}
@@ -262,9 +264,11 @@ func (s *Scheduler) RotateInto(out, ct *fv.Ciphertext, gk *fv.GaloisKey) (Report
 	if len(ct.Els) != 2 {
 		return Report{}, fmt.Errorf("sched: Rotate expects a degree-1 ciphertext")
 	}
+	defer s.C.Unbind()
 	kq := s.P.QBasis.K()
-	rep, start := s.begin(kq, ct.Els[0], ct.Els[1])
-	if err := s.automorph(gk.G, kq); err != nil {
+	rep, start := s.begin(out.Els, kq, ct.Els[0], ct.Els[1])
+	s.bind(&out.Els, slotAcc0, slotAcc1, kq)
+	if err := s.automorph(gk.G, ct.Els); err != nil {
 		return Report{}, err
 	}
 	// Key switch σ_g(c1) → s, then c0' = σ(c0) + sop0; c1' = sop1.
