@@ -16,10 +16,13 @@ test:
 # engine that builds every worker's co-processors and the chaos schedules
 # that fault them on them, and the figure gate, which holds BENCH_sim.json
 # identical on this path; and the wire's frame checksum against hash/crc32,
-# which is the whole checksum there. CI's test job calls it.
+# which is the whole checksum there: the lane's tests, the mux session's, and
+# the two that hold a relay to forwarding every payload under the checksum
+# its sender wrote. CI's test job calls it.
 test-purego:
 	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest ./internal/engine ./internal/faults ./internal/hebench
-	$(GO) test -tags purego -run 'Checksum' ./internal/cloud
+	$(GO) test -tags purego -run 'Checksum|TestMux|TestRouterMemoryFlip' ./internal/cloud
+	$(GO) test -tags purego -run 'TestRouterRelaysPayloadAndChecksum' ./internal/cluster
 
 race:
 	$(GO) test -race ./...
@@ -137,9 +140,11 @@ fuzz-long:
 # garbles, RPAU kills/stalls, limb corruption — including during the CKKS
 # Rescale — and dropped, garbled and bit-flipped wire frames) through real
 # encrypt -> evaluate -> decrypt workloads, under the race detector. Pinned
-# seeds make a failure replayable.
+# seeds make a failure replayable. A bit flipped in a relay's memory, between
+# its verify and its forward, rides along.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/faults
+	$(GO) test -race -count=1 -run 'TestRouterMemoryFlip' ./internal/cloud
 
 # Lines of non-test Go outside bench/ (the benchmark's own code is not the
 # system being measured) — the size figure CHANGES.md quotes for simplicity

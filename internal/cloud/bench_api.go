@@ -62,7 +62,7 @@ func ReadRequestCKKS(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Req
 
 // WriteResponse serializes a response.
 func WriteResponse(w io.Writer, params *fv.Params, resp *Response) error {
-	return writeReply(w, resp, params, resp.ID)
+	return writeReply(w, resp, params)
 }
 
 // ReadResponseV deserializes an op response and stamps ver into its Ver (the
@@ -84,9 +84,9 @@ func ReadCKKSResponseV(r io.Reader, cparams *ckks.Params, _ uint8) (*Response, e
 
 // readResponse reads an op reply; a server-reported failure sets Err and Code.
 func readResponse(r io.Reader, cd *codec, cmd uint8) (*Response, error) {
-	id, rep, err := readReply(r, cd, cmd)
+	rep, err := readReply(r, cd, cmd)
 	if se, ok := rep.(*ServerError); ok {
-		return &Response{ID: id, Err: se.Msg, Code: se.Code}, nil
+		return &Response{Err: se.Msg, Code: se.Code}, nil
 	}
 	resp, _ := rep.(*Response)
 	return resp, err
@@ -94,16 +94,16 @@ func readResponse(r io.Reader, cd *codec, cmd uint8) (*Response, error) {
 
 // WriteProgramResponse serializes a CmdProgram reply.
 func WriteProgramResponse(w io.Writer, params *fv.Params, resp *ProgramResponse) error {
-	return writeReply(w, resp, params, resp.ID)
+	return writeReply(w, resp, params)
 }
 
 // ReadProgramResponse deserializes a CmdProgram reply; a server-reported
 // failure sets Err and Code.
 func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, error) {
 	cd := newCodec(params, nil)
-	id, rep, err := readReply(r, &cd, CmdProgram)
+	rep, err := readReply(r, &cd, CmdProgram)
 	if se, ok := rep.(*ServerError); ok {
-		return &ProgramResponse{ID: id, Err: se.Msg, Code: se.Code}, nil
+		return &ProgramResponse{Err: se.Msg, Code: se.Code}, nil
 	}
 	resp, _ := rep.(*ProgramResponse)
 	return resp, err
@@ -111,22 +111,21 @@ func ReadProgramResponse(r io.Reader, params *fv.Params) (*ProgramResponse, erro
 
 // readReply frames and materializes the one reply to a cmd request r holds
 // to its end, under cd; a server-reported failure is the *ServerError it is.
-func readReply(r io.Reader, cd *codec, cmd uint8) (uint64, Reply, error) {
+func readReply(r io.Reader, cd *codec, cmd uint8) (Reply, error) {
 	hint := 64 // room for a two-element result, the usual reply
 	if l, err := cd.layout(cmd); err == nil {
 		hint += 2 * len(l.Mods) * l.N * 4
 	}
 	buf, err := readAll(r, hint, math.MaxInt)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	raw := &RawReply{buf: buf}
 	defer raw.Release()
 	if err := raw.read(&cursor{buf: buf.b, left: math.MaxInt}, cd, cmd); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	rep, err := raw.Reply()
-	return raw.ID(), rep, err
+	return raw.Reply()
 }
 
 // readAll reads r to its end, or its first limit bytes, into a pooled buffer
@@ -153,15 +152,21 @@ func readAll(r io.Reader, hint, limit int) (*buffer, error) {
 	return buf, nil
 }
 
-// writeReply writes rep's encoding as the reply to request id, as one Write.
-func writeReply(w io.Writer, rep Reply, params *fv.Params, id uint64) error {
-	buf, err := rep.encode(params, id)
+// writeReply writes rep's encoding, as one Write.
+func writeReply(w io.Writer, rep Reply, params *fv.Params) error {
+	buf, err := rep.encode(params)
 	if err != nil {
 		return err
 	}
 	defer buf.release()
 	_, err = w.Write(buf.b)
 	return err
+}
+
+// WriteMuxFrame frames payload under (typ, id) with both checksums and writes
+// it.
+func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
+	return writeMuxFrame(w, typ, id, payload, muxChecksum(payload))
 }
 
 // DecodeMuxFrame reads one frame, bounding the payload at maxPayload bytes,

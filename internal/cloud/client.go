@@ -148,9 +148,10 @@ type Client struct {
 }
 
 // muxResult is what the reader delivers to a waiting submitter: the reply
-// frame's payload, still unframed, in the pooled buffer it was read into.
+// frame's payload and checksum, unframed, in the pooled buffer it was read into.
 type muxResult struct {
 	buf *buffer
+	sum uint32
 	err error
 }
 
@@ -292,7 +293,7 @@ func (c *Client) readLoop() {
 			buf.release()
 			ch <- muxResult{err: err}
 		default:
-			ch <- muxResult{buf: buf}
+			ch <- muxResult{buf: buf, sum: f.sum}
 		}
 	}
 }
@@ -309,10 +310,11 @@ func (c *Client) take(id uint64) (chan muxResult, bool) {
 }
 
 // Exchange runs one raw exchange under ctx: it sends f's bytes as one frame
-// under the session's next request ID — nothing else about the frame
-// touched, so the routing tier forwards a client's frame through here as is
-// — and waits for the reply frame, then frames and validates that payload in
-// place for the caller to relay or materialize and then release. It
+// under the session's next request ID and f's checksum — nothing about the
+// frame touched, so the routing tier forwards a client's frame through here
+// as is — and waits for the reply frame, then frames and validates that
+// payload, which must be one whole reply, in place for the caller to relay or
+// materialize and then release. It
 // implements the window: a full window fails immediately with
 // ErrWindowExhausted rather than queueing. The write is synchronous, so
 // nothing references f once Exchange returns, however it returns. The reply
@@ -351,8 +353,7 @@ func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 	c.limit = max(c.limit, f.codec.maxMuxPayload)
 	c.mu.Unlock()
 
-	f.stamp(id)
-	if err := c.write(ctx, id, f.b); err != nil {
+	if err := c.write(ctx, id, f.b, f.sum); err != nil {
 		c.take(id)
 		return nil, err
 	}
@@ -370,10 +371,10 @@ func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 	if res.err != nil {
 		return nil, res.err
 	}
-	raw := &RawReply{buf: res.buf}
+	raw := &RawReply{id: id, sum: res.sum, buf: res.buf}
 	err = raw.read(&cursor{buf: res.buf.b, left: math.MaxInt}, f.codec, f.Cmd)
-	if err == nil && raw.ID() != id {
-		err = fmt.Errorf("%w: inner reply ID %d under frame ID %d", ErrMalformedResponse, raw.ID(), id)
+	if extra := len(res.buf.b) - len(raw.b); err == nil && extra != 0 {
+		err = fmt.Errorf("%w: %d bytes after the reply", ErrMalformedResponse, extra)
 	}
 	if err != nil {
 		raw.Release()
@@ -387,7 +388,7 @@ func (c *Client) Exchange(ctx context.Context, f *Frame) (*RawReply, error) {
 // cutting the write short), so a peer that stops reading costs each caller
 // its own deadline. A write that fails may have left part of a frame on the
 // wire, so it breaks the session.
-func (c *Client) write(ctx context.Context, id uint64, payload []byte) error {
+func (c *Client) write(ctx context.Context, id uint64, payload []byte, sum uint32) error {
 	select {
 	case c.wslot <- struct{}{}:
 	case <-ctx.Done():
@@ -404,7 +405,7 @@ func (c *Client) write(ctx context.Context, id uint64, payload []byte) error {
 		c.conn.SetWriteDeadline(time.Now())
 		close(cut)
 	})
-	err := WriteMuxFrame(c.conn, MuxFrameRequest, id, payload)
+	err := writeMuxFrame(c.conn, MuxFrameRequest, id, payload, sum)
 	if !stop() {
 		<-cut // the cut lands before the next writer sets its own deadline
 	}

@@ -31,8 +31,8 @@ const (
 	argR            // Request.R, a slot rotation count
 )
 
-// ReplyKind is the shape of a command's success reply after the status byte
-// and the request ID; the error half is one shape for every kind (see Reply).
+// ReplyKind is the shape of a command's success reply after the status byte;
+// the error half is one shape for every kind (see Reply).
 type ReplyKind uint8
 
 const (

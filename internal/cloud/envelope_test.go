@@ -11,19 +11,20 @@ import (
 	"repro/internal/fv"
 )
 
-// replyKinds is one success reply per kind of the envelope, as a reader
-// hands it back for request id, with the command whose reply framing decodes
-// it. Shared by the round-trip table and the response fuzz seeds.
+// replyKinds is one success reply per kind of the envelope, as a reader of
+// reply bytes alone hands it back (the request ID is the mux frame's, so it
+// reads none), with the command whose reply framing decodes it. Shared by
+// the round-trip table and the response fuzz seeds.
 type replyKind struct {
 	kind string
 	cmd  uint8
 	rep  Reply
 }
 
-func replyKinds(ct *fv.Ciphertext, id uint64) []replyKind {
+func replyKinds(ct *fv.Ciphertext) []replyKind {
 	return []replyKind{
-		{"op", CmdMul, &Response{ID: id, Result: ct, ComputeNanos: 456, Worker: 1}},
-		{"program", CmdProgram, &ProgramResponse{ID: id, Outputs: []*fv.Ciphertext{ct, ct}, MakespanNanos: 9, SerialNanos: 12, KeyLoads: 1, Nodes: 3}},
+		{"op", CmdMul, &Response{Result: ct, ComputeNanos: 456, Worker: 1}},
+		{"program", CmdProgram, &ProgramResponse{Outputs: []*fv.Ciphertext{ct, ct}, MakespanNanos: 9, SerialNanos: 12, KeyLoads: 1, Nodes: 3}},
 		{"info", CmdInfo, &ServerInfo{Proto: ProtoV2, NodeID: "n0", Workers: 2, TenantAware: true, Tenants: []string{"alice"}}},
 		{"blob", CmdKeyExport, Blob("opaque key blob bytes")},
 	}
@@ -35,21 +36,20 @@ func replyKinds(ct *fv.Ciphertext, id uint64) []replyKind {
 // decodes to the *ServerError it carries.
 func TestReplyEnvelopeRoundTrip(t *testing.T) {
 	ts := newTestSystem(t)
-	const id = 0x1122334455667788
 	want := &ServerError{Code: CodeIntegrity, Msg: "fingerprint mismatch"}
 	var errBytes bytes.Buffer
-	if err := writeReply(&errBytes, want, ts.params, id); err != nil {
+	if err := writeReply(&errBytes, want, ts.params); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, k := range replyKinds(ts.encrypt(t, 5), id) {
+	for _, k := range replyKinds(ts.encrypt(t, 5)) {
 		var buf bytes.Buffer
-		if err := writeReply(&buf, k.rep, ts.params, id); err != nil {
+		if err := writeReply(&buf, k.rep, ts.params); err != nil {
 			t.Fatalf("%s: encode: %v", k.kind, err)
 		}
-		gotID, got, err := readReply(&buf, codecFor(ts.params, nil), k.cmd)
-		if err != nil || gotID != id {
-			t.Fatalf("%s: decode: id %#x, %v", k.kind, gotID, err)
+		got, err := readReply(&buf, codecFor(ts.params, nil), k.cmd)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", k.kind, err)
 		}
 		if buf.Len() != 0 {
 			t.Fatalf("%s: %d bytes left after the reply", k.kind, buf.Len())
@@ -58,9 +58,9 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("%s: success half drifted:\n got %+v\nwant %+v", k.kind, got, k.rep)
 		}
 
-		gotID, got, err = readReply(bytes.NewReader(errBytes.Bytes()), codecFor(ts.params, nil), k.cmd)
-		if err != nil || gotID != id || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: error half decoded to id %#x, %+v, %v", k.kind, gotID, got, err)
+		got, err = readReply(bytes.NewReader(errBytes.Bytes()), codecFor(ts.params, nil), k.cmd)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: error half decoded to %+v, %v", k.kind, got, err)
 		}
 	}
 
@@ -71,7 +71,7 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 		&ProgramResponse{Err: want.Msg, Code: want.Code},
 	} {
 		var buf bytes.Buffer
-		if err := writeReply(&buf, rep, ts.params, id); err != nil {
+		if err := writeReply(&buf, rep, ts.params); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), errBytes.Bytes()) {
@@ -79,13 +79,12 @@ func TestReplyEnvelopeRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The retired info-error layout (status, ID, length, message — no code
-	// byte; nothing ever wrote it) is refused, typed.
+	// The retired info-error layout (status, length, message — no code byte;
+	// nothing ever wrote it) is refused, typed.
 	old := []byte{statusErr}
-	old = binary.LittleEndian.AppendUint64(old, id)
 	old = binary.LittleEndian.AppendUint32(old, 4)
 	old = append(old, "boom"...)
-	if _, _, err := readReply(bytes.NewReader(old), codecFor(ts.params, nil), CmdInfo); !errors.Is(err, ErrMalformedResponse) {
+	if _, err := readReply(bytes.NewReader(old), codecFor(ts.params, nil), CmdInfo); !errors.Is(err, ErrMalformedResponse) {
 		t.Fatalf("retired info-error layout: err %v, want ErrMalformedResponse", err)
 	}
 }
@@ -127,7 +126,7 @@ func TestFrameSizeHints(t *testing.T) {
 		&ServerError{Code: CodeApp, Msg: "no evaluation key registered"},
 	} {
 		var buf bytes.Buffer
-		if err := writeReply(&buf, rep, ts.params, 9); err != nil {
+		if err := writeReply(&buf, rep, ts.params); err != nil {
 			t.Fatalf("%T: %v", rep, err)
 		}
 		check(fmt.Sprintf("%T reply", rep), buf.Len(), replySize(rep, ts.params))

@@ -33,12 +33,11 @@ import (
 //     (codec.encode, Reply.encode).
 //
 // The front-end only frames. The routing tier never materializes: it
-// forwards a frame's bytes to a backend under a new request ID and relays the
-// backend's framed reply under the client's, having range-checked both — it
-// stays a trust boundary (a node never sees a residue the router let through
-// unchecked, a client never gets one a damaged hop produced) without ever
-// unpacking a coefficient. The data node materializes operands of either
-// scheme into recycled ciphertexts.
+// forwards a frame's bytes to a backend and relays its framed reply, each
+// under its sender's checksum, having range-checked both — it stays a trust
+// boundary (a node never sees a residue the router let through unchecked, a
+// client never gets one a damaged hop produced) without ever unpacking a
+// coefficient. The data node materializes operands into recycled ciphertexts.
 //
 // Ownership: a Frame and a RawReply own their bytes until released. The
 // front-end releases a request's frame — the operands materialized from it
@@ -156,25 +155,17 @@ type cursor struct {
 	buf  []byte
 	off  int // bytes of buf consumed so far
 	left int
-	// short is how many bytes the last failed next did get: zero means the
-	// message ended exactly on a boundary.
-	short int
 }
 
 // next returns the following n bytes, with io.ReadFull's error contract:
 // io.EOF when none were available, io.ErrUnexpectedEOF when only some were.
 func (c *cursor) next(n int) ([]byte, error) {
 	end := c.off + n
-	if n > c.left {
-		c.short = 0
+	if n > c.left || end > len(c.buf) && c.off < len(c.buf) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	if end > len(c.buf) {
-		c.short = len(c.buf) - c.off
-		if c.short == 0 {
-			return nil, io.EOF
-		}
-		return nil, io.ErrUnexpectedEOF
+		return nil, io.EOF
 	}
 	b := c.buf[c.off:end]
 	c.off, c.left = end, c.left-n
@@ -204,11 +195,8 @@ func (c *cursor) ciphertext(l rlwe.Layout) error {
 }
 
 // requestHeadLen is the fixed part of a request header: magic, version,
-// command, request ID, tenant length.
-const requestHeadLen = 4 + 1 + 1 + 8 + 1
-
-// requestIDOff is where the request ID sits in an encoded request.
-const requestIDOff = 4 + 1 + 1
+// command, tenant length.
+const requestHeadLen = 4 + 1 + 1 + 1
 
 // codec is what the wire reads of the parameter sets one side speaks: the BFV
 // layout (and the set itself, which encodes this side's BFV operands), the
@@ -286,16 +274,17 @@ func (cd *codec) layout(cmd uint8) (rlwe.Layout, error) {
 
 // Frame is a request as framed off the wire (or encoded by a client): its
 // header fields, and the complete request — magic through the last body
-// byte — as validated bytes. Handlers receive frames; one that only forwards
-// never looks further.
+// byte — as validated bytes with their checksum. Handlers receive frames; one
+// that only forwards never looks further.
 type Frame struct {
 	Cmd uint8
-	// ID is the request ID the frame arrived under; the reply goes out under
-	// it. Forwarding restamps the bytes, never this field.
+	// ID is the request ID of the mux frame the request arrived in; the reply
+	// goes out under it.
 	ID     uint64
 	Tenant string
 
 	b     []byte  // the encoded request
+	sum   uint32  // its sender's CRC-32C of b, which every hop sends b under
 	body  int     // offset of the command's body in b
 	buf   *buffer // pooled backing of b
 	codec *codec  // what the frame was framed or encoded under
@@ -318,14 +307,14 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 	if [4]byte(magic) != protocolMagicV2 {
 		return fmt.Errorf("%w: bad protocol magic %q", ErrMalformedRequest, magic)
 	}
-	hdr, err := c.next(10) // version, command, request ID
+	hdr, err := c.next(2) // version, command
 	if err != nil {
 		return malformed(ErrMalformedRequest, "truncated v2 header", err)
 	}
 	if hdr[0] != ProtoVersion {
 		return fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
 	}
-	f.Cmd, f.ID = hdr[1], binary.LittleEndian.Uint64(hdr[2:])
+	f.Cmd = hdr[1]
 	tlen, err := c.next(1)
 	if err != nil {
 		return malformed(ErrMalformedRequest, "truncated tenant length", err)
@@ -405,18 +394,12 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 	return nil
 }
 
-// stamp rewrites the request ID in the encoded bytes: how a frame goes out
-// again under a connection's own numbering with nothing else touched.
-func (f *Frame) stamp(id uint64) {
-	binary.LittleEndian.PutUint64(f.b[requestIDOff:], id)
-}
-
 // Request materializes the frame: the decoded request, its ciphertexts drawn
 // from the front-end's pool when the frame came through one. ProgBytes and
 // Blob alias the frame's bytes; everything it returns is valid until the
 // frame is released.
 func (f *Frame) Request() (*Request, error) {
-	req := &Request{Cmd: f.Cmd, ID: f.ID, Tenant: f.Tenant}
+	req := &Request{Cmd: f.Cmd, Tenant: f.Tenant}
 	f.req = req
 	body := f.b[f.body:]
 	operand := func() (*fv.Ciphertext, error) {
@@ -501,7 +484,7 @@ func (f *Frame) Release() {
 	f.b, f.buf = nil, nil
 }
 
-// encode serializes req into a frame under cd.
+// encode serializes req into a frame under cd (send adds its checksum).
 func (cd *codec) encode(req *Request) (*Frame, error) {
 	if len(req.Tenant) > MaxTenantLen {
 		return nil, fmt.Errorf("cloud: tenant %q longer than %d bytes", req.Tenant, MaxTenantLen)
@@ -509,10 +492,9 @@ func (cd *codec) encode(req *Request) (*Frame, error) {
 	buf := getBuf(req.encodedSize(cd.params))
 	b := append(buf.b, protocolMagicV2[:]...)
 	b = append(b, ProtoVersion, req.Cmd)
-	b = binary.LittleEndian.AppendUint64(b, req.ID)
 	b = append(b, byte(len(req.Tenant)))
 	b = append(b, req.Tenant...)
-	f := &Frame{Cmd: req.Cmd, ID: req.ID, Tenant: req.Tenant, body: len(b), buf: buf, codec: cd}
+	f := &Frame{Cmd: req.Cmd, Tenant: req.Tenant, body: len(b), buf: buf, codec: cd}
 	b, err := appendRequestBody(b, cd.params, req)
 	buf.b = b
 	if err != nil {
@@ -523,12 +505,14 @@ func (cd *codec) encode(req *Request) (*Frame, error) {
 	return f, nil
 }
 
-// RawReply is a reply as framed off the wire: status, request ID and the
-// error half or the kind's body as validated bytes. The routing tier relays
-// it as is (it is a Reply); clients materialize it.
+// RawReply is a reply as framed off the wire: status and the error half or
+// the kind's body as validated bytes, with its mux frame's ID and checksum.
+// The routing tier relays it as is (it is a Reply); clients materialize it.
 type RawReply struct {
 	row   *command // the command it answers: picks the body's kind
+	id    uint64   // the request ID it answers
 	b     []byte   // the encoded reply
+	sum   uint32   // its sender's CRC-32C of b, which a relay sends b under
 	buf   *buffer  // pooled backing of b, nil when b is plain memory
 	codec *codec   // the request's: what the body was framed under
 	// info is the info body, decoded while framing: its JSON has to parse for
@@ -536,13 +520,13 @@ type RawReply struct {
 	info *ServerInfo
 }
 
-// replyHeadLen is what every reply opens with: status, request ID.
-const replyHeadLen = 1 + 8
+// replyHeadLen is what every reply opens with: the status byte.
+const replyHeadLen = 1
 
-// read frames the reply to a cmd request from c under cd, with
-// readReplyHead's error contract: an error before the first byte surfaces as
-// is, anything after is ErrMalformedResponse. A CKKS command under a codec
-// without a CKKS layout is refused before a byte is read.
+// read frames the reply to a cmd request from c under cd: an error before
+// the status byte surfaces as is, anything after is ErrMalformedResponse. A
+// CKKS command under a codec without a CKKS layout is refused before a byte
+// is read.
 func (raw *RawReply) read(c *cursor, cd *codec, cmd uint8) error {
 	layout, err := cd.layout(cmd)
 	if err != nil {
@@ -551,10 +535,7 @@ func (raw *RawReply) read(c *cursor, cd *codec, cmd uint8) error {
 	raw.row, raw.codec = commands[cmd], cd
 	head, err := c.next(replyHeadLen)
 	if err != nil {
-		if c.short == 0 {
-			return err // the reply never started: hangup or timeout, not garbage
-		}
-		return malformed(ErrMalformedResponse, "truncated reply head", err)
+		return err // the reply never started: hangup or timeout, not garbage
 	}
 	switch head[0] {
 	case statusOK:
@@ -633,9 +614,6 @@ func (raw *RawReply) readBody(c *cursor, layout rlwe.Layout) error {
 	return nil
 }
 
-// ID returns the request ID the reply answers.
-func (raw *RawReply) ID() uint64 { return binary.LittleEndian.Uint64(raw.b[1:]) }
-
 // ServerError returns the failure an error reply reports, nil for a success.
 func (raw *RawReply) ServerError() *ServerError {
 	if raw.b[0] != statusErr {
@@ -664,7 +642,7 @@ func (raw *RawReply) Reply() (Reply, error) {
 	switch raw.row.reply {
 	case ReplyProgram:
 		resp := &ProgramResponse{
-			ID:            raw.ID(),
+			ID:            raw.id,
 			MakespanNanos: binary.LittleEndian.Uint64(body),
 			SerialNanos:   binary.LittleEndian.Uint64(body[8:]),
 			KeyLoads:      binary.LittleEndian.Uint32(body[16:]),
@@ -685,7 +663,7 @@ func (raw *RawReply) Reply() (Reply, error) {
 		return Blob(bytes.Clone(body[4:])), nil
 	}
 	resp := &Response{
-		ID:           raw.ID(),
+		ID:           raw.id,
 		ComputeNanos: binary.LittleEndian.Uint64(body),
 		Worker:       binary.LittleEndian.Uint32(body[8:]),
 	}
@@ -710,13 +688,12 @@ func (raw *RawReply) Release() {
 	raw.b, raw.buf = nil, nil
 }
 
-// encode relays the reply under id: the bytes are already the encoding, so
-// it restamps the ID and hands its own buffer to the writer.
-func (raw *RawReply) encode(_ *fv.Params, id uint64) (*buffer, error) {
+// encode relays the reply: the bytes are already the encoding, so it hands
+// its own buffer to the writer, which sends it under raw.sum.
+func (raw *RawReply) encode(*fv.Params) (*buffer, error) {
 	if raw.b == nil {
 		return nil, errors.New("cloud: raw reply relayed twice or after release")
 	}
-	binary.LittleEndian.PutUint64(raw.b[1:], id)
 	buf := raw.buf
 	if buf == nil {
 		buf = &buffer{}
@@ -724,6 +701,14 @@ func (raw *RawReply) encode(_ *fv.Params, id uint64) (*buffer, error) {
 	buf.b = raw.b
 	raw.b, raw.buf = nil, nil
 	return buf, nil
+}
+
+// replySum is the checksum rep, encoded as b, goes out under: its sender's.
+func replySum(rep Reply, b []byte) uint32 {
+	if raw, ok := rep.(*RawReply); ok {
+		return raw.sum
+	}
+	return muxChecksum(b)
 }
 
 // RoundTrip is what every client-side call is made of: encode the request,
@@ -748,12 +733,14 @@ func (cd *codec) roundTrip(ctx context.Context, exchange func(context.Context, *
 }
 
 // send is roundTrip short of materializing: the framed reply, validated in
-// place, for the caller to read and release.
+// place, for the caller to read and release. The request's checksum is
+// computed once, however many attempts the exchange makes.
 func (cd *codec) send(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), req *Request) (*RawReply, error) {
 	f, err := cd.encode(req)
 	if err != nil {
 		return nil, err
 	}
+	f.sum = muxChecksum(f.b)
 	raw, err := exchange(ctx, f)
 	f.Release()
 	return raw, err

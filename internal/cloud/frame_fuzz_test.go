@@ -71,7 +71,7 @@ func maxClaimKeyImport(params *fv.Params, cparams *ckks.Params) []byte {
 // key-export reply.
 func maxClaimKeyExportReply(params *fv.Params, cparams *ckks.Params) []byte {
 	var buf bytes.Buffer
-	if err := writeReply(&buf, Blob("0123456789"), params, 5); err != nil {
+	if err := writeReply(&buf, Blob("0123456789"), params); err != nil {
 		panic(err)
 	}
 	return claimMaxBlob(buf.Bytes(), params, cparams)
@@ -154,13 +154,13 @@ func maxClaimMuxFrame(claim int) []byte {
 	hdr[0] = MuxFrameRequest
 	binary.LittleEndian.PutUint64(hdr[1:9], 3)
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(claim))
-	binary.LittleEndian.PutUint32(hdr[21:25], muxChecksum(hdr[:21]))
+	binary.LittleEndian.PutUint32(hdr[17:21], muxChecksum(hdr[:17]))
 	return append(hdr[:], "0123456789"...)
 }
 
 // TestMuxFrameReservesOnlyWhatArrived is TestFramingReservesOnlyWhatArrived
 // for the mux reader, which sits in front of the cursor on every multiplexed
-// connection: 25 header bytes claiming the largest legal payload used to
+// connection: a frame header claiming the largest legal payload used to
 // reserve all of it — pooled or not — before a byte of the body arrived.
 func TestMuxFrameReservesOnlyWhatArrived(t *testing.T) {
 	claim := codecFor(fuzzParams(), nil).maxMuxPayload
@@ -210,6 +210,10 @@ func sameRefusal(t *testing.T, what string, got, ref, sentinel error) {
 	}
 }
 
+// requestCmdOff is where the command byte sits in an encoded request: after
+// the magic and the version.
+const requestCmdOff = 4 + 1
+
 // siblings pairs each op command with the other scheme's of the same shape.
 var siblings = map[uint8]uint8{
 	CmdAdd: CmdCKKSAdd, CmdMul: CmdCKKSMul, CmdRotate: CmdCKKSRotate,
@@ -250,9 +254,9 @@ func FuzzFrameRequest(f *testing.F) {
 		// (any other command becomes a CKKS add): a body that is not of the
 		// layout the command byte names.
 		other := bytes.Clone(buf.Bytes())
-		other[requestIDOff-1] = CmdCKKSAdd
+		other[requestCmdOff] = CmdCKKSAdd
 		if s, ok := siblings[req.Cmd]; ok {
-			other[requestIDOff-1] = s
+			other[requestCmdOff] = s
 		}
 		addFrameSeeds(f, other, func(b []byte) { f.Add(b) })
 		if req.Cmd == CmdCKKSAdd {
@@ -264,12 +268,12 @@ func FuzzFrameRequest(f *testing.F) {
 		}
 	}
 	f.Add(maxClaimKeyImport(params, cparams))
-	f.Add([]byte("HEA2\x02\x01"))
+	f.Add([]byte("HEA2\x03\x01"))
 	f.Add([]byte("HEA"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckksCmd := len(data) > requestIDOff && bytes.HasPrefix(data, protocolMagicV2[:]) && isCKKSCmd(data[requestIDOff-1])
+		ckksCmd := len(data) > requestCmdOff && bytes.HasPrefix(data, protocolMagicV2[:]) && isCKKSCmd(data[requestCmdOff])
 		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
 			ref, refErr := refReadRequest(bytes.NewReader(data), params, cp)
 			cd := codecFor(params, cp)
@@ -305,15 +309,17 @@ func FuzzFrameRequest(f *testing.F) {
 
 // FuzzFrameReply is FuzzFrameRequest for the reply direction, under every
 // reply kind: RawReply.read against the reference readReply, RawReply.Reply
-// against its decode, and the relayed bytes — the raw reply encoded under its
-// own ID — against the consumed input and against the kind's own encoder.
-// Under the BFV-only codec a CKKS kind has no layout: whatever the bytes, it
-// is a typed refusal.
+// against its decode, and the relayed bytes — the raw reply encoded for the
+// writer — against the consumed input and against the kind's own encoder.
+// A reply that is its whole payload, as a session requires, is relayed under
+// the checksum it arrived with, which must still be the CRC of the relayed
+// bytes. Under the BFV-only codec a CKKS kind has no layout: whatever the
+// bytes, it is a typed refusal.
 func FuzzFrameReply(f *testing.F) {
 	params := fuzzParams()
 	cparams, cct := fuzzCKKS()
-	kinds := append(replyKinds(fuzzCiphertext(), 5),
-		replyKind{"ckks op", CmdCKKSMul, &Response{Ver: ProtoV2, ID: 5, CKKSResult: cct, ComputeNanos: 7}},
+	kinds := append(replyKinds(fuzzCiphertext()),
+		replyKind{"ckks op", CmdCKKSMul, &Response{CKKSResult: cct, ComputeNanos: 7}},
 		replyKind{"ack", CmdKeyImport, Blob(`{"tenant":"erin","keys":1}`)})
 	seeds := []Reply{
 		&ServerError{Code: CodeUnavailable, Msg: "overloaded"},
@@ -324,7 +330,7 @@ func FuzzFrameReply(f *testing.F) {
 	}
 	for _, rep := range seeds {
 		var buf bytes.Buffer
-		if err := writeReply(&buf, rep, params, 5); err != nil {
+		if err := writeReply(&buf, rep, params); err != nil {
 			f.Fatal(err)
 		}
 		addFrameSeeds(f, buf.Bytes(), func(b []byte) { f.Add(b) })
@@ -348,9 +354,9 @@ func FuzzFrameReply(f *testing.F) {
 					}
 					continue
 				}
-				refID, ref, refErr := refReadReply(bytes.NewReader(data), params, cp, k.cmd)
+				ref, refErr := refReadReply(bytes.NewReader(data), params, cp, k.cmd)
 				what := k.kind + " under " + name
-				var raw RawReply
+				raw := RawReply{sum: muxChecksum(data)} // as the session reader verified it
 				err := raw.read(&cursor{buf: bytes.Clone(data), left: math.MaxInt}, cd, k.cmd)
 				sameRefusal(t, what, err, refErr, ErrMalformedResponse)
 				if err != nil {
@@ -360,27 +366,30 @@ func FuzzFrameReply(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s: accepted reply does not materialize: %v", what, err)
 				}
-				if raw.ID() != refID || !reflect.DeepEqual(got, ref) {
-					t.Fatalf("%s: materialized reply differs from the reference decode:\n got %d %+v\nwant %d %+v", what, raw.ID(), got, refID, ref)
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("%s: materialized reply differs from the reference decode:\n got %+v\nwant %+v", what, got, ref)
 				}
 				if se := raw.ServerError(); (se != nil) != (data[0] == statusErr) {
 					t.Fatalf("%s: ServerError() = %v for status byte %d", what, se, data[0])
 				}
-				relayed, err := raw.encode(params, refID)
+				relayed, err := raw.encode(params)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				if !bytes.HasPrefix(data, relayed.b) {
 					t.Fatalf("%s: relayed bytes are not the consumed input", what)
 				}
-				if _, again := raw.encode(params, refID); again == nil {
+				if len(relayed.b) == len(data) && replySum(&raw, relayed.b) != muxChecksum(relayed.b) {
+					t.Fatalf("%s: relayed under a checksum that is not the CRC of the relayed bytes", what)
+				}
+				if _, again := raw.encode(params); again == nil {
 					t.Fatalf("%s: a raw reply encoded twice", what)
 				}
 				// An info reply re-marshals its JSON; every other kind's own
 				// encoder reproduces the relayed bytes.
 				if k.cmd != CmdInfo || data[0] == statusErr {
 					var enc bytes.Buffer
-					if err := writeReply(&enc, ref, params, refID); err != nil {
+					if err := writeReply(&enc, ref, params); err != nil {
 						t.Fatalf("%s: accepted reply does not re-encode: %v", what, err)
 					}
 					if !bytes.Equal(relayed.b, enc.Bytes()) {

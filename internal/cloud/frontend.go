@@ -217,14 +217,15 @@ func (fe *Frontend) handle(conn net.Conn) {
 	// it. An encode or write failure fails the session; the read loop sees
 	// the close.
 	reply := func(id uint64, rep Reply, f *Frame) {
-		buf, err := rep.encode(fe.Params, id)
+		buf, err := rep.encode(fe.Params)
 		if f != nil {
 			f.Release()
 		}
 		if err == nil {
+			sum := replySum(rep, buf.b)
 			wmu.Lock()
 			conn.SetWriteDeadline(time.Now().Add(timeout))
-			err = WriteMuxFrame(conn, MuxFrameResponse, id, buf.b)
+			err = writeMuxFrame(conn, MuxFrameResponse, id, buf.b, sum)
 			wmu.Unlock()
 			buf.release()
 		}
@@ -259,10 +260,10 @@ func (fe *Frontend) handle(conn net.Conn) {
 			fe.Logger.Printf("cloud: mux client sent frame type %d", mf.Type)
 			return
 		}
-		f := &Frame{buf: buf, pool: &fe.cts}
+		f := &Frame{ID: mf.ID, sum: mf.sum, buf: buf, pool: &fe.cts}
 		err = f.read(&cursor{buf: mf.Payload, left: fe.codec.maxRequest}, &fe.codec)
-		if err == nil && f.ID != mf.ID {
-			err = errors.New("mux payload must be a request with the frame's ID")
+		if extra := len(mf.Payload) - len(f.b); err == nil && extra != 0 { // f.b goes on under mf.sum
+			err = fmt.Errorf("%w: %d bytes after the request", ErrMalformedRequest, extra)
 		}
 		if err != nil {
 			// The checksum matched, so this is the client's encoder speaking

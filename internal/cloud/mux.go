@@ -22,21 +22,18 @@ import (
 //	then frames both ways, each:
 //
 //	  type (1) | request ID (8 LE) | payload len (4 LE) |
-//	  payload checksum (8 LE) | header checksum (4 LE) | payload
+//	  payload checksum (4 LE) | header checksum (4 LE) | payload
 //
-// Both checksums are CRC-32C (Castagnoli): on amd64 with VPCLMULQDQ a
-// carry-less-multiply folding lane (crc_amd64.s), elsewhere hash/crc32 —
-// which the lane is held to bit for bit — on the CPU's CRC instructions. A
-// 393 KB ciphertext frame is checked in about ten microseconds, four times
-// per routed Mult. The payload
-// field keeps the 8 bytes it had under version 1 (byte-serial FNV-1a), the
-// value zero-extended; the header checksum covers the 21 bytes before it,
-// that field included.
+// The header holds the one request ID. Both checksums are CRC-32C: on amd64
+// with VPCLMULQDQ a carry-less-multiply folding lane (crc_amd64.s), elsewhere
+// hash/crc32, which the lane is held to bit for bit. The header checksum
+// covers the 17 bytes before it; the payload checksum is its sender's, which
+// a router verifies and relays the payload under, so the far end checks the
+// sender's checksum over the bytes the router forwarded. A 393 KB frame is
+// checked in about ten microseconds, three times per routed Mult each way.
 //
-// The payload is a complete v2 frame (request, response, info response, or
-// program response), decoded in memory by the hardened length-bounded
-// decoders of frame.go — the mux layer adds tagging and integrity, not a
-// second payload codec.
+// The payload is one whole v2 request or reply, framed in memory by frame.go:
+// the mux layer adds tagging and integrity, not a second payload codec.
 //
 // # Flow control
 //
@@ -50,18 +47,17 @@ import (
 //
 // # Fault isolation
 //
-// The two checksums split corruption into two blast radii. A header that
-// fails its checksum leaves the frame length untrusted, so the stream cannot
-// be resynchronized: that error (ErrMalformedMuxFrame) is connection-fatal.
-// A payload that fails its checksum under an intact header is skippable —
-// the reader knows exactly how many bytes to discard and which request ID
-// they belonged to — so exactly that request fails with a retryable
-// ErrMuxPayloadChecksum and every other in-flight exchange proceeds.
+// A header that fails its checksum leaves the frame length untrusted, so the
+// stream cannot be resynchronized: ErrMalformedMuxFrame is connection-fatal.
+// A payload that fails its checksum under an intact header fails exactly its
+// own request, with a retryable ErrMuxPayloadChecksum; the stream stays in
+// sync and every other in-flight exchange proceeds.
 const (
 	// MuxProtoVersion is the mux session version negotiated in the hello.
-	// Version 2 changed the frame checksums from FNV-1a to CRC-32C; both ends
-	// ship together, so a version-1 hello is refused, not translated.
-	MuxProtoVersion uint8 = 2
+	// Version 2 made the checksums CRC-32C; version 3 took the request ID out
+	// of the payload and cut the payload checksum field to 4 bytes. Both ends
+	// ship together, so an older hello is refused, not translated.
+	MuxProtoVersion uint8 = 3
 	// DefaultMuxWindow is the in-flight request window a client asks for.
 	DefaultMuxWindow = 32
 	// MaxMuxWindow caps what a server grants, whatever the client requests.
@@ -101,8 +97,8 @@ var (
 )
 
 // muxHeaderLen is the fixed frame header size:
-// type(1) + id(8) + len(4) + payload checksum(8) + header checksum(4).
-const muxHeaderLen = 1 + 8 + 4 + 8 + 4
+// type(1) + id(8) + len(4) + payload checksum(4) + header checksum(4).
+const muxHeaderLen = 1 + 8 + 4 + 4 + 4
 
 // muxHelloLen is the hello size either way: magic(4) + version(1) + window(2).
 const muxHelloLen = 4 + 1 + 2
@@ -112,6 +108,7 @@ type MuxFrame struct {
 	Type    uint8
 	ID      uint64
 	Payload []byte
+	sum     uint32 // the header's payload checksum: what a relay forwards Payload under
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -159,9 +156,10 @@ func ReadMuxHello(r io.Reader) (int, error) {
 	return window, nil
 }
 
-// WriteMuxFrame frames payload under (typ, id) with both checksums and writes
-// it. The caller serializes concurrent writers.
-func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
+// writeMuxFrame frames payload under (typ, id) and the payload checksum sum —
+// its sender's, computed once — and writes it. The caller serializes
+// concurrent writers.
+func writeMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte, sum uint32) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("cloud: empty mux payload")
 	}
@@ -169,8 +167,8 @@ func WriteMuxFrame(w io.Writer, typ uint8, id uint64, payload []byte) error {
 	hdr[0] = typ
 	binary.LittleEndian.PutUint64(hdr[1:9], id)
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[13:21], uint64(muxChecksum(payload)))
-	binary.LittleEndian.PutUint32(hdr[21:25], muxChecksum(hdr[:21]))
+	binary.LittleEndian.PutUint32(hdr[13:17], sum)
+	binary.LittleEndian.PutUint32(hdr[17:21], muxChecksum(hdr[:17]))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -211,7 +209,7 @@ func readMuxFrame(r io.Reader, limit func() int, pooled bool) (f MuxFrame, buf *
 		}
 		return f, nil, malformed(ErrMalformedMuxFrame, "truncated frame header", err)
 	}
-	if got, want := muxChecksum(hdr[:21]), binary.LittleEndian.Uint32(hdr[21:25]); got != want {
+	if got, want := muxChecksum(hdr[:17]), binary.LittleEndian.Uint32(hdr[17:21]); got != want {
 		return f, nil, fmt.Errorf("%w: header checksum %#x, want %#x", ErrMalformedMuxFrame, got, want)
 	}
 	typ, id := hdr[0], binary.LittleEndian.Uint64(hdr[1:9])
@@ -253,8 +251,8 @@ func readMuxFrame(r io.Reader, limit func() int, pooled bool) (f MuxFrame, buf *
 	if pooled {
 		buf.b = payload
 	}
-	f = MuxFrame{Type: typ, ID: id, Payload: payload}
-	if got, want := uint64(muxChecksum(payload)), binary.LittleEndian.Uint64(hdr[13:21]); got != want {
+	f = MuxFrame{Type: typ, ID: id, Payload: payload, sum: binary.LittleEndian.Uint32(hdr[13:17])}
+	if got, want := muxChecksum(payload), f.sum; got != want {
 		return f, buf, fmt.Errorf("%w: request %d: payload checksum %#x, want %#x",
 			ErrMuxPayloadChecksum, id, got, want)
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,17 +32,20 @@ func TestMuxHelloRoundTrip(t *testing.T) {
 	}{
 		{"bad magic", []byte("HEAX\x02\x20\x00")},
 		{"bad version", []byte("HEAM\x09\x20\x00")},
-		{"zero window", []byte("HEAM\x02\x00\x00")},
-		{"truncated", []byte("HEAM\x02")},
+		{"zero window", []byte("HEAM\x03\x00\x00")},
+		{"truncated", []byte("HEAM\x03")},
 	} {
 		if _, err := ReadMuxHello(bytes.NewReader(tc.raw)); !errors.Is(err, ErrMalformedMuxFrame) {
 			t.Fatalf("%s: err %v, want ErrMalformedMuxFrame", tc.name, err)
 		}
 	}
-	// Both ends ship together: a version-1 peer is told so, not served.
-	if _, err := ReadMuxHello(bytes.NewReader([]byte("HEAM\x01\x20\x00"))); err == nil ||
-		!strings.Contains(err.Error(), "unsupported mux version 1") {
-		t.Fatalf("version-1 hello: err %v, want unsupported mux version 1", err)
+	// Both ends ship together: an older peer is told so, not served.
+	for _, v := range []byte{1, 2} {
+		want := fmt.Sprintf("unsupported mux version %d", v)
+		if _, err := ReadMuxHello(bytes.NewReader([]byte{'H', 'E', 'A', 'M', v, 0x20, 0})); err == nil ||
+			!strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d hello: err %v, want %s", v, err, want)
+		}
 	}
 	if _, err := ReadMuxHello(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: err %v, want io.EOF", err)
@@ -80,7 +85,7 @@ func TestMuxFrameCorruption(t *testing.T) {
 	}
 
 	// Any header byte flipped → malformed, stream untrusted.
-	for _, i := range []int{0, 4, 10, 15, 22} {
+	for _, i := range []int{0, 4, 10, 15, 19} {
 		_, err := DecodeMuxFrame(bytes.NewReader(flip(i)), 1<<16)
 		if !errors.Is(err, ErrMalformedMuxFrame) {
 			t.Fatalf("header byte %d flipped: err %v, want ErrMalformedMuxFrame", i, err)
@@ -141,7 +146,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	ts := newTestSystem(t)
 	respFrame := func(id uint64, worker uint32) []byte {
 		var buf bytes.Buffer
-		resp := &Response{Ver: ProtoV2, ID: id, Result: fv.NewCiphertext(ts.params, 2), Worker: worker}
+		resp := &Response{Ver: ProtoV2, Result: fv.NewCiphertext(ts.params, 2), Worker: worker}
 		if err := WriteResponse(&buf, ts.params, resp); err != nil {
 			t.Error(err)
 		}
@@ -176,6 +181,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	defer mc.Close()
 
 	type out struct {
+		id     uint64 // the frame's: the reply bytes carry none
 		worker uint32
 		err    error
 	}
@@ -185,7 +191,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 			ch <- out{err: err}
 			return
 		}
-		ch <- out{worker: resp.Worker}
+		ch <- out{id: resp.ID, worker: resp.Worker}
 	}
 	ch1, ch2 := make(chan out, 1), make(chan out, 1)
 	go run(ch1)
@@ -198,9 +204,9 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	if o1.err != nil || o2.err != nil {
 		t.Fatalf("exchanges failed: %v / %v", o1.err, o2.err)
 	}
-	if o1.worker != 11 || o2.worker != 22 {
-		t.Fatalf("responses crossed: request 1 got worker %d, request 2 got %d (want 11/22)",
-			o1.worker, o2.worker)
+	if o1.worker != 11 || o2.worker != 22 || o1.id != 1 || o2.id != 2 {
+		t.Fatalf("responses crossed: request 1 got worker %d (ID %d), request 2 got %d (ID %d) (want 11/22, IDs 1/2)",
+			o1.worker, o1.id, o2.worker, o2.id)
 	}
 }
 
@@ -415,7 +421,7 @@ func TestMuxGarbledFrameIsolated(t *testing.T) {
 
 	// Arm one garble a few chunks into the NEXT request's upload: a Mul
 	// request is ~50 proxy chunks of ciphertext, so chunk seen+3 is deep in
-	// the frame payload, far past the 25-byte header.
+	// the frame payload, far past the 21-byte header.
 	seen := inj.Stats().Seen["frame"]
 	inj.Arm(faults.Spec{Class: faults.ClassFrame, After: seen + 3, Mode: faults.ModeGarble})
 
@@ -448,4 +454,82 @@ func TestMuxGarbledFrameIsolated(t *testing.T) {
 	if got, err := mul(7, 8); err != nil || got != 56 {
 		t.Fatalf("post-fault mul on the same connection: %d, %v", got, err)
 	}
+}
+
+// TestMuxPayloadIsOneMessage: a relay forwards a payload under the checksum
+// its sender wrote, which covers every byte of it, so a payload must be
+// exactly one request or reply. A request with bytes after it is refused by
+// the front-end (CodeApp, malformed request) and a reply with bytes after it
+// by the client (ErrMalformedResponse); either way the session goes on.
+func TestMuxPayloadIsOneMessage(t *testing.T) {
+	ts := newTestSystem(t)
+	var ping bytes.Buffer
+	if err := WriteRequest(&ping, ts.params, &Request{Cmd: CmdPing}); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("request", func(t *testing.T) {
+		_, addr := startServer(t, ts)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := WriteMuxHello(conn, 4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMuxHello(conn); err != nil {
+			t.Fatal(err)
+		}
+		for id, payload := range [][]byte{append(bytes.Clone(ping.Bytes()), 'x'), ping.Bytes()} {
+			if err := WriteMuxFrame(conn, MuxFrameRequest, uint64(id+1), payload); err != nil {
+				t.Fatal(err)
+			}
+			f, err := DecodeMuxFrame(conn, 1<<20)
+			if err != nil || f.ID != uint64(id+1) {
+				t.Fatalf("reply frame %d: %+v, %v", id+1, f, err)
+			}
+			rep, err := readReply(bytes.NewReader(f.Payload), codecFor(ts.params, nil), CmdPing)
+			se, refused := rep.(*ServerError)
+			switch {
+			case err != nil:
+				t.Fatalf("reply %d: %v", id+1, err)
+			case id == 0 && (!refused || se.Code != CodeApp || !strings.Contains(se.Msg, "1 bytes after the request")):
+				t.Fatalf("a ping with a byte after it was answered %+v, want a CodeApp refusal", rep)
+			case id == 1 && refused:
+				t.Fatalf("a ping after the refusal was refused: %v", se)
+			}
+		}
+	})
+
+	t.Run("reply", func(t *testing.T) {
+		var pong bytes.Buffer
+		if err := writeReply(&pong, &Response{Result: fv.NewCiphertext(ts.params, 2)}, ts.params); err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		fakeSession(t, ln, func([]byte) []byte {
+			if calls.Add(1) == 1 {
+				return append(bytes.Clone(pong.Bytes()), 'x')
+			}
+			return pong.Bytes()
+		})
+		c, err := Dial(ln.Addr().String(), ts.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Ping(); !errors.Is(err, ErrMalformedResponse) || !strings.Contains(err.Error(), "1 bytes after the reply") {
+			t.Fatalf("a reply with a byte after it: %v, want ErrMalformedResponse", err)
+		}
+		if err := c.Ping(); err != nil || c.Broken() {
+			t.Fatalf("a ping after the refused reply: %v (broken %v)", err, c.Broken())
+		}
+	})
 }

@@ -397,7 +397,7 @@ func TestRecycledCKKSResultKeepsNoStaleRows(t *testing.T) {
 			rows, cap(dst.Els[0].Rows), L-1, L+1)
 	}
 
-	buf, err := (&Response{CKKSResult: dst}).encode(ts.params, 9)
+	buf, err := (&Response{CKKSResult: dst}).encode(ts.params)
 	if err != nil {
 		t.Fatal(err)
 	}

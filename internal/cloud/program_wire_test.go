@@ -43,7 +43,7 @@ func TestProgramRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cmd != CmdProgram || got.ID != 42 || got.Tenant != "acme" {
+	if got.Cmd != CmdProgram || got.Tenant != "acme" {
 		t.Fatalf("header fields changed: %+v", got)
 	}
 	if !bytes.Equal(got.ProgBytes, data) {
@@ -67,7 +67,6 @@ func TestProgramRequestRoundTrip(t *testing.T) {
 func TestProgramResponseRoundTrip(t *testing.T) {
 	ts := newTestSystem(t)
 	resp := &ProgramResponse{
-		ID:            9,
 		Outputs:       []*fv.Ciphertext{ts.encrypt(t, 8)},
 		MakespanNanos: 1234,
 		SerialNanos:   5678,
@@ -82,7 +81,7 @@ func TestProgramResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != 9 || got.MakespanNanos != 1234 || got.SerialNanos != 5678 ||
+	if got.MakespanNanos != 1234 || got.SerialNanos != 5678 ||
 		got.KeyLoads != 1 || got.Nodes != 2 || len(got.Outputs) != 1 {
 		t.Fatalf("round trip changed fields: %+v", got)
 	}
@@ -93,7 +92,7 @@ func TestProgramResponseRoundTrip(t *testing.T) {
 	// Error path.
 	var ebuf bytes.Buffer
 	if err := WriteProgramResponse(&ebuf, ts.params, &ProgramResponse{
-		ID: 10, Err: "no such tenant", Code: CodeApp,
+		Err: "no such tenant", Code: CodeApp,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestProgramResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eresp.Err != "no such tenant" || eresp.Code != CodeApp || eresp.ID != 10 {
+	if eresp.Err != "no such tenant" || eresp.Code != CodeApp {
 		t.Fatalf("error round trip changed fields: %+v", eresp)
 	}
 

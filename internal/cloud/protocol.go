@@ -10,14 +10,14 @@
 // # Wire protocol
 //
 // One request encoding, v2 — magic "HEA2", version byte, command byte,
-// request ID (8 bytes LE), tenant (1-byte length + UTF-8 bytes), payload —
-// carried one way: a session ("HEAM", mux.go) of checksummed frames, each
-// wrapping one such request or its response, completing out of order. Every
+// tenant (1-byte length + UTF-8 bytes), payload — carried one way: a session
+// ("HEAM", mux.go) of checksummed frames, each wrapping one such request or
+// its response under its request ID, completing out of order. Every
 // connection opens with the session hello; one that does not is closed.
 //
-// Responses echo the request ID and carry an error code that distinguishes
-// retryable unavailability (overload, shutdown, queue-deadline) from
-// application errors, which is what the cluster router keys failover on.
+// Replies carry an error code that distinguishes retryable unavailability
+// (overload, shutdown, queue-deadline) from application errors, which is
+// what the cluster router keys failover on.
 package cloud
 
 import (
@@ -55,8 +55,9 @@ func malformed(sentinel error, context string, err error) error {
 }
 
 // ProtoVersion is the one protocol version on the wire, the byte after a
-// request's magic: requests carry the ID and tenant the cluster routes on.
-const ProtoVersion uint8 = 2
+// request's magic: requests carry the tenant the cluster routes on (and, until
+// version 3, a request ID).
+const ProtoVersion uint8 = 3
 
 // MaxTenantLen bounds the tenant field of a v2 request (it is
 // length-prefixed with one byte, and routers hash it on every request).
@@ -128,8 +129,9 @@ type Request struct {
 	Cmd uint8
 	G   uint32 // Galois element (CmdRotate only)
 	// Bench-only: nothing reads it.
-	Ver    uint8
-	ID     uint64 // request ID, echoed in the response
+	Ver uint8
+	// Bench-only: nothing reads it; the request ID is the mux frame's.
+	ID     uint64
 	Tenant string // evaluation-key namespace; "" is the default tenant
 	A, B   *fv.Ciphertext
 
@@ -171,7 +173,7 @@ func ckksSize(ct *ckks.Ciphertext) int {
 // dozen bytes: what picks the pooled buffer codec.encode fills, so it never
 // regrows under a ciphertext-sized body.
 func (req *Request) encodedSize(params *fv.Params) int {
-	n := 4 + 1 + 1 + 8 + 1 + len(req.Tenant) + 4 // header, and G or R
+	n := requestHeadLen + len(req.Tenant) + 4 // header, and G or R
 	n += 4 + len(req.Blob) + 4 + len(req.ProgBytes) + 4
 	n += fvSize(params, req.A) + fvSize(params, req.B) + ckksSize(req.CA) + ckksSize(req.CB)
 	for _, ct := range req.Inputs {
@@ -233,10 +235,10 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 }
 
 // Reply envelope. Every reply — whatever the command — opens with a status
-// byte and the request ID it answers, then carries one of two halves:
+// byte, then carries one of two halves:
 //
-//	error:   status 1 | ID (8 LE) | code (1) | message length (4 LE) | message
-//	success: status 0 | ID (8 LE) | the body of the command's reply kind
+//	error:   status 1 | code (1) | message length (4 LE) | message
+//	success: status 0 | the body of the command's reply kind
 //
 // The four kinds and which command answers in which are the command table's
 // (commands.go, ReplyKind).
@@ -246,11 +248,11 @@ func appendRequestBody(b []byte, params *fv.Params, req *Request) ([]byte, error
 
 // Reply is what a Handler answers a request with: one of the four kinds
 // (*Response, *ProgramResponse, *ServerInfo, Blob), a *ServerError, or — at
-// the routing tier — the *RawReply a backend sent. It encodes itself as the
-// reply to request id into one pooled buffer, which the writer releases once
-// the bytes are on the wire.
+// the routing tier — the *RawReply a backend sent. It encodes itself into one
+// pooled buffer, which the writer releases once the bytes are on the wire;
+// the request ID it answers is the mux frame's.
 type Reply interface {
-	encode(params *fv.Params, id uint64) (*buffer, error)
+	encode(params *fv.Params) (*buffer, error)
 }
 
 // replySize is encodedSize for a reply: its ciphertexts or blob plus room for
@@ -275,10 +277,10 @@ func replySize(rep Reply, params *fv.Params) int {
 }
 
 // encodeReply runs one kind's encoder over a buffer sized for rep: body
-// appends everything after the status byte and request ID.
-func encodeReply(rep Reply, params *fv.Params, status uint8, id uint64, body func(b []byte) ([]byte, error)) (*buffer, error) {
+// appends everything after the status byte.
+func encodeReply(rep Reply, params *fv.Params, status uint8, body func(b []byte) ([]byte, error)) (*buffer, error) {
 	buf := getBuf(replySize(rep, params))
-	b, err := body(binary.LittleEndian.AppendUint64(append(buf.b, status), id))
+	b, err := body(append(buf.b, status))
 	buf.b = b
 	if err != nil {
 		buf.release()
@@ -294,18 +296,18 @@ type Response struct {
 	Code uint8 // error code (CodeApp, CodeUnavailable, ...)
 	// Bench-only: nothing reads it; only ReadResponseV sets it.
 	Ver          uint8
-	ID           uint64 // echoes the request ID
+	ID           uint64 // the request ID, as the reply's mux frame carries it
 	Result       *fv.Ciphertext
 	CKKSResult   *ckks.Ciphertext // result of a CKKS command (Result is nil)
 	ComputeNanos uint64           // simulated co-processor latency
 	Worker       uint32           // which application core / co-processor served it
 }
 
-func (resp *Response) encode(params *fv.Params, id uint64) (*buffer, error) {
+func (resp *Response) encode(params *fv.Params) (*buffer, error) {
 	if resp.Err != "" {
-		return (&ServerError{Code: resp.Code, Msg: resp.Err}).encode(params, id)
+		return (&ServerError{Code: resp.Code, Msg: resp.Err}).encode(params)
 	}
-	return encodeReply(resp, params, statusOK, id, func(b []byte) ([]byte, error) {
+	return encodeReply(resp, params, statusOK, func(b []byte) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, resp.ComputeNanos)
 		b = binary.LittleEndian.AppendUint32(b, resp.Worker)
 		if resp.CKKSResult != nil {
@@ -330,20 +332,20 @@ type ServerInfo struct {
 // maxInfoBytes bounds the JSON body of an info reply.
 const maxInfoBytes = 1 << 20
 
-func (info *ServerInfo) encode(params *fv.Params, id uint64) (*buffer, error) {
+func (info *ServerInfo) encode(params *fv.Params) (*buffer, error) {
 	body, err := json.Marshal(info)
 	if err != nil {
 		return nil, err
 	}
-	return Blob(body).encode(params, id)
+	return Blob(body).encode(params)
 }
 
 // Blob is the blob-kind reply: an opaque length-prefixed body — a tenant key
 // blob (CmdKeyExport) or a small JSON acknowledgement (CmdKeyImport).
 type Blob []byte
 
-func (blob Blob) encode(params *fv.Params, id uint64) (*buffer, error) {
-	return encodeReply(blob, params, statusOK, id, func(b []byte) ([]byte, error) {
+func (blob Blob) encode(params *fv.Params) (*buffer, error) {
+	return encodeReply(blob, params, statusOK, func(b []byte) ([]byte, error) {
 		return append(binary.LittleEndian.AppendUint32(b, uint32(len(blob))), blob...), nil
 	})
 }
@@ -353,7 +355,7 @@ func (blob Blob) encode(params *fv.Params, id uint64) (*buffer, error) {
 type ProgramResponse struct {
 	Err  string
 	Code uint8
-	ID   uint64
+	ID   uint64 // the request ID, as the reply's mux frame carries it
 
 	Outputs []*fv.Ciphertext
 	// MakespanNanos is the simulated completion time of the scheduled DAG;
@@ -365,14 +367,14 @@ type ProgramResponse struct {
 	Nodes         uint32 // DAG nodes executed
 }
 
-func (resp *ProgramResponse) encode(params *fv.Params, id uint64) (*buffer, error) {
+func (resp *ProgramResponse) encode(params *fv.Params) (*buffer, error) {
 	if resp.Err != "" {
-		return (&ServerError{Code: resp.Code, Msg: resp.Err}).encode(params, id)
+		return (&ServerError{Code: resp.Code, Msg: resp.Err}).encode(params)
 	}
 	if len(resp.Outputs) == 0 || len(resp.Outputs) > ProgramLimits().MaxOutputs {
 		return nil, fmt.Errorf("cloud: %d program outputs outside (0, %d]", len(resp.Outputs), ProgramLimits().MaxOutputs)
 	}
-	return encodeReply(resp, params, statusOK, id, func(b []byte) ([]byte, error) {
+	return encodeReply(resp, params, statusOK, func(b []byte) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, resp.MakespanNanos)
 		b = binary.LittleEndian.AppendUint64(b, resp.SerialNanos)
 		b = binary.LittleEndian.AppendUint32(b, resp.KeyLoads)
@@ -400,8 +402,8 @@ type ServerError struct {
 func (e *ServerError) Error() string { return "cloud: server error: " + e.Msg }
 
 // encode writes the error half: code, message length, message.
-func (e *ServerError) encode(params *fv.Params, id uint64) (*buffer, error) {
-	return encodeReply(e, params, statusErr, id, func(b []byte) ([]byte, error) {
+func (e *ServerError) encode(params *fv.Params) (*buffer, error) {
+	return encodeReply(e, params, statusErr, func(b []byte) ([]byte, error) {
 		b = append(b, e.Code)
 		return append(binary.LittleEndian.AppendUint32(b, uint32(len(e.Msg))), e.Msg...), nil
 	})

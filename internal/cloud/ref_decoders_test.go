@@ -9,7 +9,9 @@ package cloud
 // under test. The edits since: like the codec under test, they no longer
 // stamp the bench-only Ver field of what they decode, and they tell a CKKS
 // command by the test helper isCKKSCmd. Since the stream framing went, the
-// fuzz targets feed them the payload from memory.
+// fuzz targets feed them the payload from memory. Since protocol version 3
+// neither a request nor a reply carries a request ID (the mux header does),
+// so they read none.
 
 import (
 	"encoding/binary"
@@ -32,14 +34,14 @@ func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Requ
 	if magic != protocolMagicV2 {
 		return nil, fmt.Errorf("%w: bad protocol magic %q", ErrMalformedRequest, magic[:])
 	}
-	var hdr [10]byte // version, command, request ID
+	var hdr [2]byte // version, command
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, malformed(ErrMalformedRequest, "truncated v2 header", err)
 	}
 	if hdr[0] != ProtoVersion {
 		return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
 	}
-	req := &Request{Cmd: hdr[1], ID: binary.LittleEndian.Uint64(hdr[2:])}
+	req := &Request{Cmd: hdr[1]}
 	var tlen [1]byte
 	if _, err := io.ReadFull(r, tlen[:]); err != nil {
 		return nil, malformed(ErrMalformedRequest, "truncated tenant length", err)
@@ -145,51 +147,47 @@ func refReadRequest(r io.Reader, params *fv.Params, cparams *ckks.Params) (*Requ
 	return req, nil
 }
 
-func refReadReplyHead(r io.Reader) (id uint64, serr *ServerError, err error) {
-	var head [9]byte // status, id
-	if n, err := io.ReadFull(r, head[:]); err != nil {
-		if n == 0 {
-			return 0, nil, err // the reply never started: hangup or timeout, not garbage
-		}
-		return 0, nil, malformed(ErrMalformedResponse, "truncated reply head", err)
+func refReadReplyHead(r io.Reader) (serr *ServerError, err error) {
+	var head [1]byte // status
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, err // the reply never started: hangup or timeout, not garbage
 	}
-	id = binary.LittleEndian.Uint64(head[1:])
 	switch head[0] {
 	case statusOK:
-		return id, nil, nil
+		return nil, nil
 	case statusErr:
 	default:
 		// A corrupted stream must not be mistaken for a success frame — the
 		// bytes after an unknown status would be parsed as a body.
-		return 0, nil, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, head[0])
+		return nil, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, head[0])
 	}
 	var hdr [5]byte // code, message length
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, malformed(ErrMalformedResponse, "truncated error header", err)
+		return nil, malformed(ErrMalformedResponse, "truncated error header", err)
 	}
 	// An empty message would make a decoded Response look like a success
 	// (Err == "" is the discriminator its callers use).
 	ln := binary.LittleEndian.Uint32(hdr[1:])
 	if ln == 0 || ln > 1<<16 {
-		return 0, nil, fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
+		return nil, fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
 	}
 	msg := make([]byte, ln)
 	if _, err := io.ReadFull(r, msg); err != nil {
-		return 0, nil, malformed(ErrMalformedResponse, "truncated error message", err)
+		return nil, malformed(ErrMalformedResponse, "truncated error message", err)
 	}
-	return id, &ServerError{Code: hdr[0], Msg: string(msg)}, nil
+	return &ServerError{Code: hdr[0], Msg: string(msg)}, nil
 }
 
 // readReply decodes the reply to a cmd request: the shared head, then the
 // body of the kind cmd answers in. A server-reported failure comes back as
 // the *ServerError it is. cparams is needed for the CKKS commands only.
-func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint8) (uint64, Reply, error) {
-	id, serr, err := refReadReplyHead(r)
+func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint8) (Reply, error) {
+	serr, err := refReadReplyHead(r)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if serr != nil {
-		return id, serr, nil
+		return serr, nil
 	}
 	var (
 		rep  Reply
@@ -197,7 +195,7 @@ func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint
 	)
 	switch cmd {
 	case CmdProgram:
-		rep, err = refReadProgramBody(r, params, id)
+		rep, err = refReadProgramBody(r, params)
 	case CmdInfo:
 		if body, err = refReadLenBody(r, maxInfoBytes); err == nil {
 			info := new(ServerInfo)
@@ -213,21 +211,20 @@ func refReadReply(r io.Reader, params *fv.Params, cparams *ckks.Params, cmd uint
 		body, err = refReadLenBody(r, maxAckBytes)
 		rep = Blob(body)
 	default:
-		rep, err = refReadOpBody(r, params, cparams, id, isCKKSCmd(cmd))
+		rep, err = refReadOpBody(r, params, cparams, isCKKSCmd(cmd))
 	}
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return id, rep, nil
+	return rep, nil
 }
 
-func refReadOpBody(r io.Reader, params *fv.Params, cparams *ckks.Params, id uint64, isCKKS bool) (*Response, error) {
+func refReadOpBody(r io.Reader, params *fv.Params, cparams *ckks.Params, isCKKS bool) (*Response, error) {
 	var meta [12]byte // compute nanos, worker
 	if _, err := io.ReadFull(r, meta[:]); err != nil {
 		return nil, malformed(ErrMalformedResponse, "truncated response header", err)
 	}
 	resp := &Response{
-		ID:           id,
 		ComputeNanos: binary.LittleEndian.Uint64(meta[:8]),
 		Worker:       binary.LittleEndian.Uint32(meta[8:]),
 	}
@@ -270,13 +267,12 @@ func refReadN(r io.Reader, n int) ([]byte, error) {
 	return b, err
 }
 
-func refReadProgramBody(r io.Reader, params *fv.Params, id uint64) (*ProgramResponse, error) {
+func refReadProgramBody(r io.Reader, params *fv.Params) (*ProgramResponse, error) {
 	var hdr [28]byte // makespan, serial, key loads, nodes, output count
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, malformed(ErrMalformedResponse, "truncated program response header", err)
 	}
 	resp := &ProgramResponse{
-		ID:            id,
 		MakespanNanos: binary.LittleEndian.Uint64(hdr[:8]),
 		SerialNanos:   binary.LittleEndian.Uint64(hdr[8:16]),
 		KeyLoads:      binary.LittleEndian.Uint32(hdr[16:20]),

@@ -102,14 +102,11 @@ func TestClientSurfacesServerErrorForEveryKind(t *testing.T) {
 	}
 	defer ln.Close()
 	fakeSession(t, ln, func(payload []byte) []byte {
-		req, err := ReadRequest(bytes.NewReader(payload), ts.params)
-		if err != nil {
+		if _, err := ReadRequest(bytes.NewReader(payload), ts.params); err != nil {
 			return nil
 		}
-		// The error half, byte by byte: status, ID, code, length, message.
-		frame := []byte{1}
-		frame = binary.LittleEndian.AppendUint64(frame, req.ID)
-		frame = append(frame, CodeQuota)
+		// The error half, byte by byte: status, code, length, message.
+		frame := []byte{1, CodeQuota}
 		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(msg)))
 		return append(frame, msg...)
 	})

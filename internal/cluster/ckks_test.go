@@ -197,7 +197,7 @@ func TestCKKSRefusedByNodesWithoutCKKS(t *testing.T) {
 	if err := cloud.WriteRequest(&frame, tc.params, &cloud.Request{Cmd: cloud.CmdCKKSAdd, CA: x, CB: x}); err != nil {
 		t.Fatal(err)
 	}
-	const muxHeader = 25 // type, ID, length, two checksums
+	const muxHeader = 21 // type, ID, length, two checksums
 	t.Run("mux", func(t *testing.T) {
 		var proxies []*countingProxy
 		var backends []Backend

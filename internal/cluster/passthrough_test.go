@@ -261,7 +261,7 @@ func tenantWithPrimary(t *testing.T, r *Router, node string) string {
 }
 
 // TestRouterFailsOverWithTheSameBytes: the frame a failed attempt sent is
-// sent again, restamped, to the next replica — after a retryable refusal
+// sent again, byte for byte, to the next replica — after a retryable refusal
 // and after a reply the router's own range check rejects, which stays what
 // it was when the router decoded replies: a transport failure that feeds the
 // breaker and fails over. Both schemes; the client sees only the right

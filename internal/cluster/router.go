@@ -265,9 +265,9 @@ func (r *Router) DoProgram(ctx context.Context, req *cloud.Request) (*cloud.Prog
 
 // Forward routes one framed request to the backend owning its tenant and
 // returns that backend's framed reply — neither is unpacked: the frame's
-// validated bytes go out under the backend connection's own request ID, and
-// the reply comes back validated for the caller to relay or materialize, and
-// to release. This is the failover walk: candidates from the ring, health
+// validated bytes go out under the client's checksum and the backend
+// connection's own request ID, and the reply comes back validated for the
+// caller to relay or materialize, and to release. This is the failover walk: candidates from the ring, health
 // filtering, bounded retries — the same bytes again, on the next replica;
 // every command is safe to repeat, and the ops and programs the front-end
 // forwards are pure functions of their inputs — after transport errors and

@@ -57,7 +57,7 @@ func (s *Server) routed(rep *cloud.RawReply, err error) cloud.Reply {
 // through the router — as the frame it arrived in. The front-end has already
 // range-checked every ciphertext in it; the router sends those bytes on and
 // relays the backend's reply bytes back, checked the same way, without
-// decoding either.
+// decoding either, each under the payload checksum its sender wrote.
 func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 	switch f.ReplyKind() {
 	case cloud.ReplyInfo:
