@@ -18,11 +18,13 @@ test:
 # identical on this path; and the wire's frame checksum against hash/crc32,
 # which is the whole checksum there: the lane's tests, the mux session's, and
 # the two that hold a relay to forwarding every payload under the checksum
-# its sender wrote. CI's test job calls it.
+# its sender wrote; and the residue range check, which runs on the word
+# kernels: the frame fuzzers' seeds, framing that reads no residue, and the
+# router's checks of what it forwards and relays. CI's test job calls it.
 test-purego:
 	$(GO) test -tags purego ./internal/ring ./internal/poly ./internal/rns ./internal/rlwe ./internal/fv ./internal/ckks ./internal/hwsim ./internal/sched ./internal/difftest ./internal/engine ./internal/faults ./internal/hebench
-	$(GO) test -tags purego -run 'Checksum|TestMux|TestRouterMemoryFlip' ./internal/cloud
-	$(GO) test -tags purego -run 'TestRouterRelaysPayloadAndChecksum' ./internal/cluster
+	$(GO) test -tags purego -run 'Checksum|TestMux|TestRouterMemoryFlip|FuzzFrame|TestFramingReadsNoResidue' ./internal/cloud
+	$(GO) test -tags purego -run 'TestRouterRelaysPayloadAndChecksum|TestRouterStillRangeChecksRequests|TestRouterFailsOverWithTheSameBytes' ./internal/cluster
 
 race:
 	$(GO) test -race ./...

@@ -99,7 +99,8 @@ func (ct *Ciphertext) AppendTo(dst []byte) ([]byte, error) {
 }
 
 // Decode validates the encoding at the head of b — exactly as the in-place
-// check a forwarding tier runs, params.Wire().Check, does — and stores it in
+// check a relay runs instead of decoding, params.Wire().Check, does: one pass
+// over the residues, whichever runs — and stores it in
 // ct, returning the encoded length. Rows ct already has in the right shape
 // are reused — at whatever level it was before — and every coefficient is
 // overwritten, so a recycled ciphertext keeps nothing of its previous value.

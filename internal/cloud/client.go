@@ -312,9 +312,9 @@ func (c *Client) take(id uint64) (chan muxResult, bool) {
 // Exchange runs one raw exchange under ctx: it sends f's bytes as one frame
 // under the session's next request ID and f's checksum — nothing about the
 // frame touched, so the routing tier forwards a client's frame through here
-// as is — and waits for the reply frame, then frames and validates that
-// payload, which must be one whole reply, in place for the caller to relay or
-// materialize and then release. It
+// as is — and waits for the reply frame, then frames that payload, which
+// must be one whole reply, by shape, for the caller to check and relay, or to
+// materialize (either reads the residues), and then release. It
 // implements the window: a full window fails immediately with
 // ErrWindowExhausted rather than queueing. The write is synchronous, so
 // nothing references f once Exchange returns, however it returns. The reply
@@ -442,8 +442,8 @@ func (c *Client) DoProgram(ctx context.Context, req *Request) (*ProgramResponse,
 }
 
 // PingCtx verifies the service is alive, honoring ctx. The reply's
-// ciphertext is framed and checked like any other but never materialized: a
-// health probe costs no ciphertext.
+// ciphertext is framed by shape and discarded, never checked or
+// materialized: a health probe reads no residue and costs no ciphertext.
 func (c *Client) PingCtx(ctx context.Context) error {
 	raw, err := c.codec.send(ctx, c.Exchange, &Request{Cmd: CmdPing, Tenant: c.Ops.Tenant})
 	if err != nil {

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -18,26 +19,26 @@ import (
 	"repro/internal/rlwe"
 )
 
-// Framing and materialization. The wire codec has two halves:
+// Framing and materialization: two halves of the wire codec, one body walker
+// per direction (Frame.walk, RawReply.walk).
 //
 //   - Framing turns a mux payload, in memory, into a Frame or a RawReply:
 //     the header fields, plus the whole message as one contiguous byte slice
-//     whose length is derived from the command and each ciphertext's header,
-//     bounded by the limits of the codec it is framed under, and with every
-//     ciphertext — BFV or CKKS — validated in place by the one ciphertext
-//     codec both schemes share (rlwe.Layout.Check under the codec's layout
-//     for the command: header fields, then every residue below its modulus).
-//     Nothing ciphertext-sized is allocated, for any command.
+//     whose length is derived from the command and each ciphertext's header
+//     (rlwe.Layout.Len under the codec's layout for the command), bounded by
+//     the limits of the codec it is framed under. It reads a ciphertext's
+//     shape, never its residues, and allocates nothing ciphertext-sized.
 //   - Materialization turns those bytes into *fv.Ciphertext and
 //     *ckks.Ciphertext values (Frame.Request, RawReply.Reply) and back
 //     (codec.encode, Reply.encode).
 //
-// The front-end only frames. The routing tier never materializes: it
-// forwards a frame's bytes to a backend and relays its framed reply, each
-// under its sender's checksum, having range-checked both — it stays a trust
-// boundary (a node never sees a residue the router let through unchecked, a
-// client never gets one a damaged hop produced) without ever unpacking a
-// coefficient. The data node materializes operands into recycled ciphertexts.
+// A residue is range-checked once in each process that receives it, by its
+// consumer: the data node and the client as they decode it; the routing
+// tier, which forwards a frame's bytes and relays the framed reply, each
+// under its sender's checksum, by Frame.Check and RawReply.Check. It stays a
+// trust boundary (a node never sees a residue the router let through
+// unchecked, a client never gets one a damaged hop produced) without ever
+// unpacking a coefficient.
 //
 // Ownership: a Frame and a RawReply own their bytes until released. The
 // front-end releases a request's frame — the operands materialized from it
@@ -150,11 +151,14 @@ func poisonRows(els []poly.RNSPoly) {
 }
 
 // cursor walks the bytes of one message, a mux payload already in memory,
-// handing out at most left more bytes.
+// handing out at most left more bytes. A walk's first refusal, wrapped in
+// the direction's sentinel bad, sticks in err: later reads yield nothing.
 type cursor struct {
-	buf  []byte
-	off  int // bytes of buf consumed so far
-	left int
+	buf      []byte
+	off      int // bytes of buf consumed so far
+	left     int
+	check    bool // range-check the residues of the ciphertexts walked over
+	bad, err error
 }
 
 // next returns the following n bytes, with io.ReadFull's error contract:
@@ -172,9 +176,35 @@ func (c *cursor) next(n int) ([]byte, error) {
 	return b, nil
 }
 
-// ciphertext consumes one ciphertext of layout l — its header, then the length
-// the header gives — and validates it in place.
-func (c *cursor) ciphertext(l rlwe.Layout) error {
+// field returns the following n bytes, the field what; a short read refuses
+// the walk as a truncated what.
+func (c *cursor) field(n int, what string) []byte {
+	if c.err != nil {
+		return nil
+	}
+	b, err := c.next(n)
+	if err != nil {
+		c.err = malformed(c.bad, "truncated "+what, err)
+	}
+	return b
+}
+
+// word is field for a little-endian 32-bit word, 0 once the walk is refused.
+func (c *cursor) word(what string) uint32 {
+	if b := c.field(4, what); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// ciphertext consumes one ciphertext of layout l — its header, then the
+// length the header gives — and decodes its residues into dst, an
+// *fv.Ciphertext or a *ckks.Ciphertext, or range-checks them in place under
+// c.check, or reads none of them. A refused walk reads nothing more.
+func (c *cursor) ciphertext(l rlwe.Layout, dst any) error {
+	if c.err != nil {
+		return nil
+	}
 	start, hl := c.off, rlwe.HeaderLen(l.Leveled)
 	hdr, err := c.next(hl)
 	if err != nil {
@@ -185,12 +215,19 @@ func (c *cursor) ciphertext(l rlwe.Layout) error {
 		return err
 	}
 	if _, err := c.next(size - hl); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
 		return err
 	}
-	_, err = l.Check(c.buf[start:c.off])
+	b := c.buf[start:c.off]
+	switch ct := dst.(type) {
+	case *fv.Ciphertext:
+		_, _, err = l.Decode(b, &ct.Els)
+	case *ckks.Ciphertext:
+		_, ct.Scale, err = l.Decode(b, &ct.Els)
+	default:
+		if c.check {
+			_, err = l.Check(b)
+		}
+	}
 	return err
 }
 
@@ -274,8 +311,8 @@ func (cd *codec) layout(cmd uint8) (rlwe.Layout, error) {
 
 // Frame is a request as framed off the wire (or encoded by a client): its
 // header fields, and the complete request — magic through the last body
-// byte — as validated bytes with their checksum. Handlers receive frames; one
-// that only forwards never looks further.
+// byte — as framed bytes with their checksum. Handlers receive frames; one
+// that only forwards checks them (Check) and never looks further.
 type Frame struct {
 	Cmd uint8
 	// ID is the request ID of the mux frame the request arrived in; the reply
@@ -297,8 +334,8 @@ type Frame struct {
 	cdst *ckks.Ciphertext
 }
 
-// read frames one request from c under cd. Errors: io.EOF on an empty
-// payload, and ErrMalformedRequest for everything else.
+// read frames one request from c under cd, by shape. Errors: io.EOF on an
+// empty payload, and ErrMalformedRequest for everything else.
 func (f *Frame) read(c *cursor, cd *codec) error {
 	magic, err := c.next(4)
 	if err != nil {
@@ -307,91 +344,31 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 	if [4]byte(magic) != protocolMagicV2 {
 		return fmt.Errorf("%w: bad protocol magic %q", ErrMalformedRequest, magic)
 	}
-	hdr, err := c.next(2) // version, command
-	if err != nil {
-		return malformed(ErrMalformedRequest, "truncated v2 header", err)
-	}
-	if hdr[0] != ProtoVersion {
+	c.bad = ErrMalformedRequest
+	hdr := c.field(2, "v2 header") // version, command
+	if c.err == nil && hdr[0] != ProtoVersion {
 		return fmt.Errorf("%w: unsupported protocol version %d", ErrMalformedRequest, hdr[0])
 	}
-	f.Cmd = hdr[1]
-	tlen, err := c.next(1)
-	if err != nil {
-		return malformed(ErrMalformedRequest, "truncated tenant length", err)
+	tlen := c.field(1, "tenant length")
+	if c.err != nil {
+		return c.err
 	}
 	if int(tlen[0]) > MaxTenantLen {
 		return fmt.Errorf("%w: tenant length %d exceeds %d", ErrMalformedRequest, tlen[0], MaxTenantLen)
 	}
-	tenant, err := c.next(int(tlen[0]))
-	if err != nil {
-		return malformed(ErrMalformedRequest, "truncated tenant", err)
-	}
-	f.Tenant = string(tenant)
-	f.body = c.off
-	f.codec = cd
-
-	row, err := commandOf(f.Cmd)
-	if err != nil {
+	f.Cmd, f.Tenant = hdr[1], string(c.field(int(tlen[0]), "tenant"))
+	f.body, f.codec = c.off, cd
+	if err := f.walk(c, nil); err != nil {
 		return err
-	}
-	switch row.body {
-	case bodyBlob:
-		n, err := c.next(4)
-		if err != nil {
-			return malformed(ErrMalformedRequest, "truncated payload length", err)
-		}
-		blen := binary.LittleEndian.Uint32(n)
-		if blen == 0 || int64(blen) > int64(cd.maxKeyBlob) {
-			return fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(f.Cmd), blen, cd.maxKeyBlob)
-		}
-		if _, err := c.next(int(blen)); err != nil {
-			return malformed(ErrMalformedRequest, "truncated payload", err)
-		}
-	case bodyProgram:
-		l := ProgramLimits()
-		n, err := c.next(4)
-		if err != nil {
-			return malformed(ErrMalformedRequest, "truncated program length", err)
-		}
-		plen := binary.LittleEndian.Uint32(n)
-		if plen == 0 || int64(plen) > int64(l.MaxEncodedBytes()) {
-			return fmt.Errorf("%w: program length %d outside (0, %d]", ErrMalformedRequest, plen, l.MaxEncodedBytes())
-		}
-		if _, err := c.next(int(plen)); err != nil {
-			return malformed(ErrMalformedRequest, "truncated program", err)
-		}
-		if n, err = c.next(4); err != nil {
-			return malformed(ErrMalformedRequest, "truncated input count", err)
-		}
-		ni := binary.LittleEndian.Uint32(n)
-		if ni == 0 || int64(ni) > int64(l.MaxInputs) {
-			return fmt.Errorf("%w: %d program inputs outside (0, %d]", ErrMalformedRequest, ni, l.MaxInputs)
-		}
-		for i := 0; i < int(ni); i++ {
-			if err := c.ciphertext(cd.bfv); err != nil {
-				return malformed(ErrMalformedRequest, fmt.Sprintf("reading program input %d", i), err)
-			}
-		}
-	case bodyOp:
-		// The op commands are one shape under either scheme: the argument
-		// word, then the engine kind's operands, of the scheme's layout.
-		layout, err := cd.layout(f.Cmd)
-		if err != nil {
-			return err
-		}
-		if row.arg != argNone {
-			if _, err := c.next(4); err != nil {
-				return malformed(ErrMalformedRequest, "truncated rotation argument", err)
-			}
-		}
-		for i := 0; i < row.op.Operands(); i++ {
-			if err := c.ciphertext(layout); err != nil {
-				return malformed(ErrMalformedRequest, fmt.Sprintf("reading %s operand %c", layout.Scheme, 'A'+i), err)
-			}
-		}
 	}
 	f.b = c.buf[:c.off]
 	return nil
+}
+
+// Check range-checks the frame's residues in place, refusing what Request
+// refuses: what a tier that forwards the frame runs, once.
+func (f *Frame) Check() error {
+	return f.walk(&cursor{buf: f.b, off: f.body, left: len(f.b) - f.body, check: true}, nil)
 }
 
 // Request materializes the frame: the decoded request, its ciphertexts drawn
@@ -401,53 +378,89 @@ func (f *Frame) read(c *cursor, cd *codec) error {
 func (f *Frame) Request() (*Request, error) {
 	req := &Request{Cmd: f.Cmd, Tenant: f.Tenant}
 	f.req = req
-	body := f.b[f.body:]
-	operand := func() (*fv.Ciphertext, error) {
-		ct := f.pool.getFV()
-		n, _, err := f.codec.bfv.Decode(body, &ct.Els)
-		body = body[n:]
-		return ct, err
-	}
-	ckksOperand := func() (ct *ckks.Ciphertext, err error) {
-		ct = f.pool.getCKKS()
-		var n int
-		n, ct.Scale, err = f.codec.ckks.Decode(body, &ct.Els)
-		body = body[n:]
-		return ct, err
-	}
-	// An operand is stored in req even when its decode failed, so Release
-	// takes it back either way.
-	var err error
-	switch row := commands[f.Cmd]; row.body {
-	case bodyBlob:
-		req.Blob = body[4:]
-	case bodyProgram:
-		plen := binary.LittleEndian.Uint32(body)
-		req.ProgBytes = body[4 : 4+plen]
-		body = body[4+plen:]
-		req.Inputs = make([]*fv.Ciphertext, binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		for i := 0; i < len(req.Inputs) && err == nil; i++ {
-			req.Inputs[i], err = operand()
-		}
-	case bodyOp:
-		if row.arg != argNone {
-			row.arg.put(req, binary.LittleEndian.Uint32(body))
-			body = body[4:]
-		}
-		two := row.op.Operands() == 2
-		if row.op.CKKS() {
-			if req.CA, err = ckksOperand(); err == nil && two {
-				req.CB, err = ckksOperand()
-			}
-		} else if req.A, err = operand(); err == nil && two {
-			req.B, err = operand()
-		}
-	}
-	if err != nil {
+	if err := f.walk(&cursor{buf: f.b, off: f.body, left: len(f.b) - f.body}, req); err != nil {
 		return nil, err
 	}
 	return req, nil
+}
+
+// walk reads the body of the frame's command from c by shape, checking the
+// residues under c.check, or decoding into req — each operand stored in req
+// before it is decoded, so Release takes it back either way.
+func (f *Frame) walk(c *cursor, req *Request) error {
+	c.bad = ErrMalformedRequest
+	row, err := commandOf(f.Cmd)
+	if c.err != nil || err != nil {
+		return cmp.Or(c.err, err)
+	}
+	switch row.body {
+	case bodyBlob:
+		blen := c.word("payload length")
+		if c.err == nil && (blen == 0 || int64(blen) > int64(f.codec.maxKeyBlob)) {
+			return fmt.Errorf("%w: %s payload length %d outside (0, %d]", ErrMalformedRequest, cmdName(f.Cmd), blen, f.codec.maxKeyBlob)
+		}
+		if blob := c.field(int(blen), "payload"); req != nil {
+			req.Blob = blob
+		}
+	case bodyProgram:
+		l := ProgramLimits()
+		plen := c.word("program length")
+		if c.err == nil && (plen == 0 || int64(plen) > int64(l.MaxEncodedBytes())) {
+			return fmt.Errorf("%w: program length %d outside (0, %d]", ErrMalformedRequest, plen, l.MaxEncodedBytes())
+		}
+		prog := c.field(int(plen), "program")
+		ni := c.word("input count")
+		if c.err == nil && (ni == 0 || int64(ni) > int64(l.MaxInputs)) {
+			return fmt.Errorf("%w: %d program inputs outside (0, %d]", ErrMalformedRequest, ni, l.MaxInputs)
+		}
+		if req != nil {
+			req.ProgBytes, req.Inputs = prog, make([]*fv.Ciphertext, ni)
+		}
+		for i := range int(ni) {
+			var dst any
+			if req != nil {
+				req.Inputs[i] = f.pool.getFV()
+				dst = req.Inputs[i]
+			}
+			if err := c.ciphertext(f.codec.bfv, dst); err != nil {
+				return malformed(ErrMalformedRequest, fmt.Sprintf("reading program input %d", i), err)
+			}
+		}
+	case bodyOp:
+		// The op commands are one shape under either scheme: the argument
+		// word, then the engine kind's operands, of the scheme's layout.
+		layout, err := f.codec.layout(f.Cmd)
+		if err != nil {
+			return err
+		}
+		if row.arg != argNone {
+			if w := c.word("rotation argument"); req != nil {
+				row.arg.put(req, w)
+			}
+		}
+		for i := range row.op.Operands() {
+			if err := c.ciphertext(layout, f.operand(req, i)); err != nil {
+				return malformed(ErrMalformedRequest, fmt.Sprintf("reading %s operand %c", layout.Scheme, 'A'+i), err)
+			}
+		}
+	}
+	return c.err
+}
+
+// operand draws operand i of the frame's op from the pool into req: A or B,
+// CA or CB under CKKS; nil when there is no req to decode into.
+func (f *Frame) operand(req *Request, i int) any {
+	switch {
+	case req == nil:
+		return nil
+	case commands[f.Cmd].op.CKKS():
+		slots := [2]**ckks.Ciphertext{&req.CA, &req.CB}
+		*slots[i] = f.pool.getCKKS()
+		return *slots[i]
+	}
+	slots := [2]**fv.Ciphertext{&req.A, &req.B}
+	*slots[i] = f.pool.getFV()
+	return *slots[i]
 }
 
 // result draws, from the pool the frame's operands come from, the ciphertext
@@ -506,111 +519,33 @@ func (cd *codec) encode(req *Request) (*Frame, error) {
 }
 
 // RawReply is a reply as framed off the wire: status and the error half or
-// the kind's body as validated bytes, with its mux frame's ID and checksum.
-// The routing tier relays it as is (it is a Reply); clients materialize it.
+// the kind's body as framed bytes, with its mux frame's ID and checksum.
+// The routing tier checks and relays it (it is a Reply); clients
+// materialize it.
 type RawReply struct {
-	row   *command // the command it answers: picks the body's kind
-	id    uint64   // the request ID it answers
-	b     []byte   // the encoded reply
-	sum   uint32   // its sender's CRC-32C of b, which a relay sends b under
-	buf   *buffer  // pooled backing of b, nil when b is plain memory
-	codec *codec   // the request's: what the body was framed under
-	// info is the info body, decoded while framing: its JSON has to parse for
-	// the reply to be well formed.
-	info *ServerInfo
+	cmd   uint8   // the command it answers: picks the body's kind and layout
+	id    uint64  // the request ID it answers
+	b     []byte  // the encoded reply
+	sum   uint32  // its sender's CRC-32C of b, which a relay sends b under
+	buf   *buffer // pooled backing of b, nil when b is plain memory
+	codec *codec  // the request's: what the body was framed under
 }
 
 // replyHeadLen is what every reply opens with: the status byte.
 const replyHeadLen = 1
 
-// read frames the reply to a cmd request from c under cd: an error before
-// the status byte surfaces as is, anything after is ErrMalformedResponse. A
-// CKKS command under a codec without a CKKS layout is refused before a byte
-// is read.
+// read frames the reply to a cmd request from c under cd, by shape. A CKKS
+// command under a codec without a CKKS layout is refused before a byte is
+// read.
 func (raw *RawReply) read(c *cursor, cd *codec, cmd uint8) error {
-	layout, err := cd.layout(cmd)
-	if err != nil {
+	if _, err := cd.layout(cmd); err != nil {
 		return err
 	}
-	raw.row, raw.codec = commands[cmd], cd
-	head, err := c.next(replyHeadLen)
-	if err != nil {
-		return err // the reply never started: hangup or timeout, not garbage
-	}
-	switch head[0] {
-	case statusOK:
-		err = raw.readBody(c, layout)
-	case statusErr:
-		var hdr []byte // code, message length
-		if hdr, err = c.next(5); err != nil {
-			return malformed(ErrMalformedResponse, "truncated error header", err)
-		}
-		// An empty message would make a decoded Response look like a success
-		// (Err == "" is the discriminator its callers use).
-		ln := binary.LittleEndian.Uint32(hdr[1:])
-		if ln == 0 || ln > 1<<16 {
-			return fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
-		}
-		if _, err = c.next(int(ln)); err != nil {
-			return malformed(ErrMalformedResponse, "truncated error message", err)
-		}
-	default:
-		// A corrupted stream must not be mistaken for a success frame — the
-		// bytes after an unknown status would be parsed as a body.
-		return fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, head[0])
-	}
-	if err != nil {
+	raw.cmd, raw.codec = cmd, cd
+	if _, err := raw.walk(c, false); err != nil {
 		return err
 	}
 	raw.b = c.buf[:c.off]
-	return nil
-}
-
-// readBody frames the success body of the kind raw's command answers in; an
-// op result is of the command's layout.
-func (raw *RawReply) readBody(c *cursor, layout rlwe.Layout) error {
-	switch raw.row.reply {
-	case ReplyProgram:
-		hdr, err := c.next(28) // makespan, serial, key loads, nodes, output count
-		if err != nil {
-			return malformed(ErrMalformedResponse, "truncated program response header", err)
-		}
-		nOut := binary.LittleEndian.Uint32(hdr[24:])
-		if nOut == 0 || int64(nOut) > int64(ProgramLimits().MaxOutputs) {
-			return fmt.Errorf("%w: %d program outputs outside (0, %d]", ErrMalformedResponse, nOut, ProgramLimits().MaxOutputs)
-		}
-		for i := 0; i < int(nOut); i++ {
-			if err := c.ciphertext(layout); err != nil {
-				return malformed(ErrMalformedResponse, fmt.Sprintf("reading program output %d", i), err)
-			}
-		}
-	case ReplyInfo, ReplyBlob:
-		n, err := c.next(4)
-		if err != nil {
-			return malformed(ErrMalformedResponse, "truncated body length", err)
-		}
-		ln, maxLen := binary.LittleEndian.Uint32(n), raw.row.bound(raw.codec)
-		if int64(ln) > int64(maxLen) {
-			return fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
-		}
-		body, err := c.next(int(ln))
-		if err != nil {
-			return malformed(ErrMalformedResponse, "truncated body", err)
-		}
-		if raw.row.reply == ReplyInfo {
-			raw.info = new(ServerInfo)
-			if err := json.Unmarshal(body, raw.info); err != nil {
-				return fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
-			}
-		}
-	default:
-		if _, err := c.next(12); err != nil { // compute nanos, worker
-			return malformed(ErrMalformedResponse, "truncated response header", err)
-		}
-		if err := c.ciphertext(layout); err != nil {
-			return malformed(ErrMalformedResponse, "reading result", err)
-		}
-	}
 	return nil
 }
 
@@ -622,64 +557,116 @@ func (raw *RawReply) ServerError() *ServerError {
 	return &ServerError{Code: raw.b[replyHeadLen], Msg: string(raw.b[replyHeadLen+5:])}
 }
 
+// Check range-checks the reply's residues in place, refusing what Reply
+// refuses: what a tier that relays the reply runs, once.
+func (raw *RawReply) Check() error {
+	_, err := raw.walk(&cursor{buf: raw.b, left: len(raw.b), check: true}, false)
+	return err
+}
+
 // Reply materializes the reply: the kind its command answers in, with newly
 // allocated ciphertexts (they outlive the exchange), or the *ServerError it
 // reports. Nothing it returns aliases the raw bytes.
 func (raw *RawReply) Reply() (Reply, error) {
-	if se := raw.ServerError(); se != nil {
-		return se, nil
-	}
-	body := raw.b[replyHeadLen:]
-	result := func() (*fv.Ciphertext, error) {
-		ct := new(fv.Ciphertext)
-		n, _, err := raw.codec.bfv.Decode(body, &ct.Els)
-		if err != nil {
-			return nil, err
-		}
-		body = body[n:]
-		return ct, nil
-	}
-	switch raw.row.reply {
-	case ReplyProgram:
-		resp := &ProgramResponse{
-			ID:            raw.id,
-			MakespanNanos: binary.LittleEndian.Uint64(body),
-			SerialNanos:   binary.LittleEndian.Uint64(body[8:]),
-			KeyLoads:      binary.LittleEndian.Uint32(body[16:]),
-			Nodes:         binary.LittleEndian.Uint32(body[20:]),
-			Outputs:       make([]*fv.Ciphertext, binary.LittleEndian.Uint32(body[24:])),
-		}
-		body = body[28:]
-		for i := range resp.Outputs {
-			var err error
-			if resp.Outputs[i], err = result(); err != nil {
-				return nil, err
-			}
-		}
-		return resp, nil
-	case ReplyInfo:
-		return raw.info, nil
-	case ReplyBlob:
-		return Blob(bytes.Clone(body[4:])), nil
-	}
-	resp := &Response{
-		ID:           raw.id,
-		ComputeNanos: binary.LittleEndian.Uint64(body),
-		Worker:       binary.LittleEndian.Uint32(body[8:]),
-	}
-	body = body[12:]
-	var err error
-	if raw.row.op.CKKS() {
-		ct := new(ckks.Ciphertext)
-		_, ct.Scale, err = raw.codec.ckks.Decode(body, &ct.Els)
-		resp.CKKSResult = ct
-	} else {
-		resp.Result, err = result()
-	}
+	return raw.walk(&cursor{buf: raw.b, left: len(raw.b)}, true)
+}
+
+// walk reads a reply from c — status byte, then the error half or the body
+// of the kind raw's command answers in — by shape, checking the residues
+// under c.check, or decoding it into the reply it returns. An error before
+// the status byte surfaces as is (a hangup or timeout, not garbage), anything
+// after is ErrMalformedResponse.
+func (raw *RawReply) walk(c *cursor, decode bool) (rep Reply, err error) {
+	head, err := c.next(replyHeadLen)
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	c.bad = ErrMalformedResponse
+	row := commands[raw.cmd]
+	layout, _ := raw.codec.layout(raw.cmd) // read refused a command without one
+	switch {
+	case head[0] == statusErr:
+		code := c.field(1, "error header") // then the message length
+		ln := c.word("error header")
+		// An empty message would make a decoded Response look like a success
+		// (Err == "" is the discriminator its callers use).
+		if c.err == nil && (ln == 0 || ln > 1<<16) {
+			return nil, fmt.Errorf("%w: implausible error length %d", ErrMalformedResponse, ln)
+		}
+		if msg := c.field(int(ln), "error message"); decode && c.err == nil {
+			rep = &ServerError{Code: code[0], Msg: string(msg)}
+		}
+	case head[0] != statusOK:
+		// A corrupted stream must not be mistaken for a success frame — the
+		// bytes after an unknown status would be parsed as a body.
+		return nil, fmt.Errorf("%w: unknown status byte %d", ErrMalformedResponse, head[0])
+	case row.reply == ReplyProgram:
+		hdr := c.field(28, "program response header") // makespan, serial, key loads, nodes, output count
+		if c.err != nil {
+			return nil, c.err
+		}
+		nOut := binary.LittleEndian.Uint32(hdr[24:])
+		if nOut == 0 || int64(nOut) > int64(ProgramLimits().MaxOutputs) {
+			return nil, fmt.Errorf("%w: %d program outputs outside (0, %d]", ErrMalformedResponse, nOut, ProgramLimits().MaxOutputs)
+		}
+		var outs []*fv.Ciphertext
+		if decode {
+			outs = make([]*fv.Ciphertext, nOut)
+			rep = &ProgramResponse{
+				ID:            raw.id,
+				MakespanNanos: binary.LittleEndian.Uint64(hdr),
+				SerialNanos:   binary.LittleEndian.Uint64(hdr[8:]),
+				KeyLoads:      binary.LittleEndian.Uint32(hdr[16:]),
+				Nodes:         binary.LittleEndian.Uint32(hdr[20:]),
+				Outputs:       outs,
+			}
+		}
+		for i := range int(nOut) {
+			var dst any
+			if decode {
+				outs[i] = new(fv.Ciphertext)
+				dst = outs[i]
+			}
+			if err := c.ciphertext(layout, dst); err != nil {
+				return nil, malformed(ErrMalformedResponse, fmt.Sprintf("reading program output %d", i), err)
+			}
+		}
+	case row.reply == ReplyOp:
+		hdr := c.field(12, "response header") // compute nanos, worker
+		var dst any
+		if decode {
+			resp := &Response{ID: raw.id, ComputeNanos: binary.LittleEndian.Uint64(hdr), Worker: binary.LittleEndian.Uint32(hdr[8:])}
+			if row.op.CKKS() {
+				resp.CKKSResult = new(ckks.Ciphertext)
+				dst = resp.CKKSResult
+			} else {
+				resp.Result = new(fv.Ciphertext)
+				dst = resp.Result
+			}
+			rep = resp
+		}
+		if err := c.ciphertext(layout, dst); err != nil {
+			return nil, malformed(ErrMalformedResponse, "reading result", err)
+		}
+	default: // an info or a blob body
+		ln, maxLen := c.word("body length"), row.bound(raw.codec)
+		if int64(ln) > int64(maxLen) {
+			return nil, fmt.Errorf("%w: body length %d exceeds %d", ErrMalformedResponse, ln, maxLen)
+		}
+		body := c.field(int(ln), "body")
+		switch {
+		case c.err != nil:
+		case row.reply == ReplyInfo: // decoded in every mode: framing needs its JSON to parse
+			info := new(ServerInfo)
+			if err := json.Unmarshal(body, info); err != nil {
+				return nil, fmt.Errorf("%w: decoding info: %w", ErrMalformedResponse, err)
+			}
+			rep = info
+		case decode:
+			rep = Blob(bytes.Clone(body))
+		}
+	}
+	return rep, c.err
 }
 
 // Release gives the reply's buffer back; the reply must not be used again.
@@ -732,8 +719,8 @@ func (cd *codec) roundTrip(ctx context.Context, exchange func(context.Context, *
 	return raw.Reply()
 }
 
-// send is roundTrip short of materializing: the framed reply, validated in
-// place, for the caller to read and release. The request's checksum is
+// send is roundTrip short of materializing: the reply, framed by shape, for
+// the caller to check or materialize and release. The request's checksum is
 // computed once, however many attempts the exchange makes.
 func (cd *codec) send(ctx context.Context, exchange func(context.Context, *Frame) (*RawReply, error), req *Request) (*RawReply, error) {
 	f, err := cd.encode(req)

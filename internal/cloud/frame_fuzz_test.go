@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,7 +35,8 @@ var fuzzCKKS = sync.OnceValues(func() (*ckks.Params, *ckks.Ciphertext) {
 // addFrameSeeds seeds a fuzz target with a valid encoding and the mutations
 // that reach the deep paths fastest: a truncation, a flipped byte, trailing
 // garbage (a mux payload may carry it), and an out-of-range residue in the
-// last word of the message.
+// last word of the message, which framing accepts and the check and the
+// decode after it refuse.
 func addFrameSeeds(f *testing.F, enc []byte, add func(b []byte)) {
 	add(enc)
 	add(enc[:len(enc)/2])
@@ -197,17 +199,35 @@ func TestMuxFrameReservesOnlyWhatArrived(t *testing.T) {
 	}
 }
 
-// sameRefusal fails unless the split codec refused exactly as the reference
-// did: the same sentinel, or the same bare I/O error before the message
-// started.
-func sameRefusal(t *testing.T, what string, got, ref, sentinel error) {
+// sameRefusal fails unless one step of the split codec refused exactly as
+// the reference did: the same sentinel, or the same bare I/O error before
+// the message started.
+func sameRefusal(t *testing.T, what, step string, got, ref, sentinel error) {
 	t.Helper()
 	if (got == nil) != (ref == nil) {
-		t.Fatalf("%s: framing says %v, the reference decoder says %v", what, got, ref)
+		t.Fatalf("%s: %s says %v, the reference decoder says %v", what, step, got, ref)
 	}
 	if errors.Is(ref, sentinel) != errors.Is(got, sentinel) || (!errors.Is(ref, sentinel) && got != ref) {
-		t.Fatalf("%s: framing refused with %v, the reference decoder with %v", what, got, ref)
+		t.Fatalf("%s: %s refused with %v, the reference decoder with %v", what, step, got, ref)
 	}
+}
+
+// splitRefusal holds the three steps of the split codec to the reference
+// decoder: framing reads no residue, so it never refuses one, and refuses
+// only what the reference refuses; on a framed input the range check and the
+// materialization each refuse exactly what the reference refuses.
+func splitRefusal(t *testing.T, what string, framed, checked, decoded func() error, ref, sentinel error) bool {
+	t.Helper()
+	if err := framed(); err != nil {
+		if strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: framing read a residue: %v", what, err)
+		}
+		sameRefusal(t, what, "framing", err, ref, sentinel)
+		return false
+	}
+	sameRefusal(t, what, "framing and Check", checked(), ref, sentinel)
+	sameRefusal(t, what, "framing and materialization", decoded(), ref, sentinel)
+	return ref == nil
 }
 
 // requestCmdOff is where the command byte sits in an encoded request: after
@@ -220,12 +240,15 @@ var siblings = map[uint8]uint8{
 	CmdCKKSAdd: CmdAdd, CmdCKKSMul: CmdMul, CmdCKKSRotate: CmdRotate,
 }
 
-// FuzzFrameRequest: the two halves of the split codec are together exactly
-// the decoder they replaced. Framing a payload in memory accepts the inputs
+// FuzzFrameRequest: the halves of the split codec are together exactly the
+// decoder they replaced, whichever consumes the frame. Framing a payload in
+// memory and then range-checking it (the relay's path) accepts the inputs
 // the reference ReadRequest accepts and refuses the rest with the same
-// sentinel; on accept, materializing the frame gives the reference's decode,
-// and the frame's bytes — what the routing tier forwards — are the consumed
-// input, byte for byte what WriteRequest writes for that decode. Every input is framed under both codecs a side may speak:
+// sentinel, and so does framing and then materializing it (the node's path);
+// framing alone refuses no residue. On accept, materializing the frame gives
+// the reference's decode, and the frame's bytes — what the routing tier
+// forwards — are the consumed input, byte for byte what WriteRequest writes
+// for that decode. Every input is framed under both codecs a side may speak:
 // BFV and CKKS, and BFV only — where a CKKS command is a typed refusal.
 func FuzzFrameRequest(f *testing.F) {
 	params := fuzzParams()
@@ -277,18 +300,23 @@ func FuzzFrameRequest(f *testing.F) {
 		for name, cp := range map[string]*ckks.Params{"dual": cparams, "bfv-only": nil} {
 			ref, refErr := refReadRequest(bytes.NewReader(data), params, cp)
 			cd := codecFor(params, cp)
-			var fr Frame
-			err := fr.read(&cursor{buf: bytes.Clone(data), left: cd.maxRequest}, cd)
-			if cp == nil && ckksCmd && !errors.Is(err, ErrMalformedRequest) {
-				t.Fatalf("%s: a CKKS command framed as %v, want ErrMalformedRequest", name, err)
+			var (
+				fr  Frame
+				got *Request
+			)
+			framed := func() error {
+				err := fr.read(&cursor{buf: bytes.Clone(data), left: cd.maxRequest}, cd)
+				if cp == nil && ckksCmd && !errors.Is(err, ErrMalformedRequest) {
+					t.Fatalf("%s: a CKKS command framed as %v, want ErrMalformedRequest", name, err)
+				}
+				return err
 			}
-			sameRefusal(t, name, err, refErr, ErrMalformedRequest)
-			if err != nil {
+			decoded := func() (err error) {
+				got, err = fr.Request()
+				return err
+			}
+			if !splitRefusal(t, name, framed, fr.Check, decoded, refErr, ErrMalformedRequest) {
 				continue
-			}
-			got, err := fr.Request()
-			if err != nil {
-				t.Fatalf("%s: accepted frame does not materialize: %v", name, err)
 			}
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("%s: materialized request differs from the reference decode:\n got %+v\nwant %+v", name, got, ref)
@@ -308,8 +336,9 @@ func FuzzFrameRequest(f *testing.F) {
 }
 
 // FuzzFrameReply is FuzzFrameRequest for the reply direction, under every
-// reply kind: RawReply.read against the reference readReply, RawReply.Reply
-// against its decode, and the relayed bytes — the raw reply encoded for the
+// reply kind: RawReply.read followed by RawReply.Check, and by
+// RawReply.Reply, against the reference readReply, RawReply.Reply against
+// its decode, and the relayed bytes — the raw reply encoded for the
 // writer — against the consumed input and against the kind's own encoder.
 // A reply that is its whole payload, as a session requires, is relayed under
 // the checksum it arrived with, which must still be the CRC of the relayed
@@ -357,14 +386,16 @@ func FuzzFrameReply(f *testing.F) {
 				ref, refErr := refReadReply(bytes.NewReader(data), params, cp, k.cmd)
 				what := k.kind + " under " + name
 				raw := RawReply{sum: muxChecksum(data)} // as the session reader verified it
-				err := raw.read(&cursor{buf: bytes.Clone(data), left: math.MaxInt}, cd, k.cmd)
-				sameRefusal(t, what, err, refErr, ErrMalformedResponse)
-				if err != nil {
-					continue
+				var got Reply
+				framed := func() error {
+					return raw.read(&cursor{buf: bytes.Clone(data), left: math.MaxInt}, cd, k.cmd)
 				}
-				got, err := raw.Reply()
-				if err != nil {
-					t.Fatalf("%s: accepted reply does not materialize: %v", what, err)
+				decoded := func() (err error) {
+					got, err = raw.Reply()
+					return err
+				}
+				if !splitRefusal(t, what, framed, raw.Check, decoded, refErr, ErrMalformedResponse) {
+					continue
 				}
 				if !reflect.DeepEqual(got, ref) {
 					t.Fatalf("%s: materialized reply differs from the reference decode:\n got %+v\nwant %+v", what, got, ref)

@@ -25,11 +25,12 @@ const DefaultReadTimeout = 2 * time.Minute
 
 // Handler answers one framed request. The front-end calls it on one
 // goroutine per in-flight frame of every session, so it must be safe for
-// concurrent use. The frame, and whatever the handler materialized from it,
-// stays valid until the front-end has encoded the reply — which goes out
-// under the ID the request arrived with — and is released by the front-end
-// right after, before the reply's bytes are written; the handler keeps
-// nothing of it.
+// concurrent use. The frame is framed by shape: its residues are the
+// handler's to check (Frame.Check) or decode (Frame.Request). The frame, and
+// whatever the handler materialized from it, stays valid until the front-end
+// has encoded the reply — which goes out under the ID the request arrived
+// with — and is released by the front-end right after, before the reply's
+// bytes are written; the handler keeps nothing of it.
 type Handler interface {
 	Handle(f *Frame) Reply
 }

@@ -270,6 +270,7 @@ func TestMuxCancellationKeepsConnection(t *testing.T) {
 	ts := newTestSystem(t)
 	seen := make(chan uint64, 4)
 	release := make(chan struct{})
+	var wmu sync.Mutex // a frame is two writes: one response's must not split another's
 	conn := fakeMuxServer(t, 4, func(server net.Conn, _ *bytes.Buffer) {
 		defer server.Close()
 		for {
@@ -282,6 +283,8 @@ func TestMuxCancellationKeepsConnection(t *testing.T) {
 				<-release
 				var buf bytes.Buffer
 				WriteResponse(&buf, ts.params, &Response{Ver: ProtoV2, ID: id, Result: fv.NewCiphertext(ts.params, 2)})
+				wmu.Lock()
+				defer wmu.Unlock()
 				WriteMuxFrame(server, MuxFrameResponse, id, buf.Bytes())
 			}(f.ID)
 		}

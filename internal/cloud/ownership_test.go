@@ -419,13 +419,22 @@ func TestRecycledCKKSResultKeepsNoStaleRows(t *testing.T) {
 	}
 }
 
-// relay is the routing tier in miniature: a front-end handler that forwards
-// each frame's bytes over one backend session and relays the reply it gets,
-// never materializing either — cluster.Server's forwarding without the ring.
+// relay is the routing tier in miniature: a front-end handler that
+// range-checks each frame and forwards its bytes over one backend session,
+// then checks the reply it gets and relays it, never materializing either —
+// cluster.Server's forwarding without the ring.
 type relay struct{ via *Client }
 
 func (r *relay) Handle(f *Frame) Reply {
+	if err := f.Check(); err != nil {
+		return &ServerError{Code: CodeApp, Msg: err.Error()}
+	}
 	raw, err := r.via.Exchange(context.Background(), f)
+	if err == nil {
+		if err = raw.Check(); err != nil {
+			raw.Release()
+		}
+	}
 	if err != nil {
 		return &ServerError{Code: CodeUnavailable, Msg: err.Error()}
 	}
@@ -435,7 +444,8 @@ func (r *relay) Handle(f *Frame) Reply {
 // TestRelayedCKKSFramesReleasedOnEveryPath: CKKS frames framed by a
 // forwarding front-end own their pooled bytes until the relayed reply is
 // written, and give them back on every path — a result, a node's error reply
-// relayed as is, and the front-end's own refusal of an out-of-range operand.
+// relayed as is, and the relay's own refusal of an out-of-range operand,
+// which its front-end framed and its range check refused.
 // With the pools poisoning what they take back, rounds of each leave every
 // answer bit for bit the node's.
 func TestRelayedCKKSFramesReleasedOnEveryPath(t *testing.T) {
@@ -504,7 +514,7 @@ func TestRelayedCKKSFramesReleasedOnEveryPath(t *testing.T) {
 		if _, _, err := cl.CKKSRotateCtx(ctx, x, 3); !errors.As(err, &se) || se.Code != CodeApp {
 			t.Fatalf("round %d: rotation without a key: %v", round, err)
 		}
-		// The front-end's refusal: the session answers it and goes on.
+		// The relay's refusal: the session answers it and goes on.
 		if _, _, err := cl.CKKSAddCtx(ctx, x, bad); !errors.As(err, &se) || !strings.Contains(se.Msg, ErrMalformedRequest.Error()) {
 			t.Fatalf("round %d: out-of-range operand: %v", round, err)
 		}

@@ -15,8 +15,9 @@ import (
 // flippingRelay is relay with a router whose memory goes bad: while armed,
 // it clears one bit of the first residue word of the first ciphertext in the
 // request it is about to forward (after its front-end verified the request's
-// checksum) or in the reply it is about to relay (after its session verified
-// the reply's).
+// checksum and it range-checked the request) or in the reply it is about to
+// relay (after its session verified the reply's checksum and it
+// range-checked the reply).
 type flippingRelay struct {
 	via     *Client
 	inReply bool // flip the reply's bytes, not the request's
@@ -36,6 +37,9 @@ func clearTopBit(b []byte, off int) {
 }
 
 func (r *flippingRelay) Handle(f *Frame) Reply {
+	if err := f.Check(); err != nil {
+		return &ServerError{Code: CodeApp, Msg: err.Error()}
+	}
 	armed := r.armed.Swap(false)
 	if armed && !r.inReply {
 		// Operand A's first element, row 0, coefficient 0.
@@ -43,6 +47,11 @@ func (r *flippingRelay) Handle(f *Frame) Reply {
 		r.flipped.Add(1)
 	}
 	raw, err := r.via.Exchange(context.Background(), f)
+	if err == nil {
+		if err = raw.Check(); err != nil {
+			raw.Release()
+		}
+	}
 	if err != nil {
 		return &ServerError{Code: CodeUnavailable, Msg: err.Error()}
 	}

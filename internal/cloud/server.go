@@ -57,10 +57,11 @@ func (s *Server) SetGaloisKey(gk *fv.GaloisKey) {
 func (s *Server) Served() uint64 { return s.served.Load() }
 
 // Handle serves one request against the engine. This is where a frame is
-// materialized: its operands decode into ciphertexts recycled through the
-// front-end's pool, and an op's result is read back into one more, which the
-// pool takes back — with the frame — once the reply carrying it (or an
-// operand, as a program output) has been encoded.
+// materialized, its residues range-checked as its operands decode into
+// ciphertexts recycled through the front-end's pool, and an op's result is
+// read back into one more, which the pool takes back — with the frame — once
+// the reply carrying it (or an operand, as a program output) has been
+// encoded.
 func (s *Server) Handle(f *Frame) Reply {
 	req, err := f.Request()
 	if err != nil {

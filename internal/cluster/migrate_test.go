@@ -13,7 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckks"
 	"repro/internal/cloud"
+	"repro/internal/fv"
+	"repro/internal/sampler"
 )
 
 // startKeylessCluster boots n backends with the relin key registered only
@@ -648,5 +651,130 @@ func TestWatchMembership(t *testing.T) {
 	}
 	if n := router.Stats().Obs.Counters["cluster_leaves"]; n != 2 {
 		t.Fatalf("cluster_leaves = %d, want 2 (the shrink and the move)", n)
+	}
+}
+
+// TestMigrateCKKSKeys: a Join and a Leave each move a tenant that holds BFV
+// and CKKS relin and Galois keys onto a node that held none of them. After
+// the cutover the new owner answers CKKSMul and CKKSRotate through the
+// routing tier bit for bit as the old owner did (and a BFV Mul right), and
+// the report counts every key moved, the CKKS ones included.
+func TestMigrateCKKSKeys(t *testing.T) {
+	cs := testCKKS()
+	x, y := cs.encrypt(t, 0.5, -0.25, 0.125), cs.encrypt(t, 0.3, 0.2)
+	for _, change := range []string{"join", "leave"} {
+		t.Run(change, func(t *testing.T) {
+			tc := startCKKSCluster(t, 3, nil)
+			byID := map[string]*testBackend{}
+			for _, b := range tc.backends {
+				byID[b.id] = b
+			}
+			initial, mover := tc.backendList(), tc.backends[2].id // the joiner
+			if change == "join" {
+				initial = initial[:2]
+			} else {
+				mover = tc.backends[0].id // the leaver
+			}
+			router, err := NewRouter(Config{Params: tc.params, Backends: initial, Replicas: 1, Health: elasticHealth()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A tenant whose one owner the change replaces.
+			var tenant, from, to string
+			for _, tn := range testTenants(64) {
+				from = router.Candidates(tn)[0]
+				if change == "join" {
+					to = router.scratchRing(mover, "").Lookup(tn, 1)[0]
+				} else {
+					to = router.scratchRing("", mover).Lookup(tn, 1)[0]
+				}
+				if from != to && (to == mover || from == mover) {
+					tenant = tn
+					break
+				}
+			}
+			if tenant == "" {
+				t.Fatalf("no tenant moves on this %s", change)
+			}
+			old, next := byID[from], byID[to]
+			old.eng.SetRelinKey(tenant, tc.rk)
+			old.eng.SetGaloisKey(tenant, fv.NewKeyGenerator(tc.params, sampler.NewPRNG(5)).GenGaloisKey(tc.sk, 3))
+			cs.install(old.eng, tenant)
+			if !next.eng.ExportTenantKeys(tenant).Empty() {
+				t.Fatalf("the new owner %s holds keys of %q before the %s", to, tenant, change)
+			}
+
+			srv := NewServer(tc.params, router, nil)
+			srv.CKKSParams = cs.cp
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve() }()
+			t.Cleanup(func() {
+				srv.Close()
+				<-done
+				router.Close()
+			})
+			client, err := cloud.DialTenant(addr, tc.params, tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			client.EnableCKKS(cs.cp)
+			ops := func() []*ckks.Ciphertext {
+				t.Helper()
+				prod, _, err := client.CKKSMul(x, y)
+				if err != nil {
+					t.Fatalf("CKKS mul: %v", err)
+				}
+				rot, _, err := client.CKKSRotate(prod, 1)
+				if err != nil {
+					t.Fatalf("CKKS rotate: %v", err)
+				}
+				bprod, _, err := client.Mul(tc.encrypt(t, 6), tc.encrypt(t, 7))
+				if err != nil || tc.decrypt(bprod) != 42 {
+					t.Fatalf("BFV mul: %v", err)
+				}
+				return []*ckks.Ciphertext{prod, rot}
+			}
+			served := old.srv.Served()
+			want := ops()
+			if old.srv.Served()-served != 3 {
+				t.Fatalf("the old owner %s did not serve the tenant before the %s", from, change)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			var report *MigrationReport
+			if change == "join" {
+				report, err = router.Join(ctx, Backend{ID: mover, Addr: byID[mover].addr})
+			} else {
+				report, err = router.Leave(ctx, mover)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", change, err)
+			}
+			wantKeys := 0
+			for _, tn := range report.Moved {
+				wantKeys += old.eng.ExportTenantKeys(tn).Count()
+			}
+			moved := next.eng.ExportTenantKeys(tenant)
+			if !slices.Contains(report.Moved, tenant) || report.Keys != wantKeys ||
+				moved.Count() != 4 || moved.CKKSRelin == nil || len(moved.CKKSGalois) != 1 {
+				t.Fatalf("report %+v (want %d keys); %s now holds %d keys of %q", report, wantKeys, to, moved.Count(), tenant)
+			}
+
+			served = next.srv.Served()
+			for i, got := range ops() {
+				if !got.Equal(want[i]) {
+					t.Errorf("CKKS result %d from the new owner %s is not the old owner's", i, to)
+				}
+			}
+			if next.srv.Served()-served != 3 {
+				t.Fatalf("the new owner %s served %d of the 3 requests after the %s", to, next.srv.Served()-served, change)
+			}
+		})
 	}
 }

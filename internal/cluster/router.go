@@ -265,9 +265,9 @@ func (r *Router) DoProgram(ctx context.Context, req *cloud.Request) (*cloud.Prog
 
 // Forward routes one framed request to the backend owning its tenant and
 // returns that backend's framed reply — neither is unpacked: the frame's
-// validated bytes go out under the client's checksum and the backend
-// connection's own request ID, and the reply comes back validated for the
-// caller to relay or materialize, and to release. This is the failover walk: candidates from the ring, health
+// bytes go out under the client's checksum and the backend connection's own
+// request ID, and the reply comes back range-checked for the caller to relay
+// or materialize, and to release. This is the failover walk: candidates from the ring, health
 // filtering, bounded retries — the same bytes again, on the next replica;
 // every command is safe to repeat, and the ops and programs the front-end
 // forwards are pure functions of their inputs — after transport errors and
@@ -348,7 +348,7 @@ func (r *Router) Forward(ctx context.Context, f *cloud.Frame) (*cloud.RawReply, 
 
 // tryOn runs one attempt against one backend under the per-attempt deadline,
 // reporting the outcome to the health manager. An error reply is returned as
-// the *cloud.ServerError it carries.
+// the *cloud.ServerError it carries; a reply out of range is a hop failure.
 func (r *Router) tryOn(ctx context.Context, node string, f *cloud.Frame) (*cloud.RawReply, error) {
 	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	defer cancel()
@@ -371,8 +371,12 @@ func (r *Router) tryOn(ctx context.Context, node string, f *cloud.Frame) (*cloud
 	p.latency.Observe(elapsed)
 	if err == nil {
 		if se := raw.ServerError(); se != nil {
-			raw.Release()
 			err = se
+		} else {
+			err = raw.Check()
+		}
+		if err != nil {
+			raw.Release()
 		}
 	}
 	if err != nil {

@@ -54,10 +54,9 @@ func (s *Server) routed(rep *cloud.RawReply, err error) cloud.Reply {
 }
 
 // Handle answers one request: info and ping locally, everything else
-// through the router — as the frame it arrived in. The front-end has already
-// range-checked every ciphertext in it; the router sends those bytes on and
-// relays the backend's reply bytes back, checked the same way, without
-// decoding either, each under the payload checksum its sender wrote.
+// through the router — as the frame it arrived in, its residues range-checked
+// here, and the backend's reply bytes relayed back, checked in tryOn, neither
+// decoded, each under the payload checksum its sender wrote.
 func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 	switch f.ReplyKind() {
 	case cloud.ReplyInfo:
@@ -84,6 +83,9 @@ func (s *Server) Handle(f *cloud.Frame) cloud.Reply {
 			return &cloud.ServerError{Code: cloud.CodeUnavailable, Msg: err.Error()}
 		}
 		return s.pong
+	}
+	if err := f.Check(); err != nil {
+		return &cloud.ServerError{Code: cloud.CodeApp, Msg: err.Error()}
 	}
 	return s.routed(s.Router.Forward(context.Background(), f))
 }

@@ -118,7 +118,8 @@ func (c *Ciphertext) AppendTo(dst []byte, params *Params) ([]byte, error) {
 }
 
 // Decode validates the encoding at the head of b — exactly as the in-place
-// check a forwarding tier runs, params.Wire().Check, does — and stores it in
+// check a relay runs instead of decoding, params.Wire().Check, does: one pass
+// over the residues, whichever runs — and stores it in
 // c, returning the encoded length. c's rows are reused
 // where they have the shape params gives them and replaced otherwise, and
 // every coefficient of every element is overwritten, so a recycled
